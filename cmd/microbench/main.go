@@ -9,7 +9,6 @@
 //	microbench -engines [-threads csv] [-duration D]   # serial vs sharded engine
 //	microbench -fleet N [-duration D] [-engine serial|sharded]  # fleet stress
 //	microbench -propagation [-procs N] [-propsigs N] [-tcp]  # time-to-immunity across live processes (or phones, over TCP)
-//	microbench -wire [-out BENCH_wire.json]  # wire codec + hub fan-out benchmarks, machine-readable baseline
 package main
 
 import (
@@ -46,13 +45,8 @@ func run(args []string) error {
 	propProcs := fs.Int("procs", 8, "live processes for -propagation")
 	propSigs := fs.Int("propsigs", 64, "signatures to publish for -propagation")
 	propTCP := fs.Bool("tcp", false, "with -propagation: cross-device latency through the TCP exchange (publish on one phone → armed on another)")
-	wireBench := fs.Bool("wire", false, "run the wire codec + hub broadcast fan-out microbenchmarks and a short propagation pass")
-	benchOut := fs.String("out", "BENCH_wire.json", "with -wire: write machine-readable results here (empty disables)")
 	if err := fs.Parse(args); err != nil {
 		return err
-	}
-	if *wireBench {
-		return runWireBench(*benchOut, *propProcs, *propSigs)
 	}
 	serial, err := parseEngine(*engine)
 	if err != nil {

@@ -83,25 +83,70 @@ func (c *Core) avoidLocked(t *Node, pos *Position) (yielded bool, err error) {
 // transitions that can create an instantiation, and the core maintains the
 // invariant that no instantiation exists after each approval, so a new one
 // must involve the newly pretended (t, pos).
+//
+// Both engines run this one function, so the occupancy pre-filter below is
+// part of the serial reference too.
 func (c *Core) findInstantiationLocked(t *Node, pos *Position) (*Signature, map[*Node]*Position) {
+	var (
+		found     *Signature
+		witnesses map[*Node]*Position
+		examined  uint64
+	)
 	for _, sig := range pos.sigs {
 		if sig.Kind != DeadlockSig {
 			continue
 		}
-		atomic.AddUint64(&c.stats.AvoidanceChecks, 1)
+		examined++
+		if !slotsOccupiable(sig.slots, pos) {
+			continue
+		}
 		if assigned := c.matchSignatureLocked(sig, t, pos); assigned != nil {
 			// A successful match is rare (it precedes a yield); only then
 			// materialize the witness map.
-			witnesses := make(map[*Node]*Position, len(assigned))
+			witnesses = make(map[*Node]*Position, len(assigned))
 			for i, th := range assigned {
 				if th != nil && th != t {
 					witnesses[th] = sig.slots[i]
 				}
 			}
-			return sig, witnesses
+			found = sig
+			break
 		}
 	}
-	return nil, nil
+	atomic.AddUint64(&c.stats.AvoidanceChecks, examined)
+	return found, witnesses
+}
+
+// slotsOccupiable is the occupancy pre-filter: it reports whether every
+// slot could have an occupant once some thread is pretended present at
+// pos. It is a necessary condition for matchSlot to succeed, so skipping
+// a signature that fails it changes no decision:
+//
+// matchSlot succeeds only with one distinct thread per slot, and it draws
+// a slot's thread from exactly two places — the slot position's queue, or
+// the pretended thread t, which it offers only to slots at pos and (being
+// one thread, under the distinctness rule) to at most one of them. A slot
+// whose queue is empty can therefore only be filled by t: it must sit at
+// pos, and it must be the only empty slot. Any other empty slot — at
+// another position, or a second one at pos (a signature naming pos twice
+// needs one *other* occupant there) — has no candidate at all.
+//
+// The converse does not hold (a non-empty queue may hold only threads that
+// other slots need, or t itself); those cases go to matchSlot as before.
+// Queues are exact under the exclusive engine lock, including right after
+// rebuildQueueLocked arms a position that is already held.
+func slotsOccupiable(slots []*Position, pos *Position) bool {
+	pretendedFree := true
+	for _, p := range slots {
+		if p.queue.head != nil {
+			continue
+		}
+		if p != pos || !pretendedFree {
+			return false
+		}
+		pretendedFree = false
+	}
+	return true
 }
 
 // matchSignatureLocked attempts to find distinct threads occupying all of

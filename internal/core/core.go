@@ -74,6 +74,31 @@
 // cycles need a yielder; the fast path bails out to the slow path whenever
 // one exists, and a thread that starts yielding later does so under the
 // exclusive lock, observing every previously published fast-path edge.
+//
+// The slow path takes two shortcuts of its own, each a cheap test proving
+// that the expensive step it guards would find nothing.
+//
+// Occupancy pre-filter (avoid.go, slotsOccupiable). An instantiation needs
+// a distinct thread in every slot of a signature. A slot's thread comes
+// from the slot position's queue or — once, and only for a slot at the
+// requested position — from the pretended requester. So a signature with
+// an empty-queue slot the requester cannot fill (one at another position,
+// or a second empty one at its own) is not instantiable, and the
+// backtracking matcher is skipped for it. The test is necessary, not
+// sufficient: it only skips matchings that would fail, so avoidance decides
+// exactly as it did without it. It sits in the one findInstantiationLocked
+// both engines call, so the serial reference runs it too.
+//
+// Yielder-set invariant (wakeYieldersLocked). Every goroutine waiting on a
+// Signature.cond is in c.yielders: avoidLocked inserts it before cond.Wait
+// and removes it after Wait returns, and both steps — like Wait's own
+// unlock and relock — happen under the exclusive engine lock. Release and
+// Abort hold that lock when they wake, so len(c.yielders) == 0 proves no
+// goroutine is parked on any signature, and the per-signature Broadcast
+// loop is skipped. A goroutine already woken but not yet rescheduled is
+// still in the set (it cannot remove itself before relocking), so the gate
+// never hides a waiter. Close does not use the gate: it broadcasts
+// unconditionally.
 package core
 
 import (
@@ -509,10 +534,23 @@ func (c *Core) Release(t, l *Node) {
 	l.owner.Store(nil)
 	l.acqPos = nil
 	l.acqEntry = nil
-	if pos != nil && pos.inHistory.Load() {
-		for _, s := range pos.sigs {
-			s.cond.Broadcast()
-		}
+	if pos != nil {
+		c.wakeYieldersLocked(pos)
+	}
+}
+
+// wakeYieldersLocked wakes every thread yielding on a signature that names
+// pos, after an occupant left pos's queue, so each re-checks its
+// instantiation. With nothing yielding there is nobody to wake (the
+// yielder-set invariant in the package comment), which spares an
+// uncontended release at an armed position one Broadcast per signature
+// naming it. Caller must hold c.mu exclusively.
+func (c *Core) wakeYieldersLocked(pos *Position) {
+	if len(c.yielders) == 0 {
+		return
+	}
+	for _, s := range pos.sigs {
+		s.cond.Broadcast()
 	}
 }
 
@@ -566,11 +604,7 @@ func (c *Core) Abort(t, l *Node) {
 	pos := t.reqPos
 	if pos != nil && t.reqEntry != nil {
 		c.releaseEntryLocked(pos, t.reqEntry)
-		if pos.inHistory.Load() {
-			for _, s := range pos.sigs {
-				s.cond.Broadcast()
-			}
-		}
+		c.wakeYieldersLocked(pos)
 	}
 	t.reqLock, t.reqPos, t.reqEntry = nil, nil, nil
 }

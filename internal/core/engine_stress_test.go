@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
 	"sync"
 	"testing"
 )
@@ -41,12 +42,19 @@ func stressCore(t *testing.T, serial bool, installer func(c *Core, stop <-chan s
 		positions[i] = p
 	}
 
+	// The installer starts once the first operation has completed, so
+	// some traffic provably ran before anything was armed (the first
+	// request in an empty core is always fast-path), whatever the
+	// scheduler does with the goroutines below.
 	stop := make(chan struct{})
+	warm := make(chan struct{})
+	var warmOnce sync.Once
 	var installWG sync.WaitGroup
 	if installer != nil {
 		installWG.Add(1)
 		go func() {
 			defer installWG.Done()
+			<-warm
 			installer(c, stop)
 		}()
 	}
@@ -76,6 +84,12 @@ func stressCore(t *testing.T, serial bool, installer func(c *Core, stop <-chan s
 					c.Release(th, lockNodes[li])
 					realLocks[li].Unlock()
 				}
+				warmOnce.Do(func() {
+					close(warm)
+					// Hand the processor over, so the installer also gets
+					// going on a single P before the traffic is through.
+					runtime.Gosched()
+				})
 			}
 		}(w)
 	}

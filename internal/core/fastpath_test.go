@@ -239,19 +239,43 @@ func runEngineScript(t *testing.T, serial bool, steps []engineStep) Stats {
 // TestEngineEquivalence replays deterministic schedules — including a real
 // deadlock and suppressed-yield traffic — on the serial reference engine
 // and the sharded engine, and requires identical avoidance and detection
-// decisions.
+// decisions. Both engines share findInstantiationLocked and with it the
+// occupancy pre-filter, so agreeing is not enough to show the filter
+// right: every script also states how many instantiations avoidance must
+// find, and both engines must find exactly that many.
 func TestEngineEquivalence(t *testing.T) {
 	deadlockErr := &DeadlockError{}
-	scripts := map[string][]engineStep{
-		"ordered no deadlock": {
+	eq := func(line int) Frame { return fr("test.Eq", "m", line) }
+	// suppressed arms a deadlock signature over the given positions
+	// together with a starvation signature over the same ones, which
+	// suppresses every yield the deadlock signature would force: the
+	// instantiation is found and counted, and the single-goroutine script
+	// cannot hang.
+	suppressed := func(lines ...int) []engineStep {
+		frames := make([]Frame, len(lines))
+		for i, l := range lines {
+			frames[i] = eq(l)
+		}
+		return []engineStep{
+			{op: "addsig", sig: sigOf(DeadlockSig, frames...)},
+			{op: "addsig", sig: sigOf(StarvationSig, frames...)},
+		}
+	}
+	scripts := map[string]struct {
+		steps []engineStep
+		// instantiations is how many signature instantiations avoidance
+		// must find over the whole script (each one a suppressed yield).
+		instantiations uint64
+	}{
+		"ordered no deadlock": {steps: []engineStep{
 			{op: "acquire", thread: 1, lock: 1, pos: 1},
 			{op: "acquire", thread: 1, lock: 2, pos: 2},
 			{op: "release", thread: 1, lock: 2},
 			{op: "release", thread: 1, lock: 1},
 			{op: "acquire", thread: 2, lock: 1, pos: 1},
 			{op: "release", thread: 2, lock: 1},
-		},
-		"real deadlock detected": {
+		}},
+		"real deadlock detected": {steps: []engineStep{
 			{op: "acquire", thread: 1, lock: 1, pos: 1},
 			{op: "acquire", thread: 2, lock: 2, pos: 2},
 			{op: "request", thread: 1, lock: 2, pos: 3},
@@ -260,34 +284,104 @@ func TestEngineEquivalence(t *testing.T) {
 			{op: "abort", thread: 1, lock: 2},
 			{op: "release", thread: 2, lock: 2},
 			{op: "release", thread: 1, lock: 1},
-		},
-		"armed but never instantiable": {
-			{op: "addsig", sig: sigOf(DeadlockSig, fr("test.Eq", "m", 1), fr("test.Never", "x", 1))},
+		}},
+		"armed but never instantiable": {steps: []engineStep{
+			{op: "addsig", sig: sigOf(DeadlockSig, eq(1), fr("test.Never", "x", 1))},
 			{op: "acquire", thread: 1, lock: 1, pos: 1},
 			{op: "acquire", thread: 2, lock: 2, pos: 1},
 			{op: "release", thread: 2, lock: 2},
 			{op: "release", thread: 1, lock: 1},
 			{op: "acquire", thread: 1, lock: 1, pos: 2},
 			{op: "release", thread: 1, lock: 1},
-		},
-		"suppressed yield proceeds": {
-			// A starvation signature over {p1, p2} suppresses the yield
-			// that the deadlock signature over the same positions would
-			// otherwise force, so the single-goroutine script cannot hang.
-			{op: "addsig", sig: sigOf(DeadlockSig, fr("test.Eq", "m", 1), fr("test.Eq", "m", 2))},
-			{op: "addsig", sig: sigOf(StarvationSig, fr("test.Eq", "m", 1), fr("test.Eq", "m", 2))},
-			{op: "acquire", thread: 1, lock: 1, pos: 1},
+		}},
+		"suppressed yield proceeds": {instantiations: 1, steps: append(suppressed(1, 2),
+			engineStep{op: "acquire", thread: 1, lock: 1, pos: 1},
 			// t2's request at p2 makes sig{p1,p2} instantiable; the
 			// starvation signature suppresses the yield and it proceeds.
-			{op: "acquire", thread: 2, lock: 2, pos: 2},
-			{op: "release", thread: 2, lock: 2},
-			{op: "release", thread: 1, lock: 1},
-		},
+			engineStep{op: "acquire", thread: 2, lock: 2, pos: 2},
+			engineStep{op: "release", thread: 2, lock: 2},
+			engineStep{op: "release", thread: 1, lock: 1},
+		)},
+		// Signature [p, p] needs two distinct threads at p: the requester
+		// and one other occupant.
+		"same position twice, no occupant": {steps: append(suppressed(1, 1),
+			engineStep{op: "acquire", thread: 1, lock: 1, pos: 1},
+			engineStep{op: "release", thread: 1, lock: 1},
+		)},
+		"same position twice, requester is the only occupant": {steps: append(suppressed(1, 1),
+			// p's queue is not empty, so the pre-filter passes the
+			// signature on; the matcher must still refuse to let t1 fill
+			// both slots.
+			engineStep{op: "acquire", thread: 1, lock: 1, pos: 1},
+			engineStep{op: "acquire", thread: 1, lock: 2, pos: 1},
+			engineStep{op: "release", thread: 1, lock: 2},
+			engineStep{op: "release", thread: 1, lock: 1},
+		)},
+		"same position twice, one other occupant": {instantiations: 1, steps: append(suppressed(1, 1),
+			engineStep{op: "acquire", thread: 1, lock: 1, pos: 1},
+			engineStep{op: "acquire", thread: 2, lock: 2, pos: 1},
+			engineStep{op: "release", thread: 2, lock: 2},
+			engineStep{op: "release", thread: 1, lock: 1},
+		)},
+		"same position twice, two other occupants": {instantiations: 2, steps: append(suppressed(1, 1),
+			engineStep{op: "acquire", thread: 1, lock: 1, pos: 1},
+			engineStep{op: "acquire", thread: 2, lock: 2, pos: 1}, // with t1
+			engineStep{op: "acquire", thread: 3, lock: 3, pos: 1}, // with t1 or t2
+			engineStep{op: "release", thread: 3, lock: 3},
+			engineStep{op: "release", thread: 2, lock: 2},
+			engineStep{op: "release", thread: 1, lock: 1},
+		)},
+		"three slots, one stays empty until the end": {instantiations: 1, steps: append(suppressed(1, 2, 3),
+			// p3 is empty: neither t1 at p1 nor t2 at p2 can complete it.
+			engineStep{op: "acquire", thread: 1, lock: 1, pos: 1},
+			engineStep{op: "acquire", thread: 2, lock: 2, pos: 2},
+			// A second thread at an occupied slot changes nothing.
+			engineStep{op: "acquire", thread: 4, lock: 4, pos: 2},
+			engineStep{op: "release", thread: 4, lock: 4},
+			// t3 at p3 fills the last slot.
+			engineStep{op: "acquire", thread: 3, lock: 3, pos: 3},
+			engineStep{op: "release", thread: 3, lock: 3},
+			engineStep{op: "release", thread: 2, lock: 2},
+			engineStep{op: "release", thread: 1, lock: 1},
+		)},
+		// Sulzmann's multi-thread critical section: the occupancy one
+		// thread's request observes was established, and is later
+		// dissolved, by another thread.
+		"occupancy set by one thread, seen by another": {instantiations: 2, steps: append(suppressed(1, 2),
+			engineStep{op: "acquire", thread: 1, lock: 1, pos: 1},
+			engineStep{op: "acquire", thread: 2, lock: 2, pos: 2}, // sees t1 at p1
+			engineStep{op: "release", thread: 2, lock: 2},
+			engineStep{op: "release", thread: 1, lock: 1},         // t1 leaves p1
+			engineStep{op: "acquire", thread: 2, lock: 2, pos: 2}, // p1 now empty
+			// t3 re-establishes p1 while t2 holds at p2: the instantiation
+			// is found from the other side.
+			engineStep{op: "acquire", thread: 3, lock: 1, pos: 1},
+			engineStep{op: "release", thread: 3, lock: 1},
+			engineStep{op: "release", thread: 2, lock: 2},
+			// An approved request that is aborted leaves its slot too.
+			engineStep{op: "request", thread: 1, lock: 1, pos: 1},
+			engineStep{op: "abort", thread: 1, lock: 1},
+			engineStep{op: "acquire", thread: 2, lock: 2, pos: 2},
+			engineStep{op: "release", thread: 2, lock: 2},
+		)},
+		"signature added while a lock taken at its position is held": {instantiations: 1, steps: append(
+			// On the sharded engine t1's acquisition is fast-path and
+			// leaves no queue entry; installation rebuilds p1's queue from
+			// the RAG, and the pre-filter must see the rebuilt entry.
+			[]engineStep{{op: "acquire", thread: 1, lock: 1, pos: 1}},
+			append(suppressed(1, 2),
+				engineStep{op: "acquire", thread: 2, lock: 2, pos: 2},
+				engineStep{op: "release", thread: 2, lock: 2},
+				engineStep{op: "release", thread: 1, lock: 1},
+				engineStep{op: "acquire", thread: 2, lock: 2, pos: 2},
+				engineStep{op: "release", thread: 2, lock: 2},
+			)...,
+		)},
 	}
 	for name, script := range scripts {
 		t.Run(name, func(t *testing.T) {
-			serial := runEngineScript(t, true, script)
-			sharded := runEngineScript(t, false, script)
+			serial := runEngineScript(t, true, script.steps)
+			sharded := runEngineScript(t, false, script.steps)
 
 			// The serial engine must never fast-path; the sharded engine
 			// must agree with it on every decision-relevant counter.
@@ -313,6 +407,13 @@ func TestEngineEquivalence(t *testing.T) {
 			}
 			if d(serial) != d(sharded) {
 				t.Errorf("engines disagree:\nserial : %+v\nsharded: %+v", d(serial), d(sharded))
+			}
+			if serial.InstantiationsFound != script.instantiations || serial.SuppressedYields != script.instantiations {
+				t.Errorf("avoidance found %d instantiations and suppressed %d yields, want %d of each",
+					serial.InstantiationsFound, serial.SuppressedYields, script.instantiations)
+			}
+			if serial.Yields != 0 || serial.Misuse != 0 {
+				t.Errorf("%d yields and %d misuses in a single-goroutine script", serial.Yields, serial.Misuse)
 			}
 		})
 	}

@@ -36,7 +36,9 @@ type Stats struct {
 	// DuplicateDeadlocks counts detections whose signature was already in
 	// the history (the same bug reoccurring).
 	DuplicateDeadlocks uint64
-	// AvoidanceChecks counts signature-instantiation matchings attempted.
+	// AvoidanceChecks counts signature-instantiation matchings attempted:
+	// candidate deadlock signatures examined, whether the occupancy
+	// pre-filter or the full matcher settled them.
 	AvoidanceChecks uint64
 	// InstantiationsFound counts matchings that succeeded (led to a yield
 	// or a starvation verdict).

@@ -18,8 +18,8 @@ const benchSubscribers = 64
 // The v2 sub-benchmark is the old per-subscriber path (each session's
 // queue JSON-encodes its own copy of the same message); the v3
 // sub-benchmark is the shipped path (one Shared, every session handed
-// the cached frame). cmd/microbench -wire runs the same two bodies and
-// records the ratio in BENCH_wire.json.
+// the cached frame). The repository benchmark records the shipped path's
+// cost per session as wire.shared_frame_ns (bench/, traced run).
 func BenchmarkHubBroadcast(b *testing.B) {
 	b.Run("v2-json-per-subscriber", func(b *testing.B) {
 		m := benchDelta()
@@ -48,7 +48,8 @@ func BenchmarkHubBroadcast(b *testing.B) {
 }
 
 // BenchmarkWireEncode tracks the per-message codec cost (one encode,
-// no fan-out) for the perf trajectory in BENCH_wire.json.
+// no fan-out); the repository benchmark records the same as
+// wire.encode_report_ns and wire.encode_delta_ns.
 func BenchmarkWireEncode(b *testing.B) {
 	b.Run("json", func(b *testing.B) {
 		m := benchDelta()

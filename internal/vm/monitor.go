@@ -2,6 +2,7 @@ package vm
 
 import (
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"github.com/dimmunix/dimmunix/internal/core"
@@ -22,9 +23,13 @@ type Monitor struct {
 	// nil when the process runs vanilla.
 	node *core.Node
 
-	mu        sync.Mutex
-	acqCond   *sync.Cond
-	owner     *Thread
+	mu      sync.Mutex
+	acqCond *sync.Cond
+	// owner is written under mu, but only ever set to t by t itself and
+	// cleared by the thread it names, so t may test owner == t without the
+	// lock and get the exact answer; everyone else takes a snapshot.
+	owner atomic.Pointer[Thread]
+	// recursion is written only by the owner, under mu.
 	recursion int
 	// blocked counts threads inside the acquisition loop (diagnostics).
 	blocked int
@@ -41,11 +46,7 @@ type waitNode struct {
 
 // Owner returns the current owner, or nil. Diagnostic only: the value may
 // be stale by the time it is observed.
-func (m *Monitor) Owner() *Thread {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.owner
-}
+func (m *Monitor) Owner() *Thread { return m.owner.Load() }
 
 // Blocked returns how many threads are currently blocked entering.
 func (m *Monitor) Blocked() int {
@@ -58,19 +59,18 @@ func (m *Monitor) Blocked() int {
 // (normally 1; Object.wait re-acquisition restores its saved count).
 // site, when non-nil, supplies a pre-resolved position (static-id mode).
 func (m *Monitor) enter(t *Thread, recursion int, site *Site) error {
-	m.mu.Lock()
-	if m.owner == t {
+	if m.owner.Load() == t {
+		m.mu.Lock()
 		m.recursion += recursion
 		m.mu.Unlock()
 		m.proc.stats.recursiveEnters.Add(1)
-		m.proc.noteSync()
 		return nil
 	}
-	m.mu.Unlock()
 
 	// Dimmunix interception: position capture + Request. This may suspend
 	// the thread in avoidance; it returns an error only if the core is
-	// closed (process teardown) or detection fails the request.
+	// closed (process teardown) or detection fails the request. The thread
+	// reads as blocked from before Request until it owns the monitor.
 	dim := m.proc.dim
 	if dim != nil {
 		pos, err := m.resolvePosition(t, site)
@@ -82,10 +82,11 @@ func (m *Monitor) enter(t *Thread, recursion int, site *Site) error {
 			t.setState(StateRunnable)
 			return err
 		}
+	} else {
+		t.setState(StateBlocked)
 	}
 
 	m.mu.Lock()
-	t.setState(StateBlocked)
 	m.blocked++
 	for {
 		// The kill check runs on every wakeup and before the first wait:
@@ -101,13 +102,13 @@ func (m *Monitor) enter(t *Thread, recursion int, site *Site) error {
 			}
 			return ErrProcessKilled
 		}
-		if m.owner == nil {
+		if m.owner.Load() == nil {
 			break
 		}
 		m.acqCond.Wait()
 	}
 	m.blocked--
-	m.owner = t
+	m.owner.Store(t)
 	m.recursion = recursion
 	m.mu.Unlock()
 	t.setState(StateRunnable)
@@ -116,47 +117,65 @@ func (m *Monitor) enter(t *Thread, recursion int, site *Site) error {
 		dim.Acquired(t.node, m.node)
 	}
 	m.proc.stats.fatEnters.Add(1)
-	m.proc.noteSync()
 	return nil
 }
 
 // resolvePosition produces the monitorenter position: the pre-resolved
-// site id when available, otherwise a stack capture + intern (the paper's
-// dvmGetCallStack + getPosition pair).
+// site id when available, otherwise the paper's dvmGetCallStack +
+// getPosition pair — paid once per (thread, call site). The thread's
+// position cache answers every later enter at a site it has seen, by
+// comparing the thread's own top frames in place (no capture copy, no
+// frameMu, no intern-table lookup, no allocation); only a miss captures
+// into the stack buffer, interns, and fills the cache. An entry is keyed
+// by all captureDepth frames and never goes stale (positions are interned
+// for the life of the process, and arming flips a flag on the same
+// object); the package comment has the argument. Must run on t's own
+// goroutine, as every monitorenter does.
 func (m *Monitor) resolvePosition(t *Thread, site *Site) (*core.Position, error) {
 	if site != nil {
 		return site.position(m.proc)
 	}
-	stack := t.captureTop(m.proc.captureDepth)
-	return m.proc.dim.Intern(stack)
+	depth := m.proc.captureDepth
+	if pos := t.cachedPosition(depth); pos != nil {
+		return pos, nil
+	}
+	pos, err := m.proc.dim.Intern(t.captureTop(depth))
+	if err != nil {
+		return nil, err
+	}
+	t.cachePosition(depth, pos)
+	return pos, nil
 }
 
 // exit releases the monitor (one recursion level).
 func (m *Monitor) exit(t *Thread) error {
-	m.mu.Lock()
-	if m.owner != t {
-		m.mu.Unlock()
+	if m.owner.Load() != t {
 		return ErrNotOwner
 	}
+	// t owns the monitor, so recursion holds t's own writes.
 	if m.recursion > 1 {
+		m.mu.Lock()
 		m.recursion--
 		m.mu.Unlock()
 		return nil
 	}
-	m.mu.Unlock()
 
 	// Dimmunix interception right before the release (§4: unlockMonitor
 	// notifies yielders on in-history positions, then calls Release).
 	if dim := m.proc.dim; dim != nil {
 		dim.Release(t.node, m.node)
 	}
+	m.release()
+	return nil
+}
 
+// release gives the monitor up entirely and lets one blocked acquirer in.
+func (m *Monitor) release() {
 	m.mu.Lock()
-	m.owner = nil
+	m.owner.Store(nil)
 	m.recursion = 0
 	m.acqCond.Signal()
 	m.mu.Unlock()
-	return nil
 }
 
 // wait implements Object.wait on the fat monitor: full release, park,
@@ -164,7 +183,7 @@ func (m *Monitor) exit(t *Thread) error {
 // change), restoring the saved recursion count.
 func (m *Monitor) wait(t *Thread, timeout time.Duration) (bool, error) {
 	m.mu.Lock()
-	if m.owner != t {
+	if m.owner.Load() != t {
 		m.mu.Unlock()
 		return false, ErrNotOwner
 	}
@@ -181,11 +200,7 @@ func (m *Monitor) wait(t *Thread, timeout time.Duration) (bool, error) {
 	if dim := m.proc.dim; dim != nil {
 		dim.Release(t.node, m.node)
 	}
-	m.mu.Lock()
-	m.owner = nil
-	m.recursion = 0
-	m.acqCond.Signal()
-	m.mu.Unlock()
+	m.release()
 	m.proc.stats.waits.Add(1)
 
 	// Park.
@@ -251,7 +266,7 @@ func (m *Monitor) removeWaiter(wn *waitNode) {
 func (m *Monitor) notify(t *Thread, all bool) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if m.owner != t {
+	if m.owner.Load() != t {
 		return ErrNotOwner
 	}
 	for len(m.waitSet) > 0 {

@@ -86,7 +86,6 @@ func (o *Object) enterInternal(t *Thread, site *Site) error {
 					o.inflateOwned(t)
 				}
 				o.proc.stats.thinEnters.Add(1)
-				o.proc.noteSync()
 				return nil
 			}
 		case lwOwner(lw) == t.id:
@@ -96,7 +95,6 @@ func (o *Object) enterInternal(t *Thread, site *Site) error {
 			}
 			o.lw.Store(lw + 1)
 			o.proc.stats.recursiveEnters.Add(1)
-			o.proc.noteSync()
 			return nil
 		default:
 			// Thin lock owned by another thread: yield, then back off.
@@ -204,7 +202,7 @@ func (o *Object) fatten(t *Thread) (*Monitor, error) {
 func (o *Object) inflateOwned(t *Thread) *Monitor {
 	lw := o.lw.Load()
 	m := o.proc.newMonitor(o)
-	m.owner = t
+	m.owner.Store(t)
 	m.recursion = lwCount(lw)
 	// Publish the monitor before flipping the shape bit so any thread that
 	// observes the fat shape finds the monitor in place.

@@ -63,7 +63,12 @@ type procStats struct {
 	inflations      atomic.Uint64
 	waits           atomic.Uint64
 	notifies        atomic.Uint64
-	syncOps         atomic.Uint64
+}
+
+// syncOps is the number of completed monitorenters: each one is counted as
+// exactly one of a thin, a fat or a recursive enter.
+func (s *procStats) syncOps() uint64 {
+	return s.thinEnters.Load() + s.fatEnters.Load() + s.recursiveEnters.Load()
 }
 
 // ProcessStats is a snapshot of a process's synchronization counters.
@@ -147,6 +152,7 @@ func (p *Process) Start(name string, fn func(*Thread)) (*Thread, error) {
 		proc:        p,
 		interruptCh: make(chan struct{}, 1),
 		done:        make(chan struct{}),
+		entry:       [1]core.Frame{{Class: "vm.ThreadEntry", Method: name, Line: 0}},
 	}
 	t.setState(StateNew)
 	if p.dim != nil {
@@ -196,12 +202,9 @@ func (p *Process) newMonitor(obj *Object) *Monitor {
 	return m
 }
 
-// noteSync counts one completed synchronization.
-func (p *Process) noteSync() { p.stats.syncOps.Add(1) }
-
 // SyncCount returns the number of completed monitorenters so far; the
 // throughput meters sample it.
-func (p *Process) SyncCount() uint64 { return p.stats.syncOps.Load() }
+func (p *Process) SyncCount() uint64 { return p.stats.syncOps() }
 
 // Stats returns a snapshot of the process counters.
 func (p *Process) Stats() ProcessStats {
@@ -217,7 +220,7 @@ func (p *Process) Stats() ProcessStats {
 		Inflations:      p.stats.inflations.Load(),
 		Waits:           p.stats.waits.Load(),
 		Notifies:        p.stats.notifies.Load(),
-		SyncOps:         p.stats.syncOps.Load(),
+		SyncOps:         p.stats.syncOps(),
 		Threads:         threads,
 		Monitors:        monitors,
 		Objects:         objects,
@@ -227,8 +230,15 @@ func (p *Process) Stats() ProcessStats {
 // SyncFootprint estimates the bytes held by the process's
 // synchronization-related VM structures: fattened monitors (each carrying
 // the RAG-node pointer the paper adds to struct Monitor), per-thread stack
-// capture buffers, and the static-site position cache. Together with
-// core.MemStats this is the Dimmunix-attributable memory of experiment E5.
+// capture buffers and position caches, and the static-site position cache.
+// Together with core.MemStats this is the Dimmunix-attributable memory of
+// experiment E5.
+//
+// The capture buffer and the position cache belong to their thread's
+// goroutine alone, so they are accounted for, not inspected: under
+// Dimmunix every thread is charged a full capture buffer (captureDepth
+// frames, what it grows to at its first monitorenter) and the fixed-size
+// cache; a vanilla process uses neither.
 func (p *Process) SyncFootprint() int64 {
 	p.mu.Lock()
 	monitors := len(p.monitors)
@@ -238,20 +248,18 @@ func (p *Process) SyncFootprint() int64 {
 		waitNodes += len(m.waitSet)
 		m.mu.Unlock()
 	}
-	threads := p.threads
-	var stackBufBytes int64
-	for _, t := range threads {
-		t.frameMu.Lock()
-		stackBufBytes += int64(cap(t.stackBuf)) * sizeofFrame
-		t.frameMu.Unlock()
-	}
+	threads := len(p.threads)
 	p.mu.Unlock()
 
+	var perThread int64
+	if p.dim != nil {
+		perThread = int64(p.captureDepth)*sizeofFrame + sizeofPosCache
+	}
 	sites := int(p.siteCount.Load())
 
 	return int64(monitors)*sizeofMonitor +
 		int64(waitNodes)*sizeofWaitNode +
-		stackBufBytes +
+		int64(threads)*perThread +
 		int64(sites)*sizeofSiteEntry
 }
 

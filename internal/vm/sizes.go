@@ -11,6 +11,7 @@ const (
 	sizeofMonitor  = int64(unsafe.Sizeof(Monitor{}))
 	sizeofWaitNode = int64(unsafe.Sizeof(waitNode{}))
 	sizeofFrame    = int64(unsafe.Sizeof(core.Frame{}))
+	sizeofPosCache = int64(unsafe.Sizeof(Thread{}.posCache))
 	// sizeofSiteEntry approximates one map entry in the site cache
 	// (key pointer + value pointer + bucket overhead).
 	sizeofSiteEntry = 48

@@ -10,6 +10,33 @@
 // Dalvik's monitor subsystem, with Dimmunix called at the paper's three
 // interception points (before monitorenter, after monitorenter, before
 // monitorexit) plus around the re-acquisition inside Object.wait (§3.2).
+//
+// # The position cache
+//
+// A monitorenter needs its position: the paper's dvmGetCallStack +
+// getPosition pair, here a capture of the thread's top frames and a lookup
+// in the core's intern table. A thread pays for that pair once per call
+// site. Each Thread carries a small fixed array of the Positions it
+// resolved last (Thread.posCache: 64 sets indexed by the captured frames'
+// line numbers, two entries each — no map, no allocation, no lock), and
+// Monitor.resolvePosition asks it first.
+//
+//   - Key. An entry answers for the current enter only if its whole
+//     interned stack equals the frames a capture would take now, all
+//     captureDepth of them, compared in place on the thread's stack. The
+//     same statement under a different caller at outer depth 2 is a
+//     different position and a different entry.
+//   - No invalidation. A Core never removes a Position from its intern
+//     table and a thread never changes process, so a cached pointer stays
+//     the answer Intern would give. Installing a signature arms the same
+//     Position object the cache points to (Position.inHistory), so a thread
+//     sees a hot-installed antibody on its very next enter at that site.
+//   - Unlocked reads. Thread.frames has one writer, the thread's own
+//     goroutine (PushFrame/PopFrame), which therefore reads its own frames
+//     without frameMu on the enter path. Every other goroutine — deadlock
+//     detection capturing inner stacks, thread dumps — reads under frameMu,
+//     which the writer holds for each push and pop. The cache and the
+//     capture buffer are touched by the owning goroutine only.
 package vm
 
 import (
@@ -64,14 +91,27 @@ type Thread struct {
 
 	// frameMu guards frames. Pushes and pops happen only on the owning
 	// goroutine, but deadlock detection captures the inner stacks of
-	// *other* threads, so reads can come from any goroutine.
+	// *other* threads, so reads can come from any goroutine. The owning
+	// goroutine, being the only writer, reads its own frames without the
+	// lock; every other goroutine reads under it.
 	frameMu sync.Mutex
 	frames  []core.Frame
+	// entry stands in for the stack of a thread that synchronizes without
+	// having pushed any simulated frames (e.g. raw tests): the position is
+	// then the thread's entry point. Set at Start, never written again.
+	entry [1]core.Frame
 
 	// stackBuf is the reusable capture buffer: position capture fills it
 	// top-frame-first without allocating (§4: "the dvmGetCallStack routine
-	// does not need to allocate memory").
+	// does not need to allocate memory"). Like posCache it belongs to the
+	// owning goroutine alone: no other goroutine reads or writes either,
+	// so neither needs a lock (SyncFootprint accounts for both from the
+	// process's configuration, without looking at them).
 	stackBuf []core.Frame
+
+	// posCache remembers the interned Position of the call sites this
+	// thread recently synchronized at; see cachedPosition.
+	posCache [posCacheSets][posCacheWays]*core.Position
 
 	state       atomic.Int32
 	interrupted atomic.Bool
@@ -185,7 +225,7 @@ func (t *Thread) CurrentStack() core.CallStack {
 	defer t.frameMu.Unlock()
 	n := len(t.frames)
 	if n == 0 {
-		return core.CallStack{t.syntheticFrame()}
+		return core.CallStack{t.entry[0]}
 	}
 	out := make(core.CallStack, n)
 	for i := 0; i < n; i++ {
@@ -194,44 +234,93 @@ func (t *Thread) CurrentStack() core.CallStack {
 	return out
 }
 
-// captureTop fills the reusable stack buffer with the top `depth` frames,
-// innermost first, and returns it — the simulated dvmGetCallStack. The
-// returned slice aliases t.stackBuf and is only valid until the next
-// capture; core.Intern copies what it keeps.
-func (t *Thread) captureTop(depth int) core.CallStack {
-	if depth < 1 {
-		depth = 1
-	}
-	t.frameMu.Lock()
+// captured returns the frames a capture of the given depth takes, as they
+// lie on the stack (outermost first — a capture reads them backwards): the
+// top `depth` frames, fewer on a shallower stack, or the entry frame of a
+// thread that has pushed none. Owning goroutine only.
+func (t *Thread) captured(depth int) []core.Frame {
 	n := len(t.frames)
 	if n == 0 {
-		t.frameMu.Unlock()
-		if cap(t.stackBuf) < 1 {
-			t.stackBuf = make([]core.Frame, 1)
-		}
-		t.stackBuf = t.stackBuf[:1]
-		t.stackBuf[0] = t.syntheticFrame()
-		return core.CallStack(t.stackBuf)
+		return t.entry[:]
 	}
 	if depth > n {
 		depth = n
 	}
-	if cap(t.stackBuf) < depth {
-		t.stackBuf = make([]core.Frame, depth)
+	if depth < 1 {
+		depth = 1
 	}
-	t.stackBuf = t.stackBuf[:depth]
-	for i := 0; i < depth; i++ {
-		t.stackBuf[i] = t.frames[n-1-i]
+	return t.frames[n-depth:]
+}
+
+// captureTop fills the reusable stack buffer with the top `depth` frames,
+// innermost first, and returns it — the simulated dvmGetCallStack. The
+// returned slice aliases t.stackBuf and is only valid until the next
+// capture; core.Intern copies what it keeps. Owning goroutine only.
+func (t *Thread) captureTop(depth int) core.CallStack {
+	top := t.captured(depth)
+	if cap(t.stackBuf) < len(top) {
+		t.stackBuf = make([]core.Frame, len(top))
 	}
-	t.frameMu.Unlock()
+	t.stackBuf = t.stackBuf[:len(top)]
+	for i := range t.stackBuf {
+		t.stackBuf[i] = top[len(top)-1-i]
+	}
 	return core.CallStack(t.stackBuf)
 }
 
-// syntheticFrame stands in for threads that synchronize without having
-// pushed any simulated frames (e.g. raw tests): the position is then the
-// thread's entry point.
-func (t *Thread) syntheticFrame() core.Frame {
-	return core.Frame{Class: "vm.ThreadEntry", Method: t.name, Line: 0}
+// The per-thread position cache: posCacheSets sets of posCacheWays
+// positions each, 1 KiB per thread, in the Thread struct itself.
+const (
+	posCacheSets = 64 // power of two, so the index folds with a mask
+	posCacheWays = 2
+)
+
+// posCacheSet picks the cache set for a capture from the line numbers of
+// all its frames. Lines are what tells the synchronization statements of
+// one thread's working set apart most cheaply (consecutive statements
+// never share a set), and the second way absorbs the pair that does
+// collide: the same line in two classes, or under two callers.
+func (t *Thread) posCacheSet(top []core.Frame) *[posCacheWays]*core.Position {
+	var h uint
+	for i := len(top) - 1; i >= 0; i-- {
+		h = h*31 + uint(top[i].Line)
+	}
+	return &t.posCache[h&(posCacheSets-1)]
+}
+
+// cachedPosition returns the interned Position of the thread's current
+// top `depth` frames if this thread resolved it before, else nil. A cached
+// entry is a hit only when its whole stack equals the capture, frame for
+// frame (string comparison is a pointer check when both sides are the same
+// string, as they are at a call site that runs twice). The package comment
+// says why nothing ever has to invalidate an entry.
+func (t *Thread) cachedPosition(depth int) *core.Position {
+	top := t.captured(depth)
+	for _, pos := range t.posCacheSet(top) {
+		if pos == nil {
+			continue
+		}
+		stack := pos.Stack()
+		if len(stack) != len(top) {
+			continue
+		}
+		i := 0
+		for i < len(top) && stack[i] == top[len(top)-1-i] {
+			i++
+		}
+		if i == len(top) {
+			return pos
+		}
+	}
+	return nil
+}
+
+// cachePosition records pos as the position of the current capture,
+// evicting the set's older entry.
+func (t *Thread) cachePosition(depth int, pos *core.Position) {
+	set := t.posCacheSet(t.captured(depth))
+	copy(set[1:], set[:posCacheWays-1])
+	set[0] = pos
 }
 
 // run is the goroutine trampoline. Thread bodies unwind abnormal

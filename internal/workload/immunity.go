@@ -28,7 +28,6 @@ import (
 
 	"github.com/dimmunix/dimmunix/internal/core"
 	"github.com/dimmunix/dimmunix/internal/immunity"
-	"github.com/dimmunix/dimmunix/internal/immunity/auth"
 	"github.com/dimmunix/dimmunix/internal/immunity/cluster"
 	"github.com/dimmunix/dimmunix/internal/immunity/metrics"
 	"github.com/dimmunix/dimmunix/internal/immunity/wire"
@@ -693,14 +692,11 @@ type PropagationResult struct {
 	// every process armed.
 	Avg, Max time.Duration
 	// P50, P90, and P99 are percentiles over the same per-signature
-	// latencies — the machine-readable trajectory BENCH_wire.json tracks.
+	// latencies.
 	P50, P90, P99 time.Duration
 	// TCP marks the cross-device variant (publish on one phone, armed
 	// processes on another, over the TCP exchange).
 	TCP bool
-	// Auth marks the authenticated cross-device variant: the same wire
-	// path under TLS with token-authenticated hellos.
-	Auth bool
 }
 
 // fillPercentiles computes P50/P90/P99 from the per-signature latency
@@ -827,9 +823,6 @@ func FormatPropagation(res PropagationResult) string {
 	if res.TCP {
 		tier = "cross-device over TCP"
 	}
-	if res.Auth {
-		tier = "cross-device over TLS+token auth"
-	}
 	return fmt.Sprintf("propagation (%s): %d live procs, %d signatures: avg %s, p50 %s, p99 %s, max %s publish→all-armed\n",
 		tier, res.Procs, res.Sigs, res.Avg.Round(100*time.Nanosecond), res.P50.Round(100*time.Nanosecond),
 		res.P99.Round(100*time.Nanosecond), res.Max.Round(100*time.Nanosecond))
@@ -842,65 +835,27 @@ func FormatPropagation(res PropagationResult) string {
 // *other* phone hot-installing it — detection on one phone to immunity
 // on another, through the full wire path.
 func PropagationLatencyTCP(procs, sigs int) (PropagationResult, error) {
-	return propagationTCP(procs, sigs, false)
-}
-
-// PropagationLatencyTCPAuth is PropagationLatencyTCP with the full
-// trust fabric turned on: TLS on the wire (an in-memory dev CA, server
-// cert verified by the devices) and token-authenticated hellos. It is
-// the bench guard's authenticated tier — the handshake plus
-// record-layer cost must stay within the same order as plaintext.
-func PropagationLatencyTCPAuth(procs, sigs int) (PropagationResult, error) {
-	return propagationTCP(procs, sigs, true)
-}
-
-func propagationTCP(procs, sigs int, authOn bool) (PropagationResult, error) {
 	if procs < 1 || sigs < 1 {
 		return PropagationResult{}, fmt.Errorf("propagation: need >= 1 proc and >= 1 sig, got %d/%d", procs, sigs)
 	}
-	var (
-		hubOpts    []immunity.ExchangeOption
-		serveOpts  []immunity.ServeOption
-		dialOpts   []immunity.TCPOption
-		clientOpts []immunity.ClientOption
-	)
-	if authOn {
-		ca, err := auth.NewCA("bench-ca")
-		if err != nil {
-			return PropagationResult{}, err
-		}
-		cert, err := ca.IssueTLS("bench-hub", nil)
-		if err != nil {
-			return PropagationResult{}, err
-		}
-		key := []byte("bench-token-key")
-		token, err := auth.Mint(key, auth.Claims{Device: auth.WildcardDevice})
-		if err != nil {
-			return PropagationResult{}, err
-		}
-		hubOpts = append(hubOpts, immunity.WithAuthVerifier(auth.NewStatic(key)))
-		serveOpts = append(serveOpts, immunity.WithServeTLS(auth.ServerConfig(cert, nil)))
-		dialOpts = append(dialOpts, immunity.WithDialTLS(auth.ClientConfig(ca.Pool(), "")))
-		clientOpts = append(clientOpts, immunity.WithClientToken(token))
-	}
-	hub, err := immunity.NewExchange(1, hubOpts...)
+	hub, err := immunity.NewExchange(1)
 	if err != nil {
 		return PropagationResult{}, err
 	}
 	defer hub.Close()
-	srv, err := immunity.ServeTCP(hub, "127.0.0.1:0", serveOpts...)
+	srv, err := immunity.ServeTCP(hub, "127.0.0.1:0")
 	if err != nil {
 		return PropagationResult{}, err
 	}
 	defer srv.Close()
-	transport := immunity.NewTCPTransport(srv.Addr(), dialOpts...)
+	transport := immunity.NewTCPTransport(srv.Addr())
 
 	pubSvc, err := immunity.NewService("publisher", nil)
 	if err != nil {
 		return PropagationResult{}, err
 	}
 	defer pubSvc.Close()
-	pubClient, err := immunity.Connect(transport, "publisher", pubSvc, clientOpts...)
+	pubClient, err := immunity.Connect(transport, "publisher", pubSvc)
 	if err != nil {
 		return PropagationResult{}, err
 	}
@@ -911,7 +866,7 @@ func propagationTCP(procs, sigs int, authOn bool) (PropagationResult, error) {
 		return PropagationResult{}, err
 	}
 	defer subSvc.Close()
-	subClient, err := immunity.Connect(transport, "subscriber", subSvc, clientOpts...)
+	subClient, err := immunity.Connect(transport, "subscriber", subSvc)
 	if err != nil {
 		return PropagationResult{}, err
 	}
@@ -925,7 +880,7 @@ func propagationTCP(procs, sigs int, authOn bool) (PropagationResult, error) {
 		}
 	}
 
-	res := PropagationResult{Procs: procs, Sigs: sigs, TCP: true, Auth: authOn}
+	res := PropagationResult{Procs: procs, Sigs: sigs, TCP: true}
 	var total time.Duration
 	lats := make([]time.Duration, 0, sigs)
 	for i := 0; i < sigs; i++ {

@@ -210,7 +210,6 @@ func run(args []string) error {
 	advertise := fs.String("advertise", "", "with -serve and federation: the address other members dial this hub at (default: the -listen address)")
 	failoverAfter := fs.Duration("failover-after", 0, "with -serve and federation (or -chaos): declare a member dead after its peer link is down this long and fail its keys over to deputies (0 disables)")
 	leave := fs.Bool("leave", false, "with -serve and federation: leave the membership gracefully on shutdown (hand off owned keys, drain outboxes)")
-	wirePin := fs.Int("wire-pin", 0, "with -serve: pin the negotiated wire version at this ceiling (0 = newest; 2 keeps the hub and its peer links on the JSON codec during a staged rollout)")
 	hubs := fs.Int("hubs", 1, "simulation: federate the in-process exchange into this many hubs")
 	connect := fs.String("connect", "", "run the fleet workload in client mode against the exchange daemon(s) at this comma-separated address list")
 	admit := fs.String("admit", "", "report-path admission: a pool capacity, or 'auto' for AIMD adaptive capacity driven by the latency SLO (empty disables; applies to -serve and the in-process -storm)")
@@ -342,15 +341,6 @@ func run(args []string) error {
 		if faultAfter > 0 && *failoverAfter == 0 {
 			return fmt.Errorf("-fault-isolate needs -failover-after (without detection the isolation is just a stalled outbox)")
 		}
-		if *wirePin != 0 && (*wirePin < wire.MinVersion || *wirePin > wire.Version) {
-			return fmt.Errorf("-wire-pin %d outside the supported range v%d..v%d", *wirePin, wire.MinVersion, wire.Version)
-		}
-		if len(members) > 0 && *wirePin != 0 && *wirePin < wire.PeerVersion {
-			// A hub pinned below the peer message set would refuse every
-			// inbound peer-hello while its own links kept dialing out —
-			// half-broken federation with no error; refuse up front.
-			return fmt.Errorf("-wire-pin %d is below the peer protocol floor v%d and would break federation (-peers)", *wirePin, wire.PeerVersion)
-		}
 		adv := *advertise
 		if adv == "" {
 			adv = *listen
@@ -363,7 +353,7 @@ func run(args []string) error {
 			probeSuspect: *probeSuspect, probeIndirect: *probeIndirect,
 			leaseTTL: *leaseTTL, noLease: *noLease,
 			faultAfter: faultAfter, faultDur: faultDur,
-			wirePin: *wirePin, admit: admitCap, admitAuto: admitAuto,
+			admit: admitCap, admitAuto: admitAuto,
 			admitWait: *admitWait, sloTarget: *sloTarget, sloInterval: *sloInterval,
 			backlogTarget: *backlogTarget, alertURL: *alertURL, alertExec: *alertExec,
 			verifier: verifier, serveTLS: serveTLS, peerDial: peerDial, peerAuth: peerAuth,
@@ -378,9 +368,6 @@ func run(args []string) error {
 	}
 	if (*advertise != "" || *leave) && !*serve {
 		return fmt.Errorf("-advertise/-leave only apply to -serve")
-	}
-	if *wirePin != 0 {
-		return fmt.Errorf("-wire-pin only applies to -serve (the simulation and client mode always speak the newest version)")
 	}
 	if *tlsCert != "" || *tlsKey != "" || *authKey != "" || *authKeyring != "" ||
 		*tenantThresholdsFlag != "" || *alertURL != "" || *alertExec != "" {
@@ -751,7 +738,6 @@ type serveConfig struct {
 	faultAfter       time.Duration
 	faultDur         time.Duration
 	leave            bool
-	wirePin          int
 	admit            int
 	admitAuto        bool
 	admitWait        time.Duration
@@ -858,12 +844,6 @@ func startDaemon(sc serveConfig) (*daemon, error) {
 				reg.Counter("immunity_provenance_compactions_total", "Provenance log compactions."),
 				reg.Counter("immunity_provenance_compact_errors_total", "Failed provenance log compactions.")))))
 	}
-	if sc.wirePin != 0 {
-		// Pin both the hub's inbound negotiation and (below) the
-		// outbound peer links: a -wire-pin 2 daemon speaks JSON
-		// everywhere however new its binary is.
-		opts = append(opts, immunity.WithWireCeiling(sc.wirePin))
-	}
 	var adaptive *metrics.AdaptivePool
 	if sc.admitAuto {
 		adaptive = metrics.NewAdaptivePool(reg, "immunity_hub_admission", sc.admitWait,
@@ -925,7 +905,7 @@ func startDaemon(sc serveConfig) (*daemon, error) {
 			ProbeInterval: sc.probeInterval, ProbeTimeout: sc.probeTimeout,
 			ProbeSuspect: sc.probeSuspect, ProbeIndirect: sc.probeIndirect,
 			LeaseTTL: sc.leaseTTL, NoLease: sc.noLease,
-			WireCeiling: sc.wirePin, Metrics: reg,
+			Metrics: reg,
 		})
 		if err != nil {
 			hub.Close()
@@ -1061,11 +1041,7 @@ func runServe(sc serveConfig) error {
 		return err
 	}
 	defer d.Close()
-	maxV := wire.Version
-	if sc.wirePin >= wire.MinVersion && sc.wirePin < maxV {
-		maxV = sc.wirePin
-	}
-	fmt.Printf("immunityd: exchange on %s (threshold %d, protocol v%d..%d", d.Addr(), sc.threshold, wire.MinVersion, maxV)
+	fmt.Printf("immunityd: exchange on %s (threshold %d, protocol v%d", d.Addr(), sc.threshold, wire.Version)
 	if sc.provenance != "" {
 		fmt.Printf(", provenance %s", sc.provenance)
 	}

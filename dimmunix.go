@@ -129,8 +129,8 @@ type (
 	ExchangeClient = immunity.ExchangeClient
 	// Transport moves wire messages between a device and an Exchange.
 	Transport = immunity.Transport
-	// ExchangeServer serves an Exchange over TCP (length-prefixed wire
-	// frames: JSON up to wire v2, the v3 binary codec once negotiated).
+	// ExchangeServer serves an Exchange over TCP (length-prefixed
+	// binary wire frames).
 	ExchangeServer = immunity.ExchangeServer
 	// ProvenanceStore persists the hub's per-signature fleet state
 	// across restarts.
@@ -243,13 +243,6 @@ func WithProvenanceStore(store ProvenanceStore) ExchangeOption {
 	return immunity.WithProvenanceStore(store)
 }
 
-// WithWireCeiling pins an Exchange's negotiated wire protocol version —
-// e.g. 2 keeps every session on the JSON codec during a staged rollout
-// of the v3 binary codec.
-func WithWireCeiling(v int) ExchangeOption {
-	return immunity.WithWireCeiling(v)
-}
-
 // NewMetricsRegistry creates an empty metrics registry.
 func NewMetricsRegistry() *MetricsRegistry { return metrics.NewRegistry() }
 
@@ -336,15 +329,8 @@ func ServeExchangeTCP(hub *Exchange, addr string) (*ExchangeServer, error) {
 }
 
 // ExchangeClientOption configures an exchange client at connect time
-// (e.g. WithClientWireCeiling).
+// (e.g. WithClientMetrics).
 type ExchangeClientOption = immunity.ClientOption
-
-// WithClientWireCeiling caps the wire version a device client
-// advertises — the client-side twin of WithWireCeiling, so a staged
-// rollout can pin either end of a session to the JSON codec.
-func WithClientWireCeiling(v int) ExchangeClientOption {
-	return immunity.WithClientWireCeiling(v)
-}
 
 // WithClientMetrics mirrors a device client's session health
 // (reconnects, reports sent, fleet installs) onto reg, labelled by

@@ -5,7 +5,7 @@
 // # Tokens
 //
 // A token is a compact HMAC-SHA256 bearer credential minted by the
-// fleet operator and carried in the wire v5 hello:
+// fleet operator and carried in the wire hello:
 //
 //	base64url(JSON claims) "." base64url(HMAC-SHA256(key, claims))
 //
@@ -27,10 +27,9 @@
 //
 // Tokens authenticate devices to hubs; TLS server certificates
 // authenticate hubs to devices; mutual TLS authenticates hubs to each
-// other (see tls.go). Auth-disabled mode (no verifier, no TLS) keeps
-// the pre-v5 behavior byte for byte: any socket may claim any identity,
-// which is acceptable on a trusted network and is what every wire v≤4
-// deployment already assumed.
+// other (see tls.go). In auth-disabled mode (no verifier, no TLS) any
+// socket may claim any identity, which is acceptable on a trusted
+// network.
 package auth
 
 import (

@@ -222,7 +222,7 @@ func TestPeerHelloIdentityEnforced(t *testing.T) {
 		defer nc.Close()
 		nc.SetDeadline(time.Now().Add(5 * time.Second))
 		m := wire.Message{V: wire.Version, Type: wire.TypePeerHello,
-			PeerHello: &wire.PeerHello{Hub: claim}}
+			PeerHello: &wire.PeerHello{Hub: claim, MinV: wire.Version, MaxV: wire.Version}}
 		if err := wire.WriteFrame(nc, m); err != nil {
 			t.Fatal(err)
 		}

@@ -58,16 +58,10 @@ type ExchangeClient struct {
 	id    string
 	t     Transport
 	svc   *Service
-	maxV  int    // highest wire version to advertise (WithClientWireCeiling)
 	token string // bearer token carried in every hello (WithClientToken)
 
 	mu        sync.Mutex
 	fromFleet map[string]bool // keys received from the hub; not re-reported
-	// ver is the negotiated wire version of the current session (from
-	// the ack; 0 while no session is up). Every client→hub message after
-	// the hello is stamped — and therefore framed — at exactly this
-	// version: a v2 hub never sees a binary frame.
-	ver int
 	// fleetEpochs is the client's merged multi-hub view: the newest
 	// delta epoch applied per hub incarnation (gen, learned from the
 	// ack). The whole map travels in every hello, so whichever hub of a
@@ -80,7 +74,7 @@ type ExchangeClient struct {
 	sess        Session
 	// curAtt is the dial attempt whose session passed the handshake;
 	// only its deltas may advance fleetEpochs. A session the handshake
-	// later condemns (foreign flat-epoch filter, epoch regression) still
+	// later condemns (wrong version, epoch regression) still
 	// installs every delta it delivers — an antibody is never refused —
 	// but its epochs are quarantined in the attempt: otherwise a
 	// condemned session's delta racing the redial would fast-forward the
@@ -108,21 +102,11 @@ type ExchangeClient struct {
 // ClientOption configures an ExchangeClient.
 type ClientOption func(*ExchangeClient)
 
-// WithClientWireCeiling caps the wire version the client advertises in
-// its hello at v — e.g. 2 keeps the session on the JSON codec against
-// any hub, which is how the version-matrix tests model a not-yet-
-// upgraded device. Values outside [wire.MinVersion, wire.Version] mean
-// no cap.
-func WithClientWireCeiling(v int) ClientOption {
-	return func(c *ExchangeClient) { c.maxV = v }
-}
-
 // WithClientToken attaches a bearer token (see immunity/auth) to every
 // hello the client sends — required against an auth-enabled hub, whose
 // verifier must accept the token and find this device id in its device
-// claim. The token rides in the pre-negotiation hello (ignored by
-// auth-disabled hubs of any version), so the same client works against
-// both. An empty token leaves the hello bare.
+// claim. An auth-disabled hub ignores the token, so the same client
+// works against both. An empty token leaves the hello without one.
 func WithClientToken(token string) ClientOption {
 	return func(c *ExchangeClient) { c.token = token }
 }
@@ -171,9 +155,6 @@ func Connect(t Transport, deviceID string, svc *Service, opts ...ClientOption) (
 	for _, opt := range opts {
 		opt(c)
 	}
-	if c.maxV < wire.MinVersion || c.maxV > wire.Version {
-		c.maxV = wire.Version
-	}
 	if err := c.dial(); err != nil {
 		return nil, fmt.Errorf("exchange connect %s: %w", deviceID, err)
 	}
@@ -192,7 +173,6 @@ func (c *ExchangeClient) dial() error {
 		return errors.New("client closed")
 	}
 	c.ackCh = ackCh
-	epoch := c.fleetEpochs[c.hubGen]
 	epochs := make(map[string]uint64, len(c.fleetEpochs))
 	for g, e := range c.fleetEpochs {
 		epochs[g] = e
@@ -212,15 +192,9 @@ func (c *ExchangeClient) dial() error {
 		clearAck()
 		return err
 	}
-	// The hello is framed at the floor of the advertised range: a hub
-	// still speaking only v1 (a mid-rollout fleet) understands the
-	// envelope and ignores the range fields it never knew, while a
-	// range-aware hub negotiates up to the highest common version from
-	// min_v/max_v. Framing at wire.Version instead would make an old
-	// hub refuse a client that is perfectly able to speak v1.
-	hello := wire.Message{V: wire.MinVersion, Type: wire.TypeHello,
-		Hello: &wire.Hello{Device: c.id, Epoch: epoch,
-			MinV: wire.MinVersion, MaxV: c.maxV, Epochs: epochs, Token: c.token}}
+	hello := wire.Message{V: wire.Version, Type: wire.TypeHello,
+		Hello: &wire.Hello{Device: c.id,
+			MinV: wire.Version, MaxV: wire.Version, Epochs: epochs, Token: c.token}}
 	ackWait := helloTimeout
 	if err := sess.Send(hello); err != nil {
 		// A refused handshake surfaces differently per transport: over
@@ -244,7 +218,6 @@ func (c *ExchangeClient) dial() error {
 		}
 		return err
 	}
-	negV := wire.MinVersion // a pre-negotiation hub acks without a version: v1
 	select {
 	case ack := <-ackCh:
 		if !ack.OK {
@@ -252,8 +225,10 @@ func (c *ExchangeClient) dial() error {
 			sess.Close()
 			return errPermanent{fmt.Errorf("hub refused: %s", ack.Error)}
 		}
-		if ack.V != 0 {
-			negV = ack.V
+		if ack.V != wire.Version {
+			clearAck()
+			sess.Close()
+			return fmt.Errorf("hub acked protocol version %d, want %d: redialing", ack.V, wire.Version)
 		}
 		// Compare against the epoch the hello actually carried for this
 		// gen — the value the hub's catch-up filtered against. Reading
@@ -265,18 +240,6 @@ func (c *ExchangeClient) dial() error {
 		c.hubGen = ack.Gen
 		c.pruneEpochsLocked()
 		c.mu.Unlock()
-		if ack.V == 0 && epoch > sent {
-			// A pre-negotiation (v1) hub ignores the per-gen map and
-			// filtered this session's catch-up by the flat epoch — which
-			// was keyed to a *different* incarnation and overshoots what
-			// we hold for this one, silently shrinking the replay. hubGen
-			// is now bound to this hub, so the redial's flat epoch is its
-			// own resume point and the catch-up is exact.
-			clearAck()
-			sess.Close()
-			return fmt.Errorf("pre-negotiation hub (gen %q) filtered catch-up by foreign epoch %d (ours for it: %d): redialing",
-				ack.Gen, epoch, sent)
-		}
 		if ack.Epoch < sent {
 			// The hub's epoch is outright behind the one we stored for
 			// this very incarnation (a provenance store rolled back under
@@ -313,7 +276,6 @@ func (c *ExchangeClient) dial() error {
 	}
 	c.sess = sess
 	c.curAtt = att
-	c.ver = negV
 	// Merge deltas that arrived before the handshake settled: on an
 	// accepted session they are safe resume-point advances.
 	if att.maxEpoch > c.fleetEpochs[c.hubGen] {
@@ -358,7 +320,6 @@ func (c *ExchangeClient) resubscribe() {
 func (c *ExchangeClient) reportLocal(sigs []*core.Signature) {
 	c.mu.Lock()
 	sess := c.sess
-	ver := c.ver
 	out := make([]wire.Signature, 0, len(sigs))
 	for _, sig := range sigs {
 		if !c.fromFleet[sig.Key()] {
@@ -369,9 +330,7 @@ func (c *ExchangeClient) reportLocal(sigs []*core.Signature) {
 	if sess == nil || len(out) == 0 {
 		return
 	}
-	// Stamped — and therefore framed — at the session's negotiated
-	// version: binary to a v3 hub, JSON to anything older.
-	if err := sess.Send(wire.Message{V: ver, Type: wire.TypeReport, Report: &wire.Report{Sigs: out}}); err != nil {
+	if err := sess.Send(wire.Message{V: wire.Version, Type: wire.TypeReport, Report: &wire.Report{Sigs: out}}); err != nil {
 		c.down(err)
 		return
 	}
@@ -484,7 +443,6 @@ func (c *ExchangeClient) shutdownSession() {
 	c.cancelLocal = nil
 	sess := c.sess
 	c.sess = nil
-	c.ver = 0
 	c.curAtt = nil // a dead session's stragglers must not move the resume point
 	c.mu.Unlock()
 	if cancel != nil {
@@ -522,7 +480,6 @@ func (c *ExchangeClient) reconnectLoop() {
 			c.sess.Close()
 			c.sess = nil
 		}
-		c.ver = 0
 		c.curAtt = nil
 		c.mu.Unlock()
 
@@ -557,14 +514,6 @@ func (c *ExchangeClient) reconnectLoop() {
 
 // DeviceID returns the client's device id.
 func (c *ExchangeClient) DeviceID() string { return c.id }
-
-// WireVersion returns the negotiated wire protocol version of the
-// current session, or 0 while disconnected.
-func (c *ExchangeClient) WireVersion() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.ver
-}
 
 // FleetEpoch returns the newest fleet delta epoch the client applied
 // from the hub incarnation it is currently attached to.

@@ -27,7 +27,7 @@
 // forward-report (device reports for signatures the answerer owns),
 // member-update (membership snapshots), handoff (ownership transfers),
 // and replicate (deputy shadow copies); the answerer replies with an
-// ack (negotiated version, its incarnation gen, its current arming
+// ack (the protocol version, its incarnation gen, its current arming
 // seq), replays the owned armings the dialer missed, pushes its own
 // membership snapshot, and thereafter pushes arm-broadcast for every
 // owned signature it arms and forward-confirm receipts for forwarded
@@ -96,8 +96,7 @@
 // it was deputy of, arming on the spot any shadow set at threshold —
 // arming availability survives the owner crash. A completed handshake
 // in either direction revives a down-marked member (and hands its keys
-// back); peers below wire.ProbeVersion cannot answer probes and are
-// judged by link-session liveness instead.
+// back).
 //
 // # Quorum leases: why both partition sides cannot arm
 //
@@ -128,9 +127,8 @@
 // membership. Promotion is safe against the deposed owner's residual
 // lease because the suspicion window is never shorter than the lease
 // TTL — by the time a member is marked down, the last lease it could
-// hold has expired. Legacy peers below wire.ProbeVersion cannot ack a
-// lease; they count as granting while their link session is live,
-// trading the guarantee for availability during a staged rollout.
+// hold has expired. Only a received lease-ack is a grant: a link's
+// session being up never counts as one.
 //
 // The membership epoch doubles as the fencing token: every
 // arm-broadcast carries the sender's epoch (wire.ArmBroadcast.Fence),
@@ -289,11 +287,6 @@ type Config struct {
 	// receiver-side dedup plus the device tier's full-history re-report
 	// restore at-least-once delivery for what was spilled.
 	ForwardOutboxCap int
-	// WireCeiling caps the wire version this node's outbound peer links
-	// advertise — pair it with immunity.WithWireCeiling on the hub to
-	// pin a whole node during a staged rollout. 0 (or any value outside
-	// [wire.PeerVersion, wire.Version]) means the newest.
-	WireCeiling int
 	// Metrics, when set, registers per-peer link instruments (dials,
 	// reconnects, connected, applied/duplicate broadcasts, forward
 	// outbox depth + in-flight) plus node-level membership gauges and
@@ -312,7 +305,6 @@ type Node struct {
 	self     string
 	selfAddr string
 	hub      *immunity.Exchange
-	maxV     int
 	reg      *metrics.Registry
 	resolve  func(m wire.MemberInfo) immunity.Transport
 
@@ -372,10 +364,6 @@ func New(cfg Config) (*Node, error) {
 	if err != nil {
 		return nil, err
 	}
-	maxV := cfg.WireCeiling
-	if maxV < wire.PeerVersion || maxV > wire.Version {
-		maxV = wire.Version
-	}
 	outboxCap := cfg.ForwardOutboxCap
 	switch {
 	case outboxCap == 0:
@@ -387,7 +375,6 @@ func New(cfg Config) (*Node, error) {
 		self:       cfg.Self,
 		selfAddr:   cfg.SelfAddr,
 		hub:        cfg.Hub,
-		maxV:       maxV,
 		reg:        cfg.Metrics,
 		resolve:    cfg.Resolve,
 		membership: newMembership(cfg.Self, cfg.SelfAddr, seed),
@@ -482,11 +469,11 @@ func (n *Node) ForwardReport(tenant, device string, sigs []wire.Signature, keys 
 	}
 	for owner, group := range groups {
 		if l := n.linkFor(owner); l != nil {
-			// The version is stamped at delivery time with the live
-			// session's negotiated version (link.deliver). The tenant
-			// travels with the report so the owner counts it in the right
-			// namespace (all sigs of one call share one tenant: reports
-			// arrive per session, sessions are tenant-bound).
+			// The version is stamped at delivery time (link.deliver).
+			// The tenant travels with the report so the owner counts it
+			// in the right namespace (all sigs of one call share one
+			// tenant: reports arrive per session, sessions are
+			// tenant-bound).
 			l.outbox.Enqueue(wire.Message{Type: wire.TypeForwardReport,
 				Forward: &wire.ForwardReport{Hub: n.self, Device: device, Tenant: tenant,
 					Sigs: group, Hops: hops}})
@@ -556,7 +543,7 @@ func (n *Node) ensureLinks(live []wire.MemberInfo) {
 		if t == nil {
 			continue
 		}
-		l := newLink(n, m.ID, t, seqs[m.ID], n.maxV, n.reg)
+		l := newLink(n, m.ID, t, seqs[m.ID], n.reg)
 		n.links[m.ID] = l
 		started = append(started, l)
 	}
@@ -670,14 +657,12 @@ type link struct {
 	t      immunity.Transport
 	outbox *immunity.Queue[wire.Message]
 	downCh chan struct{}
-	maxV   int // highest wire version to advertise in peer-hello
 
 	mu          sync.Mutex
 	closed      bool // set by close(); a handshake that loses the race must not install its session
 	sess        immunity.Session
 	ackCh       chan wire.Ack
 	gen         string // peer hub incarnation, from its ack
-	ver         int    // negotiated wire version of the current session (0 while down)
 	lastApplied uint64
 	// lastUp is when the link last had a live session (creation time
 	// before the first handshake) — kept for debugging; liveness
@@ -728,9 +713,9 @@ func (a *dialAttempt) cursor() uint64 {
 	return a.maxSeq
 }
 
-func newLink(n *Node, peerID string, t immunity.Transport, resumeSeq uint64, maxV int, reg *metrics.Registry) *link {
+func newLink(n *Node, peerID string, t immunity.Transport, resumeSeq uint64, reg *metrics.Registry) *link {
 	l := &link{node: n, peerID: peerID, t: t, lastApplied: resumeSeq,
-		lastUp: time.Now(), maxV: maxV, downCh: make(chan struct{}, 1)}
+		lastUp: time.Now(), downCh: make(chan struct{}, 1)}
 	l.metDials = reg.CounterVec("immunity_cluster_peer_dials_total",
 		"Dial attempts per peer link (first dial included).", "peer").With(peerID)
 	l.metReconnects = reg.CounterVec("immunity_cluster_peer_reconnects_total",
@@ -762,32 +747,17 @@ func newLink(n *Node, peerID string, t immunity.Transport, resumeSeq uint64, max
 	return l
 }
 
-// deliver sends one outbox message over the current session, stamped —
-// and therefore framed — at that session's negotiated version (a
-// redial may land on a peer speaking a different version than the one
-// the message was enqueued under); with no session (or a dead one) it
-// errors, parking the outbox until the redial calls Resume. Membership
-// messages to a peer negotiated below wire.MembershipVersion are
-// dropped (dequeued) here — an old peer runs its static ring and has
-// nothing to do with them.
+// deliver sends one outbox message over the current session; with no
+// session (or a dead one) it errors, parking the outbox until the
+// redial calls Resume.
 func (l *link) deliver(m wire.Message) error {
 	l.mu.Lock()
 	sess := l.sess
-	ver := l.ver
 	l.mu.Unlock()
 	if sess == nil {
 		return errors.New("peer link down")
 	}
-	if ver == 0 {
-		ver = wire.PeerVersion
-	}
-	switch m.Type {
-	case wire.TypeMemberUpdate, wire.TypeHandoff, wire.TypeReplicate:
-		if ver < wire.MembershipVersion {
-			return nil
-		}
-	}
-	m.V = ver
+	m.V = wire.Version
 	if err := sess.Send(m); err != nil {
 		l.down(err)
 		return err
@@ -809,13 +779,11 @@ func (l *link) down(error) {
 	}
 }
 
-// Direct-send failure classes: the prober and lease treat a legacy
-// peer (live session below wire.ProbeVersion) as answering, and a
-// down/missing link as an immediate probe failure worth escalating.
+// Direct-send failures: the prober treats a down or missing link as an
+// immediate probe failure worth escalating.
 var (
-	errNoLink     = errors.New("cluster: no link to peer")
-	errLinkDown   = errors.New("cluster: peer link down")
-	errLegacyPeer = errors.New("cluster: peer below probe wire version")
+	errNoLink   = errors.New("cluster: no link to peer")
+	errLinkDown = errors.New("cluster: peer link down")
 )
 
 // sendDirect sends one probe/lease message on the live session,
@@ -825,15 +793,11 @@ var (
 func (l *link) sendDirect(m wire.Message) error {
 	l.mu.Lock()
 	sess := l.sess
-	ver := l.ver
 	l.mu.Unlock()
 	if sess == nil {
 		return errLinkDown
 	}
-	if ver < wire.ProbeVersion {
-		return errLegacyPeer
-	}
-	m.V = ver
+	m.V = wire.Version
 	if err := sess.Send(m); err != nil {
 		l.down(err)
 		return err
@@ -956,13 +920,11 @@ func (l *link) dial() error {
 	if l.node.membership.seen(l.peerID, "") {
 		l.node.applyMembership()
 	}
-	// The peer-hello precedes negotiation, so it is framed at the JSON
-	// ceiling — any peer version can parse it — while the advertised
-	// range caps at this node's ceiling. The advertised address lets
-	// the answerer admit us into its membership and dial back.
-	hello := wire.Message{V: wire.MaxJSONVersion, Type: wire.TypePeerHello,
+	// The advertised address lets the answerer admit us into its
+	// membership and dial back.
+	hello := wire.Message{V: wire.Version, Type: wire.TypePeerHello,
 		PeerHello: &wire.PeerHello{Hub: l.node.self, Addr: l.node.selfAddr,
-			Seq: seq, MinV: wire.PeerVersion, MaxV: l.maxV}}
+			Seq: seq, MinV: wire.Version, MaxV: wire.Version}}
 	if err := sess.Send(hello); err != nil {
 		clearAck()
 		sess.Close()
@@ -973,10 +935,16 @@ func (l *link) dial() error {
 		clearAck()
 		if !ack.OK {
 			// Unlike a device client, a peer never gives up for good: the
-			// refusal may be a mid-rollout config gap (the peer not yet
-			// clustered, an old binary) that the next redial outlives.
+			// refusal may be a config gap (the peer not yet clustered)
+			// that the next redial outlives.
 			sess.Close()
 			return fmt.Errorf("peer %s refused: %s", l.peerID, ack.Error)
+		}
+		if ack.V != wire.Version {
+			// A session at any other version is never installed: leases
+			// and probes count only answers from links that speak them.
+			sess.Close()
+			return fmt.Errorf("peer %s acked protocol version %d, want %d", l.peerID, ack.V, wire.Version)
 		}
 		l.mu.Lock()
 		genChanged := l.gen != "" && ack.Gen != l.gen
@@ -1006,9 +974,6 @@ func (l *link) dial() error {
 		}
 		l.sess = sess
 		l.cur = att
-		if l.ver = ack.V; l.ver == 0 {
-			l.ver = wire.PeerVersion
-		}
 		l.lastUp = time.Now()
 		// Merge replay that arrived before the handshake settled: those
 		// broadcasts were filtered against the seq we sent, so on an
@@ -1050,7 +1015,6 @@ func (l *link) close() {
 	l.closed = true
 	sess := l.sess
 	l.sess = nil
-	l.ver = 0
 	l.cur = nil
 	l.mu.Unlock()
 	if sess != nil {
@@ -1126,7 +1090,6 @@ func (n *Node) runLink(l *link) {
 			l.mu.Lock()
 			sess := l.sess
 			l.sess = nil
-			l.ver = 0
 			l.cur = nil // a dead session's stragglers must not move the cursor
 			l.lastUp = time.Now()
 			l.mu.Unlock()

@@ -523,7 +523,7 @@ func (f *flappyTransport) Dial(recv func(wire.Message), down func(err error)) (i
 func (s *flappySession) Send(m wire.Message) error {
 	if m.Type == wire.TypePeerHello {
 		s.recv(wire.Message{V: m.V, Type: wire.TypeAck,
-			Ack: &wire.Ack{OK: true, Epoch: 0, Gen: "flap-gen", V: wire.PeerVersion}})
+			Ack: &wire.Ack{OK: true, Epoch: 0, Gen: "flap-gen", V: wire.Version}})
 		s.down(errors.New("peer dropped the session right after the handshake"))
 	}
 	return nil
@@ -579,5 +579,88 @@ func TestClusterFlappingPeerBacksOff(t *testing.T) {
 	}
 	if st.Dials != dials {
 		t.Fatalf("PeerStatus.Dials = %d, transport saw %d", st.Dials, dials)
+	}
+}
+
+// staleVersionTransport answers every peer-hello with an OK ack at a
+// version other than wire.Version and then keeps the session open,
+// counting whatever the node sends on it afterwards.
+type staleVersionTransport struct {
+	dials  atomic.Uint64
+	direct atomic.Uint64 // lease/ping messages received on any session
+}
+
+type staleVersionSession struct {
+	t    *staleVersionTransport
+	recv func(wire.Message)
+}
+
+func (f *staleVersionTransport) Dial(recv func(wire.Message), down func(err error)) (immunity.Session, error) {
+	f.dials.Add(1)
+	return &staleVersionSession{t: f, recv: recv}, nil
+}
+
+func (s *staleVersionSession) Send(m wire.Message) error {
+	switch m.Type {
+	case wire.TypePeerHello:
+		s.recv(wire.Message{V: wire.Version - 1, Type: wire.TypeAck,
+			Ack: &wire.Ack{OK: true, Gen: "stale-gen", V: wire.Version - 1}})
+	case wire.TypeLease, wire.TypePing:
+		s.t.direct.Add(1)
+	}
+	return nil
+}
+
+func (s *staleVersionSession) Close() error { return nil }
+
+// TestClusterWrongVersionAckNeverTrusted: a peer whose handshake ack
+// names any version but wire.Version is a failed handshake, not a
+// link. Its session is never installed (so it is sent no lease or
+// probe), its open socket grants no lease — in a two-member cluster
+// the node therefore never assembles a majority and never may arm —
+// and it answers no probe, so the failure detector marks it down.
+func TestClusterWrongVersionAckNeverTrusted(t *testing.T) {
+	hub, err := immunity.NewExchange(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(hub.Close)
+	stale := &staleVersionTransport{}
+	node, err := cluster.New(cluster.Config{
+		Self:          "hub0",
+		Hub:           hub,
+		Peers:         []cluster.Member{{ID: "stale", Transport: stale}},
+		FailoverAfter: 40 * time.Millisecond,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(node.Close)
+
+	peer := func() cluster.PeerStatus {
+		for _, ps := range node.Status() {
+			if ps.ID == "stale" {
+				return ps
+			}
+		}
+		t.Fatal("no link to the stale peer")
+		return cluster.PeerStatus{}
+	}
+	// The suspicion window is never shorter than the lease TTL, so by
+	// the time the peer is condemned several lease rounds have run.
+	waitFor(t, "wrong-version peer marked down", func() bool {
+		if peer().Connected {
+			t.Fatal("wrong-version session installed as a live link")
+		}
+		return peer().Down
+	})
+	if stale.dials.Load() < 2 {
+		t.Fatalf("failed handshake was not redialed (%d dials)", stale.dials.Load())
+	}
+	if held, acquired, _ := node.LeaseStats(); held || acquired != 0 || node.MayArm() {
+		t.Fatalf("lease held=%v acquired=%d mayArm=%v on the word of a wrong-version peer", held, acquired, node.MayArm())
+	}
+	if n := stale.direct.Load(); n != 0 {
+		t.Fatalf("%d lease/probe messages sent over a session that failed its handshake", n)
 	}
 }

@@ -19,8 +19,7 @@ import (
 //  2. ensure an outbound link to every live member we can reach (a
 //     joiner learned from a handshake or a member-update gets dialed
 //     here);
-//  3. broadcast the membership snapshot on every link (dropped at
-//     delivery for peers below wire.MembershipVersion);
+//  3. broadcast the membership snapshot on every link;
 //  4. re-bind ownership in the hub — promote this hub's gained keys
 //     (arming any replica already at threshold), demote its lost ones;
 //  5. enqueue the demoted slices as handoff messages to their new

@@ -1,7 +1,6 @@
 package cluster
 
 import (
-	"errors"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -30,10 +29,6 @@ import (
 // majority, not uniqueness; uniqueness of arming per key is the
 // ring's job, and the lease's job is to keep only one partition side
 // able to exercise it.
-//
-// Legacy peers (live session below wire.ProbeVersion) cannot ack; they
-// count as granting while their session is live, trading the guarantee
-// for availability during a staged rollout.
 type leaseManager struct {
 	n   *Node
 	ttl time.Duration
@@ -121,17 +116,12 @@ func (lm *leaseManager) renew() {
 	}
 	msg := wire.Message{Type: wire.TypeLease,
 		Lease: &wire.Lease{From: lm.n.self, Epoch: lm.n.membership.epochNow(), Seq: round}}
-	var legacy []string
 	for _, m := range lm.n.membership.live() {
-		if m.ID == lm.n.self {
-			continue
+		if m.ID != lm.n.self {
+			// A failed send is a grant that never arrives; the round
+			// simply counts without it.
+			_ = lm.n.sendDirect(m.ID, msg)
 		}
-		if err := lm.n.sendDirect(m.ID, msg); errors.Is(err, errLegacyPeer) {
-			legacy = append(legacy, m.ID)
-		}
-	}
-	for _, id := range legacy {
-		lm.ack(id, round, true)
 	}
 	// A single-member cluster (or one whose grants all arrived
 	// synchronously over loopback) is its own majority: evaluate even

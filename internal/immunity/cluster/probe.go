@@ -1,7 +1,6 @@
 package cluster
 
 import (
-	"errors"
 	"sync"
 	"time"
 
@@ -207,8 +206,7 @@ func (p *prober) tick() {
 
 // probeDirect opens one direct ping. A peer with no live session
 // escalates to indirect immediately — other members may still reach
-// it, and only their silence too may condemn it. A live legacy
-// session (below wire.ProbeVersion) counts as the answer itself.
+// it, and only their silence too may condemn it.
 func (p *prober) probeDirect(target string) {
 	p.mu.Lock()
 	p.seq++
@@ -218,22 +216,15 @@ func (p *prober) probeDirect(target string) {
 	p.metProbes.Inc()
 	err := p.n.sendDirect(target, wire.Message{Type: wire.TypePing,
 		Ping: &wire.Ping{From: p.n.self, Target: target, Seq: s}})
-	switch {
-	case err == nil:
+	if err == nil {
 		return // acked via handleAck, or swept into escalation
-	case errors.Is(err, errLegacyPeer):
-		p.mu.Lock()
-		delete(p.pending, s)
-		p.mu.Unlock()
-		p.aliveProof(target)
-	default:
-		p.mu.Lock()
-		if pr := p.pending[s]; pr != nil {
-			pr.indirectAt = time.Now()
-		}
-		p.mu.Unlock()
-		p.sendIndirect(s, target)
 	}
+	p.mu.Lock()
+	if pr := p.pending[s]; pr != nil {
+		pr.indirectAt = time.Now()
+	}
+	p.mu.Unlock()
+	p.sendIndirect(s, target)
 }
 
 // sendIndirect fans a ping-req for target out to up to k reachable
@@ -330,21 +321,13 @@ func (p *prober) handlePing(pg wire.Ping) {
 	p.pending[s] = &probe{seq: s, target: pg.Target, sentAt: time.Now(), onBehalf: true}
 	p.relays[s] = relay{origin: pg.From, originSeq: pg.Seq}
 	p.mu.Unlock()
-	err := p.n.sendDirect(pg.Target, wire.Message{Type: wire.TypePing,
-		Ping: &wire.Ping{From: p.n.self, Target: pg.Target, Seq: s}})
-	if err == nil {
-		return // the target's ack relays via handleAck
-	}
-	p.mu.Lock()
-	delete(p.pending, s)
-	delete(p.relays, s)
-	p.mu.Unlock()
-	if errors.Is(err, errLegacyPeer) {
-		// Our live legacy session to the target is, by the rollout
-		// fiction, the target answering.
-		p.aliveProof(pg.Target)
-		p.n.sendDirect(pg.From, wire.Message{Type: wire.TypePingAck,
-			PingAck: &wire.PingAck{From: p.n.self, Target: pg.Target, Seq: pg.Seq, OK: true}})
+	// On success the target's ack relays via handleAck.
+	if err := p.n.sendDirect(pg.Target, wire.Message{Type: wire.TypePing,
+		Ping: &wire.Ping{From: p.n.self, Target: pg.Target, Seq: s}}); err != nil {
+		p.mu.Lock()
+		delete(p.pending, s)
+		delete(p.relays, s)
+		p.mu.Unlock()
 	}
 }
 

@@ -200,7 +200,8 @@ type fleetSig struct {
 }
 
 // tenantKey derives a signature's canonical hub key: the plain
-// signature key for the default tenant (every pre-v5 key is unchanged),
+// signature key for the default tenant (so a single-tenant provenance
+// log keeps its keys),
 // a tenant-prefixed key otherwise. The prefix rides through the
 // ownership ring hash, forwarding, replication, and handoff untouched —
 // tenancy is a property of the key, so every cluster path is
@@ -304,16 +305,13 @@ type Exchange struct {
 	// tenant (WithTenantThreshold); tenants not listed use threshold.
 	tenantThresholds map[string]int
 	// verifier authenticates device hellos (nil = auth disabled: any
-	// socket may claim any device id, tokens are ignored — the pre-v5
-	// behavior). peerAuth additionally requires every peer-hello to
-	// arrive on a session whose transport identity (mutual-TLS client
-	// certificate) matches the claimed hub id.
+	// socket may claim any device id, tokens are ignored). peerAuth
+	// additionally requires every peer-hello to arrive on a session
+	// whose transport identity (mutual-TLS client certificate) matches
+	// the claimed hub id.
 	verifier auth.Verifier
 	peerAuth bool
 	store    ProvenanceStore
-	// maxVer caps the negotiated wire version (WithWireCeiling); default
-	// wire.Version.
-	maxVer int
 	// gen identifies this hub incarnation in acks. Fleet epochs are only
 	// meaningful within one incarnation: after a restart (above all one
 	// without a provenance store) the counter may regrow past a
@@ -382,14 +380,6 @@ type ExchangeOption func(*Exchange)
 // arms below threshold nor loses confirmations.
 func WithProvenanceStore(store ProvenanceStore) ExchangeOption {
 	return func(x *Exchange) { x.store = store }
-}
-
-// WithWireCeiling pins the hub's negotiated wire version at v — e.g. 2
-// keeps every session on the JSON codec during a staged v3 rollout, and
-// it is how the mixed-version tests hold one hub back. Values outside
-// [wire.MinVersion, wire.Version] mean no pin.
-func WithWireCeiling(v int) ExchangeOption {
-	return func(x *Exchange) { x.maxVer = v }
 }
 
 // WithMetricsRegistry makes the hub register its instruments on reg
@@ -501,9 +491,6 @@ func NewExchange(confirmThreshold int, opts ...ExchangeOption) (*Exchange, error
 	}
 	for _, opt := range opts {
 		opt(x)
-	}
-	if x.maxVer < wire.MinVersion || x.maxVer > wire.Version {
-		x.maxVer = wire.Version
 	}
 	if x.reg == nil {
 		x.reg = metrics.NewRegistry()
@@ -716,7 +703,7 @@ func (x *Exchange) accept(send func(wire.Message) error, writeFrames func([][]by
 	if writeFrames != nil {
 		cfg.DeliverBatch = func(batch []outMsg) error { return c.encodeBatch(batch, writeFrames) }
 	} else {
-		cfg.Deliver = func(o outMsg) error { return send(c.stamp(o.message())) }
+		cfg.Deliver = func(o outMsg) error { return send(stamp(o.message())) }
 	}
 	c.out = NewQueue(cfg)
 	return c, nil
@@ -780,7 +767,6 @@ type Conn struct {
 	// common name — or "" for an unauthenticated transport. With
 	// WithPeerAuth, a peer-hello must claim exactly this identity.
 	transportIdentity string
-	ver               int // negotiated protocol version (0 before handshake)
 	closed            bool
 	closeOnce         sync.Once
 }
@@ -817,50 +803,25 @@ func (c *Conn) PeerHub() string {
 	return c.peerHub
 }
 
-// negotiate applies the wire version rule to a hello's advertised range
-// (a bare pre-negotiation hello advertises exactly its envelope
-// version) and records the session version. atLeast guards message sets
-// that did not exist below a version (peer messages).
-func (c *Conn) negotiate(envelopeV, minV, maxV, atLeast int) (int, error) {
-	if maxV == 0 {
-		minV, maxV = envelopeV, envelopeV
-	} else if envelopeV < minV || envelopeV > maxV {
-		// A range that does not even cover the hello's own envelope
-		// version is a broken (or lying) client; trusting the range
-		// would negotiate a version the peer demonstrably cannot frame.
-		return 0, fmt.Errorf("inconsistent protocol version %d outside advertised range %d..%d",
+// checkVersion applies the wire version rule to a hello: the advertised
+// range must contain wire.Version and cover the hello's own envelope
+// version — a range that does not is a broken (or lying) endpoint that
+// demonstrably cannot frame what it claims to speak.
+func checkVersion(envelopeV, minV, maxV int) error {
+	if envelopeV < minV || envelopeV > maxV {
+		return fmt.Errorf("inconsistent protocol version %d outside advertised range %d..%d",
 			envelopeV, minV, maxV)
 	}
-	v, ok := wire.NegotiateMax(minV, maxV, c.hub.maxVer)
-	if !ok || v < atLeast {
-		return 0, fmt.Errorf("unsupported protocol version %d..%d (hub speaks %d..%d)",
-			minV, maxV, wire.MinVersion, c.hub.maxVer)
+	if _, ok := wire.Negotiate(minV, maxV); !ok {
+		return fmt.Errorf("unsupported protocol version %d..%d (hub speaks %d)",
+			minV, maxV, wire.Version)
 	}
-	c.mu.Lock()
-	c.ver = v
-	c.mu.Unlock()
-	return v, nil
-}
-
-// sessionVersion is the version every delivery on this session is
-// stamped and framed at: the negotiated version once the handshake
-// settled it — a session negotiated at v1 must never receive a v2
-// envelope, and only a v3+ session may receive a binary frame — or,
-// before negotiation (status probes, refusals), the newest JSON
-// version, which every endpoint ever shipped can parse.
-func (c *Conn) sessionVersion() int {
-	c.mu.Lock()
-	v := c.ver
-	c.mu.Unlock()
-	if v == 0 {
-		return wire.MaxJSONVersion
-	}
-	return v
+	return nil
 }
 
 // stamp sets the delivery version on one decoded message.
-func (c *Conn) stamp(m wire.Message) wire.Message {
-	m.V = c.sessionVersion()
+func stamp(m wire.Message) wire.Message {
+	m.V = wire.Version
 	return m
 }
 
@@ -875,7 +836,6 @@ const maxConnScratch = 64 << 10
 // queue's drain goroutine, and writeFrames is synchronous, so the
 // scratch is free again when it returns.
 func (c *Conn) encodeBatch(batch []outMsg, writeFrames func([][]byte) error) error {
-	v := c.sessionVersion()
 	frames := make([][]byte, len(batch))
 	// Appending may move the scratch's backing array, so per-session
 	// frames are recorded as offsets and re-sliced only after the last
@@ -885,18 +845,16 @@ func (c *Conn) encodeBatch(batch []outMsg, writeFrames func([][]byte) error) err
 	var spans []span
 	for i, o := range batch {
 		if o.shared != nil {
-			b, err := o.shared.Frame(v)
+			b, err := o.shared.Frame(wire.Version)
 			if err != nil {
 				return err
 			}
 			frames[i] = b
 			continue
 		}
-		m := o.m
-		m.V = v
 		start := len(scratch)
 		var err error
-		scratch, err = wire.AppendFrame(scratch, m)
+		scratch, err = wire.AppendFrame(scratch, stamp(o.m))
 		if err != nil {
 			return err
 		}
@@ -914,11 +872,11 @@ func (c *Conn) encodeBatch(batch []outMsg, writeFrames func([][]byte) error) err
 }
 
 // push enqueues one per-session message; the delivery version is
-// stamped at write time (sessionVersion).
+// stamped at write time.
 func (c *Conn) push(m wire.Message) { c.out.Enqueue(outMsg{m: m}) }
 
-// pushShared enqueues an encode-once broadcast frame; every session at
-// the same negotiated version shares its encoded bytes.
+// pushShared enqueues an encode-once broadcast frame; every session
+// shares its encoded bytes.
 func (c *Conn) pushShared(s *wire.Shared) { c.out.Enqueue(outMsg{shared: s}) }
 
 // refuse sends a final failure ack and reports the protocol error.
@@ -1006,17 +964,16 @@ func (c *Conn) Handle(m wire.Message) error {
 }
 
 // handleHello validates the handshake and registers the device: version
-// negotiation, supersede of any stale session with the same device id,
-// an ok ack carrying the hub epoch and the negotiated version, then one
+// check, supersede of any stale session with the same device id, an ok
+// ack carrying the hub epoch and the protocol version, then one
 // catch-up delta with every armed signature the device's epoch
-// predates. A v2 hello's per-gen epoch map takes precedence over the
+// predates. The hello's per-gen epoch map takes precedence over the
 // flat epoch: the hub resumes the device from the epoch recorded for
 // *this* incarnation, or from zero when the device never spoke to it —
 // which is what lets one device roam between the hubs of a cluster.
 func (c *Conn) handleHello(m wire.Message) error {
 	h := m.Hello
-	ver, err := c.negotiate(m.V, h.MinV, h.MaxV, wire.MinVersion)
-	if err != nil {
+	if err := checkVersion(m.V, h.MinV, h.MaxV); err != nil {
 		return c.refuse("%v", err)
 	}
 	if h.Device == "" {
@@ -1088,7 +1045,7 @@ func (c *Conn) handleHello(m wire.Message) error {
 	c.mu.Unlock()
 	x.conns[sk] = c
 
-	c.push(wire.Message{Type: wire.TypeAck, Ack: &wire.Ack{OK: true, Epoch: x.epoch, Gen: x.gen, V: ver}})
+	c.push(wire.Message{Type: wire.TypeAck, Ack: &wire.Ack{OK: true, Epoch: x.epoch, Gen: x.gen, V: wire.Version}})
 
 	// Catch-up: every armed signature the client's epoch predates, as a
 	// single batched delta, oldest arming first.
@@ -1138,15 +1095,14 @@ func (c *Conn) handleHello(m wire.Message) error {
 }
 
 // handlePeerHello registers an inbound hub-to-hub session: version
-// negotiation (the peer set needs wire.PeerVersion), supersede of any
+// check, supersede of any
 // stale session from the same hub, an ok ack carrying this hub's
 // owned-arming seq and gen, then a replay of every owned armed
 // signature the peer's seq predates — one arm-broadcast each, oldest
 // first, the hub-to-hub twin of the device catch-up delta.
 func (c *Conn) handlePeerHello(m wire.Message) error {
 	h := m.PeerHello
-	ver, err := c.negotiate(m.V, h.MinV, h.MaxV, wire.PeerVersion)
-	if err != nil {
+	if err := checkVersion(m.V, h.MinV, h.MaxV); err != nil {
 		return c.refuse("%v", err)
 	}
 	if h.Hub == "" {
@@ -1193,7 +1149,7 @@ func (c *Conn) handlePeerHello(m wire.Message) error {
 	x.peers[h.Hub] = c
 
 	c.push(wire.Message{Type: wire.TypeAck,
-		Ack: &wire.Ack{OK: true, Epoch: x.ownerSeq, Gen: x.gen, V: ver}})
+		Ack: &wire.Ack{OK: true, Epoch: x.ownerSeq, Gen: x.gen, V: wire.Version}})
 
 	// Replay missed owned armings in seq order.
 	type ownedEntry struct {
@@ -1214,13 +1170,11 @@ func (c *Conn) handlePeerHello(m wire.Message) error {
 				Confirmations: len(oe.e.confirmedBy), Sig: oe.e.ws, Fence: fence,
 				Tenant: oe.e.tenant}})
 	}
-	if ver >= wire.MembershipVersion {
-		// Seed the dialer's membership view: the snapshot predates any
-		// admission this handshake itself triggers (PeerSeen below), whose
-		// higher-epoch update follows over the regular links.
-		snap := x.cluster.MemberSnapshot()
-		c.push(wire.Message{Type: wire.TypeMemberUpdate, Member: &snap})
-	}
+	// Seed the dialer's membership view: the snapshot predates any
+	// admission this handshake itself triggers (PeerSeen below), whose
+	// higher-epoch update follows over the regular links.
+	snap := x.cluster.MemberSnapshot()
+	c.push(wire.Message{Type: wire.TypeMemberUpdate, Member: &snap})
 	cluster := x.cluster
 	x.mu.Unlock()
 
@@ -1255,7 +1209,7 @@ func (c *Conn) handleForwardReport(f *wire.ForwardReport) error {
 	}
 	hops := f.Hops
 	if hops < 1 {
-		hops = 1 // pre-v4 peers don't count legs; one was taken to get here
+		hops = 1 // one leg was taken to get here, whatever the sender counted
 	}
 	for _, confirm := range c.hub.reportFrom(f.Tenant, f.Device, sigs, hops) {
 		c.push(wire.Message{Type: wire.TypeForwardConfirm,

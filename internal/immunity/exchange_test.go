@@ -1,9 +1,11 @@
 package immunity
 
 import (
+	"bytes"
 	"fmt"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -236,7 +238,7 @@ func TestExchangeDuplicateHelloRefused(t *testing.T) {
 	}
 	defer conn.Close()
 	hello := func(device string) wire.Message {
-		return wire.Message{V: wire.Version, Type: wire.TypeHello, Hello: &wire.Hello{Device: device}}
+		return wire.Message{V: wire.Version, Type: wire.TypeHello, Hello: &wire.Hello{Device: device, MinV: wire.Version, MaxV: wire.Version}}
 	}
 	if err := conn.Handle(hello("phoneA")); err != nil {
 		t.Fatal(err)
@@ -329,4 +331,125 @@ func TestExchangeSupersedeConnect(t *testing.T) {
 	if prov := hub.Provenance()[0]; prov.Confirmations != 1 || prov.FirstSeen != "phone0" {
 		t.Fatalf("provenance after supersede: %+v", prov)
 	}
+}
+
+// TestMergeNeverMutatesSharedFrame: coalescing a queued broadcast with
+// a later delta must build a fresh message — the Shared's message and
+// its cached frames are concurrently handed to other sessions, and an
+// in-place append would corrupt a frame already queued elsewhere.
+func TestMergeNeverMutatesSharedFrame(t *testing.T) {
+	sigA, sigB := wire.FromCore(testSig(1)), wire.FromCore(testSig(2))
+	sh := wire.NewShared(wire.Message{Type: wire.TypeDelta,
+		Delta: &wire.Delta{Epoch: 1, Sigs: []wire.Signature{sigA}}})
+	frame, err := sh.Frame(wire.Version)
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := append([]byte(nil), frame...)
+
+	next := outMsg{m: wire.Message{Type: wire.TypeDelta,
+		Delta: &wire.Delta{Epoch: 2, Sigs: []wire.Signature{sigB}}}}
+	merged, ok := mergeOutMsgs(outMsg{shared: sh}, next)
+	if !ok {
+		t.Fatal("adjacent deltas did not merge")
+	}
+	if merged.shared != nil {
+		t.Fatal("merged delivery still points at the shared frame")
+	}
+	if merged.m.Delta.Epoch != 2 || len(merged.m.Delta.Sigs) != 2 {
+		t.Fatalf("bad merge: %+v", merged.m.Delta)
+	}
+	// The shared message and its cached frame are untouched.
+	if got := sh.Msg(); len(got.Delta.Sigs) != 1 || got.Delta.Epoch != 1 {
+		t.Fatalf("merge mutated the shared message: %+v", got.Delta)
+	}
+	after, err := sh.Frame(wire.Version)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(before, after) {
+		t.Fatal("merge mutated the shared frame bytes")
+	}
+}
+
+// TestBroadcastSupersedeRaceKeepsFramesIntact (-race gated like the
+// whole package): encode-once frames are handed to every session's
+// queue; a device redialing in a tight loop — superseding its own
+// sessions while armings broadcast — must never corrupt a frame already
+// queued to a stable session. The stable observer decodes every frame
+// it receives and must end up with every armed signature, bit-exact.
+func TestBroadcastSupersedeRaceKeepsFramesIntact(t *testing.T) {
+	hub := newTestHub(t, 1)
+	srv, err := ServeTCP(hub, "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+
+	// Stable observer phone over real TCP (stream sessions share frames).
+	obsSvc, err := NewService("observer", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer obsSvc.Close()
+	obsProc, _ := attach(t, obsSvc, "app")
+	obsClient, err := Connect(NewTCPTransport(srv.Addr()), "observer", obsSvc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer obsClient.Close()
+
+	// Flapper: redials under one device id as fast as it can, tearing
+	// down the superseded sessions while broadcasts are in flight.
+	var stop atomic.Bool
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		tr := NewTCPTransport(srv.Addr())
+		for !stop.Load() {
+			sess, err := tr.Dial(func(wire.Message) {}, func(error) {})
+			if err != nil {
+				continue
+			}
+			sess.Send(wire.Message{V: wire.MinVersion, Type: wire.TypeHello,
+				Hello: &wire.Hello{Device: "flapper", MinV: wire.MinVersion, MaxV: wire.Version}})
+			time.Sleep(200 * time.Microsecond)
+			sess.Close()
+		}
+	}()
+
+	// Publisher: arms a stream of signatures (threshold 1), each one an
+	// encode-once broadcast to every live session.
+	pubSvc, err := NewService("publisher", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer pubSvc.Close()
+	pubClient, err := Connect(NewTCPTransport(srv.Addr()), "publisher", pubSvc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer pubClient.Close()
+
+	const arms = 40
+	for i := 0; i < arms; i++ {
+		if _, _, err := pubSvc.Publish("local", testSig(100+i)); err != nil {
+			t.Fatal(err)
+		}
+		time.Sleep(500 * time.Microsecond)
+	}
+	// Every armed signature must reach the stable observer uncorrupted:
+	// a mutated shared frame would fail decode (killing the session) or
+	// deliver a wrong signature key.
+	obs := &phoneSim{svc: obsSvc, proc: obsProc}
+	for i := 0; i < arms; i++ {
+		key := testSig(100 + i).Key()
+		waitFor(t, fmt.Sprintf("observer armed on sig %d", i), func() bool { return obs.armedOn(key) })
+	}
+	if got := obsClient.Reconnects(); got != 0 {
+		t.Fatalf("stable observer had to reconnect %d times (corrupt frame killed its session?)", got)
+	}
+	stop.Store(true)
+	wg.Wait()
 }

@@ -46,15 +46,13 @@
 //   - Loopback (NewLoopback) runs the full protocol in-process with no
 //     sockets — zero-dependency tests and simulations, same messages,
 //     same arming decisions.
-//   - TCPTransport/ServeTCP move length-prefixed wire frames over real
-//     sockets (JSON below wire v3, the binary codec at v3 — negotiated
-//     per session, chosen per frame by the header's codec bit);
-//     ExchangeClient redials dropped sessions with backoff and
-//     resubscribes from the last delta epoch it applied, so a reconnect
-//     receives exactly the armings it missed. The hub's write side is
-//     encode-once: a broadcast delta or arm-broadcast is marshaled at
-//     most once per negotiated version (wire.Shared) and each session's
-//     drain hands every pending frame to the kernel in one writev.
+//   - TCPTransport/ServeTCP move length-prefixed binary wire frames
+//     over real sockets; ExchangeClient redials dropped sessions with
+//     backoff and resubscribes from the last delta epoch it applied, so
+//     a reconnect receives exactly the armings it missed. The hub's
+//     write side is encode-once: a broadcast delta or arm-broadcast is
+//     marshaled at most once (wire.Shared) and each session's drain
+//     hands every pending frame to the kernel in one writev.
 //
 // Connect(transport, deviceID, service) wires a phone in; the hub holds
 // no references to Services and identifies devices only by their hello
@@ -67,7 +65,7 @@
 // N devices. The auth subpackage supplies the trust fabric, and this
 // package threads it through every connection path:
 //
-//   - Devices authenticate with bearer tokens (wire v5 hello): the
+//   - Devices authenticate with bearer tokens (in the hello): the
 //     operator mints HMAC-signed tokens (auth.Mint, immunityd
 //     -mint-token) carrying tenant/device/expiry claims, and a hub
 //     built WithAuthVerifier refuses any hello whose token is missing,
@@ -97,12 +95,9 @@
 // client may see epoch gaps; resume is strictly "armEpoch greater than
 // mine", so gaps are harmless).
 //
-// Auth-disabled mode — no verifier, no TLS — keeps the pre-v5 behavior
-// byte for byte: any socket may claim any identity and all traffic is
-// one implicit tenant. That is the correct posture on a trusted network
-// and is exactly what every wire v≤4 deployment already assumed; v≤4
-// clients still interop against such a hub through the ordinary
-// [min_v,max_v] version negotiation.
+// Auth-disabled mode — no verifier, no TLS — means any socket may claim
+// any identity and all traffic is one implicit tenant. That is the
+// correct posture on a trusted network.
 //
 // # Durable provenance
 //

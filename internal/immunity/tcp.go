@@ -12,8 +12,7 @@ import (
 	"github.com/dimmunix/dimmunix/internal/immunity/wire"
 )
 
-// The real network transport: length-prefixed wire frames over TCP
-// (JSON at v1/v2, binary at v3 — the frame header names the codec),
+// The real network transport: length-prefixed wire frames over TCP,
 // optionally under TLS (see auth.ServerConfig and friends for the
 // config shapes). ServeTCP is the hub side (one goroutine per accepted
 // connection feeding frames into Exchange.Conn.Handle, one push-queue
@@ -117,8 +116,7 @@ func (s *tcpSession) Close() error {
 // readLoop delivers inbound frames until the connection dies; down fires
 // exactly once, and only for remote deaths. The Reader's reused scratch
 // makes the steady-state frame read one buffered read and no
-// allocation; its codec dispatch handles the JSON→binary switch when
-// the handshake negotiates v3.
+// allocation.
 func (s *tcpSession) readLoop(recv func(wire.Message), down func(err error)) {
 	fr := wire.NewReader(s.nc)
 	for {
@@ -312,9 +310,7 @@ func FetchStatus(addr string, timeout time.Duration, opts ...TCPOption) (wire.St
 	if timeout > 0 {
 		nc.SetDeadline(time.Now().Add(timeout))
 	}
-	// Framed at the JSON ceiling: a status probe precedes any
-	// negotiation, and an old (pre-v3) daemon must still parse it.
-	if err := wire.WriteFrame(nc, wire.Message{V: wire.MaxJSONVersion, Type: wire.TypeStatusReq}); err != nil {
+	if err := wire.WriteFrame(nc, wire.Message{V: wire.Version, Type: wire.TypeStatusReq}); err != nil {
 		return wire.Status{}, fmt.Errorf("fetch status: %w", err)
 	}
 	fr := wire.NewReader(nc)

@@ -317,9 +317,11 @@ func TestClientHubGenerationResync(t *testing.T) {
 	waitFor(t, "A armed with sig1 after generation resync", func() bool { return a.armedOn(testSig(1).Key()) })
 }
 
-// TestTCPVersionMismatchRejected: an old client speaking a different
-// protocol version is answered with a clean failure ack and a closed
-// connection — never a hang.
+// TestTCPVersionMismatchRejected: a hello whose version range does not
+// contain wire.Version — or that is not even framed in the binary codec
+// — is answered with a clean failure ack (where the frame could be
+// read at all) and a closed connection, never a hang; a range that
+// does contain it is acked at wire.Version.
 func TestTCPVersionMismatchRejected(t *testing.T) {
 	hub := newTestHub(t, 1)
 	srv, err := ServeTCP(hub, "127.0.0.1:0")
@@ -328,36 +330,69 @@ func TestTCPVersionMismatchRejected(t *testing.T) {
 	}
 	defer srv.Close()
 
-	nc, err := net.Dial("tcp", srv.Addr())
-	if err != nil {
-		t.Fatal(err)
+	hello := func(v, minV, maxV int) []byte {
+		b, err := wire.AppendFrame(nil, wire.Message{V: v, Type: wire.TypeHello,
+			Hello: &wire.Hello{Device: "museum-piece", MinV: minV, MaxV: maxV}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
 	}
-	defer nc.Close()
-	nc.SetDeadline(time.Now().Add(5 * time.Second))
-	old := wire.Message{V: wire.Version + 41, Type: wire.TypeHello,
-		Hello: &wire.Hello{Device: "museum-piece", Epoch: 0}}
-	if err := wire.WriteFrame(nc, old); err != nil {
-		t.Fatal(err)
+	jsonHello := `{"v":2,"type":"hello","hello":{"device":"museum-piece","min_v":1,"max_v":2}}`
+	cases := []struct {
+		name  string
+		frame []byte
+		acked bool // an ack frame comes back (refusal or ok)
+		ok    bool
+	}{
+		{"bare hello far ahead", hello(wire.Version+41, 0, 0), true, false},
+		{"range below", hello(wire.Version-1, 1, wire.Version-1), true, false},
+		{"range above", hello(wire.Version+1, wire.Version+1, wire.Version+9), true, false},
+		{"envelope outside its own range", hello(wire.Version-1, wire.Version, wire.Version), true, false},
+		{"range reaching past", hello(wire.Version, wire.Version, wire.Version+1), true, true},
+		{"JSON-flagged frame", append([]byte{0, 0, 0, byte(len(jsonHello))}, jsonHello...), false, false},
 	}
-	m, err := wire.ReadFrame(nc)
-	if err != nil {
-		t.Fatalf("want failure ack, got read error %v", err)
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			nc, err := net.Dial("tcp", srv.Addr())
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer nc.Close()
+			nc.SetDeadline(time.Now().Add(5 * time.Second))
+			if _, err := nc.Write(tc.frame); err != nil {
+				t.Fatal(err)
+			}
+			if tc.acked {
+				m, err := wire.ReadFrame(nc)
+				if err != nil {
+					t.Fatalf("want an ack, got read error %v", err)
+				}
+				if m.Type != wire.TypeAck || m.Ack.OK != tc.ok {
+					t.Fatalf("want ack ok=%v, got %+v", tc.ok, m)
+				}
+				if tc.ok {
+					if m.V != wire.Version || m.Ack.V != wire.Version {
+						t.Fatalf("acked at envelope v%d / ack v%d, want v%d", m.V, m.Ack.V, wire.Version)
+					}
+					return
+				}
+				if !strings.Contains(m.Ack.Error, "version") {
+					t.Fatalf("ack error %q does not name the version", m.Ack.Error)
+				}
+			}
+			// The hub hangs up after the refusal: the next read fails fast
+			// rather than deadline-expiring (which would mean a hang).
+			start := time.Now()
+			if _, err := wire.ReadFrame(nc); err == nil {
+				t.Fatal("connection still open after version refusal")
+			}
+			if time.Since(start) > 4*time.Second {
+				t.Fatal("refused client hung instead of being disconnected")
+			}
+		})
 	}
-	if m.Type != wire.TypeAck || m.Ack.OK {
-		t.Fatalf("want failure ack, got %+v", m)
-	}
-	if !strings.Contains(m.Ack.Error, "version") {
-		t.Fatalf("ack error %q does not name the version", m.Ack.Error)
-	}
-	// The hub hangs up after the refusal: the next read fails fast
-	// rather than deadline-expiring (which would mean a hang).
-	start := time.Now()
-	if _, err := wire.ReadFrame(nc); err == nil {
-		t.Fatal("connection still open after version refusal")
-	}
-	if time.Since(start) > 4*time.Second {
-		t.Fatal("old client hung instead of being disconnected")
-	}
+
 	// And the client-side API surfaces it as a permanent connect error.
 	svc, err := NewService("old-phone", nil)
 	if err != nil {

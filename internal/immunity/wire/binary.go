@@ -1,10 +1,9 @@
-// The v3 binary codec: a hand-rolled varint + length-delimited encoding
-// of the wire message set. No reflection, no field names on the wire,
-// no intermediate allocations beyond the output buffer — encoding a
-// delta is an append loop, decoding is a cursor walk. The JSON codec
-// (v1/v2) and this one carry exactly the same message set; the
-// differential fuzz target (FuzzWireV3Differential) holds the two to
-// byte-identical round-trip behavior.
+// The binary codec: a hand-rolled varint + length-delimited encoding of
+// the wire message set. No reflection, no field names on the wire, no
+// intermediate allocations beyond the output buffer — encoding a delta
+// is an append loop, decoding is a cursor walk. The canonical-form fuzz
+// target (FuzzWireCanonical) holds it to a stable round trip and a
+// deterministic encoding.
 //
 // Layout after the frame header (see the package comment's diagram):
 //
@@ -15,11 +14,12 @@
 // Field encodings:
 //
 //	u64     unsigned varint
-//	int     zigzag varint (JSON permits negatives; round-trip keeps them)
+//	int     zigzag varint (negatives round-trip)
 //	bool    one byte, 0 or 1
 //	string  u64 length + bytes
 //	slice   u64 n: 0 = nil, else n-1 elements (nil and empty stay
-//	map             distinct, as they are under the JSON codec)
+//	map             distinct, except Hello.Epochs and Status.Tenants,
+//	                whose empty form encodes as nil)
 //	ptr     one presence byte, then the value
 //
 // Map keys are encoded sorted so equal messages encode to equal bytes —
@@ -158,12 +158,11 @@ func appendBool(b []byte, v bool) []byte {
 
 func appendStr(b []byte, s string) []byte {
 	if !utf8.ValidString(s) {
-		// The JSON codec coerces invalid UTF-8 on marshal — one U+FFFD
-		// per invalid byte; do byte-for-byte the same, so a string that
-		// would have gone through (mangled identically) under v2 never
-		// turns a v3 session into a decode-refusal redial loop, and the
-		// canonical signature key a mixed-version fleet derives from it
-		// is the same whichever codec carried it.
+		// The decoder refuses invalid UTF-8, so sending it raw would turn
+		// the session into a decode-refusal redial loop. Coerce it the
+		// way encoding/json does when the provenance log persists the
+		// same string — one U+FFFD per invalid byte — so the canonical
+		// signature key is the same on the wire and on disk.
 		s = coerceUTF8(s)
 	}
 	b = binary.AppendUvarint(b, uint64(len(s)))
@@ -172,8 +171,7 @@ func appendStr(b []byte, s string) []byte {
 
 // coerceUTF8 mirrors encoding/json's marshal behavior exactly: every
 // individually invalid byte becomes its own U+FFFD (strings.ToValidUTF8
-// would collapse a run into one, deriving a different string than the
-// JSON codec for the same message).
+// would collapse a run into one).
 func coerceUTF8(s string) string {
 	var b strings.Builder
 	b.Grow(len(s))
@@ -254,8 +252,8 @@ func appendOwnedRecords(b []byte, recs []OwnedRecord) []byte {
 	return b
 }
 
-// appendBinary appends m's binary envelope (no frame header) to dst.
-// It validates exactly as the JSON Encode does.
+// appendBinary appends m's validated binary envelope (no frame header)
+// to dst.
 func appendBinary(dst []byte, m Message) ([]byte, error) {
 	if err := m.Validate(); err != nil {
 		return dst, err
@@ -273,10 +271,7 @@ func appendBinary(dst []byte, m Message) ([]byte, error) {
 		b = appendU64(b, h.Epoch)
 		b = appendInt(b, h.MinV)
 		b = appendInt(b, h.MaxV)
-		// Epochs is the one collection the JSON codec marshals with
-		// omitempty, collapsing empty to absent — encode the same way, or
-		// the two codecs would disagree about one message (both decoders
-		// normalize, see decodeNorm).
+		// An empty Epochs map encodes as absent and decodes to nil.
 		b = appendLen(b, len(h.Epochs), len(h.Epochs) == 0)
 		gens := make([]string, 0, len(h.Epochs))
 		for g := range h.Epochs {
@@ -338,8 +333,7 @@ func appendBinary(dst []byte, m Message) ([]byte, error) {
 			b = appendMembers(b, cs.Ring)
 			b = appendU64(b, cs.Fenced)
 		}
-		// Tenants follows the JSON omitempty rule: empty encodes as
-		// absent (see decodeNorm).
+		// Tenants follows the Epochs rule: empty encodes as absent.
 		b = appendLen(b, len(st.Tenants), len(st.Tenants) == 0)
 		for _, ts := range st.Tenants {
 			b = appendStr(b, ts.Tenant)
@@ -406,8 +400,7 @@ func appendBinary(dst []byte, m Message) ([]byte, error) {
 	return b, nil
 }
 
-// EncodeBinary marshals the message with the v3 binary codec (envelope
-// only, no frame header) — the binary twin of Encode.
+// EncodeBinary marshals the message's envelope (no frame header).
 func EncodeBinary(m Message) ([]byte, error) {
 	b, err := appendBinary(nil, m)
 	if err != nil {
@@ -504,9 +497,8 @@ func (d *bdec) str() string {
 	s := string(d.b[d.off : d.off+int(n)]) // copies: decoded messages never alias the read buffer
 	d.off += int(n)
 	if !utf8.ValidString(s) {
-		// The JSON codec cannot represent invalid UTF-8 (it would be
-		// coerced to U+FFFD), so accepting it here would let the two
-		// codecs disagree about one message. Same domain, both codecs.
+		// The encoder never emits invalid UTF-8 (appendStr coerces it),
+		// so a frame carrying it did not come from this codec.
 		d.fail("string %q is not valid UTF-8", s)
 		return ""
 	}
@@ -611,9 +603,8 @@ func (d *bdec) ownedRecords() []OwnedRecord {
 	return out
 }
 
-// DecodeBinary unmarshals and structurally validates one binary
-// envelope — the binary twin of Decode. Trailing bytes are an error: a
-// frame is exactly one message.
+// DecodeBinary unmarshals and structurally validates one envelope.
+// Trailing bytes are an error: a frame is exactly one message.
 func DecodeBinary(b []byte) (Message, error) {
 	d := &bdec{b: b}
 	var m Message
@@ -710,5 +701,5 @@ func DecodeBinary(b []byte) (Message, error) {
 	if err := m.Validate(); err != nil {
 		return Message{}, err
 	}
-	return decodeNorm(m), nil
+	return m, nil
 }

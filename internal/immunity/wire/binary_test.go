@@ -3,40 +3,35 @@ package wire
 import (
 	"bytes"
 	"encoding/binary"
+	"encoding/json"
 	"io"
 	"reflect"
 	"runtime"
+	"strings"
 	"testing"
 )
 
-// binaryFixtures is messageFixtures re-stamped at the binary version,
-// plus edge shapes the JSON fixtures do not cover (nil vs empty
-// collections, negative ints, empty strings).
+// binaryFixtures is messageFixtures plus the edge shapes it does not
+// cover (nil vs empty collections, negative ints, empty strings).
 func binaryFixtures() []Message {
 	ws := FromCore(testSig())
-	msgs := messageFixtures()
-	for i := range msgs {
-		msgs[i].V = BinaryVersion
-	}
-	msgs = append(msgs,
-		Message{V: BinaryVersion, Type: TypeReport, Report: &Report{Sigs: []Signature{}}},
-		Message{V: BinaryVersion, Type: TypeDelta, Delta: &Delta{Epoch: 1<<63 + 9, Sigs: nil}},
+	return append(messageFixtures(),
+		Message{V: Version, Type: TypeReport, Report: &Report{Sigs: []Signature{}}},
+		Message{V: Version, Type: TypeDelta, Delta: &Delta{Epoch: 1<<63 + 9, Sigs: nil}},
 		Message{V: -2, Type: TypeConfirm, Confirm: &Confirm{Key: "", Confirmations: -7}},
-		Message{V: BinaryVersion, Type: TypeHello,
+		Message{V: Version, Type: TypeHello,
 			Hello: &Hello{Device: "d", Epochs: map[string]uint64{"g1": 3, "g2": 0}}},
-		Message{V: BinaryVersion, Type: TypeStatus, Status: &Status{
+		Message{V: Version, Type: TypeStatus, Status: &Status{
 			Devices:    []string{},
 			Provenance: []SigStatus{{Key: "k", Kind: "deadlock", ConfirmedBy: nil}},
 			Cluster:    &ClusterStatus{Members: []string{"a"}, Owned: -1}}},
-		Message{V: BinaryVersion, Type: TypeArmBroadcast,
+		Message{V: Version, Type: TypeArmBroadcast,
 			Arm: &ArmBroadcast{Owner: "hub-a", Seq: 1, Sig: ws}},
 	)
-	return msgs
 }
 
 // TestBinaryRoundTrip: every message shape survives the binary codec
-// exactly, including the nil/empty collection distinction the JSON
-// codec preserves.
+// exactly, including the nil/empty collection distinction.
 func TestBinaryRoundTrip(t *testing.T) {
 	for _, m := range binaryFixtures() {
 		b, err := EncodeBinary(m)
@@ -53,27 +48,18 @@ func TestBinaryRoundTrip(t *testing.T) {
 	}
 }
 
-// TestBinaryFrameRoundTrip: v3-stamped messages frame with the binary
-// flag bit, read back through both ReadFrame and Reader, and interleave
-// freely with JSON frames on one stream — the mixed-version property
-// the handshake depends on.
+// TestBinaryFrameRoundTrip: every message shape frames with the codec
+// flag bit and reads back through Reader.
 func TestBinaryFrameRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
 	msgs := binaryFixtures()
-	// Interleave a JSON frame between every binary one.
-	jm := Message{V: MaxJSONVersion, Type: TypeStatusReq}
-	var want []Message
 	for _, m := range msgs {
 		if err := WriteFrame(&buf, m); err != nil {
 			t.Fatalf("write %s: %v", m.Type, err)
 		}
-		if err := WriteFrame(&buf, jm); err != nil {
-			t.Fatal(err)
-		}
-		want = append(want, m, jm)
 	}
 	r := NewReader(bytes.NewReader(buf.Bytes()))
-	for _, w := range want {
+	for _, w := range msgs {
 		got, err := r.ReadFrame()
 		if err != nil {
 			t.Fatalf("read %s: %v", w.Type, err)
@@ -87,69 +73,64 @@ func TestBinaryFrameRoundTrip(t *testing.T) {
 	}
 }
 
-// TestBinaryFrameFlagBit: the header of a binary frame carries the flag
-// bit, a JSON frame does not, and a pre-v3 reader treats a binary frame
-// as an oversized length — a clean refusal, never a mis-parse.
+// TestBinaryFrameFlagBit: every written frame carries the codec flag bit,
+// and a frame without it (B=0, what a JSON-framing endpoint sends) is
+// refused as an unsupported codec from the header alone — both read
+// paths, no payload consumed or parsed.
 func TestBinaryFrameFlagBit(t *testing.T) {
-	bin, err := AppendFrame(nil, Message{V: BinaryVersion, Type: TypeStatusReq})
+	bin, err := AppendFrame(nil, Message{V: Version, Type: TypeStatusReq})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if binary.BigEndian.Uint32(bin[:4])&binaryFlag == 0 {
-		t.Fatal("binary frame header missing the codec flag bit")
+		t.Fatal("frame header missing the codec flag bit")
 	}
-	js, err := AppendFrame(nil, Message{V: MaxJSONVersion, Type: TypeStatusReq})
-	if err != nil {
-		t.Fatal(err)
+	for name, read := range map[string]func(io.Reader) (Message, error){
+		"ReadFrame": ReadFrame,
+		"Reader":    func(r io.Reader) (Message, error) { return NewReader(r).ReadFrame() },
+	} {
+		src := bytes.NewReader(jsonFlagged)
+		_, err := read(src)
+		if err == nil || !strings.Contains(err.Error(), "unsupported codec") {
+			t.Errorf("%s: B=0 frame: err = %v, want unsupported codec", name, err)
+		}
 	}
-	if binary.BigEndian.Uint32(js[:4])&binaryFlag != 0 {
-		t.Fatal("JSON frame header carries the codec flag bit")
-	}
-	// A legacy reader (no flag handling) sees length >= 2^31 > MaxFrame.
-	if n := binary.BigEndian.Uint32(bin[:4]); n <= MaxFrame {
-		t.Fatalf("binary frame header %#x would parse as a plausible legacy length", n)
+	// The unbuffered path shows the payload was never read.
+	src := bytes.NewReader(jsonFlagged)
+	if _, err := ReadFrame(src); err == nil || src.Len() != len(jsonFlagged)-4 {
+		t.Errorf("B=0 frame: %d payload bytes left unread of %d (err %v)", src.Len(), len(jsonFlagged)-4, err)
 	}
 }
 
-// TestDecodeNormalizesEmptyEpochs: Hello.Epochs travels with omitempty
-// under JSON, so an empty-but-present map cannot survive a JSON
-// re-encode; both decoders collapse it to nil so decode→encode→decode
-// is a fixed point under either codec.
+// TestDecodeNormalizesEmptyEpochs: an empty-but-present Hello.Epochs
+// encodes as absent and decodes to nil, so decode→encode→decode is a
+// fixed point.
 func TestDecodeNormalizesEmptyEpochs(t *testing.T) {
-	jb := []byte(`{"v":2,"type":"hello","hello":{"device":"d","epoch":0,"epochs":{}}}`)
-	m, err := Decode(jb)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m.Hello.Epochs != nil {
-		t.Fatalf("JSON decode kept the empty epochs map: %+v", m.Hello)
-	}
-	bb, err := EncodeBinary(Message{V: BinaryVersion, Type: TypeHello,
+	bb, err := EncodeBinary(Message{V: Version, Type: TypeHello,
 		Hello: &Hello{Device: "d", Epochs: map[string]uint64{}}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	m2, err := DecodeBinary(bb)
+	m, err := DecodeBinary(bb)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m2.Hello.Epochs != nil {
-		t.Fatalf("binary round trip kept the empty epochs map: %+v", m2.Hello)
+	if m.Hello.Epochs != nil {
+		t.Fatalf("binary round trip kept the empty epochs map: %+v", m.Hello)
 	}
 }
 
-// TestBinaryEncodeCoercesInvalidUTF8: the binary encoder mangles
-// invalid UTF-8 to U+FFFD exactly as json.Marshal does — a bad string
-// must not produce a frame the receiver refuses (which would turn a v3
-// session into a redial/re-report loop a v2 session never had).
+// TestBinaryEncodeCoercesInvalidUTF8: the encoder mangles invalid UTF-8
+// to U+FFFD exactly as json.Marshal does — a bad string must not
+// produce a frame the receiver refuses (a redial/re-report loop), and
+// must derive the same canonical signature key the JSON provenance log
+// stores for it.
 func TestBinaryEncodeCoercesInvalidUTF8(t *testing.T) {
 	// Both a lone invalid byte and a run of them: JSON marshal emits one
-	// U+FFFD per invalid byte, and a run-collapsing coercion would
-	// derive a different canonical signature key than the JSON codec
-	// for the same message — splitting confirmations across a
-	// mixed-version fleet.
-	for _, bad := range []string{"dev\xffice", "a\xff\xfeb", "\xff\xff\xff", "ok�already"} {
-		b, err := EncodeBinary(Message{V: BinaryVersion, Type: TypeHello, Hello: &Hello{Device: bad}})
+	// U+FFFD per invalid byte; a run-collapsing coercion would derive a
+	// different string.
+	for _, bad := range []string{"dev\xffice", "a\xff\xfeb", "\xff\xff\xff", "ok\ufffdalready"} {
+		b, err := EncodeBinary(Message{V: Version, Type: TypeHello, Hello: &Hello{Device: bad}})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -157,16 +138,16 @@ func TestBinaryEncodeCoercesInvalidUTF8(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%q: coerced frame refused: %v", bad, err)
 		}
-		jb, err := Encode(Message{V: MaxJSONVersion, Type: TypeHello, Hello: &Hello{Device: bad}})
+		jb, err := json.Marshal(bad)
 		if err != nil {
 			t.Fatal(err)
 		}
-		jm, err := Decode(jb)
-		if err != nil {
+		var want string
+		if err := json.Unmarshal(jb, &want); err != nil {
 			t.Fatal(err)
 		}
-		if m.Hello.Device != jm.Hello.Device {
-			t.Fatalf("%q: codecs coerced differently: binary %q vs json %q", bad, m.Hello.Device, jm.Hello.Device)
+		if m.Hello.Device != want {
+			t.Fatalf("%q: coerced differently: binary %q vs json %q", bad, m.Hello.Device, want)
 		}
 	}
 }
@@ -198,18 +179,18 @@ func TestBinaryHostileLengthNoHugeAlloc(t *testing.T) {
 // TestBinaryDecodeRejects: truncated, trailing-garbage, and
 // hostile-length envelopes fail cleanly.
 func TestBinaryDecodeRejects(t *testing.T) {
-	good, err := EncodeBinary(Message{V: BinaryVersion, Type: TypeReport,
+	good, err := EncodeBinary(Message{V: Version, Type: TypeReport,
 		Report: &Report{Sigs: []Signature{FromCore(testSig())}}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	cases := [][]byte{
 		{},
-		good[:len(good)-1],          // truncated
+		good[:len(good)-1],                    // truncated
 		append(good[:len(good):len(good)], 0), // trailing byte
-		{0, 99},                     // unknown type code
+		{0, 99},                               // unknown type code
 		{0, binConfirm, 0xff, 0xff, 0xff, 0xff, 0xff}, // hostile string length
-		{0, binStatusReq, 7},        // payload on payloadless type (trailing)
+		{0, binStatusReq, 7},                          // payload on payloadless type (trailing)
 	}
 	for i, b := range cases {
 		if _, err := DecodeBinary(b); err == nil {
@@ -219,58 +200,39 @@ func TestBinaryDecodeRejects(t *testing.T) {
 }
 
 // TestSharedFrameEncodeOnce: Shared returns the identical backing bytes
-// for every caller at one version, distinct encodings per version, and
-// the JSON/binary codec split follows the version.
+// to every caller, stamped at Version whatever the wrapped message said.
 func TestSharedFrameEncodeOnce(t *testing.T) {
 	sh := NewShared(Message{Type: TypeDelta,
 		Delta: &Delta{Epoch: 4, Sigs: []Signature{FromCore(testSig())}}})
-	b3a, err := sh.Frame(3)
+	a, err := sh.Frame(Version)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b3b, err := sh.Frame(3)
+	b, err := sh.Frame(Version)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if &b3a[0] != &b3b[0] {
-		t.Fatal("second Frame(3) re-encoded instead of sharing the cached bytes")
+	if &a[0] != &b[0] {
+		t.Fatal("second Frame re-encoded instead of sharing the cached bytes")
 	}
-	b2, err := sh.Frame(2)
+	m, err := ReadFrame(bytes.NewReader(a))
 	if err != nil {
-		t.Fatal(err)
+		t.Fatalf("shared frame does not decode: %v", err)
 	}
-	if binary.BigEndian.Uint32(b3a[:4])&binaryFlag == 0 {
-		t.Fatal("v3 shared frame not binary")
-	}
-	if binary.BigEndian.Uint32(b2[:4])&binaryFlag != 0 {
-		t.Fatal("v2 shared frame not JSON")
-	}
-	for v, b := range map[int][]byte{3: b3a, 2: b2} {
-		m, err := ReadFrame(bytes.NewReader(b))
-		if err != nil {
-			t.Fatalf("v%d shared frame does not decode: %v", v, err)
-		}
-		if m.V != v || m.Type != TypeDelta || m.Delta.Epoch != 4 {
-			t.Fatalf("v%d shared frame decoded wrong: %+v", v, m)
-		}
+	if m.V != Version || m.Type != TypeDelta || m.Delta.Epoch != 4 {
+		t.Fatalf("shared frame decoded wrong: %+v", m)
 	}
 }
 
-// FuzzWireV3Differential holds the two codecs to the same behavior:
-// any frame either codec accepts must round-trip bit-identically
-// through the *other* codec — JSON-decoded messages re-encode through
-// binary and back unchanged, binary-decoded messages re-encode through
-// JSON and back unchanged. A divergence here is a message a v2 hub and
-// a v3 hub would disagree about.
-func FuzzWireV3Differential(f *testing.F) {
+// FuzzWireCanonical holds the codec to its canonical form: any frame
+// the decoder accepts re-encodes, decodes back to a reflect.DeepEqual
+// message, and re-encodes again to byte-identical bytes — the
+// determinism that lets Shared hand one frame to every session. (The
+// input itself need not be canonical: the decoder accepts padded
+// varints and unsorted map keys, and the first re-encode normalizes
+// them.)
+func FuzzWireCanonical(f *testing.F) {
 	var buf bytes.Buffer
-	for _, m := range messageFixtures() {
-		buf.Reset()
-		if err := WriteFrame(&buf, m); err != nil {
-			f.Fatal(err)
-		}
-		f.Add(buf.Bytes())
-	}
 	for _, m := range binaryFixtures() {
 		buf.Reset()
 		if err := WriteFrame(&buf, m); err != nil {
@@ -278,40 +240,31 @@ func FuzzWireV3Differential(f *testing.F) {
 		}
 		f.Add(buf.Bytes())
 	}
+	for _, reject := range [][]byte{jsonFlagged, torn, {}, {0xff, 0xff, 0xff, 0xff}} {
+		if _, err := ReadFrame(bytes.NewReader(reject)); err == nil {
+			f.Fatalf("must-reject seed %x decoded", reject)
+		}
+		f.Add(reject)
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		m, err := ReadFrame(bytes.NewReader(data))
 		if err != nil {
 			return
 		}
-		// Through the binary codec and back.
-		bb, err := EncodeBinary(m)
+		b, err := EncodeBinary(m)
 		if err != nil {
-			t.Fatalf("accepted message does not binary-encode: %+v: %v", m, err)
+			t.Fatalf("accepted message does not encode: %+v: %v", m, err)
 		}
-		fromBin, err := DecodeBinary(bb)
+		again, err := DecodeBinary(b)
 		if err != nil {
-			t.Fatalf("binary encoding does not decode: %+v: %v", m, err)
+			t.Fatalf("encoding does not decode: %+v: %v", m, err)
 		}
-		if !reflect.DeepEqual(fromBin, m) {
-			t.Fatalf("binary round trip diverged:\n  in  %+v\n  out %+v", m, fromBin)
+		if !reflect.DeepEqual(again, m) {
+			t.Fatalf("round trip diverged:\n  in  %+v\n  out %+v", m, again)
 		}
-		// Through the JSON codec and back.
-		jb, err := Encode(m)
-		if err != nil {
-			t.Fatalf("accepted message does not JSON-encode: %+v: %v", m, err)
-		}
-		fromJSON, err := Decode(jb)
-		if err != nil {
-			t.Fatalf("JSON encoding does not decode: %+v: %v", m, err)
-		}
-		if !reflect.DeepEqual(fromJSON, m) {
-			t.Fatalf("JSON round trip diverged:\n  in  %+v\n  out %+v", m, fromJSON)
-		}
-		// And the two agree byte-for-byte on the binary form (determinism:
-		// the property that lets Shared hand one frame to every session).
-		bb2, err := EncodeBinary(fromJSON)
-		if err != nil || !bytes.Equal(bb, bb2) {
-			t.Fatalf("binary encoding not deterministic across codecs (%v):\n  %x\n  %x", err, bb, bb2)
+		b2, err := EncodeBinary(again)
+		if err != nil || !bytes.Equal(b, b2) {
+			t.Fatalf("encoding not deterministic (%v):\n  %x\n  %x", err, b, b2)
 		}
 	})
 }

@@ -50,13 +50,11 @@
 // hub in peer-hello, and receives only the armings it missed — the
 // hub-to-hub twin of the device tier's resubscribe-from-epoch.
 //
-// # Membership messages (elastic clusters, v4)
+// # Membership messages (elastic clusters)
 //
-// A v4 cluster is elastic: hubs join, leave, crash, and return, and the
+// A cluster is elastic: hubs join, leave, crash, and return, and the
 // ownership ring follows the live membership. Three more peer messages
-// carry that (all require a negotiated version >= MembershipVersion;
-// a v2/v3-pinned peer link simply never sends them and behaves as a
-// static ring):
+// carry that:
 //
 //	type            direction       payload                 purpose
 //	----            ---------       -------                 -------
@@ -72,10 +70,9 @@
 //	                                                        set, so arming survives an
 //	                                                        owner crash
 //
-// # Probe and lease messages (partition-tolerant ownership, v6)
+// # Probe and lease messages (partition-tolerant ownership)
 //
-// Four more peer messages make ownership partition-safe (all require a
-// negotiated version >= ProbeVersion):
+// Four more peer messages make ownership partition-safe:
 //
 //	type            direction       payload                 purpose
 //	----            ---------       -------                 -------
@@ -106,55 +103,20 @@
 // answering hub can admit an unknown dialer into the membership and
 // third parties learn where to dial it.
 //
-// # Versioning and the version matrix
+// # Versioning
 //
-// Every message envelope carries the protocol version `v`. A v2+ hello
-// additionally advertises the supported range [min_v, max_v]; the hub
-// acks the highest version both sides speak (ack `v`), so new message
-// sets — and new codecs — ship as negotiated extensions instead of
-// hard breaks. A hello with no common version — including a bare
-// pre-negotiation hello whose envelope version the hub does not speak —
-// is rejected with ack{ok:false} and a human-readable error, then the
-// session closes: an old client fails cleanly instead of hanging on
-// messages it cannot parse. Peer messages require a negotiated version
-// of at least PeerVersion.
-//
-//	v   codec    introduced
-//	-   -----    ----------
-//	1   JSON     hello/ack/report/confirm/delta/status, flat epoch resume
-//	2   JSON     range negotiation, per-gen epoch map, hub gen in ack,
-//	             peer message set (federation)
-//	3   binary   hand-rolled varint codec (binary.go): same message set
-//	             and semantics as v2, different bytes on the wire
-//	4   binary   elastic membership: member-update/handoff/replicate
-//	             peer messages, arm-broadcast fencing epoch, peer-hello
-//	             advertised address
-//	5   binary   authenticated multi-tenant fabric: hello bearer token
-//	             (resolved to a (tenant, device) principal by the hub's
-//	             auth verifier), tenant scoping on the peer messages and
-//	             provenance records, per-tenant status view. A hub with
-//	             auth disabled ignores the token, so v≤4 interop is
-//	             unchanged wherever auth is off
-//	6   binary   partition-tolerant ownership: ping/ping-ack failure
-//	             probes and lease/lease-ack quorum renewals. Links
-//	             negotiated lower never carry them — their peers are
-//	             judged by session liveness and counted as lease
-//	             granters, the pre-v6 trust model
-//
-// The negotiation rules, applied by both ends:
-//
-//  1. A hello (or peer-hello) advertising [min_v, max_v] negotiates
-//     the highest version in the intersection with the receiver's own
-//     range (Negotiate / NegotiateMax); no intersection refuses the
-//     session. A bare hello with no range advertises exactly its
-//     envelope version.
-//  2. Everything before the ack settles the version — hellos, refusal
-//     acks, bare status probes — is framed as JSON at or below
-//     MaxJSONVersion, which every version ever shipped can parse.
-//  3. After the ack, every frame on the session is framed at exactly
-//     the negotiated version: a v1 session never sees a v2 envelope,
-//     and only a session negotiated at >= BinaryVersion ever sees a
-//     binary frame.
+// The protocol has one version, Version, and one codec, the binary
+// envelope of binary.go. Every message envelope carries `v`; a hello
+// (or peer-hello) additionally advertises the range [min_v, max_v] its
+// sender speaks. The one rule, applied by both ends: the advertised
+// range must contain Version and cover the hello's own envelope `v`,
+// and the ack names Version (ack `v`). Anything else is refused with
+// ack{ok:false} and an error naming the versions, then the session
+// closes — a mismatched endpoint fails cleanly instead of hanging on
+// messages it cannot parse — and a dialer that reads any other version
+// in an ack treats the handshake as failed. The range (rather than a
+// bare number) is what lets a later version ship as a negotiated
+// extension instead of a hard break.
 //
 // # Canonical signature encoding
 //
@@ -174,28 +136,25 @@
 //	+-+-------------+---------------+---------------+--------------+
 //	|B|          payload length (31 bits, <= MaxFrame)             |
 //	+-+-------------+---------------+---------------+--------------+
-//	|  payload: JSON envelope (B=0) or binary v3 envelope (B=1)    |
+//	|  payload: binary envelope (B=1)                              |
 //	|  ...                                                         |
 //	+--------------------------------------------------------------+
 //
-// The B bit selects the codec, so one Reader decodes mixed-version
-// traffic and the pre-negotiation handshake needs no out-of-band codec
-// agreement. MaxFrame (4 MiB) fits in 31 bits with room to spare, and a
-// pre-v3 endpoint that is wrongly handed a binary frame reads an
-// impossible length and rejects it instead of mis-parsing: frames above
-// MaxFrame fail before any payload allocation, so a corrupt or hostile
-// peer cannot balloon the hub's memory either.
+// The B bit names the payload codec and is always set: binary is the
+// only codec. A frame with B=0 fails with an "unsupported codec" error
+// from the header alone, before any payload is read or parsed. MaxFrame
+// (4 MiB) fits in 31 bits with room to spare; frames above it fail
+// before any payload allocation, so a corrupt or hostile peer cannot
+// balloon the hub's memory.
 //
 // The fan-out hot path never encodes per receiver: a broadcast is
-// wrapped in a Shared, which encodes the message at most once per
-// negotiated version and hands every session at that version the same
-// immutable []byte (see Shared).
+// wrapped in a Shared, which encodes the message at most once and hands
+// every session the same immutable []byte (see Shared).
 package wire
 
 import (
 	"bufio"
 	"encoding/binary"
-	"encoding/json"
 	"fmt"
 	"io"
 	"sync"
@@ -203,65 +162,22 @@ import (
 	"github.com/dimmunix/dimmunix/internal/core"
 )
 
-// Version is the newest protocol version this package speaks; MinVersion
-// is the oldest it still accepts. A hub negotiates the highest version
-// inside the intersection of its [MinVersion, Version] and the client's
-// advertised range (a bare v1 hello advertises exactly its envelope
-// version).
+// Version is the one protocol version this package speaks. MinVersion
+// equals it: the name survives only because bench/ advertises
+// [MinVersion, Version] in its hellos, and goes when a benchmark-only
+// PR stops using it.
 const (
 	Version    = 6
-	MinVersion = 1
-	// PeerVersion is the minimum negotiated version for the peer message
-	// set (hub federation).
-	PeerVersion = 2
-	// ProbeVersion is the minimum negotiated version for the probe and
-	// lease peer messages (ping, ping-ack, lease, lease-ack). A link
-	// negotiated lower never carries them: its peer is probed by the
-	// legacy session-liveness signal and counted as granting leases
-	// (staged-rollout trust).
-	ProbeVersion = 6
-	// AuthVersion is the version that introduced the authenticated
-	// multi-tenant fabric (hello token, tenant-scoped peer messages).
-	// The hello token itself travels in the pre-negotiation JSON hello,
-	// so auth does not require negotiating this high — the constant
-	// documents the protocol generation.
-	AuthVersion = 5
-	// MembershipVersion is the minimum negotiated version for the
-	// elastic-membership peer messages (member-update, handoff,
-	// replicate); links negotiated lower behave as a static ring.
-	MembershipVersion = 4
-	// BinaryVersion is the first version framed with the binary codec;
-	// sessions negotiated below it stay on JSON.
-	BinaryVersion = 3
-	// MaxJSONVersion is the newest JSON-framed version — the envelope
-	// version for everything sent before negotiation settles a session's
-	// version (hellos, refusal acks, bare status probes), since every
-	// endpoint ever shipped can parse it.
-	MaxJSONVersion = 2
+	MinVersion = Version
 )
 
-// Negotiate returns the highest protocol version in the intersection of
-// the hub's supported range and a client range [min, max], and whether
-// one exists. It is the single negotiation rule both ends apply.
+// Negotiate applies the single negotiation rule to an advertised range
+// [min, max]: it returns Version and true when the range contains it.
 func Negotiate(min, max int) (int, bool) {
-	return NegotiateMax(min, max, Version)
-}
-
-// NegotiateMax is Negotiate with the receiver's ceiling lowered to
-// `ceiling` — how an operator pins a hub to an older version during a
-// staged rollout (a ceiling outside [MinVersion, Version] means no pin).
-func NegotiateMax(min, max, ceiling int) (int, bool) {
-	if ceiling < MinVersion || ceiling > Version {
-		ceiling = Version
-	}
-	v := max
-	if v > ceiling {
-		v = ceiling
-	}
-	if v < MinVersion || v < min {
+	if min > Version || max < Version {
 		return 0, false
 	}
-	return v, true
+	return Version, true
 }
 
 // MaxFrame bounds one frame's payload size (4 MiB). A delta carrying
@@ -282,19 +198,18 @@ const (
 	TypeStatusReq Type = "status-req"
 	TypeStatus    Type = "status"
 
-	// The peer (hub-to-hub) message set; requires PeerVersion.
+	// The peer (hub-to-hub) message set.
 	TypePeerHello      Type = "peer-hello"
 	TypeForwardReport  Type = "forward-report"
 	TypeForwardConfirm Type = "forward-confirm"
 	TypeArmBroadcast   Type = "arm-broadcast"
 
-	// The elastic-membership message set; requires MembershipVersion.
+	// The elastic-membership message set.
 	TypeMemberUpdate Type = "member-update"
 	TypeHandoff      Type = "handoff"
 	TypeReplicate    Type = "replicate"
 
-	// The probe/lease message set (partition-tolerant ownership);
-	// requires ProbeVersion.
+	// The probe/lease message set (partition-tolerant ownership).
 	TypePing     Type = "ping"
 	TypePingAck  Type = "ping-ack"
 	TypeLease    Type = "lease"
@@ -304,61 +219,61 @@ const (
 // Message is the envelope: the version, the type, and exactly the one
 // payload field matching the type (status-req has no payload).
 type Message struct {
-	V    int  `json:"v"`
-	Type Type `json:"type"`
+	V    int
+	Type Type
 
-	Hello   *Hello   `json:"hello,omitempty"`
-	Ack     *Ack     `json:"ack,omitempty"`
-	Report  *Report  `json:"report,omitempty"`
-	Confirm *Confirm `json:"confirm,omitempty"`
-	Delta   *Delta   `json:"delta,omitempty"`
-	Status  *Status  `json:"status,omitempty"`
+	Hello   *Hello
+	Ack     *Ack
+	Report  *Report
+	Confirm *Confirm
+	Delta   *Delta
+	Status  *Status
 
-	PeerHello  *PeerHello      `json:"peer_hello,omitempty"`
-	Forward    *ForwardReport  `json:"forward,omitempty"`
-	FwdConfirm *ForwardConfirm `json:"fwd_confirm,omitempty"`
-	Arm        *ArmBroadcast   `json:"arm,omitempty"`
+	PeerHello  *PeerHello
+	Forward    *ForwardReport
+	FwdConfirm *ForwardConfirm
+	Arm        *ArmBroadcast
 
-	Member    *MemberUpdate `json:"member,omitempty"`
-	Handoff   *Handoff      `json:"handoff,omitempty"`
-	Replicate *Replicate    `json:"replicate,omitempty"`
+	Member    *MemberUpdate
+	Handoff   *Handoff
+	Replicate *Replicate
 
-	Ping     *Ping     `json:"ping,omitempty"`
-	PingAck  *PingAck  `json:"ping_ack,omitempty"`
-	Lease    *Lease    `json:"lease,omitempty"`
-	LeaseAck *LeaseAck `json:"lease_ack,omitempty"`
+	Ping     *Ping
+	PingAck  *PingAck
+	Lease    *Lease
+	LeaseAck *LeaseAck
 }
 
 // Hello subscribes a device. Epoch is the fleet delta epoch the device
 // has already applied: 0 on first contact, the last delta's epoch on a
 // reconnect, so the hub replays only the missing armed signatures.
 //
-// A v2 client also sends MinV/MaxV (its supported version range, see
-// Negotiate) and Epochs, its merged multi-hub view: the last applied
+// MinV/MaxV is the sender's supported version range (see Negotiate)
+// and Epochs its merged multi-hub view: the last applied
 // epoch per hub incarnation (gen). Epochs are only comparable within
 // one incarnation, so a hub that finds its own gen in the map resumes
 // the device from exactly the right point even when the device last
 // spoke to a different hub of the cluster; a missing gen means replay
 // from zero. Hubs prefer Epochs over the flat Epoch when present.
 type Hello struct {
-	Device string `json:"device"`
-	Epoch  uint64 `json:"epoch"`
+	Device string
+	Epoch  uint64
 
-	MinV   int               `json:"min_v,omitempty"`
-	MaxV   int               `json:"max_v,omitempty"`
-	Epochs map[string]uint64 `json:"epochs,omitempty"`
+	MinV   int
+	MaxV   int
+	Epochs map[string]uint64
 
-	// Token (v5) is the device's bearer credential. A hub with an auth
+	// Token is the device's bearer credential. A hub with an auth
 	// verifier resolves it to a (tenant, device) principal and refuses
 	// the hello when it is missing, invalid, or its device claim does
 	// not match Device; a hub with auth disabled ignores it.
-	Token string `json:"token,omitempty"`
+	Token string
 }
 
 // Ack answers a hello or a peer-hello. On success Epoch is the hub's
 // current fleet epoch (for a peer-hello: its owned-arming seq), V is
-// the negotiated protocol version (0 from a pre-negotiation hub means
-// v1), and Gen identifies the hub incarnation — epochs and seqs are
+// the protocol version the session runs at (always Version; a dialer
+// refuses anything else), and Gen identifies the hub incarnation — epochs and seqs are
 // only comparable within one Gen, so a subscriber that sees a new Gen
 // discards its stored resume point and resubscribes from zero (a
 // restarted hub's counters may have regrown past the subscriber's,
@@ -366,51 +281,50 @@ type Hello struct {
 // session was refused (version mismatch, empty device id) and the hub
 // closes the session.
 type Ack struct {
-	OK    bool   `json:"ok"`
-	Error string `json:"error,omitempty"`
-	Epoch uint64 `json:"epoch"`
-	Gen   string `json:"gen,omitempty"`
-	V     int    `json:"nv,omitempty"`
+	OK    bool
+	Error string
+	Epoch uint64
+	Gen   string
+	V     int
 }
 
 // Report carries locally detected signatures upward. Each one counts as
 // the device's independent confirmation unless the hub knows it pushed
 // that signature to the device itself.
 type Report struct {
-	Sigs []Signature `json:"sigs"`
+	Sigs []Signature
 }
 
 // Confirm is the hub's receipt for one reported signature.
 type Confirm struct {
-	Key           string `json:"key"`
-	Confirmations int    `json:"confirmations"`
-	Armed         bool   `json:"armed"`
+	Key           string
+	Confirmations int
+	Armed         bool
 }
 
 // Delta pushes armed signatures downward. Epoch is the fleet epoch after
 // applying Sigs; a client stores it and resumes from it on reconnect.
 type Delta struct {
-	Epoch uint64      `json:"epoch"`
-	Sigs  []Signature `json:"sigs"`
+	Epoch uint64
+	Sigs  []Signature
 }
 
 // PeerHello subscribes one hub to another's owned armings. Hub is the
 // dialing hub's cluster id; Seq is the answering hub's arming seq the
 // dialer has already applied (0 on first contact — or after the
 // answerer's Gen changed — so only missed armings replay). MinV/MaxV is
-// the dialer's version range; the negotiated version must reach
-// PeerVersion or the hub refuses.
+// the dialer's version range (see Negotiate).
 type PeerHello struct {
-	Hub  string `json:"hub"`
-	Seq  uint64 `json:"seq"`
-	MinV int    `json:"min_v,omitempty"`
-	MaxV int    `json:"max_v,omitempty"`
+	Hub  string
+	Seq  uint64
+	MinV int
+	MaxV int
 
-	// Addr (v4) is the dialing hub's advertised wire address. An
+	// Addr is the dialing hub's advertised wire address. An
 	// answering hub that does not know the dialer admits it into the
 	// membership under this address; empty means the dialer is not
 	// joinable (static config or no reachable address).
-	Addr string `json:"addr,omitempty"`
+	Addr string
 }
 
 // ForwardReport relays a device's report from the hub it is attached to
@@ -419,33 +333,33 @@ type PeerHello struct {
 // signature), so a report that travels through any number of forwarding
 // paths still counts at most once.
 type ForwardReport struct {
-	Hub    string      `json:"hub"`
-	Device string      `json:"device"`
-	Sigs   []Signature `json:"sigs"`
+	Hub    string
+	Device string
+	Sigs   []Signature
 
-	// Hops (v4) counts forwarding legs. Ownership can move while a
+	// Hops counts forwarding legs. Ownership can move while a
 	// forward sits in a retry outbox; a receiver that no longer owns a
 	// forwarded signature re-forwards it to the current owner as long as
 	// Hops stays below a small bound, then counts it locally — churn
 	// degrades to one extra hop, never a forwarding loop.
-	Hops int `json:"hops,omitempty"`
+	Hops int
 
-	// Tenant (v5) scopes the forwarded confirmations: the owner books
+	// Tenant scopes the forwarded confirmations: the owner books
 	// them under the tenant's entry, never another tenant's.
-	Tenant string `json:"tenant,omitempty"`
+	Tenant string
 }
 
 // ForwardConfirm is the owner's receipt for one forwarded signature,
 // addressed to the device that reported it; the forwarding hub relays
 // it to the device's session as a plain confirm.
 type ForwardConfirm struct {
-	Device  string  `json:"device"`
-	Confirm Confirm `json:"confirm"`
+	Device  string
+	Confirm Confirm
 
-	// Tenant (v5) addresses the receipt: device ids are only unique
+	// Tenant addresses the receipt: device ids are only unique
 	// within a tenant, so the relaying hub looks the session up under
 	// (tenant, device).
-	Tenant string `json:"tenant,omitempty"`
+	Tenant string
 }
 
 // ArmBroadcast announces that the owning hub armed one of its owned
@@ -453,20 +367,20 @@ type ForwardConfirm struct {
 // resume point); Confirmations is the count at arming, replicated so
 // non-owner hubs can answer echo reports without a round trip.
 type ArmBroadcast struct {
-	Owner         string    `json:"owner"`
-	Seq           uint64    `json:"seq"`
-	Confirmations int       `json:"confirmations"`
-	Sig           Signature `json:"sig"`
+	Owner         string
+	Seq           uint64
+	Confirmations int
+	Sig           Signature
 
-	// Fence (v4) is the sender's membership epoch at broadcast time. A
+	// Fence is the sender's membership epoch at broadcast time. A
 	// receiver whose membership epoch is newer refuses the broadcast
 	// unless the sender still owns the signature under the receiver's
 	// ring — the rule that fences a returning stale owner's replays.
-	Fence uint64 `json:"fence,omitempty"`
+	Fence uint64
 
-	// Tenant (v5) scopes the arming: receivers install it under the
+	// Tenant scopes the arming: receivers install it under the
 	// tenant's canonical key and push it only to that tenant's devices.
-	Tenant string `json:"tenant,omitempty"`
+	Tenant string
 }
 
 // MemberInfo is one hub's entry in the membership: its cluster id, its
@@ -489,25 +403,25 @@ type MemberInfo struct {
 // construction: confirmations are per-device unions, arming is
 // idempotent, and stale owners are fenced.
 type MemberUpdate struct {
-	Epoch   uint64       `json:"epoch"`
-	Members []MemberInfo `json:"members"`
+	Epoch   uint64
+	Members []MemberInfo
 }
 
 // OwnedRecord is one signature's owned provenance slice as it travels
 // in a handoff or a replicate: the pending confirmation set, the arm
 // state, and the owner seq it was armed at (0 if unarmed).
 type OwnedRecord struct {
-	Sig         Signature `json:"sig"`
-	FirstSeen   string    `json:"first_seen,omitempty"`
-	ConfirmedBy []string  `json:"confirmed_by,omitempty"`
-	Armed       bool      `json:"armed,omitempty"`
-	OwnerSeq    uint64    `json:"owner_seq,omitempty"`
+	Sig         Signature
+	FirstSeen   string
+	ConfirmedBy []string
+	Armed       bool
+	OwnerSeq    uint64
 
-	// Tenant (v5) keeps a migrated or replicated record in its tenant's
+	// Tenant keeps a migrated or replicated record in its tenant's
 	// namespace — the receiver re-derives the canonical key from
 	// (Tenant, Sig), so handoff and failover never leak state across
 	// tenants.
-	Tenant string `json:"tenant,omitempty"`
+	Tenant string
 }
 
 // Handoff migrates owned provenance records from a hub that stopped
@@ -516,19 +430,19 @@ type OwnedRecord struct {
 // arrival are harmless; a record already past threshold arms at the
 // receiver on import.
 type Handoff struct {
-	From    string        `json:"from"`
-	Records []OwnedRecord `json:"records"`
+	From    string
+	Records []OwnedRecord
 }
 
 // Replicate is the owner → deputy copy of a pending (unarmed) owned
 // confirmation set, sent on every fresh confirmation so the deputy can
 // resume counting — and arm at threshold — if the owner dies.
 type Replicate struct {
-	Owner   string        `json:"owner"`
-	Records []OwnedRecord `json:"records"`
+	Owner   string
+	Records []OwnedRecord
 }
 
-// Ping (v6) is one failure-detector probe. From is the probing hub.
+// Ping is one failure-detector probe. From is the probing hub.
 // When Target equals the receiver's id the ping is direct and the
 // receiver answers with a ping-ack over its own link to From. When
 // Target names a third hub the ping is an indirect probe request
@@ -537,24 +451,24 @@ type Replicate struct {
 // TCP link from reading as a dead hub. Seq matches acks to probes; it
 // is meaningful only to the hub that issued it.
 type Ping struct {
-	From   string `json:"from"`
-	Target string `json:"target"`
-	Seq    uint64 `json:"seq"`
+	From   string
+	Target string
+	Seq    uint64
 }
 
-// PingAck (v6) answers a ping. From is the answering hub, Target the
+// PingAck answers a ping. From is the answering hub, Target the
 // hub whose liveness is being vouched for (== From for a direct ack;
 // the probed third hub for a relayed indirect verdict), and Seq echoes
 // the probe's Seq. OK is false only on a relayed verdict whose proxy
 // probe timed out.
 type PingAck struct {
-	From   string `json:"from"`
-	Target string `json:"target"`
-	Seq    uint64 `json:"seq"`
-	OK     bool   `json:"ok"`
+	From   string
+	Target string
+	Seq    uint64
+	OK     bool
 }
 
-// Lease (v6) asks a peer to countersign the sender's quorum lease: the
+// Lease asks a peer to countersign the sender's quorum lease: the
 // sender may arm owned signatures and accept handoffs only while a
 // majority of the membership view has acked a lease renewal within the
 // lease TTL. Epoch is the sender's membership epoch — a granter with a
@@ -562,19 +476,19 @@ type PingAck struct {
 // it has merged the partition-era membership changes. Seq matches acks
 // to renewals.
 type Lease struct {
-	From  string `json:"from"`
-	Epoch uint64 `json:"epoch"`
-	Seq   uint64 `json:"seq"`
+	From  string
+	Epoch uint64
+	Seq   uint64
 }
 
-// LeaseAck (v6) answers a lease renewal. OK grants; a refusal carries
+// LeaseAck answers a lease renewal. OK grants; a refusal carries
 // the granter's own Epoch so the requester knows it is behind on
 // membership rather than partitioned.
 type LeaseAck struct {
-	From  string `json:"from"`
-	Epoch uint64 `json:"epoch"`
-	Seq   uint64 `json:"seq"`
-	OK    bool   `json:"ok"`
+	From  string
+	Epoch uint64
+	Seq   uint64
+	OK    bool
 }
 
 // Status is the hub's observability snapshot.
@@ -590,10 +504,9 @@ type Status struct {
 	Hub     string         `json:"hub,omitempty"`
 	Cluster *ClusterStatus `json:"cluster,omitempty"`
 
-	// Tenants (v5) is the per-tenant view: one summary per non-default
+	// Tenants is the per-tenant view: one summary per non-default
 	// tenant with provenance on this hub. A single-tenant fleet (every
-	// session under the default "" tenant) has none, keeping the
-	// pre-v5 status JSON byte-identical.
+	// session under the default "" tenant) has none.
 	Tenants []TenantStatus `json:"tenants,omitempty"`
 }
 
@@ -621,7 +534,7 @@ type ClusterStatus struct {
 	// Forwards counts device-reported signatures relayed to their owner.
 	Forwards uint64 `json:"forwards"`
 
-	// MembershipEpoch (v4) is the hub's membership epoch and Ring the
+	// MembershipEpoch is the hub's membership epoch and Ring the
 	// full membership with liveness — the /status view an operator reads
 	// to answer "who is in the cluster and who is alive".
 	MembershipEpoch uint64       `json:"membership_epoch,omitempty"`
@@ -641,7 +554,7 @@ type SigStatus struct {
 	Armed         bool     `json:"armed"`
 	Owner         string   `json:"owner,omitempty"`
 
-	// Tenant (v5) is the fleet the signature belongs to ("" = default).
+	// Tenant is the fleet the signature belongs to ("" = default).
 	Tenant string `json:"tenant,omitempty"`
 }
 
@@ -803,70 +716,17 @@ func (m Message) Validate() error {
 	}
 }
 
-// Encode marshals the message to its JSON frame payload.
-func Encode(m Message) ([]byte, error) {
-	if err := m.Validate(); err != nil {
-		return nil, err
-	}
-	b, err := json.Marshal(m)
-	if err != nil {
-		return nil, fmt.Errorf("wire encode: %w", err)
-	}
-	if len(b) > MaxFrame {
-		return nil, fmt.Errorf("wire encode: frame %d bytes exceeds max %d", len(b), MaxFrame)
-	}
-	return b, nil
-}
-
-// decodeNorm canonicalizes a freshly decoded message. Hello.Epochs and
-// Status.Tenants are marshaled with omitempty, so the JSON codec cannot
-// re-encode an empty-but-present collection; both decoders collapse
-// them to nil, keeping decode→encode→decode a fixed point under either
-// codec (the property the decode and differential fuzz targets assert).
-func decodeNorm(m Message) Message {
-	if m.Hello != nil && m.Hello.Epochs != nil && len(m.Hello.Epochs) == 0 {
-		m.Hello.Epochs = nil
-	}
-	if m.Status != nil && m.Status.Tenants != nil && len(m.Status.Tenants) == 0 {
-		m.Status.Tenants = nil
-	}
-	return m
-}
-
-// Decode unmarshals and structurally validates one frame payload.
-func Decode(b []byte) (Message, error) {
-	var m Message
-	if err := json.Unmarshal(b, &m); err != nil {
-		return Message{}, fmt.Errorf("wire decode: %w", err)
-	}
-	if err := m.Validate(); err != nil {
-		return Message{}, err
-	}
-	return decodeNorm(m), nil
-}
-
-// binaryFlag marks a frame header whose payload uses the binary codec.
-// MaxFrame needs 23 bits, so the top bit of the length prefix is free.
+// binaryFlag is the codec bit of a frame header (see the package
+// comment's framing diagram); every frame carries it. MaxFrame needs 23
+// bits, so the top bit of the length prefix is free.
 const binaryFlag = 1 << 31
 
 // AppendFrame appends one framed message to dst and returns the
-// extended slice. The codec follows the envelope version: m.V >=
-// BinaryVersion frames binary (flag bit set), anything lower frames
-// JSON — which is exactly the session-version stamping rule, so callers
-// only ever pick a version, never a codec.
+// extended slice.
 func AppendFrame(dst []byte, m Message) ([]byte, error) {
 	start := len(dst)
 	dst = append(dst, 0, 0, 0, 0)
-	var err error
-	hdr := uint32(0)
-	if m.V >= BinaryVersion {
-		hdr = binaryFlag
-		dst, err = appendBinary(dst, m)
-	} else {
-		var b []byte
-		b, err = Encode(m)
-		dst = append(dst, b...)
-	}
+	dst, err := appendBinary(dst, m)
 	if err != nil {
 		return dst[:start], err
 	}
@@ -874,7 +734,7 @@ func AppendFrame(dst []byte, m Message) ([]byte, error) {
 	if n > MaxFrame {
 		return dst[:start], fmt.Errorf("wire frame: %d bytes exceeds max %d", n, MaxFrame)
 	}
-	binary.BigEndian.PutUint32(dst[start:start+4], hdr|uint32(n))
+	binary.BigEndian.PutUint32(dst[start:start+4], binaryFlag|uint32(n))
 	return dst, nil
 }
 
@@ -885,8 +745,7 @@ var framePool = sync.Pool{New: func() any { b := make([]byte, 0, 1024); return &
 const maxPooled = 64 << 10
 
 // WriteFrame writes one framed message to w as a single Write (one
-// packet on an unbuffered socket), choosing the codec from m.V as
-// AppendFrame does.
+// packet on an unbuffered socket).
 func WriteFrame(w io.Writer, m Message) error {
 	bp := framePool.Get().(*[]byte)
 	b, err := AppendFrame((*bp)[:0], m)
@@ -902,30 +761,23 @@ func WriteFrame(w io.Writer, m Message) error {
 	return err
 }
 
-// decodeFrame dispatches a frame payload to the codec named by the
-// header flag.
-func decodeFrame(payload []byte, binaryCodec bool) (Message, error) {
-	if binaryCodec {
-		return DecodeBinary(payload)
-	}
-	return Decode(payload)
-}
-
-// parseHeader unpacks and validates a frame header: the payload length
-// and the codec flag. It is the single reading of the header layout —
+// parseHeader unpacks and validates a frame header: the codec flag and
+// the payload length. It is the single reading of the header layout —
 // the buffered and unbuffered read paths must never disagree about
 // frame validity.
-func parseHeader(hdr [4]byte) (n uint32, isBin bool, err error) {
-	n = binary.BigEndian.Uint32(hdr[:])
-	isBin = n&binaryFlag != 0
+func parseHeader(hdr [4]byte) (uint32, error) {
+	n := binary.BigEndian.Uint32(hdr[:])
+	if n&binaryFlag == 0 {
+		return 0, fmt.Errorf("wire read: unsupported codec (frame header %#08x lacks the binary flag)", n)
+	}
 	n &^= binaryFlag
 	if n == 0 {
-		return 0, false, fmt.Errorf("wire read: zero-length frame")
+		return 0, fmt.Errorf("wire read: zero-length frame")
 	}
 	if n > MaxFrame {
-		return 0, false, fmt.Errorf("wire read: frame %d bytes exceeds max %d", n, MaxFrame)
+		return 0, fmt.Errorf("wire read: frame %d bytes exceeds max %d", n, MaxFrame)
 	}
-	return n, isBin, nil
+	return n, nil
 }
 
 // ReadFrame reads one framed message from r without reading ahead —
@@ -937,7 +789,7 @@ func ReadFrame(r io.Reader) (Message, error) {
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		return Message{}, err // io.EOF passes through for clean close detection
 	}
-	n, isBin, err := parseHeader(hdr)
+	n, err := parseHeader(hdr)
 	if err != nil {
 		return Message{}, err
 	}
@@ -945,7 +797,7 @@ func ReadFrame(r io.Reader) (Message, error) {
 	if _, err := io.ReadFull(r, b); err != nil {
 		return Message{}, fmt.Errorf("wire read: %w", err)
 	}
-	return decodeFrame(b, isBin)
+	return DecodeBinary(b)
 }
 
 // maxScratch caps the payload buffer a Reader keeps between frames: the
@@ -957,7 +809,7 @@ const maxScratch = 64 << 10
 // header and body of a small frame cost one read from the kernel, not
 // two — and a reused, size-capped scratch buffer, so steady-state frame
 // reads allocate only what the decoded message itself needs. Decoded
-// messages never alias the scratch (both codecs copy what they keep),
+// messages never alias the scratch (the decoder copies what it keeps),
 // which is what makes the reuse safe.
 type Reader struct {
 	br      *bufio.Reader
@@ -979,7 +831,7 @@ func (r *Reader) ReadFrame() (Message, error) {
 	if _, err := io.ReadFull(r.br, hdr[:]); err != nil {
 		return Message{}, err // io.EOF passes through for clean close detection
 	}
-	n, isBin, err := parseHeader(hdr)
+	n, err := parseHeader(hdr)
 	if err != nil {
 		return Message{}, err
 	}
@@ -995,60 +847,42 @@ func (r *Reader) ReadFrame() (Message, error) {
 	if _, err := io.ReadFull(r.br, buf); err != nil {
 		return Message{}, fmt.Errorf("wire read: %w", err)
 	}
-	return decodeFrame(buf, isBin)
+	return DecodeBinary(buf)
 }
 
 // Shared is an encode-once broadcast frame: one immutable message,
-// encoded at most once per negotiated session version, with every
-// session at that version handed the same []byte. It is what turns a
-// hub fan-out from O(subscribers) marshals into O(distinct versions):
+// encoded at most once, with every session handed the same []byte. It
+// is what turns a hub fan-out from O(subscribers) marshals into one:
 // the exchange wraps each delta and arm-broadcast in a Shared and
-// enqueues the handle, and each session's drain resolves it against its
-// own negotiated version at write time.
+// enqueues the handle, and each session's drain takes the frame at
+// write time.
 //
-// The wrapped message and every returned frame are immutable: callers
+// The wrapped message and the returned frame are immutable: callers
 // must never modify the bytes (they are concurrently written to other
 // sessions) and must not mutate the message after wrapping it.
 type Shared struct {
 	msg Message
 
-	mu    sync.Mutex
-	byVer map[int][]byte
+	once  sync.Once
+	frame []byte
+	err   error
 }
 
 // NewShared wraps m (payload pointers included) as an immutable
-// broadcast. m.V is ignored — the version is chosen per session when a
-// frame is requested.
-func NewShared(m Message) *Shared { return &Shared{msg: m} }
-
-// Msg returns the wrapped message with its version unstamped. The
-// payload is shared: read-only.
-func (s *Shared) Msg() Message { return s.msg }
-
-// Message returns the wrapped message stamped at version v — the
-// decoded-delivery twin of Frame for in-process transports.
-func (s *Shared) Message(v int) Message {
-	m := s.msg
-	m.V = v
-	return m
+// broadcast, stamped at Version whatever m.V says.
+func NewShared(m Message) *Shared {
+	m.V = Version
+	return &Shared{msg: m}
 }
 
-// Frame returns the full encoded frame (header included) for sessions
-// negotiated at version v, encoding at most once per version however
-// many sessions share it. The returned bytes are immutable.
-func (s *Shared) Frame(v int) ([]byte, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if b, ok := s.byVer[v]; ok {
-		return b, nil
-	}
-	b, err := AppendFrame(nil, s.Message(v))
-	if err != nil {
-		return nil, err
-	}
-	if s.byVer == nil {
-		s.byVer = make(map[int][]byte, 2)
-	}
-	s.byVer[v] = b
-	return b, nil
+// Msg returns the wrapped message. The payload is shared: read-only.
+func (s *Shared) Msg() Message { return s.msg }
+
+// Frame returns the full encoded frame (header included), encoding at
+// most once however many sessions share it. The returned bytes are
+// immutable. The argument is vestigial — bench/ still passes the
+// session version — and goes with MinVersion.
+func (s *Shared) Frame(int) ([]byte, error) {
+	s.once.Do(func() { s.frame, s.err = AppendFrame(nil, s.msg) })
+	return s.frame, s.err
 }

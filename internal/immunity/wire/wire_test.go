@@ -78,29 +78,50 @@ func messageFixtures() []Message {
 		{V: Version, Type: TypeForwardConfirm, FwdConfirm: &ForwardConfirm{Device: "phone0",
 			Confirm: Confirm{Key: testSig().Key(), Confirmations: 1}}},
 		{V: Version, Type: TypeArmBroadcast, Arm: &ArmBroadcast{Owner: "hub-a", Seq: 6, Confirmations: 2, Sig: ws}},
+		{V: Version, Type: TypeMemberUpdate, Member: &MemberUpdate{Epoch: 4,
+			Members: []MemberInfo{{ID: "hub-a", Addr: "10.0.0.1:7676"}, {ID: "hub-b", Down: true}}}},
+		{V: Version, Type: TypeHandoff, Handoff: &Handoff{From: "hub-a", Records: []OwnedRecord{
+			{Sig: ws, FirstSeen: "phone0", ConfirmedBy: []string{"phone0", "phone1"}, Armed: true, OwnerSeq: 3, Tenant: "acme"}}}},
+		{V: Version, Type: TypeReplicate, Replicate: &Replicate{Owner: "hub-a", Records: []OwnedRecord{
+			{Sig: ws, FirstSeen: "phone0", ConfirmedBy: []string{"phone0"}}}}},
+		{V: Version, Type: TypePing, Ping: &Ping{From: "hub-a", Target: "hub-c", Seq: 8}},
+		{V: Version, Type: TypePingAck, PingAck: &PingAck{From: "hub-b", Target: "hub-c", Seq: 8, OK: true}},
+		{V: Version, Type: TypeLease, Lease: &Lease{From: "hub-a", Epoch: 4, Seq: 2}},
+		{V: Version, Type: TypeLeaseAck, LeaseAck: &LeaseAck{From: "hub-b", Epoch: 5, Seq: 2}},
 	}
 }
 
-// TestNegotiate: the single negotiation rule picks the highest common
-// version and refuses disjoint ranges on either side.
+// jsonFlagged is a frame whose header lacks the binary codec bit
+// (B=0, the shape a JSON-framing endpoint would send); torn is a frame
+// whose header promises more payload than follows. Both are must-reject
+// seeds of every frame fuzz target.
+var (
+	jsonFlagged = func() []byte {
+		payload := `{"v":2,"type":"hello","hello":{"device":"d"}}`
+		return append(binary.BigEndian.AppendUint32(nil, uint32(len(payload))), payload...)
+	}()
+	torn = []byte{0x80, 0, 0, 8, 2 * Version, binHello, 1}
+)
+
+// TestNegotiate: the single negotiation rule accepts exactly the ranges
+// that contain Version.
 func TestNegotiate(t *testing.T) {
 	cases := []struct {
 		min, max int
-		want     int
 		ok       bool
 	}{
-		{MinVersion, Version, Version, true},
-		{1, 1, 1, true},               // old v1 client
-		{Version, Version + 5, Version, true}, // newer client, common floor
-		{Version + 1, Version + 5, 0, false},  // client too new
-		{0, 0, 0, false},              // nonsense envelope version 0
-		{43, 43, 0, false},            // museum piece far ahead
-		{2, 1, 0, false},              // inverted range
+		{Version, Version, true},
+		{1, Version, true},                // wider floor
+		{Version, Version + 5, true},      // newer client, common floor
+		{1, Version - 1, false},           // client too old
+		{Version + 1, Version + 5, false}, // client too new
+		{0, 0, false},                     // no range advertised
+		{Version + 1, Version - 1, false}, // inverted range
 	}
 	for _, c := range cases {
 		got, ok := Negotiate(c.min, c.max)
-		if got != c.want || ok != c.ok {
-			t.Errorf("Negotiate(%d, %d) = (%d, %v), want (%d, %v)", c.min, c.max, got, ok, c.want, c.ok)
+		if ok != c.ok || (ok && got != Version) {
+			t.Errorf("Negotiate(%d, %d) = (%d, %v), want ok=%v at v%d", c.min, c.max, got, ok, c.ok, Version)
 		}
 	}
 }
@@ -133,11 +154,11 @@ func TestValidateRejects(t *testing.T) {
 	cases := []Message{
 		{V: Version, Type: "teleport"},
 		{V: Version, Type: TypeHello}, // missing payload
-		{V: Version, Type: TypeHello, Hello: &Hello{Device: "d"}, Ack: &Ack{OK: true}}, // two payloads
-		{V: Version, Type: TypeStatusReq, Delta: &Delta{}},                             // payload on payloadless type
-		{V: Version, Type: TypeDelta, Ack: &Ack{}},                                     // wrong payload
-		{V: Version, Type: TypePeerHello},                                              // missing peer payload
-		{V: Version, Type: TypeArmBroadcast, PeerHello: &PeerHello{Hub: "h"}},          // wrong peer payload
+		{V: Version, Type: TypeHello, Hello: &Hello{Device: "d"}, Ack: &Ack{OK: true}},                 // two payloads
+		{V: Version, Type: TypeStatusReq, Delta: &Delta{}},                                             // payload on payloadless type
+		{V: Version, Type: TypeDelta, Ack: &Ack{}},                                                     // wrong payload
+		{V: Version, Type: TypePeerHello},                                                              // missing peer payload
+		{V: Version, Type: TypeArmBroadcast, PeerHello: &PeerHello{Hub: "h"}},                          // wrong peer payload
 		{V: Version, Type: TypeForwardReport, Forward: &ForwardReport{Hub: "h"}, Arm: &ArmBroadcast{}}, // two peer payloads
 	}
 	for i, m := range cases {
@@ -150,12 +171,12 @@ func TestValidateRejects(t *testing.T) {
 // TestReadFrameLimits: zero-length and oversized frames are rejected
 // before any payload allocation.
 func TestReadFrameLimits(t *testing.T) {
-	var zero [4]byte
-	if _, err := ReadFrame(bytes.NewReader(zero[:])); err == nil {
-		t.Error("zero-length frame accepted")
+	zero := [4]byte{0x80}
+	if _, err := ReadFrame(bytes.NewReader(zero[:])); err == nil || !strings.Contains(err.Error(), "zero-length") {
+		t.Errorf("zero-length frame: err = %v, want zero-length", err)
 	}
 	var huge [4]byte
-	binary.BigEndian.PutUint32(huge[:], MaxFrame+1)
+	binary.BigEndian.PutUint32(huge[:], binaryFlag|(MaxFrame+1))
 	if _, err := ReadFrame(bytes.NewReader(huge[:])); err == nil || !strings.Contains(err.Error(), "exceeds max") {
 		t.Errorf("oversized frame: err = %v, want exceeds-max", err)
 	}
@@ -174,20 +195,20 @@ func FuzzWireDecode(f *testing.F) {
 		f.Add(buf.Bytes())
 	}
 	f.Add([]byte{})
-	f.Add([]byte{0, 0, 0, 1, '{'})
+	f.Add(jsonFlagged)
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		m, err := ReadFrame(bytes.NewReader(data))
 		if err != nil {
 			return
 		}
-		b, err := Encode(m)
+		b, err := EncodeBinary(m)
 		if err != nil {
 			t.Fatalf("decoded frame does not re-encode: %+v: %v", m, err)
 		}
-		again, err := Decode(b)
+		again, err := DecodeBinary(b)
 		if err != nil {
-			t.Fatalf("re-encoded frame does not decode: %s: %v", b, err)
+			t.Fatalf("re-encoded frame does not decode: %x: %v", b, err)
 		}
 		if !reflect.DeepEqual(m, again) {
 			t.Fatalf("decode/encode/decode not stable:\n first %+v\n again %+v", m, again)
@@ -217,7 +238,7 @@ func FuzzWireDecode(f *testing.F) {
 func FuzzPeerFrameDecode(f *testing.F) {
 	ws := FromCore(testSig())
 	peers := []Message{
-		{V: Version, Type: TypePeerHello, PeerHello: &PeerHello{Hub: "hub-b", Seq: 12, MinV: 1, MaxV: Version}},
+		{V: Version, Type: TypePeerHello, PeerHello: &PeerHello{Hub: "hub-b", Seq: 12, MinV: Version, MaxV: Version}},
 		{V: Version, Type: TypeForwardReport, Forward: &ForwardReport{Hub: "hub-b", Device: "phone3", Sigs: []Signature{ws, ws}}},
 		{V: Version, Type: TypeForwardConfirm, FwdConfirm: &ForwardConfirm{Device: "phone3", Confirm: Confirm{Key: "k", Confirmations: 2, Armed: true}}},
 		{V: Version, Type: TypeArmBroadcast, Arm: &ArmBroadcast{Owner: "hub-a", Seq: 9, Confirmations: 3, Sig: ws}},
@@ -230,9 +251,8 @@ func FuzzPeerFrameDecode(f *testing.F) {
 		}
 		f.Add(buf.Bytes())
 	}
-	// A torn peer frame and a frame whose JSON mixes peer and device payloads.
-	f.Add([]byte{0, 0, 0, 8, '{', '"', 'v', '"', ':', '2', '}'})
-	f.Add([]byte(`{"v":2,"type":"arm-broadcast","arm":{},"hello":{}}`))
+	f.Add(torn)
+	f.Add(jsonFlagged)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		m, err := ReadFrame(bytes.NewReader(data))
 		if err != nil {
@@ -250,11 +270,11 @@ func FuzzPeerFrameDecode(f *testing.F) {
 			(m.Arm != nil) == (m.Type != TypeArmBroadcast) {
 			t.Fatalf("peer envelope with mismatched payload survived decode: %+v", m)
 		}
-		b, err := Encode(m)
+		b, err := EncodeBinary(m)
 		if err != nil {
 			t.Fatalf("decoded peer frame does not re-encode: %+v: %v", m, err)
 		}
-		again, err := Decode(b)
+		again, err := DecodeBinary(b)
 		if err != nil || !reflect.DeepEqual(m, again) {
 			t.Fatalf("peer decode/encode/decode not stable: %+v vs %+v (%v)", m, again, err)
 		}

@@ -264,7 +264,7 @@ func RunChaosStorm(cfg ChaosConfig) (ChaosResult, error) {
 	report := func(devs []*stormSession) error {
 		for _, dev := range devs {
 			for s := range fullSet {
-				m := wire.Message{V: dev.ver, Type: wire.TypeReport,
+				m := wire.Message{V: wire.Version, Type: wire.TypeReport,
 					Report: &wire.Report{Sigs: fullSet[s : s+1]}}
 				if err := dev.sess.Send(m); err != nil {
 					return fmt.Errorf("chaos: %s report: %w", dev.id, err)
@@ -432,7 +432,7 @@ func singleHubReference(cfg ChaosConfig, fullSet []wire.Signature, deadline time
 			return nil, fmt.Errorf("chaos: reference: %w", err)
 		}
 		for s := range fullSet {
-			m := wire.Message{V: dev.ver, Type: wire.TypeReport,
+			m := wire.Message{V: wire.Version, Type: wire.TypeReport,
 				Report: &wire.Report{Sigs: fullSet[s : s+1]}}
 			if err := dev.sess.Send(m); err != nil {
 				dev.close()

@@ -325,7 +325,7 @@ func RunPartitionStorm(cfg PartitionConfig) (PartitionResult, error) {
 	report := func(devs []*stormSession) error {
 		for _, dev := range devs {
 			for s := range fullSet {
-				m := wire.Message{V: dev.ver, Type: wire.TypeReport,
+				m := wire.Message{V: wire.Version, Type: wire.TypeReport,
 					Report: &wire.Report{Sigs: fullSet[s : s+1]}}
 				if err := dev.sess.Send(m); err != nil {
 					return fmt.Errorf("partition: %s report: %w", dev.id, err)

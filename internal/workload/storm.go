@@ -459,7 +459,7 @@ func newStormMonitor(cfg StormConfig) *stormMonitor {
 // continuous full-batch flood, and a final coverage batch).
 func (d *stormSession) drive(cfg StormConfig, fullSet []wire.Signature) error {
 	send := func(sigs []wire.Signature) error {
-		m := wire.Message{V: d.ver, Type: wire.TypeReport,
+		m := wire.Message{V: wire.Version, Type: wire.TypeReport,
 			Report: &wire.Report{Sigs: sigs}}
 		if err := d.sess.Send(m); err != nil {
 			return fmt.Errorf("storm: %s report: %w", d.id, err)
@@ -497,11 +497,10 @@ func (d *stormSession) drive(cfg StormConfig, fullSet []wire.Signature) error {
 }
 
 // stormSession is one device's raw wire session: hello/ack done, ready
-// to flood reports at the negotiated version.
+// to flood reports.
 type stormSession struct {
 	id   string
 	sess immunity.Session
-	ver  int
 }
 
 func (d *stormSession) close() { d.sess.Close() }
@@ -522,8 +521,8 @@ func dialStorm(tr immunity.Transport, id, token string, timeout time.Duration) (
 	if err != nil {
 		return nil, fmt.Errorf("%s dial: %w", id, err)
 	}
-	hello := wire.Message{V: wire.MinVersion, Type: wire.TypeHello,
-		Hello: &wire.Hello{Device: id, MinV: wire.MinVersion, MaxV: wire.Version, Token: token}}
+	hello := wire.Message{V: wire.Version, Type: wire.TypeHello,
+		Hello: &wire.Hello{Device: id, MinV: wire.Version, MaxV: wire.Version, Token: token}}
 	if err := sess.Send(hello); err != nil {
 		sess.Close()
 		return nil, fmt.Errorf("%s hello: %w", id, err)
@@ -534,11 +533,11 @@ func dialStorm(tr immunity.Transport, id, token string, timeout time.Duration) (
 			sess.Close()
 			return nil, fmt.Errorf("%s refused: %s", id, ack.Error)
 		}
-		ver := wire.MinVersion
-		if ack.V != 0 {
-			ver = ack.V
+		if ack.V != wire.Version {
+			sess.Close()
+			return nil, fmt.Errorf("%s: hub acked protocol version %d, want %d", id, ack.V, wire.Version)
 		}
-		return &stormSession{id: id, sess: sess, ver: ver}, nil
+		return &stormSession{id: id, sess: sess}, nil
 	case <-time.After(timeout):
 		sess.Close()
 		return nil, fmt.Errorf("%s: timed out waiting for hello ack", id)

@@ -1,0 +1,649 @@
+package immunity
+
+import (
+	"flag"
+	"fmt"
+	"go/ast"
+	"go/parser"
+	"go/token"
+	"math/rand"
+	"reflect"
+	"slices"
+	"strconv"
+	"testing"
+
+	"github.com/dimmunix/dimmunix/internal/core"
+	"github.com/dimmunix/dimmunix/internal/immunity/wire"
+)
+
+// fakeRing is the arbiter's whole view of a cluster, settable field by
+// field: keys missing from owners belong to self.
+type fakeRing struct {
+	self   string
+	owners map[string]string
+	epoch  uint64
+	held   bool
+}
+
+func (r *fakeRing) OwnerOf(key string) string {
+	if o, ok := r.owners[key]; ok {
+		return o
+	}
+	return r.self
+}
+func (r *fakeRing) Owns(key string) bool { return r.OwnerOf(key) == r.self }
+func (r *fakeRing) Epoch() uint64        { return r.epoch }
+func (r *fakeRing) MayArm() bool         { return r.held }
+
+// leaseStub is fence_test's stubBinding with a settable lease.
+type leaseStub struct {
+	*stubBinding
+	held bool
+}
+
+func (s *leaseStub) MayArm() bool { return s.held }
+
+// TestDemotedParkedKeyIsNotArmedOnLeaseReturn: a key that parked at
+// threshold while the lease was away, and whose ownership then moved to
+// another hub, must not be decided here when the lease returns — it
+// would arm on a non-owner with no broadcast and stamp the entry with a
+// seq of this hub's namespace under the new owner's name, so that after
+// a restart the peer-hello would resume the new owner past armings this
+// hub never saw.
+func TestDemotedParkedKeyIsNotArmedOnLeaseReturn(t *testing.T) {
+	hub := newTestHub(t, 2)
+	bind := &leaseStub{&stubBinding{self: "local", epoch: 1, owners: map[string]string{}}, true}
+	hub.BindCluster(bind)
+
+	// Five owned armings first, so this hub's own seq counter stands at 5.
+	for i := 1; i <= 5; i++ {
+		hub.report("d1", testSig(i))
+		hub.report("d2", testSig(i))
+	}
+	if got := hub.ArmedCount(); got != 5 {
+		t.Fatalf("warm-up armed %d, want 5", got)
+	}
+
+	sig := testSig(0)
+	key := sig.Key()
+	bind.held = false
+	hub.report("d1", sig)
+	if _, armed := hub.report("d2", sig); armed {
+		t.Fatal("armed at threshold without the lease")
+	}
+	if got := hub.Stats().Parked; got != 1 {
+		t.Fatalf("parked = %d, want 1", got)
+	}
+
+	bind.epoch, bind.owners[key] = 2, "hub-b"
+	if handoffs := hub.RebindOwnership(); len(handoffs["hub-b"]) != 1 {
+		t.Fatalf("handoffs = %v, want the key handed to hub-b", handoffs)
+	}
+	if got := hub.Stats().Parked; got != 0 {
+		t.Fatalf("parked = %d after demotion, want 0", got)
+	}
+	bind.held = true
+	hub.LeaseAcquired()
+
+	entry := func() Provenance {
+		for _, p := range hub.Provenance() {
+			if p.Key == key {
+				return p
+			}
+		}
+		t.Fatalf("no provenance entry for %s", key)
+		return Provenance{}
+	}
+	if p := entry(); p.Armed || p.Owner != "hub-b" {
+		t.Fatalf("demoted key after lease return: armed=%v owner=%q, want unarmed under hub-b", p.Armed, p.Owner)
+	}
+	if got := hub.ArmedCount(); got != 5 {
+		t.Fatalf("armed count = %d, want 5", got)
+	}
+	if got := hub.RemoteSeqs()["hub-b"]; got != 0 {
+		t.Fatalf("resume cursor for hub-b = %d before any hub-b arming, want 0", got)
+	}
+
+	// The new owner's decision installs at the new owner's seq.
+	applied, err := hub.InstallRemote(wire.ArmBroadcast{Owner: "hub-b", Seq: 1, Confirmations: 2, Sig: wire.FromCore(sig), Fence: 2})
+	if err != nil || !applied {
+		t.Fatalf("hub-b's broadcast: applied=%v err=%v, want applied", applied, err)
+	}
+	if got := hub.RemoteSeqs()["hub-b"]; got != 1 {
+		t.Fatalf("resume cursor for hub-b = %d, want 1", got)
+	}
+	if p := entry(); !p.Armed {
+		t.Fatal("hub-b's broadcast did not arm the key")
+	}
+}
+
+// outcome is what one event did to one key, effects included.
+type outcome struct {
+	armed, parked  bool
+	owner          string
+	ownerSeq       uint64
+	armings        int
+	broadcast      string // "owner/seq/confirmations/fence" of the one broadcast, "" if none
+	replicates     int
+	forwards       int
+	handoffTo      string
+	persists       int
+	remoteInstalls uint64
+	receipt        string // "confirmations/armed" of the one confirm receipt, "" if none
+}
+
+// TestArbiterDecisionTable drives each cause of a settle through each
+// lease state and ownership, and asserts the exact effects. Threshold
+// is 2, the hub is hub-a at membership epoch 7, and d1 has already
+// confirmed the key unless the cause says otherwise. Causes that only a
+// clustered hub can see (the shell refuses them standalone) have no
+// standalone row.
+func TestArbiterDecisionTable(t *testing.T) {
+	sig := testSig(0)
+	ws := wire.FromCore(sig)
+	key := sig.Key()
+	rec := func(armed bool, devices ...string) []decodedRecord {
+		return []decodedRecord{{key, sig.Kind, wire.OwnedRecord{Sig: ws, FirstSeen: devices[0], ConfirmedBy: devices, Armed: armed}}}
+	}
+	// The setups: the ring gives the key to hub-b (and this hub holds
+	// hub-b's shadow set), or leaves it with this hub.
+	hubBs := func(a *arbiter, r *fakeRing) { r.owners[key] = "hub-b" }
+	shadow := func(devices ...string) func(*arbiter, *fakeRing) {
+		return func(a *arbiter, r *fakeRing) {
+			hubBs(a, r)
+			a.replica(&effects{}, "hub-b", rec(false, devices...))
+		}
+	}
+	owned := func(a *arbiter, r *fakeRing) { a.report(&effects{}, "", "d1", []*core.Signature{sig}, 0) }
+	parkedOwned := func(a *arbiter, r *fakeRing) {
+		held := r.held
+		r.held = false
+		a.report(&effects{}, "", "d1", []*core.Signature{sig}, 0)
+		a.report(&effects{}, "", "d2", []*core.Signature{sig}, 0)
+		r.held = held
+	}
+	reportD2 := func(hops int) func(*arbiter, *fakeRing, *effects) {
+		return func(a *arbiter, r *fakeRing, fx *effects) { a.report(fx, "", "d2", []*core.Signature{sig}, hops) }
+	}
+	replica := func(a *arbiter, r *fakeRing, fx *effects) { a.replica(fx, "hub-b", rec(false, "d1", "d2")) }
+	handoff := func(armed bool, devices ...string) func(*arbiter, *fakeRing, *effects) {
+		return func(a *arbiter, r *fakeRing, fx *effects) { a.importOwned(fx, "hub-b", rec(armed, devices...)) }
+	}
+	moveTo := func(owner string) func(*arbiter, *fakeRing, *effects) {
+		return func(a *arbiter, r *fakeRing, fx *effects) {
+			r.owners[key] = owner
+			a.rebind(fx)
+		}
+	}
+	lease := func(a *arbiter, r *fakeRing, fx *effects) { a.leaseAcquired(fx) }
+
+	const standalone, self, foreign = "standalone", "self", "foreign"
+	cases := []struct {
+		cause, owner string
+		held         bool
+		setup        func(*arbiter, *fakeRing)
+		event        func(*arbiter, *fakeRing, *effects)
+		want         outcome
+	}{
+		{"report", standalone, false, owned, reportD2(0),
+			outcome{armed: true, armings: 1, persists: 1, receipt: "2/true"}},
+		{"report", self, true, owned, reportD2(0),
+			outcome{armed: true, owner: "hub-a", ownerSeq: 1, armings: 1, broadcast: "hub-a/1/2/7", persists: 1, receipt: "2/true"}},
+		{"report", self, false, owned, reportD2(0),
+			outcome{parked: true, owner: "hub-a", replicates: 1, persists: 1, receipt: "2/false"}},
+		{"report", foreign, true, shadow("d1"), reportD2(0),
+			outcome{owner: "hub-b", forwards: 1}},
+		{"report", foreign, false, shadow("d1"), reportD2(0),
+			outcome{owner: "hub-b", forwards: 1}},
+		{"report-hops-exhausted", foreign, true, shadow("d1"), reportD2(maxForwardHops),
+			outcome{owner: "hub-b", persists: 1, receipt: "2/false"}},
+		{"report-hops-exhausted", foreign, false, shadow("d1"), reportD2(maxForwardHops),
+			outcome{owner: "hub-b", persists: 1, receipt: "2/false"}},
+
+		{"replica", self, true, owned, replica,
+			outcome{armed: true, owner: "hub-a", ownerSeq: 1, armings: 1, broadcast: "hub-a/1/2/7", persists: 1}},
+		{"replica", self, false, owned, replica,
+			outcome{parked: true, owner: "hub-a", persists: 1}},
+		{"replica", foreign, true, hubBs, replica, outcome{owner: "hub-b", persists: 1}},
+		{"replica", foreign, false, hubBs, replica, outcome{owner: "hub-b", persists: 1}},
+
+		// The previous owner's decision is installed with or without the
+		// lease: it is not a fresh one.
+		{"handoff-armed", self, true, nil, handoff(true, "d1", "d2"),
+			outcome{armed: true, owner: "hub-a", ownerSeq: 1, armings: 1, broadcast: "hub-a/1/2/7", persists: 1}},
+		{"handoff-armed", self, false, nil, handoff(true, "d1", "d2"),
+			outcome{armed: true, owner: "hub-a", ownerSeq: 1, armings: 1, broadcast: "hub-a/1/2/7", persists: 1}},
+		{"handoff-armed", foreign, true, hubBs, handoff(true, "d1", "d2"),
+			outcome{armed: true, owner: "hub-b", armings: 1, persists: 1, remoteInstalls: 1}},
+		{"handoff-armed", foreign, false, hubBs, handoff(true, "d1", "d2"),
+			outcome{armed: true, owner: "hub-b", armings: 1, persists: 1, remoteInstalls: 1}},
+
+		// The merged set crosses the threshold here: a fresh decision.
+		{"handoff-crossing", self, true, owned, handoff(false, "d2"),
+			outcome{armed: true, owner: "hub-a", ownerSeq: 1, armings: 1, broadcast: "hub-a/1/2/7", persists: 1}},
+		{"handoff-crossing", self, false, owned, handoff(false, "d2"),
+			outcome{parked: true, owner: "hub-a", persists: 1}},
+		{"handoff-crossing", foreign, true, shadow("d1"), handoff(false, "d2"), outcome{owner: "hub-b", persists: 1}},
+		{"handoff-crossing", foreign, false, shadow("d1"), handoff(false, "d2"), outcome{owner: "hub-b", persists: 1}},
+
+		// The ring moves a shadow set at threshold to this hub (owner
+		// "self"), or a parked owned key away from it (owner "foreign").
+		{"promotion", self, true, shadow("d1", "d2"), moveTo("hub-a"),
+			outcome{armed: true, owner: "hub-a", ownerSeq: 1, armings: 1, broadcast: "hub-a/1/2/7", persists: 1}},
+		{"promotion", self, false, shadow("d1", "d2"), moveTo("hub-a"),
+			outcome{parked: true, owner: "hub-a", persists: 1}},
+		{"demotion", foreign, true, parkedOwned, moveTo("hub-b"),
+			outcome{owner: "hub-b", handoffTo: "hub-b", persists: 1}},
+		{"demotion", foreign, false, parkedOwned, moveTo("hub-b"),
+			outcome{owner: "hub-b", handoffTo: "hub-b", persists: 1}},
+
+		{"unpark", self, true, parkedOwned, lease,
+			outcome{armed: true, owner: "hub-a", ownerSeq: 1, armings: 1, broadcast: "hub-a/1/2/7", persists: 1}},
+		{"unpark", self, false, parkedOwned, lease, outcome{parked: true, owner: "hub-a"}},
+		{"unpark", foreign, true, func(a *arbiter, r *fakeRing) {
+			parkedOwned(a, r)
+			moveTo("hub-b")(a, r, &effects{})
+		}, lease, outcome{owner: "hub-b"}},
+	}
+	for _, tc := range cases {
+		t.Run(fmt.Sprintf("%s/%s/held=%v", tc.cause, tc.owner, tc.held), func(t *testing.T) {
+			a := newArbiter(2)
+			ring := &fakeRing{self: "hub-a", owners: map[string]string{}, epoch: 7, held: tc.held}
+			if tc.owner != standalone {
+				a.bind(&effects{}, ring, ring.self)
+			}
+			if tc.setup != nil {
+				tc.setup(a, ring)
+			}
+			var fx effects
+			tc.event(a, ring, &fx)
+
+			e := a.entries[key]
+			got := outcome{armed: e.armed, parked: a.parked[key], owner: e.owner, ownerSeq: e.ownerSeq,
+				armings: len(fx.armings), replicates: len(fx.replRecs), forwards: len(fx.forward.sigs),
+				persists: len(fx.persist), remoteInstalls: fx.n.remoteInstalls}
+			if len(fx.broadcasts) > 1 || len(fx.confirms) > 1 || len(fx.handoffs) > 1 {
+				t.Fatalf("more than one broadcast, receipt or handoff target: %+v", fx)
+			}
+			for _, b := range fx.broadcasts {
+				got.broadcast = fmt.Sprintf("%s/%d/%d/%d", b.Owner, b.Seq, b.Confirmations, b.Fence)
+			}
+			for _, c := range fx.confirms {
+				got.receipt = fmt.Sprintf("%d/%v", c.Confirmations, c.Armed)
+			}
+			for to := range fx.handoffs {
+				got.handoffTo = to
+			}
+			if got != tc.want {
+				t.Fatalf("\n got %+v\nwant %+v", got, tc.want)
+			}
+		})
+	}
+}
+
+var walkSeed = flag.Int64("arbiter.seed", -1, "replay one TestArbiterRandomWalk seed")
+
+// TestArbiterRandomWalk feeds seeded random event sequences — every
+// arbiter event, with the ring and the lease flipped mid-run — to an
+// arbiter and checks the safety invariants after every step. A failure
+// names its seed; -arbiter.seed=N replays exactly that walk.
+func TestArbiterRandomWalk(t *testing.T) {
+	if *walkSeed >= 0 {
+		walk(t, *walkSeed)
+		return
+	}
+	for seed := int64(0); seed < 2500; seed++ {
+		walk(t, seed)
+		if t.Failed() {
+			return
+		}
+	}
+}
+
+// walker is one random walk's arbiter plus what the test remembers to
+// judge it: the fake ring, the persisted log, and the previous step's
+// state.
+type walker struct {
+	t    *testing.T
+	seed int64
+	step int
+	rng  *rand.Rand
+	a    *arbiter
+	ring *fakeRing // nil for a standalone walk
+
+	log        map[string]ProvenanceRecord // last persisted record per key
+	confirmed  map[string]map[string]bool  // every confirmation each key has ever held
+	armedAt    map[string]bool             // keys armed before this step
+	lastEpoch  uint64                      // last arming epoch emitted
+	lastSeq    uint64                      // last broadcast seq emitted
+	peerSeqs   map[string]uint64           // next arming seq of each fake peer hub
+	peerArmed  map[string]map[uint64]bool  // "owner|key" -> seqs that owner broadcast for key
+	ringMoved  bool                        // ring changed since the last rebind
+	decidedNow map[string]bool             // keys this step carried another hub's decision for
+}
+
+func (w *walker) failf(format string, args ...any) {
+	w.t.Helper()
+	w.t.Fatalf("seed %d step %d (replay with -arbiter.seed=%d): %s", w.seed, w.step, w.seed, fmt.Sprintf(format, args...))
+}
+
+var (
+	walkDevices = []string{"d0", "d1", "d2", "d3", "d4"}
+	walkTenants = []string{"", "t1"} // thresholds 2 and 3
+	walkPeers   = []string{"hub-b", "hub-c"}
+)
+
+func walk(t *testing.T, seed int64) {
+	w := &walker{t: t, seed: seed, rng: rand.New(rand.NewSource(seed)), a: newArbiter(2),
+		log: map[string]ProvenanceRecord{}, confirmed: map[string]map[string]bool{}, armedAt: map[string]bool{},
+		peerSeqs: map[string]uint64{}, peerArmed: map[string]map[uint64]bool{}}
+	w.a.tenantThresholds = map[string]int{"t1": 3}
+	if seed%4 != 0 {
+		w.ring = &fakeRing{self: "hub-a", owners: map[string]string{}, epoch: 1, held: true}
+		w.a.bind(&effects{}, w.ring, w.ring.self)
+	}
+	for w.step = 1; w.step <= 60; w.step++ {
+		var fx effects
+		w.decidedNow = map[string]bool{}
+		leaseReturned := w.event(&fx)
+		w.check(&fx, leaseReturned)
+	}
+	w.checkReload()
+}
+
+func (w *walker) pick(from []string) string { return from[w.rng.Intn(len(from))] }
+
+func (w *walker) sig() (tenant string, sig *core.Signature, key string) {
+	tenant, sig = w.pick(walkTenants), testSig(w.rng.Intn(5))
+	return tenant, sig, tenantKey(tenant, sig.Key())
+}
+
+func (w *walker) someDevices() []string {
+	var out []string
+	for _, d := range walkDevices {
+		if w.rng.Intn(3) == 0 {
+			out = append(out, d)
+		}
+	}
+	if len(out) == 0 {
+		out = []string{w.pick(walkDevices)}
+	}
+	return out
+}
+
+// event applies one random event and reports whether it was a lease
+// acquisition that held throughout.
+func (w *walker) event(fx *effects) (leaseReturned bool) {
+	a, r := w.a, w.ring
+	n := 10
+	if r == nil {
+		n = 4 // a standalone hub only sees devices
+	}
+	switch w.rng.Intn(n) {
+	case 0, 1, 2:
+		tenant, sig, _ := w.sig()
+		a.report(fx, tenant, w.pick(walkDevices), []*core.Signature{sig}, w.rng.Intn(maxForwardHops+1))
+	case 3:
+		tenant, device := w.pick(walkTenants), w.pick(walkDevices)
+		if w.rng.Intn(2) == 0 {
+			a.attach(fx, tenant, device, uint64(w.rng.Intn(int(a.epoch)+1)))
+		} else {
+			a.detach(tenant, device)
+		}
+	case 4:
+		tenant, sig, key := w.sig()
+		owner := w.pick(walkPeers)
+		w.peerSeqs[owner]++
+		b := wire.ArmBroadcast{Owner: owner, Seq: w.peerSeqs[owner], Confirmations: 2 + w.rng.Intn(2),
+			Sig: wire.FromCore(sig), Fence: r.epoch - uint64(w.rng.Intn(2)), Tenant: tenant}
+		if _, err := a.remoteArm(fx, key, sig.Kind, b); err == nil {
+			w.decidedNow[key] = true
+			ok := owner + "|" + key
+			if w.peerArmed[ok] == nil {
+				w.peerArmed[ok] = map[uint64]bool{}
+			}
+			w.peerArmed[ok][b.Seq] = true
+		}
+	case 5, 6:
+		tenant, sig, key := w.sig()
+		devices := w.someDevices()
+		d := decodedRecord{key, sig.Kind, wire.OwnedRecord{Sig: wire.FromCore(sig), FirstSeen: devices[0],
+			ConfirmedBy: devices, Tenant: tenant}}
+		if w.rng.Intn(2) == 0 {
+			a.replica(fx, w.pick(walkPeers), []decodedRecord{d})
+			break
+		}
+		if d.rec.Armed = w.rng.Intn(3) == 0; d.rec.Armed {
+			d.rec.OwnerSeq = uint64(1 + w.rng.Intn(9))
+			w.decidedNow[key] = true
+		}
+		a.importOwned(fx, w.pick(walkPeers), []decodedRecord{d})
+	case 7:
+		// A membership change: some keys move, the epoch advances, and the
+		// rebind usually — not always — follows at once.
+		for i := 0; i < 1+w.rng.Intn(3); i++ {
+			_, _, key := w.sig()
+			if w.rng.Intn(2) == 0 {
+				delete(r.owners, key)
+			} else {
+				r.owners[key] = w.pick(walkPeers)
+			}
+		}
+		r.epoch++
+		w.ringMoved = true
+		if w.rng.Intn(3) == 0 {
+			break
+		}
+		fallthrough
+	case 8:
+		a.rebind(fx)
+		w.ringMoved = false
+	case 9:
+		if r.held = !r.held; r.held {
+			a.leaseAcquired(fx)
+			return true
+		}
+	}
+	return false
+}
+
+// check asserts the invariants that must hold after every event.
+func (w *walker) check(fx *effects, leaseReturned bool) {
+	a, r := w.a, w.ring
+	clustered := r != nil
+	selfOwned := func(e *fleetSig) bool { return !clustered || e.owner == a.selfID }
+
+	for _, rec := range fx.persist {
+		w.log[rec.Key] = rec
+	}
+	for _, ar := range fx.armings {
+		if ar.epoch != w.lastEpoch+1 {
+			w.failf("arming epoch %d after %d: not consecutive", ar.epoch, w.lastEpoch)
+		}
+		w.lastEpoch = ar.epoch
+	}
+	for _, b := range fx.broadcasts {
+		if b.Owner != a.selfID || b.Seq <= w.lastSeq || b.Fence != r.epoch {
+			w.failf("broadcast %+v after seq %d at membership epoch %d", b, w.lastSeq, r.epoch)
+		}
+		w.lastSeq = b.Seq
+	}
+
+	var armed uint64
+	armEpochs, seqs := map[uint64]bool{}, map[uint64]bool{}
+	for key, e := range a.entries {
+		if key != e.key {
+			w.failf("entry %q filed under %q", e.key, key)
+		}
+		if e.armed {
+			armed++
+			if e.armEpoch == 0 || armEpochs[e.armEpoch] {
+				w.failf("%s: arm epoch %d is zero or shared", key, e.armEpoch)
+			}
+			armEpochs[e.armEpoch] = true
+		} else if e.armEpoch != 0 {
+			w.failf("%s: unarmed with arm epoch %d", key, e.armEpoch)
+		}
+		// A fresh decision: armed in this step, and not because another
+		// hub had decided.
+		if e.armed && !w.armedAt[key] && !w.decidedNow[key] {
+			if clustered && !r.held {
+				w.failf("%s: fresh arming without the lease", key)
+			}
+			if !selfOwned(e) {
+				w.failf("%s: fresh arming of a key owned by %q", key, e.owner)
+			}
+			if len(e.confirmedBy) < a.thresholdFor(e.tenant) {
+				w.failf("%s: fresh arming at %d confirmations, threshold %d", key, len(e.confirmedBy), a.thresholdFor(e.tenant))
+			}
+		}
+		w.armedAt[key] = e.armed
+		switch {
+		case !clustered:
+			if e.ownerSeq != 0 || e.owner != "" {
+				w.failf("%s: standalone entry with owner %q seq %d", key, e.owner, e.ownerSeq)
+			}
+		case e.owner == a.selfID:
+			if e.armed != (e.ownerSeq != 0) || seqs[e.ownerSeq] && e.armed || e.ownerSeq > a.ownerSeq {
+				w.failf("%s: owned, armed=%v, seq %d (hub at %d): want a unique seq iff armed", key, e.armed, e.ownerSeq, a.ownerSeq)
+			}
+			seqs[e.ownerSeq] = true
+		default:
+			if e.ownerSeq != 0 && !w.peerArmed[e.owner+"|"+key][e.ownerSeq] {
+				w.failf("%s: owned by %q but carries seq %d, which %q never broadcast for it", key, e.owner, e.ownerSeq, e.owner)
+			}
+		}
+		// Confirmation sets only grow, and never by a report from a
+		// device the hub itself pushed the signature to (checked in
+		// TestArbiterPushedDeviceNeverConfirms; merges from other hubs may
+		// legitimately carry such a device).
+		if w.confirmed[key] == nil {
+			w.confirmed[key] = map[string]bool{}
+		}
+		for d := range e.confirmedBy {
+			w.confirmed[key][d] = true
+		}
+		if len(w.confirmed[key]) != len(e.confirmedBy) {
+			w.failf("%s: confirmed by %v now, by %v so far", key, sortedKeys(e.confirmedBy), sortedKeys(w.confirmed[key]))
+		}
+		if got, ok := w.log[key]; !ok || !sameRecord(got, a.record(e)) {
+			w.failf("%s: live state differs from its last persisted record\n live %+v\n log  %+v", key, a.record(e), got)
+		}
+	}
+	if armed != a.epoch || len(a.entries) != len(a.order) {
+		w.failf("epoch %d with %d armed entries; %d entries, %d ordered", a.epoch, armed, len(a.entries), len(a.order))
+	}
+	for key := range a.parked {
+		e := a.entries[key]
+		if e.armed || e.owner != a.selfID || len(e.confirmedBy) < a.thresholdFor(e.tenant) || !clustered {
+			w.failf("%s parked: armed=%v owner=%q confirmations=%d", key, e.armed, e.owner, len(e.confirmedBy))
+		}
+	}
+	if leaseReturned && len(a.parked) != 0 {
+		w.failf("%d keys still parked after the lease returned", len(a.parked))
+	}
+	if clustered {
+		var last uint64
+		for _, b := range a.peerReplay(0) {
+			if b.Seq <= last || b.Owner != a.selfID {
+				w.failf("peer replay out of order or foreign: %+v after seq %d", b, last)
+			}
+			last = b.Seq
+		}
+	}
+}
+
+// sameRecord is reflect.DeepEqual for provenance records, without the
+// reflection on the slices (the walk compares every entry every step).
+func sameRecord(x, y ProvenanceRecord) bool {
+	slicesEqual := slices.Equal(x.ConfirmedBy, y.ConfirmedBy) && slices.Equal(x.PushedTo, y.PushedTo) &&
+		slices.Equal(x.Sig.Pairs, y.Sig.Pairs)
+	x.ConfirmedBy, x.PushedTo, x.Sig.Pairs = nil, nil, nil
+	y.ConfirmedBy, y.PushedTo, y.Sig.Pairs = nil, nil, nil
+	return slicesEqual && reflect.DeepEqual(x, y)
+}
+
+// checkReload is "a restart loses nothing": a fresh arbiter loaded from
+// the records the walk asked to persist shows the same view. The one
+// difference allowed is the documented slimming of a replicated armed
+// entry, whose confirmation bookkeeping is the owner's to keep.
+func (w *walker) checkReload() {
+	recs := make([]ProvenanceRecord, 0, len(w.log))
+	for _, rec := range w.log {
+		recs = append(recs, rec)
+	}
+	sortRecords(recs)
+	fresh := newArbiter(w.a.threshold)
+	fresh.tenantThresholds = w.a.tenantThresholds
+	if err := fresh.load(recs); err != nil {
+		w.failf("reload: %v", err)
+	}
+	fresh.ring, fresh.selfID = w.a.ring, w.a.selfID
+	live, reloaded := w.a.view(), fresh.view()
+	for i := range live {
+		if p := &live[i]; p.Armed && p.Owner != "" && p.Owner != w.a.selfID {
+			p.FirstSeen, p.Confirmations = reloaded[i].FirstSeen, reloaded[i].Confirmations
+		}
+	}
+	if fresh.epoch != w.a.epoch || !reflect.DeepEqual(live, reloaded) {
+		w.failf("reload: epoch %d → %d\n live     %+v\n reloaded %+v", w.a.epoch, fresh.epoch, live, reloaded)
+	}
+}
+
+// TestArbiterPushedDeviceNeverConfirms: once the hub has delivered a
+// signature to a device — by a live delta or a catch-up — that device's
+// report of it is an echo, whatever the lease and ownership say.
+func TestArbiterPushedDeviceNeverConfirms(t *testing.T) {
+	sig := testSig(0)
+	for _, viaCatchup := range []bool{false, true} {
+		a := newArbiter(1)
+		if !viaCatchup {
+			a.attach(&effects{}, "", "late", 0)
+		}
+		a.report(&effects{}, "", "first", []*core.Signature{sig}, 0)
+		if viaCatchup {
+			var fx effects
+			if a.attach(&fx, "", "late", 0); len(fx.catchup) != 1 || len(fx.persist) != 1 {
+				t.Fatalf("catch-up: %d signatures, %d records, want 1 and 1", len(fx.catchup), len(fx.persist))
+			}
+		}
+		var fx effects
+		a.report(&fx, "", "late", []*core.Signature{sig}, 0)
+		if e := a.entries[sig.Key()]; len(e.confirmedBy) != 1 || fx.n.echoes != 1 || len(fx.persist) != 0 {
+			t.Fatalf("viaCatchup=%v: confirmations %d echoes %d persists %d, want 1, 1, 0",
+				viaCatchup, len(e.confirmedBy), fx.n.echoes, len(fx.persist))
+		}
+	}
+}
+
+// TestArbiterPurity keeps the decision half free of I/O: arbiter.go may
+// import only core, wire, and side-effect-free standard packages, starts
+// no goroutine, and names none of the shell's types.
+func TestArbiterPurity(t *testing.T) {
+	f, err := parser.ParseFile(token.NewFileSet(), "arbiter.go", nil, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	allowed := map[string]bool{
+		"sort": true, "fmt": true, "errors": true, "strings": true,
+		"github.com/dimmunix/dimmunix/internal/core":          true,
+		"github.com/dimmunix/dimmunix/internal/immunity/wire": true,
+	}
+	for _, imp := range f.Imports {
+		if path, _ := strconv.Unquote(imp.Path.Value); !allowed[path] {
+			t.Errorf("arbiter.go imports %s", path)
+		}
+	}
+	shell := map[string]bool{"Exchange": true, "Conn": true, "ProvenanceStore": true, "hubMetrics": true, "ClusterBinding": true}
+	ast.Inspect(f, func(n ast.Node) bool {
+		switch n := n.(type) {
+		case *ast.GoStmt:
+			t.Errorf("arbiter.go starts a goroutine")
+		case *ast.Ident:
+			if shell[n.Name] {
+				t.Errorf("arbiter.go names the shell type %s", n.Name)
+			}
+		}
+		return true
+	})
+}

@@ -173,14 +173,19 @@
 //
 // Membership.mu is a leaf (the pure binding reads Epoch and
 // MemberSnapshot take it under Exchange.mu and call nothing);
-// Node.linksMu and link.mu are never held while calling into the hub,
-// and the hub calls into the node under Exchange.mu only via the pure
-// ring/membership reads (Owns, OwnerOf, Epoch, MemberSnapshot). The
-// mutating binding calls (ForwardReport, Replicate, ApplyMemberUpdate,
-// PeerSeen) run after Exchange.mu is released. All cross-hub calls
-// (InstallRemote, InstallReplica, ImportOwned, DeliverConfirm,
-// Conn.Handle) run on transport or queue goroutines that hold no lock
-// of the other hub, so no cycle between two hubs' locks is possible.
+// Node.linksMu, link.mu and the lease lock are never held while calling
+// into the hub, and the hub calls into the node under Exchange.mu only
+// via the binding's pure reads (Owns, OwnerOf, Epoch, MayArm, SelfID,
+// Members, MemberSnapshot); the binding's sinks (ForwardReport,
+// Replicate, ApplyMemberUpdate, PeerSeen, HandleProbe) run after
+// Exchange.mu is released. The node enters its own hub through
+// BindCluster and RemoteSeqs (at start), RebindOwnership (under
+// applyMu), LeaseAcquired (lease goroutine), InstallRemote and
+// DeliverConfirm (a link's receive path), and a peer's hub only through
+// Conn.Handle, which routes replicate and handoff frames to
+// InstallReplica and ImportOwned on the receiver's transport goroutine.
+// No such caller holds a lock of the other hub, so no cycle between two
+// hubs' locks is possible.
 // The metrics registry (Config.Metrics) sits below all of these: its
 // instruments are lock-free atomics and its own locks are leaves that
 // never call out (see package immunity/metrics), so links update their

@@ -18,8 +18,8 @@ import (
 // known — down members included — so a minority partition fragment can
 // never assemble one: it marks the other side down, stops hearing
 // acks, and its lease expires within one TTL, at which point the hub
-// parks fresh arming (Exchange.LeaseChanged(false)) until the healed
-// cluster grants the lease back.
+// parks fresh arming (MayArm turns false) until the healed cluster
+// grants the lease back (Exchange.LeaseAcquired).
 //
 // Grant rule (the receive side lives in Node.HandleProbe): a granter
 // acks a requester only when the requester's membership epoch is at
@@ -112,7 +112,6 @@ func (lm *leaseManager) renew() {
 		lm.lost.Add(1)
 		lm.metLost.Inc()
 		lm.metHeld.Set(0)
-		lm.n.hub.LeaseChanged(false)
 	}
 	msg := wire.Message{Type: wire.TypeLease,
 		Lease: &wire.Lease{From: lm.n.self, Epoch: lm.n.membership.epochNow(), Seq: round}}
@@ -177,7 +176,7 @@ func (lm *leaseManager) ack(from string, seq uint64, ok bool) {
 		lm.acquired.Add(1)
 		lm.metAcquired.Inc()
 		lm.metHeld.Set(1)
-		lm.n.hub.LeaseChanged(true)
+		lm.n.hub.LeaseAcquired()
 	}
 }
 

@@ -36,38 +36,6 @@ import (
 // ProvenanceStore) a report replayed after a hub reboot — so the
 // threshold counts independent observations only.
 
-// ErrFenced reports that a peer arm-broadcast was refused by the
-// membership fencing rule: its fence epoch was stale and its sender no
-// longer owns the signature. The link layer treats it as a refusal —
-// counted, cursor not advanced — not a session error.
-var ErrFenced = errors.New("exchange: stale owner arm-broadcast fenced")
-
-// Provenance is one fleet signature's audit record.
-type Provenance struct {
-	// Key is the signature's canonical identity (core.Signature.Key).
-	Key string
-	// Kind is the signature kind.
-	Kind core.SigKind
-	// FirstSeen is the device that first reported the signature.
-	FirstSeen string
-	// Confirmations is the number of distinct devices that independently
-	// reported it. On a non-owning hub of a cluster this is the count
-	// replicated at arming, not a live view.
-	Confirmations int
-	// ConfirmedBy lists those devices, sorted. Only the owning hub holds
-	// the authoritative set; a replicated armed entry's is empty.
-	ConfirmedBy []string
-	// Armed reports whether the signature has been armed fleet-wide.
-	Armed bool
-	// Owner is the cluster id of the hub that owns the signature's
-	// confirm-before-arm bookkeeping ("" outside a cluster).
-	Owner string
-	// Tenant scopes the record to one tenant's fleet ("" for the
-	// default tenant). Tenants' records never mix: confirmations,
-	// arming, and pushes all stay within the record's tenant.
-	Tenant string
-}
-
 // ExchangeStats snapshots the hub's counters.
 type ExchangeStats struct {
 	// Epoch is the fleet delta epoch (number of armings so far).
@@ -161,58 +129,6 @@ func newHubMetrics(reg *metrics.Registry) hubMetrics {
 	}
 }
 
-// fleetSig is the hub-side state of one signature.
-type fleetSig struct {
-	sig *core.Signature
-	// ws is the canonical wire form, interned when the record is created:
-	// the catch-up, broadcast, delta, and provenance paths reuse it
-	// instead of re-deriving every call-stack key per message.
-	ws          wire.Signature
-	seq         int // first-report order, 1-based
-	firstSeen   string
-	confirmedBy map[string]bool
-	// pushedTo records the devices the hub has delivered this signature
-	// to. A report from such a device is not an independent observation —
-	// it is the push coming back (possibly via the device's persistent
-	// store after a reconnect or reboot) — and never counts as a
-	// confirmation. This state survives client churn and, with a
-	// ProvenanceStore, hub restarts.
-	pushedTo map[string]bool
-	armed    bool
-	armEpoch uint64 // fleet epoch assigned at arming; 0 while unarmed
-
-	// Cluster fields. owner is the cluster id of the hub owning the
-	// signature's confirm bookkeeping ("" outside a cluster); ownerSeq is
-	// the owner's monotonic arming sequence (0 while unarmed) — for owned
-	// entries it orders peer catch-up replay, for replicated entries it is
-	// the peer resume point. remoteConfirms caches the confirmation count
-	// an arm-broadcast carried, so a non-owner hub can answer echo
-	// reports without a round trip to the owner.
-	owner          string
-	ownerSeq       uint64
-	remoteConfirms int
-
-	// tenant is the fleet the signature belongs to ("" = default). The
-	// entry's map key is tenantKey(tenant, sig.Key()), so two tenants
-	// reporting the byte-identical signature hold two independent
-	// entries — confirmations, thresholds, and armings never cross.
-	tenant string
-}
-
-// tenantKey derives a signature's canonical hub key: the plain
-// signature key for the default tenant (so a single-tenant provenance
-// log keeps its keys),
-// a tenant-prefixed key otherwise. The prefix rides through the
-// ownership ring hash, forwarding, replication, and handoff untouched —
-// tenancy is a property of the key, so every cluster path is
-// tenant-aware for free.
-func tenantKey(tenant, key string) string {
-	if tenant == "" {
-		return key
-	}
-	return "t=" + tenant + "|" + key
-}
-
 // sessKey is the conns-map key for one device session: device ids are
 // only unique within a tenant.
 func sessKey(tenant, device string) string {
@@ -237,62 +153,66 @@ func authReason(err error) string {
 }
 
 // ClusterBinding is how a federated cluster node (internal/immunity/
-// cluster) plugs into a hub. The Exchange calls it to decide ownership
-// and to relay device reports for foreign signatures; it never holds
-// Exchange.mu across these calls except the pure ones (Owns, OwnerOf,
-// Epoch, MemberSnapshot), which must not call back into the Exchange —
-// the node answers them from its own leaf-locked membership state.
+// cluster) plugs into a hub. Its methods come in two kinds, matching
+// the hub's two halves (see the package comment's "Decision point").
 type ClusterBinding interface {
+	// Pure queries the arbiter may call under Exchange.mu. The node
+	// answers them from its own leaf-locked membership and lease state;
+	// they must not block or call back into the Exchange.
+
+	// Owns reports whether this hub owns the signature key.
+	Owns(key string) bool
+	// OwnerOf names the hub currently owning key under the live ring.
+	OwnerOf(key string) string
+	// Epoch is the membership epoch — the fencing token stamped on
+	// arm-broadcasts and checked on receipt.
+	Epoch() uint64
+	// MayArm reports whether this hub currently holds the right to take
+	// a fresh arming decision — true always without a quorum lease,
+	// else only while the lease is held. The arbiter consults it at
+	// every threshold crossing; when false the decision parks (the hub
+	// degrades to read-only forwarding and confirmation counting) until
+	// LeaseAcquired replays the parked set. Lock-cheap: it sits on the
+	// report hot path.
+	MayArm() bool
+
+	// Identity and membership reads the shell makes under Exchange.mu
+	// (bind, status, the peer-hello snapshot); pure like the queries.
+
 	// SelfID is this hub's cluster id.
 	SelfID() string
 	// Members is the full ownership-ring membership, self included.
 	Members() []string
-	// Owns reports whether this hub owns the signature key. It is called
-	// with Exchange.mu held and must not call back into the Exchange.
-	Owns(key string) bool
-	// OwnerOf names the hub currently owning key under the live ring.
-	// Pure: called with Exchange.mu held.
-	OwnerOf(key string) string
-	// Epoch is the membership epoch — the fencing token stamped on
-	// arm-broadcasts and checked on receipt. Pure: called with
-	// Exchange.mu held.
-	Epoch() uint64
 	// MemberSnapshot is the full membership state at its current epoch,
-	// pushed to freshly handshaken peers. Pure: called with Exchange.mu
-	// held.
+	// pushed to freshly handshaken peers.
 	MemberSnapshot() wire.MemberUpdate
+
+	// Sinks the shell calls after Exchange.mu is released. They may lock
+	// the node, send on links, and re-enter the hub.
+
 	// ForwardReport relays a device's report for foreign signatures
 	// toward their owning hubs, preserving the tenant and device
 	// attribution; keys holds each signature's canonical (tenant-
 	// prefixed) key (parallel to sigs) so the node can group by owner
 	// without re-decoding, and hops the number of forwarding legs
-	// already taken. It is called without Exchange.mu held and must not
-	// block (the cluster queues per-peer and redials in the background).
+	// already taken. Must not block (the cluster queues per-peer and
+	// redials in the background).
 	ForwardReport(tenant, device string, sigs []wire.Signature, keys []string, hops int)
 	// Replicate copies one owned, unarmed confirmation set to the key's
-	// deputy so arming survives an owner crash. Called without
-	// Exchange.mu held; must not block.
+	// deputy so arming survives an owner crash. Must not block.
 	Replicate(key string, rec wire.OwnedRecord)
 	// ApplyMemberUpdate merges a peer's membership snapshot (adopt if
-	// newer, deterministic merge at equal epochs). Called without
-	// Exchange.mu held — it re-binds ownership, which locks the hub.
+	// newer, deterministic merge at equal epochs). It re-binds
+	// ownership, which locks the hub.
 	ApplyMemberUpdate(u wire.MemberUpdate)
 	// PeerSeen records a completed inbound peer handshake: an unknown
 	// hub with an address is admitted into the membership, a down-marked
-	// hub is revived. Called without Exchange.mu held.
+	// hub is revived.
 	PeerSeen(hub, addr string)
-	// MayArm reports whether this hub currently holds the right to take
-	// a fresh arming decision — true always without a quorum lease,
-	// else only while the lease is held. The Exchange consults it at
-	// every threshold crossing; when false the decision parks (the hub
-	// degrades to read-only forwarding and confirmation counting) until
-	// LeaseChanged(true) replays the parked set. Pure and lock-cheap:
-	// called with Exchange.mu held on the report hot path.
-	MayArm() bool
 	// HandleProbe routes one probe or lease frame (wire.TypePing,
 	// TypePingAck, TypeLease, TypeLeaseAck) that arrived on a registered
-	// peer session. Called without Exchange.mu held — the node may send
-	// replies synchronously from inside it.
+	// peer session. The node may send replies synchronously from inside
+	// it.
 	HandleProbe(m wire.Message)
 }
 
@@ -300,10 +220,6 @@ type ClusterBinding interface {
 // devices exist for it only as wire sessions attached with Accept — so
 // any transport that moves wire messages can carry a fleet.
 type Exchange struct {
-	threshold int
-	// tenantThresholds overrides the confirm-before-arm threshold per
-	// tenant (WithTenantThreshold); tenants not listed use threshold.
-	tenantThresholds map[string]int
 	// verifier authenticates device hellos (nil = auth disabled: any
 	// socket may claim any device id, tokens are ignored). peerAuth
 	// additionally requires every peer-hello to arrive on a session
@@ -321,31 +237,20 @@ type Exchange struct {
 	// dedupes — never a lost antibody.
 	gen string
 
-	mu                        sync.Mutex
-	entries                   map[string]*fleetSig
-	order                     []string // keys in first-report order
-	conns                     map[string]*Conn
-	epoch                     uint64 // fleet arm counter (the delta epoch for pushes)
-	closed                    bool
-	reports, confirms, echoes uint64
-
-	// Cluster state (nil/zero outside a federation). cluster and selfID
-	// are set once by BindCluster before the hub serves traffic; peers
-	// maps cluster ids of hubs with a live inbound peer session to their
-	// conns; ownerSeq numbers this hub's own armings for peer catch-up.
-	cluster        ClusterBinding
-	selfID         string
-	peers          map[string]*Conn
-	ownerSeq       uint64
-	forwards       uint64
-	remoteInstalls uint64
-	fenced         uint64
-	// parked holds the keys whose fresh arming decision was refused by
-	// MayArm (quorum lease lost on a minority partition side): their
-	// confirmation sets keep growing, but the threshold crossing is
-	// deferred until LeaseChanged(true) re-scans the set. Keys leave the
-	// set by arming (locally on unpark, or via a peer's arm-broadcast).
-	parked map[string]bool
+	// mu guards everything below it down to persistMu. arb is the
+	// decision half — all fleet state and every rule that changes it;
+	// the rest is the sessions its effects are applied to. conns is
+	// keyed by sessKey and mirrors arb's attached set; peers maps cluster
+	// ids of hubs with a live inbound peer session to their conns.
+	// cluster is set once by BindCluster before the hub serves traffic
+	// (nil outside a federation).
+	mu      sync.Mutex
+	arb     *arbiter
+	n       tally // running totals of every applied event's tally
+	conns   map[string]*Conn
+	peers   map[string]*Conn
+	cluster ClusterBinding
+	closed  bool
 
 	// persistMu serializes provenance-store appends in mutation order;
 	// acquired while still holding mu, released after the write (same
@@ -356,13 +261,13 @@ type Exchange struct {
 	batchSigs     atomic.Uint64
 	persistErrors atomic.Uint64
 
-	// Observability + admission (tentpole of the metrics PR). reg is the
-	// hub's metric registry (always non-nil after NewExchange; shareable
-	// across hubs via WithMetricsRegistry), met its pre-created
-	// instruments, admit the optional report-ingest permit pool (nil =
-	// admission disabled; see WithAdmission). The registry locks are
-	// leaves — see package metrics — so met's atomics are touched under
-	// x.mu and queue locks freely.
+	// Observability + admission. reg is the hub's metric registry (always
+	// non-nil after NewExchange; shareable across hubs via
+	// WithMetricsRegistry), met its pre-created instruments, admit the
+	// optional report-ingest permit pool (nil = admission disabled; see
+	// WithAdmission). The registry locks are leaves — see package
+	// metrics — so met's atomics are touched under x.mu and queue locks
+	// freely.
 	reg       *metrics.Registry
 	met       hubMetrics
 	admit     *metrics.Pool
@@ -451,22 +356,11 @@ func WithPeerAuth() ExchangeOption {
 // the exchange-wide threshold.
 func WithTenantThreshold(tenant string, threshold int) ExchangeOption {
 	return func(x *Exchange) {
-		if threshold < 1 {
-			threshold = 1
+		if x.arb.tenantThresholds == nil {
+			x.arb.tenantThresholds = make(map[string]int)
 		}
-		if x.tenantThresholds == nil {
-			x.tenantThresholds = make(map[string]int)
-		}
-		x.tenantThresholds[tenant] = threshold
+		x.arb.tenantThresholds[tenant] = max(threshold, 1)
 	}
-}
-
-// thresholdFor is the confirm-before-arm threshold for one tenant.
-func (x *Exchange) thresholdFor(tenant string) int {
-	if t, ok := x.tenantThresholds[tenant]; ok {
-		return t
-	}
-	return x.threshold
 }
 
 // NewExchange creates a hub that arms a signature fleet-wide once
@@ -474,20 +368,15 @@ func (x *Exchange) thresholdFor(tenant string) int {
 // treated as 1: arm on first report). With WithProvenanceStore, prior
 // fleet state is reloaded before the hub accepts its first session.
 func NewExchange(confirmThreshold int, opts ...ExchangeOption) (*Exchange, error) {
-	if confirmThreshold < 1 {
-		confirmThreshold = 1
-	}
 	var nonce [8]byte
 	if _, err := rand.Read(nonce[:]); err != nil {
 		return nil, fmt.Errorf("exchange: generation nonce: %w", err)
 	}
 	x := &Exchange{
-		threshold: confirmThreshold,
-		entries:   make(map[string]*fleetSig),
-		conns:     make(map[string]*Conn),
-		peers:     make(map[string]*Conn),
-		parked:    make(map[string]bool),
-		gen:       hex.EncodeToString(nonce[:]),
+		arb:   newArbiter(max(confirmThreshold, 1)),
+		conns: make(map[string]*Conn),
+		peers: make(map[string]*Conn),
+		gen:   hex.EncodeToString(nonce[:]),
 	}
 	for _, opt := range opts {
 		opt(x)
@@ -506,43 +395,15 @@ func NewExchange(confirmThreshold int, opts ...ExchangeOption) (*Exchange, error
 		if err != nil {
 			return nil, fmt.Errorf("exchange: load provenance: %w", err)
 		}
-		for _, rec := range recs {
-			sig, err := rec.Sig.ToCore()
-			if err != nil {
-				return nil, fmt.Errorf("exchange: provenance record %q: %w", rec.Key, err)
-			}
-			e := &fleetSig{
-				sig:            sig,
-				ws:             rec.Sig,
-				seq:            rec.Seq,
-				firstSeen:      rec.FirstSeen,
-				confirmedBy:    make(map[string]bool, len(rec.ConfirmedBy)),
-				pushedTo:       make(map[string]bool, len(rec.PushedTo)),
-				armed:          rec.Armed,
-				armEpoch:       rec.ArmEpoch,
-				owner:          rec.Owner,
-				ownerSeq:       rec.OwnerSeq,
-				remoteConfirms: rec.RemoteConfirms,
-				tenant:         rec.Tenant,
-			}
-			for _, d := range rec.ConfirmedBy {
-				e.confirmedBy[d] = true
-			}
-			for _, d := range rec.PushedTo {
-				e.pushedTo[d] = true
-			}
-			x.entries[rec.Key] = e
-			x.order = append(x.order, rec.Key)
-			if rec.ArmEpoch > x.epoch {
-				x.epoch = rec.ArmEpoch
-			}
+		if err := x.arb.load(recs); err != nil {
+			return nil, fmt.Errorf("exchange: %w", err)
 		}
 	}
 	return x, nil
 }
 
 // Threshold returns the confirm-before-arm threshold.
-func (x *Exchange) Threshold() int { return x.threshold }
+func (x *Exchange) Threshold() int { return x.arb.threshold }
 
 // Metrics returns the hub's metric registry — the one passed via
 // WithMetricsRegistry, or the hub's private registry otherwise. The
@@ -553,102 +414,89 @@ func (x *Exchange) Metrics() *metrics.Registry { return x.reg }
 // carries forwarded reports; the hub handles inbound peer sessions
 // (peer-hello, forward-report), broadcasts its own armings to them, and
 // installs peers' broadcasts via InstallRemote. Must be called before
-// the hub serves any traffic. Reloaded provenance is reconciled with
-// the ring: entries this hub owns get their owner stamped and — for
-// armed entries a pre-cluster hub never sequenced — an arming seq in
-// armEpoch order, so a freshly clustered or restarted owner replays its
-// full owned armed set to peers.
+// the hub serves any traffic; reloaded provenance is reconciled with
+// the ring (arbiter.bind).
 func (x *Exchange) BindCluster(b ClusterBinding) {
+	var fx effects
 	x.mu.Lock()
-	defer x.mu.Unlock()
 	x.cluster = b
-	x.selfID = b.SelfID()
-	for _, key := range x.order {
-		if e := x.entries[key]; e.ownerSeq > x.ownerSeq && e.owner == x.selfID {
-			x.ownerSeq = e.ownerSeq
-		}
-	}
-	type unseq struct {
-		key string
-		e   *fleetSig
-	}
-	var missing []unseq
-	for _, key := range x.order {
-		e := x.entries[key]
-		if b.Owns(key) {
-			e.owner = x.selfID
-			if e.armed && e.ownerSeq == 0 {
-				missing = append(missing, unseq{key, e})
+	x.arb.bind(&fx, b, b.SelfID())
+	x.commit(&fx)
+}
+
+// commit applies one event's effects. It is called with x.mu held and
+// releases it, splitting the effects into their two classes: session
+// push queues are fed before the release — so every session sees
+// armings in decision order, and a hello's catch-up cannot race a live
+// delta — while the store write (handed to persistMu under mu, so writes
+// land in mutation order) and the cluster sinks run after it.
+func (x *Exchange) commit(fx *effects) {
+	x.count(&fx.n)
+	for _, ar := range fx.armings {
+		d := wire.NewShared(wire.Message{Type: wire.TypeDelta,
+			Delta: &wire.Delta{Epoch: ar.epoch, Sigs: []wire.Signature{ar.sig}}})
+		for _, conn := range x.conns {
+			// Lock order mu > Conn.mu holds throughout the hub (handleHello
+			// binds the device under both), so reading the session binding
+			// here is safe.
+			if conn.Tenant() == ar.tenant {
+				conn.pushShared(d)
 			}
 		}
 	}
-	sort.Slice(missing, func(i, j int) bool { return missing[i].e.armEpoch < missing[j].e.armEpoch })
-	for _, u := range missing {
-		x.ownerSeq++
-		u.e.ownerSeq = x.ownerSeq
+	// Owned armings fan out to every live inbound peer session as one
+	// encode-once frame each; peers that are down catch up from their
+	// next peer-hello's seq.
+	for _, b := range fx.broadcasts {
+		sh := wire.NewShared(wire.Message{Type: wire.TypeArmBroadcast, Arm: b})
+		for _, pc := range x.peers {
+			pc.pushShared(sh)
+		}
+	}
+	persist := x.store != nil && len(fx.persist) > 0
+	if persist {
+		x.persistMu.Lock()
+	}
+	cluster := x.cluster
+	x.mu.Unlock()
+	if persist {
+		// One write per event: a whole mutation's dirty set costs one
+		// open/write/close cycle on a file store.
+		err := x.store.AppendBatch(fx.persist)
+		x.persistMu.Unlock()
+		if err != nil {
+			x.persistErrors.Add(1)
+			x.met.persistErrors.Inc()
+		}
+	}
+	if len(fx.forward.sigs) > 0 {
+		cluster.ForwardReport(fx.forward.tenant, fx.forward.device, fx.forward.sigs, fx.forward.keys, fx.forward.hops)
+	}
+	for i, key := range fx.replKeys {
+		cluster.Replicate(key, fx.replRecs[i])
 	}
 }
 
-// recordLocked snapshots e as a provenance record. Caller holds x.mu.
-func (x *Exchange) recordLocked(key string, e *fleetSig) ProvenanceRecord {
-	rec := ProvenanceRecord{
-		Seq:            e.seq,
-		Key:            key,
-		Sig:            e.ws,
-		FirstSeen:      e.firstSeen,
-		ConfirmedBy:    sortedKeys(e.confirmedBy),
-		PushedTo:       sortedKeys(e.pushedTo),
-		Armed:          e.armed,
-		ArmEpoch:       e.armEpoch,
-		Owner:          e.owner,
-		OwnerSeq:       e.ownerSeq,
-		RemoteConfirms: e.remoteConfirms,
-		Tenant:         e.tenant,
-	}
-	if e.owner != "" && e.owner != x.selfID && e.armed {
-		// Replicated armed entry: persist only the slim record — the
-		// signature, its owner, and the arming — never the confirmation
-		// bookkeeping, which is the owner's alone. pushedTo stays: it is
-		// this hub's own delivery state for its attached devices. An
-		// *unarmed* foreign entry keeps its set: that is the deputy's
-		// shadow copy, and it must survive a deputy restart to keep the
-		// failover promise.
-		rec.ConfirmedBy = nil
-		rec.FirstSeen = ""
-	}
-	return rec
-}
-
-// persistHandoffLocked must be called with x.mu held and the dirty
-// records already snapshotted. It takes persistMu (so writes land in
-// mutation order), and returns the function the caller runs after
-// releasing x.mu to perform the writes.
-func (x *Exchange) persistHandoffLocked(recs []ProvenanceRecord) func() {
-	if x.store == nil || len(recs) == 0 {
-		return func() {}
-	}
-	x.persistMu.Lock()
-	store := x.store
-	return func() {
-		defer x.persistMu.Unlock()
-		// One write per mutation when the store can batch (FileProvenance
-		// does), instead of an open/write/close cycle per record.
-		if ba, ok := store.(interface {
-			AppendBatch([]ProvenanceRecord) error
-		}); ok {
-			if err := ba.AppendBatch(recs); err != nil {
-				x.persistErrors.Add(1)
-				x.met.persistErrors.Inc()
-			}
-			return
-		}
-		for _, rec := range recs {
-			if err := store.Append(rec); err != nil {
-				x.persistErrors.Add(1)
-				x.met.persistErrors.Inc()
-			}
+// count folds one event's tally into the hub's totals and metrics.
+// Caller holds x.mu.
+func (x *Exchange) count(n *tally) {
+	add := func(total *uint64, met *metrics.Counter, n uint64) {
+		if n != 0 {
+			*total += n
+			met.Add(n)
 		}
 	}
+	add(&x.n.reports, x.met.reports, n.reports)
+	add(&x.n.confirms, x.met.confirms, n.confirms)
+	add(&x.n.echoes, x.met.echoes, n.echoes)
+	add(&x.n.forwards, x.met.forwards, n.forwards)
+	add(&x.n.armed, x.met.armed, n.armed)
+	add(&x.n.remoteInstalls, x.met.remoteInstalls, n.remoteInstalls)
+	add(&x.n.fenced, x.met.fenced, n.fenced)
+	add(&x.n.replicas, x.met.replicaRecords, n.replicas)
+	add(&x.n.handoffs, x.met.handoffRecords, n.handoffs)
+	add(&x.n.parks, x.met.parkedArms, n.parks)
+	x.met.parkedGauge.Set(int64(x.arb.parkedCount()))
 }
 
 // Accept attaches one inbound wire session to the hub. send delivers one
@@ -946,14 +794,18 @@ func (c *Conn) Handle(m wire.Message) error {
 		if peerHub == "" {
 			return c.refuse("member-update before peer-hello")
 		}
-		c.hub.applyMemberUpdate(*m.Member)
+		// Both sinks run outside Exchange.mu: a merge can re-bind ownership,
+		// which locks the hub.
+		if cluster := c.hub.clusterBinding(); cluster != nil {
+			cluster.ApplyMemberUpdate(*m.Member)
+		}
 		return nil
 	case wire.TypePing, wire.TypePingAck, wire.TypeLease, wire.TypeLeaseAck:
 		if peerHub == "" {
 			return c.refuse("%s before peer-hello", m.Type)
 		}
-		// Routed outside Exchange.mu: the node answers probes and grants
-		// leases from its own state and may send replies synchronously.
+		// The node answers probes and grants leases from its own state and
+		// may send replies synchronously.
 		if cluster := c.hub.clusterBinding(); cluster != nil {
 			cluster.HandleProbe(m)
 		}
@@ -1018,7 +870,7 @@ func (c *Conn) handleHello(m wire.Message) error {
 	}
 	if alreadyPeer != "" {
 		// A peer session moonlighting as a device would receive both
-		// tiers' pushes and pollute the pushedTo bookkeeping.
+		// tiers' pushes and pollute the delivery bookkeeping.
 		return c.refuse("hello on a session already bound to peer hub %s", alreadyPeer)
 	}
 
@@ -1045,40 +897,17 @@ func (c *Conn) handleHello(m wire.Message) error {
 	c.mu.Unlock()
 	x.conns[sk] = c
 
-	c.push(wire.Message{Type: wire.TypeAck, Ack: &wire.Ack{OK: true, Epoch: x.epoch, Gen: x.gen, V: wire.Version}})
-
-	// Catch-up: every armed signature the client's epoch predates, as a
-	// single batched delta, oldest arming first.
-	var dirty []ProvenanceRecord
-	var sigs []wire.Signature
-	type armedEntry struct {
-		key string
-		e   *fleetSig
+	// The ack, then the catch-up — every armed signature the client's
+	// epoch predates, as a single batched delta — both enqueued in the
+	// mu hold that attached the device, so no live delta can slip
+	// between them.
+	var fx effects
+	x.arb.attach(&fx, tenant, h.Device, epoch)
+	c.push(wire.Message{Type: wire.TypeAck, Ack: &wire.Ack{OK: true, Epoch: x.arb.epoch, Gen: x.gen, V: wire.Version}})
+	if len(fx.catchup) > 0 {
+		c.push(wire.Message{Type: wire.TypeDelta, Delta: &wire.Delta{Epoch: x.arb.epoch, Sigs: fx.catchup}})
 	}
-	var catchup []armedEntry
-	for _, key := range x.order {
-		// Catch-up is tenant-scoped: a session only ever receives its own
-		// tenant's armed signatures. The fleet epoch counter is global, so
-		// a tenant's client may see epoch gaps — harmless, resume is
-		// strictly "armEpoch greater than mine".
-		if e := x.entries[key]; e.armed && e.tenant == tenant && e.armEpoch > epoch {
-			catchup = append(catchup, armedEntry{key, e})
-		}
-	}
-	sort.Slice(catchup, func(i, j int) bool { return catchup[i].e.armEpoch < catchup[j].e.armEpoch })
-	for _, ae := range catchup {
-		sigs = append(sigs, ae.e.ws)
-		if !ae.e.pushedTo[h.Device] {
-			ae.e.pushedTo[h.Device] = true
-			dirty = append(dirty, x.recordLocked(ae.key, ae.e))
-		}
-	}
-	if len(sigs) > 0 {
-		c.push(wire.Message{Type: wire.TypeDelta, Delta: &wire.Delta{Epoch: x.epoch, Sigs: sigs}})
-	}
-	persist := x.persistHandoffLocked(dirty)
-	x.mu.Unlock()
-	persist()
+	x.commit(&fx)
 
 	if stale != nil {
 		// A final failure ack tells the stale session's client to stop
@@ -1095,11 +924,9 @@ func (c *Conn) handleHello(m wire.Message) error {
 }
 
 // handlePeerHello registers an inbound hub-to-hub session: version
-// check, supersede of any
-// stale session from the same hub, an ok ack carrying this hub's
-// owned-arming seq and gen, then a replay of every owned armed
-// signature the peer's seq predates — one arm-broadcast each, oldest
-// first, the hub-to-hub twin of the device catch-up delta.
+// check, supersede of any stale session from the same hub, an ok ack
+// carrying this hub's owned-arming seq and gen, then a replay of every
+// owned armed signature the peer's seq predates (arbiter.peerReplay).
 func (c *Conn) handlePeerHello(m wire.Message) error {
 	h := m.PeerHello
 	if err := checkVersion(m.V, h.MinV, h.MaxV); err != nil {
@@ -1133,7 +960,7 @@ func (c *Conn) handlePeerHello(m wire.Message) error {
 		x.mu.Unlock()
 		return c.refuse("hub is not clustered")
 	}
-	if h.Hub == x.selfID {
+	if h.Hub == x.arb.selfID {
 		x.mu.Unlock()
 		return c.refuse("peer hub id %q collides with this hub", h.Hub)
 	}
@@ -1149,26 +976,9 @@ func (c *Conn) handlePeerHello(m wire.Message) error {
 	x.peers[h.Hub] = c
 
 	c.push(wire.Message{Type: wire.TypeAck,
-		Ack: &wire.Ack{OK: true, Epoch: x.ownerSeq, Gen: x.gen, V: wire.Version}})
-
-	// Replay missed owned armings in seq order.
-	type ownedEntry struct {
-		key string
-		e   *fleetSig
-	}
-	var replay []ownedEntry
-	for _, key := range x.order {
-		if e := x.entries[key]; e.armed && e.owner == x.selfID && e.ownerSeq > h.Seq {
-			replay = append(replay, ownedEntry{key, e})
-		}
-	}
-	sort.Slice(replay, func(i, j int) bool { return replay[i].e.ownerSeq < replay[j].e.ownerSeq })
-	fence := x.cluster.Epoch()
-	for _, oe := range replay {
-		c.push(wire.Message{Type: wire.TypeArmBroadcast,
-			Arm: &wire.ArmBroadcast{Owner: x.selfID, Seq: oe.e.ownerSeq,
-				Confirmations: len(oe.e.confirmedBy), Sig: oe.e.ws, Fence: fence,
-				Tenant: oe.e.tenant}})
+		Ack: &wire.Ack{OK: true, Epoch: x.arb.armSeq(), Gen: x.gen, V: wire.Version}})
+	for _, arm := range x.arb.peerReplay(h.Seq) {
+		c.push(wire.Message{Type: wire.TypeArmBroadcast, Arm: arm})
 	}
 	// Seed the dialer's membership view: the snapshot predates any
 	// admission this handshake itself triggers (PeerSeen below), whose
@@ -1279,6 +1089,7 @@ func (c *Conn) Close() {
 		x.mu.Lock()
 		if sk := sessKey(tenant, device); device != "" && x.conns[sk] == c {
 			delete(x.conns, sk)
+			x.arb.detach(tenant, device)
 			x.met.deviceSessions.Add(-1)
 		}
 		if peerHub != "" && x.peers[peerHub] == c {
@@ -1293,555 +1104,108 @@ func (c *Conn) Close() {
 	})
 }
 
-// report records a single confirmation; tests drive the hub's dedup
-// guards through it directly.
-func (x *Exchange) report(device string, sig *core.Signature) (confirmations int, armed bool) {
-	confirms := x.reportFrom("", device, []*core.Signature{sig}, 0)
-	if len(confirms) == 0 {
-		return 0, false
-	}
-	return confirms[0].Confirmations, confirms[0].Armed
-}
-
-// reportFrom records the batch as confirmations by device and arms
-// signatures whose threshold is reached, under one hub lock and one
-// provenance write. It returns a confirm receipt per signature and is
-// called from transport goroutines with no service or core locks held.
-//
-// In a cluster the hub arbitrates only the signatures it owns. A
-// foreign signature's report is relayed to its owner (the receipt
-// arrives later as a forward-confirm and reaches the device through
-// DeliverConfirm) — unless this hub already delivered the signature to
-// that device, in which case the report is the push coming back and is
-// answered locally as an echo. hops counts forwarding legs already
-// taken: ownership can move while a forward sits in a retry outbox, so
-// a forwarded report for a signature this hub no longer owns is
-// re-forwarded to the current owner while hops < maxForwardHops, then
-// counted locally — churn degrades to one extra hop, never a
-// forwarding loop. Every fresh confirmation of an owned, still-unarmed
-// signature is replicated to the key's deputy so arming survives an
-// owner crash.
+// reportFrom records the batch as confirmations by device (arbiter.
+// report) under one hub lock and one provenance write. It returns a
+// confirm receipt per signature counted or echoed here; a forwarded
+// signature's receipt arrives later through DeliverConfirm. Called from
+// transport goroutines with no service or core locks held.
 func (x *Exchange) reportFrom(tenant, device string, sigs []*core.Signature, hops int) []*wire.Confirm {
+	var fx effects
 	x.mu.Lock()
 	if x.closed {
 		x.mu.Unlock()
 		return nil
 	}
-	threshold := x.thresholdFor(tenant)
-	confirms := make([]*wire.Confirm, 0, len(sigs))
-	var dirty []ProvenanceRecord
-	var fwd []wire.Signature
-	var fwdKeys []string
-	var broadcasts []*wire.ArmBroadcast
-	var replKeys []string
-	var replRecs []wire.OwnedRecord
-	for _, sig := range sigs {
-		// The hub key carries the tenant prefix; the device-facing
-		// confirm carries the plain signature key the device reported —
-		// tenancy never leaks into the device protocol.
-		plainKey := sig.Key()
-		key := tenantKey(tenant, plainKey)
-		x.reports++
-		x.met.reports.Inc()
-		if x.cluster != nil && hops < maxForwardHops && !x.cluster.Owns(key) {
-			if e, ok := x.entries[key]; ok && (e.pushedTo[device] || e.confirmedBy[device]) {
-				// The device only holds the signature because this hub (or
-				// a previous forward) already accounted for it: echo.
-				x.echoes++
-				x.met.echoes.Inc()
-				confirms = append(confirms, &wire.Confirm{Key: plainKey,
-					Confirmations: max(len(e.confirmedBy), e.remoteConfirms), Armed: e.armed})
-				continue
-			}
-			x.forwards++
-			x.met.forwards.Inc()
-			fwd = append(fwd, wire.FromCore(sig))
-			fwdKeys = append(fwdKeys, key)
-			continue
-		}
-		e, ok := x.entries[key]
-		if !ok {
-			e = &fleetSig{
-				sig:         &core.Signature{Kind: sig.Kind, Pairs: core.ClonePairs(sig.Pairs)},
-				ws:          wire.FromCore(sig),
-				seq:         len(x.order) + 1,
-				firstSeen:   device,
-				confirmedBy: make(map[string]bool),
-				pushedTo:    make(map[string]bool),
-				owner:       x.selfID,
-				tenant:      tenant,
-			}
-			x.entries[key] = e
-			x.order = append(x.order, key)
-		}
-		switch {
-		case e.confirmedBy[device] || e.pushedTo[device]:
-			// Already counted, or the device only has the signature
-			// because the hub pushed it there: not an independent
-			// observation.
-			x.echoes++
-			x.met.echoes.Inc()
-		default:
-			e.confirmedBy[device] = true
-			x.confirms++
-			x.met.confirms.Inc()
-			if !e.armed && len(e.confirmedBy) >= threshold && x.mayArmLocked() {
-				x.armLocked(e)
-				if x.cluster != nil && e.owner == x.selfID {
-					broadcasts = append(broadcasts, &wire.ArmBroadcast{Owner: x.selfID, Seq: e.ownerSeq,
-						Confirmations: len(e.confirmedBy), Sig: e.ws, Fence: x.cluster.Epoch(),
-						Tenant: e.tenant})
-				}
-			} else if !e.armed && len(e.confirmedBy) >= threshold {
-				// At threshold without the quorum lease (minority partition
-				// side): park the decision — the set keeps growing and
-				// replicating, and LeaseChanged(true) arms it later.
-				x.parkLocked(key)
-				if x.cluster != nil && e.owner == x.selfID {
-					replKeys = append(replKeys, key)
-					replRecs = append(replRecs, ownedRecordLocked(e))
-				}
-			} else if x.cluster != nil && !e.armed && e.owner == x.selfID {
-				// Pending owned confirmation: copy the full set to the
-				// deputy. Each replicate carries the whole confirmedBy
-				// union, so a lost or reordered copy is repaired by the
-				// next one.
-				replKeys = append(replKeys, key)
-				replRecs = append(replRecs, ownedRecordLocked(e))
-			}
-			dirty = append(dirty, x.recordLocked(key, e))
-		}
-		confirms = append(confirms, &wire.Confirm{Key: plainKey, Confirmations: len(e.confirmedBy), Armed: e.armed})
-	}
-	// Owned armings fan out to every live inbound peer session as one
-	// encode-once frame each; peers that are down catch up from their
-	// next peer-hello's seq.
-	for _, b := range broadcasts {
-		sh := wire.NewShared(wire.Message{Type: wire.TypeArmBroadcast, Arm: b})
-		for _, pc := range x.peers {
-			pc.pushShared(sh)
-		}
-	}
-	cluster := x.cluster
-	persist := x.persistHandoffLocked(dirty)
-	x.mu.Unlock()
-	persist()
-	if len(fwd) > 0 {
-		cluster.ForwardReport(tenant, device, fwd, fwdKeys, hops+1)
-	}
-	for i, key := range replKeys {
-		cluster.Replicate(key, replRecs[i])
-	}
-	return confirms
+	x.arb.report(&fx, tenant, device, sigs, hops)
+	x.commit(&fx)
+	return fx.confirms
 }
 
-// maxForwardHops bounds forwarding legs for one report: the device's
-// own hub plus one re-forward after an ownership move. A report still
-// not home after that is counted where it stands — with set-union
-// confirmations and idempotent arming that costs at worst a slightly
-// split count, never a loop.
-const maxForwardHops = 2
-
-// ownedRecordLocked snapshots an owned entry's provenance slice in its
-// wire form (handoff / deputy replication). Caller holds x.mu.
-func ownedRecordLocked(e *fleetSig) wire.OwnedRecord {
-	return wire.OwnedRecord{
-		Sig:         e.ws,
-		FirstSeen:   e.firstSeen,
-		ConfirmedBy: sortedKeys(e.confirmedBy),
-		Armed:       e.armed,
-		OwnerSeq:    e.ownerSeq,
-		Tenant:      e.tenant,
-	}
-}
-
-// pushArmedLocked marks e armed, assigns the next local fleet epoch,
-// and pushes the delta to every attached device as one encode-once
-// frame — the arming's device-facing half, shared by local armings,
-// remote installs, and handoff imports. Caller holds x.mu. The fleet
-// epoch therefore counts arm events exactly once per signature per
-// hub: epoch == armed-signature count is the no-double-arm invariant
-// the chaos tests assert.
-func (x *Exchange) pushArmedLocked(e *fleetSig) {
-	e.armed = true
-	x.epoch++
-	e.armEpoch = x.epoch
-	x.met.armed.Inc()
-	if len(x.parked) > 0 {
-		// Arming from any path (remote install, handoff, unpark) settles
-		// a parked decision for the same key.
-		x.unparkLocked(tenantKey(e.tenant, e.sig.Key()))
-	}
-	d := wire.NewShared(wire.Message{Type: wire.TypeDelta,
-		Delta: &wire.Delta{Epoch: x.epoch, Sigs: []wire.Signature{e.ws}}})
-	for _, conn := range x.conns {
-		// Deltas go only to the signature's own tenant: arming in tenant
-		// A must be invisible to tenant B's devices. Lock order mu >
-		// Conn.mu holds throughout the hub (handleHello binds the device
-		// under both), so reading the session binding here is safe.
-		conn.mu.Lock()
-		dev, ten := conn.device, conn.tenant
-		conn.mu.Unlock()
-		if ten != e.tenant {
-			continue
-		}
-		conn.pushShared(d)
-		e.pushedTo[dev] = true
-	}
-}
-
-// armLocked arms an owned entry: the device-facing push plus the owner
-// arming seq (cluster mode). Caller holds x.mu and appends the dirty
-// record.
-func (x *Exchange) armLocked(e *fleetSig) {
-	x.pushArmedLocked(e)
-	if x.cluster != nil {
-		x.ownerSeq++
-		e.ownerSeq = x.ownerSeq
-	}
-}
-
-// InstallRemote applies one peer arm-broadcast: the signature is
-// recorded as armed under its owner, assigned this hub's next local
-// fleet epoch, pushed to every attached device, and persisted as a
-// replicated (slim) provenance record. Re-delivered broadcasts — a peer
-// replay after an ownership-ring hiccup, an at-least-once forward
-// outbox — only refresh the replicated metadata. It returns whether the
-// broadcast newly armed the signature here.
-//
-// The fencing rule: a broadcast whose Fence (the sender's membership
-// epoch) is older than this hub's membership epoch is refused with
-// ErrFenced — unless the sender still owns the signature under this
-// hub's ring, in which case the sender is merely behind on membership
-// gossip, not deposed. A returning stale owner therefore cannot arm a
-// signature the cluster re-owned while it was dead, and — because an
-// owner change resets the entry into the new owner's seq namespace
-// instead of taking a cross-owner max — it cannot regress or inflate
-// the owner seq either.
+// InstallRemote applies one peer arm-broadcast (arbiter.remoteArm): the
+// signature is armed under its owner at this hub's next fleet epoch,
+// pushed to every attached device, and persisted slim. A stale owner's
+// broadcast is refused with ErrFenced. It returns whether the broadcast
+// newly armed the signature here.
 func (x *Exchange) InstallRemote(b wire.ArmBroadcast) (bool, error) {
 	sig, err := b.Sig.ToCore()
 	if err != nil {
 		return false, fmt.Errorf("exchange: remote arm from %s: %w", b.Owner, err)
 	}
-	key := tenantKey(b.Tenant, sig.Key())
+	var fx effects
 	x.mu.Lock()
 	if x.closed {
 		x.mu.Unlock()
 		return false, fmt.Errorf("exchange: closed")
 	}
-	if x.cluster != nil && b.Fence < x.cluster.Epoch() && x.cluster.OwnerOf(key) != b.Owner {
-		x.fenced++
-		x.met.fenced.Inc()
-		x.mu.Unlock()
-		return false, ErrFenced
-	}
-	e, ok := x.entries[key]
-	if !ok {
-		e = &fleetSig{
-			sig:         &core.Signature{Kind: sig.Kind, Pairs: core.ClonePairs(sig.Pairs)},
-			ws:          b.Sig,
-			seq:         len(x.order) + 1,
-			confirmedBy: make(map[string]bool),
-			pushedTo:    make(map[string]bool),
-			tenant:      b.Tenant,
-		}
-		x.entries[key] = e
-		x.order = append(x.order, key)
-	}
-	if e.owner != b.Owner {
-		// Ownership moved: enter the new owner's seq namespace at its
-		// seq, never max across namespaces.
-		e.owner = b.Owner
-		e.ownerSeq = b.Seq
-	} else if b.Seq > e.ownerSeq {
-		e.ownerSeq = b.Seq
-	}
-	if b.Confirmations > e.remoteConfirms {
-		e.remoteConfirms = b.Confirmations
-	}
-	applied := !e.armed
-	if applied {
-		x.pushArmedLocked(e)
-		x.remoteInstalls++
-		x.met.remoteInstalls.Inc()
-	}
-	persist := x.persistHandoffLocked([]ProvenanceRecord{x.recordLocked(key, e)})
-	x.mu.Unlock()
-	persist()
-	return applied, nil
+	applied, err := x.arb.remoteArm(&fx, tenantKey(b.Tenant, sig.Key()), sig.Kind, b)
+	x.commit(&fx)
+	return applied, err
 }
 
-// decodedRecord is one owned provenance record with its signature
-// decoded and keyed — replica and handoff batches decode before taking
-// the hub lock.
-type decodedRecord struct {
-	key string
-	sig *core.Signature
-	rec wire.OwnedRecord
-}
-
-func decodeOwnedRecords(from string, recs []wire.OwnedRecord) ([]decodedRecord, error) {
-	out := make([]decodedRecord, 0, len(recs))
-	for _, rec := range recs {
-		sig, err := rec.Sig.ToCore()
-		if err != nil {
-			return nil, fmt.Errorf("exchange: owned record from %s: %w", from, err)
-		}
-		out = append(out, decodedRecord{tenantKey(rec.Tenant, sig.Key()), sig, rec})
-	}
-	return out, nil
-}
-
-// ensureEntryLocked returns the entry for key, creating an empty one
-// (no owner, no firstSeen) if the hub has never seen the signature.
-// Caller holds x.mu.
-func (x *Exchange) ensureEntryLocked(key, tenant string, sig *core.Signature, ws wire.Signature) *fleetSig {
-	e, ok := x.entries[key]
-	if !ok {
-		e = &fleetSig{
-			sig:         &core.Signature{Kind: sig.Kind, Pairs: core.ClonePairs(sig.Pairs)},
-			ws:          ws,
-			seq:         len(x.order) + 1,
-			confirmedBy: make(map[string]bool),
-			pushedTo:    make(map[string]bool),
-			tenant:      tenant,
-		}
-		x.entries[key] = e
-		x.order = append(x.order, key)
-	}
-	return e
-}
-
-// broadcastArmsLocked fans freshly built arm-broadcasts out to every
-// live inbound peer session, one encode-once frame each. Caller holds
-// x.mu.
-func (x *Exchange) broadcastArmsLocked(broadcasts []*wire.ArmBroadcast) {
-	for _, b := range broadcasts {
-		sh := wire.NewShared(wire.Message{Type: wire.TypeArmBroadcast, Arm: b})
-		for _, pc := range x.peers {
-			pc.pushShared(sh)
-		}
-	}
-}
-
-// InstallReplica applies an owner→deputy replicate batch: each record's
-// pending confirmation set is merged (set union — at-least-once
-// delivery and reordering are harmless) into the local shadow entry
-// under the sender's ownership. A replica normally just sits until the
-// owner either arms the signature (broadcast) or dies (the membership
-// change re-owns the key and RebindOwnership promotes the shadow); a
-// replica arriving after this hub already took ownership counts
-// immediately and can arm at threshold.
+// InstallReplica applies an owner→deputy replicate batch
+// (arbiter.replica).
 func (x *Exchange) InstallReplica(owner string, recs []wire.OwnedRecord) error {
-	ds, err := decodeOwnedRecords(owner, recs)
-	if err != nil {
-		return err
-	}
-	x.mu.Lock()
-	if x.closed || x.cluster == nil {
-		x.mu.Unlock()
-		return fmt.Errorf("exchange: closed or not clustered")
-	}
-	var dirty []ProvenanceRecord
-	var broadcasts []*wire.ArmBroadcast
-	for _, d := range ds {
-		e := x.ensureEntryLocked(d.key, d.rec.Tenant, d.sig, d.rec.Sig)
-		if e.firstSeen == "" {
-			e.firstSeen = d.rec.FirstSeen
-		}
-		for _, dev := range d.rec.ConfirmedBy {
-			e.confirmedBy[dev] = true
-		}
-		if e.owner != x.selfID {
-			e.owner = owner
-		}
-		x.met.replicaRecords.Inc()
-		if e.owner == x.selfID && !e.armed && len(e.confirmedBy) >= x.thresholdFor(e.tenant) {
-			if x.mayArmLocked() {
-				x.armLocked(e)
-				broadcasts = append(broadcasts, &wire.ArmBroadcast{Owner: x.selfID, Seq: e.ownerSeq,
-					Confirmations: len(e.confirmedBy), Sig: e.ws, Fence: x.cluster.Epoch(),
-					Tenant: e.tenant})
-			} else {
-				x.parkLocked(d.key)
-			}
-		}
-		dirty = append(dirty, x.recordLocked(d.key, e))
-	}
-	x.broadcastArmsLocked(broadcasts)
-	persist := x.persistHandoffLocked(dirty)
-	x.mu.Unlock()
-	persist()
-	return nil
+	return x.applyOwned(owner, recs, x.arb.replica)
 }
 
 // ImportOwned applies a handoff batch: provenance slices for keys whose
-// ownership moved to this hub. Confirmation sets merge by union and
-// arm state by or — a record already armed by the previous owner is
-// installed (and re-sequenced into this owner's namespace), a pending
-// record past threshold arms now, and everything else resumes counting
-// exactly where the previous owner stopped. A record this hub does not
-// own under its current ring (the sender's membership was behind) is
-// kept as a shadow replica of the true owner instead of being dropped.
+// ownership moved to this hub (arbiter.importOwned).
 func (x *Exchange) ImportOwned(from string, recs []wire.OwnedRecord) error {
+	return x.applyOwned(from, recs, x.arb.importOwned)
+}
+
+// applyOwned decodes a peer's owned-record batch outside the hub lock
+// and runs one arbiter event over it.
+func (x *Exchange) applyOwned(from string, recs []wire.OwnedRecord, event func(*effects, string, []decodedRecord)) error {
 	ds, err := decodeOwnedRecords(from, recs)
 	if err != nil {
 		return err
 	}
+	var fx effects
 	x.mu.Lock()
 	if x.closed || x.cluster == nil {
 		x.mu.Unlock()
 		return fmt.Errorf("exchange: closed or not clustered")
 	}
-	var dirty []ProvenanceRecord
-	var broadcasts []*wire.ArmBroadcast
-	for _, d := range ds {
-		e := x.ensureEntryLocked(d.key, d.rec.Tenant, d.sig, d.rec.Sig)
-		if e.firstSeen == "" {
-			e.firstSeen = d.rec.FirstSeen
-		}
-		for _, dev := range d.rec.ConfirmedBy {
-			e.confirmedBy[dev] = true
-		}
-		x.met.handoffRecords.Inc()
-		if x.cluster.Owns(d.key) {
-			prevOwner := e.owner
-			e.owner = x.selfID
-			switch {
-			case !e.armed && d.rec.Armed:
-				// The previous owner armed it and died before every peer saw
-				// the broadcast: installing its decision is not a fresh one,
-				// so the quorum lease does not gate it — arm under this
-				// owner's seq and tell the cluster.
-				x.armLocked(e)
-				broadcasts = append(broadcasts, &wire.ArmBroadcast{Owner: x.selfID, Seq: e.ownerSeq,
-					Confirmations: len(e.confirmedBy), Sig: e.ws, Fence: x.cluster.Epoch(),
-					Tenant: e.tenant})
-			case !e.armed && len(e.confirmedBy) >= x.thresholdFor(e.tenant):
-				// The merged set crosses the threshold here: a fresh
-				// decision, taken only under the lease.
-				if x.mayArmLocked() {
-					x.armLocked(e)
-					broadcasts = append(broadcasts, &wire.ArmBroadcast{Owner: x.selfID, Seq: e.ownerSeq,
-						Confirmations: len(e.confirmedBy), Sig: e.ws, Fence: x.cluster.Epoch(),
-						Tenant: e.tenant})
-				} else {
-					x.parkLocked(d.key)
-				}
-			case e.armed && prevOwner != x.selfID:
-				// Already armed here as a replica; adopting ownership moves
-				// the arming into this owner's seq namespace so peer
-				// catch-up replays stay coherent.
-				x.ownerSeq++
-				e.ownerSeq = x.ownerSeq
-			}
-		} else {
-			if e.owner != x.selfID {
-				e.owner = x.cluster.OwnerOf(d.key)
-			}
-			if d.rec.Armed && !e.armed {
-				x.pushArmedLocked(e)
-				x.remoteInstalls++
-				x.met.remoteInstalls.Inc()
-			}
-		}
-		dirty = append(dirty, x.recordLocked(d.key, e))
-	}
-	x.broadcastArmsLocked(broadcasts)
-	persist := x.persistHandoffLocked(dirty)
-	x.mu.Unlock()
-	persist()
+	event(&fx, from, ds)
+	x.commit(&fx)
 	return nil
 }
 
 // RebindOwnership re-evaluates every entry against the current live
-// ring after a membership change. Keys this hub gained are promoted —
-// an armed replica is re-sequenced into this owner's namespace, a
-// pending shadow set past threshold arms immediately (the deputy
-// assuming a dead owner's keys is exactly this path) — and keys it
-// lost are demoted, with their provenance slices returned grouped by
-// new owner for the cluster node to hand off. The handoff ordering is
-// therefore: membership applied first (so Owns answers move), local
+// ring after a membership change (arbiter.rebind) and returns the
+// provenance slices of the keys this hub lost, grouped by new owner,
+// for the cluster node to hand off. The handoff ordering is therefore:
+// membership applied first (so Owns answers move), local
 // promotion/demotion second, handoff enqueue third — a report arriving
 // in between is forwarded to the new owner, whose set-union merge makes
 // the race harmless.
 func (x *Exchange) RebindOwnership() map[string][]wire.OwnedRecord {
+	var fx effects
 	x.mu.Lock()
 	if x.closed || x.cluster == nil {
 		x.mu.Unlock()
 		return nil
 	}
-	handoffs := make(map[string][]wire.OwnedRecord)
-	var dirty []ProvenanceRecord
-	var broadcasts []*wire.ArmBroadcast
-	for _, key := range x.order {
-		e := x.entries[key]
-		newOwner := x.cluster.OwnerOf(key)
-		switch {
-		case newOwner == x.selfID && e.owner != x.selfID:
-			e.owner = x.selfID
-			if e.armed {
-				x.ownerSeq++
-				e.ownerSeq = x.ownerSeq
-			} else {
-				e.ownerSeq = 0
-				if len(e.confirmedBy) >= x.thresholdFor(e.tenant) {
-					// Promotion arming (the deputy assuming a dead owner's
-					// keys) is a fresh decision: only under the lease. Safe
-					// against the deposed owner's residual lease because the
-					// suspicion window outlives the lease TTL.
-					if x.mayArmLocked() {
-						x.armLocked(e)
-						broadcasts = append(broadcasts, &wire.ArmBroadcast{Owner: x.selfID, Seq: e.ownerSeq,
-							Confirmations: len(e.confirmedBy), Sig: e.ws, Fence: x.cluster.Epoch(),
-							Tenant: e.tenant})
-					} else {
-						x.parkLocked(key)
-					}
-				}
-			}
-			dirty = append(dirty, x.recordLocked(key, e))
-		case newOwner != x.selfID && e.owner == x.selfID:
-			handoffs[newOwner] = append(handoffs[newOwner], ownedRecordLocked(e))
-			e.owner = newOwner
-			// The demoted entry leaves this owner's seq namespace; the new
-			// owner re-sequences on import and its broadcasts re-stamp it.
-			e.ownerSeq = 0
-			dirty = append(dirty, x.recordLocked(key, e))
-		}
-	}
-	x.broadcastArmsLocked(broadcasts)
-	persist := x.persistHandoffLocked(dirty)
-	x.mu.Unlock()
-	persist()
-	return handoffs
+	x.arb.rebind(&fx)
+	x.commit(&fx)
+	return fx.handoffs
 }
 
-// mayArmLocked asks the cluster binding whether a fresh arming
-// decision is currently allowed — true outside a cluster or without a
-// quorum lease. Caller holds x.mu; the binding's answer is one atomic
-// load.
-func (x *Exchange) mayArmLocked() bool {
-	return x.cluster == nil || x.cluster.MayArm()
-}
-
-// parkLocked defers a threshold crossing until the lease returns.
-// Caller holds x.mu.
-func (x *Exchange) parkLocked(key string) {
-	if !x.parked[key] {
-		x.parked[key] = true
-		x.met.parkedArms.Inc()
-		x.met.parkedGauge.Set(int64(len(x.parked)))
+// LeaseAcquired is the cluster node's notification that the quorum
+// lease was acquired: the hub re-decides the threshold crossings it
+// parked while it sat on the minority side of a partition
+// (arbiter.leaseAcquired). Losing the lease needs no notification —
+// the parked set only grows through MayArm. Called without x.mu held.
+func (x *Exchange) LeaseAcquired() {
+	var fx effects
+	x.mu.Lock()
+	if x.closed {
+		x.mu.Unlock()
+		return
 	}
-}
-
-// unparkLocked settles a parked decision (the key armed, or no longer
-// qualifies). Caller holds x.mu.
-func (x *Exchange) unparkLocked(key string) {
-	if x.parked[key] {
-		delete(x.parked, key)
-		x.met.parkedGauge.Set(int64(len(x.parked)))
-	}
+	x.arb.leaseAcquired(&fx)
+	x.commit(&fx)
 }
 
 // clusterBinding reads the bound cluster node (nil outside a
@@ -1850,69 +1214,6 @@ func (x *Exchange) clusterBinding() ClusterBinding {
 	x.mu.Lock()
 	defer x.mu.Unlock()
 	return x.cluster
-}
-
-// LeaseChanged is the cluster node's notification that the quorum
-// lease was acquired (held=true) or lost (held=false). On acquisition
-// the hub re-scans the parked set and arms every entry that still
-// qualifies — this hub's pending decisions deferred while it sat on
-// the minority side of a partition; entries that armed meanwhile via a
-// peer broadcast, or moved to another owner, simply unpark. On loss
-// there is nothing to do: the parked set only grows via the arm-path
-// gates. Called without x.mu held.
-func (x *Exchange) LeaseChanged(held bool) {
-	if !held {
-		return
-	}
-	x.mu.Lock()
-	if x.closed || len(x.parked) == 0 {
-		x.mu.Unlock()
-		return
-	}
-	keys := make([]string, 0, len(x.parked))
-	for key := range x.parked {
-		keys = append(keys, key)
-	}
-	sort.Strings(keys)
-	var dirty []ProvenanceRecord
-	var broadcasts []*wire.ArmBroadcast
-	for _, key := range keys {
-		e, ok := x.entries[key]
-		if !ok || e.armed {
-			x.unparkLocked(key)
-			continue
-		}
-		if !x.mayArmLocked() {
-			break // the lease flapped away mid-scan; the rest stays parked
-		}
-		if len(e.confirmedBy) < x.thresholdFor(e.tenant) {
-			x.unparkLocked(key) // no longer qualifies (it never should shrink, but stay safe)
-			continue
-		}
-		x.armLocked(e)
-		if x.cluster != nil && e.owner == x.selfID {
-			broadcasts = append(broadcasts, &wire.ArmBroadcast{Owner: x.selfID, Seq: e.ownerSeq,
-				Confirmations: len(e.confirmedBy), Sig: e.ws, Fence: x.cluster.Epoch(),
-				Tenant: e.tenant})
-		}
-		dirty = append(dirty, x.recordLocked(key, e))
-	}
-	x.broadcastArmsLocked(broadcasts)
-	persist := x.persistHandoffLocked(dirty)
-	x.mu.Unlock()
-	persist()
-}
-
-// applyMemberUpdate forwards a peer's membership snapshot to the
-// cluster binding. Runs without x.mu held across the apply — merging
-// can re-bind ownership, which locks the hub.
-func (x *Exchange) applyMemberUpdate(u wire.MemberUpdate) {
-	x.mu.Lock()
-	cluster := x.cluster
-	x.mu.Unlock()
-	if cluster != nil {
-		cluster.ApplyMemberUpdate(u)
-	}
 }
 
 // DeliverConfirm relays an owner's forward-confirm receipt to the
@@ -1934,126 +1235,93 @@ func (x *Exchange) DeliverConfirm(tenant, device string, cf wire.Confirm) {
 func (x *Exchange) RemoteSeqs() map[string]uint64 {
 	x.mu.Lock()
 	defer x.mu.Unlock()
-	out := make(map[string]uint64)
-	for _, key := range x.order {
-		e := x.entries[key]
-		if e.owner != "" && e.owner != x.selfID && e.ownerSeq > out[e.owner] {
-			out[e.owner] = e.ownerSeq
-		}
-	}
-	return out
+	return x.arb.remoteSeqs()
 }
 
 // status snapshots the hub as a wire status payload.
 func (x *Exchange) status() *wire.Status {
 	x.mu.Lock()
 	defer x.mu.Unlock()
+	selfID := x.arb.selfID
 	st := &wire.Status{
-		Epoch:     x.epoch,
-		Threshold: x.threshold,
+		Epoch:     x.arb.epoch,
+		Threshold: x.arb.threshold,
 		Batching:  wire.Batching{Batches: x.batchBatches.Load(), Signatures: x.batchSigs.Load()},
-		Hub:       x.selfID,
+		Hub:       selfID,
 	}
 	for id := range x.conns {
 		st.Devices = append(st.Devices, id)
 	}
 	sort.Strings(st.Devices)
+	// The default "" tenant is the status payload's top level itself;
+	// every other tenant gets a summary row.
+	tenants := make(map[string]*wire.TenantStatus)
+	tenant := func(t string) *wire.TenantStatus {
+		ts, ok := tenants[t]
+		if !ok {
+			ts = &wire.TenantStatus{Tenant: t, Threshold: x.arb.thresholdFor(t)}
+			tenants[t] = ts
+		}
+		return ts
+	}
+	for t := range x.arb.tenantThresholds {
+		if t != "" {
+			tenant(t)
+		}
+	}
+	for _, conn := range x.conns {
+		if t := conn.Tenant(); t != "" {
+			tenant(t).Devices++
+		}
+	}
+	var owned, remote int
+	for _, p := range x.arb.view() {
+		st.Provenance = append(st.Provenance, wire.SigStatus{
+			Key:           p.Key,
+			Kind:          p.Kind.String(),
+			FirstSeen:     p.FirstSeen,
+			Confirmations: p.Confirmations,
+			ConfirmedBy:   p.ConfirmedBy,
+			Armed:         p.Armed,
+			Owner:         p.Owner,
+			Tenant:        p.Tenant,
+		})
+		if p.Owner != "" && p.Owner != selfID {
+			remote++
+		} else {
+			owned++
+		}
+		if p.Tenant != "" {
+			ts := tenant(p.Tenant)
+			ts.Sigs++
+			if p.Armed {
+				ts.Armed++
+			}
+		}
+	}
+	for _, ts := range tenants {
+		st.Tenants = append(st.Tenants, *ts)
+	}
+	sort.Slice(st.Tenants, func(i, j int) bool { return st.Tenants[i].Tenant < st.Tenants[j].Tenant })
 	if x.cluster != nil {
 		snap := x.cluster.MemberSnapshot()
 		cs := &wire.ClusterStatus{
 			Members:         x.cluster.Members(),
-			OwnerSeq:        x.ownerSeq,
-			Forwards:        x.forwards,
+			OwnerSeq:        x.arb.armSeq(),
+			Forwards:        x.n.forwards,
 			MembershipEpoch: snap.Epoch,
 			Ring:            snap.Members,
-			Fenced:          x.fenced,
+			Fenced:          x.n.fenced,
+			Owned:           owned,
+			Remote:          remote,
 		}
 		for id := range x.peers {
 			cs.Peers = append(cs.Peers, id)
 		}
 		sort.Strings(cs.Peers)
-		for _, key := range x.order {
-			if e := x.entries[key]; e.owner != "" && e.owner != x.selfID {
-				cs.Remote++
-			} else {
-				cs.Owned++
-			}
-		}
 		st.Cluster = cs
 	}
-	for _, key := range x.order {
-		e := x.entries[key]
-		st.Provenance = append(st.Provenance, wire.SigStatus{
-			Key:           key,
-			Kind:          e.sig.Kind.String(),
-			FirstSeen:     e.firstSeen,
-			Confirmations: max(len(e.confirmedBy), e.remoteConfirms),
-			ConfirmedBy:   x.confirmedByView(e),
-			Armed:         e.armed,
-			Owner:         e.owner,
-			Tenant:        e.tenant,
-		})
-	}
-	st.Tenants = x.tenantViewLocked()
 	return st
-}
-
-// tenantViewLocked summarizes the non-default tenants: signatures,
-// armings, effective threshold, and attached devices, per tenant. The
-// default "" tenant is the status payload's top level itself. Caller
-// holds x.mu.
-func (x *Exchange) tenantViewLocked() []wire.TenantStatus {
-	acc := make(map[string]*wire.TenantStatus)
-	get := func(t string) *wire.TenantStatus {
-		ts, ok := acc[t]
-		if !ok {
-			ts = &wire.TenantStatus{Tenant: t, Threshold: x.thresholdFor(t)}
-			acc[t] = ts
-		}
-		return ts
-	}
-	for t := range x.tenantThresholds {
-		if t != "" {
-			get(t)
-		}
-	}
-	for _, key := range x.order {
-		if e := x.entries[key]; e.tenant != "" {
-			ts := get(e.tenant)
-			ts.Sigs++
-			if e.armed {
-				ts.Armed++
-			}
-		}
-	}
-	for _, conn := range x.conns {
-		conn.mu.Lock()
-		t := conn.tenant
-		conn.mu.Unlock()
-		if t != "" {
-			get(t).Devices++
-		}
-	}
-	if len(acc) == 0 {
-		return nil
-	}
-	out := make([]wire.TenantStatus, 0, len(acc))
-	for _, ts := range acc {
-		out = append(out, *ts)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Tenant < out[j].Tenant })
-	return out
-}
-
-// confirmedByView is the externally visible confirmation set: only the
-// owning hub exposes it — a deputy's shadow copy is an implementation
-// detail of failover, and showing it would break the operator contract
-// that exactly one hub holds the authoritative set.
-func (x *Exchange) confirmedByView(e *fleetSig) []string {
-	if e.owner != "" && e.owner != x.selfID {
-		return nil
-	}
-	return sortedKeys(e.confirmedBy)
 }
 
 // Status returns the hub's observability snapshot — the same payload a
@@ -2065,28 +1333,14 @@ func (x *Exchange) Status() wire.Status { return *x.status() }
 func (x *Exchange) Provenance() []Provenance {
 	x.mu.Lock()
 	defer x.mu.Unlock()
-	out := make([]Provenance, 0, len(x.order))
-	for _, key := range x.order {
-		e := x.entries[key]
-		out = append(out, Provenance{
-			Key:           key,
-			Kind:          e.sig.Kind,
-			FirstSeen:     e.firstSeen,
-			Confirmations: max(len(e.confirmedBy), e.remoteConfirms),
-			ConfirmedBy:   x.confirmedByView(e),
-			Armed:         e.armed,
-			Owner:         e.owner,
-			Tenant:        e.tenant,
-		})
-	}
-	return out
+	return x.arb.view()
 }
 
 // ArmedCount returns how many signatures are armed fleet-wide.
 func (x *Exchange) ArmedCount() int {
 	x.mu.Lock()
 	defer x.mu.Unlock()
-	return int(x.epoch)
+	return int(x.arb.epoch)
 }
 
 // Stats snapshots the hub counters.
@@ -2094,21 +1348,21 @@ func (x *Exchange) Stats() ExchangeStats {
 	x.mu.Lock()
 	defer x.mu.Unlock()
 	return ExchangeStats{
-		Epoch:             x.epoch,
+		Epoch:             x.arb.epoch,
 		Devices:           len(x.conns),
-		Reports:           x.reports,
-		Confirmations:     x.confirms,
-		Echoes:            x.echoes,
+		Reports:           x.n.reports,
+		Confirmations:     x.n.confirms,
+		Echoes:            x.n.echoes,
 		DeltaBatches:      x.batchBatches.Load(),
 		DeltaSignatures:   x.batchSigs.Load(),
 		PersistErrors:     x.persistErrors.Load(),
-		Forwards:          x.forwards,
-		RemoteInstalls:    x.remoteInstalls,
-		Fenced:            x.fenced,
+		Forwards:          x.n.forwards,
+		RemoteInstalls:    x.n.remoteInstalls,
+		Fenced:            x.n.fenced,
 		AdmissionAdmitted: x.admit.Admitted(),
 		AdmissionDelayed:  x.admit.Delayed(),
 		AdmissionShed:     x.admit.Shed(),
-		Parked:            len(x.parked),
+		Parked:            x.arb.parkedCount(),
 	}
 }
 

@@ -24,6 +24,16 @@ func newTestHub(t *testing.T, threshold int, opts ...ExchangeOption) *Exchange {
 	return hub
 }
 
+// report records a single default-tenant confirmation, driving the hub's
+// dedup guards directly.
+func (x *Exchange) report(device string, sig *core.Signature) (confirmations int, armed bool) {
+	confirms := x.reportFrom("", device, []*core.Signature{sig}, 0)
+	if len(confirms) == 0 {
+		return 0, false
+	}
+	return confirms[0].Confirmations, confirms[0].Armed
+}
+
 // phoneSim is one simulated device: a service with a live subscribed core.
 type phoneSim struct {
 	svc    *Service

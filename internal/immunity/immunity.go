@@ -99,6 +99,38 @@
 // any identity and all traffic is one implicit tenant. That is the
 // correct posture on a trusted network.
 //
+// # Decision point
+//
+// The Exchange is two halves. The arbiter (arbiter.go) is the decision
+// half: a plain struct — no lock, goroutine, clock, store, session or
+// metric — that owns every signature's fleet state and sees the cluster
+// only through ClusterBinding's four pure queries. It has one method
+// per event (load, bind, attach/detach, report, remoteArm, replica,
+// importOwned, rebind, leaseAcquired, peerReplay, view), and every one
+// that touches an entry ends in arbiter.settle, the only place that
+// arms, parks, assigns an owner seq or builds an arm-broadcast:
+//
+//   - a key another hub owns is never decided here — it only installs
+//     that hub's decision, and never carries a seq of this hub's;
+//   - an owned (or standalone) key arms once its confirmation set
+//     reaches the tenant's threshold and MayArm grants it, and parks at
+//     threshold without the grant;
+//   - an arming made here is broadcast, once, under this hub's next seq.
+//
+// The Exchange itself is the I/O shell: options, auth and handshakes,
+// sessions and their push queues, admission, metrics, the store, the
+// binding's sinks. Each entry point takes Exchange.mu, runs one arbiter
+// event, and applies the effects it returned (Exchange.commit) in two
+// classes. Deltas and arm-broadcasts are enqueued on the session push
+// queues before mu is released, so each session receives armings in
+// decision order and a hello's ack-then-catch-up cannot be overtaken by
+// a live delta; the store write, forwards, replicates and handoffs run
+// after the release, the write under persistMu taken while mu was still
+// held so the log keeps mutation order. Lock order: Exchange.mu >
+// Conn.mu, Exchange.mu > push-queue locks, Exchange.mu > persistMu >
+// store locks; the binding's pure queries take only the node's leaf
+// locks, and its sinks are called with no hub lock held.
+//
 // # Durable provenance
 //
 // With WithProvenanceStore the hub upserts every confirmation, push,
@@ -205,12 +237,10 @@
 //
 // and delivery goroutines acquire core.Core.mu with no immunity lock
 // held, so no cycle through the two subsystems is possible. The
-// Exchange obeys the same rule one level up: Exchange.mu is only held
-// to mutate fleet state and enqueue pushes (Exchange.mu >
-// Exchange.persistMu > provenance-store locks); session deliveries into
-// a phone's Service run on per-connection queue goroutines without
-// Exchange.mu, and transport send callbacks run only on those
-// goroutines.
+// Exchange obeys the same rule one level up (its own order is under
+// "Decision point"): session deliveries into a phone's Service run on
+// per-connection queue goroutines without Exchange.mu, and transport
+// send callbacks run only on those goroutines.
 package immunity
 
 import (

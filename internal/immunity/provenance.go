@@ -67,12 +67,16 @@ type ProvenanceRecord struct {
 }
 
 // ProvenanceStore persists hub provenance across restarts. Append
-// upserts one record (last write per key wins on Load); Load returns the
+// upserts one record (last write per key wins on Load) and AppendBatch
+// several, in order, as one write — the hub persists each mutation's
+// whole dirty set (an arming that touched every device's pushedTo, a
+// catch-up spanning many signatures) through it; Load returns the
 // latest record per key. Implementations must be safe for concurrent
 // use.
 type ProvenanceStore interface {
 	Load() ([]ProvenanceRecord, error)
 	Append(rec ProvenanceRecord) error
+	AppendBatch(recs []ProvenanceRecord) error
 }
 
 // DefaultCompactThreshold is how many dead (superseded) upsert lines a
@@ -249,11 +253,9 @@ func (f *FileProvenance) Append(rec ProvenanceRecord) error {
 }
 
 // AppendBatch writes several upsert records in one open/write/close
-// cycle. The hub persists a whole mutation's dirty set (an arming that
-// touched every device's pushedTo, a catch-up spanning many signatures)
-// through this instead of reopening the log per record. When the
-// append pushes the dead-line count past the compaction threshold, the
-// log is rewritten as a snapshot before returning.
+// cycle instead of reopening the log per record. When the append
+// pushes the dead-line count past the compaction threshold, the log is
+// rewritten as a snapshot before returning.
 func (f *FileProvenance) AppendBatch(recs []ProvenanceRecord) error {
 	var buf []byte
 	for _, rec := range recs {
@@ -388,11 +390,20 @@ func (m *MemProvenance) Load() ([]ProvenanceRecord, error) {
 
 // Append upserts one record.
 func (m *MemProvenance) Append(rec ProvenanceRecord) error {
-	if rec.Key == "" {
-		return fmt.Errorf("append provenance: empty key")
+	return m.AppendBatch([]ProvenanceRecord{rec})
+}
+
+// AppendBatch upserts several records, all or none.
+func (m *MemProvenance) AppendBatch(recs []ProvenanceRecord) error {
+	for _, rec := range recs {
+		if rec.Key == "" {
+			return fmt.Errorf("append provenance: empty key")
+		}
 	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	m.recs[rec.Key] = rec
+	for _, rec := range recs {
+		m.recs[rec.Key] = rec
+	}
 	return nil
 }

@@ -1,12 +1,13 @@
 // Benchmark harness regenerating every table and figure of the paper's
-// evaluation (§5), plus ablations of the design choices called out in
-// DESIGN.md. Each experiment has one Benchmark* entry:
+// evaluation (§5), plus ablations of the engine's design choices. Each
+// experiment has one Benchmark* entry:
 //
 //	E1  BenchmarkE1DeadlockImmunity    — §5 ¶2: avoided reoccurrence of the
 //	                                     NotificationManagerService /
 //	                                     StatusBarService deadlock
 //	E2  BenchmarkTable1Throughput      — Table 1: per-app syncs/sec
 //	E3  BenchmarkMicroSyncThroughput   — §5 ¶4: 2–512 threads, 64–256 sigs
+//	    BenchmarkMicroOperatingPoint   — E3 per-op, at the calibrated point
 //	E4  BenchmarkPowerAttribution      — §5 ¶5: battery share
 //	E5  BenchmarkTable1Memory          — §5 ¶6 / Table 1 memory columns
 //	E6  BenchmarkSyncSiteCensus        — §3.2 static census
@@ -15,7 +16,12 @@
 //	A3  BenchmarkAblationFattening     — thin fast path vs always-fat
 //	A4  BenchmarkAblationGlobalLock    — cost of the core's three calls
 //	A5  BenchmarkAblationStaticIDs     — stack capture vs compiler ids
+//	    BenchmarkLooperRoundTrip       — Handler.Post under interception
+//	    BenchmarkFleet                 — unpaced multi-process stress
 //	    BenchmarkAvoidanceMatching     — signature-count scaling
+//
+// Per-layer rungs (engine fast path, propagation latency, the fleet
+// tier) live in bench/ and are read with bash bench/run.sh --trace 1.
 //
 // Scenario benchmarks (E1/E2/E4/E5) time one full scenario per iteration
 // and attach domain metrics via b.ReportMetric; operation benchmarks
@@ -24,8 +30,6 @@ package dimmunix_test
 
 import (
 	"fmt"
-	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -414,71 +418,6 @@ func BenchmarkLooperRoundTrip(b *testing.B) {
 			<-poster.Done()
 			<-done
 		})
-	}
-}
-
-// --- sharded engine: uncontended monitorenter throughput ----------------------
-
-// BenchmarkUncontendedEnter measures the full Request/Acquired/Release
-// interception cycle for uncontended monitorenters (per-goroutine private
-// lock and position, named by no signature — the common case) on the
-// serial reference engine vs the sharded fast path, at increasing
-// goroutine counts. This is the before/after number for the sharded
-// low-contention engine.
-func BenchmarkUncontendedEnter(b *testing.B) {
-	for _, mode := range []struct {
-		name   string
-		serial bool
-	}{{"serial", true}, {"sharded", false}} {
-		for _, gor := range []int{1, 2, 8} {
-			b.Run(fmt.Sprintf("engine=%s/goroutines=%d", mode.name, gor), func(b *testing.B) {
-				c, err := core.New(core.WithSerialEngine(mode.serial))
-				if err != nil {
-					b.Fatal(err)
-				}
-				defer c.Close()
-				// Exactly gor goroutines (RunParallel would multiply by
-				// GOMAXPROCS), each cycling a private lock and position:
-				// uncontended monitorenters through the full interception.
-				perG := (b.N + gor - 1) / gor
-				var wg sync.WaitGroup
-				var failed atomic.Bool
-				b.ResetTimer()
-				for i := 0; i < gor; i++ {
-					wg.Add(1)
-					go func(i int) {
-						defer wg.Done()
-						t := c.NewThreadNode(fmt.Sprintf("w%d", i), nil)
-						l := c.NewLockNode(fmt.Sprintf("l%d", i))
-						pos, err := c.Intern(core.CallStack{{Class: "com.bench.Private", Method: "m", Line: i}})
-						if err != nil {
-							failed.Store(true)
-							return
-						}
-						for n := 0; n < perG; n++ {
-							if err := c.Request(t, l, pos); err != nil {
-								failed.Store(true)
-								return
-							}
-							c.Acquired(t, l)
-							c.Release(t, l)
-						}
-					}(i)
-				}
-				wg.Wait()
-				b.StopTimer()
-				if failed.Load() {
-					b.Fatal("worker failed")
-				}
-				st := c.Stats()
-				if !mode.serial && st.FastRequests == 0 {
-					b.Fatal("sharded engine never took the fast path")
-				}
-				if mode.serial && st.FastRequests != 0 {
-					b.Fatal("serial engine took the fast path")
-				}
-			})
-		}
 	}
 }
 

@@ -1,85 +1,73 @@
-// Command immunityd is the fleet immunity daemon and its test harness.
+// Command immunityd is the fleet immunity daemon. One invocation plays
+// one of three roles: a hub (-serve), a client driving running hubs
+// (-connect, optionally -storm), or a utility that mints trust material
+// and exits (-gen-ca, -gen-cert, -mint-token). It builds a hub only in
+// -serve; everything that drives a hub in-process is a Go test (go test
+// ./internal/workload) or examples/fleet-immunity. Every flag belongs
+// to the modes flagModes lists for it; a flag given outside them is an
+// error, never silently dropped.
 //
-// In serve mode it is a long-running hub: the signature exchange served
-// over TCP (the versioned wire protocol of internal/immunity/wire),
-// durable provenance in a file store so a daemon restart loses no
-// confirmation and never re-arms below threshold, and an HTTP server
-// with three endpoints: /status exposing the fleet epoch, per-signature
-// provenance, connected devices, delta-batching counters, and the live
-// per-second rate windows as JSON; /metrics exposing the hub's full
-// instrument registry (internal/immunity/metrics) in Prometheus text
-// format — session gauges, push-queue depth/in-flight, drain batch-size
-// and coalesce-ratio histograms, report-handling latency (wait-included
-// and wait-excluded), per-peer forward outbox lag and redial counters,
-// persist/compaction errors, admission verdicts, build info, uptime,
-// windowed rate gauges (immunity_hub_reports_per_second{window="1m"}
-// and friends), and SLO state; and /slo exposing each objective's
-// ok/warn/breach verdict, breach count, and last transition as JSON.
+// # The hub: -serve
 //
-// Report-path admission control is enabled with -admit N: at most N
-// report messages (device reports and peer forward-reports) are
-// processed concurrently, an over-capacity message waits up to
-// -admit-wait (the device sees a slow ack; TCP sees backpressure), and
-// a message still waiting at the deadline is shed — dropped without
-// killing the session, recovered by the client's full-history re-report
-// on its next reconnect. A report storm therefore degrades to bounded
-// delay instead of unbounded hub memory; watch it live in the
-// immunity_hub_admission_* series on /metrics.
+// A long-running hub: the signature exchange served over TCP
+// (internal/immunity/wire), durable provenance in a file store so a
+// restart loses no confirmation and never re-arms below threshold, and
+// an HTTP server with three endpoints: /status (fleet epoch,
+// per-signature provenance, connected devices, delta-batching counters,
+// live per-second rate windows, as JSON), /metrics (the hub's whole
+// instrument registry, internal/immunity/metrics, in Prometheus text
+// format) and /slo (each objective's ok/warn/breach verdict, breach
+// count, and last transition, as JSON).
 //
-// -admit auto replaces the fixed capacity with an AIMD controller: the
-// daemon samples its own counters every -slo-interval, evaluates the
-// report-latency objective (p99 wait-included report handling ≤
-// -slo-target over sliding windows) and the shed-zero objective, and
-// resizes the admission pool on each verdict — additive increase while
-// latency is ok and sessions were queueing, multiplicative decrease on
-// breach or shed. Capacity converges to the widest value the latency
-// target tolerates; the immunity_hub_admission_aimd_* counters on
-// /metrics trace every step of the controller.
+// -admit N bounds the report path: at most N report messages (device
+// reports and peer forward-reports) are processed concurrently, an
+// over-capacity message waits up to -admit-wait (the device sees a slow
+// ack; TCP sees backpressure), and a message still waiting at the
+// deadline is shed — dropped without killing the session, recovered by
+// the client's full-history re-report on its next reconnect. -admit
+// auto replaces the fixed capacity with an AIMD controller: every
+// -slo-interval the daemon evaluates the report-latency objective (p99
+// wait-included report handling ≤ -slo-target), shed-zero, and the
+// backlog objectives (-slo-backlog: push-queue depth and summed
+// forward-outbox lag), and resizes the pool on each verdict — additive
+// increase while ok and sessions were queueing, multiplicative decrease
+// on breach or shed. The immunity_hub_admission_* series trace every
+// step. On breach/clear transitions the hub can page: -alert-url POSTs
+// the alert as JSON, -alert-exec runs a shell command with the alert in
+// IMMUNITY_ALERT_* env vars, behind a cooldown dedup guard.
 //
-// With -hub and -peers, serve mode federates the daemon into a hub
-// cluster (internal/immunity/cluster): each signature is owned by
-// exactly one hub via a rendezvous ring over the member ids, non-owner
-// hubs forward device reports to the owner, and the owner's armings are
-// broadcast cluster-wide. Devices may attach to any hub. A 3-hub
-// cluster on one machine:
+// With -hub and -peers the hub federates into a cluster
+// (internal/immunity/cluster): each signature is owned by exactly one
+// hub via a rendezvous ring over the member ids, non-owner hubs forward
+// device reports to the owner, and the owner's armings are broadcast
+// cluster-wide. Devices may attach to any hub. A 3-hub cluster on one
+// machine:
 //
 //	immunityd -serve -hub hub0 -listen :7676 -http :7677 -peers hub1=localhost:7686,hub2=localhost:7696
 //	immunityd -serve -hub hub1 -listen :7686 -http :7687 -peers hub0=localhost:7676,hub2=localhost:7696
 //	immunityd -serve -hub hub2 -listen :7696 -http :7697 -peers hub0=localhost:7676,hub1=localhost:7686
 //
-// Membership is elastic: -peers (or its alias -join) is a seed, not the
-// final roster — a joining hub may name a single existing member and
-// learns the rest from membership snapshots, and every hub dials
-// members it discovers at the address they advertise with -advertise
-// (defaults to -listen; set it explicitly when -listen is a wildcard).
-// With -failover-after D each hub runs a SWIM-style failure detector
-// over its peer links: members are probed round-robin with direct
-// pings, a missed ack triggers indirect ping-reqs relayed through
-// other members, and only a member that answers nobody through the
-// suspicion window is condemned — a slow or flapping link alone
-// convicts no one. A condemned member's keys fail over to their
-// deputies (which already hold replicas of the pending confirmation
-// sets). Arming authority is a quorum lease: a hub arms and hands off
-// only while a majority of the membership has acked its lease, so the
-// minority side of a partition parks its threshold crossings (instead
-// of arming a double) until the heal, when the parked decisions drain
-// against the majority's arms; epoch fencing of a stale owner's
-// replayed broadcasts remains as the backstop, and -no-lease restores
-// the fencing-only merge semantics. -probe-interval/-probe-timeout/
-// -probe-suspect/-probe-indirect and -lease-ttl override the windows
-// derived from -failover-after. -leave makes shutdown graceful: the
-// hub down-marks itself, hands its owned slice off, and drains its
-// outboxes before exiting. The /status document shows the membership
-// ring (members, liveness, epoch) and the peer links; /status?owner=
-// KEY answers which hub owns — and which hub is deputy for — a
-// signature key. -fault-isolate AFTER:DUR scripts a deterministic
-// outage into a live hub (internal/immunity/fault): AFTER into the
-// run its outbound peer links are cut — the asymmetric partition, it
-// hears its peers while its acks, lease renewals, and broadcasts
-// vanish — and DUR later the links heal; acceptance drives watch the
-// log markers and the immunity_cluster_lease_* counters.
+// Membership is elastic: -peers is a seed, not the final roster — a
+// joining hub may name a single existing member and learns the rest
+// from membership snapshots, and every hub dials members it discovers
+// at the address they advertise with -advertise (defaults to -listen;
+// set it explicitly when -listen is a wildcard). With -failover-after D
+// each hub runs a SWIM-style failure detector over its peer links
+// (direct pings, then indirect ping-reqs, then a suspicion window;
+// -probe-* override the windows derived from D), a condemned member's
+// keys fail over to their deputies, and arming authority is a quorum
+// lease (-lease-ttl): the minority side of a partition parks its
+// threshold crossings until the heal instead of arming a double.
+// -no-lease falls back to epoch fencing alone; -leave hands the owned
+// slice off and drains the outboxes on shutdown. /status shows the
+// membership ring and the peer links; /status?owner=KEY answers which
+// hub owns — and which is deputy for — a signature key. -fault-isolate
+// AFTER:DUR scripts an outage into a live hub (internal/immunity/fault):
+// AFTER into the run its outbound peer links are cut — it hears its
+// peers while its acks, lease renewals, and broadcasts vanish — and DUR
+// later they heal.
 //
-// The trust fabric is opt-in per daemon. -tls-cert/-tls-key serve the
+// The trust fabric is opt-in per hub. -tls-cert/-tls-key serve the
 // exchange listener under TLS; adding -tls-ca turns the cluster mutual:
 // outbound peer links dial with the hub's own certificate, inbound
 // peer-hellos must present a fleet-CA client certificate whose common
@@ -90,71 +78,35 @@
 // under that key; the token's tenant claim scopes the session into an
 // isolated tenant fleet — per-tenant signature keys, provenance,
 // thresholds (-tenant-threshold tenant=N,...), pushes, and /status
-// views. Two utilities mint the material and exit:
+// views.
+//
+// # The client: -connect
+//
+// Runs the fleet immunity workload against running hubs across real
+// sockets; -connect takes one address, or a comma-separated list across
+// which the workload's phones attach round-robin to exercise a cluster.
+// With -storm it instead floods the hubs with per-signature report
+// messages from -phones concurrent devices and verifies every signature
+// still arms cluster-wide (the admission counters are on the hubs'
+// /metrics). -ramp-warmup/-ramp-flood shape the storm: a paced
+// single-signature warmup at -ramp-rate reports/s (the demand signal
+// that lets an AIMD controller grow), then a full-batch flood (the
+// overload that makes it retreat). -tls-ca verifies the hubs' server
+// certificates and -token is the bearer token every device hello
+// carries.
+//
+// # The utilities
 //
 //	immunityd -gen-ca DIR                          # fleet CA → DIR/ca.pem + DIR/ca-key.pem
 //	immunityd -gen-cert NAME -ca DIR [-hosts ...]  # leaf → DIR/NAME.pem + DIR/NAME-key.pem
 //	immunityd -mint-token -auth-key K [-tenant T] [-device D] [-ttl D]
 //
-// Client and storm modes take -tls-ca (verify the daemons' server
-// certificates) and -token (the bearer token every device hello
-// carries) to drive authenticated daemons.
-//
-// On SLO breach/clear transitions serve mode can page: -alert-url POSTs
-// the alert as JSON to a webhook, -alert-exec runs a shell command with
-// the alert in IMMUNITY_ALERT_* env vars; a cooldown dedup guard keeps
-// a flapping objective from paging repeatedly, and deliveries are
-// counted in immunity_slo_alerts_total. Backlog objectives (-slo-backlog)
-// watch the push-queue depth and summed forward-outbox lag; with -admit
-// auto the AIMD controller retreats on backlog breaches too, not just
-// report latency.
-//
-// -chaos runs the kill/restart acceptance drive in-process: a
-// federation of -hubs hubs storms -sigs signatures from -phones
-// devices while the owner of an in-flight slice is killed
-// mid-confirmation and restarted (-kills cycles), then asserts
-// federation equivalence — every hub converges to the single-hub
-// reference's armed set with zero double-arms. -chaos -partition S
-// swaps the kill for a network partition driven by the deterministic
-// fault layer: S is symmetric (the minority hub is cut off entirely,
-// loses its lease, and parks every crossing), asymmetric (only its
-// outbound word is cut — it still hears the majority while its lease
-// quietly dies), or flap (the link blinks faster than the suspicion
-// window and nobody may be condemned). Each scenario asserts zero
-// double-arms during the split and convergence to the single-hub
-// reference after the heal; add -no-lease for the fencing-only
-// regression baseline in which both sides arm and the union merge
-// must still converge.
-//
-// In client mode it runs the fleet immunity workload against such
-// daemons across real sockets; -connect takes one address — or a
-// comma-separated list, across which the workload's phones attach
-// round-robin to exercise a cluster. Without either flag it runs the
-// self-contained simulation (in-process hub or cluster, loopback or TCP
-// transport).
-//
-// -storm floods the exchange with per-signature report messages from
-// -phones concurrent devices (against the daemons in -connect, or an
-// in-process hub/cluster otherwise) and verifies every signature still
-// arms cluster-wide — the admission-control acceptance drive. In the
-// in-process form the admission counters are printed; against external
-// daemons they are scraped from /metrics. With -ramp-warmup/-ramp-flood
-// the storm is shaped instead of flat: a paced single-signature warmup
-// at -ramp-rate reports/s (the demand signal that lets an AIMD
-// controller grow), then a full-batch flood (the overload that makes it
-// retreat) — pair it with in-process -admit auto, or aim it at daemons
-// serving with -admit auto, to watch capacity adapt end to end.
-//
 // Usage:
 //
 //	immunityd -serve [-listen ADDR] [-http ADDR] [-threshold N] [-provenance FILE] [-admit N|auto -admit-wait D] [-slo-target D -slo-interval D -slo-backlog N] [-alert-url URL] [-alert-exec CMD] [-tls-cert F -tls-key F [-tls-ca F]] [-auth-key K | -auth-keyring F] [-tenant-threshold T=N,...] [-hub ID -peers ID=ADDR,... [-advertise ADDR] [-failover-after D] [-probe-interval D -probe-timeout D -probe-suspect D -probe-indirect N] [-lease-ttl D] [-no-lease] [-fault-isolate AFTER:DUR] [-leave]]
 //	immunityd -connect ADDR[,ADDR...] [-phones N] [-procs N] [-threshold N] [-timeout D] [-tls-ca F] [-token T]
-//	immunityd -storm [-connect ADDR[,ADDR...]] [-phones N] [-sigs N] [-threshold N] [-hubs N] [-admit N|auto -admit-wait D] [-ramp-warmup D -ramp-flood D -ramp-rate N] [-timeout D] [-tls-ca F] [-token T]
+//	immunityd -connect ADDR[,ADDR...] -storm [-phones N] [-sigs N] [-threshold N] [-ramp-warmup D -ramp-flood D -ramp-rate N] [-timeout D] [-tls-ca F] [-token T]
 //	immunityd -gen-ca DIR | -gen-cert NAME -ca DIR [-hosts H,...] | -mint-token -auth-key K [-tenant T] [-device D] [-ttl D]
-//	immunityd -chaos [-phones N] [-sigs N] [-threshold N] [-hubs N] [-kills N] [-failover-after D] [-timeout D]
-//	immunityd -chaos -partition symmetric|asymmetric|flap [-no-lease] [-phones N] [-sigs N] [-threshold N] [-hubs N] [-failover-after D] [-timeout D]
-//	immunityd [-phones N] [-procs N] [-threshold N] [-timeout D] [-transport loopback|tcp] [-hubs N]
-//	immunityd -propagation [-procs N] [-sigs N] [-tcp]
 package main
 
 import (
@@ -190,281 +142,236 @@ func main() {
 	}
 }
 
-func run(args []string) error {
+// mode is what one immunityd invocation does.
+type mode uint
+
+const (
+	modeServe     mode = 1 << iota // a standalone hub
+	modeFederated                  // a hub federated into a cluster
+	modeClient                     // the fleet immunity workload against running hubs
+	modeStorm                      // the report storm against running hubs
+	modeGen                        // mint TLS material and exit
+	modeMint                       // mint a bearer token and exit
+
+	anyServe  = modeServe | modeFederated
+	anyClient = modeClient | modeStorm
+)
+
+// modeNames spells each mode, in bit order, as the flags that select it.
+var modeNames = [...]string{"-serve", "-serve -peers", "-connect", "-connect -storm", "-gen-ca/-gen-cert", "-mint-token"}
+
+func (m mode) String() string {
+	var names []string
+	for i, name := range modeNames {
+		if m&(1<<i) != 0 {
+			names = append(names, name)
+		}
+	}
+	if names == nil {
+		return "none"
+	}
+	return strings.Join(names, ", ")
+}
+
+// flagModes is the one rule for which flag goes with which mode: run
+// walks the flags actually set against it once the mode is known, so a
+// flag outside its modes is an error by construction. Every registered
+// flag has an entry (TestImmunitydFlagModes enforces it).
+var flagModes = func() map[string]mode {
+	t := make(map[string]mode)
+	for m, flags := range map[mode]string{
+		anyServe | anyClient: "threshold tls-ca",
+		anyServe | modeMint:  "auth-key",
+		anyServe: "serve listen http provenance admit admit-wait slo-target slo-interval slo-backlog " +
+			"alert-url alert-exec tls-cert tls-key auth-keyring tenant-threshold",
+		modeFederated: "peers hub advertise failover-after leave probe-interval probe-timeout " +
+			"probe-suspect probe-indirect lease-ttl no-lease fault-isolate",
+		anyClient:  "connect phones timeout token",
+		modeClient: "procs",
+		modeStorm:  "storm sigs ramp-warmup ramp-flood ramp-rate",
+		modeGen:    "gen-ca gen-cert ca hosts",
+		modeMint:   "mint-token tenant device ttl",
+	} {
+		for _, name := range strings.Fields(flags) {
+			t[name] |= m
+		}
+	}
+	return t
+}()
+
+// Serve-mode defaults, stated once: the flag definitions and
+// serveConfig.withDefaults both read them.
+const (
+	defaultSLOTarget     = 25 * time.Millisecond
+	defaultSLOInterval   = time.Second
+	defaultBacklogTarget = 1024
+)
+
+// cli holds every flag's parsed value.
+type cli struct {
+	// The hub: sc receives the serve flags that need no translation,
+	// serveConfigFromFlags parses the raw strings beside it.
+	sc                                             serveConfig
+	serve                                          bool
+	peers, faultIsolate, admit                     string
+	tlsCert, tlsKey, authKeyring, tenantThresholds string
+	// The client.
+	storm                          bool
+	connect, token                 string
+	phones, procs, sigs, rampRate  int
+	timeout, rampWarmup, rampFlood time.Duration
+	// The utilities.
+	mintToken                                    bool
+	genCA, genCert, caDir, hosts, tenant, device string
+	ttl                                          time.Duration
+	// Shared between roles (-threshold is sc.threshold).
+	tlsCA, authKey string
+}
+
+// newFlags registers the whole flag surface.
+func newFlags() (*flag.FlagSet, *cli) {
 	fs := flag.NewFlagSet("immunityd", flag.ContinueOnError)
-	phones := fs.Int("phones", 4, "simulated phones in the fleet")
-	procs := fs.Int("procs", 3, "live application processes per phone")
-	threshold := fs.Int("threshold", 2, "distinct devices that must confirm a signature before fleet-wide arming")
-	timeout := fs.Duration("timeout", 30*time.Second, "scenario deadline")
-	transport := fs.String("transport", "loopback", "simulation transport: loopback or tcp")
-	propagation := fs.Bool("propagation", false, "measure only the publish→all-armed latency")
-	sigs := fs.Int("sigs", 64, "signatures to publish in -propagation mode")
-	tcp := fs.Bool("tcp", false, "with -propagation: measure the cross-device tier over TCP instead of the on-device tier")
-	serve := fs.Bool("serve", false, "run as a long-lived exchange daemon")
-	listen := fs.String("listen", "127.0.0.1:7676", "with -serve: TCP listen address for the exchange wire protocol")
-	httpAddr := fs.String("http", "127.0.0.1:7677", "with -serve: HTTP listen address for /status (empty disables)")
-	provenance := fs.String("provenance", "", "with -serve: provenance store file (empty keeps fleet state in memory only)")
-	hubID := fs.String("hub", "", "with -serve: this hub's cluster id (required with -peers)")
-	peers := fs.String("peers", "", "with -serve: comma-separated id=addr peer hubs to federate with (a seed — the rest of the membership is learned)")
-	join := fs.String("join", "", "with -serve: alias of -peers (a joining hub may name a single existing member)")
-	advertise := fs.String("advertise", "", "with -serve and federation: the address other members dial this hub at (default: the -listen address)")
-	failoverAfter := fs.Duration("failover-after", 0, "with -serve and federation (or -chaos): declare a member dead after its peer link is down this long and fail its keys over to deputies (0 disables)")
-	leave := fs.Bool("leave", false, "with -serve and federation: leave the membership gracefully on shutdown (hand off owned keys, drain outboxes)")
-	hubs := fs.Int("hubs", 1, "simulation: federate the in-process exchange into this many hubs")
-	connect := fs.String("connect", "", "run the fleet workload in client mode against the exchange daemon(s) at this comma-separated address list")
-	admit := fs.String("admit", "", "report-path admission: a pool capacity, or 'auto' for AIMD adaptive capacity driven by the latency SLO (empty disables; applies to -serve and the in-process -storm)")
-	admitWait := fs.Duration("admit-wait", 5*time.Second, "bounded wait before an over-capacity report is shed (keep well below the 30s wire write timeout)")
-	sloTarget := fs.Duration("slo-target", 25*time.Millisecond, "latency SLO: p99 report-handling time (admission wait included) must stay at or under this")
-	sloInterval := fs.Duration("slo-interval", time.Second, "SLO evaluation and rate-sampling tick")
-	storm := fs.Bool("storm", false, "flood the exchange with per-signature reports from -phones devices and verify arming still completes")
-	chaos := fs.Bool("chaos", false, "in-process kill/restart drive: storm a federation while killing and restarting an owner hub, then assert federation equivalence")
-	kills := fs.Int("kills", 1, "with -chaos: kill/restart cycles")
-	partition := fs.String("partition", "", "with -chaos: run a network-partition scenario (symmetric, asymmetric, or flap) instead of kill/restart — split the federation mid-storm, assert the minority parks under its lost lease, heal, assert convergence")
-	probeInterval := fs.Duration("probe-interval", 0, "with federation failure detection: round-robin probe period (0 derives from -failover-after)")
-	probeTimeout := fs.Duration("probe-timeout", 0, "with federation failure detection: direct ping-ack deadline before indirect probing (0 derives from -failover-after)")
-	probeSuspect := fs.Duration("probe-suspect", 0, "with federation failure detection: suspicion hold before a silent member is condemned (0 derives from -failover-after)")
-	probeIndirect := fs.Int("probe-indirect", 0, "with federation failure detection: proxy members asked to relay indirect ping-reqs per suspicion (0 = default 2)")
-	leaseTTL := fs.Duration("lease-ttl", 0, "with federation failure detection: quorum-lease lifetime (0 derives from the probe windows; always clamped to probe-timeout+probe-suspect)")
-	noLease := fs.Bool("no-lease", false, "with federation failure detection: disable the quorum lease and fall back to epoch fencing alone (both partition sides keep arming)")
-	faultIsolate := fs.String("fault-isolate", "", "with -serve federation: AFTER:DUR — cut this hub's outbound peer links AFTER into the run and heal them DUR later (deterministic fault injection for acceptance drives)")
-	rampWarmup := fs.Duration("ramp-warmup", 0, "with -storm: paced single-signature warmup phase before the flood")
-	rampFlood := fs.Duration("ramp-flood", 0, "with -storm: continuous full-batch flood phase after the warmup")
-	rampRate := fs.Int("ramp-rate", 20, "with -storm: warmup reports per second per device")
-	genCA := fs.String("gen-ca", "", "utility: mint a dev fleet CA into this directory (ca.pem + ca-key.pem) and exit")
-	genCert := fs.String("gen-cert", "", "utility: issue a leaf certificate with this name (the mutual-TLS peer identity) under the CA in -ca, writing NAME.pem + NAME-key.pem beside it, and exit")
-	caDir := fs.String("ca", "", "with -gen-cert: directory holding ca.pem + ca-key.pem (as written by -gen-ca; defaults to the -gen-ca directory when both are given)")
-	hostsFlag := fs.String("hosts", "", "with -gen-cert: comma-separated SAN hosts/IPs (default 127.0.0.1,::1,localhost)")
-	mintToken := fs.Bool("mint-token", false, "utility: mint a device bearer token signed by -auth-key and exit (claims from -tenant, -device, -ttl)")
-	tenantFlag := fs.String("tenant", "", "with -mint-token: the token's tenant claim (empty = the default tenant)")
-	deviceFlag := fs.String("device", "*", "with -mint-token: the token's device claim ('*' = any device in the tenant)")
-	ttl := fs.Duration("ttl", 0, "with -mint-token: token lifetime (0 = never expires)")
-	tlsCert := fs.String("tls-cert", "", "with -serve: serve the exchange listener under TLS with this certificate (PEM; requires -tls-key)")
-	tlsKey := fs.String("tls-key", "", "with -serve: the TLS certificate's private key (PEM)")
-	tlsCA := fs.String("tls-ca", "", "trust anchors (PEM): with -serve, verifies peer-hub client certificates and outbound peer dials (mutual TLS); with -connect, verifies the daemons' server certificates")
-	authKey := fs.String("auth-key", "", "with -serve: require token-authenticated hellos, verified under this static HMAC key (also the signing key for -mint-token)")
-	authKeyring := fs.String("auth-keyring", "", "with -serve: require token-authenticated hellos, verified against this kid:key keyring file")
-	tenantThresholdsFlag := fs.String("tenant-threshold", "", "with -serve: per-tenant confirm thresholds as tenant=N[,tenant=N...] (unlisted tenants use -threshold)")
-	alertURL := fs.String("alert-url", "", "with -serve: POST SLO breach/clear alerts to this webhook URL as JSON")
-	alertExec := fs.String("alert-exec", "", "with -serve: run this shell command on SLO breach/clear (alert in IMMUNITY_ALERT_* env)")
-	tokenFlag := fs.String("token", "", "with -connect: bearer token each device's hello carries (for daemons serving with -auth-key/-auth-keyring)")
-	backlogTarget := fs.Int("slo-backlog", 1024, "with -serve: backlog SLO target — the push-queue depth and the summed forward-outbox lag must each stay at or under this many frames")
+	c := new(cli)
+	fs.BoolVar(&c.serve, "serve", false, "run as a long-lived hub")
+	fs.StringVar(&c.sc.listen, "listen", "127.0.0.1:7676", "TCP listen address for the exchange wire protocol")
+	fs.StringVar(&c.sc.httpAddr, "http", "127.0.0.1:7677", "HTTP listen address for /status, /metrics and /slo (empty disables)")
+	fs.StringVar(&c.sc.provenance, "provenance", "", "provenance store file (empty keeps fleet state in memory only)")
+	fs.IntVar(&c.sc.threshold, "threshold", 2, "distinct devices that must confirm a signature before fleet-wide arming")
+	fs.StringVar(&c.sc.hubID, "hub", "", "this hub's cluster id (required with -peers)")
+	fs.StringVar(&c.peers, "peers", "", "comma-separated id=addr peer hubs to federate with (a seed — a joining hub may name a single existing member and learns the rest)")
+	fs.StringVar(&c.sc.advertise, "advertise", "", "the address other members dial this hub at (default: the -listen address)")
+	fs.DurationVar(&c.sc.failoverAfter, "failover-after", 0, "declare a member dead after its peer link is down this long and fail its keys over to deputies (0 disables)")
+	fs.BoolVar(&c.sc.leave, "leave", false, "leave the membership gracefully on shutdown (hand off owned keys, drain outboxes)")
+	fs.DurationVar(&c.sc.probeInterval, "probe-interval", 0, "failure detection: round-robin probe period (0 derives from -failover-after)")
+	fs.DurationVar(&c.sc.probeTimeout, "probe-timeout", 0, "failure detection: direct ping-ack deadline before indirect probing (0 derives from -failover-after)")
+	fs.DurationVar(&c.sc.probeSuspect, "probe-suspect", 0, "failure detection: suspicion hold before a silent member is condemned (0 derives from -failover-after)")
+	fs.IntVar(&c.sc.probeIndirect, "probe-indirect", 0, "failure detection: proxy members asked to relay indirect ping-reqs per suspicion (0 = default 2)")
+	fs.DurationVar(&c.sc.leaseTTL, "lease-ttl", 0, "failure detection: quorum-lease lifetime (0 derives from the probe windows; always clamped to probe-timeout+probe-suspect)")
+	fs.BoolVar(&c.sc.noLease, "no-lease", false, "failure detection: disable the quorum lease and fall back to epoch fencing alone (both partition sides keep arming)")
+	fs.StringVar(&c.faultIsolate, "fault-isolate", "", "AFTER:DUR — cut this hub's outbound peer links AFTER into the run and heal them DUR later (deterministic fault injection for drills; needs -failover-after)")
+	fs.StringVar(&c.admit, "admit", "", "report-path admission: a pool capacity, or 'auto' for AIMD adaptive capacity driven by the SLOs (empty disables)")
+	fs.DurationVar(&c.sc.admitWait, "admit-wait", 5*time.Second, "bounded wait before an over-capacity report is shed (keep well below the 30s wire write timeout)")
+	fs.DurationVar(&c.sc.sloTarget, "slo-target", defaultSLOTarget, "latency SLO: p99 report-handling time (admission wait included) must stay at or under this")
+	fs.DurationVar(&c.sc.sloInterval, "slo-interval", defaultSLOInterval, "SLO evaluation and rate-sampling tick")
+	fs.IntVar(&c.sc.backlogTarget, "slo-backlog", defaultBacklogTarget, "backlog SLO: the push-queue depth and the summed forward-outbox lag must each stay at or under this many frames")
+	fs.StringVar(&c.sc.alertURL, "alert-url", "", "POST SLO breach/clear alerts to this webhook URL as JSON")
+	fs.StringVar(&c.sc.alertExec, "alert-exec", "", "run this shell command on SLO breach/clear (alert in IMMUNITY_ALERT_* env)")
+	fs.StringVar(&c.tlsCert, "tls-cert", "", "serve the exchange listener under TLS with this certificate (PEM; requires -tls-key)")
+	fs.StringVar(&c.tlsKey, "tls-key", "", "the TLS certificate's private key (PEM)")
+	fs.StringVar(&c.tlsCA, "tls-ca", "", "trust anchors (PEM): a hub verifies peer-hub client certificates and outbound peer dials with it (mutual TLS); a client verifies the hubs' server certificates")
+	fs.StringVar(&c.authKey, "auth-key", "", "require token-authenticated hellos, verified under this static HMAC key (also the signing key for -mint-token)")
+	fs.StringVar(&c.authKeyring, "auth-keyring", "", "require token-authenticated hellos, verified against this kid:key keyring file")
+	fs.StringVar(&c.tenantThresholds, "tenant-threshold", "", "per-tenant confirm thresholds as tenant=N[,tenant=N...] (unlisted tenants use -threshold)")
+	fs.StringVar(&c.connect, "connect", "", "run the fleet immunity workload as a client of the hub(s) at this comma-separated address list")
+	fs.StringVar(&c.token, "token", "", "bearer token each device's hello carries (for hubs serving with -auth-key/-auth-keyring)")
+	fs.BoolVar(&c.storm, "storm", false, "with -connect: flood the hubs with per-signature reports from -phones devices and verify arming still completes")
+	fs.IntVar(&c.phones, "phones", 4, "simulated phones in the fleet")
+	fs.IntVar(&c.procs, "procs", 3, "live application processes per phone")
+	fs.IntVar(&c.sigs, "sigs", 64, "signatures every storm device reports")
+	fs.DurationVar(&c.timeout, "timeout", 30*time.Second, "scenario deadline")
+	fs.DurationVar(&c.rampWarmup, "ramp-warmup", 0, "paced single-signature warmup phase before the flood")
+	fs.DurationVar(&c.rampFlood, "ramp-flood", 0, "continuous full-batch flood phase after the warmup")
+	fs.IntVar(&c.rampRate, "ramp-rate", 20, "warmup reports per second per device")
+	fs.StringVar(&c.genCA, "gen-ca", "", "mint a dev fleet CA into this directory (ca.pem + ca-key.pem) and exit")
+	fs.StringVar(&c.genCert, "gen-cert", "", "issue a leaf certificate with this name (the mutual-TLS peer identity) under the CA in -ca, writing NAME.pem + NAME-key.pem beside it, and exit")
+	fs.StringVar(&c.caDir, "ca", "", "directory holding ca.pem + ca-key.pem (as written by -gen-ca; defaults to the -gen-ca directory when both are given)")
+	fs.StringVar(&c.hosts, "hosts", "", "comma-separated SAN hosts/IPs (default 127.0.0.1,::1,localhost)")
+	fs.BoolVar(&c.mintToken, "mint-token", false, "mint a device bearer token signed by -auth-key and exit (claims from -tenant, -device, -ttl)")
+	fs.StringVar(&c.tenant, "tenant", "", "the token's tenant claim (empty = the default tenant)")
+	fs.StringVar(&c.device, "device", "*", "the token's device claim ('*' = any device in the tenant)")
+	fs.DurationVar(&c.ttl, "ttl", 0, "token lifetime (0 = never expires)")
+	return fs, c
+}
+
+// selectMode reads the mode off the selector flags.
+func (c *cli) selectMode() mode {
+	switch {
+	case c.genCA != "" || c.genCert != "":
+		return modeGen
+	case c.mintToken:
+		return modeMint
+	case c.serve && c.peers != "":
+		return modeFederated
+	case c.serve:
+		return modeServe
+	case c.storm:
+		return modeStorm
+	case c.connect != "":
+		return modeClient
+	}
+	return 0
+}
+
+// checkFlagModes rejects the first flag set on the command line that
+// flagModes does not list under m.
+func checkFlagModes(fs *flag.FlagSet, m mode) (err error) {
+	fs.Visit(func(f *flag.Flag) {
+		if err == nil && flagModes[f.Name]&m == 0 {
+			err = fmt.Errorf("-%s does not apply here (mode: %s; it applies to: %s)", f.Name, m, flagModes[f.Name])
+		}
+	})
+	return err
+}
+
+const modesHelp = `immunityd runs in one mode per invocation:
+  -serve [-hub ID -peers ID=ADDR,...]   a hub: TCP exchange, provenance file, /status /metrics /slo
+  -connect ADDR[,ADDR...] [-storm]      a client: the fleet immunity workload (or a report storm) against running hubs
+  -gen-ca DIR | -gen-cert NAME -ca DIR  mint a dev fleet CA / a leaf certificate and exit
+  -mint-token -auth-key K               mint a device bearer token and exit
+It builds a hub only in -serve. The in-process drives (simulation, chaos,
+partition, storm) are tests: go test ./internal/workload ; the smallest
+end-to-end fleet is go run ./examples/fleet-immunity ; -h lists every flag.
+`
+
+func run(args []string) error {
+	fs, c := newFlags()
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	if *genCA != "" || *genCert != "" {
-		return runGenTLS(*genCA, *genCert, *caDir, *hostsFlag)
+	m := c.selectMode()
+	if m == 0 && fs.NFlag() == 0 {
+		fmt.Print(modesHelp)
+		return nil
 	}
-	if *mintToken {
-		return runMintToken(*authKey, *tenantFlag, *deviceFlag, *ttl)
-	}
-	admitCap, admitAuto, err := parseAdmit(*admit)
-	if err != nil {
+	if err := checkFlagModes(fs, m); err != nil {
 		return err
 	}
-
-	if *serve {
-		if *chaos {
-			return fmt.Errorf("-chaos is an in-process drive, not a serve mode")
-		}
-		seed := *peers
-		if *join != "" {
-			if seed != "" {
-				seed += ","
-			}
-			seed += *join
-		}
-		// Auth and TLS material come first: peer transports are built
-		// from the seed below and must dial with the hub's certificate
-		// when the cluster runs mutual TLS.
-		var verifier auth.Verifier
-		switch {
-		case *authKey != "" && *authKeyring != "":
-			return fmt.Errorf("-auth-key and -auth-keyring are mutually exclusive")
-		case *authKey != "":
-			verifier = auth.NewStatic([]byte(*authKey))
-		case *authKeyring != "":
-			var err error
-			if verifier, err = auth.LoadKeyring(*authKeyring); err != nil {
-				return err
-			}
-		}
-		var serveTLS *tls.Config
-		var peerDial []immunity.TCPOption
-		peerAuth := false
-		if *tlsCert != "" || *tlsKey != "" {
-			if *tlsCert == "" || *tlsKey == "" {
-				return fmt.Errorf("-tls-cert and -tls-key go together")
-			}
-			cert, err := tls.LoadX509KeyPair(*tlsCert, *tlsKey)
-			if err != nil {
-				return fmt.Errorf("tls keypair: %w", err)
-			}
-			var pool *x509.CertPool
-			if *tlsCA != "" {
-				if pool, err = loadCertPool(*tlsCA); err != nil {
-					return err
-				}
-			}
-			serveTLS = auth.ServerConfig(cert, pool)
-			if pool != nil {
-				// Mutual TLS material is complete: outbound peer links
-				// dial with the hub's own certificate, and inbound
-				// peer-hellos must carry a fleet-CA certificate naming
-				// the claimed hub.
-				peerDial = []immunity.TCPOption{immunity.WithDialTLS(auth.PeerConfig(cert, pool, ""))}
-				peerAuth = true
-			}
-		} else if *tlsCA != "" {
-			return fmt.Errorf("-tls-ca with -serve requires -tls-cert/-tls-key (the hub's own certificate)")
-		}
-		members, err := parsePeers(seed, peerDial...)
+	switch m {
+	case modeGen:
+		return runGenTLS(c.genCA, c.genCert, c.caDir, c.hosts)
+	case modeMint:
+		return runMintToken(c.authKey, c.tenant, c.device, c.ttl)
+	case modeServe, modeFederated:
+		sc, err := serveConfigFromFlags(c)
 		if err != nil {
-			return err
-		}
-		if len(members) > 0 && *hubID == "" {
-			return fmt.Errorf("-peers/-join requires -hub (this hub's cluster id)")
-		}
-		if len(members) == 0 && (*advertise != "" || *failoverAfter != 0 || *leave) {
-			return fmt.Errorf("-advertise/-failover-after/-leave apply to a federated hub (-peers/-join)")
-		}
-		if len(members) == 0 && (*probeInterval != 0 || *probeTimeout != 0 || *probeSuspect != 0 ||
-			*probeIndirect != 0 || *leaseTTL != 0 || *noLease || *faultIsolate != "") {
-			return fmt.Errorf("-probe-*/-lease-ttl/-no-lease/-fault-isolate apply to a federated hub (-peers/-join)")
-		}
-		if *partition != "" {
-			return fmt.Errorf("-partition is an in-process -chaos scenario, not a serve mode")
-		}
-		faultAfter, faultDur, err := parseFaultIsolate(*faultIsolate)
-		if err != nil {
-			return err
-		}
-		if faultAfter > 0 && *failoverAfter == 0 {
-			return fmt.Errorf("-fault-isolate needs -failover-after (without detection the isolation is just a stalled outbox)")
-		}
-		adv := *advertise
-		if adv == "" {
-			adv = *listen
-		}
-		sc := serveConfig{
-			listen: *listen, httpAddr: *httpAddr, threshold: *threshold,
-			provenance: *provenance, hubID: *hubID, peers: members,
-			advertise: adv, failoverAfter: *failoverAfter, leave: *leave,
-			probeInterval: *probeInterval, probeTimeout: *probeTimeout,
-			probeSuspect: *probeSuspect, probeIndirect: *probeIndirect,
-			leaseTTL: *leaseTTL, noLease: *noLease,
-			faultAfter: faultAfter, faultDur: faultDur,
-			admit: admitCap, admitAuto: admitAuto,
-			admitWait: *admitWait, sloTarget: *sloTarget, sloInterval: *sloInterval,
-			backlogTarget: *backlogTarget, alertURL: *alertURL, alertExec: *alertExec,
-			verifier: verifier, serveTLS: serveTLS, peerDial: peerDial, peerAuth: peerAuth,
-		}
-		if sc.tenantThresholds, err = parseTenantThresholds(*tenantThresholdsFlag); err != nil {
 			return err
 		}
 		return runServe(sc)
 	}
-	if *peers != "" || *join != "" || *hubID != "" {
-		return fmt.Errorf("-hub/-peers/-join only apply to -serve (use -hubs N for the simulation)")
-	}
-	if (*advertise != "" || *leave) && !*serve {
-		return fmt.Errorf("-advertise/-leave only apply to -serve")
-	}
-	if *tlsCert != "" || *tlsKey != "" || *authKey != "" || *authKeyring != "" ||
-		*tenantThresholdsFlag != "" || *alertURL != "" || *alertExec != "" {
-		return fmt.Errorf("-tls-cert/-tls-key/-auth-key/-auth-keyring/-tenant-threshold/-alert-url/-alert-exec only apply to -serve (or the -gen-ca/-gen-cert/-mint-token utilities)")
-	}
-	if (*tokenFlag != "" || *tlsCA != "") && *connect == "" {
-		return fmt.Errorf("-token/-tls-ca outside -serve require -connect (client mode against authenticated daemons)")
+
+	if c.connect == "" {
+		return fmt.Errorf("-storm needs -connect (the in-process storm is go test -run TestRunReportStorm ./internal/workload)")
 	}
 	var clientTLS *tls.Config
-	if *tlsCA != "" {
-		pool, err := loadCertPool(*tlsCA)
+	if c.tlsCA != "" {
+		pool, err := loadCertPool(c.tlsCA)
 		if err != nil {
 			return err
 		}
 		clientTLS = auth.ClientConfig(pool, "")
 	}
-
-	if *chaos {
-		if *connect != "" {
-			return fmt.Errorf("-chaos is in-process only (point -storm at external daemons and SIGKILL one instead)")
-		}
-		if *partition != "" {
-			pcfg := workload.DefaultPartitionConfig()
-			pcfg.Devices = *phones
-			pcfg.Sigs = *sigs
-			pcfg.ConfirmThreshold = *threshold
-			if *hubs > 1 {
-				pcfg.Hubs = *hubs
-			}
-			pcfg.Scenario = *partition
-			pcfg.NoLease = *noLease
-			if *failoverAfter > 0 {
-				pcfg.FailoverAfter = *failoverAfter
-			}
-			pcfg.Timeout = *timeout
-			res, err := workload.RunPartitionStorm(pcfg)
-			if err != nil {
-				return err
-			}
-			fmt.Print(workload.FormatPartition(res))
-			return nil
-		}
-		cfg := workload.DefaultChaosConfig()
-		cfg.Devices = *phones
-		cfg.Sigs = *sigs
-		cfg.ConfirmThreshold = *threshold
-		if *hubs > 1 {
-			cfg.Hubs = *hubs
-		}
-		cfg.Kills = *kills
-		if *failoverAfter > 0 {
-			cfg.FailoverAfter = *failoverAfter
-		}
-		cfg.Timeout = *timeout
-		res, err := workload.RunChaosStorm(cfg)
-		if err != nil {
-			return err
-		}
-		fmt.Print(workload.FormatChaos(res))
-		return nil
-	}
-	if *failoverAfter != 0 {
-		return fmt.Errorf("-failover-after only applies to -serve federation and -chaos")
-	}
-	if *kills != 1 {
-		return fmt.Errorf("-kills only applies to -chaos")
-	}
-	if *partition != "" || *noLease {
-		return fmt.Errorf("-partition/-no-lease only apply to -chaos (or, for -no-lease, -serve federation)")
-	}
-	if *probeInterval != 0 || *probeTimeout != 0 || *probeSuspect != 0 || *probeIndirect != 0 || *leaseTTL != 0 {
-		return fmt.Errorf("-probe-*/-lease-ttl only apply to -serve federation")
-	}
-	if *faultIsolate != "" {
-		return fmt.Errorf("-fault-isolate only applies to -serve federation")
-	}
-
-	if *storm {
+	if m == modeStorm {
 		cfg := workload.StormConfig{
-			Devices:          *phones,
-			Sigs:             *sigs,
-			ConfirmThreshold: *threshold,
-			Hubs:             *hubs,
-			AdmitCapacity:    admitCap,
-			AdmitAuto:        admitAuto,
-			AdmitWait:        *admitWait,
-			SLOTarget:        *sloTarget,
-			SLOInterval:      *sloInterval,
-			Timeout:          *timeout,
-			Dial:             *connect,
-			Token:            *tokenFlag,
+			Devices:          c.phones,
+			Sigs:             c.sigs,
+			ConfirmThreshold: c.sc.threshold,
+			Timeout:          c.timeout,
+			Dial:             c.connect,
+			Token:            c.token,
 			TLS:              clientTLS,
 		}
-		if *rampWarmup > 0 || *rampFlood > 0 {
-			cfg.Ramp = &workload.StormRamp{
-				Warmup: *rampWarmup, WarmupRate: *rampRate, Flood: *rampFlood,
-			}
+		if c.rampWarmup > 0 || c.rampFlood > 0 {
+			cfg.Ramp = &workload.StormRamp{Warmup: c.rampWarmup, WarmupRate: c.rampRate, Flood: c.rampFlood}
 		}
 		res, err := workload.RunReportStorm(cfg)
 		if err != nil {
@@ -473,45 +380,89 @@ func run(args []string) error {
 		fmt.Print(workload.FormatStorm(res))
 		return nil
 	}
-	if *admit != "" {
-		return fmt.Errorf("-admit only applies to -serve and the in-process -storm")
-	}
-	if *rampWarmup != 0 || *rampFlood != 0 {
-		return fmt.Errorf("-ramp-warmup/-ramp-flood only apply to -storm")
-	}
-
-	if *propagation {
-		var res workload.PropagationResult
-		var err error
-		if *tcp {
-			res, err = workload.PropagationLatencyTCP(*procs, *sigs)
-		} else {
-			res, err = workload.PropagationLatency(*procs, *sigs)
-		}
-		if err != nil {
-			return err
-		}
-		fmt.Print(workload.FormatPropagation(res))
-		return nil
-	}
-
-	cfg := workload.FleetImmunityConfig{
-		Phones:           *phones,
-		ProcsPerPhone:    *procs,
-		ConfirmThreshold: *threshold,
-		Timeout:          *timeout,
-		Transport:        workload.FleetTransport(*transport),
-		Hubs:             *hubs,
-		Dial:             *connect,
-		Token:            *tokenFlag,
+	res, err := workload.RunFleetImmunity(workload.FleetImmunityConfig{
+		Phones:           c.phones,
+		ProcsPerPhone:    c.procs,
+		ConfirmThreshold: c.sc.threshold,
+		Timeout:          c.timeout,
+		Dial:             c.connect,
+		Token:            c.token,
 		TLS:              clientTLS,
-	}
-	res, err := workload.RunFleetImmunity(cfg)
+	})
 	if err != nil {
 		return err
 	}
 	fmt.Print(workload.FormatFleetImmunity(res))
 	return nil
+}
+
+// serveConfigFromFlags translates the serve-mode flags into a
+// serveConfig. It loads the key material the flags name but listens on
+// nothing and starts nothing. The checks here are value dependencies
+// between flags; which flag goes with which mode is checkFlagModes' job.
+func serveConfigFromFlags(c *cli) (serveConfig, error) {
+	sc := c.sc
+	if sc.advertise == "" {
+		sc.advertise = sc.listen
+	}
+	var err error
+	if sc.admit, sc.admitAuto, err = parseAdmit(c.admit); err != nil {
+		return sc, err
+	}
+	// Auth and TLS material come first: peer transports are built from
+	// the seed below and must dial with the hub's certificate when the
+	// cluster runs mutual TLS.
+	switch {
+	case c.authKey != "" && c.authKeyring != "":
+		return sc, fmt.Errorf("-auth-key and -auth-keyring are mutually exclusive")
+	case c.authKey != "":
+		sc.verifier = auth.NewStatic([]byte(c.authKey))
+	case c.authKeyring != "":
+		if sc.verifier, err = auth.LoadKeyring(c.authKeyring); err != nil {
+			return sc, err
+		}
+	}
+	if c.tlsCert != "" || c.tlsKey != "" {
+		if c.tlsCert == "" || c.tlsKey == "" {
+			return sc, fmt.Errorf("-tls-cert and -tls-key go together")
+		}
+		cert, err := tls.LoadX509KeyPair(c.tlsCert, c.tlsKey)
+		if err != nil {
+			return sc, fmt.Errorf("tls keypair: %w", err)
+		}
+		var pool *x509.CertPool
+		if c.tlsCA != "" {
+			if pool, err = loadCertPool(c.tlsCA); err != nil {
+				return sc, err
+			}
+		}
+		sc.serveTLS = auth.ServerConfig(cert, pool)
+		if pool != nil {
+			// Mutual TLS material is complete: outbound peer links dial
+			// with the hub's own certificate, and inbound peer-hellos
+			// must carry a fleet-CA certificate naming the claimed hub.
+			sc.peerDial = []immunity.TCPOption{immunity.WithDialTLS(auth.PeerConfig(cert, pool, ""))}
+			sc.peerAuth = true
+		}
+	} else if c.tlsCA != "" {
+		return sc, fmt.Errorf("-tls-ca with -serve requires -tls-cert/-tls-key (the hub's own certificate)")
+	}
+	if sc.peers, err = parsePeers(c.peers, sc.peerDial...); err != nil {
+		return sc, err
+	}
+	if len(sc.peers) > 0 && sc.hubID == "" {
+		return sc, fmt.Errorf("-peers requires -hub (this hub's cluster id)")
+	}
+	if sc.faultAfter, sc.faultDur, err = parseFaultIsolate(c.faultIsolate); err != nil {
+		return sc, err
+	}
+	if sc.faultAfter > 0 && sc.failoverAfter == 0 {
+		return sc, fmt.Errorf("-fault-isolate needs -failover-after (without detection the isolation is just a stalled outbox)")
+	}
+	if sc.tenantThresholds, err = parseTenantThresholds(c.tenantThresholds); err != nil {
+		return sc, err
+	}
+	return sc, nil
 }
 
 // runGenTLS is the -gen-ca / -gen-cert utility: mint a dev fleet CA
@@ -681,7 +632,6 @@ type daemon struct {
 	httpSrv  *http.Server
 	httpLn   net.Listener
 	rates    *metrics.Rates
-	eval     *metrics.Evaluator
 	adaptive *metrics.AdaptivePool
 	alerter  *metrics.Alerter
 	// faultStop cancels a pending -fault-isolate script on shutdown.
@@ -718,9 +668,9 @@ func (d *daemon) Close() {
 	}
 }
 
-// serveConfig carries everything serve mode needs. Zero sloTarget and
-// sloInterval re-default in startDaemon (25ms / 1s), so tests building
-// the struct directly get working objectives.
+// serveConfig carries everything serve mode needs. Zero SLO fields
+// take the flag defaults in startDaemon (withDefaults), so tests
+// building the struct directly get working objectives.
 type serveConfig struct {
 	listen, httpAddr string
 	threshold        int
@@ -753,8 +703,21 @@ type serveConfig struct {
 	tenantThresholds map[string]int
 }
 
-// buildVersion stamps the immunity_build_info gauge; bump it with the
-// roadmap's PR sequence.
+// withDefaults fills the zero SLO fields with the flag defaults.
+func (sc serveConfig) withDefaults() serveConfig {
+	if sc.sloTarget <= 0 {
+		sc.sloTarget = defaultSLOTarget
+	}
+	if sc.sloInterval <= 0 {
+		sc.sloInterval = defaultSLOInterval
+	}
+	if sc.backlogTarget <= 0 {
+		sc.backlogTarget = defaultBacklogTarget
+	}
+	return sc
+}
+
+// buildVersion is the version label on the immunity_build_info gauge.
 const buildVersion = "0.10.0"
 
 // parseFaultIsolate parses the -fault-isolate AFTER:DUR script: block
@@ -764,14 +727,14 @@ func parseFaultIsolate(s string) (after, dur time.Duration, err error) {
 	if s == "" {
 		return 0, 0, nil
 	}
-	i := strings.IndexByte(s, ':')
-	if i < 0 {
+	a, d, ok := strings.Cut(s, ":")
+	if !ok {
 		return 0, 0, fmt.Errorf("-fault-isolate wants AFTER:DUR (e.g. 5s:3s), got %q", s)
 	}
-	if after, err = time.ParseDuration(s[:i]); err != nil {
+	if after, err = time.ParseDuration(a); err != nil {
 		return 0, 0, fmt.Errorf("-fault-isolate AFTER: %w", err)
 	}
-	if dur, err = time.ParseDuration(s[i+1:]); err != nil {
+	if dur, err = time.ParseDuration(d); err != nil {
 		return 0, 0, fmt.Errorf("-fault-isolate DUR: %w", err)
 	}
 	if after <= 0 || dur <= 0 {
@@ -785,15 +748,7 @@ func parseFaultIsolate(s string) (after, dur time.Duration, err error) {
 // the hub, the cluster links, the provenance store, and the rate/SLO
 // control plane, so /metrics is the whole daemon on one page.
 func startDaemon(sc serveConfig) (*daemon, error) {
-	if sc.sloTarget <= 0 {
-		sc.sloTarget = 25 * time.Millisecond
-	}
-	if sc.sloInterval <= 0 {
-		sc.sloInterval = time.Second
-	}
-	if sc.backlogTarget <= 0 {
-		sc.backlogTarget = 1024
-	}
+	sc = sc.withDefaults()
 	reg := metrics.NewRegistry()
 	reg.Info("immunity_build_info", "Build and protocol metadata (value is always 1).",
 		[2]string{"version", buildVersion},
@@ -924,15 +879,14 @@ func startDaemon(sc serveConfig) (*daemon, error) {
 		hub.Close()
 		return nil, err
 	}
-	d := &daemon{hub: hub, node: node, srv: srv,
-		rates: rates, eval: eval, adaptive: adaptive}
+	d := &daemon{hub: hub, node: node, srv: srv, rates: rates, adaptive: adaptive}
 	if fnet != nil {
 		// The -fault-isolate script: AFTER into the run, cut this hub's
 		// outbound word to every member it knows (the asymmetric
 		// partition — inbound sessions its peers dialed still deliver);
 		// DUR later, heal, severing every session the block touched so
 		// fresh handshakes resume from their cursors. The log lines are
-		// the acceptance drive's timing markers.
+		// the partition drill's timing markers.
 		d.faultStop = make(chan struct{})
 		go func(stop chan struct{}, n *cluster.Node) {
 			select {
@@ -1036,6 +990,7 @@ type ownerPayload struct {
 // runServe boots the long-running daemon and blocks until
 // SIGINT/SIGTERM.
 func runServe(sc serveConfig) error {
+	sc = sc.withDefaults() // the banner below prints the values in effect
 	d, err := startDaemon(sc)
 	if err != nil {
 		return err
@@ -1054,12 +1009,8 @@ func runServe(sc serveConfig) error {
 		fmt.Printf(", admission %d/%s", sc.admit, sc.admitWait)
 	}
 	fmt.Println(")")
-	backlog := sc.backlogTarget
-	if backlog <= 0 {
-		backlog = 1024
-	}
 	fmt.Printf("immunityd: slo report-latency p99<=%s, shed-zero, push/forward backlog<=%d; evaluated every %s (see /slo)\n",
-		sc.sloTarget, backlog, sc.sloInterval)
+		sc.sloTarget, sc.backlogTarget, sc.sloInterval)
 	if sc.serveTLS != nil {
 		if sc.peerAuth {
 			fmt.Println("immunityd: mutual TLS on (devices verify the hub; peer hubs present fleet-CA certificates)")

@@ -3,10 +3,13 @@ package main
 import (
 	"crypto/tls"
 	"encoding/json"
+	"flag"
 	"io"
 	"net"
 	"net/http"
+	"os"
 	"path/filepath"
+	"reflect"
 	"regexp"
 	"strconv"
 	"strings"
@@ -15,47 +18,212 @@ import (
 
 	"github.com/dimmunix/dimmunix/internal/immunity"
 	"github.com/dimmunix/dimmunix/internal/immunity/auth"
+	"github.com/dimmunix/dimmunix/internal/immunity/metrics"
 	"github.com/dimmunix/dimmunix/internal/immunity/wire"
 	"github.com/dimmunix/dimmunix/internal/workload"
 )
 
-func TestImmunitydFleetRun(t *testing.T) {
-	if err := run([]string{"-phones", "2", "-procs", "1", "-threshold", "2"}); err != nil {
-		t.Fatalf("fleet run: %v", err)
-	}
-}
-
-func TestImmunitydFleetRunTCP(t *testing.T) {
-	if err := run([]string{"-phones", "2", "-procs", "1", "-threshold", "2", "-transport", "tcp"}); err != nil {
-		t.Fatalf("fleet run over tcp: %v", err)
-	}
-}
-
-func TestImmunitydPropagationRun(t *testing.T) {
-	if err := run([]string{"-propagation", "-procs", "2", "-sigs", "4"}); err != nil {
-		t.Fatalf("propagation run: %v", err)
-	}
-}
-
-func TestImmunitydPropagationRunTCP(t *testing.T) {
-	if err := run([]string{"-propagation", "-procs", "2", "-sigs", "4", "-tcp"}); err != nil {
-		t.Fatalf("tcp propagation run: %v", err)
-	}
-}
+// deadAddr is a -connect target for argument vectors that must fail
+// before anything is dialed.
+const deadAddr = "127.0.0.1:1"
 
 func TestImmunitydBadFlags(t *testing.T) {
-	if err := run([]string{"-phones", "1"}); err == nil {
-		t.Error("one phone must fail validation")
+	if err := run([]string{"-connect", deadAddr, "-phones", "1"}); err == nil || !strings.Contains(err.Error(), "phones") {
+		t.Errorf("one phone must fail validation, got %v", err)
 	}
-	if err := run([]string{"-threshold", "9", "-phones", "2"}); err == nil {
-		t.Error("threshold above phone count must fail")
+	if err := run([]string{"-connect", deadAddr, "-threshold", "9", "-phones", "2"}); err == nil || !strings.Contains(err.Error(), "threshold") {
+		t.Errorf("threshold above phone count must fail, got %v", err)
 	}
 	if err := run([]string{"-transport", "smoke-signals"}); err == nil {
-		t.Error("unknown transport must fail validation")
+		t.Error("an unregistered flag must fail")
+	}
+	if err := run([]string{"-storm", "-phones", "2"}); err == nil || !strings.Contains(err.Error(), "-connect") {
+		t.Errorf("-storm without -connect must fail naming -connect, got %v", err)
+	}
+	if err := run(nil); err != nil {
+		t.Errorf("a bare immunityd prints the modes, got %v", err)
 	}
 }
 
-// TestImmunitydServeAndClientMode is the daemon loop the CI step runs:
+// flagSample returns an argument vector that sets the named flag to a
+// value its type accepts.
+func flagSample(t *testing.T, name string) []string {
+	t.Helper()
+	fs, _ := newFlags()
+	f := fs.Lookup(name)
+	if b, ok := f.Value.(interface{ IsBoolFlag() bool }); ok && b.IsBoolFlag() {
+		return []string{"-" + name}
+	}
+	for _, v := range []string{"1", "1s"} {
+		if f.Value.Set(v) == nil {
+			return []string{"-" + name, v}
+		}
+	}
+	t.Fatalf("no sample value for -%s", name)
+	return nil
+}
+
+// TestImmunitydFlagModes: flagModes is the one rule for which flag goes
+// with which mode. Every registered flag has an entry, and every flag
+// given outside its modes is refused with an error naming the flag and
+// the modes it does belong to — nothing is dropped silently.
+func TestImmunitydFlagModes(t *testing.T) {
+	fs, _ := newFlags()
+	registered := map[string]bool{}
+	fs.VisitAll(func(f *flag.Flag) {
+		registered[f.Name] = true
+		if flagModes[f.Name] == 0 {
+			t.Errorf("flag -%s is registered but has no flagModes entry", f.Name)
+		}
+	})
+	for name := range flagModes {
+		if !registered[name] {
+			t.Errorf("flagModes lists -%s, which is not a registered flag", name)
+		}
+	}
+
+	// The argument vector that selects each mode and nothing else. A
+	// selector flag added to another mode's vector changes the mode, so
+	// selectors get their own cases below.
+	selectors := map[string]bool{"serve": true, "peers": true, "connect": true,
+		"storm": true, "gen-ca": true, "gen-cert": true, "mint-token": true}
+	bases := []struct {
+		m    mode
+		args []string
+	}{
+		{0, nil},
+		{modeServe, []string{"-serve"}},
+		{modeFederated, []string{"-serve", "-peers", "hub1=" + deadAddr}},
+		{modeClient, []string{"-connect", deadAddr}},
+		{modeStorm, []string{"-connect", deadAddr, "-storm"}},
+		{modeGen, []string{"-gen-cert", "leaf"}},
+		{modeMint, []string{"-mint-token"}},
+	}
+	for name, applies := range flagModes {
+		if selectors[name] {
+			continue
+		}
+		for _, base := range bases {
+			if applies&base.m != 0 {
+				continue
+			}
+			args := append(append([]string{}, base.args...), flagSample(t, name)...)
+			err := run(args)
+			if err == nil {
+				t.Errorf("%v: -%s accepted outside its modes (%s)", args, name, applies)
+				continue
+			}
+			for _, want := range []string{"-" + name + " does not apply", "mode: " + base.m.String(), "applies to: " + applies.String()} {
+				if !strings.Contains(err.Error(), want) {
+					t.Errorf("%v: error %q does not say %q", args, err, want)
+				}
+			}
+		}
+	}
+
+	// Two selectors of different modes: whichever mode wins, the other
+	// selector is refused by the same walk.
+	for _, args := range [][]string{
+		{"-serve", "-connect", deadAddr},
+		{"-serve", "-storm"},
+		{"-serve", "-mint-token"},
+		{"-connect", deadAddr, "-gen-ca", t.TempDir()},
+		{"-connect", deadAddr, "-peers", "hub1=" + deadAddr},
+		{"-mint-token", "-gen-cert", "leaf"},
+	} {
+		if err := run(args); err == nil || !strings.Contains(err.Error(), "does not apply") {
+			t.Errorf("%v: want a mode error, got %v", args, err)
+		}
+	}
+
+	// Several inapplicable flags at once, with and without a mode: none
+	// is dropped silently (no provenance file may appear either).
+	prov := filepath.Join(t.TempDir(), "never.prov")
+	for _, args := range [][]string{
+		{"-phones", "2", "-procs", "1", "-provenance", prov, "-listen", "1.2.3.4:5", "-http", "9.9.9.9:1",
+			"-ttl", "5s", "-tenant", "t9", "-slo-backlog", "3", "-ramp-rate", "7"},
+		{"-serve", "-phones", "9", "-sigs", "3"},
+		{"-connect", deadAddr, "-provenance", prov},
+	} {
+		if err := run(args); err == nil || !strings.Contains(err.Error(), "does not apply") {
+			t.Errorf("%v: inapplicable flags must be refused, got %v", args, err)
+		}
+	}
+	if _, err := os.Stat(prov); err == nil {
+		t.Errorf("a refused command line still wrote %s", prov)
+	}
+}
+
+// TestServeConfigFromFlags: the flag → serveConfig translation, which
+// tests that build a serveConfig by hand skip.
+func TestServeConfigFromFlags(t *testing.T) {
+	parse := func(args ...string) (serveConfig, error) {
+		t.Helper()
+		fs, c := newFlags()
+		if err := fs.Parse(args); err != nil {
+			t.Fatal(err)
+		}
+		return serveConfigFromFlags(c)
+	}
+
+	sc, err := parse("-serve")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sc.sloTarget != defaultSLOTarget || sc.sloInterval != defaultSLOInterval || sc.backlogTarget != defaultBacklogTarget {
+		t.Errorf("defaults = %s/%s/%d, want the flag defaults", sc.sloTarget, sc.sloInterval, sc.backlogTarget)
+	}
+	if sc.advertise != sc.listen || sc.admit != 0 || sc.admitAuto || len(sc.peers) != 0 {
+		t.Errorf("standalone config = %+v", sc)
+	}
+
+	sc, err = parse("-serve", "-admit", "auto", "-admit-wait", "10s", "-slo-target", "500us", "-slo-interval", "250ms", "-slo-backlog", "7")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !sc.admitAuto || sc.admit != 0 || sc.admitWait != 10*time.Second ||
+		sc.sloTarget != 500*time.Microsecond || sc.sloInterval != 250*time.Millisecond || sc.backlogTarget != 7 {
+		t.Errorf("adaptive config = %+v", sc)
+	}
+	if sc, err = parse("-serve", "-admit", "3"); err != nil || sc.admit != 3 || sc.admitAuto {
+		t.Errorf("-admit 3 = %+v, %v", sc, err)
+	}
+
+	sc, err = parse("-serve", "-hub", "h", "-peers", "a=x:1,b=y:2", "-advertise", "h.example:7676",
+		"-failover-after", "1s", "-fault-isolate", "4s:2s", "-probe-indirect", "3", "-lease-ttl", "2s", "-no-lease", "-leave")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sc.hubID != "h" || len(sc.peers) != 2 || sc.peers[0].ID != "a" || sc.peers[1].ID != "b" ||
+		sc.advertise != "h.example:7676" || sc.failoverAfter != time.Second ||
+		sc.faultAfter != 4*time.Second || sc.faultDur != 2*time.Second ||
+		sc.probeIndirect != 3 || sc.leaseTTL != 2*time.Second || !sc.noLease || !sc.leave {
+		t.Errorf("federated config = %+v", sc)
+	}
+
+	sc, err = parse("-serve", "-auth-key", "k", "-tenant-threshold", "beta=3")
+	if err != nil || sc.verifier == nil || sc.tenantThresholds["beta"] != 3 {
+		t.Errorf("auth config = %+v, %v", sc, err)
+	}
+
+	for _, tc := range []struct {
+		want string
+		args []string
+	}{
+		{"-tls-cert/-tls-key", []string{"-serve", "-tls-ca", "ca.pem"}},
+		{"-failover-after", []string{"-serve", "-hub", "h", "-peers", "a=x:1", "-fault-isolate", "4s:4s"}},
+		{"-hub", []string{"-serve", "-peers", "a=x:1"}},
+		{"id=addr", []string{"-serve", "-hub", "h", "-peers", "nonsense"}},
+		{"AFTER:DUR", []string{"-serve", "-hub", "h", "-peers", "a=x:1", "-failover-after", "1s", "-fault-isolate", "4s"}},
+		{"'auto'", []string{"-serve", "-admit", "many"}},
+	} {
+		if _, err := parse(tc.args...); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%v: want an error naming %s, got %v", tc.args, tc.want, err)
+		}
+	}
+}
+
+// TestImmunitydServeAndClientMode is the daemon loop end to end:
 // boot the daemon (TCP exchange + durable provenance + HTTP /status),
 // run the fleet workload in client mode against it over real sockets,
 // and assert through /status that confirm-before-arm gating held.
@@ -87,8 +255,8 @@ func TestImmunitydServeAndClientMode(t *testing.T) {
 	}
 
 	// The HTTP endpoint tells the same story: exactly one armed
-	// signature, with exactly threshold confirmations (the threshold
-	// math CI asserts).
+	// signature, with exactly threshold confirmations, and nothing armed
+	// below it.
 	resp, err := http.Get("http://" + d.HTTPAddr() + "/status")
 	if err != nil {
 		t.Fatal(err)
@@ -108,6 +276,8 @@ func TestImmunitydServeAndClientMode(t *testing.T) {
 			if p.Confirmations != threshold {
 				t.Errorf("armed with %d confirmations, want exactly %d: %+v", p.Confirmations, threshold, p)
 			}
+		} else if p.Confirmations >= threshold {
+			t.Errorf("unarmed at %d confirmations, threshold %d: %+v", p.Confirmations, threshold, p)
 		}
 	}
 	if armed != 1 {
@@ -237,6 +407,21 @@ func TestImmunitydAuthFlagValidation(t *testing.T) {
 	}
 }
 
+// httpGet fetches one page of the daemon's HTTP endpoint.
+func httpGet(t *testing.T, d *daemon, path string) string {
+	t.Helper()
+	resp, err := http.Get("http://" + d.HTTPAddr() + path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(body)
+}
+
 // freePorts reserves n distinct loopback ports by listening and
 // immediately closing; the tiny reuse race is acceptable in tests.
 func freePorts(t *testing.T, n int) []string {
@@ -258,7 +443,7 @@ func freePorts(t *testing.T, n int) []string {
 }
 
 // TestImmunitydFederatedCluster boots the 3-daemon topology the CI
-// workflow uses — three serve-mode hubs federated via -peers — runs the
+// drills use — three serve-mode hubs federated via -peers — runs the
 // client-mode fleet workload against two different hubs, and asserts
 // through each hub's status that arming was gated at the owner and
 // propagated cluster-wide.
@@ -281,7 +466,7 @@ func TestImmunitydFederatedCluster(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		d, err := startDaemon(serveConfig{listen: addrs[i], threshold: threshold, hubID: ids[i], peers: members})
+		d, err := startDaemon(serveConfig{listen: addrs[i], httpAddr: "127.0.0.1:0", threshold: threshold, hubID: ids[i], peers: members})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -335,13 +520,16 @@ func TestImmunitydFederatedCluster(t *testing.T) {
 		if st.Epoch != 1 {
 			t.Fatalf("%s epoch = %d, want 1 (arming not propagated cluster-wide)", ids[i], st.Epoch)
 		}
-		if st.Hub != ids[i] || st.Cluster == nil || len(st.Cluster.Members) != 3 {
+		if st.Hub != ids[i] || st.Threshold != threshold || st.Cluster == nil || !reflect.DeepEqual(st.Cluster.Members, ids) {
 			t.Fatalf("%s status missing cluster fields: %+v", ids[i], st)
 		}
 		if len(st.Provenance) != 1 || !st.Provenance[0].Armed {
 			t.Fatalf("%s provenance = %+v, want the armed signature", ids[i], st.Provenance)
 		}
 		p := st.Provenance[0]
+		if p.Key != res.Provenance[0].Key {
+			t.Fatalf("%s armed %q, the workload armed %q", ids[i], p.Key, res.Provenance[0].Key)
+		}
 		if p.Owner == ids[i] {
 			if len(p.ConfirmedBy) != threshold {
 				t.Fatalf("owner %s confirmation set = %v, want %d devices", ids[i], p.ConfirmedBy, threshold)
@@ -353,6 +541,21 @@ func TestImmunitydFederatedCluster(t *testing.T) {
 	}
 	if ownersWithConfirms != 1 {
 		t.Fatalf("%d hubs claim ownership, want exactly 1", ownersWithConfirms)
+	}
+
+	// Every hub of the topology serves /metrics: the hub counters, the
+	// push-path histograms, and the per-peer cluster link series.
+	for i, d := range daemons {
+		page := httpGet(t, d, "/metrics")
+		for _, series := range []string{
+			"immunity_hub_reports_total", "immunity_hub_armed_total 1",
+			"# TYPE immunity_hub_push_batch_size histogram",
+			"immunity_cluster_peer_dials_total", "immunity_cluster_forward_pending",
+		} {
+			if !strings.Contains(page, series) {
+				t.Errorf("%s /metrics missing %q", ids[i], series)
+			}
+		}
 	}
 }
 
@@ -381,10 +584,10 @@ func TestImmunitydParseAdmit(t *testing.T) {
 			t.Errorf("parseAdmit(%q) = (%d, %v, %v), want (%d, %v)", tc.in, capN, auto, err, tc.cap, tc.auto)
 		}
 	}
-	if err := run([]string{"-phones", "2", "-procs", "1", "-admit", "auto"}); err == nil {
-		t.Error("-admit outside -serve/-storm must fail")
+	if err := run([]string{"-connect", deadAddr, "-phones", "2", "-procs", "1", "-admit", "auto"}); err == nil {
+		t.Error("-admit outside -serve must fail")
 	}
-	if err := run([]string{"-phones", "2", "-procs", "1", "-ramp-flood", "1s"}); err == nil {
+	if err := run([]string{"-connect", deadAddr, "-phones", "2", "-procs", "1", "-ramp-flood", "1s"}); err == nil {
 		t.Error("-ramp-flood outside -storm must fail")
 	}
 }
@@ -421,18 +624,7 @@ func TestImmunitydAdaptiveAdmission(t *testing.T) {
 		t.Fatalf("armed %d/64 — the ramped storm lost signatures", res.Armed)
 	}
 
-	scrape := func(path string) string {
-		resp, err := http.Get("http://" + d.HTTPAddr() + path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer resp.Body.Close()
-		body, err := io.ReadAll(resp.Body)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return string(body)
-	}
+	scrape := func(path string) string { return httpGet(t, d, path) }
 	page := scrape("/metrics")
 	sample := func(name string) float64 {
 		re := regexp.MustCompile(`(?m)^` + regexp.QuoteMeta(name) + ` ([0-9.e+-]+)$`)
@@ -466,6 +658,15 @@ func TestImmunitydAdaptiveAdmission(t *testing.T) {
 	}
 	if !strings.Contains(page, `immunity_hub_reports_per_second{window="10s"}`) {
 		t.Error("/metrics missing windowed rate gauges")
+	}
+	if !strings.Contains(page, `immunity_slo_state{slo="report-latency"}`) {
+		t.Error("/metrics missing the SLO state series")
+	}
+	// The exposition lint that guards the registry in unit tests also
+	// passes on the live page with every series populated (rates, SLO
+	// state, AIMD trace, build info).
+	if problems := metrics.Lint(strings.NewReader(page)); len(problems) != 0 {
+		t.Errorf("live /metrics is non-conforming:\n%s", strings.Join(problems, "\n"))
 	}
 
 	// /slo: the flood must have escalated the latency objective to
@@ -511,8 +712,8 @@ func TestImmunitydAdaptiveAdmission(t *testing.T) {
 	}
 }
 
-// TestImmunitydMetricsAndStorm is the admission acceptance drive the CI
-// storm step mirrors: a daemon with a 1-permit admission pool absorbs a
+// TestImmunitydMetricsAndStorm is the admission acceptance drive: a
+// daemon with a 1-permit admission pool absorbs a
 // multi-device report storm — every signature still arms, and /metrics
 // shows the burst was delayed (bounded degradation), not shed and not
 // buffered without limit.
@@ -578,6 +779,9 @@ func TestImmunitydMetricsAndStorm(t *testing.T) {
 			t.Fatalf("sample %s = %q: %v", name, m[1], err)
 		}
 		return v
+	}
+	if n := sample("immunity_hub_admission_capacity"); n != 1 {
+		t.Errorf("admission capacity = %v, want the configured 1", n)
 	}
 	if n := sample("immunity_hub_armed_total"); n < 16 {
 		t.Errorf("armed_total = %v, want >= 16", n)

@@ -14,7 +14,8 @@ import (
 // structural rules scrapers depend on and returns one message per
 // violation (empty means clean). It is the renderer's conformance
 // oracle — the registry's own test feeds it a fully-populated
-// WritePrometheus render, and CI feeds it live immunityd scrapes.
+// WritePrometheus render, and cmd/immunityd's adaptive-admission test
+// feeds it a live daemon's /metrics page.
 //
 // Checked:
 //   - line grammar: # HELP / # TYPE comments and samples parse; metric

@@ -1,7 +1,6 @@
 package metrics
 
 import (
-	"os"
 	"strings"
 	"testing"
 	"time"
@@ -167,22 +166,5 @@ func TestLintAcceptsTimestampsAndFreeComments(t *testing.T) {
 	text := "# a free comment\n# HELP a help text with  spaces\n# TYPE a counter\na{x=\"ok\"} 1 1712000000\n"
 	if problems := Lint(strings.NewReader(text)); len(problems) != 0 {
 		t.Fatalf("valid exposition flagged: %v", problems)
-	}
-}
-
-// TestPromLintFile lints an exposition file named by PROMLINT_FILE — CI
-// points it at a live immunityd /metrics scrape.
-func TestPromLintFile(t *testing.T) {
-	path := os.Getenv("PROMLINT_FILE")
-	if path == "" {
-		t.Skip("PROMLINT_FILE not set")
-	}
-	f, err := os.Open(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
-	if problems := Lint(f); len(problems) != 0 {
-		t.Fatalf("live scrape %s is non-conforming:\n%s", path, strings.Join(problems, "\n"))
 	}
 }

@@ -474,7 +474,7 @@ func equalKeys(a, b []string) bool {
 	return true
 }
 
-// FormatChaos renders a chaos result for the CLI.
+// FormatChaos renders a chaos result (the go test -v report).
 func FormatChaos(res ChaosResult) string {
 	cfg := res.Config
 	out := fmt.Sprintf("chaos storm: %d devices × %d signatures over %d hubs, threshold %d\n",

@@ -14,7 +14,6 @@ package workload
 import (
 	"fmt"
 	"math/rand"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -297,72 +296,4 @@ func fleetWorker(t *vm.Thread, cfg FleetConfig, seed int64, idx int, locks []*vm
 		spin(cfg.OutsideWork)
 		ops.Add(1)
 	}
-}
-
-// UncontendedEnterRate measures the aggregate core-level throughput of
-// goroutines cycling Request/Acquired/Release on private (uncontended,
-// unnamed) locks for the given duration. It is the CLI twin of
-// BenchmarkUncontendedEnter: the interception cost the sharded engine's
-// fast path attacks, with VM stack capture and monitor costs excluded.
-func UncontendedEnterRate(goroutines int, duration time.Duration, serial bool) (float64, error) {
-	if goroutines < 1 {
-		return 0, fmt.Errorf("uncontended: need >= 1 goroutine, got %d", goroutines)
-	}
-	c, err := core.New(core.WithSerialEngine(serial))
-	if err != nil {
-		return 0, err
-	}
-	defer c.Close()
-
-	var ops atomic.Uint64
-	stop := make(chan struct{})
-	var wg sync.WaitGroup
-	for i := 0; i < goroutines; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			t := c.NewThreadNode(fmt.Sprintf("w%d", i), nil)
-			l := c.NewLockNode(fmt.Sprintf("l%d", i))
-			pos, err := c.Intern(core.CallStack{{Class: "com.bench.Private", Method: "m", Line: i}})
-			if err != nil {
-				return
-			}
-			var n uint64
-			for {
-				select {
-				case <-stop:
-					ops.Add(n)
-					return
-				default:
-				}
-				if err := c.Request(t, l, pos); err != nil {
-					ops.Add(n)
-					return
-				}
-				c.Acquired(t, l)
-				c.Release(t, l)
-				n++
-			}
-		}(i)
-	}
-	start := time.Now()
-	time.Sleep(duration)
-	close(stop)
-	wg.Wait()
-	wall := time.Since(start)
-	return float64(ops.Load()) / wall.Seconds(), nil
-}
-
-// FormatFleet renders a fleet result for the CLI.
-func FormatFleet(res FleetResult) string {
-	out := fmt.Sprintf("fleet: %d procs, %s, dimmunix=%v serial=%v armed=%.0f%%\n",
-		res.Config.Processes, res.Wall.Round(time.Millisecond), res.Config.Dimmunix,
-		res.Config.Serial, res.Config.ArmedSiteFraction*100)
-	out += fmt.Sprintf("  total: %d ops, %.0f syncs/sec, fast-path %.1f%%, yields %d, deadlocks %d\n",
-		res.Ops, res.SyncsPerSec, res.FastPathPct, res.Yields, res.DeadlocksDetected)
-	for _, pr := range res.PerProcess {
-		out += fmt.Sprintf("  %-28s %-12s %3d thr %10d ops (%d incl. warmup)\n",
-			pr.Name, pr.Profile, pr.Threads, pr.Ops, pr.TotalOps)
-	}
-	return out
 }

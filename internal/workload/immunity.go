@@ -21,8 +21,6 @@ package workload
 import (
 	"crypto/tls"
 	"fmt"
-	"runtime"
-	"sort"
 	"strings"
 	"time"
 
@@ -91,7 +89,7 @@ type FleetImmunityConfig struct {
 	// hub-side counters/gauges land on it) and receives the run's
 	// propagation latencies as immunity_propagation_device_seconds and
 	// immunity_propagation_fleet_seconds histogram observations, so the
-	// percentiles the CLI prints are also scrapeable live. Ignored in
+	// latencies the result reports are also scrapeable live. Ignored in
 	// client mode (external daemons own their registries).
 	Metrics *metrics.Registry
 }
@@ -682,40 +680,6 @@ func FormatFleetImmunity(res FleetImmunityResult) string {
 	return out
 }
 
-// PropagationResult reports on-device publish→armed latency.
-type PropagationResult struct {
-	// Procs is the number of live subscriber processes.
-	Procs int
-	// Sigs is how many signatures were published.
-	Sigs int
-	// Avg and Max are per-signature latencies from Publish returning to
-	// every process armed.
-	Avg, Max time.Duration
-	// P50, P90, and P99 are percentiles over the same per-signature
-	// latencies.
-	P50, P90, P99 time.Duration
-	// TCP marks the cross-device variant (publish on one phone, armed
-	// processes on another, over the TCP exchange).
-	TCP bool
-}
-
-// fillPercentiles computes P50/P90/P99 from the per-signature latency
-// samples (lats is sorted in place).
-func (res *PropagationResult) fillPercentiles(lats []time.Duration) {
-	if len(lats) == 0 {
-		return
-	}
-	sort.Slice(lats, func(i, j int) bool { return lats[i] < lats[j] })
-	at := func(q float64) time.Duration {
-		i := int(q * float64(len(lats)))
-		if i >= len(lats) {
-			i = len(lats) - 1
-		}
-		return lats[i]
-	}
-	res.P50, res.P90, res.P99 = at(0.50), at(0.90), at(0.99)
-}
-
 // propagationSig builds the i-th synthetic benchmark signature (hot site
 // paired with a cold never-executed one, as in the §5 methodology).
 func propagationSig(i int) *core.Signature {
@@ -728,178 +692,4 @@ func propagationSig(i int) *core.Signature {
 			{Outer: core.CallStack{cold}, Inner: core.CallStack{cold}},
 		},
 	}
-}
-
-// PropagationLatency measures the on-device tier in isolation: one
-// service, procs live processes, sigs sequential publishes, each timed
-// from Publish to the moment every process has hot-installed it. It is
-// the CLI twin of BenchmarkPropagation.
-func PropagationLatency(procs, sigs int) (PropagationResult, error) {
-	if procs < 1 || sigs < 1 {
-		return PropagationResult{}, fmt.Errorf("propagation: need >= 1 proc and >= 1 sig, got %d/%d", procs, sigs)
-	}
-	svc, err := immunity.NewService("bench", nil)
-	if err != nil {
-		return PropagationResult{}, err
-	}
-	defer svc.Close()
-	z := vm.NewZygote(vm.WithDimmunix(true), vm.WithSignatureBus(svc))
-	defer z.KillAll()
-	ps := make([]*vm.Process, procs)
-	for i := range ps {
-		if ps[i], err = z.Fork(fmt.Sprintf("app%d", i)); err != nil {
-			return PropagationResult{}, err
-		}
-	}
-
-	res := PropagationResult{Procs: procs, Sigs: sigs}
-	var total time.Duration
-	lats := make([]time.Duration, 0, sigs)
-	for i := 0; i < sigs; i++ {
-		want := i + 1
-		start := time.Now()
-		if _, _, err := svc.Publish("bench", propagationSig(i)); err != nil {
-			return res, err
-		}
-		if err := waitArmedCount(ps, want, 10*time.Second); err != nil {
-			return res, fmt.Errorf("propagation: signature %d: %w", i, err)
-		}
-		lat := time.Since(start)
-		total += lat
-		lats = append(lats, lat)
-		if lat > res.Max {
-			res.Max = lat
-		}
-	}
-	res.Avg = total / time.Duration(sigs)
-	res.fillPercentiles(lats)
-	return res, nil
-}
-
-// waitArmedCount spins until every process's history holds at least want
-// signatures, yielding so the delivery goroutines get the (possibly
-// single) CPU instead of waiting out a preemption slice. Bounded: a
-// process that can never arm (died, delivery failed) returns an error
-// instead of pinning the CPU forever.
-func waitArmedCount(ps []*vm.Process, want int, timeout time.Duration) error {
-	return waitArmedCountWith(ps, want, timeout, runtime.Gosched)
-}
-
-// waitArmedCountWith polls until every process holds want signatures,
-// calling wait between polls.
-func waitArmedCountWith(ps []*vm.Process, want int, timeout time.Duration, wait func()) error {
-	deadline := time.Now().Add(timeout)
-	for {
-		armed := true
-		for _, p := range ps {
-			if p.Dimmunix().HistorySize() < want {
-				armed = false
-				break
-			}
-		}
-		if armed {
-			return nil
-		}
-		if time.Now().After(deadline) {
-			return fmt.Errorf("timed out waiting for %d signatures in all %d processes", want, len(ps))
-		}
-		wait()
-	}
-}
-
-// waitArmedCountSleeping is waitArmedCount for the networked tier: it
-// parks between polls instead of spinning with Gosched. A Gosched spin
-// loop on a single-CPU box keeps the P busy, so socket readiness only
-// surfaces on sysmon's ~10ms netpoll sweeps and every wire hop costs
-// tens of milliseconds; sleeping parks the P and lets the netpoller
-// wake the read goroutine immediately.
-func waitArmedCountSleeping(ps []*vm.Process, want int, timeout time.Duration) error {
-	return waitArmedCountWith(ps, want, timeout, func() { time.Sleep(20 * time.Microsecond) })
-}
-
-// FormatPropagation renders a propagation latency result for the CLI.
-func FormatPropagation(res PropagationResult) string {
-	tier := "on-device"
-	if res.TCP {
-		tier = "cross-device over TCP"
-	}
-	return fmt.Sprintf("propagation (%s): %d live procs, %d signatures: avg %s, p50 %s, p99 %s, max %s publish→all-armed\n",
-		tier, res.Procs, res.Sigs, res.Avg.Round(100*time.Nanosecond), res.P50.Round(100*time.Nanosecond),
-		res.P99.Round(100*time.Nanosecond), res.Max.Round(100*time.Nanosecond))
-}
-
-// PropagationLatencyTCP measures the cross-device tier over real
-// sockets: a publisher device and a subscriber device (procs live
-// processes) joined by a threshold-1 TCP exchange; each publish is timed
-// from the publisher's Service accepting it to every process on the
-// *other* phone hot-installing it — detection on one phone to immunity
-// on another, through the full wire path.
-func PropagationLatencyTCP(procs, sigs int) (PropagationResult, error) {
-	if procs < 1 || sigs < 1 {
-		return PropagationResult{}, fmt.Errorf("propagation: need >= 1 proc and >= 1 sig, got %d/%d", procs, sigs)
-	}
-	hub, err := immunity.NewExchange(1)
-	if err != nil {
-		return PropagationResult{}, err
-	}
-	defer hub.Close()
-	srv, err := immunity.ServeTCP(hub, "127.0.0.1:0")
-	if err != nil {
-		return PropagationResult{}, err
-	}
-	defer srv.Close()
-	transport := immunity.NewTCPTransport(srv.Addr())
-
-	pubSvc, err := immunity.NewService("publisher", nil)
-	if err != nil {
-		return PropagationResult{}, err
-	}
-	defer pubSvc.Close()
-	pubClient, err := immunity.Connect(transport, "publisher", pubSvc)
-	if err != nil {
-		return PropagationResult{}, err
-	}
-	defer pubClient.Close()
-
-	subSvc, err := immunity.NewService("subscriber", nil)
-	if err != nil {
-		return PropagationResult{}, err
-	}
-	defer subSvc.Close()
-	subClient, err := immunity.Connect(transport, "subscriber", subSvc)
-	if err != nil {
-		return PropagationResult{}, err
-	}
-	defer subClient.Close()
-	z := vm.NewZygote(vm.WithDimmunix(true), vm.WithSignatureBus(subSvc))
-	defer z.KillAll()
-	ps := make([]*vm.Process, procs)
-	for i := range ps {
-		if ps[i], err = z.Fork(fmt.Sprintf("app%d", i)); err != nil {
-			return PropagationResult{}, err
-		}
-	}
-
-	res := PropagationResult{Procs: procs, Sigs: sigs, TCP: true}
-	var total time.Duration
-	lats := make([]time.Duration, 0, sigs)
-	for i := 0; i < sigs; i++ {
-		want := i + 1
-		start := time.Now()
-		if _, _, err := pubSvc.Publish("bench", propagationSig(i)); err != nil {
-			return res, err
-		}
-		if err := waitArmedCountSleeping(ps, want, 10*time.Second); err != nil {
-			return res, fmt.Errorf("tcp propagation: signature %d: %w", i, err)
-		}
-		lat := time.Since(start)
-		total += lat
-		lats = append(lats, lat)
-		if lat > res.Max {
-			res.Max = lat
-		}
-	}
-	res.Avg = total / time.Duration(sigs)
-	res.fillPercentiles(lats)
-	return res, nil
 }

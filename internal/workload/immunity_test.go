@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"github.com/dimmunix/dimmunix/internal/immunity"
-	"github.com/dimmunix/dimmunix/internal/vm"
 )
 
 // TestRunFleetImmunity is the acceptance scenario: 4 phones, live
@@ -136,63 +135,6 @@ func TestFleetImmunityTransportEquivalence(t *testing.T) {
 					lo.provenance, tcp.provenance)
 			}
 		})
-	}
-}
-
-// TestPropagationLatencyTCP sanity-checks the cross-device TCP probe.
-func TestPropagationLatencyTCP(t *testing.T) {
-	res, err := PropagationLatencyTCP(2, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Avg <= 0 || res.Max < res.Avg {
-		t.Errorf("latencies avg=%v max=%v, want 0 < avg <= max", res.Avg, res.Max)
-	}
-	if !strings.Contains(FormatPropagation(res), "over TCP") {
-		t.Errorf("format: %q", FormatPropagation(res))
-	}
-}
-
-// TestPropagationLatency sanity-checks the on-device latency probe.
-func TestPropagationLatency(t *testing.T) {
-	res, err := PropagationLatency(2, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Avg <= 0 || res.Max < res.Avg {
-		t.Errorf("latencies avg=%v max=%v, want 0 < avg <= max", res.Avg, res.Max)
-	}
-	if !strings.Contains(FormatPropagation(res), "publish→all-armed") {
-		t.Errorf("format: %q", FormatPropagation(res))
-	}
-}
-
-// BenchmarkPropagation measures time-to-immunity on one device: one
-// publish, N live processes hot-installed. ns/op ≈ the window in which a
-// just-detected deadlock could still reoccur in another process.
-func BenchmarkPropagation(b *testing.B) {
-	const procs = 8
-	svc, err := immunity.NewService("bench", nil)
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer svc.Close()
-	z := vm.NewZygote(vm.WithDimmunix(true), vm.WithSignatureBus(svc))
-	defer z.KillAll()
-	ps := make([]*vm.Process, procs)
-	for i := range ps {
-		if ps[i], err = z.Fork(fmt.Sprintf("app%d", i)); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, _, err := svc.Publish("bench", propagationSig(i)); err != nil {
-			b.Fatal(err)
-		}
-		if err := waitArmedCount(ps, i+1, 10*time.Second); err != nil {
-			b.Fatal(err)
-		}
 	}
 }
 

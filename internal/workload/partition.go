@@ -606,7 +606,7 @@ func finishPartition(cfg PartitionConfig, res PartitionResult,
 	return res, nil
 }
 
-// FormatPartition renders a partition result for the CLI.
+// FormatPartition renders a partition result (the go test -v report).
 func FormatPartition(res PartitionResult) string {
 	cfg := res.Config
 	mode := "quorum leases"

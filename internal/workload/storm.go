@@ -5,7 +5,8 @@
 // backpressure, the delayed counter climbs, hub memory stays bounded —
 // and every signature that reaches the threshold still arms fleet-wide.
 // Without admission the same burst just races through (the counters
-// stay zero); the CI storm step asserts the difference.
+// stay zero); TestRunReportStorm and its Federated control assert the
+// difference.
 package workload
 
 import (

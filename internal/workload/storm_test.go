@@ -49,7 +49,7 @@ func TestRunReportStorm(t *testing.T) {
 
 // TestRunReportStormFederated runs the same burst against a 2-hub
 // cluster without admission: arming must still complete cluster-wide
-// and the counters must stay zero (the control for the CI assertion).
+// and the counters must stay zero (the control for TestRunReportStorm).
 func TestRunReportStormFederated(t *testing.T) {
 	cfg := DefaultStormConfig()
 	cfg.Devices = 4

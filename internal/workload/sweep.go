@@ -36,9 +36,6 @@ type SweepConfig struct {
 	WorkIters int
 	// Seed for reproducibility.
 	Seed int64
-	// Serial runs the Dimmunix cells on the serial reference engine
-	// instead of the sharded fast path.
-	Serial bool
 }
 
 // DefaultSweepConfig returns the paper's sweep ranges.
@@ -76,7 +73,6 @@ func RunSweep(cfg SweepConfig) ([]SweepPoint, error) {
 			}
 			dim := base
 			dim.Dimmunix = true
-			dim.Serial = cfg.Serial
 			dres, err := Run(dim)
 			if err != nil {
 				return nil, fmt.Errorf("sweep threads=%d sigs=%d dimmunix: %w", threads, sigs, err)

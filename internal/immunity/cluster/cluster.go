@@ -21,9 +21,12 @@
 //
 // Hubs connect pairwise over the ordinary wire transports (loopback in
 // process, TCP across machines): every node dials every live member
-// and keeps the link alive with redial + backoff. On one link, the
-// dialer sends peer-hello (its hub id, advertised address, version
-// range, and the last arming seq it applied from the answering hub),
+// and keeps the link alive through the same resumable-session machine
+// the device tier uses (package immunity, "Resumable sessions" — the
+// handshake, quarantine, refusal and backoff rules are stated there,
+// once). On one link, the dialer sends peer-hello (its hub id,
+// advertised address, version range, and the last arming seq it
+// applied from the answering hub),
 // forward-report (device reports for signatures the answerer owns),
 // member-update (membership snapshots), handoff (ownership transfers),
 // and replicate (deputy shadow copies); the answerer replies with an
@@ -146,12 +149,11 @@
 //
 // # Partitions and restarts
 //
-// A severed link parks the forward outbox, redials with jittered
-// backoff — so the fleet does not thunder-herd the healed side of a
-// partition at one instant — and resubscribes from the last applied
-// arming seq: the reconnect replays exactly the missed armings. The
-// outbox is bounded (Config.ForwardOutboxCap): a partition outlasting
-// the cap spills the oldest messages, counted in
+// A severed link parks the forward outbox, redials, and resubscribes
+// from the last applied arming seq: the reconnect replays exactly the
+// missed armings (immunity's "Resumable sessions" has the backoff and
+// cursor rules). The outbox is bounded (Config.ForwardOutboxCap): a
+// partition outlasting the cap spills the oldest messages, counted in
 // immunity_cluster_forward_dropped_total, and receiver-side dedup plus
 // the device tier's full-history re-report on reconnect restore
 // at-least-once delivery for what was spilled. A restarted
@@ -160,7 +162,7 @@
 // reloads the replicated armed set — and, on a deputy, the shadow
 // confirmation sets — and resumes each peer cursor from the highest
 // seq it had applied (Exchange.RemoteSeqs). A memory-only restart
-// changes the hub's gen, which peers detect from the ack and
+// changes the hub's gen, which peers detect from the ack and condemn:
 // resubscribe from zero — redundant replay, never a lost arming.
 //
 // # Lock order
@@ -186,6 +188,9 @@
 // InstallReplica and ImportOwned on the receiver's transport goroutine.
 // No such caller holds a lock of the other hub, so no cycle between two
 // hubs' locks is possible.
+// Each link's session machine adds one leaf below link.mu (see the
+// lock-order line of immunity's "Resumable sessions"); link.mu itself
+// guards only the resume cursor and is released before any send.
 // The metrics registry (Config.Metrics) sits below all of these: its
 // instruments are lock-free atomics and its own locks are leaves that
 // never call out (see package immunity/metrics), so links update their
@@ -195,7 +200,6 @@ package cluster
 import (
 	"errors"
 	"fmt"
-	"math/rand"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -205,17 +209,6 @@ import (
 	"github.com/dimmunix/dimmunix/internal/immunity/metrics"
 	"github.com/dimmunix/dimmunix/internal/immunity/wire"
 )
-
-// helloTimeout bounds how long a peer handshake waits for the ack.
-const helloTimeout = 10 * time.Second
-
-// linkMinUptime is how long a handshaken peer session must survive
-// before the redial backoff resets. A peer that completes the
-// hello/ack handshake and then drops the session immediately (a
-// flapping hub, a proxy that accepts and kills, a crash loop) would
-// otherwise be redialed at the minimum backoff forever — dial success
-// alone proves nothing about session health.
-const linkMinUptime = time.Second
 
 // defaultForwardOutboxCap bounds a peer link's forward outbox when
 // Config.ForwardOutboxCap is unset: enough for a storm's worth of
@@ -474,7 +467,7 @@ func (n *Node) ForwardReport(tenant, device string, sigs []wire.Signature, keys 
 	}
 	for owner, group := range groups {
 		if l := n.linkFor(owner); l != nil {
-			// The version is stamped at delivery time (link.deliver).
+			// The version is stamped at delivery time (Redialer.Send).
 			// The tenant travels with the report so the owner counts it
 			// in the right namespace (all sigs of one call share one
 			// tenant: reports arrive per session, sessions are
@@ -555,7 +548,10 @@ func (n *Node) ensureLinks(live []wire.MemberInfo) {
 	n.linksMu.Unlock()
 	for _, l := range started {
 		n.wg.Add(1)
-		go n.runLink(l)
+		go func(l *link) {
+			defer n.wg.Done()
+			l.rd.Run()
+		}(l)
 	}
 }
 
@@ -619,13 +615,13 @@ func (n *Node) Status() []PeerStatus {
 		l.mu.Lock()
 		out = append(out, PeerStatus{
 			ID:              l.peerID,
-			Connected:       l.sess != nil,
+			Connected:       l.rd.Connected(),
 			Down:            !n.membership.isUp(l.peerID),
 			LastApplied:     l.lastApplied,
-			Dials:           l.dials,
-			Reconnects:      l.reconnects,
-			Applied:         l.applied,
-			Duplicates:      l.duplicates,
+			Dials:           l.rd.Dials(),
+			Reconnects:      l.rd.Reconnects(),
+			Applied:         l.applied.n,
+			Duplicates:      l.duplicates.n,
 			PendingForwards: l.outbox.Pending(),
 		})
 		l.mu.Unlock()
@@ -654,82 +650,52 @@ func (n *Node) Close() {
 }
 
 // link is one outbound peer connection: this node dialing one remote
-// hub. It owns the handshake (peer-hello with the resume seq), the
-// redial loop, and the forward outbox.
+// hub. The session machine (immunity.Redialer) owns the handshake, the
+// redial loop and the send path; the link owns the resume cursor — as
+// peerAttempt, its policy half of each dial — and the forward outbox.
 type link struct {
 	node   *Node
 	peerID string
-	t      immunity.Transport
+	rd     *immunity.Redialer
 	outbox *immunity.Queue[wire.Message]
-	downCh chan struct{}
 
 	mu          sync.Mutex
-	closed      bool // set by close(); a handshake that loses the race must not install its session
-	sess        immunity.Session
-	ackCh       chan wire.Ack
 	gen         string // peer hub incarnation, from its ack
 	lastApplied uint64
-	// lastUp is when the link last had a live session (creation time
-	// before the first handshake) — kept for debugging; liveness
-	// judgment belongs to the prober, which probes through other
-	// members before believing this link's word.
-	lastUp time.Time
-	// cur is the dial attempt whose session passed the handshake; only
-	// its broadcasts may advance lastApplied. An attempt the handshake
-	// condemned (gen change, seq rollback) still installs what it
-	// receives — an antibody is never refused — but its seqs are
-	// quarantined in the attempt, not the cursor: otherwise a condemned
-	// replay racing the cursor reset could fast-forward past armings
-	// that were filtered against the stale seq and lose them for good.
-	cur        *dialAttempt
-	dials      uint64
-	reconnects uint64
-	applied    uint64
-	duplicates uint64
-	handshakes uint64
+	applied     tally
+	duplicates  tally
 
-	// Per-peer registry instruments (nil without Config.Metrics; nil
-	// instruments are no-ops). Updated under l.mu — lock-free atomics.
-	metDials      *metrics.Counter
-	metReconnects *metrics.Counter
-	metConnected  *metrics.Gauge
-	metApplied    *metrics.Counter
-	metDuplicates *metrics.Counter
-	metForwards   *metrics.Counter
+	metForwards *metrics.Counter
 }
 
-// dialAttempt quarantines one dial's cursor advances until the
-// handshake accepts the session. Guarded by link.mu.
-type dialAttempt struct {
-	maxSeq    uint64 // highest owner seq received on this attempt's session
-	fencedLow uint64 // lowest fenced owner seq on this session (0 = none)
+// tally is a plain counter — PeerStatus must work without a registry —
+// and its registry mirror (nil without Config.Metrics; nil instruments
+// are no-ops), bumped together under link.mu.
+type tally struct {
+	n   uint64
+	met *metrics.Counter
 }
 
-// cursor is the seq this attempt may advance the durable cursor to:
-// the highest seq received, floored below the lowest fenced seq. A
-// replay burst that races a partition heal is fenced until the sender
-// is merged back into the ring; letting a later accepted arm carry the
-// cursor past the refused prefix would mask those armings forever —
-// the floor keeps them inside the next handshake's replay window.
-func (a *dialAttempt) cursor() uint64 {
-	if a.fencedLow > 0 && a.fencedLow-1 < a.maxSeq {
-		return a.fencedLow - 1
-	}
-	return a.maxSeq
+func (t *tally) inc() {
+	t.n++
+	t.met.Inc()
 }
 
 func newLink(n *Node, peerID string, t immunity.Transport, resumeSeq uint64, reg *metrics.Registry) *link {
-	l := &link{node: n, peerID: peerID, t: t, lastApplied: resumeSeq,
-		lastUp: time.Now(), downCh: make(chan struct{}, 1)}
-	l.metDials = reg.CounterVec("immunity_cluster_peer_dials_total",
-		"Dial attempts per peer link (first dial included).", "peer").With(peerID)
-	l.metReconnects = reg.CounterVec("immunity_cluster_peer_reconnects_total",
-		"Completed peer handshakes after the first.", "peer").With(peerID)
-	l.metConnected = reg.GaugeVec("immunity_cluster_peer_connected",
-		"Live handshaken outbound sessions to the peer.", "peer").With(peerID)
-	l.metApplied = reg.CounterVec("immunity_cluster_applied_total",
+	l := &link{node: n, peerID: peerID, lastApplied: resumeSeq}
+	l.rd = immunity.NewRedialer(immunity.RedialConfig{
+		Transport: t,
+		Begin:     func() immunity.Attempt { return &peerAttempt{l: l} },
+		Dials: reg.CounterVec("immunity_cluster_peer_dials_total",
+			"Dial attempts per peer link (first dial included).", "peer").With(peerID),
+		Reconnects: reg.CounterVec("immunity_cluster_peer_reconnects_total",
+			"Completed peer handshakes after the first.", "peer").With(peerID),
+		Connected: reg.GaugeVec("immunity_cluster_peer_connected",
+			"Live handshaken outbound sessions to the peer.", "peer").With(peerID),
+	})
+	l.applied.met = reg.CounterVec("immunity_cluster_applied_total",
 		"Arm-broadcasts from the peer that newly armed a signature here.", "peer").With(peerID)
-	l.metDuplicates = reg.CounterVec("immunity_cluster_duplicates_total",
+	l.duplicates.met = reg.CounterVec("immunity_cluster_duplicates_total",
 		"Arm-broadcast replays from the peer (cursor advances only).", "peer").With(peerID)
 	l.metForwards = reg.CounterVec("immunity_cluster_peer_forwards_total",
 		"Forward-report messages delivered to the peer.", "peer").With(peerID)
@@ -752,95 +718,139 @@ func newLink(n *Node, peerID string, t immunity.Transport, resumeSeq uint64, reg
 	return l
 }
 
-// deliver sends one outbox message over the current session; with no
-// session (or a dead one) it errors, parking the outbox until the
-// redial calls Resume.
+// deliver sends one outbox message over the live session; with none (or
+// a dead one) it errors, parking the outbox until the next accepted
+// handshake calls Resume.
 func (l *link) deliver(m wire.Message) error {
-	l.mu.Lock()
-	sess := l.sess
-	l.mu.Unlock()
-	if sess == nil {
-		return errors.New("peer link down")
-	}
-	m.V = wire.Version
-	if err := sess.Send(m); err != nil {
-		l.down(err)
-		return err
-	}
-	if m.Type == wire.TypeForwardReport {
+	err := l.rd.Send(m)
+	if err == nil && m.Type == wire.TypeForwardReport {
 		// Counted on delivery, not enqueue: the per-peer forward rate on
 		// /metrics then reflects traffic that actually left, and a parked
 		// outbox reads as the rate dropping to zero.
 		l.metForwards.Inc()
 	}
-	return nil
+	return err
 }
 
-// down marks the session dead and wakes the redial loop.
-func (l *link) down(error) {
-	select {
-	case l.downCh <- struct{}{}:
-	default:
-	}
-}
+// errNoLink is sendDirect's error for a peer this node has no link to;
+// like a down link's send error, the prober treats it as an immediate
+// probe failure worth escalating.
+var errNoLink = errors.New("cluster: no link to peer")
 
-// Direct-send failures: the prober treats a down or missing link as an
-// immediate probe failure worth escalating.
-var (
-	errNoLink   = errors.New("cluster: no link to peer")
-	errLinkDown = errors.New("cluster: peer link down")
-)
-
-// sendDirect sends one probe/lease message on the live session,
+// sendDirect sends one probe/lease message on a peer's live session,
 // bypassing the forward outbox: a parked outbox must never delay — or
 // worse, replay after heal — a liveness or lease request whose meaning
-// is "now".
-func (l *link) sendDirect(m wire.Message) error {
-	l.mu.Lock()
-	sess := l.sess
-	l.mu.Unlock()
-	if sess == nil {
-		return errLinkDown
-	}
-	m.V = wire.Version
-	if err := sess.Send(m); err != nil {
-		l.down(err)
-		return err
-	}
-	return nil
-}
-
-// sendDirect routes one probe/lease message to a peer's live session.
-// Never called with prober or lease locks held: loopback transports
-// deliver synchronously, so a send can nest the peer's (and, on a
-// relayed ack, our own) handlers on this goroutine's stack.
+// is "now". Never called with prober or lease locks held: loopback
+// transports deliver synchronously, so a send can nest the peer's (and,
+// on a relayed ack, our own) handlers on this goroutine's stack.
 func (n *Node) sendDirect(peer string, m wire.Message) error {
 	l := n.linkFor(peer)
 	if l == nil {
 		return errNoLink
 	}
-	return l.sendDirect(m)
+	return l.rd.Send(m)
 }
 
-// recv handles one hub→dialer message on behalf of dial attempt att
-// (transport goroutine, no link lock held while calling into the local
-// hub).
-func (l *link) recv(att *dialAttempt, m wire.Message) {
+// close tears the link down (node Close only).
+func (l *link) close() {
+	l.rd.Close()
+	l.outbox.Close()
+}
+
+// peerAttempt is the peer tier's policy half of one dial: the hello
+// carries the last arming seq applied from the peer, and the seqs this
+// session delivers stay quarantined here until the handshake accepts
+// it. A condemned attempt (gen change, seq rollback) still installs
+// what it receives — an antibody is never refused — but never reaches
+// the cursor: a condemned replay racing the cursor reset could
+// otherwise fast-forward past armings that were filtered against the
+// stale seq and lose them for good. Fields are guarded by link.mu.
+type peerAttempt struct {
+	l         *link
+	seq       uint64 // the resume seq the hello carried
+	maxSeq    uint64 // highest owner seq received on this session
+	fencedLow uint64 // lowest fenced owner seq on this session (0 = none)
+}
+
+// cursor is the seq this attempt may advance the durable cursor to:
+// the highest seq received, floored below the lowest fenced seq. A
+// replay burst that races a partition heal is fenced until the sender
+// is merged back into the ring; letting a later accepted arm carry the
+// cursor past the refused prefix would mask those armings forever —
+// the floor keeps them inside the next handshake's replay window.
+func (a *peerAttempt) cursor() uint64 {
+	if a.fencedLow > 0 && a.fencedLow-1 < a.maxSeq {
+		return a.fencedLow - 1
+	}
+	return a.maxSeq
+}
+
+// Hello implements immunity.Attempt. A successful transport connect is
+// the liveness proof: revive the member BEFORE the hello goes out,
+// because the hello's answer is a replay burst that may be delivered
+// synchronously — were the peer still down-marked, every replayed arm
+// would be fenced against the pre-revival ring and the burst lost until
+// the next handshake. (Should the handshake still fail, the prober
+// re-condemns a member this connect wrongly revived; membership
+// mistakes are safe by construction — see the fencing rule.) There is
+// deliberately no re-check after the handshake: killing a live session
+// to force a re-merge would also kill the probe path that keeps the
+// revived member alive — a revive/condemn livelock with every link
+// down.
+func (a *peerAttempt) Hello() wire.Message {
+	l := a.l
+	if l.node.membership.seen(l.peerID, "") {
+		l.node.applyMembership()
+	}
+	l.mu.Lock()
+	a.seq = l.lastApplied
+	l.mu.Unlock()
+	// The advertised address lets the answerer admit us into its
+	// membership and dial back.
+	return wire.Message{V: wire.Version, Type: wire.TypePeerHello,
+		PeerHello: &wire.PeerHello{Hub: l.node.self, Addr: l.node.selfAddr,
+			Seq: a.seq, MinV: wire.Version, MaxV: wire.Version}}
+}
+
+// Verdict implements immunity.Attempt.
+func (a *peerAttempt) Verdict(ack wire.Ack) error {
+	l := a.l
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	genChanged := l.gen != "" && ack.Gen != l.gen
+	l.gen = ack.Gen
+	if genChanged || ack.Epoch < a.seq {
+		// The peer is a new incarnation (or its arming seq rolled back):
+		// our cursor is fiction and this session's replay was filtered
+		// against it. Restart the subscription from zero — InstallRemote
+		// dedupes the re-replay.
+		l.lastApplied = 0
+		return fmt.Errorf("peer %s restarted (gen %q, seq %d vs our %d): resubscribing from 0",
+			l.peerID, ack.Gen, ack.Epoch, a.seq)
+	}
+	return nil
+}
+
+// Accepted implements immunity.Attempt. Replay that arrived before the
+// handshake settled was filtered against the seq we sent, so on an
+// accepted session it is a safe cursor advance — up to the fenced
+// floor, which marks armings this session failed to install and the
+// next replay must carry again.
+func (a *peerAttempt) Accepted() {
+	l := a.l
+	l.mu.Lock()
+	if a.cursor() > l.lastApplied {
+		l.lastApplied = a.cursor()
+	}
+	l.mu.Unlock()
+	l.outbox.Resume()
+}
+
+// Recv implements immunity.Attempt (transport goroutine, no link lock
+// held while calling into the local hub).
+func (a *peerAttempt) Recv(m wire.Message) {
+	l := a.l
 	switch m.Type {
-	case wire.TypeAck:
-		l.mu.Lock()
-		ackCh := l.ackCh
-		l.mu.Unlock()
-		if ackCh != nil {
-			select {
-			case ackCh <- *m.Ack:
-			default:
-			}
-		} else if !m.Ack.OK {
-			// Unsolicited failure ack: the peer superseded or evicted this
-			// session; drop it and let the redial loop sort it out.
-			l.down(errors.New(m.Ack.Error))
-		}
 	case wire.TypeArmBroadcast:
 		applied, err := l.node.hub.InstallRemote(*m.Arm)
 		if err != nil {
@@ -855,10 +865,10 @@ func (l *link) recv(att *dialAttempt, m wire.Message) {
 			// next handshake's replay.
 			if errors.Is(err, immunity.ErrFenced) && m.Arm.Owner == l.peerID {
 				l.mu.Lock()
-				if att.fencedLow == 0 || m.Arm.Seq < att.fencedLow {
-					att.fencedLow = m.Arm.Seq
+				if a.fencedLow == 0 || m.Arm.Seq < a.fencedLow {
+					a.fencedLow = m.Arm.Seq
 				}
-				if l.cur == att && l.lastApplied >= m.Arm.Seq {
+				if l.rd.Live(a) && l.lastApplied >= m.Arm.Seq {
 					l.lastApplied = m.Arm.Seq - 1
 				}
 				l.mu.Unlock()
@@ -866,20 +876,18 @@ func (l *link) recv(att *dialAttempt, m wire.Message) {
 			return
 		}
 		l.mu.Lock()
-		if m.Arm.Owner == l.peerID && m.Arm.Seq > att.maxSeq {
-			att.maxSeq = m.Arm.Seq
-			// Only an accepted session moves the durable cursor; replay
-			// that raced the handshake is merged in when dial accepts.
-			if l.cur == att && att.cursor() > l.lastApplied {
-				l.lastApplied = att.cursor()
+		if m.Arm.Owner == l.peerID && m.Arm.Seq > a.maxSeq {
+			a.maxSeq = m.Arm.Seq
+			// Only the accepted session moves the durable cursor; replay
+			// that raced the handshake is merged in by Accepted.
+			if l.rd.Live(a) && a.cursor() > l.lastApplied {
+				l.lastApplied = a.cursor()
 			}
 		}
 		if applied {
-			l.applied++
-			l.metApplied.Inc()
+			l.applied.inc()
 		} else {
-			l.duplicates++
-			l.metDuplicates.Inc()
+			l.duplicates.inc()
 		}
 		l.mu.Unlock()
 	case wire.TypeForwardConfirm:
@@ -889,231 +897,5 @@ func (l *link) recv(att *dialAttempt, m wire.Message) {
 		// relayed on changes): merge, and run the pipeline if it moved
 		// us.
 		l.node.ApplyMemberUpdate(*m.Member)
-	}
-}
-
-// dial opens one session and completes the peer-hello/ack handshake.
-func (l *link) dial() error {
-	ackCh := make(chan wire.Ack, 1)
-	att := &dialAttempt{}
-	l.mu.Lock()
-	l.ackCh = ackCh
-	seq := l.lastApplied
-	l.mu.Unlock()
-	clearAck := func() {
-		l.mu.Lock()
-		if l.ackCh == ackCh {
-			l.ackCh = nil
-		}
-		l.mu.Unlock()
-	}
-
-	sess, err := l.t.Dial(func(m wire.Message) { l.recv(att, m) }, l.down)
-	if err != nil {
-		clearAck()
-		return err
-	}
-	// A successful transport connect is the liveness proof: revive the
-	// member BEFORE the hello goes out, because the hello's answer is a
-	// replay burst that may be delivered synchronously — if the peer
-	// were still down-marked here, every replayed arm would be fenced
-	// against the pre-revival ring and the burst lost until the next
-	// handshake. Reviving first lands the replay in the merged ring.
-	// (Should the handshake still fail, the prober re-condemns a member
-	// this connect wrongly revived; membership mistakes are safe by
-	// construction — see the package comment's fencing rule.)
-	if l.node.membership.seen(l.peerID, "") {
-		l.node.applyMembership()
-	}
-	// The advertised address lets the answerer admit us into its
-	// membership and dial back.
-	hello := wire.Message{V: wire.Version, Type: wire.TypePeerHello,
-		PeerHello: &wire.PeerHello{Hub: l.node.self, Addr: l.node.selfAddr,
-			Seq: seq, MinV: wire.Version, MaxV: wire.Version}}
-	if err := sess.Send(hello); err != nil {
-		clearAck()
-		sess.Close()
-		return err
-	}
-	select {
-	case ack := <-ackCh:
-		clearAck()
-		if !ack.OK {
-			// Unlike a device client, a peer never gives up for good: the
-			// refusal may be a config gap (the peer not yet clustered)
-			// that the next redial outlives.
-			sess.Close()
-			return fmt.Errorf("peer %s refused: %s", l.peerID, ack.Error)
-		}
-		if ack.V != wire.Version {
-			// A session at any other version is never installed: leases
-			// and probes count only answers from links that speak them.
-			sess.Close()
-			return fmt.Errorf("peer %s acked protocol version %d, want %d", l.peerID, ack.V, wire.Version)
-		}
-		l.mu.Lock()
-		genChanged := l.gen != "" && ack.Gen != l.gen
-		l.gen = ack.Gen
-		if genChanged || ack.Epoch < seq {
-			// The peer is a new incarnation (or its arming seq rolled
-			// back): our cursor is fiction and this session's replay was
-			// filtered against it. Restart the subscription from zero —
-			// InstallRemote dedupes the re-replay. The condemned attempt
-			// is never accepted (l.cur stays off it), so broadcasts it
-			// already delivered cannot fast-forward the fresh cursor past
-			// armings the stale filter skipped.
-			l.lastApplied = 0
-			l.mu.Unlock()
-			sess.Close()
-			return fmt.Errorf("peer %s restarted (gen %q, seq %d vs our %d): resubscribing from 0",
-				l.peerID, ack.Gen, ack.Epoch, seq)
-		}
-		if l.closed {
-			// Node.Close raced the tail of the handshake and already tore
-			// down (nil) l.sess; installing this one now would leak it —
-			// and keep this node registered as a live peer on the remote
-			// hub — forever.
-			l.mu.Unlock()
-			sess.Close()
-			return errors.New("node closed")
-		}
-		l.sess = sess
-		l.cur = att
-		l.lastUp = time.Now()
-		// Merge replay that arrived before the handshake settled: those
-		// broadcasts were filtered against the seq we sent, so on an
-		// accepted session they are safe cursor advances — up to the
-		// fenced floor, which marks armings this session failed to
-		// install and the next replay must carry again.
-		if att.cursor() > l.lastApplied {
-			l.lastApplied = att.cursor()
-		}
-		if l.handshakes++; l.handshakes > 1 {
-			l.reconnects++
-			l.metReconnects.Inc()
-		}
-		l.mu.Unlock()
-		l.outbox.Resume()
-		return nil
-	case <-time.After(helloTimeout):
-		clearAck()
-		sess.Close()
-		return fmt.Errorf("peer %s: timed out waiting for ack", l.peerID)
-	case <-l.downCh:
-		// The session died mid-handshake (or a fault layer severed it):
-		// abort now instead of burning the full hello timeout — after a
-		// partition heals, that stall would delay the reconnect replay
-		// by up to helloTimeout for nothing.
-		clearAck()
-		sess.Close()
-		return fmt.Errorf("peer %s: session died during handshake", l.peerID)
-	case <-l.node.closeCh:
-		clearAck()
-		sess.Close()
-		return errors.New("node closed")
-	}
-}
-
-// close tears the link down (node Close only).
-func (l *link) close() {
-	l.mu.Lock()
-	l.closed = true
-	sess := l.sess
-	l.sess = nil
-	l.cur = nil
-	l.mu.Unlock()
-	if sess != nil {
-		sess.Close()
-	}
-	l.outbox.Close()
-}
-
-// runLink keeps one peer link alive until the node closes: dial with
-// backoff, then wait for the session to drop and redial. The resume seq
-// in each peer-hello makes every reconnect replay exactly the missed
-// armings. Backoff resets only after a session survives linkMinUptime —
-// a handshake completing proves nothing by itself, and resetting on
-// dial success let a peer that acks and instantly drops be redialed in
-// a tight 5ms loop forever.
-func (n *Node) runLink(l *link) {
-	defer n.wg.Done()
-	backoffMin, backoffMax := 5*time.Millisecond, 2*time.Second
-	backoff := backoffMin
-	sleep := func() bool {
-		// Jitter the wait to half-to-full backoff: every hub backs off
-		// from a partition on the same clock, and without jitter they
-		// would all thunder-herd the healed side at the same instant.
-		wait := backoff/2 + time.Duration(rand.Int63n(int64(backoff/2)+1))
-		select {
-		case <-n.closeCh:
-			return false
-		case <-time.After(wait):
-		}
-		if backoff *= 2; backoff > backoffMax {
-			backoff = backoffMax
-		}
-		return true
-	}
-	for {
-		select {
-		case <-n.closeCh:
-			return
-		default:
-		}
-		// No session is live here, so any queued down event is the old
-		// session's corpse twitching — drain it rather than let it tear
-		// down the session we are about to dial.
-		select {
-		case <-l.downCh:
-		default:
-		}
-		l.mu.Lock()
-		l.dials++
-		l.mu.Unlock()
-		l.metDials.Inc()
-		if err := l.dial(); err != nil {
-			if !sleep() {
-				return
-			}
-			continue
-		}
-		// The revival itself happened inside dial(), before the hello —
-		// an outbound connect is a liveness proof, and merging the member
-		// back in first is what lets the handshake's replay land instead
-		// of being fenced against the pre-revival ring. Deliberately no
-		// re-check here: killing a live session to force a re-merge would
-		// also kill the probe path that keeps the revived member alive,
-		// and the prober would re-condemn it before the next handshake —
-		// a revive/condemn livelock with every link down.
-		connectedAt := time.Now()
-		l.metConnected.Add(1)
-		select {
-		case <-n.closeCh:
-			l.metConnected.Add(-1)
-			return
-		case <-l.downCh:
-			l.mu.Lock()
-			sess := l.sess
-			l.sess = nil
-			l.cur = nil // a dead session's stragglers must not move the cursor
-			l.lastUp = time.Now()
-			l.mu.Unlock()
-			if sess != nil {
-				// Closed OUTSIDE l.mu: Close can wait on the peer hub's
-				// connection teardown, whose in-flight handlers may be
-				// blocked taking this very lock (a probe ack riding a
-				// synchronous loopback delivery) — holding it here closes
-				// a lock cycle with the fault layer's sever path.
-				sess.Close()
-			}
-			l.metConnected.Add(-1)
-		}
-		if time.Since(connectedAt) >= linkMinUptime {
-			backoff = backoffMin
-		} else if !sleep() {
-			// A session that died young counts as a failed attempt: keep
-			// backing off before the redial.
-			return
-		}
 	}
 }

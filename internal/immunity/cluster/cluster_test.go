@@ -502,22 +502,27 @@ type PeerStatusOf struct {
 
 // flappyTransport accepts every dial and completes the peer handshake
 // with an OK ack — then immediately drops the session. The worst kind
-// of peer for the redial loop: dial() keeps succeeding, so a backoff
-// reset on dial success (the old behavior) redials at the 5ms floor
-// forever.
+// of peer for the redial loop: the handshake keeps succeeding, so a
+// backoff reset on handshake success redials at the 5ms floor forever.
 type flappyTransport struct {
 	dials atomic.Uint64
+	// dialed carries each dial's time; sized so a redial hammer fills it
+	// instead of blocking the link.
+	dialed chan time.Time
 }
 
 type flappySession struct {
-	t    *flappyTransport
 	recv func(wire.Message)
 	down func(error)
 }
 
 func (f *flappyTransport) Dial(recv func(wire.Message), down func(err error)) (immunity.Session, error) {
 	f.dials.Add(1)
-	return &flappySession{t: f, recv: recv, down: down}, nil
+	select {
+	case f.dialed <- time.Now():
+	default:
+	}
+	return &flappySession{recv: recv, down: down}, nil
 }
 
 func (s *flappySession) Send(m wire.Message) error {
@@ -533,8 +538,11 @@ func (s *flappySession) Close() error { return nil }
 
 // TestClusterFlappingPeerBacksOff: a peer that acks the handshake and
 // instantly drops must be redialed with growing backoff, not hammered
-// at the 5ms floor; the dial counter in the metrics registry is how
-// both this test and an operator see the hammer is gone.
+// at the 5ms floor — after k short-lived sessions the k-th wait is at
+// least floor·2^(k-1), jittered down to half at most. The dial counter
+// in the metrics registry is how an operator sees the hammer is gone.
+// (TestRedialHandshakeTable's ack-then-drop row holds the device tier
+// to the same bound; the rule itself is immunity's nextBackoff table.)
 func TestClusterFlappingPeerBacksOff(t *testing.T) {
 	hub, err := immunity.NewExchange(1)
 	if err != nil {
@@ -542,7 +550,7 @@ func TestClusterFlappingPeerBacksOff(t *testing.T) {
 	}
 	t.Cleanup(hub.Close)
 	reg := metrics.NewRegistry()
-	flappy := &flappyTransport{}
+	flappy := &flappyTransport{dialed: make(chan time.Time, 1024)}
 	node, err := cluster.New(cluster.Config{
 		Self:    "hub0",
 		Hub:     hub,
@@ -554,31 +562,25 @@ func TestClusterFlappingPeerBacksOff(t *testing.T) {
 	}
 	t.Cleanup(node.Close)
 
-	const window = 500 * time.Millisecond
-	time.Sleep(window)
+	prev := <-flappy.dialed
+	for k := 1; k <= 5; k++ {
+		// The session dropped inside the hello's Send, so the gap between
+		// two dials is no shorter than the wait between them.
+		at := <-flappy.dialed
+		if wait, min := at.Sub(prev), redialFloor<<(k-1)/2; wait < min {
+			t.Fatalf("redial %d came %v after the previous dial, want ≥ %v — the redial hammer is back", k, wait, min)
+		}
+		prev = at
+	}
+	node.Close() // no dial past here: the counts below are final
 	dials := flappy.dials.Load()
-	// With backoff doubling from 5ms after every short-lived session,
-	// ~7 attempts fit in the window; without the fix the loop redials
-	// back-to-back and racks up hundreds.
-	if dials > 12 {
-		t.Fatalf("flapping peer dialed %d times in %v — the redial hammer is back", dials, window)
-	}
-	if dials == 0 {
-		t.Fatal("link never dialed the peer")
-	}
 	metDials := reg.CounterVec("immunity_cluster_peer_dials_total",
 		"Dial attempts per peer link (first dial included).", "peer").With("flappy").Value()
 	if metDials != dials {
 		t.Fatalf("registry counted %d dials, transport saw %d", metDials, dials)
 	}
-	var st cluster.PeerStatus
-	for _, ps := range node.Status() {
-		if ps.ID == "flappy" {
-			st = ps
-		}
-	}
-	if st.Dials != dials {
-		t.Fatalf("PeerStatus.Dials = %d, transport saw %d", st.Dials, dials)
+	if st := node.Status()[0]; st.ID != "flappy" || st.Dials != dials {
+		t.Fatalf("PeerStatus = %+v, transport saw %d dials", st, dials)
 	}
 }
 

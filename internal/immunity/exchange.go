@@ -755,9 +755,18 @@ func (c *Conn) Handle(m wire.Message) error {
 	c.mu.Unlock()
 
 	switch m.Type {
-	case wire.TypeHello:
-		return c.handleHello(m)
-	case wire.TypePeerHello:
+	case wire.TypeHello, wire.TypePeerHello:
+		if device != "" || peerHub != "" {
+			// A second device hello would re-register the Conn under a new
+			// id while x.conns still mapped the old id to it, so pushes
+			// would be recorded against a device that never received them;
+			// a session bound in both tiers would receive both tiers'
+			// pushes and pollute the delivery bookkeeping.
+			return c.refuse("duplicate hello (session already bound to %s)", device+peerHub)
+		}
+		if m.Type == wire.TypeHello {
+			return c.handleHello(m)
+		}
 		return c.handlePeerHello(m)
 	case wire.TypeStatusReq:
 		// Status is answerable before hello: monitoring probes need no
@@ -859,20 +868,6 @@ func (c *Conn) handleHello(m wire.Message) error {
 	if h.Epochs != nil {
 		epoch = h.Epochs[x.gen]
 	}
-	c.mu.Lock()
-	already, alreadyPeer := c.device, c.peerHub
-	c.mu.Unlock()
-	if already != "" {
-		// A second hello on one session would re-register the Conn under
-		// a new id while x.conns still mapped the old id to it, so pushes
-		// would be recorded against a device that never received them.
-		return c.refuse("duplicate hello (session already bound to device %s)", already)
-	}
-	if alreadyPeer != "" {
-		// A peer session moonlighting as a device would receive both
-		// tiers' pushes and pollute the delivery bookkeeping.
-		return c.refuse("hello on a session already bound to peer hub %s", alreadyPeer)
-	}
 
 	sk := sessKey(tenant, h.Device)
 	x.mu.Lock()
@@ -909,18 +904,25 @@ func (c *Conn) handleHello(m wire.Message) error {
 	}
 	x.commit(&fx)
 
-	if stale != nil {
-		// A final failure ack tells the stale session's client to stop
-		// for good instead of redialing into a supersession ping-pong;
-		// Close drains the queue, so the ack goes out first. Close runs
-		// on its own goroutine: it waits out the stale drain, which on a
-		// wedged TCP peer only unblocks at the transport write deadline,
-		// and the new session's handshake must not wait for that.
-		stale.push(wire.Message{Type: wire.TypeAck,
-			Ack: &wire.Ack{OK: false, Error: fmt.Sprintf("superseded by a newer session for device %s", h.Device)}})
-		go stale.Close()
-	}
+	supersede(stale, "device "+h.Device)
 	return nil
+}
+
+// supersede retires the session a newer hello for the same identity
+// replaced (nil: there was none). A final failure ack tells the stale
+// session's dialer it was replaced — a device stops for good instead of
+// redialing into a supersession ping-pong; Close drains the queue, so
+// the ack goes out first. Close runs on its own goroutine: it waits out
+// the stale drain, which on a wedged TCP peer only unblocks at the
+// transport write deadline, and the new session's handshake must not
+// wait for that.
+func supersede(stale *Conn, what string) {
+	if stale == nil {
+		return
+	}
+	stale.push(wire.Message{Type: wire.TypeAck,
+		Ack: &wire.Ack{OK: false, Error: "superseded by a newer session for " + what}})
+	go stale.Close()
 }
 
 // handlePeerHello registers an inbound hub-to-hub session: version
@@ -936,7 +938,7 @@ func (c *Conn) handlePeerHello(m wire.Message) error {
 		return c.refuse("empty peer hub id")
 	}
 	c.mu.Lock()
-	boundDevice, boundPeer, tid := c.device, c.peerHub, c.transportIdentity
+	tid := c.transportIdentity
 	c.mu.Unlock()
 	if c.hub.peerAuth && tid != h.Hub {
 		// The claimed hub id must be backed by the session's mutual-TLS
@@ -945,9 +947,6 @@ func (c *Conn) handlePeerHello(m wire.Message) error {
 		// client cert), so it lands here with tid "" and is refused.
 		c.hub.met.authFailures.With("peer-identity").Inc()
 		return c.refuse("peer hub %q does not match transport identity %q", h.Hub, tid)
-	}
-	if boundDevice != "" || boundPeer != "" {
-		return c.refuse("duplicate hello (session already bound)")
 	}
 
 	x := c.hub
@@ -988,11 +987,7 @@ func (c *Conn) handlePeerHello(m wire.Message) error {
 	cluster := x.cluster
 	x.mu.Unlock()
 
-	if stale != nil {
-		stale.push(wire.Message{Type: wire.TypeAck,
-			Ack: &wire.Ack{OK: false, Error: fmt.Sprintf("superseded by a newer session for hub %s", h.Hub)}})
-		go stale.Close()
-	}
+	supersede(stale, "hub "+h.Hub)
 	// A completed inbound handshake is liveness (and, with an address, a
 	// join request): revive or admit the dialer. Runs without x.mu — it
 	// can re-bind ownership, which locks the hub.

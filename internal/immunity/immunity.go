@@ -47,9 +47,10 @@
 //     sockets — zero-dependency tests and simulations, same messages,
 //     same arming decisions.
 //   - TCPTransport/ServeTCP move length-prefixed binary wire frames
-//     over real sockets; ExchangeClient redials dropped sessions with
-//     backoff and resubscribes from the last delta epoch it applied, so
-//     a reconnect receives exactly the armings it missed. The hub's
+//     over real sockets; a dropped session is redialed with backoff and
+//     resubscribes from the last delta epoch applied, so a reconnect
+//     receives exactly the armings it missed (see "Resumable sessions"
+//     below). The hub's
 //     write side is encode-once: a broadcast delta or arm-broadcast is
 //     marshaled at most once (wire.Shared) and each session's drain
 //     hands every pending frame to the kernel in one writev.
@@ -130,6 +131,55 @@
 // Conn.mu, Exchange.mu > push-queue locks, Exchange.mu > persistMu >
 // store locks; the binding's pure queries take only the node's leaf
 // locks, and its sinks are called with no hub lock held.
+//
+// # Resumable sessions
+//
+// "No confirmation and no arming is lost across restart, failover or
+// heal" rests on one resumable wire session, written once (redial.go):
+// a Redialer dials, sends a hello carrying a resume cursor, waits for
+// the ack, and redials when the session dies; the answerer replays what
+// the cursor predates. Every dialer of a hub goes through it — the
+// device tier (ExchangeClient), the cluster's peer links, the workload
+// storm — and supplies only what differs as an Attempt per dial: what
+// the hello says, what an ack means for its cursor, what runs on
+// accept, and the non-ack traffic. Five invariants hold for all of
+// them:
+//
+//  1. Ack before install. A session becomes the live one — Send uses
+//     it, its traffic may move a cursor — only after an OK ack at
+//     wire.Version passed the policy's verdict. The ack wait ends on the
+//     ack, the hello timeout, the session's death or Close, whichever
+//     comes first; a Close that races the handshake's tail closes the
+//     session instead of leaking it.
+//  2. Only the accepted attempt moves a cursor. Each dial quarantines
+//     the advances its session's traffic would justify; they are merged
+//     when the attempt is accepted, and a dead or condemned session's
+//     stragglers move nothing (Redialer.Live, checked in the critical
+//     section of the advance). Everything received is still installed —
+//     an antibody is never refused.
+//  3. Condemn ⇒ cursor 0 and redial. An ack that proves the cursor is
+//     fiction (the hub's epoch behind the one resumed from, a peer under
+//     a new incarnation) resets the cursor and fails the handshake; had
+//     the condemned session's replay — filtered against the stale
+//     cursor — been allowed to advance it, the armings the filter
+//     skipped would be lost for good.
+//  4. A refusal is final for a device, never for a peer. A failed
+//     handshake ack, a failure ack on the live session (superseded) or
+//     a transport that can never reconnect stops an ExchangeClient with
+//     Err set and its subscription released; a peer link redials
+//     through all three, because the refusal may be a config gap the
+//     next attempt outlives.
+//  5. Backoff resets on uptime, not on handshake. The redial wait
+//     doubles from 5 ms to 2 s, jittered to half-to-full so a healed hub
+//     is not thunder-herded, and returns to the floor only after a
+//     session outlived one second; that session's redial is immediate.
+//
+// Lock order: Redialer.mu is a leaf below every lock in this package
+// and in cluster. It covers pointer swaps only and is never held across
+// Transport.Dial, Session.Send, Session.Close or an Attempt method —
+// loopback delivers the ack and the replay burst synchronously on the
+// sender's stack, and a Close can wait on hub handlers that are blocked
+// on the policy's own lock. Send and Live take no lock at all.
 //
 // # Durable provenance
 //

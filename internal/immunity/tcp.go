@@ -17,8 +17,9 @@ import (
 // config shapes). ServeTCP is the hub side (one goroutine per accepted
 // connection feeding frames into Exchange.Conn.Handle, one push-queue
 // goroutine writing frames back); TCPTransport is the phone side.
-// Reconnect and resubscribe-from-epoch live in ExchangeClient, not
-// here — the transport only reports the session's death.
+// Reconnect and resubscribe-from-epoch live in the session machine
+// (redial.go), not here — the transport only reports the session's
+// death.
 
 // writeTimeout bounds every frame write. A peer that stopped reading
 // (wedged phone, half-dead socket) errors the session out instead of

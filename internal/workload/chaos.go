@@ -254,7 +254,7 @@ func RunChaosStorm(cfg ChaosConfig) (ChaosResult, error) {
 	// session with it and every lost arming is the federation's fault.
 	devices := make([]*stormSession, cfg.Devices)
 	for i := range devices {
-		dev, err := dialStorm(immunity.NewLoopback(hubs[i%victim]), fmt.Sprintf("chaos%d", i), "", cfg.Timeout)
+		dev, err := dialStorm(immunity.NewLoopback(hubs[i%victim]), fmt.Sprintf("chaos%d", i), "")
 		if err != nil {
 			return res, fmt.Errorf("chaos: %w", err)
 		}
@@ -427,7 +427,7 @@ func singleHubReference(cfg ChaosConfig, fullSet []wire.Signature, deadline time
 	defer hub.Close()
 	tr := immunity.NewLoopback(hub)
 	for i := 0; i < cfg.Devices; i++ {
-		dev, err := dialStorm(tr, fmt.Sprintf("chaos%d", i), "", cfg.Timeout)
+		dev, err := dialStorm(tr, fmt.Sprintf("chaos%d", i), "")
 		if err != nil {
 			return nil, fmt.Errorf("chaos: reference: %w", err)
 		}

@@ -315,7 +315,7 @@ func RunPartitionStorm(cfg PartitionConfig) (PartitionResult, error) {
 	// split, which is exactly what forces arming decisions onto it.
 	devices := make([]*stormSession, cfg.Devices)
 	for i := range devices {
-		dev, err := dialStorm(immunity.NewLoopback(hubs[i%cfg.Hubs]), fmt.Sprintf("part%d", i), "", cfg.Timeout)
+		dev, err := dialStorm(immunity.NewLoopback(hubs[i%cfg.Hubs]), fmt.Sprintf("part%d", i), "")
 		if err != nil {
 			return res, fmt.Errorf("partition: %w", err)
 		}

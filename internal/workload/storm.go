@@ -323,7 +323,7 @@ func RunReportStorm(cfg StormConfig) (StormResult, error) {
 	// signature, which is what an unbatched or misbehaving client does.
 	devices := make([]*stormSession, cfg.Devices)
 	for i := range devices {
-		dev, err := dialStorm(deviceTransports[i%len(deviceTransports)], fmt.Sprintf("storm%d", i), cfg.Token, cfg.Timeout)
+		dev, err := dialStorm(deviceTransports[i%len(deviceTransports)], fmt.Sprintf("storm%d", i), cfg.Token)
 		if err != nil {
 			return res, fmt.Errorf("storm: %w", err)
 		}
@@ -501,48 +501,34 @@ func (d *stormSession) drive(cfg StormConfig, fullSet []wire.Signature) error {
 // to flood reports.
 type stormSession struct {
 	id   string
-	sess immunity.Session
+	sess *immunity.Redialer
 }
 
 func (d *stormSession) close() { d.sess.Close() }
 
-// dialStorm opens one device session and completes the handshake. The
-// hub's pushes (catch-up delta, confirms, storm deltas) are drained and
-// discarded — the storm measures ingest, not install.
-func dialStorm(tr immunity.Transport, id, token string, timeout time.Duration) (*stormSession, error) {
-	ackCh := make(chan wire.Ack, 1)
-	sess, err := tr.Dial(func(m wire.Message) {
-		if m.Type == wire.TypeAck && m.Ack != nil {
-			select {
-			case ackCh <- *m.Ack:
-			default:
-			}
-		}
-	}, func(error) {})
-	if err != nil {
-		return nil, fmt.Errorf("%s dial: %w", id, err)
+// stormAttempt is the storm's policy for the session machine: a bare
+// hello with no resume cursor, and the hub's pushes (catch-up delta,
+// confirms, storm deltas) discarded — the storm measures ingest, not
+// install.
+type stormAttempt struct{ id, token string }
+
+func (a stormAttempt) Hello() wire.Message {
+	return wire.Message{V: wire.Version, Type: wire.TypeHello,
+		Hello: &wire.Hello{Device: a.id, MinV: wire.Version, MaxV: wire.Version, Token: a.token}}
+}
+func (stormAttempt) Verdict(wire.Ack) error { return nil }
+func (stormAttempt) Accepted()              {}
+func (stormAttempt) Recv(wire.Message)      {}
+
+// dialStorm opens one device session and completes the handshake, once:
+// a storm device that loses its session stays down.
+func dialStorm(tr immunity.Transport, id, token string) (*stormSession, error) {
+	rd := immunity.NewRedialer(immunity.RedialConfig{Transport: tr,
+		Begin: func() immunity.Attempt { return stormAttempt{id, token} }})
+	if err := rd.Handshake(); err != nil {
+		return nil, fmt.Errorf("%s: %w", id, err)
 	}
-	hello := wire.Message{V: wire.Version, Type: wire.TypeHello,
-		Hello: &wire.Hello{Device: id, MinV: wire.Version, MaxV: wire.Version, Token: token}}
-	if err := sess.Send(hello); err != nil {
-		sess.Close()
-		return nil, fmt.Errorf("%s hello: %w", id, err)
-	}
-	select {
-	case ack := <-ackCh:
-		if !ack.OK {
-			sess.Close()
-			return nil, fmt.Errorf("%s refused: %s", id, ack.Error)
-		}
-		if ack.V != wire.Version {
-			sess.Close()
-			return nil, fmt.Errorf("%s: hub acked protocol version %d, want %d", id, ack.V, wire.Version)
-		}
-		return &stormSession{id: id, sess: sess}, nil
-	case <-time.After(timeout):
-		sess.Close()
-		return nil, fmt.Errorf("%s: timed out waiting for hello ack", id)
-	}
+	return &stormSession{id: id, sess: rd}, nil
 }
 
 // FormatStorm renders a storm result for the CLI.

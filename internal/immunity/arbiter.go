@@ -62,15 +62,10 @@ type fleetSig struct {
 	seq         int // first-report order, 1-based
 	firstSeen   string
 	confirmedBy map[string]bool
-	// pushedTo records the devices the hub has delivered this signature
-	// to. A report from such a device is not an independent observation —
-	// it is the push coming back (possibly via the device's persistent
-	// store after a reconnect or reboot) — and never counts as a
-	// confirmation. This state survives client churn and, with a
-	// ProvenanceStore, hub restarts.
-	pushedTo map[string]bool
-	armed    bool
-	armEpoch uint64 // fleet epoch assigned at arming; 0 while unarmed
+	armed       bool
+	// armEpoch is the fleet epoch assigned at arming (0 while unarmed):
+	// the entry's place in every device's delivery prefix.
+	armEpoch uint64
 
 	// Cluster fields. owner is the cluster id of the hub owning the
 	// signature's confirm bookkeeping ("" outside a cluster); ownerSeq is
@@ -121,6 +116,27 @@ func tenantKey(tenant, key string) string {
 	}
 	return "t=" + tenant + "|" + key
 }
+
+// deviceKey is the store key of one device's delivery-cursor record. No
+// signature key can take this form — those start with a kind name or
+// tenantKey's "t=" — and the quoted tenant keeps (tenant, device) pairs
+// apart whatever bytes either holds.
+func deviceKey(tenant, device string) string { return fmt.Sprintf("device=%q|%s", tenant, device) }
+
+// delivery is what the hub has pushed to one device (the package
+// comment's "Delivery cursor"): every armed signature of its tenant
+// while a session is open, and otherwise exactly those armed at or
+// below cursor, the fleet epoch at its last detach.
+type delivery struct {
+	open   bool
+	cursor uint64
+}
+
+// pushed reports whether the hub delivered e to the device. A report
+// from it is then not an independent observation — it is the push
+// coming back, possibly via the device's persistent store after a
+// reconnect or reboot — and never counts as a confirmation.
+func (d delivery) pushed(e *fleetSig) bool { return e.armed && (d.open || e.armEpoch <= d.cursor) }
 
 // maxForwardHops bounds forwarding legs for one report: the device's
 // own hub plus one re-forward after an ownership move. A report still
@@ -184,10 +200,10 @@ type arbiter struct {
 	entries map[string]*fleetSig
 	order   []string // keys in first-report order
 	epoch   uint64   // fleet arm counter: the delta epoch, == armed entries
-	// attached is the set of devices with a live session, by tenant
-	// (device ids are only unique within one): an arming is delivered
-	// to — and recorded in pushedTo for — exactly its tenant's.
-	attached map[string]map[string]bool
+	// devices is every device's delivery state, by tenant (device ids
+	// are only unique within one). A device is open from attach to
+	// detach; its state changes only there, never at an arming.
+	devices map[string]map[string]delivery
 
 	// Cluster state (nil/zero standalone). ownerSeq numbers this hub's own
 	// armings for peer catch-up. parked holds the owned keys at threshold
@@ -203,7 +219,7 @@ func newArbiter(threshold int) *arbiter {
 	return &arbiter{
 		threshold: threshold,
 		entries:   make(map[string]*fleetSig),
-		attached:  make(map[string]map[string]bool),
+		devices:   make(map[string]map[string]delivery),
 		parked:    make(map[string]bool),
 	}
 }
@@ -231,7 +247,6 @@ func (a *arbiter) entry(key, tenant string, kind core.SigKind, ws wire.Signature
 			ws:          ws,
 			seq:         len(a.order) + 1,
 			confirmedBy: make(map[string]bool),
-			pushedTo:    make(map[string]bool),
 		}
 		a.entries[key] = e
 		a.order = append(a.order, key)
@@ -300,20 +315,16 @@ func (a *arbiter) settle(fx *effects, e *fleetSig, decided bool) (pending bool) 
 	return false
 }
 
-// arm is an arming's device-facing half: the next fleet epoch, one delta
-// to the tenant's attached devices, each recorded in pushedTo. The fleet
-// epoch therefore counts arm events exactly once per signature per hub:
+// arm is an arming's device-facing half: the next fleet epoch and one
+// delta to the tenant's attached devices — only that tenant's: arming
+// in tenant A must be invisible to tenant B's devices. The fleet epoch
+// therefore counts arm events exactly once per signature per hub:
 // epoch == armed-signature count is the no-double-arm invariant.
 func (a *arbiter) arm(fx *effects, e *fleetSig) {
 	e.armed = true
 	a.epoch++
 	e.armEpoch = a.epoch
 	fx.n.armed++
-	// Deltas go only to the signature's own tenant: arming in tenant A
-	// must be invisible to tenant B's devices.
-	for device := range a.attached[e.tenant] {
-		e.pushedTo[device] = true
-	}
 	fx.armings = append(fx.armings, arming{a.epoch, e.tenant, e.ws})
 }
 
@@ -331,7 +342,6 @@ func (a *arbiter) record(e *fleetSig) ProvenanceRecord {
 		Sig:            e.ws,
 		FirstSeen:      e.firstSeen,
 		ConfirmedBy:    sortedKeys(e.confirmedBy),
-		PushedTo:       sortedKeys(e.pushedTo),
 		Armed:          e.armed,
 		ArmEpoch:       e.armEpoch,
 		Owner:          e.owner,
@@ -342,11 +352,9 @@ func (a *arbiter) record(e *fleetSig) ProvenanceRecord {
 	if a.foreign(e) && e.armed {
 		// Replicated armed entry: persist only the slim record — the
 		// signature, its owner, and the arming — never the confirmation
-		// bookkeeping, which is the owner's alone. pushedTo stays: it is
-		// this hub's own delivery state for its attached devices. An
-		// *unarmed* foreign entry keeps its set: that is the deputy's
-		// shadow copy, and it must survive a deputy restart to keep the
-		// failover promise.
+		// bookkeeping, which is the owner's alone. An *unarmed* foreign
+		// entry keeps its set: that is the deputy's shadow copy, and it
+		// must survive a deputy restart to keep the failover promise.
 		rec.ConfirmedBy = nil
 		rec.FirstSeen = ""
 	}
@@ -359,8 +367,16 @@ func (a *arbiter) touched(fx *effects, e *fleetSig) {
 }
 
 // load installs a provenance store's records, before any other event.
-func (a *arbiter) load(recs []ProvenanceRecord) error {
+// A device record still open is a session the previous incarnation
+// crashed under: it is closed at the loaded fleet epoch — every arming
+// the log holds was pushed to it, by catch-up or live — and the close is
+// persisted, so a later incarnation's armings never join it.
+func (a *arbiter) load(fx *effects, recs []ProvenanceRecord) error {
 	for _, rec := range recs {
+		if rec.Device != "" {
+			a.setDelivery(nil, rec.Tenant, rec.Device, delivery{open: rec.Open, cursor: rec.Cursor})
+			continue
+		}
 		sig, err := rec.Sig.ToCore()
 		if err != nil {
 			return fmt.Errorf("provenance record %q: %w", rec.Key, err)
@@ -372,14 +388,31 @@ func (a *arbiter) load(recs []ProvenanceRecord) error {
 		for _, d := range rec.ConfirmedBy {
 			e.confirmedBy[d] = true
 		}
-		for _, d := range rec.PushedTo {
-			e.pushedTo[d] = true
-		}
 		if rec.ArmEpoch > a.epoch {
 			a.epoch = rec.ArmEpoch
 		}
 	}
+	for tenant, ds := range a.devices {
+		for device, d := range ds {
+			if d.open {
+				a.setDelivery(fx, tenant, device, delivery{cursor: a.epoch})
+			}
+		}
+	}
 	return nil
+}
+
+// setDelivery records one device's delivery state and, unless fx is
+// nil (a reload), queues its record for the store.
+func (a *arbiter) setDelivery(fx *effects, tenant, device string, d delivery) {
+	if a.devices[tenant] == nil {
+		a.devices[tenant] = make(map[string]delivery)
+	}
+	a.devices[tenant][device] = d
+	if fx != nil {
+		fx.persist = append(fx.persist, ProvenanceRecord{Key: deviceKey(tenant, device),
+			Tenant: tenant, Device: device, Open: d.open, Cursor: d.cursor})
+	}
 }
 
 // bind federates the hub under ring as selfID and reconciles reloaded
@@ -413,12 +446,12 @@ func (a *arbiter) bind(fx *effects, ring ringView, selfID string) {
 // armed signature of its tenant that the device's epoch predates,
 // oldest arming first. Catch-up is tenant-scoped; the fleet epoch
 // counter is global, so a tenant's client may see epoch gaps — harmless,
-// resume is strictly "armEpoch greater than mine".
+// resume is strictly "armEpoch greater than mine". The device is open
+// from here to its detach, and that one record is all attach persists:
+// since came from this incarnation's gen, so it is at most the device's
+// cursor, and the catch-up completes the prefix from there.
 func (a *arbiter) attach(fx *effects, tenant, device string, since uint64) {
-	if a.attached[tenant] == nil {
-		a.attached[tenant] = make(map[string]bool)
-	}
-	a.attached[tenant][device] = true
+	a.setDelivery(fx, tenant, device, delivery{open: true})
 	var missed []*fleetSig
 	for _, key := range a.order {
 		if e := a.entries[key]; e.armed && e.tenant == tenant && e.armEpoch > since {
@@ -428,15 +461,17 @@ func (a *arbiter) attach(fx *effects, tenant, device string, since uint64) {
 	sort.Slice(missed, func(i, j int) bool { return missed[i].armEpoch < missed[j].armEpoch })
 	for _, e := range missed {
 		fx.catchup = append(fx.catchup, e.ws)
-		if !e.pushedTo[device] {
-			e.pushedTo[device] = true
-			a.touched(fx, e)
-		}
 	}
 }
 
-// detach forgets a device session; its pushedTo marks stay.
-func (a *arbiter) detach(tenant, device string) { delete(a.attached[tenant], device) }
+// detach closes an open device's session at the current fleet epoch:
+// it has been pushed exactly the armings up to here. Detaching a device
+// that is not open changes nothing.
+func (a *arbiter) detach(fx *effects, tenant, device string) {
+	if a.devices[tenant][device].open {
+		a.setDelivery(fx, tenant, device, delivery{cursor: a.epoch})
+	}
+}
 
 // report records the batch as confirmations by device, with a confirm
 // receipt per signature.
@@ -457,6 +492,7 @@ func (a *arbiter) detach(tenant, device string) { delete(a.attached[tenant], dev
 func (a *arbiter) report(fx *effects, tenant, device string, sigs []*core.Signature, hops int) {
 	fx.confirms = make([]*wire.Confirm, 0, len(sigs))
 	fx.forward.tenant, fx.forward.device, fx.forward.hops = tenant, device, hops+1
+	delivered := a.devices[tenant][device]
 	for _, sig := range sigs {
 		// The hub key carries the tenant prefix; the device-facing confirm
 		// carries the plain signature key the device reported — tenancy
@@ -466,7 +502,7 @@ func (a *arbiter) report(fx *effects, tenant, device string, sigs []*core.Signat
 		fx.n.reports++
 		e, known := a.entries[key]
 		if a.ring != nil && hops < maxForwardHops && !a.ring.Owns(key) {
-			if known && (e.pushedTo[device] || e.confirmedBy[device]) {
+			if known && (delivered.pushed(e) || e.confirmedBy[device]) {
 				// The device only holds the signature because this hub (or
 				// a previous forward) already accounted for it: echo.
 				fx.n.echoes++
@@ -483,7 +519,7 @@ func (a *arbiter) report(fx *effects, tenant, device string, sigs []*core.Signat
 			e = a.entry(key, tenant, sig.Kind, wire.FromCore(sig))
 			e.firstSeen, e.owner = device, a.selfID
 		}
-		if e.confirmedBy[device] || e.pushedTo[device] {
+		if e.confirmedBy[device] || delivered.pushed(e) {
 			// Already counted, or the device only has the signature because
 			// the hub pushed it there: not an independent observation.
 			fx.n.echoes++

@@ -301,8 +301,8 @@ func TestArbiterRandomWalk(t *testing.T) {
 }
 
 // walker is one random walk's arbiter plus what the test remembers to
-// judge it: the fake ring, the persisted log, and the previous step's
-// state.
+// judge it: the fake ring, the persisted log, the previous step's state,
+// and the explicit pushed-to sets the delivery cursors stand in for.
 type walker struct {
 	t    *testing.T
 	seed int64
@@ -320,6 +320,13 @@ type walker struct {
 	peerArmed  map[string]map[uint64]bool  // "owner|key" -> seqs that owner broadcast for key
 	ringMoved  bool                        // ring changed since the last rebind
 	decidedNow map[string]bool             // keys this step carried another hub's decision for
+
+	// The shadow of the delivery cursors, by (tenant, device): open
+	// sessions, the fleet epoch at each one's last detach, and every
+	// entry key an arming or a catch-up delivered to it.
+	open     map[[2]string]bool
+	detached map[[2]string]uint64
+	pushed   map[[2]string]map[string]bool
 }
 
 func (w *walker) failf(format string, args ...any) {
@@ -336,7 +343,8 @@ var (
 func walk(t *testing.T, seed int64) {
 	w := &walker{t: t, seed: seed, rng: rand.New(rand.NewSource(seed)), a: newArbiter(2),
 		log: map[string]ProvenanceRecord{}, confirmed: map[string]map[string]bool{}, armedAt: map[string]bool{},
-		peerSeqs: map[string]uint64{}, peerArmed: map[string]map[uint64]bool{}}
+		peerSeqs: map[string]uint64{}, peerArmed: map[string]map[uint64]bool{},
+		open: map[[2]string]bool{}, detached: map[[2]string]uint64{}, pushed: map[[2]string]map[string]bool{}}
 	w.a.tenantThresholds = map[string]int{"t1": 3}
 	if seed%4 != 0 {
 		w.ring = &fakeRing{self: "hub-a", owners: map[string]string{}, epoch: 1, held: true}
@@ -384,11 +392,25 @@ func (w *walker) event(fx *effects) (leaseReturned bool) {
 		tenant, sig, _ := w.sig()
 		a.report(fx, tenant, w.pick(walkDevices), []*core.Signature{sig}, w.rng.Intn(maxForwardHops+1))
 	case 3:
-		tenant, device := w.pick(walkTenants), w.pick(walkDevices)
-		if w.rng.Intn(2) == 0 {
-			a.attach(fx, tenant, device, uint64(w.rng.Intn(int(a.epoch)+1)))
-		} else {
-			a.detach(tenant, device)
+		dev := [2]string{w.pick(walkTenants), w.pick(walkDevices)}
+		if w.rng.Intn(2) == 1 {
+			a.detach(fx, dev[0], dev[1])
+			if w.open[dev] {
+				w.detached[dev] = a.epoch
+				delete(w.open, dev)
+			}
+			break
+		}
+		// A hello resumes from an epoch this incarnation handed the
+		// device: at most its last detach's, any while it is still open.
+		limit := w.detached[dev]
+		if w.open[dev] {
+			limit = a.epoch
+		}
+		a.attach(fx, dev[0], dev[1], uint64(w.rng.Int63n(int64(limit)+1)))
+		w.open[dev] = true
+		for _, ws := range fx.catchup {
+			w.deliver(dev, ws)
 		}
 	case 4:
 		tenant, sig, key := w.sig()
@@ -461,6 +483,20 @@ func (w *walker) check(fx *effects, leaseReturned bool) {
 			w.failf("arming epoch %d after %d: not consecutive", ar.epoch, w.lastEpoch)
 		}
 		w.lastEpoch = ar.epoch
+		for dev := range w.open {
+			if dev[0] == ar.tenant {
+				w.deliver(dev, ar.sig)
+			}
+		}
+	}
+	w.checkDeliveries(a, "")
+	for tenant, ds := range a.devices {
+		for device, d := range ds {
+			if rec := w.log[deviceKey(tenant, device)]; rec.Tenant != tenant || rec.Device != device ||
+				rec.Open != d.open || rec.Cursor != d.cursor {
+				w.failf("%s/%s: live delivery %+v differs from its last persisted record %+v", tenant, device, d, rec)
+			}
+		}
 	}
 	for _, b := range fx.broadcasts {
 		if b.Owner != a.selfID || b.Seq <= w.lastSeq || b.Fence != r.epoch {
@@ -556,28 +592,50 @@ func (w *walker) check(fx *effects, leaseReturned bool) {
 // sameRecord is reflect.DeepEqual for provenance records, without the
 // reflection on the slices (the walk compares every entry every step).
 func sameRecord(x, y ProvenanceRecord) bool {
-	slicesEqual := slices.Equal(x.ConfirmedBy, y.ConfirmedBy) && slices.Equal(x.PushedTo, y.PushedTo) &&
-		slices.Equal(x.Sig.Pairs, y.Sig.Pairs)
-	x.ConfirmedBy, x.PushedTo, x.Sig.Pairs = nil, nil, nil
-	y.ConfirmedBy, y.PushedTo, y.Sig.Pairs = nil, nil, nil
+	slicesEqual := slices.Equal(x.ConfirmedBy, y.ConfirmedBy) && slices.Equal(x.Sig.Pairs, y.Sig.Pairs)
+	x.ConfirmedBy, x.Sig.Pairs = nil, nil
+	y.ConfirmedBy, y.Sig.Pairs = nil, nil
 	return slicesEqual && reflect.DeepEqual(x, y)
 }
 
-// checkReload is "a restart loses nothing": a fresh arbiter loaded from
-// the records the walk asked to persist shows the same view. The one
-// difference allowed is the documented slimming of a replicated armed
-// entry, whose confirmation bookkeeping is the owner's to keep.
-func (w *walker) checkReload() {
-	recs := make([]ProvenanceRecord, 0, len(w.log))
-	for _, rec := range w.log {
-		recs = append(recs, rec)
+// deliver adds one pushed signature to dev's explicit set.
+func (w *walker) deliver(dev [2]string, ws wire.Signature) {
+	sig, err := ws.ToCore()
+	if err != nil {
+		w.failf("pushed signature: %v", err)
 	}
-	sortRecords(recs)
-	fresh := newArbiter(w.a.threshold)
-	fresh.tenantThresholds = w.a.tenantThresholds
-	if err := fresh.load(recs); err != nil {
+	if w.pushed[dev] == nil {
+		w.pushed[dev] = map[string]bool{}
+	}
+	w.pushed[dev][tenantKey(dev[0], sig.Key())] = true
+}
+
+// checkDeliveries is the differential: for every entry and every device
+// of its tenant, a's delivery cursor gives the echo verdict the explicit
+// pushed-to set does.
+func (w *walker) checkDeliveries(a *arbiter, when string) {
+	for key, e := range a.entries {
+		for _, device := range walkDevices {
+			dev := [2]string{e.tenant, device}
+			if got, want := a.devices[e.tenant][device].pushed(e), w.pushed[dev][key]; got != want {
+				w.failf("%s%s to %q/%s: the cursor says pushed=%v, the explicit set %v", when, key, e.tenant, device, got, want)
+			}
+		}
+	}
+}
+
+// checkReload is "a restart loses nothing": a fresh arbiter loaded from
+// the records the walk asked to persist shows the same view and gives
+// every (entry, device) pair the same echo verdict — a session still
+// open is the crash case. The one difference allowed is the documented
+// slimming of a replicated armed entry, whose confirmation bookkeeping
+// is the owner's to keep.
+func (w *walker) checkReload() {
+	fresh, err := reload(w.a, w.log, &effects{})
+	if err != nil {
 		w.failf("reload: %v", err)
 	}
+	w.checkDeliveries(fresh, "after reload: ")
 	fresh.ring, fresh.selfID = w.a.ring, w.a.selfID
 	live, reloaded := w.a.view(), fresh.view()
 	for i := range live {
@@ -590,29 +648,102 @@ func (w *walker) checkReload() {
 	}
 }
 
+// reload is a restart: a fresh arbiter configured like a, loaded from
+// the last persisted record per key.
+func reload(a *arbiter, log map[string]ProvenanceRecord, fx *effects) (*arbiter, error) {
+	recs := make([]ProvenanceRecord, 0, len(log))
+	for _, rec := range log {
+		recs = append(recs, rec)
+	}
+	sortRecords(recs)
+	fresh := newArbiter(a.threshold)
+	fresh.tenantThresholds = a.tenantThresholds
+	return fresh, fresh.load(fx, recs)
+}
+
+// journal is an arbiter with its persisted log, restartable from it.
+type journal struct {
+	a   *arbiter
+	log map[string]ProvenanceRecord
+}
+
+// do runs one event and files the records it persists.
+func (j *journal) do(event func(fx *effects)) effects {
+	var fx effects
+	event(&fx)
+	for _, rec := range fx.persist {
+		j.log[rec.Key] = rec
+	}
+	return fx
+}
+
+// report is one device's report of sig, threshold permitting an arming.
+func (j *journal) report(device string, sig *core.Signature) effects {
+	return j.do(func(fx *effects) { j.a.report(fx, "", device, []*core.Signature{sig}, 0) })
+}
+
+// restart replaces the arbiter with a fresh one loaded from the log.
+func (j *journal) restart(t *testing.T) {
+	j.do(func(fx *effects) {
+		fresh, err := reload(j.a, j.log, fx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		j.a = fresh
+	})
+}
+
 // TestArbiterPushedDeviceNeverConfirms: once the hub has delivered a
-// signature to a device — by a live delta or a catch-up — that device's
-// report of it is an echo, whatever the lease and ownership say.
+// signature to a device — by a live delta, a catch-up, or either before
+// a crash — that device's report of it is an echo, whatever the lease
+// and ownership say; a device that left before the arming never got it,
+// and its report confirms.
 func TestArbiterPushedDeviceNeverConfirms(t *testing.T) {
 	sig := testSig(0)
-	for _, viaCatchup := range []bool{false, true} {
-		a := newArbiter(1)
-		if !viaCatchup {
-			a.attach(&effects{}, "", "late", 0)
+	attach := func(j *journal) {
+		if fx := j.do(func(fx *effects) { j.a.attach(fx, "", "late", 0) }); len(fx.persist) != 1 {
+			t.Fatalf("attach persisted %d records, want 1", len(fx.persist))
 		}
-		a.report(&effects{}, "", "first", []*core.Signature{sig}, 0)
-		if viaCatchup {
-			var fx effects
-			if a.attach(&fx, "", "late", 0); len(fx.catchup) != 1 || len(fx.persist) != 1 {
-				t.Fatalf("catch-up: %d signatures, %d records, want 1 and 1", len(fx.catchup), len(fx.persist))
+	}
+	detach := func(j *journal) { j.do(func(fx *effects) { j.a.detach(fx, "", "late") }) }
+	arm := func(j *journal) { j.report("first", sig) }
+	cases := []struct {
+		name  string
+		steps []func(*journal)
+		echo  bool
+	}{
+		{"live delta", []func(*journal){attach, arm}, true},
+		{"catch-up", []func(*journal){arm, attach}, true},
+		{"catch-up, then left", []func(*journal){arm, attach, detach}, true},
+		{"left before the arming", []func(*journal){attach, detach, arm}, false},
+		{"open at a crash", []func(*journal){attach, arm, func(j *journal) { j.restart(t) }}, true},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			j := &journal{a: newArbiter(1), log: map[string]ProvenanceRecord{}}
+			for _, step := range tc.steps {
+				step(j)
 			}
-		}
-		var fx effects
-		a.report(&fx, "", "late", []*core.Signature{sig}, 0)
-		if e := a.entries[sig.Key()]; len(e.confirmedBy) != 1 || fx.n.echoes != 1 || len(fx.persist) != 0 {
-			t.Fatalf("viaCatchup=%v: confirmations %d echoes %d persists %d, want 1, 1, 0",
-				viaCatchup, len(e.confirmedBy), fx.n.echoes, len(fx.persist))
-		}
+			fx := j.report("late", sig)
+			e := j.a.entries[sig.Key()]
+			if tc.echo && (len(e.confirmedBy) != 1 || fx.n.echoes != 1 || len(fx.persist) != 0) ||
+				!tc.echo && (len(e.confirmedBy) != 2 || fx.n.confirms != 1) {
+				t.Fatalf("confirmations %d echoes %d persists %d, want echo=%v", len(e.confirmedBy), fx.n.echoes, len(fx.persist), tc.echo)
+			}
+		})
+	}
+
+	// The crash close is persisted: a signature the restarted hub arms
+	// while the device stays away was never pushed to it, however many
+	// restarts later it reports it.
+	j := &journal{a: newArbiter(1), log: map[string]ProvenanceRecord{}}
+	attach(j)
+	arm(j)
+	j.restart(t)
+	j.report("first", testSig(1))
+	j.restart(t)
+	if fx := j.report("late", testSig(1)); fx.n.confirms != 1 {
+		t.Fatalf("an arming after the crash counted as pushed to the crashed session (echoes %d)", fx.n.echoes)
 	}
 }
 

@@ -10,12 +10,13 @@
 // hub, chosen by a rendezvous hash over the live membership (Ring).
 // The owner is the sole arbiter of the confirm threshold: it holds the
 // signature's full provenance — first-seen device, the deduplicated
-// (device, signature) confirmation set, pushed-to bookkeeping — while
-// every other hub persists only a slim replicated record once the
-// signature arms (plus, on the key's deputy, a shadow copy of the
-// pending confirmation set; see failover below). Per-hub state
-// therefore shrinks as the cluster grows: each hub carries its 1/n
-// slice of the provenance plus the (shared) armed set.
+// (device, signature) confirmation set — while every other hub persists
+// only a slim replicated record once the signature arms (plus, on the
+// key's deputy, a shadow copy of the pending confirmation set; see
+// failover below). What a hub pushed to its own devices is one delivery
+// cursor per device, not per-signature state. Per-hub state therefore
+// shrinks as the cluster grows: each hub carries its 1/n slice of the
+// provenance plus the (shared) armed set.
 //
 // # Peer protocol
 //

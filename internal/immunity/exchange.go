@@ -24,9 +24,9 @@ import (
 // signatures downward as delta pushes, which it publishes into the local
 // Service, immunizing every live process on the phone. The hub keeps
 // per-signature provenance (first-seen device, the set of confirming
-// devices, the set of devices it pushed to) and arms a signature
-// fleet-wide only after the confirm-before-arm threshold of *distinct*
-// devices has independently reported it: one device's false positive (a
+// devices, the fleet epoch it armed at) and arms a signature fleet-wide
+// only after the confirm-before-arm threshold of *distinct* devices has
+// independently reported it: one device's false positive (a
 // mis-detected cycle, a corrupted history) cannot degrade avoidance on
 // the whole fleet.
 //
@@ -34,7 +34,10 @@ import (
 // that device's confirmation — whether it comes back through a live
 // client's echo, a reconnect's epoch-0 re-report, or (with a
 // ProvenanceStore) a report replayed after a hub reboot — so the
-// threshold counts independent observations only.
+// threshold counts independent observations only. What a device was
+// pushed is one delivery cursor per device, not a set per signature
+// (the package comment's "Delivery cursor"): a hello and a session's
+// end each persist one record, whatever the armed set's size.
 
 // ExchangeStats snapshots the hub's counters.
 type ExchangeStats struct {
@@ -279,10 +282,11 @@ type Exchange struct {
 // ExchangeOption configures an Exchange.
 type ExchangeOption func(*Exchange)
 
-// WithProvenanceStore attaches durable provenance: every confirmation,
-// push, and arming is upserted to the store, and a new Exchange over the
-// same store resumes with the full fleet state — a rebooted hub neither
-// arms below threshold nor loses confirmations.
+// WithProvenanceStore attaches durable provenance: every confirmation
+// and arming is upserted to the store, as is each device's delivery
+// cursor at attach and detach, and a new Exchange over the same store
+// resumes with the full fleet state — a rebooted hub neither arms below
+// threshold, nor loses confirmations, nor counts its own pushes.
 func WithProvenanceStore(store ProvenanceStore) ExchangeOption {
 	return func(x *Exchange) { x.store = store }
 }
@@ -395,9 +399,12 @@ func NewExchange(confirmThreshold int, opts ...ExchangeOption) (*Exchange, error
 		if err != nil {
 			return nil, fmt.Errorf("exchange: load provenance: %w", err)
 		}
-		if err := x.arb.load(recs); err != nil {
+		var fx effects
+		if err := x.arb.load(&fx, recs); err != nil {
 			return nil, fmt.Errorf("exchange: %w", err)
 		}
+		x.mu.Lock()
+		x.commit(&fx)
 	}
 	return x, nil
 }
@@ -1071,9 +1078,10 @@ func (c *Conn) handleReport(tenant, device string, r *wire.Report) error {
 	return nil
 }
 
-// Close detaches the session: the device slot is released (unless a
-// newer session superseded it), the push queue drains, and the transport
-// teardown hook runs. Close is idempotent.
+// Close detaches the session: the device slot is released and its
+// delivery cursor closed (unless a newer session superseded it), the
+// push queue drains, and the transport teardown hook runs. Close is
+// idempotent.
 func (c *Conn) Close() {
 	c.closeOnce.Do(func() {
 		c.mu.Lock()
@@ -1081,17 +1089,18 @@ func (c *Conn) Close() {
 		device, tenant, peerHub := c.device, c.tenant, c.peerHub
 		c.mu.Unlock()
 		x := c.hub
+		var fx effects
 		x.mu.Lock()
 		if sk := sessKey(tenant, device); device != "" && x.conns[sk] == c {
 			delete(x.conns, sk)
-			x.arb.detach(tenant, device)
+			x.arb.detach(&fx, tenant, device)
 			x.met.deviceSessions.Add(-1)
 		}
 		if peerHub != "" && x.peers[peerHub] == c {
 			delete(x.peers, peerHub)
 			x.met.peerSessions.Add(-1)
 		}
-		x.mu.Unlock()
+		x.commit(&fx)
 		c.out.Close()
 		if c.closeSession != nil {
 			c.closeSession()

@@ -198,10 +198,10 @@ func TestExchangeCatchupOnConnect(t *testing.T) {
 }
 
 // TestExchangeReconnectDoesNotEchoConfirmation: a device that received a
-// signature from the hub and then reconnects (its fresh client has no
-// in-memory echo guard, and the epoch-0 catch-up re-reports its whole
-// local history — which now contains the pushed signature) must not be
-// counted as a new confirmation: the hub remembers who it pushed to.
+// signature from the hub and then reconnects (its epoch-0 resubscribe
+// re-reports its whole local history — which now contains the pushed
+// signature) must not be counted as a new confirmation: the hub
+// remembers what it pushed to whom.
 func TestExchangeReconnectDoesNotEchoConfirmation(t *testing.T) {
 	hub := newTestHub(t, 1)
 	phones := fleetSim(t, hub, 2)
@@ -212,15 +212,19 @@ func TestExchangeReconnectDoesNotEchoConfirmation(t *testing.T) {
 	}
 	waitFor(t, "phone1 armed", func() bool { return phones[1].armedOn(key) })
 
-	// phone1 reconnects: its service history now includes the pushed
-	// signature, and the fresh client re-reports everything from epoch 0.
+	// phone1 reconnects from epoch 0 and re-reports its whole history,
+	// which now holds the pushed signature. A fresh ExchangeClient sends
+	// that report only when it outraces the catch-up (whose delta its own
+	// guard then filters), so the bare session sends it every time.
 	phones[1].client.Close()
-	client, err := Connect(NewLoopback(hub), "phone1", phones[1].svc)
-	if err != nil {
+	echoes := hub.Stats().Echoes
+	conn, _ := helloFrom(t, hub, "phone1")
+	report := wire.Message{V: wire.Version, Type: wire.TypeReport,
+		Report: &wire.Report{Sigs: []wire.Signature{wire.FromCore(testSig(0))}}}
+	if err := conn.Handle(report); err != nil {
 		t.Fatal(err)
 	}
-	defer client.Close()
-	time.Sleep(20 * time.Millisecond) // let the re-report (wrongly) land
+	waitFor(t, "the re-report answered as an echo", func() bool { return hub.Stats().Echoes == echoes+1 })
 	prov := hub.Provenance()[0]
 	if prov.Confirmations != 1 || prov.ConfirmedBy[0] != "phone0" {
 		t.Fatalf("reconnect echoed a confirmation: %+v, want exactly 1 from phone0", prov)

@@ -183,11 +183,40 @@
 //
 // # Durable provenance
 //
-// With WithProvenanceStore the hub upserts every confirmation, push,
-// and arming to a ProvenanceStore (NewFileProvenance: a JSON-lines
-// last-wins log). A restarted hub reloads that state before accepting
-// sessions: it does not re-arm below threshold, loses no confirmation,
-// and still refuses echoes of its own past pushes.
+// With WithProvenanceStore the hub upserts every confirmation and
+// arming, and each device's delivery cursor, to a ProvenanceStore
+// (NewFileProvenance: a JSON-lines last-wins log). A restarted hub
+// reloads that state before accepting sessions: it does not re-arm
+// below threshold, loses no confirmation, and still refuses echoes of
+// its own past pushes.
+//
+// # Delivery cursor
+//
+// A device's report of a signature the hub pushed to it is an echo, not
+// a confirmation, so the hub must know what it pushed to whom. It keeps
+// one cursor per (tenant, device), not a device set per signature,
+// because what a device has been pushed is always a prefix of its
+// tenant's armings in fleet-epoch order:
+//
+//   - a hello's catch-up covers every armed signature above the hello's
+//     epoch;
+//   - that epoch is looked up under the hub's gen, a fresh nonce per
+//     incarnation, so it can only have come from this hub's earlier
+//     sessions with the device — it is at most the cursor they left;
+//   - every arming while the device is attached is pushed to it;
+//   - so a detached device holds exactly the armed signatures with
+//     armEpoch ≤ the fleet epoch at its detach.
+//
+// The echo rule is therefore "armed, and the device is attached or the
+// signature's armEpoch ≤ its cursor". Attach persists one "open" record
+// and detach one closed at the fleet epoch, whatever the armed set's
+// size, and an arming persists nothing per device. An open record found
+// on load is a session the previous incarnation crashed under; it is
+// closed at the loaded maximum armEpoch — every arming the log holds
+// reached it, by catch-up or live — and that close is persisted, so a
+// later incarnation's armings never join it. An echo verdict can only
+// withhold a confirmation from an already-armed signature, never cause
+// an arming.
 //
 // # Epoch/delta protocol
 //

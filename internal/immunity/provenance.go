@@ -14,16 +14,18 @@ import (
 )
 
 // Durable fleet provenance. The hub's per-signature state — who saw it
-// first, which devices independently confirmed it, which devices it was
-// pushed to, whether it is armed — must survive hub restarts: a rebooted
-// hub that forgot its confirmations would either re-arm below threshold
-// (if it trusted re-reports it had itself pushed) or lose confirmations
-// (forcing devices to re-observe a deadlock the fleet already paid for).
-// The store is an upsert log keyed by signature key; Load replays it
-// last-wins, so an append-only file implementation recovers its intact
-// prefix after a crash.
+// first, which devices independently confirmed it, whether and at which
+// fleet epoch it armed — and each device's delivery cursor must survive
+// hub restarts: a rebooted hub that forgot its confirmations would lose
+// them (forcing devices to re-observe a deadlock the fleet already paid
+// for), and one that forgot its deliveries would count its own pushes,
+// re-reported, as confirmations. The store is an upsert log keyed by
+// signature key or device key; Load replays it last-wins, so an
+// append-only file implementation recovers its intact prefix after a
+// crash. A hello costs one record, whatever the armed set's size.
 
-// ProvenanceRecord is one signature's persisted fleet state.
+// ProvenanceRecord is one signature's persisted fleet state, or — when
+// Device is set — one device's delivery cursor.
 type ProvenanceRecord struct {
 	// Seq is the record's first-report order (1-based); it reconstructs
 	// the hub's deterministic provenance ordering after a restart.
@@ -36,9 +38,6 @@ type ProvenanceRecord struct {
 	FirstSeen string `json:"first_seen"`
 	// ConfirmedBy lists the devices that independently reported it.
 	ConfirmedBy []string `json:"confirmed_by"`
-	// PushedTo lists the devices the hub delivered the signature to; a
-	// report from such a device is an echo, not a confirmation.
-	PushedTo []string `json:"pushed_to"`
 	// Armed reports fleet-wide arming.
 	Armed bool `json:"armed"`
 	// ArmEpoch is the fleet delta epoch assigned when the signature
@@ -49,9 +48,9 @@ type ProvenanceRecord struct {
 	// bookkeeping ("" outside a federation). A record whose Owner is not
 	// the reloading hub is a replicated armed entry: slim by
 	// construction (no ConfirmedBy/FirstSeen), it carries only what a
-	// non-owner needs — the signature, the arming, and the local
-	// delivery state — so per-hub persistent state stays proportional to
-	// the owned slice of the fleet plus the armed set.
+	// non-owner needs — the signature and the arming — so per-hub
+	// persistent state stays proportional to the owned slice of the
+	// fleet plus the armed set.
 	Owner string `json:"owner,omitempty"`
 	// OwnerSeq is the owner's monotonic arming sequence: the replay
 	// cursor for hub-to-hub resubscription.
@@ -62,15 +61,27 @@ type ProvenanceRecord struct {
 	// Tenant scopes the record to one tenant's fleet ("" for the
 	// default tenant). Key already carries the tenant prefix; the field
 	// is stored explicitly so reloads and replicas recover the scope
-	// without parsing keys.
+	// without parsing keys. A device record's Tenant is the device's.
 	Tenant string `json:"tenant,omitempty"`
+
+	// Device marks a delivery-cursor record (see the package comment's
+	// "Delivery cursor"): written when the device attaches (Open) and
+	// when it detaches (Cursor, the fleet epoch then); it carries no
+	// signature, and its Key can never equal a signature key.
+	Device string `json:"device,omitempty"`
+	// Open marks a session that had not detached when the record was
+	// written; a reload closes it at the loaded fleet epoch.
+	Open bool `json:"open,omitempty"`
+	// Cursor is the fleet epoch at the device's last detach: it holds
+	// every armed signature of its tenant with ArmEpoch <= Cursor.
+	Cursor uint64 `json:"cursor,omitempty"`
 }
 
 // ProvenanceStore persists hub provenance across restarts. Append
 // upserts one record (last write per key wins on Load) and AppendBatch
 // several, in order, as one write — the hub persists each mutation's
-// whole dirty set (an arming that touched every device's pushedTo, a
-// catch-up spanning many signatures) through it; Load returns the
+// whole dirty set (a report batch's confirmations and armings, a
+// cluster rebind's re-owned entries) through it; Load returns the
 // latest record per key. Implementations must be safe for concurrent
 // use.
 type ProvenanceStore interface {

@@ -4,9 +4,10 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"sync/atomic"
 	"testing"
-	"time"
 
+	"github.com/dimmunix/dimmunix/internal/core"
 	"github.com/dimmunix/dimmunix/internal/immunity/wire"
 )
 
@@ -78,8 +79,8 @@ func TestExchangeRestartPreservesProvenance(t *testing.T) {
 		t.Fatal(err)
 	}
 	waitFor(t, "first confirmation persisted", func() bool {
-		recs, err := store.Load()
-		return err == nil && len(recs) == 1 && len(recs[0].ConfirmedBy) == 1
+		recs := loadSigs(t, store)
+		return len(recs) == 1 && len(recs[0].ConfirmedBy) == 1
 	})
 	phones[0].client.Close()
 	phones[1].client.Close()
@@ -98,7 +99,8 @@ func TestExchangeRestartPreservesProvenance(t *testing.T) {
 
 	// The phones reconnect (fresh clients, as after any hub outage);
 	// phone0's epoch-0 re-report of its own detection must not double
-	// count.
+	// count. It is the one signature either phone holds, so it is the
+	// one echo.
 	lb := NewLoopback(hub2)
 	for i, ph := range phones {
 		client, err := Connect(lb, fmt.Sprintf("phone%d", i), ph.svc)
@@ -108,7 +110,7 @@ func TestExchangeRestartPreservesProvenance(t *testing.T) {
 		defer client.Close()
 		ph.client = client
 	}
-	time.Sleep(20 * time.Millisecond) // let a wrong re-arm have its chance
+	waitFor(t, "phone0's re-report answered as an echo", func() bool { return hub2.Stats().Echoes == 1 })
 	if prov := hub2.Provenance()[0]; prov.Armed || prov.Confirmations != 1 {
 		t.Fatalf("restart inflated provenance: %+v", prov)
 	}
@@ -156,10 +158,27 @@ func TestExchangeRestartPreservesProvenance(t *testing.T) {
 	waitFor(t, "newcomer caught up from persisted arming", func() bool { return newcomer.armedOn(key) })
 }
 
+// loadSigs loads a store's signature records, without the devices'
+// delivery-cursor records.
+func loadSigs(t *testing.T, store ProvenanceStore) []ProvenanceRecord {
+	t.Helper()
+	recs, err := store.Load()
+	if err != nil {
+		t.Fatal(err)
+	}
+	sigs := recs[:0]
+	for _, rec := range recs {
+		if rec.Device == "" {
+			sigs = append(sigs, rec)
+		}
+	}
+	return sigs
+}
+
 // TestCatchupRecordsMatchSignatures: when arming order differs from
-// first-report order, the catch-up path must persist each record with
-// its own signature — a record whose Key names one bug but whose Sig is
-// another would corrupt echo suppression after a restart.
+// first-report order, every signature record — a catch-up itself writes
+// none — must carry its own signature: a record whose Key names one bug
+// but whose Sig is another would corrupt a restarted hub's view.
 func TestCatchupRecordsMatchSignatures(t *testing.T) {
 	store := NewMemProvenance()
 	hub := newTestHub(t, 2, WithProvenanceStore(store))
@@ -194,10 +213,7 @@ func TestCatchupRecordsMatchSignatures(t *testing.T) {
 	defer client.Close()
 	waitFor(t, "newcomer caught up", func() bool { return svc.Epoch() == 2 })
 
-	recs, err := store.Load()
-	if err != nil {
-		t.Fatal(err)
-	}
+	recs := loadSigs(t, store)
 	if len(recs) != 2 {
 		t.Fatalf("store has %d records, want 2", len(recs))
 	}
@@ -234,8 +250,8 @@ func TestExchangeRestartOverTCP(t *testing.T) {
 		t.Fatal(err)
 	}
 	waitFor(t, "confirmation persisted", func() bool {
-		recs, err := store.Load()
-		return err == nil && len(recs) == 1 && len(recs[0].ConfirmedBy) == 1
+		recs := loadSigs(t, store)
+		return len(recs) == 1 && len(recs[0].ConfirmedBy) == 1
 	})
 
 	// Hub process "reboots": server and hub die, a new hub over the same
@@ -391,5 +407,100 @@ func TestExchangeRestartAfterCompaction(t *testing.T) {
 	// The fourth confirmation still arms: nothing was lost to compaction.
 	if confirms, armed := hub2.report("phone9", testSig(0)); confirms != 4 || !armed {
 		t.Fatalf("post-restart report: confirms=%d armed=%v, want 4/true", confirms, armed)
+	}
+}
+
+// countingStore counts the appends reaching a store.
+type countingStore struct {
+	ProvenanceStore
+	batches, records atomic.Int64
+}
+
+func (c *countingStore) Append(rec ProvenanceRecord) error {
+	return c.AppendBatch([]ProvenanceRecord{rec})
+}
+
+func (c *countingStore) AppendBatch(recs []ProvenanceRecord) error {
+	c.batches.Add(1)
+	c.records.Add(int64(len(recs)))
+	return c.ProvenanceStore.AppendBatch(recs)
+}
+
+// armSigs arms testSig(0..n-1) on a threshold-1 hub in one report batch.
+func armSigs(t *testing.T, hub *Exchange, n int) {
+	t.Helper()
+	sigs := make([]*core.Signature, n)
+	for i := range sigs {
+		sigs[i] = testSig(i)
+	}
+	hub.reportFrom("", "reporter", sigs, 0)
+	if got := hub.ArmedCount(); got != n {
+		t.Fatalf("armed %d, want %d", got, n)
+	}
+}
+
+// helloFrom attaches device from epoch 0 over a bare session — the
+// hello's persistence is done when it returns — and reports how many
+// signatures its catch-up has delivered so far.
+func helloFrom(t *testing.T, hub *Exchange, device string) (conn *Conn, caughtUp func() int) {
+	t.Helper()
+	var n atomic.Int64
+	conn, err := hub.Accept(func(m wire.Message) error {
+		if m.Type == wire.TypeDelta {
+			n.Add(int64(len(m.Delta.Sigs)))
+		}
+		return nil
+	}, func() {})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(conn.Close)
+	hello := wire.Message{V: wire.Version, Type: wire.TypeHello,
+		Hello: &wire.Hello{Device: device, MinV: wire.Version, MaxV: wire.Version}}
+	if err := conn.Handle(hello); err != nil {
+		t.Fatal(err)
+	}
+	return conn, func() int { return int(n.Load()) }
+}
+
+// TestHelloAppendsOneRecord: an epoch-0 hello persists the device's
+// delivery cursor and nothing per signature, however large the armed
+// set it catches up.
+func TestHelloAppendsOneRecord(t *testing.T) {
+	for _, n := range []int{1, 1000} {
+		store := &countingStore{ProvenanceStore: NewMemProvenance()}
+		hub := newTestHub(t, 1, WithProvenanceStore(store))
+		armSigs(t, hub, n)
+		batches, records := store.batches.Load(), store.records.Load()
+		_, caughtUp := helloFrom(t, hub, "late")
+		if b, r := store.batches.Load()-batches, store.records.Load()-records; b != 1 || r != 1 {
+			t.Fatalf("hello over %d armed signatures appended %d batches of %d records, want 1 of 1", n, b, r)
+		}
+		waitFor(t, "catch-up delivered", func() bool { return caughtUp() == n })
+	}
+}
+
+// TestResumedHubHellosDoNotCompact: a FileProvenance hub resumed over
+// 1 000 armed signatures gains one log line per epoch-0 hello, and its
+// hellos never force a compaction.
+func TestResumedHubHellosDoNotCompact(t *testing.T) {
+	const sigs, devices = 1000, 8
+	path := filepath.Join(t.TempDir(), "fleet.prov")
+	first := newTestHub(t, 1, WithProvenanceStore(NewFileProvenance(path)))
+	armSigs(t, first, sigs)
+	first.Close()
+
+	store := NewFileProvenance(path)
+	hub := newTestHub(t, 1, WithProvenanceStore(store))
+	if got := hub.ArmedCount(); got != sigs {
+		t.Fatalf("resumed %d armed signatures, want %d", got, sigs)
+	}
+	before := countLines(t, path)
+	for i := 0; i < devices; i++ {
+		_, caughtUp := helloFrom(t, hub, fmt.Sprintf("device-%d", i))
+		waitFor(t, "catch-up delivered", func() bool { return caughtUp() == sigs })
+	}
+	if gained, compactions := countLines(t, path)-before, store.Compactions(); gained != devices || compactions != 0 {
+		t.Fatalf("%d hellos: log gained %d lines with %d compactions, want %d and 0", devices, gained, compactions, devices)
 	}
 }

@@ -261,9 +261,13 @@ func TestImmunitydServeAndClientMode(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
 	var st wire.Status
-	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
+	if err := json.Unmarshal(body, &st); err != nil {
 		t.Fatal(err)
 	}
 	if st.Epoch != 1 || st.Threshold != threshold {
@@ -282,6 +286,28 @@ func TestImmunitydServeAndClientMode(t *testing.T) {
 	}
 	if armed != 1 {
 		t.Fatalf("/status reports %d armed signatures, want 1", armed)
+	}
+	// The page's field names are the Status family's JSON tags, and the
+	// armed signature's fields round-trip through them unchanged.
+	var raw struct {
+		Provenance []map[string]json.RawMessage `json:"provenance"`
+	}
+	if err := json.Unmarshal(body, &raw); err != nil {
+		t.Fatal(err)
+	}
+	hubProv := d.hub.Status().Provenance
+	for i, p := range st.Provenance {
+		if !p.Armed {
+			continue
+		}
+		if !reflect.DeepEqual(p, hubProv[i]) {
+			t.Errorf("/status armed signature %+v, the hub holds %+v", p, hubProv[i])
+		}
+		for _, name := range []string{"key", "kind", "first_seen", "confirmations", "confirmed_by", "armed"} {
+			if _, ok := raw.Provenance[i][name]; !ok {
+				t.Errorf("/status armed signature has no %q field: %s", name, body)
+			}
+		}
 	}
 
 	// Daemon restart over the same provenance file resumes armed state.

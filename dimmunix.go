@@ -135,8 +135,8 @@ type (
 	// ProvenanceStore persists the hub's per-signature fleet state
 	// across restarts.
 	ProvenanceStore = immunity.ProvenanceStore
-	// FileProvenanceOption configures a file provenance store (e.g.
-	// WithCompactThreshold).
+	// FileProvenanceOption configures a file provenance store
+	// (WithCompactionCounters).
 	FileProvenanceOption = immunity.FileProvenanceOption
 	// Provenance is one fleet signature's audit record (first-seen device,
 	// confirmation count, armed state, owning hub in a cluster).
@@ -293,18 +293,11 @@ func NewAdaptiveAdmissionPool(reg *MetricsRegistry, name string, maxWait time.Du
 	return metrics.NewAdaptivePool(reg, name, maxWait, cfg)
 }
 
-// NewFileProvenance creates a file-backed provenance store (a JSON-lines
-// last-wins upsert log that compacts itself to a snapshot once dead
-// records pile up; tune with WithCompactThreshold).
+// NewFileProvenance creates a file-backed provenance store: a binary,
+// CRC-checked, last-wins upsert log that drops a torn tail on load and
+// compacts itself once dead records outnumber live ones.
 func NewFileProvenance(path string, opts ...FileProvenanceOption) ProvenanceStore {
 	return immunity.NewFileProvenance(path, opts...)
-}
-
-// WithCompactThreshold overrides how many dead upsert lines a file
-// provenance log tolerates before rewriting itself; n <= 0 disables
-// compaction.
-func WithCompactThreshold(n int) FileProvenanceOption {
-	return immunity.WithCompactThreshold(n)
 }
 
 // WithCompactionCounters mirrors a file provenance store's compaction

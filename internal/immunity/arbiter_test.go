@@ -312,6 +312,7 @@ type walker struct {
 	ring *fakeRing // nil for a standalone walk
 
 	log        map[string]ProvenanceRecord // last persisted record per key
+	file       []byte                      // every persisted record, encoded as a provenance log
 	confirmed  map[string]map[string]bool  // every confirmation each key has ever held
 	armedAt    map[string]bool             // keys armed before this step
 	lastEpoch  uint64                      // last arming epoch emitted
@@ -342,7 +343,8 @@ var (
 
 func walk(t *testing.T, seed int64) {
 	w := &walker{t: t, seed: seed, rng: rand.New(rand.NewSource(seed)), a: newArbiter(2),
-		log: map[string]ProvenanceRecord{}, confirmed: map[string]map[string]bool{}, armedAt: map[string]bool{},
+		log: map[string]ProvenanceRecord{}, file: []byte(wire.LogHeader),
+		confirmed: map[string]map[string]bool{}, armedAt: map[string]bool{},
 		peerSeqs: map[string]uint64{}, peerArmed: map[string]map[uint64]bool{},
 		open: map[[2]string]bool{}, detached: map[[2]string]uint64{}, pushed: map[[2]string]map[string]bool{}}
 	w.a.tenantThresholds = map[string]int{"t1": 3}
@@ -477,6 +479,7 @@ func (w *walker) check(fx *effects, leaseReturned bool) {
 
 	for _, rec := range fx.persist {
 		w.log[rec.Key] = rec
+		w.file = wire.AppendRecord(w.file, rec)
 	}
 	for _, ar := range fx.armings {
 		if ar.epoch != w.lastEpoch+1 {
@@ -625,13 +628,14 @@ func (w *walker) checkDeliveries(a *arbiter, when string) {
 }
 
 // checkReload is "a restart loses nothing": a fresh arbiter loaded from
-// the records the walk asked to persist shows the same view and gives
+// the log of every record the walk asked to persist, dead ones included,
+// through the loader FileProvenance uses, shows the same view and gives
 // every (entry, device) pair the same echo verdict — a session still
 // open is the crash case. The one difference allowed is the documented
 // slimming of a replicated armed entry, whose confirmation bookkeeping
 // is the owner's to keep.
 func (w *walker) checkReload() {
-	fresh, err := reload(w.a, w.log, &effects{})
+	fresh, err := reload(w.a, w.file, &effects{})
 	if err != nil {
 		w.failf("reload: %v", err)
 	}
@@ -649,30 +653,35 @@ func (w *walker) checkReload() {
 }
 
 // reload is a restart: a fresh arbiter configured like a, loaded from
-// the last persisted record per key.
-func reload(a *arbiter, log map[string]ProvenanceRecord, fx *effects) (*arbiter, error) {
-	recs := make([]ProvenanceRecord, 0, len(log))
-	for _, rec := range log {
-		recs = append(recs, rec)
+// an encoded provenance log.
+func reload(a *arbiter, log []byte, fx *effects) (*arbiter, error) {
+	recs, _, intact, err := wire.DecodeLog(log)
+	if err != nil {
+		return nil, err
 	}
-	sortRecords(recs)
+	if intact != len(log) {
+		return nil, fmt.Errorf("log intact to byte %d of %d", intact, len(log))
+	}
 	fresh := newArbiter(a.threshold)
 	fresh.tenantThresholds = a.tenantThresholds
 	return fresh, fresh.load(fx, recs)
 }
 
-// journal is an arbiter with its persisted log, restartable from it.
+// journal is an arbiter with its encoded provenance log, restartable
+// from it.
 type journal struct {
 	a   *arbiter
-	log map[string]ProvenanceRecord
+	log []byte
 }
 
-// do runs one event and files the records it persists.
+func newJournal() *journal { return &journal{a: newArbiter(1), log: []byte(wire.LogHeader)} }
+
+// do runs one event and appends the records it persists.
 func (j *journal) do(event func(fx *effects)) effects {
 	var fx effects
 	event(&fx)
 	for _, rec := range fx.persist {
-		j.log[rec.Key] = rec
+		j.log = wire.AppendRecord(j.log, rec)
 	}
 	return fx
 }
@@ -720,7 +729,7 @@ func TestArbiterPushedDeviceNeverConfirms(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			j := &journal{a: newArbiter(1), log: map[string]ProvenanceRecord{}}
+			j := newJournal()
 			for _, step := range tc.steps {
 				step(j)
 			}
@@ -736,7 +745,7 @@ func TestArbiterPushedDeviceNeverConfirms(t *testing.T) {
 	// The crash close is persisted: a signature the restarted hub arms
 	// while the device stays away was never pushed to it, however many
 	// restarts later it reports it.
-	j := &journal{a: newArbiter(1), log: map[string]ProvenanceRecord{}}
+	j := newJournal()
 	attach(j)
 	arm(j)
 	j.restart(t)

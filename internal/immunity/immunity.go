@@ -185,7 +185,7 @@
 //
 // With WithProvenanceStore the hub upserts every confirmation and
 // arming, and each device's delivery cursor, to a ProvenanceStore
-// (NewFileProvenance: a JSON-lines last-wins log). A restarted hub
+// (NewFileProvenance: a binary last-wins log). A restarted hub
 // reloads that state before accepting sessions: it does not re-arm
 // below threshold, loses no confirmation, and still refuses echoes of
 // its own past pushes.

@@ -1,8 +1,6 @@
 package immunity
 
 import (
-	"bufio"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"os"
@@ -20,62 +18,12 @@ import (
 // them (forcing devices to re-observe a deadlock the fleet already paid
 // for), and one that forgot its deliveries would count its own pushes,
 // re-reported, as confirmations. The store is an upsert log keyed by
-// signature key or device key; Load replays it last-wins, so an
-// append-only file implementation recovers its intact prefix after a
-// crash. A hello costs one record, whatever the armed set's size.
+// signature key or device key; Load returns the newest record per key.
+// A hello costs one record, whatever the armed set's size.
 
 // ProvenanceRecord is one signature's persisted fleet state, or — when
 // Device is set — one device's delivery cursor.
-type ProvenanceRecord struct {
-	// Seq is the record's first-report order (1-based); it reconstructs
-	// the hub's deterministic provenance ordering after a restart.
-	Seq int `json:"seq"`
-	// Key is the signature's canonical identity (core.Signature.Key).
-	Key string `json:"key"`
-	// Sig is the canonical wire encoding of the signature itself.
-	Sig wire.Signature `json:"sig"`
-	// FirstSeen is the device that first reported it.
-	FirstSeen string `json:"first_seen"`
-	// ConfirmedBy lists the devices that independently reported it.
-	ConfirmedBy []string `json:"confirmed_by"`
-	// Armed reports fleet-wide arming.
-	Armed bool `json:"armed"`
-	// ArmEpoch is the fleet delta epoch assigned when the signature
-	// armed (0 while unarmed). The hub's epoch counter resumes from the
-	// maximum ArmEpoch in the store.
-	ArmEpoch uint64 `json:"arm_epoch,omitempty"`
-	// Owner is the cluster id of the hub owning this signature's confirm
-	// bookkeeping ("" outside a federation). A record whose Owner is not
-	// the reloading hub is a replicated armed entry: slim by
-	// construction (no ConfirmedBy/FirstSeen), it carries only what a
-	// non-owner needs — the signature and the arming — so per-hub
-	// persistent state stays proportional to the owned slice of the
-	// fleet plus the armed set.
-	Owner string `json:"owner,omitempty"`
-	// OwnerSeq is the owner's monotonic arming sequence: the replay
-	// cursor for hub-to-hub resubscription.
-	OwnerSeq uint64 `json:"owner_seq,omitempty"`
-	// RemoteConfirms is the confirmation count replicated at arming for
-	// a non-owned entry.
-	RemoteConfirms int `json:"remote_confirms,omitempty"`
-	// Tenant scopes the record to one tenant's fleet ("" for the
-	// default tenant). Key already carries the tenant prefix; the field
-	// is stored explicitly so reloads and replicas recover the scope
-	// without parsing keys. A device record's Tenant is the device's.
-	Tenant string `json:"tenant,omitempty"`
-
-	// Device marks a delivery-cursor record (see the package comment's
-	// "Delivery cursor"): written when the device attaches (Open) and
-	// when it detaches (Cursor, the fleet epoch then); it carries no
-	// signature, and its Key can never equal a signature key.
-	Device string `json:"device,omitempty"`
-	// Open marks a session that had not detached when the record was
-	// written; a reload closes it at the loaded fleet epoch.
-	Open bool `json:"open,omitempty"`
-	// Cursor is the fleet epoch at the device's last detach: it holds
-	// every armed signature of its tenant with ArmEpoch <= Cursor.
-	Cursor uint64 `json:"cursor,omitempty"`
-}
+type ProvenanceRecord = wire.ProvenanceRecord
 
 // ProvenanceStore persists hub provenance across restarts. Append
 // upserts one record (last write per key wins on Load) and AppendBatch
@@ -90,32 +38,39 @@ type ProvenanceStore interface {
 	AppendBatch(recs []ProvenanceRecord) error
 }
 
-// DefaultCompactThreshold is how many dead (superseded) upsert lines a
-// FileProvenance log tolerates before rewriting itself to a snapshot.
-const DefaultCompactThreshold = 1024
-
-// FileProvenance is a ProvenanceStore backed by a JSON-lines upsert log:
-// one record per line, replayed last-wins. A line torn by a crash is
-// skipped on load (the previous record for that key still stands), so
-// the hub always reboots with a consistent — at worst slightly stale —
-// view, never a corrupt one.
+// FileProvenance is a ProvenanceStore kept in one append-only file, in
+// the wire codec (wire.AppendRecord, wire.DecodeLog):
 //
-// The log is append-only, so every upsert of an existing key leaves a
-// dead line behind; once the dead count passes the compaction threshold
-// the store rewrites itself as a snapshot — latest record per key, Seq
-// order — into a temp file that is fsynced and renamed over the log.
-// The rename is atomic: a crash at any point leaves either the old log
-// (intact, possibly with its dead weight) or the new snapshot, never a
-// torn mix, and a stale temp file is simply overwritten next time.
+//	wire.LogHeader          magic and format version
+//	record, oldest first:
+//	  u32 LE  n             payload length
+//	  n bytes               the record's fields: Seq, Key, then the rest
+//	  u32 LE  CRC-32C       of the payload
+//
+// Torn tail: a crash tears at most the last write, so the intact prefix
+// ends at the first record whose length or CRC fails. Load cuts the file
+// there before the store accepts an append; otherwise a record written
+// after a crash would land behind the torn bytes, and the next load
+// would drop it too. Load refuses what no crash produces: a file without
+// the header (a JSON-lines log from before this format, say) or an
+// intact record that does not decode.
+//
+// Compaction: each upsert of an existing key leaves a dead record. Once
+// dead records outnumber live ones, the store writes a snapshot — the
+// newest record per key, Seq order — to a temp file, fsyncs it and
+// renames it over the log. The file stays within twice its live records,
+// and a compaction rewrites fewer records than were appended since the
+// last. A crash leaves the old log or the snapshot, never a mix; a stale
+// temp file is overwritten next time.
 type FileProvenance struct {
-	mu        sync.Mutex
-	path      string
-	threshold int
-	// lines/keys mirror the log's line count and live key set so the
-	// dead count is known without rescanning per append; -1 lines means
-	// not yet measured (first touch scans once).
-	lines int
-	keys  map[string]struct{}
+	mu   sync.Mutex
+	path string
+	// keys is the log's live key set, records its record count (dead
+	// ones included) and size its length in bytes. keys is nil until
+	// the store has read the log, which it does before its first append.
+	keys    map[string]struct{}
+	records int
+	size    int
 	// compactions counts snapshot rewrites; compactErrors counts failed
 	// attempts (the log stays valid, just uncompacted). metCompactions/
 	// metCompactErrors mirror them onto registry counters when the store
@@ -131,12 +86,6 @@ var _ ProvenanceStore = (*FileProvenance)(nil)
 // FileProvenanceOption configures a FileProvenance.
 type FileProvenanceOption func(*FileProvenance)
 
-// WithCompactThreshold overrides how many dead log lines trigger a
-// snapshot rewrite; n <= 0 disables compaction.
-func WithCompactThreshold(n int) FileProvenanceOption {
-	return func(f *FileProvenance) { f.threshold = n }
-}
-
 // WithCompactionCounters mirrors the store's compaction and
 // compaction-error counts onto registry counters, so a daemon surfaces
 // them on /metrics next to the hub's persist errors. Either counter
@@ -151,7 +100,7 @@ func WithCompactionCounters(compactions, compactErrors *metrics.Counter) FilePro
 // NewFileProvenance creates a store at path; the file is created on
 // first append and a missing file loads as empty.
 func NewFileProvenance(path string, opts ...FileProvenanceOption) *FileProvenance {
-	f := &FileProvenance{path: path, threshold: DefaultCompactThreshold, lines: -1}
+	f := &FileProvenance{path: path}
 	for _, opt := range opts {
 		opt(f)
 	}
@@ -176,132 +125,83 @@ func (f *FileProvenance) CompactErrors() uint64 {
 	return f.compactErrors
 }
 
-// scanLocked replays the log: the newest record per key, plus the raw
-// line count (for the dead-record accounting). Caller holds f.mu.
-func (f *FileProvenance) scanLocked() (map[string]ProvenanceRecord, int, error) {
-	latest := make(map[string]ProvenanceRecord)
-	file, err := os.Open(f.path)
-	if err != nil {
-		if errors.Is(err, os.ErrNotExist) {
-			return latest, 0, nil
-		}
-		return nil, 0, fmt.Errorf("load provenance: %w", err)
-	}
-	defer file.Close()
-	lines := 0
-	sc := bufio.NewScanner(file)
-	sc.Buffer(make([]byte, 0, 64*1024), wire.MaxFrame)
-	for sc.Scan() {
-		line := sc.Bytes()
-		if len(line) == 0 {
-			continue
-		}
-		lines++
-		var rec ProvenanceRecord
-		if err := json.Unmarshal(line, &rec); err != nil {
-			// Torn tail or corrupt line: keep the consistent prefix.
-			continue
-		}
-		if rec.Key == "" {
-			continue
-		}
-		latest[rec.Key] = rec
-	}
-	if err := sc.Err(); err != nil {
-		return nil, 0, fmt.Errorf("load provenance %s: %w", f.path, err)
-	}
-	return latest, lines, nil
-}
-
-// statLocked lazily measures the log's line count and live key set —
-// purely to drive compaction. A failed scan (e.g. a record line beyond
-// the scanner buffer) must never wedge the append path, which worked
-// without ever reading the log before compaction existed: it disables
-// compaction for this store instead. Caller holds f.mu.
-func (f *FileProvenance) statLocked() {
-	if f.lines >= 0 || f.threshold <= 0 {
-		return
-	}
-	latest, lines, err := f.scanLocked()
-	if err != nil {
-		f.threshold = 0 // appends proceed; the log just stays uncompacted
-		f.compactErrors++
-		f.metCompactErrors.Inc()
-		f.lines = 0
-		f.keys = make(map[string]struct{})
-		return
-	}
-	f.lines = lines
-	f.keys = make(map[string]struct{}, len(latest))
-	for k := range latest {
-		f.keys[k] = struct{}{}
-	}
-}
-
-// Load replays the log, newest record per key winning, returned in
-// first-seen Seq order.
+// Load reads the log, cuts off a torn tail, and returns the newest
+// record per key in first-seen Seq order.
 func (f *FileProvenance) Load() ([]ProvenanceRecord, error) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	latest, lines, err := f.scanLocked()
-	if err != nil {
-		return nil, err
-	}
-	f.lines = lines
-	f.keys = make(map[string]struct{}, len(latest))
-	out := make([]ProvenanceRecord, 0, len(latest))
-	for k, rec := range latest {
-		f.keys[k] = struct{}{}
-		out = append(out, rec)
-	}
-	sortRecords(out)
-	return out, nil
+	return f.loadLocked()
 }
 
-// Append writes one upsert record and flushes it.
+// loadLocked is Load with f.mu held; it also resets the dead-record
+// accounting to what it read.
+func (f *FileProvenance) loadLocked() ([]ProvenanceRecord, error) {
+	b, err := os.ReadFile(f.path) // one read, into a buffer sized from Stat
+	if err != nil && !errors.Is(err, os.ErrNotExist) {
+		return nil, fmt.Errorf("load provenance: %w", err)
+	}
+	live, records, intact, err := wire.DecodeLog(b)
+	if err != nil {
+		return nil, fmt.Errorf("load provenance %s: %w", f.path, err)
+	}
+	if intact < len(b) {
+		if err := os.Truncate(f.path, int64(intact)); err != nil {
+			return nil, fmt.Errorf("load provenance: cut torn tail: %w", err)
+		}
+	}
+	f.keys = make(map[string]struct{}, len(live))
+	for _, rec := range live {
+		f.keys[rec.Key] = struct{}{}
+	}
+	f.records, f.size = records, intact
+	return live, nil
+}
+
+// Append writes one upsert record.
 func (f *FileProvenance) Append(rec ProvenanceRecord) error {
 	return f.AppendBatch([]ProvenanceRecord{rec})
 }
 
 // AppendBatch writes several upsert records in one open/write/close
-// cycle instead of reopening the log per record. When the append
-// pushes the dead-line count past the compaction threshold, the log is
-// rewritten as a snapshot before returning.
+// cycle. When the append lets dead records outnumber live ones, the log
+// is rewritten as a snapshot before returning.
 func (f *FileProvenance) AppendBatch(recs []ProvenanceRecord) error {
-	var buf []byte
-	for _, rec := range recs {
-		if rec.Key == "" {
-			return fmt.Errorf("append provenance: empty key")
-		}
-		b, err := json.Marshal(rec)
-		if err != nil {
-			return fmt.Errorf("append provenance: %w", err)
-		}
-		buf = append(buf, b...)
-		buf = append(buf, '\n')
-	}
-	if len(buf) == 0 {
+	if len(recs) == 0 {
 		return nil
 	}
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	f.statLocked()
+	if f.keys == nil {
+		if _, err := f.loadLocked(); err != nil {
+			return fmt.Errorf("append provenance: %w", err)
+		}
+	}
+	var buf []byte
+	if f.size == 0 {
+		buf = append(buf, wire.LogHeader...)
+	}
+	for _, rec := range recs {
+		if rec.Key == "" {
+			return fmt.Errorf("append provenance: empty key")
+		}
+		buf = wire.AppendRecord(buf, rec)
+	}
 	file, err := os.OpenFile(f.path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
 		return fmt.Errorf("append provenance: %w", err)
 	}
 	if _, err := file.Write(buf); err != nil {
 		file.Close()
+		f.keys = nil // a short write may have torn the tail: reread before the next append
 		return fmt.Errorf("append provenance: %w", err)
 	}
 	file.Close()
-	if f.keys != nil {
-		f.lines += len(recs)
-		for _, rec := range recs {
-			f.keys[rec.Key] = struct{}{}
-		}
+	f.size += len(buf)
+	f.records += len(recs)
+	for _, rec := range recs {
+		f.keys[rec.Key] = struct{}{}
 	}
-	if f.keys != nil && f.threshold > 0 && f.lines-len(f.keys) > f.threshold {
+	if f.records-len(f.keys) > len(f.keys) {
 		// A failed compaction is not an append failure: the records just
 		// written are durably in the log either way. The log stays fat
 		// and the next append retries; only the failure count surfaces.
@@ -317,23 +217,13 @@ func (f *FileProvenance) AppendBatch(recs []ProvenanceRecord) error {
 // key in Seq order, written to a temp file, fsynced, and renamed over
 // the log. Caller holds f.mu.
 func (f *FileProvenance) compactLocked() error {
-	latest, _, err := f.scanLocked()
+	live, err := f.loadLocked()
 	if err != nil {
 		return err
 	}
-	recs := make([]ProvenanceRecord, 0, len(latest))
-	for _, rec := range latest {
-		recs = append(recs, rec)
-	}
-	sortRecords(recs)
-	var buf []byte
-	for _, rec := range recs {
-		b, err := json.Marshal(rec)
-		if err != nil {
-			return err
-		}
-		buf = append(buf, b...)
-		buf = append(buf, '\n')
+	buf := []byte(wire.LogHeader)
+	for _, rec := range live {
+		buf = wire.AppendRecord(buf, rec)
 	}
 	tmp := f.path + ".compact"
 	file, err := os.OpenFile(tmp, os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o644)
@@ -361,7 +251,7 @@ func (f *FileProvenance) compactLocked() error {
 		os.Remove(tmp)
 		return err
 	}
-	f.lines = len(recs)
+	f.records, f.size = len(live), len(buf)
 	f.compactions++
 	f.metCompactions.Inc()
 	return nil

@@ -1,9 +1,13 @@
 package immunity
 
 import (
+	"encoding/binary"
 	"fmt"
+	"hash/crc32"
 	"os"
 	"path/filepath"
+	"reflect"
+	"strings"
 	"sync/atomic"
 	"testing"
 
@@ -11,8 +15,8 @@ import (
 	"github.com/dimmunix/dimmunix/internal/immunity/wire"
 )
 
-// TestFileProvenanceUpsert: the JSON-lines log replays last-wins, in
-// first-seen order, and skips a torn tail without losing the prefix.
+// TestFileProvenanceUpsert: the log replays last-wins, in first-seen
+// order, and skips a torn tail without losing the prefix.
 func TestFileProvenanceUpsert(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "fleet.prov")
 	store := NewFileProvenance(path)
@@ -37,7 +41,8 @@ func TestFileProvenanceUpsert(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := f.WriteString(`{"seq":3,"key":"c","first_`); err != nil {
+	recC := ProvenanceRecord{Seq: 3, Key: "c", Sig: wire.FromCore(testSig(2)), FirstSeen: "phone2"}
+	if _, err := f.Write(wire.AppendRecord(nil, recC)[:20]); err != nil {
 		t.Fatal(err)
 	}
 	f.Close()
@@ -57,6 +62,176 @@ func TestFileProvenanceUpsert(t *testing.T) {
 	if err != nil || len(empty) != 0 {
 		t.Fatalf("missing file: recs=%v err=%v", empty, err)
 	}
+}
+
+// provRec is one version of key's record; versions differ in
+// RemoteConfirms, so a stale one never compares equal to the newest.
+func provRec(key string, seq, version int) ProvenanceRecord {
+	return ProvenanceRecord{Seq: seq, Key: key, Sig: wire.FromCore(testSig(seq)),
+		FirstSeen: "phone0", ConfirmedBy: []string{"phone0"}, RemoteConfirms: version}
+}
+
+// lastWins is what a log holding recs must load as: the newest record
+// per key, in Seq order.
+func lastWins(recs []ProvenanceRecord) []ProvenanceRecord {
+	latest := map[string]ProvenanceRecord{}
+	for _, rec := range recs {
+		latest[rec.Key] = rec
+	}
+	out := make([]ProvenanceRecord, 0, len(latest))
+	for _, rec := range latest {
+		out = append(out, rec)
+	}
+	sortRecords(out)
+	return out
+}
+
+// mustLoad loads path through a fresh store.
+func mustLoad(t *testing.T, path string) []ProvenanceRecord {
+	t.Helper()
+	recs, err := NewFileProvenance(path).Load()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return recs
+}
+
+func fileSize(t *testing.T, path string) int {
+	t.Helper()
+	st, err := os.Stat(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return int(st.Size())
+}
+
+// TestFileProvenanceTornTailAppend: a record appended after a crash tore
+// the last one lands after the intact prefix, so the next reload keeps
+// it. Without the cut it would extend the torn record, and the reload
+// would drop both.
+func TestFileProvenanceTornTailAppend(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "fleet.prov")
+	store := NewFileProvenance(path)
+	for i, key := range []string{"a", "b"} {
+		if err := store.Append(provRec(key, i+1, 0)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := os.Truncate(path, int64(fileSize(t, path)-10)); err != nil {
+		t.Fatal(err)
+	}
+	store = NewFileProvenance(path)
+	if recs, err := store.Load(); err != nil || len(recs) != 1 {
+		t.Fatalf("torn log loads %d records (err %v), want 1", len(recs), err)
+	}
+	if err := store.Append(provRec("c", 3, 0)); err != nil {
+		t.Fatal(err)
+	}
+	if recs := mustLoad(t, path); len(recs) != 2 || recs[0].Key != "a" || recs[1].Key != "c" {
+		t.Fatalf("after the torn tail and one more append the log loads %+v, want [a c]", recs)
+	}
+}
+
+// TestFileProvenanceCutAtEveryOffset: a crash may cut the log at any
+// byte. Cut anywhere inside the last three records, a reload equals the
+// state after the last complete record, and a record appended next
+// survives the reload after it.
+func TestFileProvenanceCutAtEveryOffset(t *testing.T) {
+	dir := t.TempDir()
+	recs := []ProvenanceRecord{provRec("a", 1, 0), provRec("b", 2, 0), provRec("a", 1, 1),
+		provRec("c", 3, 0), provRec("b", 2, 1), provRec("d", 4, 0)}
+	full := filepath.Join(dir, "full.prov")
+	store := NewFileProvenance(full)
+	ends := make([]int, len(recs)) // the file's size after each record
+	for i, rec := range recs {
+		if err := store.Append(rec); err != nil {
+			t.Fatal(err)
+		}
+		ends[i] = fileSize(t, full)
+	}
+	b, err := os.ReadFile(full)
+	if err != nil {
+		t.Fatal(err)
+	}
+	extra := provRec("e", 5, 0)
+	path := filepath.Join(dir, "cut.prov")
+	for cut := ends[len(recs)-4]; cut < len(b); cut++ {
+		complete := 0
+		for complete < len(recs) && ends[complete] <= cut {
+			complete++
+		}
+		if err := os.WriteFile(path, b[:cut], 0o644); err != nil {
+			t.Fatal(err)
+		}
+		store := NewFileProvenance(path)
+		got, err := store.Load()
+		if want := lastWins(recs[:complete]); err != nil || !reflect.DeepEqual(got, want) {
+			t.Fatalf("cut at byte %d of %d: loaded %+v (err %v), want the state after %d records %+v", cut, len(b), got, err, complete, want)
+		}
+		if err := store.Append(extra); err != nil {
+			t.Fatal(err)
+		}
+		if got, want := mustLoad(t, path), lastWins(append(recs[:complete:complete], extra)); !reflect.DeepEqual(got, want) {
+			t.Fatalf("cut at byte %d of %d, then one append: loaded %+v, want %+v", cut, len(b), got, want)
+		}
+	}
+}
+
+// TestFileProvenanceRefusesForeignFiles: the store repairs only what a
+// crash can do. A file without the log header (a JSON-lines log from
+// before the binary format) and an intact record that does not decode
+// are Load errors naming the file: the store will not append to it and
+// a hub will not start over it. A file that is a prefix of the header is
+// a torn first write and loads empty.
+func TestFileProvenanceRefusesForeignFiles(t *testing.T) {
+	valid := wire.AppendRecord(nil, provRec("a", 1, 0))
+	payload := append(valid[4:len(valid)-4:len(valid)-4], 0) // one trailing byte
+	undecodable := binary.LittleEndian.AppendUint32(nil, uint32(len(payload)))
+	undecodable = append(undecodable, payload...)
+	undecodable = binary.LittleEndian.AppendUint32(undecodable, crc32.Checksum(payload, crc32.MakeTable(crc32.Castagnoli)))
+	for name, content := range map[string]string{
+		"json-lines log":     `{"seq":1,"key":"a","sig":{"kind":"deadlock","pairs":[]},"first_seen":"phone0","confirmed_by":["phone0"],"armed":false}` + "\n",
+		"undecodable record": wire.LogHeader + string(undecodable),
+	} {
+		t.Run(name, func(t *testing.T) {
+			path := filepath.Join(t.TempDir(), "fleet.prov")
+			if err := os.WriteFile(path, []byte(content), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			store := NewFileProvenance(path)
+			if _, err := store.Load(); err == nil || !strings.Contains(err.Error(), path) {
+				t.Fatalf("Load: %v, want an error naming %s", err, path)
+			}
+			if err := store.Append(provRec("b", 2, 0)); err == nil {
+				t.Fatal("append to a refused file succeeded")
+			}
+			if hub, err := NewExchange(2, WithProvenanceStore(store)); err == nil {
+				hub.Close()
+				t.Fatal("a hub started over a refused file")
+			}
+			if b, err := os.ReadFile(path); err != nil || string(b) != content {
+				t.Fatalf("a refused file changed: %q (err %v)", b, err)
+			}
+		})
+	}
+	t.Run("torn header", func(t *testing.T) {
+		for cut := 0; cut < len(wire.LogHeader); cut++ {
+			path := filepath.Join(t.TempDir(), "fleet.prov")
+			if err := os.WriteFile(path, []byte(wire.LogHeader[:cut]), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			store := NewFileProvenance(path)
+			if recs, err := store.Load(); err != nil || len(recs) != 0 {
+				t.Fatalf("%d header bytes: loaded %d records (err %v), want an empty log", cut, len(recs), err)
+			}
+			if err := store.Append(provRec("a", 1, 0)); err != nil {
+				t.Fatal(err)
+			}
+			if recs := mustLoad(t, path); len(recs) != 1 {
+				t.Fatalf("%d header bytes, then one append: loaded %d records, want 1", cut, len(recs))
+			}
+		}
+	})
 }
 
 // TestExchangeRestartPreservesProvenance is the durable-gating scenario:
@@ -288,44 +463,48 @@ func TestExchangeRestartOverTCP(t *testing.T) {
 	}
 }
 
-// countLines returns the number of newline-terminated records in the log.
-func countLines(t *testing.T, path string) int {
+// logRecords returns how many records, dead ones included, the log at
+// path holds.
+func logRecords(t *testing.T, path string) int {
 	t.Helper()
 	b, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	n := 0
-	for _, c := range b {
-		if c == '\n' {
-			n++
-		}
+	_, records, _, err := wire.DecodeLog(b)
+	if err != nil {
+		t.Fatal(err)
 	}
-	return n
+	return records
 }
 
-// TestFileProvenanceCompaction: once dead upsert lines exceed the
-// threshold the log rewrites itself to a snapshot — one line per live
-// key — and a store reopened over the snapshot loads the same state.
+// TestFileProvenanceCompaction: whenever dead records outnumber live
+// ones the log rewrites itself to a snapshot — one record per live key —
+// so it never holds more than twice its live records, no compaction
+// rewrites more records than were appended since the last, and a store
+// reopened over the snapshot loads the same state.
 func TestFileProvenanceCompaction(t *testing.T) {
+	const keys, rounds = 3, 20
 	path := filepath.Join(t.TempDir(), "fleet.prov")
-	store := NewFileProvenance(path, WithCompactThreshold(10))
-	// 3 keys × 20 upserts each: plenty of dead weight.
-	for round := 0; round < 20; round++ {
-		for k := 0; k < 3; k++ {
+	store := NewFileProvenance(path)
+	for round := 0; round < rounds; round++ {
+		for k := 0; k < keys; k++ {
 			rec := ProvenanceRecord{Seq: k + 1, Key: fmt.Sprintf("key%d", k),
 				Sig: wire.FromCore(testSig(k)), FirstSeen: "phone0",
 				ConfirmedBy: []string{"phone0"}, RemoteConfirms: round}
 			if err := store.Append(rec); err != nil {
 				t.Fatal(err)
 			}
+			if live, n := min(round*keys+k+1, keys), logRecords(t, path); n > 2*live {
+				t.Fatalf("log holds %d records for %d live keys", n, live)
+			}
 		}
 	}
-	if store.Compactions() == 0 {
-		t.Fatal("no compaction despite 57 dead lines over threshold 10")
-	}
-	if lines := countLines(t, path); lines > 3+10+1 {
-		t.Fatalf("log still holds %d lines after compaction (3 live keys, threshold 10)", lines)
+	// Each compaction rewrites the 3 live records and needs 4 dead ones
+	// appended since the last: the 57 upserts make 14, 42 records
+	// rewritten for 60 appended.
+	if c, want := store.Compactions(), uint64(keys*(rounds-1)/(keys+1)); c != want {
+		t.Fatalf("%d compactions over %d appends to %d keys, want %d", c, keys*rounds, keys, want)
 	}
 	// A fresh store over the compacted log sees the latest records.
 	recs, err := NewFileProvenance(path).Load()
@@ -352,7 +531,9 @@ func TestFileProvenanceCompactionCrashSafe(t *testing.T) {
 	if err := os.WriteFile(path+".compact", []byte("{torn garbage"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	store := NewFileProvenance(path, WithCompactThreshold(5))
+	store := NewFileProvenance(path)
+	// One key upserted 20 times: whenever two dead records outnumber it,
+	// the log compacts.
 	for i := 0; i < 20; i++ {
 		rec := ProvenanceRecord{Seq: 1, Key: "only", Sig: wire.FromCore(testSig(0)), RemoteConfirms: i}
 		if err := store.Append(rec); err != nil {
@@ -376,10 +557,12 @@ func TestFileProvenanceCompactionCrashSafe(t *testing.T) {
 // the snapshot is as good as the full log.
 func TestExchangeRestartAfterCompaction(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "fleet.prov")
-	store := NewFileProvenance(path, WithCompactThreshold(4))
+	store := NewFileProvenance(path)
 	hub := newTestHub(t, 4, WithProvenanceStore(store))
 	// Many distinct devices confirm many signatures below threshold:
-	// every report upserts existing keys, breeding dead lines.
+	// every report after the first round upserts an existing key, and
+	// the third round's first report makes the dead records outnumber
+	// the four live ones.
 	for round := 0; round < 3; round++ {
 		for s := 0; s < 4; s++ {
 			hub.report(fmt.Sprintf("phone%d", round), testSig(s))
@@ -481,7 +664,7 @@ func TestHelloAppendsOneRecord(t *testing.T) {
 }
 
 // TestResumedHubHellosDoNotCompact: a FileProvenance hub resumed over
-// 1 000 armed signatures gains one log line per epoch-0 hello, and its
+// 1 000 armed signatures gains one log record per epoch-0 hello, and its
 // hellos never force a compaction.
 func TestResumedHubHellosDoNotCompact(t *testing.T) {
 	const sigs, devices = 1000, 8
@@ -495,12 +678,12 @@ func TestResumedHubHellosDoNotCompact(t *testing.T) {
 	if got := hub.ArmedCount(); got != sigs {
 		t.Fatalf("resumed %d armed signatures, want %d", got, sigs)
 	}
-	before := countLines(t, path)
+	before := logRecords(t, path)
 	for i := 0; i < devices; i++ {
 		_, caughtUp := helloFrom(t, hub, fmt.Sprintf("device-%d", i))
 		waitFor(t, "catch-up delivered", func() bool { return caughtUp() == sigs })
 	}
-	if gained, compactions := countLines(t, path)-before, store.Compactions(); gained != devices || compactions != 0 {
-		t.Fatalf("%d hellos: log gained %d lines with %d compactions, want %d and 0", devices, gained, compactions, devices)
+	if gained, compactions := logRecords(t, path)-before, store.Compactions(); gained != devices || compactions != 0 {
+		t.Fatalf("%d hellos: log gained %d records with %d compactions, want %d and 0", devices, gained, compactions, devices)
 	}
 }

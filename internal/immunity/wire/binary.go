@@ -29,6 +29,7 @@ package wire
 import (
 	"encoding/binary"
 	"fmt"
+	"hash/crc32"
 	"sort"
 	"strings"
 	"unicode/utf8"
@@ -158,20 +159,20 @@ func appendBool(b []byte, v bool) []byte {
 
 func appendStr(b []byte, s string) []byte {
 	if !utf8.ValidString(s) {
-		// The decoder refuses invalid UTF-8, so sending it raw would turn
-		// the session into a decode-refusal redial loop. Coerce it the
-		// way encoding/json does when the provenance log persists the
-		// same string — one U+FFFD per invalid byte — so the canonical
-		// signature key is the same on the wire and on disk.
+		// The decoder refuses invalid UTF-8, so writing it raw would turn
+		// a session into a decode-refusal redial loop and a provenance
+		// log into one that never loads again. Coerce it instead, one
+		// U+FFFD per invalid byte; frames and log records share this
+		// encoder, so a string reads back the same from either.
 		s = coerceUTF8(s)
 	}
 	b = binary.AppendUvarint(b, uint64(len(s)))
 	return append(b, s...)
 }
 
-// coerceUTF8 mirrors encoding/json's marshal behavior exactly: every
-// individually invalid byte becomes its own U+FFFD (strings.ToValidUTF8
-// would collapse a run into one).
+// coerceUTF8 replaces every individually invalid byte with its own
+// U+FFFD, as encoding/json's marshal does (strings.ToValidUTF8 would
+// collapse a run into one).
 func coerceUTF8(s string) string {
 	var b strings.Builder
 	b.Grow(len(s))
@@ -485,17 +486,22 @@ func (d *bdec) byte() byte {
 	return c
 }
 
-func (d *bdec) str() string {
+// raw reads a string field's bytes in place, unchecked.
+func (d *bdec) raw() []byte {
 	n := d.u64()
 	if d.err != nil {
-		return ""
+		return nil
 	}
 	if n > uint64(len(d.b)-d.off) {
 		d.fail("string length %d exceeds remaining %d bytes", n, len(d.b)-d.off)
-		return ""
+		return nil
 	}
-	s := string(d.b[d.off : d.off+int(n)]) // copies: decoded messages never alias the read buffer
 	d.off += int(n)
+	return d.b[d.off-int(n) : d.off]
+}
+
+func (d *bdec) str() string {
+	s := string(d.raw()) // copies: decoded messages never alias the read buffer
 	if !utf8.ValidString(s) {
 		// The encoder never emits invalid UTF-8 (appendStr coerces it),
 		// so a frame carrying it did not come from this codec.
@@ -702,4 +708,160 @@ func DecodeBinary(b []byte) (Message, error) {
 		return Message{}, err
 	}
 	return m, nil
+}
+
+// --- provenance log ---
+
+// ProvenanceRecord is one signature's persisted fleet state at a hub, or
+// — when Device is set — one device's delivery cursor: the unit of the
+// provenance log.
+type ProvenanceRecord struct {
+	// Seq is the record's first-report order (1-based); it reconstructs
+	// the hub's deterministic provenance ordering after a restart.
+	Seq int
+	// Key is the signature's canonical identity (core.Signature.Key).
+	Key string
+	// Sig is the canonical wire encoding of the signature itself.
+	Sig Signature
+	// FirstSeen is the device that first reported it.
+	FirstSeen string
+	// ConfirmedBy lists the devices that independently reported it.
+	ConfirmedBy []string
+	// Armed reports fleet-wide arming.
+	Armed bool
+	// ArmEpoch is the fleet delta epoch assigned when the signature
+	// armed (0 while unarmed). The hub's epoch counter resumes from the
+	// maximum ArmEpoch in the store.
+	ArmEpoch uint64
+	// Owner is the cluster id of the hub owning this signature's confirm
+	// bookkeeping ("" outside a federation). A record whose Owner is not
+	// the reloading hub is a replicated armed entry: slim by
+	// construction (no ConfirmedBy/FirstSeen), it carries only what a
+	// non-owner needs — the signature and the arming — so per-hub
+	// persistent state stays proportional to the owned slice of the
+	// fleet plus the armed set.
+	Owner string
+	// OwnerSeq is the owner's monotonic arming sequence: the replay
+	// cursor for hub-to-hub resubscription.
+	OwnerSeq uint64
+	// RemoteConfirms is the confirmation count replicated at arming for
+	// a non-owned entry.
+	RemoteConfirms int
+	// Tenant scopes the record to one tenant's fleet ("" for the
+	// default tenant). Key already carries the tenant prefix; the field
+	// is stored explicitly so reloads and replicas recover the scope
+	// without parsing keys. A device record's Tenant is the device's.
+	Tenant string
+
+	// Device marks a delivery-cursor record (see the immunity package
+	// comment's "Delivery cursor"): written when the device attaches
+	// (Open) and when it detaches (Cursor, the fleet epoch then); it
+	// carries no signature, and its Key can never equal a signature key.
+	Device string
+	// Open marks a session that had not detached when the record was
+	// written; a reload closes it at the loaded fleet epoch.
+	Open bool
+	// Cursor is the fleet epoch at the device's last detach: it holds
+	// every armed signature of its tenant with ArmEpoch <= Cursor.
+	Cursor uint64
+}
+
+// LogHeader opens every provenance log: its magic and format version.
+const LogHeader = "dimmunix provenance log v1\n"
+
+var castagnoli = crc32.MakeTable(crc32.Castagnoli)
+
+// AppendRecord appends r to b as one provenance log record: a u32 LE
+// payload length, the payload — r's fields in struct order, in this
+// codec's field encodings, so Seq and Key lead — and a u32 LE CRC-32C of
+// the payload.
+func AppendRecord(b []byte, r ProvenanceRecord) []byte {
+	at := len(b)
+	b = append(b, 0, 0, 0, 0)
+	b = appendInt(b, r.Seq)
+	b = appendStr(b, r.Key)
+	b = appendSig(b, r.Sig)
+	b = appendStr(b, r.FirstSeen)
+	b = appendStrs(b, r.ConfirmedBy)
+	b = appendBool(b, r.Armed)
+	b = appendU64(b, r.ArmEpoch)
+	b = appendStr(b, r.Owner)
+	b = appendU64(b, r.OwnerSeq)
+	b = appendInt(b, r.RemoteConfirms)
+	b = appendStr(b, r.Tenant)
+	b = appendStr(b, r.Device)
+	b = appendBool(b, r.Open)
+	b = appendU64(b, r.Cursor)
+	payload := b[at+4:]
+	binary.LittleEndian.PutUint32(b[at:], uint32(len(payload)))
+	return binary.LittleEndian.AppendUint32(b, crc32.Checksum(payload, castagnoli))
+}
+
+// DecodeLog reads a provenance log. It returns the newest record per key
+// in Seq order (ties in order of first appearance), how many records the
+// intact prefix holds, dead ones included, and that prefix's length in
+// bytes. The prefix ends at the first record whose length or CRC does
+// not check out: a crash tore that write, and a writer cuts the log there
+// before appending. Every record's Seq and Key are skimmed; only each
+// key's newest record is decoded.
+//
+// The errors are what no crash produces: a log that does not open with
+// LogHeader (a shorter one that is a prefix of it is a torn first write
+// and reads as empty), and an intact record that does not decode.
+func DecodeLog(b []byte) (live []ProvenanceRecord, records, intact int, err error) {
+	if len(b) < len(LogHeader) && LogHeader[:len(b)] == string(b) {
+		return nil, 0, 0, nil
+	}
+	if len(b) < len(LogHeader) || string(b[:len(LogHeader)]) != LogHeader {
+		return nil, 0, 0, fmt.Errorf("not a provenance log: no %q header", LogHeader)
+	}
+	type newest struct {
+		seq, at int
+		payload []byte
+	}
+	var recs []newest
+	index := make(map[string]int)
+	off := len(LogHeader)
+	for len(b)-off >= 8 {
+		n := binary.LittleEndian.Uint32(b[off:])
+		if uint64(n) > uint64(len(b)-off-8) {
+			break
+		}
+		end := off + 4 + int(n)
+		payload := b[off+4 : end]
+		if binary.LittleEndian.Uint32(b[end:]) != crc32.Checksum(payload, castagnoli) {
+			break
+		}
+		d := bdec{b: payload}
+		seq, key := d.int(), d.raw()
+		if d.err == nil && len(key) == 0 {
+			d.fail("empty key")
+		}
+		if d.err != nil {
+			return nil, 0, 0, fmt.Errorf("provenance record at byte %d: %w", off, d.err)
+		}
+		if i, ok := index[string(key)]; ok {
+			recs[i] = newest{seq, off, payload}
+		} else {
+			index[string(key)] = len(recs)
+			recs = append(recs, newest{seq, off, payload})
+		}
+		records++
+		off = end + 4
+	}
+	sort.SliceStable(recs, func(i, j int) bool { return recs[i].seq < recs[j].seq })
+	live = make([]ProvenanceRecord, len(recs))
+	for i, r := range recs {
+		d := &bdec{b: r.payload}
+		live[i] = ProvenanceRecord{Seq: d.int(), Key: d.str(), Sig: d.sig(), FirstSeen: d.str(),
+			ConfirmedBy: d.strs(), Armed: d.bool(), ArmEpoch: d.u64(), Owner: d.str(), OwnerSeq: d.u64(),
+			RemoteConfirms: d.int(), Tenant: d.str(), Device: d.str(), Open: d.bool(), Cursor: d.u64()}
+		if d.err == nil && d.off != len(d.b) {
+			d.fail("%d trailing bytes", len(d.b)-d.off)
+		}
+		if d.err != nil {
+			return nil, 0, 0, fmt.Errorf("provenance record at byte %d: %w", r.at, d.err)
+		}
+	}
+	return live, records, off, nil
 }

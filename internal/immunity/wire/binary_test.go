@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"encoding/json"
 	"io"
+	"math/rand"
 	"reflect"
 	"runtime"
 	"strings"
@@ -267,4 +268,94 @@ func FuzzWireCanonical(f *testing.F) {
 			t.Fatalf("encoding not deterministic (%v):\n  %x\n  %x", err, b, b2)
 		}
 	})
+}
+
+// provenanceFixture is a valid provenance log — every field set, an
+// upsert of a signature and of a device cursor, the nil/empty
+// distinction — and the newest record per key it must load as.
+func provenanceFixture() (log []byte, live []ProvenanceRecord) {
+	ws := FromCore(testSig())
+	device := `device=""|d1`
+	recs := []ProvenanceRecord{
+		{Seq: 1, Key: "a", Sig: ws, FirstSeen: "d1", ConfirmedBy: []string{"d1"}},
+		{Seq: 2, Key: "t=x|b", Sig: ws, ConfirmedBy: []string{}, Owner: "hub-b", OwnerSeq: 3, RemoteConfirms: -1, Tenant: "x"},
+		{Key: device, Device: "d1", Open: true},
+		{Seq: 1, Key: "a", Sig: ws, FirstSeen: "d1", ConfirmedBy: []string{"d1", "d2"}, Armed: true, ArmEpoch: 1 << 40},
+		{Key: device, Device: "d1", Cursor: 1 << 40},
+	}
+	log = []byte(LogHeader)
+	for _, r := range recs {
+		log = AppendRecord(log, r)
+	}
+	return log, []ProvenanceRecord{recs[4], recs[3], recs[1]}
+}
+
+// FuzzProvenanceLog holds the provenance log loader to its crash
+// contract. On arbitrary bytes it never panics and allocates at most a
+// constant times the input's size, whatever lengths the input claims;
+// the records it accepts decode from the intact prefix it reports,
+// alone. Appended to a valid log, no input loses one of the valid log's
+// records.
+func FuzzProvenanceLog(f *testing.F) {
+	valid, want := provenanceFixture()
+	if live, records, intact, err := DecodeLog(valid); err != nil || records != 5 || intact != len(valid) || !reflect.DeepEqual(live, want) {
+		f.Fatalf("fixture log loads %+v, %d records, intact %d of %d (err %v); want %+v", live, records, intact, len(valid), err, want)
+	}
+	rng := rand.New(rand.NewSource(1))
+	for _, n := range []int{1, 7, 8, 9, 40, 300} {
+		tail := make([]byte, n)
+		rng.Read(tail)
+		f.Add(append(valid[:len(valid):len(valid)], tail...))
+	}
+	for _, cut := range []int{0, 5, len(LogHeader), len(LogHeader) + 3, len(valid) - 1} {
+		f.Add(valid[:cut])
+	}
+	f.Add(valid)
+	f.Add([]byte(`{"seq":1,"key":"a"}` + "\n"))
+	f.Add(append([]byte(LogHeader), 0xff, 0xff, 0xff, 0xff, 0, 0, 0, 0))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		live, records, intact, err := DecodeLog(data)
+		runtime.ReadMemStats(&after)
+		if grew := after.TotalAlloc - before.TotalAlloc; grew > 64*uint64(len(data))+64<<10 {
+			t.Fatalf("%d input bytes cost %d bytes of allocation", len(data), grew)
+		}
+		if err == nil {
+			again, n, at, err := DecodeLog(data[:intact])
+			if err != nil || n != records || at != intact || len(live) > records || !reflect.DeepEqual(again, live) {
+				t.Fatalf("accepted records do not decode from the %d-byte intact prefix alone (err %v)", intact, err)
+			}
+		}
+		logSurvives(t, valid, want, append(valid[:len(valid):len(valid)], data...))
+		if bytes.HasPrefix(data, valid) {
+			logSurvives(t, valid, want, data)
+		}
+	})
+}
+
+// logSurvives checks that log, which starts with the valid log whose
+// newest records are want, keeps every one of them: a key may gain a
+// newer record from the tail, never lose its own.
+func logSurvives(t *testing.T, valid []byte, want []ProvenanceRecord, log []byte) {
+	t.Helper()
+	live, records, intact, err := DecodeLog(log)
+	if err != nil {
+		return // an intact tail record that does not decode: refused, not crash damage
+	}
+	if intact < len(valid) || records < 5 {
+		t.Fatalf("a tail cut the valid log: intact %d of its %d bytes, %d of its 5 records", intact, len(valid), records)
+	}
+	keys := map[string]bool{}
+	for _, r := range live {
+		keys[r.Key] = true
+	}
+	for _, w := range want {
+		if !keys[w.Key] {
+			t.Fatalf("a tail lost key %q", w.Key)
+		}
+	}
+	if records == 5 && !reflect.DeepEqual(live, want) {
+		t.Fatalf("a tail with no intact record changed the load: %+v", live)
+	}
 }

@@ -4,7 +4,9 @@
 // transport, a future QUIC or broker backend — is a sequence of these
 // messages, so the exchange's semantics (confirm-before-arm gating,
 // resubscribe-from-epoch catch-up, provenance) are defined once, here,
-// independent of how bytes move.
+// independent of how bytes move. The hub's provenance log on disk
+// (ProvenanceRecord, AppendRecord, DecodeLog) is written in the same
+// binary codec.
 //
 // # Message table
 //
@@ -568,15 +570,15 @@ type Batching struct {
 
 // Signature is the canonical wire form of one deadlock antibody.
 type Signature struct {
-	Kind  string    `json:"kind"`
-	Pairs []SigPair `json:"pairs"`
+	Kind  string
+	Pairs []SigPair
 }
 
 // SigPair is one thread's (outer, inner) call-stack pair, each stack in
 // its canonical key form.
 type SigPair struct {
-	Outer string `json:"outer"`
-	Inner string `json:"inner"`
+	Outer string
+	Inner string
 }
 
 // FromCore encodes a core signature canonically.

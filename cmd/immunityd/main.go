@@ -53,10 +53,10 @@
 // at the address they advertise with -advertise (defaults to -listen;
 // set it explicitly when -listen is a wildcard). With -failover-after D
 // each hub runs a SWIM-style failure detector over its peer links
-// (direct pings, then indirect ping-reqs, then a suspicion window;
-// -probe-* override the windows derived from D), a condemned member's
-// keys fail over to their deputies, and arming authority is a quorum
-// lease (-lease-ttl): the minority side of a partition parks its
+// (direct pings, then indirect ping-reqs, then a suspicion window, all
+// derived from D), a condemned member's keys fail over to their
+// deputies, and arming authority is a quorum lease (-lease-ttl): the
+// minority side of a partition parks its
 // threshold crossings until the heal instead of arming a double.
 // -no-lease falls back to epoch fencing alone; -leave hands the owned
 // slice off and drains the outboxes on shutdown. /status shows the
@@ -103,7 +103,7 @@
 //
 // Usage:
 //
-//	immunityd -serve [-listen ADDR] [-http ADDR] [-threshold N] [-provenance FILE] [-admit N|auto -admit-wait D] [-slo-target D -slo-interval D -slo-backlog N] [-alert-url URL] [-alert-exec CMD] [-tls-cert F -tls-key F [-tls-ca F]] [-auth-key K | -auth-keyring F] [-tenant-threshold T=N,...] [-hub ID -peers ID=ADDR,... [-advertise ADDR] [-failover-after D] [-probe-interval D -probe-timeout D -probe-suspect D -probe-indirect N] [-lease-ttl D] [-no-lease] [-fault-isolate AFTER:DUR] [-leave]]
+//	immunityd -serve [-listen ADDR] [-http ADDR] [-threshold N] [-provenance FILE] [-admit N|auto -admit-wait D] [-slo-target D -slo-interval D -slo-backlog N] [-alert-url URL] [-alert-exec CMD] [-tls-cert F -tls-key F [-tls-ca F]] [-auth-key K | -auth-keyring F] [-tenant-threshold T=N,...] [-hub ID -peers ID=ADDR,... [-advertise ADDR] [-failover-after D] [-lease-ttl D] [-no-lease] [-fault-isolate AFTER:DUR] [-leave]]
 //	immunityd -connect ADDR[,ADDR...] [-phones N] [-procs N] [-threshold N] [-timeout D] [-tls-ca F] [-token T]
 //	immunityd -connect ADDR[,ADDR...] -storm [-phones N] [-sigs N] [-threshold N] [-ramp-warmup D -ramp-flood D -ramp-rate N] [-timeout D] [-tls-ca F] [-token T]
 //	immunityd -gen-ca DIR | -gen-cert NAME -ca DIR [-hosts H,...] | -mint-token -auth-key K [-tenant T] [-device D] [-ttl D]
@@ -184,13 +184,12 @@ var flagModes = func() map[string]mode {
 		anyServe | modeMint:  "auth-key",
 		anyServe: "serve listen http provenance admit admit-wait slo-target slo-interval slo-backlog " +
 			"alert-url alert-exec tls-cert tls-key auth-keyring tenant-threshold",
-		modeFederated: "peers hub advertise failover-after leave probe-interval probe-timeout " +
-			"probe-suspect probe-indirect lease-ttl no-lease fault-isolate",
-		anyClient:  "connect phones timeout token",
-		modeClient: "procs",
-		modeStorm:  "storm sigs ramp-warmup ramp-flood ramp-rate",
-		modeGen:    "gen-ca gen-cert ca hosts",
-		modeMint:   "mint-token tenant device ttl",
+		modeFederated: "peers hub advertise failover-after leave lease-ttl no-lease fault-isolate",
+		anyClient:     "connect phones timeout token",
+		modeClient:    "procs",
+		modeStorm:     "storm sigs ramp-warmup ramp-flood ramp-rate",
+		modeGen:       "gen-ca gen-cert ca hosts",
+		modeMint:      "mint-token tenant device ttl",
 	} {
 		for _, name := range strings.Fields(flags) {
 			t[name] |= m
@@ -242,11 +241,7 @@ func newFlags() (*flag.FlagSet, *cli) {
 	fs.StringVar(&c.sc.advertise, "advertise", "", "the address other members dial this hub at (default: the -listen address)")
 	fs.DurationVar(&c.sc.failoverAfter, "failover-after", 0, "declare a member dead after its peer link is down this long and fail its keys over to deputies (0 disables)")
 	fs.BoolVar(&c.sc.leave, "leave", false, "leave the membership gracefully on shutdown (hand off owned keys, drain outboxes)")
-	fs.DurationVar(&c.sc.probeInterval, "probe-interval", 0, "failure detection: round-robin probe period (0 derives from -failover-after)")
-	fs.DurationVar(&c.sc.probeTimeout, "probe-timeout", 0, "failure detection: direct ping-ack deadline before indirect probing (0 derives from -failover-after)")
-	fs.DurationVar(&c.sc.probeSuspect, "probe-suspect", 0, "failure detection: suspicion hold before a silent member is condemned (0 derives from -failover-after)")
-	fs.IntVar(&c.sc.probeIndirect, "probe-indirect", 0, "failure detection: proxy members asked to relay indirect ping-reqs per suspicion (0 = default 2)")
-	fs.DurationVar(&c.sc.leaseTTL, "lease-ttl", 0, "failure detection: quorum-lease lifetime (0 derives from the probe windows; always clamped to probe-timeout+probe-suspect)")
+	fs.DurationVar(&c.sc.leaseTTL, "lease-ttl", 0, "failure detection: quorum-lease lifetime (0 derives from -failover-after; always clamped to the probe timeout plus the suspicion window)")
 	fs.BoolVar(&c.sc.noLease, "no-lease", false, "failure detection: disable the quorum lease and fall back to epoch fencing alone (both partition sides keep arming)")
 	fs.StringVar(&c.faultIsolate, "fault-isolate", "", "AFTER:DUR — cut this hub's outbound peer links AFTER into the run and heal them DUR later (deterministic fault injection for drills; needs -failover-after)")
 	fs.StringVar(&c.admit, "admit", "", "report-path admission: a pool capacity, or 'auto' for AIMD adaptive capacity driven by the SLOs (empty disables)")
@@ -679,10 +674,6 @@ type serveConfig struct {
 	peers            []cluster.Member
 	advertise        string
 	failoverAfter    time.Duration
-	probeInterval    time.Duration
-	probeTimeout     time.Duration
-	probeSuspect     time.Duration
-	probeIndirect    int
 	leaseTTL         time.Duration
 	noLease          bool
 	faultAfter       time.Duration
@@ -856,10 +847,7 @@ func startDaemon(sc serveConfig) (*daemon, error) {
 				}
 				return t
 			},
-			FailoverAfter: sc.failoverAfter,
-			ProbeInterval: sc.probeInterval, ProbeTimeout: sc.probeTimeout,
-			ProbeSuspect: sc.probeSuspect, ProbeIndirect: sc.probeIndirect,
-			LeaseTTL: sc.leaseTTL, NoLease: sc.noLease,
+			FailoverAfter: sc.failoverAfter, LeaseTTL: sc.leaseTTL, NoLease: sc.noLease,
 			Metrics: reg,
 		})
 		if err != nil {

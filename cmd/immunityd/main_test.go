@@ -190,14 +190,14 @@ func TestServeConfigFromFlags(t *testing.T) {
 	}
 
 	sc, err = parse("-serve", "-hub", "h", "-peers", "a=x:1,b=y:2", "-advertise", "h.example:7676",
-		"-failover-after", "1s", "-fault-isolate", "4s:2s", "-probe-indirect", "3", "-lease-ttl", "2s", "-no-lease", "-leave")
+		"-failover-after", "1s", "-fault-isolate", "4s:2s", "-lease-ttl", "2s", "-no-lease", "-leave")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if sc.hubID != "h" || len(sc.peers) != 2 || sc.peers[0].ID != "a" || sc.peers[1].ID != "b" ||
 		sc.advertise != "h.example:7676" || sc.failoverAfter != time.Second ||
 		sc.faultAfter != 4*time.Second || sc.faultDur != 2*time.Second ||
-		sc.probeIndirect != 3 || sc.leaseTTL != 2*time.Second || !sc.noLease || !sc.leave {
+		sc.leaseTTL != 2*time.Second || !sc.noLease || !sc.leave {
 		t.Errorf("federated config = %+v", sc)
 	}
 
@@ -368,8 +368,27 @@ func TestImmunitydTLSAuthServe(t *testing.T) {
 	if res.RemoteArmedBeforeThreshold != 0 {
 		t.Errorf("%d remote procs armed below threshold", res.RemoteArmedBeforeThreshold)
 	}
-	if len(res.Provenance) != 1 || !res.Provenance[0].Armed {
+	if len(res.Provenance) != 1 || !res.Provenance[0].Armed || res.Provenance[0].Tenant != "alpha" {
 		t.Fatalf("authenticated provenance: %+v", res.Provenance)
+	}
+
+	// A second run against the same daemon finds the scenario's signature
+	// already armed under its tenant-prefixed key and says so up front.
+	again := cfg
+	again.Timeout = 5 * time.Second
+	if _, err := workload.RunFleetImmunity(again); err == nil || !strings.Contains(err.Error(), "already has this scenario's signature armed") {
+		t.Fatalf("rerun against an armed tenant: want the stale-state error, got %v", err)
+	}
+	// Another tenant's run is not stale state: its phones never receive
+	// alpha's arming, so the scenario runs and arms at beta's threshold.
+	betaToken, err := auth.Mint(key, auth.Claims{Tenant: "beta", Device: auth.WildcardDevice})
+	if err != nil {
+		t.Fatal(err)
+	}
+	beta := cfg
+	beta.Token, beta.ConfirmThreshold = betaToken, 3
+	if res, err := workload.RunFleetImmunity(beta); err != nil || res.RemoteArmedBeforeThreshold != 0 {
+		t.Fatalf("second tenant on the same daemon: %v (%d remote procs armed below threshold)", err, res.RemoteArmedBeforeThreshold)
 	}
 
 	// A token-less client is refused before it can report anything.

@@ -89,8 +89,8 @@
 // vanishes. An owner replicates every pending (unarmed) confirmation
 // set to the key's deputy as it grows, piggybacked on the existing
 // peer link, so the would-be successor already holds the set when the
-// owner dies. Failure detection (enabled by Config.FailoverAfter or
-// any Probe* override) is SWIM-style probing over the peer links, not
+// owner dies. Failure detection (enabled by Config.FailoverAfter, which
+// sets every probe timing) is SWIM-style probing over the peer links, not
 // a per-link timer: the prober direct-pings one live member per
 // interval, escalates an unanswered ping to indirect ping-reqs relayed
 // through k proxy members — so a single stalled or half-open link can
@@ -153,7 +153,7 @@
 // A severed link parks the forward outbox, redials, and resubscribes
 // from the last applied arming seq: the reconnect replays exactly the
 // missed armings (immunity's "Resumable sessions" has the backoff and
-// cursor rules). The outbox is bounded (Config.ForwardOutboxCap): a
+// cursor rules). The outbox is bounded (4096 messages): a
 // partition outlasting the cap spills the oldest messages, counted in
 // immunity_cluster_forward_dropped_total, and receiver-side dedup plus
 // the device tier's full-history re-report on reconnect restore
@@ -211,11 +211,11 @@ import (
 	"github.com/dimmunix/dimmunix/internal/immunity/wire"
 )
 
-// defaultForwardOutboxCap bounds a peer link's forward outbox when
-// Config.ForwardOutboxCap is unset: enough for a storm's worth of
-// forwards across a transient partition, small enough that a
-// partitioned link costs megabytes, not the heap.
-const defaultForwardOutboxCap = 4096
+// forwardOutboxCap bounds a peer link's forward outbox (queued +
+// in-flight messages): enough for a storm's worth of forwards across a
+// transient partition, small enough that a partitioned link costs
+// megabytes, not the heap.
+const forwardOutboxCap = 4096
 
 // Member names one remote hub of the cluster seed and how to reach it:
 // a ready transport (immunity.NewTCPTransport across machines,
@@ -251,41 +251,22 @@ type Config struct {
 	// FailoverAfter is the failure-detection budget: roughly how long a
 	// member must stay unreachable — by direct and indirect probes, not
 	// just on this node's own link — before it is marked dead and this
-	// node assumes ownership of the keys it is deputy for. It seeds the
-	// probe timing defaults (interval D/4, timeout D/8, suspicion D/2)
-	// and the lease TTL. 0 disables failure detection, and with it the
-	// quorum lease (a dead owner parks its slice until it returns).
+	// node assumes ownership of the keys it is deputy for. It sets every
+	// probe timing (interval D/4, timeout D/8, suspicion D/2, two
+	// indirect proxies) and the default lease TTL. 0 disables failure
+	// detection, and with it the quorum lease (a dead owner parks its
+	// slice until it returns).
 	FailoverAfter time.Duration
-	// ProbeInterval, ProbeTimeout, and ProbeSuspect override the
-	// SWIM-style prober's cadence: one direct ping per interval
-	// (round-robin over live members), escalation to indirect ping-reqs
-	// after timeout, mark-down after a suspicion window without any
-	// proof of life. Zero values derive from FailoverAfter; setting any
-	// of them with FailoverAfter == 0 enables failure detection on its
-	// own.
-	ProbeInterval time.Duration
-	ProbeTimeout  time.Duration
-	ProbeSuspect  time.Duration
-	// ProbeIndirect is how many proxy members relay indirect ping-reqs
-	// when a direct probe times out (default 2).
-	ProbeIndirect int
-	// LeaseTTL is the quorum-lease lifetime (default: the suspicion
-	// window, and always clamped to ProbeTimeout+ProbeSuspect so a
-	// deposed owner's last lease has certainly expired before its
-	// deputy can be promoted).
+	// LeaseTTL is the quorum-lease lifetime (default: the probe timeout
+	// plus the suspicion window, and always clamped to it so a deposed
+	// owner's last lease has certainly expired before its deputy can be
+	// promoted).
 	LeaseTTL time.Duration
 	// NoLease disables the quorum lease while keeping probe-based
 	// failure detection: arming falls back to epoch fencing alone, so a
 	// symmetric partition may arm on both sides — the pre-lease
 	// behavior the partition regression tests pin down.
 	NoLease bool
-	// ForwardOutboxCap bounds each peer link's forward outbox (queued +
-	// in-flight messages); 0 means the 4096 default, negative means
-	// unbounded. When a long partition fills the outbox the oldest
-	// messages spill (immunity_cluster_forward_dropped_total);
-	// receiver-side dedup plus the device tier's full-history re-report
-	// restore at-least-once delivery for what was spilled.
-	ForwardOutboxCap int
 	// Metrics, when set, registers per-peer link instruments (dials,
 	// reconnects, connected, applied/duplicate broadcasts, forward
 	// outbox depth + in-flight) plus node-level membership gauges and
@@ -311,7 +292,6 @@ type Node struct {
 	ring       atomic.Pointer[Ring]
 	prober     *prober
 	lease      *leaseManager
-	outboxCap  int
 
 	// applyMu serializes the membership pipeline (applyMembership) so
 	// two triggers cannot interleave their re-bind and handoff phases.
@@ -363,13 +343,6 @@ func New(cfg Config) (*Node, error) {
 	if err != nil {
 		return nil, err
 	}
-	outboxCap := cfg.ForwardOutboxCap
-	switch {
-	case outboxCap == 0:
-		outboxCap = defaultForwardOutboxCap
-	case outboxCap < 0:
-		outboxCap = 0 // unbounded
-	}
 	n := &Node{
 		self:       cfg.Self,
 		selfAddr:   cfg.SelfAddr,
@@ -377,7 +350,6 @@ func New(cfg Config) (*Node, error) {
 		reg:        cfg.Metrics,
 		resolve:    cfg.Resolve,
 		membership: newMembership(cfg.Self, cfg.SelfAddr, seed),
-		outboxCap:  outboxCap,
 		links:      make(map[string]*link, len(cfg.Peers)),
 		transports: transports,
 		closeCh:    make(chan struct{}),
@@ -707,7 +679,7 @@ func newLink(n *Node, peerID string, t immunity.Transport, resumeSeq uint64, reg
 		// oldest messages rather than growing without bound; the spill is
 		// safe for the same reason redelivery is (receiver dedup + the
 		// device tier re-reporting its full history on reconnect).
-		Cap:    n.outboxCap,
+		Cap:    forwardOutboxCap,
 		OnDrop: func(wire.Message) { n.metForwardDropped.Inc() },
 		// Per-peer forward-outbox lag: depth is what a partition is
 		// holding back, in-flight what the drain has taken.

@@ -8,8 +8,8 @@ import (
 	"github.com/dimmunix/dimmunix/internal/immunity/wire"
 )
 
-// probeConfig is the resolved failure-detection timing: every zero
-// Config knob derived from FailoverAfter (see resolveProbe).
+// probeConfig is the resolved failure-detection timing, derived from
+// Config.FailoverAfter (see resolveProbe).
 type probeConfig struct {
 	enabled  bool
 	interval time.Duration // one direct ping per interval, round-robin
@@ -20,55 +20,24 @@ type probeConfig struct {
 }
 
 // resolveProbe derives the prober/lease timings from Config.
-// FailoverAfter acts as the overall detection budget D: interval D/4,
-// timeout D/8, suspicion D/2. Explicit Probe* knobs override, and any
-// of them being set enables detection on its own (D is then
-// back-derived for the remaining defaults). The lease TTL is clamped
-// to timeout+suspect — the earliest a partitioned member can be
-// marked down — so a deposed owner's last lease has always expired
-// before its deputy may be promoted and arm.
+// FailoverAfter is the overall detection budget D: interval D/4,
+// timeout D/8, suspicion D/2, two indirect proxies. The lease TTL
+// defaults to, and is clamped to, timeout+suspect — the earliest a
+// partitioned member can be marked down — so a deposed owner's last
+// lease has always expired before its deputy may be promoted and arm.
 func resolveProbe(cfg Config) probeConfig {
 	d := cfg.FailoverAfter
-	enabled := d > 0 || cfg.ProbeInterval > 0 || cfg.ProbeTimeout > 0 || cfg.ProbeSuspect > 0
-	if !enabled {
+	if d <= 0 {
 		return probeConfig{}
 	}
-	if d <= 0 {
-		switch {
-		case cfg.ProbeInterval > 0:
-			d = 4 * cfg.ProbeInterval
-		case cfg.ProbeSuspect > 0:
-			d = 2 * cfg.ProbeSuspect
-		default:
-			d = 8 * cfg.ProbeTimeout
-		}
-	}
-	pc := probeConfig{enabled: true, interval: cfg.ProbeInterval,
-		timeout: cfg.ProbeTimeout, suspect: cfg.ProbeSuspect,
-		indirect: cfg.ProbeIndirect, leaseTTL: cfg.LeaseTTL}
-	if pc.interval <= 0 {
-		pc.interval = maxDur(d/4, 2*time.Millisecond)
-	}
-	if pc.timeout <= 0 {
-		pc.timeout = maxDur(pc.interval/2, time.Millisecond)
-	}
-	if pc.suspect <= 0 {
-		pc.suspect = maxDur(d/2, 2*pc.timeout)
-	}
-	if pc.indirect <= 0 {
-		pc.indirect = 2
-	}
+	pc := probeConfig{enabled: true, interval: max(d/4, 2*time.Millisecond), indirect: 2}
+	pc.timeout = max(pc.interval/2, time.Millisecond)
+	pc.suspect = max(d/2, 2*pc.timeout)
+	pc.leaseTTL = cfg.LeaseTTL
 	if pc.leaseTTL <= 0 || pc.leaseTTL > pc.timeout+pc.suspect {
 		pc.leaseTTL = pc.timeout + pc.suspect
 	}
 	return pc
-}
-
-func maxDur(a, b time.Duration) time.Duration {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // prober is the SWIM-style failure detector: each interval it

@@ -18,56 +18,10 @@ package workload
 
 import (
 	"fmt"
-	"sort"
-	"sync/atomic"
 	"time"
 
-	"github.com/dimmunix/dimmunix/internal/immunity"
-	"github.com/dimmunix/dimmunix/internal/immunity/cluster"
 	"github.com/dimmunix/dimmunix/internal/immunity/metrics"
-	"github.com/dimmunix/dimmunix/internal/immunity/wire"
 )
-
-// SwitchTransport is an in-process Transport whose target hub can be
-// swapped at runtime. A plain Loopback is bound to one Exchange object
-// forever — a closed in-process hub can never come back, so loopback
-// dial errors classify as permanent — which makes it unable to model a
-// hub *restart*. SwitchTransport is the restartable variant: peers dial
-// through it, a kill swaps the hub out (dials fail transiently, so peer
-// links keep redialing with backoff), and a restart swaps the new
-// Exchange in, at which point the next redial lands on the reborn hub
-// exactly as a TCP reconnect would land on a restarted daemon.
-type SwitchTransport struct {
-	hub atomic.Pointer[immunity.Exchange]
-}
-
-// NewSwitchTransport builds the transport, initially targeting hub
-// (nil = down).
-func NewSwitchTransport(hub *immunity.Exchange) *SwitchTransport {
-	t := &SwitchTransport{}
-	t.hub.Store(hub)
-	return t
-}
-
-// Swap retargets the transport: nil models a crashed hub, non-nil a
-// restarted one. Existing sessions are unaffected (the old hub's Close
-// tears them down); only future dials see the new target.
-func (t *SwitchTransport) Swap(hub *immunity.Exchange) { t.hub.Store(hub) }
-
-// Dial implements immunity.Transport.
-func (t *SwitchTransport) Dial(recv func(wire.Message), down func(err error)) (immunity.Session, error) {
-	hub := t.hub.Load()
-	if hub == nil {
-		return nil, fmt.Errorf("switch transport: hub is down")
-	}
-	sess, err := immunity.NewLoopback(hub).Dial(recv, down)
-	if err != nil {
-		// Strip the loopback's permanent classification: behind the
-		// switch this hub can restart, so its dial errors are transient.
-		return nil, fmt.Errorf("switch transport: %v", err)
-	}
-	return sess, nil
-}
 
 // ChaosConfig parameterizes one chaos storm.
 type ChaosConfig struct {
@@ -163,315 +117,78 @@ func RunChaosStorm(cfg ChaosConfig) (ChaosResult, error) {
 		cfg.FailoverAfter = 150 * time.Millisecond
 	}
 	res := ChaosResult{Config: cfg}
-	deadline := time.Now().Add(cfg.Timeout)
-	waitFor := func(what string, cond func() bool) error {
-		for !cond() {
-			if time.Now().After(deadline) {
-				return fmt.Errorf("chaos: timed out waiting for %s", what)
-			}
-			time.Sleep(500 * time.Microsecond)
-		}
-		return nil
-	}
-
-	fullSet := make([]wire.Signature, cfg.Sigs)
-	for s := range fullSet {
-		fullSet[s] = wire.FromCore(propagationSig(s))
-	}
-
-	// Reference: the same fleet against one hub — the arming decisions
-	// the federation must reproduce under chaos.
-	refArmed, err := singleHubReference(cfg, fullSet, deadline)
+	sigs, keys := propagationSet(cfg.Sigs)
+	ref, err := reference("chaos", cfg.Devices, cfg.ConfirmThreshold, cfg.Timeout, sigs)
 	if err != nil {
 		return res, err
 	}
 
-	// The federation: every peer link runs through a SwitchTransport so
-	// the victim can die and come back behind a stable address.
-	hubID := func(i int) string { return fmt.Sprintf("hub%d", i) }
+	// Every hub keeps its provenance store across kill and restart.
+	f, err := newFederation(fedConfig{name: "chaos", hubs: cfg.Hubs, threshold: cfg.ConfirmThreshold,
+		failoverAfter: cfg.FailoverAfter, metrics: cfg.Metrics, durable: true})
+	if err != nil {
+		return res, err
+	}
+	defer f.close()
+	w := waiter{"chaos", cfg.Timeout, f}
 	victim := cfg.Hubs - 1
-	stores := make([]*immunity.MemProvenance, cfg.Hubs)
-	switches := make([]*SwitchTransport, cfg.Hubs)
-	for i := range switches {
-		stores[i] = immunity.NewMemProvenance()
-		switches[i] = NewSwitchTransport(nil)
-	}
-	hubs := make([]*immunity.Exchange, cfg.Hubs)
-	nodes := make([]*cluster.Node, cfg.Hubs)
-	start := func(i int) error {
-		hub, err := immunity.NewExchange(cfg.ConfirmThreshold, immunity.WithProvenanceStore(stores[i]))
-		if err != nil {
-			return fmt.Errorf("chaos: %s: %w", hubID(i), err)
-		}
-		var peers []cluster.Member
-		for j := range switches {
-			if j != i {
-				peers = append(peers, cluster.Member{ID: hubID(j), Transport: switches[j]})
-			}
-		}
-		node, err := cluster.New(cluster.Config{
-			Self: hubID(i), Hub: hub, Peers: peers,
-			FailoverAfter: cfg.FailoverAfter, Metrics: cfg.Metrics,
-		})
-		if err != nil {
-			hub.Close()
-			return fmt.Errorf("chaos: %s: %w", hubID(i), err)
-		}
-		hubs[i], nodes[i] = hub, node
-		switches[i].Swap(hub)
-		return nil
-	}
-	defer func() {
-		for i := range nodes {
-			if nodes[i] != nil {
-				nodes[i].Close()
-			}
-			if hubs[i] != nil {
-				hubs[i].Close()
-			}
-		}
-	}()
-	for i := range hubs {
-		if err := start(i); err != nil {
-			return res, err
-		}
-	}
-
-	// The victim's slice of the signature space: these keys' arming must
-	// survive the kill. (The fencing total below also counts any
-	// post-restart replays the survivors refuse.)
-	ring := nodes[0].Ring()
-	var victimKeys []string
-	for _, ws := range fullSet {
-		if sig, err := ws.ToCore(); err == nil && ring.Owner(sig.Key()) == hubID(victim) {
-			victimKeys = append(victimKeys, sig.Key())
-		}
-	}
+	victimKeys := f.owned(victim, keys)
 	res.VictimKeys = len(victimKeys)
 
 	// Devices attach round-robin to the survivor hubs only — the victim
 	// participates purely as an owner, so its death never takes a device
 	// session with it and every lost arming is the federation's fault.
-	devices := make([]*stormSession, cfg.Devices)
-	for i := range devices {
-		dev, err := dialStorm(immunity.NewLoopback(hubs[i%victim]), fmt.Sprintf("chaos%d", i), "")
-		if err != nil {
-			return res, fmt.Errorf("chaos: %w", err)
-		}
-		defer dev.close()
-		devices[i] = dev
-	}
-	report := func(devs []*stormSession) error {
-		for _, dev := range devs {
-			for s := range fullSet {
-				m := wire.Message{V: wire.Version, Type: wire.TypeReport,
-					Report: &wire.Report{Sigs: fullSet[s : s+1]}}
-				if err := dev.sess.Send(m); err != nil {
-					return fmt.Errorf("chaos: %s report: %w", dev.id, err)
-				}
-			}
-		}
-		return nil
-	}
-
-	started := time.Now()
-
-	// Phase 1 — mid-confirmation: threshold-1 devices report, so every
-	// signature ends pending one confirmation short of arming, and the
-	// victim's owned slice is replicated to its deputies.
-	early := devices[:cfg.ConfirmThreshold-1]
-	if err := report(early); err != nil {
+	devices, err := f.attach(cfg.Devices, victim, "chaos")
+	if err != nil {
 		return res, err
 	}
-	if len(early) > 0 {
-		if err := waitFor("victim to hold its pending slice", func() bool {
-			return len(hubs[victim].Provenance()) >= len(victimKeys)
-		}); err != nil {
-			return res, err
-		}
-		// Replication barrier: each victim-owned key's deputy holds the
-		// shadow before the kill, so the arming below can only come from
-		// the inherited set.
-		deputies := make(map[string]int)
-		for _, key := range victimKeys {
-			for i := 0; i < victim; i++ {
-				if ring.Deputy(key) == hubID(i) {
-					deputies[key] = i
-				}
-			}
-		}
-		if err := waitFor("deputy replicas of the victim's slice", func() bool {
-			for key, i := range deputies {
-				found := false
-				for _, p := range hubs[i].Provenance() {
-					if p.Key == key {
-						found = true
-						break
-					}
-				}
-				if !found {
-					return false
-				}
-			}
-			return true
-		}); err != nil {
-			return res, err
-		}
+	defer devices.close()
+	started := time.Now()
+
+	// Phase 1 — mid-confirmation: every signature ends pending one
+	// confirmation short of arming, the victim's slice replicated to its
+	// deputies, so the arming below can only come from the inherited set.
+	early := devices[:cfg.ConfirmThreshold-1]
+	if err := f.settle(w, early, sigs, keys, victimKeys); err != nil {
+		return res, err
 	}
 
 	for k := 0; k < cfg.Kills; k++ {
-		// Kill: no Leave, no drain — the crash analog. Peer dials start
-		// failing first so no redial lands on the closing hub.
-		switches[victim].Swap(nil)
-		nodes[victim].Close()
-		hubs[victim].Close()
-		nodes[victim], hubs[victim] = nil, nil
-		if err := waitFor("survivors to fail the victim over", func() bool {
-			for i := 0; i < victim; i++ {
-				if len(nodes[i].Members()) != cfg.Hubs-1 {
-					return false
-				}
-			}
-			return true
-		}); err != nil {
+		f.kill(victim)
+		if _, err := w.until("survivors to fail the victim over", func() bool { return f.see(victim, cfg.Hubs-1) }); err != nil {
 			return res, err
 		}
-
 		if k == 0 {
 			// Phase 2 — the remaining devices report while the victim is
 			// dead: its former slice can only arm on the deputies, from
 			// the replicated pending sets plus these confirmations.
-			if err := report(devices[len(early):]); err != nil {
-				return res, err
+			if err := devices[len(early):].reportEach(sigs); err != nil {
+				return res, fmt.Errorf("chaos: %w", err)
 			}
-			if err := waitFor("survivors to arm the full set", func() bool {
-				for i := 0; i < victim; i++ {
-					if hubs[i].ArmedCount() < cfg.Sigs {
-						return false
-					}
-				}
-				return true
-			}); err != nil {
+			if _, err := w.until("survivors to arm the full set", func() bool { return f.armed(victim) >= cfg.Sigs }); err != nil {
 				return res, err
 			}
 		}
-
 		// Restart over the same provenance store; the node rejoins via
 		// its seed peers, takes its keys back by handoff, and resyncs
 		// the armings it missed from its resume seqs.
-		if err := start(victim); err != nil {
+		if err := f.start(victim); err != nil {
 			return res, err
 		}
-		if err := waitFor("the restarted victim to rejoin", func() bool {
-			for i := range nodes {
-				if len(nodes[i].Members()) != cfg.Hubs {
-					return false
-				}
-			}
-			return true
-		}); err != nil {
+		if _, err := w.until("the restarted victim to rejoin", func() bool { return f.see(cfg.Hubs, cfg.Hubs) }); err != nil {
 			return res, err
 		}
 		res.Kills++
 	}
 
-	// Convergence: every hub — restarted victim included — armed on the
-	// whole set.
-	if err := waitFor("cluster-wide convergence", func() bool {
-		for _, hub := range hubs {
-			if hub.ArmedCount() < cfg.Sigs {
-				return false
-			}
-		}
-		return true
-	}); err != nil {
-		for _, hub := range hubs {
-			if n := hub.ArmedCount(); res.Armed == 0 || n < res.Armed {
-				res.Armed = n
-			}
-		}
+	_, err = w.until("cluster-wide convergence", func() bool { return f.armed(cfg.Hubs) >= cfg.Sigs })
+	res.Armed = f.armed(cfg.Hubs)
+	if err != nil {
 		return res, err
 	}
 	res.Elapsed = time.Since(started)
-
-	// Federation equivalence against the single-hub reference, and the
-	// no-double-arm invariant: a hub's delta epoch counts its armings,
-	// so epoch == armed count means no failover replay armed twice.
-	res.Armed = cfg.Sigs
-	for i, hub := range hubs {
-		if n := hub.ArmedCount(); n < res.Armed {
-			res.Armed = n
-		}
-		armed := armedKeys(hub)
-		if !equalKeys(armed, refArmed) {
-			return res, fmt.Errorf("chaos: %s armed set diverged from the single-hub reference (%d vs %d keys)",
-				hubID(i), len(armed), len(refArmed))
-		}
-		st := hub.Stats()
-		if st.Epoch != uint64(len(armed)) {
-			return res, fmt.Errorf("chaos: %s delta epoch %d != armed count %d (double-arm)",
-				hubID(i), st.Epoch, len(armed))
-		}
-		res.Fenced += st.Fenced
-	}
-	return res, nil
-}
-
-// singleHubReference runs the fleet's report set against one hub and
-// returns its armed key set.
-func singleHubReference(cfg ChaosConfig, fullSet []wire.Signature, deadline time.Time) ([]string, error) {
-	hub, err := immunity.NewExchange(cfg.ConfirmThreshold)
-	if err != nil {
-		return nil, fmt.Errorf("chaos: reference hub: %w", err)
-	}
-	defer hub.Close()
-	tr := immunity.NewLoopback(hub)
-	for i := 0; i < cfg.Devices; i++ {
-		dev, err := dialStorm(tr, fmt.Sprintf("chaos%d", i), "")
-		if err != nil {
-			return nil, fmt.Errorf("chaos: reference: %w", err)
-		}
-		for s := range fullSet {
-			m := wire.Message{V: wire.Version, Type: wire.TypeReport,
-				Report: &wire.Report{Sigs: fullSet[s : s+1]}}
-			if err := dev.sess.Send(m); err != nil {
-				dev.close()
-				return nil, fmt.Errorf("chaos: reference report: %w", err)
-			}
-		}
-		dev.close()
-	}
-	for hub.ArmedCount() < cfg.Sigs {
-		if time.Now().After(deadline) {
-			return nil, fmt.Errorf("chaos: reference hub armed %d/%d before timeout", hub.ArmedCount(), cfg.Sigs)
-		}
-		time.Sleep(500 * time.Microsecond)
-	}
-	return armedKeys(hub), nil
-}
-
-// armedKeys returns a hub's armed signature keys, sorted.
-func armedKeys(hub *immunity.Exchange) []string {
-	var keys []string
-	for _, p := range hub.Provenance() {
-		if p.Armed {
-			keys = append(keys, p.Key)
-		}
-	}
-	sort.Strings(keys)
-	return keys
-}
-
-func equalKeys(a, b []string) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
+	res.Fenced, err = f.equivalent(ref)
+	return res, err
 }
 
 // FormatChaos renders a chaos result (the go test -v report).

@@ -20,15 +20,17 @@ package workload
 
 import (
 	"crypto/tls"
+	"encoding/base64"
+	"encoding/json"
 	"fmt"
+	"slices"
 	"strings"
 	"time"
 
 	"github.com/dimmunix/dimmunix/internal/core"
 	"github.com/dimmunix/dimmunix/internal/immunity"
-	"github.com/dimmunix/dimmunix/internal/immunity/cluster"
+	"github.com/dimmunix/dimmunix/internal/immunity/auth"
 	"github.com/dimmunix/dimmunix/internal/immunity/metrics"
-	"github.com/dimmunix/dimmunix/internal/immunity/wire"
 	"github.com/dimmunix/dimmunix/internal/vm"
 )
 
@@ -196,6 +198,33 @@ func armedWith(p *vm.Process, key string) bool {
 	return false
 }
 
+// tokenTenant is the tenant claim of a bearer token, read without
+// verifying it (the daemon does that): the stale-state check only needs
+// to know which tenant the phones will land in. No token, or one that
+// does not decode, is the default tenant.
+func tokenTenant(token string) string {
+	payload, _, _ := strings.Cut(token, ".")
+	body, err := base64.RawURLEncoding.DecodeString(payload)
+	var c auth.Claims
+	if err != nil || json.Unmarshal(body, &c) != nil {
+		return ""
+	}
+	return c.Tenant
+}
+
+// armedAll reports whether every process on the phones holds the
+// signature.
+func armedAll(phones []*immunityPhone, key string) bool {
+	for _, ph := range phones {
+		for _, p := range ph.procs {
+			if !armedWith(p, key) {
+				return false
+			}
+		}
+	}
+	return true
+}
+
 // injectDeadlock forks a buggy app on the phone and drives its two
 // threads into a certain AB/BA inversion (strict rendezvous on channels).
 // Under PolicyFreeze the process freezes — like a real buggy app — and
@@ -246,149 +275,6 @@ type immunityPhone struct {
 	client *immunity.ExchangeClient
 }
 
-// hubView abstracts how the scenario observes fleet state: the
-// in-process hub(s) directly, or wire status requests against external
-// daemons. Multi-hub views report the cluster-wide floor: armedCount is
-// the minimum across hubs (a signature is only fleet-armed once every
-// hub installed it), provenance merges per key with the owner's full
-// record winning, batching sums.
-type hubView interface {
-	armedCount() (int, error)
-	provenance() ([]immunity.Provenance, error)
-	batching() (batches, sigs uint64)
-}
-
-// mergeProvenance folds per-hub provenance into the cluster view: one
-// record per key, the owner's (the one carrying the confirmation set,
-// or failing that the highest confirmation count) winning.
-func mergeProvenance(views ...[]immunity.Provenance) []immunity.Provenance {
-	var order []string
-	best := make(map[string]immunity.Provenance)
-	for _, view := range views {
-		for _, p := range view {
-			old, ok := best[p.Key]
-			if !ok {
-				order = append(order, p.Key)
-				best[p.Key] = p
-				continue
-			}
-			if len(p.ConfirmedBy) > len(old.ConfirmedBy) || p.Confirmations > old.Confirmations {
-				best[p.Key] = p
-			}
-		}
-	}
-	out := make([]immunity.Provenance, 0, len(order))
-	for _, key := range order {
-		out = append(out, best[key])
-	}
-	return out
-}
-
-// localView reads one or more in-process hubs.
-type localView struct{ hubs []*immunity.Exchange }
-
-func (v localView) armedCount() (int, error) {
-	minArmed := v.hubs[0].ArmedCount()
-	for _, hub := range v.hubs[1:] {
-		if n := hub.ArmedCount(); n < minArmed {
-			minArmed = n
-		}
-	}
-	return minArmed, nil
-}
-
-func (v localView) provenance() ([]immunity.Provenance, error) {
-	views := make([][]immunity.Provenance, len(v.hubs))
-	for i, hub := range v.hubs {
-		views[i] = hub.Provenance()
-	}
-	return mergeProvenance(views...), nil
-}
-
-func (v localView) batching() (uint64, uint64) {
-	var batches, sigs uint64
-	for _, hub := range v.hubs {
-		st := hub.Stats()
-		batches += st.DeltaBatches
-		sigs += st.DeltaSignatures
-	}
-	return batches, sigs
-}
-
-// statusView polls external daemons over the wire protocol.
-type statusView struct {
-	addrs    []string
-	timeout  time.Duration
-	dialOpts []immunity.TCPOption
-}
-
-func (v statusView) statuses() ([]wire.Status, error) {
-	out := make([]wire.Status, len(v.addrs))
-	for i, addr := range v.addrs {
-		st, err := immunity.FetchStatus(addr, v.timeout, v.dialOpts...)
-		if err != nil {
-			return nil, fmt.Errorf("hub %s: %w", addr, err)
-		}
-		out[i] = st
-	}
-	return out, nil
-}
-
-func (v statusView) armedCount() (int, error) {
-	sts, err := v.statuses()
-	if err != nil {
-		return 0, err
-	}
-	minArmed := int(sts[0].Epoch)
-	for _, st := range sts[1:] {
-		if n := int(st.Epoch); n < minArmed {
-			minArmed = n
-		}
-	}
-	return minArmed, nil
-}
-
-func (v statusView) provenance() ([]immunity.Provenance, error) {
-	sts, err := v.statuses()
-	if err != nil {
-		return nil, err
-	}
-	views := make([][]immunity.Provenance, 0, len(sts))
-	for _, st := range sts {
-		view := make([]immunity.Provenance, 0, len(st.Provenance))
-		for _, p := range st.Provenance {
-			kind, err := wire.ParseKind(p.Kind)
-			if err != nil {
-				return nil, fmt.Errorf("daemon status (newer protocol?): %w", err)
-			}
-			view = append(view, immunity.Provenance{
-				Key:           p.Key,
-				Kind:          kind,
-				FirstSeen:     p.FirstSeen,
-				Confirmations: p.Confirmations,
-				ConfirmedBy:   p.ConfirmedBy,
-				Armed:         p.Armed,
-				Owner:         p.Owner,
-			})
-		}
-		views = append(views, view)
-	}
-	return mergeProvenance(views...), nil
-}
-
-func (v statusView) batching() (uint64, uint64) {
-	sts, err := v.statuses()
-	if err != nil {
-		return 0, 0
-	}
-	var batches, sigs uint64
-	for _, st := range sts {
-		batches += st.Batching.Batches
-		sigs += st.Batching.Signatures
-	}
-	return batches, sigs
-}
-
 // RunFleetImmunity executes the scenario: fork all live processes on all
 // phones, inject the deadlock on ConfirmThreshold phones one at a time,
 // verify the gating after the first detection, and measure the
@@ -403,108 +289,32 @@ func RunFleetImmunity(cfg FleetImmunityConfig) (FleetImmunityResult, error) {
 	res := FleetImmunityResult{Config: cfg}
 	key := buggyKey()
 
-	// Hub topology and per-phone transports by mode. Phones attach
-	// round-robin across deviceTransports — a single hub is the
-	// degenerate one-element case.
-	var (
-		deviceTransports []immunity.Transport
-		view             hubView
-	)
-	switch {
-	case cfg.Dial != "":
-		var addrs []string
-		for _, a := range strings.Split(cfg.Dial, ",") {
-			if a = strings.TrimSpace(a); a != "" {
-				addrs = append(addrs, a)
-			}
-		}
-		if len(addrs) == 0 {
-			return res, fmt.Errorf("fleet immunity: no address in dial list %q", cfg.Dial)
-		}
-		res.Transport = "client:" + strings.Join(addrs, ",")
-		var dialOpts []immunity.TCPOption
-		if cfg.TLS != nil {
-			res.Transport = "client+tls:" + strings.Join(addrs, ",")
-			dialOpts = append(dialOpts, immunity.WithDialTLS(cfg.TLS))
-		}
-		for _, addr := range addrs {
-			deviceTransports = append(deviceTransports, immunity.NewTCPTransport(addr, dialOpts...))
-		}
-		view = statusView{addrs: addrs, timeout: cfg.Timeout, dialOpts: dialOpts}
-		// An external daemon carries state across runs. If it already
-		// armed this scenario's signature (an earlier -connect run, or a
-		// -provenance store from one), the injected deadlock would be
-		// avoided instead of detected and the run would time out with a
-		// misleading error — fail up front with the real cause.
-		if provs, err := view.provenance(); err == nil {
-			for _, p := range provs {
-				if p.Key == key && p.Armed {
-					return res, fmt.Errorf("fleet immunity: daemon at %s already has this scenario's signature armed (stale state from an earlier run?) — restart it with a fresh provenance store", cfg.Dial)
-				}
-			}
-		}
-	default:
-		hubCount := cfg.Hubs
-		if hubCount < 1 {
-			hubCount = 1
-		}
-		useTCP := cfg.Transport == TransportTCP
-		res.Transport = string(TransportLoopback)
-		if useTCP {
-			res.Transport = string(TransportTCP)
-		}
-		if hubCount > 1 {
-			res.Transport = fmt.Sprintf("cluster(%d)+%s", hubCount, res.Transport)
-		}
-		var hubOpts []immunity.ExchangeOption
-		if cfg.Metrics != nil {
-			hubOpts = append(hubOpts, immunity.WithMetricsRegistry(cfg.Metrics))
-		}
-		hubs := make([]*immunity.Exchange, hubCount)
-		addrs := make([]string, hubCount)
-		for i := range hubs {
-			hub, err := immunity.NewExchange(cfg.ConfirmThreshold, hubOpts...)
-			if err != nil {
-				return res, fmt.Errorf("fleet immunity: %w", err)
-			}
-			defer hub.Close()
-			hubs[i] = hub
-			if useTCP {
-				srv, err := immunity.ServeTCP(hub, "127.0.0.1:0")
-				if err != nil {
-					return res, fmt.Errorf("fleet immunity: %w", err)
-				}
-				defer srv.Close()
-				addrs[i] = srv.Addr()
-			}
-		}
-		// Transport to hub j, as seen from anywhere in this process.
-		hubTransport := func(j int) immunity.Transport {
-			if useTCP {
-				return immunity.NewTCPTransport(addrs[j])
-			}
-			return immunity.NewLoopback(hubs[j])
-		}
-		if hubCount > 1 {
-			for i := range hubs {
-				var peers []cluster.Member
-				for j := range hubs {
-					if j != i {
-						peers = append(peers, cluster.Member{ID: fmt.Sprintf("hub%d", j), Transport: hubTransport(j)})
-					}
-				}
-				node, err := cluster.New(cluster.Config{Self: fmt.Sprintf("hub%d", i), Hub: hubs[i], Peers: peers})
-				if err != nil {
-					return res, fmt.Errorf("fleet immunity: %w", err)
-				}
-				defer node.Close()
-			}
-		}
-		for i := range hubs {
-			deviceTransports = append(deviceTransports, hubTransport(i))
-		}
-		view = localView{hubs}
+	// Phones attach round-robin across the hubs' transports — a single
+	// hub is the degenerate one-element case.
+	hubs, err := openHubs(cfg.Dial, cfg.TLS, cfg.Timeout, fedConfig{name: "fleet immunity", hubs: cfg.Hubs,
+		threshold: cfg.ConfirmThreshold, metrics: cfg.Metrics, tcp: cfg.Transport == TransportTCP})
+	if err != nil {
+		return res, err
 	}
+	defer hubs.close()
+	res.Transport = hubs.label()
+	// A daemon carries state across runs. If it already armed this
+	// scenario's signature (an earlier -connect run, or a -provenance
+	// store from one), the injected deadlock would be avoided instead of
+	// detected and the run would time out with a misleading error — fail
+	// up front with the real cause. Only the phones' own tenant counts
+	// (another tenant's arming is never pushed to them), and a tenant's
+	// record is keyed with a tenant prefix, so the key is matched as a
+	// suffix.
+	tenant := tokenTenant(cfg.Token)
+	if provs, err := hubs.provenance(); err == nil {
+		for _, p := range provs {
+			if p.Armed && p.Tenant == tenant && strings.HasSuffix(p.Key, key) {
+				return res, fmt.Errorf("fleet immunity: %s already has this scenario's signature armed (stale state from an earlier run?) — restart it with a fresh provenance store", res.Transport)
+			}
+		}
+	}
+	trs := hubs.transports()
 
 	phones := make([]*immunityPhone, cfg.Phones)
 	for i := range phones {
@@ -527,7 +337,7 @@ func RunFleetImmunity(cfg FleetImmunityConfig) (FleetImmunityResult, error) {
 		if cfg.Token != "" {
 			connOpts = append(connOpts, immunity.WithClientToken(cfg.Token))
 		}
-		client, err := immunity.Connect(deviceTransports[i%len(deviceTransports)], svc.Name(), svc, connOpts...)
+		client, err := immunity.Connect(trs[i%len(trs)], svc.Name(), svc, connOpts...)
 		if err != nil {
 			return res, fmt.Errorf("fleet immunity: %w", err)
 		}
@@ -536,28 +346,7 @@ func RunFleetImmunity(cfg FleetImmunityConfig) (FleetImmunityResult, error) {
 		phones[i] = ph
 	}
 
-	// waitUntil polls cond at microsecond-ish granularity — except in
-	// client mode, where cond may open a status connection to the daemon
-	// per call: there the poll backs off to milliseconds so a slow (or
-	// hung) daemon sees hundreds of probes, not a hundred-thousand-socket
-	// connection storm.
-	poll := 20 * time.Microsecond
-	if cfg.Dial != "" {
-		poll = 5 * time.Millisecond
-	}
-	waitUntil := func(what string, cond func() bool) (time.Time, error) {
-		deadline := time.Now().Add(cfg.Timeout)
-		for {
-			if cond() {
-				return time.Now(), nil
-			}
-			if time.Now().After(deadline) {
-				return time.Time{}, fmt.Errorf("fleet immunity: timed out waiting for %s", what)
-			}
-			time.Sleep(poll)
-		}
-	}
-
+	w := waiter{"fleet immunity", cfg.Timeout, hubs}
 	// detect triggers the deadlock on phone i and returns the moment its
 	// service accepted the signature.
 	detect := func(i int) (time.Time, error) {
@@ -565,7 +354,7 @@ func RunFleetImmunity(cfg FleetImmunityConfig) (FleetImmunityResult, error) {
 		if err := injectDeadlock(phones[i].zygote); err != nil {
 			return time.Time{}, err
 		}
-		return waitUntil(fmt.Sprintf("detection on phone%d", i),
+		return w.until(fmt.Sprintf("detection on phone%d", i),
 			func() bool { return phones[i].svc.Epoch() > epochBefore })
 	}
 
@@ -574,14 +363,7 @@ func RunFleetImmunity(cfg FleetImmunityConfig) (FleetImmunityResult, error) {
 	if err != nil {
 		return res, err
 	}
-	tArmedDevice, err := waitUntil("phone0 processes armed", func() bool {
-		for _, p := range phones[0].procs {
-			if !armedWith(p, key) {
-				return false
-			}
-		}
-		return true
-	})
+	tArmedDevice, err := w.until("phone0 processes armed", func() bool { return armedAll(phones[:1], key) })
 	if err != nil {
 		return res, err
 	}
@@ -609,34 +391,17 @@ func RunFleetImmunity(cfg FleetImmunityConfig) (FleetImmunityResult, error) {
 		}
 	}
 
-	var lastStatusErr error
-	tArm, err := waitUntil("exchange arming", func() bool {
-		n, err := view.armedCount()
-		if err != nil {
-			lastStatusErr = err
-			return false
-		}
-		return n >= 1
+	// A signature is only fleet-armed once every hub installed it.
+	tArm, err := w.until("exchange arming", func() bool {
+		epochs, err := hubs.epochs()
+		return err == nil && slices.Min(epochs) >= 1
 	})
 	if err != nil {
-		if lastStatusErr != nil {
-			// A dead daemon must not masquerade as a gating failure.
-			return res, fmt.Errorf("%w (last status error: %v)", err, lastStatusErr)
-		}
 		return res, err
 	}
 	res.FleetArm = tArm.Sub(tDetectLast)
 
-	tAll, err := waitUntil("all fleet processes armed", func() bool {
-		for _, ph := range phones {
-			for _, p := range ph.procs {
-				if !armedWith(p, key) {
-					return false
-				}
-			}
-		}
-		return true
-	})
+	tAll, err := w.until("all fleet processes armed", func() bool { return armedAll(phones, key) })
 	if err != nil {
 		return res, err
 	}
@@ -647,10 +412,10 @@ func RunFleetImmunity(cfg FleetImmunityConfig) (FleetImmunityResult, error) {
 	cfg.Metrics.Histogram("immunity_propagation_fleet_seconds",
 		"Threshold-completing detection to the last process on the last phone armed.",
 		metrics.DurationBuckets()).ObserveDuration(res.FleetImmunity)
-	if res.Provenance, err = view.provenance(); err != nil {
+	if res.Provenance, err = hubs.provenance(); err != nil {
 		return res, fmt.Errorf("fleet immunity: %w", err)
 	}
-	res.DeltaBatches, res.DeltaSignatures = view.batching()
+	res.DeltaBatches, res.DeltaSignatures = hubs.batching()
 	return res, nil
 }
 

@@ -28,9 +28,6 @@ import (
 	"fmt"
 	"time"
 
-	"github.com/dimmunix/dimmunix/internal/immunity"
-	"github.com/dimmunix/dimmunix/internal/immunity/cluster"
-	"github.com/dimmunix/dimmunix/internal/immunity/fault"
 	"github.com/dimmunix/dimmunix/internal/immunity/metrics"
 	"github.com/dimmunix/dimmunix/internal/immunity/wire"
 )
@@ -171,140 +168,43 @@ func RunPartitionStorm(cfg PartitionConfig) (PartitionResult, error) {
 		cfg.FailoverAfter = 150 * time.Millisecond
 	}
 	res := PartitionResult{Config: cfg}
-	leases := !cfg.NoLease
-	deadline := time.Now().Add(cfg.Timeout)
-	var hubs []*immunity.Exchange
-	var nodes []*cluster.Node
-	snapshot := func() string {
-		var out string
-		for i := range hubs {
-			if hubs[i] == nil || nodes[i] == nil {
-				continue
-			}
-			held, _, lost := nodes[i].LeaseStats()
-			out += fmt.Sprintf(" hub%d{armed:%d parked:%d members:%d lease:%v lost:%d fenced:%d",
-				i, hubs[i].ArmedCount(), hubs[i].Stats().Parked, len(nodes[i].Members()), held, lost, hubs[i].Stats().Fenced)
-			for _, ps := range nodes[i].Status() {
-				out += fmt.Sprintf(" %s[conn:%v last:%d app:%d dup:%d]", ps.ID, ps.Connected, ps.LastApplied, ps.Applied, ps.Duplicates)
-			}
-			out += "}"
-		}
-		return out
-	}
-	waitFor := func(what string, cond func() bool) error {
-		for !cond() {
-			if time.Now().After(deadline) {
-				return fmt.Errorf("partition: timed out waiting for %s;%s", what, snapshot())
-			}
-			time.Sleep(500 * time.Microsecond)
-		}
-		return nil
-	}
-
-	fullSet := make([]wire.Signature, cfg.Sigs)
-	for s := range fullSet {
-		fullSet[s] = wire.FromCore(propagationSig(s))
-	}
-
-	// Reference: the same fleet against one hub — the arming decisions
-	// the split federation must reconverge to.
-	refArmed, err := singleHubReference(ChaosConfig{
-		Devices: cfg.Devices, Sigs: cfg.Sigs,
-		ConfirmThreshold: cfg.ConfirmThreshold, Timeout: cfg.Timeout,
-	}, fullSet, deadline)
+	sigs, keys := propagationSet(cfg.Sigs)
+	ref, err := reference("partition", cfg.Devices, cfg.ConfirmThreshold, cfg.Timeout, sigs)
 	if err != nil {
 		return res, err
 	}
 
-	// The federation: every directed hub-pair path runs through the
-	// fault network, so the scenario can cut, blink, and heal exactly
-	// the links it means to.
-	hubID := func(i int) string { return fmt.Sprintf("hub%d", i) }
-	net := fault.NewNetwork()
-	minority := cfg.Hubs - 1
-	switches := make([]*SwitchTransport, cfg.Hubs)
-	for i := range switches {
-		switches[i] = NewSwitchTransport(nil)
+	// Every directed hub-pair path runs through the fault network, so the
+	// scenario can cut, blink, and heal exactly the links it means to.
+	f, err := newFederation(fedConfig{name: "partition", hubs: cfg.Hubs, threshold: cfg.ConfirmThreshold,
+		failoverAfter: cfg.FailoverAfter, noLease: cfg.NoLease, metrics: cfg.Metrics, faults: true})
+	if err != nil {
+		return res, err
 	}
-	hubs = make([]*immunity.Exchange, cfg.Hubs)
-	nodes = make([]*cluster.Node, cfg.Hubs)
-	defer func() {
-		for i := range nodes {
-			if nodes[i] != nil {
-				nodes[i].Close()
-			}
-			if hubs[i] != nil {
-				hubs[i].Close()
-			}
-		}
-	}()
-	for i := range hubs {
-		hub, err := immunity.NewExchange(cfg.ConfirmThreshold)
-		if err != nil {
-			return res, fmt.Errorf("partition: %s: %w", hubID(i), err)
-		}
-		var peers []cluster.Member
-		for j := range switches {
-			if j != i {
-				peers = append(peers, cluster.Member{
-					ID:        hubID(j),
-					Transport: net.Wrap(hubID(i), hubID(j), switches[j]),
-				})
-			}
-		}
-		node, err := cluster.New(cluster.Config{
-			Self: hubID(i), Hub: hub, Peers: peers,
-			FailoverAfter: cfg.FailoverAfter, NoLease: cfg.NoLease,
-			Metrics: cfg.Metrics,
-		})
-		if err != nil {
-			hub.Close()
-			return res, fmt.Errorf("partition: %s: %w", hubID(i), err)
-		}
-		hubs[i], nodes[i] = hub, node
-		switches[i].Swap(hub)
-	}
+	defer f.close()
+	w := waiter{"partition", cfg.Timeout, f}
 
-	// Settle: every link handshaken, every node holding its lease —
-	// the steady state the fault hits.
-	if err := waitFor("federation links to come up", func() bool {
-		for _, n := range nodes {
+	// Settle: every link handshaken, every node holding its lease — the
+	// steady state the fault hits.
+	if _, err := w.until("federation links and leases to come up", func() bool {
+		for _, n := range f.nodes {
 			for _, ps := range n.Status() {
 				if !ps.Connected {
 					return false
 				}
+			}
+			if held, _, _ := n.LeaseStats(); !held && !cfg.NoLease {
+				return false
 			}
 		}
 		return true
 	}); err != nil {
 		return res, err
 	}
-	if leases {
-		if err := waitFor("initial lease acquisition", func() bool {
-			for _, n := range nodes {
-				if held, _, _ := n.LeaseStats(); !held {
-					return false
-				}
-			}
-			return true
-		}); err != nil {
-			return res, err
-		}
-	}
 
-	// The minority's slice of the signature space: the keys whose
-	// arming must cross the split by deputy promotion.
-	ring := nodes[0].Ring()
-	hubIndex := make(map[string]int, cfg.Hubs)
-	for i := 0; i < cfg.Hubs; i++ {
-		hubIndex[hubID(i)] = i
-	}
-	var minorityKeys []string
-	for _, ws := range fullSet {
-		if sig, err := ws.ToCore(); err == nil && ring.Owner(sig.Key()) == hubID(minority) {
-			minorityKeys = append(minorityKeys, sig.Key())
-		}
-	}
+	// The minority's slice: the keys whose arming must cross the split by
+	// deputy promotion.
+	minorityKeys := f.owned(cfg.Hubs-1, keys)
 	res.MinorityKeys = len(minorityKeys)
 	if len(minorityKeys) == 0 && cfg.Scenario != ScenarioFlap {
 		return res, fmt.Errorf("partition: the minority hub owns none of the %d signatures; raise Sigs", cfg.Sigs)
@@ -313,93 +213,51 @@ func RunPartitionStorm(cfg PartitionConfig) (PartitionResult, error) {
 	// Devices attach round-robin across ALL hubs — unlike the chaos
 	// storm's victim, the minority hub keeps serving devices through the
 	// split, which is exactly what forces arming decisions onto it.
-	devices := make([]*stormSession, cfg.Devices)
-	for i := range devices {
-		dev, err := dialStorm(immunity.NewLoopback(hubs[i%cfg.Hubs]), fmt.Sprintf("part%d", i), "")
-		if err != nil {
-			return res, fmt.Errorf("partition: %w", err)
-		}
-		defer dev.close()
-		devices[i] = dev
-	}
-	report := func(devs []*stormSession) error {
-		for _, dev := range devs {
-			for s := range fullSet {
-				m := wire.Message{V: wire.Version, Type: wire.TypeReport,
-					Report: &wire.Report{Sigs: fullSet[s : s+1]}}
-				if err := dev.sess.Send(m); err != nil {
-					return fmt.Errorf("partition: %s report: %w", dev.id, err)
-				}
-			}
-		}
-		return nil
-	}
-
-	started := time.Now()
-
-	// Phase 1 — mid-confirmation: threshold-1 devices report and every
-	// confirmation settles on its owner (and the minority slice's
-	// deputy shadows) BEFORE the cut, so phase 2's single confirmation
-	// is exactly what crosses the threshold on each side of the split.
-	confirms := func(h *immunity.Exchange, key string) int {
-		for _, p := range h.Provenance() {
-			if p.Key == key {
-				return len(p.ConfirmedBy)
-			}
-		}
-		return -1
-	}
-	early := devices[:cfg.ConfirmThreshold-1]
-	if err := report(early); err != nil {
+	devices, err := f.attach(cfg.Devices, cfg.Hubs, "part")
+	if err != nil {
 		return res, err
 	}
-	if len(early) > 0 {
-		if err := waitFor("phase-1 confirmations to settle on every owner", func() bool {
-			for _, ws := range fullSet {
-				sig, err := ws.ToCore()
-				if err != nil {
-					return false
-				}
-				owner := hubIndex[ring.Owner(sig.Key())]
-				if confirms(hubs[owner], sig.Key()) < len(early) {
-					return false
-				}
-			}
-			return true
-		}); err != nil {
-			return res, err
-		}
-		if err := waitFor("deputy shadows of the minority slice", func() bool {
-			for _, key := range minorityKeys {
-				deputy, ok := hubIndex[ring.Deputy(key)]
-				if !ok || deputy == minority {
-					continue
-				}
-				if confirms(hubs[deputy], key) < 0 {
-					return false
-				}
-			}
-			return true
-		}); err != nil {
-			return res, err
-		}
-	}
+	defer devices.close()
+	started := time.Now()
 
+	// Phase 1 — mid-confirmation, settled on every owner and on the
+	// minority slice's deputies BEFORE the fault, so phase 2's single
+	// confirmation is exactly what crosses the threshold on each side.
+	early := devices[:cfg.ConfirmThreshold-1]
+	if err := f.settle(w, early, sigs, keys, minorityKeys); err != nil {
+		return res, err
+	}
 	if cfg.Scenario == ScenarioFlap {
-		return runFlapStorm(cfg, res, net, hubs, nodes, devices, report, waitFor, refArmed, hubID, leases, started)
+		err = flapStorm(cfg, f, w, devices[len(early):], sigs)
+	} else {
+		err = splitStorm(cfg, &res, f, w, devices[len(early):], sigs, len(minorityKeys))
 	}
+	if err != nil {
+		return res, err
+	}
+	res.Elapsed = time.Since(started)
+	res.Armed = f.armed(cfg.Hubs)
+	res.Fenced, err = f.equivalent(ref)
+	return res, err
+}
 
-	// The cut.
+// splitStorm is the symmetric and asymmetric scenarios' middle: cut the
+// minority off, let phase 2 report into the split, check the lease
+// contract on the minority, heal, and wait for reconvergence.
+func splitStorm(cfg PartitionConfig, res *PartitionResult, f *federation, w waiter,
+	late stormFleet, sigs []wire.Signature, slice int) error {
+	minority := cfg.Hubs - 1
+	hub, node := f.hubs[minority], f.nodes[minority]
 	switch cfg.Scenario {
 	case ScenarioSymmetric:
 		var majorityIDs []string
 		for i := 0; i < minority; i++ {
-			majorityIDs = append(majorityIDs, hubID(i))
+			majorityIDs = append(majorityIDs, f.id(i))
 		}
-		net.Partition(majorityIDs, []string{hubID(minority)})
+		f.net.Partition(majorityIDs, []string{f.id(minority)})
 	case ScenarioAsymmetric:
 		for i := 0; i < minority; i++ {
-			net.Block(hubID(minority), hubID(i))
+			f.net.Block(f.id(minority), f.id(i))
 		}
 	}
 
@@ -407,22 +265,15 @@ func RunPartitionStorm(cfg PartitionConfig) (PartitionResult, error) {
 	// keys; with leases on, the minority's own lease round dies first
 	// (its renewals cannot reach a majority) and it loses the right to
 	// arm before anyone could promote against it.
-	if err := waitFor("the majority to mark the minority down", func() bool {
-		for i := 0; i < minority; i++ {
-			if len(nodes[i].Members()) != cfg.Hubs-1 {
-				return false
-			}
-		}
-		return true
-	}); err != nil {
-		return res, err
+	if _, err := w.until("the majority to mark the minority down", func() bool { return f.see(minority, cfg.Hubs-1) }); err != nil {
+		return err
 	}
-	if leases {
-		if err := waitFor("the minority to lose its lease", func() bool {
-			held, _, lost := nodes[minority].LeaseStats()
+	if !cfg.NoLease {
+		if _, err := w.until("the minority to lose its lease", func() bool {
+			held, _, lost := node.LeaseStats()
 			return !held && lost >= 1
 		}); err != nil {
-			return res, err
+			return err
 		}
 	}
 
@@ -431,133 +282,95 @@ func RunPartitionStorm(cfg PartitionConfig) (PartitionResult, error) {
 	// minority's old slice arms on its promoted deputies), while the
 	// minority-side device pushes its hub's owned keys over the
 	// threshold with no lease to arm under.
-	if err := report(devices[len(early):]); err != nil {
-		return res, err
+	if err := late.reportEach(sigs); err != nil {
+		return fmt.Errorf("partition: %w", err)
 	}
-	if err := waitFor("the majority side to arm the full set", func() bool {
-		for i := 0; i < minority; i++ {
-			if hubs[i].ArmedCount() < cfg.Sigs {
-				return false
-			}
-		}
-		return true
-	}); err != nil {
-		return res, err
+	if _, err := w.until("the majority side to arm the full set", func() bool { return f.armed(minority) >= cfg.Sigs }); err != nil {
+		return err
 	}
-
-	if leases {
+	if !cfg.NoLease {
 		// The lease contract, mid-split: threshold crossings on the
 		// minority PARK — zero arms over there while the majority is
 		// promoting, which is precisely the double-arm window.
-		if err := waitFor("the minority to park its crossings", func() bool {
-			return hubs[minority].Stats().Parked > 0
-		}); err != nil {
-			return res, err
+		if _, err := w.until("the minority to park its crossings", func() bool { return hub.Stats().Parked > 0 }); err != nil {
+			return err
 		}
-		res.ParkedPeak = hubs[minority].Stats().Parked
-		if got := hubs[minority].ArmedCount(); got != 0 {
-			return res, fmt.Errorf("partition: minority armed %d signatures during the split with its lease lost (double-arm window open)", got)
+		res.ParkedPeak = hub.Stats().Parked
+		if got := hub.ArmedCount(); got != 0 {
+			return fmt.Errorf("partition: minority armed %d signatures during the split with its lease lost (double-arm window open)", got)
 		}
 	} else {
 		// NoLease baseline: the minority arms its own slice independently
 		// — the divergence the post-heal merge must reconcile.
-		if err := waitFor("the minority to arm its slice independently", func() bool {
-			return hubs[minority].ArmedCount() >= len(minorityKeys)
-		}); err != nil {
-			return res, err
+		if _, err := w.until("the minority to arm its slice independently", func() bool { return hub.ArmedCount() >= slice }); err != nil {
+			return err
 		}
-		if got := hubs[minority].Stats().Parked; got != 0 {
-			return res, fmt.Errorf("partition: NoLease run parked %d decisions", got)
+		if got := hub.Stats().Parked; got != 0 {
+			return fmt.Errorf("partition: NoLease run parked %d decisions", got)
 		}
 	}
-	res.MinoritySplitArms = hubs[minority].ArmedCount()
+	res.MinoritySplitArms = hub.ArmedCount()
 
 	// Heal: redials land, handshakes replay the missed armings from
 	// their cursors, membership re-merges, the minority's lease comes
 	// back, and every parked decision settles (armed by the replayed
 	// broadcast, or re-armed by the lease-regain sweep).
 	healStart := time.Now()
-	net.Heal()
-	if err := waitFor("post-heal convergence", func() bool {
-		for i := range nodes {
-			if len(nodes[i].Members()) != cfg.Hubs {
-				return false
-			}
-		}
-		for _, hub := range hubs {
-			if hub.ArmedCount() < cfg.Sigs {
-				return false
-			}
-		}
-		if hubs[minority].Stats().Parked != 0 {
-			return false
-		}
-		if leases {
-			if held, _, _ := nodes[minority].LeaseStats(); !held {
-				return false
-			}
-		}
-		return true
+	f.net.Heal()
+	if _, err := w.until("post-heal convergence", func() bool {
+		held, _, _ := node.LeaseStats()
+		return f.see(cfg.Hubs, cfg.Hubs) && f.armed(cfg.Hubs) >= cfg.Sigs &&
+			hub.Stats().Parked == 0 && (held || cfg.NoLease)
 	}); err != nil {
-		return res, err
+		return err
 	}
 	res.ParkClear = time.Since(healStart)
-	res.Elapsed = time.Since(started)
-	_, _, res.LeaseLost = nodes[minority].LeaseStats()
-	if leases && res.LeaseLost == 0 {
-		return res, fmt.Errorf("partition: minority reports zero lease losses after the split")
+	if _, _, res.LeaseLost = node.LeaseStats(); res.LeaseLost == 0 && !cfg.NoLease {
+		return fmt.Errorf("partition: minority reports zero lease losses after the split")
 	}
-
-	return finishPartition(cfg, res, hubs, refArmed, hubID)
+	return nil
 }
 
-// runFlapStorm is the flap scenario's middle and end: one direction of
-// the hub0→hub1 link blinks faster than the suspicion window while the
-// storm completes. Indirect probes through the remaining hubs must keep
-// every member alive — no down-marks, no lease losses — and the armed
-// set must converge as if the link were clean.
-func runFlapStorm(cfg PartitionConfig, res PartitionResult, net *fault.Network,
-	hubs []*immunity.Exchange, nodes []*cluster.Node, devices []*stormSession,
-	report func([]*stormSession) error, waitFor func(string, func() bool) error,
-	refArmed []string, hubID func(int) string, leases bool, started time.Time) (PartitionResult, error) {
-
+// flapStorm is the flap scenario's middle: one direction of the
+// hub0→hub1 link blinks faster than the suspicion window while phase 2
+// reports. Indirect probes through the remaining hubs must keep every
+// member alive — no down-marks, no lease losses — and the armed set
+// must converge as if the link were clean.
+func flapStorm(cfg PartitionConfig, f *federation, w waiter, late stormFleet, sigs []wire.Signature) error {
 	// Blink windows sit well under the suspicion window (FailoverAfter/2
 	// by derivation), so a down-mark can only come from the detector
 	// overreacting — which is what this scenario pins down.
-	window := cfg.FailoverAfter / 5
-	if window < time.Millisecond {
-		window = time.Millisecond
-	}
+	window := max(cfg.FailoverAfter/5, time.Millisecond)
 	const cycles = 16
 	flapDone := make(chan struct{})
 	go func() {
 		defer close(flapDone)
-		for c := 0; c < cycles; c++ {
-			net.Block(hubID(0), hubID(1))
-			time.Sleep(window)
-			net.Unblock(hubID(0), hubID(1))
+		for c := 0; c < 2*cycles; c++ {
+			if c%2 == 0 {
+				f.net.Block(f.id(0), f.id(1))
+			} else {
+				f.net.Unblock(f.id(0), f.id(1))
+			}
 			time.Sleep(window)
 		}
 	}()
 
-	// Phase 2 lands mid-flap: reports, forwards, and arm broadcasts
-	// ride the blinking link's outbox through the blocks.
-	if err := report(devices[cfg.ConfirmThreshold-1:]); err != nil {
-		<-flapDone
-		return res, err
-	}
+	// Phase 2 lands mid-flap: reports, forwards, and arm broadcasts ride
+	// the blinking link's outbox through the blocks.
+	err := late.reportEach(sigs)
 	<-flapDone
+	if err != nil {
+		return fmt.Errorf("partition: %w", err)
+	}
 
 	// Nothing may have been condemned: every node still sees the full
 	// membership, and (with leases on) nobody ever lost one.
-	for i, n := range nodes {
+	for i, n := range f.nodes {
 		if got := len(n.Members()); got != cfg.Hubs {
-			return res, fmt.Errorf("partition: flap marked a member down on %s (%d/%d members live)", hubID(i), got, cfg.Hubs)
+			return fmt.Errorf("partition: flap marked a member down on %s (%d/%d members live)", f.id(i), got, cfg.Hubs)
 		}
-		if leases {
-			if _, _, lost := n.LeaseStats(); lost != 0 {
-				return res, fmt.Errorf("partition: flap cost %s its lease %d times", hubID(i), lost)
-			}
+		if _, _, lost := n.LeaseStats(); lost != 0 && !cfg.NoLease {
+			return fmt.Errorf("partition: flap cost %s its lease %d times", f.id(i), lost)
 		}
 	}
 
@@ -565,45 +378,9 @@ func runFlapStorm(cfg PartitionConfig, res PartitionResult, net *fault.Network,
 	// touched — the reverse-direction session sat half-deaf through the
 	// blocks, silently missing broadcasts, and only its re-handshake
 	// (replaying from the cursor) gets them back.
-	net.Heal()
-
-	if err := waitFor("post-flap convergence", func() bool {
-		for _, hub := range hubs {
-			if hub.ArmedCount() < cfg.Sigs {
-				return false
-			}
-		}
-		return true
-	}); err != nil {
-		return res, err
-	}
-	res.Elapsed = time.Since(started)
-	return finishPartition(cfg, res, hubs, refArmed, hubID)
-}
-
-// finishPartition asserts federation equivalence against the
-// single-hub reference and the no-double-arm invariant, then fills the
-// summary counters.
-func finishPartition(cfg PartitionConfig, res PartitionResult,
-	hubs []*immunity.Exchange, refArmed []string, hubID func(int) string) (PartitionResult, error) {
-	res.Armed = cfg.Sigs
-	for i, hub := range hubs {
-		if n := hub.ArmedCount(); n < res.Armed {
-			res.Armed = n
-		}
-		armed := armedKeys(hub)
-		if !equalKeys(armed, refArmed) {
-			return res, fmt.Errorf("partition: %s armed set diverged from the single-hub reference (%d vs %d keys)",
-				hubID(i), len(armed), len(refArmed))
-		}
-		st := hub.Stats()
-		if st.Epoch != uint64(len(armed)) {
-			return res, fmt.Errorf("partition: %s delta epoch %d != armed count %d (double-arm)",
-				hubID(i), st.Epoch, len(armed))
-		}
-		res.Fenced += st.Fenced
-	}
-	return res, nil
+	f.net.Heal()
+	_, err = w.until("post-flap convergence", func() bool { return f.armed(cfg.Hubs) >= cfg.Sigs })
+	return err
 }
 
 // FormatPartition renders a partition result (the go test -v report).

@@ -12,11 +12,9 @@ package workload
 import (
 	"crypto/tls"
 	"fmt"
-	"strings"
 	"time"
 
 	"github.com/dimmunix/dimmunix/internal/immunity"
-	"github.com/dimmunix/dimmunix/internal/immunity/cluster"
 	"github.com/dimmunix/dimmunix/internal/immunity/metrics"
 	"github.com/dimmunix/dimmunix/internal/immunity/wire"
 )
@@ -189,129 +187,36 @@ func RunReportStorm(cfg StormConfig) (StormResult, error) {
 		return StormResult{}, err
 	}
 	res := StormResult{Config: cfg}
-
-	var (
-		deviceTransports []immunity.Transport
-		hubs             []*immunity.Exchange
-		monitors         []*stormMonitor
-		armedTarget      func() (bool, int, error)
-	)
-	switch {
-	case cfg.Dial != "":
-		var addrs []string
-		for _, a := range strings.Split(cfg.Dial, ",") {
-			if a = strings.TrimSpace(a); a != "" {
-				addrs = append(addrs, a)
-			}
-		}
-		if len(addrs) == 0 {
-			return res, fmt.Errorf("storm: no address in dial list %q", cfg.Dial)
-		}
-		res.Transport = "client:" + strings.Join(addrs, ",")
-		var dialOpts []immunity.TCPOption
-		if cfg.TLS != nil {
-			res.Transport = "client+tls:" + strings.Join(addrs, ",")
-			dialOpts = append(dialOpts, immunity.WithDialTLS(cfg.TLS))
-		}
-		for _, addr := range addrs {
-			deviceTransports = append(deviceTransports, immunity.NewTCPTransport(addr, dialOpts...))
-		}
-		// External daemons carry state across runs: arming completion is
-		// "every hub's armed count grew by Sigs over its own baseline".
-		baselines := make([]uint64, len(addrs))
-		for i, addr := range addrs {
-			st, err := immunity.FetchStatus(addr, cfg.Timeout, dialOpts...)
-			if err != nil {
-				return res, fmt.Errorf("storm: baseline status from %s: %w", addr, err)
-			}
-			baselines[i] = st.Epoch
-		}
-		armedTarget = func() (bool, int, error) {
-			minGrown := cfg.Sigs
-			for i, addr := range addrs {
-				st, err := immunity.FetchStatus(addr, cfg.Timeout, dialOpts...)
-				if err != nil {
-					return false, 0, err
-				}
-				grown := 0 // a daemon restart mid-storm reads as no progress
-				if st.Epoch >= baselines[i] {
-					grown = int(st.Epoch - baselines[i])
-				}
-				if grown < minGrown {
-					minGrown = grown
-				}
-			}
-			return minGrown >= cfg.Sigs, minGrown, nil
-		}
-	default:
-		hubCount := cfg.Hubs
-		if hubCount < 1 {
-			hubCount = 1
-		}
-		res.Transport = "loopback"
-		if hubCount > 1 {
-			res.Transport = fmt.Sprintf("cluster(%d)+loopback", hubCount)
-		}
-		hubs = make([]*immunity.Exchange, hubCount)
-		for i := range hubs {
-			var hubOpts []immunity.ExchangeOption
+	var monitors []*stormMonitor
+	hubs, err := openHubs(cfg.Dial, cfg.TLS, cfg.Timeout, fedConfig{name: "storm", hubs: cfg.Hubs,
+		threshold: cfg.ConfirmThreshold, metrics: cfg.Metrics, hubOpts: func(int) []immunity.ExchangeOption {
 			if cfg.AdmitAuto {
 				// Each adaptive hub gets its own controller: registry,
 				// sampler, evaluator, and AIMD pool (the capacity gauge and
-				// SLO state are per-controller series). The monitor picks
-				// cfg.Metrics when shareable (single hub), so hubOpts must
-				// not add WithMetricsRegistry on top.
+				// SLO state are per-controller series).
 				mon := newStormMonitor(cfg)
 				monitors = append(monitors, mon)
-				hubOpts = append(hubOpts,
-					immunity.WithMetricsRegistry(mon.reg),
-					immunity.WithAdmissionPool(mon.pool.Pool))
-				defer mon.rates.Stop()
-			} else {
-				if cfg.Metrics != nil {
-					hubOpts = append(hubOpts, immunity.WithMetricsRegistry(cfg.Metrics))
-				}
-				if cfg.AdmitCapacity > 0 {
-					hubOpts = append(hubOpts, immunity.WithAdmission(cfg.AdmitCapacity, cfg.AdmitWait))
-				}
+				return []immunity.ExchangeOption{immunity.WithMetricsRegistry(mon.reg), immunity.WithAdmissionPool(mon.pool.Pool)}
 			}
-			hub, err := immunity.NewExchange(cfg.ConfirmThreshold, hubOpts...)
-			if err != nil {
-				return res, fmt.Errorf("storm: %w", err)
+			if cfg.AdmitCapacity > 0 {
+				return []immunity.ExchangeOption{immunity.WithAdmission(cfg.AdmitCapacity, cfg.AdmitWait)}
 			}
-			defer hub.Close()
-			hubs[i] = hub
-		}
-		for _, mon := range monitors {
-			mon.rates.Start()
-		}
-		if hubCount > 1 {
-			for i := range hubs {
-				var peers []cluster.Member
-				for j := range hubs {
-					if j != i {
-						peers = append(peers, cluster.Member{ID: fmt.Sprintf("hub%d", j), Transport: immunity.NewLoopback(hubs[j])})
-					}
-				}
-				node, err := cluster.New(cluster.Config{Self: fmt.Sprintf("hub%d", i), Hub: hubs[i], Peers: peers, Metrics: cfg.Metrics})
-				if err != nil {
-					return res, fmt.Errorf("storm: %w", err)
-				}
-				defer node.Close()
-			}
-		}
-		for i := range hubs {
-			deviceTransports = append(deviceTransports, immunity.NewLoopback(hubs[i]))
-		}
-		armedTarget = func() (bool, int, error) {
-			minArmed := hubs[0].ArmedCount()
-			for _, hub := range hubs[1:] {
-				if n := hub.ArmedCount(); n < minArmed {
-					minArmed = n
-				}
-			}
-			return minArmed >= cfg.Sigs, minArmed, nil
-		}
+			return nil
+		}})
+	if err != nil {
+		return res, err
+	}
+	defer hubs.close()
+	for _, mon := range monitors {
+		mon.rates.Start()
+		defer mon.rates.Stop()
+	}
+	res.Transport = hubs.label()
+	// Daemons carry state across runs: arming completion is "every hub's
+	// epoch grew by Sigs over its own baseline" (in-process, from zero).
+	base, err := hubs.epochs()
+	if err != nil {
+		return res, fmt.Errorf("storm: baseline status: %w", err)
 	}
 
 	// One raw wire session per device. The full ExchangeClient coalesces
@@ -321,84 +226,67 @@ func RunReportStorm(cfg StormConfig) (StormResult, error) {
 	// sees it. The storm's whole point is the opposite shape: a fleet of
 	// devices each hammering the ingest path with a message per
 	// signature, which is what an unbatched or misbehaving client does.
-	devices := make([]*stormSession, cfg.Devices)
-	for i := range devices {
-		dev, err := dialStorm(deviceTransports[i%len(deviceTransports)], fmt.Sprintf("storm%d", i), cfg.Token)
-		if err != nil {
-			return res, fmt.Errorf("storm: %w", err)
-		}
-		defer dev.close()
-		devices[i] = dev
+	devices, err := dialFleet(hubs.transports(), cfg.Devices, "storm", cfg.Token)
+	if err != nil {
+		return res, fmt.Errorf("storm: %w", err)
 	}
+	defer devices.close()
 
 	start := time.Now()
 	errCh := make(chan error, cfg.Devices)
-	fullSet := make([]wire.Signature, cfg.Sigs)
-	for s := range fullSet {
-		fullSet[s] = wire.FromCore(propagationSig(s))
-	}
+	sigs, _ := propagationSet(cfg.Sigs)
 	for _, dev := range devices {
-		dev := dev
-		go func() { errCh <- dev.drive(cfg, fullSet) }()
+		go func() { errCh <- dev.drive(cfg.Ramp, sigs) }()
 	}
 	for range devices {
 		if err := <-errCh; err != nil {
-			return res, err
+			return res, fmt.Errorf("storm: %w", err)
 		}
 	}
 
-	deadline := time.Now().Add(cfg.Timeout)
-	poll := 200 * time.Microsecond
-	if cfg.Dial != "" {
-		poll = 10 * time.Millisecond
-	}
-	for {
-		done, armed, err := armedTarget()
-		res.Armed = armed
+	w := waiter{"storm", cfg.Timeout, hubs}
+	if _, err := w.until("every signature to arm cluster-wide", func() bool {
+		epochs, err := hubs.epochs()
 		if err != nil {
-			return res, fmt.Errorf("storm: %w", err)
+			return false
 		}
-		if done {
-			break
+		res.Armed = cfg.Sigs
+		for i, e := range epochs {
+			// A daemon restart mid-storm reads as no progress.
+			res.Armed = min(res.Armed, int(max(e, base[i])-base[i]))
 		}
-		if time.Now().After(deadline) {
-			return res, fmt.Errorf("storm: timed out with %d/%d signatures armed cluster-wide", armed, cfg.Sigs)
-		}
-		time.Sleep(poll)
+		return res.Armed >= cfg.Sigs
+	}); err != nil {
+		return res, err
 	}
 	res.Elapsed = time.Since(start)
-	for _, hub := range hubs {
-		st := hub.Stats()
-		res.Admitted += st.AdmissionAdmitted
-		res.Delayed += st.AdmissionDelayed
-		res.Shed += st.AdmissionShed
+	if f, ok := hubs.(*federation); ok {
+		for _, hub := range f.hubs {
+			st := hub.Stats()
+			res.Admitted += st.AdmissionAdmitted
+			res.Delayed += st.AdmissionDelayed
+			res.Shed += st.AdmissionShed
+		}
 	}
 	if len(monitors) > 0 {
 		// Let the latency SLO recover before snapshotting: the flood's
 		// observations drain out of the evaluation window and the state
 		// machine walks breach→ok, which is the convergence the adaptive
 		// storm exists to prove.
-		for {
-			recovered := true
+		if _, err := w.until("the latency SLO to recover to ok", func() bool {
 			for _, mon := range monitors {
 				if st, ok := mon.eval.State(stormLatencySLO); !ok || st != metrics.SLOOK {
-					recovered = false
+					return false
 				}
 			}
-			if recovered {
-				break
-			}
-			if time.Now().After(deadline) {
-				return res, fmt.Errorf("storm: latency SLO did not recover to ok before the deadline")
-			}
-			time.Sleep(10 * time.Millisecond)
+			return true
+		}); err != nil {
+			return res, err
 		}
 		res.InitialCapacity = monitors[0].pool.Config().Initial
 		res.FinalCapacity = monitors[0].pool.Capacity()
 		for _, mon := range monitors {
-			if c := mon.pool.Capacity(); c < res.FinalCapacity {
-				res.FinalCapacity = c
-			}
+			res.FinalCapacity = min(res.FinalCapacity, mon.pool.Capacity())
 			res.AIMDIncreases += mon.pool.Increases()
 			res.AIMDDecreases += mon.pool.Decreases()
 		}
@@ -455,46 +343,46 @@ func newStormMonitor(cfg StormConfig) *stormMonitor {
 	return &stormMonitor{reg: reg, rates: rates, eval: eval, pool: pool}
 }
 
-// drive sends one device's share of the storm: either the classic
-// one-message-per-signature burst, or the two-phase ramp (paced warmup,
-// continuous full-batch flood, and a final coverage batch).
-func (d *stormSession) drive(cfg StormConfig, fullSet []wire.Signature) error {
-	send := func(sigs []wire.Signature) error {
-		m := wire.Message{V: wire.Version, Type: wire.TypeReport,
-			Report: &wire.Report{Sigs: sigs}}
+// drive sends one device's share of the storm: the classic
+// one-message-per-signature burst with no ramp, or the two-phase ramp
+// (paced warmup, continuous full-batch flood, and a final coverage
+// batch).
+func (d *stormSession) drive(ramp *StormRamp, sigs []wire.Signature) error {
+	send := func(batch []wire.Signature) error {
+		m := wire.Message{V: wire.Version, Type: wire.TypeReport, Report: &wire.Report{Sigs: batch}}
 		if err := d.sess.Send(m); err != nil {
-			return fmt.Errorf("storm: %s report: %w", d.id, err)
+			return fmt.Errorf("%s report: %w", d.id, err)
 		}
 		return nil
 	}
-	if cfg.Ramp == nil {
-		for s := range fullSet {
-			if err := send(fullSet[s : s+1]); err != nil {
+	if ramp == nil {
+		for s := range sigs {
+			if err := send(sigs[s : s+1]); err != nil {
 				return err
 			}
 		}
 		return nil
 	}
-	rate := cfg.Ramp.WarmupRate
+	rate := ramp.WarmupRate
 	if rate <= 0 {
 		rate = 20
 	}
 	pace := time.Second / time.Duration(rate)
-	for s, end := 0, time.Now().Add(cfg.Ramp.Warmup); time.Now().Before(end); s++ {
-		i := s % len(fullSet)
-		if err := send(fullSet[i : i+1]); err != nil {
+	for s, end := 0, time.Now().Add(ramp.Warmup); time.Now().Before(end); s++ {
+		i := s % len(sigs)
+		if err := send(sigs[i : i+1]); err != nil {
 			return err
 		}
 		time.Sleep(pace)
 	}
-	for end := time.Now().Add(cfg.Ramp.Flood); time.Now().Before(end); {
-		if err := send(fullSet); err != nil {
+	for end := time.Now().Add(ramp.Flood); time.Now().Before(end); {
+		if err := send(sigs); err != nil {
 			return err
 		}
 	}
 	// Coverage batch: every signature reported at least once no matter
 	// how short the phases were.
-	return send(fullSet)
+	return send(sigs)
 }
 
 // stormSession is one device's raw wire session: hello/ack done, ready
@@ -503,8 +391,6 @@ type stormSession struct {
 	id   string
 	sess *immunity.Redialer
 }
-
-func (d *stormSession) close() { d.sess.Close() }
 
 // stormAttempt is the storm's policy for the session machine: a bare
 // hello with no resume cursor, and the hub's pushes (catch-up delta,
@@ -520,15 +406,42 @@ func (stormAttempt) Verdict(wire.Ack) error { return nil }
 func (stormAttempt) Accepted()              {}
 func (stormAttempt) Recv(wire.Message)      {}
 
-// dialStorm opens one device session and completes the handshake, once:
-// a storm device that loses its session stays down.
-func dialStorm(tr immunity.Transport, id, token string) (*stormSession, error) {
-	rd := immunity.NewRedialer(immunity.RedialConfig{Transport: tr,
-		Begin: func() immunity.Attempt { return stormAttempt{id, token} }})
-	if err := rd.Handshake(); err != nil {
-		return nil, fmt.Errorf("%s: %w", id, err)
+// stormFleet is a set of raw device sessions.
+type stormFleet []*stormSession
+
+// dialFleet opens n device sessions round-robin over trs and completes
+// each handshake, once: a storm device that loses its session stays
+// down.
+func dialFleet(trs []immunity.Transport, n int, prefix, token string) (stormFleet, error) {
+	fleet := make(stormFleet, 0, n)
+	for i := 0; i < n; i++ {
+		id := fmt.Sprintf("%s%d", prefix, i)
+		rd := immunity.NewRedialer(immunity.RedialConfig{Transport: trs[i%len(trs)],
+			Begin: func() immunity.Attempt { return stormAttempt{id, token} }})
+		if err := rd.Handshake(); err != nil {
+			fleet.close()
+			return nil, fmt.Errorf("%s: %w", id, err)
+		}
+		fleet = append(fleet, &stormSession{id: id, sess: rd})
 	}
-	return &stormSession{id: id, sess: rd}, nil
+	return fleet, nil
+}
+
+func (fl stormFleet) close() {
+	for _, d := range fl {
+		d.sess.Close()
+	}
+}
+
+// reportEach sends every signature from every device in turn, one
+// report message per signature.
+func (fl stormFleet) reportEach(sigs []wire.Signature) error {
+	for _, d := range fl {
+		if err := d.drive(nil, sigs); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // FormatStorm renders a storm result for the CLI.

@@ -154,12 +154,19 @@ type ringView interface {
 	MayArm() bool
 }
 
-// arming is one device-facing arm event: sig goes, as the delta of
-// fleet epoch epoch, to every attached device of tenant.
-type arming struct {
-	epoch  uint64
+// armLog is one tenant's armed signatures in fleet-epoch order, with
+// each one's armEpoch (the package comment's "Arming log"). It only
+// grows, so every delta a device receives is a view of it.
+type armLog struct {
+	sigs   []wire.Signature
+	epochs []uint64
+}
+
+// tenantDelta is one event's armings in one tenant: a view of the
+// tenant's log that goes to every attached device of the tenant.
+type tenantDelta struct {
 	tenant string
-	sig    wire.Signature
+	view[wire.Signature]
 }
 
 // tally counts what one event did, for the shell's stats and metrics.
@@ -170,13 +177,13 @@ type tally struct {
 }
 
 // effects is everything one event asks the shell to do. The first class
-// — armings, broadcasts, catchup — is enqueued on session push queues
+// — deltas, broadcasts, catchup — is enqueued on session push queues
 // before Exchange.mu is released, in slice order, so per-session order
 // is decision order; the rest runs after.
 type effects struct {
-	armings    []arming
+	deltas     []tenantDelta // one per tenant that armed
 	broadcasts []*wire.ArmBroadcast
-	catchup    []wire.Signature // attach only: the hello's catch-up delta
+	catchup    view[wire.Signature] // attach only: the hello's catch-up delta, if any
 
 	persist  []ProvenanceRecord // in mutation order
 	confirms []*wire.Confirm    // one receipt per reported signature
@@ -198,8 +205,9 @@ type arbiter struct {
 	tenantThresholds map[string]int
 
 	entries map[string]*fleetSig
-	order   []string // keys in first-report order
-	epoch   uint64   // fleet arm counter: the delta epoch, == armed entries
+	order   []string           // keys in first-report order
+	epoch   uint64             // fleet arm counter: the delta epoch, == armed entries
+	logs    map[string]*armLog // by tenant
 	// devices is every device's delivery state, by tenant (device ids
 	// are only unique within one). A device is open from attach to
 	// detach; its state changes only there, never at an arming.
@@ -219,6 +227,7 @@ func newArbiter(threshold int) *arbiter {
 	return &arbiter{
 		threshold: threshold,
 		entries:   make(map[string]*fleetSig),
+		logs:      make(map[string]*armLog),
 		devices:   make(map[string]map[string]delivery),
 		parked:    make(map[string]bool),
 	}
@@ -315,17 +324,37 @@ func (a *arbiter) settle(fx *effects, e *fleetSig, decided bool) (pending bool) 
 	return false
 }
 
-// arm is an arming's device-facing half: the next fleet epoch and one
-// delta to the tenant's attached devices — only that tenant's: arming
-// in tenant A must be invisible to tenant B's devices. The fleet epoch
-// therefore counts arm events exactly once per signature per hub:
-// epoch == armed-signature count is the no-double-arm invariant.
+// arm is an arming's device-facing half: the next fleet epoch, an
+// append to the tenant's log, and the event's delta to the tenant's
+// attached devices grown by one — only that tenant's: arming in tenant
+// A must be invisible to tenant B's devices. The fleet epoch therefore
+// counts arm events exactly once per signature per hub: epoch ==
+// armed-signature count is the no-double-arm invariant.
 func (a *arbiter) arm(fx *effects, e *fleetSig) {
 	e.armed = true
 	a.epoch++
 	e.armEpoch = a.epoch
 	fx.n.armed++
-	fx.armings = append(fx.armings, arming{a.epoch, e.tenant, e.ws})
+	l := a.logOf(e.tenant)
+	l.sigs, l.epochs = append(l.sigs, e.ws), append(l.epochs, a.epoch)
+	n := len(l.sigs)
+	for i := range fx.deltas {
+		if d := &fx.deltas[i]; d.tenant == e.tenant {
+			d.log, d.epoch = l.sigs[:n:n], a.epoch
+			return
+		}
+	}
+	fx.deltas = append(fx.deltas, tenantDelta{e.tenant, view[wire.Signature]{l.sigs[:n:n], n - 1, a.epoch}})
+}
+
+// logOf returns tenant's arming log, creating an empty one.
+func (a *arbiter) logOf(tenant string) *armLog {
+	l := a.logs[tenant]
+	if l == nil {
+		l = &armLog{}
+		a.logs[tenant] = l
+	}
+	return l
 }
 
 func (a *arbiter) unpark(key string) {
@@ -392,6 +421,17 @@ func (a *arbiter) load(fx *effects, recs []ProvenanceRecord) error {
 			a.epoch = rec.ArmEpoch
 		}
 	}
+	var armed []*fleetSig
+	for _, key := range a.order {
+		if e := a.entries[key]; e.armed {
+			armed = append(armed, e)
+		}
+	}
+	sort.Slice(armed, func(i, j int) bool { return armed[i].armEpoch < armed[j].armEpoch })
+	for _, e := range armed {
+		l := a.logOf(e.tenant)
+		l.sigs, l.epochs = append(l.sigs, e.ws), append(l.epochs, e.armEpoch)
+	}
 	for tenant, ds := range a.devices {
 		for device, d := range ds {
 			if d.open {
@@ -442,25 +482,21 @@ func (a *arbiter) bind(fx *effects, ring ringView, selfID string) {
 	}
 }
 
-// attach registers a device session and fills fx.catchup with every
-// armed signature of its tenant that the device's epoch predates,
-// oldest arming first. Catch-up is tenant-scoped; the fleet epoch
-// counter is global, so a tenant's client may see epoch gaps — harmless,
-// resume is strictly "armEpoch greater than mine". The device is open
-// from here to its detach, and that one record is all attach persists:
-// since came from this incarnation's gen, so it is at most the device's
-// cursor, and the catch-up completes the prefix from there.
+// attach registers a device session and sets fx.catchup to the suffix
+// of its tenant's log that the device's epoch predates, found by binary
+// search. Catch-up is tenant-scoped; the fleet epoch counter is global,
+// so a tenant's client may see epoch gaps — harmless, resume is
+// strictly "armEpoch greater than mine". The device is open from here
+// to its detach, and that one record is all attach persists: since came
+// from this incarnation's gen, so it is at most the device's cursor,
+// and the catch-up completes the prefix from there.
 func (a *arbiter) attach(fx *effects, tenant, device string, since uint64) {
 	a.setDelivery(fx, tenant, device, delivery{open: true})
-	var missed []*fleetSig
-	for _, key := range a.order {
-		if e := a.entries[key]; e.armed && e.tenant == tenant && e.armEpoch > since {
-			missed = append(missed, e)
+	if l := a.logs[tenant]; l != nil {
+		n := len(l.sigs)
+		if i := sort.Search(n, func(i int) bool { return l.epochs[i] > since }); i < n {
+			fx.catchup = view[wire.Signature]{l.sigs[:n:n], i, a.epoch}
 		}
-	}
-	sort.Slice(missed, func(i, j int) bool { return missed[i].armEpoch < missed[j].armEpoch })
-	for _, e := range missed {
-		fx.catchup = append(fx.catchup, e.ws)
 	}
 }
 

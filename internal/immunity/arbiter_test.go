@@ -260,7 +260,7 @@ func TestArbiterDecisionTable(t *testing.T) {
 
 			e := a.entries[key]
 			got := outcome{armed: e.armed, parked: a.parked[key], owner: e.owner, ownerSeq: e.ownerSeq,
-				armings: len(fx.armings), replicates: len(fx.replRecs), forwards: len(fx.forward.sigs),
+				armings: armingsIn(&fx), replicates: len(fx.replRecs), forwards: len(fx.forward.sigs),
 				persists: len(fx.persist), remoteInstalls: fx.n.remoteInstalls}
 			if len(fx.broadcasts) > 1 || len(fx.confirms) > 1 || len(fx.handoffs) > 1 {
 				t.Fatalf("more than one broadcast, receipt or handoff target: %+v", fx)
@@ -279,6 +279,14 @@ func TestArbiterDecisionTable(t *testing.T) {
 			}
 		})
 	}
+}
+
+// armingsIn counts the armings of one event's deltas.
+func armingsIn(fx *effects) (n int) {
+	for _, d := range fx.deltas {
+		n += len(d.sigs())
+	}
+	return n
 }
 
 var walkSeed = flag.Int64("arbiter.seed", -1, "replay one TestArbiterRandomWalk seed")
@@ -411,7 +419,7 @@ func (w *walker) event(fx *effects) (leaseReturned bool) {
 		}
 		a.attach(fx, dev[0], dev[1], uint64(w.rng.Int63n(int64(limit)+1)))
 		w.open[dev] = true
-		for _, ws := range fx.catchup {
+		for _, ws := range fx.catchup.sigs() {
 			w.deliver(dev, ws)
 		}
 	case 4:
@@ -481,16 +489,28 @@ func (w *walker) check(fx *effects, leaseReturned bool) {
 		w.log[rec.Key] = rec
 		w.file = wire.AppendRecord(w.file, rec)
 	}
-	for _, ar := range fx.armings {
-		if ar.epoch != w.lastEpoch+1 {
-			w.failf("arming epoch %d after %d: not consecutive", ar.epoch, w.lastEpoch)
+	w.checkLogs(a, "")
+	var epochs []uint64
+	for _, d := range fx.deltas {
+		logged := a.logs[d.tenant].epochs[d.from:len(d.log)]
+		if d.epoch != logged[len(logged)-1] {
+			w.failf("%q delta at epoch %d, its last arming at %d", d.tenant, d.epoch, logged[len(logged)-1])
 		}
-		w.lastEpoch = ar.epoch
-		for dev := range w.open {
-			if dev[0] == ar.tenant {
-				w.deliver(dev, ar.sig)
+		epochs = append(epochs, logged...)
+		for _, ws := range d.sigs() {
+			for dev := range w.open {
+				if dev[0] == d.tenant {
+					w.deliver(dev, ws)
+				}
 			}
 		}
+	}
+	slices.Sort(epochs)
+	for _, epoch := range epochs {
+		if epoch != w.lastEpoch+1 {
+			w.failf("arming epoch %d after %d: not consecutive", epoch, w.lastEpoch)
+		}
+		w.lastEpoch = epoch
 	}
 	w.checkDeliveries(a, "")
 	for tenant, ds := range a.devices {
@@ -627,6 +647,32 @@ func (w *walker) checkDeliveries(a *arbiter, when string) {
 	}
 }
 
+// checkLogs asserts that each tenant's arming log is exactly the
+// tenant's armed entries sorted by armEpoch.
+func (w *walker) checkLogs(a *arbiter, when string) {
+	want := map[string][]*fleetSig{}
+	for _, key := range a.order {
+		if e := a.entries[key]; e.armed {
+			want[e.tenant] = append(want[e.tenant], e)
+		}
+	}
+	if len(a.logs) != len(want) {
+		w.failf("%s%d tenant logs for %d tenants with armings", when, len(a.logs), len(want))
+	}
+	for tenant, es := range want {
+		slices.SortFunc(es, func(x, y *fleetSig) int { return int(x.armEpoch) - int(y.armEpoch) })
+		l := a.logs[tenant]
+		if l == nil || len(l.sigs) != len(es) || len(l.epochs) != len(es) {
+			w.failf("%s%q log does not hold its %d armed entries: %+v", when, tenant, len(es), l)
+		}
+		for i, e := range es {
+			if l.epochs[i] != e.armEpoch || !reflect.DeepEqual(l.sigs[i], e.ws) {
+				w.failf("%s%q log[%d] at epoch %d, want %s at %d", when, tenant, i, l.epochs[i], e.key, e.armEpoch)
+			}
+		}
+	}
+}
+
 // checkReload is "a restart loses nothing": a fresh arbiter loaded from
 // the log of every record the walk asked to persist, dead ones included,
 // through the loader FileProvenance uses, shows the same view and gives
@@ -640,6 +686,10 @@ func (w *walker) checkReload() {
 		w.failf("reload: %v", err)
 	}
 	w.checkDeliveries(fresh, "after reload: ")
+	w.checkLogs(fresh, "after reload: ")
+	if !reflect.DeepEqual(fresh.logs, w.a.logs) {
+		w.failf("reload: tenant logs differ\n live     %+v\n reloaded %+v", w.a.logs, fresh.logs)
+	}
 	fresh.ring, fresh.selfID = w.a.ring, w.a.selfID
 	live, reloaded := w.a.view(), fresh.view()
 	for i := range live {

@@ -5,6 +5,7 @@ import (
 	"encoding/hex"
 	"errors"
 	"fmt"
+	"io"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -439,15 +440,13 @@ func (x *Exchange) BindCluster(b ClusterBinding) {
 // land in mutation order) and the cluster sinks run after it.
 func (x *Exchange) commit(fx *effects) {
 	x.count(&fx.n)
-	for _, ar := range fx.armings {
-		d := wire.NewShared(wire.Message{Type: wire.TypeDelta,
-			Delta: &wire.Delta{Epoch: ar.epoch, Sigs: []wire.Signature{ar.sig}}})
+	for _, d := range fx.deltas {
+		o := outMsg{delta: d.view}
 		for _, conn := range x.conns {
-			// Lock order mu > Conn.mu holds throughout the hub (handleHello
-			// binds the device under both), so reading the session binding
-			// here is safe.
-			if conn.Tenant() == ar.tenant {
-				conn.pushShared(d)
+			// conn.tenant is only written under x.mu (handleHello), so it
+			// is read here without Conn.mu.
+			if conn.tenant == d.tenant {
+				conn.out.Enqueue(o)
 			}
 		}
 	}
@@ -455,9 +454,9 @@ func (x *Exchange) commit(fx *effects) {
 	// encode-once frame each; peers that are down catch up from their
 	// next peer-hello's seq.
 	for _, b := range fx.broadcasts {
-		sh := wire.NewShared(wire.Message{Type: wire.TypeArmBroadcast, Arm: b})
+		o := outMsg{shared: wire.NewShared(wire.Message{Type: wire.TypeArmBroadcast, Arm: b})}
 		for _, pc := range x.peers {
-			pc.pushShared(sh)
+			pc.out.Enqueue(o)
 		}
 	}
 	persist := x.store != nil && len(fx.persist) > 0
@@ -468,7 +467,7 @@ func (x *Exchange) commit(fx *effects) {
 	x.mu.Unlock()
 	if persist {
 		// One write per event: a whole mutation's dirty set costs one
-		// open/write/close cycle on a file store.
+		// write on a file store.
 		err := x.store.AppendBatch(fx.persist)
 		x.persistMu.Unlock()
 		if err != nil {
@@ -537,11 +536,14 @@ func (x *Exchange) accept(send func(wire.Message) error, writeFrames func([][]by
 	}
 	c := &Conn{hub: x, closeSession: closeSession}
 	cfg := QueueConfig[outMsg]{
-		Merge: mergeOutMsgs,
+		Merge: func(prev, next outMsg) (outMsg, bool) {
+			d, ok := mergeViews(prev.delta, next.delta)
+			return outMsg{delta: d}, ok
+		},
 		OnDeliver: func(o outMsg) {
-			if m := o.message(); m.Type == wire.TypeDelta {
+			if o.delta.log != nil {
 				x.batchBatches.Add(1)
-				x.batchSigs.Add(uint64(len(m.Delta.Sigs)))
+				x.batchSigs.Add(uint64(len(o.delta.sigs())))
 			}
 		},
 		// c.Close as OnDead is safe to hand over before c.out is assigned:
@@ -564,41 +566,27 @@ func (x *Exchange) accept(send func(wire.Message) error, writeFrames func([][]by
 	return c, nil
 }
 
-// outMsg is one queued hub→client delivery: either a per-session
-// message (acks, confirms, catch-up deltas, status) or a handle on an
-// encode-once broadcast frame shared with every other session.
+// outMsg is one queued hub→client delivery, exactly one of: a
+// per-session message (acks, confirms, status), a handle on an
+// encode-once peer arm-broadcast shared with every other peer session,
+// or a device delta — a view of its tenant's arming log. Adjacent
+// deltas merge into one view (mergeViews), so a session that fell
+// behind holds one pending delta carrying the newest epoch.
 type outMsg struct {
-	m      wire.Message
+	m      *wire.Message
 	shared *wire.Shared
+	delta  view[wire.Signature]
 }
 
 // message returns the delivery's decoded form, version unstamped.
 func (o outMsg) message() wire.Message {
-	if o.shared != nil {
+	switch {
+	case o.m != nil:
+		return *o.m
+	case o.shared != nil:
 		return o.shared.Msg()
 	}
-	return o.m
-}
-
-// mergeOutMsgs coalesces two adjacent delta deliveries, preserving
-// ordering relative to non-delta messages; the merged delta carries the
-// newest epoch of the pair, so no stale epoch is ever sent. The merge
-// always builds a fresh message — a Shared handed off to other queues
-// is immutable and must never be appended into.
-func mergeOutMsgs(prev, next outMsg) (outMsg, bool) {
-	pm, nm := prev.message(), next.message()
-	if pm.Type != wire.TypeDelta || nm.Type != wire.TypeDelta {
-		return prev, false
-	}
-	merged := &wire.Delta{Epoch: pm.Delta.Epoch,
-		Sigs: append(append(make([]wire.Signature, 0, len(pm.Delta.Sigs)+len(nm.Delta.Sigs)),
-			pm.Delta.Sigs...), nm.Delta.Sigs...)}
-	if nm.Delta.Epoch > merged.Epoch {
-		merged.Epoch = nm.Delta.Epoch
-	}
-	out := pm
-	out.Delta = merged
-	return outMsg{m: out}, true
+	return wire.Message{Type: wire.TypeDelta, Delta: &wire.Delta{Epoch: o.delta.epoch, Sigs: o.delta.sigs()}}
 }
 
 // Conn is the hub's side of one wire session — a device session bound
@@ -686,8 +674,8 @@ const maxConnScratch = 64 << 10
 
 // encodeBatch resolves one queue drain into encoded frames — shared
 // broadcast frames are reused byte-for-byte across sessions, per-session
-// messages are encoded into the Conn's reusable scratch — and hands all
-// of them to the transport in a single call. It runs only on the
+// messages and deltas are encoded into the Conn's reusable scratch — and
+// hands all of them to the transport in a single call. It runs only on the
 // queue's drain goroutine, and writeFrames is synchronous, so the
 // scratch is free again when it returns.
 func (c *Conn) encodeBatch(batch []outMsg, writeFrames func([][]byte) error) error {
@@ -709,7 +697,7 @@ func (c *Conn) encodeBatch(batch []outMsg, writeFrames func([][]byte) error) err
 		}
 		start := len(scratch)
 		var err error
-		scratch, err = wire.AppendFrame(scratch, stamp(o.m))
+		scratch, err = wire.AppendFrame(scratch, stamp(o.message()))
 		if err != nil {
 			return err
 		}
@@ -728,11 +716,7 @@ func (c *Conn) encodeBatch(batch []outMsg, writeFrames func([][]byte) error) err
 
 // push enqueues one per-session message; the delivery version is
 // stamped at write time.
-func (c *Conn) push(m wire.Message) { c.out.Enqueue(outMsg{m: m}) }
-
-// pushShared enqueues an encode-once broadcast frame; every session
-// shares its encoded bytes.
-func (c *Conn) pushShared(s *wire.Shared) { c.out.Enqueue(outMsg{shared: s}) }
+func (c *Conn) push(m wire.Message) { c.out.Enqueue(outMsg{m: &m}) }
 
 // refuse sends a final failure ack and reports the protocol error.
 func (c *Conn) refuse(format string, args ...any) error {
@@ -900,14 +884,14 @@ func (c *Conn) handleHello(m wire.Message) error {
 	x.conns[sk] = c
 
 	// The ack, then the catch-up — every armed signature the client's
-	// epoch predates, as a single batched delta — both enqueued in the
-	// mu hold that attached the device, so no live delta can slip
+	// epoch predates, as one view of the tenant's log — both enqueued in
+	// the mu hold that attached the device, so no live delta can slip
 	// between them.
 	var fx effects
 	x.arb.attach(&fx, tenant, h.Device, epoch)
 	c.push(wire.Message{Type: wire.TypeAck, Ack: &wire.Ack{OK: true, Epoch: x.arb.epoch, Gen: x.gen, V: wire.Version}})
-	if len(fx.catchup) > 0 {
-		c.push(wire.Message{Type: wire.TypeDelta, Delta: &wire.Delta{Epoch: x.arb.epoch, Sigs: fx.catchup}})
+	if fx.catchup.log != nil {
+		c.out.Enqueue(outMsg{delta: fx.catchup})
 	}
 	x.commit(&fx)
 
@@ -1370,9 +1354,10 @@ func (x *Exchange) Stats() ExchangeStats {
 	}
 }
 
-// Close disconnects every session and shuts the hub down. Provenance
-// already persisted survives for the next Exchange over the same store.
-// Close is idempotent.
+// Close disconnects every session and shuts the hub down, closing the
+// provenance store last if it is an io.Closer. Provenance already
+// persisted survives for the next Exchange over the same store. Close
+// is idempotent.
 func (x *Exchange) Close() {
 	x.mu.Lock()
 	if x.closed {
@@ -1400,17 +1385,24 @@ func (x *Exchange) Close() {
 		}(c)
 	}
 	wg.Wait()
+	// Every detach is persisted by now, and persistMu waits out an append
+	// already under way: the store's file handle can go. Its error is
+	// dropped: each append reached the kernel at its write, and a failed
+	// one was counted then.
+	if closer, ok := x.store.(io.Closer); ok {
+		x.persistMu.Lock()
+		_ = closer.Close()
+		x.persistMu.Unlock()
+	}
 }
 
 // msgQueue is a connection's ordered hub→client push queue: a
 // Queue[outMsg] drained by a dedicated goroutine so the hub never
-// blocks on a slow session, with delta coalescing — consecutive queued
-// deltas collapse into one wire message carrying the newest epoch, so
-// under a publish storm a slow subscriber receives one batched push,
-// never a backlog of stale ones. Queued items are either per-session
-// messages or handles on encode-once Shared broadcast frames; stream
-// sessions (AcceptStream) receive each drain's frames in a single
-// writeFrames call. A delivery failure kills the queue and fires
-// OnDead: the session is unusable and its Conn must be torn down even
-// if the peer never closes its side of the socket.
+// blocks on a slow session, with delta coalescing — a delta enqueued
+// behind a queued one extends its view, so under a publish storm a slow
+// subscriber holds one pending push carrying the newest epoch, never a
+// backlog of stale ones. Stream sessions (AcceptStream) receive each
+// drain's frames in a single writeFrames call. A delivery failure kills
+// the queue and fires OnDead: the session is unusable and its Conn must
+// be torn down even if the peer never closes its side of the socket.
 type msgQueue = Queue[outMsg]

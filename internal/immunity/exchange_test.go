@@ -1,7 +1,6 @@
 package immunity
 
 import (
-	"bytes"
 	"fmt"
 	"strings"
 	"sync"
@@ -347,49 +346,10 @@ func TestExchangeSupersedeConnect(t *testing.T) {
 	}
 }
 
-// TestMergeNeverMutatesSharedFrame: coalescing a queued broadcast with
-// a later delta must build a fresh message — the Shared's message and
-// its cached frames are concurrently handed to other sessions, and an
-// in-place append would corrupt a frame already queued elsewhere.
-func TestMergeNeverMutatesSharedFrame(t *testing.T) {
-	sigA, sigB := wire.FromCore(testSig(1)), wire.FromCore(testSig(2))
-	sh := wire.NewShared(wire.Message{Type: wire.TypeDelta,
-		Delta: &wire.Delta{Epoch: 1, Sigs: []wire.Signature{sigA}}})
-	frame, err := sh.Frame(wire.Version)
-	if err != nil {
-		t.Fatal(err)
-	}
-	before := append([]byte(nil), frame...)
-
-	next := outMsg{m: wire.Message{Type: wire.TypeDelta,
-		Delta: &wire.Delta{Epoch: 2, Sigs: []wire.Signature{sigB}}}}
-	merged, ok := mergeOutMsgs(outMsg{shared: sh}, next)
-	if !ok {
-		t.Fatal("adjacent deltas did not merge")
-	}
-	if merged.shared != nil {
-		t.Fatal("merged delivery still points at the shared frame")
-	}
-	if merged.m.Delta.Epoch != 2 || len(merged.m.Delta.Sigs) != 2 {
-		t.Fatalf("bad merge: %+v", merged.m.Delta)
-	}
-	// The shared message and its cached frame are untouched.
-	if got := sh.Msg(); len(got.Delta.Sigs) != 1 || got.Delta.Epoch != 1 {
-		t.Fatalf("merge mutated the shared message: %+v", got.Delta)
-	}
-	after, err := sh.Frame(wire.Version)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(before, after) {
-		t.Fatal("merge mutated the shared frame bytes")
-	}
-}
-
 // TestBroadcastSupersedeRaceKeepsFramesIntact (-race gated like the
-// whole package): encode-once frames are handed to every session's
+// whole package): views of one arming log are handed to every session's
 // queue; a device redialing in a tight loop — superseding its own
-// sessions while armings broadcast — must never corrupt a frame already
+// sessions while armings broadcast — must never corrupt a delta already
 // queued to a stable session. The stable observer decodes every frame
 // it receives and must end up with every armed signature, bit-exact.
 func TestBroadcastSupersedeRaceKeepsFramesIntact(t *testing.T) {
@@ -400,7 +360,7 @@ func TestBroadcastSupersedeRaceKeepsFramesIntact(t *testing.T) {
 	}
 	defer srv.Close()
 
-	// Stable observer phone over real TCP (stream sessions share frames).
+	// Stable observer phone over real TCP.
 	obsSvc, err := NewService("observer", nil)
 	if err != nil {
 		t.Fatal(err)
@@ -433,8 +393,8 @@ func TestBroadcastSupersedeRaceKeepsFramesIntact(t *testing.T) {
 		}
 	}()
 
-	// Publisher: arms a stream of signatures (threshold 1), each one an
-	// encode-once broadcast to every live session.
+	// Publisher: arms a stream of signatures (threshold 1), each one a
+	// delta to every live session.
 	pubSvc, err := NewService("publisher", nil)
 	if err != nil {
 		t.Fatal(err)

@@ -50,10 +50,10 @@
 //     over real sockets; a dropped session is redialed with backoff and
 //     resubscribes from the last delta epoch applied, so a reconnect
 //     receives exactly the armings it missed (see "Resumable sessions"
-//     below). The hub's
-//     write side is encode-once: a broadcast delta or arm-broadcast is
-//     marshaled at most once (wire.Shared) and each session's drain
-//     hands every pending frame to the kernel in one writev.
+//     below). On the hub's write side a peer arm-broadcast is marshaled
+//     at most once (wire.Shared), a device delta is encoded at drain
+//     into the session's reused buffer, and each drain hands every
+//     pending frame to the kernel in one writev.
 //
 // Connect(transport, deviceID, service) wires a phone in; the hub holds
 // no references to Services and identifies devices only by their hello
@@ -218,6 +218,21 @@
 // withhold a confirmation from an already-armed signature, never cause
 // an arming.
 //
+// # Arming log
+//
+// The same prefix shape makes every delta a view. The arbiter keeps one
+// append-only log per tenant: the armed signatures and their armEpochs,
+// in epoch order. An arming appends to it, a reload rebuilds it with
+// one sort by armEpoch, and a hello's catch-up is the suffix after the
+// hello's epoch, found by binary search. A queued delta is a pair of
+// indices into the log — log[from:to], cap-clipped at to — so two
+// adjacent deltas (one's to is the other's from) merge into one view in
+// O(1) without copying, and a session that falls behind holds one
+// pending delta whatever the number of armings. The Service does the
+// same over its history. Delta signatures are therefore shared by every
+// subscriber and read-only; the cap clip makes a consumer's append copy
+// rather than write into the log.
+//
 // # Epoch/delta protocol
 //
 // The Service's merged history is an append-only sequence; the epoch is
@@ -236,9 +251,10 @@
 // fleet epoch it applied.
 //
 // Under a publish storm, pending deltas to one subscriber are coalesced
-// into a single delivery carrying the newest epoch (ServiceStats and
-// ExchangeStats count batches vs. signatures) — a slow subscriber
-// receives one batched push, never a backlog of stale epochs.
+// at enqueue into a single delivery carrying the newest epoch (see
+// "Arming log"; ServiceStats and ExchangeStats count batches vs.
+// signatures) — a slow subscriber receives one batched push, never a
+// backlog of stale epochs.
 //
 // # Observability and admission control
 //
@@ -331,42 +347,44 @@ import (
 	"github.com/dimmunix/dimmunix/internal/core"
 )
 
-// delta is one ordered delivery to a subscriber: the signatures accepted
-// since the subscriber's last known epoch (deep copies, safe to install
-// into any core), and the epoch after applying them.
-type delta struct {
+// view is one delta as a read-only window of an append-only log (the
+// package comment's "Arming log"): log[from:] are its signatures and
+// epoch is the epoch after them. log is cap-clipped at its end, so a
+// consumer's append copies instead of writing into the log.
+type view[S any] struct {
+	log   []S
+	from  int
 	epoch uint64
-	sigs  []*core.Signature
+}
+
+// sigs returns the view's signatures: shared and read-only.
+func (v view[S]) sigs() []S { return v.log[v.from:] }
+
+// mergeViews folds next into prev when next starts where prev ends. The
+// merged view spans both and carries the newer epoch; nothing is copied.
+func mergeViews[S any](prev, next view[S]) (view[S], bool) {
+	if prev.log == nil || next.log == nil || len(prev.log) != next.from {
+		return prev, false
+	}
+	next.from, next.epoch = prev.from, max(prev.epoch, next.epoch)
+	return next, true
 }
 
 // subscriber is one live process's (or observer's) ordered delivery
-// queue: a Queue[delta] drained by a dedicated goroutine so Publish
-// never blocks on a slow consumer and never calls into a core
-// synchronously. Pending deltas are coalesced into one delivery
-// carrying the newest epoch, so a subscriber that fell behind a publish
-// storm catches up in a single callback and never observes a stale
-// epoch.
-type subscriber = Queue[delta]
-
-// mergeDeltas coalesces two adjacent deltas into one carrying the
-// newest epoch. It copies prev's signature slice — queued deltas are
-// shared with the other subscribers' queues.
-func mergeDeltas(prev, next delta) (delta, bool) {
-	merged := delta{epoch: prev.epoch,
-		sigs: append(append(make([]*core.Signature, 0, len(prev.sigs)+len(next.sigs)), prev.sigs...), next.sigs...)}
-	if next.epoch > merged.epoch {
-		merged.epoch = next.epoch
-	}
-	return merged, true
-}
+// queue, drained by a dedicated goroutine so Publish never blocks on a
+// slow consumer and never calls into a core synchronously. Its items are
+// views of the Service's history, so a subscriber that fell behind a
+// publish storm holds one pending delta, catches up in a single
+// callback, and never observes a stale epoch.
+type subscriber = Queue[view[*core.Signature]]
 
 func newSubscriber(fn func(epoch uint64, sigs []*core.Signature), onBatch func(n int)) *subscriber {
-	return NewQueue(QueueConfig[delta]{
-		Deliver: func(d delta) error { fn(d.epoch, d.sigs); return nil },
-		Merge:   mergeDeltas,
-		OnDeliver: func(d delta) {
+	return NewQueue(QueueConfig[view[*core.Signature]]{
+		Deliver: func(d view[*core.Signature]) error { fn(d.epoch, d.sigs()); return nil },
+		Merge:   mergeViews[*core.Signature],
+		OnDeliver: func(d view[*core.Signature]) {
 			if onBatch != nil {
-				onBatch(len(d.sigs))
+				onBatch(len(d.sigs()))
 			}
 		},
 	})
@@ -520,11 +538,12 @@ func (s *Service) Publish(source string, sig *core.Signature) (epoch uint64, fre
 	}
 	cp := &core.Signature{Kind: sig.Kind, Pairs: core.ClonePairs(sig.Pairs)}
 	s.sigs = append(s.sigs, cp)
-	epoch = uint64(len(s.sigs))
+	n := len(s.sigs)
+	epoch = uint64(n)
 	s.keys[key] = epoch
 	s.sources[key] = source
 	s.stats.Published++
-	d := delta{epoch: epoch, sigs: []*core.Signature{cp}}
+	d := view[*core.Signature]{log: s.sigs[:n:n], from: n - 1, epoch: epoch}
 	for _, sub := range s.subs {
 		sub.Enqueue(d)
 		s.stats.Deliveries++
@@ -555,7 +574,8 @@ func (s *Service) Publish(source string, sig *core.Signature) (epoch uint64, fre
 // Subscribe registers fn for every signature accepted after epoch `from`,
 // starting with an immediate catch-up delta if the service is already
 // ahead; fn receives the epoch after each delta and the delta's
-// signatures (deep copies). Deliveries are ordered per subscriber and run
+// signatures, which are shared with every other subscriber and must be
+// treated as read-only. Deliveries are ordered per subscriber and run
 // on a dedicated goroutine; fn may call into cores (hot-install) but must
 // not call Subscribe or Close on this service. The returned cancel stops
 // delivery after the in-flight delta and waits for the delivery goroutine
@@ -575,10 +595,8 @@ func (s *Service) Subscribe(name string, from uint64, fn func(epoch uint64, sigs
 	id := s.nextSub
 	s.nextSub++
 	s.subs[id] = sub
-	if cur := uint64(len(s.sigs)); from < cur {
-		catchup := delta{epoch: cur, sigs: make([]*core.Signature, 0, cur-from)}
-		catchup.sigs = append(catchup.sigs, s.sigs[from:cur]...)
-		sub.Enqueue(catchup)
+	if n := len(s.sigs); from < uint64(n) {
+		sub.Enqueue(view[*core.Signature]{log: s.sigs[:n:n], from: int(from), epoch: uint64(n)})
 		s.stats.Deliveries++
 	}
 	s.mu.Unlock()

@@ -65,6 +65,10 @@ type ProvenanceStore interface {
 type FileProvenance struct {
 	mu   sync.Mutex
 	path string
+	// file is the log's O_APPEND handle. The first append opens it, and it
+	// stays open until a compaction renames a snapshot over the log, a
+	// write fails, or Close; the next append reopens it.
+	file *os.File
 	// keys is the log's live key set, records its record count (dead
 	// ones included) and size its length in bytes. keys is nil until
 	// the store has read the log, which it does before its first append.
@@ -136,11 +140,12 @@ func (f *FileProvenance) Load() ([]ProvenanceRecord, error) {
 // loadLocked is Load with f.mu held; it also resets the dead-record
 // accounting to what it read.
 func (f *FileProvenance) loadLocked() ([]ProvenanceRecord, error) {
-	b, err := os.ReadFile(f.path) // one read, into a buffer sized from Stat
+	b, release, err := readLog(f.path)
 	if err != nil && !errors.Is(err, os.ErrNotExist) {
 		return nil, fmt.Errorf("load provenance: %w", err)
 	}
 	live, records, intact, err := wire.DecodeLog(b)
+	release() // nothing DecodeLog returns aliases b
 	if err != nil {
 		return nil, fmt.Errorf("load provenance %s: %w", f.path, err)
 	}
@@ -162,9 +167,9 @@ func (f *FileProvenance) Append(rec ProvenanceRecord) error {
 	return f.AppendBatch([]ProvenanceRecord{rec})
 }
 
-// AppendBatch writes several upsert records in one open/write/close
-// cycle. When the append lets dead records outnumber live ones, the log
-// is rewritten as a snapshot before returning.
+// AppendBatch writes several upsert records in one write. When the
+// append lets dead records outnumber live ones, the log is rewritten as
+// a snapshot before returning.
 func (f *FileProvenance) AppendBatch(recs []ProvenanceRecord) error {
 	if len(recs) == 0 {
 		return nil
@@ -186,16 +191,18 @@ func (f *FileProvenance) AppendBatch(recs []ProvenanceRecord) error {
 		}
 		buf = wire.AppendRecord(buf, rec)
 	}
-	file, err := os.OpenFile(f.path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		return fmt.Errorf("append provenance: %w", err)
+	if f.file == nil {
+		file, err := os.OpenFile(f.path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+		if err != nil {
+			return fmt.Errorf("append provenance: %w", err)
+		}
+		f.file = file
 	}
-	if _, err := file.Write(buf); err != nil {
-		file.Close()
+	if _, err := f.file.Write(buf); err != nil {
+		f.closeFile()
 		f.keys = nil // a short write may have torn the tail: reread before the next append
 		return fmt.Errorf("append provenance: %w", err)
 	}
-	file.Close()
 	f.size += len(buf)
 	f.records += len(recs)
 	for _, rec := range recs {
@@ -251,10 +258,29 @@ func (f *FileProvenance) compactLocked() error {
 		os.Remove(tmp)
 		return err
 	}
+	f.closeFile() // it holds the replaced log
 	f.records, f.size = len(live), len(buf)
 	f.compactions++
 	f.metCompactions.Inc()
 	return nil
+}
+
+// Close releases the log's file handle; a later append reopens it.
+// Close is idempotent.
+func (f *FileProvenance) Close() error {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	return f.closeFile()
+}
+
+// closeFile closes the append handle, if open. Caller holds f.mu.
+func (f *FileProvenance) closeFile() error {
+	if f.file == nil {
+		return nil
+	}
+	err := f.file.Close()
+	f.file = nil
+	return err
 }
 
 // sortRecords orders records by Seq (first-report order).

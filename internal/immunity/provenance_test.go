@@ -552,6 +552,74 @@ func TestFileProvenanceCompactionCrashSafe(t *testing.T) {
 	}
 }
 
+// TestFileProvenanceHandleAcrossCompaction: the store keeps one append
+// handle, and a compaction's rename must replace it — a record appended
+// after a compaction lands in the snapshot, not in the unlinked log.
+func TestFileProvenanceHandleAcrossCompaction(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "fleet.prov")
+	store := NewFileProvenance(path)
+	var appended []ProvenanceRecord
+	add := func(rec ProvenanceRecord) {
+		t.Helper()
+		if err := store.Append(rec); err != nil {
+			t.Fatal(err)
+		}
+		appended = append(appended, rec)
+	}
+	add(provRec("a", 1, 0))
+	for v := 1; v < 10 && store.Compactions() == 0; v++ {
+		add(provRec("a", 1, v))
+	}
+	if store.Compactions() == 0 {
+		t.Fatal("no compaction")
+	}
+	add(provRec("b", 2, 0))
+	add(provRec("a", 1, 99))
+	got, want := mustLoad(t, path), lastWins(appended)
+	if len(got) != len(want) {
+		t.Fatalf("reload sees %d records, want %d: %+v", len(got), len(want), got)
+	}
+	for i := range want {
+		if !sameRecord(got[i], want[i]) {
+			t.Fatalf("reload record %d = %+v, want %+v", i, got[i], want[i])
+		}
+	}
+}
+
+// TestExchangeRestartOverClosedStore: Exchange.Close closes its file
+// store's handle, and a new hub over the same store instance resumes
+// what the first one wrote and reopens the handle on its first append.
+func TestExchangeRestartOverClosedStore(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "fleet.prov")
+	store := NewFileProvenance(path)
+	first := newTestHub(t, 1, WithProvenanceStore(store))
+	armSigs(t, first, 3)
+	first.Close()
+	store.mu.Lock()
+	open := store.file != nil
+	store.mu.Unlock()
+	if open {
+		t.Fatal("Exchange.Close left the store's append handle open")
+	}
+	if err := store.Close(); err != nil {
+		t.Fatalf("second Close: %v", err)
+	}
+
+	second := newTestHub(t, 1, WithProvenanceStore(store))
+	if got := second.ArmedCount(); got != 3 {
+		t.Fatalf("restart over the closed store resumed %d armings, want 3", got)
+	}
+	second.reportFrom("", "reporter", []*core.Signature{testSig(3)}, 0)
+	if n := second.Stats().PersistErrors; n != 0 {
+		t.Fatalf("%d persist errors after the restart", n)
+	}
+	second.Close()
+	third := newTestHub(t, 1, WithProvenanceStore(NewFileProvenance(path)))
+	if got := third.ArmedCount(); got != 4 {
+		t.Fatalf("a fresh store resumed %d armings, want 4", got)
+	}
+}
+
 // TestExchangeRestartAfterCompaction: a hub whose provenance log
 // compacted under heavy upserting restarts with confirmations intact —
 // the snapshot is as good as the full log.

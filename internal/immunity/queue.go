@@ -12,10 +12,10 @@ import (
 // queues, and the cluster's hub-to-hub forward outboxes. It owns a
 // dedicated drain goroutine, so producers never block on a slow
 // consumer, and it delivers strictly in enqueue order with optional
-// coalescing: adjacent queued items the Merge hook accepts collapse
-// into one delivery, so a consumer that fell behind a publish storm
-// catches up in a single callback instead of chewing through a backlog
-// of stale ones.
+// coalescing: an item the Merge hook accepts folds into the queued tail
+// at Enqueue, so a consumer that fell behind a publish storm holds one
+// pending delivery and catches up in a single callback instead of
+// chewing through a backlog of stale ones.
 //
 // A Deliver error ends the queue in one of two ways, chosen at
 // construction:
@@ -40,6 +40,7 @@ type Queue[T any] struct {
 	mu       sync.Mutex
 	cond     *sync.Cond
 	queue    []T
+	raw      int // items enqueued into queue, before folding
 	inFlight int // items taken by the drain, not yet delivered or re-queued
 	closed   bool
 	paused   bool
@@ -64,10 +65,12 @@ type QueueConfig[T any] struct {
 	// entire batch and parks (redelivery of its already-sent prefix must
 	// be safe for the receiver, as it is for every wire message).
 	DeliverBatch func([]T) error
-	// Merge, when set, coalesces two adjacent queued items: it returns
-	// the combined item and true to merge, or false to keep them as
-	// separate deliveries. Merge must not mutate prev or next in place —
-	// queued items may be shared with other queues.
+	// Merge, when set, coalesces an enqueued item into the queued tail:
+	// it returns the combined item and true to merge, or false to keep
+	// them as separate deliveries. It runs under the queue lock on every
+	// Enqueue that finds a queued tail, so it must be cheap, and it must
+	// not mutate prev or next in place — queued items may be shared with
+	// other queues.
 	Merge func(prev, next T) (T, bool)
 	// OnDeliver, when set, observes each successful delivery (after
 	// coalescing) — batching counters.
@@ -117,12 +120,21 @@ func NewQueue[T any](cfg QueueConfig[T]) *Queue[T] {
 	return q
 }
 
-// Enqueue appends an item, spilling the oldest queued items when a Cap
-// is set and the depth would exceed it. Never blocks.
+// Enqueue folds an item into the queued tail when Merge accepts, and
+// appends it otherwise, spilling the oldest queued items when a Cap is
+// set and the depth would exceed it. Never blocks.
 func (q *Queue[T]) Enqueue(v T) {
 	var dropped []T
 	q.mu.Lock()
 	if !q.closed {
+		q.raw++
+		if n := len(q.queue); n > 0 && q.cfg.Merge != nil {
+			if merged, ok := q.cfg.Merge(q.queue[n-1], v); ok {
+				q.queue[n-1] = merged
+				q.mu.Unlock()
+				return
+			}
+		}
 		q.queue = append(q.queue, v)
 		if q.cfg.Cap > 0 {
 			for len(q.queue)+q.inFlight > q.cfg.Cap && len(q.queue) > 1 {
@@ -176,25 +188,6 @@ func (q *Queue[T]) syncGaugesLocked() {
 	}
 }
 
-// coalesce folds adjacent mergeable items of batch into single
-// deliveries, preserving order relative to unmergeable ones.
-func (q *Queue[T]) coalesce(batch []T) []T {
-	if q.cfg.Merge == nil {
-		return batch
-	}
-	out := batch[:0]
-	for _, v := range batch {
-		if len(out) > 0 {
-			if merged, ok := q.cfg.Merge(out[len(out)-1], v); ok {
-				out[len(out)-1] = merged
-				continue
-			}
-		}
-		out = append(out, v)
-	}
-	return out
-}
-
 // kill ends the queue after a drop-mode delivery error. It fires
 // OnDead only when the owner had not already initiated teardown via
 // Close — a delivery error racing Close is the expected consequence of
@@ -231,21 +224,11 @@ func (q *Queue[T]) drain() {
 			q.mu.Unlock()
 			return
 		}
-		batch := q.queue
-		raw := len(batch)
-		q.queue = nil
-		q.inFlight = raw
+		batch, raw := q.queue, q.raw
+		q.queue, q.raw = nil, 0
+		q.inFlight = len(batch)
 		q.syncGaugesLocked()
 		q.mu.Unlock()
-		batch = q.coalesce(batch)
-		if len(batch) != raw {
-			// Coalescing collapsed items: the in-flight count tracks what
-			// remains to be delivered.
-			q.mu.Lock()
-			q.inFlight = len(batch)
-			q.syncGaugesLocked()
-			q.mu.Unlock()
-		}
 		if q.cfg.BatchSizes != nil {
 			q.cfg.BatchSizes.Observe(float64(len(batch)))
 		}
@@ -260,6 +243,7 @@ func (q *Queue[T]) drain() {
 				}
 				q.mu.Lock()
 				q.queue = append(batch, q.queue...)
+				q.raw += len(batch)
 				q.inFlight = 0
 				q.paused = true
 				q.syncGaugesLocked()
@@ -284,6 +268,7 @@ func (q *Queue[T]) drain() {
 				// Park with the failed item and everything behind it
 				// (including anything enqueued since) intact.
 				q.queue = append(batch[i:], q.queue...)
+				q.raw += len(batch) - i
 				q.inFlight = 0
 				q.paused = true
 				q.syncGaugesLocked()

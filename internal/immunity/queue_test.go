@@ -296,7 +296,7 @@ func TestQueueGaugeInstrumentation(t *testing.T) {
 			<-release
 			return nil
 		},
-		// Sum-merge everything: the second drain coalesces to one item.
+		// Sum-merge everything: 3 folds into the queued 2 at Enqueue.
 		Merge: func(prev, next int) (int, bool) { return prev + next, true },
 		Depth: depth, InFlight: inFlight,
 		BatchSizes: sizes, CoalesceRatio: ratio,
@@ -305,11 +305,11 @@ func TestQueueGaugeInstrumentation(t *testing.T) {
 	<-started // [1] in flight
 	q.Enqueue(2)
 	q.Enqueue(3)
-	if d, f := depth.Value(), inFlight.Value(); d != 3 || f != 1 {
-		t.Fatalf("depth=%d inFlight=%d during slow delivery, want 3/1", d, f)
+	if d, f := depth.Value(), inFlight.Value(); d != 2 || f != 1 {
+		t.Fatalf("depth=%d inFlight=%d during slow delivery, want 2/1 (1 in flight + [5] queued)", d, f)
 	}
 	release <- struct{}{}
-	<-started // [2 3] coalesced to [5], in flight
+	<-started // [5] in flight
 	if d, f := depth.Value(), inFlight.Value(); d != 1 || f != 1 {
 		t.Fatalf("depth=%d inFlight=%d during coalesced delivery, want 1/1", d, f)
 	}

@@ -241,15 +241,15 @@ func TestServiceEpochAndCatchup(t *testing.T) {
 		}
 	}
 
-	got := make(chan delta, 4)
+	got := make(chan view[*core.Signature], 4)
 	cancel := svc.Subscribe("late", 1, func(epoch uint64, sigs []*core.Signature) {
-		got <- delta{epoch: epoch, sigs: sigs}
+		got <- view[*core.Signature]{log: sigs, epoch: epoch}
 	})
 	defer cancel()
 	select {
 	case d := <-got:
-		if d.epoch != 3 || len(d.sigs) != 2 {
-			t.Fatalf("catch-up delta epoch=%d sigs=%d, want epoch=3 sigs=2", d.epoch, len(d.sigs))
+		if d.epoch != 3 || len(d.sigs()) != 2 {
+			t.Fatalf("catch-up delta epoch=%d sigs=%d, want epoch=3 sigs=2", d.epoch, len(d.sigs()))
 		}
 	case <-time.After(5 * time.Second):
 		t.Fatal("no catch-up delta")
@@ -261,8 +261,8 @@ func TestServiceEpochAndCatchup(t *testing.T) {
 	}
 	select {
 	case d := <-got:
-		if d.epoch != 4 || len(d.sigs) != 1 {
-			t.Fatalf("live delta epoch=%d sigs=%d, want epoch=4 sigs=1", d.epoch, len(d.sigs))
+		if d.epoch != 4 || len(d.sigs()) != 1 {
+			t.Fatalf("live delta epoch=%d sigs=%d, want epoch=4 sigs=1", d.epoch, len(d.sigs()))
 		}
 	case <-time.After(5 * time.Second):
 		t.Fatal("no live delta")

@@ -1,10 +1,11 @@
 // Command immunityd is the fleet immunity daemon. One invocation plays
-// one of three roles: a hub (-serve), a client driving running hubs
-// (-connect, optionally -storm), or a utility that mints trust material
-// and exits (-gen-ca, -gen-cert, -mint-token). It builds a hub only in
-// -serve; everything that drives a hub in-process is a Go test (go test
-// ./internal/workload) or examples/fleet-immunity. Every flag belongs
-// to the modes flagModes lists for it; a flag given outside them is an
+// one of three roles: a hub (-serve), a report storm against running
+// hubs (-storm -connect), or a utility that mints trust material and
+// exits (-gen-ca, -gen-cert, -mint-token). Drive a hub with go test
+// -run Drill ./cmd/immunityd (real daemon processes, handed off and
+// meshed over mutual TLS) or internal/workload (in-process
+// federations), or run examples/fleet-immunity. Every flag belongs to
+// the modes flagModes lists for it; a flag given outside them is an
 // error, never silently dropped.
 //
 // # The hub: -serve
@@ -61,11 +62,7 @@
 // -no-lease falls back to epoch fencing alone; -leave hands the owned
 // slice off and drains the outboxes on shutdown. /status shows the
 // membership ring and the peer links; /status?owner=KEY answers which
-// hub owns — and which is deputy for — a signature key. -fault-isolate
-// AFTER:DUR scripts an outage into a live hub (internal/immunity/fault):
-// AFTER into the run its outbound peer links are cut — it hears its
-// peers while its acks, lease renewals, and broadcasts vanish — and DUR
-// later they heal.
+// hub owns — and which is deputy for — a signature key.
 //
 // The trust fabric is opt-in per hub. -tls-cert/-tls-key serve the
 // exchange listener under TLS; adding -tls-ca turns the cluster mutual:
@@ -80,20 +77,14 @@
 // thresholds (-tenant-threshold tenant=N,...), pushes, and /status
 // views.
 //
-// # The client: -connect
+// # The storm: -storm
 //
-// Runs the fleet immunity workload against running hubs across real
-// sockets; -connect takes one address, or a comma-separated list across
-// which the workload's phones attach round-robin to exercise a cluster.
-// With -storm it instead floods the hubs with per-signature report
-// messages from -phones concurrent devices and verifies every signature
-// still arms cluster-wide (the admission counters are on the hubs'
-// /metrics). -ramp-warmup/-ramp-flood shape the storm: a paced
-// single-signature warmup at -ramp-rate reports/s (the demand signal
-// that lets an AIMD controller grow), then a full-batch flood (the
-// overload that makes it retreat). -tls-ca verifies the hubs' server
-// certificates and -token is the bearer token every device hello
-// carries.
+// Floods the hubs at the -connect address list with per-signature
+// reports from -phones devices, attached round-robin, and exits 0 once
+// every hub it dialed has armed all -sigs signatures.
+// -ramp-warmup/-ramp-flood shape it: a paced single-signature warmup,
+// then a full-batch flood. It drives the CI chaos drill, which kills
+// and restarts a hub while the storm runs.
 //
 // # The utilities
 //
@@ -103,9 +94,8 @@
 //
 // Usage:
 //
-//	immunityd -serve [-listen ADDR] [-http ADDR] [-threshold N] [-provenance FILE] [-admit N|auto -admit-wait D] [-slo-target D -slo-interval D -slo-backlog N] [-alert-url URL] [-alert-exec CMD] [-tls-cert F -tls-key F [-tls-ca F]] [-auth-key K | -auth-keyring F] [-tenant-threshold T=N,...] [-hub ID -peers ID=ADDR,... [-advertise ADDR] [-failover-after D] [-lease-ttl D] [-no-lease] [-fault-isolate AFTER:DUR] [-leave]]
-//	immunityd -connect ADDR[,ADDR...] [-phones N] [-procs N] [-threshold N] [-timeout D] [-tls-ca F] [-token T]
-//	immunityd -connect ADDR[,ADDR...] -storm [-phones N] [-sigs N] [-threshold N] [-ramp-warmup D -ramp-flood D -ramp-rate N] [-timeout D] [-tls-ca F] [-token T]
+//	immunityd -serve [-listen ADDR] [-http ADDR] [-threshold N] [-provenance FILE] [-admit N|auto -admit-wait D] [-slo-target D -slo-interval D -slo-backlog N] [-alert-url URL] [-alert-exec CMD] [-tls-cert F -tls-key F [-tls-ca F]] [-auth-key K | -auth-keyring F] [-tenant-threshold T=N,...] [-hub ID -peers ID=ADDR,... [-advertise ADDR] [-failover-after D] [-lease-ttl D] [-no-lease] [-leave]]
+//	immunityd -storm -connect ADDR[,ADDR...] [-phones N] [-sigs N] [-ramp-warmup D -ramp-flood D] [-timeout D]
 //	immunityd -gen-ca DIR | -gen-cert NAME -ca DIR [-hosts H,...] | -mint-token -auth-key K [-tenant T] [-device D] [-ttl D]
 package main
 
@@ -129,7 +119,6 @@ import (
 	"github.com/dimmunix/dimmunix/internal/immunity"
 	"github.com/dimmunix/dimmunix/internal/immunity/auth"
 	"github.com/dimmunix/dimmunix/internal/immunity/cluster"
-	"github.com/dimmunix/dimmunix/internal/immunity/fault"
 	"github.com/dimmunix/dimmunix/internal/immunity/metrics"
 	"github.com/dimmunix/dimmunix/internal/immunity/wire"
 	"github.com/dimmunix/dimmunix/internal/workload"
@@ -148,17 +137,15 @@ type mode uint
 const (
 	modeServe     mode = 1 << iota // a standalone hub
 	modeFederated                  // a hub federated into a cluster
-	modeClient                     // the fleet immunity workload against running hubs
 	modeStorm                      // the report storm against running hubs
 	modeGen                        // mint TLS material and exit
 	modeMint                       // mint a bearer token and exit
 
-	anyServe  = modeServe | modeFederated
-	anyClient = modeClient | modeStorm
+	anyServe = modeServe | modeFederated
 )
 
 // modeNames spells each mode, in bit order, as the flags that select it.
-var modeNames = [...]string{"-serve", "-serve -peers", "-connect", "-connect -storm", "-gen-ca/-gen-cert", "-mint-token"}
+var modeNames = [...]string{"-serve", "-serve -peers", "-storm -connect", "-gen-ca/-gen-cert", "-mint-token"}
 
 func (m mode) String() string {
 	var names []string
@@ -180,14 +167,11 @@ func (m mode) String() string {
 var flagModes = func() map[string]mode {
 	t := make(map[string]mode)
 	for m, flags := range map[mode]string{
-		anyServe | anyClient: "threshold tls-ca",
-		anyServe | modeMint:  "auth-key",
-		anyServe: "serve listen http provenance admit admit-wait slo-target slo-interval slo-backlog " +
-			"alert-url alert-exec tls-cert tls-key auth-keyring tenant-threshold",
-		modeFederated: "peers hub advertise failover-after leave lease-ttl no-lease fault-isolate",
-		anyClient:     "connect phones timeout token",
-		modeClient:    "procs",
-		modeStorm:     "storm sigs ramp-warmup ramp-flood ramp-rate",
+		anyServe | modeMint: "auth-key",
+		anyServe: "serve listen http provenance threshold admit admit-wait slo-target slo-interval slo-backlog " +
+			"alert-url alert-exec tls-cert tls-key tls-ca auth-keyring tenant-threshold",
+		modeFederated: "peers hub advertise failover-after leave lease-ttl no-lease",
+		modeStorm:     "storm connect phones sigs timeout ramp-warmup ramp-flood",
 		modeGen:       "gen-ca gen-cert ca hosts",
 		modeMint:      "mint-token tenant device ttl",
 	} {
@@ -198,33 +182,25 @@ var flagModes = func() map[string]mode {
 	return t
 }()
 
-// Serve-mode defaults, stated once: the flag definitions and
-// serveConfig.withDefaults both read them.
-const (
-	defaultSLOTarget     = 25 * time.Millisecond
-	defaultSLOInterval   = time.Second
-	defaultBacklogTarget = 1024
-)
-
 // cli holds every flag's parsed value.
 type cli struct {
 	// The hub: sc receives the serve flags that need no translation,
 	// serveConfigFromFlags parses the raw strings beside it.
-	sc                                             serveConfig
-	serve                                          bool
-	peers, faultIsolate, admit                     string
-	tlsCert, tlsKey, authKeyring, tenantThresholds string
-	// The client.
+	sc                                                    serveConfig
+	serve                                                 bool
+	peers, admit                                          string
+	tlsCert, tlsKey, tlsCA, authKeyring, tenantThresholds string
+	// The storm.
 	storm                          bool
-	connect, token                 string
-	phones, procs, sigs, rampRate  int
+	connect                        string
+	phones, sigs                   int
 	timeout, rampWarmup, rampFlood time.Duration
 	// The utilities.
 	mintToken                                    bool
 	genCA, genCert, caDir, hosts, tenant, device string
 	ttl                                          time.Duration
-	// Shared between roles (-threshold is sc.threshold).
-	tlsCA, authKey string
+	// Shared by the hub and -mint-token.
+	authKey string
 }
 
 // newFlags registers the whole flag surface.
@@ -243,30 +219,26 @@ func newFlags() (*flag.FlagSet, *cli) {
 	fs.BoolVar(&c.sc.leave, "leave", false, "leave the membership gracefully on shutdown (hand off owned keys, drain outboxes)")
 	fs.DurationVar(&c.sc.leaseTTL, "lease-ttl", 0, "failure detection: quorum-lease lifetime (0 derives from -failover-after; always clamped to the probe timeout plus the suspicion window)")
 	fs.BoolVar(&c.sc.noLease, "no-lease", false, "failure detection: disable the quorum lease and fall back to epoch fencing alone (both partition sides keep arming)")
-	fs.StringVar(&c.faultIsolate, "fault-isolate", "", "AFTER:DUR — cut this hub's outbound peer links AFTER into the run and heal them DUR later (deterministic fault injection for drills; needs -failover-after)")
 	fs.StringVar(&c.admit, "admit", "", "report-path admission: a pool capacity, or 'auto' for AIMD adaptive capacity driven by the SLOs (empty disables)")
 	fs.DurationVar(&c.sc.admitWait, "admit-wait", 5*time.Second, "bounded wait before an over-capacity report is shed (keep well below the 30s wire write timeout)")
-	fs.DurationVar(&c.sc.sloTarget, "slo-target", defaultSLOTarget, "latency SLO: p99 report-handling time (admission wait included) must stay at or under this")
-	fs.DurationVar(&c.sc.sloInterval, "slo-interval", defaultSLOInterval, "SLO evaluation and rate-sampling tick")
-	fs.IntVar(&c.sc.backlogTarget, "slo-backlog", defaultBacklogTarget, "backlog SLO: the push-queue depth and the summed forward-outbox lag must each stay at or under this many frames")
+	fs.DurationVar(&c.sc.sloTarget, "slo-target", 25*time.Millisecond, "latency SLO: p99 report-handling time (admission wait included) must stay at or under this")
+	fs.DurationVar(&c.sc.sloInterval, "slo-interval", time.Second, "SLO evaluation and rate-sampling tick")
+	fs.IntVar(&c.sc.backlogTarget, "slo-backlog", 1024, "backlog SLO: the push-queue depth and the summed forward-outbox lag must each stay at or under this many frames")
 	fs.StringVar(&c.sc.alertURL, "alert-url", "", "POST SLO breach/clear alerts to this webhook URL as JSON")
 	fs.StringVar(&c.sc.alertExec, "alert-exec", "", "run this shell command on SLO breach/clear (alert in IMMUNITY_ALERT_* env)")
 	fs.StringVar(&c.tlsCert, "tls-cert", "", "serve the exchange listener under TLS with this certificate (PEM; requires -tls-key)")
 	fs.StringVar(&c.tlsKey, "tls-key", "", "the TLS certificate's private key (PEM)")
-	fs.StringVar(&c.tlsCA, "tls-ca", "", "trust anchors (PEM): a hub verifies peer-hub client certificates and outbound peer dials with it (mutual TLS); a client verifies the hubs' server certificates")
+	fs.StringVar(&c.tlsCA, "tls-ca", "", "trust anchors (PEM) the hub verifies peer-hub client certificates and outbound peer dials with (mutual TLS; requires -tls-cert/-tls-key)")
 	fs.StringVar(&c.authKey, "auth-key", "", "require token-authenticated hellos, verified under this static HMAC key (also the signing key for -mint-token)")
 	fs.StringVar(&c.authKeyring, "auth-keyring", "", "require token-authenticated hellos, verified against this kid:key keyring file")
 	fs.StringVar(&c.tenantThresholds, "tenant-threshold", "", "per-tenant confirm thresholds as tenant=N[,tenant=N...] (unlisted tenants use -threshold)")
-	fs.StringVar(&c.connect, "connect", "", "run the fleet immunity workload as a client of the hub(s) at this comma-separated address list")
-	fs.StringVar(&c.token, "token", "", "bearer token each device's hello carries (for hubs serving with -auth-key/-auth-keyring)")
-	fs.BoolVar(&c.storm, "storm", false, "with -connect: flood the hubs with per-signature reports from -phones devices and verify arming still completes")
-	fs.IntVar(&c.phones, "phones", 4, "simulated phones in the fleet")
-	fs.IntVar(&c.procs, "procs", 3, "live application processes per phone")
+	fs.BoolVar(&c.storm, "storm", false, "flood the hubs at -connect with per-signature reports from -phones devices and verify arming still completes")
+	fs.StringVar(&c.connect, "connect", "", "the storm's comma-separated hub address list (devices attach round-robin)")
+	fs.IntVar(&c.phones, "phones", 4, "storm devices")
 	fs.IntVar(&c.sigs, "sigs", 64, "signatures every storm device reports")
-	fs.DurationVar(&c.timeout, "timeout", 30*time.Second, "scenario deadline")
+	fs.DurationVar(&c.timeout, "timeout", 30*time.Second, "storm deadline")
 	fs.DurationVar(&c.rampWarmup, "ramp-warmup", 0, "paced single-signature warmup phase before the flood")
 	fs.DurationVar(&c.rampFlood, "ramp-flood", 0, "continuous full-batch flood phase after the warmup")
-	fs.IntVar(&c.rampRate, "ramp-rate", 20, "warmup reports per second per device")
 	fs.StringVar(&c.genCA, "gen-ca", "", "mint a dev fleet CA into this directory (ca.pem + ca-key.pem) and exit")
 	fs.StringVar(&c.genCert, "gen-cert", "", "issue a leaf certificate with this name (the mutual-TLS peer identity) under the CA in -ca, writing NAME.pem + NAME-key.pem beside it, and exit")
 	fs.StringVar(&c.caDir, "ca", "", "directory holding ca.pem + ca-key.pem (as written by -gen-ca; defaults to the -gen-ca directory when both are given)")
@@ -291,8 +263,6 @@ func (c *cli) selectMode() mode {
 		return modeServe
 	case c.storm:
 		return modeStorm
-	case c.connect != "":
-		return modeClient
 	}
 	return 0
 }
@@ -310,85 +280,66 @@ func checkFlagModes(fs *flag.FlagSet, m mode) (err error) {
 
 const modesHelp = `immunityd runs in one mode per invocation:
   -serve [-hub ID -peers ID=ADDR,...]   a hub: TCP exchange, provenance file, /status /metrics /slo
-  -connect ADDR[,ADDR...] [-storm]      a client: the fleet immunity workload (or a report storm) against running hubs
+  -storm -connect ADDR[,ADDR...]        a report storm against running hubs (the CI chaos drill)
   -gen-ca DIR | -gen-cert NAME -ca DIR  mint a dev fleet CA / a leaf certificate and exit
   -mint-token -auth-key K               mint a device bearer token and exit
-It builds a hub only in -serve. The in-process drives (simulation, chaos,
-partition, storm) are tests: go test ./internal/workload ; the smallest
-end-to-end fleet is go run ./examples/fleet-immunity ; -h lists every flag.
+Drive a hub with go test -run Drill ./cmd/immunityd (real daemon
+processes) or go test ./internal/workload (in-process chaos, partition,
+storm); the smallest end-to-end fleet is go run ./examples/fleet-immunity ;
+-h lists every flag.
 `
 
 func run(args []string) error {
-	fs, c := newFlags()
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	m := c.selectMode()
-	if m == 0 && fs.NFlag() == 0 {
-		fmt.Print(modesHelp)
-		return nil
-	}
-	if err := checkFlagModes(fs, m); err != nil {
+	c, m, err := parseArgs(args)
+	if err != nil {
 		return err
 	}
 	switch m {
+	case 0:
+		fmt.Print(modesHelp)
+		return nil
 	case modeGen:
 		return runGenTLS(c.genCA, c.genCert, c.caDir, c.hosts)
 	case modeMint:
 		return runMintToken(c.authKey, c.tenant, c.device, c.ttl)
-	case modeServe, modeFederated:
-		sc, err := serveConfigFromFlags(c)
-		if err != nil {
-			return err
-		}
-		return runServe(sc)
+	case modeStorm:
+		return runStorm(c)
 	}
-
-	if c.connect == "" {
-		return fmt.Errorf("-storm needs -connect (the in-process storm is go test -run TestRunReportStorm ./internal/workload)")
-	}
-	var clientTLS *tls.Config
-	if c.tlsCA != "" {
-		pool, err := loadCertPool(c.tlsCA)
-		if err != nil {
-			return err
-		}
-		clientTLS = auth.ClientConfig(pool, "")
-	}
-	if m == modeStorm {
-		cfg := workload.StormConfig{
-			Devices:          c.phones,
-			Sigs:             c.sigs,
-			ConfirmThreshold: c.sc.threshold,
-			Timeout:          c.timeout,
-			Dial:             c.connect,
-			Token:            c.token,
-			TLS:              clientTLS,
-		}
-		if c.rampWarmup > 0 || c.rampFlood > 0 {
-			cfg.Ramp = &workload.StormRamp{Warmup: c.rampWarmup, WarmupRate: c.rampRate, Flood: c.rampFlood}
-		}
-		res, err := workload.RunReportStorm(cfg)
-		if err != nil {
-			return err
-		}
-		fmt.Print(workload.FormatStorm(res))
-		return nil
-	}
-	res, err := workload.RunFleetImmunity(workload.FleetImmunityConfig{
-		Phones:           c.phones,
-		ProcsPerPhone:    c.procs,
-		ConfirmThreshold: c.sc.threshold,
-		Timeout:          c.timeout,
-		Dial:             c.connect,
-		Token:            c.token,
-		TLS:              clientTLS,
-	})
+	sc, err := serveConfigFromFlags(c)
 	if err != nil {
 		return err
 	}
-	fmt.Print(workload.FormatFleetImmunity(res))
+	return runServe(sc)
+}
+
+// runStorm floods the -connect hubs and waits for every one of them to
+// arm the whole signature set.
+func runStorm(c *cli) error {
+	if c.connect == "" {
+		return fmt.Errorf("-storm needs -connect (the in-process storm is go test -run TestRunReportStorm ./internal/workload)")
+	}
+	cfg := workload.StormConfig{Devices: c.phones, Sigs: c.sigs, Timeout: c.timeout, Dial: c.connect}
+	if c.rampWarmup > 0 || c.rampFlood > 0 {
+		cfg.Ramp = &workload.StormRamp{Warmup: c.rampWarmup, Flood: c.rampFlood}
+	}
+	res, err := workload.RunReportStorm(cfg)
+	if err != nil {
+		return err
+	}
+	fmt.Print(workload.FormatStorm(res))
 	return nil
+}
+
+// parseArgs parses a command line, reads the mode off it and refuses
+// every flag set outside that mode. A bare command line is mode 0, the
+// help; any flag without a mode is refused.
+func parseArgs(args []string) (*cli, mode, error) {
+	fs, c := newFlags()
+	if err := fs.Parse(args); err != nil {
+		return nil, 0, err
+	}
+	m := c.selectMode()
+	return c, m, checkFlagModes(fs, m)
 }
 
 // serveConfigFromFlags translates the serve-mode flags into a
@@ -399,6 +350,9 @@ func serveConfigFromFlags(c *cli) (serveConfig, error) {
 	sc := c.sc
 	if sc.advertise == "" {
 		sc.advertise = sc.listen
+	}
+	if sc.sloTarget <= 0 || sc.sloInterval <= 0 || sc.backlogTarget <= 0 {
+		return sc, fmt.Errorf("-slo-target, -slo-interval and -slo-backlog must be positive")
 	}
 	var err error
 	if sc.admit, sc.admitAuto, err = parseAdmit(c.admit); err != nil {
@@ -440,19 +394,13 @@ func serveConfigFromFlags(c *cli) (serveConfig, error) {
 			sc.peerAuth = true
 		}
 	} else if c.tlsCA != "" {
-		return sc, fmt.Errorf("-tls-ca with -serve requires -tls-cert/-tls-key (the hub's own certificate)")
+		return sc, fmt.Errorf("-tls-ca requires -tls-cert/-tls-key (the hub's own certificate)")
 	}
 	if sc.peers, err = parsePeers(c.peers, sc.peerDial...); err != nil {
 		return sc, err
 	}
 	if len(sc.peers) > 0 && sc.hubID == "" {
 		return sc, fmt.Errorf("-peers requires -hub (this hub's cluster id)")
-	}
-	if sc.faultAfter, sc.faultDur, err = parseFaultIsolate(c.faultIsolate); err != nil {
-		return sc, err
-	}
-	if sc.faultAfter > 0 && sc.failoverAfter == 0 {
-		return sc, fmt.Errorf("-fault-isolate needs -failover-after (without detection the isolation is just a stalled outbox)")
 	}
 	if sc.tenantThresholds, err = parseTenantThresholds(c.tenantThresholds); err != nil {
 		return sc, err
@@ -629,8 +577,6 @@ type daemon struct {
 	rates    *metrics.Rates
 	adaptive *metrics.AdaptivePool
 	alerter  *metrics.Alerter
-	// faultStop cancels a pending -fault-isolate script on shutdown.
-	faultStop chan struct{}
 }
 
 // Addr returns the exchange's bound TCP address.
@@ -646,9 +592,6 @@ func (d *daemon) HTTPAddr() string {
 
 // Close tears the daemon down.
 func (d *daemon) Close() {
-	if d.faultStop != nil {
-		close(d.faultStop)
-	}
 	if d.httpSrv != nil {
 		d.httpSrv.Close()
 	}
@@ -663,9 +606,8 @@ func (d *daemon) Close() {
 	}
 }
 
-// serveConfig carries everything serve mode needs. Zero SLO fields
-// take the flag defaults in startDaemon (withDefaults), so tests
-// building the struct directly get working objectives.
+// serveConfig carries everything serve mode needs. It is built only by
+// serveConfigFromFlags, so every field holds a value the flags gave it.
 type serveConfig struct {
 	listen, httpAddr string
 	threshold        int
@@ -676,8 +618,6 @@ type serveConfig struct {
 	failoverAfter    time.Duration
 	leaseTTL         time.Duration
 	noLease          bool
-	faultAfter       time.Duration
-	faultDur         time.Duration
 	leave            bool
 	admit            int
 	admitAuto        bool
@@ -694,52 +634,14 @@ type serveConfig struct {
 	tenantThresholds map[string]int
 }
 
-// withDefaults fills the zero SLO fields with the flag defaults.
-func (sc serveConfig) withDefaults() serveConfig {
-	if sc.sloTarget <= 0 {
-		sc.sloTarget = defaultSLOTarget
-	}
-	if sc.sloInterval <= 0 {
-		sc.sloInterval = defaultSLOInterval
-	}
-	if sc.backlogTarget <= 0 {
-		sc.backlogTarget = defaultBacklogTarget
-	}
-	return sc
-}
-
 // buildVersion is the version label on the immunity_build_info gauge.
 const buildVersion = "0.10.0"
-
-// parseFaultIsolate parses the -fault-isolate AFTER:DUR script: block
-// the hub's outbound peer links AFTER into the run, heal them DUR
-// later. Empty input means no script.
-func parseFaultIsolate(s string) (after, dur time.Duration, err error) {
-	if s == "" {
-		return 0, 0, nil
-	}
-	a, d, ok := strings.Cut(s, ":")
-	if !ok {
-		return 0, 0, fmt.Errorf("-fault-isolate wants AFTER:DUR (e.g. 5s:3s), got %q", s)
-	}
-	if after, err = time.ParseDuration(a); err != nil {
-		return 0, 0, fmt.Errorf("-fault-isolate AFTER: %w", err)
-	}
-	if dur, err = time.ParseDuration(d); err != nil {
-		return 0, 0, fmt.Errorf("-fault-isolate DUR: %w", err)
-	}
-	if after <= 0 || dur <= 0 {
-		return 0, 0, fmt.Errorf("-fault-isolate AFTER and DUR must both be positive, got %s:%s", after, dur)
-	}
-	return after, dur, nil
-}
 
 // startDaemon boots the exchange server, the optional cluster node, and
 // the /status + /metrics + /slo endpoints. One registry is shared by
 // the hub, the cluster links, the provenance store, and the rate/SLO
 // control plane, so /metrics is the whole daemon on one page.
 func startDaemon(sc serveConfig) (*daemon, error) {
-	sc = sc.withDefaults()
 	reg := metrics.NewRegistry()
 	reg.Info("immunity_build_info", "Build and protocol metadata (value is always 1).",
 		[2]string{"version", buildVersion},
@@ -814,38 +716,19 @@ func startDaemon(sc serveConfig) (*daemon, error) {
 		return nil, err
 	}
 	var node *cluster.Node
-	var fnet *fault.Network
 	if len(sc.peers) > 0 {
 		// Federate before the listener is up: the ring must be bound
 		// before the first device report or inbound peer-hello arrives.
 		// Resolve lets the node dial members it did not start with — a
 		// joiner admitted from its peer-hello, a member learned from a
 		// membership snapshot — at the address they advertise.
-		peers := sc.peers
-		if sc.faultAfter > 0 {
-			// -fault-isolate: thread every outbound peer transport through
-			// a fault network so the script below can cut this hub's
-			// outbound word (the asymmetric-partition shape: it still
-			// hears its peers, but its acks, lease renewals, and
-			// broadcasts vanish) and later heal it.
-			fnet = fault.NewNetwork()
-			peers = make([]cluster.Member, len(sc.peers))
-			for i, m := range sc.peers {
-				m.Transport = fnet.Wrap(sc.hubID, m.ID, m.Transport)
-				peers[i] = m
-			}
-		}
 		node, err = cluster.New(cluster.Config{
-			Self: sc.hubID, SelfAddr: sc.advertise, Hub: hub, Peers: peers,
+			Self: sc.hubID, SelfAddr: sc.advertise, Hub: hub, Peers: sc.peers,
 			Resolve: func(m wire.MemberInfo) immunity.Transport {
 				if m.Addr == "" {
 					return nil
 				}
-				t := immunity.NewTCPTransport(m.Addr, sc.peerDial...)
-				if fnet != nil {
-					return fnet.Wrap(sc.hubID, m.ID, t)
-				}
-				return t
+				return immunity.NewTCPTransport(m.Addr, sc.peerDial...)
 			},
 			FailoverAfter: sc.failoverAfter, LeaseTTL: sc.leaseTTL, NoLease: sc.noLease,
 			Metrics: reg,
@@ -868,37 +751,6 @@ func startDaemon(sc serveConfig) (*daemon, error) {
 		return nil, err
 	}
 	d := &daemon{hub: hub, node: node, srv: srv, rates: rates, adaptive: adaptive}
-	if fnet != nil {
-		// The -fault-isolate script: AFTER into the run, cut this hub's
-		// outbound word to every member it knows (the asymmetric
-		// partition — inbound sessions its peers dialed still deliver);
-		// DUR later, heal, severing every session the block touched so
-		// fresh handshakes resume from their cursors. The log lines are
-		// the partition drill's timing markers.
-		d.faultStop = make(chan struct{})
-		go func(stop chan struct{}, n *cluster.Node) {
-			select {
-			case <-time.After(sc.faultAfter):
-			case <-stop:
-				return
-			}
-			members := n.Ring().Members()
-			for _, m := range members {
-				if m != sc.hubID {
-					fnet.Block(sc.hubID, m)
-				}
-			}
-			fmt.Printf("immunityd: fault-isolate: outbound peer links cut (%d members, heal in %s)\n",
-				len(members)-1, sc.faultDur)
-			select {
-			case <-time.After(sc.faultDur):
-			case <-stop:
-				return
-			}
-			fnet.Heal()
-			fmt.Println("immunityd: fault-isolate: healed")
-		}(d.faultStop, node)
-	}
 	if sc.alertURL != "" || sc.alertExec != "" {
 		d.alerter = metrics.NewAlerter(reg, metrics.AlertConfig{
 			URL: sc.alertURL, Exec: sc.alertExec})
@@ -978,7 +830,6 @@ type ownerPayload struct {
 // runServe boots the long-running daemon and blocks until
 // SIGINT/SIGTERM.
 func runServe(sc serveConfig) error {
-	sc = sc.withDefaults() // the banner below prints the values in effect
 	d, err := startDaemon(sc)
 	if err != nil {
 		return err
@@ -1033,10 +884,6 @@ func runServe(sc serveConfig) error {
 			}
 		}
 		fmt.Println()
-		if sc.faultAfter > 0 {
-			fmt.Printf("immunityd: fault-isolate armed: outbound cut at +%s, heal %s later\n",
-				sc.faultAfter, sc.faultDur)
-		}
 	}
 	if st := d.hub.Status(); len(st.Provenance) > 0 {
 		fmt.Printf("immunityd: resumed %d signatures from provenance, fleet epoch %d\n", len(st.Provenance), st.Epoch)

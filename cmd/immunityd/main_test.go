@@ -4,6 +4,7 @@ import (
 	"crypto/tls"
 	"encoding/json"
 	"flag"
+	"fmt"
 	"io"
 	"net"
 	"net/http"
@@ -23,22 +24,173 @@ import (
 	"github.com/dimmunix/dimmunix/internal/workload"
 )
 
-// deadAddr is a -connect target for argument vectors that must fail
-// before anything is dialed.
+// deadAddr is a peer address for argument vectors that must fail before
+// anything is dialed.
 const deadAddr = "127.0.0.1:1"
 
+// parseServe turns a serve command line into a serveConfig exactly as
+// run does: newFlags, the mode check, serveConfigFromFlags.
+func parseServe(args ...string) (serveConfig, error) {
+	c, m, err := parseArgs(args)
+	if err != nil {
+		return serveConfig{}, err
+	}
+	if m&anyServe == 0 {
+		return serveConfig{}, fmt.Errorf("%v is not a serve command line (mode: %s)", args, m)
+	}
+	return serveConfigFromFlags(c)
+}
+
+// serve boots a daemon in the test process from a serve command line.
+// The exchange and HTTP listeners default to OS-assigned loopback ports;
+// a -listen or -http in args overrides them.
+func serve(t *testing.T, args ...string) *daemon {
+	t.Helper()
+	sc, err := parseServe(append([]string{"-serve", "-listen", "127.0.0.1:0", "-http", "127.0.0.1:0"}, args...)...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, err := startDaemon(sc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(d.Close)
+	return d
+}
+
+// waitFor polls cond until it returns nil and fails the test with cond's
+// last error once timeout has passed. It is this package's one wait: no
+// test here sleeps.
+func waitFor(t *testing.T, timeout time.Duration, what string, cond func() error) {
+	t.Helper()
+	tick := time.NewTicker(10 * time.Millisecond)
+	defer tick.Stop()
+	deadline := time.Now().Add(timeout)
+	for {
+		err := cond()
+		if err == nil {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out after %s waiting for %s: %v", timeout, what, err)
+		}
+		<-tick.C
+	}
+}
+
+// get fetches one page of a daemon's HTTP endpoint.
+func get(addr, path string) (string, error) {
+	c := http.Client{Timeout: 5 * time.Second}
+	resp, err := c.Get("http://" + addr + path)
+	if err != nil {
+		return "", err
+	}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		return "", err
+	}
+	if resp.StatusCode != http.StatusOK {
+		return "", fmt.Errorf("GET %s%s: %s: %s", addr, path, resp.Status, body)
+	}
+	return string(body), nil
+}
+
+// httpGet is get for a page the test cannot go on without.
+func httpGet(t *testing.T, addr, path string) string {
+	t.Helper()
+	page, err := get(addr, path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return page
+}
+
+// status fetches and decodes a daemon's /status page.
+func status(addr string) (statusPayload, error) {
+	var st statusPayload
+	page, err := get(addr, "/status")
+	if err == nil {
+		err = json.Unmarshal([]byte(page), &st)
+	}
+	return st, err
+}
+
+// sample reads one series off a /metrics page: a bare family name or a
+// family with its labels, as the page spells them. ok is false when the
+// page has no such series.
+func sample(page, series string) (v float64, ok bool) {
+	m := regexp.MustCompile(`(?m)^` + regexp.QuoteMeta(series) + ` ([0-9.e+-]+)$`).FindStringSubmatch(page)
+	if m == nil {
+		return 0, false
+	}
+	v, err := strconv.ParseFloat(m[1], 64)
+	return v, err == nil
+}
+
+// mustSample is sample for a series the page must carry.
+func mustSample(t *testing.T, page, series string) float64 {
+	t.Helper()
+	v, ok := sample(page, series)
+	if !ok {
+		t.Fatalf("/metrics missing sample %s:\n%s", series, page)
+	}
+	return v
+}
+
+// freePorts reserves n distinct loopback ports by listening and
+// immediately closing; the tiny reuse race is acceptable in tests.
+func freePorts(t *testing.T, n int) []string {
+	t.Helper()
+	addrs := make([]string, n)
+	lns := make([]net.Listener, n)
+	for i := range addrs {
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		lns[i] = ln
+		addrs[i] = ln.Addr().String()
+	}
+	for _, ln := range lns {
+		ln.Close()
+	}
+	return addrs
+}
+
+// hubID names hub i of a test cluster.
+func hubID(i int) string { return fmt.Sprintf("hub%d", i) }
+
+// peersOf is hub i's -peers value in a cluster whose hub j listens at
+// addrs[j]: every other hub.
+func peersOf(addrs []string, i int) string {
+	var peers []string
+	for j, addr := range addrs {
+		if j != i {
+			peers = append(peers, hubID(j)+"="+addr)
+		}
+	}
+	return strings.Join(peers, ",")
+}
+
 func TestImmunitydBadFlags(t *testing.T) {
-	if err := run([]string{"-connect", deadAddr, "-phones", "1"}); err == nil || !strings.Contains(err.Error(), "phones") {
-		t.Errorf("one phone must fail validation, got %v", err)
-	}
-	if err := run([]string{"-connect", deadAddr, "-threshold", "9", "-phones", "2"}); err == nil || !strings.Contains(err.Error(), "threshold") {
-		t.Errorf("threshold above phone count must fail, got %v", err)
-	}
-	if err := run([]string{"-transport", "smoke-signals"}); err == nil {
-		t.Error("an unregistered flag must fail")
+	// The fleet-workload client and the fault hook are gone: their flags
+	// are unknown, and so is anything never registered.
+	for _, args := range [][]string{
+		{"-transport", "smoke-signals"},
+		{"-connect", deadAddr, "-procs", "1"},
+		{"-connect", deadAddr, "-storm", "-token", "x"},
+		{"-serve", "-fault-isolate", "4s:4s"},
+	} {
+		if err := run(args); err == nil || !strings.Contains(err.Error(), "not defined") {
+			t.Errorf("%v: want an unknown-flag error, got %v", args, err)
+		}
 	}
 	if err := run([]string{"-storm", "-phones", "2"}); err == nil || !strings.Contains(err.Error(), "-connect") {
 		t.Errorf("-storm without -connect must fail naming -connect, got %v", err)
+	}
+	if err := run([]string{"-storm", "-connect", deadAddr, "-phones", "1"}); err == nil || !strings.Contains(err.Error(), "devices") {
+		t.Errorf("a one-device storm must fail validation, got %v", err)
 	}
 	if err := run(nil); err != nil {
 		t.Errorf("a bare immunityd prints the modes, got %v", err)
@@ -85,8 +237,7 @@ func TestImmunitydFlagModes(t *testing.T) {
 	// The argument vector that selects each mode and nothing else. A
 	// selector flag added to another mode's vector changes the mode, so
 	// selectors get their own cases below.
-	selectors := map[string]bool{"serve": true, "peers": true, "connect": true,
-		"storm": true, "gen-ca": true, "gen-cert": true, "mint-token": true}
+	selectors := map[string]bool{"serve": true, "peers": true, "storm": true, "gen-ca": true, "gen-cert": true, "mint-token": true}
 	bases := []struct {
 		m    mode
 		args []string
@@ -94,8 +245,7 @@ func TestImmunitydFlagModes(t *testing.T) {
 		{0, nil},
 		{modeServe, []string{"-serve"}},
 		{modeFederated, []string{"-serve", "-peers", "hub1=" + deadAddr}},
-		{modeClient, []string{"-connect", deadAddr}},
-		{modeStorm, []string{"-connect", deadAddr, "-storm"}},
+		{modeStorm, []string{"-storm", "-connect", deadAddr}},
 		{modeGen, []string{"-gen-cert", "leaf"}},
 		{modeMint, []string{"-mint-token"}},
 	}
@@ -124,11 +274,11 @@ func TestImmunitydFlagModes(t *testing.T) {
 	// Two selectors of different modes: whichever mode wins, the other
 	// selector is refused by the same walk.
 	for _, args := range [][]string{
-		{"-serve", "-connect", deadAddr},
-		{"-serve", "-storm"},
 		{"-serve", "-mint-token"},
-		{"-connect", deadAddr, "-gen-ca", t.TempDir()},
-		{"-connect", deadAddr, "-peers", "hub1=" + deadAddr},
+		{"-serve", "-storm"},
+		{"-storm", "-connect", deadAddr, "-gen-ca", t.TempDir()},
+		{"-serve", "-gen-ca", t.TempDir()},
+		{"-mint-token", "-peers", "hub1=" + deadAddr},
 		{"-mint-token", "-gen-cert", "leaf"},
 	} {
 		if err := run(args); err == nil || !strings.Contains(err.Error(), "does not apply") {
@@ -140,9 +290,10 @@ func TestImmunitydFlagModes(t *testing.T) {
 	// is dropped silently (no provenance file may appear either).
 	prov := filepath.Join(t.TempDir(), "never.prov")
 	for _, args := range [][]string{
-		{"-phones", "2", "-procs", "1", "-provenance", prov, "-listen", "1.2.3.4:5", "-http", "9.9.9.9:1",
-			"-ttl", "5s", "-tenant", "t9", "-slo-backlog", "3", "-ramp-rate", "7"},
-		{"-serve", "-phones", "9", "-sigs", "3"},
+		{"-threshold", "2", "-provenance", prov, "-listen", "1.2.3.4:5", "-http", "9.9.9.9:1",
+			"-ttl", "5s", "-tenant", "t9", "-slo-backlog", "3"},
+		{"-serve", "-ttl", "9s", "-hosts", "h"},
+		{"-mint-token", "-auth-key", "k", "-provenance", prov},
 		{"-connect", deadAddr, "-provenance", prov},
 	} {
 		if err := run(args); err == nil || !strings.Contains(err.Error(), "does not apply") {
@@ -154,30 +305,21 @@ func TestImmunitydFlagModes(t *testing.T) {
 	}
 }
 
-// TestServeConfigFromFlags: the flag → serveConfig translation, which
-// tests that build a serveConfig by hand skip.
+// TestServeConfigFromFlags: the flag → serveConfig translation every
+// daemon in these tests goes through.
 func TestServeConfigFromFlags(t *testing.T) {
-	parse := func(args ...string) (serveConfig, error) {
-		t.Helper()
-		fs, c := newFlags()
-		if err := fs.Parse(args); err != nil {
-			t.Fatal(err)
-		}
-		return serveConfigFromFlags(c)
-	}
-
-	sc, err := parse("-serve")
+	sc, err := parseServe("-serve")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sc.sloTarget != defaultSLOTarget || sc.sloInterval != defaultSLOInterval || sc.backlogTarget != defaultBacklogTarget {
+	if sc.sloTarget != 25*time.Millisecond || sc.sloInterval != time.Second || sc.backlogTarget != 1024 {
 		t.Errorf("defaults = %s/%s/%d, want the flag defaults", sc.sloTarget, sc.sloInterval, sc.backlogTarget)
 	}
 	if sc.advertise != sc.listen || sc.admit != 0 || sc.admitAuto || len(sc.peers) != 0 {
 		t.Errorf("standalone config = %+v", sc)
 	}
 
-	sc, err = parse("-serve", "-admit", "auto", "-admit-wait", "10s", "-slo-target", "500us", "-slo-interval", "250ms", "-slo-backlog", "7")
+	sc, err = parseServe("-serve", "-admit", "auto", "-admit-wait", "10s", "-slo-target", "500us", "-slo-interval", "250ms", "-slo-backlog", "7")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -185,23 +327,22 @@ func TestServeConfigFromFlags(t *testing.T) {
 		sc.sloTarget != 500*time.Microsecond || sc.sloInterval != 250*time.Millisecond || sc.backlogTarget != 7 {
 		t.Errorf("adaptive config = %+v", sc)
 	}
-	if sc, err = parse("-serve", "-admit", "3"); err != nil || sc.admit != 3 || sc.admitAuto {
+	if sc, err = parseServe("-serve", "-admit", "3"); err != nil || sc.admit != 3 || sc.admitAuto {
 		t.Errorf("-admit 3 = %+v, %v", sc, err)
 	}
 
-	sc, err = parse("-serve", "-hub", "h", "-peers", "a=x:1,b=y:2", "-advertise", "h.example:7676",
-		"-failover-after", "1s", "-fault-isolate", "4s:2s", "-lease-ttl", "2s", "-no-lease", "-leave")
+	sc, err = parseServe("-serve", "-hub", "h", "-peers", "a=x:1,b=y:2", "-advertise", "h.example:7676",
+		"-failover-after", "1s", "-lease-ttl", "2s", "-no-lease", "-leave")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if sc.hubID != "h" || len(sc.peers) != 2 || sc.peers[0].ID != "a" || sc.peers[1].ID != "b" ||
 		sc.advertise != "h.example:7676" || sc.failoverAfter != time.Second ||
-		sc.faultAfter != 4*time.Second || sc.faultDur != 2*time.Second ||
 		sc.leaseTTL != 2*time.Second || !sc.noLease || !sc.leave {
 		t.Errorf("federated config = %+v", sc)
 	}
 
-	sc, err = parse("-serve", "-auth-key", "k", "-tenant-threshold", "beta=3")
+	sc, err = parseServe("-serve", "-auth-key", "k", "-tenant-threshold", "beta=3")
 	if err != nil || sc.verifier == nil || sc.tenantThresholds["beta"] != 3 {
 		t.Errorf("auth config = %+v, %v", sc, err)
 	}
@@ -211,13 +352,13 @@ func TestServeConfigFromFlags(t *testing.T) {
 		args []string
 	}{
 		{"-tls-cert/-tls-key", []string{"-serve", "-tls-ca", "ca.pem"}},
-		{"-failover-after", []string{"-serve", "-hub", "h", "-peers", "a=x:1", "-fault-isolate", "4s:4s"}},
 		{"-hub", []string{"-serve", "-peers", "a=x:1"}},
 		{"id=addr", []string{"-serve", "-hub", "h", "-peers", "nonsense"}},
-		{"AFTER:DUR", []string{"-serve", "-hub", "h", "-peers", "a=x:1", "-failover-after", "1s", "-fault-isolate", "4s"}},
 		{"'auto'", []string{"-serve", "-admit", "many"}},
+		{"positive", []string{"-serve", "-slo-backlog", "0"}},
+		{"positive", []string{"-serve", "-slo-interval", "-1s"}},
 	} {
-		if _, err := parse(tc.args...); err == nil || !strings.Contains(err.Error(), tc.want) {
+		if _, err := parseServe(tc.args...); err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("%v: want an error naming %s, got %v", tc.args, tc.want, err)
 		}
 	}
@@ -225,16 +366,12 @@ func TestServeConfigFromFlags(t *testing.T) {
 
 // TestImmunitydServeAndClientMode is the daemon loop end to end:
 // boot the daemon (TCP exchange + durable provenance + HTTP /status),
-// run the fleet workload in client mode against it over real sockets,
-// and assert through /status that confirm-before-arm gating held.
+// run the fleet workload against it over real sockets, and assert
+// through /status that confirm-before-arm gating held.
 func TestImmunitydServeAndClientMode(t *testing.T) {
 	const threshold = 2
 	prov := filepath.Join(t.TempDir(), "fleet.prov")
-	d, err := startDaemon(serveConfig{listen: "127.0.0.1:0", httpAddr: "127.0.0.1:0", threshold: threshold, provenance: prov})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer d.Close()
+	d := serve(t, "-threshold", strconv.Itoa(threshold), "-provenance", prov)
 
 	cfg := workload.FleetImmunityConfig{
 		Phones:           3,
@@ -257,17 +394,9 @@ func TestImmunitydServeAndClientMode(t *testing.T) {
 	// The HTTP endpoint tells the same story: exactly one armed
 	// signature, with exactly threshold confirmations, and nothing armed
 	// below it.
-	resp, err := http.Get("http://" + d.HTTPAddr() + "/status")
-	if err != nil {
-		t.Fatal(err)
-	}
-	body, err := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if err != nil {
-		t.Fatal(err)
-	}
+	body := httpGet(t, d.HTTPAddr(), "/status")
 	var st wire.Status
-	if err := json.Unmarshal(body, &st); err != nil {
+	if err := json.Unmarshal([]byte(body), &st); err != nil {
 		t.Fatal(err)
 	}
 	if st.Epoch != 1 || st.Threshold != threshold {
@@ -292,7 +421,7 @@ func TestImmunitydServeAndClientMode(t *testing.T) {
 	var raw struct {
 		Provenance []map[string]json.RawMessage `json:"provenance"`
 	}
-	if err := json.Unmarshal(body, &raw); err != nil {
+	if err := json.Unmarshal([]byte(body), &raw); err != nil {
 		t.Fatal(err)
 	}
 	hubProv := d.hub.Status().Provenance
@@ -312,11 +441,7 @@ func TestImmunitydServeAndClientMode(t *testing.T) {
 
 	// Daemon restart over the same provenance file resumes armed state.
 	d.Close()
-	d2, err := startDaemon(serveConfig{listen: "127.0.0.1:0", threshold: threshold, provenance: prov})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer d2.Close()
+	d2 := serve(t, "-threshold", strconv.Itoa(threshold), "-provenance", prov)
 	if st := d2.hub.Status(); st.Epoch != 1 || len(st.Provenance) != 1 || !st.Provenance[0].Armed {
 		t.Fatalf("restarted daemon status = %+v, want the armed signature back", st)
 	}
@@ -332,27 +457,20 @@ func TestImmunitydTLSAuthServe(t *testing.T) {
 	if err := runGenTLS(dir, "hub0", "", ""); err != nil {
 		t.Fatal(err)
 	}
-	cert, err := tls.LoadX509KeyPair(filepath.Join(dir, "hub0.pem"), filepath.Join(dir, "hub0-key.pem"))
-	if err != nil {
+	if _, err := tls.LoadX509KeyPair(filepath.Join(dir, "hub0.pem"), filepath.Join(dir, "hub0-key.pem")); err != nil {
 		t.Fatalf("generated keypair unusable: %v", err)
 	}
 	pool, err := loadCertPool(filepath.Join(dir, "ca.pem"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	key := []byte("daemon-test-key")
-	d, err := startDaemon(serveConfig{
-		listen: "127.0.0.1:0", httpAddr: "127.0.0.1:0", threshold: 2,
-		verifier: auth.NewStatic(key), serveTLS: auth.ServerConfig(cert, pool),
-		tenantThresholds: map[string]int{"beta": 3},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer d.Close()
+	const key = "daemon-test-key"
+	d := serve(t, "-threshold", "2", "-auth-key", key, "-tenant-threshold", "beta=3",
+		"-tls-cert", filepath.Join(dir, "hub0.pem"), "-tls-key", filepath.Join(dir, "hub0-key.pem"),
+		"-tls-ca", filepath.Join(dir, "ca.pem"))
 
 	clientTLS := auth.ClientConfig(pool, "")
-	token, err := auth.Mint(key, auth.Claims{Tenant: "alpha", Device: auth.WildcardDevice})
+	token, err := auth.Mint([]byte(key), auth.Claims{Tenant: "alpha", Device: auth.WildcardDevice})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -381,7 +499,7 @@ func TestImmunitydTLSAuthServe(t *testing.T) {
 	}
 	// Another tenant's run is not stale state: its phones never receive
 	// alpha's arming, so the scenario runs and arms at beta's threshold.
-	betaToken, err := auth.Mint(key, auth.Claims{Tenant: "beta", Device: auth.WildcardDevice})
+	betaToken, err := auth.Mint([]byte(key), auth.Claims{Tenant: "beta", Device: auth.WildcardDevice})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -425,11 +543,8 @@ func TestImmunitydAuthFlagValidation(t *testing.T) {
 	if err := run([]string{"-mint-token"}); err == nil {
 		t.Error("-mint-token without -auth-key must fail")
 	}
-	if err := run([]string{"-token", "x", "-phones", "2"}); err == nil {
-		t.Error("-token without -connect must fail")
-	}
-	if err := run([]string{"-tls-ca", "nope.pem", "-phones", "2"}); err == nil {
-		t.Error("-tls-ca without -connect or -serve must fail")
+	if err := run([]string{"-tls-ca", "nope.pem"}); err == nil {
+		t.Error("-tls-ca without -serve must fail")
 	}
 	if err := run([]string{"-serve", "-tls-cert", "c.pem"}); err == nil {
 		t.Error("-tls-cert without -tls-key must fail")
@@ -437,8 +552,8 @@ func TestImmunitydAuthFlagValidation(t *testing.T) {
 	if err := run([]string{"-serve", "-auth-key", "k", "-auth-keyring", "f"}); err == nil {
 		t.Error("-auth-key with -auth-keyring must fail")
 	}
-	if err := run([]string{"-auth-key", "k", "-phones", "2"}); err == nil {
-		t.Error("-auth-key outside -serve must fail")
+	if err := run([]string{"-auth-key", "k", "-gen-cert", "leaf"}); err == nil {
+		t.Error("-auth-key outside -serve and -mint-token must fail")
 	}
 	if _, err := parseTenantThresholds("beta=0"); err == nil {
 		t.Error("zero tenant threshold must fail")
@@ -452,71 +567,18 @@ func TestImmunitydAuthFlagValidation(t *testing.T) {
 	}
 }
 
-// httpGet fetches one page of the daemon's HTTP endpoint.
-func httpGet(t *testing.T, d *daemon, path string) string {
-	t.Helper()
-	resp, err := http.Get("http://" + d.HTTPAddr() + path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	body, err := io.ReadAll(resp.Body)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return string(body)
-}
-
-// freePorts reserves n distinct loopback ports by listening and
-// immediately closing; the tiny reuse race is acceptable in tests.
-func freePorts(t *testing.T, n int) []string {
-	t.Helper()
-	addrs := make([]string, n)
-	lns := make([]net.Listener, n)
-	for i := range addrs {
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		lns[i] = ln
-		addrs[i] = ln.Addr().String()
-	}
-	for _, ln := range lns {
-		ln.Close()
-	}
-	return addrs
-}
-
-// TestImmunitydFederatedCluster boots the 3-daemon topology the CI
-// drills use — three serve-mode hubs federated via -peers — runs the
-// client-mode fleet workload against two different hubs, and asserts
-// through each hub's status that arming was gated at the owner and
-// propagated cluster-wide.
+// TestImmunitydFederatedCluster boots three serve-mode hubs federated
+// via -peers in the test process, runs the fleet workload against two
+// different hubs, and asserts through each hub's status that arming was
+// gated at the owner and propagated cluster-wide.
 func TestImmunitydFederatedCluster(t *testing.T) {
 	const threshold = 2
-	ids := []string{"hub0", "hub1", "hub2"}
 	addrs := freePorts(t, 3)
 	daemons := make([]*daemon, 3)
+	ids := make([]string, 3)
 	for i := range daemons {
-		var peerSpec string
-		for j := range addrs {
-			if j != i {
-				if peerSpec != "" {
-					peerSpec += ","
-				}
-				peerSpec += ids[j] + "=" + addrs[j]
-			}
-		}
-		members, err := parsePeers(peerSpec)
-		if err != nil {
-			t.Fatal(err)
-		}
-		d, err := startDaemon(serveConfig{listen: addrs[i], httpAddr: "127.0.0.1:0", threshold: threshold, hubID: ids[i], peers: members})
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer d.Close()
-		daemons[i] = d
+		ids[i] = hubID(i)
+		daemons[i] = serve(t, "-hub", ids[i], "-listen", addrs[i], "-threshold", strconv.Itoa(threshold), "-peers", peersOf(addrs, i))
 	}
 
 	cfg := workload.FleetImmunityConfig{
@@ -538,33 +600,21 @@ func TestImmunitydFederatedCluster(t *testing.T) {
 	}
 
 	// The workload only observes the two dialed hubs; the third hears
-	// about the arming asynchronously over the peer protocol — give the
-	// broadcast a bounded moment to land before asserting.
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		all := true
-		for _, d := range daemons {
-			if d.hub.Status().Epoch != 1 {
-				all = false
+	// about the arming asynchronously over the peer protocol.
+	waitFor(t, 10*time.Second, "the arming on every hub", func() error {
+		for i, d := range daemons {
+			if e := d.hub.Status().Epoch; e != 1 {
+				return fmt.Errorf("%s epoch = %d, want 1 (arming not propagated cluster-wide)", ids[i], e)
 			}
 		}
-		if all {
-			break
-		}
-		if time.Now().After(deadline) {
-			break // fall through to the precise per-hub failure below
-		}
-		time.Sleep(2 * time.Millisecond)
-	}
+		return nil
+	})
 
 	// Every hub installed the arming; exactly one hub — the owner —
 	// holds the confirmation set, everyone else a replicated record.
 	ownersWithConfirms := 0
 	for i, d := range daemons {
 		st := d.hub.Status()
-		if st.Epoch != 1 {
-			t.Fatalf("%s epoch = %d, want 1 (arming not propagated cluster-wide)", ids[i], st.Epoch)
-		}
 		if st.Hub != ids[i] || st.Threshold != threshold || st.Cluster == nil || !reflect.DeepEqual(st.Cluster.Members, ids) {
 			t.Fatalf("%s status missing cluster fields: %+v", ids[i], st)
 		}
@@ -591,7 +641,7 @@ func TestImmunitydFederatedCluster(t *testing.T) {
 	// Every hub of the topology serves /metrics: the hub counters, the
 	// push-path histograms, and the per-peer cluster link series.
 	for i, d := range daemons {
-		page := httpGet(t, d, "/metrics")
+		page := httpGet(t, d.HTTPAddr(), "/metrics")
 		for _, series := range []string{
 			"immunity_hub_reports_total", "immunity_hub_armed_total 1",
 			"# TYPE immunity_hub_push_batch_size histogram",
@@ -629,31 +679,19 @@ func TestImmunitydParseAdmit(t *testing.T) {
 			t.Errorf("parseAdmit(%q) = (%d, %v, %v), want (%d, %v)", tc.in, capN, auto, err, tc.cap, tc.auto)
 		}
 	}
-	if err := run([]string{"-connect", deadAddr, "-phones", "2", "-procs", "1", "-admit", "auto"}); err == nil {
+	if err := run([]string{"-mint-token", "-auth-key", "k", "-admit", "auto"}); err == nil {
 		t.Error("-admit outside -serve must fail")
-	}
-	if err := run([]string{"-connect", deadAddr, "-phones", "2", "-procs", "1", "-ramp-flood", "1s"}); err == nil {
-		t.Error("-ramp-flood outside -storm must fail")
 	}
 }
 
-// TestImmunitydAdaptiveAdmission boots a daemon with -admit auto
-// semantics and drives the ramped storm against it over TCP: the AIMD
-// controller must grow during the paced warmup, collapse capacity when
-// the full-batch flood breaches the latency SLO, shed nothing, and the
-// whole loop must be observable — AIMD trace counters and live capacity
-// on /metrics, breach counts and state on /slo, per-second rate gauges
-// on /status.
+// TestImmunitydAdaptiveAdmission boots a daemon with -admit auto and
+// drives the ramped storm against it over TCP: the AIMD controller must
+// grow during the paced warmup, collapse capacity when the full-batch
+// flood breaches the latency SLO, shed nothing, and the whole loop must
+// be observable — AIMD trace counters and live capacity on /metrics,
+// breach counts and state on /slo, per-second rate gauges on /status.
 func TestImmunitydAdaptiveAdmission(t *testing.T) {
-	d, err := startDaemon(serveConfig{
-		listen: "127.0.0.1:0", httpAddr: "127.0.0.1:0",
-		threshold: 2, admitAuto: true, admitWait: 10 * time.Second,
-		sloTarget: 500 * time.Microsecond, sloInterval: 100 * time.Millisecond,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer d.Close()
+	d := serve(t, "-threshold", "2", "-admit", "auto", "-admit-wait", "10s", "-slo-target", "500us", "-slo-interval", "100ms")
 
 	res, err := workload.RunReportStorm(workload.StormConfig{
 		Devices: 16,
@@ -669,33 +707,20 @@ func TestImmunitydAdaptiveAdmission(t *testing.T) {
 		t.Fatalf("armed %d/64 — the ramped storm lost signatures", res.Armed)
 	}
 
-	scrape := func(path string) string { return httpGet(t, d, path) }
-	page := scrape("/metrics")
-	sample := func(name string) float64 {
-		re := regexp.MustCompile(`(?m)^` + regexp.QuoteMeta(name) + ` ([0-9.e+-]+)$`)
-		m := re.FindStringSubmatch(page)
-		if m == nil {
-			t.Fatalf("/metrics missing sample %s:\n%s", name, page)
-		}
-		v, err := strconv.ParseFloat(m[1], 64)
-		if err != nil {
-			t.Fatalf("sample %s = %q: %v", name, m[1], err)
-		}
-		return v
-	}
-	if n := sample("immunity_hub_admission_aimd_increases_total"); n == 0 {
+	page := httpGet(t, d.HTTPAddr(), "/metrics")
+	if n := mustSample(t, page, "immunity_hub_admission_aimd_increases_total"); n == 0 {
 		t.Error("warmup produced no AIMD increase")
 	}
-	if n := sample("immunity_hub_admission_aimd_decreases_total"); n == 0 {
+	if n := mustSample(t, page, "immunity_hub_admission_aimd_decreases_total"); n == 0 {
 		t.Error("flood produced no AIMD decrease")
 	}
-	if n := sample("immunity_hub_admission_capacity"); n >= 8 {
+	if n := mustSample(t, page, "immunity_hub_admission_capacity"); n >= 8 {
 		t.Errorf("capacity = %v after the flood, want converged below the initial 8", n)
 	}
-	if n := sample("immunity_hub_admission_shed_total"); n != 0 {
+	if n := mustSample(t, page, "immunity_hub_admission_shed_total"); n != 0 {
 		t.Errorf("shed = %v under a generous wait", n)
 	}
-	if n := sample("immunity_hub_uptime_seconds"); n <= 0 {
+	if n := mustSample(t, page, "immunity_hub_uptime_seconds"); n <= 0 {
 		t.Errorf("uptime gauge = %v, want > 0", n)
 	}
 	if !strings.Contains(page, `immunity_build_info{version=`) {
@@ -722,7 +747,7 @@ func TestImmunitydAdaptiveAdmission(t *testing.T) {
 		Breaches uint64  `json:"breaches_total"`
 		Target   float64 `json:"target"`
 	}
-	if err := json.Unmarshal([]byte(scrape("/slo")), &slos); err != nil {
+	if err := json.Unmarshal([]byte(httpGet(t, d.HTTPAddr(), "/slo")), &slos); err != nil {
 		t.Fatalf("/slo decode: %v", err)
 	}
 	byName := map[string]int{}
@@ -746,11 +771,9 @@ func TestImmunitydAdaptiveAdmission(t *testing.T) {
 
 	// /status: the storm is inside the 10s window, so the report rate
 	// gauge must still be nonzero.
-	var st struct {
-		Rates map[string]map[string]float64 `json:"rates"`
-	}
-	if err := json.Unmarshal([]byte(scrape("/status")), &st); err != nil {
-		t.Fatalf("/status decode: %v", err)
+	st, err := status(d.HTTPAddr())
+	if err != nil {
+		t.Fatalf("/status: %v", err)
 	}
 	if st.Rates["immunity_hub_reports_per_second"]["10s"] <= 0 {
 		t.Errorf("/status rates missing a live report rate: %+v", st.Rates)
@@ -763,14 +786,7 @@ func TestImmunitydAdaptiveAdmission(t *testing.T) {
 // shows the burst was delayed (bounded degradation), not shed and not
 // buffered without limit.
 func TestImmunitydMetricsAndStorm(t *testing.T) {
-	d, err := startDaemon(serveConfig{
-		listen: "127.0.0.1:0", httpAddr: "127.0.0.1:0",
-		threshold: 2, admit: 1, admitWait: 10 * time.Second,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer d.Close()
+	d := serve(t, "-threshold", "2", "-admit", "1", "-admit-wait", "10s")
 
 	res, err := workload.RunReportStorm(workload.StormConfig{
 		Devices: 6,
@@ -790,10 +806,10 @@ func TestImmunitydMetricsAndStorm(t *testing.T) {
 	// gauge settles so the teardown accounting is asserted without racing
 	// it.
 	var page string
-	scrape := func() string {
+	waitFor(t, 10*time.Second, "every storm session to close", func() error {
 		resp, err := http.Get("http://" + d.HTTPAddr() + "/metrics")
 		if err != nil {
-			t.Fatal(err)
+			return err
 		}
 		defer resp.Body.Close()
 		if ct := resp.Header.Get("Content-Type"); !strings.Contains(ct, "text/plain") {
@@ -801,45 +817,27 @@ func TestImmunitydMetricsAndStorm(t *testing.T) {
 		}
 		body, err := io.ReadAll(resp.Body)
 		if err != nil {
-			t.Fatal(err)
+			return err
 		}
-		return string(body)
-	}
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		page = scrape()
-		if strings.Contains(page, "immunity_hub_device_sessions 0") || time.Now().After(deadline) {
-			break
+		page = string(body)
+		if n, _ := sample(page, "immunity_hub_device_sessions"); n != 0 {
+			return fmt.Errorf("device_sessions = %v after all storm sessions closed, want 0", n)
 		}
-		time.Sleep(2 * time.Millisecond)
-	}
-	sample := func(name string) float64 {
-		re := regexp.MustCompile(`(?m)^` + regexp.QuoteMeta(name) + ` ([0-9.e+-]+)$`)
-		m := re.FindStringSubmatch(page)
-		if m == nil {
-			t.Fatalf("/metrics missing sample %s:\n%s", name, page)
-		}
-		v, err := strconv.ParseFloat(m[1], 64)
-		if err != nil {
-			t.Fatalf("sample %s = %q: %v", name, m[1], err)
-		}
-		return v
-	}
-	if n := sample("immunity_hub_admission_capacity"); n != 1 {
+		return nil
+	})
+	if n := mustSample(t, page, "immunity_hub_admission_capacity"); n != 1 {
 		t.Errorf("admission capacity = %v, want the configured 1", n)
 	}
-	if n := sample("immunity_hub_armed_total"); n < 16 {
+	if n := mustSample(t, page, "immunity_hub_armed_total"); n < 16 {
 		t.Errorf("armed_total = %v, want >= 16", n)
 	}
-	if n := sample("immunity_hub_admission_delayed_total") + sample("immunity_hub_admission_shed_total"); n == 0 {
+	if n := mustSample(t, page, "immunity_hub_admission_delayed_total") + mustSample(t, page, "immunity_hub_admission_shed_total"); n == 0 {
 		t.Error("storm produced no delayed/shed verdicts — admission is not engaging")
 	}
-	if n := sample("immunity_hub_admission_shed_total"); n != 0 {
+	if n := mustSample(t, page, "immunity_hub_admission_shed_total"); n != 0 {
 		t.Errorf("shed = %v under a generous wait — arming completeness was luck", n)
 	}
-	if n := sample("immunity_hub_device_sessions"); n != 0 {
-		t.Errorf("device_sessions = %v after all storm sessions closed, want 0", n)
-	}
+	mustSample(t, page, "immunity_hub_device_sessions")
 	for _, series := range []string{
 		"# TYPE immunity_hub_report_seconds histogram",
 		"immunity_hub_reports_total",

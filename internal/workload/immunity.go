@@ -299,8 +299,8 @@ func RunFleetImmunity(cfg FleetImmunityConfig) (FleetImmunityResult, error) {
 	defer hubs.close()
 	res.Transport = hubs.label()
 	// A daemon carries state across runs. If it already armed this
-	// scenario's signature (an earlier -connect run, or a -provenance
-	// store from one), the injected deadlock would be avoided instead of
+	// scenario's signature (an earlier run, or a -provenance store from
+	// one), the injected deadlock would be avoided instead of
 	// detected and the run would time out with a misleading error — fail
 	// up front with the real cause. Only the phones' own tenant counts
 	// (another tenant's arming is never pushed to them), and a tenant's
@@ -417,32 +417,6 @@ func RunFleetImmunity(cfg FleetImmunityConfig) (FleetImmunityResult, error) {
 	}
 	res.DeltaBatches, res.DeltaSignatures = hubs.batching()
 	return res, nil
-}
-
-// FormatFleetImmunity renders a fleet immunity result for the CLI.
-func FormatFleetImmunity(res FleetImmunityResult) string {
-	cfg := res.Config
-	out := fmt.Sprintf("fleet immunity: %d phones × %d live procs, confirm-before-arm threshold %d, transport %s\n",
-		cfg.Phones, cfg.ProcsPerPhone, cfg.ConfirmThreshold, res.Transport)
-	out += fmt.Sprintf("  on-device immunity   %12s  (detection → all %d procs on the detecting phone armed, no restart)\n",
-		res.DeviceImmunity.Round(time.Microsecond), cfg.ProcsPerPhone)
-	if cfg.ConfirmThreshold > 1 {
-		out += fmt.Sprintf("  threshold gating     %6d/%d remote procs armed below %d confirmations (want 0)\n",
-			res.RemoteArmedBeforeThreshold, res.RemoteProcsSampled, cfg.ConfirmThreshold)
-	}
-	out += fmt.Sprintf("  fleet arm            %12s  (last confirming detection → exchange armed)\n",
-		res.FleetArm.Round(time.Microsecond))
-	out += fmt.Sprintf("  fleet immunity       %12s  (last confirming detection → last of %d procs on %d phones armed)\n",
-		res.FleetImmunity.Round(time.Microsecond), cfg.Phones*cfg.ProcsPerPhone, cfg.Phones)
-	if res.DeltaBatches > 0 {
-		out += fmt.Sprintf("  delta batching       %6d signatures in %d pushes\n", res.DeltaSignatures, res.DeltaBatches)
-	}
-	out += "provenance:\n"
-	for _, prov := range res.Provenance {
-		out += fmt.Sprintf("  %s first-seen=%s confirms=%d %v armed=%v\n",
-			prov.Key, prov.FirstSeen, prov.Confirmations, prov.ConfirmedBy, prov.Armed)
-	}
-	return out
 }
 
 // propagationSig builds the i-th synthetic benchmark signature (hot site

@@ -87,13 +87,16 @@ type StormConfig struct {
 // StormRamp shapes a two-phase (warmup, then flood) storm.
 type StormRamp struct {
 	// Warmup is how long each device paces single-signature reports at
-	// WarmupRate per second (default 20/s), cycling through the set.
-	Warmup     time.Duration
-	WarmupRate int
+	// stormWarmupRate per second, cycling through the set.
+	Warmup time.Duration
 	// Flood is how long each device then sends full-set report batches
 	// back to back.
 	Flood time.Duration
 }
+
+// stormWarmupRate is the reports per second each device paces during a
+// ramp's warmup: the demand signal an AIMD controller grows on.
+const stormWarmupRate = 20
 
 // DefaultStormConfig is the CI storm shape: 8 devices hammering 32
 // shared signatures through a 2-permit pool with a generous wait, so
@@ -363,11 +366,7 @@ func (d *stormSession) drive(ramp *StormRamp, sigs []wire.Signature) error {
 		}
 		return nil
 	}
-	rate := ramp.WarmupRate
-	if rate <= 0 {
-		rate = 20
-	}
-	pace := time.Second / time.Duration(rate)
+	pace := time.Second / stormWarmupRate
 	for s, end := 0, time.Now().Add(ramp.Warmup); time.Now().Before(end); s++ {
 		i := s % len(sigs)
 		if err := send(sigs[i : i+1]); err != nil {
@@ -450,12 +449,8 @@ func FormatStorm(res StormResult) string {
 	out := fmt.Sprintf("report storm: %d devices × %d shared signatures, transport %s\n",
 		cfg.Devices, cfg.Sigs, res.Transport)
 	if r := cfg.Ramp; r != nil {
-		rate := r.WarmupRate
-		if rate <= 0 {
-			rate = 20
-		}
 		out += fmt.Sprintf("  ramp                 warmup %s (%d single-sig reports/s/device), flood %s (full batches)\n",
-			r.Warmup, rate, r.Flood)
+			r.Warmup, stormWarmupRate, r.Flood)
 	}
 	out += fmt.Sprintf("  armed cluster-wide   %6d/%d in %s\n", res.Armed, cfg.Sigs, res.Elapsed.Round(time.Millisecond))
 	switch {

@@ -379,7 +379,7 @@ func TestDrillMutualTLSTenants(t *testing.T) {
 	hubs := make([]*daemon, 3)
 	for i := range hubs {
 		hubs[i] = serve(t, append([]string{"-hub", hubID(i), "-listen", addrs[i], "-peers", peersOf(addrs[:3], i),
-			"-threshold", "2", "-tenant-threshold", "t2=3", "-admit", "auto", "-auth-key", key}, tlsArgs(fleet, hubID(i))...)...)
+			"-threshold", "2", "-tenant-threshold", "t2=3", "-auth-key", key}, tlsArgs(fleet, hubID(i))...)...)
 	}
 	pool, err := loadCertPool(ca)
 	if err != nil {

@@ -20,22 +20,21 @@
 // format) and /slo (each objective's ok/warn/breach verdict, breach
 // count, and last transition, as JSON).
 //
-// -admit N bounds the report path: at most N report messages (device
-// reports and peer forward-reports) are processed concurrently, an
-// over-capacity message waits up to -admit-wait (the device sees a slow
-// ack; TCP sees backpressure), and a message still waiting at the
-// deadline is shed — dropped without killing the session, recovered by
-// the client's full-history re-report on its next reconnect. -admit
-// auto replaces the fixed capacity with an AIMD controller: every
+// Admission control is always on. A permit pool bounds the report path
+// (device reports and peer forward-reports): an over-capacity message
+// waits up to -admit-wait (the device sees a slow ack; TCP sees
+// backpressure), and a message still waiting at the deadline is shed —
+// dropped without killing the session, recovered by the client's
+// full-history re-report on its next reconnect. The pool starts at 8
+// permits and an AIMD controller sizes it between 1 and 64: every
 // -slo-interval the daemon evaluates the report-latency objective (p99
 // wait-included report handling ≤ -slo-target), shed-zero, and the
 // backlog objectives (-slo-backlog: push-queue depth and summed
-// forward-outbox lag), and resizes the pool on each verdict — additive
-// increase while ok and sessions were queueing, multiplicative decrease
-// on breach or shed. The immunity_hub_admission_* series trace every
-// step. On breach/clear transitions the hub can page: -alert-url POSTs
-// the alert as JSON, -alert-exec runs a shell command with the alert in
-// IMMUNITY_ALERT_* env vars, behind a cooldown dedup guard.
+// forward-outbox lag). Capacity grows by one while report latency and
+// both backlogs are ok and any report arrived since the last tick, and
+// halves on a breach of any of them or on a shed. The
+// immunity_hub_admission_* series trace every step; an external pager
+// scrapes immunity_slo_state and immunity_slo_breaches_total.
 //
 // With -hub and -peers the hub federates into a cluster
 // (internal/immunity/cluster): each signature is owned by exactly one
@@ -94,7 +93,7 @@
 //
 // Usage:
 //
-//	immunityd -serve [-listen ADDR] [-http ADDR] [-threshold N] [-provenance FILE] [-admit N|auto -admit-wait D] [-slo-target D -slo-interval D -slo-backlog N] [-alert-url URL] [-alert-exec CMD] [-tls-cert F -tls-key F [-tls-ca F]] [-auth-key K | -auth-keyring F] [-tenant-threshold T=N,...] [-hub ID -peers ID=ADDR,... [-advertise ADDR] [-failover-after D] [-lease-ttl D] [-no-lease] [-leave]]
+//	immunityd -serve [-listen ADDR] [-http ADDR] [-threshold N] [-provenance FILE] [-admit-wait D] [-slo-target D -slo-interval D -slo-backlog N] [-tls-cert F -tls-key F [-tls-ca F]] [-auth-key K | -auth-keyring F] [-tenant-threshold T=N,...] [-hub ID -peers ID=ADDR,... [-advertise ADDR] [-failover-after D] [-lease-ttl D] [-no-lease] [-leave]]
 //	immunityd -storm -connect ADDR[,ADDR...] [-phones N] [-sigs N] [-ramp-warmup D -ramp-flood D] [-timeout D]
 //	immunityd -gen-ca DIR | -gen-cert NAME -ca DIR [-hosts H,...] | -mint-token -auth-key K [-tenant T] [-device D] [-ttl D]
 package main
@@ -168,8 +167,8 @@ var flagModes = func() map[string]mode {
 	t := make(map[string]mode)
 	for m, flags := range map[mode]string{
 		anyServe | modeMint: "auth-key",
-		anyServe: "serve listen http provenance threshold admit admit-wait slo-target slo-interval slo-backlog " +
-			"alert-url alert-exec tls-cert tls-key tls-ca auth-keyring tenant-threshold",
+		anyServe: "serve listen http provenance threshold admit-wait slo-target slo-interval slo-backlog " +
+			"tls-cert tls-key tls-ca auth-keyring tenant-threshold",
 		modeFederated: "peers hub advertise failover-after leave lease-ttl no-lease",
 		modeStorm:     "storm connect phones sigs timeout ramp-warmup ramp-flood",
 		modeGen:       "gen-ca gen-cert ca hosts",
@@ -188,7 +187,7 @@ type cli struct {
 	// serveConfigFromFlags parses the raw strings beside it.
 	sc                                                    serveConfig
 	serve                                                 bool
-	peers, admit                                          string
+	peers                                                 string
 	tlsCert, tlsKey, tlsCA, authKeyring, tenantThresholds string
 	// The storm.
 	storm                          bool
@@ -219,13 +218,10 @@ func newFlags() (*flag.FlagSet, *cli) {
 	fs.BoolVar(&c.sc.leave, "leave", false, "leave the membership gracefully on shutdown (hand off owned keys, drain outboxes)")
 	fs.DurationVar(&c.sc.leaseTTL, "lease-ttl", 0, "failure detection: quorum-lease lifetime (0 derives from -failover-after; always clamped to the probe timeout plus the suspicion window)")
 	fs.BoolVar(&c.sc.noLease, "no-lease", false, "failure detection: disable the quorum lease and fall back to epoch fencing alone (both partition sides keep arming)")
-	fs.StringVar(&c.admit, "admit", "", "report-path admission: a pool capacity, or 'auto' for AIMD adaptive capacity driven by the SLOs (empty disables)")
 	fs.DurationVar(&c.sc.admitWait, "admit-wait", 5*time.Second, "bounded wait before an over-capacity report is shed (keep well below the 30s wire write timeout)")
 	fs.DurationVar(&c.sc.sloTarget, "slo-target", 25*time.Millisecond, "latency SLO: p99 report-handling time (admission wait included) must stay at or under this")
 	fs.DurationVar(&c.sc.sloInterval, "slo-interval", time.Second, "SLO evaluation and rate-sampling tick")
 	fs.IntVar(&c.sc.backlogTarget, "slo-backlog", 1024, "backlog SLO: the push-queue depth and the summed forward-outbox lag must each stay at or under this many frames")
-	fs.StringVar(&c.sc.alertURL, "alert-url", "", "POST SLO breach/clear alerts to this webhook URL as JSON")
-	fs.StringVar(&c.sc.alertExec, "alert-exec", "", "run this shell command on SLO breach/clear (alert in IMMUNITY_ALERT_* env)")
 	fs.StringVar(&c.tlsCert, "tls-cert", "", "serve the exchange listener under TLS with this certificate (PEM; requires -tls-key)")
 	fs.StringVar(&c.tlsKey, "tls-key", "", "the TLS certificate's private key (PEM)")
 	fs.StringVar(&c.tlsCA, "tls-ca", "", "trust anchors (PEM) the hub verifies peer-hub client certificates and outbound peer dials with (mutual TLS; requires -tls-cert/-tls-key)")
@@ -355,9 +351,6 @@ func serveConfigFromFlags(c *cli) (serveConfig, error) {
 		return sc, fmt.Errorf("-slo-target, -slo-interval and -slo-backlog must be positive")
 	}
 	var err error
-	if sc.admit, sc.admitAuto, err = parseAdmit(c.admit); err != nil {
-		return sc, err
-	}
 	// Auth and TLS material come first: peer transports are built from
 	// the seed below and must dial with the hub's certificate when the
 	// cluster runs mutual TLS.
@@ -491,22 +484,6 @@ func runMintToken(key, tenant, device string, ttl time.Duration) error {
 	return nil
 }
 
-// parseAdmit parses the -admit flag: "" disables, "auto" selects the
-// AIMD adaptive pool, anything else is a fixed capacity.
-func parseAdmit(s string) (capacity int, auto bool, err error) {
-	switch s {
-	case "":
-		return 0, false, nil
-	case "auto":
-		return 0, true, nil
-	}
-	n, err := strconv.Atoi(s)
-	if err != nil || n < 0 {
-		return 0, false, fmt.Errorf("-admit %q: want a capacity or 'auto'", s)
-	}
-	return n, false, nil
-}
-
 // parsePeers parses "-peers id=addr,id=addr" into cluster members whose
 // transports dial with the given options (mutual-TLS material when the
 // cluster is authenticated).
@@ -569,14 +546,12 @@ func loadCertPool(path string) (*x509.CertPool, error) {
 
 // daemon is a running serve-mode instance.
 type daemon struct {
-	hub      *immunity.Exchange
-	node     *cluster.Node
-	srv      *immunity.ExchangeServer
-	httpSrv  *http.Server
-	httpLn   net.Listener
-	rates    *metrics.Rates
-	adaptive *metrics.AdaptivePool
-	alerter  *metrics.Alerter
+	hub     *immunity.Exchange
+	node    *cluster.Node
+	srv     *immunity.ExchangeServer
+	httpSrv *http.Server
+	httpLn  net.Listener
+	rates   *metrics.Rates
 }
 
 // Addr returns the exchange's bound TCP address.
@@ -601,9 +576,6 @@ func (d *daemon) Close() {
 	d.srv.Close()
 	d.hub.Close()
 	d.rates.Stop()
-	if d.alerter != nil {
-		d.alerter.Close()
-	}
 }
 
 // serveConfig carries everything serve mode needs. It is built only by
@@ -619,14 +591,10 @@ type serveConfig struct {
 	leaseTTL         time.Duration
 	noLease          bool
 	leave            bool
-	admit            int
-	admitAuto        bool
 	admitWait        time.Duration
 	sloTarget        time.Duration
 	sloInterval      time.Duration
 	backlogTarget    int
-	alertURL         string
-	alertExec        string
 	serveTLS         *tls.Config
 	peerDial         []immunity.TCPOption
 	peerAuth         bool
@@ -692,16 +660,9 @@ func startDaemon(sc serveConfig) (*daemon, error) {
 				reg.Counter("immunity_provenance_compactions_total", "Provenance log compactions."),
 				reg.Counter("immunity_provenance_compact_errors_total", "Failed provenance log compactions.")))))
 	}
-	var adaptive *metrics.AdaptivePool
-	if sc.admitAuto {
-		adaptive = metrics.NewAdaptivePool(reg, "immunity_hub_admission", sc.admitWait,
-			metrics.AIMDConfig{SLO: "report-latency",
-				SLOs: []string{"push-backlog", "forward-backlog"}})
-		adaptive.Bind(eval)
-		opts = append(opts, immunity.WithAdmissionPool(adaptive.Pool))
-	} else if sc.admit > 0 {
-		opts = append(opts, immunity.WithAdmission(sc.admit, sc.admitWait))
-	}
+	admit := metrics.NewPool(reg, "immunity_hub_admission", sc.admitWait)
+	admit.Bind(eval, "report-latency", "push-backlog", "forward-backlog")
+	opts = append(opts, immunity.WithAdmission(admit))
 	if sc.verifier != nil {
 		opts = append(opts, immunity.WithAuthVerifier(sc.verifier))
 	}
@@ -750,12 +711,7 @@ func startDaemon(sc serveConfig) (*daemon, error) {
 		hub.Close()
 		return nil, err
 	}
-	d := &daemon{hub: hub, node: node, srv: srv, rates: rates, adaptive: adaptive}
-	if sc.alertURL != "" || sc.alertExec != "" {
-		d.alerter = metrics.NewAlerter(reg, metrics.AlertConfig{
-			URL: sc.alertURL, Exec: sc.alertExec})
-		d.alerter.Watch(eval)
-	}
+	d := &daemon{hub: hub, node: node, srv: srv, rates: rates}
 	if sc.httpAddr != "" {
 		writeJSON := func(w http.ResponseWriter, v any) {
 			w.Header().Set("Content-Type", "application/json")
@@ -839,15 +795,7 @@ func runServe(sc serveConfig) error {
 	if sc.provenance != "" {
 		fmt.Printf(", provenance %s", sc.provenance)
 	}
-	switch {
-	case sc.admitAuto:
-		cfg := d.adaptive.Config()
-		fmt.Printf(", admission auto (AIMD %d..%d from %d, max wait %s)",
-			cfg.Min, cfg.Max, cfg.Initial, sc.admitWait)
-	case sc.admit > 0:
-		fmt.Printf(", admission %d/%s", sc.admit, sc.admitWait)
-	}
-	fmt.Println(")")
+	fmt.Printf(", AIMD admission, max wait %s)\n", sc.admitWait)
 	fmt.Printf("immunityd: slo report-latency p99<=%s, shed-zero, push/forward backlog<=%d; evaluated every %s (see /slo)\n",
 		sc.sloTarget, sc.backlogTarget, sc.sloInterval)
 	if sc.serveTLS != nil {
@@ -867,9 +815,6 @@ func runServe(sc serveConfig) error {
 		}
 		sort.Strings(parts)
 		fmt.Printf("immunityd: per-tenant thresholds %s (others %d)\n", strings.Join(parts, " "), sc.threshold)
-	}
-	if sc.alertURL != "" || sc.alertExec != "" {
-		fmt.Println("immunityd: slo alerting armed (breach/clear transitions page)")
 	}
 	if d.node != nil {
 		fmt.Printf("immunityd: cluster hub %s federating with %d seed peer(s): %s\n",

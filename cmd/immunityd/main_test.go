@@ -174,13 +174,18 @@ func peersOf(addrs []string, i int) string {
 }
 
 func TestImmunitydBadFlags(t *testing.T) {
-	// The fleet-workload client and the fault hook are gone: their flags
-	// are unknown, and so is anything never registered.
+	// The fleet-workload client, the fault hook, the admission mode
+	// switch and the alert egress are gone: their flags are unknown, and
+	// so is anything never registered.
 	for _, args := range [][]string{
 		{"-transport", "smoke-signals"},
 		{"-connect", deadAddr, "-procs", "1"},
 		{"-connect", deadAddr, "-storm", "-token", "x"},
 		{"-serve", "-fault-isolate", "4s:4s"},
+		{"-serve", "-admit", "auto"},
+		{"-serve", "-admit", "1"},
+		{"-serve", "-alert-url", "http://127.0.0.1:1/hook"},
+		{"-serve", "-alert-exec", "true"},
 	} {
 		if err := run(args); err == nil || !strings.Contains(err.Error(), "not defined") {
 			t.Errorf("%v: want an unknown-flag error, got %v", args, err)
@@ -315,20 +320,17 @@ func TestServeConfigFromFlags(t *testing.T) {
 	if sc.sloTarget != 25*time.Millisecond || sc.sloInterval != time.Second || sc.backlogTarget != 1024 {
 		t.Errorf("defaults = %s/%s/%d, want the flag defaults", sc.sloTarget, sc.sloInterval, sc.backlogTarget)
 	}
-	if sc.advertise != sc.listen || sc.admit != 0 || sc.admitAuto || len(sc.peers) != 0 {
+	if sc.advertise != sc.listen || sc.admitWait != 5*time.Second || len(sc.peers) != 0 {
 		t.Errorf("standalone config = %+v", sc)
 	}
 
-	sc, err = parseServe("-serve", "-admit", "auto", "-admit-wait", "10s", "-slo-target", "500us", "-slo-interval", "250ms", "-slo-backlog", "7")
+	sc, err = parseServe("-serve", "-admit-wait", "10s", "-slo-target", "500us", "-slo-interval", "250ms", "-slo-backlog", "7")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !sc.admitAuto || sc.admit != 0 || sc.admitWait != 10*time.Second ||
-		sc.sloTarget != 500*time.Microsecond || sc.sloInterval != 250*time.Millisecond || sc.backlogTarget != 7 {
-		t.Errorf("adaptive config = %+v", sc)
-	}
-	if sc, err = parseServe("-serve", "-admit", "3"); err != nil || sc.admit != 3 || sc.admitAuto {
-		t.Errorf("-admit 3 = %+v, %v", sc, err)
+	if sc.admitWait != 10*time.Second || sc.sloTarget != 500*time.Microsecond ||
+		sc.sloInterval != 250*time.Millisecond || sc.backlogTarget != 7 {
+		t.Errorf("admission policy config = %+v", sc)
 	}
 
 	sc, err = parseServe("-serve", "-hub", "h", "-peers", "a=x:1,b=y:2", "-advertise", "h.example:7676",
@@ -354,7 +356,6 @@ func TestServeConfigFromFlags(t *testing.T) {
 		{"-tls-cert/-tls-key", []string{"-serve", "-tls-ca", "ca.pem"}},
 		{"-hub", []string{"-serve", "-peers", "a=x:1"}},
 		{"id=addr", []string{"-serve", "-hub", "h", "-peers", "nonsense"}},
-		{"'auto'", []string{"-serve", "-admit", "many"}},
 		{"positive", []string{"-serve", "-slo-backlog", "0"}},
 		{"positive", []string{"-serve", "-slo-interval", "-1s"}},
 	} {
@@ -654,44 +655,15 @@ func TestImmunitydFederatedCluster(t *testing.T) {
 	}
 }
 
-func TestImmunitydParseAdmit(t *testing.T) {
-	for _, tc := range []struct {
-		in   string
-		cap  int
-		auto bool
-		bad  bool
-	}{
-		{in: "", cap: 0},
-		{in: "auto", auto: true},
-		{in: "4", cap: 4},
-		{in: "0", cap: 0},
-		{in: "-1", bad: true},
-		{in: "many", bad: true},
-	} {
-		capN, auto, err := parseAdmit(tc.in)
-		if tc.bad {
-			if err == nil {
-				t.Errorf("parseAdmit(%q) accepted", tc.in)
-			}
-			continue
-		}
-		if err != nil || capN != tc.cap || auto != tc.auto {
-			t.Errorf("parseAdmit(%q) = (%d, %v, %v), want (%d, %v)", tc.in, capN, auto, err, tc.cap, tc.auto)
-		}
-	}
-	if err := run([]string{"-mint-token", "-auth-key", "k", "-admit", "auto"}); err == nil {
-		t.Error("-admit outside -serve must fail")
-	}
-}
-
-// TestImmunitydAdaptiveAdmission boots a daemon with -admit auto and
-// drives the ramped storm against it over TCP: the AIMD controller must
-// grow during the paced warmup, collapse capacity when the full-batch
-// flood breaches the latency SLO, shed nothing, and the whole loop must
-// be observable — AIMD trace counters and live capacity on /metrics,
-// breach counts and state on /slo, per-second rate gauges on /status.
+// TestImmunitydAdaptiveAdmission drives the ramped storm at a daemon
+// over TCP: its admission pool must grow during the paced warmup, make
+// flood reports wait (delayed, bounded backpressure), collapse capacity
+// when the full-batch flood breaches the latency SLO, shed nothing, and
+// the whole loop must be observable — AIMD trace counters and live
+// capacity on /metrics, breach counts and state on /slo, per-second
+// rate gauges on /status.
 func TestImmunitydAdaptiveAdmission(t *testing.T) {
-	d := serve(t, "-threshold", "2", "-admit", "auto", "-admit-wait", "10s", "-slo-target", "500us", "-slo-interval", "100ms")
+	d := serve(t, "-threshold", "2", "-admit-wait", "10s", "-slo-target", "500us", "-slo-interval", "100ms")
 
 	res, err := workload.RunReportStorm(workload.StormConfig{
 		Devices: 16,
@@ -716,6 +688,9 @@ func TestImmunitydAdaptiveAdmission(t *testing.T) {
 	}
 	if n := mustSample(t, page, "immunity_hub_admission_capacity"); n >= 8 {
 		t.Errorf("capacity = %v after the flood, want converged below the initial 8", n)
+	}
+	if n := mustSample(t, page, "immunity_hub_admission_delayed_total"); n == 0 {
+		t.Error("the flood delayed nothing — admission is not engaging")
 	}
 	if n := mustSample(t, page, "immunity_hub_admission_shed_total"); n != 0 {
 		t.Errorf("shed = %v under a generous wait", n)
@@ -781,12 +756,15 @@ func TestImmunitydAdaptiveAdmission(t *testing.T) {
 }
 
 // TestImmunitydMetricsAndStorm is the admission acceptance drive: a
-// daemon with a 1-permit admission pool absorbs a
-// multi-device report storm — every signature still arms, and /metrics
-// shows the burst was delayed (bounded degradation), not shed and not
-// buffered without limit.
+// daemon started with no admission flag boots its pool at 8 permits and
+// absorbs a multi-device report storm — every signature still arms,
+// nothing is shed, and /metrics shows the sessions torn down.
 func TestImmunitydMetricsAndStorm(t *testing.T) {
-	d := serve(t, "-threshold", "2", "-admit", "1", "-admit-wait", "10s")
+	d := serve(t, "-threshold", "2")
+	boot := httpGet(t, d.HTTPAddr(), "/metrics")
+	if n := mustSample(t, boot, "immunity_hub_admission_capacity"); n != 8 {
+		t.Errorf("admission capacity at boot = %v, want the initial 8", n)
+	}
 
 	res, err := workload.RunReportStorm(workload.StormConfig{
 		Devices: 6,
@@ -825,14 +803,11 @@ func TestImmunitydMetricsAndStorm(t *testing.T) {
 		}
 		return nil
 	})
-	if n := mustSample(t, page, "immunity_hub_admission_capacity"); n != 1 {
-		t.Errorf("admission capacity = %v, want the configured 1", n)
-	}
 	if n := mustSample(t, page, "immunity_hub_armed_total"); n < 16 {
 		t.Errorf("armed_total = %v, want >= 16", n)
 	}
-	if n := mustSample(t, page, "immunity_hub_admission_delayed_total") + mustSample(t, page, "immunity_hub_admission_shed_total"); n == 0 {
-		t.Error("storm produced no delayed/shed verdicts — admission is not engaging")
+	if n := mustSample(t, page, "immunity_hub_admission_admitted_total"); n == 0 {
+		t.Error("no report went through the admission pool")
 	}
 	if n := mustSample(t, page, "immunity_hub_admission_shed_total"); n != 0 {
 		t.Errorf("shed = %v under a generous wait — arming completeness was luck", n)

@@ -40,8 +40,6 @@
 package dimmunix
 
 import (
-	"time"
-
 	"github.com/dimmunix/dimmunix/internal/core"
 	"github.com/dimmunix/dimmunix/internal/immunity"
 	"github.com/dimmunix/dimmunix/internal/immunity/cluster"
@@ -157,32 +155,6 @@ type (
 	// (HubClusterConfig.Metrics), and device clients (WithClientMetrics)
 	// to observe a whole fleet topology on one page.
 	MetricsRegistry = metrics.Registry
-	// MetricsRates samples registry counters and histograms on a fixed
-	// interval into ring buffers, deriving per-second rate gauges over
-	// sliding windows ("reports per second over the last minute") and
-	// windowed histogram quantiles. Create with NewMetricsRates.
-	MetricsRates = metrics.Rates
-	// MetricsRatesConfig configures a MetricsRates sampler: the sample
-	// interval and the set of window widths to expose.
-	MetricsRatesConfig = metrics.RatesConfig
-	// SLO declares one service-level objective over a tracked series: a
-	// histogram quantile or a windowed rate compared against a target.
-	SLO = metrics.SLO
-	// SLOStatus is one objective's evaluated state (ok/warn/breach),
-	// breach count, and last state transition — the /slo payload.
-	SLOStatus = metrics.SLOStatus
-	// SLOEvaluator re-evaluates a set of SLOs on every rates tick and
-	// runs an ok→warn→breach→ok state machine per objective. Create
-	// with NewSLOEvaluator.
-	SLOEvaluator = metrics.Evaluator
-	// AdaptiveAdmissionPool is an admission permit pool whose capacity
-	// is steered by SLO verdicts (AIMD: additive increase while ok and
-	// demanded, multiplicative decrease on breach or shed). Create with
-	// NewAdaptiveAdmissionPool, attach via WithAdmissionPool.
-	AdaptiveAdmissionPool = metrics.AdaptivePool
-	// AIMDConfig bounds an AdaptiveAdmissionPool: initial/min/max
-	// capacity and the name of the SLO that steers it.
-	AIMDConfig = metrics.AIMDConfig
 )
 
 // Signature kinds.
@@ -251,46 +223,6 @@ func NewMetricsRegistry() *MetricsRegistry { return metrics.NewRegistry() }
 // (instead of a private registry) for scraping alongside other hubs'.
 func WithMetricsRegistry(reg *MetricsRegistry) ExchangeOption {
 	return immunity.WithMetricsRegistry(reg)
-}
-
-// WithAdmission bounds an Exchange's report ingest with a permit pool:
-// at most capacity report messages are processed concurrently, an
-// over-capacity message waits up to maxWait (the device sees a slow
-// ack), and a message still waiting at the deadline is shed — dropped
-// without killing the session, recovered by the client's full-history
-// re-report on its next reconnect. A report storm then degrades to
-// bounded delay instead of unbounded hub memory.
-func WithAdmission(capacity int, maxWait time.Duration) ExchangeOption {
-	return immunity.WithAdmission(capacity, maxWait)
-}
-
-// WithAdmissionPool bounds an Exchange's report ingest with a
-// caller-owned permit pool instead of a fixed WithAdmission capacity —
-// pass an AdaptiveAdmissionPool's Pool to let SLO verdicts resize hub
-// admission at runtime (AIMD congestion control for report storms).
-func WithAdmissionPool(p *metrics.Pool) ExchangeOption {
-	return immunity.WithAdmissionPool(p)
-}
-
-// NewMetricsRates creates a rate sampler over reg. Track series with
-// TrackCounter/TrackHistogram, then either Start its ticker or drive it
-// manually with Tick (deterministic tests). Per-second gauges land on
-// reg as "<counter>_per_second{window=...}".
-func NewMetricsRates(reg *MetricsRegistry, cfg MetricsRatesConfig) *MetricsRates {
-	return metrics.NewRates(reg, cfg)
-}
-
-// NewSLOEvaluator registers slos for evaluation on every tick of rates,
-// exposing immunity_slo_state and immunity_slo_breaches_total on reg.
-func NewSLOEvaluator(reg *MetricsRegistry, rates *MetricsRates, slos []SLO) *SLOEvaluator {
-	return metrics.NewEvaluator(reg, rates, slos)
-}
-
-// NewAdaptiveAdmissionPool creates an AIMD-controlled admission pool
-// named name (its gauges and aimd trace counters land on reg). Bind it
-// to an evaluator and pass its Pool to WithAdmissionPool.
-func NewAdaptiveAdmissionPool(reg *MetricsRegistry, name string, maxWait time.Duration, cfg AIMDConfig) *AdaptiveAdmissionPool {
-	return metrics.NewAdaptivePool(reg, name, maxWait, cfg)
 }
 
 // NewFileProvenance creates a file-backed provenance store: a binary,

@@ -4,6 +4,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"github.com/dimmunix/dimmunix/internal/immunity/metrics"
 )
 
 // TestAdmissionShedsAtCapacity: with the permit pool saturated, an
@@ -11,7 +13,10 @@ import (
 // dropped without error, session intact — and every verdict shows up
 // in Stats and on the registry.
 func TestAdmissionShedsAtCapacity(t *testing.T) {
-	hub := newTestHub(t, 1, WithAdmission(1, 30*time.Millisecond))
+	reg := metrics.NewRegistry()
+	pool := metrics.NewPool(reg, "immunity_hub_admission", 30*time.Millisecond)
+	pool.Resize(1)
+	hub := newTestHub(t, 1, WithMetricsRegistry(reg), WithAdmission(pool))
 	block := make(chan struct{})
 	entered := make(chan struct{})
 	done := make(chan error, 1)
@@ -72,20 +77,30 @@ func TestAdmissionShedsAtCapacity(t *testing.T) {
 	}
 }
 
-// TestAdmissionDisabledByDefault: without WithAdmission every report
-// admits immediately and the counters stay zero.
+// TestAdmissionDisabledByDefault: without WithAdmission (or with a nil
+// pool) every report admits immediately, the counters stay zero and no
+// admission series is registered.
 func TestAdmissionDisabledByDefault(t *testing.T) {
-	hub := newTestHub(t, 1)
-	ran := false
-	if err := hub.admitReport(func() error { ran = true; return nil }); err != nil {
-		t.Fatal(err)
-	}
-	if !ran {
-		t.Fatal("report not processed with admission disabled")
-	}
-	st := hub.Stats()
-	if st.AdmissionAdmitted != 0 || st.AdmissionDelayed != 0 || st.AdmissionShed != 0 {
-		t.Fatalf("admission counters moved while disabled: %+v", st)
+	for _, opts := range [][]ExchangeOption{nil, {WithAdmission(nil)}} {
+		hub := newTestHub(t, 1, opts...)
+		ran := false
+		if err := hub.admitReport(func() error { ran = true; return nil }); err != nil {
+			t.Fatal(err)
+		}
+		if !ran {
+			t.Fatal("report not processed with admission disabled")
+		}
+		st := hub.Stats()
+		if st.AdmissionAdmitted != 0 || st.AdmissionDelayed != 0 || st.AdmissionShed != 0 {
+			t.Fatalf("admission counters moved while disabled: %+v", st)
+		}
+		var b strings.Builder
+		if err := hub.Metrics().WritePrometheus(&b); err != nil {
+			t.Fatal(err)
+		}
+		if strings.Contains(b.String(), "immunity_hub_admission") {
+			t.Fatalf("a hub without a pool renders admission series:\n%s", b.String())
+		}
 	}
 }
 

@@ -268,16 +268,13 @@ type Exchange struct {
 	// Observability + admission. reg is the hub's metric registry (always
 	// non-nil after NewExchange; shareable across hubs via
 	// WithMetricsRegistry), met its pre-created instruments, admit the
-	// optional report-ingest permit pool (nil = admission disabled; see
-	// WithAdmission). The registry locks are leaves — see package
+	// report-ingest permit pool (nil = every report admitted at once;
+	// see WithAdmission). The registry locks are leaves — see package
 	// metrics — so met's atomics are touched under x.mu and queue locks
 	// freely.
-	reg       *metrics.Registry
-	met       hubMetrics
-	admit     *metrics.Pool
-	admitPool *metrics.Pool
-	admitCap  int
-	admitWait time.Duration
+	reg   *metrics.Registry
+	met   hubMetrics
+	admit *metrics.Pool
 }
 
 // ExchangeOption configures an Exchange.
@@ -302,35 +299,23 @@ func WithMetricsRegistry(reg *metrics.Registry) ExchangeOption {
 	return func(x *Exchange) { x.reg = reg }
 }
 
-// WithAdmission puts a bounded permit pool in front of report ingest
-// (device reports and peer forward-reports): at most capacity report
-// batches are processed concurrently, an over-capacity batch waits up
-// to maxWait — blocking its session's transport read goroutine, which
-// the device experiences as a slow ack and TCP turns into backpressure
-// — and a batch still waiting at maxWait is shed (dropped without
-// killing the session; the client's full-history re-report on its next
-// reconnect redelivers it, so shedding trades latency for bounded hub
-// memory, never a permanently lost report). Keep maxWait well below
-// the transport write timeout (30s for TCP) or slow-acked clients
-// start redialing. Verdicts are counted on the registry
-// (immunity_hub_admission_*) and in ExchangeStats. capacity <= 0
-// disables admission (the default).
-func WithAdmission(capacity int, maxWait time.Duration) ExchangeOption {
-	return func(x *Exchange) {
-		x.admitCap = capacity
-		x.admitWait = maxWait
-	}
-}
-
-// WithAdmissionPool puts a caller-built permit pool in front of report
-// ingest instead of a fixed-capacity one — the seam the AIMD adaptive
-// admission controller plugs into (pass an AdaptivePool's embedded
-// Pool; its capacity then tracks the SLO evaluator's verdicts live).
-// The pool must be registered on the same registry the hub uses, or
-// its verdicts won't appear on /metrics. Takes precedence over
-// WithAdmission; nil means no injection.
-func WithAdmissionPool(p *metrics.Pool) ExchangeOption {
-	return func(x *Exchange) { x.admitPool = p }
+// WithAdmission puts the permit pool p in front of report ingest
+// (device reports and peer forward-reports): at most p's capacity of
+// report batches are processed concurrently, an over-capacity batch
+// waits up to p's max wait — blocking its session's transport read
+// goroutine, which the device experiences as a slow ack and TCP turns
+// into backpressure — and a batch still waiting then is shed (dropped
+// without killing the session; the client's full-history re-report on
+// its next reconnect redelivers it, so shedding trades latency for
+// bounded hub memory, never a permanently lost report). Keep the max
+// wait well below the transport write timeout (30s for TCP) or
+// slow-acked clients start redialing. Register p on the hub's registry
+// (WithMetricsRegistry) so its verdicts land on /metrics; they are also
+// counted in ExchangeStats. Bind p to an SLO evaluator and its capacity
+// follows the verdicts. Without this option (or with a nil p) every
+// report is admitted at once.
+func WithAdmission(p *metrics.Pool) ExchangeOption {
+	return func(x *Exchange) { x.admit = p }
 }
 
 // WithAuthVerifier turns on device authentication: every hello must
@@ -390,11 +375,6 @@ func NewExchange(confirmThreshold int, opts ...ExchangeOption) (*Exchange, error
 		x.reg = metrics.NewRegistry()
 	}
 	x.met = newHubMetrics(x.reg)
-	if x.admitPool != nil {
-		x.admit = x.admitPool
-	} else {
-		x.admit = metrics.NewPool(x.reg, "immunity_hub_admission", x.admitCap, x.admitWait)
-	}
 	if x.store != nil {
 		recs, err := x.store.Load()
 		if err != nil {
@@ -1034,7 +1014,7 @@ func (x *Exchange) admitReport(fn func() error) error {
 	err := fn()
 	end := time.Now()
 	// Two latency series: report_seconds is what a device experiences
-	// (wait included — the signal the latency SLO and the AIMD
+	// (wait included — the signal the latency SLO and the pool's
 	// controller react to), handle_seconds is what the hub itself costs
 	// (wait excluded — separates "hub is slow" from "hub is queueing").
 	x.met.reportSeconds.ObserveDuration(end.Sub(start))

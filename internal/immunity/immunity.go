@@ -269,40 +269,41 @@
 // series on the same registry, and WithClientMetrics mirrors a device
 // client's session health.
 //
-// WithAdmission(capacity, maxWait) puts a bounded permit pool in front
-// of report ingest (device reports and peer forward-reports): at most
-// capacity report messages are processed concurrently, an
-// over-capacity message waits — on the session's transport read
-// goroutine, so the device sees a slow ack and TCP applies
-// backpressure — and a message still waiting after maxWait is shed:
-// dropped without killing the session, recovered by the client's
-// full-history re-report on its next reconnect (at-least-once). A
-// report storm therefore degrades to bounded delay instead of
-// unbounded hub memory. Keep maxWait well below the transport's 30s
-// write timeout, or a delayed session's unread pushes can kill it
-// before the verdict. WithAdmissionPool substitutes a caller-owned
-// pool for the fixed-capacity one — the seam the adaptive controller
-// plugs into.
+// Admission has one mechanism: WithAdmission(p) puts a metrics.Pool in
+// front of report ingest (device reports and peer forward-reports). At
+// most the pool's capacity of report messages are processed
+// concurrently, an over-capacity message waits — on the session's
+// transport read goroutine, so the device sees a slow ack and TCP
+// applies backpressure — and a message still waiting at the pool's max
+// wait is shed: dropped without killing the session, recovered by the
+// client's full-history re-report on its next reconnect
+// (at-least-once). A report storm therefore degrades to bounded delay
+// instead of unbounded hub memory. Keep the max wait well below the
+// transport's 30s write timeout, or a delayed session's unread pushes
+// can kill it before the verdict. Without the option every report is
+// admitted at once, with no yield and no counting.
 //
-// Three layers in the metrics package turn those raw series into a
-// control loop. metrics.Rates samples tracked counters and histograms
-// on a fixed interval into ring buffers and derives per-second rate
-// gauges over sliding windows (immunity_hub_reports_per_second
-// {window="1m"}, per-peer forward rates) plus windowed histogram
-// quantiles — a burst is visible while it happens and the rate decays
-// to zero when it stops, without any scrape-side PromQL.
-// metrics.Evaluator re-checks declarative SLOs (a latency quantile or
-// a rate against a target, e.g. "p99 report handling ≤ 25ms",
-// "shed rate = 0") on every tick and runs an ok→warn→breach state
-// machine per objective, exported as immunity_slo_state and served as
-// JSON by immunityd's /slo. metrics.AdaptivePool closes the loop:
-// bound to the evaluator, it resizes the admission pool by AIMD —
-// additive increase while its SLO is ok and waiters were delayed,
-// multiplicative decrease on breach or shed — so hub admission
-// converges to the widest capacity the latency objective tolerates
-// (immunityd -serve -admit auto). The report latency histogram has a
-// wait-excluded twin (immunity_hub_report_handle_seconds) so a breach
-// attributable to queueing is distinguishable from a slow hub.
+// Three layers in the metrics package turn those raw series into the
+// pool's control loop. metrics.Rates samples tracked counters and
+// histograms on a fixed interval into ring buffers and derives
+// per-second rate gauges over sliding windows
+// (immunity_hub_reports_per_second{window="1m"}, per-peer forward
+// rates) plus windowed histogram quantiles — a burst is visible while
+// it happens and the rate decays to zero when it stops, without any
+// scrape-side PromQL. metrics.Evaluator re-checks declarative SLOs (a
+// latency quantile, a rate or a gauge against a target, e.g. "p99
+// report handling ≤ 25ms", "shed rate = 0") on every tick and runs an
+// ok→warn→breach state machine per objective, exported as
+// immunity_slo_state and served as JSON by immunityd's /slo.
+// Pool.Bind closes the loop: it resizes the pool by AIMD on every tick.
+// Capacity grows while the bound objectives are ok and any report tried
+// to acquire a permit since the last tick, whether or not it queued; it
+// halves on breach or shed. Hub admission thus converges to the widest
+// capacity the objectives tolerate (immunityd -serve always runs it,
+// bound to report latency and the push and forward backlogs). The
+// report latency histogram has a wait-excluded twin
+// (immunity_hub_report_handle_seconds) so a breach attributable to
+// queueing is distinguishable from a slow hub.
 //
 // Two latency regimes matter when picking the SLO target: the
 // wait-included p99 under admission contention is roughly

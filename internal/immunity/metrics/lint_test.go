@@ -24,7 +24,8 @@ func populateRegistry(t *testing.T) *Registry {
 		h.Observe(float64(i) * 0.0001)
 	}
 	h.Observe(1e9) // +Inf bucket
-	p := NewPool(reg, "immunity_hub_admission", 1, 0)
+	p := NewPool(reg, "immunity_hub_admission", 0)
+	p.Resize(1)
 	if release, ok := p.Acquire(); ok {
 		if _, ok := p.Acquire(); ok {
 			t.Fatal("second acquire should shed")

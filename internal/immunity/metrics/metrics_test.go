@@ -160,7 +160,8 @@ func TestHistogramConcurrentObserve(t *testing.T) {
 
 func TestPoolAdmitDelayShed(t *testing.T) {
 	reg := NewRegistry()
-	p := NewPool(reg, "admission", 1, 50*time.Millisecond)
+	p := NewPool(reg, "admission", 50*time.Millisecond)
+	p.Resize(1)
 
 	release, ok := p.Acquire()
 	if !ok {
@@ -170,10 +171,12 @@ func TestPoolAdmitDelayShed(t *testing.T) {
 		t.Fatalf("admitted = %d, want 1", p.Admitted())
 	}
 
-	// Second acquire waits; release the first permit shortly after so
-	// it lands as delayed.
+	// Second acquire waits; release the first permit once it is queued
+	// so it lands as delayed.
 	go func() {
-		time.Sleep(10 * time.Millisecond)
+		if !awaitWaiters(p, 1) {
+			t.Error("second acquire never queued")
+		}
 		release()
 	}()
 	release2, ok := p.Acquire()
@@ -208,11 +211,5 @@ func TestPoolAdmitDelayShed(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Fatalf("render missing %q:\n%s", want, out)
 		}
-	}
-}
-
-func TestNewPoolZeroCapacityDisabled(t *testing.T) {
-	if p := NewPool(NewRegistry(), "x", 0, time.Second); p != nil {
-		t.Fatal("capacity 0 should disable admission (nil pool)")
 	}
 }

@@ -95,22 +95,6 @@ func NewRates(reg *Registry, cfg RatesConfig) *Rates {
 	}
 }
 
-// Interval returns the sampling tick.
-func (r *Rates) Interval() time.Duration {
-	if r == nil {
-		return 0
-	}
-	return r.interval
-}
-
-// Windows returns the trailing windows, ascending.
-func (r *Rates) Windows() []time.Duration {
-	if r == nil {
-		return nil
-	}
-	return append([]time.Duration(nil), r.windows...)
-}
-
 // counterTrack follows one counter family (resolved lazily by name, so
 // tracking may precede registration) and owns its derived rate gauges.
 type counterTrack struct {
@@ -218,8 +202,8 @@ func (r *Rates) Stop() {
 }
 
 // Tick runs one sample pass: snapshot every tracked family, refresh the
-// rate gauges, then run the hooks. Exported so tests (and the storm
-// harness) can drive the sampler deterministically.
+// rate gauges, then run the hooks. Exported so tests can drive the
+// sampler deterministically.
 func (r *Rates) Tick() {
 	if r == nil {
 		return

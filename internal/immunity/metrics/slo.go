@@ -13,8 +13,16 @@ const (
 	SLOOK SLOState = iota
 	// SLOWarn: violating, but not for long enough to page.
 	SLOWarn
-	// SLOBreach: violated for BreachAfter consecutive ticks.
+	// SLOBreach: violated for breachAfter consecutive ticks.
 	SLOBreach
+)
+
+// The state machine's hysteresis: breachAfter consecutive violating
+// ticks escalate to breach, clearAfter consecutive holding ticks return
+// any violation state to ok.
+const (
+	breachAfter = 2
+	clearAfter  = 3
 )
 
 func (s SLOState) String() string {
@@ -31,49 +39,30 @@ func (s SLOState) String() string {
 // SLO declares one objective over the Rates sampler: a windowed
 // histogram quantile (p99 report latency < target seconds), a windowed
 // counter rate (shed rate == 0), or an instantaneous gauge reading
-// (push backlog < target frames). The objective holds while the
-// observed value is <= Target; a window with no data holds trivially —
-// an idle system breaches nothing.
+// (push backlog < target frames). The window is the sampler's shortest.
+// The objective holds while the observed value is <= Target; a window
+// with no data holds trivially — an idle system breaches nothing.
 type SLO struct {
 	// Name identifies the objective (the slo label of its state gauge
 	// and its entry on /slo).
 	Name string
 
-	// QuantileOf names a histogram family; the observed value is its
-	// Quantile (default 0.99) over the trailing Window. Takes precedence
-	// over RateOf.
+	// QuantileOf names an unlabeled histogram family; the observed value
+	// is its p99 over the window. Takes precedence over RateOf.
 	QuantileOf string
-	Quantile   float64
 
-	// RateOf names a counter family; the observed value is its
-	// per-second rate over the trailing Window.
+	// RateOf names an unlabeled counter family; the observed value is
+	// its per-second rate over the window.
 	RateOf string
 
-	// GaugeOf names a gauge family; the observed value is the
-	// instantaneous reading at tick time — no windowing — of the
-	// Label-selected series, or the sum across every series when Label
-	// is "" (a backlog family summed across peers). Evaluated only when
-	// QuantileOf and RateOf are empty.
+	// GaugeOf names a gauge family; the observed value is the sum across
+	// every series at tick time — no windowing (a backlog family summed
+	// across peers). Evaluated only when QuantileOf and RateOf are empty.
 	GaugeOf string
-
-	// Label selects one series of a labeled source family ("" for the
-	// unlabeled instrument; for GaugeOf, "" sums the family).
-	Label string
-
-	// Window is the trailing evaluation window (default: the sampler's
-	// shortest window).
-	Window time.Duration
 
 	// Target is the inclusive ceiling the observed value must stay at
 	// or under (seconds for quantile objectives, per-second for rates).
 	Target float64
-
-	// BreachAfter is how many consecutive violating ticks escalate to
-	// breach (default 2; 1 skips warn entirely). ClearAfter is how many
-	// consecutive holding ticks return any violation state to ok
-	// (default 3).
-	BreachAfter int
-	ClearAfter  int
 }
 
 // SLOTransition records one state change.
@@ -106,14 +95,15 @@ type SLOStatus struct {
 //	immunity_slo_breaches_total{slo="..."}      escalations to breach
 //
 // The hysteresis is deliberate: one bad tick is warn (noise-tolerant),
-// BreachAfter consecutive bad ticks breach (pageable), ClearAfter
-// consecutive good ticks recover — so the breach→ok transition after a
-// storm is a real drain signal, not a flap. Controllers registered with
-// OnVerdict (the AIMD admission pool) run after every evaluation tick,
-// outside the evaluator lock.
+// two consecutive bad ticks breach (pageable), three consecutive good
+// ticks recover — so the breach→ok transition after a storm is a real
+// drain signal, not a flap. Controllers registered with OnVerdict (the
+// admission pool's Bind) run after every evaluation tick, outside the
+// evaluator lock.
 type Evaluator struct {
-	reg   *Registry
-	rates *Rates
+	reg    *Registry
+	rates  *Rates
+	window time.Duration // the sampler's shortest
 
 	mu       sync.Mutex
 	slos     []*sloEval
@@ -140,28 +130,16 @@ func NewEvaluator(reg *Registry, rates *Rates, slos []SLO) *Evaluator {
 	if reg == nil || rates == nil {
 		return nil
 	}
-	e := &Evaluator{reg: reg, rates: rates}
+	e := &Evaluator{reg: reg, rates: rates, window: rates.windows[0]}
 	stateVec := reg.GaugeVec("immunity_slo_state",
 		"SLO state machine position per objective: 0 ok, 1 warn, 2 breach.", "slo")
 	breachVec := reg.CounterVec("immunity_slo_breaches_total",
 		"Escalations to breach per objective.", "slo")
 	for _, cfg := range slos {
 		if cfg.QuantileOf != "" {
-			if cfg.Quantile <= 0 || cfg.Quantile >= 1 {
-				cfg.Quantile = 0.99
-			}
 			rates.TrackHistogram(cfg.QuantileOf)
 		} else if cfg.RateOf != "" {
 			rates.TrackCounter(cfg.RateOf)
-		}
-		if cfg.Window <= 0 {
-			cfg.Window = rates.windows[0]
-		}
-		if cfg.BreachAfter <= 0 {
-			cfg.BreachAfter = 2
-		}
-		if cfg.ClearAfter <= 0 {
-			cfg.ClearAfter = 3
 		}
 		s := &sloEval{cfg: cfg,
 			stateGauge: stateVec.With(cfg.Name),
@@ -194,7 +172,7 @@ func (e *Evaluator) tick() {
 		if bad {
 			s.badStreak++
 			s.goodStreak = 0
-			if s.badStreak >= s.cfg.BreachAfter {
+			if s.badStreak >= breachAfter {
 				s.state = SLOBreach
 			} else if s.state == SLOOK {
 				s.state = SLOWarn
@@ -202,7 +180,7 @@ func (e *Evaluator) tick() {
 		} else {
 			s.goodStreak++
 			s.badStreak = 0
-			if s.state != SLOOK && s.goodStreak >= s.cfg.ClearAfter {
+			if s.state != SLOOK && s.goodStreak >= clearAfter {
 				s.state = SLOOK
 			}
 		}
@@ -224,13 +202,13 @@ func (e *Evaluator) tick() {
 
 func (e *Evaluator) observe(cfg SLO) (float64, bool) {
 	if cfg.QuantileOf != "" {
-		return e.rates.WindowQuantile(cfg.QuantileOf, cfg.Label, cfg.Quantile, cfg.Window)
+		return e.rates.WindowQuantile(cfg.QuantileOf, "", 0.99, e.window)
 	}
 	if cfg.RateOf != "" {
-		return e.rates.Rate(cfg.RateOf, cfg.Label, cfg.Window)
+		return e.rates.Rate(cfg.RateOf, "", e.window)
 	}
 	if cfg.GaugeOf != "" {
-		return e.reg.GaugeValue(cfg.GaugeOf, cfg.Label)
+		return e.reg.GaugeValue(cfg.GaugeOf, "")
 	}
 	return 0, false
 }
@@ -264,7 +242,7 @@ func (e *Evaluator) Snapshot() []SLOStatus {
 			State:    s.state.String(),
 			Observed: s.observed,
 			Target:   s.cfg.Target,
-			Window:   windowLabel(s.cfg.Window),
+			Window:   windowLabel(e.window),
 			HasData:  s.hasData,
 			Breaches: s.breaches,
 		}

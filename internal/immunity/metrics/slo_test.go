@@ -25,7 +25,7 @@ func TestSLOStateMachine(t *testing.T) {
 		Name:       "report-latency",
 		QuantileOf: "lat_seconds",
 		Target:     0.01, // breached by observations above 10ms
-		// defaults: BreachAfter 2, ClearAfter 3, Window = shortest (2s)
+		// breach after 2 bad ticks, clear after 3 good, window 2s
 	})
 
 	mustState := func(want SLOState) {
@@ -47,7 +47,7 @@ func TestSLOStateMachine(t *testing.T) {
 	r.Tick()
 	mustState(SLOBreach) // second consecutive bad tick escalates
 
-	// Quiet ticks drain the window; ClearAfter(3) good ticks recover.
+	// Quiet ticks drain the window; three good ticks recover.
 	r.Tick() // breach-era observations still inside the 2s window: bad
 	r.Tick()
 	r.Tick()
@@ -95,7 +95,6 @@ func TestSLOWarnRecoversWithoutBreach(t *testing.T) {
 		Name:       "lat",
 		QuantileOf: "lat_seconds",
 		Target:     0.01,
-		ClearAfter: 1,
 	}})
 	r.Tick() // baseline
 	h.Observe(0.5)
@@ -103,7 +102,12 @@ func TestSLOWarnRecoversWithoutBreach(t *testing.T) {
 	if st, _ := e.State("lat"); st != SLOWarn {
 		t.Fatalf("state = %v, want warn after one bad tick", st)
 	}
-	r.Tick() // good tick with ClearAfter 1 → straight back to ok
+	r.Tick()
+	r.Tick()
+	if st, _ := e.State("lat"); st != SLOWarn {
+		t.Fatalf("state = %v, want warn held until the third good tick", st)
+	}
+	r.Tick() // third good tick → straight back to ok
 	if st, _ := e.State("lat"); st != SLOOK {
 		t.Fatalf("state = %v, want ok (warn cleared without breaching)", st)
 	}
@@ -117,10 +121,9 @@ func TestSLORateObjective(t *testing.T) {
 	shed := reg.Counter("shed_total", "Sheds.")
 	r := NewRates(reg, RatesConfig{Interval: time.Second, Windows: []time.Duration{2 * time.Second}})
 	e := NewEvaluator(reg, r, []SLO{{
-		Name:        "shed-zero",
-		RateOf:      "shed_total",
-		Target:      0, // any shedding at all violates
-		BreachAfter: 1,
+		Name:   "shed-zero",
+		RateOf: "shed_total",
+		Target: 0, // any shedding at all violates
 	}})
 	r.Tick()
 	r.Tick()
@@ -129,8 +132,12 @@ func TestSLORateObjective(t *testing.T) {
 	}
 	shed.Inc()
 	r.Tick()
+	if st, _ := e.State("shed-zero"); st != SLOWarn {
+		t.Fatalf("state = %v, want warn after one shedding tick", st)
+	}
+	r.Tick() // the shed is still inside the 2s window
 	if st, _ := e.State("shed-zero"); st != SLOBreach {
-		t.Fatalf("state = %v, want breach with BreachAfter 1", st)
+		t.Fatalf("state = %v, want breach after two", st)
 	}
 }
 
@@ -148,10 +155,10 @@ func TestEvaluatorNilSafety(t *testing.T) {
 	}
 }
 
-// adaptiveFixture binds an AdaptivePool to a latency SLO over a manually
-// ticked sampler. maxWait 0 makes over-capacity acquires shed instantly,
-// which is what the decrease-on-shed test needs.
-func adaptiveFixture(t *testing.T, cfg AIMDConfig) (*Histogram, *Rates, *AdaptivePool) {
+// boundPool binds a 0-wait admission pool (over-capacity acquires shed
+// instantly, which the decrease-on-shed test needs) at the given
+// capacity to a latency SLO over a manually ticked sampler.
+func boundPool(t *testing.T, capacity int) (*Histogram, *Rates, *Pool) {
 	t.Helper()
 	reg := NewRegistry()
 	h := reg.Histogram("lat_seconds", "Latency.", []float64{0.001, 0.01, 0.1, 1})
@@ -161,29 +168,30 @@ func adaptiveFixture(t *testing.T, cfg AIMDConfig) (*Histogram, *Rates, *Adaptiv
 		QuantileOf: "lat_seconds",
 		Target:     0.01,
 	}})
-	cfg.SLO = "lat"
-	a := NewAdaptivePool(reg, "adm", 0, cfg)
-	a.Bind(e)
-	return h, r, a
+	p := NewPool(reg, "adm", 0)
+	p.Resize(capacity)
+	p.Bind(e, "lat")
+	return h, r, p
 }
 
-func TestAdaptivePoolIncreasesOnDemand(t *testing.T) {
-	h, r, a := adaptiveFixture(t, AIMDConfig{Initial: 2, Max: 4})
+func TestAIMDIncreasesOnDemand(t *testing.T) {
+	h, r, p := boundPool(t, 62)
 	r.Tick()
-	if a.Capacity() != 2 {
-		t.Fatalf("capacity = %d, want initial 2", a.Capacity())
+	if p.Capacity() != 62 {
+		t.Fatalf("capacity = %d, want 62", p.Capacity())
 	}
 
 	// Idle ok ticks must not grow the pool.
 	r.Tick()
 	r.Tick()
-	if a.Capacity() != 2 || a.Increases() != 0 {
-		t.Fatalf("idle pool crept: capacity=%d increases=%d", a.Capacity(), a.Increases())
+	if p.Capacity() != 62 || p.Increases() != 0 {
+		t.Fatalf("idle pool crept: capacity=%d increases=%d", p.Capacity(), p.Increases())
 	}
 
-	// Demand + fast latency → additive growth, one step per tick.
+	// Demand + fast latency → additive growth, one step per tick. Any
+	// admission since the last tick is demand; nobody had to queue.
 	admit := func() {
-		release, ok := a.Acquire()
+		release, ok := p.Acquire()
 		if !ok {
 			t.Fatal("acquire under capacity should admit")
 		}
@@ -192,25 +200,25 @@ func TestAdaptivePoolIncreasesOnDemand(t *testing.T) {
 	}
 	admit()
 	r.Tick()
-	if a.Capacity() != 3 || a.Increases() != 1 {
-		t.Fatalf("capacity=%d increases=%d, want 3/1", a.Capacity(), a.Increases())
+	if p.Capacity() != 63 || p.Increases() != 1 {
+		t.Fatalf("capacity=%d increases=%d, want 63/1", p.Capacity(), p.Increases())
 	}
 	admit()
 	r.Tick()
-	if a.Capacity() != 4 {
-		t.Fatalf("capacity = %d, want 4", a.Capacity())
+	if p.Capacity() != 64 {
+		t.Fatalf("capacity = %d, want 64", p.Capacity())
 	}
 	admit()
-	r.Tick() // already at Max: hold
-	if a.Capacity() != 4 || a.Increases() != 2 {
-		t.Fatalf("capacity=%d increases=%d, want clamp at Max 4", a.Capacity(), a.Increases())
+	r.Tick() // already at the maximum: hold
+	if p.Capacity() != 64 || p.Increases() != 2 {
+		t.Fatalf("capacity=%d increases=%d, want a clamp at 64", p.Capacity(), p.Increases())
 	}
 }
 
-func TestAdaptivePoolBacksOffOnBreach(t *testing.T) {
-	h, r, a := adaptiveFixture(t, AIMDConfig{Initial: 8})
+func TestAIMDBacksOffOnBreach(t *testing.T) {
+	h, r, p := boundPool(t, 8)
 	slow := func() {
-		release, ok := a.Acquire()
+		release, ok := p.Acquire()
 		if !ok {
 			t.Fatal("acquire under capacity should admit")
 		}
@@ -220,61 +228,145 @@ func TestAdaptivePoolBacksOffOnBreach(t *testing.T) {
 	r.Tick()
 	slow()
 	r.Tick() // warn: hold
-	if a.Capacity() != 8 {
-		t.Fatalf("warn must hold capacity, got %d", a.Capacity())
+	if p.Capacity() != 8 {
+		t.Fatalf("warn must hold capacity, got %d", p.Capacity())
 	}
 	slow()
 	r.Tick() // breach: 8 → 4
-	if a.Capacity() != 4 || a.Decreases() != 1 {
-		t.Fatalf("capacity=%d decreases=%d, want 4/1", a.Capacity(), a.Decreases())
+	if p.Capacity() != 4 || p.Decreases() != 1 {
+		t.Fatalf("capacity=%d decreases=%d, want 4/1", p.Capacity(), p.Decreases())
 	}
 	slow()
 	r.Tick() // still breached: 4 → 2
 	slow()
 	r.Tick() // 2 → 1
 	slow()
-	r.Tick() // clamped at Min: capacity holds, no phantom decrease
-	if a.Capacity() != 1 {
-		t.Fatalf("capacity = %d, want convergence to Min 1", a.Capacity())
+	r.Tick() // clamped at the minimum: capacity holds, no phantom decrease
+	if p.Capacity() != 1 {
+		t.Fatalf("capacity = %d, want convergence to 1", p.Capacity())
 	}
-	if a.Decreases() != 3 {
-		t.Fatalf("decreases = %d, want 3 (no count when already at Min)", a.Decreases())
+	if p.Decreases() != 3 {
+		t.Fatalf("decreases = %d, want 3 (no count when already at 1)", p.Decreases())
 	}
 }
 
-func TestAdaptivePoolBacksOffOnShed(t *testing.T) {
-	_, r, a := adaptiveFixture(t, AIMDConfig{Initial: 2})
+func TestAIMDBacksOffOnShed(t *testing.T) {
+	_, r, p := boundPool(t, 2)
 	r.Tick()
 	// Saturate and shed without any latency signal: the shed alone must
 	// trigger the multiplicative retreat.
-	r1, _ := a.Acquire()
-	r2, _ := a.Acquire()
-	if _, ok := a.Acquire(); ok {
+	r1, _ := p.Acquire()
+	r2, _ := p.Acquire()
+	if _, ok := p.Acquire(); ok {
 		t.Fatal("third acquire at capacity 2 with zero wait must shed")
 	}
 	r.Tick()
-	if a.Capacity() != 1 || a.Decreases() != 1 {
-		t.Fatalf("capacity=%d decreases=%d, want 1/1 after shed", a.Capacity(), a.Decreases())
+	if p.Capacity() != 1 || p.Decreases() != 1 {
+		t.Fatalf("capacity=%d decreases=%d, want 1/1 after shed", p.Capacity(), p.Decreases())
 	}
 	r1()
 	r2()
 }
 
-func TestAdaptivePoolDefaults(t *testing.T) {
-	a := NewAdaptivePool(NewRegistry(), "adm", 0, AIMDConfig{})
-	cfg := a.Config()
-	if cfg.Initial != 8 || cfg.Min != 1 || cfg.Max != 64 || cfg.Step != 1 || cfg.Backoff != 0.5 {
-		t.Fatalf("defaults = %+v", cfg)
+// TestAIMDWorstOfMultipleSLOs: a breach on a secondary (backlog)
+// objective must force the multiplicative retreat even while the
+// primary latency objective reads ok.
+func TestAIMDWorstOfMultipleSLOs(t *testing.T) {
+	reg := NewRegistry()
+	r := NewRates(reg, RatesConfig{Interval: time.Second, Windows: []time.Duration{2 * time.Second}})
+	reg.Histogram("lat_seconds", "Latency.", []float64{0.001, 0.01, 0.1, 1})
+	e := NewEvaluator(reg, r, []SLO{
+		{Name: "report-latency", QuantileOf: "lat_seconds", Target: 0.01},
+		{Name: "push-backlog", GaugeOf: "immunity_hub_push_pending", Target: 100},
+	})
+
+	pool := NewPool(reg, "adm", time.Millisecond)
+	pool.Resize(16)
+	pool.Bind(e, "report-latency", "push-backlog")
+
+	backlog := reg.Gauge("immunity_hub_push_pending", "Backlog.")
+	r.Tick() // both ok
+	if got := pool.Capacity(); got != 16 {
+		t.Fatalf("capacity after healthy tick = %d, want 16 (no demand, no probe)", got)
 	}
-	if a.Capacity() != 8 {
-		t.Fatalf("capacity = %d, want default initial 8", a.Capacity())
+
+	backlog.Set(500) // secondary objective violates; latency stays ok
+	r.Tick()         // warn: hold
+	if got := pool.Capacity(); got != 16 {
+		t.Fatalf("capacity after one backlog tick = %d, want 16 (warn holds)", got)
 	}
-	var nilA *AdaptivePool
-	nilA.Bind(nil)
-	if nilA.Increases() != 0 || nilA.Decreases() != 0 {
-		t.Fatal("nil adaptive pool counters should read 0")
+	r.Tick() // breach
+	if got := pool.Capacity(); got != 8 {
+		t.Fatalf("capacity after backlog breach = %d, want 8 (halved)", got)
 	}
-	if zc := nilA.Config(); zc.SLO != "" || zc.SLOs != nil || zc.Initial != 0 || zc.Max != 0 {
-		t.Fatal("nil adaptive pool config should be zero")
+	if pool.Decreases() != 1 {
+		t.Fatalf("decreases = %d, want 1", pool.Decreases())
+	}
+}
+
+// TestSLOGaugeObjective: a GaugeOf objective reads the instantaneous
+// sum across a labeled gauge family — the forward-outbox shape, one
+// series per peer — and breaches when the backlog exceeds the target.
+func TestSLOGaugeObjective(t *testing.T) {
+	reg := NewRegistry()
+	depth := reg.GaugeVec("outbox_pending", "Backlog.", "peer")
+	r := NewRates(reg, RatesConfig{Interval: time.Second, Windows: []time.Duration{2 * time.Second}})
+	e := NewEvaluator(reg, r, []SLO{{
+		Name:    "outbox-backlog",
+		GaugeOf: "outbox_pending",
+		Target:  10,
+	}})
+
+	r.Tick() // family empty: no data, holds trivially
+	if st, ok := e.State("outbox-backlog"); !ok || st != SLOOK {
+		t.Fatalf("empty gauge family: state=%v ok=%v, want ok/SLOOK", st, ok)
+	}
+
+	depth.With("hub-b").Set(6)
+	depth.With("hub-c").Set(3)
+	r.Tick() // sum 9 <= 10 holds
+	if st, _ := e.State("outbox-backlog"); st != SLOOK {
+		t.Fatalf("backlog 9: state=%v, want SLOOK", st)
+	}
+
+	depth.With("hub-c").Set(7)
+	r.Tick() // sum 13 > 10: warn, then breach on the second tick
+	r.Tick()
+	if st, _ := e.State("outbox-backlog"); st != SLOBreach {
+		t.Fatalf("backlog 13: state=%v, want SLOBreach", st)
+	}
+	snap := e.Snapshot()
+	if len(snap) != 1 || !snap[0].HasData || snap[0].Observed != 13 {
+		t.Fatalf("snapshot = %+v, want observed 13 with data", snap)
+	}
+}
+
+// TestGaugeValueLabelAndMissing: label selection, missing families, and
+// wrong-typed families.
+func TestGaugeValueLabelAndMissing(t *testing.T) {
+	reg := NewRegistry()
+	depth := reg.GaugeVec("pending", "Backlog.", "peer")
+	depth.With("a").Set(4)
+	depth.With("b").Set(5)
+	reg.Counter("hits_total", "Hits.").Inc()
+
+	if v, ok := reg.GaugeValue("pending", "a"); !ok || v != 4 {
+		t.Fatalf("labeled read = %v/%v, want 4/true", v, ok)
+	}
+	if v, ok := reg.GaugeValue("pending", ""); !ok || v != 9 {
+		t.Fatalf("summed read = %v/%v, want 9/true", v, ok)
+	}
+	if _, ok := reg.GaugeValue("pending", "zzz"); ok {
+		t.Fatal("unknown label reported data")
+	}
+	if _, ok := reg.GaugeValue("absent", ""); ok {
+		t.Fatal("missing family reported data")
+	}
+	if _, ok := reg.GaugeValue("hits_total", ""); ok {
+		t.Fatal("counter family reported as gauge")
+	}
+	var nilReg *Registry
+	if _, ok := nilReg.GaugeValue("pending", ""); ok {
+		t.Fatal("nil registry reported data")
 	}
 }

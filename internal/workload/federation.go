@@ -7,8 +7,7 @@
 //     hub gets none). Options give every hub a memory provenance store
 //     that survives kill/start (chaos), run every directed peer path
 //     through one fault.Network (partition), serve each hub on a loopback
-//     TCP port (fleet immunity over tcp), or add per-hub exchange options
-//     (storm's admission pools). The single-hub reference every
+//     TCP port (fleet immunity over tcp). The single-hub reference every
 //     equivalence check compares against is a 1-hub federation.
 //   - hubView: how a scenario observes its hubs — a federation directly,
 //     or remoteHubs, running daemons seen through wire status requests
@@ -141,7 +140,6 @@ type fedConfig struct {
 	durable       bool              // a memory provenance store per hub, kept across kill/start
 	faults        bool              // every directed peer path through federation.net
 	tcp           bool              // serve each hub on a loopback TCP port
-	hubOpts       func(i int) []immunity.ExchangeOption
 }
 
 // federation is N in-process hubs in a full mesh.
@@ -188,9 +186,6 @@ func (f *federation) start(i int) error {
 	}
 	if f.stores[i] != nil {
 		opts = append(opts, immunity.WithProvenanceStore(f.stores[i]))
-	}
-	if f.hubOpts != nil {
-		opts = append(opts, f.hubOpts(i)...)
 	}
 	hub, err := immunity.NewExchange(f.threshold, opts...)
 	if err != nil {

@@ -1,12 +1,9 @@
 // Report storm workload: drives a burst of device reports at the
 // exchange far faster than the confirm pipeline wants to absorb them,
-// to exercise the hub's admission control. With a bounded permit pool
-// the storm degrades to bounded delay — publishers feel slow-ack
-// backpressure, the delayed counter climbs, hub memory stays bounded —
-// and every signature that reaches the threshold still arms fleet-wide.
-// Without admission the same burst just races through (the counters
-// stay zero); TestRunReportStorm and its Federated control assert the
-// difference.
+// and checks that every signature that reaches the threshold still arms
+// fleet-wide. The storm is a pure load generator: admission control
+// lives on the hubs it drives (immunityd -serve always runs its pool),
+// and the daemon tests scrape what the pool did from /metrics.
 package workload
 
 import (
@@ -15,7 +12,6 @@ import (
 	"time"
 
 	"github.com/dimmunix/dimmunix/internal/immunity"
-	"github.com/dimmunix/dimmunix/internal/immunity/metrics"
 	"github.com/dimmunix/dimmunix/internal/immunity/wire"
 )
 
@@ -34,32 +30,11 @@ type StormConfig struct {
 	// Hubs federates the in-process exchange (0 or 1 = single hub).
 	// Ignored when Dial is set.
 	Hubs int
-	// AdmitCapacity and AdmitWait configure the in-process hubs'
-	// admission pool (immunity.WithAdmission). Zero capacity disables
-	// admission. Ignored when Dial is set — external daemons get their
-	// pool from the -admit / -admit-wait flags.
-	AdmitCapacity int
-	AdmitWait     time.Duration
-	// AdmitAuto replaces the fixed AdmitCapacity with an AIMD adaptive
-	// admission pool per in-process hub: a Rates sampler and SLO
-	// evaluator run beside each hub, and the pool's capacity follows
-	// their verdicts (metrics.AdaptivePool). The run then reports the
-	// controller's trace in the result. In-process only — in client
-	// mode start the daemons with -admit auto instead. AdmitWait 0
-	// defaults to 10s here (an adaptive pool that sheds instantly
-	// would only ever back off).
-	AdmitAuto bool
-	// SLOTarget and SLOInterval shape the adaptive run's latency
-	// objective: p99 of immunity_hub_report_seconds (admission wait
-	// included) must stay at or under SLOTarget, evaluated every
-	// SLOInterval (defaults 25ms / 250ms).
-	SLOTarget   time.Duration
-	SLOInterval time.Duration
 	// Ramp, when non-nil, replaces the one-burst send pattern with two
 	// phases: a paced warmup (each device trickles single-signature
-	// reports, giving an adaptive pool ok-ticks to grow on) and then a
-	// continuous full-batch flood (driving the latency SLO into breach
-	// so the pool must back off). Afterwards each device sends one
+	// reports, giving a daemon's admission pool ok-ticks to grow on) and
+	// then a continuous full-batch flood (driving the latency SLO into
+	// breach so the pool must back off). Afterwards each device sends one
 	// final full batch, so every signature is reported regardless of
 	// phase lengths.
 	Ramp *StormRamp
@@ -68,8 +43,7 @@ type StormConfig struct {
 	// Dial, when non-empty, storms external daemons instead: a
 	// comma-separated address list across which the devices attach
 	// round-robin over TCP. Arming completion is observed through wire
-	// status requests; the admission counters then live on the daemons'
-	// /metrics endpoints, not in the returned result.
+	// status requests.
 	Dial string
 	// Token, in client mode, rides every storm device's hello as the
 	// bearer credential for auth-enabled daemons.
@@ -77,11 +51,6 @@ type StormConfig struct {
 	// TLS, in client mode, dials every daemon connection under this
 	// config. Nil dials plaintext.
 	TLS *tls.Config
-	// Metrics, when non-nil, is shared with the in-process hubs.
-	// Incompatible with AdmitAuto over multiple hubs: each adaptive hub
-	// needs its own registry (the capacity gauge and SLO state series
-	// are per-controller).
-	Metrics *metrics.Registry
 }
 
 // StormRamp shapes a two-phase (warmup, then flood) storm.
@@ -99,16 +68,12 @@ type StormRamp struct {
 const stormWarmupRate = 20
 
 // DefaultStormConfig is the CI storm shape: 8 devices hammering 32
-// shared signatures through a 2-permit pool with a generous wait, so
-// the burst is delayed (bounded, backpressured) but never shed and
-// arming still completes.
+// shared signatures at threshold 2.
 func DefaultStormConfig() StormConfig {
 	return StormConfig{
 		Devices:          8,
 		Sigs:             32,
 		ConfirmThreshold: 2,
-		AdmitCapacity:    2,
-		AdmitWait:        10 * time.Second,
 		Timeout:          60 * time.Second,
 	}
 }
@@ -121,25 +86,8 @@ type StormResult struct {
 	Armed int
 	// Elapsed is storm start to every hub armed.
 	Elapsed time.Duration
-	// Admitted, Delayed, and Shed are the summed admission verdicts
-	// across the in-process hubs (zero in client mode — scrape the
-	// daemons' /metrics for them).
-	Admitted, Delayed, Shed uint64
 	// Transport describes how the devices reached the hubs.
 	Transport string
-
-	// Adaptive-admission outcome (AdmitAuto in-process runs only).
-	// InitialCapacity is every pool's starting capacity,
-	// FinalCapacity the minimum capacity across hubs after the run,
-	// AIMDIncreases/AIMDDecreases the summed controller moves, and SLO
-	// the first hub's objective statuses at the end (after waiting for
-	// the latency SLO to recover, so a flood's breach→ok transition is
-	// captured in SLO[i].LastTransition).
-	InitialCapacity int
-	FinalCapacity   int
-	AIMDIncreases   uint64
-	AIMDDecreases   uint64
-	SLO             []metrics.SLOStatus
 }
 
 func (cfg StormConfig) validate() error {
@@ -159,14 +107,6 @@ func (cfg StormConfig) validate() error {
 		if cfg.Hubs < 0 {
 			return fmt.Errorf("storm: negative hub count %d", cfg.Hubs)
 		}
-		if cfg.AdmitAuto && cfg.AdmitCapacity > 0 {
-			return fmt.Errorf("storm: AdmitAuto and a fixed AdmitCapacity are mutually exclusive")
-		}
-		if cfg.AdmitAuto && cfg.Metrics != nil && cfg.Hubs > 1 {
-			return fmt.Errorf("storm: AdmitAuto over %d hubs needs per-hub registries, not a shared Metrics", cfg.Hubs)
-		}
-	} else if cfg.AdmitAuto {
-		return fmt.Errorf("storm: AdmitAuto is in-process only (start external daemons with -admit auto)")
 	}
 	if r := cfg.Ramp; r != nil {
 		if r.Warmup < 0 || r.Flood < 0 {
@@ -182,38 +122,17 @@ func (cfg StormConfig) validate() error {
 // RunReportStorm executes the storm: every device publishes the same
 // Sigs signatures through its own exchange session as fast as the hub
 // admits them, then the run waits for the whole set to arm cluster-wide.
-// The admission pool never sheds under the default config — AdmitWait
-// is far above the confirm pipeline's per-report cost — so "delayed
-// grows, arming completes" is the bounded-degradation proof.
 func RunReportStorm(cfg StormConfig) (StormResult, error) {
 	if err := cfg.validate(); err != nil {
 		return StormResult{}, err
 	}
 	res := StormResult{Config: cfg}
-	var monitors []*stormMonitor
 	hubs, err := openHubs(cfg.Dial, cfg.TLS, cfg.Timeout, fedConfig{name: "storm", hubs: cfg.Hubs,
-		threshold: cfg.ConfirmThreshold, metrics: cfg.Metrics, hubOpts: func(int) []immunity.ExchangeOption {
-			if cfg.AdmitAuto {
-				// Each adaptive hub gets its own controller: registry,
-				// sampler, evaluator, and AIMD pool (the capacity gauge and
-				// SLO state are per-controller series).
-				mon := newStormMonitor(cfg)
-				monitors = append(monitors, mon)
-				return []immunity.ExchangeOption{immunity.WithMetricsRegistry(mon.reg), immunity.WithAdmissionPool(mon.pool.Pool)}
-			}
-			if cfg.AdmitCapacity > 0 {
-				return []immunity.ExchangeOption{immunity.WithAdmission(cfg.AdmitCapacity, cfg.AdmitWait)}
-			}
-			return nil
-		}})
+		threshold: cfg.ConfirmThreshold})
 	if err != nil {
 		return res, err
 	}
 	defer hubs.close()
-	for _, mon := range monitors {
-		mon.rates.Start()
-		defer mon.rates.Stop()
-	}
 	res.Transport = hubs.label()
 	// Daemons carry state across runs: arming completion is "every hub's
 	// epoch grew by Sigs over its own baseline" (in-process, from zero).
@@ -263,87 +182,7 @@ func RunReportStorm(cfg StormConfig) (StormResult, error) {
 		return res, err
 	}
 	res.Elapsed = time.Since(start)
-	if f, ok := hubs.(*federation); ok {
-		for _, hub := range f.hubs {
-			st := hub.Stats()
-			res.Admitted += st.AdmissionAdmitted
-			res.Delayed += st.AdmissionDelayed
-			res.Shed += st.AdmissionShed
-		}
-	}
-	if len(monitors) > 0 {
-		// Let the latency SLO recover before snapshotting: the flood's
-		// observations drain out of the evaluation window and the state
-		// machine walks breach→ok, which is the convergence the adaptive
-		// storm exists to prove.
-		if _, err := w.until("the latency SLO to recover to ok", func() bool {
-			for _, mon := range monitors {
-				if st, ok := mon.eval.State(stormLatencySLO); !ok || st != metrics.SLOOK {
-					return false
-				}
-			}
-			return true
-		}); err != nil {
-			return res, err
-		}
-		res.InitialCapacity = monitors[0].pool.Config().Initial
-		res.FinalCapacity = monitors[0].pool.Capacity()
-		for _, mon := range monitors {
-			res.FinalCapacity = min(res.FinalCapacity, mon.pool.Capacity())
-			res.AIMDIncreases += mon.pool.Increases()
-			res.AIMDDecreases += mon.pool.Decreases()
-		}
-		res.SLO = monitors[0].eval.Snapshot()
-	}
 	return res, nil
-}
-
-// stormLatencySLO names the adaptive storm's latency objective.
-const stormLatencySLO = "report-latency"
-
-// stormMonitor is one in-process hub's adaptive-admission control
-// plane: its registry, rate sampler, SLO evaluator, and AIMD pool.
-type stormMonitor struct {
-	reg   *metrics.Registry
-	rates *metrics.Rates
-	eval  *metrics.Evaluator
-	pool  *metrics.AdaptivePool
-}
-
-// newStormMonitor builds the control plane for one adaptive hub. The
-// windows are compressed (2s shortest) so a seconds-long storm test
-// sees the full breach→recover cycle.
-func newStormMonitor(cfg StormConfig) *stormMonitor {
-	reg := cfg.Metrics
-	if reg == nil {
-		reg = metrics.NewRegistry()
-	}
-	interval := cfg.SLOInterval
-	if interval <= 0 {
-		interval = 250 * time.Millisecond
-	}
-	target := cfg.SLOTarget
-	if target <= 0 {
-		target = 25 * time.Millisecond
-	}
-	maxWait := cfg.AdmitWait
-	if maxWait <= 0 {
-		maxWait = 10 * time.Second
-	}
-	rates := metrics.NewRates(reg, metrics.RatesConfig{
-		Interval: interval,
-		Windows:  []time.Duration{2 * time.Second, 10 * time.Second, time.Minute},
-	})
-	rates.TrackCounter("immunity_hub_reports_total")
-	rates.TrackCounter("immunity_hub_armed_total")
-	eval := metrics.NewEvaluator(reg, rates, []metrics.SLO{
-		{Name: stormLatencySLO, QuantileOf: "immunity_hub_report_seconds", Target: target.Seconds()},
-		{Name: "shed-zero", RateOf: "immunity_hub_admission_shed_total", Target: 0},
-	})
-	pool := metrics.NewAdaptivePool(reg, "immunity_hub_admission", maxWait,
-		metrics.AIMDConfig{SLO: stormLatencySLO})
-	pool.Bind(eval)
-	return &stormMonitor{reg: reg, rates: rates, eval: eval, pool: pool}
 }
 
 // drive sends one device's share of the storm: the classic
@@ -453,24 +292,5 @@ func FormatStorm(res StormResult) string {
 			r.Warmup, stormWarmupRate, r.Flood)
 	}
 	out += fmt.Sprintf("  armed cluster-wide   %6d/%d in %s\n", res.Armed, cfg.Sigs, res.Elapsed.Round(time.Millisecond))
-	switch {
-	case cfg.Dial != "":
-		out += "  admission            counters live on the daemons' /metrics endpoints\n"
-	case cfg.AdmitAuto:
-		out += fmt.Sprintf("  admission            admitted=%d delayed=%d shed=%d (adaptive, max wait %s)\n",
-			res.Admitted, res.Delayed, res.Shed, cfg.AdmitWait)
-		out += fmt.Sprintf("  adaptive capacity    %d → %d (aimd increases=%d decreases=%d)\n",
-			res.InitialCapacity, res.FinalCapacity, res.AIMDIncreases, res.AIMDDecreases)
-		for _, s := range res.SLO {
-			line := fmt.Sprintf("  slo %-16s %s", s.Name, s.State)
-			if s.LastTransition != nil {
-				line += fmt.Sprintf(" (last %s→%s)", s.LastTransition.From, s.LastTransition.To)
-			}
-			out += line + "\n"
-		}
-	default:
-		out += fmt.Sprintf("  admission            admitted=%d delayed=%d shed=%d (pool capacity %d, max wait %s)\n",
-			res.Admitted, res.Delayed, res.Shed, cfg.AdmitCapacity, cfg.AdmitWait)
-	}
 	return out
 }

@@ -15,10 +15,10 @@
 // restart loses no confirmation and never re-arms below threshold, and
 // an HTTP server with three endpoints: /status (fleet epoch,
 // per-signature provenance, connected devices, delta-batching counters,
-// live per-second rate windows, as JSON), /metrics (the hub's whole
-// instrument registry, internal/immunity/metrics, in Prometheus text
-// format) and /slo (each objective's ok/warn/breach verdict, breach
-// count, and last transition, as JSON).
+// as JSON), /metrics (the hub's whole instrument registry,
+// internal/immunity/metrics, in Prometheus text format) and /slo (each
+// objective's ok/warn/breach verdict, breach count, and last transition,
+// as JSON).
 //
 // Admission control is always on. A permit pool bounds the report path
 // (device reports and peer forward-reports): an over-capacity message
@@ -220,7 +220,7 @@ func newFlags() (*flag.FlagSet, *cli) {
 	fs.BoolVar(&c.sc.noLease, "no-lease", false, "failure detection: disable the quorum lease and fall back to epoch fencing alone (both partition sides keep arming)")
 	fs.DurationVar(&c.sc.admitWait, "admit-wait", 5*time.Second, "bounded wait before an over-capacity report is shed (keep well below the 30s wire write timeout)")
 	fs.DurationVar(&c.sc.sloTarget, "slo-target", 25*time.Millisecond, "latency SLO: p99 report-handling time (admission wait included) must stay at or under this")
-	fs.DurationVar(&c.sc.sloInterval, "slo-interval", time.Second, "SLO evaluation and rate-sampling tick")
+	fs.DurationVar(&c.sc.sloInterval, "slo-interval", time.Second, "SLO evaluation tick")
 	fs.IntVar(&c.sc.backlogTarget, "slo-backlog", 1024, "backlog SLO: the push-queue depth and the summed forward-outbox lag must each stay at or under this many frames")
 	fs.StringVar(&c.tlsCert, "tls-cert", "", "serve the exchange listener under TLS with this certificate (PEM; requires -tls-key)")
 	fs.StringVar(&c.tlsKey, "tls-key", "", "the TLS certificate's private key (PEM)")
@@ -551,7 +551,7 @@ type daemon struct {
 	srv     *immunity.ExchangeServer
 	httpSrv *http.Server
 	httpLn  net.Listener
-	rates   *metrics.Rates
+	eval    *metrics.Evaluator
 }
 
 // Addr returns the exchange's bound TCP address.
@@ -575,7 +575,7 @@ func (d *daemon) Close() {
 	}
 	d.srv.Close()
 	d.hub.Close()
-	d.rates.Stop()
+	d.eval.Stop()
 }
 
 // serveConfig carries everything serve mode needs. It is built only by
@@ -607,8 +607,8 @@ const buildVersion = "0.10.0"
 
 // startDaemon boots the exchange server, the optional cluster node, and
 // the /status + /metrics + /slo endpoints. One registry is shared by
-// the hub, the cluster links, the provenance store, and the rate/SLO
-// control plane, so /metrics is the whole daemon on one page.
+// the hub, the cluster links, the provenance store, and the SLO control
+// plane, so /metrics is the whole daemon on one page.
 func startDaemon(sc serveConfig) (*daemon, error) {
 	reg := metrics.NewRegistry()
 	reg.Info("immunity_build_info", "Build and protocol metadata (value is always 1).",
@@ -616,27 +616,10 @@ func startDaemon(sc serveConfig) (*daemon, error) {
 		[2]string{"wire_min", strconv.Itoa(wire.MinVersion)},
 		[2]string{"wire_max", strconv.Itoa(wire.Version)})
 
-	// The rate sampler turns the registry's counters into windowed
-	// per-second gauges and feeds the SLO evaluator; both tick on
-	// sloInterval. Families are resolved lazily, so tracking before the
-	// hub registers them is fine, and per-peer series appear as peers do.
-	rates := metrics.NewRates(reg, metrics.RatesConfig{Interval: sc.sloInterval})
-	for _, name := range []string{
-		"immunity_hub_reports_total",
-		"immunity_hub_confirmations_total",
-		"immunity_hub_armed_total",
-		"immunity_hub_echoes_total",
-		"immunity_hub_forwards_total",
-		"immunity_hub_remote_installs_total",
-		"immunity_hub_admission_shed_total",
-		"immunity_cluster_peer_forwards_total",
-		"immunity_cluster_applied_total",
-	} {
-		rates.TrackCounter(name)
-	}
-	rates.TrackHistogram("immunity_hub_report_seconds")
-	rates.TrackHistogram("immunity_hub_report_handle_seconds")
-	eval := metrics.NewEvaluator(reg, rates, []metrics.SLO{
+	// The SLO evaluator ticks on sloInterval. It resolves its source
+	// families by name, so building it before the hub registers them is
+	// fine.
+	eval := metrics.NewEvaluator(reg, sc.sloInterval, []metrics.SLO{
 		{Name: "report-latency", QuantileOf: "immunity_hub_report_seconds",
 			Target: sc.sloTarget.Seconds()},
 		{Name: "shed-zero", RateOf: "immunity_hub_admission_shed_total", Target: 0},
@@ -651,7 +634,7 @@ func startDaemon(sc serveConfig) (*daemon, error) {
 	})
 	uptime := reg.FloatGauge("immunity_hub_uptime_seconds", "Seconds since daemon start.")
 	started := time.Now()
-	rates.OnTick(func() { uptime.Set(time.Since(started).Seconds()) })
+	eval.OnVerdict(func() { uptime.Set(time.Since(started).Seconds()) })
 
 	opts := []immunity.ExchangeOption{immunity.WithMetricsRegistry(reg)}
 	if sc.provenance != "" {
@@ -711,7 +694,7 @@ func startDaemon(sc serveConfig) (*daemon, error) {
 		hub.Close()
 		return nil, err
 	}
-	d := &daemon{hub: hub, node: node, srv: srv, rates: rates}
+	d := &daemon{hub: hub, node: node, srv: srv, eval: eval}
 	if sc.httpAddr != "" {
 		writeJSON := func(w http.ResponseWriter, v any) {
 			w.Header().Set("Content-Type", "application/json")
@@ -732,7 +715,7 @@ func startDaemon(sc serveConfig) (*daemon, error) {
 				writeJSON(w, ownerPayload{Key: key, Owner: owner, Deputy: deputy})
 				return
 			}
-			p := statusPayload{Status: hub.Status(), Rates: rates.Snapshot()}
+			p := statusPayload{Status: hub.Status()}
 			if node != nil {
 				p.Links = node.Status()
 			}
@@ -760,18 +743,16 @@ func startDaemon(sc serveConfig) (*daemon, error) {
 			}
 		}()
 	}
-	rates.Start()
+	eval.Start()
 	return d, nil
 }
 
 // statusPayload is the /status document: the wire status (whose cluster
 // section carries the membership ring with liveness and epoch) plus the
-// node's peer-link states and the windowed per-second rates of every
-// tracked counter series.
+// node's peer-link states.
 type statusPayload struct {
 	wire.Status
-	Links []cluster.PeerStatus          `json:"links,omitempty"`
-	Rates map[string]map[string]float64 `json:"rates,omitempty"`
+	Links []cluster.PeerStatus `json:"links,omitempty"`
 }
 
 // ownerPayload answers /status?owner=KEY: which hub owns the signature

@@ -19,7 +19,6 @@ import (
 
 	"github.com/dimmunix/dimmunix/internal/immunity"
 	"github.com/dimmunix/dimmunix/internal/immunity/auth"
-	"github.com/dimmunix/dimmunix/internal/immunity/metrics"
 	"github.com/dimmunix/dimmunix/internal/immunity/wire"
 	"github.com/dimmunix/dimmunix/internal/workload"
 )
@@ -660,8 +659,7 @@ func TestImmunitydFederatedCluster(t *testing.T) {
 // flood reports wait (delayed, bounded backpressure), collapse capacity
 // when the full-batch flood breaches the latency SLO, shed nothing, and
 // the whole loop must be observable — AIMD trace counters and live
-// capacity on /metrics, breach counts and state on /slo, per-second
-// rate gauges on /status.
+// capacity on /metrics, breach counts and state on /slo.
 func TestImmunitydAdaptiveAdmission(t *testing.T) {
 	d := serve(t, "-threshold", "2", "-admit-wait", "10s", "-slo-target", "500us", "-slo-interval", "100ms")
 
@@ -701,17 +699,11 @@ func TestImmunitydAdaptiveAdmission(t *testing.T) {
 	if !strings.Contains(page, `immunity_build_info{version=`) {
 		t.Error("/metrics missing immunity_build_info")
 	}
-	if !strings.Contains(page, `immunity_hub_reports_per_second{window="10s"}`) {
-		t.Error("/metrics missing windowed rate gauges")
+	if strings.Contains(page, "_per_second") {
+		t.Error("/metrics publishes rate gauges; scrapers derive rates from the counters")
 	}
 	if !strings.Contains(page, `immunity_slo_state{slo="report-latency"}`) {
 		t.Error("/metrics missing the SLO state series")
-	}
-	// The exposition lint that guards the registry in unit tests also
-	// passes on the live page with every series populated (rates, SLO
-	// state, AIMD trace, build info).
-	if problems := metrics.Lint(strings.NewReader(page)); len(problems) != 0 {
-		t.Errorf("live /metrics is non-conforming:\n%s", strings.Join(problems, "\n"))
 	}
 
 	// /slo: the flood must have escalated the latency objective to
@@ -721,6 +713,7 @@ func TestImmunitydAdaptiveAdmission(t *testing.T) {
 		State    string  `json:"state"`
 		Breaches uint64  `json:"breaches_total"`
 		Target   float64 `json:"target"`
+		Window   string  `json:"window"`
 	}
 	if err := json.Unmarshal([]byte(httpGet(t, d.HTTPAddr(), "/slo")), &slos); err != nil {
 		t.Fatalf("/slo decode: %v", err)
@@ -736,6 +729,9 @@ func TestImmunitydAdaptiveAdmission(t *testing.T) {
 	if slos[lat].Breaches == 0 {
 		t.Errorf("report-latency breaches = 0, want >= 1 after the flood: %+v", slos[lat])
 	}
+	if slos[lat].Window != "10s" {
+		t.Errorf("report-latency window = %q, want 10s at a 100ms tick", slos[lat].Window)
+	}
 	shed, ok := byName["shed-zero"]
 	if !ok {
 		t.Fatalf("/slo missing shed-zero: %+v", slos)
@@ -744,14 +740,12 @@ func TestImmunitydAdaptiveAdmission(t *testing.T) {
 		t.Errorf("shed-zero breached: %+v", slos[shed])
 	}
 
-	// /status: the storm is inside the 10s window, so the report rate
-	// gauge must still be nonzero.
-	st, err := status(d.HTTPAddr())
-	if err != nil {
-		t.Fatalf("/status: %v", err)
+	var st map[string]json.RawMessage
+	if err := json.Unmarshal([]byte(httpGet(t, d.HTTPAddr(), "/status")), &st); err != nil {
+		t.Fatalf("/status decode: %v", err)
 	}
-	if st.Rates["immunity_hub_reports_per_second"]["10s"] <= 0 {
-		t.Errorf("/status rates missing a live report rate: %+v", st.Rates)
+	if _, ok := st["rates"]; ok {
+		t.Error("/status carries a rates object")
 	}
 }
 

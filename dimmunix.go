@@ -274,11 +274,6 @@ func ConnectExchange(t Transport, deviceID string, svc *ImmunityService, opts ..
 	return immunity.Connect(t, deviceID, svc, opts...)
 }
 
-// NewMultiTransport fans a device out over several hub transports (a
-// cluster's addresses): each dial tries them in rotation, so the device
-// stays attached through any healthy hub.
-func NewMultiTransport(ts ...Transport) Transport { return immunity.NewMultiTransport(ts...) }
-
 // FederateExchange joins a hub into a federated cluster: signatures are
 // owned by exactly one member hub (rendezvous hashing over the member
 // ids), non-owner hubs forward device reports to the owner — the sole

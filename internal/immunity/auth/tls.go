@@ -120,9 +120,6 @@ func (ca *CA) Save(certFile, keyFile string) error {
 	return nil
 }
 
-// CertPEM returns the CA certificate in PEM form.
-func (ca *CA) CertPEM() []byte { return append([]byte(nil), ca.certPEM...) }
-
 // Pool returns a cert pool holding only this CA.
 func (ca *CA) Pool() *x509.CertPool {
 	pool := x509.NewCertPool()

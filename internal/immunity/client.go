@@ -310,9 +310,6 @@ func (c *ExchangeClient) pruneEpochsLocked() {
 	}
 }
 
-// DeviceID returns the client's device id.
-func (c *ExchangeClient) DeviceID() string { return c.id }
-
 // FleetEpoch returns the newest fleet delta epoch the client applied
 // from the hub incarnation it is currently attached to.
 func (c *ExchangeClient) FleetEpoch() uint64 {

@@ -619,13 +619,6 @@ func (c *Conn) Device() string {
 	return c.device
 }
 
-// PeerHub returns the cluster id bound by peer-hello, or "".
-func (c *Conn) PeerHub() string {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.peerHub
-}
-
 // checkVersion applies the wire version rule to a hello: the advertised
 // range must contain wire.Version and cover the hello's own envelope
 // version — a range that does not is a broken (or lying) endpoint that

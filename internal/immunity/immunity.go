@@ -34,7 +34,7 @@
 // reports to the owner over the wire protocol's peer message set, and
 // owned armings broadcast cluster-wide. Devices attach to any hub
 // unchanged; the ExchangeClient's per-incarnation epoch map even lets
-// one device roam between hubs (see NewMultiTransport).
+// one device roam between hubs.
 //
 // # Transports and the wire protocol
 //
@@ -283,18 +283,16 @@
 // can kill it before the verdict. Without the option every report is
 // admitted at once, with no yield and no counting.
 //
-// Three layers in the metrics package turn those raw series into the
-// pool's control loop. metrics.Rates samples tracked counters and
-// histograms on a fixed interval into ring buffers and derives
-// per-second rate gauges over sliding windows
-// (immunity_hub_reports_per_second{window="1m"}, per-peer forward
-// rates) plus windowed histogram quantiles — a burst is visible while
-// it happens and the rate decays to zero when it stops, without any
-// scrape-side PromQL. metrics.Evaluator re-checks declarative SLOs (a
-// latency quantile, a rate or a gauge against a target, e.g. "p99
-// report handling ≤ 25ms", "shed rate = 0") on every tick and runs an
+// Two layers in the metrics package turn those raw series into the
+// pool's control loop. metrics.Evaluator samples each objective's source
+// on a fixed tick and re-checks declarative SLOs (a latency quantile or
+// a rate over the trailing 10s window, or a gauge, against a target,
+// e.g. "p99 report handling ≤ 25ms", "shed rate = 0"); it runs an
 // ok→warn→breach state machine per objective, exported as
-// immunity_slo_state and served as JSON by immunityd's /slo.
+// immunity_slo_state and served as JSON by immunityd's /slo. The window
+// is what lets a latency objective recover once a storm drains, which
+// the cumulative histogram never would. Any other rate is for the
+// scraper to derive from the counters on /metrics.
 // Pool.Bind closes the loop: it resizes the pool by AIMD on every tick.
 // Capacity grows while the bound objectives are ok and any report tried
 // to acquire a permit since the last tick, whether or not it queued; it

@@ -97,9 +97,9 @@ func (g *Gauge) Value() int64 {
 	return g.v.Load()
 }
 
-// FloatGauge is a float-valued instantaneous value (per-second rates,
-// uptime seconds). It only supports whole-owner Set: the writers are
-// single-owner samplers, never shared hot paths.
+// FloatGauge is a float-valued instantaneous value (uptime seconds). It
+// only supports whole-owner Set: the writers are single-owner samplers,
+// never shared hot paths.
 type FloatGauge struct {
 	bits atomic.Uint64 // float64 bits
 }
@@ -191,7 +191,7 @@ func (h *Histogram) bucketCounts() []uint64 {
 
 // quantileFromCounts is Quantile's engine over an explicit per-bucket
 // count snapshot (len(upper)+1 slots, +Inf last), shared with the
-// windowed quantiles of the Rates sampler.
+// Evaluator's windowed quantiles.
 func quantileFromCounts(upper []float64, counts []uint64, q float64) float64 {
 	var total uint64
 	for _, c := range counts {
@@ -304,10 +304,7 @@ func (r *Registry) familyRaw(name, help, typ, labelKey string, buckets []float64
 	return f
 }
 
-// lookupFamily returns the family registered under name, or nil. Used
-// by the Rates sampler to resolve tracked families lazily, so series
-// that first appear after tracking starts (a peer link's labeled
-// counters, say) are still picked up.
+// lookupFamily returns the family registered under name, or nil.
 func (r *Registry) lookupFamily(name string) *family {
 	if r == nil {
 		return nil
@@ -315,6 +312,19 @@ func (r *Registry) lookupFamily(name string) *family {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	return r.byName[name]
+}
+
+// unlabeled returns the unlabeled instrument of the typ family
+// registered under name, or nil. The Evaluator resolves its sources
+// through it lazily, so they may be registered after it is built.
+func (r *Registry) unlabeled(name, typ string) any {
+	f := r.lookupFamily(name)
+	if f == nil || f.typ != typ {
+		return nil
+	}
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	return f.series[""]
 }
 
 // Counter returns the counter registered under name, creating it on
@@ -416,12 +426,11 @@ func (v *GaugeVec) With(label string) *Gauge {
 	return v.f.get(label, func() any { return new(Gauge) }).(*Gauge)
 }
 
-// GaugeValue reads a gauge family's instantaneous value: the series
-// selected by label, or — when label is "" — the sum across every
-// series in the family (a queue-depth family summed across peers).
-// The second return reports whether the family exists and a matching
-// gauge series was found. Nil-safe.
-func (r *Registry) GaugeValue(name, label string) (float64, bool) {
+// GaugeValue reads a gauge family's instantaneous value: the sum across
+// every series in the family (a queue-depth family summed across
+// peers). The second return reports whether the family exists and holds
+// a gauge series. Nil-safe.
+func (r *Registry) GaugeValue(name string) (float64, bool) {
 	f := r.lookupFamily(name)
 	if f == nil || f.typ != typeGauge {
 		return 0, false
@@ -429,10 +438,7 @@ func (r *Registry) GaugeValue(name, label string) (float64, bool) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	sum, found := 0.0, false
-	for l, m := range f.series {
-		if label != "" && l != label {
-			continue
-		}
+	for _, m := range f.series {
 		switch inst := m.(type) {
 		case *Gauge:
 			sum += float64(inst.Value())
@@ -515,7 +521,7 @@ func labelSuffix(key, value string) string {
 }
 
 // renderLabels renders ordered label pairs as one {k="v",...} block —
-// the series key of a raw family (Info, the rate gauges).
+// the series key of a raw family (Info).
 func renderLabels(pairs [][2]string) string {
 	if len(pairs) == 0 {
 		return ""

@@ -159,7 +159,7 @@ func TestPoolDefaults(t *testing.T) {
 
 	var nilPool *Pool
 	nilPool.Bind(nil)
-	nilPool.Bind(NewEvaluator(reg, NewRates(reg, RatesConfig{}), nil), "lat")
+	nilPool.Bind(NewEvaluator(reg, time.Second, nil), "lat")
 	release, ok := nilPool.Acquire()
 	if !ok || release == nil {
 		t.Fatal("a nil pool must admit")
@@ -272,8 +272,7 @@ func TestAIMDBreachEpisodeKeepsCeiling(t *testing.T) {
 func TestAIMDConcurrentAcquireAndTick(t *testing.T) {
 	reg := NewRegistry()
 	h := reg.Histogram("lat_seconds", "Latency.", []float64{0.001, 0.01, 0.1, 1})
-	r := NewRates(reg, RatesConfig{Interval: time.Second, Windows: []time.Duration{2 * time.Second}})
-	e := NewEvaluator(reg, r, []SLO{{Name: "lat", QuantileOf: "lat_seconds", Target: 0.01}})
+	e := NewEvaluator(reg, 5*time.Second, []SLO{{Name: "lat", QuantileOf: "lat_seconds", Target: 0.01}})
 	p := NewPool(reg, "adm", 10*time.Second)
 	p.Bind(e, "lat")
 
@@ -302,7 +301,7 @@ func TestAIMDConcurrentAcquireAndTick(t *testing.T) {
 		case <-done:
 			finished++
 		default:
-			r.Tick()
+			e.Tick()
 			if c := p.Capacity(); c < 1 || c > 64 {
 				t.Fatalf("capacity %d outside [1, 64]", c)
 			}

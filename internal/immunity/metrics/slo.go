@@ -25,6 +25,11 @@ const (
 	clearAfter  = 3
 )
 
+// evalWindow is the trailing window windowed objectives are judged
+// over. A tick longer than it widens the window to one tick, so every
+// objective still spans at least one sample step.
+const evalWindow = 10 * time.Second
+
 func (s SLOState) String() string {
 	switch s {
 	case SLOWarn:
@@ -36,12 +41,11 @@ func (s SLOState) String() string {
 	}
 }
 
-// SLO declares one objective over the Rates sampler: a windowed
-// histogram quantile (p99 report latency < target seconds), a windowed
-// counter rate (shed rate == 0), or an instantaneous gauge reading
-// (push backlog < target frames). The window is the sampler's shortest.
-// The objective holds while the observed value is <= Target; a window
-// with no data holds trivially — an idle system breaches nothing.
+// SLO declares one objective: a windowed histogram quantile (p99 report
+// latency < target seconds), a windowed counter rate (shed rate == 0),
+// or an instantaneous gauge reading (push backlog < target frames). The
+// objective holds while the observed value is <= Target; a window with
+// no data holds trivially — an idle system breaches nothing.
 type SLO struct {
 	// Name identifies the objective (the slo label of its state gauge
 	// and its entry on /slo).
@@ -87,31 +91,48 @@ type SLOStatus struct {
 	LastTransition *SLOTransition `json:"last_transition,omitempty"`
 }
 
-// Evaluator drives declared SLOs off the Rates ticker: every tick it
-// computes each objective's observed value, advances the ok/warn/breach
+// Evaluator samples the declared SLOs' sources and judges them, once per
+// tick: it snapshots each windowed objective's source into a ring,
+// computes every objective's observed value, advances the ok/warn/breach
 // machine, and exports the verdicts as
 //
 //	immunity_slo_state{slo="report-latency"}    0 ok / 1 warn / 2 breach
 //	immunity_slo_breaches_total{slo="..."}      escalations to breach
 //
+// A windowed objective keeps one ring of bucket-count snapshots spanning
+// the window; a counter is sampled as a one-bucket snapshot, so rates and
+// quantiles share it. The window is what makes recovery possible: a
+// cumulative histogram never forgets a storm, but the p99 over the last
+// window's bucket deltas drains once the storm does. Sources are resolved
+// by name on each tick until their family exists, so the evaluator may be
+// built before the subsystem that registers them.
+//
 // The hysteresis is deliberate: one bad tick is warn (noise-tolerant),
 // two consecutive bad ticks breach (pageable), three consecutive good
 // ticks recover — so the breach→ok transition after a storm is a real
 // drain signal, not a flap. Controllers registered with OnVerdict (the
-// admission pool's Bind) run after every evaluation tick, outside the
-// evaluator lock.
+// admission pool's Bind) run after every tick, outside the evaluator
+// lock. All methods are nil-receiver safe.
 type Evaluator struct {
-	reg    *Registry
-	rates  *Rates
-	window time.Duration // the sampler's shortest
+	reg      *Registry
+	interval time.Duration
+	window   time.Duration // max(evalWindow, interval)
 
 	mu       sync.Mutex
 	slos     []*sloEval
 	verdicts []func()
+	started  bool
+
+	stopOnce sync.Once
+	stopCh   chan struct{}
+	done     chan struct{}
 }
 
 type sloEval struct {
 	cfg        SLO
+	ring       *sampleRing // nil for gauge objectives
+	counts     func() []uint64
+	upper      []float64 // the histogram's bucket bounds
 	state      SLOState
 	badStreak  int
 	goodStreak int
@@ -123,36 +144,38 @@ type sloEval struct {
 	breachCtr  *Counter
 }
 
-// NewEvaluator declares the objectives and registers the evaluator on
-// the sampler's tick. Source families are auto-tracked on rates. A nil
-// registry or sampler returns nil (evaluation disabled; nil-safe).
-func NewEvaluator(reg *Registry, rates *Rates, slos []SLO) *Evaluator {
-	if reg == nil || rates == nil {
+// NewEvaluator declares the objectives, sampled and judged every
+// interval (default 1s) once Start runs the ticker, or on each Tick. A
+// nil registry returns nil (evaluation disabled; nil-safe).
+func NewEvaluator(reg *Registry, interval time.Duration, slos []SLO) *Evaluator {
+	if reg == nil {
 		return nil
 	}
-	e := &Evaluator{reg: reg, rates: rates, window: rates.windows[0]}
+	if interval <= 0 {
+		interval = time.Second
+	}
+	e := &Evaluator{reg: reg, interval: interval, window: max(evalWindow, interval),
+		stopCh: make(chan struct{}), done: make(chan struct{})}
+	steps := int(e.window / interval)
 	stateVec := reg.GaugeVec("immunity_slo_state",
 		"SLO state machine position per objective: 0 ok, 1 warn, 2 breach.", "slo")
 	breachVec := reg.CounterVec("immunity_slo_breaches_total",
 		"Escalations to breach per objective.", "slo")
 	for _, cfg := range slos {
-		if cfg.QuantileOf != "" {
-			rates.TrackHistogram(cfg.QuantileOf)
-		} else if cfg.RateOf != "" {
-			rates.TrackCounter(cfg.RateOf)
-		}
 		s := &sloEval{cfg: cfg,
 			stateGauge: stateVec.With(cfg.Name),
 			breachCtr:  breachVec.With(cfg.Name)}
+		if cfg.QuantileOf != "" || cfg.RateOf != "" {
+			s.ring = &sampleRing{vals: make([][]uint64, steps+1)}
+		}
 		s.stateGauge.Set(int64(SLOOK))
 		e.slos = append(e.slos, s)
 	}
-	rates.OnTick(e.tick)
 	return e
 }
 
-// OnVerdict registers fn to run after every evaluation tick, outside
-// the evaluator lock (fn may call State/Snapshot freely).
+// OnVerdict registers fn to run after every tick, outside the evaluator
+// lock (fn may call State/Snapshot freely).
 func (e *Evaluator) OnVerdict(fn func()) {
 	if e == nil || fn == nil {
 		return
@@ -162,11 +185,59 @@ func (e *Evaluator) OnVerdict(fn func()) {
 	e.mu.Unlock()
 }
 
-func (e *Evaluator) tick() {
+// Start runs the ticker in a goroutine until Stop. Idempotent.
+func (e *Evaluator) Start() {
+	if e == nil {
+		return
+	}
+	e.mu.Lock()
+	if e.started {
+		e.mu.Unlock()
+		return
+	}
+	e.started = true
+	e.mu.Unlock()
+	go func() {
+		defer close(e.done)
+		t := time.NewTicker(e.interval)
+		defer t.Stop()
+		for {
+			select {
+			case <-e.stopCh:
+				return
+			case <-t.C:
+				e.Tick()
+			}
+		}
+	}()
+}
+
+// Stop halts the ticker. Idempotent; safe before Start.
+func (e *Evaluator) Stop() {
+	if e == nil {
+		return
+	}
+	e.stopOnce.Do(func() { close(e.stopCh) })
+	e.mu.Lock()
+	started := e.started
+	e.mu.Unlock()
+	if started {
+		<-e.done
+	}
+}
+
+// Tick runs one pass: sample every windowed source, judge every
+// objective, then run the OnVerdict hooks. Exported so tests can drive
+// the evaluator deterministically.
+func (e *Evaluator) Tick() {
+	if e == nil {
+		return
+	}
 	e.mu.Lock()
 	now := time.Now()
 	for _, s := range e.slos {
-		s.observed, s.hasData = e.observe(s.cfg)
+		e.sample(s)
+		s.observed, s.hasData = e.observe(s)
 		bad := s.hasData && s.observed > s.cfg.Target
 		prev := s.state
 		if bad {
@@ -200,17 +271,76 @@ func (e *Evaluator) tick() {
 	}
 }
 
-func (e *Evaluator) observe(cfg SLO) (float64, bool) {
-	if cfg.QuantileOf != "" {
-		return e.rates.WindowQuantile(cfg.QuantileOf, "", 0.99, e.window)
+// sample pushes a windowed objective's source counts onto its ring,
+// first resolving the source if its family has appeared.
+func (e *Evaluator) sample(s *sloEval) {
+	if s.ring == nil {
+		return
 	}
-	if cfg.RateOf != "" {
-		return e.rates.Rate(cfg.RateOf, "", e.window)
+	if s.counts == nil {
+		if s.cfg.QuantileOf != "" {
+			if h, ok := e.reg.unlabeled(s.cfg.QuantileOf, typeHistogram).(*Histogram); ok {
+				s.upper, s.counts = h.upper, h.bucketCounts
+			}
+		} else if c, ok := e.reg.unlabeled(s.cfg.RateOf, typeCounter).(*Counter); ok {
+			s.counts = func() []uint64 { return []uint64{c.Value()} }
+		}
+		if s.counts == nil {
+			return
+		}
 	}
-	if cfg.GaugeOf != "" {
-		return e.reg.GaugeValue(cfg.GaugeOf, "")
+	s.ring.push(s.counts())
+}
+
+func (e *Evaluator) observe(s *sloEval) (float64, bool) {
+	if s.ring == nil {
+		return e.reg.GaugeValue(s.cfg.GaugeOf)
 	}
-	return 0, false
+	delta, steps := s.ring.delta()
+	if steps == 0 {
+		return 0, false
+	}
+	if s.cfg.QuantileOf == "" {
+		return float64(delta[0]) / (float64(steps) * e.interval.Seconds()), true
+	}
+	var total uint64
+	for _, c := range delta {
+		total += c
+	}
+	if total == 0 {
+		return 0, false
+	}
+	return quantileFromCounts(s.upper, delta, 0.99), true
+}
+
+// sampleRing holds a source's last len(vals) bucket-count snapshots.
+type sampleRing struct {
+	vals [][]uint64
+	n    int // total pushes
+}
+
+func (r *sampleRing) push(counts []uint64) {
+	r.vals[r.n%len(r.vals)] = counts
+	r.n++
+}
+
+// delta returns the per-bucket counts added between the oldest snapshot
+// held and the newest, and how many ticks apart they are (0: fewer than
+// two snapshots, no data yet).
+func (r *sampleRing) delta() ([]uint64, int) {
+	steps := min(r.n, len(r.vals)) - 1
+	if steps <= 0 {
+		return nil, 0
+	}
+	cur := r.vals[(r.n-1)%len(r.vals)]
+	old := r.vals[(r.n-1-steps)%len(r.vals)]
+	delta := make([]uint64, len(cur))
+	for i := range cur {
+		if i < len(old) && cur[i] > old[i] {
+			delta[i] = cur[i] - old[i]
+		}
+	}
+	return delta, steps
 }
 
 // State returns the named objective's current state.
@@ -242,7 +372,7 @@ func (e *Evaluator) Snapshot() []SLOStatus {
 			State:    s.state.String(),
 			Observed: s.observed,
 			Target:   s.cfg.Target,
-			Window:   windowLabel(e.window),
+			Window:   e.window.String(),
 			HasData:  s.hasData,
 			Breaches: s.breaches,
 		}

@@ -75,12 +75,11 @@ type FileProvenance struct {
 	keys    map[string]struct{}
 	records int
 	size    int
-	// compactions counts snapshot rewrites; compactErrors counts failed
-	// attempts (the log stays valid, just uncompacted). metCompactions/
-	// metCompactErrors mirror them onto registry counters when the store
-	// was built with WithCompactionCounters (nil instruments are no-ops).
+	// compactions counts snapshot rewrites. metCompactions mirrors it, and
+	// metCompactErrors counts failed attempts (the log stays valid, just
+	// uncompacted), on registry counters when the store was built with
+	// WithCompactionCounters (nil instruments are no-ops).
 	compactions      uint64
-	compactErrors    uint64
 	metCompactions   *metrics.Counter
 	metCompactErrors *metrics.Counter
 }
@@ -119,14 +118,6 @@ func (f *FileProvenance) Compactions() uint64 {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	return f.compactions
-}
-
-// CompactErrors returns how many snapshot rewrites failed (appends
-// themselves were unaffected).
-func (f *FileProvenance) CompactErrors() uint64 {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.compactErrors
 }
 
 // Load reads the log, cuts off a torn tail, and returns the newest
@@ -213,7 +204,6 @@ func (f *FileProvenance) AppendBatch(recs []ProvenanceRecord) error {
 		// written are durably in the log either way. The log stays fat
 		// and the next append retries; only the failure count surfaces.
 		if err := f.compactLocked(); err != nil {
-			f.compactErrors++
 			f.metCompactErrors.Inc()
 		}
 	}

@@ -590,15 +590,6 @@ func FromCore(s *core.Signature) Signature {
 	return out
 }
 
-// FromCoreAll encodes a slice of core signatures.
-func FromCoreAll(sigs []*core.Signature) []Signature {
-	out := make([]Signature, len(sigs))
-	for i, s := range sigs {
-		out[i] = FromCore(s)
-	}
-	return out
-}
-
 // ParseKind maps a wire kind name back to the core kind. It is the
 // single inverse of core.SigKind.String() on the wire — status readers
 // and the signature decoder must agree on it.
@@ -635,19 +626,6 @@ func (s Signature) ToCore() (*core.Signature, error) {
 		return nil, fmt.Errorf("wire signature: %w", err)
 	}
 	return sig, nil
-}
-
-// ToCoreAll decodes a slice of wire signatures.
-func ToCoreAll(sigs []Signature) ([]*core.Signature, error) {
-	out := make([]*core.Signature, len(sigs))
-	for i, s := range sigs {
-		sig, err := s.ToCore()
-		if err != nil {
-			return nil, fmt.Errorf("signature %d: %w", i, err)
-		}
-		out[i] = sig
-	}
-	return out, nil
 }
 
 // Validate checks the envelope's structural invariants: a known type and

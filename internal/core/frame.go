@@ -28,9 +28,23 @@ type Frame struct {
 // frameSeparator joins frames within one encoded call stack.
 const frameSeparator = ";"
 
-// reservedFrameChars are characters that cannot appear in Class or Method
-// because they structure the history file format.
-const reservedFrameChars = " \t\n;|="
+// frameBytes classes the bytes of an encoded call stack for
+// Frame.Validate and CanonicalStack: a frame's '.' and ':', the ';'
+// between frames, and the bytes the history format reserves.
+var frameBytes = [256]byte{'.': dotByte, ':': colonByte, ';': sepByte,
+	' ': reservedByte, '\t': reservedByte, '\n': reservedByte, '|': reservedByte, '=': reservedByte}
+
+const dotByte, colonByte, sepByte, reservedByte = 1, 2, 3, 4
+
+// hasReserved reports whether s holds ';' or a reserved byte.
+func hasReserved(s string) bool {
+	for i := 0; i < len(s); i++ {
+		if frameBytes[s[i]] >= sepByte {
+			return true
+		}
+	}
+	return false
+}
 
 // Validate reports whether the frame can be safely encoded in a history
 // file. Class and Method must be non-empty and must not contain whitespace
@@ -42,10 +56,10 @@ func (f Frame) Validate() error {
 	if f.Method == "" {
 		return errors.New("frame: empty method")
 	}
-	if strings.ContainsAny(f.Class, reservedFrameChars) {
+	if hasReserved(f.Class) {
 		return fmt.Errorf("frame: class %q contains reserved characters", f.Class)
 	}
-	if strings.ContainsAny(f.Method, reservedFrameChars) {
+	if hasReserved(f.Method) {
 		return fmt.Errorf("frame: method %q contains reserved characters", f.Method)
 	}
 	if f.Line < 0 {
@@ -186,4 +200,43 @@ func ParseCallStack(s string) (CallStack, error) {
 		cs = append(cs, f)
 	}
 	return cs, nil
+}
+
+// CanonicalStack reports whether s is a call stack exactly as Key
+// renders it: ParseCallStack accepts s and the stack's Key is s again.
+// It makes one pass over s and allocates nothing when it accepts. Unlike
+// ParseCallStack it also refuses non-canonical lines: "+5", "007", "-0".
+func CanonicalStack(s string) bool {
+	start, dot, colon := 0, -1, -1
+	for i := 0; ; i++ {
+		for i < len(s) && frameBytes[s[i]] == 0 {
+			i++
+		}
+		if i < len(s) {
+			switch frameBytes[s[i]] {
+			case dotByte:
+				dot = i
+				continue
+			case colonByte:
+				colon = i
+				continue
+			case reservedByte:
+				return false
+			}
+		}
+		// s[start:i] is a frame: Class.Method:Line split at its last '.'.
+		if colon < 0 || dot <= start || dot >= colon-1 || !canonicalLine(s[colon+1:i]) {
+			return false
+		}
+		if i == len(s) {
+			return true
+		}
+		start, dot, colon = i+1, -1, -1
+	}
+}
+
+// canonicalLine reports whether d is strconv.Itoa of a non-negative int.
+func canonicalLine(d string) bool {
+	_, err := strconv.Atoi(d)
+	return err == nil && (d == "0" || '1' <= d[0] && d[0] <= '9')
 }

@@ -211,3 +211,64 @@ func TestCallStackRoundTripProperty(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestCanonicalStackRoundTrips: CanonicalStack(s) holds exactly when
+// ParseCallStack accepts s and the stack's Key is s again, so the fast
+// check accepts nothing the parser refuses and refuses nothing
+// canonical. It walks every string of up to six bytes from an alphabet
+// of the grammar's delimiters and the line spellings Atoi accepts.
+func TestCanonicalStackRoundTrips(t *testing.T) {
+	roundTrips := func(s string) bool {
+		cs, err := ParseCallStack(s)
+		return err == nil && cs.Key() == s
+	}
+	const alphabet = "a.:;01+-"
+	var canonical int
+	buf := make([]byte, 0, 6)
+	var walk func()
+	walk = func() {
+		s := string(buf)
+		if got, want := CanonicalStack(s), roundTrips(s); got != want {
+			t.Fatalf("CanonicalStack(%q) = %v, but parse-and-render round trip = %v", s, got, want)
+		} else if got {
+			canonical++
+		}
+		if len(buf) == cap(buf) {
+			return
+		}
+		for i := 0; i < len(alphabet); i++ {
+			buf = append(buf, alphabet[i])
+			walk()
+			buf = buf[:len(buf)-1]
+		}
+	}
+	walk()
+	if canonical == 0 {
+		t.Fatal("no canonical stack in the enumerated space")
+	}
+	// Beyond the space: canonical keys of random stacks, and the longest
+	// lines, up to and past an int's range.
+	r := rand.New(rand.NewSource(1))
+	for i := 0; i < 500; i++ {
+		cs := make(CallStack, 1+r.Intn(4))
+		for j := range cs {
+			cs[j] = genFrame(r)
+		}
+		if !CanonicalStack(cs.Key()) {
+			t.Fatalf("CanonicalStack refuses the key %q", cs.Key())
+		}
+	}
+	for _, s := range []string{"a.m:999999999999999999", "a.m:9223372036854775807", "a.m:99999999999999999999",
+		"a:b.m:1", ".a.m:1", "a.m:x:1", "a.m:1;\xffb.n:2"} {
+		if CanonicalStack(s) != roundTrips(s) {
+			t.Fatalf("CanonicalStack(%q) = %v, but parse-and-render round trip = %v", s, CanonicalStack(s), roundTrips(s))
+		}
+	}
+	for _, b := range " \t\n|=" {
+		for _, s := range []string{"a" + string(b) + ".m:1", "a.m" + string(b) + ":1", "a.m:1" + string(b)} {
+			if CanonicalStack(s) {
+				t.Fatalf("CanonicalStack(%q) accepts a reserved byte", s)
+			}
+		}
+	}
+}

@@ -141,7 +141,7 @@ func DecodeHistory(r io.Reader, lenient bool) (sigs []*Signature, skipped int, e
 
 // decodeSigBlock parses the pair lines of one signature until its "end".
 func decodeSigBlock(kindName string, readLine func() (string, bool)) (*Signature, error) {
-	kind, err := parseSigKind(strings.TrimSpace(kindName))
+	kind, err := ParseSigKind(strings.TrimSpace(kindName))
 	if err != nil {
 		return nil, err
 	}
@@ -164,7 +164,7 @@ func decodeSigBlock(kindName string, readLine func() (string, bool)) (*Signature
 		}
 		sig.Pairs = append(sig.Pairs, pair)
 	}
-	if err := sig.Validate(); err != nil {
+	if err := ValidateShape(sig.Kind, len(sig.Pairs)); err != nil {
 		return nil, err
 	}
 	return sig, nil
@@ -333,7 +333,7 @@ func (m *MemHistory) Load() ([]*Signature, error) {
 	defer m.mu.Unlock()
 	out := make([]*Signature, len(m.sigs))
 	for i, s := range m.sigs {
-		out[i] = &Signature{Kind: s.Kind, Pairs: clonePairs(s.Pairs)}
+		out[i] = &Signature{Kind: s.Kind, Pairs: ClonePairs(s.Pairs)}
 	}
 	return out, nil
 }
@@ -345,7 +345,7 @@ func (m *MemHistory) Append(sig *Signature) error {
 	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	m.sigs = append(m.sigs, &Signature{Kind: sig.Kind, Pairs: clonePairs(sig.Pairs)})
+	m.sigs = append(m.sigs, &Signature{Kind: sig.Kind, Pairs: ClonePairs(sig.Pairs)})
 	return nil
 }
 

@@ -30,7 +30,7 @@ func MergeHistories(lists ...[]*Signature) ([]*Signature, error) {
 				continue
 			}
 			seen[key] = true
-			out = append(out, &Signature{Kind: sig.Kind, Pairs: clonePairs(sig.Pairs)})
+			out = append(out, &Signature{Kind: sig.Kind, Pairs: ClonePairs(sig.Pairs)})
 		}
 	}
 	return out, nil

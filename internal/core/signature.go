@@ -2,7 +2,7 @@ package core
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -35,8 +35,8 @@ func (k SigKind) String() string {
 	}
 }
 
-// parseSigKind is the inverse of SigKind.String.
-func parseSigKind(s string) (SigKind, error) {
+// ParseSigKind is the inverse of SigKind.String.
+func ParseSigKind(s string) (SigKind, error) {
 	switch s {
 	case "deadlock":
 		return DeadlockSig, nil
@@ -95,30 +95,34 @@ type Signature struct {
 	matches uint64 // instantiations found (yields caused)
 	hits    uint64 // times detection re-encountered this signature
 
-	// key interns the canonical identity after the first Key() call.
-	// Kind and Pairs are fixed once a signature is built, but Key is
-	// asked for on every hop of the distribution tier — dedup maps,
-	// wire encoding, provenance records — so it is derived once, not
-	// once per message. Atomic: first callers may race on different
-	// goroutines (both compute the same string; one wins, harmlessly).
+	// key caches Key(): Kind and Pairs are fixed once a signature is
+	// built, and the device side asks for the key per message. Atomic:
+	// racing first callers compute the same string; one wins, harmlessly.
 	key atomic.Pointer[string]
 }
 
-// Validate checks the signature's shape: a known kind and at least two
-// pairs for deadlocks (a mutex deadlock involves at least two threads) or
-// at least one for starvation signatures.
-func (s *Signature) Validate() error {
-	switch s.Kind {
+// ValidateShape is the signature shape rule: a known kind, with at least
+// two pairs for a deadlock (two threads) and one for starvation.
+func ValidateShape(kind SigKind, pairs int) error {
+	switch kind {
 	case DeadlockSig:
-		if len(s.Pairs) < 2 {
-			return fmt.Errorf("deadlock signature needs >=2 pairs, got %d", len(s.Pairs))
+		if pairs < 2 {
+			return fmt.Errorf("deadlock signature needs >=2 pairs, got %d", pairs)
 		}
 	case StarvationSig:
-		if len(s.Pairs) < 1 {
-			return fmt.Errorf("starvation signature needs >=1 pair, got %d", len(s.Pairs))
+		if pairs < 1 {
+			return fmt.Errorf("starvation signature needs >=1 pair, got %d", pairs)
 		}
 	default:
-		return fmt.Errorf("invalid signature kind %d", int(s.Kind))
+		return fmt.Errorf("invalid signature kind %d", int(kind))
+	}
+	return nil
+}
+
+// Validate checks the signature's shape and every pair's stacks.
+func (s *Signature) Validate() error {
+	if err := ValidateShape(s.Kind, len(s.Pairs)); err != nil {
+		return err
 	}
 	for i, p := range s.Pairs {
 		if err := p.Validate(); err != nil {
@@ -137,14 +141,36 @@ func (s *Signature) Key() string {
 	if k := s.key.Load(); k != nil {
 		return *k
 	}
-	keys := make([]string, 0, len(s.Pairs)+1)
-	for _, p := range s.Pairs {
-		keys = append(keys, p.Outer.Key())
+	keys := make([]string, len(s.Pairs))
+	for i, p := range s.Pairs {
+		keys[i] = p.Outer.Key()
 	}
-	sort.Strings(keys)
-	k := s.Kind.String() + "{" + strings.Join(keys, "|") + "}"
+	k := SignatureKey(s.Kind, keys)
 	s.key.Store(&k)
 	return k
+}
+
+// SignatureKey is the one signature key rule, over the kind and the
+// outer stacks' keys: "kind{o1|o2|...}" with the outer keys sorted. It
+// sorts outers in place, and the returned string is its only allocation.
+func SignatureKey(kind SigKind, outers []string) string {
+	slices.Sort(outers)
+	n := len(kind.String()) + len(outers) + 1
+	for _, o := range outers {
+		n += len(o)
+	}
+	var b strings.Builder
+	b.Grow(n)
+	b.WriteString(kind.String())
+	b.WriteByte('{')
+	for i, o := range outers {
+		if i > 0 {
+			b.WriteByte('|')
+		}
+		b.WriteString(o)
+	}
+	b.WriteByte('}')
+	return b.String()
 }
 
 // ID returns the signature's index in its Core's history, or -1 if the
@@ -156,16 +182,9 @@ func (s *Signature) ID() int {
 	return s.id
 }
 
-// ClonePairs deep-copies signature pairs, so a copied signature never
-// aliases the original's stacks. The immunity distribution tier clones
-// every signature it accepts or pushes with this.
+// ClonePairs deep-copies signature pairs, so a copied or installed
+// signature never aliases caller-owned stacks.
 func ClonePairs(pairs []SigPair) []SigPair {
-	return clonePairs(pairs)
-}
-
-// clonePairs deep-copies the pairs so an installed signature never aliases
-// caller-owned stacks.
-func clonePairs(pairs []SigPair) []SigPair {
 	out := make([]SigPair, len(pairs))
 	for i, p := range pairs {
 		out[i] = SigPair{Outer: p.Outer.Clone(), Inner: p.Inner.Clone()}
@@ -194,7 +213,7 @@ func (s *Signature) snapshot() SignatureInfo {
 	return SignatureInfo{
 		ID:      s.id,
 		Kind:    s.Kind,
-		Pairs:   clonePairs(s.Pairs),
+		Pairs:   ClonePairs(s.Pairs),
 		Matches: atomic.LoadUint64(&s.matches),
 		Hits:    atomic.LoadUint64(&s.hits),
 	}

@@ -406,11 +406,14 @@ func (a *arbiter) load(fx *effects, recs []ProvenanceRecord) error {
 			a.setDelivery(nil, rec.Tenant, rec.Device, delivery{open: rec.Open, cursor: rec.Cursor})
 			continue
 		}
-		sig, err := rec.Sig.ToCore()
+		c, err := rec.Sig.Check()
 		if err != nil {
 			return fmt.Errorf("provenance record %q: %w", rec.Key, err)
 		}
-		e := a.entry(rec.Key, rec.Tenant, sig.Kind, rec.Sig)
+		if key := tenantKey(rec.Tenant, c.Key); key != rec.Key {
+			return fmt.Errorf("provenance record %q: its signature's key is %q", rec.Key, key)
+		}
+		e := a.entry(rec.Key, rec.Tenant, c.Kind, rec.Sig)
 		e.seq, e.firstSeen = rec.Seq, rec.FirstSeen
 		e.armed, e.armEpoch = rec.Armed, rec.ArmEpoch
 		e.owner, e.ownerSeq, e.remoteConfirms = rec.Owner, rec.OwnerSeq, rec.RemoteConfirms
@@ -525,7 +528,7 @@ func (a *arbiter) detach(fx *effects, tenant, device string) {
 // still-unarmed signature is replicated to the key's deputy so arming
 // survives an owner crash; each copy carries the whole set, so a lost or
 // reordered one is repaired by the next.
-func (a *arbiter) report(fx *effects, tenant, device string, sigs []*core.Signature, hops int) {
+func (a *arbiter) report(fx *effects, tenant, device string, sigs []wire.Checked, hops int) {
 	fx.confirms = make([]*wire.Confirm, 0, len(sigs))
 	fx.forward.tenant, fx.forward.device, fx.forward.hops = tenant, device, hops+1
 	delivered := a.devices[tenant][device]
@@ -533,7 +536,7 @@ func (a *arbiter) report(fx *effects, tenant, device string, sigs []*core.Signat
 		// The hub key carries the tenant prefix; the device-facing confirm
 		// carries the plain signature key the device reported — tenancy
 		// never leaks into the device protocol.
-		plainKey := sig.Key()
+		plainKey := sig.Key
 		key := tenantKey(tenant, plainKey)
 		fx.n.reports++
 		e, known := a.entries[key]
@@ -547,12 +550,12 @@ func (a *arbiter) report(fx *effects, tenant, device string, sigs []*core.Signat
 				continue
 			}
 			fx.n.forwards++
-			fx.forward.sigs = append(fx.forward.sigs, wire.FromCore(sig))
+			fx.forward.sigs = append(fx.forward.sigs, sig.Sig)
 			fx.forward.keys = append(fx.forward.keys, key)
 			continue
 		}
 		if !known {
-			e = a.entry(key, tenant, sig.Kind, wire.FromCore(sig))
+			e = a.entry(key, tenant, sig.Kind, sig.Sig)
 			e.firstSeen, e.owner = device, a.selfID
 		}
 		if e.confirmedBy[device] || delivered.pushed(e) {
@@ -612,11 +615,11 @@ type decodedRecord struct {
 func decodeOwnedRecords(from string, recs []wire.OwnedRecord) ([]decodedRecord, error) {
 	out := make([]decodedRecord, 0, len(recs))
 	for _, rec := range recs {
-		sig, err := rec.Sig.ToCore()
+		c, err := rec.Sig.Check()
 		if err != nil {
 			return nil, fmt.Errorf("exchange: owned record from %s: %w", from, err)
 		}
-		out = append(out, decodedRecord{tenantKey(rec.Tenant, sig.Key()), sig.Kind, rec})
+		out = append(out, decodedRecord{tenantKey(rec.Tenant, c.Key), c.Kind, rec})
 	}
 	return out, nil
 }

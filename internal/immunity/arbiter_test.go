@@ -154,16 +154,16 @@ func TestArbiterDecisionTable(t *testing.T) {
 			a.replica(&effects{}, "hub-b", rec(false, devices...))
 		}
 	}
-	owned := func(a *arbiter, r *fakeRing) { a.report(&effects{}, "", "d1", []*core.Signature{sig}, 0) }
+	owned := func(a *arbiter, r *fakeRing) { a.report(&effects{}, "", "d1", checked(sig), 0) }
 	parkedOwned := func(a *arbiter, r *fakeRing) {
 		held := r.held
 		r.held = false
-		a.report(&effects{}, "", "d1", []*core.Signature{sig}, 0)
-		a.report(&effects{}, "", "d2", []*core.Signature{sig}, 0)
+		a.report(&effects{}, "", "d1", checked(sig), 0)
+		a.report(&effects{}, "", "d2", checked(sig), 0)
 		r.held = held
 	}
 	reportD2 := func(hops int) func(*arbiter, *fakeRing, *effects) {
-		return func(a *arbiter, r *fakeRing, fx *effects) { a.report(fx, "", "d2", []*core.Signature{sig}, hops) }
+		return func(a *arbiter, r *fakeRing, fx *effects) { a.report(fx, "", "d2", checked(sig), hops) }
 	}
 	replica := func(a *arbiter, r *fakeRing, fx *effects) { a.replica(fx, "hub-b", rec(false, "d1", "d2")) }
 	handoff := func(armed bool, devices ...string) func(*arbiter, *fakeRing, *effects) {
@@ -400,7 +400,7 @@ func (w *walker) event(fx *effects) (leaseReturned bool) {
 	switch w.rng.Intn(n) {
 	case 0, 1, 2:
 		tenant, sig, _ := w.sig()
-		a.report(fx, tenant, w.pick(walkDevices), []*core.Signature{sig}, w.rng.Intn(maxForwardHops+1))
+		a.report(fx, tenant, w.pick(walkDevices), checked(sig), w.rng.Intn(maxForwardHops+1))
 	case 3:
 		dev := [2]string{w.pick(walkTenants), w.pick(walkDevices)}
 		if w.rng.Intn(2) == 1 {
@@ -738,7 +738,7 @@ func (j *journal) do(event func(fx *effects)) effects {
 
 // report is one device's report of sig, threshold permitting an arming.
 func (j *journal) report(device string, sig *core.Signature) effects {
-	return j.do(func(fx *effects) { j.a.report(fx, "", device, []*core.Signature{sig}, 0) })
+	return j.do(func(fx *effects) { j.a.report(fx, "", device, checked(sig), 0) })
 }
 
 // restart replaces the arbiter with a fresh one loaded from the log.
@@ -836,4 +836,24 @@ func TestArbiterPurity(t *testing.T) {
 		}
 		return true
 	})
+}
+
+// TestHubNeverBuildsCoreSignatures: the hub decides on wire.Checked
+// values, so neither of its files converts a signature to or from
+// core's form. wire.Signature.Check is the one way in.
+func TestHubNeverBuildsCoreSignatures(t *testing.T) {
+	for _, name := range []string{"arbiter.go", "exchange.go"} {
+		f, err := parser.ParseFile(token.NewFileSet(), name, nil, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			if call, ok := n.(*ast.CallExpr); ok {
+				if sel, ok := call.Fun.(*ast.SelectorExpr); ok && (sel.Sel.Name == "ToCore" || sel.Sel.Name == "FromCore") {
+					t.Errorf("%s calls %s", name, sel.Sel.Name)
+				}
+			}
+			return true
+		})
+	}
 }

@@ -11,7 +11,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"github.com/dimmunix/dimmunix/internal/core"
 	"github.com/dimmunix/dimmunix/internal/immunity/auth"
 	"github.com/dimmunix/dimmunix/internal/immunity/metrics"
 	"github.com/dimmunix/dimmunix/internal/immunity/wire"
@@ -968,9 +967,9 @@ func (c *Conn) handleForwardReport(f *wire.ForwardReport) error {
 	if f.Device == "" {
 		return c.refuse("forward-report with empty device id")
 	}
-	sigs := make([]*core.Signature, 0, len(f.Sigs))
+	sigs := make([]wire.Checked, 0, len(f.Sigs))
 	for _, ws := range f.Sigs {
-		sig, err := ws.ToCore()
+		sig, err := ws.Check()
 		if err != nil {
 			return c.refuse("malformed forwarded signature: %v", err)
 		}
@@ -1021,9 +1020,9 @@ func (x *Exchange) admitReport(fn func() error) error {
 // device's entire history in one report message, and that must not cost
 // one lock acquisition and one store write per signature.
 func (c *Conn) handleReport(tenant, device string, r *wire.Report) error {
-	sigs := make([]*core.Signature, 0, len(r.Sigs))
+	sigs := make([]wire.Checked, 0, len(r.Sigs))
 	for _, ws := range r.Sigs {
-		sig, err := ws.ToCore()
+		sig, err := ws.Check()
 		if err != nil {
 			return c.refuse("malformed reported signature: %v", err)
 		}
@@ -1070,7 +1069,7 @@ func (c *Conn) Close() {
 // confirm receipt per signature counted or echoed here; a forwarded
 // signature's receipt arrives later through DeliverConfirm. Called from
 // transport goroutines with no service or core locks held.
-func (x *Exchange) reportFrom(tenant, device string, sigs []*core.Signature, hops int) []*wire.Confirm {
+func (x *Exchange) reportFrom(tenant, device string, sigs []wire.Checked, hops int) []*wire.Confirm {
 	var fx effects
 	x.mu.Lock()
 	if x.closed {
@@ -1088,7 +1087,7 @@ func (x *Exchange) reportFrom(tenant, device string, sigs []*core.Signature, hop
 // broadcast is refused with ErrFenced. It returns whether the broadcast
 // newly armed the signature here.
 func (x *Exchange) InstallRemote(b wire.ArmBroadcast) (bool, error) {
-	sig, err := b.Sig.ToCore()
+	sig, err := b.Sig.Check()
 	if err != nil {
 		return false, fmt.Errorf("exchange: remote arm from %s: %w", b.Owner, err)
 	}
@@ -1098,7 +1097,7 @@ func (x *Exchange) InstallRemote(b wire.ArmBroadcast) (bool, error) {
 		x.mu.Unlock()
 		return false, fmt.Errorf("exchange: closed")
 	}
-	applied, err := x.arb.remoteArm(&fx, tenantKey(b.Tenant, sig.Key()), sig.Kind, b)
+	applied, err := x.arb.remoteArm(&fx, tenantKey(b.Tenant, sig.Key), sig.Kind, b)
 	x.commit(&fx)
 	return applied, err
 }

@@ -26,11 +26,25 @@ func newTestHub(t *testing.T, threshold int, opts ...ExchangeOption) *Exchange {
 // report records a single default-tenant confirmation, driving the hub's
 // dedup guards directly.
 func (x *Exchange) report(device string, sig *core.Signature) (confirmations int, armed bool) {
-	confirms := x.reportFrom("", device, []*core.Signature{sig}, 0)
+	confirms := x.reportFrom("", device, checked(sig), 0)
 	if len(confirms) == 0 {
 		return 0, false
 	}
 	return confirms[0].Confirmations, confirms[0].Armed
+}
+
+// checked is sigs as the hub takes them off the wire: encoded, then
+// Checked.
+func checked(sigs ...*core.Signature) []wire.Checked {
+	out := make([]wire.Checked, len(sigs))
+	for i, sig := range sigs {
+		c, err := wire.FromCore(sig).Check()
+		if err != nil {
+			panic(err)
+		}
+		out[i] = c
+	}
+	return out
 }
 
 // phoneSim is one simulated device: a service with a live subscribed core.
@@ -426,4 +440,32 @@ func TestBroadcastSupersedeRaceKeepsFramesIntact(t *testing.T) {
 	}
 	stop.Store(true)
 	wg.Wait()
+}
+
+// TestHubReportAllocs pins the hub's report path from the wire form: a
+// fresh signature checked and recorded as one device's confirmation on a
+// hub with memory provenance and no sessions. Neither the check nor the
+// arbiter builds a core.Signature or re-renders its key.
+func TestHubReportAllocs(t *testing.T) {
+	const runs, limit = 200, 20
+	hub := newTestHub(t, 2, WithProvenanceStore(NewMemProvenance()))
+	fresh := make([]wire.Signature, runs+1) // AllocsPerRun warms up once
+	for i := range fresh {
+		fresh[i] = wire.FromCore(testSig(i))
+	}
+	next := 0
+	allocs := testing.AllocsPerRun(runs, func() {
+		c, err := fresh[next].Check()
+		if err != nil {
+			t.Fatal(err)
+		}
+		next++
+		if confirms := hub.reportFrom("", "d1", []wire.Checked{c}, 0); len(confirms) != 1 || confirms[0].Key != c.Key {
+			t.Fatalf("confirms %+v for %s", confirms, c.Key)
+		}
+	})
+	t.Logf("%.2f allocations per fresh report", allocs)
+	if allocs > limit {
+		t.Fatalf("a fresh report costs %.2f allocations, want <= %d", allocs, limit)
+	}
 }

@@ -151,7 +151,7 @@ func fanOutWalk(t *testing.T, tcp bool, seed int64) {
 		switch r := rng.Intn(10); {
 		case r < 4:
 			tenant, sig := tenants[rng.Intn(2)], testSig(int(seed)*100+step)
-			hub.reportFrom(tenant, "reporter", []*core.Signature{sig}, 0)
+			hub.reportFrom(tenant, "reporter", checked(sig), 0)
 			epoch := hub.Stats().Epoch
 			armed[tenant] = append(armed[tenant], epoch)
 			epochOf[sig.Key()] = epoch

@@ -118,6 +118,9 @@
 //     threshold without the grant;
 //   - an arming made here is broadcast, once, under this hub's next seq.
 //
+// The hub decides on wire.Checked values: every signature that enters
+// it passes wire.Signature.Check, and it never builds a core.Signature.
+//
 // The Exchange itself is the I/O shell: options, auth and handshakes,
 // sessions and their push queues, admission, metrics, the store, the
 // binding's sinks. Each entry point takes Exchange.mu, runs one arbiter

@@ -1,12 +1,14 @@
 package immunity
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
 	"os"
 	"path/filepath"
 	"reflect"
+	"strconv"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -609,7 +611,7 @@ func TestExchangeRestartOverClosedStore(t *testing.T) {
 	if got := second.ArmedCount(); got != 3 {
 		t.Fatalf("restart over the closed store resumed %d armings, want 3", got)
 	}
-	second.reportFrom("", "reporter", []*core.Signature{testSig(3)}, 0)
+	second.reportFrom("", "reporter", checked(testSig(3)), 0)
 	if n := second.Stats().PersistErrors; n != 0 {
 		t.Fatalf("%d persist errors after the restart", n)
 	}
@@ -684,7 +686,7 @@ func armSigs(t *testing.T, hub *Exchange, n int) {
 	for i := range sigs {
 		sigs[i] = testSig(i)
 	}
-	hub.reportFrom("", "reporter", sigs, 0)
+	hub.reportFrom("", "reporter", checked(sigs...), 0)
 	if got := hub.ArmedCount(); got != n {
 		t.Fatalf("armed %d, want %d", got, n)
 	}
@@ -753,5 +755,53 @@ func TestResumedHubHellosDoNotCompact(t *testing.T) {
 	}
 	if gained, compactions := logRecords(t, path)-before, store.Compactions(); gained != devices || compactions != 0 {
 		t.Fatalf("%d hellos: log gained %d records with %d compactions, want %d and 0", devices, gained, compactions, devices)
+	}
+}
+
+// TestLoadRefusesMismatchedKey: a provenance record must carry its own
+// signature's key. A CRC-valid record whose key names another signature
+// (or another tenant) would load under the wrong key, and a later report
+// of its real signature would create a second entry, so a hub refuses to
+// start over it, naming the key, and leaves the file as it was.
+func TestLoadRefusesMismatchedKey(t *testing.T) {
+	sig, other := wire.FromCore(testSig(0)), testSig(1).Key()
+	for _, tc := range []struct {
+		name, key, tenant string
+		ok                bool
+	}{
+		{"own key", testSig(0).Key(), "", true},
+		{"own tenant key", tenantKey("x", testSig(0).Key()), "x", true},
+		{"another signature's key", other, "", false},
+		{"the key without its tenant", testSig(0).Key(), "x", false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			log := wire.AppendRecord([]byte(wire.LogHeader), ProvenanceRecord{Seq: 1, Key: tc.key, Sig: sig,
+				FirstSeen: "d1", ConfirmedBy: []string{"d1"}, Tenant: tc.tenant})
+			path := filepath.Join(t.TempDir(), "fleet.prov")
+			if err := os.WriteFile(path, log, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			hub, err := NewExchange(2, WithProvenanceStore(NewFileProvenance(path)))
+			if tc.ok {
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer hub.Close()
+				if prov := hub.Provenance(); len(prov) != 1 || prov[0].Key != tc.key {
+					t.Fatalf("loaded %+v, want one entry under %q", prov, tc.key)
+				}
+				return
+			}
+			if err == nil {
+				hub.Close()
+				t.Fatalf("a hub started over a record keyed %q holding another signature", tc.key)
+			}
+			if !strings.Contains(err.Error(), strconv.Quote(tc.key)) {
+				t.Fatalf("error %q does not name the record's key %q", err, tc.key)
+			}
+			if b, err := os.ReadFile(path); err != nil || !bytes.Equal(b, log) {
+				t.Fatalf("the refused log changed (err %v)", err)
+			}
+		})
 	}
 }

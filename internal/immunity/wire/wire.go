@@ -120,7 +120,7 @@
 // bare number) is what lets a later version ship as a negotiated
 // extension instead of a hard break.
 //
-// # Canonical signature encoding
+// # Canonical form
 //
 // Signatures travel as their canonical textual form: the kind name plus
 // one (outer, inner) call-stack key pair per thread, using the same
@@ -128,6 +128,12 @@
 // (core.CallStack.Key / core.ParseCallStack). Two devices that detect
 // the same bug therefore produce byte-identical wire signatures, which
 // is what lets the hub count independent confirmations by key.
+// FromCore produces this form and Signature.Check accepts it in one pass
+// (core.CanonicalStack); anything else, a line "+5" or "007" or any
+// invalid signature, goes through ToCore, the one definition of
+// validity. A canonical Checked.Sig aliases the message it came from and
+// the hub keeps it, so a Loopback sender must not mutate a Signature
+// after Send, as with a delta view.
 //
 // # Framing
 //
@@ -590,23 +596,9 @@ func FromCore(s *core.Signature) Signature {
 	return out
 }
 
-// ParseKind maps a wire kind name back to the core kind. It is the
-// single inverse of core.SigKind.String() on the wire — status readers
-// and the signature decoder must agree on it.
-func ParseKind(s string) (core.SigKind, error) {
-	switch s {
-	case core.DeadlockSig.String():
-		return core.DeadlockSig, nil
-	case core.StarvationSig.String():
-		return core.StarvationSig, nil
-	default:
-		return 0, fmt.Errorf("unknown signature kind %q", s)
-	}
-}
-
 // ToCore decodes and validates the signature.
 func (s Signature) ToCore() (*core.Signature, error) {
-	kind, err := ParseKind(s.Kind)
+	kind, err := core.ParseSigKind(s.Kind)
 	if err != nil {
 		return nil, fmt.Errorf("wire signature: %w", err)
 	}
@@ -622,10 +614,41 @@ func (s Signature) ToCore() (*core.Signature, error) {
 		}
 		sig.Pairs[i] = core.SigPair{Outer: outer, Inner: inner}
 	}
-	if err := sig.Validate(); err != nil {
+	if err := core.ValidateShape(kind, len(sig.Pairs)); err != nil {
 		return nil, fmt.Errorf("wire signature: %w", err)
 	}
 	return sig, nil
+}
+
+// Checked is a signature that passed Check: its kind, its key
+// (core.Signature.Key) and its canonical wire form.
+type Checked struct {
+	Kind core.SigKind
+	Key  string
+	Sig  Signature
+}
+
+// Check validates s as ToCore does, with the same error, but builds no
+// core.Signature for a canonical s (see the package comment): Sig is s
+// itself and the key is the only allocation.
+func (s Signature) Check() (Checked, error) {
+	if kind, err := core.ParseSigKind(s.Kind); err == nil && core.ValidateShape(kind, len(s.Pairs)) == nil {
+		outers := make([]string, 0, 4)
+		for _, p := range s.Pairs {
+			if !core.CanonicalStack(p.Outer) || !core.CanonicalStack(p.Inner) {
+				break
+			}
+			outers = append(outers, p.Outer)
+		}
+		if len(outers) == len(s.Pairs) {
+			return Checked{Kind: kind, Key: core.SignatureKey(kind, outers), Sig: s}, nil
+		}
+	}
+	sig, err := s.ToCore()
+	if err != nil {
+		return Checked{}, err
+	}
+	return Checked{Kind: sig.Kind, Key: sig.Key(), Sig: FromCore(sig)}, nil
 }
 
 // Validate checks the envelope's structural invariants: a known type and

@@ -36,6 +36,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"github.com/dimmunix/dimmunix/internal/core"
 	"github.com/dimmunix/dimmunix/internal/immunity"
 	"github.com/dimmunix/dimmunix/internal/immunity/cluster"
 	"github.com/dimmunix/dimmunix/internal/immunity/fault"
@@ -557,7 +558,7 @@ func (r *remoteHubs) provenance() ([]immunity.Provenance, error) {
 	views := make([][]immunity.Provenance, len(sts))
 	for i, st := range sts {
 		for _, p := range st.Provenance {
-			kind, err := wire.ParseKind(p.Kind)
+			kind, err := core.ParseSigKind(p.Kind)
 			if err != nil {
 				return nil, fmt.Errorf("daemon status (newer protocol?): %w", err)
 			}

@@ -214,7 +214,7 @@ func newFlags() (*flag.FlagSet, *cli) {
 	fs.StringVar(&c.sc.hubID, "hub", "", "this hub's cluster id (required with -peers)")
 	fs.StringVar(&c.peers, "peers", "", "comma-separated id=addr peer hubs to federate with (a seed — a joining hub may name a single existing member and learns the rest)")
 	fs.StringVar(&c.sc.advertise, "advertise", "", "the address other members dial this hub at (default: the -listen address)")
-	fs.DurationVar(&c.sc.failoverAfter, "failover-after", 0, "declare a member dead after its peer link is down this long and fail its keys over to deputies (0 disables)")
+	fs.DurationVar(&c.sc.failoverAfter, "failover-after", 0, "failure-detection budget: declare a member dead once direct and indirect probes have not reached it for about this long, and fail its keys over to deputies (0 disables)")
 	fs.BoolVar(&c.sc.leave, "leave", false, "leave the membership gracefully on shutdown (hand off owned keys, drain outboxes)")
 	fs.DurationVar(&c.sc.leaseTTL, "lease-ttl", 0, "failure detection: quorum-lease lifetime (0 derives from -failover-after; always clamped to the probe timeout plus the suspicion window)")
 	fs.BoolVar(&c.sc.noLease, "no-lease", false, "failure detection: disable the quorum lease and fall back to epoch fencing alone (both partition sides keep arming)")

@@ -141,7 +141,7 @@ type (
 	Provenance = immunity.Provenance
 	// HubCluster federates several Exchange hubs into one logical fleet
 	// hub: per-signature ownership via a rendezvous ring, hub-to-hub
-	// report forwarding and arm broadcasting (see FederateExchange).
+	// report forwarding and arm broadcasting.
 	HubCluster = cluster.Node
 	// HubClusterConfig assembles one cluster node: the hub, its cluster
 	// id, and the peer members.
@@ -215,9 +215,6 @@ func WithProvenanceStore(store ProvenanceStore) ExchangeOption {
 	return immunity.WithProvenanceStore(store)
 }
 
-// NewMetricsRegistry creates an empty metrics registry.
-func NewMetricsRegistry() *MetricsRegistry { return metrics.NewRegistry() }
-
 // WithMetricsRegistry shares reg with an Exchange: the hub's counters,
 // session gauges, push-queue depth, and latency histograms land on it
 // (instead of a private registry) for scraping alongside other hubs'.
@@ -274,15 +271,10 @@ func ConnectExchange(t Transport, deviceID string, svc *ImmunityService, opts ..
 	return immunity.Connect(t, deviceID, svc, opts...)
 }
 
-// FederateExchange joins a hub into a federated cluster: signatures are
-// owned by exactly one member hub (rendezvous hashing over the member
-// ids), non-owner hubs forward device reports to the owner — the sole
-// arbiter of the confirm threshold — and owned armings broadcast
-// cluster-wide. Devices attach to any hub unchanged. Close the returned
-// node before closing the hub.
-func FederateExchange(cfg HubClusterConfig) (*HubCluster, error) { return cluster.New(cfg) }
-
-// Core option constructors re-exported for API users.
+// Core option constructors re-exported for API users. Starvation handling
+// has no option: an avoidance-induced deadlock is always detected at the
+// yield or edge that closes it, recorded as a starvation signature, and
+// the yielder resumed.
 var (
 	// WithOuterDepth sets the outer call-stack depth (paper default: 1).
 	WithOuterDepth = core.WithOuterDepth
@@ -292,8 +284,6 @@ var (
 	WithDetection = core.WithDetection
 	// WithQueueReuse toggles the position-queue entry recycling.
 	WithQueueReuse = core.WithQueueReuse
-	// WithWatchdog enables the core's starvation watchdog.
-	WithWatchdog = core.WithWatchdog
 	// WithSerialEngine selects the serial reference engine (the paper's
 	// single global lock) instead of the sharded low-contention fast path.
 	WithSerialEngine = core.WithSerialEngine

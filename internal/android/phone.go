@@ -27,8 +27,6 @@ type PhoneConfig struct {
 	// service. The hub outlives reboots — a rebooted phone's processes
 	// resubscribe to the same hub, like the system re-binding a service.
 	Immunity *immunity.Service
-	// CoreOptions are forwarded to each process's core.
-	CoreOptions []core.Option
 	// WatchdogInterval is the handler heartbeat period.
 	WatchdogInterval time.Duration
 	// WatchdogThreshold is how long a heartbeat may stay unprocessed
@@ -116,9 +114,6 @@ func (ph *Phone) Boot() error {
 		return errors.New("android: phone already booted")
 	}
 	zopts := []vm.ZygoteOption{vm.WithDimmunix(ph.cfg.Dimmunix)}
-	if len(ph.cfg.CoreOptions) > 0 {
-		zopts = append(zopts, vm.WithCoreOptions(ph.cfg.CoreOptions...))
-	}
 	if ph.cfg.Immunity != nil {
 		zopts = append(zopts, vm.WithSignatureBus(ph.cfg.Immunity))
 	} else if ph.cfg.History != nil {

@@ -43,11 +43,9 @@ func TestPhoneNormalNotificationFlow(t *testing.T) {
 		t.Fatal(user.Err())
 	}
 
-	deadline := time.Now().Add(10 * time.Second)
-	for time.Now().Before(deadline) && ss.StatusBar.Expansions() == 0 {
-		time.Sleep(time.Millisecond)
-	}
-	if ss.StatusBar.Expansions() == 0 {
+	select {
+	case <-ss.StatusBar.ExpansionsDone():
+	case <-time.After(10 * time.Second):
 		t.Fatal("panel never expanded")
 	}
 

@@ -2,7 +2,6 @@ package android
 
 import (
 	"sync"
-	"sync/atomic"
 
 	"github.com/dimmunix/dimmunix/internal/vm"
 )
@@ -31,9 +30,12 @@ type StatusBarService struct {
 
 	icons           []string
 	expandedVisible bool
-	// expansions counts completed panel expansions; atomic so scenario
-	// drivers outside the VM can poll completion without a VM thread.
-	expansions atomic.Int64
+	// expansionsDone signals each completed panel expansion, so scenario
+	// drivers outside the VM can wait on it without a VM thread. The send
+	// never blocks the UI looper: the buffer (64, like the window
+	// manager's animationsDone) holds far more expansions than a scenario
+	// makes between reads, and a signal beyond it is dropped.
+	expansionsDone chan struct{}
 
 	// raceHook runs while mStatusBarLock is held during expansion, before
 	// the callback into the notification manager. Guarded by hookMu: it is
@@ -55,6 +57,7 @@ func NewStatusBarService(p *vm.Process, uiLooper *Looper) *StatusBarService {
 	s := &StatusBarService{
 		proc:           p,
 		mStatusBarLock: p.NewObject("SBS.mStatusBarLock"),
+		expansionsDone: make(chan struct{}, 64),
 	}
 	s.h = NewHandler(uiLooper, "StatusBarService$H", s.handleMessage)
 	return s
@@ -143,7 +146,10 @@ func (s *StatusBarService) handleMessage(t *vm.Thread, msg Message) {
 				if s.callbacks != nil {
 					s.callbacks.OnPanelRevealed(t)
 				}
-				s.expansions.Add(1)
+				select {
+				case s.expansionsDone <- struct{}{}:
+				default:
+				}
 			})
 		case msgAnimateCollapse:
 			s.mStatusBarLock.Synchronized(t, func() {
@@ -153,9 +159,9 @@ func (s *StatusBarService) handleMessage(t *vm.Thread, msg Message) {
 	})
 }
 
-// Expansions returns how many panel expansions have completed. Lock-free:
-// callable from outside the VM.
-func (s *StatusBarService) Expansions() int64 { return s.expansions.Load() }
+// ExpansionsDone exposes completed expansion signals (lock-free; scenario
+// drivers select on it).
+func (s *StatusBarService) ExpansionsDone() <-chan struct{} { return s.expansionsDone }
 
 // IconCount returns the number of installed icons.
 func (s *StatusBarService) IconCount(t *vm.Thread) int {

@@ -135,7 +135,10 @@ func (ss *SystemServer) NotificationRace(gateTimeout time.Duration) (<-chan stru
 	ss.NMS.SetRaceHook(func() { gate.Sync() })
 	ss.StatusBar.SetRaceHook(func() { gate.Sync() })
 
-	expansionsBefore := ss.StatusBar.Expansions()
+	// Only an expansion this race causes counts.
+	for len(ss.StatusBar.expansionsDone) > 0 {
+		<-ss.StatusBar.expansionsDone
+	}
 
 	// The notifying thread: an app's binder call executing in
 	// system_server, as binder transactions do.
@@ -160,23 +163,12 @@ func (ss *SystemServer) NotificationRace(gateTimeout time.Duration) (<-chan stru
 
 	done := make(chan struct{})
 	go func() {
-		deadline := time.Now().Add(gateTimeout + 30*time.Second)
 		// Both the binder call and the UI expansion must complete.
-		for time.Now().Before(deadline) {
-			select {
-			case <-notifier.Done():
-			default:
-				time.Sleep(time.Millisecond)
-				continue
-			}
-			if ss.StatusBar.Expansions() > expansionsBefore && notifier.Err() == nil {
-				// Clear the race hooks for subsequent normal operation.
-				ss.NMS.SetRaceHook(nil)
-				ss.StatusBar.SetRaceHook(nil)
-				close(done)
-				return
-			}
-			time.Sleep(time.Millisecond)
+		if raceCompleted(ss.Proc, notifier, ss.StatusBar.ExpansionsDone(), gateTimeout) {
+			// Clear the race hooks for subsequent normal operation.
+			ss.NMS.SetRaceHook(nil)
+			ss.StatusBar.SetRaceHook(nil)
+			close(done)
 		}
 	}()
 	_ = expander
@@ -224,27 +216,38 @@ func (ss *SystemServer) WindowRace(gateTimeout time.Duration) (<-chan struct{}, 
 
 	done := make(chan struct{})
 	go func() {
-		deadline := time.Now().Add(gateTimeout + 30*time.Second)
-		animated := false
-		for time.Now().Before(deadline) {
-			select {
-			case <-ss.WMS.AnimationsDone():
-				animated = true
-			default:
-			}
-			select {
-			case <-starter.Done():
-				if animated && starter.Err() == nil {
-					ss.AMS.SetRaceHook(nil)
-					ss.WMS.SetRaceHook(nil)
-					close(done)
-					return
-				}
-			default:
-			}
-			time.Sleep(time.Millisecond)
+		if raceCompleted(ss.Proc, starter, ss.WMS.AnimationsDone(), gateTimeout) {
+			ss.AMS.SetRaceHook(nil)
+			ss.WMS.SetRaceHook(nil)
+			close(done)
 		}
 	}()
 	_ = animator
 	return done, nil
+}
+
+// raceCompleted waits for both sides of a scenario race: the binder thread
+// returning without error and the UI side signalling completion on uiDone.
+// It gives up (false) when the binder thread fails, when the process starts
+// dying (a frozen phone is rebooted), or after gateTimeout plus 30 s.
+func raceCompleted[T any](proc *vm.Process, binder *vm.Thread, uiDone <-chan T, gateTimeout time.Duration) bool {
+	timeout := time.NewTimer(gateTimeout + 30*time.Second)
+	defer timeout.Stop()
+	binderDone := binder.Done()
+	for binderDone != nil || uiDone != nil {
+		select {
+		case <-binderDone:
+			if binder.Err() != nil {
+				return false
+			}
+			binderDone = nil
+		case <-uiDone:
+			uiDone = nil
+		case <-proc.Dying():
+			return false
+		case <-timeout.C:
+			return false
+		}
+	}
+	return true
 }

@@ -110,16 +110,15 @@ func (w *Watchdog) checkOne(t *vm.Thread, c *handlerCheck, now time.Time) {
 	c.handler.Post(t, func(*vm.Thread) { check.completed.Store(true) })
 }
 
-// sleep waits one interval in small slices so process teardown is prompt.
-// It reports false when the process died while sleeping.
+// sleep waits one interval, or until the process starts dying, so
+// teardown is prompt. It reports false when the process died meanwhile.
 func (w *Watchdog) sleep() bool {
-	const slice = 2 * time.Millisecond
-	deadline := time.Now().Add(w.interval)
-	for time.Now().Before(deadline) {
-		if w.proc.Killed() {
-			return false
-		}
-		time.Sleep(slice)
+	timer := time.NewTimer(w.interval)
+	defer timer.Stop()
+	select {
+	case <-w.proc.Dying():
+		return false
+	case <-timer.C:
+		return !w.proc.Killed()
 	}
-	return !w.proc.Killed()
 }

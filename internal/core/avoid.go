@@ -3,7 +3,6 @@ package core
 import (
 	"sort"
 	"sync/atomic"
-	"time"
 )
 
 // Avoidance. Before a thread is allowed to wait for a lock at position
@@ -55,7 +54,7 @@ func (c *Core) avoidLocked(t *Node, pos *Position) (yielded bool, err error) {
 		}
 
 		yielded = true
-		rec := &yieldRecord{sig: sig, witnesses: witnesses, pos: pos, since: time.Now()}
+		rec := &yieldRecord{sig: sig, witnesses: witnesses, pos: pos}
 		t.yield = rec
 		c.yielders[t] = rec
 		c.yielderCount.Add(1)

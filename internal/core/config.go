@@ -1,9 +1,6 @@
 package core
 
-import (
-	"fmt"
-	"time"
-)
+import "fmt"
 
 // DeadlockPolicy selects what Request does when it detects that granting
 // the acquisition would complete a deadlock cycle.
@@ -34,39 +31,14 @@ func (p DeadlockPolicy) String() string {
 	}
 }
 
-// StarvationMode selects how avoidance-induced deadlocks are detected.
-type StarvationMode int
-
-const (
-	// StarvationCycle detects starvation by finding cycles through yield
-	// edges in the waits-for relation, checked whenever a thread is about
-	// to yield. This is precise and immediate.
-	StarvationCycle StarvationMode = iota + 1
-	// StarvationTimeout additionally treats any yield lasting longer than
-	// Config.YieldTimeout as starvation (conservative fallback; requires
-	// the watchdog).
-	StarvationTimeout
-	// StarvationOff disables starvation handling; yields can block forever
-	// (only for controlled experiments).
-	StarvationOff
-)
-
-// String returns a readable mode name.
-func (m StarvationMode) String() string {
-	switch m {
-	case StarvationCycle:
-		return "cycle"
-	case StarvationTimeout:
-		return "cycle+timeout"
-	case StarvationOff:
-		return "off"
-	default:
-		return fmt.Sprintf("StarvationMode(%d)", int(m))
-	}
-}
-
 // Config carries the tunables of a Core. The zero value is not valid; use
 // DefaultConfig or New with options.
+//
+// Starvation handling is not a tunable: a yield that would close a
+// waits-for cycle, or a later edge that closes one, always records a
+// starvation signature and force-resumes the yielder (starvation.go), the
+// paper's one rule. Nothing in a Core reads the clock or runs in the
+// background, so every decision is a function of the call schedule.
 type Config struct {
 	// OuterDepth is the number of frames kept in outer call stacks.
 	// The paper uses 1 (§3.2); deeper stacks lower the false-positive rate
@@ -78,18 +50,6 @@ type Config struct {
 	Avoidance bool
 	// Policy selects the reaction to a detected deadlock.
 	Policy DeadlockPolicy
-	// Starvation selects the avoidance-induced-deadlock strategy.
-	Starvation StarvationMode
-	// YieldTimeout bounds a single avoidance yield under
-	// StarvationTimeout.
-	YieldTimeout time.Duration
-	// WatchdogPeriod, when positive, runs a background scanner that
-	// re-checks yielding threads for starvation (needed for
-	// StarvationTimeout; optional for StarvationCycle).
-	WatchdogPeriod time.Duration
-	// EventBuffer is the capacity of the event channel; events beyond it
-	// are dropped (counted in Stats.EventsDropped).
-	EventBuffer int
 	// QueueReuse enables the §4 two-queue entry recycling. Disabling it is
 	// ablation A2.
 	QueueReuse bool
@@ -104,19 +64,14 @@ type Config struct {
 }
 
 // DefaultConfig returns the paper's configuration: depth-1 outer stacks,
-// detection and avoidance on, freeze policy, cycle-based starvation
-// handling, queue reuse on.
+// detection and avoidance on, freeze policy, queue reuse on.
 func DefaultConfig() Config {
 	return Config{
-		OuterDepth:     1,
-		Detection:      true,
-		Avoidance:      true,
-		Policy:         PolicyFreeze,
-		Starvation:     StarvationCycle,
-		YieldTimeout:   500 * time.Millisecond,
-		WatchdogPeriod: 0,
-		EventBuffer:    256,
-		QueueReuse:     true,
+		OuterDepth: 1,
+		Detection:  true,
+		Avoidance:  true,
+		Policy:     PolicyFreeze,
+		QueueReuse: true,
 	}
 }
 
@@ -129,22 +84,6 @@ func (c Config) validate() error {
 	case PolicyFreeze, PolicyFail:
 	default:
 		return fmt.Errorf("config: invalid policy %d", int(c.Policy))
-	}
-	switch c.Starvation {
-	case StarvationCycle, StarvationTimeout, StarvationOff:
-	default:
-		return fmt.Errorf("config: invalid starvation mode %d", int(c.Starvation))
-	}
-	if c.Starvation == StarvationTimeout {
-		if c.YieldTimeout <= 0 {
-			return fmt.Errorf("config: StarvationTimeout requires positive YieldTimeout, got %v", c.YieldTimeout)
-		}
-		if c.WatchdogPeriod <= 0 {
-			return fmt.Errorf("config: StarvationTimeout requires positive WatchdogPeriod, got %v", c.WatchdogPeriod)
-		}
-	}
-	if c.EventBuffer < 0 {
-		return fmt.Errorf("config: negative EventBuffer %d", c.EventBuffer)
 	}
 	return nil
 }
@@ -172,30 +111,9 @@ func WithPolicy(p DeadlockPolicy) Option {
 	return func(c *Config) { c.Policy = p }
 }
 
-// WithStarvation sets the starvation mode.
-func WithStarvation(m StarvationMode) Option {
-	return func(c *Config) { c.Starvation = m }
-}
-
-// WithYieldTimeout sets the yield timeout for StarvationTimeout mode.
-func WithYieldTimeout(d time.Duration) Option {
-	return func(c *Config) { c.YieldTimeout = d }
-}
-
-// WithWatchdog enables the background starvation scanner with the given
-// period.
-func WithWatchdog(period time.Duration) Option {
-	return func(c *Config) { c.WatchdogPeriod = period }
-}
-
 // WithStore attaches a persistent history store.
 func WithStore(s HistoryStore) Option {
 	return func(c *Config) { c.Store = s }
-}
-
-// WithEventBuffer sets the event channel capacity.
-func WithEventBuffer(n int) Option {
-	return func(c *Config) { c.EventBuffer = n }
 }
 
 // WithQueueReuse toggles the two-queue entry recycling (ablation A2).

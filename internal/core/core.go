@@ -99,14 +99,27 @@
 // still in the set (it cannot remove itself before relocking), so the gate
 // never hides a waiter. Close does not use the gate: it broadcasts
 // unconditionally.
+//
+// # Starvation scan points
+//
+// There is no background starvation scanner. A waits-for edge appears only
+// when a thread yields, when a request is approved, or when a lock changes
+// owner, and each of those points runs the cycle check under the exclusive
+// lock: avoidLocked before it suspends a thread, Request and Acquired over
+// every yielder afterwards (starvation.go). A periodic re-scan could find
+// no cycle these points missed. A Core reads no clock and starts no
+// goroutine, so every decision is a function of the call schedule.
 package core
 
 import (
 	"fmt"
 	"sync"
 	"sync/atomic"
-	"time"
 )
+
+// eventBuffer is the capacity of a core's event channel; events beyond it
+// are dropped (counted in Stats.EventsDropped).
+const eventBuffer = 256
 
 // Core is one per-process Dimmunix instance.
 type Core struct {
@@ -161,9 +174,6 @@ type Core struct {
 	eventsClosed bool
 
 	killed atomic.Bool
-
-	watchdogStop chan struct{}
-	watchdogWG   sync.WaitGroup
 }
 
 // New creates a Core with the given options applied over DefaultConfig.
@@ -184,7 +194,7 @@ func New(opts ...Option) (*Core, error) {
 		positions: newPosTable(),
 		sigKeys:   make(map[string]*Signature),
 		yielders:  make(map[*Node]*yieldRecord),
-		events:    make(chan Event, cfg.EventBuffer),
+		events:    make(chan Event, eventBuffer),
 	}
 	if cfg.Store != nil {
 		sigs, err := cfg.Store.Load()
@@ -205,11 +215,6 @@ func New(opts ...Option) (*Core, error) {
 		}
 		c.mu.Unlock()
 	}
-	if cfg.WatchdogPeriod > 0 {
-		c.watchdogStop = make(chan struct{})
-		c.watchdogWG.Add(1)
-		go c.watchdogLoop()
-	}
 	return c, nil
 }
 
@@ -221,8 +226,8 @@ func (c *Core) Config() Config { return c.cfg }
 // falls behind.
 func (c *Core) Events() <-chan Event { return c.events }
 
-// Close shuts the core down: the watchdog stops, all threads suspended in
-// avoidance are woken with ErrCoreClosed, and the event channel is closed.
+// Close shuts the core down: all threads suspended in avoidance are woken
+// with ErrCoreClosed, and the event channel is closed.
 // Close is idempotent.
 func (c *Core) Close() error {
 	if !c.killed.CompareAndSwap(false, true) {
@@ -239,11 +244,6 @@ func (c *Core) Close() error {
 	}
 	c.histMu.Unlock()
 	c.mu.Unlock()
-
-	if c.watchdogStop != nil {
-		close(c.watchdogStop)
-		c.watchdogWG.Wait()
-	}
 
 	c.evMu.Lock()
 	c.eventsClosed = true
@@ -297,23 +297,6 @@ func (c *Core) RetireThreadNode(t *Node) {
 	t.fastRequests, t.fastAcquisitions, t.fastReleases = 0, 0, 0
 	c.nodesMu.Lock()
 	c.threadNodes = removeNode(c.threadNodes, t)
-	c.nodesMu.Unlock()
-}
-
-// RetireLockNode removes a dead (unheld, unrequested) lock's node from
-// the registry — the monitor-deflation hook for embeddings that reclaim
-// monitors. A held lock is left registered.
-func (c *Core) RetireLockNode(l *Node) {
-	if l == nil || l.kind != LockNode {
-		return
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if l.owner.Load() != nil || l.acqEntry != nil {
-		return
-	}
-	c.nodesMu.Lock()
-	c.lockNodes = removeNode(c.lockNodes, l)
 	c.nodesMu.Unlock()
 }
 
@@ -812,41 +795,6 @@ func (c *Core) MemStats() MemStats {
 // PositionCount returns the number of interned positions.
 func (c *Core) PositionCount() int {
 	return c.positions.count()
-}
-
-// CheckStarvationNow synchronously re-runs the starvation scan over all
-// yielding threads. Tests and embedders without a watchdog can call this
-// to force timely starvation handling.
-func (c *Core) CheckStarvationNow() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.scanYieldersLocked()
-	if c.cfg.Starvation == StarvationTimeout {
-		c.timeoutYieldersLocked(time.Now())
-	}
-}
-
-// watchdogLoop periodically re-scans yielders (cycle mode) and applies the
-// yield timeout (timeout mode).
-func (c *Core) watchdogLoop() {
-	defer c.watchdogWG.Done()
-	ticker := time.NewTicker(c.cfg.WatchdogPeriod)
-	defer ticker.Stop()
-	for {
-		select {
-		case <-c.watchdogStop:
-			return
-		case now := <-ticker.C:
-			c.mu.Lock()
-			if !c.killed.Load() {
-				c.scanYieldersLocked()
-				if c.cfg.Starvation == StarvationTimeout {
-					c.timeoutYieldersLocked(now)
-				}
-			}
-			c.mu.Unlock()
-		}
-	}
 }
 
 // checkArgs validates the node kinds for the interception entry points.

@@ -16,10 +16,6 @@ func TestConfigValidation(t *testing.T) {
 		{"defaults", nil, true},
 		{"depth 0", []Option{WithOuterDepth(0)}, false},
 		{"bad policy", []Option{WithPolicy(DeadlockPolicy(0))}, false},
-		{"bad starvation", []Option{WithStarvation(StarvationMode(0))}, false},
-		{"timeout without watchdog", []Option{WithStarvation(StarvationTimeout), WithYieldTimeout(time.Millisecond)}, false},
-		{"timeout with watchdog", []Option{WithStarvation(StarvationTimeout), WithYieldTimeout(time.Millisecond), WithWatchdog(time.Millisecond)}, true},
-		{"negative buffer", []Option{WithEventBuffer(-1)}, false},
 		{"depth 3", []Option{WithOuterDepth(3)}, true},
 	}
 	for _, tc := range tests {
@@ -286,15 +282,21 @@ func TestQueueReuseBoundsAllocations(t *testing.T) {
 }
 
 func TestEventChannelDropsWhenFull(t *testing.T) {
-	// Buffer of 1 and no consumer: second event must drop, not block.
-	c, err := New(WithEventBuffer(1))
+	// No consumer: once the buffer is full the next event must drop, not
+	// block.
+	c, err := New()
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c.Close()
 	mustAdd(t, c, sigOf(DeadlockSig, fr("a.B", "m", 1), fr("c.D", "n", 2)))
 
-	c.emit(Event{Kind: EventYield})
+	for i := 0; i < eventBuffer; i++ {
+		c.emit(Event{Kind: EventYield})
+	}
+	if dropped := c.Stats().EventsDropped; dropped != 0 {
+		t.Fatalf("EventsDropped = %d before the buffer filled, want 0", dropped)
+	}
 	c.emit(Event{Kind: EventYield}) // would block without drop logic
 	if dropped := c.Stats().EventsDropped; dropped != 1 {
 		t.Errorf("EventsDropped = %d, want 1", dropped)

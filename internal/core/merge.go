@@ -36,14 +36,6 @@ func MergeHistories(lists ...[]*Signature) ([]*Signature, error) {
 	return out, nil
 }
 
-// MergeStores loads every source store and appends the signatures missing
-// from dst, returning how many were added. Duplicates already in dst (or
-// across sources) are skipped.
-func MergeStores(dst HistoryStore, sources ...HistoryStore) (added int, err error) {
-	detail, err := MergeStoresDetailed(dst, sources...)
-	return detail.Added, err
-}
-
 // MergeSourceStat is one source's contribution to a merge.
 type MergeSourceStat struct {
 	// Loaded is how many signatures the source held.
@@ -70,8 +62,10 @@ type MergeDetail struct {
 	AddedKeys []string
 }
 
-// MergeStoresDetailed is MergeStores with per-source added/duplicate
-// counts and first-contributor provenance.
+// MergeStoresDetailed loads every source store and appends the signatures
+// missing from dst, skipping duplicates already in dst (or across
+// sources). The detail reports per-source added/duplicate counts and
+// first-contributor provenance.
 func MergeStoresDetailed(dst HistoryStore, sources ...HistoryStore) (MergeDetail, error) {
 	detail := MergeDetail{
 		PerSource: make([]MergeSourceStat, len(sources)),

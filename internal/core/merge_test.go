@@ -57,12 +57,12 @@ func TestMergeStores(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	added, err := MergeStores(device, vendor1, vendor2)
+	detail, err := MergeStoresDetailed(device, vendor1, vendor2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if added != 2 {
-		t.Errorf("added %d signatures, want 2 (shared once + unique)", added)
+	if detail.Added != 2 {
+		t.Errorf("added %d signatures, want 2 (shared once + unique)", detail.Added)
 	}
 	final, err := device.Load()
 	if err != nil {
@@ -73,12 +73,12 @@ func TestMergeStores(t *testing.T) {
 	}
 
 	// Merging again is a no-op.
-	added, err = MergeStores(device, vendor1, vendor2)
+	detail, err = MergeStoresDetailed(device, vendor1, vendor2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if added != 0 {
-		t.Errorf("re-merge added %d, want 0", added)
+	if detail.Added != 0 {
+		t.Errorf("re-merge added %d, want 0", detail.Added)
 	}
 }
 
@@ -142,7 +142,7 @@ func TestMergedHistoryImmunizesForeignBug(t *testing.T) {
 		t.Fatal(err)
 	}
 	device := NewMemHistory()
-	if _, err := MergeStores(device, vendor); err != nil {
+	if _, err := MergeStoresDetailed(device, vendor); err != nil {
 		t.Fatal(err)
 	}
 

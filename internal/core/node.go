@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"sync/atomic"
-	"time"
 )
 
 // NodeKind distinguishes the two kinds of RAG nodes.
@@ -117,8 +116,6 @@ type yieldRecord struct {
 	witnesses map[*Node]*Position
 	// pos is the position the yielding thread was requesting at.
 	pos *Position
-	// since is when the yield began (for the timeout fallback).
-	since time.Time
 }
 
 // innerStack captures the thread's current stack via stackFn, or returns a

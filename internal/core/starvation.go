@@ -1,9 +1,6 @@
 package core
 
-import (
-	"sync/atomic"
-	"time"
-)
+import "sync/atomic"
 
 // Starvation (avoidance-induced deadlock) handling. A yield suspends a
 // thread until the matched instantiation dissolves; if the threads that
@@ -16,22 +13,26 @@ import (
 //   - a thread approved for a lock waits for the lock's current owner.
 //
 // Edges only appear on yields, approvals, and ownership transfers, so the
-// scan runs at exactly those points (plus the optional watchdog):
-// avoidLocked checks before suspending, and Request/Acquired re-scan all
-// yielders after adding edges. When a cycle is found, the starvation
-// signature (the yield's position pattern) is saved — arming the yield
-// suppression in avoid.go — and the yielding thread is force-resumed,
-// matching the paper: "when starvation occurs, Dimmunix saves the
-// signature of the avoidance-induced deadlock, and resumes the suspended
-// thread."
+// scan runs at exactly those points: avoidLocked checks before suspending,
+// and Request/Acquired re-scan all yielders after adding edges. The fast
+// path adds edges too, but only while nothing yields, and a cycle through
+// a yield edge needs a yielder. Every other transition (release, abort,
+// signature install) only removes edges or adds none, so a cycle is seen
+// the moment its last edge appears, and a background scanner would find
+// nothing these scan points have not. A yield whose witness never
+// releases (it runs forever in code the RAG does not see) is not a cycle
+// and stays suspended, as in the paper.
+//
+// When a cycle is found, the starvation signature (the yield's position
+// pattern) is saved — arming the yield suppression in avoid.go — and the
+// yielding thread is force-resumed, matching the paper: "when starvation
+// occurs, Dimmunix saves the signature of the avoidance-induced deadlock,
+// and resumes the suspended thread."
 
 // wouldStarveLocked reports whether suspending t with the given witnesses
 // would complete a waits-for cycle, i.e. some witness already transitively
 // waits for t. Caller must hold c.mu.
 func (c *Core) wouldStarveLocked(t *Node, witnesses map[*Node]*Position) bool {
-	if c.cfg.Starvation == StarvationOff {
-		return false
-	}
 	visited := make(map[*Node]bool, 8)
 	for w := range witnesses {
 		if c.reachesLocked(w, t, visited) {
@@ -70,10 +71,10 @@ func (c *Core) reachesLocked(from, target *Node, visited map[*Node]bool) bool {
 
 // scanYieldersLocked re-checks every suspended thread for a completed
 // starvation cycle and force-resumes the starved ones. Called after new
-// waits-for edges appear (approval, acquisition) and by the watchdog.
-// Cheap when nothing yields: a single map-length check.
+// waits-for edges appear (approval, acquisition). Cheap when nothing
+// yields: a single map-length check.
 func (c *Core) scanYieldersLocked() {
-	if len(c.yielders) == 0 || c.cfg.Starvation == StarvationOff {
+	if len(c.yielders) == 0 {
 		return
 	}
 	for y, rec := range c.yielders {
@@ -81,23 +82,6 @@ func (c *Core) scanYieldersLocked() {
 			continue
 		}
 		if c.wouldStarveLocked(y, rec.witnesses) {
-			c.recordStarvationLocked(y, rec.pos, rec.witnesses)
-			c.forceResumeLocked(y, rec)
-		}
-	}
-}
-
-// timeoutYieldersLocked applies the StarvationTimeout fallback: any yield
-// older than the configured timeout is declared starved. Conservative —
-// used when the embedding cannot tolerate long suspensions even in
-// patterns the cycle detector cannot see (e.g. a witness blocked in
-// external code).
-func (c *Core) timeoutYieldersLocked(now time.Time) {
-	for y, rec := range c.yielders {
-		if y.forceResume {
-			continue
-		}
-		if now.Sub(rec.since) >= c.cfg.YieldTimeout {
 			c.recordStarvationLocked(y, rec.pos, rec.witnesses)
 			c.forceResumeLocked(y, rec)
 		}

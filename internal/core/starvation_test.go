@@ -53,7 +53,7 @@ func TestStarvationDetectedByScan(t *testing.T) {
 	if err := h.c.Request(s.a, s.l0, s.p3); err != nil {
 		t.Fatal(err)
 	}
-	if err := <-bDone; err != nil {
+	if err := resumedWithin(t, bDone, "B"); err != nil {
 		t.Fatalf("B must be force-resumed, got %v", err)
 	}
 	h.c.Acquired(s.b, s.lY)
@@ -88,6 +88,96 @@ func TestStarvationDetectedByScan(t *testing.T) {
 	h.c.Release(s.b, s.l0)
 	h.c.Acquired(s.a, s.l0)
 	h.c.Release(s.a, s.l0)
+}
+
+// TestStarvationThreeThreadRing: the yield cycle runs through a third
+// thread and is closed by a request that neither the yielder nor its
+// witness makes. B yields on witness A; A is approved for a lock C holds
+// (B → A → C, no cycle yet); C's request for B's lock closes the ring
+// B → A → C → B. The scan in that last Request must record exactly one
+// starvation signature and resume B. Nothing else could: a Core runs no
+// background scanner.
+func TestStarvationThreeThreadRing(t *testing.T) {
+	s := newStarvationScenario(t)
+	h := s.h
+	c := h.thread("C")
+	lC := h.lock("lC")
+	h.acquire(c, lC, h.pos("S", "p4", 4))
+
+	bDone := make(chan error, 1)
+	go func() { bDone <- h.c.Request(s.b, s.lY, s.p2) }()
+	waitUntil(t, "B yields", func() bool { return h.c.Stats().Yields == 1 })
+
+	// A waits for C: the ring is still open, B stays suspended.
+	if err := h.c.Request(s.a, lC, s.p3); err != nil {
+		t.Fatal(err)
+	}
+	if st := h.c.Stats(); st.Starvations != 0 || st.ForcedResumes != 0 {
+		t.Fatalf("open ring: starvations=%d forced=%d, want 0/0", st.Starvations, st.ForcedResumes)
+	}
+	select {
+	case err := <-bDone:
+		t.Fatalf("B resumed before the ring closed (err %v)", err)
+	default:
+	}
+
+	// C waits for B: the ring closes.
+	if err := h.c.Request(c, s.l0, h.pos("S", "p5", 5)); err != nil {
+		t.Fatal(err)
+	}
+	if err := resumedWithin(t, bDone, "B"); err != nil {
+		t.Fatalf("B must be force-resumed, got %v", err)
+	}
+
+	st := h.c.Stats()
+	if st.Starvations != 1 || st.ForcedResumes != 1 || st.Resumes != 1 {
+		t.Errorf("starvations=%d forced=%d resumes=%d, want 1/1/1",
+			st.Starvations, st.ForcedResumes, st.Resumes)
+	}
+	var starv []SignatureInfo
+	for _, info := range h.c.History() {
+		if info.Kind == StarvationSig {
+			starv = append(starv, info)
+		}
+	}
+	if len(starv) != 1 {
+		t.Fatalf("recorded %d starvation signatures, want 1", len(starv))
+	}
+	outs := map[string]bool{}
+	for _, p := range starv[0].Pairs {
+		outs[p.Outer.Key()] = true
+	}
+	if len(starv[0].Pairs) != 2 || !outs["test.S.p2:2"] || !outs["test.S.p1:1"] {
+		t.Errorf("starvation signature positions = %v, want {p2, p1}", outs)
+	}
+
+	// Unwind the ring: B finishes, then C, then A.
+	h.c.Acquired(s.b, s.lY)
+	h.release(s.b, s.lY)
+	h.release(s.b, s.l0)
+	h.c.Acquired(c, s.l0)
+	h.release(c, s.l0)
+	h.release(c, lC)
+	h.c.Acquired(s.a, lC)
+	h.release(s.a, lC)
+	h.release(s.a, s.lX)
+	if st := h.c.Stats(); st.Misuse != 0 {
+		t.Errorf("misuse = %d, want 0", st.Misuse)
+	}
+}
+
+// resumedWithin waits a bounded time for a suspended Request to return, so
+// a missed starvation scan fails the test instead of hanging it. The
+// harness's Close wakes the stuck yielder afterwards.
+func resumedWithin(t *testing.T, done <-chan error, who string) error {
+	t.Helper()
+	select {
+	case err := <-done:
+		return err
+	case <-time.After(5 * time.Second):
+		t.Fatalf("%s was never resumed: no scan saw the starvation cycle", who)
+		return nil
+	}
 }
 
 // TestStarvationPreCheck: the cycle exists before the yield (A already
@@ -128,7 +218,7 @@ func TestStarvationSuppressionNextRun(t *testing.T) {
 	if err := h1.c.Request(s1.a, s1.l0, s1.p3); err != nil {
 		t.Fatal(err)
 	}
-	if err := <-bDone; err != nil {
+	if err := resumedWithin(t, bDone, "B"); err != nil {
 		t.Fatal(err)
 	}
 	if store.Len() != 2 { // deadlock sig (pre-seeded) + starvation sig
@@ -174,98 +264,6 @@ func newStarvationScenarioWithStore(t *testing.T, store *MemHistory) *starvation
 	s.h.acquire(s.b, s.l0, s.p0)
 	s.h.acquire(s.a, s.lX, s.p1)
 	return s
-}
-
-// TestStarvationTimeoutFallback: with the timeout mode, a yield that simply
-// never dissolves (witness running forever) is cut short by the watchdog.
-func TestStarvationTimeoutFallback(t *testing.T) {
-	h := newHarness(t,
-		WithStarvation(StarvationTimeout),
-		WithYieldTimeout(30*time.Millisecond),
-		WithWatchdog(10*time.Millisecond),
-	)
-	mustAdd(t, h.c, sigOf(DeadlockSig, fr("test.S", "p1", 1), fr("test.S", "p2", 2)))
-	a, b := h.thread("A"), h.thread("B")
-	lX, lY := h.lock("X"), h.lock("Y")
-	p1, p2 := h.pos("S", "p1", 1), h.pos("S", "p2", 2)
-
-	h.acquire(a, lX, p1) // A holds forever — no cycle, just no progress
-	done := make(chan error, 1)
-	go func() { done <- h.c.Request(b, lY, p2) }()
-
-	select {
-	case err := <-done:
-		if err != nil {
-			t.Fatal(err)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("timeout fallback did not fire")
-	}
-	st := h.c.Stats()
-	if st.Starvations != 1 || st.ForcedResumes != 1 {
-		t.Errorf("starvations=%d forced=%d, want 1/1", st.Starvations, st.ForcedResumes)
-	}
-}
-
-// TestCheckStarvationNow drives the scan manually instead of via watchdog.
-func TestCheckStarvationNow(t *testing.T) {
-	h := newHarness(t,
-		WithStarvation(StarvationTimeout),
-		WithYieldTimeout(time.Nanosecond),
-		WithWatchdog(time.Hour), // effectively never fires on its own
-	)
-	mustAdd(t, h.c, sigOf(DeadlockSig, fr("test.S", "p1", 1), fr("test.S", "p2", 2)))
-	a, b := h.thread("A"), h.thread("B")
-	lX, lY := h.lock("X"), h.lock("Y")
-	p1, p2 := h.pos("S", "p1", 1), h.pos("S", "p2", 2)
-
-	h.acquire(a, lX, p1)
-	done := make(chan error, 1)
-	go func() { done <- h.c.Request(b, lY, p2) }()
-	waitUntil(t, "B yields", func() bool { return h.c.Stats().Yields == 1 })
-
-	h.c.CheckStarvationNow()
-	select {
-	case err := <-done:
-		if err != nil {
-			t.Fatal(err)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("CheckStarvationNow did not resume the yielder")
-	}
-}
-
-// TestStarvationOffMode: the cycle forms but nothing intervenes; the
-// yielder stays suspended until the witness releases (which the test does
-// to avoid leaking the goroutine).
-func TestStarvationOffMode(t *testing.T) {
-	s := newStarvationScenario(t)
-	// Rebuild with starvation off (scenario helper uses defaults).
-	h := newHarness(t, WithStarvation(StarvationOff))
-	mustAdd(t, h.c, sigOf(DeadlockSig, fr("test.S", "p1", 1), fr("test.S", "p2", 2)))
-	a, b := h.thread("A"), h.thread("B")
-	lX, lY := h.lock("X"), h.lock("Y")
-	p1, p2 := h.pos("S", "p1", 1), h.pos("S", "p2", 2)
-	_ = s
-
-	h.acquire(a, lX, p1)
-	done := make(chan error, 1)
-	go func() { done <- h.c.Request(b, lY, p2) }()
-	waitUntil(t, "B yields", func() bool { return h.c.Stats().Yields == 1 })
-
-	h.c.CheckStarvationNow() // must be a no-op
-	select {
-	case <-done:
-		t.Fatal("starvation off: B must stay suspended")
-	case <-time.After(20 * time.Millisecond):
-	}
-	h.release(a, lX)
-	if err := <-done; err != nil {
-		t.Fatal(err)
-	}
-	if st := h.c.Stats(); st.Starvations != 0 {
-		t.Errorf("Starvations = %d, want 0", st.Starvations)
-	}
 }
 
 // TestStarvationEventEmitted verifies the event stream carries the

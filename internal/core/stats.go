@@ -153,9 +153,9 @@ func stackBytes(cs CallStack) int64 {
 // exclusively (freezing the position queues); the shard and history locks
 // are taken per the lock order.
 func (c *Core) memStatsLocked() MemStats {
-	// Live nodes only: retired (dead-thread / deflated-monitor) nodes no
-	// longer occupy memory, so the footprint counts the registry, not the
-	// cumulative creation counter.
+	// Live nodes only: retired (dead-thread) nodes no longer occupy
+	// memory, so the footprint counts the registry, not the cumulative
+	// creation counter.
 	c.nodesMu.Lock()
 	nodes := int64(len(c.threadNodes) + len(c.lockNodes))
 	c.nodesMu.Unlock()

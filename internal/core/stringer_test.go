@@ -22,10 +22,6 @@ func TestEnumStrings(t *testing.T) {
 		{PolicyFreeze.String(), "freeze"},
 		{PolicyFail.String(), "fail"},
 		{DeadlockPolicy(7).String(), "DeadlockPolicy(7)"},
-		{StarvationCycle.String(), "cycle"},
-		{StarvationTimeout.String(), "cycle+timeout"},
-		{StarvationOff.String(), "off"},
-		{StarvationMode(5).String(), "StarvationMode(5)"},
 		{EventDeadlockDetected.String(), "deadlock-detected"},
 		{EventSignatureLoaded.String(), "signature-loaded"},
 		{EventYield.String(), "yield"},

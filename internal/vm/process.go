@@ -132,6 +132,10 @@ func (p *Process) Dimmunix() *core.Core { return p.dim }
 // thread loops must poll this (or use bounded work) so Kill can complete.
 func (p *Process) Killed() bool { return p.killed.Load() }
 
+// Dying returns a channel that is closed once Kill starts tearing the
+// process down, for loops that wait on something else until then.
+func (p *Process) Dying() <-chan struct{} { return p.killCh }
+
 func (p *Process) isKilled() bool { return p.killed.Load() }
 
 // Start launches a VM thread running fn. The thread's goroutine is tracked

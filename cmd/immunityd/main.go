@@ -55,9 +55,9 @@
 // each hub runs a SWIM-style failure detector over its peer links
 // (direct pings, then indirect ping-reqs, then a suspicion window, all
 // derived from D), a condemned member's keys fail over to their
-// deputies, and arming authority is a quorum lease (-lease-ttl): the
-// minority side of a partition parks its
-// threshold crossings until the heal instead of arming a double.
+// deputies, and arming authority is a quorum lease whose lifetime also
+// derives from D: the minority side of a partition parks its threshold
+// crossings until the heal instead of arming a double.
 // -no-lease falls back to epoch fencing alone; -leave hands the owned
 // slice off and drains the outboxes on shutdown. /status shows the
 // membership ring and the peer links; /status?owner=KEY answers which
@@ -93,7 +93,7 @@
 //
 // Usage:
 //
-//	immunityd -serve [-listen ADDR] [-http ADDR] [-threshold N] [-provenance FILE] [-admit-wait D] [-slo-target D -slo-interval D -slo-backlog N] [-tls-cert F -tls-key F [-tls-ca F]] [-auth-key K | -auth-keyring F] [-tenant-threshold T=N,...] [-hub ID -peers ID=ADDR,... [-advertise ADDR] [-failover-after D] [-lease-ttl D] [-no-lease] [-leave]]
+//	immunityd -serve [-listen ADDR] [-http ADDR] [-threshold N] [-provenance FILE] [-admit-wait D] [-slo-target D -slo-interval D -slo-backlog N] [-tls-cert F -tls-key F [-tls-ca F]] [-auth-key K | -auth-keyring F] [-tenant-threshold T=N,...] [-hub ID -peers ID=ADDR,... [-advertise ADDR] [-failover-after D] [-no-lease] [-leave]]
 //	immunityd -storm -connect ADDR[,ADDR...] [-phones N] [-sigs N] [-ramp-warmup D -ramp-flood D] [-timeout D]
 //	immunityd -gen-ca DIR | -gen-cert NAME -ca DIR [-hosts H,...] | -mint-token -auth-key K [-tenant T] [-device D] [-ttl D]
 package main
@@ -169,7 +169,7 @@ var flagModes = func() map[string]mode {
 		anyServe | modeMint: "auth-key",
 		anyServe: "serve listen http provenance threshold admit-wait slo-target slo-interval slo-backlog " +
 			"tls-cert tls-key tls-ca auth-keyring tenant-threshold",
-		modeFederated: "peers hub advertise failover-after leave lease-ttl no-lease",
+		modeFederated: "peers hub advertise failover-after leave no-lease",
 		modeStorm:     "storm connect phones sigs timeout ramp-warmup ramp-flood",
 		modeGen:       "gen-ca gen-cert ca hosts",
 		modeMint:      "mint-token tenant device ttl",
@@ -216,7 +216,6 @@ func newFlags() (*flag.FlagSet, *cli) {
 	fs.StringVar(&c.sc.advertise, "advertise", "", "the address other members dial this hub at (default: the -listen address)")
 	fs.DurationVar(&c.sc.failoverAfter, "failover-after", 0, "failure-detection budget: declare a member dead once direct and indirect probes have not reached it for about this long, and fail its keys over to deputies (0 disables)")
 	fs.BoolVar(&c.sc.leave, "leave", false, "leave the membership gracefully on shutdown (hand off owned keys, drain outboxes)")
-	fs.DurationVar(&c.sc.leaseTTL, "lease-ttl", 0, "failure detection: quorum-lease lifetime (0 derives from -failover-after; always clamped to the probe timeout plus the suspicion window)")
 	fs.BoolVar(&c.sc.noLease, "no-lease", false, "failure detection: disable the quorum lease and fall back to epoch fencing alone (both partition sides keep arming)")
 	fs.DurationVar(&c.sc.admitWait, "admit-wait", 5*time.Second, "bounded wait before an over-capacity report is shed (keep well below the 30s wire write timeout)")
 	fs.DurationVar(&c.sc.sloTarget, "slo-target", 25*time.Millisecond, "latency SLO: p99 report-handling time (admission wait included) must stay at or under this")
@@ -588,7 +587,6 @@ type serveConfig struct {
 	peers            []cluster.Member
 	advertise        string
 	failoverAfter    time.Duration
-	leaseTTL         time.Duration
 	noLease          bool
 	leave            bool
 	admitWait        time.Duration
@@ -674,7 +672,7 @@ func startDaemon(sc serveConfig) (*daemon, error) {
 				}
 				return immunity.NewTCPTransport(m.Addr, sc.peerDial...)
 			},
-			FailoverAfter: sc.failoverAfter, LeaseTTL: sc.leaseTTL, NoLease: sc.noLease,
+			FailoverAfter: sc.failoverAfter, NoLease: sc.noLease,
 			Metrics: reg,
 		})
 		if err != nil {

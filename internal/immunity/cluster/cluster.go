@@ -217,15 +217,13 @@ import (
 // megabytes, not the heap.
 const forwardOutboxCap = 4096
 
-// Member names one remote hub of the cluster seed and how to reach it:
-// a ready transport (immunity.NewTCPTransport across machines,
-// immunity.NewLoopback in process), an address for Config.Resolve to
-// dial, or both (the transport wins; the address is still advertised
-// to peers so *they* can dial the member).
+// Member names one remote hub of the cluster seed and the transport
+// that reaches it (immunity.NewTCPTransport across machines,
+// immunity.NewLoopback in process). Members discovered at runtime go
+// through Config.Resolve instead.
 type Member struct {
 	ID        string
 	Transport immunity.Transport
-	Addr      string
 }
 
 // Config assembles one cluster node.
@@ -328,14 +326,12 @@ func New(cfg Config) (*Node, error) {
 	seed := make([]wire.MemberInfo, 0, len(cfg.Peers))
 	transports := make(map[string]immunity.Transport, len(cfg.Peers))
 	for _, p := range cfg.Peers {
-		if p.Transport == nil && (cfg.Resolve == nil || p.Addr == "") {
-			return nil, fmt.Errorf("cluster: peer %q has no transport and no resolvable address", p.ID)
+		if p.Transport == nil {
+			return nil, fmt.Errorf("cluster: peer %q has no transport", p.ID)
 		}
 		ids = append(ids, p.ID)
-		seed = append(seed, wire.MemberInfo{ID: p.ID, Addr: p.Addr})
-		if p.Transport != nil {
-			transports[p.ID] = p.Transport
-		}
+		seed = append(seed, wire.MemberInfo{ID: p.ID})
+		transports[p.ID] = p.Transport
 	}
 	// NewRing validates the seed (unique, non-empty ids) besides
 	// building the initial ring.

@@ -3,6 +3,7 @@ package cluster_test
 import (
 	"errors"
 	"fmt"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -144,6 +145,22 @@ func loopbackCluster(t *testing.T, n, threshold int) ([]*immunity.Exchange, []*c
 		nodes[i] = node
 	}
 	return hubs, nodes
+}
+
+// TestNewRefusesSeedWithoutTransport: every seed member comes with the
+// transport that reaches it; only members discovered at runtime go
+// through Config.Resolve.
+func TestNewRefusesSeedWithoutTransport(t *testing.T) {
+	hub, err := immunity.NewExchange(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer hub.Close()
+	resolve := func(wire.MemberInfo) immunity.Transport { return immunity.NewLoopback(hub) }
+	if _, err := cluster.New(cluster.Config{Self: "a", Hub: hub, Peers: []cluster.Member{{ID: "b"}},
+		Resolve: resolve}); err == nil || !strings.Contains(err.Error(), "no transport") {
+		t.Fatalf("seed member without a transport: err = %v", err)
+	}
 }
 
 // TestClusterGatesAtOwnerAndPropagates: devices split across a 3-hub

@@ -1,7 +1,8 @@
 // Package metrics provides the measurement substrate for the evaluation:
-// windowed synchronization-throughput meters (Table 1's syncs/sec and the
-// §5 microbenchmark), memory accounting (the 4% platform overhead), and a
-// battery power model (the 14% attribution claim).
+// windowed synchronization-throughput meters (Table 1's syncs/sec; the §5
+// microbenchmark, workload.Run, counts its own operations over one
+// window), memory accounting (the 4% platform overhead), and a battery
+// power model (the 14% attribution claim).
 package metrics
 
 import (

@@ -38,14 +38,6 @@ type MicroConfig struct {
 	Signatures int
 	// Dimmunix enables immunity; false is the vanilla baseline.
 	Dimmunix bool
-	// StaticSites uses pre-resolved site ids instead of per-acquisition
-	// stack capture (ablation A5 — §4's compiler-assigned ids).
-	StaticSites bool
-	// OuterDepth is the outer call-stack depth (ablation A1); 0 means 1.
-	OuterDepth int
-	// QueueReuse toggles the entry free-list (ablation A2); ignored for
-	// vanilla runs.
-	QueueReuse bool
 	// Serial forces the core's serial reference engine (global engine
 	// lock, no sharded fast path) — the before/after baseline for the
 	// sharded-engine numbers. Ignored for vanilla runs.
@@ -65,7 +57,6 @@ func DefaultMicroConfig(threads int) MicroConfig {
 		Duration:    time.Second,
 		Signatures:  128,
 		Dimmunix:    true,
-		QueueReuse:  true,
 		Seed:        42,
 	}
 }
@@ -151,12 +142,8 @@ func Run(cfg MicroConfig) (Result, error) {
 	}
 	var dim *core.Core
 	if cfg.Dimmunix {
-		opts := []core.Option{core.WithQueueReuse(cfg.QueueReuse), core.WithSerialEngine(cfg.Serial)}
-		if cfg.OuterDepth > 0 {
-			opts = append(opts, core.WithOuterDepth(cfg.OuterDepth))
-		}
 		var err error
-		dim, err = core.New(opts...)
+		dim, err = core.New(core.WithSerialEngine(cfg.Serial))
 		if err != nil {
 			return Result{}, fmt.Errorf("microbench: %w", err)
 		}
@@ -174,17 +161,13 @@ func Run(cfg MicroConfig) (Result, error) {
 		locks[i] = proc.NewObject(fmt.Sprintf("bench-lock-%d", i))
 	}
 	frames := benchFrames(cfg.Sites)
-	sites := make([]*vm.Site, len(frames))
-	for i, f := range frames {
-		sites[i] = &vm.Site{Frame: f, Kind: vm.SyncBlock}
-	}
 
 	var ops atomic.Uint64
 	stop := make(chan struct{})
 	for i := 0; i < cfg.Threads; i++ {
 		idx := i
 		if _, err := proc.Start(fmt.Sprintf("bench-%d", i), func(t *vm.Thread) {
-			runWorker(t, cfg, idx, locks, frames, sites, &ops, stop)
+			runWorker(t, cfg, idx, locks, frames, &ops, stop)
 		}); err != nil {
 			close(stop)
 			return Result{}, fmt.Errorf("microbench: %w", err)
@@ -215,7 +198,7 @@ func Run(cfg MicroConfig) (Result, error) {
 
 // runWorker is the benchmark loop: random lock, synchronized block with
 // busy work inside, busy work outside.
-func runWorker(t *vm.Thread, cfg MicroConfig, idx int, locks []*vm.Object, frames []core.Frame, sites []*vm.Site, ops *atomic.Uint64, stop <-chan struct{}) {
+func runWorker(t *vm.Thread, cfg MicroConfig, idx int, locks []*vm.Object, frames []core.Frame, ops *atomic.Uint64, stop <-chan struct{}) {
 	rng := rand.New(rand.NewSource(cfg.Seed + int64(idx)))
 	n := len(locks)
 	for k := 0; ; k++ {
@@ -228,20 +211,12 @@ func runWorker(t *vm.Thread, cfg MicroConfig, idx int, locks []*vm.Object, frame
 			return
 		}
 		lock := locks[rng.Intn(n)]
-		siteIdx := (idx + k) % len(frames)
-		if cfg.StaticSites {
-			// §4's compiler-assigned ids: no frame push, no capture.
-			lock.SynchronizedAt(t, sites[siteIdx], func() {
+		f := frames[(idx+k)%len(frames)]
+		t.Call(f.Class, f.Method, f.Line, func() {
+			lock.Synchronized(t, func() {
 				spin(cfg.InsideWork)
 			})
-		} else {
-			f := frames[siteIdx]
-			t.Call(f.Class, f.Method, f.Line, func() {
-				lock.Synchronized(t, func() {
-					spin(cfg.InsideWork)
-				})
-			})
-		}
+		})
 		spin(cfg.OutsideWork)
 		ops.Add(1)
 	}
@@ -260,12 +235,12 @@ func spin(iters int) {
 }
 
 // CalibrateWork sizes the busy-work iteration count so that a vanilla run
-// with the given thread count achieves approximately the target aggregate
-// throughput — the paper's microbenchmark executes 1738–1756 syncs/sec on
-// the Nexus One, "similar to the synchronization throughput of the most
-// lock-intensive applications". The returned count is the total per-op
-// work; callers typically split it 1:3 between inside and outside.
-func CalibrateWork(targetSyncsPerSec float64, threads int) int {
+// achieves approximately the target aggregate throughput — the paper's
+// microbenchmark executes 1738–1756 syncs/sec on the Nexus One, "similar
+// to the synchronization throughput of the most lock-intensive
+// applications". The returned count is the total per-op work; callers
+// typically split it 1:3 between inside and outside.
+func CalibrateWork(targetSyncsPerSec float64) int {
 	if targetSyncsPerSec <= 0 {
 		return 0
 	}

@@ -112,18 +112,44 @@ func TestSyntheticSignaturesShape(t *testing.T) {
 	}
 }
 
-func TestMicroStaticSitesMode(t *testing.T) {
-	cfg := fastConfig(2, true)
-	cfg.StaticSites = true
-	res, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Ops == 0 {
-		t.Fatal("no ops in static-site mode")
-	}
-	if res.CoreStats.Requests == 0 {
-		t.Error("static-site mode must still drive the core")
+// TestMicroEngineSplit is the engine comparison's shape at test size: 8
+// threads over 16 sites with 4 signatures arm a quarter of the sites
+// (SyntheticSignatures arms hot[i%len(hot)]), so the sharded engine
+// splits its traffic between the fast and the slow path, and the serial
+// reference engine takes no fast path at all. Neither engine may yield,
+// deadlock or instantiate a never-instantiable signature.
+func TestMicroEngineSplit(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		serial bool
+	}{{"serial", true}, {"sharded", false}} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := fastConfig(8, true)
+			cfg.Locks, cfg.Sites, cfg.Signatures = 32, 16, 4
+			cfg.InsideWork, cfg.OutsideWork = 5, 10
+			cfg.Serial = tc.serial
+			res, err := Run(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			st := res.CoreStats
+			if res.Ops == 0 || st.Requests == 0 {
+				t.Fatalf("no progress through the core: %+v", res)
+			}
+			if st.Yields != 0 || st.DeadlocksDetected != 0 || st.InstantiationsFound != 0 {
+				t.Errorf("yields %d, deadlocks %d, instantiations %d; want 0 each",
+					st.Yields, st.DeadlocksDetected, st.InstantiationsFound)
+			}
+			if tc.serial {
+				if st.FastRequests != 0 || st.FastAcquisitions != 0 || st.FastReleases != 0 {
+					t.Errorf("serial engine took fast paths: %+v", st)
+				}
+				return
+			}
+			if pct := 100 * float64(st.FastRequests) / float64(st.Requests); pct <= 0 || pct >= 100 {
+				t.Errorf("fast-path share = %.1f%%, want strictly between 0 and 100", pct)
+			}
+		})
 	}
 }
 
@@ -150,36 +176,11 @@ func TestMicroOverheadDirection(t *testing.T) {
 }
 
 func TestCalibrateWork(t *testing.T) {
-	iters := CalibrateWork(1747, 2)
+	iters := CalibrateWork(1747)
 	if iters < 100 {
 		t.Errorf("calibrated iters = %d; suspiciously small for ~1.7k syncs/sec", iters)
 	}
-	if CalibrateWork(0, 2) != 0 {
+	if CalibrateWork(0) != 0 {
 		t.Error("zero target must calibrate to zero work")
-	}
-}
-
-func TestRunSweepSmall(t *testing.T) {
-	cfg := SweepConfig{
-		ThreadCounts:    []int{2, 4},
-		SignatureCounts: []int{64},
-		Duration:        120 * time.Millisecond,
-		WorkIters:       200,
-		Seed:            1,
-	}
-	points, err := RunSweep(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(points) != 2 {
-		t.Fatalf("points = %d, want 2", len(points))
-	}
-	for _, p := range points {
-		if p.Vanilla.SyncsPerSec <= 0 || p.Dimmunix.SyncsPerSec <= 0 {
-			t.Errorf("empty measurement at threads=%d", p.Threads)
-		}
-	}
-	if out := FormatSweep(points); len(out) == 0 {
-		t.Error("empty sweep report")
 	}
 }

@@ -245,8 +245,9 @@ func (a *arbiter) thresholdFor(tenant string) int {
 func (a *arbiter) foreign(e *fleetSig) bool { return e.owner != "" && e.owner != a.selfID }
 
 // entry returns key's entry, creating an empty one (no owner, no
-// firstSeen) if the hub has never seen the signature.
-func (a *arbiter) entry(key, tenant string, kind core.SigKind, ws wire.Signature) *fleetSig {
+// firstSeen, room for confirms confirmations) if the hub has never seen
+// the signature.
+func (a *arbiter) entry(key, tenant string, kind core.SigKind, ws wire.Signature, confirms int) *fleetSig {
 	e, ok := a.entries[key]
 	if !ok {
 		e = &fleetSig{
@@ -255,7 +256,7 @@ func (a *arbiter) entry(key, tenant string, kind core.SigKind, ws wire.Signature
 			kind:        kind,
 			ws:          ws,
 			seq:         len(a.order) + 1,
-			confirmedBy: make(map[string]bool),
+			confirmedBy: make(map[string]bool, confirms),
 		}
 		a.entries[key] = e
 		a.order = append(a.order, key)
@@ -401,6 +402,8 @@ func (a *arbiter) touched(fx *effects, e *fleetSig) {
 // the log holds was pushed to it, by catch-up or live — and the close is
 // persisted, so a later incarnation's armings never join it.
 func (a *arbiter) load(fx *effects, recs []ProvenanceRecord) error {
+	a.entries = make(map[string]*fleetSig, len(recs))
+	a.order = make([]string, 0, len(recs))
 	for _, rec := range recs {
 		if rec.Device != "" {
 			a.setDelivery(nil, rec.Tenant, rec.Device, delivery{open: rec.Open, cursor: rec.Cursor})
@@ -413,7 +416,7 @@ func (a *arbiter) load(fx *effects, recs []ProvenanceRecord) error {
 		if key := tenantKey(rec.Tenant, c.Key); key != rec.Key {
 			return fmt.Errorf("provenance record %q: its signature's key is %q", rec.Key, key)
 		}
-		e := a.entry(rec.Key, rec.Tenant, c.Kind, rec.Sig)
+		e := a.entry(rec.Key, rec.Tenant, c.Kind, rec.Sig, len(rec.ConfirmedBy))
 		e.seq, e.firstSeen = rec.Seq, rec.FirstSeen
 		e.armed, e.armEpoch = rec.Armed, rec.ArmEpoch
 		e.owner, e.ownerSeq, e.remoteConfirms = rec.Owner, rec.OwnerSeq, rec.RemoteConfirms
@@ -555,7 +558,7 @@ func (a *arbiter) report(fx *effects, tenant, device string, sigs []wire.Checked
 			continue
 		}
 		if !known {
-			e = a.entry(key, tenant, sig.Kind, sig.Sig)
+			e = a.entry(key, tenant, sig.Kind, sig.Sig, 0)
 			e.firstSeen, e.owner = device, a.selfID
 		}
 		if e.confirmedBy[device] || delivered.pushed(e) {
@@ -593,7 +596,7 @@ func (a *arbiter) remoteArm(fx *effects, key string, kind core.SigKind, b wire.A
 		fx.n.fenced++
 		return false, ErrFenced
 	}
-	e := a.entry(key, b.Tenant, kind, b.Sig)
+	e := a.entry(key, b.Tenant, kind, b.Sig, 0)
 	e.reown(b.Owner)
 	e.ownerSeq = max(e.ownerSeq, b.Seq)
 	e.remoteConfirms = max(e.remoteConfirms, b.Confirmations)
@@ -627,7 +630,7 @@ func decodeOwnedRecords(from string, recs []wire.OwnedRecord) ([]decodedRecord, 
 // merge folds an owned record into its entry: confirmation sets by
 // union, so at-least-once delivery and reordering are harmless.
 func (a *arbiter) merge(d decodedRecord) *fleetSig {
-	e := a.entry(d.key, d.rec.Tenant, d.kind, d.rec.Sig)
+	e := a.entry(d.key, d.rec.Tenant, d.kind, d.rec.Sig, 0)
 	if e.firstSeen == "" {
 		e.firstSeen = d.rec.FirstSeen
 	}

@@ -62,6 +62,11 @@ type ProvenanceStore interface {
 // and a compaction rewrites fewer records than were appended since the
 // last. A crash leaves the old log or the snapshot, never a mix; a stale
 // temp file is overwritten next time.
+//
+// Appends encode into one buffer the store owns and reuses under its
+// lock, so a steady-state append allocates nothing to encode. A buffer
+// that grew past maxAppendBuf (a cluster rebind's batch, say) is dropped
+// after its write rather than kept. Compaction encodes into its own.
 type FileProvenance struct {
 	mu   sync.Mutex
 	path string
@@ -75,6 +80,8 @@ type FileProvenance struct {
 	keys    map[string]struct{}
 	records int
 	size    int
+	// buf is AppendBatch's reused encode buffer.
+	buf []byte
 	// compactions counts snapshot rewrites. metCompactions mirrors it, and
 	// metCompactErrors counts failed attempts (the log stays valid, just
 	// uncompacted), on registry counters when the store was built with
@@ -85,6 +92,10 @@ type FileProvenance struct {
 }
 
 var _ ProvenanceStore = (*FileProvenance)(nil)
+
+// maxAppendBuf caps the encode buffer a FileProvenance keeps between
+// appends, by the rule wire.WriteFrame's pool follows.
+const maxAppendBuf = 64 << 10
 
 // FileProvenanceOption configures a FileProvenance.
 type FileProvenanceOption func(*FileProvenance)
@@ -136,7 +147,7 @@ func (f *FileProvenance) loadLocked() ([]ProvenanceRecord, error) {
 		return nil, fmt.Errorf("load provenance: %w", err)
 	}
 	live, records, intact, err := wire.DecodeLog(b)
-	release() // nothing DecodeLog returns aliases b
+	release() // DecodeLog copies what it returns (a record's strings share one copy): nothing aliases b
 	if err != nil {
 		return nil, fmt.Errorf("load provenance %s: %w", f.path, err)
 	}
@@ -172,7 +183,7 @@ func (f *FileProvenance) AppendBatch(recs []ProvenanceRecord) error {
 			return fmt.Errorf("append provenance: %w", err)
 		}
 	}
-	var buf []byte
+	buf := f.buf[:0]
 	if f.size == 0 {
 		buf = append(buf, wire.LogHeader...)
 	}
@@ -181,6 +192,9 @@ func (f *FileProvenance) AppendBatch(recs []ProvenanceRecord) error {
 			return fmt.Errorf("append provenance: empty key")
 		}
 		buf = wire.AppendRecord(buf, rec)
+	}
+	if cap(buf) <= maxAppendBuf {
+		f.buf = buf
 	}
 	if f.file == nil {
 		file, err := os.OpenFile(f.path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)

@@ -716,6 +716,44 @@ func helloFrom(t *testing.T, hub *Exchange, device string) (conn *Conn, caughtUp
 	return conn, func() int { return int(n.Load()) }
 }
 
+// TestFileProvenanceAppendReusesBuffer: a steady-state one-record
+// append encodes into the store's own buffer and allocates nothing for
+// it; a batch that grows the buffer past maxAppendBuf does not leave it
+// that large.
+func TestFileProvenanceAppendReusesBuffer(t *testing.T) {
+	const runs = 100
+	store := NewFileProvenance(filepath.Join(t.TempDir(), "fleet.prov"))
+	defer store.Close()
+	var big []ProvenanceRecord
+	for n := 0; n <= maxAppendBuf; {
+		rec := provRec(fmt.Sprint("big", len(big)), len(big)+1, 0)
+		big, n = append(big, rec), n+len(wire.AppendRecord(nil, rec))
+	}
+	batches := make([][]ProvenanceRecord, runs+1) // AllocsPerRun warms up once
+	for i := range batches {
+		batches[i] = []ProvenanceRecord{provRec(fmt.Sprint("k", i), len(big)+i+1, 0)}
+	}
+	next := 0
+	allocs := testing.AllocsPerRun(runs, func() {
+		if err := store.AppendBatch(batches[next]); err != nil {
+			t.Fatal(err)
+		}
+		next++
+	})
+	if allocs != 0 {
+		t.Fatalf("a one-record append costs %.0f allocations, want 0", allocs)
+	}
+	if err := store.AppendBatch(big); err != nil {
+		t.Fatal(err)
+	}
+	if c := cap(store.buf); c == 0 || c > maxAppendBuf {
+		t.Fatalf("after a %d-record batch the store keeps a %d-byte buffer, want one of at most %d", len(big), c, maxAppendBuf)
+	}
+	if got := len(mustLoad(t, store.Path())); got != runs+1+len(big) {
+		t.Fatalf("loaded %d records, want %d", got, runs+1+len(big))
+	}
+}
+
 // TestHelloAppendsOneRecord: an epoch-0 hello persists the device's
 // delivery cursor and nothing per signature, however large the armed
 // set it catches up.

@@ -418,10 +418,19 @@ func EncodeBinary(m Message) ([]byte, error) {
 // bdec is a cursor over one binary envelope. The first malformed field
 // latches err; every subsequent read is a cheap no-op, so decode paths
 // need a single error check at the end.
+//
+// Decoded strings never alias b: b is a Reader's reused scratch or a
+// mapped log. str copies each string on its own, except inside an owned
+// span — a signature in a frame, a record in the log — where own holds
+// one copy of b[base:base+len(own)] and str returns substrings of it
+// (own is "" outside one). A decoded string so keeps alive only its own
+// signature's or record's bytes, never a whole frame's.
 type bdec struct {
-	b   []byte
-	off int
-	err error
+	b    []byte
+	off  int
+	err  error
+	own  string
+	base int
 }
 
 func (d *bdec) fail(format string, args ...any) {
@@ -501,14 +510,17 @@ func (d *bdec) raw() []byte {
 }
 
 func (d *bdec) str() string {
-	s := string(d.raw()) // copies: decoded messages never alias the read buffer
-	if !utf8.ValidString(s) {
+	raw := d.raw()
+	if !utf8.Valid(raw) {
 		// The encoder never emits invalid UTF-8 (appendStr coerces it),
 		// so a frame carrying it did not come from this codec.
-		d.fail("string %q is not valid UTF-8", s)
+		d.fail("string %q is not valid UTF-8", raw)
 		return ""
 	}
-	return s
+	if d.own != "" {
+		return d.own[d.off-len(raw)-d.base : d.off-d.base]
+	}
+	return string(raw)
 }
 
 // length decodes a slice/map length: (-1) for nil, else the length.
@@ -555,7 +567,29 @@ func (d *bdec) strs() []string {
 	return out
 }
 
+// sig decodes one signature. Unless it lies in an owned span already,
+// it skims the signature for its extent, copies those bytes once, and
+// decodes Kind and every frame as substrings of that copy.
 func (d *bdec) sig() Signature {
+	if d.own != "" {
+		return d.sigFields()
+	}
+	start := d.off
+	d.raw()
+	for i, n := 0, d.length(); i < n && d.err == nil; i++ {
+		d.raw()
+		d.raw()
+	}
+	if d.err != nil {
+		return Signature{}
+	}
+	d.own, d.base, d.off = string(d.b[start:d.off]), start, start
+	s := d.sigFields()
+	d.own = ""
+	return s
+}
+
+func (d *bdec) sigFields() Signature {
 	s := Signature{Kind: d.str()}
 	n := d.length()
 	if n < 0 {
@@ -803,7 +837,8 @@ func AppendRecord(b []byte, r ProvenanceRecord) []byte {
 // bytes. The prefix ends at the first record whose length or CRC does
 // not check out: a crash tore that write, and a writer cuts the log there
 // before appending. Every record's Seq and Key are skimmed; only each
-// key's newest record is decoded.
+// key's newest record is decoded, its strings after the key out of one
+// copy of that record's bytes. Nothing returned aliases b.
 //
 // The errors are what no crash produces: a log that does not open with
 // LogHeader (a shorter one that is a prefix of it is a torn first write
@@ -817,6 +852,7 @@ func DecodeLog(b []byte) (live []ProvenanceRecord, records, intact int, err erro
 	}
 	type newest struct {
 		seq, at int
+		key     string // the index's own copy, shared with the record's Key
 		payload []byte
 	}
 	var recs []newest
@@ -837,14 +873,18 @@ func DecodeLog(b []byte) (live []ProvenanceRecord, records, intact int, err erro
 		if d.err == nil && len(key) == 0 {
 			d.fail("empty key")
 		}
+		if !utf8.Valid(key) {
+			d.fail("key %q is not valid UTF-8", key)
+		}
 		if d.err != nil {
 			return nil, 0, 0, fmt.Errorf("provenance record at byte %d: %w", off, d.err)
 		}
 		if i, ok := index[string(key)]; ok {
-			recs[i] = newest{seq, off, payload}
+			recs[i].seq, recs[i].at, recs[i].payload = seq, off, payload
 		} else {
-			index[string(key)] = len(recs)
-			recs = append(recs, newest{seq, off, payload})
+			k := string(key)
+			index[k] = len(recs)
+			recs = append(recs, newest{seq, off, k, payload})
 		}
 		records++
 		off = end + 4
@@ -852,8 +892,14 @@ func DecodeLog(b []byte) (live []ProvenanceRecord, records, intact int, err erro
 	sort.SliceStable(recs, func(i, j int) bool { return recs[i].seq < recs[j].seq })
 	live = make([]ProvenanceRecord, len(recs))
 	for i, r := range recs {
+		// The record's Key is the index's copy, so a live-key set kept
+		// after the records are dropped pins no payload; its other
+		// strings are substrings of one copy of the bytes after the key.
 		d := &bdec{b: r.payload}
-		live[i] = ProvenanceRecord{Seq: d.int(), Key: d.str(), Sig: d.sig(), FirstSeen: d.str(),
+		d.int()
+		d.raw()
+		d.own, d.base = string(d.b[d.off:]), d.off
+		live[i] = ProvenanceRecord{Seq: r.seq, Key: r.key, Sig: d.sig(), FirstSeen: d.str(),
 			ConfirmedBy: d.strs(), Armed: d.bool(), ArmEpoch: d.u64(), Owner: d.str(), OwnerSeq: d.u64(),
 			RemoteConfirms: d.int(), Tenant: d.str(), Device: d.str(), Open: d.bool(), Cursor: d.u64()}
 		if d.err == nil && d.off != len(d.b) {

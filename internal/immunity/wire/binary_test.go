@@ -4,12 +4,15 @@ import (
 	"bytes"
 	"encoding/binary"
 	"encoding/json"
+	"fmt"
+	"hash/crc32"
 	"io"
 	"math/rand"
 	"reflect"
 	"runtime"
 	"strings"
 	"testing"
+	"unsafe"
 )
 
 // binaryFixtures is messageFixtures plus the edge shapes it does not
@@ -225,6 +228,222 @@ func TestSharedFrameEncodeOnce(t *testing.T) {
 	}
 }
 
+// TestDecodeAliasesNoInput: a decoded message or log owns its bytes.
+// Scribbling over the buffer it was decoded from — a Reader's reused
+// scratch, a mapped log — changes nothing decoded.
+func TestDecodeAliasesNoInput(t *testing.T) {
+	for _, m := range binaryFixtures() {
+		b, err := EncodeBinary(m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := DecodeBinary(b)
+		if err != nil {
+			t.Fatalf("decode %s: %v", m.Type, err)
+		}
+		fill(b, 0xff)
+		if !reflect.DeepEqual(got, m) {
+			t.Fatalf("%s changed with its input:\n got %+v\nwant %+v", m.Type, got, m)
+		}
+	}
+	log, want := provenanceFixture()
+	live, _, _, err := DecodeLog(log)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fill(log, 0xff)
+	if !reflect.DeepEqual(live, want) {
+		t.Fatalf("log records changed with their input:\n got %+v\nwant %+v", live, want)
+	}
+}
+
+func fill(b []byte, c byte) {
+	for i := range b {
+		b[i] = c
+	}
+}
+
+// span is the address range a set of strings covers.
+func span(ss ...string) (lo, hi uintptr) {
+	lo = ^uintptr(0)
+	for _, s := range ss {
+		if s == "" {
+			continue
+		}
+		p := uintptr(unsafe.Pointer(unsafe.StringData(s)))
+		lo, hi = min(lo, p), max(hi, p+uintptr(len(s)))
+	}
+	return lo, hi
+}
+
+func sigStrings(s Signature) []string {
+	ss := []string{s.Kind}
+	for _, p := range s.Pairs {
+		ss = append(ss, p.Outer, p.Inner)
+	}
+	return ss
+}
+
+// TestDecodeRetainsOneSignature: a decoded signature's strings lie in
+// one copy of that signature's own bytes, never in the frame and never
+// shared with another signature — so a hub entry keeping one signature
+// of a long re-report keeps only that signature alive. In the log, a
+// record's strings lie in one copy of that record, and its Key, which
+// the store keeps after compaction, in none.
+func TestDecodeRetainsOneSignature(t *testing.T) {
+	other := FromCore(testSig())
+	other.Pairs = other.Pairs[:1]
+	sigs := []Signature{FromCore(testSig()), other}
+	b, err := EncodeBinary(Message{V: Version, Type: TypeReport, Report: &Report{Sigs: sigs}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := DecodeBinary(b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	frameLo := uintptr(unsafe.Pointer(&b[0]))
+	frameHi := frameLo + uintptr(len(b))
+	var prevLo, prevHi uintptr
+	for i, s := range m.Report.Sigs {
+		lo, hi := span(sigStrings(s)...)
+		if size := uintptr(len(appendSig(nil, sigs[i]))); hi-lo > size {
+			t.Errorf("signature %d: strings span %d bytes, more than its %d-byte encoding", i, hi-lo, size)
+		}
+		if lo < frameHi && frameLo < hi {
+			t.Errorf("signature %d: strings alias the frame", i)
+		}
+		if i > 0 && lo < prevHi && prevLo < hi {
+			t.Errorf("signatures %d and %d share storage", i-1, i)
+		}
+		prevLo, prevHi = lo, hi
+	}
+
+	log, _ := provenanceFixture()
+	live, _, _, err := DecodeLog(log)
+	if err != nil {
+		t.Fatal(err)
+	}
+	prevLo, prevHi = 0, 0
+	for i, r := range live {
+		ss := append(sigStrings(r.Sig), r.FirstSeen, r.Owner, r.Tenant, r.Device)
+		ss = append(ss, r.ConfirmedBy...)
+		lo, hi := span(ss...)
+		if size := uintptr(len(AppendRecord(nil, r))); hi-lo > size {
+			t.Errorf("record %q: strings span %d bytes, more than its %d-byte record", r.Key, hi-lo, size)
+		}
+		if klo, khi := span(r.Key); klo < hi && lo < khi {
+			t.Errorf("record %q: its key shares the record's storage", r.Key)
+		}
+		if i > 0 && lo < prevHi && prevLo < hi {
+			t.Errorf("records %d and %d share storage", i-1, i)
+		}
+		prevLo, prevHi = lo, hi
+	}
+}
+
+// TestDecodeRetainsNoFrame: what a hub keeps of a decoded frame or log
+// keeps alive only its own signature's or record's bytes. Keeping a
+// small signature from a frame that also carries a megabyte-sized one,
+// or that signature's record and the big record's key from a log, must
+// not keep the megabyte alive.
+func TestDecodeRetainsNoFrame(t *testing.T) {
+	small := FromCore(testSig())
+	big := Signature{Kind: "deadlock", Pairs: []SigPair{{Outer: strings.Repeat("x", 1<<20), Inner: "y"}}}
+	frame, err := EncodeBinary(Message{V: Version, Type: TypeReport, Report: &Report{Sigs: []Signature{small, big}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	log := AppendRecord([]byte(LogHeader), ProvenanceRecord{Seq: 1, Key: "small", Sig: small, ConfirmedBy: []string{"d1"}})
+	log = AppendRecord(log, ProvenanceRecord{Seq: 2, Key: "big", Sig: big})
+
+	base := liveHeap()
+	m, err := DecodeBinary(frame)
+	if err != nil {
+		t.Fatal(err)
+	}
+	keptSig := m.Report.Sigs[0]
+	live, _, _, err := DecodeLog(log)
+	if err != nil {
+		t.Fatal(err)
+	}
+	keptRec, keptKey := live[0], live[1].Key
+	m, live = Message{}, nil
+	grew := int64(liveHeap()) - int64(base)
+	runtime.KeepAlive(frame) // live across both measurements
+	runtime.KeepAlive(log)
+	runtime.KeepAlive(keptSig)
+	runtime.KeepAlive(keptRec)
+	runtime.KeepAlive(keptKey)
+	if grew > 256<<10 {
+		t.Fatalf("kept a small signature, a small record and a key: %d heap bytes stayed live", grew)
+	}
+}
+
+// liveHeap is the heap in use after a full collection.
+func liveHeap() uint64 {
+	runtime.GC()
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	return ms.HeapAlloc
+}
+
+// TestDecodeLogRefusesInvalidUTF8: an intact record whose key, or any
+// other string, is not UTF-8 did not come from AppendRecord, which
+// coerces it; the log is refused.
+func TestDecodeLogRefusesInvalidUTF8(t *testing.T) {
+	rec := AppendRecord(nil, ProvenanceRecord{Seq: 1, Key: "key!", Sig: FromCore(testSig()), FirstSeen: "dev!"})
+	for _, field := range []string{"key!", "dev!"} {
+		bad := bytes.Clone(rec)
+		bad[bytes.Index(bad, []byte(field))+3] = 0xff
+		binary.LittleEndian.PutUint32(bad[len(bad)-4:], crc32.Checksum(bad[4:len(bad)-4], castagnoli))
+		if _, _, _, err := DecodeLog(append([]byte(LogHeader), bad...)); err == nil || !strings.Contains(err.Error(), "UTF-8") {
+			t.Errorf("%q made invalid: err = %v, want a UTF-8 refusal", field, err)
+		}
+	}
+}
+
+// TestDecodeReportAllocs pins the decoder's cost for the hub's commonest
+// frame, a one-signature report: the Report, its slice, the signature's
+// one string copy and its pairs.
+func TestDecodeReportAllocs(t *testing.T) {
+	b, err := EncodeBinary(Message{V: Version, Type: TypeReport,
+		Report: &Report{Sigs: []Signature{FromCore(testSig())}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(200, func() {
+		if _, err := DecodeBinary(b); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 4 {
+		t.Fatalf("decoding a one-signature report costs %.2f allocations, want <= 4", allocs)
+	}
+}
+
+// TestDecodeLogAllocs pins a resume's decode cost per live record: the
+// index's key, one copy of the rest of the record, its pairs and its
+// confirmation list, plus the index's and the slices' amortized growth.
+func TestDecodeLogAllocs(t *testing.T) {
+	const n = 1000
+	ws := FromCore(testSig())
+	log := []byte(LogHeader)
+	for i := 0; i < n; i++ {
+		log = AppendRecord(log, ProvenanceRecord{Seq: i + 1, Key: fmt.Sprintf("key-%04d", i), Sig: ws,
+			FirstSeen: "device-0", ConfirmedBy: []string{"device-0", "device-1"}, Armed: true, ArmEpoch: uint64(i + 1)})
+	}
+	allocs := testing.AllocsPerRun(5, func() {
+		if live, _, _, err := DecodeLog(log); err != nil || len(live) != n {
+			t.Fatalf("%d records, err %v", len(live), err)
+		}
+	})
+	t.Logf("%.0f allocations for a %d-record log", allocs, n)
+	if allocs > 5*n {
+		t.Fatalf("decoding a %d-record log costs %.0f allocations, want <= %d", n, allocs, 5*n)
+	}
+}
+
 // FuzzWireCanonical holds the codec to its canonical form: any frame
 // the decoder accepts re-encodes, decodes back to a reflect.DeepEqual
 // message, and re-encodes again to byte-identical bytes — the
@@ -239,7 +458,7 @@ func FuzzWireCanonical(f *testing.F) {
 		if err := WriteFrame(&buf, m); err != nil {
 			f.Fatal(err)
 		}
-		f.Add(buf.Bytes())
+		f.Add(bytes.Clone(buf.Bytes())) // buf is reused: each seed needs its own bytes
 	}
 	for _, reject := range [][]byte{jsonFlagged, torn, {}, {0xff, 0xff, 0xff, 0xff}} {
 		if _, err := ReadFrame(bytes.NewReader(reject)); err == nil {
@@ -294,8 +513,9 @@ func provenanceFixture() (log []byte, live []ProvenanceRecord) {
 // contract. On arbitrary bytes it never panics and allocates at most a
 // constant times the input's size, whatever lengths the input claims;
 // the records it accepts decode from the intact prefix it reports,
-// alone. Appended to a valid log, no input loses one of the valid log's
-// records.
+// alone, and own their bytes: overwriting the input leaves their
+// encoding as it was. Appended to a valid log, no input loses one of
+// the valid log's records.
 func FuzzProvenanceLog(f *testing.F) {
 	valid, want := provenanceFixture()
 	if live, records, intact, err := DecodeLog(valid); err != nil || records != 5 || intact != len(valid) || !reflect.DeepEqual(live, want) {
@@ -322,9 +542,15 @@ func FuzzProvenanceLog(f *testing.F) {
 			t.Fatalf("%d input bytes cost %d bytes of allocation", len(data), grew)
 		}
 		if err == nil {
-			again, n, at, err := DecodeLog(data[:intact])
+			prefix := bytes.Clone(data[:intact])
+			again, n, at, err := DecodeLog(prefix)
 			if err != nil || n != records || at != intact || len(live) > records || !reflect.DeepEqual(again, live) {
 				t.Fatalf("accepted records do not decode from the %d-byte intact prefix alone (err %v)", intact, err)
+			}
+			before := encodeRecords(again)
+			fill(prefix, 0xff)
+			if after := encodeRecords(again); !bytes.Equal(after, before) {
+				t.Fatalf("decoded records changed with their input:\n  %x\n  %x", before, after)
 			}
 		}
 		logSurvives(t, valid, want, append(valid[:len(valid):len(valid)], data...))
@@ -332,6 +558,14 @@ func FuzzProvenanceLog(f *testing.F) {
 			logSurvives(t, valid, want, data)
 		}
 	})
+}
+
+func encodeRecords(recs []ProvenanceRecord) []byte {
+	var b []byte
+	for _, r := range recs {
+		b = AppendRecord(b, r)
+	}
+	return b
 }
 
 // logSurvives checks that log, which starts with the valid log whose

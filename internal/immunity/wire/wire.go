@@ -812,8 +812,9 @@ const maxScratch = 64 << 10
 // header and body of a small frame cost one read from the kernel, not
 // two — and a reused, size-capped scratch buffer, so steady-state frame
 // reads allocate only what the decoded message itself needs. Decoded
-// messages never alias the scratch (the decoder copies what it keeps),
-// which is what makes the reuse safe.
+// messages never alias the scratch — the decoder copies what it keeps,
+// each signature's strings as one copy of that signature's bytes — which
+// is what makes the reuse safe.
 type Reader struct {
 	br      *bufio.Reader
 	scratch []byte

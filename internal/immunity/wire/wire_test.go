@@ -184,7 +184,9 @@ func TestReadFrameLimits(t *testing.T) {
 
 // FuzzWireDecode hammers the frame decoder: arbitrary bytes must never
 // panic, and any frame that decodes must re-encode and decode to the
-// same message (the canonical-form property reports rely on).
+// same message (the canonical-form property reports rely on). The
+// decoded message must own its bytes: decoded from a buffer that is
+// then overwritten, it still encodes as before.
 func FuzzWireDecode(f *testing.F) {
 	var buf bytes.Buffer
 	for _, m := range messageFixtures() {
@@ -192,7 +194,7 @@ func FuzzWireDecode(f *testing.F) {
 		if err := WriteFrame(&buf, m); err != nil {
 			f.Fatal(err)
 		}
-		f.Add(buf.Bytes())
+		f.Add(bytes.Clone(buf.Bytes())) // buf is reused: each seed needs its own bytes
 	}
 	f.Add([]byte{})
 	f.Add(jsonFlagged)
@@ -212,6 +214,15 @@ func FuzzWireDecode(f *testing.F) {
 		}
 		if !reflect.DeepEqual(m, again) {
 			t.Fatalf("decode/encode/decode not stable:\n first %+v\n again %+v", m, again)
+		}
+		payload := bytes.Clone(data[4 : 4+binary.BigEndian.Uint32(data)&^binaryFlag])
+		inPlace, err := DecodeBinary(payload)
+		if err != nil {
+			t.Fatalf("frame payload does not decode on its own: %v", err)
+		}
+		fill(payload, 0xff)
+		if after, err := EncodeBinary(inPlace); err != nil || !bytes.Equal(after, b) {
+			t.Fatalf("decoded message changed with its input (err %v):\n  %x\n  %x", err, b, after)
 		}
 		// Signatures that arrived in a well-formed frame must also fail
 		// or succeed deterministically on the core decode path.
@@ -249,7 +260,7 @@ func FuzzPeerFrameDecode(f *testing.F) {
 		if err := WriteFrame(&buf, m); err != nil {
 			f.Fatal(err)
 		}
-		f.Add(buf.Bytes())
+		f.Add(bytes.Clone(buf.Bytes())) // buf is reused: each seed needs its own bytes
 	}
 	f.Add(torn)
 	f.Add(jsonFlagged)

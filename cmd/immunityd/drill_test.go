@@ -1,12 +1,11 @@
 package main
 
 // The Drill tests run the daemon the way an operator does. The -leave
-// drill needs real processes, because what it checks is that a SIGTERM
-// hands a hub's keys off: it execs the immunityd binary, built once per
-// test run. The mutual-TLS drill needs no process, so it boots its hubs
-// in the test process, from command lines parsed the way run parses
-// them. The SIGKILL-and-restart drill is still the chaos step in CI
-// (-storm against three immunityd processes).
+// and chaos drills need real processes, because what they check is what
+// a SIGTERM hands off and what a SIGKILL loses: they exec the immunityd
+// binary, built once per test run. The mutual-TLS drill needs no
+// process, so it boots its hubs in the test process, from command lines
+// parsed the way run parses them.
 //
 //	go test -count=3 -run Drill ./cmd/immunityd
 
@@ -354,6 +353,83 @@ func TestDrillGracefulLeave(t *testing.T) {
 			t.Errorf("new owner of %s holds confirmations %v, want %v", key, got, want)
 		}
 	}
+}
+
+// TestDrillChaosFailover is the SIGKILL drill. Three hubs with a 1 s
+// failure detector take a ramped report storm on hub0 and hub1 only, so
+// the kill takes no device session with it and hub2 plays purely the
+// owner of its key slice. 1 s into the storm hub2 is SIGKILLed: its
+// slice must arm on the deputies. 3 s later it restarts over the same
+// provenance file while the storm still runs: it must rejoin, take its
+// keys back and resync every arming it missed, without condemning the
+// survivors (the membership epoch stays small).
+func TestDrillChaosFailover(t *testing.T) {
+	const sigs = 40
+	prov := t.TempDir()
+	hubs := startHubs(t, func(i int) []string {
+		return []string{"-failover-after", "1s", "-provenance", filepath.Join(prov, hubID(i)+".prov")}
+	})
+	storm := make(chan error, 1)
+	go func() {
+		_, err := workload.RunReportStorm(workload.StormConfig{Devices: 6, Sigs: sigs, Timeout: 90 * time.Second,
+			Ramp: &workload.StormRamp{Warmup: 4 * time.Second, Flood: time.Second},
+			Dial: hubs[0].addr + "," + hubs[1].addr})
+		storm <- err
+	}()
+	// The two schedule offsets are wall-clock on purpose: they land the
+	// crash and the restart while the storm runs (4 s warmup, 1 s flood).
+	time.Sleep(time.Second)
+	hubs[2].stop(os.Kill)
+	time.Sleep(3 * time.Second)
+	hubs[2].start()
+	// The storm returns once both survivors armed the whole set; hub2's
+	// slice could arm only on its deputies while hub2 was dead.
+	if err := <-storm; err != nil {
+		t.Fatal(err)
+	}
+
+	var sts []statusPayload
+	waitFor(t, 30*time.Second, "the restarted hub to resync and the ring to be whole", func() (err error) {
+		if sts, err = ringOf(hubs, "hub0", "hub1", "hub2"); err != nil {
+			return err
+		}
+		for i, st := range sts {
+			if st.Epoch != sigs {
+				return fmt.Errorf("%s at epoch %d, want %d", hubs[i].id, st.Epoch, sigs)
+			}
+		}
+		return nil
+	})
+	var fenced uint64
+	armed := make([][]string, len(sts))
+	for i, st := range sts {
+		armed[i] = armedKeys(st.Status)
+		// Zero double-arms: a hub's epoch counts its armings, across the
+		// kill, the failover and the restart.
+		if len(armed[i]) != sigs {
+			t.Errorf("%s armed %d at epoch %d, want %d", hubs[i].id, len(armed[i]), st.Epoch, sigs)
+		}
+		// A restarted hub that condemns the survivors churns the
+		// membership into the thousands of changes.
+		if e := st.Cluster.MembershipEpoch; e >= 50 {
+			t.Errorf("%s membership epoch %d, want < 50", hubs[i].id, e)
+		}
+		fenced += st.Cluster.Fenced
+	}
+	for i := 1; i < len(armed); i++ {
+		if !reflect.DeepEqual(armed[i], armed[0]) {
+			t.Errorf("%s armed set diverged from hub0's", hubs[i].id)
+		}
+	}
+	if len(armed[0]) == 0 {
+		t.FailNow() // reported above; there is no key to look up
+	}
+	doc := ownerOf(t, hubs[0].http, armed[0][0])
+	if !slices.Contains([]string{"hub0", "hub1", "hub2"}, doc.Owner) || doc.Deputy == "" || doc.Deputy == doc.Owner {
+		t.Errorf("owner lookup of %s = %+v, want a member owner and a different deputy", armed[0][0], doc)
+	}
+	t.Logf("chaos converged: %d/%d armed on all 3 hubs, membership epoch %d, %d stale replays fenced, owner lookup %s/%s",
+		len(armed[0]), sigs, sts[0].Cluster.MembershipEpoch, fenced, doc.Owner, doc.Deputy)
 }
 
 // TestDrillMutualTLSTenants is the trust-fabric drill: three hubs meshed

@@ -1,10 +1,10 @@
 // Command immunityd is the fleet immunity daemon. One invocation plays
-// one of three roles: a hub (-serve), a report storm against running
-// hubs (-storm -connect), or a utility that mints trust material and
-// exits (-gen-ca, -gen-cert, -mint-token). Drive a hub with go test
-// -run Drill ./cmd/immunityd (real daemon processes, handed off and
-// meshed over mutual TLS) or internal/workload (in-process
-// federations), or run examples/fleet-immunity. Every flag belongs to
+// one of two roles: a hub (-serve), or a utility that mints trust
+// material and exits (-gen-ca, -gen-cert, -mint-token). Drive a hub
+// with go test -run Drill ./cmd/immunityd (real daemon processes,
+// crashed mid-storm, handed off and meshed over mutual TLS) or
+// internal/workload (in-process federations), or run
+// examples/fleet-immunity. Every flag belongs to
 // the modes flagModes lists for it; a flag given outside them is an
 // error, never silently dropped.
 //
@@ -76,15 +76,6 @@
 // thresholds (-tenant-threshold tenant=N,...), pushes, and /status
 // views.
 //
-// # The storm: -storm
-//
-// Floods the hubs at the -connect address list with per-signature
-// reports from -phones devices, attached round-robin, and exits 0 once
-// every hub it dialed has armed all -sigs signatures.
-// -ramp-warmup/-ramp-flood shape it: a paced single-signature warmup,
-// then a full-batch flood. It drives the CI chaos drill, which kills
-// and restarts a hub while the storm runs.
-//
 // # The utilities
 //
 //	immunityd -gen-ca DIR                          # fleet CA → DIR/ca.pem + DIR/ca-key.pem
@@ -94,7 +85,6 @@
 // Usage:
 //
 //	immunityd -serve [-listen ADDR] [-http ADDR] [-threshold N] [-provenance FILE] [-admit-wait D] [-slo-target D -slo-interval D -slo-backlog N] [-tls-cert F -tls-key F [-tls-ca F]] [-auth-key K | -auth-keyring F] [-tenant-threshold T=N,...] [-hub ID -peers ID=ADDR,... [-advertise ADDR] [-failover-after D] [-no-lease] [-leave]]
-//	immunityd -storm -connect ADDR[,ADDR...] [-phones N] [-sigs N] [-ramp-warmup D -ramp-flood D] [-timeout D]
 //	immunityd -gen-ca DIR | -gen-cert NAME -ca DIR [-hosts H,...] | -mint-token -auth-key K [-tenant T] [-device D] [-ttl D]
 package main
 
@@ -120,7 +110,6 @@ import (
 	"github.com/dimmunix/dimmunix/internal/immunity/cluster"
 	"github.com/dimmunix/dimmunix/internal/immunity/metrics"
 	"github.com/dimmunix/dimmunix/internal/immunity/wire"
-	"github.com/dimmunix/dimmunix/internal/workload"
 )
 
 func main() {
@@ -136,7 +125,6 @@ type mode uint
 const (
 	modeServe     mode = 1 << iota // a standalone hub
 	modeFederated                  // a hub federated into a cluster
-	modeStorm                      // the report storm against running hubs
 	modeGen                        // mint TLS material and exit
 	modeMint                       // mint a bearer token and exit
 
@@ -144,7 +132,7 @@ const (
 )
 
 // modeNames spells each mode, in bit order, as the flags that select it.
-var modeNames = [...]string{"-serve", "-serve -peers", "-storm -connect", "-gen-ca/-gen-cert", "-mint-token"}
+var modeNames = [...]string{"-serve", "-serve -peers", "-gen-ca/-gen-cert", "-mint-token"}
 
 func (m mode) String() string {
 	var names []string
@@ -170,7 +158,6 @@ var flagModes = func() map[string]mode {
 		anyServe: "serve listen http provenance threshold admit-wait slo-target slo-interval slo-backlog " +
 			"tls-cert tls-key tls-ca auth-keyring tenant-threshold",
 		modeFederated: "peers hub advertise failover-after leave no-lease",
-		modeStorm:     "storm connect phones sigs timeout ramp-warmup ramp-flood",
 		modeGen:       "gen-ca gen-cert ca hosts",
 		modeMint:      "mint-token tenant device ttl",
 	} {
@@ -189,11 +176,6 @@ type cli struct {
 	serve                                                 bool
 	peers                                                 string
 	tlsCert, tlsKey, tlsCA, authKeyring, tenantThresholds string
-	// The storm.
-	storm                          bool
-	connect                        string
-	phones, sigs                   int
-	timeout, rampWarmup, rampFlood time.Duration
 	// The utilities.
 	mintToken                                    bool
 	genCA, genCert, caDir, hosts, tenant, device string
@@ -227,13 +209,6 @@ func newFlags() (*flag.FlagSet, *cli) {
 	fs.StringVar(&c.authKey, "auth-key", "", "require token-authenticated hellos, verified under this static HMAC key (also the signing key for -mint-token)")
 	fs.StringVar(&c.authKeyring, "auth-keyring", "", "require token-authenticated hellos, verified against this kid:key keyring file")
 	fs.StringVar(&c.tenantThresholds, "tenant-threshold", "", "per-tenant confirm thresholds as tenant=N[,tenant=N...] (unlisted tenants use -threshold)")
-	fs.BoolVar(&c.storm, "storm", false, "flood the hubs at -connect with per-signature reports from -phones devices and verify arming still completes")
-	fs.StringVar(&c.connect, "connect", "", "the storm's comma-separated hub address list (devices attach round-robin)")
-	fs.IntVar(&c.phones, "phones", 4, "storm devices")
-	fs.IntVar(&c.sigs, "sigs", 64, "signatures every storm device reports")
-	fs.DurationVar(&c.timeout, "timeout", 30*time.Second, "storm deadline")
-	fs.DurationVar(&c.rampWarmup, "ramp-warmup", 0, "paced single-signature warmup phase before the flood")
-	fs.DurationVar(&c.rampFlood, "ramp-flood", 0, "continuous full-batch flood phase after the warmup")
 	fs.StringVar(&c.genCA, "gen-ca", "", "mint a dev fleet CA into this directory (ca.pem + ca-key.pem) and exit")
 	fs.StringVar(&c.genCert, "gen-cert", "", "issue a leaf certificate with this name (the mutual-TLS peer identity) under the CA in -ca, writing NAME.pem + NAME-key.pem beside it, and exit")
 	fs.StringVar(&c.caDir, "ca", "", "directory holding ca.pem + ca-key.pem (as written by -gen-ca; defaults to the -gen-ca directory when both are given)")
@@ -256,8 +231,6 @@ func (c *cli) selectMode() mode {
 		return modeFederated
 	case c.serve:
 		return modeServe
-	case c.storm:
-		return modeStorm
 	}
 	return 0
 }
@@ -275,7 +248,6 @@ func checkFlagModes(fs *flag.FlagSet, m mode) (err error) {
 
 const modesHelp = `immunityd runs in one mode per invocation:
   -serve [-hub ID -peers ID=ADDR,...]   a hub: TCP exchange, provenance file, /status /metrics /slo
-  -storm -connect ADDR[,ADDR...]        a report storm against running hubs (the CI chaos drill)
   -gen-ca DIR | -gen-cert NAME -ca DIR  mint a dev fleet CA / a leaf certificate and exit
   -mint-token -auth-key K               mint a device bearer token and exit
 Drive a hub with go test -run Drill ./cmd/immunityd (real daemon
@@ -297,32 +269,12 @@ func run(args []string) error {
 		return runGenTLS(c.genCA, c.genCert, c.caDir, c.hosts)
 	case modeMint:
 		return runMintToken(c.authKey, c.tenant, c.device, c.ttl)
-	case modeStorm:
-		return runStorm(c)
 	}
 	sc, err := serveConfigFromFlags(c)
 	if err != nil {
 		return err
 	}
 	return runServe(sc)
-}
-
-// runStorm floods the -connect hubs and waits for every one of them to
-// arm the whole signature set.
-func runStorm(c *cli) error {
-	if c.connect == "" {
-		return fmt.Errorf("-storm needs -connect (the in-process storm is go test -run TestRunReportStorm ./internal/workload)")
-	}
-	cfg := workload.StormConfig{Devices: c.phones, Sigs: c.sigs, Timeout: c.timeout, Dial: c.connect}
-	if c.rampWarmup > 0 || c.rampFlood > 0 {
-		cfg.Ramp = &workload.StormRamp{Warmup: c.rampWarmup, Flood: c.rampFlood}
-	}
-	res, err := workload.RunReportStorm(cfg)
-	if err != nil {
-		return err
-	}
-	fmt.Print(workload.FormatStorm(res))
-	return nil
 }
 
 // parseArgs parses a command line, reads the mode off it and refuses

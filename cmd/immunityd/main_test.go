@@ -173,13 +173,20 @@ func peersOf(addrs []string, i int) string {
 }
 
 func TestImmunitydBadFlags(t *testing.T) {
-	// The fleet-workload client, the fault hook, the admission mode
-	// switch and the alert egress are gone: their flags are unknown, and
-	// so is anything never registered.
+	// The fleet-workload client, the report storm, the fault hook, the
+	// admission mode switch and the alert egress are gone: their flags
+	// are unknown, and so is anything never registered.
 	for _, args := range [][]string{
 		{"-transport", "smoke-signals"},
-		{"-connect", deadAddr, "-procs", "1"},
-		{"-connect", deadAddr, "-storm", "-token", "x"},
+		{"-procs", "1"},
+		{"-token", "x"},
+		{"-storm"},
+		{"-connect", deadAddr},
+		{"-phones", "6"},
+		{"-sigs", "40"},
+		{"-timeout", "90s"},
+		{"-ramp-warmup", "4s"},
+		{"-ramp-flood", "1s"},
 		{"-serve", "-fault-isolate", "4s:4s"},
 		{"-serve", "-admit", "auto"},
 		{"-serve", "-admit", "1"},
@@ -189,12 +196,6 @@ func TestImmunitydBadFlags(t *testing.T) {
 		if err := run(args); err == nil || !strings.Contains(err.Error(), "not defined") {
 			t.Errorf("%v: want an unknown-flag error, got %v", args, err)
 		}
-	}
-	if err := run([]string{"-storm", "-phones", "2"}); err == nil || !strings.Contains(err.Error(), "-connect") {
-		t.Errorf("-storm without -connect must fail naming -connect, got %v", err)
-	}
-	if err := run([]string{"-storm", "-connect", deadAddr, "-phones", "1"}); err == nil || !strings.Contains(err.Error(), "devices") {
-		t.Errorf("a one-device storm must fail validation, got %v", err)
 	}
 	if err := run(nil); err != nil {
 		t.Errorf("a bare immunityd prints the modes, got %v", err)
@@ -241,7 +242,7 @@ func TestImmunitydFlagModes(t *testing.T) {
 	// The argument vector that selects each mode and nothing else. A
 	// selector flag added to another mode's vector changes the mode, so
 	// selectors get their own cases below.
-	selectors := map[string]bool{"serve": true, "peers": true, "storm": true, "gen-ca": true, "gen-cert": true, "mint-token": true}
+	selectors := map[string]bool{"serve": true, "peers": true, "gen-ca": true, "gen-cert": true, "mint-token": true}
 	bases := []struct {
 		m    mode
 		args []string
@@ -249,7 +250,6 @@ func TestImmunitydFlagModes(t *testing.T) {
 		{0, nil},
 		{modeServe, []string{"-serve"}},
 		{modeFederated, []string{"-serve", "-peers", "hub1=" + deadAddr}},
-		{modeStorm, []string{"-storm", "-connect", deadAddr}},
 		{modeGen, []string{"-gen-cert", "leaf"}},
 		{modeMint, []string{"-mint-token"}},
 	}
@@ -279,8 +279,6 @@ func TestImmunitydFlagModes(t *testing.T) {
 	// selector is refused by the same walk.
 	for _, args := range [][]string{
 		{"-serve", "-mint-token"},
-		{"-serve", "-storm"},
-		{"-storm", "-connect", deadAddr, "-gen-ca", t.TempDir()},
 		{"-serve", "-gen-ca", t.TempDir()},
 		{"-mint-token", "-peers", "hub1=" + deadAddr},
 		{"-mint-token", "-gen-cert", "leaf"},
@@ -298,7 +296,6 @@ func TestImmunitydFlagModes(t *testing.T) {
 			"-ttl", "5s", "-tenant", "t9", "-slo-backlog", "3"},
 		{"-serve", "-ttl", "9s", "-hosts", "h"},
 		{"-mint-token", "-auth-key", "k", "-provenance", prov},
-		{"-connect", deadAddr, "-provenance", prov},
 	} {
 		if err := run(args); err == nil || !strings.Contains(err.Error(), "does not apply") {
 			t.Errorf("%v: inapplicable flags must be refused, got %v", args, err)

@@ -477,10 +477,16 @@ func (n *Node) ApplyMemberUpdate(u wire.MemberUpdate) {
 
 // PeerSeen implements immunity.ClusterBinding: a completed peer
 // handshake admits an unknown hub (using the address it advertised) or
-// revives a down-marked one. Called without Exchange.mu held.
+// revives a down-marked one. It also kicks a sessionless link to the
+// hub out of its redial backoff: a restarted hub's own failure detector
+// would otherwise condemn this node before the backoff (up to 2 s) lets
+// the link answer its probes. Called without Exchange.mu held.
 func (n *Node) PeerSeen(hub, addr string) {
 	if n.membership.seen(hub, addr) {
 		n.applyMembership()
+	}
+	if l := n.linkFor(hub); l != nil && !l.rd.Connected() {
+		l.rd.Kick()
 	}
 }
 

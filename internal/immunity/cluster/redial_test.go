@@ -33,6 +33,24 @@ type scriptedTransport struct {
 	// dials is sized so a runaway redial loop fills it instead of
 	// blocking the dialer (rows read at most a handful).
 	dials chan *scriptedSession
+
+	// While down is set, Dial fails at once, as a dial to a dead hub
+	// does, and counts the refusal.
+	mu      sync.Mutex
+	down    bool
+	refused int
+}
+
+func (tr *scriptedTransport) setDown(down bool) {
+	tr.mu.Lock()
+	tr.down = down
+	tr.mu.Unlock()
+}
+
+func (tr *scriptedTransport) refusals() int {
+	tr.mu.Lock()
+	defer tr.mu.Unlock()
+	return tr.refused
 }
 
 func newScriptedTransport() *scriptedTransport {
@@ -51,6 +69,13 @@ type scriptedSession struct {
 }
 
 func (tr *scriptedTransport) Dial(recv func(wire.Message), down func(error)) (immunity.Session, error) {
+	tr.mu.Lock()
+	if tr.down {
+		tr.refused++
+		tr.mu.Unlock()
+		return nil, errors.New("scripted: connection refused")
+	}
+	tr.mu.Unlock()
 	s := &scriptedSession{at: time.Now(), recv: recv, down: down,
 		sent: make(chan wire.Message, 1024), closed: make(chan struct{})}
 	select {
@@ -490,6 +515,38 @@ func TestRedialFencedArmFloorsCursor(t *testing.T) {
 	}
 	sc.expectCursor("", 2, "after an accepted arm past the fenced one")
 	sc.redial(2)
+}
+
+// TestPeerSeenKicksBackoff: an accepted inbound hello from a peer
+// (PeerSeen) ends the outbound link's redial backoff at once and resets
+// it to the floor. Without the kick a restarted hub waits out the
+// survivors' backoff — jittered to at least 1 s at the 2 s cap — while
+// its own 1 s failure detector runs, and condemns them. Each run waits
+// 1.3–2.6 s for the backoff to reach its cap, so the name stays outside
+// the 'Redial|Handshake' pattern CI repeats twenty times.
+func TestPeerSeenKicksBackoff(t *testing.T) {
+	t.Parallel()
+	const budget = 500 * time.Millisecond
+	tr := newScriptedTransport()
+	tr.setDown(true)
+	p := &peerTier{}
+	p.start(t, tr)
+	t.Cleanup(p.close)
+	// Failed dial k waits floor·2^(k-1), capped at 2 s from the 10th on.
+	waitFor(t, "ten refused dials: the backoff at its cap", func() bool { return tr.refusals() >= 10 })
+	tr.setDown(false)
+	seen := time.Now()
+	p.node.PeerSeen("peer", "")
+	// The kicked dial dies mid-handshake: with the backoff back at its
+	// floor, the redial after it comes at once too.
+	tr.next(t, "the kicked redial").kill()
+	s := tr.next(t, "the redial after a failed kicked handshake")
+	s.hello(t)
+	s.recv(ack("g1", 0))
+	p.awaitAccepted(t, s)
+	if took := time.Since(seen); took > budget {
+		t.Fatalf("link connected %v after PeerSeen, want ≤ %v", took, budget)
+	}
 }
 
 // gatedTransport holds back a session's OK ack until the gate opens, to

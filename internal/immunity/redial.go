@@ -112,6 +112,7 @@ type RedialConfig struct {
 type Redialer struct {
 	cfg        RedialConfig
 	closeCh    chan struct{}
+	kick       chan struct{} // capacity 1: Kick's coalesced wake-up
 	dials      atomic.Uint64
 	reconnects atomic.Uint64
 	// cur is the accepted attempt, nil between sessions. Written under
@@ -142,7 +143,7 @@ func (a *dialAttempt) die() { a.once.Do(func() { close(a.dead) }) }
 // NewRedialer builds the machine; nothing is dialed until Handshake or
 // Run.
 func NewRedialer(cfg RedialConfig) *Redialer {
-	return &Redialer{cfg: cfg, closeCh: make(chan struct{})}
+	return &Redialer{cfg: cfg, closeCh: make(chan struct{}), kick: make(chan struct{}, 1)}
 }
 
 // recv is the transport's delivery callback for attempt a.
@@ -264,8 +265,8 @@ func (r *Redialer) fail(err error) {
 
 // Run keeps the session alive until Close or a final refusal: it waits
 // for the live session to die, then redials — at once after a session
-// that outlived minUptime, otherwise after a jittered, doubling wait.
-// The caller owns the goroutine.
+// that outlived minUptime or on a Kick, otherwise after a jittered,
+// doubling wait. The caller owns the goroutine.
 func (r *Redialer) Run() {
 	backoff := backoffMin
 	var perm errPermanent
@@ -309,8 +310,21 @@ func (r *Redialer) Run() {
 				timer.Stop()
 				return
 			case <-timer.C:
+			case <-r.kick:
+				timer.Stop()
+				backoff = backoffMin
 			}
 		}
+	}
+}
+
+// Kick tells Run the other end was just seen alive: a pending backoff
+// wait ends now and the backoff restarts at its floor. It never blocks;
+// kicks that arrive before the wait coalesce into one.
+func (r *Redialer) Kick() {
+	select {
+	case r.kick <- struct{}{}:
+	default:
 	}
 }
 

@@ -350,7 +350,7 @@ func (f *federation) owned(i int, keys []string) []string {
 
 // attach dials n raw devices round-robin over the first k hubs.
 func (f *federation) attach(n, k int, prefix string) (stormFleet, error) {
-	fleet, err := dialFleet(f.transports()[:k], n, prefix, "")
+	fleet, err := dialFleet(f.transports()[:k], n, prefix)
 	if err != nil {
 		return nil, fmt.Errorf("%s: %w", f.name, err)
 	}

@@ -7,7 +7,6 @@
 package workload
 
 import (
-	"crypto/tls"
 	"fmt"
 	"time"
 
@@ -45,12 +44,6 @@ type StormConfig struct {
 	// round-robin over TCP. Arming completion is observed through wire
 	// status requests.
 	Dial string
-	// Token, in client mode, rides every storm device's hello as the
-	// bearer credential for auth-enabled daemons.
-	Token string
-	// TLS, in client mode, dials every daemon connection under this
-	// config. Nil dials plaintext.
-	TLS *tls.Config
 }
 
 // StormRamp shapes a two-phase (warmup, then flood) storm.
@@ -80,14 +73,9 @@ func DefaultStormConfig() StormConfig {
 
 // StormResult is the outcome of one report storm.
 type StormResult struct {
-	Config StormConfig
 	// Armed is the cluster-wide armed count after the storm (the minimum
 	// across hubs; in client mode the minimum status epoch delta).
 	Armed int
-	// Elapsed is storm start to every hub armed.
-	Elapsed time.Duration
-	// Transport describes how the devices reached the hubs.
-	Transport string
 }
 
 func (cfg StormConfig) validate() error {
@@ -126,14 +114,13 @@ func RunReportStorm(cfg StormConfig) (StormResult, error) {
 	if err := cfg.validate(); err != nil {
 		return StormResult{}, err
 	}
-	res := StormResult{Config: cfg}
-	hubs, err := openHubs(cfg.Dial, cfg.TLS, cfg.Timeout, fedConfig{name: "storm", hubs: cfg.Hubs,
+	var res StormResult
+	hubs, err := openHubs(cfg.Dial, nil, cfg.Timeout, fedConfig{name: "storm", hubs: cfg.Hubs,
 		threshold: cfg.ConfirmThreshold})
 	if err != nil {
 		return res, err
 	}
 	defer hubs.close()
-	res.Transport = hubs.label()
 	// Daemons carry state across runs: arming completion is "every hub's
 	// epoch grew by Sigs over its own baseline" (in-process, from zero).
 	base, err := hubs.epochs()
@@ -148,13 +135,12 @@ func RunReportStorm(cfg StormConfig) (StormResult, error) {
 	// sees it. The storm's whole point is the opposite shape: a fleet of
 	// devices each hammering the ingest path with a message per
 	// signature, which is what an unbatched or misbehaving client does.
-	devices, err := dialFleet(hubs.transports(), cfg.Devices, "storm", cfg.Token)
+	devices, err := dialFleet(hubs.transports(), cfg.Devices, "storm")
 	if err != nil {
 		return res, fmt.Errorf("storm: %w", err)
 	}
 	defer devices.close()
 
-	start := time.Now()
 	errCh := make(chan error, cfg.Devices)
 	sigs, _ := propagationSet(cfg.Sigs)
 	for _, dev := range devices {
@@ -181,7 +167,6 @@ func RunReportStorm(cfg StormConfig) (StormResult, error) {
 	}); err != nil {
 		return res, err
 	}
-	res.Elapsed = time.Since(start)
 	return res, nil
 }
 
@@ -234,11 +219,11 @@ type stormSession struct {
 // hello with no resume cursor, and the hub's pushes (catch-up delta,
 // confirms, storm deltas) discarded — the storm measures ingest, not
 // install.
-type stormAttempt struct{ id, token string }
+type stormAttempt struct{ id string }
 
 func (a stormAttempt) Hello() wire.Message {
 	return wire.Message{V: wire.Version, Type: wire.TypeHello,
-		Hello: &wire.Hello{Device: a.id, MinV: wire.Version, MaxV: wire.Version, Token: a.token}}
+		Hello: &wire.Hello{Device: a.id, MinV: wire.Version, MaxV: wire.Version}}
 }
 func (stormAttempt) Verdict(wire.Ack) error { return nil }
 func (stormAttempt) Accepted()              {}
@@ -250,12 +235,12 @@ type stormFleet []*stormSession
 // dialFleet opens n device sessions round-robin over trs and completes
 // each handshake, once: a storm device that loses its session stays
 // down.
-func dialFleet(trs []immunity.Transport, n int, prefix, token string) (stormFleet, error) {
+func dialFleet(trs []immunity.Transport, n int, prefix string) (stormFleet, error) {
 	fleet := make(stormFleet, 0, n)
 	for i := 0; i < n; i++ {
 		id := fmt.Sprintf("%s%d", prefix, i)
 		rd := immunity.NewRedialer(immunity.RedialConfig{Transport: trs[i%len(trs)],
-			Begin: func() immunity.Attempt { return stormAttempt{id, token} }})
+			Begin: func() immunity.Attempt { return stormAttempt{id} }})
 		if err := rd.Handshake(); err != nil {
 			fleet.close()
 			return nil, fmt.Errorf("%s: %w", id, err)
@@ -280,17 +265,4 @@ func (fl stormFleet) reportEach(sigs []wire.Signature) error {
 		}
 	}
 	return nil
-}
-
-// FormatStorm renders a storm result for the CLI.
-func FormatStorm(res StormResult) string {
-	cfg := res.Config
-	out := fmt.Sprintf("report storm: %d devices × %d shared signatures, transport %s\n",
-		cfg.Devices, cfg.Sigs, res.Transport)
-	if r := cfg.Ramp; r != nil {
-		out += fmt.Sprintf("  ramp                 warmup %s (%d single-sig reports/s/device), flood %s (full batches)\n",
-			r.Warmup, stormWarmupRate, r.Flood)
-	}
-	out += fmt.Sprintf("  armed cluster-wide   %6d/%d in %s\n", res.Armed, cfg.Sigs, res.Elapsed.Round(time.Millisecond))
-	return out
 }

@@ -2,7 +2,6 @@ package workload
 
 import (
 	"fmt"
-	"strings"
 	"testing"
 	"time"
 )
@@ -13,12 +12,11 @@ import (
 // the daemon tests' business (cmd/immunityd), where the pool is built.
 func TestRunReportStorm(t *testing.T) {
 	for _, tc := range []struct {
-		hubs      int
-		ramp      *StormRamp
-		transport string
+		hubs int
+		ramp *StormRamp
 	}{
-		{1, &StormRamp{Warmup: 100 * time.Millisecond, Flood: 100 * time.Millisecond}, "loopback"},
-		{2, nil, "cluster(2)+loopback"},
+		{1, &StormRamp{Warmup: 100 * time.Millisecond, Flood: 100 * time.Millisecond}},
+		{2, nil},
 	} {
 		t.Run(fmt.Sprintf("hubs=%d", tc.hubs), func(t *testing.T) {
 			cfg := DefaultStormConfig()
@@ -29,16 +27,6 @@ func TestRunReportStorm(t *testing.T) {
 			}
 			if res.Armed < cfg.Sigs {
 				t.Fatalf("armed %d/%d cluster-wide — the storm lost signatures", res.Armed, cfg.Sigs)
-			}
-			if res.Transport != tc.transport {
-				t.Fatalf("transport = %q, want %q", res.Transport, tc.transport)
-			}
-			out := FormatStorm(res)
-			if want := fmt.Sprintf("%6d/%d", cfg.Sigs, cfg.Sigs); !strings.Contains(out, want) {
-				t.Fatalf("FormatStorm missing %q:\n%s", want, out)
-			}
-			if hasRamp := strings.Contains(out, "ramp"); hasRamp != (tc.ramp != nil) {
-				t.Fatalf("FormatStorm ramp line present = %v, want %v:\n%s", hasRamp, tc.ramp != nil, out)
 			}
 		})
 	}

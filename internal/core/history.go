@@ -2,6 +2,7 @@ package core
 
 import (
 	"bufio"
+	"bytes"
 	"errors"
 	"fmt"
 	"io"
@@ -23,9 +24,10 @@ import (
 //
 // Outer and inner stacks are ';'-joined frames, innermost first. The format
 // is append-friendly: each detection appends one complete sig..end block
-// and flushes, so a crash can at worst truncate the final block, which the
-// loader reports (or skips in lenient mode) without losing earlier
-// signatures.
+// and flushes, so a crash can at worst truncate the final block. A
+// FileHistory treats what follows the last "end" line as that torn tail
+// (intactLen): Load skips it in either mode, and the next Append cuts it
+// off before writing, so a torn block can never swallow the next one.
 
 // historyHeader is the first line of every history file.
 const historyHeader = "#dimmunix-history v1"
@@ -248,7 +250,8 @@ func NewFileHistory(path string, opts ...FileHistoryOption) *FileHistory {
 // Path returns the backing file path.
 func (f *FileHistory) Path() string { return f.path }
 
-// Load reads all signatures from the backing file.
+// Load reads all signatures from the backing file, short of a torn tail
+// left by a crash; corruption before it fails a strict load.
 func (f *FileHistory) Load() ([]*Signature, error) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
@@ -264,7 +267,15 @@ func (f *FileHistory) Load() ([]*Signature, error) {
 		return nil, fmt.Errorf("load history: lock: %w", err)
 	}
 	defer unlockFile(file)
-	sigs, _, err := DecodeHistory(file, f.lenient)
+	data, err := io.ReadAll(file)
+	if err != nil {
+		return nil, fmt.Errorf("load history: %w", err)
+	}
+	keep, err := intactLen(data)
+	if err != nil {
+		return nil, fmt.Errorf("load history %s: %w", f.path, err)
+	}
+	sigs, _, err := DecodeHistory(bytes.NewReader(data[:keep]), f.lenient)
 	if err != nil {
 		return nil, fmt.Errorf("load history %s: %w", f.path, err)
 	}
@@ -272,33 +283,47 @@ func (f *FileHistory) Load() ([]*Signature, error) {
 }
 
 // Append durably adds one signature, creating the file with its header on
-// first use.
+// first use. A torn tail left by an earlier crash is cut off first; a file
+// that is not a history is refused.
 func (f *FileHistory) Append(sig *Signature) error {
 	if err := sig.Validate(); err != nil {
 		return fmt.Errorf("append history: %w", err)
 	}
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	file, err := os.OpenFile(f.path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+	file, err := os.OpenFile(f.path, os.O_CREATE|os.O_RDWR|os.O_APPEND, 0o644)
 	if err != nil {
 		return fmt.Errorf("append history: %w", err)
 	}
 	defer file.Close()
 	// The advisory lock serializes appends across handles and processes;
-	// the size check for the header must happen under it, or two writers
-	// can both see an empty file and emit duplicate headers.
+	// finding the intact prefix must happen under it, or two writers can
+	// both see an empty file and emit duplicate headers, or one can cut
+	// the other's fresh block as a torn tail.
 	if err := lockFile(file, true); err != nil {
 		return fmt.Errorf("append history: lock: %w", err)
 	}
 	defer unlockFile(file)
-	info, err := file.Stat()
+	data, err := io.ReadAll(file)
 	if err != nil {
 		return fmt.Errorf("append history: %w", err)
 	}
+	keep, err := intactLen(data)
+	if err != nil {
+		return fmt.Errorf("append history %s: %w", f.path, err)
+	}
+	if keep < len(data) {
+		if err := file.Truncate(int64(keep)); err != nil {
+			return fmt.Errorf("append history: cut torn tail: %w", err)
+		}
+	}
 	var buf strings.Builder
-	if info.Size() == 0 {
+	switch {
+	case keep == 0:
 		buf.WriteString(historyHeader)
 		buf.WriteByte('\n')
+	case data[keep-1] != '\n':
+		buf.WriteByte('\n') // the last "end" was torn off its newline
 	}
 	if err := encodeSignature(&buf, sig); err != nil {
 		return fmt.Errorf("append history: %w", err)
@@ -312,6 +337,35 @@ func (f *FileHistory) Append(sig *Signature) error {
 		}
 	}
 	return nil
+}
+
+// intactLen returns how much of a history file precedes its torn tail:
+// everything through the last "end" line, or through the header line
+// while no block is complete (0 for an empty file or a header torn
+// short). Lines are read as DecodeHistory reads them. A first line that
+// is neither the header nor a torn prefix of it is not a history.
+func intactLen(data []byte) (int, error) {
+	keep, headed := 0, false
+	for off := 0; off < len(data); {
+		next := len(data)
+		if i := bytes.IndexByte(data[off:], '\n'); i >= 0 {
+			next = off + i + 1
+		}
+		line := string(bytes.TrimSpace(data[off:next]))
+		off = next
+		switch {
+		case line == "":
+		case headed:
+			if line == "end" {
+				keep = next
+			}
+		case line == historyHeader:
+			headed, keep = true, next
+		case next < len(data) || !strings.HasPrefix(historyHeader, line):
+			return 0, fmt.Errorf("%w: not a history file", ErrHistoryFormat)
+		}
+	}
+	return keep, nil
 }
 
 // MemHistory is an in-memory HistoryStore. It serves tests and lets several

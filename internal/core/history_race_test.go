@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"os"
 	"path/filepath"
 	"sync"
 	"testing"
@@ -107,5 +108,52 @@ func TestFileHistoryLockedLoadDuringAppend(t *testing.T) {
 			return
 		default:
 		}
+	}
+}
+
+// TestFileHistoryConcurrentAppendsAfterTornTail: handles appending at
+// once to a file whose last write was torn cut the tail exactly once,
+// under the lock: no appended block is cut or swallowed.
+func TestFileHistoryConcurrentAppendsAfterTornTail(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "torn.hist")
+	intact := raceSig(99, 0)
+	if err := NewFileHistory(path).Append(intact); err != nil {
+		t.Fatal(err)
+	}
+	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.WriteString("sig deadlock\npair outer=torn"); err != nil {
+		t.Fatal(err)
+	}
+	f.Close()
+	const writers, perWriter = 4, 8
+	var wg sync.WaitGroup
+	errCh := make(chan error, writers)
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			fh := NewFileHistory(path)
+			for i := 0; i < perWriter; i++ {
+				if err := fh.Append(raceSig(w, i)); err != nil {
+					errCh <- err
+					return
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	close(errCh)
+	for err := range errCh {
+		t.Fatalf("append: %v", err)
+	}
+	sigs, err := NewFileHistory(path).Load()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(sigs) != 1+writers*perWriter || sigs[0].Key() != intact.Key() {
+		t.Fatalf("loaded %d signatures, want the intact one first and all %d appended", len(sigs), writers*perWriter)
 	}
 }

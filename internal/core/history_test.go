@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -86,6 +87,38 @@ func TestDecodeHistoryCorruptBlocks(t *testing.T) {
 	}
 }
 
+// TestFileHistoryStrictLoadSkipsTornTail: whatever a crash leaves of the
+// final write — a block with no "end", a torn line, a torn header — is
+// skipped by a strict load too, which keeps the intact prefix.
+func TestFileHistoryStrictLoadSkipsTornTail(t *testing.T) {
+	var buf bytes.Buffer
+	if err := EncodeHistory(&buf, sampleSigs()[:1]); err != nil {
+		t.Fatal(err)
+	}
+	intact := buf.String()
+	path := filepath.Join(t.TempDir(), "torn.hist")
+	for _, row := range []struct {
+		in   string
+		sigs int
+	}{
+		{intact + "sig deadlock\npair outer=a.B.m:1 inner=a.B.m:1\n", 1},
+		{intact + "sig deadlock\npair outer=a.B.m:1 inn", 1},
+		{intact + "sig deadlock\npair outer=a.B.m:1 inner=a.B.m:1\npair outer=c.D.n:2 inner=c.D.n:2\nen", 1},
+		{intact + "si", 1},
+		{intact[:len(intact)-1], 1}, // the last "end" without its newline
+		{historyHeader + "\nsig starvation\n", 0},
+		{historyHeader[:9], 0},
+	} {
+		if err := os.WriteFile(path, []byte(row.in), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		got, err := NewFileHistory(path).Load()
+		if err != nil || len(got) != row.sigs {
+			t.Errorf("%q: loaded %d sigs, err %v; want %d, nil", row.in, len(got), err, row.sigs)
+		}
+	}
+}
+
 func TestDecodeHistoryLenientSkipsTornTail(t *testing.T) {
 	// A valid signature followed by a torn (crash-truncated) block: lenient
 	// load must keep the prefix — the phone must boot with the antibodies
@@ -145,13 +178,13 @@ func TestFileHistoryAppendInvalid(t *testing.T) {
 }
 
 func TestFileHistoryLenientOption(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "torn.hist")
-	content := historyHeader + "\nsig deadlock\npair outer=a.B.m:1 inner=a.B.m:1\npair outer=c.D.n:2 inner=c.D.n:2\nend\nsig deadlock\npair outer=torn"
+	path := filepath.Join(t.TempDir(), "corrupt.hist")
+	content := historyHeader + "\nsig deadlock\npair outer=corrupt\nend\nsig deadlock\npair outer=a.B.m:1 inner=a.B.m:1\npair outer=c.D.n:2 inner=c.D.n:2\nend\n"
 	if err := os.WriteFile(path, []byte(content), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := NewFileHistory(path).Load(); err == nil {
-		t.Error("strict load of torn file must fail")
+		t.Error("strict load of a file corrupt before its last block must fail")
 	}
 	sigs, err := NewFileHistory(path, WithLenientLoad()).Load()
 	if err != nil {
@@ -330,6 +363,139 @@ func FuzzHistoryParse(f *testing.F) {
 				if sigs[i].Key() != again[i].Key() {
 					t.Fatalf("signature %d key changed across round trip:\n%s\n%s",
 						i, sigs[i].Key(), again[i].Key())
+				}
+			}
+		}
+	})
+}
+
+// TestFileHistoryTornTailThenAppend: an append after a crash tore the
+// previous one must not be swallowed by the torn block. Both load modes
+// then return the intact blocks and the new one.
+func TestFileHistoryTornTailThenAppend(t *testing.T) {
+	sigs := append(sampleSigs(), raceSig(0, 1))
+	for _, lenient := range []bool{false, true} {
+		path := filepath.Join(t.TempDir(), "torn.hist")
+		fh := NewFileHistory(path)
+		for _, s := range sigs[:2] {
+			if err := fh.Append(s); err != nil {
+				t.Fatal(err)
+			}
+		}
+		info, err := os.Stat(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.Truncate(path, info.Size()-10); err != nil { // mid second block
+			t.Fatal(err)
+		}
+		if err := fh.Append(sigs[2]); err != nil {
+			t.Fatal(err)
+		}
+		var opts []FileHistoryOption
+		if lenient {
+			opts = append(opts, WithLenientLoad())
+		}
+		got, err := NewFileHistory(path, opts...).Load()
+		if err != nil {
+			t.Fatalf("lenient=%v: load after the torn append: %v", lenient, err)
+		}
+		if len(got) != 2 || got[0].Key() != sigs[0].Key() || got[1].Key() != sigs[2].Key() {
+			t.Fatalf("lenient=%v: loaded %d signatures, want the intact first and the appended one", lenient, len(got))
+		}
+	}
+}
+
+// TestFileHistoryRefusesForeignFile: Append cuts torn tails, so it must
+// never take a file that is not a history for one.
+func TestFileHistoryRefusesForeignFile(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "notes.txt")
+	const foreign = "not a history\nend\n"
+	if err := os.WriteFile(path, []byte(foreign), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := NewFileHistory(path).Append(sampleSigs()[0]); !errors.Is(err, ErrHistoryFormat) {
+		t.Fatalf("append to a foreign file: err = %v, want ErrHistoryFormat", err)
+	}
+	if raw, _ := os.ReadFile(path); string(raw) != foreign {
+		t.Fatalf("foreign file changed to %q", raw)
+	}
+}
+
+// randomSig builds a valid signature of either kind from rng.
+func randomSig(rng *rand.Rand) *Signature {
+	kind, pairs := DeadlockSig, 2+rng.Intn(2)
+	if rng.Intn(2) == 0 {
+		kind, pairs = StarvationSig, 1+rng.Intn(2)
+	}
+	sig := &Signature{Kind: kind}
+	for i := 0; i < pairs; i++ {
+		var outer CallStack
+		for d := 0; d <= rng.Intn(3); d++ {
+			outer = append(outer, fr(fmt.Sprintf("c%d.K", rng.Intn(100)), "m", 1+rng.Intn(999)))
+		}
+		sig.Pairs = append(sig.Pairs, SigPair{Outer: outer, Inner: outer})
+	}
+	return sig
+}
+
+// FuzzHistoryTornAppend cuts an encoded history at every offset — every
+// way a crash can tear its final write — appends one signature, and
+// requires both load modes to return exactly the blocks the cut left
+// whole, followed by the new one.
+func FuzzHistoryTornAppend(f *testing.F) {
+	f.Add(int64(1), uint8(2))
+	f.Add(int64(7), uint8(0))
+	f.Add(int64(2011), uint8(4))
+	f.Fuzz(func(t *testing.T, seed int64, n uint8) {
+		rng := rand.New(rand.NewSource(seed))
+		old := make([]*Signature, n%5)
+		for i := range old {
+			old[i] = randomSig(rng)
+		}
+		added := randomSig(rng)
+		var enc bytes.Buffer
+		if err := EncodeHistory(&enc, old); err != nil {
+			t.Fatal(err)
+		}
+		// ends[i] is the offset just past block i's "end", before its
+		// newline: a cut at or past it leaves the block whole.
+		ends := make([]int, len(old))
+		off := len(historyHeader) + 1
+		for i, s := range old {
+			var b bytes.Buffer
+			if err := encodeSignature(&b, s); err != nil {
+				t.Fatal(err)
+			}
+			off += b.Len()
+			ends[i] = off - 1
+		}
+		path := filepath.Join(t.TempDir(), "h")
+		for cut := 0; cut <= enc.Len(); cut++ {
+			if err := os.WriteFile(path, enc.Bytes()[:cut], 0o644); err != nil {
+				t.Fatal(err)
+			}
+			if err := NewFileHistory(path).Append(added); err != nil {
+				t.Fatalf("cut %d: append: %v", cut, err)
+			}
+			var want []string
+			for i, end := range ends {
+				if cut >= end {
+					want = append(want, old[i].Key())
+				}
+			}
+			want = append(want, added.Key())
+			for _, opts := range [][]FileHistoryOption{nil, {WithLenientLoad()}} {
+				got, err := NewFileHistory(path, opts...).Load()
+				if err != nil {
+					t.Fatalf("cut %d (lenient=%v): load: %v", cut, opts != nil, err)
+				}
+				keys := make([]string, len(got))
+				for i, s := range got {
+					keys[i] = s.Key()
+				}
+				if strings.Join(keys, "|") != strings.Join(want, "|") {
+					t.Fatalf("cut %d (lenient=%v): loaded %q, want %q", cut, opts != nil, keys, want)
 				}
 			}
 		}

@@ -118,10 +118,22 @@
 //	epoch fencing   → backstop against stale replay after heal
 //
 // The lease renews in rounds over the peer links (wire.Lease /
-// wire.LeaseAck, one TTL per granted round). Because the quorum
-// denominator counts down members and each side's member universe only
-// ever grows, two disjoint partition fragments can never both assemble
-// a majority: the minority side's lease expires within one TTL
+// wire.LeaseAck, one TTL per granted round, a round every TTL/3).
+// Acquisition does not wait for a round: a hub holding no lease asks in
+// the current one as soon as a grant could newly succeed — when an
+// outbound peer link's handshake is accepted (that peer is asked) and
+// when its membership epoch advances (every live peer is asked again).
+// A granter answers over its own outbound link; a grant that link
+// cannot carry yet is owed, kept on the link (the newest request per
+// peer) and sent from its accepted handshake, judged again against the
+// granter's epoch of that moment. Those are the three triggers, and
+// with them a booted, restarted or healed hub arms one round trip after
+// it reaches a majority; a held lease renews on the tick alone.
+//
+// Because the quorum denominator counts down members and each side's
+// member universe only ever grows, two disjoint partition fragments can
+// never both assemble a majority: the minority side's lease expires
+// within one TTL
 // (immunity_cluster_lease_lost_total), its pending arming decisions
 // park inside the hub (it degrades to read-only forwarding and
 // confirmation counting), and the parked set is re-scanned when the
@@ -183,15 +195,17 @@
 // Replicate, ApplyMemberUpdate, PeerSeen, HandleProbe) run after
 // Exchange.mu is released. The node enters its own hub through
 // BindCluster and RemoteSeqs (at start), RebindOwnership (under
-// applyMu), LeaseAcquired (lease goroutine), InstallRemote and
-// DeliverConfirm (a link's receive path), and a peer's hub only through
+// applyMu), LeaseAcquired (from the grant that completes a majority,
+// with no node lock held), InstallRemote and DeliverConfirm (a link's
+// receive path), and a peer's hub only through
 // Conn.Handle, which routes replicate and handoff frames to
 // InstallReplica and ImportOwned on the receiver's transport goroutine.
 // No such caller holds a lock of the other hub, so no cycle between two
 // hubs' locks is possible.
 // Each link's session machine adds one leaf below link.mu (see the
 // lock-order line of immunity's "Resumable sessions"); link.mu itself
-// guards only the resume cursor and is released before any send.
+// guards only the resume cursor and the owed lease grant, and is
+// released before any send.
 // The metrics registry (Config.Metrics) sits below all of these: its
 // instruments are lock-free atomics and its own locks are leaves that
 // never call out (see package immunity/metrics), so links update their
@@ -372,6 +386,12 @@ func New(cfg Config) (*Node, error) {
 	// Bind before any link (or device) traffic: the hub must know the
 	// ring before it accepts its first report or peer-hello.
 	cfg.Hub.BindCluster(n)
+	if n.lease != nil {
+		// The first round opens before any link dials, so every accepted
+		// link is asked in it (a single-member cluster holds its lease on
+		// return).
+		n.lease.renew()
+	}
 	n.ensureLinks(n.membership.live())
 	if n.prober != nil {
 		n.wg.Add(1)
@@ -472,7 +492,9 @@ func (n *Node) Replicate(key string, rec wire.OwnedRecord) {
 func (n *Node) ApplyMemberUpdate(u wire.MemberUpdate) {
 	if n.membership.apply(u) {
 		n.applyMembership()
+		return
 	}
+	n.lease.onEpoch() // a higher epoch adopted with an unchanged map
 }
 
 // PeerSeen implements immunity.ClusterBinding: a completed peer
@@ -639,6 +661,9 @@ type link struct {
 	lastApplied uint64
 	applied     tally
 	duplicates  tally
+	// owed is the peer's newest lease request this node granted while
+	// the link had no session to carry the grant (Node.grantLease).
+	owed *wire.Lease
 
 	metForwards *metrics.Counter
 }
@@ -711,6 +736,54 @@ func (l *link) deliver(m wire.Message) error {
 // like a down link's send error, the prober treats it as an immediate
 // probe failure worth escalating.
 var errNoLink = errors.New("cluster: no link to peer")
+
+// grantLease answers a peer's lease request over this node's own link
+// to it — the grant rule is the requester's epoch at least ours. A
+// grant the link cannot carry, because its session is not up yet, is
+// owed: it waits on the link (the newest request only) and Accepted
+// pays it, judged again against the epoch of that moment, so a granter
+// whose membership moved on meanwhile sends a refusal. A refusal is
+// never owed.
+func (n *Node) grantLease(req wire.Lease) {
+	l := n.linkFor(req.From)
+	if l == nil || l.answerLease(req) {
+		return
+	}
+	l.mu.Lock()
+	l.owed = &req
+	l.mu.Unlock()
+	if l.rd.Connected() {
+		l.payOwed() // the session came up between the failed send and the debt
+	}
+}
+
+// answerLease sends the verdict on req over the link and reports
+// whether nothing is left owed: false only for a grant that could not
+// be sent.
+func (l *link) answerLease(req wire.Lease) bool {
+	epoch := l.node.membership.epochNow()
+	ok := req.Epoch >= epoch
+	err := l.rd.Send(wire.Message{Type: wire.TypeLeaseAck,
+		LeaseAck: &wire.LeaseAck{From: l.node.self, Epoch: epoch, Seq: req.Seq, OK: ok}})
+	return err == nil || !ok
+}
+
+// payOwed sends the owed lease grant, if any. One that fails again
+// stays owed unless a newer request replaced it.
+func (l *link) payOwed() {
+	l.mu.Lock()
+	req := l.owed
+	l.owed = nil
+	l.mu.Unlock()
+	if req == nil || l.answerLease(*req) {
+		return
+	}
+	l.mu.Lock()
+	if l.owed == nil {
+		l.owed = req
+	}
+	l.mu.Unlock()
+}
 
 // sendDirect sends one probe/lease message on a peer's live session,
 // bypassing the forward outbox: a parked outbox must never delay — or
@@ -810,7 +883,9 @@ func (a *peerAttempt) Verdict(ack wire.Ack) error {
 // handshake settled was filtered against the seq we sent, so on an
 // accepted session it is a safe cursor advance — up to the fenced
 // floor, which marks armings this session failed to install and the
-// next replay must carry again.
+// next replay must carry again. The session is also the first that can
+// carry lease traffic to the peer: pay the grant owed to it, and ask it
+// for one if this hub holds no lease.
 func (a *peerAttempt) Accepted() {
 	l := a.l
 	l.mu.Lock()
@@ -819,6 +894,8 @@ func (a *peerAttempt) Accepted() {
 	}
 	l.mu.Unlock()
 	l.outbox.Resume()
+	l.payOwed()
+	l.node.lease.contact(l.peerID)
 }
 
 // Recv implements immunity.Attempt (transport goroutine, no link lock

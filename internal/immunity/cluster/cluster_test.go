@@ -62,14 +62,21 @@ func sigOwnedDeputy(t *testing.T, r *cluster.Ring, owner, deputy string) *core.S
 // genuine failure takes to report).
 func waitFor(t *testing.T, what string, cond func() bool) {
 	t.Helper()
-	deadline := time.Now().Add(30 * time.Second)
+	waitWithin(t, 30*time.Second, what, cond)
+}
+
+// waitWithin polls until cond, failing once d has passed: for waits
+// whose bound is the claim under test.
+func waitWithin(t *testing.T, d time.Duration, what string, cond func() bool) {
+	t.Helper()
+	deadline := time.Now().Add(d)
 	for time.Now().Before(deadline) {
 		if cond() {
 			return
 		}
 		time.Sleep(500 * time.Microsecond)
 	}
-	t.Fatalf("timed out waiting for %s", what)
+	t.Fatalf("%s: not within %v", what, d)
 }
 
 // phone is one simulated device: its service and exchange client.

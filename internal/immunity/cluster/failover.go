@@ -23,7 +23,9 @@ import (
 //  4. re-bind ownership in the hub — promote this hub's gained keys
 //     (arming any replica already at threshold), demote its lost ones;
 //  5. enqueue the demoted slices as handoff messages to their new
-//     owners.
+//     owners;
+//  6. with applyMu released, ask every live peer for the quorum lease
+//     again if none is held and the epoch moved (leaseManager.onEpoch).
 //
 // Membership first, local promotion second, handoff enqueue last:
 // a report racing the pipeline is either forwarded under the old ring
@@ -32,6 +34,9 @@ import (
 // Serialized by applyMu so two triggers cannot interleave their
 // re-bind and handoff phases.
 func (n *Node) applyMembership() {
+	// Runs after applyMu is released: a loopback ask nests the peers'
+	// handlers, and their grants this node's, on this stack.
+	defer n.lease.onEpoch()
 	n.applyMu.Lock()
 	defer n.applyMu.Unlock()
 

@@ -356,9 +356,7 @@ func (n *Node) HandleProbe(m wire.Message) {
 		if n.prober != nil {
 			n.prober.aliveProof(m.Lease.From)
 		}
-		ok := m.Lease.Epoch >= n.membership.epochNow()
-		n.sendDirect(m.Lease.From, wire.Message{Type: wire.TypeLeaseAck,
-			LeaseAck: &wire.LeaseAck{From: n.self, Epoch: n.membership.epochNow(), Seq: m.Lease.Seq, OK: ok}})
+		n.grantLease(*m.Lease)
 	case wire.TypeLeaseAck:
 		if m.LeaseAck == nil {
 			return

@@ -371,9 +371,9 @@ func TestDrillChaosFailover(t *testing.T) {
 	})
 	storm := make(chan error, 1)
 	go func() {
-		_, err := workload.RunReportStorm(workload.StormConfig{Devices: 6, Sigs: sigs, Timeout: 90 * time.Second,
-			Ramp: &workload.StormRamp{Warmup: 4 * time.Second, Flood: time.Second},
-			Dial: hubs[0].addr + "," + hubs[1].addr})
+		s := workload.ReportStorm(6, sigs, 4*time.Second, time.Second)
+		s.Timeout, s.Dial = 90*time.Second, hubs[0].addr+","+hubs[1].addr
+		_, err := s.Run()
 		storm <- err
 	}()
 	// The two schedule offsets are wall-clock on purpose: they land the
@@ -464,26 +464,25 @@ func TestDrillMutualTLSTenants(t *testing.T) {
 
 	// Both tenants drive the mesh with the same scenario, so the same
 	// signature: t1 arms it at the default threshold, t2 at its own.
-	base := workload.FleetImmunityConfig{Phones: 4, ProcsPerPhone: 2, Timeout: 30 * time.Second, TLS: auth.ClientConfig(pool, "")}
+	clientTLS := auth.ClientConfig(pool, "")
 	for _, tc := range []struct {
 		tenant    string
 		threshold int
 		dial      string
 	}{{"t1", 2, addrs[0] + "," + addrs[1]}, {"t2", 3, addrs[1] + "," + addrs[2]}} {
-		cfg := base
-		cfg.ConfirmThreshold, cfg.Dial = tc.threshold, tc.dial
-		if cfg.Token, err = auth.Mint([]byte(key), auth.Claims{Tenant: tc.tenant, Device: auth.WildcardDevice}); err != nil {
+		fleet := workload.FleetImmunity(4, 2, tc.threshold)
+		fleet.Timeout, fleet.Dial, fleet.TLS = 30*time.Second, tc.dial, clientTLS
+		if fleet.Token, err = auth.Mint([]byte(key), auth.Claims{Tenant: tc.tenant, Device: auth.WildcardDevice}); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := workload.RunFleetImmunity(cfg); err != nil {
+		if _, err := fleet.Run(); err != nil {
 			t.Fatalf("tenant %s: %v", tc.tenant, err)
 		}
 	}
 	// A token-less phone is refused with a clean error, not a hang.
-	noToken := base
-	noToken.Phones, noToken.ProcsPerPhone, noToken.ConfirmThreshold = 2, 1, 2
-	noToken.Dial, noToken.Timeout = addrs[0], 15*time.Second
-	if _, err := workload.RunFleetImmunity(noToken); err == nil || !strings.Contains(strings.ToLower(err.Error()), "token") {
+	noToken := workload.FleetImmunity(2, 1, 2)
+	noToken.Timeout, noToken.Dial, noToken.TLS = 15*time.Second, addrs[0], clientTLS
+	if _, err := noToken.Run(); err == nil || !strings.Contains(strings.ToLower(err.Error()), "token") {
 		t.Fatalf("token-less phone: want a refusal naming the token, got %v", err)
 	}
 	// The rogue dials hub0 with a leaf the fleet CA never issued, so its

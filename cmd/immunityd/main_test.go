@@ -370,14 +370,9 @@ func TestImmunitydServeAndClientMode(t *testing.T) {
 	prov := filepath.Join(t.TempDir(), "fleet.prov")
 	d := serve(t, "-threshold", strconv.Itoa(threshold), "-provenance", prov)
 
-	cfg := workload.FleetImmunityConfig{
-		Phones:           3,
-		ProcsPerPhone:    2,
-		ConfirmThreshold: threshold,
-		Timeout:          30 * time.Second,
-		Dial:             d.Addr(),
-	}
-	res, err := workload.RunFleetImmunity(cfg)
+	fleet := workload.FleetImmunity(3, 2, threshold)
+	fleet.Timeout, fleet.Dial = 30*time.Second, d.Addr()
+	res, err := fleet.Run()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -471,12 +466,9 @@ func TestImmunitydTLSAuthServe(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := workload.FleetImmunityConfig{
-		Phones: 3, ProcsPerPhone: 2, ConfirmThreshold: 2,
-		Timeout: 30 * time.Second, Dial: d.Addr(),
-		Token: token, TLS: clientTLS,
-	}
-	res, err := workload.RunFleetImmunity(cfg)
+	alpha := workload.FleetImmunity(3, 2, 2)
+	alpha.Timeout, alpha.Dial, alpha.Token, alpha.TLS = 30*time.Second, d.Addr(), token, clientTLS
+	res, err := alpha.Run()
 	if err != nil {
 		t.Fatalf("authenticated client workload: %v", err)
 	}
@@ -489,9 +481,9 @@ func TestImmunitydTLSAuthServe(t *testing.T) {
 
 	// A second run against the same daemon finds the scenario's signature
 	// already armed under its tenant-prefixed key and says so up front.
-	again := cfg
+	again := alpha
 	again.Timeout = 5 * time.Second
-	if _, err := workload.RunFleetImmunity(again); err == nil || !strings.Contains(err.Error(), "already has this scenario's signature armed") {
+	if _, err := again.Run(); err == nil || !strings.Contains(err.Error(), "already has this scenario's signature armed") {
 		t.Fatalf("rerun against an armed tenant: want the stale-state error, got %v", err)
 	}
 	// Another tenant's run is not stale state: its phones never receive
@@ -500,17 +492,17 @@ func TestImmunitydTLSAuthServe(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	beta := cfg
-	beta.Token, beta.ConfirmThreshold = betaToken, 3
-	if res, err := workload.RunFleetImmunity(beta); err != nil || res.RemoteArmedBeforeThreshold != 0 {
+	beta := workload.FleetImmunity(3, 2, 3)
+	beta.Timeout, beta.Dial, beta.Token, beta.TLS = 30*time.Second, d.Addr(), betaToken, clientTLS
+	if res, err := beta.Run(); err != nil || res.RemoteArmedBeforeThreshold != 0 {
 		t.Fatalf("second tenant on the same daemon: %v (%d remote procs armed below threshold)", err, res.RemoteArmedBeforeThreshold)
 	}
 
 	// A token-less client is refused before it can report anything.
-	noToken := cfg
+	noToken := alpha
 	noToken.Token = ""
 	noToken.Timeout = 10 * time.Second
-	if _, err := workload.RunFleetImmunity(noToken); err == nil {
+	if _, err := noToken.Run(); err == nil {
 		t.Fatal("token-less client completed against an auth-required daemon")
 	}
 
@@ -578,14 +570,9 @@ func TestImmunitydFederatedCluster(t *testing.T) {
 		daemons[i] = serve(t, "-hub", ids[i], "-listen", addrs[i], "-threshold", strconv.Itoa(threshold), "-peers", peersOf(addrs, i))
 	}
 
-	cfg := workload.FleetImmunityConfig{
-		Phones:           4,
-		ProcsPerPhone:    2,
-		ConfirmThreshold: threshold,
-		Timeout:          30 * time.Second,
-		Dial:             addrs[0] + "," + addrs[1], // phones split across two hubs
-	}
-	res, err := workload.RunFleetImmunity(cfg)
+	fleet := workload.FleetImmunity(4, 2, threshold)
+	fleet.Timeout, fleet.Dial = 30*time.Second, addrs[0]+","+addrs[1] // phones split across two hubs
+	res, err := fleet.Run()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -660,13 +647,9 @@ func TestImmunitydFederatedCluster(t *testing.T) {
 func TestImmunitydAdaptiveAdmission(t *testing.T) {
 	d := serve(t, "-threshold", "2", "-admit-wait", "10s", "-slo-target", "500us", "-slo-interval", "100ms")
 
-	res, err := workload.RunReportStorm(workload.StormConfig{
-		Devices: 16,
-		Sigs:    64,
-		Timeout: 60 * time.Second,
-		Dial:    d.Addr(),
-		Ramp:    &workload.StormRamp{Warmup: 700 * time.Millisecond, Flood: 900 * time.Millisecond},
-	})
+	storm := workload.ReportStorm(16, 64, 700*time.Millisecond, 900*time.Millisecond)
+	storm.Timeout, storm.Dial = 60*time.Second, d.Addr()
+	res, err := storm.Run()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -757,12 +740,9 @@ func TestImmunitydMetricsAndStorm(t *testing.T) {
 		t.Errorf("admission capacity at boot = %v, want the initial 8", n)
 	}
 
-	res, err := workload.RunReportStorm(workload.StormConfig{
-		Devices: 6,
-		Sigs:    16,
-		Timeout: 30 * time.Second,
-		Dial:    d.Addr(),
-	})
+	storm := workload.ReportStorm(6, 16, 0, 0)
+	storm.Timeout, storm.Dial = 30*time.Second, d.Addr()
+	res, err := storm.Run()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -770,7 +750,7 @@ func TestImmunitydMetricsAndStorm(t *testing.T) {
 		t.Fatalf("armed %d/16 — the storm lost signatures", res.Armed)
 	}
 
-	// The storm's sessions close before RunReportStorm returns, but the
+	// The storm's sessions close before Run returns, but the
 	// hub notices a TCP hangup asynchronously — scrape until the session
 	// gauge settles so the teardown accounting is asserted without racing
 	// it.

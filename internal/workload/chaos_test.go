@@ -1,34 +1,13 @@
 package workload
 
-import (
-	"testing"
-	"time"
-)
+import "testing"
 
 // TestRunChaosStorm is the federation-equivalence proof under failure:
 // the victim hub is killed mid-confirmation (its pending sets one short
 // of threshold, replicated to deputies), the remaining confirmations
 // arm its slice on the deputies, and the restarted victim resyncs —
-// every hub converges to the single-hub reference's armed set with no
-// double-arm.
-func TestRunChaosStorm(t *testing.T) {
-	cfg := DefaultChaosConfig()
-	cfg.FailoverAfter = 50 * time.Millisecond
-	res, err := RunChaosStorm(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Armed != cfg.Sigs {
-		t.Fatalf("armed %d/%d", res.Armed, cfg.Sigs)
-	}
-	if res.Kills != cfg.Kills {
-		t.Fatalf("ran %d kill cycles, want %d", res.Kills, cfg.Kills)
-	}
-	if res.VictimKeys == 0 {
-		t.Fatal("victim owned no signatures — the kill exercised nothing")
-	}
-	t.Logf("\n%s", FormatChaos(res))
-}
+// every hub converges to the 1-hub twin's armed set with no double-arm.
+func TestRunChaosStorm(t *testing.T) { runRows(t, "chaos") }
 
 // TestRunChaosStormRepeatedKills: extra kill/restart cycles after the
 // set armed prove the restart resync path converges from an
@@ -37,30 +16,5 @@ func TestRunChaosStormRepeatedKills(t *testing.T) {
 	if testing.Short() {
 		t.Skip("repeated kill cycles in -short mode")
 	}
-	cfg := DefaultChaosConfig()
-	cfg.Kills = 3
-	cfg.FailoverAfter = 50 * time.Millisecond
-	res, err := RunChaosStorm(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Kills != 3 {
-		t.Fatalf("ran %d kill cycles, want 3", res.Kills)
-	}
-}
-
-// TestChaosConfigValidate pins the config error paths.
-func TestChaosConfigValidate(t *testing.T) {
-	bad := []ChaosConfig{
-		{Devices: 2, Sigs: 1, ConfirmThreshold: 3, Hubs: 3, Kills: 1, Timeout: time.Second},
-		{Devices: 4, Sigs: 0, ConfirmThreshold: 2, Hubs: 3, Kills: 1, Timeout: time.Second},
-		{Devices: 4, Sigs: 1, ConfirmThreshold: 2, Hubs: 1, Kills: 1, Timeout: time.Second},
-		{Devices: 4, Sigs: 1, ConfirmThreshold: 2, Hubs: 3, Kills: 0, Timeout: time.Second},
-		{Devices: 4, Sigs: 1, ConfirmThreshold: 2, Hubs: 3, Kills: 1},
-	}
-	for i, cfg := range bad {
-		if _, err := RunChaosStorm(cfg); err == nil {
-			t.Fatalf("case %d: invalid config accepted: %+v", i, cfg)
-		}
-	}
+	runRows(t, "chaos repeated kills")
 }

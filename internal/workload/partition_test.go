@@ -1,127 +1,26 @@
 package workload
 
-import (
-	"testing"
-	"time"
-)
+import "testing"
 
 // TestRunPartitionStormSymmetric is the quorum-lease acceptance test: a
 // symmetric split cuts the minority hub off mid-storm, its lease dies,
 // every threshold crossing on it parks (zero arms on the minority while
-// the majority promotes its keys — the double-arm window stays closed),
-// and after the heal every hub converges to the single-hub reference
-// with parked decisions drained in bounded time.
-func TestRunPartitionStormSymmetric(t *testing.T) {
-	cfg := DefaultPartitionConfig()
-	cfg.FailoverAfter = 50 * time.Millisecond
-	res, err := RunPartitionStorm(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Armed != cfg.Sigs {
-		t.Fatalf("armed %d/%d", res.Armed, cfg.Sigs)
-	}
-	if res.MinorityKeys == 0 {
-		t.Fatal("minority owned no signatures — the split exercised nothing")
-	}
-	if res.MinoritySplitArms != 0 {
-		t.Fatalf("minority armed %d signatures during the split", res.MinoritySplitArms)
-	}
-	if res.ParkedPeak == 0 {
-		t.Fatal("minority parked nothing — the lease gate never engaged")
-	}
-	if res.LeaseLost == 0 {
-		t.Fatal("minority never lost its lease")
-	}
-	if res.ParkClear <= 0 || res.ParkClear > cfg.Timeout {
-		t.Fatalf("park drain took %v", res.ParkClear)
-	}
-	t.Logf("\n%s", FormatPartition(res))
-}
+// the majority promotes its keys), and after the heal every hub
+// converges to the twin with parked decisions drained.
+func TestRunPartitionStormSymmetric(t *testing.T) { runRows(t, "partition symmetric") }
 
 // TestRunPartitionStormAsymmetric: only the minority's outbound word is
 // cut — it still hears its peers, but its lease renewals, acks, and
-// broadcasts vanish. The same contract must hold: lease lost, crossings
-// parked, majority promotes, heal reconverges.
-func TestRunPartitionStormAsymmetric(t *testing.T) {
-	cfg := DefaultPartitionConfig()
-	cfg.Scenario = ScenarioAsymmetric
-	cfg.FailoverAfter = 50 * time.Millisecond
-	res, err := RunPartitionStorm(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.MinoritySplitArms != 0 {
-		t.Fatalf("minority armed %d signatures during the one-way split", res.MinoritySplitArms)
-	}
-	if res.ParkedPeak == 0 || res.LeaseLost == 0 {
-		t.Fatalf("one-way split never engaged the lease gate (parked %d, lost %d)", res.ParkedPeak, res.LeaseLost)
-	}
-	t.Logf("\n%s", FormatPartition(res))
-}
+// broadcasts vanish. The same contract must hold.
+func TestRunPartitionStormAsymmetric(t *testing.T) { runRows(t, "partition asymmetric") }
 
 // TestRunPartitionStormFlap: a link blinking faster than the suspicion
-// window must not condemn anyone — indirect probes through the third
-// hub keep every member alive, no lease is lost, and the storm arms as
-// if the link were clean.
-func TestRunPartitionStormFlap(t *testing.T) {
-	cfg := DefaultPartitionConfig()
-	cfg.Scenario = ScenarioFlap
-	cfg.FailoverAfter = 50 * time.Millisecond
-	res, err := RunPartitionStorm(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Armed != cfg.Sigs {
-		t.Fatalf("armed %d/%d", res.Armed, cfg.Sigs)
-	}
-	t.Logf("\n%s", FormatPartition(res))
-}
+// window must not condemn anyone, and the storm arms as if the link
+// were clean.
+func TestRunPartitionStormFlap(t *testing.T) { runRows(t, "partition flap") }
 
 // TestRunPartitionStormNoLease is the regression baseline for the
-// pre-lease merge semantics: with leases off, BOTH sides arm during a
-// symmetric split (the minority at least its own slice), and the
-// post-heal fencing/union merge still converges every hub to the
-// single-hub reference with per-hub epoch == armed count.
-func TestRunPartitionStormNoLease(t *testing.T) {
-	cfg := DefaultPartitionConfig()
-	cfg.NoLease = true
-	cfg.FailoverAfter = 50 * time.Millisecond
-	res, err := RunPartitionStorm(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Armed != cfg.Sigs {
-		t.Fatalf("armed %d/%d", res.Armed, cfg.Sigs)
-	}
-	if res.MinoritySplitArms < res.MinorityKeys {
-		t.Fatalf("minority armed %d during the split, want at least its %d owned keys", res.MinoritySplitArms, res.MinorityKeys)
-	}
-	if res.ParkedPeak != 0 {
-		t.Fatalf("NoLease run parked %d decisions", res.ParkedPeak)
-	}
-	t.Logf("\n%s", FormatPartition(res))
-}
-
-// TestPartitionConfigValidate pins the config error paths.
-func TestPartitionConfigValidate(t *testing.T) {
-	base := DefaultPartitionConfig()
-	bad := []PartitionConfig{
-		{Devices: 2, Sigs: 1, ConfirmThreshold: 3, Hubs: 3, Scenario: ScenarioSymmetric, Timeout: time.Second},
-		{Devices: 4, Sigs: 0, ConfirmThreshold: 2, Hubs: 3, Scenario: ScenarioSymmetric, Timeout: time.Second},
-		{Devices: 4, Sigs: 1, ConfirmThreshold: 2, Hubs: 2, Scenario: ScenarioSymmetric, Timeout: time.Second},
-		{Devices: 4, Sigs: 1, ConfirmThreshold: 2, Hubs: 3, Scenario: "thirdsplit", Timeout: time.Second},
-		{Devices: 4, Sigs: 1, ConfirmThreshold: 2, Hubs: 3, Scenario: ScenarioSymmetric},
-		// The only post-cut reporter (device 2) attaches to the minority
-		// hub, leaving the majority side unable to finish arming.
-		{Devices: 3, Sigs: 1, ConfirmThreshold: 3, Hubs: 3, Scenario: ScenarioSymmetric, Timeout: time.Second},
-	}
-	for i, cfg := range bad {
-		if _, err := RunPartitionStorm(cfg); err == nil {
-			t.Fatalf("case %d: invalid config accepted: %+v", i, cfg)
-		}
-	}
-	if err := base.validate(); err != nil {
-		t.Fatalf("default config invalid: %v", err)
-	}
-}
+// pre-lease merge semantics: with leases off, both sides arm during a
+// symmetric split, and the post-heal fencing/union merge still
+// converges every hub to the twin with per-hub epoch == armed count.
+func TestRunPartitionStormNoLease(t *testing.T) { runRows(t, "partition no lease") }

@@ -5,13 +5,15 @@
 //	E1  BenchmarkE1DeadlockImmunity    — §5 ¶2: avoided reoccurrence of the
 //	                                     NotificationManagerService /
 //	                                     StatusBarService deadlock
-//	E2  BenchmarkTable1Throughput      — Table 1: per-app syncs/sec
+//	E2  BenchmarkTable1                — Table 1: per-app syncs/sec and
+//	                                     memory; with E4 and E5, one
+//	                                     apps.RunTable1 run
 //	E3  BenchmarkMicroSyncThroughput   — §5 ¶4: 2–512 threads × 64–256 sigs,
 //	                                     vanilla vs Dimmunix at the
 //	                                     calibrated ~1,747 syncs/s
 //	    BenchmarkMicroOverheadCurve    — E3 overhead vs per-op busy work
-//	E4  BenchmarkPowerAttribution      — §5 ¶5: battery share
-//	E5  BenchmarkTable1Memory          — §5 ¶6 / Table 1 memory columns
+//	E4  BenchmarkTable1                — §5 ¶5: battery share
+//	E5  BenchmarkTable1                — §5 ¶6: platform memory overhead
 //	E6  BenchmarkSyncSiteCensus        — §3.2 static census
 //	A1  BenchmarkAblationOuterDepth    — depth-1 vs deeper outer stacks
 //	A2  BenchmarkAblationQueueReuse    — two-queue entry recycling
@@ -40,7 +42,6 @@ import (
 	"github.com/dimmunix/dimmunix/internal/android"
 	"github.com/dimmunix/dimmunix/internal/apps"
 	"github.com/dimmunix/dimmunix/internal/core"
-	"github.com/dimmunix/dimmunix/internal/metrics"
 	"github.com/dimmunix/dimmunix/internal/vm"
 	"github.com/dimmunix/dimmunix/internal/workload"
 )
@@ -82,33 +83,29 @@ func BenchmarkE1DeadlockImmunity(b *testing.B) {
 	}
 }
 
-// --- E2: Table 1 throughput ----------------------------------------------
+// --- E2, E4, E5: Table 1, platform memory and power -----------------------
 
-// benchReplayDuration keeps scenario iterations affordable under the
-// default -benchtime.
+// benchReplayDuration keeps each replay affordable under the default
+// -benchtime: one Table 1 run is 8 apps × 2 builds = 16 replays.
 const benchReplayDuration = 250 * time.Millisecond
 
-func BenchmarkTable1Throughput(b *testing.B) {
-	for _, profile := range apps.Table1() {
-		profile := profile
-		for _, mode := range []struct {
-			name string
-			dim  bool
-		}{{"vanilla", false}, {"dimmunix", true}} {
-			b.Run(fmt.Sprintf("%s/%s", profile.Name, mode.name), func(b *testing.B) {
-				var last apps.Result
-				for i := 0; i < b.N; i++ {
-					res, err := apps.RunProfile(profile, mode.dim, benchReplayDuration, 100*time.Millisecond, apps.DefaultReplayConfig())
-					if err != nil {
-						b.Fatal(err)
-					}
-					last = res
-				}
-				b.ReportMetric(last.PeakSyncsPerSec, "syncs/sec")
-				b.ReportMetric(profile.SyncsPerSec, "paper-syncs/sec")
-			})
+// BenchmarkTable1 regenerates Table 1 through apps.RunTable1, reports the
+// platform-level aggregates and logs the table beside the paper's
+// numbers.
+func BenchmarkTable1(b *testing.B) {
+	var rep apps.Table1Report
+	for i := 0; i < b.N; i++ {
+		var err error
+		rep, err = apps.RunTable1(nil, benchReplayDuration, 100*time.Millisecond, apps.DefaultReplayConfig())
+		if err != nil {
+			b.Fatal(err)
 		}
 	}
+	b.ReportMetric(rep.MeanPerfOverheadPct(), "throughput-overhead-%")
+	b.ReportMetric(rep.Platform.OverallOverheadPct(), "mem-overhead-%")
+	b.ReportMetric(rep.PowerVanilla.AppsAndOSPct, "vanilla-apps+os-%")
+	b.ReportMetric(rep.PowerDimmunix.AppsAndOSPct, "dimmunix-apps+os-%")
+	b.Log("\n" + rep.Format())
 }
 
 // --- E3: the §5 microbenchmark -------------------------------------------
@@ -180,60 +177,6 @@ func BenchmarkMicroOverheadCurve(b *testing.B) {
 		}
 		b.Run(name, func(b *testing.B) {
 			benchMicroCell(b, 2, 128, w)
-		})
-	}
-}
-
-// --- E4: power attribution -----------------------------------------------
-
-func BenchmarkPowerAttribution(b *testing.B) {
-	profile := apps.Table1()[0] // Email: the most sync-intensive app
-	van, err := apps.RunProfile(profile, false, benchReplayDuration, 100*time.Millisecond, apps.DefaultReplayConfig())
-	if err != nil {
-		b.Fatal(err)
-	}
-	dim, err := apps.RunProfile(profile, true, benchReplayDuration, 100*time.Millisecond, apps.DefaultReplayConfig())
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	var vrep, drep metrics.PowerReport
-	for i := 0; i < b.N; i++ {
-		vrep, drep = apps.PowerComparison(van.BusyTime, dim.BusyTime, benchReplayDuration, metrics.DefaultPowerModel())
-	}
-	b.ReportMetric(vrep.AppsAndOSPct, "vanilla-apps+os-%")
-	b.ReportMetric(drep.AppsAndOSPct, "dimmunix-apps+os-%")
-}
-
-// --- E5: memory overhead --------------------------------------------------
-
-func BenchmarkTable1Memory(b *testing.B) {
-	for _, profile := range apps.Table1()[:3] { // Email, Browser, Maps
-		profile := profile
-		b.Run(profile.Name, func(b *testing.B) {
-			var mem metrics.AppMemory
-			for i := 0; i < b.N; i++ {
-				van, err := apps.RunProfile(profile, false, benchReplayDuration, 100*time.Millisecond, apps.DefaultReplayConfig())
-				if err != nil {
-					b.Fatal(err)
-				}
-				dim, err := apps.RunProfile(profile, true, benchReplayDuration, 100*time.Millisecond, apps.DefaultReplayConfig())
-				if err != nil {
-					b.Fatal(err)
-				}
-				delta := dim.VMSyncBytes - van.VMSyncBytes
-				if delta < 0 {
-					delta = 0
-				}
-				mem = metrics.AppMemory{
-					Name:      profile.Name,
-					VanillaMB: profile.VanillaMB,
-					CoreBytes: dim.CoreBytes,
-					VMBytes:   delta,
-				}
-			}
-			b.ReportMetric(mem.OverheadPct(), "mem-overhead-%")
-			b.ReportMetric((profile.DimmunixMB-profile.VanillaMB)/profile.VanillaMB*100, "paper-overhead-%")
 		})
 	}
 }

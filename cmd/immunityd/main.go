@@ -2,11 +2,12 @@
 // one of two roles: a hub (-serve), or a utility that mints trust
 // material and exits (-gen-ca, -gen-cert, -mint-token). Drive a hub
 // with go test -run Drill ./cmd/immunityd (real daemon processes,
-// crashed mid-storm, handed off and meshed over mutual TLS) or
-// internal/workload (in-process federations), or run
-// examples/fleet-immunity. Every flag belongs to
-// the modes flagModes lists for it; a flag given outside them is an
-// error, never silently dropped.
+// crashed mid-storm, handed off and meshed over mutual TLS) or with
+// internal/workload's scenario rows (in-process federations; the
+// FleetImmunity rows are the end-to-end fleet: phones detect, the hub
+// arms, every phone installs). Every flag belongs to the modes
+// flagModes lists for it; a flag given outside them is an error, never
+// silently dropped.
 //
 // # The hub: -serve
 //
@@ -252,8 +253,8 @@ const modesHelp = `immunityd runs in one mode per invocation:
   -mint-token -auth-key K               mint a device bearer token and exit
 Drive a hub with go test -run Drill ./cmd/immunityd (real daemon
 processes) or go test ./internal/workload (in-process chaos, partition,
-storm); the smallest end-to-end fleet is go run ./examples/fleet-immunity ;
--h lists every flag.
+storm); the smallest end-to-end fleet is go test -run FleetImmunity
+./internal/workload ; -h lists every flag.
 `
 
 func run(args []string) error {

@@ -14,16 +14,19 @@
 // only for synchronized blocks (which cannot live inside wrappers) and
 // why Android Dimmunix handles only synchronized blocks/methods.
 //
-// The demo measures wrapper-user throughput after a deadlock signature is
-// recorded, at outer depth 1 (heavy false-positive serialization) and at
-// outer depth 2 (the wrapper's *callers* disambiguate the positions, so
-// independent users run free).
+// The demo runs two independent wrapper users for a fixed number of
+// operations after a deadlock signature is recorded, at outer depth 1
+// (false-positive yields serialize them) and at outer depth 2 (the
+// wrapper's *callers* disambiguate the positions, so they never yield).
 //
 //	go run ./examples/custom-wrapper
 package main
 
 import (
+	"errors"
 	"fmt"
+	"os"
+	"runtime"
 	"sync/atomic"
 	"time"
 
@@ -34,70 +37,83 @@ import (
 // acquisition shares when going through the wrapper.
 var wrapperFrame = dimmunix.Frame{Class: "demo.MyLock", Method: "lock", Line: 7}
 
+// opsPerWorker is how many critical sections each wrapper user runs.
+const opsPerWorker = 20000
+
 func main() {
 	for _, depth := range []int{1, 2} {
-		yields, ops := run(depth)
-		fmt.Printf("outer depth %d: %6d ops in 300ms, %5d avoidance yields\n", depth, ops, yields)
+		out, err := run(depth)
+		if err != nil {
+			fmt.Fprintln(os.Stderr, "custom-wrapper:", err)
+			os.Exit(1)
+		}
+		fmt.Printf("outer depth %d: %d ops in %v, %5d avoidance yields\n",
+			depth, 2*opsPerWorker, out.Elapsed.Round(time.Millisecond), out.Yields)
 	}
 	fmt.Println("\ndepth 1 treats every MyLock.lock() call as the same position — the")
 	fmt.Println("recorded deadlock's antibody then serializes unrelated wrapper users.")
 	fmt.Println("depth 2 sees the callers, so only the genuinely matching flows yield.")
 }
 
-// run executes the wrapper workload at the given outer depth and returns
-// the observed yields and completed operations.
-func run(depth int) (yields uint64, ops uint64) {
+// outcome is what one depth's run observed: the wall time both workers
+// took, and the avoidance yields (suppressed ones included), every one
+// of them a false positive.
+type outcome struct {
+	Elapsed time.Duration
+	Yields  uint64
+}
+
+// run executes the wrapper workload at the given outer depth.
+func run(depth int) (outcome, error) {
 	rt := dimmunix.New(dimmunix.WithCoreOptions(dimmunix.WithOuterDepth(depth)))
 	defer rt.Shutdown()
 	proc, err := rt.Fork("wrapper-app")
 	if err != nil {
-		fmt.Println("fork:", err)
-		return 0, 0
+		return outcome{}, err
 	}
 
 	// Seed the history as if a deadlock had already happened between two
 	// threads that both acquired through the wrapper (from two different
 	// call sites — callerA and callerB).
-	seedSignature(proc, depth)
+	if err := seedSignature(proc, depth); err != nil {
+		return outcome{}, err
+	}
 
 	// Two independent workers, each with its own lock, both acquiring
 	// through the wrapper from their own call sites. They can never
 	// deadlock with each other — any yield is a false positive.
 	lockA := proc.NewObject("resourceA")
 	lockB := proc.NewObject("resourceB")
-	var counter atomic.Uint64
-	stop := make(chan struct{})
-	worker := func(name string, caller string, line int, lock *dimmunix.Object) {
-		_, _ = proc.Start(name, func(t *dimmunix.Thread) {
-			for {
-				select {
-				case <-stop:
-					return
-				default:
-				}
-				if proc.Killed() {
-					return
-				}
+	worker := func(name string, caller string, line int, lock *dimmunix.Object) error {
+		_, err := proc.Start(name, func(t *dimmunix.Thread) {
+			for i := 0; i < opsPerWorker && !proc.Killed(); i++ {
 				t.Call(caller, "work", line, func() {
 					myLockLock(t, lock, func() {
 						// A realistic critical section: while it runs, the
 						// worker occupies the wrapper position, which is
 						// what triggers false-positive yields at depth 1.
+						// Gosched lets the other worker run inside it on
+						// any number of CPUs.
 						busy(400)
-						counter.Add(1)
+						runtime.Gosched()
 					})
 				})
 			}
 		})
+		return err
 	}
-	worker("workerA", "demo.CacheRefresher", 21, lockA)
-	worker("workerB", "demo.LogFlusher", 63, lockB)
-
-	time.Sleep(300 * time.Millisecond)
-	close(stop)
-	proc.Join(5 * time.Second)
+	start := time.Now()
+	if err := worker("workerA", "demo.CacheRefresher", 21, lockA); err != nil {
+		return outcome{}, err
+	}
+	if err := worker("workerB", "demo.LogFlusher", 63, lockB); err != nil {
+		return outcome{}, err
+	}
+	if !proc.Join(10 * time.Second) {
+		return outcome{}, errors.New("the workers hung")
+	}
 	st := proc.Dimmunix().Stats()
-	return st.Yields + st.SuppressedYields, counter.Load()
+	return outcome{Elapsed: time.Since(start), Yields: st.Yields + st.SuppressedYields}, nil
 }
 
 // busySink defeats dead-code elimination.
@@ -123,7 +139,7 @@ func myLockLock(t *dimmunix.Thread, lock *dimmunix.Object, body func()) {
 // seedSignature installs the antibody a previous wrapper deadlock would
 // have left: at depth 1 both outers collapse to the wrapper frame; at
 // depth 2 they keep the distinct caller frames.
-func seedSignature(proc *dimmunix.Process, depth int) {
+func seedSignature(proc *dimmunix.Process, depth int) error {
 	callerA := dimmunix.Frame{Class: "demo.TransferJob", Method: "run", Line: 88}
 	callerB := dimmunix.Frame{Class: "demo.ReportJob", Method: "run", Line: 99}
 	outerA := dimmunix.CallStack{wrapperFrame, callerA}
@@ -139,7 +155,6 @@ func seedSignature(proc *dimmunix.Process, depth int) {
 			{Outer: outerB, Inner: outerB},
 		},
 	}
-	if _, _, err := proc.Dimmunix().AddSignature(sig); err != nil {
-		fmt.Println("seed:", err)
-	}
+	_, _, err := proc.Dimmunix().AddSignature(sig)
+	return err
 }

@@ -12,6 +12,7 @@
 package main
 
 import (
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -24,31 +25,60 @@ func main() {
 	histPath := filepath.Join(os.TempDir(), "quickstart-deadlocks.hist")
 	_ = os.Remove(histPath) // start this demo from a clean history
 
-	fmt.Println("== run 1: no antibodies yet — the deadlock will manifest ==")
-	runOnce(histPath, true)
+	for _, run := range []struct {
+		title  string
+		strict bool
+	}{
+		{"== run 1: no antibodies yet — the deadlock will manifest ==", true},
+		{"\n== run 2: restarted runtime, history loaded — immune ==", false},
+	} {
+		fmt.Println(run.title)
+		out, err := runOnce(histPath, run.strict)
+		if err != nil {
+			fmt.Fprintln(os.Stderr, "quickstart:", err)
+			os.Exit(1)
+		}
+		fmt.Print(out)
+	}
+}
 
-	fmt.Println("\n== run 2: restarted runtime, history loaded — immune ==")
-	runOnce(histPath, false)
+// outcome is what one run observed: whether it ended on a detected
+// deadlock (both threads frozen), and the process's immunity counters
+// and history at that point.
+type outcome struct {
+	Deadlocked bool
+	Stats      dimmunix.CoreStats
+	Antibodies []dimmunix.SignatureInfo
+}
+
+func (o outcome) String() string {
+	if !o.Deadlocked {
+		return fmt.Sprintf("  both threads completed; avoidance yields: %d\n", o.Stats.Yields)
+	}
+	s := "  DEADLOCK: both threads are frozen (as the paper's phone froze)\n"
+	for _, sig := range o.Antibodies {
+		s += fmt.Sprintf("  antibody saved: %s\n", sig)
+	}
+	return s
 }
 
 // runOnce executes the ABBA scenario on a fresh runtime over histPath.
 // strict forces the deadlock interleaving with a rendezvous; pass false
 // once immunity is armed (the suspended thread can no longer rendezvous).
-func runOnce(histPath string, strict bool) {
+func runOnce(histPath string, strict bool) (outcome, error) {
 	rt := dimmunix.New(dimmunix.WithHistoryFile(histPath))
 	defer rt.Shutdown()
 
 	proc, err := rt.Fork("quickstart-app")
 	if err != nil {
-		fmt.Println("fork:", err)
-		return
+		return outcome{}, err
 	}
 	accounts := proc.NewObject("accounts")
 	audit := proc.NewObject("audit")
 	hasAccounts := make(chan struct{})
 	hasAudit := make(chan struct{})
 
-	t1, _ := proc.Start("transfer", func(t *dimmunix.Thread) {
+	if _, err := proc.Start("transfer", func(t *dimmunix.Thread) {
 		t.Call("bank.TransferService", "transfer", 42, func() {
 			accounts.Synchronized(t, func() {
 				close(hasAccounts)
@@ -60,49 +90,44 @@ func runOnce(histPath string, strict bool) {
 					case <-time.After(200 * time.Millisecond):
 					}
 				}
-				audit.Synchronized(t, func() {
-					fmt.Println("  transfer: updated accounts + audit log")
-				})
+				audit.Synchronized(t, func() {})
 			})
 		})
-	})
-	t2, _ := proc.Start("report", func(t *dimmunix.Thread) {
+	}); err != nil {
+		return outcome{}, err
+	}
+	if _, err := proc.Start("report", func(t *dimmunix.Thread) {
 		t.Call("bank.ReportService", "monthly", 77, func() {
 			<-hasAccounts
 			audit.Synchronized(t, func() {
 				close(hasAudit)
-				accounts.Synchronized(t, func() {
-					fmt.Println("  report: read audit log + accounts")
-				})
+				accounts.Synchronized(t, func() {})
 			})
 		})
-	})
-
-	// Give the scenario a moment, then inspect what happened.
-	completed := waitBoth(t1, t2, 2*time.Second)
-	stats := proc.Dimmunix().Stats()
-	switch {
-	case !completed && stats.DeadlocksDetected > 0:
-		fmt.Println("  DEADLOCK: both threads are frozen (as the paper's phone froze)")
-		for _, sig := range proc.Dimmunix().History() {
-			fmt.Printf("  antibody saved: %s\n", sig)
-		}
-	case completed:
-		fmt.Printf("  both threads completed; avoidance yields: %d\n", stats.Yields)
-	default:
-		fmt.Println("  threads did not finish (unexpected)")
+	}); err != nil {
+		return outcome{}, err
 	}
+
+	deadlocked, err := settle(proc)
+	return outcome{Deadlocked: deadlocked, Stats: proc.Dimmunix().Stats(), Antibodies: proc.Dimmunix().History()}, err
 }
 
-// waitBoth waits for both threads up to the timeout.
-func waitBoth(t1, t2 *dimmunix.Thread, timeout time.Duration) bool {
-	deadline := time.After(timeout)
-	for _, th := range []*dimmunix.Thread{t1, t2} {
+// settle waits until every thread of proc has finished (false) or its
+// Dimmunix reports a deadlock, new or already in the history (true).
+func settle(proc *dimmunix.Process) (deadlocked bool, err error) {
+	finished := make(chan bool, 1)
+	go func() { finished <- proc.Join(0) }()
+	bound := time.After(10 * time.Second)
+	for {
 		select {
-		case <-th.Done():
-		case <-deadline:
-			return false
+		case <-finished:
+			return false, nil
+		case ev := <-proc.Dimmunix().Events():
+			if ev.Kind == dimmunix.EventDeadlockDetected || ev.Kind == dimmunix.EventDuplicateDeadlock {
+				return true, nil
+			}
+		case <-bound:
+			return false, errors.New("threads neither finished nor deadlocked")
 		}
 	}
-	return true
 }

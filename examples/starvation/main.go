@@ -11,7 +11,9 @@
 package main
 
 import (
+	"errors"
 	"fmt"
+	"os"
 	"time"
 
 	dimmunix "github.com/dimmunix/dimmunix"
@@ -19,36 +21,63 @@ import (
 
 func main() {
 	history := dimmunix.NewMemHistory()
-	// Pre-load the deadlock antibody whose avoidance will starve.
-	seed := &dimmunix.Signature{
+	if err := seed(history); err != nil {
+		fmt.Fprintln(os.Stderr, "starvation:", err)
+		os.Exit(1)
+	}
+	for _, title := range []string{
+		"== run 1: avoidance starves, Dimmunix records the starvation ==",
+		"\n== run 2: the starving yield is suppressed from the start ==",
+	} {
+		fmt.Println(title)
+		out, err := runOnce(history)
+		if err != nil {
+			fmt.Fprintln(os.Stderr, "starvation:", err)
+			os.Exit(1)
+		}
+		fmt.Print(out)
+	}
+}
+
+// seed pre-loads the deadlock antibody whose avoidance will starve.
+func seed(history dimmunix.HistoryStore) error {
+	return history.Append(&dimmunix.Signature{
 		Kind: dimmunix.DeadlockSig,
 		Pairs: []dimmunix.SigPair{
 			{Outer: stack("app.Producer", "fill", 10), Inner: stack("app.Producer", "fill", 10)},
 			{Outer: stack("app.Consumer", "drain", 20), Inner: stack("app.Consumer", "drain", 20)},
 		},
-	}
-	if err := history.Append(seed); err != nil {
-		fmt.Println("seed:", err)
-		return
-	}
-
-	fmt.Println("== run 1: avoidance starves, Dimmunix records the starvation ==")
-	runOnce(history)
-	fmt.Println("\n== run 2: the starving yield is suppressed from the start ==")
-	runOnce(history)
+	})
 }
 
 func stack(class, method string, line int) dimmunix.CallStack {
 	return dimmunix.CallStack{{Class: class, Method: method, Line: line}}
 }
 
-func runOnce(history dimmunix.HistoryStore) {
+// outcome is what one run of the pipeline observed once both threads
+// finished: the process's immunity counters and its starvation
+// antibodies.
+type outcome struct {
+	Stats      dimmunix.CoreStats
+	Starvation []dimmunix.SignatureInfo
+}
+
+func (o outcome) String() string {
+	s := fmt.Sprintf("  finished  yields=%d  starvations=%d  suppressed-yields=%d\n",
+		o.Stats.Yields, o.Stats.Starvations, o.Stats.SuppressedYields)
+	for _, sig := range o.Starvation {
+		s += fmt.Sprintf("  starvation antibody: %s\n", sig)
+	}
+	return s
+}
+
+// runOnce runs the pipeline on a fresh runtime over history.
+func runOnce(history dimmunix.HistoryStore) (outcome, error) {
 	rt := dimmunix.New(dimmunix.WithHistory(history))
 	defer rt.Shutdown()
 	proc, err := rt.Fork("pipeline")
 	if err != nil {
-		fmt.Println("fork:", err)
-		return
+		return outcome{}, err
 	}
 
 	buffer := proc.NewObject("buffer") // held by consumer, wanted by producer
@@ -60,7 +89,7 @@ func runOnce(history dimmunix.HistoryStore) {
 
 	// Consumer: holds buffer, then engages the signature at drain:20 —
 	// avoidance wants to suspend it (producer occupies fill:10).
-	consumer, _ := proc.Start("consumer", func(t *dimmunix.Thread) {
+	if _, err := proc.Start("consumer", func(t *dimmunix.Thread) {
 		buffer.Synchronized(t, func() {
 			close(consumerInBuffer)
 			<-producerHolding
@@ -68,10 +97,12 @@ func runOnce(history dimmunix.HistoryStore) {
 				lockY.Synchronized(t, func() {})
 			})
 		})
-	})
+	}); err != nil {
+		return outcome{}, err
+	}
 	// Producer: occupies fill:10, then blocks on the buffer (held by the
 	// consumer) — closing the would-be yield cycle.
-	producer, _ := proc.Start("producer", func(t *dimmunix.Thread) {
+	if _, err := proc.Start("producer", func(t *dimmunix.Thread) {
 		<-consumerInBuffer
 		t.Call("app.Producer", "fill", 10, func() {
 			lockX.Synchronized(t, func() {
@@ -79,22 +110,18 @@ func runOnce(history dimmunix.HistoryStore) {
 				buffer.Synchronized(t, func() {})
 			})
 		})
-	})
-
-	hung := false
-	for _, th := range []*dimmunix.Thread{consumer, producer} {
-		select {
-		case <-th.Done():
-		case <-time.After(3 * time.Second):
-			hung = true
-		}
+	}); err != nil {
+		return outcome{}, err
 	}
-	st := proc.Dimmunix().Stats()
-	fmt.Printf("  finished=%v  yields=%d  starvations=%d  suppressed-yields=%d\n",
-		!hung, st.Yields, st.Starvations, st.SuppressedYields)
+
+	if !proc.Join(10 * time.Second) {
+		return outcome{}, errors.New("the pipeline hung")
+	}
+	out := outcome{Stats: proc.Dimmunix().Stats()}
 	for _, sig := range proc.Dimmunix().History() {
 		if sig.Kind == dimmunix.StarvationSig {
-			fmt.Printf("  starvation antibody: %s\n", sig)
+			out.Starvation = append(out.Starvation, sig)
 		}
 	}
+	return out, nil
 }

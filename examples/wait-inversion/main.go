@@ -18,7 +18,9 @@
 package main
 
 import (
+	"errors"
 	"fmt"
+	"os"
 	"time"
 
 	dimmunix "github.com/dimmunix/dimmunix"
@@ -26,67 +28,100 @@ import (
 
 func main() {
 	history := dimmunix.NewMemHistory()
-
-	fmt.Println("== run 1: the wait-inversion deadlock manifests ==")
-	runOnce(history)
-	fmt.Println("\n== run 2: restarted runtime — the re-acquisition is immunized ==")
-	runOnce(history)
+	for _, title := range []string{
+		"== run 1: the wait-inversion deadlock manifests ==",
+		"\n== run 2: restarted runtime — the re-acquisition is immunized ==",
+	} {
+		fmt.Println(title)
+		out, err := runOnce(history)
+		if err != nil {
+			fmt.Fprintln(os.Stderr, "wait-inversion:", err)
+			os.Exit(1)
+		}
+		fmt.Print(out)
+	}
 }
 
-func runOnce(history dimmunix.HistoryStore) {
+// outcome is what one run observed: whether it ended on a detected
+// deadlock, and the process's immunity counters and history at that
+// point.
+type outcome struct {
+	Deadlocked bool
+	Stats      dimmunix.CoreStats
+	Antibodies []dimmunix.SignatureInfo
+}
+
+func (o outcome) String() string {
+	if !o.Deadlocked {
+		return fmt.Sprintf("  completed cleanly (avoidance yields: %d)\n", o.Stats.Yields)
+	}
+	s := "  DEADLOCK on x.wait() re-acquisition — detected and recorded:\n"
+	for _, sig := range o.Antibodies {
+		s += fmt.Sprintf("    %s\n", sig)
+	}
+	return s
+}
+
+// runOnce runs the inversion on a fresh runtime over history.
+func runOnce(history dimmunix.HistoryStore) (outcome, error) {
 	rt := dimmunix.New(dimmunix.WithHistory(history))
 	defer rt.Shutdown()
 	proc, err := rt.Fork("wait-inversion-app")
 	if err != nil {
-		fmt.Println("fork:", err)
-		return
+		return outcome{}, err
 	}
 	x := proc.NewObject("x")
 	y := proc.NewObject("y")
+	waiting := make(chan struct{})
 
-	t1, _ := proc.Start("holder", func(t *dimmunix.Thread) {
+	if _, err := proc.Start("holder", func(t *dimmunix.Thread) {
 		t.Call("demo.Holder", "hold", 12, func() {
 			x.Synchronized(t, func() {
 				y.Synchronized(t, func() {
-					// Waits briefly, then re-acquires x while holding y.
-					if _, err := x.Wait(t, 120*time.Millisecond); err != nil {
-						fmt.Println("  holder wait:", err)
-					}
+					// Waits briefly, then re-acquires x while holding y;
+					// in run 1 the only error is the teardown unwinding
+					// the frozen re-acquisition.
+					close(waiting)
+					_, _ = x.Wait(t, 120*time.Millisecond)
 				})
 			})
 		})
-	})
-	t2, _ := proc.Start("taker", func(t *dimmunix.Thread) {
+	}); err != nil {
+		return outcome{}, err
+	}
+	if _, err := proc.Start("taker", func(t *dimmunix.Thread) {
 		t.Call("demo.Taker", "take", 34, func() {
-			// Enter once the holder is parked in wait.
-			for proc.Stats().Waits == 0 && !proc.Killed() {
-				time.Sleep(time.Millisecond)
-			}
+			// Enter x once the holder is about to wait on it: x is free
+			// as soon as the wait releases it.
+			<-waiting
 			x.Synchronized(t, func() {
 				y.Synchronized(t, func() {})
 			})
 		})
-	})
+	}); err != nil {
+		return outcome{}, err
+	}
 
-	finished := true
-	for _, th := range []*dimmunix.Thread{t1, t2} {
+	deadlocked, err := settle(proc)
+	return outcome{Deadlocked: deadlocked, Stats: proc.Dimmunix().Stats(), Antibodies: proc.Dimmunix().History()}, err
+}
+
+// settle waits until every thread of proc has finished (false) or its
+// Dimmunix reports a deadlock, new or already in the history (true).
+func settle(proc *dimmunix.Process) (deadlocked bool, err error) {
+	finished := make(chan bool, 1)
+	go func() { finished <- proc.Join(0) }()
+	bound := time.After(10 * time.Second)
+	for {
 		select {
-		case <-th.Done():
-		case <-time.After(2 * time.Second):
-			finished = false
+		case <-finished:
+			return false, nil
+		case ev := <-proc.Dimmunix().Events():
+			if ev.Kind == dimmunix.EventDeadlockDetected || ev.Kind == dimmunix.EventDuplicateDeadlock {
+				return true, nil
+			}
+		case <-bound:
+			return false, errors.New("threads neither finished nor deadlocked")
 		}
-	}
-	st := proc.Dimmunix().Stats()
-	if !finished && st.DeadlocksDetected > 0 {
-		fmt.Println("  DEADLOCK on x.wait() re-acquisition — detected and recorded:")
-		for _, sig := range proc.Dimmunix().History() {
-			fmt.Printf("    %s\n", sig)
-		}
-		return
-	}
-	if finished {
-		fmt.Printf("  completed cleanly (avoidance yields: %d)\n", st.Yields)
-	} else {
-		fmt.Println("  hung without detection (unexpected)")
 	}
 }

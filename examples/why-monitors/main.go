@@ -16,7 +16,9 @@
 package main
 
 import (
+	"errors"
 	"fmt"
+	"os"
 	"time"
 
 	dimmunix "github.com/dimmunix/dimmunix"
@@ -24,25 +26,37 @@ import (
 
 func main() {
 	fmt.Println("== intercepted monitors: deadlock detected and recorded ==")
-	monitorRun()
+	detected, err := monitorRun()
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "why-monitors:", err)
+		os.Exit(1)
+	}
+	fmt.Printf("  deadlocks detected: %d — signature recorded, future runs immune\n", detected)
 
 	fmt.Println("\n== native locks: the same inversion is invisible (§4's NDK gap) ==")
-	nativeRun()
+	out, err := nativeRun()
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "why-monitors:", err)
+		os.Exit(1)
+	}
+	fmt.Printf("  %s gave up after its timeout (the deadlock really formed)\n", out.Victim)
+	fmt.Printf("  deadlocks detected by Dimmunix: %d — native locks are invisible to the RAG\n", out.Detected)
+	fmt.Println("  (this is why the VM implements its own monitors — and why §4 leaves NDK locks to future work)")
 }
 
-// monitorRun builds the ABBA inversion on VM monitors.
-func monitorRun() {
+// monitorRun builds the ABBA inversion on VM monitors and returns how
+// many deadlocks Dimmunix detected once it reports the first.
+func monitorRun() (uint64, error) {
 	rt := dimmunix.New()
 	defer rt.Shutdown()
 	proc, err := rt.Fork("monitored-app")
 	if err != nil {
-		fmt.Println("fork:", err)
-		return
+		return 0, err
 	}
 	a, b := proc.NewObject("A"), proc.NewObject("B")
 	hasA, hasB := make(chan struct{}), make(chan struct{})
 
-	proc.Start("t1", func(t *dimmunix.Thread) {
+	if _, err := proc.Start("t1", func(t *dimmunix.Thread) {
 		t.Call("app.Left", "run", 1, func() {
 			a.Synchronized(t, func() {
 				close(hasA)
@@ -50,8 +64,10 @@ func monitorRun() {
 				b.Synchronized(t, func() {})
 			})
 		})
-	})
-	proc.Start("t2", func(t *dimmunix.Thread) {
+	}); err != nil {
+		return 0, err
+	}
+	if _, err := proc.Start("t2", func(t *dimmunix.Thread) {
 		t.Call("app.Right", "run", 2, func() {
 			<-hasA
 			b.Synchronized(t, func() {
@@ -59,14 +75,21 @@ func monitorRun() {
 				a.Synchronized(t, func() {})
 			})
 		})
-	})
-
-	deadline := time.Now().Add(5 * time.Second)
-	for time.Now().Before(deadline) && proc.Dimmunix().Stats().DeadlocksDetected == 0 {
-		time.Sleep(time.Millisecond)
+	}); err != nil {
+		return 0, err
 	}
-	st := proc.Dimmunix().Stats()
-	fmt.Printf("  deadlocks detected: %d — signature recorded, future runs immune\n", st.DeadlocksDetected)
+
+	bound := time.After(10 * time.Second)
+	for {
+		select {
+		case ev := <-proc.Dimmunix().Events():
+			if ev.Kind == dimmunix.EventDeadlockDetected {
+				return proc.Dimmunix().Stats().DeadlocksDetected, nil
+			}
+		case <-bound:
+			return 0, errors.New("the monitor inversion was never detected")
+		}
+	}
 }
 
 // nativeLock is an uninterceptable lock (what an NDK pthread mutex is to
@@ -90,61 +113,63 @@ func (l *nativeLock) lock(timeout time.Duration) bool {
 
 func (l *nativeLock) unlock() { l.ch <- struct{}{} }
 
+// nativeOutcome is what the native-lock run observed: the thread whose
+// timed acquire gave up (the deadlock formed) and Dimmunix's deadlock
+// count for the process.
+type nativeOutcome struct {
+	Victim   string
+	Detected uint64
+}
+
 // nativeRun builds the same inversion on native locks.
-func nativeRun() {
+func nativeRun() (nativeOutcome, error) {
 	rt := dimmunix.New()
 	defer rt.Shutdown()
 	proc, err := rt.Fork("native-app")
 	if err != nil {
-		fmt.Println("fork:", err)
-		return
+		return nativeOutcome{}, err
 	}
 	a, b := newNativeLock(), newNativeLock()
 	hasA, hasB := make(chan struct{}), make(chan struct{})
 	timedOut := make(chan string, 2)
 
-	proc.Start("t1", func(t *dimmunix.Thread) {
+	if _, err := proc.Start("t1", func(t *dimmunix.Thread) {
 		if !a.lock(time.Second) {
 			return
 		}
 		close(hasA)
 		<-hasB
-		if !b.lock(500 * time.Millisecond) {
+		if !b.lock(200 * time.Millisecond) {
 			timedOut <- "t1"
 			a.unlock()
 			return
 		}
 		b.unlock()
 		a.unlock()
-	})
-	proc.Start("t2", func(t *dimmunix.Thread) {
+	}); err != nil {
+		return nativeOutcome{}, err
+	}
+	if _, err := proc.Start("t2", func(t *dimmunix.Thread) {
 		<-hasA
 		if !b.lock(time.Second) {
 			return
 		}
 		close(hasB)
-		if !a.lock(500 * time.Millisecond) {
+		if !a.lock(200 * time.Millisecond) {
 			timedOut <- "t2"
 			b.unlock()
 			return
 		}
 		a.unlock()
 		b.unlock()
-	})
-
-	victims := 0
-	deadline := time.After(5 * time.Second)
-	for victims < 1 {
-		select {
-		case name := <-timedOut:
-			fmt.Printf("  %s gave up after its timeout (the deadlock really formed)\n", name)
-			victims++
-		case <-deadline:
-			fmt.Println("  (no timeout observed)")
-			return
-		}
+	}); err != nil {
+		return nativeOutcome{}, err
 	}
-	fmt.Printf("  deadlocks detected by Dimmunix: %d — native locks are invisible to the RAG\n",
-		proc.Dimmunix().Stats().DeadlocksDetected)
-	fmt.Println("  (this is why the VM implements its own monitors — and why §4 leaves NDK locks to future work)")
+
+	select {
+	case victim := <-timedOut:
+		return nativeOutcome{Victim: victim, Detected: proc.Dimmunix().Stats().DeadlocksDetected}, nil
+	case <-time.After(10 * time.Second):
+		return nativeOutcome{}, errors.New("no timeout observed")
+	}
 }

@@ -51,26 +51,17 @@ type Replay struct {
 	stopOnce  sync.Once
 	start     chan struct{}
 	warmWG    sync.WaitGroup
-	threads   []*vm.Thread
-	started   time.Time
 }
 
 // Result summarizes a finished replay.
 type Result struct {
-	// Profile is the replayed application.
-	Profile Profile
 	// Dimmunix reports whether the process ran with immunity.
 	Dimmunix bool
-	// Wall is the replay duration.
-	Wall time.Duration
 	// AvgSyncsPerSec is the overall average synchronization throughput.
 	AvgSyncsPerSec float64
 	// PeakSyncsPerSec is the paper's metric: the highest average
-	// throughput over any window of PeakWidth.
+	// throughput over any window of the width given to Stop.
 	PeakSyncsPerSec float64
-	// PeakWidth is the peak-selection window (the scaled stand-in for the
-	// paper's 30 seconds).
-	PeakWidth time.Duration
 	// BusyTime is the accumulated simulated computation time (for the
 	// power model).
 	BusyTime time.Duration
@@ -115,14 +106,12 @@ func AttachReplay(proc *vm.Process, profile Profile, cfg ReplayConfig) (*Replay,
 	r.warmWG.Add(profile.Threads)
 	for i := 0; i < profile.Threads; i++ {
 		idx := i
-		th, err := proc.Start(fmt.Sprintf("%s-t%d", profile.Name, i), func(t *vm.Thread) {
+		if _, err := proc.Start(fmt.Sprintf("%s-t%d", profile.Name, i), func(t *vm.Thread) {
 			r.worker(t, idx, period)
-		})
-		if err != nil {
+		}); err != nil {
 			proc.Kill()
 			return nil, fmt.Errorf("replay %s: %w", profile.Name, err)
 		}
-		r.threads = append(r.threads, th)
 	}
 
 	// Wait for the startup warmup (app initialization) to finish before
@@ -138,7 +127,6 @@ func AttachReplay(proc *vm.Process, profile Profile, cfg ReplayConfig) (*Replay,
 		proc.Kill()
 		return nil, fmt.Errorf("replay %s: warmup hung", profile.Name)
 	}
-	r.started = time.Now()
 	r.meter.Start(cfg.SamplePeriod)
 	close(r.start)
 	return r, nil
@@ -262,14 +250,10 @@ func (r *Replay) Stop(peakWidth time.Duration) Result {
 	r.stopOnce.Do(func() { close(r.stop) })
 	r.Proc.Join(10 * time.Second)
 	r.meter.Stop()
-	wall := time.Since(r.started)
 
 	res := Result{
-		Profile:        r.Profile,
 		Dimmunix:       r.Proc.Dimmunix() != nil,
-		Wall:           wall,
 		AvgSyncsPerSec: r.meter.Rate(),
-		PeakWidth:      peakWidth,
 		BusyTime:       time.Duration(float64(r.busyIters.Load()) * busyIterCost()),
 		VMSyncBytes:    r.Proc.SyncFootprint(),
 		Stats:          r.Proc.Stats(),
@@ -286,9 +270,9 @@ func (r *Replay) Stop(peakWidth time.Duration) Result {
 	return res
 }
 
-// RunProfile is the convenience one-shot: replay a profile for the given
-// duration on a fresh Zygote and return the result.
-func RunProfile(profile Profile, dimmunix bool, duration, peakWidth time.Duration, cfg ReplayConfig) (Result, error) {
+// runProfile is the one-shot behind RunTable1: replay a profile for the
+// given duration on a fresh Zygote and return the result.
+func runProfile(profile Profile, dimmunix bool, duration, peakWidth time.Duration, cfg ReplayConfig) (Result, error) {
 	z := vm.NewZygote(vm.WithDimmunix(dimmunix))
 	r, err := StartReplay(z, profile, cfg)
 	if err != nil {
@@ -296,11 +280,4 @@ func RunProfile(profile Profile, dimmunix bool, duration, peakWidth time.Duratio
 	}
 	time.Sleep(duration)
 	return r.Stop(peakWidth), nil
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -1,6 +1,7 @@
 package apps
 
 import (
+	"strings"
 	"testing"
 	"time"
 
@@ -42,12 +43,6 @@ func TestTable1ProfilesMatchPaper(t *testing.T) {
 			t.Errorf("%s paper overhead %.1f%% outside 1.3-5.3 band", p.Name, ovh)
 		}
 	}
-	if _, err := ProfileByName("Email"); err != nil {
-		t.Error(err)
-	}
-	if _, err := ProfileByName("Solitaire"); err == nil {
-		t.Error("unknown profile must error")
-	}
 }
 
 func TestProfileSitesAreValidAndDistinct(t *testing.T) {
@@ -74,14 +69,14 @@ func TestProfileSitesAreValidAndDistinct(t *testing.T) {
 func smallProfile() Profile {
 	return Profile{
 		Name: "TestApp", Package: "com.test.app",
-		Threads: 4, SyncsPerSec: 400, VanillaMB: 10.0,
+		Threads: 4, SyncsPerSec: 400, VanillaMB: 10.0, DimmunixMB: 10.3,
 		Locks: 64, Sites: 12,
 		Classes: []string{"com.test.app.Main", "com.test.app.Worker"},
 	}
 }
 
 func TestReplayRunsAndStops(t *testing.T) {
-	res, err := RunProfile(smallProfile(), true, 400*time.Millisecond, 100*time.Millisecond, DefaultReplayConfig())
+	res, err := runProfile(smallProfile(), true, 400*time.Millisecond, 100*time.Millisecond, DefaultReplayConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,7 +102,7 @@ func TestReplayRunsAndStops(t *testing.T) {
 
 func TestReplayApproachesTargetRate(t *testing.T) {
 	p := smallProfile()
-	res, err := RunProfile(p, false, 700*time.Millisecond, 200*time.Millisecond, DefaultReplayConfig())
+	res, err := runProfile(p, false, 700*time.Millisecond, 200*time.Millisecond, DefaultReplayConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,11 +114,11 @@ func TestReplayApproachesTargetRate(t *testing.T) {
 
 func TestReplayFattensLockPopulationUnderDimmunix(t *testing.T) {
 	p := smallProfile()
-	dim, err := RunProfile(p, true, 500*time.Millisecond, 100*time.Millisecond, DefaultReplayConfig())
+	dim, err := runProfile(p, true, 500*time.Millisecond, 100*time.Millisecond, DefaultReplayConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
-	van, err := RunProfile(p, false, 500*time.Millisecond, 100*time.Millisecond, DefaultReplayConfig())
+	van, err := runProfile(p, false, 500*time.Millisecond, 100*time.Millisecond, DefaultReplayConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,8 +157,12 @@ func TestRunTable1Small(t *testing.T) {
 	if rep.PowerVanilla.AppsAndOSPct < 12 || rep.PowerVanilla.AppsAndOSPct > 16 {
 		t.Errorf("vanilla apps+os share = %.1f%%, want ~14%%", rep.PowerVanilla.AppsAndOSPct)
 	}
-	if out := rep.Format(); len(out) == 0 {
-		t.Error("empty report")
+	// Each measured row carries the paper's numbers beside it.
+	out := rep.Format()
+	for _, want := range []string{"TestApp", "(paper)", " 400 ", "10.3 MB", "3.0%"} {
+		if !strings.Contains(out, want) {
+			t.Errorf("report lacks %q:\n%s", want, out)
+		}
 	}
 }
 
@@ -175,11 +174,12 @@ func TestTable1RowPerfOverhead(t *testing.T) {
 	if got := (Table1Row{}).PerfOverheadPct(); got != 0 {
 		t.Errorf("degenerate PerfOverheadPct = %v, want 0", got)
 	}
-}
-
-func TestMaxHelper(t *testing.T) {
-	if max(3, 5) != 5 || max(5, 3) != 5 || max(2, 2) != 2 {
-		t.Error("max helper wrong")
+	rep := Table1Report{Rows: []Table1Row{row, {VanillaSyncsPerSec: 1000, DimmunixSyncsPerSec: 850}}}
+	if got := rep.MeanPerfOverheadPct(); got != 10 {
+		t.Errorf("MeanPerfOverheadPct = %v, want 10", got)
+	}
+	if got := (Table1Report{}).MeanPerfOverheadPct(); got != 0 {
+		t.Errorf("empty MeanPerfOverheadPct = %v, want 0", got)
 	}
 }
 

@@ -7,11 +7,7 @@
 // pool of lock objects and realistic framework/app call-site positions.
 package apps
 
-import (
-	"fmt"
-
-	"github.com/dimmunix/dimmunix/internal/core"
-)
+import "github.com/dimmunix/dimmunix/internal/core"
 
 // Profile describes one application's measured synchronization behaviour.
 type Profile struct {
@@ -98,22 +94,6 @@ func Table1() []Profile {
 			Classes: []string{"com.android.camera.Camera", "com.android.camera.ImageManager", "android.hardware.Camera"},
 		},
 	}
-}
-
-// ProfileByName finds a Table 1 profile.
-func ProfileByName(name string) (Profile, error) {
-	for _, p := range Table1() {
-		if p.Name == name {
-			return p, nil
-		}
-	}
-	return Profile{}, fmt.Errorf("apps: unknown profile %q", name)
-}
-
-// SiteFrames deterministically generates the profile's call-site frames —
-// the positions a replay (or the fleet stress workload) synchronizes at.
-func (p Profile) SiteFrames() []core.Frame {
-	return p.sitePositions()
 }
 
 // sitePositions deterministically generates the profile's call-site

@@ -30,10 +30,9 @@ const (
 
 // Table1Row is one application's measured row.
 type Table1Row struct {
-	// App is the application name.
-	App string
-	// Threads is the replayed thread count.
-	Threads int
+	// Profile is the replayed application with the paper's measured
+	// numbers (threads, syncs/sec, memory), echoed for comparison.
+	Profile Profile
 	// VanillaSyncsPerSec is the peak-window throughput without Dimmunix
 	// (the paper's Syncs/sec column).
 	VanillaSyncsPerSec float64
@@ -42,12 +41,6 @@ type Table1Row struct {
 	// Memory combines the modeled vanilla footprint with the measured
 	// Dimmunix bytes.
 	Memory metrics.AppMemory
-	// PaperDimmunixMB and PaperVanillaMB echo Table 1 for comparison.
-	PaperDimmunixMB float64
-	PaperVanillaMB  float64
-	// VanillaBusy/DimmunixBusy are the accumulated busy CPU times.
-	VanillaBusy  time.Duration
-	DimmunixBusy time.Duration
 }
 
 // PerfOverheadPct is the app's throughput overhead percentage.
@@ -80,11 +73,11 @@ func RunTable1(profiles []Profile, duration, peakWidth time.Duration, cfg Replay
 	var busyVan, busyDim, wall time.Duration
 
 	for _, p := range profiles {
-		van, err := RunProfile(p, false, duration, peakWidth, cfg)
+		van, err := runProfile(p, false, duration, peakWidth, cfg)
 		if err != nil {
 			return Table1Report{}, fmt.Errorf("table1 %s vanilla: %w", p.Name, err)
 		}
-		dim, err := RunProfile(p, true, duration, peakWidth, cfg)
+		dim, err := runProfile(p, true, duration, peakWidth, cfg)
 		if err != nil {
 			return Table1Report{}, fmt.Errorf("table1 %s dimmunix: %w", p.Name, err)
 		}
@@ -93,8 +86,7 @@ func RunTable1(profiles []Profile, duration, peakWidth time.Duration, cfg Replay
 			vmDelta = 0
 		}
 		row := Table1Row{
-			App:                 p.Name,
-			Threads:             p.Threads,
+			Profile:             p,
 			VanillaSyncsPerSec:  van.PeakSyncsPerSec,
 			DimmunixSyncsPerSec: dim.PeakSyncsPerSec,
 			Memory: metrics.AppMemory{
@@ -103,10 +95,6 @@ func RunTable1(profiles []Profile, duration, peakWidth time.Duration, cfg Replay
 				CoreBytes: dim.CoreBytes,
 				VMBytes:   vmDelta,
 			},
-			PaperVanillaMB:  p.VanillaMB,
-			PaperDimmunixMB: p.DimmunixMB,
-			VanillaBusy:     van.BusyTime,
-			DimmunixBusy:    dim.BusyTime,
 		}
 		report.Rows = append(report.Rows, row)
 		report.Platform.Apps = append(report.Platform.Apps, row.Memory)
@@ -119,45 +107,57 @@ func RunTable1(profiles []Profile, duration, peakWidth time.Duration, cfg Replay
 	report.Platform.DeviceMB = DeviceRAMMB
 	report.Platform.BaseOSMB = vanillaPlatformPct/100*DeviceRAMMB - appSumVanillaMB
 
-	report.PowerVanilla, report.PowerDimmunix = PowerComparison(busyVan, busyDim, wall, metrics.DefaultPowerModel())
+	// Host CPU time is normalized to the reference device (the replay
+	// runs on a machine far faster than a 1 GHz Nexus One). The factor is
+	// anchored on the vanilla run and the Dimmunix run inherits it, so the
+	// comparison isolates exactly the measured CPU overhead.
+	if wall > 0 && busyVan > 0 {
+		scale := nexusBusyFraction * float64(wall) / float64(busyVan)
+		model := metrics.DefaultPowerModel()
+		report.PowerVanilla = model.Attribute(wall, time.Duration(float64(busyVan)*scale))
+		report.PowerDimmunix = model.Attribute(wall, time.Duration(float64(busyDim)*scale))
+	}
 	return report, nil
 }
 
-// PowerComparison normalizes host CPU time to the reference device (the
-// replay runs on a machine far faster than a 1 GHz Nexus One) and
-// attributes battery consumption for both builds. The normalization factor
-// is anchored on the vanilla run; the Dimmunix run inherits it, so the
-// comparison isolates exactly the measured CPU overhead.
-func PowerComparison(vanBusy, dimBusy, wall time.Duration, model metrics.PowerModel) (van, dim metrics.PowerReport) {
-	if wall <= 0 || vanBusy <= 0 {
-		return metrics.PowerReport{}, metrics.PowerReport{}
+// MeanPerfOverheadPct is the rows' mean throughput overhead percentage.
+func (r Table1Report) MeanPerfOverheadPct() float64 {
+	if len(r.Rows) == 0 {
+		return 0
 	}
-	scale := nexusBusyFraction * float64(wall) / float64(vanBusy)
-	vanScaled := time.Duration(float64(vanBusy) * scale)
-	dimScaled := time.Duration(float64(dimBusy) * scale)
-	return model.Attribute(wall, vanScaled), model.Attribute(wall, dimScaled)
+	sum := 0.0
+	for _, row := range r.Rows {
+		sum += row.PerfOverheadPct()
+	}
+	return sum / float64(len(r.Rows))
 }
 
-// Format renders the report in the paper's layout.
+// Format renders the report in the paper's layout, each measured column
+// next to the paper's own number.
 func (r Table1Report) Format() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "%-12s %8s %14s %14s %14s %14s %8s\n",
-		"Application", "Threads", "Syncs/sec", "Syncs/sec", "Memory", "Memory", "MemOvh")
-	fmt.Fprintf(&b, "%-12s %8s %14s %14s %14s %14s %8s\n",
-		"", "", "(vanilla)", "(dimmunix)", "(dimmunix)", "(vanilla)", "")
+	fmt.Fprintf(&b, "%-12s %7s %10s %10s %10s %10s %10s %10s %7s %7s\n",
+		"Application", "Threads", "Syncs/sec", "Syncs/sec", "Syncs/sec", "Memory", "Memory", "Memory", "MemOvh", "MemOvh")
+	fmt.Fprintf(&b, "%-12s %7s %10s %10s %10s %10s %10s %10s %7s %7s\n",
+		"", "", "(vanilla)", "(dimmunix)", "(paper)", "(vanilla)", "(dimmunix)", "(paper)", "", "(paper)")
 	for _, row := range r.Rows {
-		fmt.Fprintf(&b, "%-12s %8d %14s %14s %14s %14s %7.1f%%\n",
-			row.App, row.Threads,
+		p := row.Profile
+		fmt.Fprintf(&b, "%-12s %7d %10s %10s %10s %10s %10s %10s %6.1f%% %6.1f%%\n",
+			p.Name, p.Threads,
 			metrics.FormatRate(row.VanillaSyncsPerSec),
 			metrics.FormatRate(row.DimmunixSyncsPerSec),
-			metrics.FormatMB(row.Memory.DimmunixMB()),
+			metrics.FormatRate(p.SyncsPerSec),
 			metrics.FormatMB(row.Memory.VanillaMB),
+			metrics.FormatMB(row.Memory.DimmunixMB()),
+			metrics.FormatMB(p.DimmunixMB),
 			row.Memory.OverheadPct(),
+			(p.DimmunixMB-p.VanillaMB)/p.VanillaMB*100,
 		)
 	}
-	fmt.Fprintf(&b, "\nplatform memory: dimmunix %.0f%%, vanilla %.0f%% of %d MB (overall app overhead %.1f%%)\n",
+	fmt.Fprintf(&b, "\nmean throughput overhead %.1f%%\n", r.MeanPerfOverheadPct())
+	fmt.Fprintf(&b, "platform memory: dimmunix %.0f%%, vanilla %.0f%% of %d MB (overall app overhead %.1f%%; paper: 52%%, 50%%, 4%%)\n",
 		r.Platform.DimmunixPct(), r.Platform.VanillaPct(), int(r.Platform.DeviceMB), r.Platform.OverallOverheadPct())
-	fmt.Fprintf(&b, "power attribution (apps+os): vanilla %.0f%%, dimmunix %.0f%%\n",
+	fmt.Fprintf(&b, "power attribution (apps+os): vanilla %.0f%%, dimmunix %.0f%% (paper: 14%% both)\n",
 		r.PowerVanilla.AppsAndOSPct, r.PowerDimmunix.AppsAndOSPct)
 	return b.String()
 }

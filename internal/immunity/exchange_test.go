@@ -305,6 +305,54 @@ func TestLoopbackRefusalIsPermanent(t *testing.T) {
 	}
 }
 
+// TestLoopbackSendRefusedOnDrain: a loopback client answers the hub's
+// ack from inside recv — on the Conn's push-queue drain goroutine — with
+// a duplicate hello. The hub refuses it, and the session close that
+// refusal triggers must not wait for the very goroutine it runs on: Send
+// returns its error and the session goes down.
+func TestLoopbackSendRefusedOnDrain(t *testing.T) {
+	// No t.Cleanup(hub.Close): on a hung session Close would hang too,
+	// and the bound below must fail the test instead.
+	hub, err := NewExchange(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hello := wire.Message{V: wire.Version, Type: wire.TypeHello,
+		Hello: &wire.Hello{Device: "echo", MinV: wire.Version, MaxV: wire.Version}}
+	var sess Session
+	dialed := make(chan struct{})
+	sent := make(chan error, 1)
+	down := make(chan struct{})
+	recv := func(m wire.Message) {
+		if m.Type == wire.TypeAck && m.Ack.OK {
+			<-dialed
+			sent <- sess.Send(hello)
+		}
+	}
+	sess, err = NewLoopback(hub).Dial(recv, func(error) { close(down) })
+	if err != nil {
+		t.Fatal(err)
+	}
+	close(dialed)
+	if err := sess.Send(hello); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case err := <-sent:
+		if err == nil {
+			t.Fatal("duplicate hello accepted")
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("a refused Send from recv never returned: the session close waits on its own drain goroutine")
+	}
+	select {
+	case <-down:
+	case <-time.After(5 * time.Second):
+		t.Fatal("the refused session never went down")
+	}
+	hub.Close()
+}
+
 // TestExchangeHandleRejectsMalformedEnvelopes: Handle is the hub's API
 // for any transport; a structurally broken envelope (missing or wrong
 // payload) must come back as a protocol error, never a panic.

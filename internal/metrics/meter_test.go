@@ -99,7 +99,9 @@ func TestFormatRate(t *testing.T) {
 		want string
 	}{
 		{309, "309"},
+		{999, "999"},
 		{1952.4, "1,952"},
+		{12345, "12,345"},
 		{1143, "1,143"},
 		{999.6, "1,000"},
 		{0, "0"},

@@ -165,8 +165,7 @@ func (c *Census) Counts() CensusCounts {
 	return out
 }
 
-// ByClass returns per-class site counts, sorted by class name, for the
-// syncstats report.
+// ByClass returns per-class site counts, sorted by class name.
 func (c *Census) ByClass() []ClassSites {
 	c.mu.Lock()
 	defer c.mu.Unlock()

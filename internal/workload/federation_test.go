@@ -79,19 +79,16 @@ func sources(t *testing.T, tests bool) []string {
 }
 
 // TestOneFederationHarness: every row runs over federation.go. Nothing
-// else builds hubs or a cluster, parses a dial list, or waits in a
-// sleep loop of its own; the fleet table's other sleeps pace a row
-// rather than wait for it: the flap blink, the warmup pacing and the
-// gating window. micro.go's is the §5 measurement window. A new file
-// must be listed here.
+// else builds hubs or a cluster or parses a dial list. A new file must be
+// listed here. (The root package's TestSleepCensus pins the sleeps.)
 func TestOneFederationHarness(t *testing.T) {
-	guarded := []string{"cluster.New", "immunity.NewExchange", "strings.Split", "time.Sleep"}
+	guarded := []string{"cluster.New", "immunity.NewExchange", "strings.Split"}
 	want := map[string]map[string]int{
-		"federation.go": {"cluster.New": 1, "immunity.NewExchange": 1, "strings.Split": 1, "time.Sleep": 1},
-		"scenario.go":   {"time.Sleep": 1},
-		"devices.go":    {"time.Sleep": 1},
-		"rows.go":       {"time.Sleep": 1},
-		"micro.go":      {"time.Sleep": 1},
+		"federation.go": {"cluster.New": 1, "immunity.NewExchange": 1, "strings.Split": 1},
+		"scenario.go":   {},
+		"devices.go":    {},
+		"rows.go":       {},
+		"micro.go":      {},
 	}
 	for _, file := range sources(t, false) {
 		calls, ok := want[file]
@@ -102,7 +99,7 @@ func TestOneFederationHarness(t *testing.T) {
 		_, got := parseCalls(t, file)
 		for _, name := range guarded {
 			if got[name] != calls[name] {
-				t.Errorf("%s calls %s %d times, want %d: hubs, dial lists and polling belong to the federation harness",
+				t.Errorf("%s calls %s %d times, want %d: hubs and dial lists belong to the federation harness",
 					file, name, got[name], calls[name])
 			}
 		}

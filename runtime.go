@@ -2,7 +2,6 @@ package dimmunix
 
 import (
 	"github.com/dimmunix/dimmunix/internal/core"
-	"github.com/dimmunix/dimmunix/internal/immunity"
 	"github.com/dimmunix/dimmunix/internal/vm"
 )
 
@@ -13,7 +12,6 @@ import (
 // inside Android's Dalvik VM.
 type Runtime struct {
 	zygote *vm.Zygote
-	svc    *immunity.Service
 }
 
 // RuntimeOption configures a Runtime.
@@ -22,7 +20,6 @@ type RuntimeOption func(*runtimeConfig)
 type runtimeConfig struct {
 	immunity bool
 	store    core.HistoryStore
-	svc      *immunity.Service
 	coreOpts []core.Option
 }
 
@@ -48,16 +45,6 @@ func WithCoreOptions(opts ...CoreOption) RuntimeOption {
 	return func(c *runtimeConfig) { c.coreOpts = append(c.coreOpts, opts...) }
 }
 
-// WithImmunityService attaches the device's live-propagation hub: the
-// service becomes every forked process's history store, and each process
-// subscribes so signatures detected anywhere on the platform hot-install
-// into its running core — no restart needed. Supersedes
-// WithHistory/WithHistoryFile (give the hub the backing store instead,
-// via NewImmunityService).
-func WithImmunityService(svc *ImmunityService) RuntimeOption {
-	return func(c *runtimeConfig) { c.svc = svc }
-}
-
 // New creates a Runtime. By default immunity is enabled with an in-memory
 // history; attach WithHistoryFile for persistence across restarts.
 func New(opts ...RuntimeOption) *Runtime {
@@ -66,15 +53,13 @@ func New(opts ...RuntimeOption) *Runtime {
 		opt(&cfg)
 	}
 	zopts := []vm.ZygoteOption{vm.WithDimmunix(cfg.immunity)}
-	if cfg.svc != nil {
-		zopts = append(zopts, vm.WithSignatureBus(cfg.svc))
-	} else if cfg.store != nil {
+	if cfg.store != nil {
 		zopts = append(zopts, vm.WithHistory(cfg.store))
 	}
 	if len(cfg.coreOpts) > 0 {
 		zopts = append(zopts, vm.WithCoreOptions(cfg.coreOpts...))
 	}
-	return &Runtime{zygote: vm.NewZygote(zopts...), svc: cfg.svc}
+	return &Runtime{zygote: vm.NewZygote(zopts...)}
 }
 
 // Fork creates a new application process whose Dimmunix instance is
@@ -89,13 +74,8 @@ func (r *Runtime) Processes() []*Process {
 	return r.zygote.Processes()
 }
 
-// Immunity returns the attached live-propagation hub, or nil.
-func (r *Runtime) Immunity() *ImmunityService { return r.svc }
-
 // Shutdown kills every forked process, reaping all threads — including
-// threads frozen in a deadlock. An attached immunity service is left
-// running (it outlives reboots); close it separately when the device is
-// retired.
+// threads frozen in a deadlock.
 func (r *Runtime) Shutdown() {
 	r.zygote.KillAll()
 }

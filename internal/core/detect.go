@@ -96,13 +96,13 @@ func (c *Core) buildSignatureLocked(t *Node, pos *Position, cycle []cycleLink) *
 		if link.lock.acqPos != nil {
 			outer = link.lock.acqPos.stack.Clone()
 		}
-		inner := link.holder.innerStack()
-		if link.holder == t && len(inner) == 1 && inner[0].Class == "unknown" {
-			// Without a stack capture function, the best inner
-			// approximation for the requester is its requesting position.
-			inner = pos.stack.Clone()
+		// Without a stack capture function, the best inner approximation
+		// for the requester is its requesting position.
+		var fallback CallStack
+		if link.holder == t {
+			fallback = pos.stack
 		}
-		pairs = append(pairs, SigPair{Outer: outer, Inner: inner})
+		pairs = append(pairs, SigPair{Outer: outer, Inner: link.holder.innerStack(fallback)})
 	}
 	return &Signature{Kind: DeadlockSig, Pairs: pairs}
 }

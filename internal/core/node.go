@@ -118,15 +118,19 @@ type yieldRecord struct {
 	pos *Position
 }
 
-// innerStack captures the thread's current stack via stackFn, or returns a
-// placeholder frame when no capture function was registered. Signatures
-// always carry a non-empty inner stack so they can round-trip through the
-// history file.
-func (n *Node) innerStack() CallStack {
+// innerStack captures the thread's current stack via stackFn. When there
+// is no capture function, or it has no stack to give (a VM thread that is
+// running owns its frames), it returns a copy of fallback, or a
+// placeholder frame if fallback is nil. Signatures always carry a
+// non-empty inner stack so they can round-trip through the history file.
+func (n *Node) innerStack(fallback CallStack) CallStack {
 	if n.stackFn != nil {
 		if cs := n.stackFn(); len(cs) > 0 {
 			return cs.Clone()
 		}
+	}
+	if len(fallback) > 0 {
+		return fallback.Clone()
 	}
 	return CallStack{{Class: "unknown", Method: "unknown", Line: 0}}
 }

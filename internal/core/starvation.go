@@ -102,9 +102,12 @@ func (c *Core) forceResumeLocked(y *Node, rec *yieldRecord) {
 // future requests. Caller must hold c.mu.
 func (c *Core) recordStarvationLocked(t *Node, pos *Position, witnesses map[*Node]*Position) {
 	pairs := make([]SigPair, 0, len(witnesses)+1)
-	pairs = append(pairs, SigPair{Outer: pos.stack.Clone(), Inner: t.innerStack()})
+	// A witness may be running, with no stack to capture: its inner
+	// stack is then its witness position's, as for a detection requester.
+	pairs = append(pairs, SigPair{Outer: pos.stack.Clone(), Inner: t.innerStack(pos.stack)})
 	for _, w := range sortedWitnesses(witnesses) {
-		pairs = append(pairs, SigPair{Outer: witnesses[w].stack.Clone(), Inner: w.innerStack()})
+		wpos := witnesses[w].stack
+		pairs = append(pairs, SigPair{Outer: wpos.Clone(), Inner: w.innerStack(wpos)})
 	}
 	sig := &Signature{Kind: StarvationSig, Pairs: pairs}
 	installed, fresh, err := c.installSignatureLocked(sig, true)

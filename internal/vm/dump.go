@@ -10,9 +10,9 @@ import (
 
 // Thread dumps — the VM equivalent of the traces Android writes to
 // /data/anr/traces.txt when the watchdog or ANR machinery fires. A dump
-// snapshots every thread's name, state and simulated call stack; the
-// platform attaches one to each freeze report so a recorded deadlock is
-// diagnosable after the fact.
+// snapshots every thread's name, state and, for a thread that is not
+// running, simulated call stack; the platform attaches one to each freeze
+// report so a recorded deadlock is diagnosable after the fact.
 
 // ThreadDump is one thread's snapshot.
 type ThreadDump struct {
@@ -22,7 +22,9 @@ type ThreadDump struct {
 	Name string
 	// State is the thread state at snapshot time.
 	State ThreadState
-	// Stack is the thread's simulated call stack, innermost frame first.
+	// Stack is the thread's simulated call stack, innermost frame first,
+	// taken while the thread was parked or terminated; nil for a thread
+	// that was running, whose frames belong to its own goroutine.
 	Stack core.CallStack
 }
 
@@ -37,9 +39,11 @@ func (d ThreadDump) String() string {
 }
 
 // DumpThreads snapshots all threads of the process, sorted by id. The
-// snapshot is taken thread by thread (each stack is internally consistent;
-// the set is approximate while threads run, exact once they are blocked —
-// which is the case that matters for freeze diagnosis).
+// snapshot is taken thread by thread, each state with the stack it
+// describes. Every parked thread — blocked entering a monitor or waiting
+// — keeps its stack, so a frozen process, the case that matters for
+// freeze diagnosis, is dumped whole; a running thread is dumped with its
+// state and no frames.
 func (p *Process) DumpThreads() []ThreadDump {
 	p.mu.Lock()
 	threads := make([]*Thread, 0, len(p.threads))
@@ -50,12 +54,8 @@ func (p *Process) DumpThreads() []ThreadDump {
 
 	dumps := make([]ThreadDump, 0, len(threads))
 	for _, t := range threads {
-		dumps = append(dumps, ThreadDump{
-			ID:    t.id,
-			Name:  t.name,
-			State: t.State(),
-			Stack: t.CurrentStack(),
-		})
+		state, stack := t.snapshot()
+		dumps = append(dumps, ThreadDump{ID: t.id, Name: t.name, State: state, Stack: stack})
 	}
 	sort.Slice(dumps, func(i, j int) bool { return dumps[i].ID < dumps[j].ID })
 	return dumps

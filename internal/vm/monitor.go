@@ -16,6 +16,13 @@ import (
 //	Request  — before blocking on the lock (detection + avoidance)
 //	Acquired — right after obtaining it
 //	Release  — right before releasing it
+//
+// Ownership is one word: a thread acquires by CAS(owner, nil, self) and
+// releases by storing nil, so an uncontended enter and exit take no
+// mutex. mu is taken only by a thread that lost the CAS (it parks on
+// acqCond), by a release that sees a parked acquirer to signal, by the
+// wait-set operations and by teardown's wake-up; the package comment has
+// the no-lost-wake-up argument.
 type Monitor struct {
 	obj  *Object
 	proc *Process
@@ -23,16 +30,23 @@ type Monitor struct {
 	// nil when the process runs vanilla.
 	node *core.Node
 
+	// owner is the thread holding the monitor, nil when it is free. Only
+	// t sets it to t (by CAS from nil) and only its owner clears it, so t
+	// may test owner == t and get the exact answer; everyone else takes a
+	// snapshot.
+	owner atomic.Pointer[Thread]
+	// recursion is owner-only state: read and written by the owner while
+	// it holds the monitor. The owner word's release store and the next
+	// owner's CAS order one owner's writes before the next one's.
+	recursion int
+	// blocked counts threads in the slow acquisition loop. A thread
+	// increments it under mu before its CAS; release reads it after
+	// clearing owner.
+	blocked atomic.Int32
+
+	// mu guards acqCond's parking and the wait set.
 	mu      sync.Mutex
 	acqCond *sync.Cond
-	// owner is written under mu, but only ever set to t by t itself and
-	// cleared by the thread it names, so t may test owner == t without the
-	// lock and get the exact answer; everyone else takes a snapshot.
-	owner atomic.Pointer[Thread]
-	// recursion is written only by the owner, under mu.
-	recursion int
-	// blocked counts threads inside the acquisition loop (diagnostics).
-	blocked int
 	// waitSet holds threads parked in Object.wait, in arrival order.
 	waitSet []*waitNode
 }
@@ -49,20 +63,14 @@ type waitNode struct {
 func (m *Monitor) Owner() *Thread { return m.owner.Load() }
 
 // Blocked returns how many threads are currently blocked entering.
-func (m *Monitor) Blocked() int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.blocked
-}
+func (m *Monitor) Blocked() int { return int(m.blocked.Load()) }
 
 // enter acquires the monitor for t with the given recursion level
 // (normally 1; Object.wait re-acquisition restores its saved count).
 // site, when non-nil, supplies a pre-resolved position (static-id mode).
 func (m *Monitor) enter(t *Thread, recursion int, site *Site) error {
 	if m.owner.Load() == t {
-		m.mu.Lock()
 		m.recursion += recursion
-		m.mu.Unlock()
 		m.proc.stats.recursiveEnters.Add(1)
 		return nil
 	}
@@ -86,31 +94,14 @@ func (m *Monitor) enter(t *Thread, recursion int, site *Site) error {
 		t.setState(StateBlocked)
 	}
 
-	m.mu.Lock()
-	m.blocked++
-	for {
-		// The kill check runs on every wakeup and before the first wait:
-		// a thread must never acquire a monitor (and run its critical
-		// section) on a process being torn down, even if the owner's
-		// unwinding just released it.
-		if m.proc.isKilled() {
-			m.blocked--
-			m.mu.Unlock()
-			t.setState(StateRunnable)
-			if dim != nil {
-				dim.Abort(t.node, m.node)
-			}
-			return ErrProcessKilled
+	if err := m.acquire(t); err != nil {
+		t.setState(StateRunnable)
+		if dim != nil {
+			dim.Abort(t.node, m.node)
 		}
-		if m.owner.Load() == nil {
-			break
-		}
-		m.acqCond.Wait()
+		return err
 	}
-	m.blocked--
-	m.owner.Store(t)
 	m.recursion = recursion
-	m.mu.Unlock()
 	t.setState(StateRunnable)
 
 	if dim != nil {
@@ -120,12 +111,42 @@ func (m *Monitor) enter(t *Thread, recursion int, site *Site) error {
 	return nil
 }
 
+// acquire makes t the owner, parking on acqCond while another thread
+// holds the monitor. A thread must never acquire a monitor (and run its
+// critical section) on a process being torn down, even if the owner's
+// unwinding just released it, so the kill check runs before the first
+// CAS, before every park, and after the winning CAS.
+func (m *Monitor) acquire(t *Thread) error {
+	if m.proc.isKilled() {
+		return ErrProcessKilled
+	}
+	if !m.owner.CompareAndSwap(nil, t) {
+		m.mu.Lock()
+		m.blocked.Add(1)
+		for !m.owner.CompareAndSwap(nil, t) {
+			if m.proc.isKilled() {
+				m.blocked.Add(-1)
+				m.mu.Unlock()
+				return ErrProcessKilled
+			}
+			m.acqCond.Wait()
+		}
+		m.blocked.Add(-1)
+		m.mu.Unlock()
+	}
+	if m.proc.isKilled() {
+		m.release()
+		return ErrProcessKilled
+	}
+	return nil
+}
+
 // resolvePosition produces the monitorenter position: the pre-resolved
 // site id when available, otherwise the paper's dvmGetCallStack +
 // getPosition pair — paid once per (thread, call site). The thread's
 // position cache answers every later enter at a site it has seen, by
 // comparing the thread's own top frames in place (no capture copy, no
-// frameMu, no intern-table lookup, no allocation); only a miss captures
+// lock, no intern-table lookup, no allocation); only a miss captures
 // into the stack buffer, interns, and fills the cache. An entry is keyed
 // by all captureDepth frames and never goes stale (positions are interned
 // for the life of the process, and arming flips a flag on the same
@@ -152,11 +173,8 @@ func (m *Monitor) exit(t *Thread) error {
 	if m.owner.Load() != t {
 		return ErrNotOwner
 	}
-	// t owns the monitor, so recursion holds t's own writes.
 	if m.recursion > 1 {
-		m.mu.Lock()
 		m.recursion--
-		m.mu.Unlock()
 		return nil
 	}
 
@@ -170,12 +188,15 @@ func (m *Monitor) exit(t *Thread) error {
 }
 
 // release gives the monitor up entirely and lets one blocked acquirer in.
+// The owner store comes before the blocked load: that order is half of
+// the no-lost-wake-up pair (package comment).
 func (m *Monitor) release() {
-	m.mu.Lock()
 	m.owner.Store(nil)
-	m.recursion = 0
-	m.acqCond.Signal()
-	m.mu.Unlock()
+	if m.blocked.Load() > 0 {
+		m.mu.Lock()
+		m.acqCond.Signal()
+		m.mu.Unlock()
+	}
 }
 
 // wait implements Object.wait on the fat monitor: full release, park,

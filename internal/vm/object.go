@@ -69,25 +69,31 @@ func (o *Object) enterInternal(t *Thread, site *Site) error {
 		}
 		return m.enter(t, 1, site)
 	}
+	// A contender reads as blocked (Dalvik's MONITOR) from its first lost
+	// race for the thin word until it owns the lock or sees the kill.
 	spins := 0
 	for {
 		if o.proc.isKilled() {
+			if spins > 0 {
+				t.setState(StateRunnable)
+			}
 			return ErrProcessKilled
 		}
 		lw := o.lw.Load()
 		switch {
 		case lwIsFat(lw):
 			return o.mon.Load().enter(t, 1, site)
-		case lw == 0:
-			if o.lw.CompareAndSwap(0, thinWord(t.id, 1)) {
+		case lw == 0 && o.lw.CompareAndSwap(0, thinWord(t.id, 1)):
+			if spins > 0 {
 				if spins >= thinSpinLimit {
 					// Contended acquisition: promote so future contenders
 					// park on the monitor instead of spinning.
 					o.inflateOwned(t)
 				}
-				o.proc.stats.thinEnters.Add(1)
-				return nil
+				t.setState(StateRunnable)
 			}
+			o.proc.stats.thinEnters.Add(1)
+			return nil
 		case lwOwner(lw) == t.id:
 			if lwCount(lw) >= maxThinRecursion {
 				m := o.inflateOwned(t)
@@ -97,7 +103,11 @@ func (o *Object) enterInternal(t *Thread, site *Site) error {
 			o.proc.stats.recursiveEnters.Add(1)
 			return nil
 		default:
-			// Thin lock owned by another thread: yield, then back off.
+			// Thin lock owned by another thread, or the CAS lost to one:
+			// yield, then back off.
+			if spins == 0 {
+				t.setState(StateBlocked)
+			}
 			spins++
 			if spins < thinSpinLimit {
 				runtime.Gosched()

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"sync"
 	"testing"
-	"time"
 
 	"github.com/dimmunix/dimmunix/internal/core"
 )
@@ -338,7 +337,7 @@ func TestKillUnblocksThinSpinner(t *testing.T) {
 		}
 	})
 	<-held
-	time.Sleep(5 * time.Millisecond) // let the spinner start contending
+	pollUntil(t, "spinner contending", func() bool { return spinner.State() == StateBlocked })
 	p.Kill()
 	waitDone(t, holder)
 	waitDone(t, spinner)

@@ -318,8 +318,8 @@ func TestSyncCountCountsEveryEnter(t *testing.T) {
 
 // TestSyncFootprintDuringFramelessSync: the capture buffer and the cache
 // belong to their thread; SyncFootprint, called from another goroutine
-// while a thread with no frames synchronizes (the capture path that used
-// to resize the buffer outside frameMu), must not touch them. Meaningful
+// while a thread with no frames synchronizes (the capture path that once
+// resized the buffer under another goroutine's reads), must not touch them. Meaningful
 // under -race.
 func TestSyncFootprintDuringFramelessSync(t *testing.T) {
 	p := dimProcess(t)

@@ -2,7 +2,6 @@ package vm
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 
 	"github.com/dimmunix/dimmunix/internal/core"
@@ -163,37 +162,4 @@ func (c *Census) Counts() CensusCounts {
 	out.TotalSites = len(c.sites)
 	out.ClassesDeclared = len(classes)
 	return out
-}
-
-// ByClass returns per-class site counts, sorted by class name.
-func (c *Census) ByClass() []ClassSites {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	agg := make(map[string]*ClassSites)
-	for _, s := range c.sites {
-		cs, ok := agg[s.Frame.Class]
-		if !ok {
-			cs = &ClassSites{Class: s.Frame.Class}
-			agg[s.Frame.Class] = cs
-		}
-		switch s.Kind {
-		case SyncBlock, SyncMethod:
-			cs.Synchronized++
-		case ExplicitLock:
-			cs.Explicit++
-		}
-	}
-	out := make([]ClassSites, 0, len(agg))
-	for _, cs := range agg {
-		out = append(out, *cs)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Class < out[j].Class })
-	return out
-}
-
-// ClassSites is one class's site tally.
-type ClassSites struct {
-	Class        string
-	Synchronized int
-	Explicit     int
 }

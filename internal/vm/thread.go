@@ -31,16 +31,53 @@
 //     the answer Intern would give. Installing a signature arms the same
 //     Position object the cache points to (Position.inHistory), so a thread
 //     sees a hot-installed antibody on its very next enter at that site.
-//   - Unlocked reads. Thread.frames has one writer, the thread's own
-//     goroutine (PushFrame/PopFrame), which therefore reads its own frames
-//     without frameMu on the enter path. Every other goroutine — deadlock
-//     detection capturing inner stacks, thread dumps — reads under frameMu,
-//     which the writer holds for each push and pop. The cache and the
-//     capture buffer are touched by the owning goroutine only.
+//
+// # Ownership: two rules and two atomic pairs
+//
+// The uncontended synchronized block takes no mutex: its state is either
+// owned by one goroutine or handed over through an atomic pair.
+//
+//   - Frames are the owner goroutine's. Thread.frames is pushed and popped
+//     by its own goroutine alone, and only while the thread is runnable,
+//     so PushFrame and PopFrame are a plain append and truncate and the
+//     enter path reads its own frames in place. Another goroutine —
+//     deadlock detection capturing inner stacks, thread dumps — copies
+//     them only while the thread is not runnable: new, parked (blocked
+//     entering a monitor, waiting) or terminated, the windows in which
+//     the owner does not touch them. The position cache and the capture
+//     buffer are the owner's too, and no other goroutine reads them.
+//   - The monitor is its owner's. Monitor.owner is set by the acquirer's
+//     CAS from nil and cleared by the owner's store; recursion is read and
+//     written by the owner alone, so recursive enters and exits take no
+//     lock.
+//   - Pair 1, frames: a reader increments Thread.readers, then loads the
+//     state, copies only if the thread is not runnable, and decrements.
+//     The owner stores StateRunnable, then waits while readers != 0. Both
+//     sides write before they read (sequentially consistent atomics), so
+//     either the reader sees the thread runnable and copies nothing, or
+//     the owner sees the reader and does not push or pop until it has
+//     finished. The owner's hot path pays one load after a store it made
+//     anyway.
+//   - Pair 2, wake-ups: an acquirer that lost the CAS takes Monitor.mu,
+//     increments Monitor.blocked, and retries the CAS before parking on
+//     acqCond; release stores owner = nil, then loads blocked and takes mu
+//     to Signal only if it is positive. Again both sides write before
+//     they read, so either the acquirer's CAS sees nil, or the releaser
+//     sees blocked > 0 — and since the acquirer holds mu from its
+//     increment until acqCond.Wait releases it, that Signal finds it
+//     parked. No wake-up is lost. A woken acquirer that loses the CAS
+//     again to a barging thread parks again; that thread's release
+//     signals it.
+//
+// The core asks for a thread's stack only for the inner stacks of a
+// signature: the threads of a waits-for cycle are blocked, and a
+// starvation witness that is running gets its witness position's stack
+// instead. Inner stacks are not part of a signature's key.
 package vm
 
 import (
 	"fmt"
+	"runtime"
 	"sync"
 	"sync/atomic"
 
@@ -80,7 +117,10 @@ func (s ThreadState) String() string {
 // Thread is a VM thread: a goroutine paired with an explicit call stack
 // (the simulated equivalent of Dalvik's interpreted frames), a reusable
 // stack-capture buffer (the paper's Thread.stackBuffer), and a RAG node
-// (the paper's Thread.node).
+// (the paper's Thread.node). The stack, the buffer and the position cache
+// are the owning goroutine's; other goroutines see the state, and the
+// stack only while the thread is parked or terminated (package comment,
+// "Ownership").
 type Thread struct {
 	id   uint32
 	name string
@@ -89,13 +129,12 @@ type Thread struct {
 	// node is the Dimmunix RAG node; nil when the process runs vanilla.
 	node *core.Node
 
-	// frameMu guards frames. Pushes and pops happen only on the owning
-	// goroutine, but deadlock detection captures the inner stacks of
-	// *other* threads, so reads can come from any goroutine. The owning
-	// goroutine, being the only writer, reads its own frames without the
-	// lock; every other goroutine reads under it.
-	frameMu sync.Mutex
-	frames  []core.Frame
+	// frames is the simulated call stack, outermost first. Only the
+	// owning goroutine pushes and pops, and only while the thread is
+	// runnable; another goroutine copies it only while the thread is not
+	// runnable (readParked), and setState(StateRunnable) waits for such
+	// copies to finish. The package comment has the argument.
+	frames []core.Frame
 	// entry stands in for the stack of a thread that synchronizes without
 	// having pushed any simulated frames (e.g. raw tests): the position is
 	// then the thread's entry point. Set at Start, never written again.
@@ -113,7 +152,9 @@ type Thread struct {
 	// thread recently synchronized at; see cachedPosition.
 	posCache [posCacheSets][posCacheWays]*core.Position
 
-	state       atomic.Int32
+	state atomic.Int32
+	// readers counts other goroutines inside readParked; see frames.
+	readers     atomic.Int32
 	interrupted atomic.Bool
 	interruptCh chan struct{}
 
@@ -137,7 +178,32 @@ func (t *Thread) Process() *Process { return t.proc }
 // State returns the thread's current state.
 func (t *Thread) State() ThreadState { return ThreadState(t.state.Load()) }
 
-func (t *Thread) setState(s ThreadState) { t.state.Store(int32(s)) }
+// setState publishes the thread's state. Owning goroutine only. Becoming
+// runnable waits out any reader that saw the thread parked and may still
+// be copying its frames: the owner pushes and pops again right after.
+func (t *Thread) setState(s ThreadState) {
+	t.state.Store(int32(s))
+	for s == StateRunnable && t.readers.Load() != 0 {
+		runtime.Gosched()
+	}
+}
+
+// readParked runs read, which may look at t.frames, if the thread is not
+// runnable — new, parked (blocked or waiting) or terminated, the states in
+// which its owner does not push or pop — and returns the state it saw.
+// Safe from any goroutine: the readers increment comes before the state
+// load here, and the runnable store before the readers load in setState,
+// so either this sees the thread runnable and does not read, or setState
+// sees the reader and waits for it.
+func (t *Thread) readParked(read func()) ThreadState {
+	t.readers.Add(1)
+	s := t.State()
+	if s != StateRunnable {
+		read()
+	}
+	t.readers.Add(-1)
+	return s
+}
 
 // Done returns a channel closed when the thread terminates.
 func (t *Thread) Done() <-chan struct{} { return t.done }
@@ -186,21 +252,18 @@ func (t *Thread) drainInterrupt() {
 
 // PushFrame enters a simulated method frame. Platform and application code
 // brackets method bodies with PushFrame/PopFrame (or uses Call) so that
-// monitorenter positions are meaningful, stable program locations.
+// monitorenter positions are meaningful, stable program locations. Owning
+// goroutine only, like PopFrame.
 func (t *Thread) PushFrame(f core.Frame) {
-	t.frameMu.Lock()
 	t.frames = append(t.frames, f)
-	t.frameMu.Unlock()
 }
 
 // PopFrame leaves the innermost simulated frame. Popping an empty stack is
 // a programming error in simulation code; it is tolerated as a no-op.
 func (t *Thread) PopFrame() {
-	t.frameMu.Lock()
 	if n := len(t.frames); n > 0 {
 		t.frames = t.frames[:n-1]
 	}
-	t.frameMu.Unlock()
 }
 
 // Call runs body inside a simulated frame, mirroring a method invocation.
@@ -210,28 +273,41 @@ func (t *Thread) Call(class, method string, line int, body func()) {
 	body()
 }
 
-// FrameDepth returns the current simulated stack depth.
+// FrameDepth returns the simulated stack depth of a thread that is not
+// running (see CurrentStack), or -1 while it runs.
 func (t *Thread) FrameDepth() int {
-	t.frameMu.Lock()
-	defer t.frameMu.Unlock()
-	return len(t.frames)
+	depth := -1
+	t.readParked(func() { depth = len(t.frames) })
+	return depth
 }
 
-// CurrentStack returns a copy of the thread's full call stack, innermost
-// frame first. Safe to call from any goroutine; used by the core for the
-// informational inner stacks of signatures.
+// CurrentStack returns a copy of the call stack, innermost frame first, of
+// a thread that is parked (blocked entering a monitor, waiting) or
+// terminated, and nil while it runs: then its frames are its own
+// goroutine's. Safe to call from any goroutine. The core calls it for the
+// informational inner stacks of signatures, whose threads are blocked in
+// the cycle (a running starvation witness gets its position's stack).
 func (t *Thread) CurrentStack() core.CallStack {
-	t.frameMu.Lock()
-	defer t.frameMu.Unlock()
-	n := len(t.frames)
-	if n == 0 {
-		return core.CallStack{t.entry[0]}
-	}
-	out := make(core.CallStack, n)
-	for i := 0; i < n; i++ {
-		out[i] = t.frames[n-1-i]
-	}
-	return out
+	_, cs := t.snapshot()
+	return cs
+}
+
+// snapshot returns the thread's state and, unless it is running, a copy
+// of its call stack, innermost frame first.
+func (t *Thread) snapshot() (ThreadState, core.CallStack) {
+	var out core.CallStack
+	s := t.readParked(func() {
+		n := len(t.frames)
+		if n == 0 {
+			out = core.CallStack{t.entry[0]}
+			return
+		}
+		out = make(core.CallStack, n)
+		for i := 0; i < n; i++ {
+			out[i] = t.frames[n-1-i]
+		}
+	})
+	return s, out
 }
 
 // captured returns the frames a capture of the given depth takes, as they

@@ -36,7 +36,6 @@ var sleepCensus = map[string]int{
 	"internal/vm/monitor_test.go":               1,
 	"internal/vm/native_test.go":                1,
 	"internal/vm/object.go":                     1,
-	"internal/vm/object_test.go":                1,
 	"internal/vm/thread_test.go":                1,
 	"internal/vm/zygote_test.go":                1,
 	"internal/workload/devices.go":              1,

@@ -133,23 +133,11 @@ func NewFileHistory(path string) HistoryStore { return core.NewFileHistory(path)
 // processes; useful for tests and simulations).
 func NewMemHistory() HistoryStore { return core.NewMemHistory() }
 
-// Core option constructors re-exported for API users. Starvation handling
-// has no option: an avoidance-induced deadlock is always detected at the
-// yield or edge that closes it, recorded as a starvation signature, and
-// the yielder resumed.
-var (
-	// WithOuterDepth sets the outer call-stack depth (paper default: 1).
-	WithOuterDepth = core.WithOuterDepth
-	// WithAvoidance toggles signature avoidance.
-	WithAvoidance = core.WithAvoidance
-	// WithDetection toggles deadlock detection.
-	WithDetection = core.WithDetection
-	// WithQueueReuse toggles the position-queue entry recycling.
-	WithQueueReuse = core.WithQueueReuse
-	// WithSerialEngine selects the serial reference engine (the paper's
-	// single global lock) instead of the sharded low-contention fast path.
-	WithSerialEngine = core.WithSerialEngine
-)
+// WithOuterDepth sets the outer call-stack depth (paper default: 1).
+// Starvation handling has no option: an avoidance-induced deadlock is
+// always detected at the yield or edge that closes it, recorded as a
+// starvation signature, and the yielder resumed.
+var WithOuterDepth = core.WithOuterDepth
 
 // NewSite declares a synchronized-block site (for the static-id fast path
 // and the sync-site census).

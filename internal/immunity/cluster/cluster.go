@@ -118,17 +118,10 @@
 //	epoch fencing   → backstop against stale replay after heal
 //
 // The lease renews in rounds over the peer links (wire.Lease /
-// wire.LeaseAck, one TTL per granted round, a round every TTL/3).
-// Acquisition does not wait for a round: a hub holding no lease asks in
-// the current one as soon as a grant could newly succeed — when an
-// outbound peer link's handshake is accepted (that peer is asked) and
-// when its membership epoch advances (every live peer is asked again).
-// A granter answers over its own outbound link; a grant that link
-// cannot carry yet is owed, kept on the link (the newest request per
-// peer) and sent from its accepted handshake, judged again against the
-// granter's epoch of that moment. Those are the three triggers, and
-// with them a booted, restarted or healed hub arms one round trip after
-// it reaches a majority; a held lease renews on the tick alone.
+// wire.LeaseAck, one TTL per granted round, a round every TTL/3), and
+// a hub holding none also asks on three triggers — contact, an owed
+// grant, an epoch advance (leaseState) — so a booted, restarted or
+// healed hub arms one round trip after it reaches a majority.
 //
 // Because the quorum denominator counts down members and each side's
 // member universe only ever grows, two disjoint partition fragments can
@@ -187,21 +180,26 @@
 //	applyMu > Node.linksMu > link.mu
 //
 // Membership.mu is a leaf (the pure binding reads Epoch and
-// MemberSnapshot take it under Exchange.mu and call nothing);
-// Node.linksMu, link.mu and the lease lock are never held while calling
-// into the hub, and the hub calls into the node under Exchange.mu only
-// via the binding's pure reads (Owns, OwnerOf, Epoch, MayArm, SelfID,
-// Members, MemberSnapshot); the binding's sinks (ForwardReport,
-// Replicate, ApplyMemberUpdate, PeerSeen, HandleProbe) run after
-// Exchange.mu is released. The node enters its own hub through
-// BindCluster and RemoteSeqs (at start), RebindOwnership (under
-// applyMu), LeaseAcquired (from the grant that completes a majority,
-// with no node lock held), InstallRemote and DeliverConfirm (a link's
-// receive path), and a peer's hub only through
-// Conn.Handle, which routes replicate and handoff frames to
-// InstallReplica and ImportOwned on the receiver's transport goroutine.
-// No such caller holds a lock of the other hub, so no cycle between two
-// hubs' locks is possible.
+// MemberSnapshot take it under Exchange.mu and call nothing). So is
+// Node.stepMu, the one decision lock over the lease and the prober: the
+// values it guards call nothing, the membership facts they need are
+// read before it is taken, and every send, mark-down, metric and hub
+// call a step returns runs after it is released — a loopback send that
+// nests the peer's handlers, and their answers this node's, on one
+// stack never finds it held. Node.linksMu and link.mu are never held
+// while calling into the hub, and the hub calls into the node under
+// Exchange.mu only via the binding's pure reads (Owns, OwnerOf, Epoch,
+// MayArm, SelfID, Members, MemberSnapshot); the binding's sinks
+// (ForwardReport, Replicate, ApplyMemberUpdate, PeerSeen, HandleProbe)
+// run after Exchange.mu is released. The node enters its own hub
+// through BindCluster and RemoteSeqs (at start), RebindOwnership (under
+// applyMu), LeaseAcquired (after the lease step that completed a
+// majority, with no node lock held), InstallRemote and DeliverConfirm
+// (a link's receive path), and a peer's hub only through Conn.Handle,
+// which routes replicate and handoff frames to InstallReplica and
+// ImportOwned on the receiver's transport goroutine. No such caller
+// holds a lock of the other hub, so no cycle between two hubs' locks is
+// possible.
 // Each link's session machine adds one leaf below link.mu (see the
 // lock-order line of immunity's "Resumable sessions"); link.mu itself
 // guards only the resume cursor and the owed lease grant, and is
@@ -302,8 +300,15 @@ type Node struct {
 
 	membership *Membership
 	ring       atomic.Pointer[Ring]
-	prober     *prober
-	lease      *leaseManager
+
+	// stepMu guards the two decision values, nil when off: probe with
+	// failure detection, lease with the quorum lease too. A leaf: the
+	// values call nothing (see failover.go for the shell that steps them).
+	stepMu sync.Mutex
+	probe  *probeState
+	lease  *leaseState
+	// leaseHeld mirrors lease.held for MayArm's lock-free read.
+	leaseHeld atomic.Bool
 
 	// applyMu serializes the membership pipeline (applyMembership) so
 	// two triggers cannot interleave their re-bind and handoff phases.
@@ -321,6 +326,13 @@ type Node struct {
 	metReplicas       *metrics.Counter
 	metEpoch          *metrics.Gauge
 	metForwardDropped *metrics.Counter
+	metLeaseHeld      *metrics.Gauge
+	metLeaseAcquired  *metrics.Counter
+	metLeaseLost      *metrics.Counter
+	metLeaseRefused   *metrics.Counter
+	metProbes         *metrics.Counter
+	metIndirect       *metrics.Counter
+	metSuspects       *metrics.Counter
 
 	closeOnce sync.Once
 	closeCh   chan struct{}
@@ -378,9 +390,23 @@ func New(cfg Config) (*Node, error) {
 		"Oldest forward-outbox messages spilled by the per-peer cap during long partitions.")
 	pc := resolveProbe(cfg)
 	if pc.enabled {
-		n.prober = newProber(n, pc)
+		n.probe = newProbeState(cfg.Self, pc)
+		n.metProbes = cfg.Metrics.Counter("immunity_cluster_probes_total",
+			"Direct pings sent by the failure detector.")
+		n.metIndirect = cfg.Metrics.Counter("immunity_cluster_probe_indirect_total",
+			"Probes escalated to indirect ping-reqs through proxy members.")
+		n.metSuspects = cfg.Metrics.Counter("immunity_cluster_probe_suspects_total",
+			"Members entering suspicion (unreachable by direct and indirect probes).")
 		if !cfg.NoLease {
-			n.lease = newLeaseManager(n, pc.leaseTTL)
+			n.lease = newLeaseState(cfg.Self, pc.leaseTTL)
+			n.metLeaseHeld = cfg.Metrics.Gauge("immunity_cluster_lease_held",
+				"1 while this hub holds the quorum lease that permits fresh arming decisions.")
+			n.metLeaseAcquired = cfg.Metrics.Counter("immunity_cluster_lease_acquired_total",
+				"Quorum-lease acquisitions (first grant and every re-acquisition after a loss).")
+			n.metLeaseLost = cfg.Metrics.Counter("immunity_cluster_lease_lost_total",
+				"Quorum-lease expiries: the hub lost its majority (minority partition side) and parked fresh arming.")
+			n.metLeaseRefused = cfg.Metrics.Counter("immunity_cluster_lease_refused_total",
+				"Lease grants refused by peers (requester's membership epoch behind the granter's).")
 		}
 	}
 	// Bind before any link (or device) traffic: the hub must know the
@@ -390,16 +416,12 @@ func New(cfg Config) (*Node, error) {
 		// The first round opens before any link dials, so every accepted
 		// link is asked in it (a single-member cluster holds its lease on
 		// return).
-		n.lease.renew()
+		n.leaseTick(time.Now())
 	}
 	n.ensureLinks(n.membership.live())
-	if n.prober != nil {
+	if n.probe != nil {
 		n.wg.Add(1)
-		go n.prober.run()
-	}
-	if n.lease != nil {
-		n.wg.Add(1)
-		go n.lease.run()
+		go n.run(pc)
 	}
 	return n, nil
 }
@@ -494,7 +516,7 @@ func (n *Node) ApplyMemberUpdate(u wire.MemberUpdate) {
 		n.applyMembership()
 		return
 	}
-	n.lease.onEpoch() // a higher epoch adopted with an unchanged map
+	n.leaseOnEpoch() // a higher epoch adopted with an unchanged map
 }
 
 // PeerSeen implements immunity.ClusterBinding: a completed peer
@@ -788,9 +810,9 @@ func (l *link) payOwed() {
 // sendDirect sends one probe/lease message on a peer's live session,
 // bypassing the forward outbox: a parked outbox must never delay — or
 // worse, replay after heal — a liveness or lease request whose meaning
-// is "now". Never called with prober or lease locks held: loopback
-// transports deliver synchronously, so a send can nest the peer's (and,
-// on a relayed ack, our own) handlers on this goroutine's stack.
+// is "now". Never called with stepMu held: loopback transports deliver
+// synchronously, so a send can nest the peer's (and, on a relayed ack,
+// our own) handlers on this goroutine's stack.
 func (n *Node) sendDirect(peer string, m wire.Message) error {
 	l := n.linkFor(peer)
 	if l == nil {
@@ -895,7 +917,7 @@ func (a *peerAttempt) Accepted() {
 	l.mu.Unlock()
 	l.outbox.Resume()
 	l.payOwed()
-	l.node.lease.contact(l.peerID)
+	l.node.leaseContact(l.peerID)
 }
 
 // Recv implements immunity.Attempt (transport goroutine, no link lock

@@ -1,25 +1,28 @@
 package cluster
 
 import (
-	"sync"
-	"sync/atomic"
 	"time"
 
-	"github.com/dimmunix/dimmunix/internal/immunity/metrics"
 	"github.com/dimmunix/dimmunix/internal/immunity/wire"
 )
 
-// leaseManager runs the quorum lease that gates fresh arming decisions
-// (see the package comment's trust chain). It counts grants in rounds:
-// a round opens every TTL/3, asks every live peer for a grant
-// (wire.TypeLease, answered by wire.TypeLeaseAck), and the lease is
-// held for one TTL from the round's start once a strict majority has
-// granted. The majority is counted over every member this hub has ever
-// known — down members included — so a minority partition fragment can
-// never assemble one: it marks the other side down, stops hearing
-// acks, and its lease expires within one TTL, at which point the hub
-// parks fresh arming (MayArm turns false) until the healed cluster
-// grants the lease back (Exchange.LeaseAcquired).
+// leaseState is the quorum lease that gates fresh arming decisions
+// (see the package comment's trust chain), as a plain value: no lock,
+// no clock, no node. The node steps it under its decision lock with
+// the time and the membership facts of the moment, then carries out
+// what the step returned — the asks, the lost or acquired verdict —
+// with the lock released (see the Node shell in failover.go).
+//
+// It counts grants in rounds: a round opens every TTL/3 (tick), asks
+// every live peer for a grant (wire.TypeLease, answered by
+// wire.TypeLeaseAck), and the lease is held for one TTL from the
+// round's start once a strict majority has granted. The majority is
+// counted over every member this hub has ever known — down members
+// included — so a minority partition fragment can never assemble one:
+// it marks the other side down, stops hearing acks, and its lease
+// expires within one TTL, at which point the hub parks fresh arming
+// (MayArm turns false) until the healed cluster grants the lease back
+// (Exchange.LeaseAcquired).
 //
 // Acquisition is event-driven, renewal is not. While no lease is held
 // the hub also asks in the current round — opening none, so grants in
@@ -46,14 +49,11 @@ import (
 // the lease proves connectivity to a majority, not uniqueness;
 // uniqueness of arming per key is the ring's job, and the lease's job
 // is to keep only one partition side able to exercise it.
-type leaseManager struct {
-	n   *Node
-	ttl time.Duration
+type leaseState struct {
+	self string
+	ttl  time.Duration
 
-	// held is read lock-free by MayArm on every arming decision.
-	held atomic.Bool
-
-	mu         sync.Mutex
+	held       bool
 	round      uint64
 	roundStart time.Time
 	acks       map[string]bool
@@ -67,196 +67,93 @@ type leaseManager struct {
 	// carried; onEpoch asks again once the membership moves past it.
 	epoch uint64
 
-	acquired atomic.Uint64
-	lost     atomic.Uint64
-
-	metHeld     *metrics.Gauge
-	metAcquired *metrics.Counter
-	metLost     *metrics.Counter
-	metRefused  *metrics.Counter
+	acquired, lost uint64
 }
 
-func newLeaseManager(n *Node, ttl time.Duration) *leaseManager {
-	lm := &leaseManager{n: n, ttl: ttl}
-	lm.metHeld = n.reg.Gauge("immunity_cluster_lease_held",
-		"1 while this hub holds the quorum lease that permits fresh arming decisions.")
-	lm.metAcquired = n.reg.Counter("immunity_cluster_lease_acquired_total",
-		"Quorum-lease acquisitions (first grant and every re-acquisition after a loss).")
-	lm.metLost = n.reg.Counter("immunity_cluster_lease_lost_total",
-		"Quorum-lease expiries: the hub lost its majority (minority partition side) and parked fresh arming.")
-	lm.metRefused = n.reg.Counter("immunity_cluster_lease_refused_total",
-		"Lease grants refused by peers (requester's membership epoch behind the granter's).")
-	return lm
+func newLeaseState(self string, ttl time.Duration) *leaseState {
+	return &leaseState{self: self, ttl: ttl}
 }
 
-// run renews the lease until the node closes. Three renewal rounds fit
+// tick is one renewal round at now: it expires an overdue lease, opens
+// a new round, and returns the ask for every live peer. Three rounds fit
 // in one TTL, so a single dropped round never loses a held lease; and
 // because ack counts the previous round too, only rounds whose grants
-// never arrive at all (a real cut) burn down the TTL. New opens the
-// first round before any link dials.
-func (lm *leaseManager) run() {
-	defer lm.n.wg.Done()
-	tick := lm.ttl / 3
-	if tick < time.Millisecond {
-		tick = time.Millisecond
+// never arrive at all (a real cut) burn down the TTL. A single-member
+// cluster is its own majority and acquires here, with no ack at all.
+func (ls *leaseState) tick(now time.Time, epoch uint64, members int) (ask wire.Lease, lost, acquired bool) {
+	if ls.held && now.After(ls.expiry) {
+		ls.held = false
+		ls.lost++
+		lost = true
 	}
-	t := time.NewTicker(tick)
-	defer t.Stop()
-	for {
-		select {
-		case <-lm.n.closeCh:
-			return
-		case <-t.C:
-		}
-		lm.renew()
-	}
+	ls.round++
+	ls.prevAcks, ls.prevStart = ls.acks, ls.roundStart
+	ls.acks, ls.roundStart = make(map[string]bool), now
+	ls.epoch = epoch
+	acquired = ls.ack(wire.LeaseAck{Seq: ls.round, OK: true}, members)
+	return ls.ask(epoch), lost, acquired
 }
 
-// renew expires an overdue lease, opens a new round, and solicits
-// grants from every live peer.
-func (lm *leaseManager) renew() {
-	now := time.Now()
-	epoch := lm.n.membership.epochNow()
-	lm.mu.Lock()
-	lostNow := lm.held.Load() && now.After(lm.expiry)
-	if lostNow {
-		lm.held.Store(false)
-	}
-	lm.round++
-	round := lm.round
-	lm.prevAcks, lm.prevStart = lm.acks, lm.roundStart
-	lm.roundStart = now
-	lm.acks = make(map[string]bool)
-	lm.epoch = epoch
-	lm.mu.Unlock()
-	if lostNow {
-		lm.lost.Add(1)
-		lm.metLost.Inc()
-		lm.metHeld.Set(0)
-	}
-	lm.ask(round, epoch, lm.n.membership.live())
-	// A single-member cluster (or one whose grants all arrived
-	// synchronously over loopback) is its own majority: evaluate even
-	// with zero acks this call.
-	lm.ack("", round, true)
+func (ls *leaseState) ask(epoch uint64) wire.Lease {
+	return wire.Lease{From: ls.self, Epoch: epoch, Seq: ls.round}
 }
 
-// contact asks peer for a grant in the current round when its link was
-// just accepted and no lease is held.
-func (lm *leaseManager) contact(peer string) {
-	if lm == nil || lm.held.Load() {
-		return
-	}
-	lm.mu.Lock()
-	round := lm.round
-	lm.mu.Unlock()
-	lm.ask(round, lm.n.membership.epochNow(), []wire.MemberInfo{{ID: peer}})
+// contact returns the ask, in the current round, for a peer whose link
+// was just accepted; ok is false while a lease is held.
+func (ls *leaseState) contact(epoch uint64) (ask wire.Lease, ok bool) {
+	return ls.ask(epoch), !ls.held
 }
 
-// onEpoch asks every live peer again, in the current round, when the
-// membership epoch advanced past the last ask while no lease is held:
-// a granter refuses a requester whose epoch is behind its own, so a
-// merge that caught this hub up may turn its refusals into grants.
-func (lm *leaseManager) onEpoch() {
-	if lm == nil || lm.held.Load() {
-		return
+// onEpoch returns the ask for every live peer, in the current round,
+// when the membership epoch advanced past the last ask while no lease
+// is held: a granter refuses a requester whose epoch is behind its own,
+// so a merge that caught this hub up may turn its refusals into grants.
+func (ls *leaseState) onEpoch(epoch uint64) (ask wire.Lease, ok bool) {
+	if ls.held || epoch <= ls.epoch {
+		return wire.Lease{}, false
 	}
-	epoch := lm.n.membership.epochNow()
-	lm.mu.Lock()
-	if epoch <= lm.epoch {
-		lm.mu.Unlock()
-		return
-	}
-	lm.epoch = epoch
-	round := lm.round
-	lm.mu.Unlock()
-	lm.ask(round, epoch, lm.n.membership.live())
+	ls.epoch = epoch
+	return ls.ask(epoch), true
 }
 
-// ask sends round's lease request to every member of to but this hub.
-// Sends happen with no lease lock held — a loopback peer's ack nests
-// synchronously back into ack().
-func (lm *leaseManager) ask(round, epoch uint64, to []wire.MemberInfo) {
-	msg := wire.Message{Type: wire.TypeLease,
-		Lease: &wire.Lease{From: lm.n.self, Epoch: epoch, Seq: round}}
-	for _, m := range to {
-		if m.ID != lm.n.self {
-			// A failed send is a grant that never arrives; the round
-			// simply counts without it.
-			_ = lm.n.sendDirect(m.ID, msg)
-		}
-	}
-}
-
-// ack records one grant (or refusal) for round seq and, when the
-// strict majority over all known members is reached, extends — or
-// newly acquires — the lease. Grants for the immediately previous
-// round still count: an ack slower than one renewal tick proves a
-// majority as of that round's solicit time, so the lease extends from
-// there instead of the evidence being discarded — without this, three
-// consecutive slow (not lost) rounds cost a held lease under load.
-// Safety is unchanged: a true minority fragment receives no acks at
-// all, and any extension is bounded by the round's start + TTL — a
-// start no later than any ask of that round, and so than any grant.
-func (lm *leaseManager) ack(from string, seq uint64, ok bool) {
-	if !ok {
-		lm.metRefused.Inc()
-		return
-	}
-	lm.mu.Lock()
+// ack records one grant for round a.Seq and reports whether it newly
+// acquired the lease: when the strict majority over all known members
+// is reached, the lease extends — or is newly held — to the round's
+// start + TTL. A refusal changes nothing. Grants for the immediately
+// previous round still count: an ack slower than one renewal tick
+// proves a majority as of that round's solicit time, so the lease
+// extends from there instead of the evidence being discarded — without
+// this, three consecutive slow (not lost) rounds cost a held lease
+// under load. Safety is unchanged: a true minority fragment receives no
+// acks at all, and any extension is bounded by the round's start + TTL
+// — a start no later than any ask of that round, and so than any grant.
+func (ls *leaseState) ack(a wire.LeaseAck, members int) (acquired bool) {
 	var acks map[string]bool
 	var start time.Time
-	switch seq {
-	case lm.round:
-		acks, start = lm.acks, lm.roundStart
-	case lm.round - 1:
-		acks, start = lm.prevAcks, lm.prevStart
+	switch a.Seq {
+	case ls.round:
+		acks, start = ls.acks, ls.roundStart
+	case ls.round - 1:
+		acks, start = ls.prevAcks, ls.prevStart
 	}
-	if acks == nil {
-		lm.mu.Unlock()
-		return // older than the previous round: must not extend the lease
+	if !a.OK || acks == nil {
+		return false // older than the previous round: must not extend the lease
 	}
-	if from != "" {
-		acks[from] = true
+	if a.From != "" {
+		acks[a.From] = true
 	}
-	grants := 1 + len(acks) // self always grants
-	acquired := false
-	if grants > lm.n.membership.count()/2 {
-		// Max-merge: a late previous-round majority must not retract an
-		// expiry the current round already established.
-		if exp := start.Add(lm.ttl); exp.After(lm.expiry) {
-			lm.expiry = exp
-		}
-		if !lm.held.Load() {
-			lm.held.Store(true)
-			acquired = true
-		}
+	if 1+len(acks) <= members/2 { // self always grants
+		return false
 	}
-	lm.mu.Unlock()
-	if acquired {
-		lm.acquired.Add(1)
-		lm.metAcquired.Inc()
-		lm.metHeld.Set(1)
-		lm.n.hub.LeaseAcquired()
+	// Max-merge: a late previous-round majority must not retract an
+	// expiry the current round already established.
+	if exp := start.Add(ls.ttl); exp.After(ls.expiry) {
+		ls.expiry = exp
 	}
-}
-
-// MayArm implements the arming gate of immunity.ClusterBinding: with
-// no lease configured (failure detection off, or Config.NoLease) every
-// fresh arming decision is allowed — the pre-lease behavior — else
-// only while the quorum lease is held. Pure (one atomic load): called
-// under Exchange.mu on every threshold crossing.
-func (n *Node) MayArm() bool {
-	return n.lease == nil || n.lease.held.Load()
-}
-
-// LeaseStats reports the quorum lease's state: whether it is held now
-// and how many times it was acquired and lost. With no lease
-// configured, held is true (arming is never gated) and the counts are
-// zero.
-func (n *Node) LeaseStats() (held bool, acquired, lost uint64) {
-	if n.lease == nil {
-		return true, 0, 0
+	if ls.held {
+		return false
 	}
-	return n.lease.held.Load(), n.lease.acquired.Load(), n.lease.lost.Load()
+	ls.held = true
+	ls.acquired++
+	return true
 }

@@ -1,10 +1,8 @@
 package cluster
 
 import (
-	"sync"
 	"time"
 
-	"github.com/dimmunix/dimmunix/internal/immunity/metrics"
 	"github.com/dimmunix/dimmunix/internal/immunity/wire"
 )
 
@@ -40,332 +38,163 @@ func resolveProbe(cfg Config) probeConfig {
 	return pc
 }
 
-// prober is the SWIM-style failure detector: each interval it
-// direct-pings one live member (round-robin); a ping unanswered past
-// the timeout escalates to indirect ping-reqs relayed through k proxy
-// members, so one stalled or half-open link cannot by itself declare
-// a live peer dead; a member that answers neither within another
-// timeout becomes a suspect, and a suspect with no proof of life for
-// the whole suspicion window is marked down (the deputy-promotion
-// trigger). Any message a peer authored — ack, relayed ack, its own
-// ping or lease traffic — is proof of life and clears its suspicion.
-//
-// Lock discipline: prober.mu is never held across sendDirect —
-// loopback transports deliver synchronously, so a probe chain
-// origin→proxy→target nests all three hubs' handlers on one goroutine
-// stack; every handler collects under its own mu, unlocks, then sends.
-type prober struct {
-	n *Node
+// probeState is the SWIM-style failure detector, as a plain value the
+// node steps under its decision lock (no lock, no clock, no node of its
+// own): each interval it direct-pings one live member (round-robin); a
+// ping unanswered past the timeout escalates to indirect ping-reqs
+// relayed through k proxy members, so one stalled or half-open link
+// cannot by itself declare a live peer dead; a member that answers
+// neither within another timeout becomes a suspect, and a suspect with
+// no proof of life for the whole suspicion window is marked down (the
+// deputy-promotion trigger). Any message a peer authored — ack, relayed
+// ack, its own ping or lease traffic — is proof of life and clears its
+// suspicion. Every method returns the pings to send; the node sends
+// them with the lock released, since a loopback send nests the peer's
+// handlers — and on a relayed ack this node's own — on its stack.
+type probeState struct {
+	self string
 	probeConfig
 
-	mu       sync.Mutex
 	seq      uint64
 	pending  map[uint64]*probe
-	relays   map[uint64]relay
 	suspects map[string]time.Time
 	rr       int
-
-	metProbes   *metrics.Counter
-	metIndirect *metrics.Counter
-	metSuspects *metrics.Counter
 }
 
 // probe is one outstanding ping awaiting its ack.
 type probe struct {
-	seq        uint64
 	target     string
 	sentAt     time.Time
 	indirectAt time.Time // zero until escalated to ping-reqs
-	onBehalf   bool      // a proxy probe answering another hub's ping-req
-}
-
-// relay remembers whose ping-req an onBehalf probe answers: the ack
-// travels back under the origin's own seq.
-type relay struct {
+	// origin is set on a proxy probe serving another hub's ping-req: the
+	// ack travels back to it under its own seq.
 	origin    string
 	originSeq uint64
 }
 
-func newProber(n *Node, pc probeConfig) *prober {
-	p := &prober{n: n, probeConfig: pc,
+// probeStep is what one detector round asks the node to do.
+type probeStep struct {
+	indirect []wire.Ping // escalated probes: fan each out to k proxies
+	suspects int         // members newly suspected
+	down     []string    // suspects whose window ran out: mark down
+	ping     *wire.Ping  // this round's direct ping, nil with no target
+}
+
+func newProbeState(self string, pc probeConfig) *probeState {
+	return &probeState{self: self, probeConfig: pc,
 		pending:  make(map[uint64]*probe),
-		relays:   make(map[uint64]relay),
 		suspects: make(map[string]time.Time)}
-	p.metProbes = n.reg.Counter("immunity_cluster_probes_total",
-		"Direct pings sent by the failure detector.")
-	p.metIndirect = n.reg.Counter("immunity_cluster_probe_indirect_total",
-		"Probes escalated to indirect ping-reqs through proxy members.")
-	p.metSuspects = n.reg.Counter("immunity_cluster_probe_suspects_total",
-		"Members entering suspicion (unreachable by direct and indirect probes).")
-	return p
 }
 
-func (p *prober) run() {
-	defer p.n.wg.Done()
-	t := time.NewTicker(p.interval)
-	defer t.Stop()
-	for {
-		select {
-		case <-p.n.closeCh:
-			return
-		case <-t.C:
-		}
-		p.tick()
-	}
-}
-
-// tick is one detector round: sweep outstanding probes (escalate
-// direct timeouts, fail indirect ones into suspicion), judge suspects
-// against the suspicion window, then open one new direct probe.
-func (p *prober) tick() {
-	now := time.Now()
-	type escalation struct {
-		seq    uint64
-		target string
-	}
-	var escalate []escalation
-	var failed []string
-	var dead []string
-	p.mu.Lock()
-	for seq, pr := range p.pending {
+// tick is one detector round at now over the live peers (self
+// excluded): sweep outstanding probes (escalate direct timeouts, fail
+// indirect ones into suspicion), judge suspects against the suspicion
+// window, then open one new direct probe.
+func (ps *probeState) tick(now time.Time, peers []string) (st probeStep) {
+	for seq, pr := range ps.pending {
 		switch {
-		case pr.onBehalf:
-			if now.Sub(pr.sentAt) >= p.timeout {
+		case pr.origin != "":
+			if now.Sub(pr.sentAt) >= ps.timeout {
 				// The origin hears nothing and times out on its side.
-				delete(p.pending, seq)
-				delete(p.relays, seq)
+				delete(ps.pending, seq)
 			}
 		case pr.indirectAt.IsZero():
-			if now.Sub(pr.sentAt) >= p.timeout {
+			if now.Sub(pr.sentAt) >= ps.timeout {
 				pr.indirectAt = now
-				escalate = append(escalate, escalation{seq, pr.target})
+				st.indirect = append(st.indirect, ps.ping(seq, pr.target))
 			}
 		default:
-			if now.Sub(pr.indirectAt) >= p.timeout {
-				delete(p.pending, seq)
-				failed = append(failed, pr.target)
+			if now.Sub(pr.indirectAt) >= ps.timeout {
+				delete(ps.pending, seq)
+				// The window runs from the first failed probe, not the
+				// latest.
+				if _, ok := ps.suspects[pr.target]; !ok {
+					ps.suspects[pr.target] = now
+					st.suspects++
+				}
 			}
 		}
 	}
-	p.mu.Unlock()
-	for _, e := range escalate {
-		p.sendIndirect(e.seq, e.target)
-	}
-	for _, id := range failed {
-		p.suspectPeer(id)
-	}
-	p.mu.Lock()
-	for id, since := range p.suspects {
-		if now.Sub(since) >= p.suspect {
-			delete(p.suspects, id)
-			dead = append(dead, id)
+	for id, since := range ps.suspects {
+		if now.Sub(since) >= ps.suspect {
+			delete(ps.suspects, id)
+			st.down = append(st.down, id)
 		}
 	}
-	p.mu.Unlock()
-	for _, id := range dead {
-		if p.n.membership.markDown(id) {
-			p.n.metFailovers.Inc()
-			p.n.applyMembership()
-		}
+	if target := ps.nextTarget(peers, st.down); target != "" {
+		ps.seq++
+		ps.pending[ps.seq] = &probe{target: target, sentAt: now}
+		pg := ps.ping(ps.seq, target)
+		st.ping = &pg
 	}
-	if target := p.nextTarget(); target != "" {
-		p.probeDirect(target)
-	}
+	return st
 }
 
-// probeDirect opens one direct ping. A peer with no live session
-// escalates to indirect immediately — other members may still reach
-// it, and only their silence too may condemn it.
-func (p *prober) probeDirect(target string) {
-	p.mu.Lock()
-	p.seq++
-	s := p.seq
-	p.pending[s] = &probe{seq: s, target: target, sentAt: time.Now()}
-	p.mu.Unlock()
-	p.metProbes.Inc()
-	err := p.n.sendDirect(target, wire.Message{Type: wire.TypePing,
-		Ping: &wire.Ping{From: p.n.self, Target: target, Seq: s}})
-	if err == nil {
-		return // acked via handleAck, or swept into escalation
-	}
-	p.mu.Lock()
-	if pr := p.pending[s]; pr != nil {
-		pr.indirectAt = time.Now()
-	}
-	p.mu.Unlock()
-	p.sendIndirect(s, target)
+func (ps *probeState) ping(seq uint64, target string) wire.Ping {
+	return wire.Ping{From: ps.self, Target: target, Seq: seq}
 }
 
-// sendIndirect fans a ping-req for target out to up to k reachable
-// proxy members; their relayed acks come back under seq. With no
-// reachable proxy the probe simply ages into suspicion.
-func (p *prober) sendIndirect(seq uint64, target string) {
-	p.metIndirect.Inc()
-	msg := wire.Message{Type: wire.TypePing,
-		Ping: &wire.Ping{From: p.n.self, Target: target, Seq: seq}}
-	sent := 0
-	for _, m := range p.n.membership.live() {
-		if sent >= p.indirect {
-			break
+// nextTarget picks the next peer to probe, round-robin, skipping the
+// ones with a probe already outstanding and the ones just condemned.
+func (ps *probeState) nextTarget(peers, down []string) string {
+	for range peers {
+		id := peers[ps.rr%len(peers)]
+		ps.rr++
+		busy := false
+		for _, d := range down {
+			busy = busy || d == id
 		}
-		if m.ID == p.n.self || m.ID == target {
-			continue
+		for _, pr := range ps.pending {
+			busy = busy || (pr.origin == "" && pr.target == id)
 		}
-		if p.n.sendDirect(m.ID, msg) == nil {
-			sent++
-		}
-	}
-}
-
-// nextTarget picks the next live member to probe, round-robin, skipping
-// ones with a probe already outstanding.
-func (p *prober) nextTarget() string {
-	live := p.n.membership.live()
-	ids := make([]string, 0, len(live))
-	for _, m := range live {
-		if m.ID != p.n.self {
-			ids = append(ids, m.ID)
-		}
-	}
-	if len(ids) == 0 {
-		return ""
-	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	for range ids {
-		id := ids[p.rr%len(ids)]
-		p.rr++
-		outstanding := false
-		for _, pr := range p.pending {
-			if !pr.onBehalf && pr.target == id {
-				outstanding = true
-				break
-			}
-		}
-		if !outstanding {
+		if !busy {
 			return id
 		}
 	}
 	return ""
 }
 
-// suspectPeer starts (or keeps) the suspicion clock for id; the window
-// runs from the first failed probe, not the latest.
-func (p *prober) suspectPeer(id string) {
-	p.mu.Lock()
-	if _, ok := p.suspects[id]; !ok {
-		p.suspects[id] = time.Now()
-		p.mu.Unlock()
-		p.metSuspects.Inc()
-		return
+// directFailed escalates the direct probe seq at once: its ping could
+// not be sent (no live session), but other members may still reach the
+// target, and only their silence too may condemn it. The node fans the
+// probe's ping out to the proxies.
+func (ps *probeState) directFailed(now time.Time, seq uint64) {
+	if pr := ps.pending[seq]; pr != nil {
+		pr.indirectAt = now
 	}
-	p.mu.Unlock()
 }
 
-// aliveProof clears any suspicion of id: it authored a message, so it
-// is alive. Revival of a down-marked member stays handshake-driven
+// alive clears any suspicion of id: it authored a message, so it is
+// alive. Revival of a down-marked member stays handshake-driven
 // (PeerSeen) — a single relayed frame does not rejoin a member.
-func (p *prober) aliveProof(id string) {
-	if id == "" || id == p.n.self {
-		return
-	}
-	p.mu.Lock()
-	delete(p.suspects, id)
-	p.mu.Unlock()
+func (ps *probeState) alive(id string) {
+	delete(ps.suspects, id)
 }
 
-// handlePing answers a direct ping (Target is us) or serves a
-// ping-req: probe the target with our own seq, remember whose
-// question it was, and relay the ack under the origin's seq.
-func (p *prober) handlePing(pg wire.Ping) {
-	p.aliveProof(pg.From)
-	if pg.Target == "" || pg.Target == p.n.self {
-		p.n.sendDirect(pg.From, wire.Message{Type: wire.TypePingAck,
-			PingAck: &wire.PingAck{From: p.n.self, Target: p.n.self, Seq: pg.Seq, OK: true}})
-		return
-	}
-	p.mu.Lock()
-	p.seq++
-	s := p.seq
-	p.pending[s] = &probe{seq: s, target: pg.Target, sentAt: time.Now(), onBehalf: true}
-	p.relays[s] = relay{origin: pg.From, originSeq: pg.Seq}
-	p.mu.Unlock()
-	// On success the target's ack relays via handleAck.
-	if err := p.n.sendDirect(pg.Target, wire.Message{Type: wire.TypePing,
-		Ping: &wire.Ping{From: p.n.self, Target: pg.Target, Seq: s}}); err != nil {
-		p.mu.Lock()
-		delete(p.pending, s)
-		delete(p.relays, s)
-		p.mu.Unlock()
-	}
+// relay serves a ping-req for another member: it opens a probe of the
+// target under this hub's own seq, remembers whose question it was,
+// and returns the ping to send the target. A probe whose ping cannot be
+// sent simply ages out in tick.
+func (ps *probeState) relay(now time.Time, pg wire.Ping) wire.Ping {
+	ps.alive(pg.From)
+	ps.seq++
+	ps.pending[ps.seq] = &probe{target: pg.Target, sentAt: now, origin: pg.From, originSeq: pg.Seq}
+	return ps.ping(ps.seq, pg.Target)
 }
 
-// handleAck settles an outstanding probe — ours, or one we ran on a
-// ping-req origin's behalf, whose answer we relay under its seq.
-func (p *prober) handleAck(a wire.PingAck) {
-	p.aliveProof(a.From)
-	if !a.OK {
-		return
+// ack settles an outstanding probe — ours, or one run on a ping-req
+// origin's behalf, whose answer it returns to relay under the origin's
+// seq (to is empty when there is nothing to relay).
+func (ps *probeState) ack(a wire.PingAck) (to string, fwd wire.PingAck) {
+	ps.alive(a.From)
+	pr, ok := ps.pending[a.Seq]
+	if !a.OK || !ok || pr.target != a.Target {
+		return "", fwd
 	}
-	p.mu.Lock()
-	pr, ok := p.pending[a.Seq]
-	if !ok || pr.target != a.Target {
-		p.mu.Unlock()
-		return
+	delete(ps.pending, a.Seq)
+	ps.alive(a.Target)
+	if pr.origin == "" {
+		return "", fwd
 	}
-	delete(p.pending, a.Seq)
-	rel, isRelay := p.relays[a.Seq]
-	delete(p.relays, a.Seq)
-	p.mu.Unlock()
-	p.aliveProof(a.Target)
-	if isRelay {
-		p.n.sendDirect(rel.origin, wire.Message{Type: wire.TypePingAck,
-			PingAck: &wire.PingAck{From: p.n.self, Target: a.Target, Seq: rel.originSeq, OK: true}})
-	}
-}
-
-// HandleProbe implements the probe/lease leg of
-// immunity.ClusterBinding: the hub routes every ping/lease frame from
-// a registered peer session here, outside Exchange.mu. Pings are
-// always answered (even with the prober off — a peer running
-// detection deserves the truth); lease grants are judged against our
-// membership epoch whether or not we run a lease ourselves.
-func (n *Node) HandleProbe(m wire.Message) {
-	switch m.Type {
-	case wire.TypePing:
-		if m.Ping == nil {
-			return
-		}
-		if n.prober != nil {
-			n.prober.handlePing(*m.Ping)
-		} else if m.Ping.Target == "" || m.Ping.Target == n.self {
-			n.sendDirect(m.Ping.From, wire.Message{Type: wire.TypePingAck,
-				PingAck: &wire.PingAck{From: n.self, Target: n.self, Seq: m.Ping.Seq, OK: true}})
-		}
-	case wire.TypePingAck:
-		if m.PingAck == nil {
-			return
-		}
-		if n.prober != nil {
-			n.prober.handleAck(*m.PingAck)
-		}
-	case wire.TypeLease:
-		if m.Lease == nil {
-			return
-		}
-		if n.prober != nil {
-			n.prober.aliveProof(m.Lease.From)
-		}
-		n.grantLease(*m.Lease)
-	case wire.TypeLeaseAck:
-		if m.LeaseAck == nil {
-			return
-		}
-		if n.prober != nil {
-			n.prober.aliveProof(m.LeaseAck.From)
-		}
-		if n.lease != nil {
-			n.lease.ack(m.LeaseAck.From, m.LeaseAck.Seq, m.LeaseAck.OK)
-		}
-	}
+	return pr.origin, wire.PingAck{From: ps.self, Target: a.Target, Seq: pr.originSeq, OK: true}
 }

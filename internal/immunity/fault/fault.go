@@ -1,8 +1,7 @@
 // Package fault is a deterministic network fault-injection layer for
 // the immunity fabric: a Network wraps any immunity.Transport with a
-// per-directed-path (src → dst) fault script — block, drop every Nth
-// message, delay, duplicate — and flips the script at the times the
-// test chooses. It exists to drive the partition chaos scenarios
+// per-directed-path (src → dst) block script and flips it at the times
+// the test chooses. It exists to drive the partition chaos scenarios
 // (symmetric split, asymmetric split, flapping link) against real hub
 // and cluster code with no real network misbehavior required, so the
 // same failure unfolds identically on every run.
@@ -39,7 +38,6 @@ import (
 	"errors"
 	"fmt"
 	"sync"
-	"time"
 
 	"github.com/dimmunix/dimmunix/internal/immunity"
 	"github.com/dimmunix/dimmunix/internal/immunity/wire"
@@ -48,18 +46,6 @@ import (
 // ErrBlocked is the error a Send or Dial through a blocked path
 // returns.
 var ErrBlocked = errors.New("fault: path blocked")
-
-// Policy shapes a path's message stream without cutting it: every
-// DropNth-th send vanishes silently (the lossy-link fault: the sender
-// believes it delivered), every send sleeps Delay first (in order —
-// the delay is synchronous, so it reorders nothing), and every
-// DupNth-th send is delivered twice (the at-least-once duplicate the
-// receivers must dedup anyway). Zero fields are inert.
-type Policy struct {
-	DropNth int
-	Delay   time.Duration
-	DupNth  int
-}
 
 type pathKey struct{ src, dst string }
 
@@ -73,23 +59,13 @@ type Network struct {
 	// that sat deaf behind a since-cleared block (a flapping link) is
 	// only found again at Heal time.
 	touched  map[pathKey]bool
-	policies map[pathKey]*pathPolicy
 	sessions map[*faultSession]struct{}
-}
-
-// pathPolicy is a Policy plus its per-path send counter (DropNth and
-// DupNth count per path, not per session, so the script is stable
-// across redials).
-type pathPolicy struct {
-	Policy
-	sends uint64
 }
 
 func NewNetwork() *Network {
 	return &Network{
 		blocked:  make(map[pathKey]bool),
 		touched:  make(map[pathKey]bool),
-		policies: make(map[pathKey]*pathPolicy),
 		sessions: make(map[*faultSession]struct{}),
 	}
 }
@@ -155,18 +131,6 @@ func (n *Network) Heal() {
 	n.touched = make(map[pathKey]bool)
 	n.mu.Unlock()
 	sever(victims)
-}
-
-// SetPolicy installs (or, with the zero Policy, clears) the drop/
-// delay/duplicate script for the directed path src → dst.
-func (n *Network) SetPolicy(src, dst string, p Policy) {
-	n.mu.Lock()
-	if p == (Policy{}) {
-		delete(n.policies, pathKey{src, dst})
-	} else {
-		n.policies[pathKey{src, dst}] = &pathPolicy{Policy: p}
-	}
-	n.mu.Unlock()
 }
 
 func (n *Network) isBlocked(src, dst string) bool {
@@ -238,9 +202,8 @@ type faultSession struct {
 	unusable bool // severed: Sends fail even though inner may linger
 }
 
-// Send applies the path script: error while blocked (the owner's
-// outbox parks and retries, as on a dead link), then drop / delay /
-// duplicate per the policy.
+// Send fails while the path is blocked (the owner's outbox parks and
+// retries, as on a dead link) and otherwise passes m through.
 func (s *faultSession) Send(m wire.Message) error {
 	s.mu.Lock()
 	inner, unusable := s.inner, s.unusable
@@ -248,38 +211,10 @@ func (s *faultSession) Send(m wire.Message) error {
 	if inner == nil || unusable {
 		return fmt.Errorf("fault: send %s->%s: session severed", s.t.src, s.t.dst)
 	}
-	net := s.t.net
-	key := pathKey{s.t.src, s.t.dst}
-	net.mu.Lock()
-	if net.blocked[key] {
-		net.mu.Unlock()
+	if s.t.net.isBlocked(s.t.src, s.t.dst) {
 		return fmt.Errorf("fault: send %s->%s: %w", s.t.src, s.t.dst, ErrBlocked)
 	}
-	pol := net.policies[key]
-	var drop, dup bool
-	var delay time.Duration
-	if pol != nil {
-		pol.sends++
-		drop = pol.DropNth > 0 && pol.sends%uint64(pol.DropNth) == 0
-		dup = pol.DupNth > 0 && pol.sends%uint64(pol.DupNth) == 0
-		delay = pol.Delay
-	}
-	net.mu.Unlock()
-	if drop {
-		return nil // the lossy link: sender believes it delivered
-	}
-	if delay > 0 {
-		// Synchronous: every later send on this session waits behind
-		// this one, so delay slows the path without reordering it.
-		time.Sleep(delay)
-	}
-	if err := inner.Send(m); err != nil {
-		return err
-	}
-	if dup {
-		return inner.Send(m)
-	}
-	return nil
+	return inner.Send(m)
 }
 
 func (s *faultSession) Close() error {

@@ -186,41 +186,3 @@ func TestPartitionBlocksBothDirectionsPairwise(t *testing.T) {
 		t.Fatal("heal left a->c blocked")
 	}
 }
-
-func TestPolicyDropDelayDuplicate(t *testing.T) {
-	n := NewNetwork()
-	inner := &memTransport{}
-	tr := n.Wrap("a", "b", inner)
-	sess, err := tr.Dial(func(wire.Message) {}, func(error) {})
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	n.SetPolicy("a", "b", Policy{DropNth: 3})
-	for i := 1; i <= 6; i++ {
-		if err := sess.Send(ping(uint64(i))); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if got := inner.sess.count(); got != 4 {
-		t.Fatalf("DropNth=3 delivered %d of 6, want 4", got)
-	}
-
-	n.SetPolicy("a", "b", Policy{DupNth: 1})
-	if err := sess.Send(ping(7)); err != nil {
-		t.Fatal(err)
-	}
-	if got := inner.sess.count(); got != 6 {
-		t.Fatalf("DupNth=1 should deliver twice: %d total, want 6", got)
-	}
-
-	n.SetPolicy("a", "b", Policy{Delay: 20 * time.Millisecond})
-	start := time.Now()
-	if err := sess.Send(ping(8)); err != nil {
-		t.Fatal(err)
-	}
-	if d := time.Since(start); d < 20*time.Millisecond {
-		t.Fatalf("delayed send returned in %v, want >= 20ms", d)
-	}
-	n.SetPolicy("a", "b", Policy{})
-}

@@ -29,7 +29,6 @@ var sleepCensus = map[string]int{
 	"internal/immunity/cluster/cluster_test.go": 4,
 	"internal/immunity/cluster/tenant_test.go":  2,
 	"internal/immunity/exchange_test.go":        4,
-	"internal/immunity/fault/fault.go":          1,
 	"internal/immunity/service_test.go":         2,
 	"internal/immunity/tcp_test.go":             1,
 	"internal/metrics/meter_test.go":            1,

@@ -16,6 +16,11 @@
 //   - Acquired, right after a monitorenter succeeds.
 //   - Release, right before a monitorexit.
 //
+// EnterFast stands in for Request and Acquired on an uncontended
+// monitorenter that neither can matter to: it takes the runtime's lock
+// through a non-blocking callback inside one shared engine section (see
+// "Fast-path safety argument").
+//
 // # Concurrency architecture
 //
 // The paper serializes the three entry points under one global per-process
@@ -74,6 +79,22 @@
 // cycles need a yielder; the fast path bails out to the slow path whenever
 // one exists, and a thread that starts yielding later does so under the
 // exclusive lock, observing every previously published fast-path edge.
+//
+// EnterFast fuses an uncontended monitorenter into one shared section:
+// fastRequest's checks, the embedding runtime's non-blocking tryLock, and
+// fastAcquired's publication, back to back under one read lock. Each of
+// the three already runs under the shared lock, and nothing excludes an
+// exclusive section from landing between them, so the fused run is a
+// schedule the three-section engine already allows: the one in which no
+// exclusive section lands in between. Nothing exclusive can see the
+// state in between (an approved request edge t→l with l's real lock
+// taken), so the detector still sees every hold edge, at the moment it
+// is published, and the fusion adds no reachable state. When tryLock
+// loses, nothing was published and the caller starts over on the full
+// path. Holding the read lock across tryLock cannot deadlock under
+// RWMutex's writer preference: a waiting writer blocks only new readers,
+// and tryLock neither blocks nor takes c.mu, so the reader always reaches
+// its RUnlock and lets the writer in.
 //
 // The slow path takes two shortcuts of its own, each a cheap test proving
 // that the expensive step it guards would find nothing.
@@ -417,16 +438,17 @@ func (c *Core) Request(t, l *Node, pos *Position) error {
 
 // fastRequest is the sharded engine's low-contention approval: under the
 // shared engine lock it verifies that detection and avoidance would both
-// be no-ops — the position is named by no signature, the lock is unowned,
-// nothing yields — and then only publishes the approval (request edge +
-// queue entry). Returns false to fall back to the serial reference path.
+// be no-ops (fastApprovableRLocked) and then only publishes the approval
+// (request edge + queue entry). Returns false to fall back to the serial
+// reference path. An armed position is refused before the lock is taken:
+// the check is repeated under it, so the early answer only saves an armed
+// site a read pair that could not succeed.
 func (c *Core) fastRequest(t, l *Node, pos *Position) bool {
-	if c.cfg.Serial {
+	if c.cfg.Serial || pos.inHistory.Load() {
 		return false
 	}
 	c.mu.RLock()
-	if c.killed.Load() || t.reqLock != nil || pos.inHistory.Load() ||
-		l.owner.Load() != nil || c.yielderCount.Load() != 0 {
+	if !c.fastApprovableRLocked(t, l, pos) {
 		c.mu.RUnlock()
 		return false
 	}
@@ -435,6 +457,53 @@ func (c *Core) fastRequest(t, l *Node, pos *Position) bool {
 	t.reqLock = l
 	t.reqPos = pos
 	t.reqEntry = nil // lazy queues: no entry for positions outside every signature
+	c.mu.RUnlock()
+	return true
+}
+
+// fastApprovableRLocked reports whether approving t's request for l at
+// pos provably needs neither detection nor avoidance: the core is open, t
+// has no pending request, pos is named by no signature, l is unowned and
+// nothing yields. fastRequest and EnterFast share it. Caller must hold
+// c.mu shared, which keeps pos's arming and the yielder set fixed until it
+// unlocks (both change only under the exclusive lock).
+func (c *Core) fastApprovableRLocked(t, l *Node, pos *Position) bool {
+	return !c.killed.Load() && t.reqLock == nil && !pos.inHistory.Load() &&
+		l.owner.Load() == nil && c.yielderCount.Load() == 0
+}
+
+// EnterFast is an uncontended monitorenter in one shared section: the
+// fast Request, the embedding runtime's own acquisition and the fast
+// Acquired, run back to back under one shared engine lock. Under that
+// lock it checks fastRequest's conditions; when they hold it calls
+// tryLock, which must try to take the real lock and report whether it
+// did. tryLock runs under the engine lock, so it must not block, wait or
+// call into this Core. If tryLock wins, t's hold edge on l is published
+// (acquisition position, no queue entry, owner) and counted as one fast
+// request and one fast acquisition, exactly as Request followed by
+// Acquired would have counted it. The caller then owns l and releases it
+// with Release.
+//
+// EnterFast returns false, having changed nothing, when the conditions do
+// not hold, when tryLock loses, and always on the serial engine. The
+// caller then takes the full Request → acquire → Acquired sequence. The
+// package comment ("Fast-path safety argument") has why the fused section
+// decides exactly as that sequence does.
+func (c *Core) EnterFast(t, l *Node, pos *Position, tryLock func() bool) bool {
+	if c.cfg.Serial || pos == nil || pos.inHistory.Load() || checkArgs(t, l) != nil {
+		return false
+	}
+	c.mu.RLock()
+	if !c.fastApprovableRLocked(t, l, pos) || !tryLock() {
+		c.mu.RUnlock()
+		return false
+	}
+	t.fastRequests++
+	t.fastAcquisitions++
+	t.forceResume = false
+	l.acqPos = pos
+	l.acqEntry = nil
+	l.owner.Store(t)
 	c.mu.RUnlock()
 	return true
 }
@@ -542,7 +611,10 @@ func (c *Core) wakeYieldersLocked(pos *Position) {
 // writes) and the position to be outside every signature (so no yielder
 // needs waking).
 func (c *Core) fastRelease(t, l *Node) bool {
-	if c.cfg.Serial {
+	// Checked before the lock, and again under it: a release that is not
+	// its owner's, or at an armed position, only ever takes the slow path.
+	// When t is the owner, l.acqPos is t's own write.
+	if c.cfg.Serial || l.owner.Load() != t || l.acqPos == nil || l.acqPos.inHistory.Load() {
 		return false
 	}
 	c.mu.RLock()

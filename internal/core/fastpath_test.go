@@ -10,21 +10,40 @@ import (
 // avoidance only when doing so is provably equivalent to the serial
 // reference engine. These tests pin the conditions down.
 
-// TestFastPathConditions table-drives the situations in which Request must
-// (or must never) take the fast path.
+// TestFastPathConditions table-drives the situations in which Request and
+// EnterFast must (or must never) take the fast path. Every row probes
+// EnterFast first: it must call tryLock exactly when fastRequest's
+// conditions hold, publish t's hold edge exactly when tryLock then wins,
+// and otherwise change nothing, so that the Request probed next on the
+// same state decides as if EnterFast had never run.
 func TestFastPathConditions(t *testing.T) {
 	tests := []struct {
 		name string
+		opts []Option
 		// prepare arms the core and returns the (thread, lock, position)
-		// for the probed Request.
-		prepare  func(t *testing.T, h *harness) (*Node, *Node, *Position)
+		// for the probes.
+		prepare func(t *testing.T, h *harness) (*Node, *Node, *Position)
+		// loses makes the EnterFast probe's tryLock fail, as a monitor CAS
+		// does when another thread took the real lock first.
+		loses bool
+		// wantFast is whether fastRequest's conditions hold.
 		wantFast bool
+		// wantErr is the Request probe's error.
+		wantErr error
 	}{
 		{
 			name: "unnamed position, unowned lock",
 			prepare: func(t *testing.T, h *harness) (*Node, *Node, *Position) {
 				return h.thread("t"), h.lock("l"), h.pos("Free", "m", 1)
 			},
+			wantFast: true,
+		},
+		{
+			name: "tryLock loses",
+			prepare: func(t *testing.T, h *harness) (*Node, *Node, *Position) {
+				return h.thread("t"), h.lock("l"), h.pos("Free", "m", 1)
+			},
+			loses:    true,
 			wantFast: true,
 		},
 		{
@@ -56,7 +75,32 @@ func TestFastPathConditions(t *testing.T) {
 			wantFast: false,
 		},
 		{
+			name: "a thread is yielding",
+			prepare: func(t *testing.T, h *harness) (*Node, *Node, *Position) {
+				// a holds at Y1, so b's request at Y2 instantiates {Y1, Y2}
+				// and b yields until Close wakes it.
+				mustAdd(t, h.c, sigOf(DeadlockSig, fr("test.Y", "m", 1), fr("test.Y", "m", 2)))
+				a, b, lb, y2 := h.thread("a"), h.thread("b"), h.lock("lb"), h.pos("Y", "m", 2)
+				h.acquire(a, h.lock("la"), h.pos("Y", "m", 1))
+				go func() { _ = h.c.Request(b, lb, y2) }()
+				waitUntil(t, "b yields", func() bool { return h.c.yielderCount.Load() == 1 })
+				return h.thread("t"), h.lock("l"), h.pos("Free", "m", 1)
+			},
+			wantFast: false,
+		},
+		{
+			name: "core closed",
+			prepare: func(t *testing.T, h *harness) (*Node, *Node, *Position) {
+				th, l, p := h.thread("t"), h.lock("l"), h.pos("Free", "m", 1)
+				_ = h.c.Close()
+				return th, l, p
+			},
+			wantFast: false,
+			wantErr:  ErrCoreClosed,
+		},
+		{
 			name: "serial engine always slow",
+			opts: []Option{WithSerialEngine(true)},
 			prepare: func(t *testing.T, h *harness) (*Node, *Node, *Position) {
 				return h.thread("t"), h.lock("l"), h.pos("Free", "m", 1)
 			},
@@ -65,21 +109,59 @@ func TestFastPathConditions(t *testing.T) {
 	}
 	for _, tc := range tests {
 		t.Run(tc.name, func(t *testing.T) {
-			var opts []Option
-			if tc.name == "serial engine always slow" {
-				opts = append(opts, WithSerialEngine(true))
-			}
-			h := newHarness(t, opts...)
+			h := newHarness(t, tc.opts...)
 			th, l, pos := tc.prepare(t, h)
-			before := h.c.Stats().FastRequests
-			if err := h.c.Request(th, l, pos); err != nil {
-				t.Fatalf("Request: %v", err)
+
+			// EnterFast probe.
+			before, owner := h.c.Stats(), l.owner.Load()
+			tries := 0
+			entered := h.c.EnterFast(th, l, pos, func() bool { tries++; return !tc.loses })
+			wantTries := 0
+			if tc.wantFast {
+				wantTries = 1
 			}
-			gotFast := h.c.Stats().FastRequests-before == 1
-			if gotFast != tc.wantFast {
-				t.Errorf("fast path taken = %v, want %v", gotFast, tc.wantFast)
+			if tries != wantTries {
+				t.Errorf("EnterFast called tryLock %d times, want %d", tries, wantTries)
 			}
-			h.c.Abort(th, l)
+			if entered != (tc.wantFast && !tc.loses) {
+				t.Fatalf("EnterFast = %v, want %v", entered, tc.wantFast && !tc.loses)
+			}
+			if entered {
+				after := h.c.Stats()
+				if l.owner.Load() != th || l.acqPos != pos || l.acqEntry != nil || th.reqLock != nil {
+					t.Errorf("hold edge: owner %v, acquired at pos %v, entry %v, request %v; want %v at pos, no entry, no request",
+						l.owner.Load(), l.acqPos == pos, l.acqEntry, th.reqLock, th)
+				}
+				if after.FastRequests != before.FastRequests+1 || after.FastAcquisitions != before.FastAcquisitions+1 ||
+					after.Requests != before.Requests+1 || after.Acquisitions != before.Acquisitions+1 {
+					t.Errorf("EnterFast counted %+v, want one fast request and one fast acquisition over %+v", after, before)
+				}
+				h.c.Release(th, l)
+				if st := h.c.Stats(); st.FastReleases != before.FastReleases+1 || l.owner.Load() != nil {
+					t.Errorf("release after EnterFast: %d fast releases (want %d), owner %v",
+						st.FastReleases, before.FastReleases+1, l.owner.Load())
+				}
+			} else if after := h.c.Stats(); after != before || l.owner.Load() != owner || th.reqLock != nil {
+				t.Errorf("EnterFast refused but published: owner %v (was %v), request %v, stats %+v (were %+v)",
+					l.owner.Load(), owner, th.reqLock, after, before)
+			}
+
+			// Request probe, on the state EnterFast left.
+			before = h.c.Stats()
+			err := h.c.Request(th, l, pos)
+			if !errors.Is(err, tc.wantErr) {
+				t.Fatalf("Request: %v, want %v", err, tc.wantErr)
+			}
+			after := h.c.Stats()
+			if gotFast := after.FastRequests-before.FastRequests == 1; gotFast != tc.wantFast {
+				t.Errorf("Request fast path taken = %v, want %v", gotFast, tc.wantFast)
+			}
+			if after.Misuse != before.Misuse {
+				t.Errorf("Request counted %d misuses", after.Misuse-before.Misuse)
+			}
+			if err == nil {
+				h.c.Abort(th, l)
+			}
 		})
 	}
 }
@@ -87,44 +169,51 @@ func TestFastPathConditions(t *testing.T) {
 // TestSignatureInstallFlipsPositionToSlowPath: an armed position must stop
 // fast-pathing the moment its signature installs, and the rebuilt queue
 // must include acquisitions that happened while the position was still on
-// the fast path.
+// the fast path, through Request and Acquired or through EnterFast.
 func TestSignatureInstallFlipsPositionToSlowPath(t *testing.T) {
 	h := newHarness(t)
-	t1, t2 := h.thread("t1"), h.thread("t2")
-	l1, l2 := h.lock("l1"), h.lock("l2")
+	t1, t2, t3 := h.thread("t1"), h.thread("t2"), h.thread("t3")
+	l1, l2, l3 := h.lock("l1"), h.lock("l2"), h.lock("l3")
 	p := h.pos("Hot", "m", 1)
 
-	// Fast-path acquisition; no queue entry is maintained.
+	// Fast-path acquisitions; no queue entry is maintained.
 	h.acquire(t1, l1, p)
-	if st := h.c.Stats(); st.FastRequests != 1 {
-		t.Fatalf("FastRequests = %d, want 1", st.FastRequests)
+	if !h.c.EnterFast(t3, l3, p, func() bool { return true }) {
+		t.Fatal("EnterFast refused an unarmed position and an unowned lock")
+	}
+	if st := h.c.Stats(); st.FastRequests != 2 {
+		t.Fatalf("FastRequests = %d, want 2", st.FastRequests)
 	}
 	if p.occupants() != 0 {
 		t.Fatalf("unnamed position has %d queue entries, want 0 (lazy queues)", p.occupants())
 	}
 
 	// Install a signature naming p: the queue must be rebuilt to include
-	// t1's live holding.
+	// both live holdings.
 	mustAdd(t, h.c, sigOf(DeadlockSig, fr("test.Hot", "m", 1), fr("test.Cold", "x", 9)))
 	if !p.InHistory() {
 		t.Fatal("position not armed by installation")
 	}
-	if p.occupants() != 1 {
-		t.Fatalf("rebuilt queue has %d entries, want 1 (t1 holds l1 at p)", p.occupants())
+	if p.occupants() != 2 {
+		t.Fatalf("rebuilt queue has %d entries, want 2 (t1 holds l1 and t3 holds l3 at p)", p.occupants())
 	}
 
-	// Subsequent requests at p go slow-path.
+	// Subsequent requests at p go slow-path, and EnterFast refuses them.
 	before := h.c.Stats().FastRequests
+	if h.c.EnterFast(t2, l2, p, func() bool { return true }) {
+		t.Fatal("EnterFast took an armed position")
+	}
 	h.acquire(t2, l2, p)
 	if h.c.Stats().FastRequests != before {
 		t.Error("armed position took the fast path")
 	}
-	if p.occupants() != 2 {
-		t.Fatalf("queue has %d entries, want 2", p.occupants())
+	if p.occupants() != 3 {
+		t.Fatalf("queue has %d entries, want 3", p.occupants())
 	}
 
 	// Releases (slow path now) must drain the rebuilt entries cleanly.
 	h.release(t1, l1)
+	h.release(t3, l3)
 	h.release(t2, l2)
 	if p.occupants() != 0 {
 		t.Fatalf("queue has %d entries after releases, want 0", p.occupants())

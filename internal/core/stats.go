@@ -16,11 +16,13 @@ type Stats struct {
 	// including fast-path ones.
 	Requests uint64
 	// FastRequests counts Requests approved on the sharded fast path
-	// (no detection or avoidance needed).
+	// (no detection or avoidance needed). A successful EnterFast counts as
+	// one fast request and one fast acquisition.
 	FastRequests uint64
 	// Acquisitions counts Acquired calls, including fast-path ones.
 	Acquisitions uint64
-	// FastAcquisitions counts Acquired calls on the fast path.
+	// FastAcquisitions counts Acquired calls on the fast path, and
+	// successful EnterFast calls.
 	FastAcquisitions uint64
 	// Releases counts Release calls (monitorexit interceptions),
 	// including fast-path ones.

@@ -75,15 +75,34 @@ func (m *Monitor) enter(t *Thread, recursion int, site *Site) error {
 		return nil
 	}
 
-	// Dimmunix interception: position capture + Request. This may suspend
-	// the thread in avoidance; it returns an error only if the core is
-	// closed (process teardown) or detection fails the request. The thread
-	// reads as blocked from before Request until it owns the monitor.
+	// Dimmunix interception: position capture, then one shared engine
+	// section (core.EnterFast) that approves, takes the monitor by CAS and
+	// publishes the hold edge when the monitor is free and nothing at this
+	// site can matter to detection or avoidance. That thread never waits,
+	// so it never reads as blocked. Otherwise the full path: Request, which
+	// may suspend the thread in avoidance and returns an error only if the
+	// core is closed (process teardown) or detection fails the request,
+	// then acquire and Acquired. On that slow path the thread reads as
+	// blocked from before Request until it owns the monitor.
 	dim := m.proc.dim
 	if dim != nil {
 		pos, err := m.resolvePosition(t, site)
 		if err != nil {
 			return err
+		}
+		if dim.EnterFast(t.node, m.node, pos, func() bool {
+			return !m.proc.isKilled() && m.owner.CompareAndSwap(nil, t)
+		}) {
+			// acquire's kill check after a winning CAS; the core has seen
+			// the hold, so it is undone there too.
+			if m.proc.isKilled() {
+				dim.Release(t.node, m.node)
+				m.release()
+				return ErrProcessKilled
+			}
+			m.recursion = recursion
+			m.proc.stats.fatEnters.Add(1)
+			return nil
 		}
 		t.setState(StateBlocked)
 		if err := dim.Request(t.node, m.node, pos); err != nil {

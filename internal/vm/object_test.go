@@ -237,6 +237,81 @@ func TestDimmunixRecursiveEnterSkipsCore(t *testing.T) {
 	}
 }
 
+// TestEnterFastStaysRunnable: an uncontended Dimmunix monitorenter at an
+// unarmed site is one shared engine section (core.EnterFast) that never
+// waits, so it writes no thread state and never reads as blocked, and each
+// of its hold edges is dropped by a fast release. A signature hot-installed
+// over the site sends the very next enter there to the full path, which
+// does read as blocked until it owns the monitor.
+func TestEnterFastStaysRunnable(t *testing.T) {
+	p := dimProcess(t)
+	o := p.NewObject("o")
+	site := core.Frame{Class: "com.app.Service", Method: "handle", Line: 42}
+	// unset is no thread state: finding it still stored after an enter
+	// shows the enter wrote none.
+	const unset ThreadState = 0
+	// enter runs one synchronized block at site and reports whether its
+	// monitorenter left the thread's state alone. th's goroutine only.
+	enter := func(th *Thread) (untouched bool) {
+		th.Call(site.Class, site.Method, site.Line, func() {
+			th.setState(unset)
+			if err := o.Enter(th); err != nil {
+				t.Error(err)
+				return
+			}
+			untouched = th.State() == unset
+			th.setState(StateRunnable)
+			if err := o.Exit(th); err != nil {
+				t.Error(err)
+			}
+		})
+		return untouched
+	}
+	const n = 5
+	unarmed, installed := make(chan struct{}), make(chan struct{})
+	var fast [n]bool
+	var armedFast bool
+	th := startThread(t, p, "w", func(th *Thread) {
+		for i := range fast {
+			fast[i] = enter(th)
+		}
+		close(unarmed)
+		<-installed
+		armedFast = enter(th)
+	})
+	<-unarmed
+	dim := p.Dimmunix()
+	st := dim.Stats()
+	for i, ok := range fast {
+		if !ok {
+			t.Errorf("unarmed enter %d wrote the thread's state (read as blocked)", i)
+		}
+	}
+	if st.Requests != n || st.FastAcquisitions != n || st.FastReleases != st.FastAcquisitions {
+		t.Errorf("unarmed: %d requests, %d fast acquisitions, %d fast releases; want %d of each",
+			st.Requests, st.FastAcquisitions, st.FastReleases, n)
+	}
+	cold := core.Frame{Class: "com.app.Never", Method: "runs", Line: 1}
+	if _, fresh, err := dim.InstallSignature(&core.Signature{Kind: core.DeadlockSig, Pairs: []core.SigPair{
+		{Outer: core.CallStack{site}, Inner: core.CallStack{site}},
+		{Outer: core.CallStack{cold}, Inner: core.CallStack{cold}},
+	}}); err != nil || !fresh {
+		t.Fatalf("InstallSignature: fresh=%v err=%v", fresh, err)
+	}
+	close(installed)
+	waitDone(t, th)
+	if armedFast {
+		t.Error("the first enter after the install wrote no thread state: it took the fast path")
+	}
+	// The armed enter is approved by avoidance under the exclusive lock;
+	// its Acquired still publishes under the shared one.
+	st = dim.Stats()
+	if st.Requests != n+1 || st.FastRequests != n || st.FastReleases != n || st.AvoidanceChecks != 1 {
+		t.Errorf("after the install: %d requests, %d fast, %d fast releases, %d avoidance checks; want %d, %d, %d, 1",
+			st.Requests, st.FastRequests, st.FastReleases, st.AvoidanceChecks, n+1, n, n)
+	}
+}
+
 func TestPositionsComeFromFrames(t *testing.T) {
 	p := dimProcess(t)
 	o := p.NewObject("o")

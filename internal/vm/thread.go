@@ -69,6 +69,15 @@
 //     again to a barging thread parks again; that thread's release
 //     signals it.
 //
+// A Dimmunix monitorenter at an unarmed site on a free monitor is one
+// shared engine section (core.EnterFast): the approval, the owner CAS and
+// the hold edge, none of which can block. That thread never waits, so it
+// stays runnable throughout and its frames stay its own. Every other
+// enter takes the full path, and there a thread reads as blocked from
+// before Request until it owns the monitor: while avoidance suspends it,
+// while it parks on acqCond, and while detection may copy its frames for
+// a signature's inner stack.
+//
 // The core asks for a thread's stack only for the inner stacks of a
 // signature: the threads of a waits-for cycle are blocked, and a
 // starvation witness that is running gets its witness position's stack

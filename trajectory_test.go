@@ -1,8 +1,12 @@
 package dimmunix_test
 
 import (
+	"bytes"
 	"encoding/json"
+	"errors"
+	"io/fs"
 	"os"
+	"path/filepath"
 	"regexp"
 	"strconv"
 	"testing"
@@ -94,6 +98,58 @@ func TestTrajectoryShape(t *testing.T) {
 					file, i, r.PR, r.Claim, better, now, prev.PR, was)
 			}
 		}
+	}
+}
+
+// floorShare is the share of the newest measured row's ops_per_s that a
+// smoke run must reach. Half leaves room for a slower box than the one
+// that measured the row.
+const floorShare = 0.5
+
+// TestTrajectoryFloor checks a benchmark smoke run against the committed
+// trajectory: the last JSON line `bash bench/run.sh --workload NAME
+// --rounds 2 | tee .bench_build/NAME.json` left there must reach
+// floorShare of the ops_per_s of the newest row of BENCH_NAME.json that
+// was measured, not back-filled. A workload with no such file, or no
+// measured row, is skipped, so a plain `go test ./...` skips them all.
+func TestTrajectoryFloor(t *testing.T) {
+	var spec struct {
+		Workloads []struct{ Name string } `json:"workloads"`
+	}
+	readJSON(t, "BENCHMARK.json", &spec)
+	for _, w := range spec.Workloads {
+		t.Run(w.Name, func(t *testing.T) {
+			out, err := os.ReadFile(filepath.Join(".bench_build", w.Name+".json"))
+			if errors.Is(err, fs.ErrNotExist) {
+				t.Skipf("no smoke run of %s in .bench_build", w.Name)
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			var rows []trajectoryRow
+			readJSON(t, "BENCH_"+w.Name+".json", &rows)
+			var floor *trajectoryRow
+			for i := range rows {
+				if !rows[i].Backfilled {
+					floor = &rows[i]
+				}
+			}
+			if floor == nil {
+				t.Skipf("BENCH_%s.json has no measured row", w.Name)
+			}
+			lines := bytes.Split(bytes.TrimSpace(out), []byte("\n"))
+			var run struct {
+				Metrics map[string]struct{ Value float64 } `json:"metrics"`
+			}
+			if err := json.Unmarshal(lines[len(lines)-1], &run); err != nil {
+				t.Fatalf(".bench_build/%s.json: last line: %v", w.Name, err)
+			}
+			got, want := run.Metrics["ops_per_s"].Value, floorShare*floor.Metrics["ops_per_s"].Value
+			if got < want {
+				t.Errorf("%s: ops_per_s %.4g is below %.2g of PR %d's %.4g (%.4g)",
+					w.Name, got, floorShare, floor.PR, floor.Metrics["ops_per_s"].Value, want)
+			}
+		})
 	}
 }
 

@@ -31,6 +31,9 @@
 // Scenario benchmarks (E1–E5, the engine comparison) time one full
 // scenario per iteration and attach domain metrics via b.ReportMetric;
 // operation benchmarks (the ablations) are conventional per-op loops.
+// E1's ns/op is one immunized race: the two threads meet at a vm gate
+// that the avoidance yield opens, so it times the yield and the resume
+// (tens of µs), with no timeout in it; yields/op reads 1.
 package dimmunix_test
 
 import (
@@ -52,8 +55,7 @@ func BenchmarkE1DeadlockImmunity(b *testing.B) {
 	cfg := dimmunix.DefaultPhoneConfig()
 	cfg.History = dimmunix.NewMemHistory()
 	cfg.WatchdogInterval = 20 * time.Millisecond
-	cfg.WatchdogThreshold = 700 * time.Millisecond
-	cfg.GateTimeout = 50 * time.Millisecond
+	cfg.WatchdogThreshold = 25 * time.Millisecond
 	ph := dimmunix.NewPhone(cfg)
 	if err := ph.Boot(); err != nil {
 		b.Fatal(err)

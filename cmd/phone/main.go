@@ -54,7 +54,6 @@ func run(args []string) error {
 	cfg.Dimmunix = !*vanilla
 	cfg.WatchdogInterval = 50 * time.Millisecond
 	cfg.WatchdogThreshold = 2 * time.Second
-	cfg.GateTimeout = 500 * time.Millisecond
 	if *history != "" {
 		cfg.History = dimmunix.NewFileHistory(*history)
 	}
@@ -68,7 +67,7 @@ func run(args []string) error {
 	if *vanilla {
 		build = "vanilla Android"
 	}
-	fmt.Printf("booted %s (watchdog %v, gate %v)\n", build, cfg.WatchdogInterval, cfg.GateTimeout)
+	fmt.Printf("booted %s (watchdog %v, freeze after %v)\n", build, cfg.WatchdogInterval, cfg.WatchdogThreshold)
 
 	if *verbose && !*vanilla {
 		go streamEvents(ph)

@@ -9,32 +9,23 @@ import (
 	dimmunix "github.com/dimmunix/dimmunix"
 )
 
-// abba runs the classic two-lock inversion on a process forked from rt.
-// strict=true forces the deadlock interleaving via a rendezvous; with
-// immunity armed, pass strict=false (the suspended thread cannot reach a
-// strict rendezvous).
-func abba(t *testing.T, rt *dimmunix.Runtime, name string, strict bool) (*dimmunix.Process, []*dimmunix.Thread) {
+// abba runs the classic two-lock inversion on a process forked from rt:
+// the threads meet at a gate while holding their first lock. Without
+// immunity the deadlock is certain; with it armed, one thread yields
+// before its first lock, and the yield opens the gate for the other.
+func abba(t *testing.T, rt *dimmunix.Runtime, name string) (*dimmunix.Process, []*dimmunix.Thread) {
 	t.Helper()
 	proc, err := rt.Fork(name)
 	if err != nil {
 		t.Fatal(err)
 	}
 	a, b := proc.NewObject("A"), proc.NewObject("B")
-	hasA := make(chan struct{})
-	hasB := make(chan struct{})
+	gate := proc.NewGate(2)
 
 	t1, err := proc.Start("t1", func(th *dimmunix.Thread) {
 		th.Call("com.example.Svc1", "transfer", 10, func() {
 			a.Synchronized(th, func() {
-				close(hasA)
-				if strict {
-					<-hasB
-				} else {
-					select {
-					case <-hasB:
-					case <-time.After(150 * time.Millisecond):
-					}
-				}
+				gate.Arrive()
 				b.Synchronized(th, func() {})
 			})
 		})
@@ -44,9 +35,8 @@ func abba(t *testing.T, rt *dimmunix.Runtime, name string, strict bool) (*dimmun
 	}
 	t2, err := proc.Start("t2", func(th *dimmunix.Thread) {
 		th.Call("com.example.Svc2", "audit", 20, func() {
-			<-hasA
 			b.Synchronized(th, func() {
-				close(hasB)
+				gate.Arrive()
 				a.Synchronized(th, func() {})
 			})
 		})
@@ -65,10 +55,14 @@ func TestRuntimeImmunityAcrossRestart(t *testing.T) {
 
 	// Run 1: detect and freeze.
 	rt1 := dimmunix.New(dimmunix.WithHistoryFile(histPath))
-	proc1, _ := abba(t, rt1, "run1", true)
-	deadline := time.Now().Add(10 * time.Second)
-	for time.Now().Before(deadline) && proc1.Dimmunix().Stats().DeadlocksDetected == 0 {
-		time.Sleep(time.Millisecond)
+	proc1, _ := abba(t, rt1, "run1")
+	select {
+	case ev := <-proc1.Dimmunix().Events():
+		if ev.Kind != dimmunix.EventDeadlockDetected {
+			t.Fatalf("run 1's first event is %v, want the detection", ev.Kind)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("run 1 did not detect the deadlock")
 	}
 	if proc1.Dimmunix().Stats().DeadlocksDetected != 1 {
 		t.Fatal("run 1 did not detect the deadlock")
@@ -78,7 +72,7 @@ func TestRuntimeImmunityAcrossRestart(t *testing.T) {
 	// Run 2: a new runtime (restarted platform) over the same history.
 	rt2 := dimmunix.New(dimmunix.WithHistoryFile(histPath))
 	defer rt2.Shutdown()
-	proc2, threads := abba(t, rt2, "run2", false)
+	proc2, threads := abba(t, rt2, "run2")
 	if proc2.Dimmunix().HistorySize() != 1 {
 		t.Fatalf("run 2 loaded %d signatures, want 1", proc2.Dimmunix().HistorySize())
 	}
@@ -169,8 +163,7 @@ func TestPhoneE1ThroughFacade(t *testing.T) {
 	cfg := dimmunix.DefaultPhoneConfig()
 	cfg.History = dimmunix.NewMemHistory()
 	cfg.WatchdogInterval = 20 * time.Millisecond
-	cfg.WatchdogThreshold = 700 * time.Millisecond
-	cfg.GateTimeout = 150 * time.Millisecond
+	cfg.WatchdogThreshold = 25 * time.Millisecond
 	ph := dimmunix.NewPhone(cfg)
 	if err := ph.Boot(); err != nil {
 		t.Fatal(err)

@@ -25,15 +25,12 @@ func main() {
 	histPath := filepath.Join(os.TempDir(), "quickstart-deadlocks.hist")
 	_ = os.Remove(histPath) // start this demo from a clean history
 
-	for _, run := range []struct {
-		title  string
-		strict bool
-	}{
-		{"== run 1: no antibodies yet — the deadlock will manifest ==", true},
-		{"\n== run 2: restarted runtime, history loaded — immune ==", false},
+	for _, title := range []string{
+		"== run 1: no antibodies yet — the deadlock will manifest ==",
+		"\n== run 2: restarted runtime, history loaded — immune ==",
 	} {
-		fmt.Println(run.title)
-		out, err := runOnce(histPath, run.strict)
+		fmt.Println(title)
+		out, err := runOnce(histPath)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "quickstart:", err)
 			os.Exit(1)
@@ -63,9 +60,11 @@ func (o outcome) String() string {
 }
 
 // runOnce executes the ABBA scenario on a fresh runtime over histPath.
-// strict forces the deadlock interleaving with a rendezvous; pass false
-// once immunity is armed (the suspended thread can no longer rendezvous).
-func runOnce(histPath string, strict bool) (outcome, error) {
+// Both runs are the same code: the threads meet at a gate while holding
+// their first lock, which makes the deadlock certain — unless the history
+// already holds its signature, in which case Dimmunix suspends one thread
+// before its first lock, and that yield opens the gate for the other.
+func runOnce(histPath string) (outcome, error) {
 	rt := dimmunix.New(dimmunix.WithHistoryFile(histPath))
 	defer rt.Shutdown()
 
@@ -75,21 +74,12 @@ func runOnce(histPath string, strict bool) (outcome, error) {
 	}
 	accounts := proc.NewObject("accounts")
 	audit := proc.NewObject("audit")
-	hasAccounts := make(chan struct{})
-	hasAudit := make(chan struct{})
+	gate := proc.NewGate(2)
 
 	if _, err := proc.Start("transfer", func(t *dimmunix.Thread) {
 		t.Call("bank.TransferService", "transfer", 42, func() {
 			accounts.Synchronized(t, func() {
-				close(hasAccounts)
-				if strict {
-					<-hasAudit // wait until the other thread holds audit
-				} else {
-					select {
-					case <-hasAudit:
-					case <-time.After(200 * time.Millisecond):
-					}
-				}
+				gate.Arrive() // wait until the other thread holds audit
 				audit.Synchronized(t, func() {})
 			})
 		})
@@ -98,9 +88,8 @@ func runOnce(histPath string, strict bool) (outcome, error) {
 	}
 	if _, err := proc.Start("report", func(t *dimmunix.Thread) {
 		t.Call("bank.ReportService", "monthly", 77, func() {
-			<-hasAccounts
 			audit.Synchronized(t, func() {
-				close(hasAudit)
+				gate.Arrive()
 				accounts.Synchronized(t, func() {})
 			})
 		})

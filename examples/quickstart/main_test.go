@@ -11,7 +11,7 @@ import (
 func TestQuickstart(t *testing.T) {
 	histPath := filepath.Join(t.TempDir(), "quickstart.hist")
 
-	first, err := runOnce(histPath, true)
+	first, err := runOnce(histPath)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -20,7 +20,7 @@ func TestQuickstart(t *testing.T) {
 			first.Deadlocked, first.Stats.DeadlocksDetected, len(first.Antibodies))
 	}
 
-	second, err := runOnce(histPath, false)
+	second, err := runOnce(histPath)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -50,12 +50,17 @@ func TestPhoneLivePropagationNoRestart(t *testing.T) {
 	}
 
 	// The signature reaches the live app process without any restart.
-	deadline := time.Now().Add(5 * time.Second)
-	for app.Dimmunix().HistorySize() == 0 {
-		if time.Now().After(deadline) {
+	timeout := time.After(5 * time.Second)
+	for installed := false; !installed; {
+		select {
+		case ev, ok := <-app.Dimmunix().Events():
+			if !ok {
+				t.Fatal("bystander core closed before the antibody arrived")
+			}
+			installed = ev.Kind == core.EventSignatureInstalled
+		case <-timeout:
 			t.Fatal("bystander app never hot-installed the antibody")
 		}
-		time.Sleep(time.Millisecond)
 	}
 	if got := app.Dimmunix().Stats().SignaturesInstalled; got == 0 {
 		t.Error("antibody arrived by some path other than hot-install")

@@ -5,7 +5,6 @@ import (
 	"testing"
 	"time"
 
-	"github.com/dimmunix/dimmunix/internal/core"
 	"github.com/dimmunix/dimmunix/internal/vm"
 )
 
@@ -151,6 +150,8 @@ func TestMessageQueueBlocksUntilMessage(t *testing.T) {
 	<-consumer.Done()
 }
 
+// TestWatchdogQuietOnHealthyHandler: however long passes between steps,
+// a looper whose heartbeats land is never reported.
 func TestWatchdogQuietOnHealthyHandler(t *testing.T) {
 	p := testProc(t)
 	l, err := StartLooper(p, "healthy")
@@ -158,18 +159,28 @@ func TestWatchdogQuietOnHealthyHandler(t *testing.T) {
 		t.Fatal(err)
 	}
 	h := NewHandler(l, "healthy-h", func(*vm.Thread, Message) {})
-	var frozen atomic.Int32
-	if _, err := StartWatchdog(p, []*Handler{h}, 10*time.Millisecond, 30*time.Millisecond, func(string) {
-		frozen.Add(1)
-	}); err != nil {
+	var frozen []string
+	w, err := newWatchdog(p, []*Handler{h}, 10*time.Millisecond, 30*time.Millisecond, func(name string) {
+		frozen = append(frozen, name)
+	})
+	if err != nil {
 		t.Fatal(err)
 	}
-	time.Sleep(150 * time.Millisecond)
-	if got := frozen.Load(); got != 0 {
-		t.Errorf("watchdog reported %d freezes on a healthy handler", got)
+	driveWatchdog(t, p, func(th *vm.Thread) {
+		now := time.Unix(0, 0)
+		for i := 0; i < 5; i++ {
+			w.step(th, now)
+			runOnLooper(th, h, func(*vm.Thread) {})
+			now = now.Add(time.Hour)
+		}
+	})
+	if len(frozen) != 0 {
+		t.Errorf("watchdog reported freezes %v on a healthy handler", frozen)
 	}
 }
 
+// TestWatchdogDetectsFrozenHandler: a heartbeat stuck behind a frozen
+// message is reported at the threshold, not before, and once per episode.
 func TestWatchdogDetectsFrozenHandler(t *testing.T) {
 	p := testProc(t)
 	l, err := StartLooper(p, "freezing")
@@ -177,31 +188,59 @@ func TestWatchdogDetectsFrozenHandler(t *testing.T) {
 		t.Fatal(err)
 	}
 	block := make(chan struct{})
+	defer close(block)
 	h := NewHandler(l, "frozen-h", func(*vm.Thread, Message) {
 		<-block // freeze the looper on the first message
 	})
-	reports := make(chan string, 4)
-	if _, err := StartWatchdog(p, []*Handler{h}, 10*time.Millisecond, 40*time.Millisecond, func(name string) {
-		reports <- name
-	}); err != nil {
-		t.Fatal(err)
-	}
-	trigger, err := p.Start("trigger", func(t *vm.Thread) {
-		h.Send(t, Message{What: 1})
+	const threshold = 40 * time.Millisecond
+	var reports []string
+	w, err := newWatchdog(p, []*Handler{h}, 10*time.Millisecond, threshold, func(name string) {
+		reports = append(reports, name)
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	<-trigger.Done()
-	select {
-	case name := <-reports:
-		if name != "freezing" {
-			t.Errorf("freeze reported for looper %q, want freezing", name)
+	driveWatchdog(t, p, func(th *vm.Thread) {
+		h.Send(th, Message{What: 1}) // every later message queues behind it
+		t0 := time.Unix(0, 0)
+		w.step(th, t0) // posts the heartbeat
+		w.step(th, t0.Add(threshold-time.Nanosecond))
+		if len(reports) != 0 {
+			t.Errorf("reported %v before the threshold", reports)
 		}
-	case <-time.After(10 * time.Second):
-		t.Fatal("watchdog never reported the freeze")
+		w.step(th, t0.Add(threshold))
+		w.step(th, t0.Add(time.Hour))
+	})
+	if len(reports) != 1 || reports[0] != "freezing" {
+		t.Errorf("reports = %v, want one for looper freezing", reports)
 	}
-	close(block)
+}
+
+// driveWatchdog runs steps on a VM thread of p (a step posts heartbeats,
+// which takes a VM thread) and waits for it to finish.
+func driveWatchdog(t *testing.T, p *vm.Process, steps func(*vm.Thread)) {
+	t.Helper()
+	th, err := p.Start("watchdog-driver", steps)
+	if err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-th.Done():
+	case <-time.After(10 * time.Second):
+		t.Fatal("watchdog steps hung")
+	}
+}
+
+// runOnLooper posts fn to h's looper and waits until it has run; the
+// looper dispatches in FIFO order, so every message posted before it has
+// run too.
+func runOnLooper(t *vm.Thread, h *Handler, fn func(*vm.Thread)) {
+	ran := make(chan struct{})
+	h.Post(t, func(lt *vm.Thread) {
+		fn(lt)
+		close(ran)
+	})
+	<-ran
 }
 
 func TestServiceManagerRegistry(t *testing.T) {
@@ -260,28 +299,3 @@ func TestFrameworkCensusMatchesPaperCounts(t *testing.T) {
 		t.Errorf("census with service sites = %d, want %d", got, TargetSyncSites)
 	}
 }
-
-func TestGateRendezvousAndTimeout(t *testing.T) {
-	g := NewGate(2, time.Second)
-	done := make(chan bool, 2)
-	go func() { done <- g.Sync() }()
-	go func() { done <- g.Sync() }()
-	for i := 0; i < 2; i++ {
-		select {
-		case ok := <-done:
-			if !ok {
-				t.Error("two-party gate must open, not time out")
-			}
-		case <-time.After(10 * time.Second):
-			t.Fatal("gate never opened")
-		}
-	}
-
-	lone := NewGate(2, 10*time.Millisecond)
-	if lone.Sync() {
-		t.Error("lone party must time out")
-	}
-}
-
-// ensure core import is used even if tests above change.
-var _ = core.DeadlockSig

@@ -30,13 +30,16 @@ type PhoneConfig struct {
 	// WatchdogInterval is the handler heartbeat period.
 	WatchdogInterval time.Duration
 	// WatchdogThreshold is how long a heartbeat may stay unprocessed
-	// before the handler is declared frozen. It must comfortably exceed
-	// GateTimeout so avoidance yields (bounded by the gate) are never
-	// misread as freezes; the real Android watchdog uses 60 seconds.
+	// before the handler is declared frozen. An avoidance yield lasts only
+	// until the thread it waits for releases its lock, so the threshold
+	// need only exceed the longest message a healthy looper handles, plus
+	// scheduling noise; the real Android watchdog uses 60 seconds.
+	// Non-positive means 3 seconds.
 	WatchdogThreshold time.Duration
-	// GateTimeout bounds the race-gate rendezvous in scenarios.
-	GateTimeout time.Duration
 }
+
+// defaultWatchdogThreshold is the freeze threshold when none is set.
+const defaultWatchdogThreshold = 3 * time.Second
 
 // DefaultPhoneConfig returns a Dimmunix-enabled phone with an in-memory
 // history.
@@ -45,8 +48,7 @@ func DefaultPhoneConfig() PhoneConfig {
 		Dimmunix:          true,
 		History:           core.NewMemHistory(),
 		WatchdogInterval:  50 * time.Millisecond,
-		WatchdogThreshold: 3 * time.Second,
-		GateTimeout:       time.Second,
+		WatchdogThreshold: defaultWatchdogThreshold,
 	}
 }
 
@@ -96,11 +98,8 @@ func NewPhone(cfg PhoneConfig) *Phone {
 	if cfg.WatchdogInterval <= 0 {
 		cfg.WatchdogInterval = 50 * time.Millisecond
 	}
-	if cfg.GateTimeout <= 0 {
-		cfg.GateTimeout = time.Second
-	}
 	if cfg.WatchdogThreshold <= 0 {
-		cfg.WatchdogThreshold = 3 * cfg.GateTimeout
+		cfg.WatchdogThreshold = defaultWatchdogThreshold
 	}
 	return &Phone{cfg: cfg, freezeCh: make(chan string, 16)}
 }
@@ -218,17 +217,13 @@ func (ph *Phone) ForkApp(name string) (*vm.Process, error) {
 // until it completes, the watchdog reports a freeze, or the timeout
 // passes.
 func (ph *Phone) RunNotificationScenario(timeout time.Duration) (ScenarioOutcome, error) {
-	return ph.runScenario(timeout, func(ss *SystemServer) (<-chan struct{}, error) {
-		return ss.NotificationRace(ph.cfg.GateTimeout)
-	})
+	return ph.runScenario(timeout, (*SystemServer).NotificationRace)
 }
 
 // RunWindowScenario triggers the ActivityManager/WindowManager inversion
 // (the platform's second immunizable deadlock) and waits for the outcome.
 func (ph *Phone) RunWindowScenario(timeout time.Duration) (ScenarioOutcome, error) {
-	return ph.runScenario(timeout, func(ss *SystemServer) (<-chan struct{}, error) {
-		return ss.WindowRace(ph.cfg.GateTimeout)
-	})
+	return ph.runScenario(timeout, (*SystemServer).WindowRace)
 }
 
 // runScenario starts a race scenario and resolves its outcome.

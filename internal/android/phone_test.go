@@ -14,8 +14,7 @@ func testPhoneConfig(dimmunix bool, store core.HistoryStore) PhoneConfig {
 		Dimmunix:          dimmunix,
 		History:           store,
 		WatchdogInterval:  20 * time.Millisecond,
-		WatchdogThreshold: 700 * time.Millisecond,
-		GateTimeout:       150 * time.Millisecond,
+		WatchdogThreshold: 25 * time.Millisecond,
 	}
 }
 

@@ -48,8 +48,8 @@ func TestNotificationCancelFlow(t *testing.T) {
 	}
 }
 
-// TestNotificationClickMarksSeen exercises the callback interface's click
-// path and the collapse message.
+// TestNotificationClickAndCollapse exercises the callback interface's
+// click path and the expand and collapse messages.
 func TestNotificationClickAndCollapse(t *testing.T) {
 	ph := NewPhone(testPhoneConfig(true, core.NewMemHistory()))
 	if err := ph.Boot(); err != nil {
@@ -61,6 +61,7 @@ func TestNotificationClickAndCollapse(t *testing.T) {
 	user, err := ss.Proc.Start("user", func(th *vm.Thread) {
 		ss.NMS.EnqueueNotificationWithTag(th, "com.app", "chat", 7)
 		ss.NMS.OnNotificationClick(th, "com.app", "chat", 7)
+		ss.StatusBar.ExpandNotificationsPanel(th)
 		ss.StatusBar.CollapseNotificationsPanel(th)
 	})
 	if err != nil {
@@ -70,13 +71,22 @@ func TestNotificationClickAndCollapse(t *testing.T) {
 	if user.Err() != nil {
 		t.Fatal(user.Err())
 	}
-	// The collapse message lands on the UI looper.
-	deadline := time.Now().Add(10 * time.Second)
-	for time.Now().Before(deadline) && ss.UILooper.Dispatched() == 0 {
-		time.Sleep(time.Millisecond)
+	// The expand and collapse messages land on the UI looper, in order: a
+	// sentinel posted after them finds the panel collapsed again.
+	var expanded bool
+	sentinel, err := ss.Proc.Start("sentinel", func(th *vm.Thread) {
+		runOnLooper(th, ss.StatusBar.Handler(), func(*vm.Thread) { expanded = ss.StatusBar.expandedVisible })
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if ss.UILooper.Dispatched() == 0 {
-		t.Error("collapse message never dispatched")
+	select {
+	case <-sentinel.Done():
+	case <-time.After(10 * time.Second):
+		t.Fatal("UI looper never reached the sentinel")
+	}
+	if expanded || len(ss.StatusBar.ExpansionsDone()) != 1 {
+		t.Errorf("expanded=%v expansions=%d after expand+collapse, want false and 1", expanded, len(ss.StatusBar.ExpansionsDone()))
 	}
 }
 
@@ -87,9 +97,6 @@ func TestDefaultPhoneConfig(t *testing.T) {
 	}
 	if cfg.History == nil {
 		t.Error("default phone must carry a history store")
-	}
-	if cfg.WatchdogThreshold <= cfg.GateTimeout {
-		t.Error("watchdog threshold must exceed the gate timeout (avoidance yields must not read as freezes)")
 	}
 }
 
@@ -108,7 +115,7 @@ func TestFreezeEventsExposed(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer ph.Shutdown()
-	done, err := ph.System().NotificationRace(ph.cfg.GateTimeout)
+	done, err := ph.System().NotificationRace()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -124,66 +124,38 @@ func (ss *SystemServer) Shutdown() {
 }
 
 // NotificationRace drives the paper's reproduction: one thread issues a
-// notification while another expands the status bar, with a two-party gate
-// holding each thread inside its first critical section until both arrive
-// (or the gate times out — which is what happens when Dimmunix suspends
-// one of them first). The returned channel closes if both operations
-// complete; on a deadlock it never closes and the watchdog reports the
-// freeze instead.
-func (ss *SystemServer) NotificationRace(gateTimeout time.Duration) (<-chan struct{}, error) {
-	gate := NewGate(2, gateTimeout)
-	ss.NMS.SetRaceHook(func() { gate.Sync() })
-	ss.StatusBar.SetRaceHook(func() { gate.Sync() })
-
+// notification while another expands the status bar, and a two-party gate
+// (vm.Gate) holds each inside its first critical section until both
+// arrive, or until Dimmunix suspends one of them first. The returned
+// channel closes if both operations complete; on a deadlock it never
+// closes and the watchdog reports the freeze instead.
+func (ss *SystemServer) NotificationRace() (<-chan struct{}, error) {
 	// Only an expansion this race causes counts.
 	for len(ss.StatusBar.expansionsDone) > 0 {
 		<-ss.StatusBar.expansionsDone
 	}
-
-	// The notifying thread: an app's binder call executing in
-	// system_server, as binder transactions do.
-	notifier, err := ss.Proc.Start("Binder-1", func(t *vm.Thread) {
-		t.Call("android.os.Binder", "execTransact", 287, func() {
-			ss.NMS.EnqueueNotificationWithTag(t, "com.example.messenger", "new-message", 1)
-		})
-	})
-	if err != nil {
-		return nil, fmt.Errorf("notification race: %w", err)
-	}
-	// The expanding thread: the input path posting the expand to the $H
-	// handler (the expansion itself runs on the UI looper).
-	expander, err := ss.Proc.Start("InputDispatcher", func(t *vm.Thread) {
-		t.Call("com.android.server.InputDispatcher", "notifyMotion", 166, func() {
-			ss.StatusBar.ExpandNotificationsPanel(t)
-		})
-	})
-	if err != nil {
-		return nil, fmt.Errorf("notification race: %w", err)
-	}
-
-	done := make(chan struct{})
-	go func() {
-		// Both the binder call and the UI expansion must complete.
-		if raceCompleted(ss.Proc, notifier, ss.StatusBar.ExpansionsDone(), gateTimeout) {
-			// Clear the race hooks for subsequent normal operation.
-			ss.NMS.SetRaceHook(nil)
-			ss.StatusBar.SetRaceHook(nil)
-			close(done)
-		}
-	}()
-	_ = expander
-	return done, nil
+	return startRace(ss, [2]racer{ss.NMS, ss.StatusBar}, ss.StatusBar.ExpansionsDone(),
+		// The notifying thread: an app's binder call executing in
+		// system_server, as binder transactions do.
+		raceThread{"Binder-1", func(t *vm.Thread) {
+			t.Call("android.os.Binder", "execTransact", 287, func() {
+				ss.NMS.EnqueueNotificationWithTag(t, "com.example.messenger", "new-message", 1)
+			})
+		}},
+		// The expanding thread: the input path posting the expand to the
+		// $H handler (the expansion itself runs on the UI looper).
+		raceThread{"InputDispatcher", func(t *vm.Thread) {
+			t.Call("com.android.server.InputDispatcher", "notifyMotion", 166, func() {
+				ss.StatusBar.ExpandNotificationsPanel(t)
+			})
+		}})
 }
 
 // WindowRace drives the second platform deadlock: an app start (AMS lock →
 // WMS lock) racing a window animation step (WMS lock → AMS lock), with the
-// same gate scheme as NotificationRace. The returned channel closes if
-// both operations complete.
-func (ss *SystemServer) WindowRace(gateTimeout time.Duration) (<-chan struct{}, error) {
-	gate := NewGate(2, gateTimeout)
-	ss.AMS.SetRaceHook(func() { gate.Sync() })
-	ss.WMS.SetRaceHook(func() { gate.Sync() })
-
+// same gate as NotificationRace. The returned channel closes if both
+// operations complete.
+func (ss *SystemServer) WindowRace() (<-chan struct{}, error) {
 	const component = "com.example.messenger/.ComposeActivity"
 	// Seed a visible window so the animation step has a callback to make,
 	// then race the app start against the animation.
@@ -198,56 +170,63 @@ func (ss *SystemServer) WindowRace(gateTimeout time.Duration) (<-chan struct{}, 
 	case <-time.After(10 * time.Second):
 		return nil, fmt.Errorf("window race: seeding hung")
 	}
-
-	starter, err := ss.Proc.Start("Binder-2", func(t *vm.Thread) {
-		t.Call("android.os.Binder", "execTransact", 287, func() {
-			ss.AMS.StartActivity(t, component)
-		})
-	})
-	if err != nil {
-		return nil, fmt.Errorf("window race: %w", err)
-	}
-	animator, err := ss.Proc.Start("AnimationThread", func(t *vm.Thread) {
-		ss.WMS.ScheduleAnimation(t)
-	})
-	if err != nil {
-		return nil, fmt.Errorf("window race: %w", err)
-	}
-
-	done := make(chan struct{})
-	go func() {
-		if raceCompleted(ss.Proc, starter, ss.WMS.AnimationsDone(), gateTimeout) {
-			ss.AMS.SetRaceHook(nil)
-			ss.WMS.SetRaceHook(nil)
-			close(done)
-		}
-	}()
-	_ = animator
-	return done, nil
+	return startRace(ss, [2]racer{ss.AMS, ss.WMS}, ss.WMS.AnimationsDone(),
+		raceThread{"Binder-2", func(t *vm.Thread) {
+			t.Call("android.os.Binder", "execTransact", 287, func() {
+				ss.AMS.StartActivity(t, component)
+			})
+		}},
+		raceThread{"AnimationThread", ss.WMS.ScheduleAnimation})
 }
 
-// raceCompleted waits for both sides of a scenario race: the binder thread
-// returning without error and the UI side signalling completion on uiDone.
-// It gives up (false) when the binder thread fails, when the process starts
-// dying (a frozen phone is rebooted), or after gateTimeout plus 30 s.
-func raceCompleted[T any](proc *vm.Process, binder *vm.Thread, uiDone <-chan T, gateTimeout time.Duration) bool {
-	timeout := time.NewTimer(gateTimeout + 30*time.Second)
-	defer timeout.Stop()
-	binderDone := binder.Done()
-	for binderDone != nil || uiDone != nil {
-		select {
-		case <-binderDone:
-			if binder.Err() != nil {
-				return false
-			}
-			binderDone = nil
-		case <-uiDone:
-			uiDone = nil
-		case <-proc.Dying():
-			return false
-		case <-timeout.C:
-			return false
-		}
+// racer is a service with a race window: its race hook runs inside its
+// first critical section.
+type racer interface{ SetRaceHook(func()) }
+
+// raceThread is one side of a race: a thread name and its body.
+type raceThread struct {
+	name string
+	body func(*vm.Thread)
+}
+
+// startRace runs one forced race in system_server: both services' race
+// hooks arrive at one gate, then the binder thread and the other side
+// start. The returned channel closes, and the hooks are cleared, once the
+// binder call has returned without error and uiDone has delivered. It
+// never closes when the binder thread fails or the process starts dying
+// first (a frozen phone is rebooted).
+func startRace[T any](ss *SystemServer, hooks [2]racer, uiDone <-chan T, binder, other raceThread) (<-chan struct{}, error) {
+	gate := ss.Proc.NewGate(2)
+	for _, h := range hooks {
+		h.SetRaceHook(func() { gate.Arrive() })
 	}
-	return true
+	b, err := ss.Proc.Start(binder.name, binder.body)
+	if err != nil {
+		return nil, fmt.Errorf("race %s: %w", binder.name, err)
+	}
+	if _, err := ss.Proc.Start(other.name, other.body); err != nil {
+		return nil, fmt.Errorf("race %s: %w", other.name, err)
+	}
+	done := make(chan struct{})
+	go func() {
+		binderDone := b.Done()
+		for binderDone != nil || uiDone != nil {
+			select {
+			case <-binderDone:
+				if b.Err() != nil {
+					return
+				}
+				binderDone = nil
+			case <-uiDone:
+				uiDone = nil
+			case <-ss.Proc.Dying():
+				return
+			}
+		}
+		for _, h := range hooks {
+			h.SetRaceHook(nil)
+		}
+		close(done)
+	}()
+	return done, nil
 }

@@ -12,18 +12,16 @@ import (
 // keeps one outstanding heartbeat message per monitored handler and
 // declares the platform frozen when a heartbeat has not executed within
 // the freeze threshold — which is what happens when a looper thread is
-// party to a deadlock. The threshold is deliberately much larger than the
-// check interval (the real watchdog uses 60s) so that transient blocking —
-// including Dimmunix avoidance yields — is never misread as a freeze. On a
-// real phone the watchdog kills system_server; here it reports the freeze
-// so the Phone controller can reboot.
+// party to a deadlock. The threshold must exceed the longest message a
+// healthy looper handles (the real watchdog uses 60s). On a real phone the
+// watchdog kills system_server; here it reports the freeze so the Phone
+// controller can reboot. step is the rule; run is its timer shell.
 type Watchdog struct {
 	proc      *vm.Process
 	interval  time.Duration
 	threshold time.Duration
 	onFreeze  func(handlerName string)
 	checks    []*handlerCheck
-	thread    *vm.Thread
 }
 
 // handlerCheck is one monitored looper thread's heartbeat state. Like
@@ -48,6 +46,19 @@ type handlerCheck struct {
 // the watchdog's VM thread) with the looper name, once per looper per
 // freeze episode; it must not block.
 func StartWatchdog(p *vm.Process, handlers []*Handler, interval, threshold time.Duration, onFreeze func(string)) (*Watchdog, error) {
+	w, err := newWatchdog(p, handlers, interval, threshold, onFreeze)
+	if err != nil {
+		return nil, err
+	}
+	if _, err := p.Start("watchdog", w.run); err != nil {
+		return nil, fmt.Errorf("watchdog: %w", err)
+	}
+	return w, nil
+}
+
+// newWatchdog builds a watchdog without starting its thread; tests drive
+// its rule with step.
+func newWatchdog(p *vm.Process, handlers []*Handler, interval, threshold time.Duration, onFreeze func(string)) (*Watchdog, error) {
 	if interval <= 0 {
 		return nil, fmt.Errorf("watchdog: non-positive interval %v", interval)
 	}
@@ -63,62 +74,53 @@ func StartWatchdog(p *vm.Process, handlers []*Handler, interval, threshold time.
 		seen[h.Looper()] = true
 		w.checks = append(w.checks, &handlerCheck{looper: h.Looper(), handler: h})
 	}
-	th, err := p.Start("watchdog", w.run)
-	if err != nil {
-		return nil, fmt.Errorf("watchdog: %w", err)
-	}
-	w.thread = th
 	return w, nil
 }
 
-// run is the watchdog loop: keep a heartbeat outstanding per handler and
-// flag the ones that exceed the threshold.
+// run is the watchdog's timer shell: one step per interval, at the tick's
+// time, until the process starts dying.
 func (w *Watchdog) run(t *vm.Thread) {
 	t.Call("com.android.server.Watchdog", "run", 351, func() {
-		for w.sleep() {
-			now := time.Now()
-			for _, c := range w.checks {
-				w.checkOne(t, c, now)
+		tick := time.NewTicker(w.interval)
+		defer tick.Stop()
+		for {
+			select {
+			case <-w.proc.Dying():
+				return
+			case now := <-tick.C:
+				if w.proc.Killed() {
+					return
+				}
+				w.step(t, now)
 			}
 		}
 	})
 }
 
-// checkOne advances one handler's heartbeat state machine.
-func (w *Watchdog) checkOne(t *vm.Thread, c *handlerCheck, now time.Time) {
-	if c.outstanding {
-		if c.completed.Load() {
+// step is the watchdog's rule at time now, for every monitored looper: a
+// heartbeat that landed closes the episode and a new one is posted; one
+// outstanding for threshold or longer is reported, once per episode; one
+// outstanding for less is left alone. It reads no clock.
+func (w *Watchdog) step(t *vm.Thread, now time.Time) {
+	for _, c := range w.checks {
+		if c.outstanding {
+			if !c.completed.Load() {
+				if now.Sub(c.postedAt) >= w.threshold && !c.reported {
+					c.reported = true
+					if w.onFreeze != nil {
+						w.onFreeze(c.looper.Name())
+					}
+				}
+				continue // the episode stays open until the heartbeat lands
+			}
 			// Heartbeat landed: the handler is healthy again.
 			c.outstanding = false
 			c.reported = false
-		} else if now.Sub(c.postedAt) >= w.threshold {
-			if !c.reported {
-				c.reported = true
-				if w.onFreeze != nil {
-					w.onFreeze(c.looper.Name())
-				}
-			}
-			return // keep the episode open until the heartbeat lands
-		} else {
-			return // still within threshold: wait
 		}
-	}
-	c.completed.Store(false)
-	c.postedAt = now
-	c.outstanding = true
-	check := c
-	c.handler.Post(t, func(*vm.Thread) { check.completed.Store(true) })
-}
-
-// sleep waits one interval, or until the process starts dying, so
-// teardown is prompt. It reports false when the process died meanwhile.
-func (w *Watchdog) sleep() bool {
-	timer := time.NewTimer(w.interval)
-	defer timer.Stop()
-	select {
-	case <-w.proc.Dying():
-		return false
-	case <-timer.C:
-		return !w.proc.Killed()
+		c.completed.Store(false)
+		c.postedAt = now
+		c.outstanding = true
+		check := c
+		c.handler.Post(t, func(*vm.Thread) { check.completed.Store(true) })
 	}
 }

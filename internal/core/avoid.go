@@ -59,6 +59,8 @@ func (c *Core) avoidLocked(t *Node, pos *Position) (yielded bool, err error) {
 		c.yielders[t] = rec
 		c.yielderCount.Add(1)
 		atomic.AddUint64(&c.stats.Yields, 1)
+		close(c.yieldCh)
+		c.yieldCh = make(chan struct{})
 		c.emit(Event{
 			Kind:       EventYield,
 			Sig:        sig.snapshot(),
@@ -71,6 +73,17 @@ func (c *Core) avoidLocked(t *Node, pos *Position) (yielded bool, err error) {
 		delete(c.yielders, t)
 		c.yielderCount.Add(-1)
 	}
+}
+
+// Yielded returns how many times avoidance has suspended a thread so far
+// and a channel that is closed at the next such suspension. Both are
+// replaced together under the exclusive engine lock and read here under
+// the shared one, so a caller that read count n and waits on the channel
+// misses no yield after the n-th. The fast path never touches either.
+func (c *Core) Yielded() (count uint64, next <-chan struct{}) {
+	c.mu.RLock()
+	defer c.mu.RUnlock()
+	return atomic.LoadUint64(&c.stats.Yields), c.yieldCh
 }
 
 // findInstantiationLocked searches the deadlock signatures containing pos

@@ -194,7 +194,8 @@ type Core struct {
 	events       chan Event
 	eventsClosed bool
 
-	killed atomic.Bool
+	killed  atomic.Bool
+	yieldCh chan struct{} // closed and replaced at each yield (exclusive c.mu)
 }
 
 // New creates a Core with the given options applied over DefaultConfig.
@@ -215,6 +216,7 @@ func New(opts ...Option) (*Core, error) {
 		positions: newPosTable(),
 		sigKeys:   make(map[string]*Signature),
 		yielders:  make(map[*Node]*yieldRecord),
+		yieldCh:   make(chan struct{}),
 		events:    make(chan Event, eventBuffer),
 	}
 	if cfg.Store != nil {

@@ -260,45 +260,38 @@ func TestKillDuringWait(t *testing.T) {
 }
 
 // abbaScenario runs the classic inversion on a process: t1 takes A then B,
-// t2 takes B then A. In run-1 style (strict=true) the threads rendezvous
-// after their first acquisition so the deadlock is certain; with avoidance
-// armed (strict=false) t2 yields before acquiring B, so t1 proceeds on a
-// timeout instead of a rendezvous.
-func abbaScenario(t *testing.T, p *Process, strict bool) (t1, t2 *Thread) {
+// t2 takes B then A, and they meet at a gate while holding their first
+// lock; t2 starts once t1 waits there. Without the signature the
+// rendezvous makes the deadlock certain. With it armed, t2 yields before
+// taking B, and that yield opens the gate for t1 (package comment,
+// "Gates"). Each thread sends its Arrive result on met.
+func abbaScenario(t *testing.T, p *Process) (t1, t2 *Thread, met <-chan bool) {
 	a, b := p.NewObject("lockA"), p.NewObject("lockB")
-	t1HasA := make(chan struct{})
-	t2HasB := make(chan struct{})
+	g := p.NewGate(2)
+	results := make(chan bool, 2)
 
 	t1 = startThread(t, p, "t1", func(th *Thread) {
 		th.Call("com.app.Svc1", "methodA", 10, func() {
 			a.Synchronized(th, func() {
-				close(t1HasA)
-				if strict {
-					<-t2HasB
-				} else {
-					select {
-					case <-t2HasB:
-					case <-time.After(200 * time.Millisecond):
-					}
-				}
+				results <- g.Arrive()
 				th.Call("com.app.Svc1", "innerB", 11, func() {
 					b.Synchronized(th, func() {})
 				})
 			})
 		})
 	})
+	pollUntil(t, "t1 at the gate", func() bool { return g.missing.Load() == 1 })
 	t2 = startThread(t, p, "t2", func(th *Thread) {
 		th.Call("com.app.Svc2", "methodB", 20, func() {
-			<-t1HasA
 			b.Synchronized(th, func() {
-				close(t2HasB)
+				results <- g.Arrive()
 				th.Call("com.app.Svc2", "innerA", 21, func() {
 					a.Synchronized(th, func() {})
 				})
 			})
 		})
 	})
-	return t1, t2
+	return t1, t2, results
 }
 
 // TestVMDeadlockDetectionAndFreeze reproduces run 1 of the paper's
@@ -311,7 +304,7 @@ func TestVMDeadlockDetectionAndFreeze(t *testing.T) {
 		t.Fatal(err)
 	}
 	p := NewProcess("run1", c)
-	t1, t2 := abbaScenario(t, p, true)
+	t1, t2, _ := abbaScenario(t, p)
 
 	pollUntil(t, "deadlock detected", func() bool {
 		return p.Dimmunix().Stats().DeadlocksDetected == 1
@@ -339,19 +332,19 @@ func TestVMDeadlockImmunityAfterReboot(t *testing.T) {
 		t.Fatal(err)
 	}
 	p1 := NewProcess("run1", c1)
-	abbaScenario(t, p1, true)
+	abbaScenario(t, p1)
 	pollUntil(t, "deadlock detected", func() bool {
 		return p1.Dimmunix().Stats().DeadlocksDetected == 1
 	})
 	p1.Kill()
 
-	// Run 2: fresh process, loaded history, relaxed interleaving.
+	// Run 2: fresh process, loaded history, the same interleaving.
 	c2, err := core.New(core.WithStore(store))
 	if err != nil {
 		t.Fatal(err)
 	}
 	p2 := NewProcess("run2", c2)
-	t1, t2 := abbaScenario(t, p2, false)
+	t1, t2, _ := abbaScenario(t, p2)
 	waitDone(t, t1)
 	waitDone(t, t2)
 	if err := t1.Err(); err != nil {
@@ -388,7 +381,7 @@ func TestWaitInversionDeadlock(t *testing.T) {
 		t.Fatal(err)
 	}
 	p1 := NewProcess("run1", c1)
-	runWaitInversion(t, p1, true)
+	runWaitInversion(t, p1)
 	pollUntil(t, "wait-inversion deadlock detected", func() bool {
 		return p1.Dimmunix().Stats().DeadlocksDetected == 1
 	})
@@ -403,7 +396,7 @@ func TestWaitInversionDeadlock(t *testing.T) {
 		t.Fatal(err)
 	}
 	p2 := NewProcess("run2", c2)
-	t1, t2 := runWaitInversion(t, p2, false)
+	t1, t2 := runWaitInversion(t, p2)
 	waitDone(t, t1)
 	waitDone(t, t2)
 	st := p2.Dimmunix().Stats()
@@ -416,7 +409,7 @@ func TestWaitInversionDeadlock(t *testing.T) {
 // runWaitInversion launches the two threads of the §3.2 example. t1 waits
 // with a timeout (the paper's t1 simply "finishes waiting"); t2 enters
 // once t1 is parked.
-func runWaitInversion(t *testing.T, p *Process, _ bool) (t1, t2 *Thread) {
+func runWaitInversion(t *testing.T, p *Process) (t1, t2 *Thread) {
 	x, y := p.NewObject("x"), p.NewObject("y")
 	t1 = startThread(t, p, "t1", func(th *Thread) {
 		th.Call("com.app.W", "holder", 30, func() {

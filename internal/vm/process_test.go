@@ -95,7 +95,7 @@ func TestZygoteSharedHistory(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	abbaScenario(t, p1, true)
+	abbaScenario(t, p1)
 	pollUntil(t, "deadlock in app1", func() bool {
 		return p1.Dimmunix().Stats().DeadlocksDetected == 1
 	})
@@ -110,7 +110,7 @@ func TestZygoteSharedHistory(t *testing.T) {
 	if p2.Dimmunix().HistorySize() != 1 {
 		t.Fatalf("app2 loaded %d signatures, want 1", p2.Dimmunix().HistorySize())
 	}
-	t1, t2 := abbaScenario(t, p2, false)
+	t1, t2, _ := abbaScenario(t, p2)
 	waitDone(t, t1)
 	waitDone(t, t2)
 	if st := p2.Dimmunix().Stats(); st.DeadlocksDetected != 0 {
@@ -163,7 +163,7 @@ func TestDeadlockFreezeKeepsOtherAppsAlive(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	abbaScenario(t, frozen, true)
+	abbaScenario(t, frozen)
 	pollUntil(t, "freeze", func() bool {
 		return frozen.Dimmunix().Stats().DeadlocksDetected == 1
 	})

@@ -82,6 +82,22 @@
 // signature: the threads of a waits-for cycle are blocked, and a
 // starvation witness that is running gets its witness position's stack
 // instead. Inner stacks are not part of a signature's key.
+//
+// # Gates
+//
+// A deadlock scenario forces its interleaving with a Gate
+// (Process.NewGate): each party arrives holding its first lock, and the
+// crossing acquisitions start only once all of them are there. Arrive
+// returns true when every party has arrived, and false when the process's
+// core has yielded a thread since the gate was created or the process is
+// dying. The yield is why: once the history holds the deadlock's
+// signature, avoidance suspends a party before its first lock, so that
+// party can never arrive, and the yield is the event that says so. The
+// others go on alone, finish, and their releases resume the yielder. A
+// vanilla process never yields, so there the gate is a strict
+// rendezvous. No timer is involved: the run that deadlocks and the
+// immune run after it are the same code. A yield from before NewGate
+// does not count, so one process can drive the scenario repeatedly.
 package vm
 
 import (

@@ -213,23 +213,24 @@ func tokenTenant(token string) string {
 }
 
 // injectDeadlock forks a buggy app on the phone and drives its two
-// threads into a certain AB/BA inversion (strict rendezvous on channels).
-// Under PolicyFreeze the process freezes — like a real buggy app — and
-// the detection publishes the signature to the phone's service. The
-// process is left frozen; the Zygote reaps it at teardown.
+// threads into a certain AB/BA inversion: they meet at a gate
+// (vm.Process.NewGate) while holding their first lock. Under PolicyFreeze
+// the process freezes — like a real buggy app — and the detection
+// publishes the signature to the phone's service. The process is left
+// frozen; the Zygote reaps it at teardown. On a phone already armed
+// against the inversion, one thread yields instead and the gate lets the
+// other through.
 func injectDeadlock(z *vm.Zygote) error {
 	p, err := z.Fork("com.buggy.app")
 	if err != nil {
 		return fmt.Errorf("inject: %w", err)
 	}
 	a, b := p.NewObject("buggy.A"), p.NewObject("buggy.B")
-	hasA := make(chan struct{})
-	hasB := make(chan struct{})
+	gate := p.NewGate(2)
 	if _, err := p.Start("t1", func(t *vm.Thread) {
 		t.Call(buggyOuterA.Class, buggyOuterA.Method, buggyOuterA.Line, func() {
 			a.Synchronized(t, func() {
-				close(hasA)
-				<-hasB
+				gate.Arrive()
 				t.Call("com.buggy.App", "innerB", 11, func() {
 					b.Synchronized(t, func() {})
 				})
@@ -240,9 +241,8 @@ func injectDeadlock(z *vm.Zygote) error {
 	}
 	if _, err := p.Start("t2", func(t *vm.Thread) {
 		t.Call(buggyOuterB.Class, buggyOuterB.Method, buggyOuterB.Line, func() {
-			<-hasA
 			b.Synchronized(t, func() {
-				close(hasB)
+				gate.Arrive()
 				t.Call("com.buggy.App", "innerA", 21, func() {
 					a.Synchronized(t, func() {})
 				})

@@ -19,8 +19,7 @@ func TestPlatformIsolationDuringFreeze(t *testing.T) {
 	cfg := dimmunix.DefaultPhoneConfig()
 	cfg.History = store
 	cfg.WatchdogInterval = 20 * time.Millisecond
-	cfg.WatchdogThreshold = 700 * time.Millisecond
-	cfg.GateTimeout = 150 * time.Millisecond
+	cfg.WatchdogThreshold = 25 * time.Millisecond
 	ph := dimmunix.NewPhone(cfg)
 	if err := ph.Boot(); err != nil {
 		t.Fatal(err)

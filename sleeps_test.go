@@ -17,10 +17,7 @@ import (
 // the event instead. Lower a count when a sleep goes.
 var sleepCensus = map[string]int{
 	"cmd/immunityd/drill_test.go":               2,
-	"dimmunix_test.go":                          2,
-	"internal/android/immunity_test.go":         1,
-	"internal/android/looper_test.go":           1,
-	"internal/android/services_test.go":         1,
+	"dimmunix_test.go":                          1,
 	"internal/apps/app.go":                      1,
 	"internal/core/harness_test.go":             1,
 	"internal/immunity/admission_test.go":       1,

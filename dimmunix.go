@@ -71,9 +71,6 @@ type (
 	CoreMemStats = core.MemStats
 	// CoreOption configures a process's core.
 	CoreOption = core.Option
-	// DeadlockError is returned under the fail policy when an acquisition
-	// would complete a deadlock.
-	DeadlockError = core.DeadlockError
 )
 
 // VM types re-exported for API users.

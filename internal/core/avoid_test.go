@@ -57,7 +57,7 @@ func TestEndToEndImmunity(t *testing.T) {
 	store := NewMemHistory()
 
 	// Run 1: detection.
-	run1 := newHarness(t, WithStore(store), WithAvoidance(true))
+	run1 := newHarness(t, WithStore(store))
 	t2, lockA, p2in := buildABBA(run1)
 	if err := run1.c.Request(t2, lockA, p2in); err != nil {
 		t.Fatal(err)
@@ -171,21 +171,6 @@ func TestAvoidanceMultipleSignaturesSequential(t *testing.T) {
 	}
 	if st := h.c.Stats(); st.InstantiationsFound < 2 {
 		t.Errorf("InstantiationsFound = %d, want >= 2", st.InstantiationsFound)
-	}
-}
-
-func TestAvoidanceDisabled(t *testing.T) {
-	h := newHarness(t, WithAvoidance(false))
-	mustAdd(t, h.c, sigOf(DeadlockSig, fr("test.W", "p1", 1), fr("test.W", "p2", 2)))
-	t1, t2 := h.thread("t1"), h.thread("t2")
-	lA, lB := h.lock("A"), h.lock("B")
-	p1, p2 := h.pos("W", "p1", 1), h.pos("W", "p2", 2)
-
-	h.acquire(t1, lA, p1)
-	// With avoidance off this proceeds immediately.
-	h.acquire(t2, lB, p2)
-	if st := h.c.Stats(); st.Yields != 0 {
-		t.Errorf("avoidance disabled: yields = %d, want 0", st.Yields)
 	}
 }
 

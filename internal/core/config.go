@@ -2,54 +2,23 @@ package core
 
 import "fmt"
 
-// DeadlockPolicy selects what Request does when it detects that granting
-// the acquisition would complete a deadlock cycle.
-type DeadlockPolicy int
-
-const (
-	// PolicyFreeze records the signature and lets the acquisition proceed,
-	// so the deadlock actually happens — the faithful Dalvik behaviour
-	// (monitorenter cannot fail): the phone hangs once, the signature is
-	// persisted, and after reboot the deadlock is avoided.
-	PolicyFreeze DeadlockPolicy = iota + 1
-	// PolicyFail records the signature and returns ErrDeadlockDetected
-	// from Request, letting the embedding runtime unwind the thread (used
-	// by tests and by simulations that model a crash-and-restart instead
-	// of a freeze).
-	PolicyFail
-)
-
-// String returns a readable policy name.
-func (p DeadlockPolicy) String() string {
-	switch p {
-	case PolicyFreeze:
-		return "freeze"
-	case PolicyFail:
-		return "fail"
-	default:
-		return fmt.Sprintf("DeadlockPolicy(%d)", int(p))
-	}
-}
-
 // Config carries the tunables of a Core. The zero value is not valid; use
 // DefaultConfig or New with options.
 //
-// Starvation handling is not a tunable: a yield that would close a
-// waits-for cycle, or a later edge that closes one, always records a
-// starvation signature and force-resumes the yielder (starvation.go), the
-// paper's one rule. Nothing in a Core reads the clock or runs in the
-// background, so every decision is a function of the call schedule.
+// Detection, avoidance and the reaction to a deadlock are not tunables:
+// Request always detects, and it always avoids unless the request completes
+// a cycle, in which case the deadlock manifests with its signature saved
+// (a Dalvik monitorenter cannot fail). Starvation handling is not one
+// either: a yield that would close a waits-for cycle, or a later edge that
+// closes one, always records a starvation signature and force-resumes the
+// yielder (starvation.go), the paper's one rule. Nothing in a Core reads
+// the clock or runs in the background, so every decision is a function of
+// the call schedule.
 type Config struct {
 	// OuterDepth is the number of frames kept in outer call stacks.
 	// The paper uses 1 (§3.2); deeper stacks lower the false-positive rate
 	// at a higher capture cost (see the custom-wrapper example).
 	OuterDepth int
-	// Detection enables deadlock detection (cycle search on Request).
-	Detection bool
-	// Avoidance enables signature-instantiation avoidance.
-	Avoidance bool
-	// Policy selects the reaction to a detected deadlock.
-	Policy DeadlockPolicy
 	// QueueReuse enables the §4 two-queue entry recycling. Disabling it is
 	// ablation A2.
 	QueueReuse bool
@@ -63,14 +32,11 @@ type Config struct {
 	Store HistoryStore
 }
 
-// DefaultConfig returns the paper's configuration: depth-1 outer stacks,
-// detection and avoidance on, freeze policy, queue reuse on.
+// DefaultConfig returns the paper's configuration: depth-1 outer stacks
+// and queue reuse on.
 func DefaultConfig() Config {
 	return Config{
 		OuterDepth: 1,
-		Detection:  true,
-		Avoidance:  true,
-		Policy:     PolicyFreeze,
 		QueueReuse: true,
 	}
 }
@@ -79,11 +45,6 @@ func DefaultConfig() Config {
 func (c Config) validate() error {
 	if c.OuterDepth < 1 {
 		return fmt.Errorf("config: OuterDepth must be >= 1, got %d", c.OuterDepth)
-	}
-	switch c.Policy {
-	case PolicyFreeze, PolicyFail:
-	default:
-		return fmt.Errorf("config: invalid policy %d", int(c.Policy))
 	}
 	return nil
 }
@@ -94,21 +55,6 @@ type Option func(*Config)
 // WithOuterDepth sets the outer call-stack depth (paper default: 1).
 func WithOuterDepth(depth int) Option {
 	return func(c *Config) { c.OuterDepth = depth }
-}
-
-// WithDetection toggles deadlock detection.
-func WithDetection(on bool) Option {
-	return func(c *Config) { c.Detection = on }
-}
-
-// WithAvoidance toggles signature avoidance.
-func WithAvoidance(on bool) Option {
-	return func(c *Config) { c.Avoidance = on }
-}
-
-// WithPolicy sets the deadlock reaction policy.
-func WithPolicy(p DeadlockPolicy) Option {
-	return func(c *Config) { c.Policy = p }
 }
 
 // WithStore attaches a persistent history store.

@@ -37,16 +37,26 @@
 //     inHistory flag, so "could this acquisition matter to avoidance?" is
 //     one atomic load.
 //
-//   - The engine lock c.mu is a RWMutex. Detection, avoidance, signature
-//     installation and the starvation scan hold it exclusively and see a
-//     frozen RAG, exactly like the paper's global lock. The fast path
-//     holds it shared: when the requesting position appears in no
-//     installed signature, the requested lock is unowned (so granting
-//     cannot complete a cycle — detection's walk would stop immediately),
+//   - The engine lock c.mu is a RWMutex. Request, detection, avoidance,
+//     signature installation and the starvation scan hold it exclusively
+//     and see a frozen RAG, exactly like the paper's global lock. Writer
+//     preference in RWMutex keeps them from starving.
+//
+// Three sections hold c.mu shared and only publish RAG updates, each when
+// it provably needs no detection, avoidance or starvation scan:
+//
+//   - EnterFast, every uncontended monitorenter at a position named by no
+//     installed signature: the approval, the runtime's tryLock and the
+//     hold edge in one section, when the lock is unowned (so granting
+//     cannot complete a cycle — detection's walk would stop immediately)
 //     and no thread is yielding (so no starvation cycle can involve the
-//     new edge), Request/Acquired/Release skip detection-and-avoidance
-//     entirely and only publish their RAG updates. Writer preference in
-//     RWMutex keeps slow operations from starving.
+//     new edge).
+//
+//   - fastAcquired, Acquired after an approved Request while nothing
+//     yields: it finishes every armed enter, whose Request ran exclusive.
+//
+//   - fastRelease, an owner's release at a position named by no
+//     signature: there is no queue entry to return and no yielder to wake.
 //
 // # Lock order
 //
@@ -71,30 +81,29 @@
 //
 // Approving a request t→l with l unowned cannot complete a deadlock cycle
 // (a cycle needs l held), and every cycle's final edge targets a held lock,
-// so the request that completes a cycle always sees owner != nil and runs
-// full detection under the exclusive lock. Avoidance only inspects the
-// queues of positions named by signatures; a fast-path position is named
-// by none (checked under the shared lock, and installation takes the
-// exclusive lock, so the answer cannot change mid-operation). Starvation
-// cycles need a yielder; the fast path bails out to the slow path whenever
-// one exists, and a thread that starts yielding later does so under the
-// exclusive lock, observing every previously published fast-path edge.
+// so the request that completes a cycle always sees owner != nil, fails
+// EnterFast's conditions, and runs full detection in Request under the
+// exclusive lock. Avoidance only inspects the queues of positions named by
+// signatures; EnterFast's position is named by none (checked under the
+// shared lock, and installation takes the exclusive lock, so the answer
+// cannot change mid-operation). Starvation cycles need a yielder; every
+// shared section bails out to the exclusive path whenever one exists, and
+// a thread that starts yielding later does so under the exclusive lock,
+// observing every previously published edge.
 //
-// EnterFast fuses an uncontended monitorenter into one shared section:
-// fastRequest's checks, the embedding runtime's non-blocking tryLock, and
-// fastAcquired's publication, back to back under one read lock. Each of
-// the three already runs under the shared lock, and nothing excludes an
-// exclusive section from landing between them, so the fused run is a
-// schedule the three-section engine already allows: the one in which no
-// exclusive section lands in between. Nothing exclusive can see the
-// state in between (an approved request edge t→l with l's real lock
-// taken), so the detector still sees every hold edge, at the moment it
-// is published, and the fusion adds no reachable state. When tryLock
-// loses, nothing was published and the caller starts over on the full
-// path. Holding the read lock across tryLock cannot deadlock under
-// RWMutex's writer preference: a waiting writer blocks only new readers,
-// and tryLock neither blocks nor takes c.mu, so the reader always reaches
-// its RUnlock and lets the writer in.
+// EnterFast is the schedule Request → tryLock → Acquired in which no
+// exclusive section lands in between. Under its conditions Request's
+// detection and avoidance would find nothing, so Request would only set
+// the request edge (no queue entry: the position is unarmed), and
+// Acquired would replace that edge with the hold edge. Nothing exclusive
+// can see the state in between (an approved request edge t→l with l's
+// real lock taken), so the detector still sees every hold edge, at the
+// moment it is published, and the fused section adds no reachable state.
+// When tryLock loses, nothing was published and the caller starts over on
+// the full path. Holding the read lock across tryLock cannot deadlock
+// under RWMutex's writer preference: a waiting writer blocks only new
+// readers, and tryLock neither blocks nor takes c.mu, so the reader always
+// reaches its RUnlock and lets the writer in.
 //
 // The slow path takes two shortcuts of its own, each a cheap test proving
 // that the expensive step it guards would find nothing.
@@ -352,19 +361,18 @@ func (c *Core) Intern(stack CallStack) (*Position, error) {
 //
 //  1. Runs deadlock detection: if granting the request would complete a
 //     RAG cycle, the deadlock's signature is recorded (and persisted), and
-//     Request either proceeds (PolicyFreeze — the deadlock happens, as on
-//     an unmodified phone it would, but now with an antibody saved) or
-//     returns *DeadlockError (PolicyFail).
-//  2. Runs avoidance: while the pretended approval would make any history
-//     signature instantiable, the calling goroutine is suspended on that
-//     signature's condition variable (§2.2).
+//     Request proceeds to step 3: the deadlock happens, as on an
+//     unmodified phone it would, but now with an antibody saved.
+//  2. Otherwise runs avoidance: while the pretended approval would make
+//     any history signature instantiable, the calling goroutine is
+//     suspended on that signature's condition variable (§2.2).
 //  3. Approves: t is registered in pos's thread queue ("holds or is
 //     allowed to wait for a lock at pos") and the request edge t→l is
 //     added to the RAG.
 //
-// When the position is named by no installed signature, the lock is
-// unowned and nothing is yielding, steps 1 and 2 are provably no-ops and
-// Request takes the shared-lock fast path (see the package comment).
+// Request always takes the exclusive engine lock; an uncontended
+// monitorenter that neither step can matter to goes through EnterFast
+// instead. Besides argument errors, Request fails only with ErrCoreClosed.
 //
 // On success the caller must proceed to block on the real lock and then
 // call Acquired; if the caller gives up instead it must call Abort.
@@ -375,9 +383,6 @@ func (c *Core) Request(t, l *Node, pos *Position) error {
 	if pos == nil {
 		return fmt.Errorf("request: nil position")
 	}
-	if c.fastRequest(t, l, pos) {
-		return nil
-	}
 
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -386,24 +391,18 @@ func (c *Core) Request(t, l *Node, pos *Position) error {
 	}
 	atomic.AddUint64(&c.stats.Requests, 1)
 	if t.reqLock != nil {
-		// A second Request without Acquired/Abort: tolerate but count.
+		// A second Request without Acquired/Abort: tolerate but count, and
+		// drop the superseded approval's queue entry so it does not stay
+		// behind as a phantom occupant of its position.
 		atomic.AddUint64(&c.stats.Misuse, 1)
+		c.dropRequestLocked(t)
 	}
 
-	inCycle := false
-	if c.cfg.Detection {
-		if cycle := c.findCycleLocked(t, l); cycle != nil {
-			inCycle = true
-			if err := c.handleDeadlockLocked(t, pos, cycle); err != nil {
-				return err
-			}
-		}
-	}
-
-	// Avoidance. Skipped when the request completes an already-formed
-	// deadlock: yielding cannot undo it, and under PolicyFreeze the
-	// faithful behaviour is to let the deadlock manifest.
-	if c.cfg.Avoidance && !inCycle && len(pos.sigs) > 0 {
+	if cycle := c.findCycleLocked(t, l); cycle != nil {
+		// Avoidance is skipped: yielding cannot undo a deadlock that has
+		// already formed, and the faithful behaviour is to let it manifest.
+		c.handleDeadlockLocked(t, pos, cycle)
+	} else if len(pos.sigs) > 0 {
 		yielded, err := c.avoidLocked(t, pos)
 		if err != nil {
 			return err
@@ -438,65 +437,35 @@ func (c *Core) Request(t, l *Node, pos *Position) error {
 	return nil
 }
 
-// fastRequest is the sharded engine's low-contention approval: under the
-// shared engine lock it verifies that detection and avoidance would both
-// be no-ops (fastApprovableRLocked) and then only publishes the approval
-// (request edge + queue entry). Returns false to fall back to the serial
-// reference path. An armed position is refused before the lock is taken:
-// the check is repeated under it, so the early answer only saves an armed
-// site a read pair that could not succeed.
-func (c *Core) fastRequest(t, l *Node, pos *Position) bool {
-	if c.cfg.Serial || pos.inHistory.Load() {
-		return false
-	}
-	c.mu.RLock()
-	if !c.fastApprovableRLocked(t, l, pos) {
-		c.mu.RUnlock()
-		return false
-	}
-	t.fastRequests++
-	t.forceResume = false
-	t.reqLock = l
-	t.reqPos = pos
-	t.reqEntry = nil // lazy queues: no entry for positions outside every signature
-	c.mu.RUnlock()
-	return true
-}
-
-// fastApprovableRLocked reports whether approving t's request for l at
-// pos provably needs neither detection nor avoidance: the core is open, t
-// has no pending request, pos is named by no signature, l is unowned and
-// nothing yields. fastRequest and EnterFast share it. Caller must hold
-// c.mu shared, which keeps pos's arming and the yielder set fixed until it
-// unlocks (both change only under the exclusive lock).
-func (c *Core) fastApprovableRLocked(t, l *Node, pos *Position) bool {
-	return !c.killed.Load() && t.reqLock == nil && !pos.inHistory.Load() &&
-		l.owner.Load() == nil && c.yielderCount.Load() == 0
-}
-
-// EnterFast is an uncontended monitorenter in one shared section: the
-// fast Request, the embedding runtime's own acquisition and the fast
-// Acquired, run back to back under one shared engine lock. Under that
-// lock it checks fastRequest's conditions; when they hold it calls
-// tryLock, which must try to take the real lock and report whether it
-// did. tryLock runs under the engine lock, so it must not block, wait or
-// call into this Core. If tryLock wins, t's hold edge on l is published
-// (acquisition position, no queue entry, owner) and counted as one fast
-// request and one fast acquisition, exactly as Request followed by
-// Acquired would have counted it. The caller then owns l and releases it
+// EnterFast is an uncontended monitorenter in one shared section: an
+// approval that provably needs neither detection nor avoidance, the
+// embedding runtime's own acquisition and the fast Acquired, run back to
+// back under one shared engine lock. Under that lock it checks that the
+// core is open, t has no pending request, pos is named by no signature, l
+// is unowned and nothing yields (the lock keeps pos's arming and the
+// yielder set fixed: both change only under the exclusive lock). When they
+// hold it calls tryLock, which must try to take the real lock and report
+// whether it did. tryLock runs under the engine lock, so it must not
+// block, wait or call into this Core. If tryLock wins, t's hold edge on l
+// is published (acquisition position, no queue entry, owner) and counted
+// as one fast request and one fast acquisition, which Stats also counts
+// among Requests and Acquisitions. The caller then owns l and releases it
 // with Release.
 //
 // EnterFast returns false, having changed nothing, when the conditions do
 // not hold, when tryLock loses, and always on the serial engine. The
 // caller then takes the full Request → acquire → Acquired sequence. The
 // package comment ("Fast-path safety argument") has why the fused section
-// decides exactly as that sequence does.
+// decides exactly as that sequence does. An armed position is refused
+// before the lock is taken: the check is repeated under it, so the early
+// answer only saves an armed site a read pair that could not succeed.
 func (c *Core) EnterFast(t, l *Node, pos *Position, tryLock func() bool) bool {
 	if c.cfg.Serial || pos == nil || pos.inHistory.Load() || checkArgs(t, l) != nil {
 		return false
 	}
 	c.mu.RLock()
-	if !c.fastApprovableRLocked(t, l, pos) || !tryLock() {
+	if c.killed.Load() || t.reqLock != nil || pos.inHistory.Load() ||
+		l.owner.Load() != nil || c.yielderCount.Load() != 0 || !tryLock() {
 		c.mu.RUnlock()
 		return false
 	}
@@ -525,10 +494,11 @@ func (c *Core) Acquired(t, l *Node) {
 	defer c.mu.Unlock()
 	atomic.AddUint64(&c.stats.Acquisitions, 1)
 	if t.reqLock != l {
-		// Acquired without a matching approved Request.
+		// Acquired without a matching approved Request: t's approval for
+		// another lock, if any, is dropped with its queue entry.
 		atomic.AddUint64(&c.stats.Misuse, 1)
 		l.owner.Store(t)
-		t.reqLock, t.reqPos, t.reqEntry = nil, nil, nil
+		c.dropRequestLocked(t)
 		return
 	}
 	l.acqPos = t.reqPos
@@ -543,7 +513,7 @@ func (c *Core) Acquired(t, l *Node) {
 // fastAcquired publishes the hold edge under the shared lock. Only the
 // acquiring thread writes l's acquisition fields (ownership transfers are
 // serialized by the embedding runtime's real lock), and the owner pointer
-// is atomic for concurrent fastRequest readers. Skipped whenever a thread
+// is atomic for concurrent EnterFast readers. Skipped whenever a thread
 // yields, so the starvation scan never misses a new hold edge.
 func (c *Core) fastAcquired(t, l *Node) bool {
 	if c.cfg.Serial {
@@ -658,8 +628,14 @@ func (c *Core) Abort(t, l *Node) {
 		atomic.AddUint64(&c.stats.Misuse, 1)
 		return
 	}
-	pos := t.reqPos
-	if pos != nil && t.reqEntry != nil {
+	c.dropRequestLocked(t)
+}
+
+// dropRequestLocked removes t's approved request: its queue entry goes
+// back to its position, whose yielders are woken to re-check, and the
+// request edge is cleared. Caller must hold c.mu exclusively.
+func (c *Core) dropRequestLocked(t *Node) {
+	if pos := t.reqPos; pos != nil && t.reqEntry != nil {
 		c.releaseEntryLocked(pos, t.reqEntry)
 		c.wakeYieldersLocked(pos)
 	}

@@ -15,7 +15,6 @@ func TestConfigValidation(t *testing.T) {
 	}{
 		{"defaults", nil, true},
 		{"depth 0", []Option{WithOuterDepth(0)}, false},
-		{"bad policy", []Option{WithPolicy(DeadlockPolicy(0))}, false},
 		{"depth 3", []Option{WithOuterDepth(3)}, true},
 	}
 	for _, tc := range tests {
@@ -91,7 +90,9 @@ func TestRequestArgValidation(t *testing.T) {
 func TestMisuseCounters(t *testing.T) {
 	h := newHarness(t)
 	t1 := h.thread("t1")
-	l1 := h.lock("l1")
+	l1, l2 := h.lock("l1"), h.lock("l2")
+	p := h.pos("C", "m", 1)
+	h.arm("C", "m", 1) // p keeps a queue: an entry left behind shows there
 
 	// Release without acquire.
 	h.c.Release(t1, l1)
@@ -105,6 +106,37 @@ func TestMisuseCounters(t *testing.T) {
 		t.Error("Acquired must still record ownership for robustness")
 	}
 	h.c.Release(t1, l1)
+
+	// A second Request before Acquired/Abort supersedes the first
+	// approval, queue entry included.
+	if err := h.c.Request(t1, l1, p); err != nil {
+		t.Fatal(err)
+	}
+	if err := h.c.Request(t1, l2, p); err != nil {
+		t.Fatal(err)
+	}
+	if p.occupants() != 1 {
+		t.Errorf("after a superseding Request p has %d occupants, want 1", p.occupants())
+	}
+	h.c.Acquired(t1, l2)
+	h.c.Release(t1, l2)
+
+	// Acquired on a lock other than the requested one drops the approval.
+	if err := h.c.Request(t1, l1, p); err != nil {
+		t.Fatal(err)
+	}
+	h.c.Acquired(t1, l2)
+	h.c.Release(t1, l2)
+
+	if st := h.c.Stats(); st.Misuse != 4 {
+		t.Errorf("misuse = %d, want 4", st.Misuse)
+	}
+	// Every lock is released: no phantom occupant may stay in p's queue,
+	// where signature matching would count it.
+	if p.occupants() != 0 || t1.reqLock != nil {
+		t.Errorf("after every release p has %d occupants and t1 requests %v, want 0 and none",
+			p.occupants(), t1.reqLock)
+	}
 }
 
 func TestAbortUndoesApproval(t *testing.T) {

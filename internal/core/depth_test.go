@@ -10,7 +10,7 @@ import (
 // through detection to avoidance).
 
 func TestDeepOuterStacksInSignatures(t *testing.T) {
-	h := newHarness(t, WithOuterDepth(2), WithAvoidance(false))
+	h := newHarness(t, WithOuterDepth(2))
 	t1, t2 := h.thread("t1"), h.thread("t2")
 	lA, lB := h.lock("A"), h.lock("B")
 

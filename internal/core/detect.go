@@ -48,18 +48,19 @@ func (c *Core) findCycleLocked(t, l *Node) []cycleLink {
 	}
 }
 
-// handleDeadlockLocked records the signature of a detected deadlock and
-// applies the configured policy. Caller must hold c.mu. The returned error
-// is non-nil only under PolicyFail.
-func (c *Core) handleDeadlockLocked(t *Node, pos *Position, cycle []cycleLink) error {
+// handleDeadlockLocked records the signature of a detected deadlock. The
+// request that completed the cycle is still approved: the deadlock
+// manifests, as on an unmodified phone, but now with its signature saved.
+// Caller must hold c.mu.
+func (c *Core) handleDeadlockLocked(t *Node, pos *Position, cycle []cycleLink) {
 	sig := c.buildSignatureLocked(t, pos, cycle)
 	installed, fresh, err := c.installSignatureLocked(sig, true)
 	if err != nil {
 		// A signature built from live RAG state is always valid; failure
 		// here indicates internal inconsistency. Count and continue: the
-		// deadlock still manifests per policy.
+		// deadlock still manifests.
 		atomic.AddUint64(&c.stats.Misuse, 1)
-		return nil
+		return
 	}
 	ev := Event{
 		ThreadID:   t.id,
@@ -76,10 +77,6 @@ func (c *Core) handleDeadlockLocked(t *Node, pos *Position, cycle []cycleLink) e
 		ev.Kind = EventDuplicateDeadlock
 	}
 	c.emit(ev)
-	if c.cfg.Policy == PolicyFail {
-		return &DeadlockError{Sig: installed.snapshot()}
-	}
-	return nil
 }
 
 // buildSignatureLocked extracts the deadlock signature from a cycle: one

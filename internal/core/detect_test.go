@@ -1,9 +1,6 @@
 package core
 
-import (
-	"errors"
-	"testing"
-)
+import "testing"
 
 // buildABBA sets up the classic two-thread, two-lock inversion right up to
 // the closing request: t1 holds A (at p1) and is approved to wait for B
@@ -29,12 +26,12 @@ func buildABBA(h *harness) (t2, lockA *Node, p2in *Position) {
 }
 
 func TestDetectABBADeadlock(t *testing.T) {
-	h := newHarness(t, WithAvoidance(false))
+	h := newHarness(t)
 	rec := recordEvents(t, h.c)
 	t2, lockA, p2in := buildABBA(h)
 
-	// t2 requests A: closes the cycle. PolicyFreeze: the call succeeds (the
-	// deadlock is allowed to manifest) but the signature must be recorded.
+	// t2 requests A: closes the cycle. The call succeeds (the deadlock is
+	// allowed to manifest) but the signature must be recorded.
 	if err := h.c.Request(t2, lockA, p2in); err != nil {
 		t.Fatalf("closing request: %v", err)
 	}
@@ -65,45 +62,27 @@ func TestDetectABBADeadlock(t *testing.T) {
 	}
 }
 
-func TestDetectPolicyFail(t *testing.T) {
-	h := newHarness(t, WithPolicy(PolicyFail), WithAvoidance(false))
-	t2, lockA, p2in := buildABBA(h)
-
-	err := h.c.Request(t2, lockA, p2in)
-	var de *DeadlockError
-	if !errors.As(err, &de) {
-		t.Fatalf("closing request err = %v, want *DeadlockError", err)
-	}
-	if len(de.Sig.Pairs) != 2 {
-		t.Errorf("error signature pairs = %d, want 2", len(de.Sig.Pairs))
-	}
-	// The failed request must not leave a request edge or queue entry.
-	if t2.reqLock != nil {
-		t.Error("failed request left a request edge")
-	}
-	if p2in.occupants() != 0 {
-		t.Error("failed request left a queue entry")
-	}
-}
-
 func TestDetectDuplicateDeadlock(t *testing.T) {
 	// The same bug detected twice records one signature and counts a
-	// duplicate (the phone froze again before the fix was armed, e.g.
-	// avoidance disabled).
+	// duplicate: t2 gives up its closing request and retries it while the
+	// cycle still stands (a request that completes a cycle is never
+	// avoided, armed or not).
 	store := NewMemHistory()
-	h := newHarness(t, WithAvoidance(false), WithStore(store), WithPolicy(PolicyFail))
+	h := newHarness(t, WithStore(store))
 	t2, lockA, p2in := buildABBA(h)
-	if err := h.c.Request(t2, lockA, p2in); err == nil {
-		t.Fatal("expected deadlock error")
+	if err := h.c.Request(t2, lockA, p2in); err != nil {
+		t.Fatal(err)
 	}
+	h.c.Abort(t2, lockA)
 
 	// Second identical attempt in the same process: t2 retries.
-	if err := h.c.Request(t2, lockA, p2in); err == nil {
-		t.Fatal("expected second deadlock error")
+	if err := h.c.Request(t2, lockA, p2in); err != nil {
+		t.Fatal(err)
 	}
 	st := h.c.Stats()
-	if st.DeadlocksDetected != 1 || st.DuplicateDeadlocks != 1 {
-		t.Errorf("detected=%d duplicates=%d, want 1/1", st.DeadlocksDetected, st.DuplicateDeadlocks)
+	if st.DeadlocksDetected != 1 || st.DuplicateDeadlocks != 1 || st.Yields != 0 {
+		t.Errorf("detected=%d duplicates=%d yields=%d, want 1/1/0",
+			st.DeadlocksDetected, st.DuplicateDeadlocks, st.Yields)
 	}
 	if store.Len() != 1 {
 		t.Errorf("store has %d sigs, want 1 (no duplicate persistence)", store.Len())
@@ -114,7 +93,7 @@ func TestDetectDuplicateDeadlock(t *testing.T) {
 }
 
 func TestDetectThreeThreadCycle(t *testing.T) {
-	h := newHarness(t, WithAvoidance(false))
+	h := newHarness(t)
 	t1, t2, t3 := h.thread("t1"), h.thread("t2"), h.thread("t3")
 	lA, lB, lC := h.lock("A"), h.lock("B"), h.lock("C")
 	pA, pB, pC := h.pos("X", "a", 1), h.pos("X", "b", 2), h.pos("X", "c", 3)
@@ -163,10 +142,10 @@ func TestNoFalseCycleOnChain(t *testing.T) {
 }
 
 func TestRequestBehindExistingDeadlockIsNotANewDeadlock(t *testing.T) {
-	// A deadlock between t1 and t2 already manifested (freeze policy).
+	// A deadlock between t1 and t2 already manifested.
 	// A third thread requesting one of the dead locks must not loop
 	// forever in the cycle walk nor record a new signature.
-	h := newHarness(t, WithAvoidance(false))
+	h := newHarness(t)
 	t2, lockA, p2in := buildABBA(h)
 	if err := h.c.Request(t2, lockA, p2in); err != nil {
 		t.Fatal(err)
@@ -186,19 +165,8 @@ func TestRequestBehindExistingDeadlockIsNotANewDeadlock(t *testing.T) {
 	}
 }
 
-func TestDetectionDisabled(t *testing.T) {
-	h := newHarness(t, WithDetection(false), WithAvoidance(false))
-	t2, lockA, p2in := buildABBA(h)
-	if err := h.c.Request(t2, lockA, p2in); err != nil {
-		t.Fatal(err)
-	}
-	if st := h.c.Stats(); st.DeadlocksDetected != 0 || st.CycleWalks != 0 {
-		t.Errorf("detection disabled: detected=%d walks=%d, want 0/0", st.DeadlocksDetected, st.CycleWalks)
-	}
-}
-
 func TestSignatureInnerStacksRecorded(t *testing.T) {
-	h := newHarness(t, WithAvoidance(false))
+	h := newHarness(t)
 	t2, lockA, p2in := buildABBA(h)
 	if err := h.c.Request(t2, lockA, p2in); err != nil {
 		t.Fatal(err)

@@ -1,26 +1,8 @@
 package core
 
-import (
-	"errors"
-	"fmt"
-)
+import "errors"
 
-var (
-	// ErrCoreClosed is returned by operations on a Core after Close.
-	// Threads suspended in avoidance are woken with this error so the
-	// embedding runtime can unwind them (process teardown / reboot).
-	ErrCoreClosed = errors.New("dimmunix core closed")
-)
-
-// DeadlockError is returned by Request under PolicyFail when granting the
-// acquisition would complete a deadlock cycle. The signature has already
-// been recorded in the history when the error is returned.
-type DeadlockError struct {
-	// Sig is the recorded signature of the detected deadlock.
-	Sig SignatureInfo
-}
-
-// Error implements error.
-func (e *DeadlockError) Error() string {
-	return fmt.Sprintf("deadlock detected: %s", e.Sig)
-}
+// ErrCoreClosed is returned by operations on a Core after Close. Threads
+// suspended in avoidance are woken with this error so the embedding
+// runtime can unwind them (process teardown / reboot).
+var ErrCoreClosed = errors.New("dimmunix core closed")

@@ -10,12 +10,13 @@ import (
 // avoidance only when doing so is provably equivalent to the serial
 // reference engine. These tests pin the conditions down.
 
-// TestFastPathConditions table-drives the situations in which Request and
-// EnterFast must (or must never) take the fast path. Every row probes
-// EnterFast first: it must call tryLock exactly when fastRequest's
-// conditions hold, publish t's hold edge exactly when tryLock then wins,
-// and otherwise change nothing, so that the Request probed next on the
-// same state decides as if EnterFast had never run.
+// TestFastPathConditions table-drives the situations in which EnterFast
+// must (or must never) take the fast path. Every row probes EnterFast
+// first: it must call tryLock exactly when its conditions hold, publish
+// t's hold edge exactly when tryLock then wins, and otherwise change
+// nothing, so that the Request probed next on the same state decides as
+// if EnterFast had never run. Request itself never takes a shared
+// section.
 func TestFastPathConditions(t *testing.T) {
 	tests := []struct {
 		name string
@@ -26,7 +27,7 @@ func TestFastPathConditions(t *testing.T) {
 		// loses makes the EnterFast probe's tryLock fail, as a monitor CAS
 		// does when another thread took the real lock first.
 		loses bool
-		// wantFast is whether fastRequest's conditions hold.
+		// wantFast is whether EnterFast's conditions hold.
 		wantFast bool
 		// wantErr is the Request probe's error.
 		wantErr error
@@ -153,8 +154,8 @@ func TestFastPathConditions(t *testing.T) {
 				t.Fatalf("Request: %v, want %v", err, tc.wantErr)
 			}
 			after := h.c.Stats()
-			if gotFast := after.FastRequests-before.FastRequests == 1; gotFast != tc.wantFast {
-				t.Errorf("Request fast path taken = %v, want %v", gotFast, tc.wantFast)
+			if after.FastRequests != before.FastRequests {
+				t.Errorf("Request counted %d fast requests", after.FastRequests-before.FastRequests)
 			}
 			if after.Misuse != before.Misuse {
 				t.Errorf("Request counted %d misuses", after.Misuse-before.Misuse)
@@ -168,21 +169,21 @@ func TestFastPathConditions(t *testing.T) {
 
 // TestSignatureInstallFlipsPositionToSlowPath: an armed position must stop
 // fast-pathing the moment its signature installs, and the rebuilt queue
-// must include acquisitions that happened while the position was still on
-// the fast path, through Request and Acquired or through EnterFast.
+// must include acquisitions that happened while the position was still
+// unarmed, through Request and Acquired or through EnterFast.
 func TestSignatureInstallFlipsPositionToSlowPath(t *testing.T) {
 	h := newHarness(t)
 	t1, t2, t3 := h.thread("t1"), h.thread("t2"), h.thread("t3")
 	l1, l2, l3 := h.lock("l1"), h.lock("l2"), h.lock("l3")
 	p := h.pos("Hot", "m", 1)
 
-	// Fast-path acquisitions; no queue entry is maintained.
+	// Unarmed acquisitions; no queue entry is maintained.
 	h.acquire(t1, l1, p)
 	if !h.c.EnterFast(t3, l3, p, func() bool { return true }) {
 		t.Fatal("EnterFast refused an unarmed position and an unowned lock")
 	}
-	if st := h.c.Stats(); st.FastRequests != 2 {
-		t.Fatalf("FastRequests = %d, want 2", st.FastRequests)
+	if st := h.c.Stats(); st.FastRequests != 1 {
+		t.Fatalf("FastRequests = %d, want 1", st.FastRequests)
 	}
 	if p.occupants() != 0 {
 		t.Fatalf("unnamed position has %d queue entries, want 0 (lazy queues)", p.occupants())
@@ -198,15 +199,11 @@ func TestSignatureInstallFlipsPositionToSlowPath(t *testing.T) {
 		t.Fatalf("rebuilt queue has %d entries, want 2 (t1 holds l1 and t3 holds l3 at p)", p.occupants())
 	}
 
-	// Subsequent requests at p go slow-path, and EnterFast refuses them.
-	before := h.c.Stats().FastRequests
+	// EnterFast refuses p now, and Request queues the approval.
 	if h.c.EnterFast(t2, l2, p, func() bool { return true }) {
 		t.Fatal("EnterFast took an armed position")
 	}
 	h.acquire(t2, l2, p)
-	if h.c.Stats().FastRequests != before {
-		t.Error("armed position took the fast path")
-	}
 	if p.occupants() != 3 {
 		t.Fatalf("queue has %d entries, want 3", p.occupants())
 	}
@@ -224,7 +221,7 @@ func TestSignatureInstallFlipsPositionToSlowPath(t *testing.T) {
 }
 
 // TestQueueRebuildIncludesInFlightRequests: an approved-but-not-acquired
-// fast-path request must appear in the rebuilt queue too.
+// request at an unarmed position must appear in the rebuilt queue too.
 func TestQueueRebuildIncludesInFlightRequests(t *testing.T) {
 	h := newHarness(t)
 	t1 := h.thread("t1")
@@ -235,7 +232,7 @@ func TestQueueRebuildIncludesInFlightRequests(t *testing.T) {
 		t.Fatal(err)
 	}
 	if t1.reqEntry != nil {
-		t.Fatal("fast-path approval must not take a queue entry")
+		t.Fatal("an approval at an unarmed position must not take a queue entry")
 	}
 	mustAdd(t, h.c, sigOf(DeadlockSig, fr("test.Hot", "m", 1), fr("test.Cold", "x", 9)))
 	if t1.reqEntry == nil {
@@ -256,22 +253,21 @@ func TestQueueRebuildIncludesInFlightRequests(t *testing.T) {
 }
 
 // engineScript is a deterministic single-goroutine schedule replayed on
-// both engines; every step's outcome must be identical.
+// both engines; every step must succeed, with identical outcomes.
 type engineStep struct {
 	op     string // "acquire", "release", "request", "abort", "addsig"
 	thread int
 	lock   int
 	pos    int
 	sig    *Signature
-	// wantErr is matched with errors.Is against the step's error (nil
-	// means the step must succeed).
-	wantErr error
 }
 
-// runEngineScript replays a script and returns the final stats.
+// runEngineScript replays a script and returns the final stats. An
+// "acquire" is a monitorenter as the VM drives it: EnterFast first (which
+// always refuses on the serial engine), else Request and Acquired.
 func runEngineScript(t *testing.T, serial bool, steps []engineStep) Stats {
 	t.Helper()
-	h := newHarness(t, WithSerialEngine(serial), WithPolicy(PolicyFail))
+	h := newHarness(t, WithSerialEngine(serial))
 	threads := map[int]*Node{}
 	locks := map[int]*Node{}
 	positions := map[int]*Position{}
@@ -299,8 +295,12 @@ func runEngineScript(t *testing.T, serial bool, steps []engineStep) Stats {
 		case "request":
 			err = h.c.Request(node(st.thread), lock(st.lock), pos(st.pos))
 		case "acquire":
-			if err = h.c.Request(node(st.thread), lock(st.lock), pos(st.pos)); err == nil {
-				h.c.Acquired(node(st.thread), lock(st.lock))
+			th, l := node(st.thread), lock(st.lock)
+			if h.c.EnterFast(th, l, pos(st.pos), func() bool { return true }) {
+				break
+			}
+			if err = h.c.Request(th, l, pos(st.pos)); err == nil {
+				h.c.Acquired(th, l)
 			}
 		case "release":
 			h.c.Release(node(st.thread), lock(st.lock))
@@ -311,15 +311,8 @@ func runEngineScript(t *testing.T, serial bool, steps []engineStep) Stats {
 		default:
 			t.Fatalf("step %d: unknown op %q", si, st.op)
 		}
-		if st.wantErr == nil {
-			if err != nil {
-				t.Fatalf("step %d (%s): unexpected error %v (serial=%v)", si, st.op, err, serial)
-			}
-		} else if !errors.Is(err, st.wantErr) {
-			var de *DeadlockError
-			if !(errors.As(err, &de) && errors.As(st.wantErr, &de)) {
-				t.Fatalf("step %d (%s): error = %v, want %v (serial=%v)", si, st.op, err, st.wantErr, serial)
-			}
+		if err != nil {
+			t.Fatalf("step %d (%s): unexpected error %v (serial=%v)", si, st.op, err, serial)
 		}
 	}
 	return h.c.Stats()
@@ -331,9 +324,9 @@ func runEngineScript(t *testing.T, serial bool, steps []engineStep) Stats {
 // decisions. Both engines share findInstantiationLocked and with it the
 // occupancy pre-filter, so agreeing is not enough to show the filter
 // right: every script also states how many instantiations avoidance must
-// find, and both engines must find exactly that many.
+// find and how many deadlocks detection must record, and both engines must
+// count exactly that many.
 func TestEngineEquivalence(t *testing.T) {
-	deadlockErr := &DeadlockError{}
 	eq := func(line int) Frame { return fr("test.Eq", "m", line) }
 	// suppressed arms a deadlock signature over the given positions
 	// together with a starvation signature over the same ones, which
@@ -355,6 +348,8 @@ func TestEngineEquivalence(t *testing.T) {
 		// instantiations is how many signature instantiations avoidance
 		// must find over the whole script (each one a suppressed yield).
 		instantiations uint64
+		// deadlocks is how many deadlocks detection must record.
+		deadlocks uint64
 	}{
 		"ordered no deadlock": {steps: []engineStep{
 			{op: "acquire", thread: 1, lock: 1, pos: 1},
@@ -364,12 +359,15 @@ func TestEngineEquivalence(t *testing.T) {
 			{op: "acquire", thread: 2, lock: 1, pos: 1},
 			{op: "release", thread: 2, lock: 1},
 		}},
-		"real deadlock detected": {steps: []engineStep{
+		"real deadlock detected": {deadlocks: 1, steps: []engineStep{
 			{op: "acquire", thread: 1, lock: 1, pos: 1},
 			{op: "acquire", thread: 2, lock: 2, pos: 2},
 			{op: "request", thread: 1, lock: 2, pos: 3},
-			// t2 requesting l1 completes the cycle: PolicyFail errors.
-			{op: "request", thread: 2, lock: 1, pos: 4, wantErr: deadlockErr},
+			// t2 requesting l1 completes the cycle: the signature is
+			// recorded and the request approved, so the deadlock would
+			// manifest; both threads give up instead.
+			{op: "request", thread: 2, lock: 1, pos: 4},
+			{op: "abort", thread: 2, lock: 1},
 			{op: "abort", thread: 1, lock: 2},
 			{op: "release", thread: 2, lock: 2},
 			{op: "release", thread: 1, lock: 1},
@@ -496,6 +494,9 @@ func TestEngineEquivalence(t *testing.T) {
 			}
 			if d(serial) != d(sharded) {
 				t.Errorf("engines disagree:\nserial : %+v\nsharded: %+v", d(serial), d(sharded))
+			}
+			if serial.DeadlocksDetected != script.deadlocks {
+				t.Errorf("detection recorded %d deadlocks, want %d", serial.DeadlocksDetected, script.deadlocks)
 			}
 			if serial.InstantiationsFound != script.instantiations || serial.SuppressedYields != script.instantiations {
 				t.Errorf("avoidance found %d instantiations and suppressed %d yields, want %d of each",

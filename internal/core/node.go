@@ -81,8 +81,8 @@ type Node struct {
 	// owner is the thread currently holding this lock (the hold edge
 	// lock→thread). nil when the lock is free. Atomic: written by the
 	// acquiring/releasing thread (ownership handoffs are serialized by the
-	// embedding runtime's real lock), read concurrently by fast-path
-	// requests checking for contention.
+	// embedding runtime's real lock), read concurrently by EnterFast
+	// checking for contention.
 	owner atomic.Pointer[Node]
 	// acqPos is the position at which owner acquired the lock — the
 	// paper's l.acqPos, i.e. the candidate outer call stack.

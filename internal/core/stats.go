@@ -15,9 +15,10 @@ type Stats struct {
 	// Requests counts Request calls (monitorenter interceptions),
 	// including fast-path ones.
 	Requests uint64
-	// FastRequests counts Requests approved on the sharded fast path
-	// (no detection or avoidance needed). A successful EnterFast counts as
-	// one fast request and one fast acquisition.
+	// FastRequests counts successful EnterFast calls: approvals that
+	// needed no detection or avoidance. Request itself always runs under
+	// the exclusive engine lock and never counts here. A successful
+	// EnterFast counts as one fast request and one fast acquisition.
 	FastRequests uint64
 	// Acquisitions counts Acquired calls, including fast-path ones.
 	Acquisitions uint64

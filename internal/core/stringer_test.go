@@ -19,9 +19,6 @@ func TestEnumStrings(t *testing.T) {
 		{ThreadNode.String(), "thread"},
 		{LockNode.String(), "lock"},
 		{NodeKind(9).String(), "NodeKind(9)"},
-		{PolicyFreeze.String(), "freeze"},
-		{PolicyFail.String(), "fail"},
-		{DeadlockPolicy(7).String(), "DeadlockPolicy(7)"},
 		{EventDeadlockDetected.String(), "deadlock-detected"},
 		{EventSignatureLoaded.String(), "signature-loaded"},
 		{EventYield.String(), "yield"},
@@ -51,13 +48,6 @@ func TestNodeAccessors(t *testing.T) {
 	}
 	if s := n.String(); !strings.Contains(s, "worker") || !strings.Contains(s, "thread") {
 		t.Errorf("String = %q", s)
-	}
-}
-
-func TestDeadlockErrorMessage(t *testing.T) {
-	e := &DeadlockError{Sig: SignatureInfo{ID: 3, Kind: DeadlockSig}}
-	if msg := e.Error(); !strings.Contains(msg, "deadlock detected") {
-		t.Errorf("Error = %q", msg)
 	}
 }
 

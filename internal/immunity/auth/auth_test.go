@@ -67,7 +67,7 @@ func TestTokenMatrix(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := v.Verify(forever, t0.Add(100 * 365 * 24 * time.Hour)); err != nil {
+	if _, err := v.Verify(forever, t0.Add(100*365*24*time.Hour)); err != nil {
 		t.Fatalf("no-expiry token refused: %v", err)
 	}
 }

@@ -5,7 +5,6 @@ import (
 	"sync"
 
 	"github.com/dimmunix/dimmunix/internal/core"
-	"github.com/dimmunix/dimmunix/internal/immunity/metrics"
 	"github.com/dimmunix/dimmunix/internal/immunity/wire"
 )
 
@@ -58,12 +57,6 @@ type ExchangeClient struct {
 	rd        *Redialer
 	wg        sync.WaitGroup
 	closeOnce sync.Once
-
-	// Optional mirrors onto a shared registry (WithClientMetrics). All
-	// nil — and therefore no-ops — unless the option was given.
-	metReconnects *metrics.Counter
-	metReports    *metrics.Counter
-	metInstalls   *metrics.Counter
 }
 
 // ClientOption configures an ExchangeClient.
@@ -76,23 +69,6 @@ type ClientOption func(*ExchangeClient)
 // works against both. An empty token leaves the hello without one.
 func WithClientToken(token string) ClientOption {
 	return func(c *ExchangeClient) { c.token = token }
-}
-
-// WithClientMetrics mirrors the client's session health onto reg,
-// labelled by device id: immunity_client_reconnects_total (redials
-// after a drop), immunity_client_reports_total (report messages sent
-// upward), immunity_client_installs_total (fleet signatures installed
-// from deltas). The registry's instruments are lock-free, so the hooks
-// are safe on the transport goroutine.
-func WithClientMetrics(reg *metrics.Registry) ClientOption {
-	return func(c *ExchangeClient) {
-		c.metReconnects = reg.CounterVec("immunity_client_reconnects_total",
-			"Redials after a dropped hub session, per device.", "device").With(c.id)
-		c.metReports = reg.CounterVec("immunity_client_reports_total",
-			"Report messages sent to the hub, per device.", "device").With(c.id)
-		c.metInstalls = reg.CounterVec("immunity_client_installs_total",
-			"Fleet signatures installed from hub deltas, per device.", "device").With(c.id)
-	}
 }
 
 // Connect attaches a phone's Service to the fleet exchange reachable
@@ -123,7 +99,6 @@ func Connect(t Transport, deviceID string, svc *Service, opts ...ClientOption) (
 		Transport:    t,
 		Begin:        func() Attempt { return &deviceAttempt{c: c} },
 		RefusalFinal: true,
-		Reconnects:   c.metReconnects,
 	})
 	if err := c.rd.Handshake(); err != nil {
 		return nil, fmt.Errorf("exchange connect %s: %w", deviceID, err)
@@ -249,9 +224,7 @@ func (c *ExchangeClient) reportLocal(sigs []*core.Signature) {
 	if len(out) == 0 {
 		return
 	}
-	if c.rd.Send(wire.Message{Type: wire.TypeReport, Report: &wire.Report{Sigs: out}}) == nil {
-		c.metReports.Inc()
-	}
+	_ = c.rd.Send(wire.Message{Type: wire.TypeReport, Report: &wire.Report{Sigs: out}})
 }
 
 // applyDelta installs fleet-armed signatures into the phone's Service.
@@ -278,7 +251,6 @@ func (c *ExchangeClient) applyDelta(att *deviceAttempt, d *wire.Delta) {
 		c.fromFleet[sig.Key()] = true
 		c.mu.Unlock()
 		_, _, _ = c.svc.Publish("fleet", sig)
-		c.metInstalls.Inc()
 	}
 	if !applied {
 		return // next reconnect re-requests this delta's range

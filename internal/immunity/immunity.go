@@ -269,8 +269,7 @@
 // error counters — rendered in Prometheus text format by
 // Registry.WritePrometheus (immunityd serves it at /metrics). The
 // cluster subpackage adds per-peer dial/reconnect/forward-outbox
-// series on the same registry, and WithClientMetrics mirrors a device
-// client's session health.
+// series on the same registry.
 //
 // Admission has one mechanism: WithAdmission(p) puts a metrics.Pool in
 // front of report ingest (device reports and peer forward-reports). At

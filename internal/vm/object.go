@@ -44,7 +44,9 @@ func (o *Object) Monitor() *Monitor { return o.mon.Load() }
 // interception; vanilla mode takes the thin-lock fast path.
 //
 // Enter returns ErrProcessKilled if the process is torn down while
-// blocked, or a *core.DeadlockError under the fail policy.
+// blocked, or core.ErrCoreClosed if it is torn down while the thread
+// yields in avoidance. A deadlock never fails Enter: it manifests, with
+// its signature saved.
 func (o *Object) Enter(t *Thread) error {
 	return o.enterInternal(t, nil)
 }

@@ -425,9 +425,9 @@ func (t *Thread) cachePosition(depth int, pos *core.Position) {
 }
 
 // run is the goroutine trampoline. Thread bodies unwind abnormal
-// termination (process kill, deadlock-fail policy) with a typed panic that
-// is recovered here, mimicking how a Java thread dies from an uncaught
-// exception without taking the process down.
+// termination (process kill) with a typed panic that is recovered here,
+// mimicking how a Java thread dies from an uncaught exception without
+// taking the process down.
 func (t *Thread) run(fn func(*Thread)) {
 	defer t.proc.wg.Done()
 	defer close(t.done)
@@ -451,8 +451,8 @@ func (t *Thread) run(fn func(*Thread)) {
 }
 
 // threadUnwind is the typed panic payload used by Synchronized/MustEnter
-// to unwind a thread that cannot continue (killed process or PolicyFail
-// deadlock). It never escapes the package: run recovers it.
+// to unwind a thread that cannot continue (killed process). It never
+// escapes the package: run recovers it.
 type threadUnwind struct{ err error }
 
 // unwind aborts the current thread with err.

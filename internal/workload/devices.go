@@ -214,10 +214,9 @@ func tokenTenant(token string) string {
 
 // injectDeadlock forks a buggy app on the phone and drives its two
 // threads into a certain AB/BA inversion: they meet at a gate
-// (vm.Process.NewGate) while holding their first lock. Under PolicyFreeze
-// the process freezes — like a real buggy app — and the detection
-// publishes the signature to the phone's service. The process is left
-// frozen; the Zygote reaps it at teardown. On a phone already armed
+// (vm.Process.NewGate) while holding their first lock. The process
+// freezes — like a real buggy app — and the detection publishes the
+// signature to the phone's service. The process is left frozen; the Zygote reaps it at teardown. On a phone already armed
 // against the inversion, one thread yields instead and the gate lets the
 // other through.
 func injectDeadlock(z *vm.Zygote) error {

@@ -58,11 +58,12 @@
 // derived from D), a condemned member's keys fail over to their
 // deputies, and arming authority is a quorum lease whose lifetime also
 // derives from D: the minority side of a partition parks its threshold
-// crossings until the heal instead of arming a double.
-// -no-lease falls back to epoch fencing alone; -leave hands the owned
-// slice off and drains the outboxes on shutdown. /status shows the
-// membership ring and the peer links; /status?owner=KEY answers which
-// hub owns — and which is deputy for — a signature key.
+// crossings until the heal instead of arming a double. Without
+// -failover-after ownership never moves and only a key's owner arms it.
+// -leave hands the owned slice off and drains the outboxes on shutdown.
+// /status shows the membership ring and the peer links;
+// /status?owner=KEY answers which hub owns — and which is deputy for —
+// a signature key.
 //
 // The trust fabric is opt-in per hub. -tls-cert/-tls-key serve the
 // exchange listener under TLS; adding -tls-ca turns the cluster mutual:
@@ -85,7 +86,7 @@
 //
 // Usage:
 //
-//	immunityd -serve [-listen ADDR] [-http ADDR] [-threshold N] [-provenance FILE] [-admit-wait D] [-slo-target D -slo-interval D -slo-backlog N] [-tls-cert F -tls-key F [-tls-ca F]] [-auth-key K | -auth-keyring F] [-tenant-threshold T=N,...] [-hub ID -peers ID=ADDR,... [-advertise ADDR] [-failover-after D] [-no-lease] [-leave]]
+//	immunityd -serve [-listen ADDR] [-http ADDR] [-threshold N] [-provenance FILE] [-admit-wait D] [-slo-target D -slo-interval D -slo-backlog N] [-tls-cert F -tls-key F [-tls-ca F]] [-auth-key K | -auth-keyring F] [-tenant-threshold T=N,...] [-hub ID -peers ID=ADDR,... [-advertise ADDR] [-failover-after D] [-leave]]
 //	immunityd -gen-ca DIR | -gen-cert NAME -ca DIR [-hosts H,...] | -mint-token -auth-key K [-tenant T] [-device D] [-ttl D]
 package main
 
@@ -158,7 +159,7 @@ var flagModes = func() map[string]mode {
 		anyServe | modeMint: "auth-key",
 		anyServe: "serve listen http provenance threshold admit-wait slo-target slo-interval slo-backlog " +
 			"tls-cert tls-key tls-ca auth-keyring tenant-threshold",
-		modeFederated: "peers hub advertise failover-after leave no-lease",
+		modeFederated: "peers hub advertise failover-after leave",
 		modeGen:       "gen-ca gen-cert ca hosts",
 		modeMint:      "mint-token tenant device ttl",
 	} {
@@ -197,9 +198,8 @@ func newFlags() (*flag.FlagSet, *cli) {
 	fs.StringVar(&c.sc.hubID, "hub", "", "this hub's cluster id (required with -peers)")
 	fs.StringVar(&c.peers, "peers", "", "comma-separated id=addr peer hubs to federate with (a seed — a joining hub may name a single existing member and learns the rest)")
 	fs.StringVar(&c.sc.advertise, "advertise", "", "the address other members dial this hub at (default: the -listen address)")
-	fs.DurationVar(&c.sc.failoverAfter, "failover-after", 0, "failure-detection budget: declare a member dead once direct and indirect probes have not reached it for about this long, and fail its keys over to deputies (0 disables)")
+	fs.DurationVar(&c.sc.failoverAfter, "failover-after", 0, "failure-detection budget: declare a member dead once direct and indirect probes have not reached it for about this long, and fail its keys over to deputies; arming then needs a quorum lease (0 disables both: only a key's owner arms it)")
 	fs.BoolVar(&c.sc.leave, "leave", false, "leave the membership gracefully on shutdown (hand off owned keys, drain outboxes)")
-	fs.BoolVar(&c.sc.noLease, "no-lease", false, "failure detection: disable the quorum lease and fall back to epoch fencing alone (both partition sides keep arming)")
 	fs.DurationVar(&c.sc.admitWait, "admit-wait", 5*time.Second, "bounded wait before an over-capacity report is shed (keep well below the 30s wire write timeout)")
 	fs.DurationVar(&c.sc.sloTarget, "slo-target", 25*time.Millisecond, "latency SLO: p99 report-handling time (admission wait included) must stay at or under this")
 	fs.DurationVar(&c.sc.sloInterval, "slo-interval", time.Second, "SLO evaluation tick")
@@ -540,7 +540,6 @@ type serveConfig struct {
 	peers            []cluster.Member
 	advertise        string
 	failoverAfter    time.Duration
-	noLease          bool
 	leave            bool
 	admitWait        time.Duration
 	sloTarget        time.Duration
@@ -625,8 +624,7 @@ func startDaemon(sc serveConfig) (*daemon, error) {
 				}
 				return immunity.NewTCPTransport(m.Addr, sc.peerDial...)
 			},
-			FailoverAfter: sc.failoverAfter, NoLease: sc.noLease,
-			Metrics: reg,
+			FailoverAfter: sc.failoverAfter,
 		})
 		if err != nil {
 			hub.Close()
@@ -753,12 +751,7 @@ func runServe(sc serveConfig) error {
 			sc.hubID, len(sc.peers), strings.Join(d.node.Ring().Members(), " "))
 		fmt.Printf("immunityd: membership epoch %d, advertising %s", d.node.Epoch(), sc.advertise)
 		if sc.failoverAfter > 0 {
-			fmt.Printf(", failover after %s", sc.failoverAfter)
-			if sc.noLease {
-				fmt.Printf(", probe detection on, quorum lease OFF (epoch fencing only)")
-			} else {
-				fmt.Printf(", probe detection + quorum lease on")
-			}
+			fmt.Printf(", failover after %s, probe detection + quorum lease on", sc.failoverAfter)
 		}
 		fmt.Println()
 	}

@@ -330,13 +330,13 @@ func TestServeConfigFromFlags(t *testing.T) {
 	}
 
 	sc, err = parseServe("-serve", "-hub", "h", "-peers", "a=x:1,b=y:2", "-advertise", "h.example:7676",
-		"-failover-after", "1s", "-no-lease", "-leave")
+		"-failover-after", "1s", "-leave")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if sc.hubID != "h" || len(sc.peers) != 2 || sc.peers[0].ID != "a" || sc.peers[1].ID != "b" ||
 		sc.advertise != "h.example:7676" || sc.failoverAfter != time.Second ||
-		!sc.noLease || !sc.leave {
+		!sc.leave {
 		t.Errorf("federated config = %+v", sc)
 	}
 

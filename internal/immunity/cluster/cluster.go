@@ -106,9 +106,9 @@
 //
 // Fencing (below) reconciles a split after heal; the quorum lease
 // prevents split-brain arming from happening at all. Whenever failure
-// detection is on (and Config.NoLease is unset), the hub may take a
-// *fresh* arming decision — a confirmation set crossing its threshold,
-// a promoted shadow set arming — only while it holds a lease
+// detection is on, and so whenever ownership can move, the hub may take
+// a *fresh* arming decision — a confirmation set crossing its
+// threshold, a promoted shadow set arming — only while it holds a lease
 // acknowledged by a strict majority of every member it has ever known,
 // down members included (see immunity.ClusterBinding.MayArm). The
 // trust chain is:
@@ -147,11 +147,10 @@
 // can therefore never double-arm against the promoted deputy or
 // regress the owner seq — its replayed broadcasts are fenced until it
 // re-merges the membership, is revived, and receives its slice back by
-// handoff; a fenced broadcast never advances the link cursor. With
-// leases on, fencing is the second line of defense; with NoLease it is
-// the only one, and two live partitions may each arm the same
-// signature for their own devices — the same arming decision twice,
-// never a conflicting one.
+// handoff; a fenced broadcast never advances the link cursor. Behind
+// the lease, fencing is the second line of defense. Without failure
+// detection ownership never moves, so only a key's one owner ever
+// arms it.
 //
 // # Partitions and restarts
 //
@@ -263,26 +262,23 @@ type Config struct {
 	// just on this node's own link — before it is marked dead and this
 	// node assumes ownership of the keys it is deputy for. It sets every
 	// probe timing (interval D/4, timeout D/8, suspicion D/2, two
-	// indirect proxies) and the default lease TTL. 0 disables failure
-	// detection, and with it the quorum lease (a dead owner parks its
-	// slice until it returns).
+	// indirect proxies) and the default lease TTL. Detection always runs
+	// with the quorum lease. 0 disables both: ownership never moves, so
+	// only a key's owner arms it (a dead owner parks its slice until it
+	// returns).
 	FailoverAfter time.Duration
 	// LeaseTTL is the quorum-lease lifetime (default: the probe timeout
 	// plus the suspicion window, and always clamped to it so a deposed
 	// owner's last lease has certainly expired before its deputy can be
 	// promoted).
 	LeaseTTL time.Duration
-	// NoLease disables the quorum lease while keeping probe-based
-	// failure detection: arming falls back to epoch fencing alone, so a
-	// symmetric partition may arm on both sides — the pre-lease
-	// behavior the partition regression tests pin down.
-	NoLease bool
-	// Metrics, when set, registers per-peer link instruments (dials,
-	// reconnects, connected, applied/duplicate broadcasts, forward
-	// outbox depth + in-flight) plus node-level membership gauges and
-	// handoff/failover/replication counters. Typically the same
-	// registry the hub got via immunity.WithMetricsRegistry, so one
-	// /metrics render covers both tiers. Nil disables link metrics.
+	// Metrics is the registry the node's instruments live on: per-peer
+	// link instruments (dials, reconnects, connected, applied/duplicate
+	// broadcasts, forward outbox depth + in-flight) plus node-level
+	// membership gauges, handoff/failover/replication counters and the
+	// lease counters. The instruments are the node's only counts, and
+	// PeerStatus and LeaseStats read them. Nil: the hub's registry
+	// (Exchange.Metrics), so one /metrics render covers both tiers.
 	Metrics *metrics.Registry
 }
 
@@ -301,9 +297,9 @@ type Node struct {
 	membership *Membership
 	ring       atomic.Pointer[Ring]
 
-	// stepMu guards the two decision values, nil when off: probe with
-	// failure detection, lease with the quorum lease too. A leaf: the
-	// values call nothing (see failover.go for the shell that steps them).
+	// stepMu guards the two decision values, both nil without failure
+	// detection and both set with it. A leaf: the values call nothing
+	// (see failover.go for the shell that steps them).
 	stepMu sync.Mutex
 	probe  *probeState
 	lease  *leaseState
@@ -365,11 +361,15 @@ func New(cfg Config) (*Node, error) {
 	if err != nil {
 		return nil, err
 	}
+	reg := cfg.Metrics
+	if reg == nil {
+		reg = cfg.Hub.Metrics()
+	}
 	n := &Node{
 		self:       cfg.Self,
 		selfAddr:   cfg.SelfAddr,
 		hub:        cfg.Hub,
-		reg:        cfg.Metrics,
+		reg:        reg,
 		resolve:    cfg.Resolve,
 		membership: newMembership(cfg.Self, cfg.SelfAddr, seed),
 		links:      make(map[string]*link, len(cfg.Peers)),
@@ -377,37 +377,35 @@ func New(cfg Config) (*Node, error) {
 		closeCh:    make(chan struct{}),
 	}
 	n.ring.Store(ring)
-	n.metFailovers = cfg.Metrics.Counter("immunity_cluster_failovers_total",
+	n.metFailovers = reg.Counter("immunity_cluster_failovers_total",
 		"Members marked down by the failure detector (deputy promotions).")
-	n.metHandoffs = cfg.Metrics.Counter("immunity_cluster_handoff_sent_total",
+	n.metHandoffs = reg.Counter("immunity_cluster_handoff_sent_total",
 		"Owned records handed off to new owners after membership changes.")
-	n.metReplicas = cfg.Metrics.Counter("immunity_cluster_replicated_total",
+	n.metReplicas = reg.Counter("immunity_cluster_replicated_total",
 		"Pending confirmation-set records replicated to deputies.")
-	n.metEpoch = cfg.Metrics.Gauge("immunity_cluster_membership_epoch",
+	n.metEpoch = reg.Gauge("immunity_cluster_membership_epoch",
 		"Current membership epoch (the arm-broadcast fencing token).")
 	n.metEpoch.Set(1)
-	n.metForwardDropped = cfg.Metrics.Counter("immunity_cluster_forward_dropped_total",
+	n.metForwardDropped = reg.Counter("immunity_cluster_forward_dropped_total",
 		"Oldest forward-outbox messages spilled by the per-peer cap during long partitions.")
 	pc := resolveProbe(cfg)
 	if pc.enabled {
 		n.probe = newProbeState(cfg.Self, pc)
-		n.metProbes = cfg.Metrics.Counter("immunity_cluster_probes_total",
+		n.metProbes = reg.Counter("immunity_cluster_probes_total",
 			"Direct pings sent by the failure detector.")
-		n.metIndirect = cfg.Metrics.Counter("immunity_cluster_probe_indirect_total",
+		n.metIndirect = reg.Counter("immunity_cluster_probe_indirect_total",
 			"Probes escalated to indirect ping-reqs through proxy members.")
-		n.metSuspects = cfg.Metrics.Counter("immunity_cluster_probe_suspects_total",
+		n.metSuspects = reg.Counter("immunity_cluster_probe_suspects_total",
 			"Members entering suspicion (unreachable by direct and indirect probes).")
-		if !cfg.NoLease {
-			n.lease = newLeaseState(cfg.Self, pc.leaseTTL)
-			n.metLeaseHeld = cfg.Metrics.Gauge("immunity_cluster_lease_held",
-				"1 while this hub holds the quorum lease that permits fresh arming decisions.")
-			n.metLeaseAcquired = cfg.Metrics.Counter("immunity_cluster_lease_acquired_total",
-				"Quorum-lease acquisitions (first grant and every re-acquisition after a loss).")
-			n.metLeaseLost = cfg.Metrics.Counter("immunity_cluster_lease_lost_total",
-				"Quorum-lease expiries: the hub lost its majority (minority partition side) and parked fresh arming.")
-			n.metLeaseRefused = cfg.Metrics.Counter("immunity_cluster_lease_refused_total",
-				"Lease grants refused by peers (requester's membership epoch behind the granter's).")
-		}
+		n.lease = newLeaseState(cfg.Self, pc.leaseTTL)
+		n.metLeaseHeld = reg.Gauge("immunity_cluster_lease_held",
+			"1 while this hub holds the quorum lease that permits fresh arming decisions.")
+		n.metLeaseAcquired = reg.Counter("immunity_cluster_lease_acquired_total",
+			"Quorum-lease acquisitions (first grant and every re-acquisition after a loss).")
+		n.metLeaseLost = reg.Counter("immunity_cluster_lease_lost_total",
+			"Quorum-lease expiries: the hub lost its majority (minority partition side) and parked fresh arming.")
+		n.metLeaseRefused = reg.Counter("immunity_cluster_lease_refused_total",
+			"Lease grants refused by peers (requester's membership epoch behind the granter's).")
 	}
 	// Bind before any link (or device) traffic: the hub must know the
 	// ring before it accepts its first report or peer-hello.
@@ -639,8 +637,8 @@ func (n *Node) Status() []PeerStatus {
 			LastApplied:     l.lastApplied,
 			Dials:           l.rd.Dials(),
 			Reconnects:      l.rd.Reconnects(),
-			Applied:         l.applied.n,
-			Duplicates:      l.duplicates.n,
+			Applied:         l.applied.Value(),
+			Duplicates:      l.duplicates.Value(),
 			PendingForwards: l.outbox.Pending(),
 		})
 		l.mu.Unlock()
@@ -681,26 +679,15 @@ type link struct {
 	mu          sync.Mutex
 	gen         string // peer hub incarnation, from its ack
 	lastApplied uint64
-	applied     tally
-	duplicates  tally
+	// applied and duplicates count arm-broadcasts that newly armed a
+	// signature here vs. replays that only advanced the cursor.
+	applied    *metrics.Counter
+	duplicates *metrics.Counter
 	// owed is the peer's newest lease request this node granted while
 	// the link had no session to carry the grant (Node.grantLease).
 	owed *wire.Lease
 
 	metForwards *metrics.Counter
-}
-
-// tally is a plain counter — PeerStatus must work without a registry —
-// and its registry mirror (nil without Config.Metrics; nil instruments
-// are no-ops), bumped together under link.mu.
-type tally struct {
-	n   uint64
-	met *metrics.Counter
-}
-
-func (t *tally) inc() {
-	t.n++
-	t.met.Inc()
 }
 
 func newLink(n *Node, peerID string, t immunity.Transport, resumeSeq uint64, reg *metrics.Registry) *link {
@@ -715,9 +702,9 @@ func newLink(n *Node, peerID string, t immunity.Transport, resumeSeq uint64, reg
 		Connected: reg.GaugeVec("immunity_cluster_peer_connected",
 			"Live handshaken outbound sessions to the peer.", "peer").With(peerID),
 	})
-	l.applied.met = reg.CounterVec("immunity_cluster_applied_total",
+	l.applied = reg.CounterVec("immunity_cluster_applied_total",
 		"Arm-broadcasts from the peer that newly armed a signature here.", "peer").With(peerID)
-	l.duplicates.met = reg.CounterVec("immunity_cluster_duplicates_total",
+	l.duplicates = reg.CounterVec("immunity_cluster_duplicates_total",
 		"Arm-broadcast replays from the peer (cursor advances only).", "peer").With(peerID)
 	l.metForwards = reg.CounterVec("immunity_cluster_peer_forwards_total",
 		"Forward-report messages delivered to the peer.", "peer").With(peerID)
@@ -959,9 +946,9 @@ func (a *peerAttempt) Recv(m wire.Message) {
 			}
 		}
 		if applied {
-			l.applied.inc()
+			l.applied.Inc()
 		} else {
-			l.duplicates.inc()
+			l.duplicates.Inc()
 		}
 		l.mu.Unlock()
 	case wire.TypeForwardConfirm:

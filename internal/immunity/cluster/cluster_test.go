@@ -524,6 +524,84 @@ type PeerStatusOf struct {
 	ok bool
 }
 
+// dupTransport delivers every arm-broadcast twice; the link counts the
+// second copy as a replay.
+type dupTransport struct{ immunity.Transport }
+
+func (d dupTransport) Dial(recv func(wire.Message), down func(error)) (immunity.Session, error) {
+	return d.Transport.Dial(func(m wire.Message) {
+		recv(m)
+		if m.Type == wire.TypeArmBroadcast {
+			recv(m)
+		}
+	}, down)
+}
+
+// TestPeerStatusReadsTheMetrics: a node built without Config.Metrics
+// counts on its hub's registry, and each PeerStatus count is the
+// per-peer series /metrics renders there, not a second count kept
+// beside it.
+func TestPeerStatusReadsTheMetrics(t *testing.T) {
+	hubs := make([]*immunity.Exchange, 2)
+	for i := range hubs {
+		hub, err := immunity.NewExchange(1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(hub.Close)
+		hubs[i] = hub
+	}
+	node0, err := cluster.New(cluster.Config{Self: "hub0", Hub: hubs[0],
+		Peers: []cluster.Member{{ID: "hub1", Transport: immunity.NewLoopback(hubs[1])}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(node0.Close)
+	node1, err := cluster.New(cluster.Config{Self: "hub1", Hub: hubs[1],
+		Peers: []cluster.Member{{ID: "hub0", Transport: dupTransport{immunity.NewLoopback(hubs[0])}}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(node1.Close)
+
+	// One arming owned by each hub: hub1 applies hub0's and then its
+	// replay, hub0 applies hub1's once.
+	for i, owner := range []string{"hub0", "hub1"} {
+		p := newPhone(t, fmt.Sprintf("phone%d", i), immunity.NewLoopback(hubs[i]))
+		if _, _, err := p.svc.Publish("local", sigOwnedBy(t, node0.Ring(), owner)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	counts := func(n *cluster.Node) (applied, duplicates uint64) {
+		ps := n.Status()[0]
+		return ps.Applied, ps.Duplicates
+	}
+	waitFor(t, "hub1 to apply hub0's arming and its replay", func() bool {
+		a, d := counts(node1)
+		return a == 1 && d == 1
+	})
+	waitFor(t, "hub0 to apply hub1's arming", func() bool {
+		a, _ := counts(node0)
+		return a == 1
+	})
+	for i, n := range []*cluster.Node{node0, node1} {
+		var page strings.Builder
+		if err := hubs[i].Metrics().WritePrometheus(&page); err != nil {
+			t.Fatal(err)
+		}
+		for _, ps := range n.Status() {
+			for _, line := range []string{
+				fmt.Sprintf("immunity_cluster_applied_total{peer=%q} %d\n", ps.ID, ps.Applied),
+				fmt.Sprintf("immunity_cluster_duplicates_total{peer=%q} %d\n", ps.ID, ps.Duplicates),
+			} {
+				if !strings.Contains(page.String(), line) {
+					t.Errorf("hub%d: PeerStatus %+v, but its /metrics page lacks %q", i, ps, line)
+				}
+			}
+		}
+	}
+}
+
 // flappyTransport accepts every dial and completes the peer handshake
 // with an OK ack — then immediately drops the session. The worst kind
 // of peer for the redial loop: the handshake keeps succeeding, so a

@@ -110,25 +110,21 @@ func (n *Node) pendingOutbox() int {
 	return total
 }
 
-// run is the node's one tick goroutine: the probe interval and, with a
-// lease, its TTL/3 renewal round, until the node closes.
+// run is the node's one tick goroutine: the probe interval and the
+// lease's TTL/3 renewal round, until the node closes.
 func (n *Node) run(pc probeConfig) {
 	defer n.wg.Done()
 	probeT := time.NewTicker(pc.interval)
 	defer probeT.Stop()
-	var leaseC <-chan time.Time
-	if n.lease != nil {
-		leaseT := time.NewTicker(max(pc.leaseTTL/3, time.Millisecond))
-		defer leaseT.Stop()
-		leaseC = leaseT.C
-	}
+	leaseT := time.NewTicker(max(pc.leaseTTL/3, time.Millisecond))
+	defer leaseT.Stop()
 	for {
 		select {
 		case <-n.closeCh:
 			return
 		case <-probeT.C:
 			n.probeTick(time.Now())
-		case <-leaseC:
+		case <-leaseT.C:
 			n.leaseTick(time.Now())
 		}
 	}
@@ -285,17 +281,15 @@ func (n *Node) HandleProbe(m wire.Message) {
 	case m.Type == wire.TypeLease && m.Lease != nil:
 		n.alive(m.Lease.From)
 		n.grantLease(*m.Lease)
-	case m.Type == wire.TypeLeaseAck && m.LeaseAck != nil:
+	case m.Type == wire.TypeLeaseAck && m.LeaseAck != nil && n.lease != nil:
 		a := *m.LeaseAck
 		if !a.OK {
-			n.metLeaseRefused.Inc() // nil, a no-op, with no lease
+			n.metLeaseRefused.Inc()
 		}
 		members := n.membership.count()
 		n.stepMu.Lock()
-		if n.probe != nil {
-			n.probe.alive(a.From)
-		}
-		acquired := n.lease != nil && n.lease.ack(a, members)
+		n.probe.alive(a.From) // a lease implies a prober
+		acquired := n.lease.ack(a, members)
 		if acquired {
 			n.leaseHeld.Store(true)
 		}
@@ -317,23 +311,20 @@ func (n *Node) alive(id string) {
 }
 
 // MayArm implements the arming gate of immunity.ClusterBinding: with
-// no lease configured (failure detection off, or Config.NoLease) every
-// fresh arming decision is allowed — the pre-lease behavior — else
-// only while the quorum lease is held. Pure (one atomic load): called
-// under Exchange.mu on every threshold crossing.
+// failure detection on, a fresh arming decision is allowed only while
+// the quorum lease is held. Without detection ownership never moves,
+// so only a key's owner ever takes one, and every decision is allowed.
+// Pure (one atomic load): called under Exchange.mu on every threshold
+// crossing.
 func (n *Node) MayArm() bool {
 	return n.lease == nil || n.leaseHeld.Load()
 }
 
-// LeaseStats reports the quorum lease's state: whether it is held now
-// and how many times it was acquired and lost. With no lease
-// configured, held is true (arming is never gated) and the counts are
+// LeaseStats reports the quorum lease's state: whether arming is
+// permitted now (MayArm) and how many times the lease was acquired and
+// lost, read off the immunity_cluster_lease_*_total counters. Without
+// failure detection there is no lease: held is true and the counts are
 // zero.
 func (n *Node) LeaseStats() (held bool, acquired, lost uint64) {
-	if n.lease == nil {
-		return true, 0, 0
-	}
-	n.stepMu.Lock()
-	defer n.stepMu.Unlock()
-	return n.lease.held, n.lease.acquired, n.lease.lost
+	return n.MayArm(), n.metLeaseAcquired.Value(), n.metLeaseLost.Value()
 }

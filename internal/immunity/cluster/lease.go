@@ -66,8 +66,6 @@ type leaseState struct {
 	// epoch is the membership epoch the last ask of every live peer
 	// carried; onEpoch asks again once the membership moves past it.
 	epoch uint64
-
-	acquired, lost uint64
 }
 
 func newLeaseState(self string, ttl time.Duration) *leaseState {
@@ -83,7 +81,6 @@ func newLeaseState(self string, ttl time.Duration) *leaseState {
 func (ls *leaseState) tick(now time.Time, epoch uint64, members int) (ask wire.Lease, lost, acquired bool) {
 	if ls.held && now.After(ls.expiry) {
 		ls.held = false
-		ls.lost++
 		lost = true
 	}
 	ls.round++
@@ -154,6 +151,5 @@ func (ls *leaseState) ack(a wire.LeaseAck, members int) (acquired bool) {
 		return false
 	}
 	ls.held = true
-	ls.acquired++
 	return true
 }

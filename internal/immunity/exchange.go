@@ -249,7 +249,6 @@ type Exchange struct {
 	// (nil outside a federation).
 	mu      sync.Mutex
 	arb     *arbiter
-	n       tally // running totals of every applied event's tally
 	conns   map[string]*Conn
 	peers   map[string]*Conn
 	cluster ClusterBinding
@@ -260,17 +259,17 @@ type Exchange struct {
 	// handoff as Service.persistMu). Lock order: mu > persistMu.
 	persistMu sync.Mutex
 
-	batchBatches  atomic.Uint64
-	batchSigs     atomic.Uint64
-	persistErrors atomic.Uint64
+	batchBatches atomic.Uint64
+	batchSigs    atomic.Uint64
 
 	// Observability + admission. reg is the hub's metric registry (always
-	// non-nil after NewExchange; shareable across hubs via
-	// WithMetricsRegistry), met its pre-created instruments, admit the
-	// report-ingest permit pool (nil = every report admitted at once;
-	// see WithAdmission). The registry locks are leaves — see package
-	// metrics — so met's atomics are touched under x.mu and queue locks
-	// freely.
+	// non-nil after NewExchange; the hub's own, or the one given to
+	// WithMetricsRegistry), met its pre-created instruments — the hub's
+	// only copy of its event counts, which Stats and status read — and
+	// admit the report-ingest permit pool (nil = every report admitted
+	// at once; see WithAdmission). The registry locks are leaves — see
+	// package metrics — so met's atomics are touched under x.mu and
+	// queue locks freely.
 	reg   *metrics.Registry
 	met   hubMetrics
 	admit *metrics.Pool
@@ -290,9 +289,10 @@ func WithProvenanceStore(store ProvenanceStore) ExchangeOption {
 
 // WithMetricsRegistry makes the hub register its instruments on reg
 // instead of a private registry — the daemon shares one registry
-// between the hub, the cluster node, and the /metrics endpoint, and
-// several in-process hubs sharing one registry aggregate into the same
-// series. Without this option the hub still meters itself on a private
+// between the hub, its cluster node, and the /metrics endpoint. One
+// registry serves one hub (and its node): the instruments are the
+// hub's counts, so two hubs on one registry would each read the sum in
+// Stats. Without this option the hub meters itself on a private
 // registry, reachable via Metrics().
 func WithMetricsRegistry(reg *metrics.Registry) ExchangeOption {
 	return func(x *Exchange) { x.reg = reg }
@@ -450,7 +450,6 @@ func (x *Exchange) commit(fx *effects) {
 		err := x.store.AppendBatch(fx.persist)
 		x.persistMu.Unlock()
 		if err != nil {
-			x.persistErrors.Add(1)
 			x.met.persistErrors.Inc()
 		}
 	}
@@ -462,25 +461,25 @@ func (x *Exchange) commit(fx *effects) {
 	}
 }
 
-// count folds one event's tally into the hub's totals and metrics.
-// Caller holds x.mu.
+// count folds one event's tally into the hub's counters. Caller holds
+// x.mu, so Stats, which holds it too, reads every counter at one event
+// boundary.
 func (x *Exchange) count(n *tally) {
-	add := func(total *uint64, met *metrics.Counter, n uint64) {
+	add := func(met *metrics.Counter, n uint64) {
 		if n != 0 {
-			*total += n
 			met.Add(n)
 		}
 	}
-	add(&x.n.reports, x.met.reports, n.reports)
-	add(&x.n.confirms, x.met.confirms, n.confirms)
-	add(&x.n.echoes, x.met.echoes, n.echoes)
-	add(&x.n.forwards, x.met.forwards, n.forwards)
-	add(&x.n.armed, x.met.armed, n.armed)
-	add(&x.n.remoteInstalls, x.met.remoteInstalls, n.remoteInstalls)
-	add(&x.n.fenced, x.met.fenced, n.fenced)
-	add(&x.n.replicas, x.met.replicaRecords, n.replicas)
-	add(&x.n.handoffs, x.met.handoffRecords, n.handoffs)
-	add(&x.n.parks, x.met.parkedArms, n.parks)
+	add(x.met.reports, n.reports)
+	add(x.met.confirms, n.confirms)
+	add(x.met.echoes, n.echoes)
+	add(x.met.forwards, n.forwards)
+	add(x.met.armed, n.armed)
+	add(x.met.remoteInstalls, n.remoteInstalls)
+	add(x.met.fenced, n.fenced)
+	add(x.met.replicaRecords, n.replicas)
+	add(x.met.handoffRecords, n.handoffs)
+	add(x.met.parkedArms, n.parks)
 	x.met.parkedGauge.Set(int64(x.arb.parkedCount()))
 }
 
@@ -827,10 +826,7 @@ func (c *Conn) handleHello(m wire.Message) error {
 		}
 		tenant = claims.Tenant
 	}
-	epoch := h.Epoch
-	if h.Epochs != nil {
-		epoch = h.Epochs[x.gen]
-	}
+	epoch := h.Epochs[x.gen]
 
 	sk := sessKey(tenant, h.Device)
 	x.mu.Lock()
@@ -1268,10 +1264,10 @@ func (x *Exchange) status() *wire.Status {
 		cs := &wire.ClusterStatus{
 			Members:         x.cluster.Members(),
 			OwnerSeq:        x.arb.armSeq(),
-			Forwards:        x.n.forwards,
+			Forwards:        x.met.forwards.Value(),
 			MembershipEpoch: snap.Epoch,
 			Ring:            snap.Members,
-			Fenced:          x.n.fenced,
+			Fenced:          x.met.fenced.Value(),
 			Owned:           owned,
 			Remote:          remote,
 		}
@@ -1310,15 +1306,15 @@ func (x *Exchange) Stats() ExchangeStats {
 	return ExchangeStats{
 		Epoch:             x.arb.epoch,
 		Devices:           len(x.conns),
-		Reports:           x.n.reports,
-		Confirmations:     x.n.confirms,
-		Echoes:            x.n.echoes,
+		Reports:           x.met.reports.Value(),
+		Confirmations:     x.met.confirms.Value(),
+		Echoes:            x.met.echoes.Value(),
 		DeltaBatches:      x.batchBatches.Load(),
 		DeltaSignatures:   x.batchSigs.Load(),
-		PersistErrors:     x.persistErrors.Load(),
-		Forwards:          x.n.forwards,
-		RemoteInstalls:    x.n.remoteInstalls,
-		Fenced:            x.n.fenced,
+		PersistErrors:     x.met.persistErrors.Value(),
+		Forwards:          x.met.forwards.Value(),
+		RemoteInstalls:    x.met.remoteInstalls.Value(),
+		Fenced:            x.met.fenced.Value(),
 		AdmissionAdmitted: x.admit.Admitted(),
 		AdmissionDelayed:  x.admit.Delayed(),
 		AdmissionShed:     x.admit.Shed(),

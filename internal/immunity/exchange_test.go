@@ -1,6 +1,7 @@
 package immunity
 
 import (
+	"errors"
 	"fmt"
 	"strings"
 	"sync"
@@ -515,5 +516,37 @@ func TestHubReportAllocs(t *testing.T) {
 	t.Logf("%.2f allocations per fresh report", allocs)
 	if allocs > limit {
 		t.Fatalf("a fresh report costs %.2f allocations, want <= %d", allocs, limit)
+	}
+}
+
+// failingStore loads like its inner store and refuses every append.
+type failingStore struct{ ProvenanceStore }
+
+func (failingStore) AppendBatch([]ProvenanceRecord) error { return errors.New("disk full") }
+
+// TestExchangeStatsReadTheMetrics: every ExchangeStats counter is the
+// immunity_hub_*_total counter /metrics renders, not a second count
+// kept beside it.
+func TestExchangeStatsReadTheMetrics(t *testing.T) {
+	hub := newTestHub(t, 2, WithProvenanceStore(failingStore{NewMemProvenance()}))
+	hub.report("d1", testSig(0))
+	hub.report("d1", testSig(0)) // the same device again: an echo
+	hub.report("d2", testSig(0)) // the threshold: arms
+	st := hub.Stats()
+	if st.Reports != 3 || st.Confirmations != 2 || st.Echoes != 1 || st.PersistErrors != 2 {
+		t.Fatalf("stats = %+v, want 3 reports, 2 confirmations, 1 echo and 2 failed appends", st)
+	}
+	for name, got := range map[string]uint64{
+		"immunity_hub_reports_total":         st.Reports,
+		"immunity_hub_confirmations_total":   st.Confirmations,
+		"immunity_hub_echoes_total":          st.Echoes,
+		"immunity_hub_persist_errors_total":  st.PersistErrors,
+		"immunity_hub_forwards_total":        st.Forwards,
+		"immunity_hub_remote_installs_total": st.RemoteInstalls,
+		"immunity_hub_fenced_total":          st.Fenced,
+	} {
+		if want := hub.Metrics().Counter(name, "").Value(); got != want {
+			t.Errorf("ExchangeStats reads %d where %s reads %d", got, name, want)
+		}
 	}
 }

@@ -29,9 +29,10 @@ type fanOutSession struct {
 	msgs []wire.Message
 }
 
-// dialFanOut attaches device in tenant with a hello from epoch since and
-// waits for the ack. The token is ignored by a hub without a verifier.
-func dialFanOut(t *testing.T, tr Transport, tenant, device string, since uint64, stall bool) *fanOutSession {
+// dialFanOut attaches device in tenant with a hello resuming from epoch
+// since under the hub incarnation gen, and waits for the ack. The token
+// is ignored by a hub without a verifier.
+func dialFanOut(t *testing.T, tr Transport, gen, tenant, device string, since uint64, stall bool) *fanOutSession {
 	t.Helper()
 	s := &fanOutSession{tenant: tenant, since: since, stalled: make(chan struct{}), release: make(chan struct{})}
 	if !stall {
@@ -54,7 +55,8 @@ func dialFanOut(t *testing.T, tr Transport, tenant, device string, since uint64,
 	s.sess = sess
 	t.Cleanup(s.close)
 	hello := wire.Message{V: wire.Version, Type: wire.TypeHello, Hello: &wire.Hello{Device: device,
-		Token: mintFor(t, auth.Claims{Tenant: tenant, Device: device}), Epoch: since, MinV: wire.Version, MaxV: wire.Version}}
+		Token: mintFor(t, auth.Claims{Tenant: tenant, Device: device}), Epochs: map[string]uint64{gen: since},
+		MinV: wire.Version, MaxV: wire.Version}}
 	if err := sess.Send(hello); err != nil {
 		t.Fatal(err)
 	}
@@ -158,7 +160,7 @@ func fanOutWalk(t *testing.T, tcp bool, seed int64) {
 		case r < 7:
 			since := uint64(rng.Int63n(int64(hub.Stats().Epoch) + 1))
 			device := fmt.Sprintf("dev%d", len(live)+len(left))
-			live = append(live, dialFanOut(t, tr, tenants[rng.Intn(2)], device, since, rng.Intn(3) == 0))
+			live = append(live, dialFanOut(t, tr, hub.gen, tenants[rng.Intn(2)], device, since, rng.Intn(3) == 0))
 		case r == 7:
 			if len(live) > 0 {
 				i := rng.Intn(len(live))
@@ -229,8 +231,8 @@ func fanOutWalk(t *testing.T, tcp bool, seed int64) {
 func TestMergeSharesTheLogAndNeverWritesIntoIt(t *testing.T) {
 	const n = 50
 	hub := newTestHub(t, 1)
-	a := dialFanOut(t, NewLoopback(hub), "", "obs-a", 0, true)
-	b := dialFanOut(t, NewLoopback(hub), "", "obs-b", 0, true)
+	a := dialFanOut(t, NewLoopback(hub), hub.gen, "", "obs-a", 0, true)
+	b := dialFanOut(t, NewLoopback(hub), hub.gen, "", "obs-b", 0, true)
 	hub.report("src", testSig(0))
 	<-a.stalled
 	<-b.stalled
@@ -254,7 +256,7 @@ func TestMergeSharesTheLogAndNeverWritesIntoIt(t *testing.T) {
 	mine[0] = wire.FromCore(testSig(-2))
 
 	hub.report("src", testSig(n+1))
-	c := dialFanOut(t, NewLoopback(hub), "", "obs-c", 0, false)
+	c := dialFanOut(t, NewLoopback(hub), hub.gen, "", "obs-c", 0, false)
 	waitFor(t, "the late session's catch-up", func() bool { return c.sigCount() == n+2 })
 	if got := keys(t, c.received()[1].Delta.Sigs); !slices.Equal(got, testKeys(0, n+2)) {
 		t.Fatalf("catch-up after a consumer's append: %v", got)
@@ -289,7 +291,7 @@ const maxDrainAllocs = 100
 func TestMergeStalledSessionHoldsOneDelta(t *testing.T) {
 	const n = 1000
 	hub := newTestHub(t, 1)
-	o := dialFanOut(t, NewLoopback(hub), "", "obs", 0, true)
+	o := dialFanOut(t, NewLoopback(hub), hub.gen, "", "obs", 0, true)
 	hub.report("src", testSig(0))
 	<-o.stalled
 	for i := 1; i <= n; i++ {

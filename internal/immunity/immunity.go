@@ -261,14 +261,17 @@
 //
 // # Observability and admission control
 //
-// Every Exchange owns a metrics.Registry (share one across hubs with
+// Every Exchange owns a metrics.Registry (or uses the one given to
 // WithMetricsRegistry; read it with Exchange.Metrics): report/
 // confirmation/echo/arming/forward counters, device and peer session
 // gauges, push-queue depth and in-flight gauges with drain batch-size
 // and coalesce-ratio histograms, report-handling latency, and persist
 // error counters — rendered in Prometheus text format by
 // Registry.WritePrometheus (immunityd serves it at /metrics). The
-// cluster subpackage adds per-peer dial/reconnect/forward-outbox
+// counters are the hub's only counts: ExchangeStats and Status read
+// them, so /status and /metrics tell one story, and one registry serves
+// one hub.
+// The cluster subpackage adds per-peer dial/reconnect/forward-outbox
 // series on the same registry.
 //
 // Admission has one mechanism: WithAdmission(p) puts a metrics.Pool in

@@ -19,12 +19,16 @@
 //
 // Every constructor is idempotent by metric name: asking the same
 // registry for the same name returns the existing instrument (and
-// panics on a type mismatch — a programming error). That lets several
-// hubs in one process share one registry: each grabs the same counters
-// and the rendered values aggregate the fleet. For the same reason
-// gauges here only support relative updates through shared instruments
-// (Add) or whole-owner updates (Set) — prefer Add(±n) deltas when an
-// instrument is shared across owners.
+// panics on a type mismatch — a programming error). That lets the parts
+// of one hub — its sessions' push queues, its cluster node's links, its
+// provenance store — register without coordinating, and lets a reader
+// look an instrument up by name. One registry serves one hub and its
+// node: their instruments are their only counts (the hub's
+// ExchangeStats and the node's PeerStatus read them), so two hubs on
+// one registry would each read the sum. Gauges support relative updates
+// (Add) and whole-owner updates (Set) — use Add(±n) deltas when an
+// instrument is shared across owners, as the per-session push queues
+// share their depth gauges.
 //
 // All methods are nil-receiver safe: a nil *Registry hands out nil
 // instruments and every operation on a nil instrument is a no-op, so

@@ -82,11 +82,9 @@ type FileProvenance struct {
 	size    int
 	// buf is AppendBatch's reused encode buffer.
 	buf []byte
-	// compactions counts snapshot rewrites. metCompactions mirrors it, and
-	// metCompactErrors counts failed attempts (the log stays valid, just
-	// uncompacted), on registry counters when the store was built with
-	// WithCompactionCounters (nil instruments are no-ops).
-	compactions      uint64
+	// metCompactions counts snapshot rewrites (a private counter unless
+	// WithCompactionCounters gave one), and metCompactErrors counts failed
+	// attempts (the log stays valid, just uncompacted; nil is a no-op).
 	metCompactions   *metrics.Counter
 	metCompactErrors *metrics.Counter
 }
@@ -100,10 +98,12 @@ const maxAppendBuf = 64 << 10
 // FileProvenanceOption configures a FileProvenance.
 type FileProvenanceOption func(*FileProvenance)
 
-// WithCompactionCounters mirrors the store's compaction and
-// compaction-error counts onto registry counters, so a daemon surfaces
-// them on /metrics next to the hub's persist errors. Either counter
-// may be nil.
+// WithCompactionCounters counts the store's compactions and
+// compaction errors on registry counters, so a daemon surfaces them on
+// /metrics next to the hub's persist errors. The compactions counter is
+// the store's only count of them (Compactions reads it). Either counter
+// may be nil: the store then counts compactions privately, and does not
+// count errors.
 func WithCompactionCounters(compactions, compactErrors *metrics.Counter) FileProvenanceOption {
 	return func(f *FileProvenance) {
 		f.metCompactions = compactions
@@ -118,6 +118,9 @@ func NewFileProvenance(path string, opts ...FileProvenanceOption) *FileProvenanc
 	for _, opt := range opts {
 		opt(f)
 	}
+	if f.metCompactions == nil {
+		f.metCompactions = new(metrics.Counter)
+	}
 	return f
 }
 
@@ -125,11 +128,7 @@ func NewFileProvenance(path string, opts ...FileProvenanceOption) *FileProvenanc
 func (f *FileProvenance) Path() string { return f.path }
 
 // Compactions returns how many snapshot rewrites the store has done.
-func (f *FileProvenance) Compactions() uint64 {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.compactions
-}
+func (f *FileProvenance) Compactions() uint64 { return f.metCompactions.Value() }
 
 // Load reads the log, cuts off a torn tail, and returns the newest
 // record per key in first-seen Seq order.
@@ -264,7 +263,6 @@ func (f *FileProvenance) compactLocked() error {
 	}
 	f.closeFile() // it holds the replaced log
 	f.records, f.size = len(live), len(buf)
-	f.compactions++
 	f.metCompactions.Inc()
 	return nil
 }

@@ -36,6 +36,10 @@ import (
 // goroutine to exit. Enqueue after Close is a no-op.
 type Queue[T any] struct {
 	cfg QueueConfig[T]
+	// deliver hands one drained batch over and reports how many of its
+	// items were delivered: all or none through DeliverBatch, a prefix
+	// through Deliver, which stops at the first error.
+	deliver func([]T) (delivered int, err error)
 
 	mu       sync.Mutex
 	cond     *sync.Cond
@@ -44,7 +48,12 @@ type Queue[T any] struct {
 	inFlight int // items taken by the drain, not yet delivered or re-queued
 	closed   bool
 	paused   bool
-	done     chan struct{}
+	// resumed records a Resume that found the drain delivering, not
+	// parked: the session it announces replaced the one a failure of
+	// that delivery would come from, so the failure retries at once
+	// instead of parking until a Resume that already happened.
+	resumed bool
+	done    chan struct{}
 
 	// Last values pushed to the shared Depth/InFlight gauges, so gauge
 	// updates are deltas and several queues can share one instrument.
@@ -115,6 +124,23 @@ type QueueConfig[T any] struct {
 // NewQueue starts a queue and its drain goroutine.
 func NewQueue[T any](cfg QueueConfig[T]) *Queue[T] {
 	q := &Queue[T]{cfg: cfg, done: make(chan struct{})}
+	if cfg.DeliverBatch != nil {
+		q.deliver = func(batch []T) (int, error) {
+			if err := cfg.DeliverBatch(batch); err != nil {
+				return 0, err
+			}
+			return len(batch), nil
+		}
+	} else {
+		q.deliver = func(batch []T) (int, error) {
+			for i, v := range batch {
+				if err := cfg.Deliver(v); err != nil {
+					return i, err
+				}
+			}
+			return len(batch), nil
+		}
+	}
 	q.cond = sync.NewCond(&q.mu)
 	go q.drain()
 	return q
@@ -154,12 +180,15 @@ func (q *Queue[T]) Enqueue(v T) {
 }
 
 // Resume un-parks a retry-mode drain after its session was replaced;
-// the failed item is redelivered first. No-op when not parked.
+// the failed item is redelivered first. A drain still delivering is
+// not parked yet, so a failure of that delivery retries at once.
 func (q *Queue[T]) Resume() {
 	q.mu.Lock()
 	if q.paused {
 		q.paused = false
 		q.cond.Broadcast()
+	} else {
+		q.resumed = q.inFlight > 0
 	}
 	q.mu.Unlock()
 }
@@ -207,11 +236,29 @@ func (q *Queue[T]) kill() {
 	}
 }
 
-// drain delivers queued items in order until closed.
+// drain delivers queued items in order until closed. One pass settles
+// the previous batch and takes the next under one lock: a delivered
+// prefix leaves the in-flight count, and in retry mode the failed rest
+// goes back to the queue front.
 func (q *Queue[T]) drain() {
 	defer close(q.done)
+	var batch []T // the batch the previous pass took
+	var n int     // how many of it were delivered
+	var err error // why the rest were not (retry mode only here)
 	for {
 		q.mu.Lock()
+		q.inFlight -= n
+		if err != nil {
+			// Re-queue the failed item and everything behind it
+			// (including anything enqueued since) intact, and park
+			// unless a Resume already announced the next session.
+			q.queue = append(batch[n:], q.queue...)
+			q.raw += len(batch) - n
+			q.inFlight = 0
+			q.paused = !q.resumed
+		}
+		q.resumed = false
+		q.syncGaugesLocked()
 		for (len(q.queue) == 0 || q.paused) && !q.closed {
 			q.cond.Wait()
 		}
@@ -224,8 +271,8 @@ func (q *Queue[T]) drain() {
 			q.mu.Unlock()
 			return
 		}
-		batch, raw := q.queue, q.raw
-		q.queue, q.raw = nil, 0
+		raw := q.raw
+		batch, q.queue, q.raw = q.queue, nil, 0
 		q.inFlight = len(batch)
 		q.syncGaugesLocked()
 		q.mu.Unlock()
@@ -235,64 +282,17 @@ func (q *Queue[T]) drain() {
 		if q.cfg.CoalesceRatio != nil && len(batch) > 0 {
 			q.cfg.CoalesceRatio.Observe(float64(raw) / float64(len(batch)))
 		}
-		if q.cfg.DeliverBatch != nil {
-			if err := q.cfg.DeliverBatch(batch); err != nil {
-				if !q.cfg.RetryOnError {
-					q.kill()
-					return
-				}
-				q.mu.Lock()
-				q.queue = append(batch, q.queue...)
-				q.raw += len(batch)
-				q.inFlight = 0
-				q.paused = true
-				q.syncGaugesLocked()
-				q.mu.Unlock()
-				continue
-			}
-			q.settleBatch(len(batch))
-			if q.cfg.OnDeliver != nil {
-				for _, v := range batch {
-					q.cfg.OnDeliver(v)
-				}
-			}
-			continue
-		}
-		for i, v := range batch {
-			if err := q.cfg.Deliver(v); err != nil {
-				if !q.cfg.RetryOnError {
-					q.kill()
-					return
-				}
-				q.mu.Lock()
-				// Park with the failed item and everything behind it
-				// (including anything enqueued since) intact.
-				q.queue = append(batch[i:], q.queue...)
-				q.raw += len(batch) - i
-				q.inFlight = 0
-				q.paused = true
-				q.syncGaugesLocked()
-				q.mu.Unlock()
-				break
-			}
-			q.settleBatch(1)
-			if q.cfg.OnDeliver != nil {
+		n, err = q.deliver(batch)
+		if q.cfg.OnDeliver != nil {
+			for _, v := range batch[:n] {
 				q.cfg.OnDeliver(v)
 			}
 		}
+		if err != nil && !q.cfg.RetryOnError {
+			q.kill()
+			return
+		}
 	}
-}
-
-// settleBatch retires n delivered (coalesced) items from the in-flight
-// count.
-func (q *Queue[T]) settleBatch(n int) {
-	q.mu.Lock()
-	q.inFlight -= n
-	if q.inFlight < 0 {
-		q.inFlight = 0
-	}
-	q.syncGaugesLocked()
-	q.mu.Unlock()
 }
 
 // Close stops the queue after delivering what is already enqueued, and

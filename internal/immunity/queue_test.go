@@ -116,6 +116,40 @@ func TestQueueDeliverBatchRetryParks(t *testing.T) {
 	}
 }
 
+// TestQueueResumeDuringFailingDelivery: a Resume that lands while the
+// drain is still delivering on the old session, before that delivery's
+// failure parks it, is not lost — the drain retries at once instead of
+// parking until a Resume that already happened (a peer outbox would
+// otherwise hold its forwards until the next reconnect).
+func TestQueueResumeDuringFailingDelivery(t *testing.T) {
+	inDeliver := make(chan struct{})
+	release := make(chan struct{})
+	delivered := make(chan int, 1)
+	calls := 0 // the drain goroutine's own
+	q := NewQueue(QueueConfig[int]{
+		Deliver: func(v int) error {
+			if calls++; calls == 1 {
+				close(inDeliver)
+				<-release
+				return errors.New("old session died")
+			}
+			delivered <- v
+			return nil
+		},
+		RetryOnError: true,
+	})
+	defer q.Close()
+	q.Enqueue(1)
+	<-inDeliver
+	q.Resume() // the new session is up; the old one's failure is still in flight
+	close(release)
+	select {
+	case <-delivered:
+	case <-time.After(5 * time.Second):
+		t.Fatal("the drain parked after the Resume that announced its next session")
+	}
+}
+
 // TestQueuePendingSeesInFlightBatch: the batch the drain has taken but
 // not yet delivered still counts toward Pending — depth gauges must not
 // under-report by a full drain batch while a slow consumer holds it.

@@ -89,7 +89,9 @@ type Attempt interface {
 	Recv(m wire.Message)
 }
 
-// RedialConfig assembles a Redialer. The instruments may be nil.
+// RedialConfig assembles a Redialer. The counters are the machine's only
+// counts of dials and reconnects (Dials and Reconnects read them); a nil
+// one is replaced by a private counter. Connected may be nil.
 type RedialConfig struct {
 	Transport Transport
 	// Begin opens the policy half of one dial attempt.
@@ -110,11 +112,9 @@ type RedialConfig struct {
 // session dies. Sending and receiving are direct calls on the caller's
 // and the transport's goroutine.
 type Redialer struct {
-	cfg        RedialConfig
-	closeCh    chan struct{}
-	kick       chan struct{} // capacity 1: Kick's coalesced wake-up
-	dials      atomic.Uint64
-	reconnects atomic.Uint64
+	cfg     RedialConfig
+	closeCh chan struct{}
+	kick    chan struct{} // capacity 1: Kick's coalesced wake-up
 	// cur is the accepted attempt, nil between sessions. Written under
 	// mu, read lock-free by Send and Live.
 	cur atomic.Pointer[dialAttempt]
@@ -143,6 +143,12 @@ func (a *dialAttempt) die() { a.once.Do(func() { close(a.dead) }) }
 // NewRedialer builds the machine; nothing is dialed until Handshake or
 // Run.
 func NewRedialer(cfg RedialConfig) *Redialer {
+	if cfg.Dials == nil {
+		cfg.Dials = new(metrics.Counter)
+	}
+	if cfg.Reconnects == nil {
+		cfg.Reconnects = new(metrics.Counter)
+	}
 	return &Redialer{cfg: cfg, closeCh: make(chan struct{}), kick: make(chan struct{}, 1)}
 }
 
@@ -197,7 +203,6 @@ func (r *Redialer) Handshake() error {
 		return errRedialerClosed
 	default:
 	}
-	r.dials.Add(1)
 	r.cfg.Dials.Inc()
 	a := &dialAttempt{policy: r.cfg.Begin(), ack: make(chan wire.Ack, 1), dead: make(chan struct{})}
 	sess, err := r.cfg.Transport.Dial(func(m wire.Message) { r.recv(a, m) }, func(error) { a.die() })
@@ -248,7 +253,6 @@ func (r *Redialer) install(a *dialAttempt) error {
 	r.cur.Store(a)
 	r.cfg.Connected.Add(1)
 	if r.accepted {
-		r.reconnects.Add(1)
 		r.cfg.Reconnects.Inc()
 	}
 	r.accepted = true
@@ -355,10 +359,10 @@ func (r *Redialer) Live(p Attempt) bool {
 func (r *Redialer) Connected() bool { return r.cur.Load() != nil }
 
 // Dials counts dial attempts, successful or not.
-func (r *Redialer) Dials() uint64 { return r.dials.Load() }
+func (r *Redialer) Dials() uint64 { return r.cfg.Dials.Value() }
 
 // Reconnects counts accepted handshakes after the first.
-func (r *Redialer) Reconnects() uint64 { return r.reconnects.Load() }
+func (r *Redialer) Reconnects() uint64 { return r.cfg.Reconnects.Value() }
 
 // Err returns the refusal that stopped the machine for good, if any.
 func (r *Redialer) Err() error {

@@ -269,7 +269,6 @@ func appendBinary(dst []byte, m Message) ([]byte, error) {
 	case TypeHello:
 		h := m.Hello
 		b = appendStr(b, h.Device)
-		b = appendU64(b, h.Epoch)
 		b = appendInt(b, h.MinV)
 		b = appendInt(b, h.MaxV)
 		// An empty Epochs map encodes as absent and decodes to nil.
@@ -660,7 +659,7 @@ func DecodeBinary(b []byte) (Message, error) {
 	m.Type = t
 	switch t {
 	case TypeHello:
-		h := &Hello{Device: d.str(), Epoch: d.u64(), MinV: d.int(), MaxV: d.int()}
+		h := &Hello{Device: d.str(), MinV: d.int(), MaxV: d.int()}
 		if n := d.length(); n > 0 {
 			h.Epochs = make(map[string]uint64, prealloc(n))
 			for i := 0; i < n && d.err == nil; i++ {

@@ -12,7 +12,8 @@
 //
 //	type        direction      payload                  purpose
 //	----        ---------      -------                  -------
-//	hello       client → hub   device, epoch            subscribe; resume deltas after `epoch`
+//	hello       client → hub   device, epochs per gen   subscribe; resume deltas after the
+//	                                                    epoch under the hub's gen
 //	ack         hub → client   ok, error, epoch         handshake result (version/device checks)
 //	report      client → hub   sigs                     locally detected signatures (confirmations)
 //	confirm     hub → client   key, confirmations,      receipt for one reported signature with
@@ -24,8 +25,8 @@
 //	                           batching
 //
 // Deltas to one client are ordered and their epochs strictly increase; a
-// client that reconnects sends the last epoch it applied in hello and
-// receives only what it is missing. A hub may coalesce several pending
+// client that reconnects sends the last epoch it applied from each hub
+// incarnation in hello and receives only what it is missing. A hub may coalesce several pending
 // deltas into one (batching) — the coalesced delta carries the newest
 // epoch, never a stale one.
 //
@@ -252,21 +253,17 @@ type Message struct {
 	LeaseAck *LeaseAck
 }
 
-// Hello subscribes a device. Epoch is the fleet delta epoch the device
-// has already applied: 0 on first contact, the last delta's epoch on a
+// Hello subscribes a device. MinV/MaxV is the sender's supported
+// version range (see Negotiate) and Epochs the fleet delta epoch the
+// device has already applied, per hub incarnation (gen): empty on first
+// contact, the last delta's epoch from each hub it has heard on a
 // reconnect, so the hub replays only the missing armed signatures.
-//
-// MinV/MaxV is the sender's supported version range (see Negotiate)
-// and Epochs its merged multi-hub view: the last applied
-// epoch per hub incarnation (gen). Epochs are only comparable within
-// one incarnation, so a hub that finds its own gen in the map resumes
-// the device from exactly the right point even when the device last
-// spoke to a different hub of the cluster; a missing gen means replay
-// from zero. Hubs prefer Epochs over the flat Epoch when present.
+// Epochs are only comparable within one incarnation, so a hub that
+// finds its own gen in the map resumes the device from exactly the
+// right point even when the device last spoke to a different hub of
+// the cluster; a missing gen means replay from zero.
 type Hello struct {
 	Device string
-	Epoch  uint64
-
 	MinV   int
 	MaxV   int
 	Epochs map[string]uint64

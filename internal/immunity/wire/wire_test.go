@@ -60,7 +60,7 @@ func TestSignatureDecodeRejects(t *testing.T) {
 func messageFixtures() []Message {
 	ws := FromCore(testSig())
 	return []Message{
-		{V: Version, Type: TypeHello, Hello: &Hello{Device: "phone0", Epoch: 7,
+		{V: Version, Type: TypeHello, Hello: &Hello{Device: "phone0",
 			MinV: MinVersion, MaxV: Version, Epochs: map[string]uint64{"f00dfeedf00dfeed": 7}}},
 		{V: Version, Type: TypeAck, Ack: &Ack{OK: true, Epoch: 9, Gen: "f00dfeedf00dfeed", V: Version}},
 		{V: Version, Type: TypeReport, Report: &Report{Sigs: []Signature{ws}}},

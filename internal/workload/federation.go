@@ -150,7 +150,6 @@ type fedConfig struct {
 	name      string // the row's, prefixing its errors
 	hubs      int    // 0 or 1 = a single hub, no cluster
 	threshold int
-	noLease   bool
 	durable   bool // a memory provenance store per hub, kept across kill/start
 	faults    bool // every directed peer path through federation.net
 	tcp       bool // serve each hub on a loopback TCP port
@@ -222,7 +221,7 @@ func (f *federation) start(i int) error {
 			}
 		}
 		if f.nodes[i], err = cluster.New(cluster.Config{Self: f.id(i), Hub: hub, Peers: peers,
-			FailoverAfter: failoverAfter, NoLease: f.noLease}); err != nil {
+			FailoverAfter: failoverAfter}); err != nil {
 			return fmt.Errorf("%s: %w", f.id(i), err)
 		}
 	}

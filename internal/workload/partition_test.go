@@ -18,9 +18,3 @@ func TestRunPartitionStormAsymmetric(t *testing.T) { runRows(t, "partition asymm
 // window must not condemn anyone, and the storm arms as if the link
 // were clean.
 func TestRunPartitionStormFlap(t *testing.T) { runRows(t, "partition flap") }
-
-// TestRunPartitionStormNoLease is the regression baseline for the
-// pre-lease merge semantics: with leases off, both sides arm during a
-// symmetric split, and the post-heal fencing/union merge still
-// converges every hub to the twin with per-hub epoch == armed count.
-func TestRunPartitionStormNoLease(t *testing.T) { runRows(t, "partition no lease") }

@@ -44,9 +44,8 @@ func ReportStorm(devices, sigs int, warmup, full time.Duration) Scenario {
 var rows = map[string]Scenario{
 	"chaos":                chaos(1),
 	"chaos repeated kills": chaos(3),
-	"partition symmetric":  split("partition symmetric", partition(last, false), true),
-	"partition asymmetric": split("partition asymmetric", partition(last, true), true),
-	"partition no lease":   split("partition no lease", partition(last, false), false),
+	"partition symmetric":  split("partition symmetric", partition(last, false)),
+	"partition asymmetric": split("partition asymmetric", partition(last, true)),
 	"partition flap":       partitionFlap(),
 	"storm/hubs=1":         ReportStorm(8, 32, 100*time.Millisecond, 100*time.Millisecond),
 	"storm/hubs=2":         onHubs(ReportStorm(8, 32, 0, 0), 2, false),
@@ -124,27 +123,20 @@ func chaos(kills int) Scenario {
 
 // split cuts the minority off mid-confirmation. Devices attach to every
 // hub, the minority included, which is what forces arming decisions
-// onto the wrong side of the split. With leases the minority's own
-// lease round dies first (its renewals cannot reach a majority), so it
-// loses the right to arm before anyone could promote against it, and
-// every crossing on it parks: zero arms over there while the majority
-// promotes its keys — the double-arm window the lease closes. Without
-// leases (the fencing-only baseline) both sides arm during the split,
-// and the post-heal fencing and union merge must reconcile them.
+// onto the wrong side of the split. The minority's own lease round dies
+// first (its renewals cannot reach a majority), so it loses the right
+// to arm before anyone could promote against it, and every crossing on
+// it parks: zero arms over there while the majority promotes its keys —
+// the double-arm window the lease closes.
 //
 // Heal: redials land, handshakes replay the missed armings from their
 // cursors, membership re-merges, the minority's lease comes back, and
 // every parked decision settles (armed by the replayed broadcast, or
 // re-armed by the lease-regain sweep) before every hub converges to the
 // twin.
-func split(name string, cut step, lease bool) Scenario {
-	s := shape(name, fedConfig{faults: true, noLease: !lease}, 0, wait("federation links and leases to come up", linked))
+func split(name string, cut step) Scenario {
+	s := shape(name, fedConfig{faults: true}, 0, wait("federation links and leases to come up", linked))
 	s.steps = append(s.steps, cut, wait("the majority to mark the minority down", see(last, last)))
-	if !lease {
-		return checked(s, report(early, shapeDevices), wait("the majority side to arm the full set", armed(last)),
-			wait("the minority to arm its slice independently", sliceArmed), check("the no-lease minority parked nothing", parksNothing),
-			heal(), wait("post-heal convergence", healed))
-	}
 	return checked(s, wait("the minority to lose its lease", leaseLost),
 		report(early, shapeDevices), wait("the majority side to arm the full set", armed(last)),
 		wait("the minority to park its crossings", parked), check("the minority armed nothing with its lease lost (the double-arm window)", armsNothing),
@@ -196,18 +188,16 @@ func linked(r *run) bool {
 				return false
 			}
 		}
-		if held, _, _ := n.LeaseStats(); !held && !r.noLease {
+		if held, _, _ := n.LeaseStats(); !held {
 			return false
 		}
 	}
 	return true
 }
 
-func sliceOwned(r *run) bool   { return len(r.slice) > 0 }
-func sliceArmed(r *run) bool   { return r.fed.hubs[last].ArmedCount() >= len(r.slice) }
-func armsNothing(r *run) bool  { return r.fed.hubs[last].ArmedCount() == 0 }
-func parked(r *run) bool       { return r.fed.hubs[last].Stats().Parked > 0 }
-func parksNothing(r *run) bool { return !parked(r) }
+func sliceOwned(r *run) bool  { return len(r.slice) > 0 }
+func armsNothing(r *run) bool { return r.fed.hubs[last].ArmedCount() == 0 }
+func parked(r *run) bool      { return r.fed.hubs[last].Stats().Parked > 0 }
 
 func leaseLost(r *run) bool {
 	held, _, lost := r.fed.nodes[last].LeaseStats()
@@ -221,7 +211,7 @@ func leaseWasLost(r *run) bool {
 
 func healed(r *run) bool {
 	held, _, _ := r.fed.nodes[last].LeaseStats()
-	return see(shapeHubs, shapeHubs)(r) && armed(shapeHubs)(r) && !parked(r) && (held || r.noLease)
+	return see(shapeHubs, shapeHubs)(r) && armed(shapeHubs)(r) && !parked(r) && held
 }
 
 func nobodyCondemned(r *run) bool {

@@ -24,6 +24,8 @@
 //	    BenchmarkEngineThroughput      — serial vs sharded engine, a
 //	                                     quarter of the sites armed
 //	    BenchmarkAvoidanceMatching     — signature-count scaling
+//	    BenchmarkSyncProcs             — one vm thread per P: run with
+//	                                     -cpu 1,2 for multi-core scaling
 //
 // Per-layer rungs (engine fast path, propagation latency, the fleet
 // tier) live in bench/ and are read with bash bench/run.sh --trace 1.
@@ -38,6 +40,7 @@ package dimmunix_test
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 	"time"
 
@@ -466,6 +469,90 @@ func BenchmarkAvoidanceMatching(b *testing.B) {
 				c.Acquired(t, l)
 				c.Release(t, l)
 			}
+		})
+	}
+}
+
+// --- one thread per P ---------------------------------------------------------
+
+// syncProcsBlocks is how many synchronized blocks each thread of a
+// BenchmarkSyncProcs iteration runs.
+const syncProcsBlocks = 200000
+
+// BenchmarkSyncProcs starts one vm thread per P (GOMAXPROCS, which -cpu
+// sets) and has each run syncProcsBlocks uncontended synchronized blocks
+// on an object of its own, at a site no signature names (vanilla and
+// unarmed) or at one that 32 never-instantiable signatures name (armed,
+// phone-sync's ratio); the shared-object row puts every thread on one
+// object at the unarmed site, for true contention. It reports the
+// aggregate syncs/sec; with -cpu 1,2 the ratio of the two rows is the
+// multi-core scaling (1 would be a second core adding nothing).
+func BenchmarkSyncProcs(b *testing.B) {
+	unarmed := core.Frame{Class: "com.bench.Procs", Method: "unarmed", Line: 1}
+	armed := core.Frame{Class: "com.bench.Procs", Method: "armed", Line: 2}
+	history := core.NewMemHistory()
+	for i := 0; i < 32; i++ {
+		cold := core.Frame{Class: "com.bench.Cold", Method: "never", Line: 100 + i}
+		if err := history.Append(&core.Signature{Kind: core.DeadlockSig, Pairs: []core.SigPair{
+			{Outer: core.CallStack{armed}, Inner: core.CallStack{armed}},
+			{Outer: core.CallStack{cold}, Inner: core.CallStack{cold}},
+		}}); err != nil {
+			b.Fatal(err)
+		}
+	}
+	for _, row := range []struct {
+		name     string
+		dimmunix bool
+		site     core.Frame
+		shared   bool
+	}{
+		{"vanilla", false, unarmed, false},
+		{"unarmed", true, unarmed, false},
+		{"armed", true, armed, false},
+		{"shared-object", true, unarmed, true},
+	} {
+		b.Run(row.name, func(b *testing.B) {
+			procs := runtime.GOMAXPROCS(0)
+			var wall time.Duration
+			for i := 0; i < b.N; i++ {
+				z := vm.NewZygote(vm.WithDimmunix(row.dimmunix), vm.WithHistory(history))
+				p, err := z.Fork("bench-procs")
+				if err != nil {
+					b.Fatal(err)
+				}
+				objs := make([]*vm.Object, procs)
+				for k := range objs {
+					objs[k] = p.NewObject(fmt.Sprintf("lock-%d", k))
+					if row.shared {
+						objs[k] = objs[0]
+					}
+				}
+				start := make(chan struct{})
+				threads := make([]*vm.Thread, procs)
+				for k := range threads {
+					obj := objs[k]
+					threads[k], err = p.Start(fmt.Sprintf("worker-%d", k), func(t *vm.Thread) {
+						<-start
+						for n := 0; n < syncProcsBlocks; n++ {
+							t.Call(row.site.Class, row.site.Method, row.site.Line, func() { obj.Synchronized(t, func() {}) })
+						}
+					})
+					if err != nil {
+						b.Fatal(err)
+					}
+				}
+				t0 := time.Now()
+				close(start)
+				for _, t := range threads {
+					<-t.Done()
+				}
+				wall += time.Since(t0)
+				if got, want := p.SyncCount(), uint64(procs*syncProcsBlocks); got != want {
+					b.Fatalf("%d syncs, want %d", got, want)
+				}
+				z.KillAll()
+			}
+			b.ReportMetric(float64(b.N*procs*syncProcsBlocks)/wall.Seconds(), "syncs/sec")
 		})
 	}
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"sort"
 	"sync/atomic"
 )
@@ -96,9 +97,16 @@ func (c *Core) Yielded() (count uint64, next <-chan struct{}) {
 // invariant that no instantiation exists after each approval, so a new one
 // must involve the newly pretended (t, pos).
 //
-// Both engines run this one function, so the occupancy pre-filter below is
-// part of the serial reference too.
+// The watched-slot index settles most of them without the matcher: a
+// signature watching an empty slot at another position is skipped, and
+// when none is exposed at pos the walk is skipped too. Every candidate
+// still counts in AvoidanceChecks. Both engines run this one function, so
+// the index is part of the serial reference too.
 func (c *Core) findInstantiationLocked(t *Node, pos *Position) (*Signature, map[*Node]*Position) {
+	if pos.exposed.Load() == 0 {
+		atomic.AddUint64(&c.stats.AvoidanceChecks, uint64(pos.candidates))
+		return nil, nil
+	}
 	var (
 		found     *Signature
 		witnesses map[*Node]*Position
@@ -109,8 +117,17 @@ func (c *Core) findInstantiationLocked(t *Node, pos *Position) (*Signature, map[
 			continue
 		}
 		examined++
-		if !slotsOccupiable(sig.slots, pos) {
+		if sig.watchesElsewhere(pos) {
 			continue
+		}
+		// Exposed at pos: look for an empty slot elsewhere before paying
+		// for the matcher (the lazy half of the index).
+		if w := sig.emptySlot(pos); w != sig.watch {
+			sig.unwatchLocked()
+			sig.watchLocked(w)
+			if sig.watchesElsewhere(pos) {
+				continue
+			}
 		}
 		if assigned := c.matchSignatureLocked(sig, t, pos); assigned != nil {
 			// A successful match is rare (it precedes a yield); only then
@@ -129,43 +146,119 @@ func (c *Core) findInstantiationLocked(t *Node, pos *Position) (*Signature, map[
 	return found, witnesses
 }
 
-// slotsOccupiable is the occupancy pre-filter: it reports whether every
-// slot could have an occupant once some thread is pretended present at
-// pos. It is a necessary condition for matchSlot to succeed, so skipping
-// a signature that fails it changes no decision:
+// Watched-slot index. An instantiation needs a distinct thread in every
+// slot of a signature, and matchSlot draws a slot's thread from exactly
+// two places: the slot position's queue, or the pretended requester, which
+// it offers only to slots at the requested position. A slot whose queue is
+// empty and whose position is not the requested one therefore has no
+// candidate at all, and its signature cannot be instantiated. Like a
+// watched literal in a SAT solver, each deadlock signature keeps one such
+// slot in view (Signature.watch):
 //
-// matchSlot succeeds only with one distinct thread per slot, and it draws
-// a slot's thread from exactly two places — the slot position's queue, or
-// the pretended thread t, which it offers only to slots at pos and (being
-// one thread, under the distinctness rule) to at most one of them. A slot
-// whose queue is empty can therefore only be filled by t: it must sit at
-// pos, and it must be the only empty slot. Any other empty slot — at
-// another position, or a second one at pos (a signature naming pos twice
-// needs one *other* occupant there) — has no candidate at all.
+//   - A watch is always on a slot whose position's queue is empty. A
+//     queue's empty→nonempty step (takeEntryLocked) moves that position's
+//     watchers to another empty slot, or to none; its nonempty→empty step
+//     does nothing, and a signature that watches nothing picks a slot
+//     lazily, the next time findInstantiationLocked examines it.
+//   - Position.exposed counts the signatures naming the position that
+//     watch it or watch nothing. At zero, every signature there watches an
+//     empty slot elsewhere, so a request there instantiates nothing and
+//     needs no walk. The skip is exact: it only drops matchings that would
+//     fail.
 //
-// The converse does not hold (a non-empty queue may hold only threads that
-// other slots need, or t itself); those cases go to matchSlot as before.
-// Queues are exact under the exclusive engine lock, including right after
-// rebuildQueueLocked arms a position that is already held.
-func slotsOccupiable(slots []*Position, pos *Position) bool {
-	pretendedFree := true
-	for _, p := range slots {
-		if p.queue.head != nil {
-			continue
+// Only exclusive sections move a watch or change exposed. A shared section
+// adds a queue entry only at a position with exposed == 0, which nothing
+// watches, so it never fills a watched slot (core.go, "Fast-path safety
+// argument").
+//
+// So an armed enter stays shared only while every signature at its site
+// watches a slot elsewhere, that is, while no other position of such a
+// signature has been entered since the last exclusive enter there. A
+// signature whose other positions rarely run keeps its watch; one over two
+// sites entered in turn moves its watch onto the site each enter leaves,
+// so every enter at either site is exclusive, as without the index.
+
+// watchesElsewhere reports whether s watches an empty slot at a position
+// other than pos, which a request at pos cannot fill.
+func (s *Signature) watchesElsewhere(pos *Position) bool {
+	return s.watch >= 0 && s.slots[s.watch] != pos
+}
+
+// emptySlot returns the index of a slot whose position's queue is empty,
+// preferring one at a position other than avoid, or -1 if every slot's
+// queue is occupied. Caller must hold c.mu exclusively.
+func (s *Signature) emptySlot(avoid *Position) int {
+	w := -1
+	for i, p := range s.slots {
+		if p.queue.head == nil && (w < 0 || s.slots[w] == avoid) {
+			w = i
 		}
-		if p != pos || !pretendedFree {
-			return false
-		}
-		pretendedFree = false
 	}
-	return true
+	return w
+}
+
+// watchLocked makes s, which counts as exposed nowhere, watch slot w (-1:
+// none) and counts it exposed where it is: at the watched position, or
+// with no watch at every position it names. Caller must hold c.mu
+// exclusively.
+func (s *Signature) watchLocked(w int) {
+	s.watch = w
+	if w < 0 {
+		s.exposeEach(1)
+		return
+	}
+	p := s.slots[w]
+	s.nextWatcher, p.watchers = p.watchers, s
+	p.exposed.Add(1)
+}
+
+// unwatchLocked undoes watchLocked. Caller must hold c.mu exclusively.
+func (s *Signature) unwatchLocked() {
+	if s.watch < 0 {
+		s.exposeEach(-1)
+		return
+	}
+	p := s.slots[s.watch]
+	for link := &p.watchers; *link != nil; link = &(*link).nextWatcher {
+		if *link == s {
+			*link = s.nextWatcher
+			break
+		}
+	}
+	s.nextWatcher = nil
+	p.exposed.Add(-1)
+	s.watch = -1
+}
+
+// exposeEach adds delta to the exposed count of every distinct position s
+// names.
+func (s *Signature) exposeEach(delta int32) {
+	for i, p := range s.slots {
+		if !slices.Contains(s.slots[:i], p) {
+			p.exposed.Add(delta)
+		}
+	}
+}
+
+// moveWatchersLocked re-points every signature watching p, whose queue has
+// just become non-empty, so none can pick p again. Caller must hold c.mu
+// exclusively.
+func moveWatchersLocked(p *Position) {
+	s := p.watchers
+	p.watchers = nil
+	for s != nil {
+		next := s.nextWatcher
+		s.nextWatcher = nil
+		p.exposed.Add(-1)
+		s.watchLocked(s.emptySlot(nil))
+		s = next
+	}
 }
 
 // matchSignatureLocked attempts to find distinct threads occupying all of
 // sig's outer positions, with t pretended present at pos. On success it
-// returns the per-slot assignment (aliasing the core's scratch buffer — a
-// zero-allocation hot path, since this runs on every monitorenter at an
-// in-history position); on failure nil. Signatures are tiny (2–4
+// returns the per-slot assignment (aliasing the core's scratch buffer, so
+// a check allocates nothing); on failure nil. Signatures are tiny (2–4
 // positions), so exact backtracking search is cheap.
 func (c *Core) matchSignatureLocked(sig *Signature, t *Node, pos *Position) []*Node {
 	n := len(sig.slots)

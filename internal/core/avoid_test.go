@@ -36,9 +36,7 @@ func TestAvoidanceBlocksInstantiation(t *testing.T) {
 
 	// t1 releases its lock: the instantiation dissolves and t2 resumes.
 	h.release(t1, lA)
-	if err := <-done; err != nil {
-		t.Fatalf("t2 resume: %v", err)
-	}
+	awaitResume(t, done)
 	h.c.Acquired(t2, lB)
 
 	st := h.c.Stats()
@@ -89,9 +87,7 @@ func TestEndToEndImmunity(t *testing.T) {
 	run2.c.Release(u1, mB)
 	run2.release(u1, mA)
 
-	if err := <-yielded; err != nil {
-		t.Fatalf("u2: %v", err)
-	}
+	awaitResume(t, yielded)
 	run2.c.Acquired(u2, mB)
 	if st := run2.c.Stats(); st.DeadlocksDetected != 0 || st.DuplicateDeadlocks != 0 {
 		t.Errorf("run 2 must not deadlock: %+v", st)
@@ -166,9 +162,7 @@ func TestAvoidanceMultipleSignaturesSequential(t *testing.T) {
 	}
 
 	h.release(tC, lC)
-	if err := <-done; err != nil {
-		t.Fatal(err)
-	}
+	awaitResume(t, done)
 	if st := h.c.Stats(); st.InstantiationsFound < 2 {
 		t.Errorf("InstantiationsFound = %d, want >= 2", st.InstantiationsFound)
 	}

@@ -33,30 +33,33 @@
 //     monitorenter — never touches the engine lock.
 //
 //   - Each Position carries the index of signatures that name it
-//     (Position.sigs, maintained at signature install time) plus an atomic
-//     inHistory flag, so "could this acquisition matter to avoidance?" is
-//     one atomic load.
+//     (Position.sigs, maintained at signature install time), an atomic
+//     inHistory flag, and the watched-slot index's exposed count (avoid.go),
+//     so "could this acquisition matter to avoidance?" is one atomic load.
 //
-//   - The engine lock c.mu is a RWMutex. Request, detection, avoidance,
-//     signature installation and the starvation scan hold it exclusively
-//     and see a frozen RAG, exactly like the paper's global lock. Writer
-//     preference in RWMutex keeps them from starving.
+//   - The engine lock c.mu is a RWMutex. Request, detection, avoidance
+//     that has signatures to examine, signature installation and the
+//     starvation scan hold it exclusively and see a frozen RAG, exactly
+//     like the paper's global lock. Writer preference in RWMutex keeps them
+//     from starving.
 //
 // Three sections hold c.mu shared and only publish RAG updates, each when
-// it provably needs no detection, avoidance or starvation scan:
+// it provably needs no detection, no avoidance walk and no starvation
+// scan:
 //
-//   - EnterFast, every uncontended monitorenter at a position named by no
-//     installed signature: the approval, the runtime's tryLock and the
+//   - EnterFast, every uncontended monitorenter at a position where no
+//     signature is exposed: the approval, the runtime's tryLock and the
 //     hold edge in one section, when the lock is unowned (so granting
 //     cannot complete a cycle — detection's walk would stop immediately)
 //     and no thread is yielding (so no starvation cycle can involve the
-//     new edge).
+//     new edge). At a position no signature names that is all; at an
+//     armed one the section also enters the queue.
 //
 //   - fastAcquired, Acquired after an approved Request while nothing
-//     yields: it finishes every armed enter, whose Request ran exclusive.
+//     yields: it finishes every enter whose Request ran exclusive.
 //
-//   - fastRelease, an owner's release at a position named by no
-//     signature: there is no queue entry to return and no yielder to wake.
+//   - fastRelease, an owner's release while nothing yields: at an armed
+//     position it returns the queue entry, and there is no yielder to wake.
 //
 // # Lock order
 //
@@ -64,18 +67,21 @@
 //	  > c.histMu   (history list + dedup map; History() readers take it alone)
 //	  > c.nodesMu  (node registry; node constructors take it alone)
 //	  > posTable shard locks (leaf; Intern takes them with no other lock)
+//	  > Position.mu (leaf; a shared section's own queue entry)
 //	  > c.evMu     (event channel; leaf)
 //
 // Never acquire c.mu while holding any of the inner locks. Fields read on
 // the fast path while others mutate them are atomic: Node.owner,
-// Position.inHistory, the yielder count, the kill flag, and the Stats
-// counters (the per-thread fast-path counters are plain, written only by
-// the owning thread and read under the exclusive lock).
+// Position.inHistory, Position.exposed, the yielder count, the kill flag,
+// and the Stats counters (the per-thread fast-path counters are plain,
+// written only by the owning thread and read under the exclusive lock).
 //
 // Position thread queues are maintained lazily: only in-history positions
-// keep them (signature matching is their only consumer), so the fast path
-// never touches a queue; when a signature first names a position, the
-// queue is rebuilt from live RAG state via the node registry.
+// keep them (signature matching is their only consumer), so an enter at an
+// unarmed position never touches a queue; when a signature first names a
+// position, the queue is rebuilt from live RAG state via the node registry.
+// Exclusive sections edit queues directly; a shared section edits only
+// its own position's queue, under that position's leaf lock.
 //
 // # Fast-path safety argument
 //
@@ -83,41 +89,55 @@
 // (a cycle needs l held), and every cycle's final edge targets a held lock,
 // so the request that completes a cycle always sees owner != nil, fails
 // EnterFast's conditions, and runs full detection in Request under the
-// exclusive lock. Avoidance only inspects the queues of positions named by
-// signatures; EnterFast's position is named by none (checked under the
-// shared lock, and installation takes the exclusive lock, so the answer
-// cannot change mid-operation). Starvation cycles need a yielder; every
-// shared section bails out to the exclusive path whenever one exists, and
-// a thread that starts yielding later does so under the exclusive lock,
-// observing every previously published edge.
+// exclusive lock. Starvation cycles need a yielder; every shared section
+// bails out to the exclusive path whenever one exists, and a thread that
+// starts yielding later does so under the exclusive lock, observing every
+// previously published edge and queue entry.
+//
+// Avoidance at pos finds nothing when no signature is exposed at pos: each
+// signature naming pos then watches a slot at another position whose queue
+// is empty, a slot no thread can fill (avoid.go, "Watched-slot index").
+// EnterFast reads exposed(pos) == 0 under the shared lock, and exposure
+// changes only under the exclusive one, so the answer holds for the whole
+// section. It also holds against every other shared section running
+// beside it: a shared section adds a queue entry only at a position where
+// nothing is exposed, so nothing watches it, so no shared section fills a
+// watched slot, and every signature keeps an empty slot outside pos until
+// an exclusive section runs. Releases only empty queues, which moves no
+// watch. So the shared approvals of one shared phase are each the approval
+// Request would have made in any serial order of them.
 //
 // EnterFast is the schedule Request → tryLock → Acquired in which no
 // exclusive section lands in between. Under its conditions Request's
 // detection and avoidance would find nothing, so Request would only set
-// the request edge (no queue entry: the position is unarmed), and
-// Acquired would replace that edge with the hold edge. Nothing exclusive
-// can see the state in between (an approved request edge t→l with l's
-// real lock taken), so the detector still sees every hold edge, at the
-// moment it is published, and the fused section adds no reachable state.
-// When tryLock loses, nothing was published and the caller starts over on
-// the full path. Holding the read lock across tryLock cannot deadlock
-// under RWMutex's writer preference: a waiting writer blocks only new
-// readers, and tryLock neither blocks nor takes c.mu, so the reader always
-// reaches its RUnlock and lets the writer in.
+// the request edge and, at an armed position, the queue entry, and
+// Acquired would replace that edge with the hold edge, moving the entry to
+// the lock. Nothing exclusive can see the state in between (an approved
+// request edge t→l with l's real lock taken), so the detector still sees
+// every hold edge, at the moment it is published, and the fused section
+// adds no reachable state. When tryLock loses, nothing was published and
+// the caller starts over on the full path. Holding the read lock across
+// tryLock cannot deadlock under RWMutex's writer preference: a waiting
+// writer blocks only new readers, and tryLock neither blocks nor takes
+// c.mu, so the reader always reaches its RUnlock and lets the writer in.
 //
-// The slow path takes two shortcuts of its own, each a cheap test proving
-// that the expensive step it guards would find nothing.
+// A release while nothing yields is Release with no one to wake: it
+// removes the hold edge and the queue entry, and an emptied queue moves
+// no watch, so the shared release decides as the exclusive one does.
 //
-// Occupancy pre-filter (avoid.go, slotsOccupiable). An instantiation needs
-// a distinct thread in every slot of a signature. A slot's thread comes
-// from the slot position's queue or — once, and only for a slot at the
-// requested position — from the pretended requester. So a signature with
-// an empty-queue slot the requester cannot fill (one at another position,
-// or a second empty one at its own) is not instantiable, and the
-// backtracking matcher is skipped for it. The test is necessary, not
-// sufficient: it only skips matchings that would fail, so avoidance decides
-// exactly as it did without it. It sits in the one findInstantiationLocked
-// both engines call, so the serial reference runs it too.
+// The exclusive path takes two shortcuts of its own, each a cheap test
+// proving that the expensive step it guards would find nothing.
+//
+// Watched-slot pre-filter (avoid.go). An instantiation needs a distinct
+// thread in every slot of a signature, and a slot whose queue is empty can
+// only take the pretended requester, so only if it sits at the requested
+// position. The index keeps, per deadlock signature, one such empty slot
+// in view, moved when its queue fills: the matcher skips a signature that
+// watches an empty slot elsewhere, and a request at a position where none
+// is exposed skips the walk altogether. It only drops matchings that would
+// fail, so avoidance decides exactly as it would without it. It sits in
+// the one findInstantiationLocked both engines call, so the serial
+// reference runs it too.
 //
 // Yielder-set invariant (wakeYieldersLocked). Every goroutine waiting on a
 // Signature.cond is in c.yielders: avoidLocked inserts it before cond.Wait
@@ -326,7 +346,10 @@ func (c *Core) RetireThreadNode(t *Node) {
 	atomic.AddUint64(&c.stats.FastRequests, t.fastRequests)
 	atomic.AddUint64(&c.stats.FastAcquisitions, t.fastAcquisitions)
 	atomic.AddUint64(&c.stats.FastReleases, t.fastReleases)
+	atomic.AddUint64(&c.stats.Requests, t.armedRequests)
+	atomic.AddUint64(&c.stats.AvoidanceChecks, t.avoidanceChecks)
 	t.fastRequests, t.fastAcquisitions, t.fastReleases = 0, 0, 0
+	t.armedRequests, t.avoidanceChecks = 0, 0
 	c.nodesMu.Lock()
 	c.threadNodes = removeNode(c.threadNodes, t)
 	c.nodesMu.Unlock()
@@ -438,42 +461,53 @@ func (c *Core) Request(t, l *Node, pos *Position) error {
 }
 
 // EnterFast is an uncontended monitorenter in one shared section: an
-// approval that provably needs neither detection nor avoidance, the
+// approval whose detection and avoidance provably find nothing, the
 // embedding runtime's own acquisition and the fast Acquired, run back to
 // back under one shared engine lock. Under that lock it checks that the
-// core is open, t has no pending request, pos is named by no signature, l
-// is unowned and nothing yields (the lock keeps pos's arming and the
+// core is open, t has no pending request, no signature is exposed at pos
+// (Position.exposed; always so at a position no signature names), l is
+// unowned and nothing yields (the lock keeps pos's exposure and the
 // yielder set fixed: both change only under the exclusive lock). When they
 // hold it calls tryLock, which must try to take the real lock and report
 // whether it did. tryLock runs under the engine lock, so it must not
 // block, wait or call into this Core. If tryLock wins, t's hold edge on l
-// is published (acquisition position, no queue entry, owner) and counted
-// as one fast request and one fast acquisition, which Stats also counts
-// among Requests and Acquisitions. The caller then owns l and releases it
-// with Release.
+// is published (acquisition position, owner, and at an armed position a
+// queue entry, taken under pos's leaf lock) and counted as one
+// acquisition on the fast path. At a position no signature names it is
+// also one fast request; at an armed one it is a request whose avoidance
+// checked pos's candidate signatures, as Request would have counted it.
+// The caller then owns l and releases it with Release.
 //
 // EnterFast returns false, having changed nothing, when the conditions do
 // not hold, when tryLock loses, and always on the serial engine. The
 // caller then takes the full Request → acquire → Acquired sequence. The
 // package comment ("Fast-path safety argument") has why the fused section
-// decides exactly as that sequence does. An armed position is refused
+// decides exactly as that sequence does. An exposed position is refused
 // before the lock is taken: the check is repeated under it, so the early
-// answer only saves an armed site a read pair that could not succeed.
+// answer only saves a read pair that could not succeed.
 func (c *Core) EnterFast(t, l *Node, pos *Position, tryLock func() bool) bool {
-	if c.cfg.Serial || pos == nil || pos.inHistory.Load() || checkArgs(t, l) != nil {
+	if c.cfg.Serial || pos == nil || pos.exposed.Load() != 0 || checkArgs(t, l) != nil {
 		return false
 	}
 	c.mu.RLock()
-	if c.killed.Load() || t.reqLock != nil || pos.inHistory.Load() ||
+	if c.killed.Load() || t.reqLock != nil || pos.exposed.Load() != 0 ||
 		l.owner.Load() != nil || c.yielderCount.Load() != 0 || !tryLock() {
 		c.mu.RUnlock()
 		return false
 	}
-	t.fastRequests++
 	t.fastAcquisitions++
 	t.forceResume = false
 	l.acqPos = pos
 	l.acqEntry = nil
+	if pos.inHistory.Load() {
+		t.armedRequests++
+		t.avoidanceChecks += uint64(pos.candidates)
+		pos.mu.Lock()
+		l.acqEntry = c.newEntry(pos, t)
+		pos.mu.Unlock()
+	} else {
+		t.fastRequests++
+	}
 	l.owner.Store(t)
 	c.mu.RUnlock()
 	return true
@@ -580,30 +614,30 @@ func (c *Core) wakeYieldersLocked(pos *Position) {
 
 // fastRelease removes the hold edge under the shared lock. Requires the
 // caller to be the current owner (so l's acquisition fields are its own
-// writes) and the position to be outside every signature (so no yielder
-// needs waking).
+// writes, or the exclusive queue rebuild's) and nothing to be yielding (so
+// no yielder needs waking, and none can appear before the section ends).
+// A queue entry at an armed position goes back under the position's leaf
+// lock; a queue turning empty moves no watch (avoid.go).
 func (c *Core) fastRelease(t, l *Node) bool {
 	// Checked before the lock, and again under it: a release that is not
-	// its owner's, or at an armed position, only ever takes the slow path.
-	// When t is the owner, l.acqPos is t's own write.
-	if c.cfg.Serial || l.owner.Load() != t || l.acqPos == nil || l.acqPos.inHistory.Load() {
+	// its owner's, or one while a thread yields, only ever takes the slow
+	// path. When t is the owner, l.acqPos is t's own write.
+	if c.cfg.Serial || l.owner.Load() != t || l.acqPos == nil || c.yielderCount.Load() != 0 {
 		return false
 	}
 	c.mu.RLock()
 	// Owner check first: only when t is the owner are l.acqPos/acqEntry
-	// t's own prior writes, safe to read without the exclusive lock.
-	if l.owner.Load() != t {
+	// safe to read without the exclusive lock.
+	if l.owner.Load() != t || c.yielderCount.Load() != 0 {
 		c.mu.RUnlock()
 		return false
 	}
-	pos := l.acqPos
-	if pos == nil || pos.inHistory.Load() || l.acqEntry != nil {
-		// In-history positions release on the slow path (queue entry to
-		// recycle, yielders to wake). A non-nil entry at a non-history
-		// position cannot happen; routing it to the slow path keeps the
-		// misuse tolerance in one place.
-		c.mu.RUnlock()
-		return false
+	if e := l.acqEntry; e != nil {
+		pos := l.acqPos
+		pos.mu.Lock()
+		pos.releaseEntry(e, c.cfg.QueueReuse)
+		pos.mu.Unlock()
+		l.acqEntry = nil
 	}
 	t.fastReleases++
 	l.acqPos = nil
@@ -642,9 +676,21 @@ func (c *Core) dropRequestLocked(t *Node) {
 	t.reqLock, t.reqPos, t.reqEntry = nil, nil, nil
 }
 
-// takeEntryLocked allocates or recycles a queue entry, tracking the
-// allocation high-water mark. Caller must hold c.mu exclusively.
+// takeEntryLocked enters t in pos's queue and, when the queue was empty,
+// moves the signatures watching it (avoid.go). Caller must hold c.mu
+// exclusively.
 func (c *Core) takeEntryLocked(pos *Position, t *Node) *entry {
+	e := c.newEntry(pos, t)
+	if pos.queue.len() == 1 && pos.watchers != nil {
+		moveWatchersLocked(pos)
+	}
+	return e
+}
+
+// newEntry allocates or recycles a queue entry for t at pos, tracking the
+// allocation high-water mark. Caller must hold c.mu exclusively, or hold
+// it shared with pos.mu at a position nothing watches.
+func (c *Core) newEntry(pos *Position, t *Node) *entry {
 	if c.cfg.QueueReuse && pos.free.len() > 0 {
 		return pos.takeEntry(t, true)
 	}
@@ -736,6 +782,9 @@ func (c *Core) installSignatureLocked(sig *Signature, persist bool) (*Signature,
 		s.slots[i] = pos
 		if !containsSig(pos.sigs, s) {
 			pos.sigs = append(pos.sigs, s)
+			if s.Kind == DeadlockSig {
+				pos.candidates++
+			}
 		}
 		if !pos.inHistory.Load() {
 			// First signature naming this position: arm it and rebuild its
@@ -744,6 +793,10 @@ func (c *Core) installSignatureLocked(sig *Signature, persist bool) (*Signature,
 			pos.inHistory.Store(true)
 			c.rebuildQueueLocked(pos)
 		}
+	}
+	if s.Kind == DeadlockSig {
+		// The queues are exact now, rebuilt ones included.
+		s.watchLocked(s.emptySlot(nil))
 	}
 	c.histMu.Lock()
 	s.id = len(c.history)
@@ -825,6 +878,8 @@ func (c *Core) Stats() Stats {
 		out.FastRequests += t.fastRequests
 		out.FastAcquisitions += t.fastAcquisitions
 		out.FastReleases += t.fastReleases
+		out.Requests += t.armedRequests
+		out.AvoidanceChecks += t.avoidanceChecks
 	}
 	c.nodesMu.Unlock()
 	c.mu.Unlock()

@@ -97,9 +97,7 @@ func TestDepth2AvoidanceDistinguishesCallers(t *testing.T) {
 	go func() { done <- h1.c.Request(u3, mC, wrapPos) }()
 	waitUntil(t, "depth-1 false-positive yield", func() bool { return h1.c.Stats().Yields == 1 })
 	h1.release(u1, mA)
-	if err := <-done; err != nil {
-		t.Fatal(err)
-	}
+	awaitResume(t, done)
 }
 
 // TestInternConcurrentSameKey: racing interns of one key must converge on

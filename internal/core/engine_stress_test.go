@@ -84,6 +84,9 @@ func stressCore(t *testing.T, serial bool, installer func(c *Core, stop <-chan s
 					realLocks[li].Lock()
 					c.Acquired(th, lockNodes[li])
 				}
+				// Hand the processor over while holding, so critical
+				// sections overlap even when the Ps are busy elsewhere.
+				runtime.Gosched()
 				for i := k - 1; i >= 0; i-- {
 					li := chosen[i]
 					c.Release(th, lockNodes[li])
@@ -179,6 +182,47 @@ func TestStressConcurrentSignatureInstall(t *testing.T) {
 	if st.AvoidanceChecks == 0 {
 		t.Error("no slow-path avoidance traffic after positions were armed")
 	}
+}
+
+// TestStressArmedSites arms the ordered workload's own sites with
+// signatures over pairs of them, installed while the traffic runs. Two
+// threads holding or waiting at both sites of a pair instantiate it, so
+// each site's signatures keep turning exposed (an exclusive enter, which
+// may yield) and unexposed again (a shared armed enter) as queues fill
+// and drain under load, and releases go exclusive while someone yields.
+// The engine must stay balanced and clean, with the watched-slot index
+// equal to a recount at quiescence, and both armed paths must have run.
+func TestStressArmedSites(t *testing.T) {
+	c := stressCore(t, false, func(c *Core, stop <-chan struct{}) {
+		for i := 0; i < 12; i += 2 {
+			a := CallStack{{Class: "stress.Site", Method: "m", Line: i}}
+			b := CallStack{{Class: "stress.Site", Method: "m", Line: (i + 5) % 12}}
+			if _, _, err := c.AddSignature(&Signature{Kind: DeadlockSig, Pairs: []SigPair{
+				{Outer: a, Inner: a}, {Outer: b, Inner: b},
+			}}); err != nil {
+				t.Errorf("install: %v", err)
+				return
+			}
+		}
+	})
+	if v := engineViolation(c); v != "" {
+		t.Error(v)
+	}
+	st := c.Stats()
+	var shared uint64
+	c.mu.Lock()
+	for _, th := range c.threadNodes {
+		shared += th.armedRequests
+	}
+	c.mu.Unlock()
+	if shared == 0 {
+		t.Error("no armed enter was approved under the shared lock")
+	}
+	if st.InstantiationsFound == 0 {
+		t.Error("no signature was ever instantiable: the exclusive armed path never decided anything")
+	}
+	t.Logf("%d requests: %d fast, %d shared armed; %d instantiations, %d yields, %d starvations",
+		st.Requests, st.FastRequests, shared, st.InstantiationsFound, st.Yields, st.Starvations)
 }
 
 // TestStressSerialReference runs the same workload on the serial engine:

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"testing"
+	"time"
 )
 
 // Fast-path correctness: the sharded engine may skip detection-and-
@@ -13,10 +14,11 @@ import (
 // TestFastPathConditions table-drives the situations in which EnterFast
 // must (or must never) take the fast path. Every row probes EnterFast
 // first: it must call tryLock exactly when its conditions hold, publish
-// t's hold edge exactly when tryLock then wins, and otherwise change
-// nothing, so that the Request probed next on the same state decides as
-// if EnterFast had never run. Request itself never takes a shared
-// section.
+// t's hold edge exactly when tryLock then wins (with a queue entry at an
+// armed position, counted as Request would count it), and otherwise
+// change nothing, so that the Request probed next on the same state
+// decides as if EnterFast had never run. Request itself never takes a
+// shared section.
 func TestFastPathConditions(t *testing.T) {
 	tests := []struct {
 		name string
@@ -29,6 +31,10 @@ func TestFastPathConditions(t *testing.T) {
 		loses bool
 		// wantFast is whether EnterFast's conditions hold.
 		wantFast bool
+		// armed is whether the position is armed with no signature
+		// exposed: the enter is approved under the shared lock as a
+		// request, not a fast request, and takes a queue entry.
+		armed bool
 		// wantErr is the Request probe's error.
 		wantErr error
 	}{
@@ -48,6 +54,8 @@ func TestFastPathConditions(t *testing.T) {
 			wantFast: true,
 		},
 		{
+			// Installed while p's queue is empty, the signature watches
+			// its slot at p: exposed there.
 			name: "position named by a deadlock signature",
 			prepare: func(t *testing.T, h *harness) (*Node, *Node, *Position) {
 				p := h.pos("Armed", "m", 1)
@@ -57,13 +65,28 @@ func TestFastPathConditions(t *testing.T) {
 			wantFast: false,
 		},
 		{
+			// One exclusive enter at p moves the watch to the cold slot.
+			name: "armed position, nothing exposed",
+			prepare: func(t *testing.T, h *harness) (*Node, *Node, *Position) {
+				p := h.pos("Armed", "m", 1)
+				mustAdd(t, h.c, sigOf(DeadlockSig, fr("test.Armed", "m", 1), fr("test.Cold", "x", 9)))
+				th, l := h.thread("t"), h.lock("l")
+				h.acquire(th, l, p)
+				h.release(th, l)
+				return th, l, p
+			},
+			wantFast: true,
+			armed:    true,
+		},
+		{
 			name: "position named by a starvation signature",
 			prepare: func(t *testing.T, h *harness) (*Node, *Node, *Position) {
 				p := h.pos("Starved", "m", 1)
 				h.arm("Starved", "m", 1)
 				return h.thread("t"), h.lock("l"), p
 			},
-			wantFast: false,
+			wantFast: true,
+			armed:    true,
 		},
 		{
 			name: "contended lock",
@@ -129,18 +152,27 @@ func TestFastPathConditions(t *testing.T) {
 			}
 			if entered {
 				after := h.c.Stats()
-				if l.owner.Load() != th || l.acqPos != pos || l.acqEntry != nil || th.reqLock != nil {
-					t.Errorf("hold edge: owner %v, acquired at pos %v, entry %v, request %v; want %v at pos, no entry, no request",
-						l.owner.Load(), l.acqPos == pos, l.acqEntry, th.reqLock, th)
+				if l.owner.Load() != th || l.acqPos != pos || (l.acqEntry != nil) != tc.armed || th.reqLock != nil {
+					t.Errorf("hold edge: owner %v, acquired at pos %v, entry %v, request %v; want %v at pos, an entry %v, no request",
+						l.owner.Load(), l.acqPos == pos, l.acqEntry, th.reqLock, th, tc.armed)
 				}
-				if after.FastRequests != before.FastRequests+1 || after.FastAcquisitions != before.FastAcquisitions+1 ||
-					after.Requests != before.Requests+1 || after.Acquisitions != before.Acquisitions+1 {
-					t.Errorf("EnterFast counted %+v, want one fast request and one fast acquisition over %+v", after, before)
+				if tc.armed && (pos.occupants() != 1 || pos.queue.head.thread != th) {
+					t.Errorf("armed enter: %d queue entries, want t's one", pos.occupants())
+				}
+				fast, checks := uint64(1), uint64(0)
+				if tc.armed {
+					fast, checks = 0, uint64(pos.candidates)
+				}
+				if after.FastRequests != before.FastRequests+fast || after.FastAcquisitions != before.FastAcquisitions+1 ||
+					after.Requests != before.Requests+1 || after.Acquisitions != before.Acquisitions+1 ||
+					after.AvoidanceChecks != before.AvoidanceChecks+checks {
+					t.Errorf("EnterFast counted %+v over %+v; want one request (%d fast) checking %d signatures and one fast acquisition",
+						after, before, fast, checks)
 				}
 				h.c.Release(th, l)
-				if st := h.c.Stats(); st.FastReleases != before.FastReleases+1 || l.owner.Load() != nil {
-					t.Errorf("release after EnterFast: %d fast releases (want %d), owner %v",
-						st.FastReleases, before.FastReleases+1, l.owner.Load())
+				if st := h.c.Stats(); st.FastReleases != before.FastReleases+1 || l.owner.Load() != nil || pos.occupants() != 0 {
+					t.Errorf("release after EnterFast: %d fast releases (want %d), owner %v, %d queue entries",
+						st.FastReleases, before.FastReleases+1, l.owner.Load(), pos.occupants())
 				}
 			} else if after := h.c.Stats(); after != before || l.owner.Load() != owner || th.reqLock != nil {
 				t.Errorf("EnterFast refused but published: owner %v (was %v), request %v, stats %+v (were %+v)",
@@ -168,18 +200,23 @@ func TestFastPathConditions(t *testing.T) {
 }
 
 // TestSignatureInstallFlipsPositionToSlowPath: an armed position must stop
-// fast-pathing the moment its signature installs, and the rebuilt queue
-// must include acquisitions that happened while the position was still
-// unarmed, through Request and Acquired or through EnterFast.
+// taking unqueued enters the moment its signature installs, and the rebuilt
+// queue must include acquisitions that happened while the position was
+// still unarmed, through Request and Acquired or through EnterFast. From
+// then on every enter there is queued: under the shared lock while no
+// signature is exposed at the position, on the exclusive path while one
+// is (a signature installed over an empty queue watches it until the
+// first exclusive enter moves the watch).
 func TestSignatureInstallFlipsPositionToSlowPath(t *testing.T) {
 	h := newHarness(t)
 	t1, t2, t3 := h.thread("t1"), h.thread("t2"), h.thread("t3")
 	l1, l2, l3 := h.lock("l1"), h.lock("l2"), h.lock("l3")
 	p := h.pos("Hot", "m", 1)
+	yes := func() bool { return true }
 
 	// Unarmed acquisitions; no queue entry is maintained.
 	h.acquire(t1, l1, p)
-	if !h.c.EnterFast(t3, l3, p, func() bool { return true }) {
+	if !h.c.EnterFast(t3, l3, p, yes) {
 		t.Fatal("EnterFast refused an unarmed position and an unowned lock")
 	}
 	if st := h.c.Stats(); st.FastRequests != 1 {
@@ -190,7 +227,7 @@ func TestSignatureInstallFlipsPositionToSlowPath(t *testing.T) {
 	}
 
 	// Install a signature naming p: the queue must be rebuilt to include
-	// both live holdings.
+	// both live holdings, and the signature watches its empty cold slot.
 	mustAdd(t, h.c, sigOf(DeadlockSig, fr("test.Hot", "m", 1), fr("test.Cold", "x", 9)))
 	if !p.InHistory() {
 		t.Fatal("position not armed by installation")
@@ -198,17 +235,22 @@ func TestSignatureInstallFlipsPositionToSlowPath(t *testing.T) {
 	if p.occupants() != 2 {
 		t.Fatalf("rebuilt queue has %d entries, want 2 (t1 holds l1 and t3 holds l3 at p)", p.occupants())
 	}
-
-	// EnterFast refuses p now, and Request queues the approval.
-	if h.c.EnterFast(t2, l2, p, func() bool { return true }) {
-		t.Fatal("EnterFast took an armed position")
-	}
-	h.acquire(t2, l2, p)
-	if p.occupants() != 3 {
-		t.Fatalf("queue has %d entries, want 3", p.occupants())
+	if p.exposed.Load() != 0 {
+		t.Fatalf("exposed(p) = %d, want 0: the signature's cold slot is empty", p.exposed.Load())
 	}
 
-	// Releases (slow path now) must drain the rebuilt entries cleanly.
+	// EnterFast takes p as an armed enter now: queued, and counted as a
+	// request, not a fast one.
+	if !h.c.EnterFast(t2, l2, p, yes) {
+		t.Fatal("EnterFast refused an armed position where nothing is exposed")
+	}
+	if st := h.c.Stats(); st.FastRequests != 1 || st.Requests != 3 || p.occupants() != 3 || l2.acqEntry == nil {
+		t.Fatalf("armed enter: %d fast of %d requests, %d queue entries, entry %v; want 1 of 3, 3, an entry",
+			st.FastRequests, st.Requests, p.occupants(), l2.acqEntry)
+	}
+
+	// Releases (nothing yields, so all shared) must drain the rebuilt
+	// entries cleanly.
 	h.release(t1, l1)
 	h.release(t3, l3)
 	h.release(t2, l2)
@@ -217,6 +259,163 @@ func TestSignatureInstallFlipsPositionToSlowPath(t *testing.T) {
 	}
 	if ms := h.c.MemStats(); ms.QueueEntriesLive != 0 {
 		t.Errorf("live entries = %d, want 0", ms.QueueEntriesLive)
+	}
+
+	// A signature installed over p's empty queue watches p, so enters there
+	// go exclusive until one moves the watch to the signature's own cold
+	// slot.
+	mustAdd(t, h.c, sigOf(DeadlockSig, fr("test.Hot", "m", 1), fr("test.Cold", "x", 10)))
+	if p.exposed.Load() != 1 {
+		t.Fatalf("exposed(p) = %d after an install over its empty queue, want 1", p.exposed.Load())
+	}
+	if h.c.EnterFast(t2, l2, p, yes) {
+		t.Fatal("EnterFast took a position where a signature is exposed")
+	}
+	h.acquire(t2, l2, p)
+	h.release(t2, l2)
+	if p.exposed.Load() != 0 {
+		t.Fatalf("exposed(p) = %d after an exclusive enter, want 0", p.exposed.Load())
+	}
+	if !h.c.EnterFast(t2, l2, p, yes) {
+		t.Fatal("EnterFast refused p after its watch moved")
+	}
+	h.release(t2, l2)
+	if v := engineViolation(h.c); v != "" {
+		t.Error(v)
+	}
+}
+
+// TestFastReleaseConditions table-drives Release's choice of path: an
+// owner's release is shared while nothing yields, armed position or not,
+// and exclusive when a thread yields (it may need waking), on the serial
+// engine, and for a release by a non-owner.
+func TestFastReleaseConditions(t *testing.T) {
+	tests := []struct {
+		name string
+		opts []Option
+		// prepare returns a lock, its releasing thread, and the position
+		// it was acquired at, held.
+		prepare  func(t *testing.T, h *harness) (*Node, *Node, *Position)
+		wantFast bool
+	}{
+		{
+			name: "unarmed position",
+			prepare: func(t *testing.T, h *harness) (*Node, *Node, *Position) {
+				th, l, p := h.thread("t"), h.lock("l"), h.pos("Free", "m", 1)
+				h.acquire(th, l, p)
+				return th, l, p
+			},
+			wantFast: true,
+		},
+		{
+			name: "armed position, nothing yields",
+			prepare: func(t *testing.T, h *harness) (*Node, *Node, *Position) {
+				mustAdd(t, h.c, sigOf(DeadlockSig, fr("test.Armed", "m", 1), fr("test.Cold", "x", 9)))
+				th, l, p := h.thread("t"), h.lock("l"), h.pos("Armed", "m", 1)
+				h.acquire(th, l, p)
+				return th, l, p
+			},
+			wantFast: true,
+		},
+		{
+			name: "armed position, a thread is yielding",
+			prepare: func(t *testing.T, h *harness) (*Node, *Node, *Position) {
+				// a holds at Y1, so b's request at Y2 instantiates {Y1, Y2}
+				// and b yields until a's release wakes it.
+				mustAdd(t, h.c, sigOf(DeadlockSig, fr("test.Y", "m", 1), fr("test.Y", "m", 2)))
+				a, b, la, lb := h.thread("a"), h.thread("b"), h.lock("la"), h.lock("lb")
+				y1 := h.pos("Y", "m", 1)
+				h.acquire(a, la, y1)
+				done := make(chan error, 1)
+				go func() { done <- h.c.Request(b, lb, h.pos("Y", "m", 2)) }()
+				waitUntil(t, "b yields", func() bool { return h.c.yielderCount.Load() == 1 })
+				t.Cleanup(func() {
+					select {
+					case err := <-done:
+						if err != nil {
+							t.Errorf("b: %v", err)
+						}
+					case <-time.After(5 * time.Second):
+						t.Error("a's release did not wake the yielding b")
+					}
+				})
+				return a, la, y1
+			},
+			wantFast: false,
+		},
+		{
+			name: "serial engine",
+			opts: []Option{WithSerialEngine(true)},
+			prepare: func(t *testing.T, h *harness) (*Node, *Node, *Position) {
+				th, l, p := h.thread("t"), h.lock("l"), h.pos("Free", "m", 1)
+				h.acquire(th, l, p)
+				return th, l, p
+			},
+			wantFast: false,
+		},
+		{
+			name: "not the owner",
+			prepare: func(t *testing.T, h *harness) (*Node, *Node, *Position) {
+				l, p := h.lock("l"), h.pos("Free", "m", 1)
+				h.acquire(h.thread("owner"), l, p)
+				return h.thread("t"), l, p
+			},
+			wantFast: false,
+		},
+	}
+	for _, tc := range tests {
+		t.Run(tc.name, func(t *testing.T) {
+			h := newHarness(t, tc.opts...)
+			th, l, pos := tc.prepare(t, h)
+			before := h.c.Stats()
+			h.c.Release(th, l)
+			after := h.c.Stats()
+			fast := after.FastReleases - before.FastReleases
+			if after.Releases != before.Releases+1 || (fast == 1) != tc.wantFast || fast > 1 {
+				t.Errorf("release: %d releases, %d fast; want 1, shared %v", after.Releases-before.Releases, fast, tc.wantFast)
+			}
+			if l.owner.Load() != nil || pos.occupants() != 0 {
+				t.Errorf("after the release: owner %v, %d queue entries; want none", l.owner.Load(), pos.occupants())
+			}
+		})
+	}
+}
+
+// TestArmedEnterAndExitShareTheEngineLock: an uncontended enter at an armed
+// position where nothing is exposed, and its exit, take the engine lock
+// only shared, so both complete while another reader holds it. Either one
+// taking the exclusive lock would wait for that reader.
+func TestArmedEnterAndExitShareTheEngineLock(t *testing.T) {
+	h := newHarness(t)
+	mustAdd(t, h.c, sigOf(DeadlockSig, fr("test.Armed", "m", 1), fr("test.Cold", "x", 9)))
+	th, l, p := h.thread("t"), h.lock("l"), h.pos("Armed", "m", 1)
+	h.acquire(th, l, p) // moves the watch off p
+	h.release(th, l)
+
+	h.c.mu.RLock()
+	done := make(chan bool, 1)
+	go func() {
+		entered := h.c.EnterFast(th, l, p, func() bool { return true })
+		if entered {
+			h.c.Release(th, l)
+		}
+		done <- entered
+	}()
+	select {
+	case entered := <-done:
+		h.c.mu.RUnlock()
+		if !entered {
+			t.Fatal("EnterFast refused an uncontended armed enter where nothing is exposed")
+		}
+	case <-time.After(5 * time.Second):
+		h.c.mu.RUnlock()
+		<-done
+		t.Fatal("an uncontended armed enter and exit waited for a reader of the engine lock: one of them went exclusive")
+	}
+	st := h.c.Stats()
+	if st.Requests != 2 || st.FastRequests != 0 || st.FastAcquisitions != 2 || st.FastReleases != 2 || p.occupants() != 0 {
+		t.Errorf("%d requests (%d fast), %d fast acquisitions, %d fast releases, %d queue entries; want 2 (0), 2, 2, 0",
+			st.Requests, st.FastRequests, st.FastAcquisitions, st.FastReleases, p.occupants())
 	}
 }
 
@@ -322,7 +521,7 @@ func runEngineScript(t *testing.T, serial bool, steps []engineStep) Stats {
 // deadlock and suppressed-yield traffic — on the serial reference engine
 // and the sharded engine, and requires identical avoidance and detection
 // decisions. Both engines share findInstantiationLocked and with it the
-// occupancy pre-filter, so agreeing is not enough to show the filter
+// watched-slot index, so agreeing is not enough to show the index
 // right: every script also states how many instantiations avoidance must
 // find and how many deadlocks detection must record, and both engines must
 // count exactly that many.
@@ -396,9 +595,9 @@ func TestEngineEquivalence(t *testing.T) {
 			engineStep{op: "release", thread: 1, lock: 1},
 		)},
 		"same position twice, requester is the only occupant": {steps: append(suppressed(1, 1),
-			// p's queue is not empty, so the pre-filter passes the
-			// signature on; the matcher must still refuse to let t1 fill
-			// both slots.
+			// p's queue is not empty, so the signature watches no slot
+			// and the index passes it on; the matcher must still refuse
+			// to let t1 fill both slots.
 			engineStep{op: "acquire", thread: 1, lock: 1, pos: 1},
 			engineStep{op: "acquire", thread: 1, lock: 2, pos: 1},
 			engineStep{op: "release", thread: 1, lock: 2},
@@ -454,7 +653,7 @@ func TestEngineEquivalence(t *testing.T) {
 		"signature added while a lock taken at its position is held": {instantiations: 1, steps: append(
 			// On the sharded engine t1's acquisition is fast-path and
 			// leaves no queue entry; installation rebuilds p1's queue from
-			// the RAG, and the pre-filter must see the rebuilt entry.
+			// the RAG, and the watch must be chosen over the rebuilt queue.
 			[]engineStep{{op: "acquire", thread: 1, lock: 1, pos: 1}},
 			append(suppressed(1, 2),
 				engineStep{op: "acquire", thread: 2, lock: 2, pos: 2},

@@ -91,6 +91,21 @@ func waitUntil(t *testing.T, what string, cond func() bool) {
 	t.Fatalf("timeout waiting for %s", what)
 }
 
+// awaitResume waits for a yielding Request, run on its own goroutine and
+// reporting on done, to return once a release has dissolved its
+// instantiation, and fails the test if it is not woken within 5 s.
+func awaitResume(t *testing.T, done <-chan error) {
+	t.Helper()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatalf("resumed request: %v", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("the release did not wake the yielding request")
+	}
+}
+
 // eventRecorder drains a core's event channel into an inspectable log.
 type eventRecorder struct {
 	mu     sync.Mutex

@@ -158,7 +158,5 @@ func TestMergedHistoryImmunizesForeignBug(t *testing.T) {
 		return h.c.Stats().Yields == 1
 	})
 	h.release(t1, lA)
-	if err := <-done; err != nil {
-		t.Fatal(err)
-	}
+	awaitResume(t, done)
 }

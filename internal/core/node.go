@@ -69,12 +69,17 @@ type Node struct {
 	// the informational inner call stacks of signatures. May be nil.
 	stackFn func() CallStack
 	// fastRequests/fastAcquisitions/fastReleases count this thread's
-	// fast-path operations. Plain fields: only the owning thread writes
-	// them (under the shared engine lock), and Core.Stats aggregates them
-	// under the exclusive lock, which excludes all fast-path writers.
+	// fast-path operations, and armedRequests/avoidanceChecks its EnterFast
+	// approvals at armed positions and the candidate signatures they
+	// checked (Stats folds those into Requests and AvoidanceChecks). Plain
+	// fields: only the owning thread writes them (under the shared engine
+	// lock), and Core.Stats aggregates them under the exclusive lock,
+	// which excludes all fast-path writers.
 	fastRequests     uint64
 	fastAcquisitions uint64
 	fastReleases     uint64
+	armedRequests    uint64
+	avoidanceChecks  uint64
 
 	// ---- lock-node state ----
 

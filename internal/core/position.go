@@ -1,6 +1,9 @@
 package core
 
-import "sync/atomic"
+import (
+	"sync"
+	"sync/atomic"
+)
 
 // Position is the interned representation of an outer call stack: the
 // program location of a monitorenter statement (struct Position in the
@@ -16,40 +19,55 @@ import "sync/atomic"
 // minimize allocations.
 //
 // Mutable fields are guarded by the owning Core's engine lock (held
-// exclusively); inHistory is atomic so the fast path can read it
-// lock-free (see the lock-order comment in core.go).
+// exclusively); inHistory and exposed are atomic so the fast path can read
+// them before it takes the lock, and a shared section edits the queue
+// under mu (see the lock-order comment in core.go).
 type Position struct {
 	// key is the canonical encoding of stack (CallStack.Key).
 	key string
 	// stack is the interned outer call stack, truncated to the configured
 	// outer depth. Owned by the Position (cloned at intern time).
 	stack CallStack
-	// inHistory is true when at least one history signature contains this
-	// position; only then can an acquisition here participate in an
-	// instantiation. It is the fast-path gate: a request at a position
-	// outside every signature needs no avoidance, and a release there
-	// wakes no yielder. Set (never cleared) at signature install time,
-	// under the exclusive engine lock.
-	inHistory atomic.Bool
 	// sigs is the position→candidate-signature index: the history
 	// signatures whose outer positions include this position, maintained
 	// at install time. Avoidance at this position only examines these.
 	sigs []*Signature
+	// watchers heads the list, linked through Signature.nextWatcher, of
+	// the deadlock signatures whose watched slot is at this position (the
+	// watched-slot index, avoid.go). Non-empty only while the queue is
+	// empty.
+	watchers *Signature
 	// queue holds one entry per (thread, acquisition) that is currently
 	// holding or approved to wait at this position. The paper's main
 	// queue, maintained lazily: only while the position is in-history (the
 	// only time matching consults it); rebuilt from RAG state when the
-	// position first becomes named by a signature. Guarded by the
-	// exclusive engine lock.
+	// position first becomes named by a signature.
 	queue entryList
 	// free is the recycling list for queue entries. The paper's second
 	// queue: "whenever a thread t needs to be added to the main queue and
 	// the second queue is non-empty, Dimmunix pops an element from the
 	// second queue" (§4).
 	free entryList
-	// seq is a stable intern order index, used for deterministic iteration
-	// in diagnostics.
-	seq int64
+	// mu is a leaf lock: a shared section takes it to add or remove its
+	// entry, ordering it against the other shared sections at this
+	// position. The exclusive engine lock excludes every shared section,
+	// so exclusive code reads and edits the queue without it.
+	mu sync.Mutex
+	// inHistory is true when at least one history signature contains this
+	// position; only then can an acquisition here participate in an
+	// instantiation, and only then is the queue maintained. Set (never
+	// cleared) at signature install time, under the exclusive engine
+	// lock.
+	inHistory atomic.Bool
+	// exposed counts the deadlock signatures naming this position that
+	// watch it or watch nothing. At zero, no signature here can be
+	// instantiated by a request here, and an uncontended enter may be
+	// approved under the shared engine lock. Written under the exclusive
+	// lock only.
+	exposed atomic.Int32
+	// candidates is how many of sigs are deadlock signatures: the count
+	// an avoidance check here adds to Stats.AvoidanceChecks.
+	candidates int32
 }
 
 // Key returns the canonical string encoding of the position's call stack.

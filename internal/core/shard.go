@@ -1,9 +1,6 @@
 package core
 
-import (
-	"sync"
-	"sync/atomic"
-)
+import "sync"
 
 // Sharded position intern table. Interning runs on every monitorenter, so
 // it must never contend with the engine lock: the table is split into
@@ -24,8 +21,6 @@ type posShard struct {
 // positions map, striped).
 type posTable struct {
 	shards [posShardCount]posShard
-	// seq hands out stable intern-order indices for diagnostics.
-	seq atomic.Int64
 }
 
 // newPosTable builds an empty table.
@@ -68,7 +63,7 @@ func (pt *posTable) intern(stack CallStack) *Position {
 	if p, ok := sh.m[key]; ok {
 		return p
 	}
-	p = &Position{key: key, stack: stack.Clone(), seq: pt.seq.Add(1) - 1}
+	p = &Position{key: key, stack: stack.Clone()}
 	sh.m[key] = p
 	return p
 }

@@ -86,6 +86,13 @@ type Signature struct {
 	// slots holds the interned Position of each pair's outer stack, in
 	// pair order. Two pairs with identical outer stacks share a *Position.
 	slots []*Position
+	// watch is the index of the slot a deadlock signature watches: one
+	// whose position's queue is empty, so no thread can fill it but a
+	// requester at that very position. -1 when every slot's queue is
+	// occupied (avoid.go, "Watched-slot index"). nextWatcher links the
+	// signatures watching one position (Position.watchers).
+	watch       int
+	nextWatcher *Signature
 	// cond is the condition variable threads yield on while this signature
 	// is instantiable; its Locker is the Core's engine lock, write side
 	// (the paper's per-signature wait/notifyAll).

@@ -12,13 +12,15 @@ import (
 // subsets, which the internal representation keeps in the Fast* fields
 // only (folded together by snapshot).
 type Stats struct {
-	// Requests counts Request calls (monitorenter interceptions),
-	// including fast-path ones.
+	// Requests counts monitorenter interceptions: Request calls on an
+	// open core, and successful EnterFast calls.
 	Requests uint64
-	// FastRequests counts successful EnterFast calls: approvals that
-	// needed no detection or avoidance. Request itself always runs under
-	// the exclusive engine lock and never counts here. A successful
-	// EnterFast counts as one fast request and one fast acquisition.
+	// FastRequests counts successful EnterFast calls at positions named by
+	// no signature: approvals that needed no avoidance. An EnterFast at an
+	// armed position, approved under the shared lock because no signature
+	// is exposed there, counts in Requests only, as Request would have,
+	// and Request never counts here. Every successful EnterFast counts as
+	// one fast acquisition.
 	FastRequests uint64
 	// Acquisitions counts Acquired calls, including fast-path ones.
 	Acquisitions uint64
@@ -39,9 +41,11 @@ type Stats struct {
 	// DuplicateDeadlocks counts detections whose signature was already in
 	// the history (the same bug reoccurring).
 	DuplicateDeadlocks uint64
-	// AvoidanceChecks counts signature-instantiation matchings attempted:
-	// candidate deadlock signatures examined, whether the occupancy
-	// pre-filter or the full matcher settled them.
+	// AvoidanceChecks counts candidate deadlock signatures examined by
+	// avoidance: one per deadlock signature naming the requested position
+	// (up to the first instantiable one), whether the watched-slot index
+	// or the full matcher settled it, on the exclusive path and in an
+	// EnterFast at an armed position alike.
 	AvoidanceChecks uint64
 	// InstantiationsFound counts matchings that succeeded (led to a yield
 	// or a starvation verdict).
@@ -172,7 +176,7 @@ func (c *Core) memStatsLocked() MemStats {
 		bytes += sizeofPosition + int64(len(key)) + stackBytes(p.stack)
 		ms.QueueEntriesLive += p.queue.len()
 		ms.QueueEntriesFree += p.free.len()
-		// sigs slice headers.
+		// sigs slice elements.
 		bytes += int64(len(p.sigs)) * 8
 	})
 	bytes += int64(ms.QueueEntriesLive+ms.QueueEntriesFree) * sizeofEntry

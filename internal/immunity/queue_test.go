@@ -245,6 +245,7 @@ func TestQueueRetryBatchRedeliversSentPrefix(t *testing.T) {
 	var calls [][]int
 	gate := make(chan struct{})
 	started := make(chan struct{})
+	failing := make(chan struct{}) // closed by the failing call itself
 	fail := false
 	delivered := make(chan int, 16)
 	q := NewQueue(QueueConfig[int]{
@@ -262,6 +263,7 @@ func TestQueueRetryBatchRedeliversSentPrefix(t *testing.T) {
 			if shouldFail {
 				// The transport wrote a prefix of b before erroring out —
 				// the queue must still re-queue the whole batch.
+				close(failing)
 				return errors.New("link down mid-write")
 			}
 			for _, v := range b {
@@ -280,7 +282,17 @@ func TestQueueRetryBatchRedeliversSentPrefix(t *testing.T) {
 	fail = true
 	mu.Unlock()
 	close(gate) // call 1 ([0]) succeeds; call 2 gets [1 2 3] and fails
-	waitFor(t, "failed batch parked whole", func() bool { return q.Pending() == 3 })
+	// Wait on the failing call, not on Pending() == 3: that also holds
+	// while [1 2 3] is in flight before the call has read fail, and
+	// clearing fail then would let the batch succeed. Whether the drain
+	// has re-queued the batch yet does not matter: a failed batch goes
+	// back to the queue front, and a Resume that lands while it is still
+	// in flight retries it at once.
+	select {
+	case <-failing:
+	case <-time.After(5 * time.Second):
+		t.Fatal("the second DeliverBatch call never failed")
+	}
 	q.Enqueue(4) // lands behind the re-queued batch
 	mu.Lock()
 	fail = false

@@ -77,13 +77,16 @@ func (m *Monitor) enter(t *Thread, recursion int, site *Site) error {
 
 	// Dimmunix interception: position capture, then one shared engine
 	// section (core.EnterFast) that approves, takes the monitor by CAS and
-	// publishes the hold edge when the monitor is free and nothing at this
-	// site can matter to detection or avoidance. That thread never waits,
-	// so it never reads as blocked. Otherwise the full path: Request, which
-	// may suspend the thread in avoidance and returns an error only if the
-	// core is closed (process teardown) or detection fails the request,
-	// then acquire and Acquired. On that slow path the thread reads as
-	// blocked from before Request until it owns the monitor.
+	// publishes the hold edge when the monitor is free, nothing yields and
+	// no signature is exposed at this site: at an unarmed site always, at
+	// an armed one whenever every signature naming it watches an empty
+	// slot elsewhere (the core's watched-slot index), in which case the
+	// section also queues the holding. That thread never waits, so it
+	// never reads as blocked. Otherwise the full path: Request, which may
+	// suspend the thread in avoidance and returns an error only if the
+	// core is closed (process teardown), then acquire and Acquired. On
+	// that slow path the thread reads as blocked from before Request until
+	// it owns the monitor.
 	dim := m.proc.dim
 	if dim != nil {
 		pos, err := m.resolvePosition(t, site)

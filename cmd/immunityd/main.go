@@ -14,28 +14,22 @@
 // A long-running hub: the signature exchange served over TCP
 // (internal/immunity/wire), durable provenance in a file store so a
 // restart loses no confirmation and never re-arms below threshold, and
-// an HTTP server with three endpoints: /status (fleet epoch,
+// an HTTP server with two endpoints: /status (fleet epoch,
 // per-signature provenance, connected devices, delta-batching counters,
-// as JSON), /metrics (the hub's whole instrument registry,
-// internal/immunity/metrics, in Prometheus text format) and /slo (each
-// objective's ok/warn/breach verdict, breach count, and last transition,
-// as JSON).
+// as JSON) and /metrics (the hub's whole instrument registry,
+// internal/immunity/metrics, in Prometheus text format).
 //
-// Admission control is always on. A permit pool bounds the report path
-// (device reports and peer forward-reports): an over-capacity message
-// waits up to -admit-wait (the device sees a slow ack; TCP sees
-// backpressure), and a message still waiting at the deadline is shed —
+// Admission control is always on. A fixed pool of 8 permits bounds the
+// report path (device reports and peer forward-reports): an
+// over-capacity message waits up to 5s (the device sees a slow ack; TCP
+// sees backpressure), and a message still waiting then is shed —
 // dropped without killing the session, recovered by the client's
-// full-history re-report on its next reconnect. The pool starts at 8
-// permits and an AIMD controller sizes it between 1 and 64: every
-// -slo-interval the daemon evaluates the report-latency objective (p99
-// wait-included report handling ≤ -slo-target), shed-zero, and the
-// backlog objectives (-slo-backlog: push-queue depth and summed
-// forward-outbox lag). Capacity grows by one while report latency and
-// both backlogs are ok and any report arrived since the last tick, and
-// halves on a breach of any of them or on a shed. The
-// immunity_hub_admission_* series trace every step; an external pager
-// scrapes immunity_slo_state and immunity_slo_breaches_total.
+// full-history re-report on its next reconnect. Without the pool a
+// report flood grows the hub's heap several-fold and stretches its
+// drain; the immunity_hub_admission_* series count every verdict.
+// /metrics carries the report latency histograms (wait included and
+// excluded) and the backlog gauges, so objectives over them are an
+// external pager's to evaluate.
 //
 // With -hub and -peers the hub federates into a cluster
 // (internal/immunity/cluster): each signature is owned by exactly one
@@ -86,7 +80,7 @@
 //
 // Usage:
 //
-//	immunityd -serve [-listen ADDR] [-http ADDR] [-threshold N] [-provenance FILE] [-admit-wait D] [-slo-target D -slo-interval D -slo-backlog N] [-tls-cert F -tls-key F [-tls-ca F]] [-auth-key K | -auth-keyring F] [-tenant-threshold T=N,...] [-hub ID -peers ID=ADDR,... [-advertise ADDR] [-failover-after D] [-leave]]
+//	immunityd -serve [-listen ADDR] [-http ADDR] [-threshold N] [-provenance FILE] [-tls-cert F -tls-key F [-tls-ca F]] [-auth-key K | -auth-keyring F] [-tenant-threshold T=N,...] [-hub ID -peers ID=ADDR,... [-advertise ADDR] [-failover-after D] [-leave]]
 //	immunityd -gen-ca DIR | -gen-cert NAME -ca DIR [-hosts H,...] | -mint-token -auth-key K [-tenant T] [-device D] [-ttl D]
 package main
 
@@ -157,11 +151,10 @@ var flagModes = func() map[string]mode {
 	t := make(map[string]mode)
 	for m, flags := range map[mode]string{
 		anyServe | modeMint: "auth-key",
-		anyServe: "serve listen http provenance threshold admit-wait slo-target slo-interval slo-backlog " +
-			"tls-cert tls-key tls-ca auth-keyring tenant-threshold",
-		modeFederated: "peers hub advertise failover-after leave",
-		modeGen:       "gen-ca gen-cert ca hosts",
-		modeMint:      "mint-token tenant device ttl",
+		anyServe:            "serve listen http provenance threshold tls-cert tls-key tls-ca auth-keyring tenant-threshold",
+		modeFederated:       "peers hub advertise failover-after leave",
+		modeGen:             "gen-ca gen-cert ca hosts",
+		modeMint:            "mint-token tenant device ttl",
 	} {
 		for _, name := range strings.Fields(flags) {
 			t[name] |= m
@@ -192,7 +185,7 @@ func newFlags() (*flag.FlagSet, *cli) {
 	c := new(cli)
 	fs.BoolVar(&c.serve, "serve", false, "run as a long-lived hub")
 	fs.StringVar(&c.sc.listen, "listen", "127.0.0.1:7676", "TCP listen address for the exchange wire protocol")
-	fs.StringVar(&c.sc.httpAddr, "http", "127.0.0.1:7677", "HTTP listen address for /status, /metrics and /slo (empty disables)")
+	fs.StringVar(&c.sc.httpAddr, "http", "127.0.0.1:7677", "HTTP listen address for /status and /metrics (empty disables)")
 	fs.StringVar(&c.sc.provenance, "provenance", "", "provenance store file (empty keeps fleet state in memory only)")
 	fs.IntVar(&c.sc.threshold, "threshold", 2, "distinct devices that must confirm a signature before fleet-wide arming")
 	fs.StringVar(&c.sc.hubID, "hub", "", "this hub's cluster id (required with -peers)")
@@ -200,10 +193,6 @@ func newFlags() (*flag.FlagSet, *cli) {
 	fs.StringVar(&c.sc.advertise, "advertise", "", "the address other members dial this hub at (default: the -listen address)")
 	fs.DurationVar(&c.sc.failoverAfter, "failover-after", 0, "failure-detection budget: declare a member dead once direct and indirect probes have not reached it for about this long, and fail its keys over to deputies; arming then needs a quorum lease (0 disables both: only a key's owner arms it)")
 	fs.BoolVar(&c.sc.leave, "leave", false, "leave the membership gracefully on shutdown (hand off owned keys, drain outboxes)")
-	fs.DurationVar(&c.sc.admitWait, "admit-wait", 5*time.Second, "bounded wait before an over-capacity report is shed (keep well below the 30s wire write timeout)")
-	fs.DurationVar(&c.sc.sloTarget, "slo-target", 25*time.Millisecond, "latency SLO: p99 report-handling time (admission wait included) must stay at or under this")
-	fs.DurationVar(&c.sc.sloInterval, "slo-interval", time.Second, "SLO evaluation tick")
-	fs.IntVar(&c.sc.backlogTarget, "slo-backlog", 1024, "backlog SLO: the push-queue depth and the summed forward-outbox lag must each stay at or under this many frames")
 	fs.StringVar(&c.tlsCert, "tls-cert", "", "serve the exchange listener under TLS with this certificate (PEM; requires -tls-key)")
 	fs.StringVar(&c.tlsKey, "tls-key", "", "the TLS certificate's private key (PEM)")
 	fs.StringVar(&c.tlsCA, "tls-ca", "", "trust anchors (PEM) the hub verifies peer-hub client certificates and outbound peer dials with (mutual TLS; requires -tls-cert/-tls-key)")
@@ -248,7 +237,7 @@ func checkFlagModes(fs *flag.FlagSet, m mode) (err error) {
 }
 
 const modesHelp = `immunityd runs in one mode per invocation:
-  -serve [-hub ID -peers ID=ADDR,...]   a hub: TCP exchange, provenance file, /status /metrics /slo
+  -serve [-hub ID -peers ID=ADDR,...]   a hub: TCP exchange, provenance file, /status /metrics
   -gen-ca DIR | -gen-cert NAME -ca DIR  mint a dev fleet CA / a leaf certificate and exit
   -mint-token -auth-key K               mint a device bearer token and exit
 Drive a hub with go test -run Drill ./cmd/immunityd (real daemon
@@ -298,9 +287,6 @@ func serveConfigFromFlags(c *cli) (serveConfig, error) {
 	sc := c.sc
 	if sc.advertise == "" {
 		sc.advertise = sc.listen
-	}
-	if sc.sloTarget <= 0 || sc.sloInterval <= 0 || sc.backlogTarget <= 0 {
-		return sc, fmt.Errorf("-slo-target, -slo-interval and -slo-backlog must be positive")
 	}
 	var err error
 	// Auth and TLS material come first: peer transports are built from
@@ -503,7 +489,6 @@ type daemon struct {
 	srv     *immunity.ExchangeServer
 	httpSrv *http.Server
 	httpLn  net.Listener
-	eval    *metrics.Evaluator
 }
 
 // Addr returns the exchange's bound TCP address.
@@ -527,7 +512,6 @@ func (d *daemon) Close() {
 	}
 	d.srv.Close()
 	d.hub.Close()
-	d.eval.Stop()
 }
 
 // serveConfig carries everything serve mode needs. It is built only by
@@ -541,10 +525,6 @@ type serveConfig struct {
 	advertise        string
 	failoverAfter    time.Duration
 	leave            bool
-	admitWait        time.Duration
-	sloTarget        time.Duration
-	sloInterval      time.Duration
-	backlogTarget    int
 	serveTLS         *tls.Config
 	peerDial         []immunity.TCPOption
 	peerAuth         bool
@@ -555,47 +535,31 @@ type serveConfig struct {
 // buildVersion is the version label on the immunity_build_info gauge.
 const buildVersion = "0.10.0"
 
+// admitWait is how long an over-capacity report waits for an admission
+// permit before it is shed: well under the 30s wire write timeout, so a
+// delayed session's unread pushes cannot kill it first.
+const admitWait = 5 * time.Second
+
 // startDaemon boots the exchange server, the optional cluster node, and
-// the /status + /metrics + /slo endpoints. One registry is shared by
-// the hub, the cluster links, the provenance store, and the SLO control
-// plane, so /metrics is the whole daemon on one page.
+// the /status + /metrics endpoints. One registry is shared by the hub,
+// the cluster links and the provenance store, so /metrics is the whole
+// daemon on one page.
 func startDaemon(sc serveConfig) (*daemon, error) {
 	reg := metrics.NewRegistry()
 	reg.Info("immunity_build_info", "Build and protocol metadata (value is always 1).",
 		[2]string{"version", buildVersion},
 		[2]string{"wire_min", strconv.Itoa(wire.MinVersion)},
 		[2]string{"wire_max", strconv.Itoa(wire.Version)})
-
-	// The SLO evaluator ticks on sloInterval. It resolves its source
-	// families by name, so building it before the hub registers them is
-	// fine.
-	eval := metrics.NewEvaluator(reg, sc.sloInterval, []metrics.SLO{
-		{Name: "report-latency", QuantileOf: "immunity_hub_report_seconds",
-			Target: sc.sloTarget.Seconds()},
-		{Name: "shed-zero", RateOf: "immunity_hub_admission_shed_total", Target: 0},
-		// Backlog objectives read the queue-depth gauges directly: the
-		// push queue serving devices and the summed per-peer forward
-		// outboxes. Either one growing past the target means the hub is
-		// falling behind even if report latency still looks fine.
-		{Name: "push-backlog", GaugeOf: "immunity_hub_push_pending",
-			Target: float64(sc.backlogTarget)},
-		{Name: "forward-backlog", GaugeOf: "immunity_cluster_forward_pending",
-			Target: float64(sc.backlogTarget)},
-	})
 	uptime := reg.FloatGauge("immunity_hub_uptime_seconds", "Seconds since daemon start.")
 	started := time.Now()
-	eval.OnVerdict(func() { uptime.Set(time.Since(started).Seconds()) })
 
-	opts := []immunity.ExchangeOption{immunity.WithMetricsRegistry(reg)}
+	opts := []immunity.ExchangeOption{immunity.WithMetricsRegistry(reg), immunity.WithAdmission(admitWait)}
 	if sc.provenance != "" {
 		opts = append(opts, immunity.WithProvenanceStore(immunity.NewFileProvenance(sc.provenance,
 			immunity.WithCompactionCounters(
 				reg.Counter("immunity_provenance_compactions_total", "Provenance log compactions."),
 				reg.Counter("immunity_provenance_compact_errors_total", "Failed provenance log compactions.")))))
 	}
-	admit := metrics.NewPool(reg, "immunity_hub_admission", sc.admitWait)
-	admit.Bind(eval, "report-latency", "push-backlog", "forward-backlog")
-	opts = append(opts, immunity.WithAdmission(admit))
 	if sc.verifier != nil {
 		opts = append(opts, immunity.WithAuthVerifier(sc.verifier))
 	}
@@ -643,7 +607,7 @@ func startDaemon(sc serveConfig) (*daemon, error) {
 		hub.Close()
 		return nil, err
 	}
-	d := &daemon{hub: hub, node: node, srv: srv, eval: eval}
+	d := &daemon{hub: hub, node: node, srv: srv}
 	if sc.httpAddr != "" {
 		writeJSON := func(w http.ResponseWriter, v any) {
 			w.Header().Set("Content-Type", "application/json")
@@ -670,10 +634,8 @@ func startDaemon(sc serveConfig) (*daemon, error) {
 			}
 			writeJSON(w, p)
 		})
-		mux.HandleFunc("/slo", func(w http.ResponseWriter, r *http.Request) {
-			writeJSON(w, eval.Snapshot())
-		})
 		mux.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {
+			uptime.Set(time.Since(started).Seconds())
 			w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 			if err := reg.WritePrometheus(w); err != nil {
 				http.Error(w, err.Error(), http.StatusInternalServerError)
@@ -692,7 +654,6 @@ func startDaemon(sc serveConfig) (*daemon, error) {
 			}
 		}()
 	}
-	eval.Start()
 	return d, nil
 }
 
@@ -725,9 +686,7 @@ func runServe(sc serveConfig) error {
 	if sc.provenance != "" {
 		fmt.Printf(", provenance %s", sc.provenance)
 	}
-	fmt.Printf(", AIMD admission, max wait %s)\n", sc.admitWait)
-	fmt.Printf("immunityd: slo report-latency p99<=%s, shed-zero, push/forward backlog<=%d; evaluated every %s (see /slo)\n",
-		sc.sloTarget, sc.backlogTarget, sc.sloInterval)
+	fmt.Printf(", bounded admission, max wait %s)\n", admitWait)
 	if sc.serveTLS != nil {
 		if sc.peerAuth {
 			fmt.Println("immunityd: mutual TLS on (devices verify the hub; peer hubs present fleet-CA certificates)")

@@ -12,6 +12,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"regexp"
+	"runtime/debug"
 	"strconv"
 	"strings"
 	"testing"
@@ -174,8 +175,9 @@ func peersOf(addrs []string, i int) string {
 
 func TestImmunitydBadFlags(t *testing.T) {
 	// The fleet-workload client, the report storm, the fault hook, the
-	// admission mode switch and the alert egress are gone: their flags
-	// are unknown, and so is anything never registered.
+	// admission mode switch, the admission wait, the SLO objectives and
+	// the alert egress are gone: their flags are unknown, and so is
+	// anything never registered.
 	for _, args := range [][]string{
 		{"-transport", "smoke-signals"},
 		{"-procs", "1"},
@@ -190,6 +192,10 @@ func TestImmunitydBadFlags(t *testing.T) {
 		{"-serve", "-fault-isolate", "4s:4s"},
 		{"-serve", "-admit", "auto"},
 		{"-serve", "-admit", "1"},
+		{"-serve", "-admit-wait", "10s"},
+		{"-serve", "-slo-target", "500us"},
+		{"-serve", "-slo-interval", "100ms"},
+		{"-serve", "-slo-backlog", "7"},
 		{"-serve", "-alert-url", "http://127.0.0.1:1/hook"},
 		{"-serve", "-alert-exec", "true"},
 	} {
@@ -293,7 +299,7 @@ func TestImmunitydFlagModes(t *testing.T) {
 	prov := filepath.Join(t.TempDir(), "never.prov")
 	for _, args := range [][]string{
 		{"-threshold", "2", "-provenance", prov, "-listen", "1.2.3.4:5", "-http", "9.9.9.9:1",
-			"-ttl", "5s", "-tenant", "t9", "-slo-backlog", "3"},
+			"-ttl", "5s", "-tenant", "t9", "-tenant-threshold", "t9=3"},
 		{"-serve", "-ttl", "9s", "-hosts", "h"},
 		{"-mint-token", "-auth-key", "k", "-provenance", prov},
 	} {
@@ -313,20 +319,8 @@ func TestServeConfigFromFlags(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sc.sloTarget != 25*time.Millisecond || sc.sloInterval != time.Second || sc.backlogTarget != 1024 {
-		t.Errorf("defaults = %s/%s/%d, want the flag defaults", sc.sloTarget, sc.sloInterval, sc.backlogTarget)
-	}
-	if sc.advertise != sc.listen || sc.admitWait != 5*time.Second || len(sc.peers) != 0 {
+	if sc.advertise != sc.listen || sc.threshold != 2 || len(sc.peers) != 0 {
 		t.Errorf("standalone config = %+v", sc)
-	}
-
-	sc, err = parseServe("-serve", "-admit-wait", "10s", "-slo-target", "500us", "-slo-interval", "250ms", "-slo-backlog", "7")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sc.admitWait != 10*time.Second || sc.sloTarget != 500*time.Microsecond ||
-		sc.sloInterval != 250*time.Millisecond || sc.backlogTarget != 7 {
-		t.Errorf("admission policy config = %+v", sc)
 	}
 
 	sc, err = parseServe("-serve", "-hub", "h", "-peers", "a=x:1,b=y:2", "-advertise", "h.example:7676",
@@ -352,8 +346,6 @@ func TestServeConfigFromFlags(t *testing.T) {
 		{"-tls-cert/-tls-key", []string{"-serve", "-tls-ca", "ca.pem"}},
 		{"-hub", []string{"-serve", "-peers", "a=x:1"}},
 		{"id=addr", []string{"-serve", "-hub", "h", "-peers", "nonsense"}},
-		{"positive", []string{"-serve", "-slo-backlog", "0"}},
-		{"positive", []string{"-serve", "-slo-interval", "-1s"}},
 	} {
 		if _, err := parseServe(tc.args...); err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("%v: want an error naming %s, got %v", tc.args, tc.want, err)
@@ -638,14 +630,52 @@ func TestImmunitydFederatedCluster(t *testing.T) {
 	}
 }
 
-// TestImmunitydAdaptiveAdmission drives the ramped storm at a daemon
-// over TCP: its admission pool must grow during the paced warmup, make
-// flood reports wait (delayed, bounded backpressure), collapse capacity
-// when the full-batch flood breaches the latency SLO, shed nothing, and
-// the whole loop must be observable — AIMD trace counters and live
-// capacity on /metrics, breach counts and state on /slo.
-func TestImmunitydAdaptiveAdmission(t *testing.T) {
-	d := serve(t, "-threshold", "2", "-admit-wait", "10s", "-slo-target", "500us", "-slo-interval", "100ms")
+// p99Bucket is the upper bound of the bucket holding the 99th
+// percentile of a histogram family on a /metrics page.
+func p99Bucket(t *testing.T, page, family string) float64 {
+	t.Helper()
+	buckets := regexp.MustCompile(`(?m)^`+regexp.QuoteMeta(family)+`_bucket\{le="([^"]+)"\} ([0-9]+)$`).FindAllStringSubmatch(page, -1)
+	total := mustSample(t, page, family+"_count")
+	for _, b := range buckets { // rendered in ascending le order, +Inf last
+		if n, _ := strconv.ParseFloat(b[2], 64); n >= 0.99*total {
+			le, _ := strconv.ParseFloat(b[1], 64) // "+Inf" parses as +Inf
+			return le
+		}
+	}
+	t.Fatalf("/metrics has no buckets for %s:\n%s", family, page)
+	return 0
+}
+
+// raceBuild reports whether the test binary was built with -race.
+func raceBuild() bool {
+	bi, ok := debug.ReadBuildInfo()
+	if !ok {
+		return false
+	}
+	for _, s := range bi.Settings {
+		if s.Key == "-race" {
+			return s.Value == "true"
+		}
+	}
+	return false
+}
+
+// TestImmunitydAdmissionFlood is admission's row: 16 devices flood a
+// daemon over TCP with 64 signatures, paced for 700ms and then in
+// full-set batches back to back for 900ms. The fixed 8-permit pool must
+// make flood reports wait (delayed, bounded backpressure), shed
+// nothing, lose no session — a storm device never redials, so a session
+// the hub dropped fails its next send and the run — and keep the
+// device-visible p99 report latency within 250ms outside the race
+// detector, while every signature still arms. It shows the pool at
+// work; what the hub suffers without it is a real-clock measurement
+// (CHANGES.md), not a test.
+func TestImmunitydAdmissionFlood(t *testing.T) {
+	d := serve(t, "-threshold", "2")
+	boot := httpGet(t, d.HTTPAddr(), "/metrics")
+	if n := mustSample(t, boot, "immunity_hub_admission_capacity"); n != 8 {
+		t.Errorf("admission capacity at boot = %v, want 8", n)
+	}
 
 	storm := workload.ReportStorm(16, 64, 700*time.Millisecond, 900*time.Millisecond)
 	storm.Timeout, storm.Dial = 60*time.Second, d.Addr()
@@ -654,70 +684,40 @@ func TestImmunitydAdaptiveAdmission(t *testing.T) {
 		t.Fatal(err)
 	}
 	if res.Armed < 64 {
-		t.Fatalf("armed %d/64 — the ramped storm lost signatures", res.Armed)
+		t.Fatalf("armed %d/64 — the flood lost signatures", res.Armed)
 	}
 
 	page := httpGet(t, d.HTTPAddr(), "/metrics")
-	if n := mustSample(t, page, "immunity_hub_admission_aimd_increases_total"); n == 0 {
-		t.Error("warmup produced no AIMD increase")
-	}
-	if n := mustSample(t, page, "immunity_hub_admission_aimd_decreases_total"); n == 0 {
-		t.Error("flood produced no AIMD decrease")
-	}
-	if n := mustSample(t, page, "immunity_hub_admission_capacity"); n >= 8 {
-		t.Errorf("capacity = %v after the flood, want converged below the initial 8", n)
-	}
 	if n := mustSample(t, page, "immunity_hub_admission_delayed_total"); n == 0 {
 		t.Error("the flood delayed nothing — admission is not engaging")
 	}
 	if n := mustSample(t, page, "immunity_hub_admission_shed_total"); n != 0 {
-		t.Errorf("shed = %v under a generous wait", n)
+		t.Errorf("shed = %v under a 5s wait", n)
+	}
+	if n := mustSample(t, page, "immunity_hub_admission_capacity"); n != 8 {
+		t.Errorf("admission capacity = %v after the flood, want 8", n)
+	}
+	// The latency bound holds for a plain build only: the wait-included
+	// p99 grows with sessions × per-batch handling time, and the race
+	// detector multiplies the handling time (a 1-P -race run reads up to
+	// 0.5s).
+	p99 := p99Bucket(t, page, "immunity_hub_report_seconds")
+	t.Logf("report p99 bucket %vs, %v delayed", p99, mustSample(t, page, "immunity_hub_admission_delayed_total"))
+	if p99 > 0.25 && !raceBuild() {
+		t.Errorf("report p99 bucket = %vs under the flood, want <= 0.25s", p99)
 	}
 	if n := mustSample(t, page, "immunity_hub_uptime_seconds"); n <= 0 {
 		t.Errorf("uptime gauge = %v, want > 0", n)
 	}
-	if !strings.Contains(page, `immunity_build_info{version=`) {
-		t.Error("/metrics missing immunity_build_info")
+	mustSample(t, page, "immunity_hub_admission_admitted_total")
+	mustSample(t, page, "immunity_hub_admission_in_use")
+	for _, series := range []string{`immunity_build_info{version=`, "# TYPE immunity_hub_report_handle_seconds histogram"} {
+		if !strings.Contains(page, series) {
+			t.Errorf("/metrics missing %q", series)
+		}
 	}
-	if strings.Contains(page, "_per_second") {
-		t.Error("/metrics publishes rate gauges; scrapers derive rates from the counters")
-	}
-	if !strings.Contains(page, `immunity_slo_state{slo="report-latency"}`) {
-		t.Error("/metrics missing the SLO state series")
-	}
-
-	// /slo: the flood must have escalated the latency objective to
-	// breach at least once; shed-zero must never have.
-	var slos []struct {
-		Name     string  `json:"name"`
-		State    string  `json:"state"`
-		Breaches uint64  `json:"breaches_total"`
-		Target   float64 `json:"target"`
-		Window   string  `json:"window"`
-	}
-	if err := json.Unmarshal([]byte(httpGet(t, d.HTTPAddr(), "/slo")), &slos); err != nil {
-		t.Fatalf("/slo decode: %v", err)
-	}
-	byName := map[string]int{}
-	for i, s := range slos {
-		byName[s.Name] = i
-	}
-	lat, ok := byName["report-latency"]
-	if !ok {
-		t.Fatalf("/slo missing report-latency: %+v", slos)
-	}
-	if slos[lat].Breaches == 0 {
-		t.Errorf("report-latency breaches = 0, want >= 1 after the flood: %+v", slos[lat])
-	}
-	if slos[lat].Window != "10s" {
-		t.Errorf("report-latency window = %q, want 10s at a 100ms tick", slos[lat].Window)
-	}
-	shed, ok := byName["shed-zero"]
-	if !ok {
-		t.Fatalf("/slo missing shed-zero: %+v", slos)
-	}
-	if slos[shed].Breaches != 0 {
-		t.Errorf("shed-zero breached: %+v", slos[shed])
+	if strings.Contains(page, "_per_second") || strings.Contains(page, "immunity_slo_") {
+		t.Error("/metrics publishes rate gauges or SLO verdicts; a scraper derives them from the counters and histograms")
 	}
 
 	var st map[string]json.RawMessage
@@ -729,16 +729,11 @@ func TestImmunitydAdaptiveAdmission(t *testing.T) {
 	}
 }
 
-// TestImmunitydMetricsAndStorm is the admission acceptance drive: a
-// daemon started with no admission flag boots its pool at 8 permits and
-// absorbs a multi-device report storm — every signature still arms,
-// nothing is shed, and /metrics shows the sessions torn down.
+// TestImmunitydMetricsAndStorm: a daemon absorbs a multi-device report
+// burst — every signature still arms, nothing is shed, and /metrics
+// shows the sessions torn down.
 func TestImmunitydMetricsAndStorm(t *testing.T) {
 	d := serve(t, "-threshold", "2")
-	boot := httpGet(t, d.HTTPAddr(), "/metrics")
-	if n := mustSample(t, boot, "immunity_hub_admission_capacity"); n != 8 {
-		t.Errorf("admission capacity at boot = %v, want the initial 8", n)
-	}
 
 	storm := workload.ReportStorm(6, 16, 0, 0)
 	storm.Timeout, storm.Dial = 30*time.Second, d.Addr()

@@ -267,12 +267,12 @@ type Exchange struct {
 	// WithMetricsRegistry), met its pre-created instruments — the hub's
 	// only copy of its event counts, which Stats and status read — and
 	// admit the report-ingest permit pool (nil = every report admitted
-	// at once; see WithAdmission). The registry locks are leaves — see
-	// package metrics — so met's atomics are touched under x.mu and
-	// queue locks freely.
+	// at once; see WithAdmission), metered on reg. The registry locks
+	// are leaves — see package metrics — so met's atomics are touched
+	// under x.mu and queue locks freely.
 	reg   *metrics.Registry
 	met   hubMetrics
-	admit *metrics.Pool
+	admit *admission
 }
 
 // ExchangeOption configures an Exchange.
@@ -298,23 +298,21 @@ func WithMetricsRegistry(reg *metrics.Registry) ExchangeOption {
 	return func(x *Exchange) { x.reg = reg }
 }
 
-// WithAdmission puts the permit pool p in front of report ingest
-// (device reports and peer forward-reports): at most p's capacity of
-// report batches are processed concurrently, an over-capacity batch
-// waits up to p's max wait — blocking its session's transport read
-// goroutine, which the device experiences as a slow ack and TCP turns
-// into backpressure — and a batch still waiting then is shed (dropped
-// without killing the session; the client's full-history re-report on
-// its next reconnect redelivers it, so shedding trades latency for
-// bounded hub memory, never a permanently lost report). Keep the max
-// wait well below the transport write timeout (30s for TCP) or
-// slow-acked clients start redialing. Register p on the hub's registry
-// (WithMetricsRegistry) so its verdicts land on /metrics; they are also
-// counted in ExchangeStats. Bind p to an SLO evaluator and its capacity
-// follows the verdicts. Without this option (or with a nil p) every
-// report is admitted at once.
-func WithAdmission(p *metrics.Pool) ExchangeOption {
-	return func(x *Exchange) { x.admit = p }
+// WithAdmission puts a pool of 8 permits in front of report ingest
+// (device reports and peer forward-reports): at most 8 report batches
+// are processed concurrently, an over-capacity batch waits up to
+// maxWait — blocking its session's transport read goroutine, which the
+// device experiences as a slow ack and TCP turns into backpressure —
+// and a batch still waiting then is shed (dropped without killing the
+// session; the client's full-history re-report on its next reconnect
+// redelivers it, so shedding trades latency for bounded hub memory,
+// never a permanently lost report). Keep maxWait well below the
+// transport write timeout (30s for TCP) or slow-acked clients start
+// redialing. The pool's verdicts are counted on the hub's registry
+// (immunity_hub_admission_*) and in ExchangeStats. Without this option
+// every report is admitted at once.
+func WithAdmission(maxWait time.Duration) ExchangeOption {
+	return func(x *Exchange) { x.admit = newAdmission(maxWait) }
 }
 
 // WithAuthVerifier turns on device authentication: every hello must
@@ -374,6 +372,9 @@ func NewExchange(confirmThreshold int, opts ...ExchangeOption) (*Exchange, error
 		x.reg = metrics.NewRegistry()
 	}
 	x.met = newHubMetrics(x.reg)
+	if x.admit != nil {
+		x.admit.meter(x.reg)
+	}
 	if x.store != nil {
 		recs, err := x.store.Load()
 		if err != nil {
@@ -993,18 +994,16 @@ func (c *Conn) handleForwardReport(f *wire.ForwardReport) error {
 // next reconnect redelivers the signatures (at-least-once).
 func (x *Exchange) admitReport(fn func() error) error {
 	start := time.Now()
-	release, ok := x.admit.Acquire()
-	if !ok {
+	if !x.admit.acquire() {
 		return nil
 	}
-	defer release()
+	defer x.admit.release()
 	admitted := time.Now()
 	err := fn()
 	end := time.Now()
 	// Two latency series: report_seconds is what a device experiences
-	// (wait included — the signal the latency SLO and the pool's
-	// controller react to), handle_seconds is what the hub itself costs
-	// (wait excluded — separates "hub is slow" from "hub is queueing").
+	// (wait included), handle_seconds is what the hub itself costs (wait
+	// excluded — separates "hub is slow" from "hub is queueing").
 	x.met.reportSeconds.ObserveDuration(end.Sub(start))
 	x.met.handleSeconds.ObserveDuration(end.Sub(admitted))
 	return err
@@ -1303,6 +1302,7 @@ func (x *Exchange) ArmedCount() int {
 func (x *Exchange) Stats() ExchangeStats {
 	x.mu.Lock()
 	defer x.mu.Unlock()
+	admitted, delayed, shed := x.admit.counts()
 	return ExchangeStats{
 		Epoch:             x.arb.epoch,
 		Devices:           len(x.conns),
@@ -1315,9 +1315,9 @@ func (x *Exchange) Stats() ExchangeStats {
 		Forwards:          x.met.forwards.Value(),
 		RemoteInstalls:    x.met.remoteInstalls.Value(),
 		Fenced:            x.met.fenced.Value(),
-		AdmissionAdmitted: x.admit.Admitted(),
-		AdmissionDelayed:  x.admit.Delayed(),
-		AdmissionShed:     x.admit.Shed(),
+		AdmissionAdmitted: admitted,
+		AdmissionDelayed:  delayed,
+		AdmissionShed:     shed,
 		Parked:            x.arb.parkedCount(),
 	}
 }

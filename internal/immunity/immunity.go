@@ -274,51 +274,47 @@
 // The cluster subpackage adds per-peer dial/reconnect/forward-outbox
 // series on the same registry.
 //
-// Admission has one mechanism: WithAdmission(p) puts a metrics.Pool in
-// front of report ingest (device reports and peer forward-reports). At
-// most the pool's capacity of report messages are processed
+// Admission has one mechanism: WithAdmission(maxWait) puts a fixed pool
+// of 8 permits in front of report ingest (device reports and peer
+// forward-reports). At most 8 report messages are processed
 // concurrently, an over-capacity message waits — on the session's
 // transport read goroutine, so the device sees a slow ack and TCP
-// applies backpressure — and a message still waiting at the pool's max
-// wait is shed: dropped without killing the session, recovered by the
-// client's full-history re-report on its next reconnect
-// (at-least-once). A report storm therefore degrades to bounded delay
-// instead of unbounded hub memory. Keep the max wait well below the
-// transport's 30s write timeout, or a delayed session's unread pushes
-// can kill it before the verdict. Without the option every report is
-// admitted at once, with no yield and no counting.
-//
-// Two layers in the metrics package turn those raw series into the
-// pool's control loop. metrics.Evaluator samples each objective's source
-// on a fixed tick and re-checks declarative SLOs (a latency quantile or
-// a rate over the trailing 10s window, or a gauge, against a target,
-// e.g. "p99 report handling ≤ 25ms", "shed rate = 0"); it runs an
-// ok→warn→breach state machine per objective, exported as
-// immunity_slo_state and served as JSON by immunityd's /slo. The window
-// is what lets a latency objective recover once a storm drains, which
-// the cumulative histogram never would. Any other rate is for the
-// scraper to derive from the counters on /metrics.
-// Pool.Bind closes the loop: it resizes the pool by AIMD on every tick.
-// Capacity grows while the bound objectives are ok and any report tried
-// to acquire a permit since the last tick, whether or not it queued; it
-// halves on breach or shed. Hub admission thus converges to the widest
-// capacity the objectives tolerate (immunityd -serve always runs it,
-// bound to report latency and the push and forward backlogs). The
-// report latency histogram has a wait-excluded twin
-// (immunity_hub_report_handle_seconds) so a breach attributable to
-// queueing is distinguishable from a slow hub.
-//
-// Two latency regimes matter when picking the SLO target: the
-// wait-included p99 under admission contention is roughly
-// sessions × per-batch handle time (the pool serializes batch
-// handling), so a target between the paced-load and flood-load
-// quantile buckets gives the state machine an unambiguous signal in
-// both directions.
+// applies backpressure — and a message still waiting at maxWait is
+// shed: dropped without killing the session, recovered by the client's
+// full-history re-report on its next reconnect (at-least-once). A
+// report storm therefore degrades to bounded delay instead of unbounded
+// hub memory. Each admitted message yields the processor once with its
+// permit held: without the yield one hot session re-acquires in a tight
+// loop for a whole preemption slice, the other sessions' reports pile
+// up unread in hub memory, and the pool bounds nothing. Keep maxWait
+// well below the transport's 30s write timeout, or a delayed session's
+// unread pushes can kill it before the verdict. Without the option
+// every report is admitted at once, with no yield and no counting.
+// The report latency histogram (immunity_hub_report_seconds, wait
+// included) has a wait-excluded twin (immunity_hub_report_handle_seconds),
+// so queueing is distinguishable from a slow hub; objectives over them
+// are for the scraper to evaluate.
 //
 // The registry's instruments are lock-free and its own mutexes are
 // leaves that never call out, so metric updates are safe under any
 // hub, queue, or link lock; see the metrics package comment for the
 // exact ordering contract.
+//
+// # Mechanism ledger
+//
+// A fleet mechanism stays only if some row fails, or measurably
+// suffers, without it. One line each: the mechanism, its non-test
+// lines, its daemon flags, and its row.
+//
+//   - Admission: admission.go (115 lines) plus WithAdmission and
+//     admitReport; no flags (immunityd always runs it, with a 5s max
+//     wait); row cmd/immunityd TestImmunitydAdmissionFlood (16 devices
+//     × 64 signatures: every signature arms, reports are delayed and
+//     none shed, 8 permits, p99 report latency ≤ 0.25s). The evidence
+//     that the hub needs the pool is a real-clock flood, not a
+//     deterministic test: 64 devices × 256 signatures drained in
+//     4.7–9.5s with a 107–290MB peak heap without it, against 3.3–4.4s
+//     and ~42MB with it.
 //
 // # Lock order relative to the engine lock
 //

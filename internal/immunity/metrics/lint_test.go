@@ -9,46 +9,28 @@ import (
 	"strconv"
 	"strings"
 	"testing"
-	"time"
 )
 
 // populateRegistry registers the instrument kinds cmd/immunityd's
 // startDaemon puts on its one page: build info, the uptime float gauge,
-// the admission pool's series, the four objectives' state and breach
-// series, a labeled vec (with a value that needs escaping) and a
-// histogram with an observation in +Inf.
+// the admission pool's counters and gauges, a labeled vec (with a value
+// that needs escaping) and a histogram with an observation in +Inf.
 func populateRegistry(t *testing.T) *Registry {
 	t.Helper()
 	reg := NewRegistry()
 	reg.Info("immunity_build_info", "Build metadata.",
 		[2]string{"version", "test"}, [2]string{"wire_min", "1"}, [2]string{"wire_max", "3"})
 	reg.FloatGauge("immunity_hub_uptime_seconds", "Uptime.").Set(12.5)
-	p := NewPool(reg, "immunity_hub_admission", 0)
-	p.Resize(1)
-	if release, ok := p.Acquire(); ok {
-		if _, ok := p.Acquire(); ok {
-			t.Fatal("second acquire should shed")
-		}
-		release()
-	}
-	e := NewEvaluator(reg, time.Second, []SLO{
-		{Name: "report-latency", QuantileOf: "immunity_hub_report_seconds", Target: 0.025},
-		{Name: "shed-zero", RateOf: "immunity_hub_admission_shed_total", Target: 0},
-		{Name: "push-backlog", GaugeOf: "immunity_hub_push_pending", Target: 100},
-		{Name: "forward-backlog", GaugeOf: "immunity_cluster_forward_pending", Target: 100},
-	})
-	p.Bind(e, "report-latency", "push-backlog", "forward-backlog")
+	reg.Counter("immunity_hub_admission_shed_total", "Shed.").Inc()
+	reg.Gauge("immunity_hub_admission_capacity", "Pool size.").Set(8)
 	v := reg.CounterVec("immunity_cluster_peer_forwards_total", "Forwards.", "peer")
 	v.With("hub1").Add(3)
 	v.With(`we"ird\pe er` + "\n").Add(1) // escaping must round-trip the lint grammar
 	h := reg.Histogram("immunity_hub_report_seconds", "Latency.", DurationBuckets())
-	e.Tick()
 	for i := 0; i < 100; i++ {
 		h.Observe(float64(i) * 0.001)
 	}
 	h.Observe(1e9) // +Inf bucket
-	e.Tick()
-	e.Tick()
 	return reg
 }
 
@@ -63,8 +45,8 @@ func TestLintCleanOnPopulatedRegistry(t *testing.T) {
 		`immunity_build_info{version="test"`,
 		"immunity_hub_uptime_seconds 12.5",
 		"immunity_hub_admission_shed_total 1",
-		`immunity_slo_state{slo="forward-backlog"} 0`,
-		`immunity_slo_breaches_total{slo="report-latency"} 1`,
+		"immunity_hub_admission_capacity 8",
+		`immunity_cluster_peer_forwards_total{peer="hub1"} 3`,
 		`immunity_hub_report_seconds_bucket{le="+Inf"} 101`,
 	} {
 		if !strings.Contains(page, want) {

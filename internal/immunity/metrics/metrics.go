@@ -180,26 +180,11 @@ func (h *Histogram) Quantile(q float64) float64 {
 	if h == nil {
 		return 0
 	}
-	return quantileFromCounts(h.upper, h.bucketCounts(), q)
-}
-
-// bucketCounts snapshots the per-bucket (non-cumulative) counts; the
-// last slot is the +Inf bucket.
-func (h *Histogram) bucketCounts() []uint64 {
-	out := make([]uint64, len(h.counts))
-	for i := range h.counts {
-		out[i] = h.counts[i].Load()
-	}
-	return out
-}
-
-// quantileFromCounts is Quantile's engine over an explicit per-bucket
-// count snapshot (len(upper)+1 slots, +Inf last), shared with the
-// Evaluator's windowed quantiles.
-func quantileFromCounts(upper []float64, counts []uint64, q float64) float64 {
+	counts := make([]uint64, len(h.counts))
 	var total uint64
-	for _, c := range counts {
-		total += c
+	for i := range h.counts {
+		counts[i] = h.counts[i].Load()
+		total += counts[i]
 	}
 	if total == 0 {
 		return 0
@@ -212,11 +197,11 @@ func quantileFromCounts(upper []float64, counts []uint64, q float64) float64 {
 	for i, c := range counts {
 		cum += c
 		if cum >= rank {
-			if i < len(upper) {
-				return upper[i]
+			if i < len(h.upper) {
+				return h.upper[i]
 			}
-			if len(upper) > 0 {
-				return upper[len(upper)-1]
+			if len(h.upper) > 0 {
+				return h.upper[len(h.upper)-1]
 			}
 			return math.Inf(1)
 		}
@@ -306,29 +291,6 @@ func (r *Registry) familyRaw(name, help, typ, labelKey string, buckets []float64
 	r.families = append(r.families, f)
 	r.byName[name] = f
 	return f
-}
-
-// lookupFamily returns the family registered under name, or nil.
-func (r *Registry) lookupFamily(name string) *family {
-	if r == nil {
-		return nil
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.byName[name]
-}
-
-// unlabeled returns the unlabeled instrument of the typ family
-// registered under name, or nil. The Evaluator resolves its sources
-// through it lazily, so they may be registered after it is built.
-func (r *Registry) unlabeled(name, typ string) any {
-	f := r.lookupFamily(name)
-	if f == nil || f.typ != typ {
-		return nil
-	}
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.series[""]
 }
 
 // Counter returns the counter registered under name, creating it on
@@ -428,31 +390,6 @@ func (v *GaugeVec) With(label string) *Gauge {
 		return nil
 	}
 	return v.f.get(label, func() any { return new(Gauge) }).(*Gauge)
-}
-
-// GaugeValue reads a gauge family's instantaneous value: the sum across
-// every series in the family (a queue-depth family summed across
-// peers). The second return reports whether the family exists and holds
-// a gauge series. Nil-safe.
-func (r *Registry) GaugeValue(name string) (float64, bool) {
-	f := r.lookupFamily(name)
-	if f == nil || f.typ != typeGauge {
-		return 0, false
-	}
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	sum, found := 0.0, false
-	for _, m := range f.series {
-		switch inst := m.(type) {
-		case *Gauge:
-			sum += float64(inst.Value())
-			found = true
-		case *FloatGauge:
-			sum += inst.Value()
-			found = true
-		}
-	}
-	return sum, found
 }
 
 // WritePrometheus renders every family in the Prometheus text

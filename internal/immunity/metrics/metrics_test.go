@@ -4,7 +4,6 @@ import (
 	"strings"
 	"sync"
 	"testing"
-	"time"
 )
 
 func TestCounterGaugeRender(t *testing.T) {
@@ -129,12 +128,6 @@ func TestNilRegistryAndInstrumentsAreNoOps(t *testing.T) {
 	if err := reg.WritePrometheus(&strings.Builder{}); err != nil {
 		t.Fatal(err)
 	}
-	var p *Pool
-	release, ok := p.Acquire()
-	if !ok {
-		t.Fatal("nil pool must admit")
-	}
-	release()
 }
 
 func TestHistogramConcurrentObserve(t *testing.T) {
@@ -155,61 +148,5 @@ func TestHistogramConcurrentObserve(t *testing.T) {
 	}
 	if s := h.Sum(); s < 7.99 || s > 8.01 {
 		t.Fatalf("sum = %v, want ~8", s)
-	}
-}
-
-func TestPoolAdmitDelayShed(t *testing.T) {
-	reg := NewRegistry()
-	p := NewPool(reg, "admission", 50*time.Millisecond)
-	p.Resize(1)
-
-	release, ok := p.Acquire()
-	if !ok {
-		t.Fatal("first acquire should admit immediately")
-	}
-	if p.Admitted() != 1 {
-		t.Fatalf("admitted = %d, want 1", p.Admitted())
-	}
-
-	// Second acquire waits; release the first permit once it is queued
-	// so it lands as delayed.
-	go func() {
-		if !awaitWaiters(p, 1) {
-			t.Error("second acquire never queued")
-		}
-		release()
-	}()
-	release2, ok := p.Acquire()
-	if !ok {
-		t.Fatal("second acquire should be delayed, not shed")
-	}
-	if p.Delayed() != 1 {
-		t.Fatalf("delayed = %d, want 1", p.Delayed())
-	}
-
-	// Third acquire while the permit is held sheds at max wait.
-	if _, ok := p.Acquire(); ok {
-		t.Fatal("third acquire should shed")
-	}
-	if p.Shed() != 1 {
-		t.Fatalf("shed = %d, want 1", p.Shed())
-	}
-	release2()
-
-	var b strings.Builder
-	if err := reg.WritePrometheus(&b); err != nil {
-		t.Fatal(err)
-	}
-	out := b.String()
-	for _, want := range []string{
-		"admission_admitted_total 1",
-		"admission_delayed_total 1",
-		"admission_shed_total 1",
-		"admission_in_use 0",
-		"admission_capacity 1",
-	} {
-		if !strings.Contains(out, want) {
-			t.Fatalf("render missing %q:\n%s", want, out)
-		}
 	}
 }

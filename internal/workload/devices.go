@@ -19,7 +19,8 @@ import (
 )
 
 // warmupRate is the reports per second each device paces during a
-// flood's warmup: the demand signal an AIMD controller grows on.
+// flood's warmup: a trickle that keeps the storm alive while a drill
+// acts, without flooding the hubs.
 const warmupRate = 20
 
 // stormSession is one device's raw wire session: hello/ack done, ready
@@ -216,13 +217,14 @@ func tokenTenant(token string) string {
 // threads into a certain AB/BA inversion: they meet at a gate
 // (vm.Process.NewGate) while holding their first lock. The process
 // freezes — like a real buggy app — and the detection publishes the
-// signature to the phone's service. The process is left frozen; the Zygote reaps it at teardown. On a phone already armed
-// against the inversion, one thread yields instead and the gate lets the
-// other through.
-func injectDeadlock(z *vm.Zygote) error {
+// signature to the phone's service. The process is left frozen; the
+// Zygote reaps it at teardown. On a phone already armed against the
+// inversion, one thread yields instead and the gate lets the other
+// through.
+func injectDeadlock(z *vm.Zygote) (*vm.Process, error) {
 	p, err := z.Fork("com.buggy.app")
 	if err != nil {
-		return fmt.Errorf("inject: %w", err)
+		return nil, fmt.Errorf("inject: %w", err)
 	}
 	a, b := p.NewObject("buggy.A"), p.NewObject("buggy.B")
 	gate := p.NewGate(2)
@@ -236,7 +238,7 @@ func injectDeadlock(z *vm.Zygote) error {
 			})
 		})
 	}); err != nil {
-		return fmt.Errorf("inject: %w", err)
+		return nil, fmt.Errorf("inject: %w", err)
 	}
 	if _, err := p.Start("t2", func(t *vm.Thread) {
 		t.Call(buggyOuterB.Class, buggyOuterB.Method, buggyOuterB.Line, func() {
@@ -248,7 +250,7 @@ func injectDeadlock(z *vm.Zygote) error {
 			})
 		})
 	}); err != nil {
-		return fmt.Errorf("inject: %w", err)
+		return nil, fmt.Errorf("inject: %w", err)
 	}
-	return nil
+	return p, nil
 }

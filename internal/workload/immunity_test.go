@@ -3,12 +3,14 @@ package workload
 import "testing"
 
 // TestRunFleetImmunity is the acceptance scenario: 4 phones, live
-// processes armed without restart, threshold gating demonstrated, and
-// the propagation timeline in order.
+// processes armed without restart, threshold gating demonstrated, the
+// propagation timeline in order, and every phone after the first spared
+// the deadlock when it drives the same interleaving.
 func TestRunFleetImmunity(t *testing.T) { runRows(t, "fleet immunity") }
 
 // TestRunFleetImmunityThresholdOne: with threshold 1 a single detection
-// immunizes the whole fleet.
+// immunizes the whole fleet: the second phone yields where the first
+// deadlocked.
 func TestRunFleetImmunityThresholdOne(t *testing.T) { runRows(t, "fleet immunity threshold 1") }
 
 // TestFleetImmunityTransportEquivalence: the scenario over real TCP

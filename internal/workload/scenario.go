@@ -191,12 +191,37 @@ func detect(i int) step {
 	return func(r *run) error {
 		ph := r.phones[i]
 		before := ph.svc.Epoch()
-		if err := injectDeadlock(ph.zygote); err != nil {
+		if _, err := injectDeadlock(ph.zygote); err != nil {
 			return err
 		}
 		at, err := r.w.until(fmt.Sprintf("detection on phone%d", i), func() bool { return ph.svc.Epoch() > before })
 		r.detected = append(r.detected, at)
 		return err
+	}
+}
+
+// spared drives the injected deadlock's interleaving again, on a fresh
+// fork on phone i, which must be armed by now: the fork must be spared
+// the deadlock. Its core yields one thread, the gate lets the other
+// through, both threads finish, and nothing new is detected — neither
+// in the fork's core nor as a publication to the phone's service.
+func spared(i int) step {
+	return func(r *run) error {
+		ph := r.phones[i]
+		before := ph.svc.Epoch()
+		p, err := injectDeadlock(ph.zygote)
+		if err != nil {
+			return err
+		}
+		if !p.Join(r.Timeout) {
+			return fmt.Errorf("phone%d not spared: the fork froze on the injected deadlock", i)
+		}
+		st := p.Dimmunix().Stats()
+		if st.Yields == 0 || st.DeadlocksDetected != 0 || ph.svc.Epoch() != before {
+			return fmt.Errorf("phone%d not spared: %d yields, %d deadlocks detected, service epoch %d → %d",
+				i, st.Yields, st.DeadlocksDetected, before, ph.svc.Epoch())
+		}
+		return nil
 	}
 }
 

@@ -4,6 +4,7 @@ import "testing"
 
 // TestRunReportStorm floods one hub (with a short ramp) and a 2-hub
 // cluster (one burst): every signature must still arm on every hub.
-// What a hub's admission pool does under it is the daemon tests'
-// business (cmd/immunityd), where the pool is built.
+// These hubs admit every report at once; the admission pool's row is
+// cmd/immunityd's TestImmunitydAdmissionFlood, against the daemon that
+// turns the pool on.
 func TestRunReportStorm(t *testing.T) { runRows(t, "storm/hubs=1", "storm/hubs=2") }

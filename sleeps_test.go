@@ -20,7 +20,6 @@ var sleepCensus = map[string]int{
 	"dimmunix_test.go":                          1,
 	"internal/apps/app.go":                      1,
 	"internal/core/harness_test.go":             1,
-	"internal/immunity/admission_test.go":       1,
 	"internal/immunity/authfabric_test.go":      1,
 	"internal/immunity/batch_test.go":           2,
 	"internal/immunity/cluster/cluster_test.go": 4,

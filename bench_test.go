@@ -5,6 +5,8 @@
 //	E1  BenchmarkE1DeadlockImmunity    — §5 ¶2: avoided reoccurrence of the
 //	                                     NotificationManagerService /
 //	                                     StatusBarService deadlock
+//	F1  BenchmarkFleetE1               — one phone's detection immunizes
+//	                                     the fleet: time to immunity
 //	E2  BenchmarkTable1                — Table 1: per-app syncs/sec and
 //	                                     memory; with E4 and E5, one
 //	                                     apps.RunTable1 run
@@ -86,6 +88,35 @@ func BenchmarkE1DeadlockImmunity(b *testing.B) {
 	if st.DeadlocksDetected != 0 {
 		b.Fatalf("deadlock reoccurred under immunity: %+v", st)
 	}
+}
+
+// BenchmarkFleetE1 is E1 across the fleet: one iteration runs the
+// in-process "fleet immunity threshold 1" row (two phones on one hub)
+// with its checks. Phone 0 deadlocks and detects, the hub arms the
+// signature, every process on both phones installs it, and phone 1 is
+// spared when it drives the same interleaving. It reports
+// time-to-immunity-us: phone 0's detection to the last install, the
+// timeline the row's own check orders. Both moments are when the row's
+// waiter saw them, polling every 200 µs in process, so the number is
+// resolved to about one poll: a fleet that armed before the poll that
+// saw the detection reads a few µs.
+func BenchmarkFleetE1(b *testing.B) {
+	row, ok := workload.Row("fleet immunity threshold 1")
+	if !ok {
+		b.Fatal("no fleet immunity threshold 1 row")
+	}
+	var total time.Duration
+	for i := 0; i < b.N; i++ {
+		out, err := row.Run()
+		if err != nil {
+			b.Fatal(err)
+		}
+		if out.TimeToImmunity <= 0 {
+			b.Fatalf("iteration %d: time to immunity %v", i, out.TimeToImmunity)
+		}
+		total += out.TimeToImmunity
+	}
+	b.ReportMetric(float64(total.Microseconds())/float64(b.N), "time-to-immunity-us")
 }
 
 // --- E2, E4, E5: Table 1, platform memory and power -----------------------

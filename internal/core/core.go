@@ -49,11 +49,11 @@
 //
 //   - EnterFast, every uncontended monitorenter at a position where no
 //     signature is exposed: the approval, the runtime's tryLock and the
-//     hold edge in one section, when the lock is unowned (so granting
-//     cannot complete a cycle — detection's walk would stop immediately)
-//     and no thread is yielding (so no starvation cycle can involve the
-//     new edge). At a position no signature names that is all; at an
-//     armed one the section also enters the queue.
+//     hold edge in one section, when tryLock wins (so the lock was free
+//     and granting cannot complete a cycle — detection's walk would stop
+//     immediately) and no thread is yielding (so no starvation cycle can
+//     involve the new edge). At a position no signature names that is
+//     all; at an armed one the section also enters the queue.
 //
 //   - fastAcquired, Acquired after an approved Request while nothing
 //     yields: it finishes every enter whose Request ran exclusive.
@@ -71,10 +71,14 @@
 //	  > c.evMu     (event channel; leaf)
 //
 // Never acquire c.mu while holding any of the inner locks. Fields read on
-// the fast path while others mutate them are atomic: Node.owner,
-// Position.inHistory, Position.exposed, the yielder count, the kill flag,
-// and the Stats counters (the per-thread fast-path counters are plain,
-// written only by the owning thread and read under the exclusive lock).
+// the fast path while others mutate them are atomic: Position.inHistory,
+// Position.exposed, the yielder count, the kill flag, and the Stats
+// counters the exclusive sections keep. Everything a shared section
+// writes is plain: the per-thread fast-path counters and request fields
+// (written only by the owning thread, read by others only under the
+// exclusive lock) and a lock's hold edge, Node.owner with acqPos and
+// acqEntry (written only by the thread holding the runtime's real lock;
+// see "Fast-path safety argument").
 //
 // Position thread queues are maintained lazily: only in-history positions
 // keep them (signature matching is their only consumer), so an enter at an
@@ -87,12 +91,14 @@
 //
 // Approving a request t→l with l unowned cannot complete a deadlock cycle
 // (a cycle needs l held), and every cycle's final edge targets a held lock,
-// so the request that completes a cycle always sees owner != nil, fails
-// EnterFast's conditions, and runs full detection in Request under the
-// exclusive lock. Starvation cycles need a yielder; every shared section
-// bails out to the exclusive path whenever one exists, and a thread that
-// starts yielding later does so under the exclusive lock, observing every
-// previously published edge and queue entry.
+// so the request that completes a cycle always finds the real lock taken,
+// loses EnterFast's tryLock, and runs full detection in Request under the
+// exclusive lock. EnterFast does not read l's hold edge to learn whether l
+// is free: the runtime's tryLock answers that, atomically with taking it.
+// Starvation cycles need a yielder; every shared section bails out to the
+// exclusive path whenever one exists, and a thread that starts yielding
+// later does so under the exclusive lock, observing every previously
+// published edge and queue entry.
 //
 // Avoidance at pos finds nothing when no signature is exposed at pos: each
 // signature naming pos then watches a slot at another position whose queue
@@ -124,6 +130,20 @@
 // A release while nothing yields is Release with no one to wake: it
 // removes the hold edge and the queue entry, and an emptied queue moves
 // no watch, so the shared release decides as the exclusive one does.
+//
+// The hold edge is a plain field. A lock node's owner, acqPos and
+// acqEntry are written only inside an engine section, and only by the
+// thread that holds the runtime's real lock: EnterFast after its tryLock
+// wins, Acquired after the runtime's acquisition, and Release before the
+// runtime's release. They are read only under the exclusive lock, or by
+// that thread. Two holders of one lock are ordered by the runtime lock
+// itself: the old owner clears the edge, then makes its release store;
+// the new owner's CAS (or blocking acquisition) observes that store, then
+// publishes its own edge. Every other reader takes the exclusive lock,
+// which excludes every shared section, so no access to the edge is
+// concurrent with a write to it. The detector still sees each hold edge
+// from the moment it is published: it is written inside the section that
+// takes the lock, never after it.
 //
 // The exclusive path takes two shortcuts of its own, each a cheap test
 // proving that the expensive step it guards would find nothing.
@@ -214,8 +234,11 @@ type Core struct {
 	// matching (safe: matching always runs under exclusive c.mu).
 	matchScratch []*Node
 
-	// stats fields are all mutated with sync/atomic (the fast path updates
-	// them without the engine lock). Snapshot with Stats().
+	// stats holds the counts of the exclusive sections and the folded
+	// per-thread counts of retired nodes. Each field is updated with
+	// sync/atomic, because Yielded and event emission touch it outside
+	// the exclusive lock; the shared sections never do (they count on
+	// their thread's node). Snapshot with Stats().
 	stats Stats
 
 	// evMu guards the event channel and its closed flag.
@@ -465,18 +488,20 @@ func (c *Core) Request(t, l *Node, pos *Position) error {
 // embedding runtime's own acquisition and the fast Acquired, run back to
 // back under one shared engine lock. Under that lock it checks that the
 // core is open, t has no pending request, no signature is exposed at pos
-// (Position.exposed; always so at a position no signature names), l is
-// unowned and nothing yields (the lock keeps pos's exposure and the
-// yielder set fixed: both change only under the exclusive lock). When they
-// hold it calls tryLock, which must try to take the real lock and report
-// whether it did. tryLock runs under the engine lock, so it must not
-// block, wait or call into this Core. If tryLock wins, t's hold edge on l
-// is published (acquisition position, owner, and at an armed position a
-// queue entry, taken under pos's leaf lock) and counted as one
-// acquisition on the fast path. At a position no signature names it is
-// also one fast request; at an armed one it is a request whose avoidance
-// checked pos's candidate signatures, as Request would have counted it.
-// The caller then owns l and releases it with Release.
+// (Position.exposed; always so at a position no signature names) and
+// nothing yields (the lock keeps pos's exposure and the yielder set fixed:
+// both change only under the exclusive lock). When they hold it calls
+// tryLock, which must try to take the real lock and report whether it did;
+// its answer is also the only test of whether l is free, since l's hold
+// edge belongs to whichever thread holds the real lock. tryLock runs under
+// the engine lock, so it must not block, wait or call into this Core. If
+// tryLock wins, t's hold edge on l is published (acquisition position,
+// owner, and at an armed position a queue entry, taken under pos's leaf
+// lock) and counted as one acquisition on the fast path. At a position no
+// signature names it is also one fast request; at an armed one it is a
+// request whose avoidance checked pos's candidate signatures, as Request
+// would have counted it. The caller then owns l and releases it with
+// Release.
 //
 // EnterFast returns false, having changed nothing, when the conditions do
 // not hold, when tryLock loses, and always on the serial engine. The
@@ -491,7 +516,7 @@ func (c *Core) EnterFast(t, l *Node, pos *Position, tryLock func() bool) bool {
 	}
 	c.mu.RLock()
 	if c.killed.Load() || t.reqLock != nil || pos.exposed.Load() != 0 ||
-		l.owner.Load() != nil || c.yielderCount.Load() != 0 || !tryLock() {
+		c.yielderCount.Load() != 0 || !tryLock() {
 		c.mu.RUnlock()
 		return false
 	}
@@ -508,7 +533,7 @@ func (c *Core) EnterFast(t, l *Node, pos *Position, tryLock func() bool) bool {
 	} else {
 		t.fastRequests++
 	}
-	l.owner.Store(t)
+	l.owner = t
 	c.mu.RUnlock()
 	return true
 }
@@ -531,24 +556,24 @@ func (c *Core) Acquired(t, l *Node) {
 		// Acquired without a matching approved Request: t's approval for
 		// another lock, if any, is dropped with its queue entry.
 		atomic.AddUint64(&c.stats.Misuse, 1)
-		l.owner.Store(t)
+		l.owner = t
 		c.dropRequestLocked(t)
 		return
 	}
 	l.acqPos = t.reqPos
 	l.acqEntry = t.reqEntry
 	t.reqLock, t.reqPos, t.reqEntry = nil, nil, nil
-	l.owner.Store(t)
+	l.owner = t
 	// t becoming the owner creates waits-for edges u→t for every thread u
 	// blocked on l; a yield cycle may have formed.
 	c.scanYieldersLocked()
 }
 
 // fastAcquired publishes the hold edge under the shared lock. Only the
-// acquiring thread writes l's acquisition fields (ownership transfers are
-// serialized by the embedding runtime's real lock), and the owner pointer
-// is atomic for concurrent EnterFast readers. Skipped whenever a thread
-// yields, so the starvation scan never misses a new hold edge.
+// acquiring thread, which holds the runtime's real lock, writes l's
+// owner and acquisition fields (package comment, "Fast-path safety
+// argument"). Skipped whenever a thread yields, so the starvation scan
+// never misses a new hold edge.
 func (c *Core) fastAcquired(t, l *Node) bool {
 	if c.cfg.Serial {
 		return false
@@ -562,7 +587,7 @@ func (c *Core) fastAcquired(t, l *Node) bool {
 	l.acqPos = t.reqPos
 	l.acqEntry = t.reqEntry
 	t.reqLock, t.reqPos, t.reqEntry = nil, nil, nil
-	l.owner.Store(t)
+	l.owner = t
 	c.mu.RUnlock()
 	return true
 }
@@ -582,14 +607,14 @@ func (c *Core) Release(t, l *Node) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	atomic.AddUint64(&c.stats.Releases, 1)
-	if l.owner.Load() != t {
+	if l.owner != t {
 		atomic.AddUint64(&c.stats.Misuse, 1)
 	}
 	pos := l.acqPos
 	if pos != nil && l.acqEntry != nil {
 		c.releaseEntryLocked(pos, l.acqEntry)
 	}
-	l.owner.Store(nil)
+	l.owner = nil
 	l.acqPos = nil
 	l.acqEntry = nil
 	if pos != nil {
@@ -613,22 +638,24 @@ func (c *Core) wakeYieldersLocked(pos *Position) {
 }
 
 // fastRelease removes the hold edge under the shared lock. Requires the
-// caller to be the current owner (so l's acquisition fields are its own
-// writes, or the exclusive queue rebuild's) and nothing to be yielding (so
-// no yielder needs waking, and none can appear before the section ends).
-// A queue entry at an armed position goes back under the position's leaf
-// lock; a queue turning empty moves no watch (avoid.go).
+// caller to be the current owner (so l's owner and acquisition fields are
+// its own writes, or the exclusive queue rebuild's) and nothing to be
+// yielding (so no yielder needs waking, and none can appear before the
+// section ends). A queue entry at an armed position goes back under the
+// position's leaf lock; a queue turning empty moves no watch (avoid.go).
+// The hold edge is cleared before the shared section ends, and so before
+// the caller releases its real lock.
 func (c *Core) fastRelease(t, l *Node) bool {
-	// Checked before the lock, and again under it: a release that is not
-	// its owner's, or one while a thread yields, only ever takes the slow
-	// path. When t is the owner, l.acqPos is t's own write.
-	if c.cfg.Serial || l.owner.Load() != t || l.acqPos == nil || c.yielderCount.Load() != 0 {
+	// The caller holds the real lock, so l's fields are its own writes
+	// and read the same outside the engine lock as under it; only the
+	// yielder count can change, so it alone is checked again under the
+	// lock. A release that is not its owner's, or one while a thread
+	// yields, only ever takes the slow path.
+	if c.cfg.Serial || l.owner != t || l.acqPos == nil || c.yielderCount.Load() != 0 {
 		return false
 	}
 	c.mu.RLock()
-	// Owner check first: only when t is the owner are l.acqPos/acqEntry
-	// safe to read without the exclusive lock.
-	if l.owner.Load() != t || c.yielderCount.Load() != 0 {
+	if c.yielderCount.Load() != 0 {
 		c.mu.RUnlock()
 		return false
 	}
@@ -641,7 +668,7 @@ func (c *Core) fastRelease(t, l *Node) bool {
 	}
 	t.fastReleases++
 	l.acqPos = nil
-	l.owner.Store(nil)
+	l.owner = nil
 	c.mu.RUnlock()
 	return true
 }
@@ -826,7 +853,7 @@ func (c *Core) rebuildQueueLocked(pos *Position) {
 	defer c.nodesMu.Unlock()
 	for _, l := range c.lockNodes {
 		if l.acqPos == pos && l.acqEntry == nil {
-			if owner := l.owner.Load(); owner != nil {
+			if owner := l.owner; owner != nil {
 				l.acqEntry = c.takeEntryLocked(pos, owner)
 			}
 		}
@@ -869,10 +896,13 @@ func (c *Core) HistorySize() int {
 // Stats returns a snapshot of the activity counters. The fast-path
 // counters live on the thread nodes (written lock-free by each thread);
 // aggregating them takes the exclusive engine lock briefly to exclude
-// in-flight fast operations.
+// in-flight fast operations. The core totals are read under the same
+// lock: RetireThreadNode moves a node's counts into them under it, so a
+// snapshot sees each retired count exactly once, on the node or in the
+// total, and successive snapshots never go down.
 func (c *Core) Stats() Stats {
-	out := c.stats.snapshot()
 	c.mu.Lock()
+	out := c.stats.snapshot()
 	c.nodesMu.Lock()
 	for _, t := range c.threadNodes {
 		out.FastRequests += t.fastRequests

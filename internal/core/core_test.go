@@ -38,7 +38,7 @@ func TestBasicAcquireReleaseFlow(t *testing.T) {
 	h.arm("C", "m", 1) // exercise the queue-maintaining slow path
 
 	h.acquire(t1, l1, p)
-	if l1.owner.Load() != t1 {
+	if l1.owner != t1 {
 		t.Error("lock must record its owner after Acquired")
 	}
 	if l1.acqPos != p {
@@ -52,7 +52,7 @@ func TestBasicAcquireReleaseFlow(t *testing.T) {
 	}
 
 	h.release(t1, l1)
-	if l1.owner.Load() != nil || l1.acqPos != nil {
+	if l1.owner != nil || l1.acqPos != nil {
 		t.Error("release must clear ownership")
 	}
 	if p.occupants() != 0 {
@@ -102,7 +102,7 @@ func TestMisuseCounters(t *testing.T) {
 
 	// Acquired without Request.
 	h.c.Acquired(t1, l1)
-	if l1.owner.Load() != t1 {
+	if l1.owner != t1 {
 		t.Error("Acquired must still record ownership for robustness")
 	}
 	h.c.Release(t1, l1)

@@ -26,7 +26,7 @@ func (c *Core) findCycleLocked(t, l *Node) []cycleLink {
 	var links []cycleLink
 	cur := l
 	for {
-		owner := cur.owner.Load()
+		owner := cur.owner
 		if owner == nil {
 			return nil // lock free (or being handed over): no cycle
 		}

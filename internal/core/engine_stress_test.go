@@ -120,7 +120,7 @@ func stressCore(t *testing.T, serial bool, installer func(c *Core, stop <-chan s
 		t.Errorf("live queue entries after quiescence: %d", ms.QueueEntriesLive)
 	}
 	for i, l := range lockNodes {
-		if l.owner.Load() != nil || l.acqPos != nil || l.acqEntry != nil {
+		if l.owner != nil || l.acqPos != nil || l.acqEntry != nil {
 			t.Errorf("lock %d not clean after quiescence", i)
 		}
 	}

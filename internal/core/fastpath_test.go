@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"testing"
 	"time"
 )
@@ -17,8 +18,10 @@ import (
 // t's hold edge exactly when tryLock then wins (with a queue entry at an
 // armed position, counted as Request would count it), and otherwise
 // change nothing, so that the Request probed next on the same state
-// decides as if EnterFast had never run. Request itself never takes a
-// shared section.
+// decides as if EnterFast had never run. The probe's tryLock models the
+// runtime's lock by the lock node's hold edge, as a monitor CAS loses to
+// a holder: EnterFast itself no longer reads the edge. Request itself
+// never takes a shared section.
 func TestFastPathConditions(t *testing.T) {
 	tests := []struct {
 		name string
@@ -27,9 +30,11 @@ func TestFastPathConditions(t *testing.T) {
 		// for the probes.
 		prepare func(t *testing.T, h *harness) (*Node, *Node, *Position)
 		// loses makes the EnterFast probe's tryLock fail, as a monitor CAS
-		// does when another thread took the real lock first.
+		// does when another thread took the real lock first. A lock
+		// another thread holds makes it fail too.
 		loses bool
-		// wantFast is whether EnterFast's conditions hold.
+		// wantFast is whether EnterFast's conditions hold, so that it
+		// calls tryLock.
 		wantFast bool
 		// armed is whether the position is armed with no signature
 		// exposed: the enter is approved under the shared lock as a
@@ -89,6 +94,8 @@ func TestFastPathConditions(t *testing.T) {
 			armed:    true,
 		},
 		{
+			// The core does not read the holder's edge: tryLock is
+			// called once and loses, and nothing is published.
 			name: "contended lock",
 			prepare: func(t *testing.T, h *harness) (*Node, *Node, *Position) {
 				holder := h.thread("holder")
@@ -96,7 +103,7 @@ func TestFastPathConditions(t *testing.T) {
 				h.acquire(holder, l, h.pos("Other", "m", 7))
 				return h.thread("t"), l, h.pos("Free", "m", 1)
 			},
-			wantFast: false,
+			wantFast: true,
 		},
 		{
 			name: "a thread is yielding",
@@ -137,9 +144,9 @@ func TestFastPathConditions(t *testing.T) {
 			th, l, pos := tc.prepare(t, h)
 
 			// EnterFast probe.
-			before, owner := h.c.Stats(), l.owner.Load()
+			before, owner := h.c.Stats(), l.owner
 			tries := 0
-			entered := h.c.EnterFast(th, l, pos, func() bool { tries++; return !tc.loses })
+			entered := h.c.EnterFast(th, l, pos, func() bool { tries++; return !tc.loses && l.owner == nil })
 			wantTries := 0
 			if tc.wantFast {
 				wantTries = 1
@@ -147,14 +154,14 @@ func TestFastPathConditions(t *testing.T) {
 			if tries != wantTries {
 				t.Errorf("EnterFast called tryLock %d times, want %d", tries, wantTries)
 			}
-			if entered != (tc.wantFast && !tc.loses) {
-				t.Fatalf("EnterFast = %v, want %v", entered, tc.wantFast && !tc.loses)
+			if want := tc.wantFast && !tc.loses && owner == nil; entered != want {
+				t.Fatalf("EnterFast = %v, want %v", entered, want)
 			}
 			if entered {
 				after := h.c.Stats()
-				if l.owner.Load() != th || l.acqPos != pos || (l.acqEntry != nil) != tc.armed || th.reqLock != nil {
+				if l.owner != th || l.acqPos != pos || (l.acqEntry != nil) != tc.armed || th.reqLock != nil {
 					t.Errorf("hold edge: owner %v, acquired at pos %v, entry %v, request %v; want %v at pos, an entry %v, no request",
-						l.owner.Load(), l.acqPos == pos, l.acqEntry, th.reqLock, th, tc.armed)
+						l.owner, l.acqPos == pos, l.acqEntry, th.reqLock, th, tc.armed)
 				}
 				if tc.armed && (pos.occupants() != 1 || pos.queue.head.thread != th) {
 					t.Errorf("armed enter: %d queue entries, want t's one", pos.occupants())
@@ -170,13 +177,13 @@ func TestFastPathConditions(t *testing.T) {
 						after, before, fast, checks)
 				}
 				h.c.Release(th, l)
-				if st := h.c.Stats(); st.FastReleases != before.FastReleases+1 || l.owner.Load() != nil || pos.occupants() != 0 {
+				if st := h.c.Stats(); st.FastReleases != before.FastReleases+1 || l.owner != nil || pos.occupants() != 0 {
 					t.Errorf("release after EnterFast: %d fast releases (want %d), owner %v, %d queue entries",
-						st.FastReleases, before.FastReleases+1, l.owner.Load(), pos.occupants())
+						st.FastReleases, before.FastReleases+1, l.owner, pos.occupants())
 				}
-			} else if after := h.c.Stats(); after != before || l.owner.Load() != owner || th.reqLock != nil {
+			} else if after := h.c.Stats(); after != before || l.owner != owner || th.reqLock != nil {
 				t.Errorf("EnterFast refused but published: owner %v (was %v), request %v, stats %+v (were %+v)",
-					l.owner.Load(), owner, th.reqLock, after, before)
+					l.owner, owner, th.reqLock, after, before)
 			}
 
 			// Request probe, on the state EnterFast left.
@@ -374,10 +381,42 @@ func TestFastReleaseConditions(t *testing.T) {
 			if after.Releases != before.Releases+1 || (fast == 1) != tc.wantFast || fast > 1 {
 				t.Errorf("release: %d releases, %d fast; want 1, shared %v", after.Releases-before.Releases, fast, tc.wantFast)
 			}
-			if l.owner.Load() != nil || pos.occupants() != 0 {
-				t.Errorf("after the release: owner %v, %d queue entries; want none", l.owner.Load(), pos.occupants())
+			if l.owner != nil || pos.occupants() != 0 {
+				t.Errorf("after the release: owner %v, %d queue entries; want none", l.owner, pos.occupants())
 			}
 		})
+	}
+}
+
+// TestFastReleaseClearsTheEdgeInTheSection: the hold edge is a plain field,
+// so a shared release must clear it before its section ends; the
+// exclusive lock is then all a reader needs. The release runs on another
+// goroutine, ordered with this one only through the engine lock, and this
+// one reads the edge under the exclusive lock until the release's
+// section has ended (acqPos cleared). Under -race an edge cleared after
+// RUnlock is a reported race on every run; without -race only the rare
+// read that lands in between sees the stale owner.
+func TestFastReleaseClearsTheEdgeInTheSection(t *testing.T) {
+	h := newHarness(t)
+	th, l, p := h.thread("t"), h.lock("l"), h.pos("Free", "m", 1)
+	if !h.c.EnterFast(th, l, p, func() bool { return true }) {
+		t.Fatal("EnterFast refused an uncontended enter")
+	}
+	go h.c.Release(th, l)
+	for {
+		h.c.mu.Lock()
+		ended, owner := l.acqPos == nil, l.owner
+		h.c.mu.Unlock()
+		if ended {
+			if owner != nil {
+				t.Fatalf("the release's section ended with owner %v still published", owner)
+			}
+			break
+		}
+		runtime.Gosched()
+	}
+	if st := h.c.Stats(); st.FastReleases != 1 {
+		t.Errorf("%d fast releases, want 1", st.FastReleases)
 	}
 }
 
@@ -463,7 +502,8 @@ type engineStep struct {
 
 // runEngineScript replays a script and returns the final stats. An
 // "acquire" is a monitorenter as the VM drives it: EnterFast first (which
-// always refuses on the serial engine), else Request and Acquired.
+// always refuses on the serial engine), whose tryLock loses while the
+// lock is held, as the runtime's lock would, else Request and Acquired.
 func runEngineScript(t *testing.T, serial bool, steps []engineStep) Stats {
 	t.Helper()
 	h := newHarness(t, WithSerialEngine(serial))
@@ -495,7 +535,7 @@ func runEngineScript(t *testing.T, serial bool, steps []engineStep) Stats {
 			err = h.c.Request(node(st.thread), lock(st.lock), pos(st.pos))
 		case "acquire":
 			th, l := node(st.thread), lock(st.lock)
-			if h.c.EnterFast(th, l, pos(st.pos), func() bool { return true }) {
+			if h.c.EnterFast(th, l, pos(st.pos), func() bool { return l.owner == nil }) {
 				break
 			}
 			if err = h.c.Request(th, l, pos(st.pos)); err == nil {

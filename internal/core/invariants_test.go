@@ -86,7 +86,7 @@ func randomOrderedSchedule(t *testing.T, seed int64, threads, locks, opsPer int)
 		t.Errorf("live queue entries after quiescence: %d", ms.QueueEntriesLive)
 	}
 	for i, l := range lockNodes {
-		if l.owner.Load() != nil || l.acqPos != nil || l.acqEntry != nil {
+		if l.owner != nil || l.acqPos != nil || l.acqEntry != nil {
 			t.Errorf("lock %d not clean after quiescence", i)
 		}
 	}

@@ -1,9 +1,6 @@
 package core
 
-import (
-	"fmt"
-	"sync/atomic"
-)
+import "fmt"
 
 // NodeKind distinguishes the two kinds of RAG nodes.
 type NodeKind int
@@ -36,11 +33,13 @@ func (k NodeKind) String() string {
 // most one lock at a time and a lock has at most one owner, so edges are
 // plain pointer fields and cycle detection is a chain walk.
 //
-// Mutable fields are guarded by the owning Core's engine lock. Thread-node
-// fields are additionally written under the shared engine lock, but only
-// ever by the thread the node belongs to, so shared-lock holders never
-// race on them. The owner pointer is atomic: the fast path reads it
-// lock-free to prove a requested lock uncontended.
+// Every field is plain. Mutable fields are guarded by the owning Core's
+// engine lock. Thread-node fields are additionally written under the
+// shared engine lock, but only ever by the thread the node belongs to, so
+// shared-lock holders never race on them. Lock-node fields are written
+// under the shared engine lock only by the thread that holds the
+// embedding runtime's real lock, which orders one holder's writes before
+// the next one's (package comment, "Fast-path safety argument").
 type Node struct {
 	kind NodeKind
 	id   uint64
@@ -84,11 +83,12 @@ type Node struct {
 	// ---- lock-node state ----
 
 	// owner is the thread currently holding this lock (the hold edge
-	// lock→thread). nil when the lock is free. Atomic: written by the
-	// acquiring/releasing thread (ownership handoffs are serialized by the
-	// embedding runtime's real lock), read concurrently by EnterFast
-	// checking for contention.
-	owner atomic.Pointer[Node]
+	// lock→thread). nil when the lock is free. A plain field: written only
+	// inside an engine section by the thread that holds the embedding
+	// runtime's real lock, and read only under the exclusive engine lock
+	// or by that thread. Nothing on the fast path reads another thread's
+	// hold edge: the runtime's tryLock answers "is it free".
+	owner *Node
 	// acqPos is the position at which owner acquired the lock — the
 	// paper's l.acqPos, i.e. the candidate outer call stack.
 	acqPos *Position

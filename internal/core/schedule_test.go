@@ -59,13 +59,14 @@ func newSchedEngine(t testing.TB, name string, opts ...Option) *schedEngine {
 	return e
 }
 
-// enter is a monitorenter as the VM drives it: EnterFast when the lock is
-// free, else Request and Acquired. A lock another thread holds leaves the
-// thread approved and waiting (Request only), as a blocked monitorenter.
-// It reports whether EnterFast took it.
+// enter is a monitorenter as the VM drives it: EnterFast, whose tryLock
+// loses while the lock is held, as the runtime's lock would, else Request
+// and Acquired. A lock another thread holds leaves the thread approved
+// and waiting (Request only), as a blocked monitorenter. It reports
+// whether EnterFast took it.
 func (e *schedEngine) enter(th, l, p int, held bool) (bool, error) {
 	t, lk, pos := e.threads[th], e.locks[l], e.pos[p]
-	if !held && e.c.EnterFast(t, lk, pos, func() bool { return true }) {
+	if e.c.EnterFast(t, lk, pos, func() bool { return lk.owner == nil }) {
 		return true, nil
 	}
 	if err := e.c.Request(t, lk, pos); err != nil {
@@ -307,7 +308,7 @@ func queueViolationsLocked(c *Core) []string {
 	c.positions.forEach(func(key string, p *Position) {
 		want := map[*entry]*Node{}
 		for _, l := range locks {
-			if o := l.owner.Load(); o != nil && l.acqPos == p {
+			if o := l.owner; o != nil && l.acqPos == p {
 				if (l.acqEntry != nil) != p.inHistory.Load() {
 					out = append(out, fmt.Sprintf("%s held at %s has entry %v, armed %v", l, key, l.acqEntry, p.inHistory.Load()))
 				}

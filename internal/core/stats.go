@@ -6,11 +6,13 @@ import (
 )
 
 // Stats counts core activity. All counters are cumulative since Core
-// creation. Snapshot with Core.Stats. Inside the core every field is
-// updated with sync/atomic (the fast path runs without the engine lock);
-// the Requests/Acquisitions/Releases totals include their fast-path
-// subsets, which the internal representation keeps in the Fast* fields
-// only (folded together by snapshot).
+// creation. Snapshot with Core.Stats. Inside the core the exclusive
+// sections count in Core.stats with sync/atomic, and the shared sections
+// count on their thread's node, in plain fields only that thread writes;
+// Core.Stats adds the two under the exclusive lock. The
+// Requests/Acquisitions/Releases totals include their fast-path subsets,
+// which the internal representation keeps in the Fast* fields only
+// (folded together by Core.Stats).
 type Stats struct {
 	// Requests counts monitorenter interceptions: Request calls on an
 	// open core, and successful EnterFast calls.
@@ -22,7 +24,9 @@ type Stats struct {
 	// and Request never counts here. Every successful EnterFast counts as
 	// one fast acquisition.
 	FastRequests uint64
-	// Acquisitions counts Acquired calls, including fast-path ones.
+	// Acquisitions counts published hold edges: Acquired calls, including
+	// fast-path ones, and successful EnterFast calls. A vm process counts
+	// its Dimmunix monitor enters here and nowhere else.
 	Acquisitions uint64
 	// FastAcquisitions counts Acquired calls on the fast path, and
 	// successful EnterFast calls.

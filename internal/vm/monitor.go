@@ -71,7 +71,7 @@ func (m *Monitor) Blocked() int { return int(m.blocked.Load()) }
 func (m *Monitor) enter(t *Thread, recursion int, site *Site) error {
 	if m.owner.Load() == t {
 		m.recursion += recursion
-		m.proc.stats.recursiveEnters.Add(1)
+		t.recursiveEnters.Add(1)
 		return nil
 	}
 
@@ -86,7 +86,9 @@ func (m *Monitor) enter(t *Thread, recursion int, site *Site) error {
 	// suspend the thread in avoidance and returns an error only if the
 	// core is closed (process teardown), then acquire and Acquired. On
 	// that slow path the thread reads as blocked from before Request until
-	// it owns the monitor.
+	// it owns the monitor. The vm does not count a Dimmunix fat enter: the
+	// core counts it as an acquisition (EnterFast or Acquired), and
+	// Process.SyncCount reads it there.
 	dim := m.proc.dim
 	if dim != nil {
 		pos, err := m.resolvePosition(t, site)
@@ -97,14 +99,14 @@ func (m *Monitor) enter(t *Thread, recursion int, site *Site) error {
 			return !m.proc.isKilled() && m.owner.CompareAndSwap(nil, t)
 		}) {
 			// acquire's kill check after a winning CAS; the core has seen
-			// the hold, so it is undone there too.
+			// the hold, so it is undone there too. The core's count keeps
+			// it: SyncCount may read one enter more on a dying process.
 			if m.proc.isKilled() {
 				dim.Release(t.node, m.node)
 				m.release()
 				return ErrProcessKilled
 			}
 			m.recursion = recursion
-			m.proc.stats.fatEnters.Add(1)
 			return nil
 		}
 		t.setState(StateBlocked)
@@ -128,8 +130,9 @@ func (m *Monitor) enter(t *Thread, recursion int, site *Site) error {
 
 	if dim != nil {
 		dim.Acquired(t.node, m.node)
+	} else {
+		t.fatEnters.Add(1)
 	}
-	m.proc.stats.fatEnters.Add(1)
 	return nil
 }
 

@@ -94,7 +94,7 @@ func (o *Object) enterInternal(t *Thread, site *Site) error {
 				}
 				t.setState(StateRunnable)
 			}
-			o.proc.stats.thinEnters.Add(1)
+			t.thinEnters.Add(1)
 			return nil
 		case lwOwner(lw) == t.id:
 			if lwCount(lw) >= maxThinRecursion {
@@ -102,7 +102,7 @@ func (o *Object) enterInternal(t *Thread, site *Site) error {
 				return m.enter(t, 1, site)
 			}
 			o.lw.Store(lw + 1)
-			o.proc.stats.recursiveEnters.Add(1)
+			t.recursiveEnters.Add(1)
 			return nil
 		default:
 			// Thin lock owned by another thread, or the CAS lost to one:

@@ -262,14 +262,25 @@ func TestSynchronizedDoesNotAllocate(t *testing.T) {
 }
 
 // TestSyncCountCountsEveryEnter: SyncCount is derived from the thin, fat
-// and recursive counters; it must still be the number of completed
-// monitorenters on every path, Wait's re-acquisition included.
+// and recursive counters and, under Dimmunix, the core's acquisitions; it
+// must still be the number of completed monitorenters on every path,
+// Wait's re-acquisition included. Under Dimmunix a signature names the
+// thread's entry position, so its first fat enter takes the exclusive
+// path (Request and Acquired) and the later ones the shared EnterFast.
 func TestSyncCountCountsEveryEnter(t *testing.T) {
 	for _, mode := range []string{"vanilla", "dimmunix"} {
 		t.Run(mode, func(t *testing.T) {
 			p := vanillaProcess(t)
 			if mode == "dimmunix" {
 				p = dimProcess(t)
+				entry := core.Frame{Class: "vm.ThreadEntry", Method: "w"}
+				cold := core.Frame{Class: "vm.Unreached", Method: "never", Line: 1}
+				if _, _, err := p.Dimmunix().AddSignature(&core.Signature{Kind: core.DeadlockSig, Pairs: []core.SigPair{
+					{Outer: core.CallStack{entry}, Inner: core.CallStack{entry}},
+					{Outer: core.CallStack{cold}, Inner: core.CallStack{cold}},
+				}}); err != nil {
+					t.Fatal(err)
+				}
 			}
 			o := p.NewObject("o")
 			var enters uint64
@@ -311,6 +322,12 @@ func TestSyncCountCountsEveryEnter(t *testing.T) {
 			}
 			if st.RecursiveEnters != 2 || st.Waits != 1 {
 				t.Errorf("recursive %d, waits %d; want 2 and 1", st.RecursiveEnters, st.Waits)
+			}
+			if mode == "dimmunix" {
+				// Each Request runs one detection walk; EnterFast runs none.
+				if cs := p.Dimmunix().Stats(); cs.CycleWalks == 0 || cs.CycleWalks == cs.Requests {
+					t.Errorf("%d of %d requests took Request: want both paths exercised", cs.CycleWalks, cs.Requests)
+				}
 			}
 		})
 	}

@@ -33,6 +33,13 @@ type Process struct {
 	nextTID  uint32
 	monitors []*Monitor
 	objects  int
+	// live holds the threads that have not exited, whose monitorenter
+	// counts are read off the threads themselves; exited holds the counts
+	// of those that have, folded in by exit. Both change only together,
+	// under mu, and are read under it, so a sample counts every thread
+	// exactly once even while one exits.
+	live   map[*Thread]struct{}
+	exited enterCounts
 
 	// sites caches each static Site's interned Position (sync.Map: written
 	// once per site at first use, then read on every monitorenter at that
@@ -55,27 +62,34 @@ type Process struct {
 	stats procStats
 }
 
-// procStats are the process's synchronization counters.
+// procStats are the process's counters of rare synchronization events.
+// Monitorenters are counted per thread (Thread.thinEnters and its
+// siblings) and, for a Dimmunix fat enter, by the core: see enters.
 type procStats struct {
-	thinEnters      atomic.Uint64
-	fatEnters       atomic.Uint64
-	recursiveEnters atomic.Uint64
-	inflations      atomic.Uint64
-	waits           atomic.Uint64
-	notifies        atomic.Uint64
+	inflations atomic.Uint64
+	waits      atomic.Uint64
+	notifies   atomic.Uint64
 }
 
-// syncOps is the number of completed monitorenters: each one is counted as
+// enterCounts tallies completed monitorenters by kind; each enter is
 // exactly one of a thin, a fat or a recursive enter.
-func (s *procStats) syncOps() uint64 {
-	return s.thinEnters.Load() + s.fatEnters.Load() + s.recursiveEnters.Load()
+type enterCounts struct{ thin, fat, recursive uint64 }
+
+func (c *enterCounts) add(o enterCounts) {
+	c.thin += o.thin
+	c.fat += o.fat
+	c.recursive += o.recursive
 }
+
+func (c enterCounts) total() uint64 { return c.thin + c.fat + c.recursive }
 
 // ProcessStats is a snapshot of a process's synchronization counters.
 type ProcessStats struct {
 	// ThinEnters counts uncontended thin-lock acquisitions.
 	ThinEnters uint64
-	// FatEnters counts monitor (fat) acquisitions.
+	// FatEnters counts monitor (fat) acquisitions. In a Dimmunix process
+	// every one of them is a core acquisition, and this is the core's
+	// Stats.Acquisitions.
 	FatEnters uint64
 	// RecursiveEnters counts re-entrant acquisitions.
 	RecursiveEnters uint64
@@ -108,6 +122,7 @@ func newProcess(id int, name string, dim *core.Core) *Process {
 		dim:          dim,
 		captureDepth: depth,
 		threads:      make(map[uint32]*Thread),
+		live:         make(map[*Thread]struct{}),
 		killCh:       make(chan struct{}),
 	}
 }
@@ -163,6 +178,7 @@ func (p *Process) Start(name string, fn func(*Thread)) (*Thread, error) {
 		t.node = p.dim.NewThreadNode(name, t.CurrentStack)
 	}
 	p.threads[t.id] = t
+	p.live[t] = struct{}{}
 	p.wg.Add(1)
 	p.mu.Unlock()
 	go t.run(fn)
@@ -206,25 +222,52 @@ func (p *Process) newMonitor(obj *Object) *Monitor {
 	return m
 }
 
+// exit folds an exiting thread's monitorenter counts into the process.
+// Called by the thread's own goroutine once it makes no more enters.
+func (p *Process) exit(t *Thread) {
+	p.mu.Lock()
+	p.exited.add(t.enters())
+	delete(p.live, t)
+	p.mu.Unlock()
+}
+
+// enters sums the process's completed monitorenters: the live threads'
+// counts and the exited threads' total, read together under mu, plus, in
+// a Dimmunix process, the core's acquisitions, which are its fat enters.
+// Each part only grows, so successive sums never go down.
+func (p *Process) enters() enterCounts {
+	p.mu.Lock()
+	n := p.exited
+	for t := range p.live {
+		n.add(t.enters())
+	}
+	p.mu.Unlock()
+	if p.dim != nil {
+		n.fat += p.dim.Stats().Acquisitions
+	}
+	return n
+}
+
 // SyncCount returns the number of completed monitorenters so far; the
-// throughput meters sample it.
-func (p *Process) SyncCount() uint64 { return p.stats.syncOps() }
+// throughput meters sample it, live.
+func (p *Process) SyncCount() uint64 { return p.enters().total() }
 
 // Stats returns a snapshot of the process counters.
 func (p *Process) Stats() ProcessStats {
+	n := p.enters()
 	p.mu.Lock()
 	threads := len(p.threads)
 	monitors := len(p.monitors)
 	objects := p.objects
 	p.mu.Unlock()
 	return ProcessStats{
-		ThinEnters:      p.stats.thinEnters.Load(),
-		FatEnters:       p.stats.fatEnters.Load(),
-		RecursiveEnters: p.stats.recursiveEnters.Load(),
+		ThinEnters:      n.thin,
+		FatEnters:       n.fat,
+		RecursiveEnters: n.recursive,
 		Inflations:      p.stats.inflations.Load(),
 		Waits:           p.stats.waits.Load(),
 		Notifies:        p.stats.notifies.Load(),
-		SyncOps:         p.stats.syncOps(),
+		SyncOps:         n.total(),
 		Threads:         threads,
 		Monitors:        monitors,
 		Objects:         objects,

@@ -1,6 +1,7 @@
 package vm
 
 import (
+	"fmt"
 	"testing"
 	"time"
 
@@ -46,6 +47,82 @@ func TestProcessStatsCounts(t *testing.T) {
 	}
 	if st.Threads != 1 || st.Objects != 1 || st.Monitors != 1 {
 		t.Errorf("threads/objects/monitors = %d/%d/%d, want 1/1/1", st.Threads, st.Objects, st.Monitors)
+	}
+}
+
+// TestSyncCountSampledWhileThreadsExit: SyncCount and Stats sum the live
+// threads' own counters, the total folded in as each thread exits and, in
+// a Dimmunix process, the core's acquisitions. A sampler reading them in a
+// loop while waves of threads start, synchronize and exit must never see
+// the count go down (a thread counted on neither side of its fold, or on
+// both), and the count once every thread is done must be exact.
+func TestSyncCountSampledWhileThreadsExit(t *testing.T) {
+	const waves, threads, iters = 4, 4, 200
+	for _, mode := range []string{"vanilla", "dimmunix"} {
+		t.Run(mode, func(t *testing.T) {
+			p := vanillaProcess(t)
+			if mode == "dimmunix" {
+				p = dimProcess(t)
+			}
+			shared := p.NewObject("shared")
+			stop := make(chan struct{})
+			sampled := make(chan error, 1)
+			go func() {
+				var last, samples uint64
+				next := func(what string, n uint64) error {
+					samples++
+					if n < last {
+						return fmt.Errorf("sample %d: %s = %d after %d", samples, what, n, last)
+					}
+					last = n
+					return nil
+				}
+				for {
+					select {
+					case <-stop:
+						sampled <- nil
+						return
+					default:
+					}
+					if err := next("SyncCount", p.SyncCount()); err != nil {
+						sampled <- err
+						return
+					}
+					if err := next("Stats().SyncOps", p.Stats().SyncOps); err != nil {
+						sampled <- err
+						return
+					}
+				}
+			}()
+			for w := 0; w < waves; w++ {
+				var wave []*Thread
+				for i := 0; i < threads; i++ {
+					own := p.NewObject(fmt.Sprintf("own-%d-%d", w, i))
+					wave = append(wave, startThread(t, p, fmt.Sprintf("w%d-%d", w, i), func(th *Thread) {
+						for k := 0; k < iters; k++ {
+							own.Synchronized(th, func() {
+								own.Synchronized(th, func() {}) // recursive
+							})
+							shared.Synchronized(th, func() {})
+						}
+					}))
+				}
+				for _, th := range wave {
+					waitDone(t, th)
+				}
+			}
+			close(stop)
+			if err := <-sampled; err != nil {
+				t.Fatal(err)
+			}
+			const want = waves * threads * iters * 3
+			if got := p.SyncCount(); got != want {
+				t.Errorf("SyncCount = %d after %d completed enters", got, want)
+			}
+			if st := p.Stats(); st.SyncOps != want || st.RecursiveEnters != want/3 {
+				t.Errorf("Stats: SyncOps %d, recursive %d; want %d and %d", st.SyncOps, st.RecursiveEnters, want, want/3)
+			}
+		})
 	}
 }
 

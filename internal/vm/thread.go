@@ -32,7 +32,7 @@
 //     Position object the cache points to (Position.inHistory), so a thread
 //     sees a hot-installed antibody on its very next enter at that site.
 //
-// # Ownership: two rules and two atomic pairs
+// # Ownership: three rules and two atomic pairs
 //
 // The uncontended synchronized block takes no mutex: its state is either
 // owned by one goroutine or handed over through an atomic pair.
@@ -50,6 +50,13 @@
 //     CAS from nil and cleared by the owner's store; recursion is read and
 //     written by the owner alone, so recursive enters and exits take no
 //     lock.
+//   - Enter counts are their thread's. A thin, vanilla fat or recursive
+//     enter adds one to an atomic in its own Thread; a Dimmunix fat enter
+//     is counted once, by the core, as the acquisition that publishes its
+//     hold edge. SyncCount and Stats add the live threads' counts, the
+//     total that exiting threads fold in (both under Process.mu, so a
+//     thread exiting under a live sampler is counted exactly once) and,
+//     in a Dimmunix process, core.Stats().Acquisitions.
 //   - Pair 1, frames: a reader increments Thread.readers, then loads the
 //     state, copies only if the thread is not runnable, and decrements.
 //     The owner stores StateRunnable, then waits while readers != 0. Both
@@ -176,6 +183,16 @@ type Thread struct {
 	// posCache remembers the interned Position of the call sites this
 	// thread recently synchronized at; see cachedPosition.
 	posCache [posCacheSets][posCacheWays]*core.Position
+
+	// thinEnters, fatEnters and recursiveEnters count the thread's
+	// completed monitorenters by kind, except a Dimmunix fat enter, which
+	// the core counts as its acquisition. Atomics written only by the
+	// thread's own goroutine, so no other CPU writes their cache line on
+	// the sync path; Process.SyncCount reads them live, and run folds them
+	// into the process when the thread exits.
+	thinEnters      atomic.Uint64
+	fatEnters       atomic.Uint64
+	recursiveEnters atomic.Uint64
 
 	state atomic.Int32
 	// readers counts other goroutines inside readParked; see frames.
@@ -424,10 +441,16 @@ func (t *Thread) cachePosition(depth int, pos *core.Position) {
 	set[0] = pos
 }
 
+// enters returns the thread's own monitorenter counts.
+func (t *Thread) enters() enterCounts {
+	return enterCounts{thin: t.thinEnters.Load(), fat: t.fatEnters.Load(), recursive: t.recursiveEnters.Load()}
+}
+
 // run is the goroutine trampoline. Thread bodies unwind abnormal
 // termination (process kill) with a typed panic that is recovered here,
 // mimicking how a Java thread dies from an uncaught exception without
-// taking the process down.
+// taking the process down. The thread's counts move into the process
+// before Done closes, so a caller that waited on Done reads them all.
 func (t *Thread) run(fn func(*Thread)) {
 	defer t.proc.wg.Done()
 	defer close(t.done)
@@ -438,6 +461,7 @@ func (t *Thread) run(fn func(*Thread)) {
 		if dim := t.proc.dim; dim != nil && t.node != nil {
 			dim.RetireThreadNode(t.node)
 		}
+		t.proc.exit(t)
 		if r := recover(); r != nil {
 			if u, ok := r.(threadUnwind); ok {
 				t.setErr(u.err)

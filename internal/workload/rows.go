@@ -39,6 +39,13 @@ func ReportStorm(devices, sigs int, warmup, full time.Duration) Scenario {
 		steps: []step{attach(0), flood(warmup, full), armedOver(sigs)}}
 }
 
+// Row returns the table's row of that name, for callers outside the
+// package that run it in process (the root benchmarks).
+func Row(name string) (Scenario, bool) {
+	s, ok := rows[name]
+	return s, ok
+}
+
 // rows is the package's table, keyed by the name its test runs it by;
 // the part of a key after "/" is that test's subtest name.
 var rows = map[string]Scenario{

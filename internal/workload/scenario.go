@@ -46,6 +46,11 @@ type Outcome struct {
 	RemoteArmedBeforeThreshold int
 	// Provenance is the hubs' merged audit trail at the end of the run.
 	Provenance []wire.SigStatus
+	// TimeToImmunity is a fleet-immunity row's timeline: from the first
+	// detection, on phone 0, until every process on every phone held the
+	// signature (the last install), each moment as the row's waiter saw
+	// it. Zero for a row without both moments.
+	TimeToImmunity time.Duration
 }
 
 // step is one action of a row over the run state. Steps come only from
@@ -124,6 +129,9 @@ func (s Scenario) Run() (Outcome, error) {
 	}
 	if r.out.Provenance, err = provenance(r.view); err != nil {
 		return r.out, fmt.Errorf("%s: %w", s.name, err)
+	}
+	if at, ok := r.held[fleetArmed]; ok && len(r.detected) > 0 {
+		r.out.TimeToImmunity = at.Sub(r.detected[0])
 	}
 	return r.out, nil
 }

@@ -12,15 +12,24 @@ import (
 
 // claim is one row of the claims ledger: something the repository says
 // holds, the tests that check it and the benchmarks and metrics that give
-// its number. A test or benchmark is named "dir:Func", dir relative to
-// the module root ("." for the root package); a metric is
-// "workload/metric" of BENCHMARK.json.
+// its number, and the mutants of the code behind it that a test kills. A
+// test or benchmark is named "dir:Func", dir relative to the module root
+// ("." for the root package); a metric is "workload/metric" of
+// BENCHMARK.json.
 type claim struct {
 	id        string
 	statement string
 	tests     []string
 	numbers   []string // benchmarks, "dir:BenchmarkX"
 	metrics   []string // bench/ metrics, "workload/metric"
+	mutants   []mutant
+}
+
+// mutant is a change to the code behind a claim that breaks it, and the
+// deterministic test that fails on it.
+type mutant struct {
+	change   string
+	killedBy string // "dir:TestX"
 }
 
 // claims is the ledger. Deleting or renaming a test, benchmark or metric a
@@ -34,26 +43,46 @@ var claims = []claim{
 		numbers:   []string{".:BenchmarkE1DeadlockImmunity"},
 	},
 	{
+		id: "E1 over generated inversions",
+		statement: "over 500 seeded k-cycles (k = 2..4; plain, non-LIFO exits, or with a decoy), run 1 detects once with one signature, " +
+			"run 2 booted from its history completes with yields and no deadlock, and a decoy alone in every outer position never yields",
+		tests: []string{"internal/vm:TestGeneratedE1"},
+	},
+	{
 		id:        "F1",
 		statement: "one phone's detection immunizes the fleet: every process on every phone installs the signature, and another phone is spared",
-		tests:     []string{"internal/workload:TestRunFleetImmunityThresholdOne", "internal/workload:TestRunFleetImmunity"},
-		numbers:   []string{".:BenchmarkFleetE1"},
+		tests: []string{
+			"internal/workload:TestRunFleetImmunityThresholdOne", "internal/workload:TestRunFleetImmunity",
+			"internal/workload:TestFleetImmunityTransportEquivalence", "internal/workload:TestFleetImmunityFederationEquivalence",
+		},
+		numbers: []string{".:BenchmarkFleetE1"},
 	},
 	{
-		id:        "phone-path cost",
-		statement: "what an uncontended synchronized block costs under Dimmunix against vanilla: at one P (phone-sync, gated) and at one and two Ps (BenchmarkSyncProcs, report only)",
-		numbers:   []string{".:BenchmarkSyncProcs"},
-		metrics:   []string{"phone-sync/ops_per_s"},
+		id: "phone-path cost",
+		statement: "what an uncontended synchronized block costs under Dimmunix against vanilla: at one P (phone-sync, gated) and at one and two Ps (BenchmarkSyncProcs, report only); " +
+			"an unarmed block makes 4 locked instructions (enter: the engine's read pair and the monitor CAS; exit: the monitor's release store)",
+		numbers: []string{".:BenchmarkSyncProcs"},
+		metrics: []string{"phone-sync/ops_per_s"},
 	},
 	{
-		id:        "fast path ≡ exclusive path",
-		statement: "the shared engine sections decide exactly as Request, Acquired and Release under the exclusive lock, and as the reference model",
+		id: "fast path ≡ exclusive path",
+		statement: "the shared engine sections and the lock-free exit decide exactly as Request, Acquired and Release under the exclusive lock, and as the reference model; " +
+			"the schedules reach the state between a runtime CAS and Acquired and put installs between a lock-free exit's store and its re-check",
 		tests: []string{
 			"internal/core:TestFastPathConditions",
 			"internal/core:TestFastReleaseConditions",
 			"internal/core:TestEngineSchedules",
 			"internal/core:FuzzEngineSchedule",
 			"internal/core:TestEngineEquivalence",
+			"internal/core:TestLockFreeExitReconcilesARacingInstall",
+			"internal/core:TestEnterFastNeverOverwritesAPhantom",
+			"internal/core:TestCASBeforeAcquiredReadsAsRunning",
+			"internal/core:TestStressLockFreeExitRacesInstall",
+		},
+		mutants: []mutant{
+			{"Core.exited without its post-store re-load of inHistory", "internal/core:TestLockFreeExitReconcilesARacingInstall"},
+			{"EnterFast overwriting a non-nil acqEntry (no phantom branch)", "internal/core:TestEnterFastNeverOverwritesAPhantom"},
+			{"Node.holder taking a CAS-before-Acquired thread for the holder", "internal/core:TestCASBeforeAcquiredReadsAsRunning"},
 		},
 	},
 	{
@@ -106,8 +135,15 @@ func TestClaims(t *testing.T) {
 				t.Errorf("claim %q names %s: no such workload metric in BENCHMARK.json", c.id, m)
 			}
 		}
-		t.Logf("%-27s %s\n\tchecked by: %s\n\tnumbers: %s", c.id, c.statement,
-			strings.Join(c.tests, ", "), strings.Join(slices.Concat(c.numbers, c.metrics), ", "))
+		var killed []string
+		for _, m := range c.mutants {
+			if !exists(m.killedBy) {
+				t.Errorf("claim %q: mutant %q is killed by %s: no such test", c.id, m.change, m.killedBy)
+			}
+			killed = append(killed, m.change+" → "+m.killedBy)
+		}
+		t.Logf("%-27s %s\n\tchecked by: %s\n\tnumbers: %s\n\tmutants: %s", c.id, c.statement,
+			strings.Join(c.tests, ", "), strings.Join(slices.Concat(c.numbers, c.metrics), ", "), strings.Join(killed, "; "))
 	}
 }
 

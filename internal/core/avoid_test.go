@@ -37,8 +37,8 @@ func TestAvoidanceBlocksInstantiation(t *testing.T) {
 	// t1 releases its lock: the instantiation dissolves and t2 resumes.
 	h.release(t1, lA)
 	awaitResume(t, done)
+	h.take(t2, lB)
 	h.c.Acquired(t2, lB)
-
 	st := h.c.Stats()
 	if st.Resumes != 1 {
 		t.Errorf("Resumes = %d, want 1", st.Resumes)
@@ -83,11 +83,13 @@ func TestEndToEndImmunity(t *testing.T) {
 	if err := run2.c.Request(u1, mB, q1in); err != nil {
 		t.Fatal(err)
 	}
+	run2.take(u1, mB)
 	run2.c.Acquired(u1, mB)
-	run2.c.Release(u1, mB)
+	run2.release(u1, mB)
 	run2.release(u1, mA)
 
 	awaitResume(t, yielded)
+	run2.take(u2, mB)
 	run2.c.Acquired(u2, mB)
 	if st := run2.c.Stats(); st.DeadlocksDetected != 0 || st.DuplicateDeadlocks != 0 {
 		t.Errorf("run 2 must not deadlock: %+v", st)
@@ -112,6 +114,7 @@ func TestAvoidanceDistinctThreadsRequired(t *testing.T) {
 	if err := h.c.Request(t1, lB, p2); err != nil {
 		t.Fatal(err)
 	}
+	h.take(t1, lB)
 	h.c.Acquired(t1, lB)
 	if st := h.c.Stats(); st.Yields != 0 {
 		t.Errorf("single thread filled both slots: yields = %d, want 0", st.Yields)
@@ -282,7 +285,7 @@ func TestAvoidanceConcurrentStress(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			th := h.c.NewThreadNode(fmt.Sprintf("w%d", w), nil)
-			l := h.c.NewLockNode(fmt.Sprintf("lock%d", w))
+			l := h.lock(fmt.Sprintf("lock%d", w))
 			pos := pa
 			if w%2 == 1 {
 				pos = pb
@@ -292,8 +295,9 @@ func TestAvoidanceConcurrentStress(t *testing.T) {
 					t.Errorf("worker %d: %v", w, err)
 					return
 				}
+				lockWord(th, l)
 				h.c.Acquired(th, l)
-				h.c.Release(th, l)
+				exitLock(h.c, th, l)
 			}
 		}(w)
 	}

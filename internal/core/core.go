@@ -14,12 +14,18 @@
 //   - Request, before a monitorenter: runs detection, then blocks the
 //     caller while any history signature could be instantiated.
 //   - Acquired, right after a monitorenter succeeds.
-//   - Release, right before a monitorexit.
+//   - Exit, around a monitorexit: Release, right before the runtime's
+//     release store, unless the exit needs no engine section at all.
 //
 // EnterFast stands in for Request and Acquired on an uncontended
 // monitorenter that neither can matter to: it takes the runtime's lock
 // through a non-blocking callback inside one shared engine section (see
 // "Fast-path safety argument").
+//
+// The RAG's hold edge is the runtime's own ownership word, handed to the
+// core with the lock node (NewMonitorNode, Word): the runtime's acquiring
+// CAS publishes it and its release store retracts it. The core reads it
+// and never writes it (see "The hold edge is the runtime's word").
 //
 // # Concurrency architecture
 //
@@ -45,7 +51,7 @@
 //
 // Three sections hold c.mu shared and only publish RAG updates, each when
 // it provably needs no detection, no avoidance walk and no starvation
-// scan:
+// scan, and one exit takes no section at all:
 //
 //   - EnterFast, every uncontended monitorenter at a position where no
 //     signature is exposed: the approval, the runtime's tryLock and the
@@ -61,6 +67,11 @@
 //   - fastRelease, an owner's release while nothing yields: at an armed
 //     position it returns the queue entry, and there is no yielder to wake.
 //
+//   - Exit from a hold acquired at a position outside the history: no
+//     queue entry, no signature to wake. It is the runtime's release store
+//     and one re-load of the position's inHistory flag, which sends the
+//     rare exit that raced a signature install to an exclusive reconcile.
+//
 // # Lock order
 //
 //	c.mu (engine RWMutex; shared = fast path, exclusive = slow path)
@@ -70,15 +81,17 @@
 //	  > Position.mu (leaf; a shared section's own queue entry)
 //	  > c.evMu     (event channel; leaf)
 //
-// Never acquire c.mu while holding any of the inner locks. Fields read on
-// the fast path while others mutate them are atomic: Position.inHistory,
-// Position.exposed, the yielder count, the kill flag, and the Stats
-// counters the exclusive sections keep. Everything a shared section
-// writes is plain: the per-thread fast-path counters and request fields
-// (written only by the owning thread, read by others only under the
-// exclusive lock) and a lock's hold edge, Node.owner with acqPos and
-// acqEntry (written only by the thread holding the runtime's real lock;
-// see "Fast-path safety argument").
+// Never acquire c.mu while holding any of the inner locks. Exit calls its
+// unlock callback, the runtime's release store, holding none of them.
+// Fields read on the fast path while others mutate them are atomic:
+// Position.inHistory, Position.exposed, the yielder count, the kill flag,
+// the Stats counters the exclusive sections keep, and the runtime's
+// ownership words. Everything a shared section writes is plain: the
+// per-thread fast-path counters and request fields (written only by the
+// owning thread, read by others only under the exclusive lock) and a
+// lock's acqPos and acqEntry (written only by the thread holding the
+// runtime's real lock, or by an exclusive section; see "The hold edge is
+// the runtime's word").
 //
 // Position thread queues are maintained lazily: only in-history positions
 // keep them (signature matching is their only consumer), so an enter at an
@@ -93,8 +106,8 @@
 // (a cycle needs l held), and every cycle's final edge targets a held lock,
 // so the request that completes a cycle always finds the real lock taken,
 // loses EnterFast's tryLock, and runs full detection in Request under the
-// exclusive lock. EnterFast does not read l's hold edge to learn whether l
-// is free: the runtime's tryLock answers that, atomically with taking it.
+// exclusive lock. EnterFast does not read l's word to learn whether l is
+// free: the runtime's tryLock answers that, atomically with taking it.
 // Starvation cycles need a yielder; every shared section bails out to the
 // exclusive path whenever one exists, and a thread that starts yielding
 // later does so under the exclusive lock, observing every previously
@@ -117,33 +130,73 @@
 // exclusive section lands in between. Under its conditions Request's
 // detection and avoidance would find nothing, so Request would only set
 // the request edge and, at an armed position, the queue entry, and
-// Acquired would replace that edge with the hold edge, moving the entry to
-// the lock. Nothing exclusive can see the state in between (an approved
-// request edge t→l with l's real lock taken), so the detector still sees
-// every hold edge, at the moment it is published, and the fused section
-// adds no reachable state. When tryLock loses, nothing was published and
-// the caller starts over on the full path. Holding the read lock across
+// Acquired would replace that edge with the hold's acquisition position,
+// moving the entry to the lock. Nothing exclusive can see the states in
+// between (the approved request before the CAS, and case (a) below after
+// it, which the full path does expose), so the detector still sees every
+// hold edge from the CAS that publishes it, and the fused section adds no
+// reachable state. When tryLock loses, nothing was published and the
+// caller starts over on the full path. Holding the read lock across
 // tryLock cannot deadlock under RWMutex's writer preference: a waiting
 // writer blocks only new readers, and tryLock neither blocks nor takes
 // c.mu, so the reader always reaches its RUnlock and lets the writer in.
 //
 // A release while nothing yields is Release with no one to wake: it
-// removes the hold edge and the queue entry, and an emptied queue moves
+// removes the hold's position and queue entry, and an emptied queue moves
 // no watch, so the shared release decides as the exclusive one does.
 //
-// The hold edge is a plain field. A lock node's owner, acqPos and
-// acqEntry are written only inside an engine section, and only by the
-// thread that holds the runtime's real lock: EnterFast after its tryLock
-// wins, Acquired after the runtime's acquisition, and Release before the
-// runtime's release. They are read only under the exclusive lock, or by
-// that thread. Two holders of one lock are ordered by the runtime lock
-// itself: the old owner clears the edge, then makes its release store;
-// the new owner's CAS (or blocking acquisition) observes that store, then
-// publishes its own edge. Every other reader takes the exclusive lock,
-// which excludes every shared section, so no access to the edge is
-// concurrent with a write to it. The detector still sees each hold edge
-// from the moment it is published: it is written inside the section that
-// takes the lock, never after it.
+// # The hold edge is the runtime's word
+//
+// A lock's holder is its ownership word (Word), which the runtime writes
+// and the core only reads: Node.holder for the RAG, under the exclusive
+// lock. acqPos and acqEntry, where and with which queue entry the holder
+// acquired it, are plain fields written inside an engine section by the
+// thread that holds the runtime's real lock (EnterFast after its tryLock
+// wins, Acquired after the runtime's acquisition, Release before the
+// release store) or by an exclusive section. Two holders are ordered by
+// the word itself: the old one's last write precedes its release store,
+// which the new one's CAS observes. Three cases make this exact.
+//
+// (a) A hold appears at the runtime's CAS, before Acquired. Until
+// Acquired runs, the thread's approved request still names the lock and
+// the hold has no acquisition position. holder reads such a lock as free,
+// so the thread reads as running to findCycleLocked and reachesLocked,
+// never as a wait-for edge (it waits for nothing: the lock is its own);
+// the queue rebuild takes no entry for it (its request has one); and
+// Stats counts no hold (its acquisition is not counted yet).
+//
+// (b) A holder can vanish during an exclusive section: a lock-free exit
+// takes no engine lock. Only running threads release, and no cycle passes
+// through a running thread, so a detection or starvation walk that reads
+// a releasing holder, or the word already free, reaches a dead end
+// either way. Stats may see such a release land while it counts holds;
+// it only makes the snapshot newer.
+//
+// (c) The install race. A lock-free exit writes no core field: it leaves
+// acqPos behind (a stale acqPos describes nothing once the word is free
+// or its new holder is in case (a)), and acqEntry is nil, since the
+// position was outside the history when the hold began and when the exit
+// looked. A signature install stores inHistory and then, in the queue
+// rebuild, reads every word; the exit stores the word and then re-reads
+// inHistory. Both are sequentially consistent atomics, so whichever side
+// comes second sees the other: either the rebuild finds the word free and
+// attaches nothing, or the exit sees the flag and reconciles under the
+// exclusive lock, or both. The rebuild may thus attach a phantom entry to
+// a hold whose release store follows at once. The phantom is only ever
+// returned under the exclusive lock: by the exit's reconcile, which
+// returns the lock's entry only if it is the exiting thread's own, or by
+// the next holder's Acquired. EnterFast never overwrites a non-nil
+// acqEntry: when its CAS wins over a phantom it finishes as an approved
+// request whose Acquired runs exclusive, and fastAcquired likewise
+// refuses a lock with an entry. Until it is returned, a phantom can only
+// make avoidance more careful for the length of one exit, never hide an
+// occupant. A release inside a section (fastRelease or Release) instead
+// clears acqPos before the section ends, so an install between that
+// section and the release store attaches nothing.
+//
+// Releases are not counted where they happen, so the lock-free exit adds
+// no locked instruction: Stats derives them as acquisitions less the
+// locks still held, under the exclusive lock.
 //
 // The exclusive path takes two shortcuts of its own, each a cheap test
 // proving that the expensive step it guards would find nothing.
@@ -235,7 +288,8 @@ type Core struct {
 	matchScratch []*Node
 
 	// stats holds the counts of the exclusive sections and the folded
-	// per-thread counts of retired nodes. Each field is updated with
+	// per-thread counts of retired nodes; its Releases are the
+	// exclusive-path releases only (Stats derives the total). Each field is updated with
 	// sync/atomic, because Yielded and event emission touch it outside
 	// the exclusive lock; the shared sections never do (they count on
 	// their thread's node). Snapshot with Stats().
@@ -339,15 +393,22 @@ func (c *Core) NewThreadNode(name string, stackFn func() CallStack) *Node {
 	return n
 }
 
-// NewLockNode creates the RAG node for a lock (monitor). The paper embeds
-// this node in Dalvik's Monitor struct.
-func (c *Core) NewLockNode(name string) *Node {
-	n := &Node{kind: LockNode, id: c.nodeCount.Add(1), name: name}
+// NewMonitorNode creates the RAG node for a lock (monitor) whose
+// ownership word is word: the runtime's acquiring CAS and release store on
+// it are the hold edge's publication and retraction (Word). The paper
+// embeds this node in Dalvik's Monitor struct.
+func (c *Core) NewMonitorNode(name string, word Word) *Node {
+	n := &Node{kind: LockNode, id: c.nodeCount.Add(1), name: name, word: word}
 	c.nodesMu.Lock()
 	c.lockNodes = append(c.lockNodes, n)
 	c.nodesMu.Unlock()
 	return n
 }
+
+// NewLockNode creates a lock node with no ownership word. The core never
+// sees it held, so detection never walks through it; it serves callers
+// that time the engine's sections without a runtime lock.
+func (c *Core) NewLockNode(name string) *Node { return c.NewMonitorNode(name, nil) }
 
 // RetireThreadNode removes a terminated thread's node from the registry,
 // folding its fast-path counters into the core totals. Nodes are
@@ -368,10 +429,9 @@ func (c *Core) RetireThreadNode(t *Node) {
 	}
 	atomic.AddUint64(&c.stats.FastRequests, t.fastRequests)
 	atomic.AddUint64(&c.stats.FastAcquisitions, t.fastAcquisitions)
-	atomic.AddUint64(&c.stats.FastReleases, t.fastReleases)
 	atomic.AddUint64(&c.stats.Requests, t.armedRequests)
 	atomic.AddUint64(&c.stats.AvoidanceChecks, t.avoidanceChecks)
-	t.fastRequests, t.fastAcquisitions, t.fastReleases = 0, 0, 0
+	t.fastRequests, t.fastAcquisitions = 0, 0
 	t.armedRequests, t.avoidanceChecks = 0, 0
 	c.nodesMu.Lock()
 	c.threadNodes = removeNode(c.threadNodes, t)
@@ -491,17 +551,20 @@ func (c *Core) Request(t, l *Node, pos *Position) error {
 // (Position.exposed; always so at a position no signature names) and
 // nothing yields (the lock keeps pos's exposure and the yielder set fixed:
 // both change only under the exclusive lock). When they hold it calls
-// tryLock, which must try to take the real lock and report whether it did;
-// its answer is also the only test of whether l is free, since l's hold
-// edge belongs to whichever thread holds the real lock. tryLock runs under
-// the engine lock, so it must not block, wait or call into this Core. If
-// tryLock wins, t's hold edge on l is published (acquisition position,
-// owner, and at an armed position a queue entry, taken under pos's leaf
-// lock) and counted as one acquisition on the fast path. At a position no
-// signature names it is also one fast request; at an armed one it is a
-// request whose avoidance checked pos's candidate signatures, as Request
-// would have counted it. The caller then owns l and releases it with
-// Release.
+// tryLock, which must try to take the real lock (the CAS on l's word) and
+// report whether it did; its answer is also the only test of whether l is
+// free. tryLock runs under the engine lock, so it must not block, wait or
+// call into this Core. If tryLock wins, t's hold is completed
+// (acquisition position, and at an armed position a queue entry, taken
+// under pos's leaf lock) and counted as one acquisition on the fast path.
+// At a position no signature names it is also one fast request; at an
+// armed one it is a request whose avoidance checked pos's candidate
+// signatures, as Request would have counted it. The caller then owns l
+// and releases it with Exit.
+//
+// A phantom entry on l (a lock-free exit raced a signature install) is
+// never overwritten: the enter then finishes as an approved request
+// whose Acquired runs exclusive and returns the phantom first.
 //
 // EnterFast returns false, having changed nothing, when the conditions do
 // not hold, when tryLock loses, and always on the serial engine. The
@@ -511,7 +574,7 @@ func (c *Core) Request(t, l *Node, pos *Position) error {
 // before the lock is taken: the check is repeated under it, so the early
 // answer only saves a read pair that could not succeed.
 func (c *Core) EnterFast(t, l *Node, pos *Position, tryLock func() bool) bool {
-	if c.cfg.Serial || pos == nil || pos.exposed.Load() != 0 || checkArgs(t, l) != nil {
+	if c.cfg.Serial || pos == nil || pos.exposed.Load() != 0 || !validArgs(t, l) {
 		return false
 	}
 	c.mu.RLock()
@@ -520,28 +583,36 @@ func (c *Core) EnterFast(t, l *Node, pos *Position, tryLock func() bool) bool {
 		c.mu.RUnlock()
 		return false
 	}
-	t.fastAcquisitions++
 	t.forceResume = false
-	l.acqPos = pos
-	l.acqEntry = nil
+	var e *entry
 	if pos.inHistory.Load() {
 		t.armedRequests++
 		t.avoidanceChecks += uint64(pos.candidates)
 		pos.mu.Lock()
-		l.acqEntry = c.newEntry(pos, t)
+		e = c.newEntry(pos, t)
 		pos.mu.Unlock()
 	} else {
 		t.fastRequests++
 	}
-	l.owner = t
+	if l.acqEntry != nil {
+		t.reqLock, t.reqPos, t.reqEntry = l, pos, e
+		c.mu.RUnlock()
+		c.Acquired(t, l)
+		return true
+	}
+	t.fastAcquisitions++
+	l.acqPos = pos
+	l.acqEntry = e
 	c.mu.RUnlock()
 	return true
 }
 
 // Acquired implements the post-monitorenter interception: t now owns l.
-// The request edge is replaced by a hold edge and the position entry is
-// transferred from the thread to the lock (it stays in the same queue: the
-// thread went from "allowed to wait at pos" to "holds at pos").
+// The runtime's acquisition already published the hold on l's word; the
+// request edge is replaced by the hold's acquisition position and the
+// position entry is transferred from the thread to the lock (it stays in
+// the same queue: the thread went from "allowed to wait at pos" to "holds
+// at pos"). A phantom entry left on l is returned first.
 func (c *Core) Acquired(t, l *Node) {
 	if checkArgs(t, l) != nil {
 		return
@@ -551,35 +622,40 @@ func (c *Core) Acquired(t, l *Node) {
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	atomic.AddUint64(&c.stats.Acquisitions, 1)
+	if pos, e := l.acqPos, l.acqEntry; e != nil {
+		c.releaseEntryLocked(pos, e)
+		c.wakeYieldersLocked(pos)
+	}
 	if t.reqLock != l {
-		// Acquired without a matching approved Request: t's approval for
+		// Acquired without a matching approved Request: the hold has no
+		// acquisition position and is not counted; t's approval for
 		// another lock, if any, is dropped with its queue entry.
 		atomic.AddUint64(&c.stats.Misuse, 1)
-		l.owner = t
+		l.acqPos, l.acqEntry = nil, nil
 		c.dropRequestLocked(t)
 		return
 	}
+	atomic.AddUint64(&c.stats.Acquisitions, 1)
 	l.acqPos = t.reqPos
 	l.acqEntry = t.reqEntry
 	t.reqLock, t.reqPos, t.reqEntry = nil, nil, nil
-	l.owner = t
 	// t becoming the owner creates waits-for edges u→t for every thread u
 	// blocked on l; a yield cycle may have formed.
 	c.scanYieldersLocked()
 }
 
-// fastAcquired publishes the hold edge under the shared lock. Only the
+// fastAcquired completes the hold under the shared lock. Only the
 // acquiring thread, which holds the runtime's real lock, writes l's
-// owner and acquisition fields (package comment, "Fast-path safety
-// argument"). Skipped whenever a thread yields, so the starvation scan
-// never misses a new hold edge.
+// acquisition fields (package comment, "Fast-path safety argument").
+// Skipped whenever a thread yields, so the starvation scan never misses a
+// new hold edge, and when l carries a phantom entry, which only the
+// exclusive lock returns.
 func (c *Core) fastAcquired(t, l *Node) bool {
 	if c.cfg.Serial {
 		return false
 	}
 	c.mu.RLock()
-	if t.reqLock != l || c.yielderCount.Load() != 0 {
+	if t.reqLock != l || c.yielderCount.Load() != 0 || l.acqEntry != nil {
 		c.mu.RUnlock()
 		return false
 	}
@@ -587,39 +663,107 @@ func (c *Core) fastAcquired(t, l *Node) bool {
 	l.acqPos = t.reqPos
 	l.acqEntry = t.reqEntry
 	t.reqLock, t.reqPos, t.reqEntry = nil, nil, nil
-	l.owner = t
 	c.mu.RUnlock()
 	return true
 }
 
-// Release implements the pre-monitorexit interception: t is about to
-// release l. The hold edge and the position-queue entry are removed; if
+// Exit is the monitorexit interception together with the runtime's
+// release: unlock must make the release store on l's word, and t must be
+// l's holder. An exit whose acquisition position is outside the history
+// (no queue entry, no signature to wake) takes no engine lock: it is the
+// release store, then one load of the position's inHistory flag, and only
+// when a signature naming the position installed meanwhile an exclusive
+// reconcile returns the entry the queue rebuild may have attached. Any
+// other exit is Release followed by unlock. Package comment, "The hold
+// edge is the runtime's word", case (c).
+func (c *Core) Exit(t, l *Node, unlock func()) {
+	if !validArgs(t, l) {
+		unlock()
+		return
+	}
+	pos := c.lockFreeExit(l)
+	if pos == nil && !c.fastRelease(t, l) {
+		c.releaseExclusive(t, l)
+	}
+	unlock()
+	c.exited(t, l, pos)
+}
+
+// lockFreeExit returns l's acquisition position when its holder's exit
+// needs no engine section before the release store, or nil. Only the
+// holder writes acqPos, so the holder reads it without the engine lock.
+func (c *Core) lockFreeExit(l *Node) *Position {
+	if pos := l.acqPos; !c.cfg.Serial && pos != nil && !pos.inHistory.Load() {
+		return pos
+	}
+	return nil
+}
+
+// exited is the part of t's exit from l after the release store. A
+// lock-free exit from pos loads pos's inHistory flag once more: the
+// release store comes before that load, and a signature install stores
+// the flag before the queue rebuild reads the word, so either the rebuild
+// saw the word already free or this load sees the flag, and the exit
+// reconciles.
+func (c *Core) exited(t, l *Node, pos *Position) {
+	if pos != nil && pos.inHistory.Load() {
+		c.reconcileExit(t, l, pos)
+	}
+}
+
+// reconcileExit finishes a lock-free exit from l that raced the arming of
+// its acquisition position pos: if the queue rebuild attached an entry
+// for t's hold, still on l, it goes back, and yielders on pos's
+// signatures re-check. An entry of another thread, or none, means a new
+// holder got there first (its Acquired returned the phantom) or the
+// rebuild saw the word already stored.
+func (c *Core) reconcileExit(t, l *Node, pos *Position) {
+	c.mu.Lock()
+	if e := l.acqEntry; e != nil && e.thread == t {
+		c.releaseEntryLocked(pos, e)
+		l.acqEntry = nil
+		c.wakeYieldersLocked(pos)
+	}
+	c.mu.Unlock()
+}
+
+// Release implements the pre-monitorexit interception inside an engine
+// section: t is about to release l with its runtime's release store. The
+// hold's acquisition position and position-queue entry are removed; if
 // the acquisition position appears in any history signature, all threads
 // yielding on those signatures are woken to re-check (the paper's
-// notifyAll over signatures containing the position).
+// notifyAll over signatures containing the position). The section clears
+// acqPos before it ends, so a signature installed before the release
+// store attaches no entry to the hold. Exit calls it for every exit that
+// is not lock-free; a caller whose lock has no word calls it alone.
 func (c *Core) Release(t, l *Node) {
-	if checkArgs(t, l) != nil {
+	if !validArgs(t, l) {
 		return
 	}
-	if c.fastRelease(t, l) {
+	if l.heldBy(t) && c.fastRelease(t, l) {
 		return
 	}
+	c.releaseExclusive(t, l)
+}
+
+// releaseExclusive is Release under the exclusive lock.
+func (c *Core) releaseExclusive(t, l *Node) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	atomic.AddUint64(&c.stats.Releases, 1)
-	if l.owner != t {
+	if !l.heldBy(t) {
 		atomic.AddUint64(&c.stats.Misuse, 1)
 	}
 	pos := l.acqPos
-	if pos != nil && l.acqEntry != nil {
+	if pos == nil {
+		return
+	}
+	atomic.AddUint64(&c.stats.Releases, 1)
+	if l.acqEntry != nil {
 		c.releaseEntryLocked(pos, l.acqEntry)
 	}
-	l.owner = nil
 	l.acqPos = nil
 	l.acqEntry = nil
-	if pos != nil {
-		c.wakeYieldersLocked(pos)
-	}
+	c.wakeYieldersLocked(pos)
 }
 
 // wakeYieldersLocked wakes every thread yielding on a signature that names
@@ -637,21 +781,21 @@ func (c *Core) wakeYieldersLocked(pos *Position) {
 	}
 }
 
-// fastRelease removes the hold edge under the shared lock. Requires the
-// caller to be the current owner (so l's owner and acquisition fields are
-// its own writes, or the exclusive queue rebuild's) and nothing to be
-// yielding (so no yielder needs waking, and none can appear before the
-// section ends). A queue entry at an armed position goes back under the
-// position's leaf lock; a queue turning empty moves no watch (avoid.go).
-// The hold edge is cleared before the shared section ends, and so before
-// the caller releases its real lock.
+// fastRelease removes the hold's position and entry under the shared
+// lock. Requires the caller to be the word's holder (so l's acquisition
+// fields are its own writes, or the exclusive queue rebuild's; Release
+// checks it, Exit's caller guarantees it) and nothing to be yielding (so
+// no yielder needs waking, and none can appear before the section ends).
+// A queue entry at an armed position goes back under the position's leaf
+// lock; a queue turning empty moves no watch (avoid.go). It is counted by
+// Stats, as the acquisition minus the hold.
 func (c *Core) fastRelease(t, l *Node) bool {
 	// The caller holds the real lock, so l's fields are its own writes
 	// and read the same outside the engine lock as under it; only the
 	// yielder count can change, so it alone is checked again under the
-	// lock. A release that is not its owner's, or one while a thread
-	// yields, only ever takes the slow path.
-	if c.cfg.Serial || l.owner != t || l.acqPos == nil || c.yielderCount.Load() != 0 {
+	// lock. A release while a thread yields only ever takes the slow
+	// path.
+	if c.cfg.Serial || l.acqPos == nil || c.yielderCount.Load() != 0 {
 		return false
 	}
 	c.mu.RLock()
@@ -666,9 +810,7 @@ func (c *Core) fastRelease(t, l *Node) bool {
 		pos.mu.Unlock()
 		l.acqEntry = nil
 	}
-	t.fastReleases++
 	l.acqPos = nil
-	l.owner = nil
 	c.mu.RUnlock()
 	return true
 }
@@ -853,8 +995,8 @@ func (c *Core) rebuildQueueLocked(pos *Position) {
 	defer c.nodesMu.Unlock()
 	for _, l := range c.lockNodes {
 		if l.acqPos == pos && l.acqEntry == nil {
-			if owner := l.owner; owner != nil {
-				l.acqEntry = c.takeEntryLocked(pos, owner)
+			if h := l.holder(); h != nil {
+				l.acqEntry = c.takeEntryLocked(pos, h)
 			}
 		}
 	}
@@ -900,22 +1042,36 @@ func (c *Core) HistorySize() int {
 // lock: RetireThreadNode moves a node's counts into them under it, so a
 // snapshot sees each retired count exactly once, on the node or in the
 // total, and successive snapshots never go down.
+//
+// Releases are not counted where they happen: they are the acquisitions
+// less the locks still held (a holder past its acquisition, with an
+// acquisition position), and the fast ones those less the releases the
+// exclusive path counted. Under the exclusive lock no acquisition is
+// counted and no section releases; a lock-free exit's release store may
+// land during the count and only makes the snapshot newer.
 func (c *Core) Stats() Stats {
 	c.mu.Lock()
 	out := c.stats.snapshot()
+	var held uint64
 	c.nodesMu.Lock()
 	for _, t := range c.threadNodes {
 		out.FastRequests += t.fastRequests
 		out.FastAcquisitions += t.fastAcquisitions
-		out.FastReleases += t.fastReleases
 		out.Requests += t.armedRequests
 		out.AvoidanceChecks += t.avoidanceChecks
+	}
+	for _, l := range c.lockNodes {
+		if l.acqPos != nil && l.holder() != nil {
+			held++
+		}
 	}
 	c.nodesMu.Unlock()
 	c.mu.Unlock()
 	out.Requests += out.FastRequests
 	out.Acquisitions += out.FastAcquisitions
-	out.Releases += out.FastReleases
+	exclusive := out.Releases
+	out.Releases = out.Acquisitions - held
+	out.FastReleases = out.Releases - exclusive
 	return out
 }
 
@@ -930,6 +1086,11 @@ func (c *Core) MemStats() MemStats {
 // PositionCount returns the number of interned positions.
 func (c *Core) PositionCount() int {
 	return c.positions.count()
+}
+
+// validArgs is checkArgs's verdict without the error, for the hot paths.
+func validArgs(t, l *Node) bool {
+	return t != nil && l != nil && t.kind == ThreadNode && l.kind == LockNode
 }
 
 // checkArgs validates the node kinds for the interception entry points.

@@ -38,8 +38,8 @@ func TestBasicAcquireReleaseFlow(t *testing.T) {
 	h.arm("C", "m", 1) // exercise the queue-maintaining slow path
 
 	h.acquire(t1, l1, p)
-	if l1.owner != t1 {
-		t.Error("lock must record its owner after Acquired")
+	if l1.holder() != t1 {
+		t.Error("the lock's word must read as t1's hold after Acquired")
 	}
 	if l1.acqPos != p {
 		t.Error("lock must record its acquisition position")
@@ -52,7 +52,7 @@ func TestBasicAcquireReleaseFlow(t *testing.T) {
 	}
 
 	h.release(t1, l1)
-	if l1.owner != nil || l1.acqPos != nil {
+	if l1.holder() != nil || l1.acqEntry != nil {
 		t.Error("release must clear ownership")
 	}
 	if p.occupants() != 0 {
@@ -101,11 +101,12 @@ func TestMisuseCounters(t *testing.T) {
 	}
 
 	// Acquired without Request.
+	h.take(t1, l1)
 	h.c.Acquired(t1, l1)
-	if l1.owner != t1 {
+	if l1.holder() != t1 {
 		t.Error("Acquired must still record ownership for robustness")
 	}
-	h.c.Release(t1, l1)
+	h.release(t1, l1)
 
 	// A second Request before Acquired/Abort supersedes the first
 	// approval, queue entry included.
@@ -118,15 +119,17 @@ func TestMisuseCounters(t *testing.T) {
 	if p.occupants() != 1 {
 		t.Errorf("after a superseding Request p has %d occupants, want 1", p.occupants())
 	}
+	h.take(t1, l2)
 	h.c.Acquired(t1, l2)
-	h.c.Release(t1, l2)
+	h.release(t1, l2)
 
 	// Acquired on a lock other than the requested one drops the approval.
 	if err := h.c.Request(t1, l1, p); err != nil {
 		t.Fatal(err)
 	}
+	h.take(t1, l2)
 	h.c.Acquired(t1, l2)
-	h.c.Release(t1, l2)
+	h.release(t1, l2)
 
 	if st := h.c.Stats(); st.Misuse != 4 {
 		t.Errorf("misuse = %d, want 4", st.Misuse)

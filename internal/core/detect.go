@@ -7,7 +7,11 @@ import "sync/atomic"
 // at most one lock and each lock has at most one owner, the reachable part
 // of the RAG from the requested lock is a simple chain, so detection is a
 // pointer walk: requested lock → its owner → the lock that owner requests
-// → that lock's owner → … A cycle exists iff the walk returns to t.
+// → that lock's owner → … A cycle exists iff the walk returns to t. An
+// owner is read off the runtime's ownership word (Node.holder), which
+// running threads may store to during the walk; a walk that reads a
+// releasing owner, or a lock that has just gone free, reaches a dead end,
+// since only running threads release and no cycle passes through one.
 
 // cycleLink is one (lock, holder) hop of a detected cycle: holder owns
 // lock (acquired at lock.acqPos) and is requesting the next link's lock.
@@ -26,7 +30,7 @@ func (c *Core) findCycleLocked(t, l *Node) []cycleLink {
 	var links []cycleLink
 	cur := l
 	for {
-		owner := cur.owner
+		owner := cur.holder()
 		if owner == nil {
 			return nil // lock free (or being handed over): no cycle
 		}

@@ -32,9 +32,8 @@ func stressCore(t *testing.T, serial bool, installer func(c *Core, stop <-chan s
 	)
 	lockNodes := make([]*Node, locks)
 	positions := make([]*Position, locks)
-	realLocks := make([]sync.Mutex, locks)
 	for i := range lockNodes {
-		lockNodes[i] = c.NewLockNode(fmt.Sprintf("L%d", i))
+		lockNodes[i] = newTestLock(c, fmt.Sprintf("L%d", i))
 		p, err := c.Intern(CallStack{{Class: "stress.Site", Method: "m", Line: i}})
 		if err != nil {
 			t.Fatal(err)
@@ -74,14 +73,14 @@ func stressCore(t *testing.T, serial bool, installer func(c *Core, stop <-chan s
 				for _, li := range chosen {
 					// A monitorenter as the VM drives it: the fused
 					// uncontended section first, else the full sequence.
-					if c.EnterFast(th, lockNodes[li], positions[li], realLocks[li].TryLock) {
+					if c.EnterFast(th, lockNodes[li], positions[li], tryLock(th, lockNodes[li])) {
 						continue
 					}
 					if err := c.Request(th, lockNodes[li], positions[li]); err != nil {
 						t.Errorf("request: %v", err)
 						return
 					}
-					realLocks[li].Lock()
+					lockWord(th, lockNodes[li])
 					c.Acquired(th, lockNodes[li])
 				}
 				// Hand the processor over while holding, so critical
@@ -89,8 +88,7 @@ func stressCore(t *testing.T, serial bool, installer func(c *Core, stop <-chan s
 				runtime.Gosched()
 				for i := k - 1; i >= 0; i-- {
 					li := chosen[i]
-					c.Release(th, lockNodes[li])
-					realLocks[li].Unlock()
+					exitLock(c, th, lockNodes[li])
 				}
 				warmOnce.Do(func() {
 					close(warm)
@@ -120,7 +118,7 @@ func stressCore(t *testing.T, serial bool, installer func(c *Core, stop <-chan s
 		t.Errorf("live queue entries after quiescence: %d", ms.QueueEntriesLive)
 	}
 	for i, l := range lockNodes {
-		if l.owner != nil || l.acqPos != nil || l.acqEntry != nil {
+		if l.word.Holder() != nil || l.acqEntry != nil {
 			t.Errorf("lock %d not clean after quiescence", i)
 		}
 	}
@@ -294,7 +292,6 @@ func TestStressYieldTrafficSharded(t *testing.T) {
 
 	const threads = 6
 	lockNodes := make([]*Node, threads)
-	realLocks := make([]sync.Mutex, threads)
 	positions := make([]*Position, 2)
 	for i := range positions {
 		p, err := c.Intern(CallStack{{Class: "yield.Site", Method: "m", Line: i}})
@@ -304,7 +301,7 @@ func TestStressYieldTrafficSharded(t *testing.T) {
 		positions[i] = p
 	}
 	for i := range lockNodes {
-		lockNodes[i] = c.NewLockNode(fmt.Sprintf("L%d", i))
+		lockNodes[i] = newTestLock(c, fmt.Sprintf("L%d", i))
 	}
 
 	var wg sync.WaitGroup
@@ -320,10 +317,9 @@ func TestStressYieldTrafficSharded(t *testing.T) {
 					t.Errorf("request: %v", err)
 					return
 				}
-				realLocks[li].Lock()
+				lockWord(th, lockNodes[li])
 				c.Acquired(th, lockNodes[li])
-				c.Release(th, lockNodes[li])
-				realLocks[li].Unlock()
+				exitLock(c, th, lockNodes[li])
 			}
 		}(w)
 	}

@@ -18,10 +18,9 @@ import (
 // t's hold edge exactly when tryLock then wins (with a queue entry at an
 // armed position, counted as Request would count it), and otherwise
 // change nothing, so that the Request probed next on the same state
-// decides as if EnterFast had never run. The probe's tryLock models the
-// runtime's lock by the lock node's hold edge, as a monitor CAS loses to
-// a holder: EnterFast itself no longer reads the edge. Request itself
-// never takes a shared section.
+// decides as if EnterFast had never run. The probe's tryLock is the CAS
+// on the lock's word, which loses to a holder: EnterFast itself does not
+// read the word. Request itself never takes a shared section.
 func TestFastPathConditions(t *testing.T) {
 	tests := []struct {
 		name string
@@ -144,9 +143,9 @@ func TestFastPathConditions(t *testing.T) {
 			th, l, pos := tc.prepare(t, h)
 
 			// EnterFast probe.
-			before, owner := h.c.Stats(), l.owner
+			before, owner := h.c.Stats(), wordOf(l).Holder()
 			tries := 0
-			entered := h.c.EnterFast(th, l, pos, func() bool { tries++; return !tc.loses && l.owner == nil })
+			entered := h.c.EnterFast(th, l, pos, func() bool { tries++; return !tc.loses && tryLock(th, l)() })
 			wantTries := 0
 			if tc.wantFast {
 				wantTries = 1
@@ -159,9 +158,9 @@ func TestFastPathConditions(t *testing.T) {
 			}
 			if entered {
 				after := h.c.Stats()
-				if l.owner != th || l.acqPos != pos || (l.acqEntry != nil) != tc.armed || th.reqLock != nil {
+				if l.holder() != th || l.acqPos != pos || (l.acqEntry != nil) != tc.armed || th.reqLock != nil {
 					t.Errorf("hold edge: owner %v, acquired at pos %v, entry %v, request %v; want %v at pos, an entry %v, no request",
-						l.owner, l.acqPos == pos, l.acqEntry, th.reqLock, th, tc.armed)
+						l.holder(), l.acqPos == pos, l.acqEntry, th.reqLock, th, tc.armed)
 				}
 				if tc.armed && (pos.occupants() != 1 || pos.queue.head.thread != th) {
 					t.Errorf("armed enter: %d queue entries, want t's one", pos.occupants())
@@ -176,14 +175,14 @@ func TestFastPathConditions(t *testing.T) {
 					t.Errorf("EnterFast counted %+v over %+v; want one request (%d fast) checking %d signatures and one fast acquisition",
 						after, before, fast, checks)
 				}
-				h.c.Release(th, l)
-				if st := h.c.Stats(); st.FastReleases != before.FastReleases+1 || l.owner != nil || pos.occupants() != 0 {
+				h.release(th, l)
+				if st := h.c.Stats(); st.FastReleases != before.FastReleases+1 || l.holder() != nil || pos.occupants() != 0 {
 					t.Errorf("release after EnterFast: %d fast releases (want %d), owner %v, %d queue entries",
-						st.FastReleases, before.FastReleases+1, l.owner, pos.occupants())
+						st.FastReleases, before.FastReleases+1, l.holder(), pos.occupants())
 				}
-			} else if after := h.c.Stats(); after != before || l.owner != owner || th.reqLock != nil {
+			} else if after := h.c.Stats(); after != before || wordOf(l).Holder() != owner || th.reqLock != nil {
 				t.Errorf("EnterFast refused but published: owner %v (was %v), request %v, stats %+v (were %+v)",
-					l.owner, owner, th.reqLock, after, before)
+					wordOf(l).Holder(), owner, th.reqLock, after, before)
 			}
 
 			// Request probe, on the state EnterFast left.
@@ -219,11 +218,10 @@ func TestSignatureInstallFlipsPositionToSlowPath(t *testing.T) {
 	t1, t2, t3 := h.thread("t1"), h.thread("t2"), h.thread("t3")
 	l1, l2, l3 := h.lock("l1"), h.lock("l2"), h.lock("l3")
 	p := h.pos("Hot", "m", 1)
-	yes := func() bool { return true }
 
 	// Unarmed acquisitions; no queue entry is maintained.
 	h.acquire(t1, l1, p)
-	if !h.c.EnterFast(t3, l3, p, yes) {
+	if !h.c.EnterFast(t3, l3, p, tryLock(t3, l3)) {
 		t.Fatal("EnterFast refused an unarmed position and an unowned lock")
 	}
 	if st := h.c.Stats(); st.FastRequests != 1 {
@@ -248,7 +246,7 @@ func TestSignatureInstallFlipsPositionToSlowPath(t *testing.T) {
 
 	// EnterFast takes p as an armed enter now: queued, and counted as a
 	// request, not a fast one.
-	if !h.c.EnterFast(t2, l2, p, yes) {
+	if !h.c.EnterFast(t2, l2, p, tryLock(t2, l2)) {
 		t.Fatal("EnterFast refused an armed position where nothing is exposed")
 	}
 	if st := h.c.Stats(); st.FastRequests != 1 || st.Requests != 3 || p.occupants() != 3 || l2.acqEntry == nil {
@@ -275,7 +273,7 @@ func TestSignatureInstallFlipsPositionToSlowPath(t *testing.T) {
 	if p.exposed.Load() != 1 {
 		t.Fatalf("exposed(p) = %d after an install over its empty queue, want 1", p.exposed.Load())
 	}
-	if h.c.EnterFast(t2, l2, p, yes) {
+	if h.c.EnterFast(t2, l2, p, tryLock(t2, l2)) {
 		t.Fatal("EnterFast took a position where a signature is exposed")
 	}
 	h.acquire(t2, l2, p)
@@ -283,7 +281,7 @@ func TestSignatureInstallFlipsPositionToSlowPath(t *testing.T) {
 	if p.exposed.Load() != 0 {
 		t.Fatalf("exposed(p) = %d after an exclusive enter, want 0", p.exposed.Load())
 	}
-	if !h.c.EnterFast(t2, l2, p, yes) {
+	if !h.c.EnterFast(t2, l2, p, tryLock(t2, l2)) {
 		t.Fatal("EnterFast refused p after its watch moved")
 	}
 	h.release(t2, l2)
@@ -295,7 +293,8 @@ func TestSignatureInstallFlipsPositionToSlowPath(t *testing.T) {
 // TestFastReleaseConditions table-drives Release's choice of path: an
 // owner's release is shared while nothing yields, armed position or not,
 // and exclusive when a thread yields (it may need waking), on the serial
-// engine, and for a release by a non-owner.
+// engine, and for a release by a non-owner. Each row's Release is followed
+// by the runtime's release store, which only the holder makes.
 func TestFastReleaseConditions(t *testing.T) {
 	tests := []struct {
 		name string
@@ -376,47 +375,52 @@ func TestFastReleaseConditions(t *testing.T) {
 			th, l, pos := tc.prepare(t, h)
 			before := h.c.Stats()
 			h.c.Release(th, l)
+			unlockWord(th, l)
 			after := h.c.Stats()
 			fast := after.FastReleases - before.FastReleases
 			if after.Releases != before.Releases+1 || (fast == 1) != tc.wantFast || fast > 1 {
 				t.Errorf("release: %d releases, %d fast; want 1, shared %v", after.Releases-before.Releases, fast, tc.wantFast)
 			}
-			if l.owner != nil || pos.occupants() != 0 {
-				t.Errorf("after the release: owner %v, %d queue entries; want none", l.owner, pos.occupants())
+			if l.acqPos != nil || pos.occupants() != 0 {
+				t.Errorf("after the release: acquired at %v, %d queue entries; want none", l.acqPos, pos.occupants())
 			}
 		})
 	}
 }
 
-// TestFastReleaseClearsTheEdgeInTheSection: the hold edge is a plain field,
-// so a shared release must clear it before its section ends; the
-// exclusive lock is then all a reader needs. The release runs on another
+// TestFastReleaseClearsTheEdgeInTheSection: a shared release clears the
+// hold's acquisition position before its section ends, and the runtime's
+// release store comes after the section. A signature installed in
+// between must therefore attach no queue entry to the departing hold,
+// though the word still names its holder. The release runs on another
 // goroutine, ordered with this one only through the engine lock, and this
-// one reads the edge under the exclusive lock until the release's
-// section has ended (acqPos cleared). Under -race an edge cleared after
-// RUnlock is a reported race on every run; without -race only the rare
-// read that lands in between sees the stale owner.
+// one reads the position under the exclusive lock until the release's
+// section has ended; under -race a position cleared after RUnlock is a
+// reported race on every run.
 func TestFastReleaseClearsTheEdgeInTheSection(t *testing.T) {
 	h := newHarness(t)
 	th, l, p := h.thread("t"), h.lock("l"), h.pos("Free", "m", 1)
-	if !h.c.EnterFast(th, l, p, func() bool { return true }) {
+	if !h.c.EnterFast(th, l, p, tryLock(th, l)) {
 		t.Fatal("EnterFast refused an uncontended enter")
 	}
 	go h.c.Release(th, l)
 	for {
 		h.c.mu.Lock()
-		ended, owner := l.acqPos == nil, l.owner
+		ended := l.acqPos == nil
 		h.c.mu.Unlock()
 		if ended {
-			if owner != nil {
-				t.Fatalf("the release's section ended with owner %v still published", owner)
-			}
 			break
 		}
 		runtime.Gosched()
 	}
-	if st := h.c.Stats(); st.FastReleases != 1 {
-		t.Errorf("%d fast releases, want 1", st.FastReleases)
+	mustAdd(t, h.c, sigOf(DeadlockSig, fr("test.Free", "m", 1), fr("test.Cold", "x", 9)))
+	if wordOf(l).Holder() != th || p.occupants() != 0 || l.acqEntry != nil {
+		t.Errorf("install between the release's section and its store: word %v, %d queue entries, entry %v; want t's word, none, none",
+			wordOf(l).Holder(), p.occupants(), l.acqEntry)
+	}
+	unlockWord(th, l)
+	if st := h.c.Stats(); st.FastReleases != 1 || st.Releases != 1 {
+		t.Errorf("%d releases (%d fast), want 1 (1)", st.Releases, st.FastReleases)
 	}
 }
 
@@ -434,9 +438,9 @@ func TestArmedEnterAndExitShareTheEngineLock(t *testing.T) {
 	h.c.mu.RLock()
 	done := make(chan bool, 1)
 	go func() {
-		entered := h.c.EnterFast(th, l, p, func() bool { return true })
+		entered := h.c.EnterFast(th, l, p, tryLock(th, l))
 		if entered {
-			h.c.Release(th, l)
+			exitLock(h.c, th, l)
 		}
 		done <- entered
 	}()
@@ -480,6 +484,7 @@ func TestQueueRebuildIncludesInFlightRequests(t *testing.T) {
 		t.Fatalf("rebuilt queue has %d entries, want 1", p.occupants())
 	}
 	// The entry must flow through Acquired/Release like a slow-path one.
+	h.take(t1, l1)
 	h.c.Acquired(t1, l1)
 	if l1.acqEntry == nil {
 		t.Fatal("entry must transfer to the lock on Acquired")
@@ -502,8 +507,9 @@ type engineStep struct {
 
 // runEngineScript replays a script and returns the final stats. An
 // "acquire" is a monitorenter as the VM drives it: EnterFast first (which
-// always refuses on the serial engine), whose tryLock loses while the
-// lock is held, as the runtime's lock would, else Request and Acquired.
+// always refuses on the serial engine), whose tryLock is the CAS on the
+// lock's word, else Request, the CAS and Acquired. A "release" is Exit
+// with the word's release store.
 func runEngineScript(t *testing.T, serial bool, steps []engineStep) Stats {
 	t.Helper()
 	h := newHarness(t, WithSerialEngine(serial))
@@ -535,14 +541,15 @@ func runEngineScript(t *testing.T, serial bool, steps []engineStep) Stats {
 			err = h.c.Request(node(st.thread), lock(st.lock), pos(st.pos))
 		case "acquire":
 			th, l := node(st.thread), lock(st.lock)
-			if h.c.EnterFast(th, l, pos(st.pos), func() bool { return l.owner == nil }) {
+			if h.c.EnterFast(th, l, pos(st.pos), tryLock(th, l)) {
 				break
 			}
 			if err = h.c.Request(th, l, pos(st.pos)); err == nil {
+				h.take(th, l)
 				h.c.Acquired(th, l)
 			}
 		case "release":
-			h.c.Release(node(st.thread), lock(st.lock))
+			h.release(node(st.thread), lock(st.lock))
 		case "abort":
 			h.c.Abort(node(st.thread), lock(st.lock))
 		case "addsig":

@@ -2,10 +2,50 @@ package core
 
 import (
 	"fmt"
+	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
+
+// testLock models the embedding runtime's lock for core tests: one
+// ownership word, handed to the core as the lock node's Word, taken by CAS
+// and released by a store, as vm.Monitor's is.
+type testLock struct {
+	holder atomic.Pointer[Node]
+}
+
+// Holder implements Word.
+func (w *testLock) Holder() *Node { return w.holder.Load() }
+
+// newTestLock creates a lock node whose word is a fresh testLock.
+func newTestLock(c *Core, name string) *Node { return c.NewMonitorNode(name, &testLock{}) }
+
+// wordOf returns l's testLock.
+func wordOf(l *Node) *testLock { return l.word.(*testLock) }
+
+// tryLock is the runtime's acquiring CAS of t on l, in the shape EnterFast
+// takes.
+func tryLock(t, l *Node) func() bool {
+	return func() bool { return wordOf(l).holder.CompareAndSwap(nil, t) }
+}
+
+// lockWord blocks until t's CAS on l's word wins, as a contended runtime
+// acquisition does.
+func lockWord(t, l *Node) {
+	for !wordOf(l).holder.CompareAndSwap(nil, t) {
+		runtime.Gosched()
+	}
+}
+
+// unlockWord is the runtime's release store of l's word by t; a thread
+// that does not hold l changes nothing.
+func unlockWord(t, l *Node) { wordOf(l).holder.CompareAndSwap(t, nil) }
+
+// exitLock is a monitorexit as the runtime drives it: Exit, whose unlock
+// is the word's release store.
+func exitLock(c *Core, t, l *Node) { c.Exit(t, l, func() { unlockWord(t, l) }) }
 
 // harness wires a Core to convenience constructors for RAG scenario tests.
 type harness struct {
@@ -29,8 +69,9 @@ func (h *harness) thread(name string) *Node {
 	return h.c.NewThreadNode(name, func() CallStack { return stack })
 }
 
+// lock creates a lock node with a testLock word.
 func (h *harness) lock(name string) *Node {
-	return h.c.NewLockNode(name)
+	return newTestLock(h.c, name)
 }
 
 // pos interns a depth-1 position "test.<class>.<method>:<line>".
@@ -55,20 +96,29 @@ func (h *harness) arm(class, method string, line int) {
 	}})
 }
 
-// acquire performs the full Request+Acquired sequence, failing the test on
-// error.
+// acquire performs the full Request → CAS → Acquired sequence, failing the
+// test on error or when the lock's word is taken.
 func (h *harness) acquire(t, l *Node, pos *Position) {
 	h.t.Helper()
 	if err := h.c.Request(t, l, pos); err != nil {
 		h.t.Fatalf("Request(%s,%s): %v", t, l, err)
 	}
+	h.take(t, l)
 	h.c.Acquired(t, l)
 }
 
-// release releases a held lock.
+// take is the runtime's acquiring CAS of t on l, which must win.
+func (h *harness) take(t, l *Node) {
+	h.t.Helper()
+	if !tryLock(t, l)() {
+		h.t.Fatalf("%s's word is held by %s", l, wordOf(l).Holder())
+	}
+}
+
+// release releases a held lock as the runtime does (exitLock).
 func (h *harness) release(t, l *Node) {
 	h.t.Helper()
-	h.c.Release(t, l)
+	exitLock(h.c, t, l)
 }
 
 // stack builds a call stack from "Class.Method:Line"-style triples.

@@ -29,7 +29,7 @@ func randomOrderedSchedule(t *testing.T, seed int64, threads, locks, opsPer int)
 	lockNodes := make([]*Node, locks)
 	positions := make([]*Position, locks)
 	for i := range lockNodes {
-		lockNodes[i] = c.NewLockNode(fmt.Sprintf("L%d", i))
+		lockNodes[i] = newTestLock(c, fmt.Sprintf("L%d", i))
 		p, err := c.Intern(CallStack{{Class: "inv.Site", Method: "m", Line: i}})
 		if err != nil {
 			t.Fatal(err)
@@ -38,7 +38,6 @@ func randomOrderedSchedule(t *testing.T, seed int64, threads, locks, opsPer int)
 	}
 	// Per-lock mutexes stand in for the real monitors the VM would block
 	// on: the core tracks, the mutexes enforce.
-	realLocks := make([]sync.Mutex, locks)
 
 	var wg sync.WaitGroup
 	for w := 0; w < threads; w++ {
@@ -57,13 +56,12 @@ func randomOrderedSchedule(t *testing.T, seed int64, threads, locks, opsPer int)
 						t.Errorf("request: %v", err)
 						return
 					}
-					realLocks[li].Lock()
+					lockWord(th, lockNodes[li])
 					c.Acquired(th, lockNodes[li])
 				}
 				for i := k - 1; i >= 0; i-- {
 					li := chosen[i]
-					c.Release(th, lockNodes[li])
-					realLocks[li].Unlock()
+					exitLock(c, th, lockNodes[li])
 				}
 			}
 		}(w)
@@ -86,7 +84,7 @@ func randomOrderedSchedule(t *testing.T, seed int64, threads, locks, opsPer int)
 		t.Errorf("live queue entries after quiescence: %d", ms.QueueEntriesLive)
 	}
 	for i, l := range lockNodes {
-		if l.owner != nil || l.acqPos != nil || l.acqEntry != nil {
+		if l.word.Holder() != nil || l.acqEntry != nil {
 			t.Errorf("lock %d not clean after quiescence", i)
 		}
 	}
@@ -127,7 +125,7 @@ func TestInvariantWithArmedHistory(t *testing.T) {
 	lockNodes := make([]*Node, locks)
 	positions := make([]*Position, locks)
 	for i := range lockNodes {
-		lockNodes[i] = c.NewLockNode(fmt.Sprintf("L%d", i))
+		lockNodes[i] = newTestLock(c, fmt.Sprintf("L%d", i))
 		p, err := c.Intern(CallStack{{Class: "inv.Site", Method: "m", Line: i}})
 		if err != nil {
 			t.Fatal(err)
@@ -141,8 +139,6 @@ func TestInvariantWithArmedHistory(t *testing.T) {
 			fr("inv.Site", "m", i+1),
 		))
 	}
-
-	realLocks := make([]sync.Mutex, locks)
 	var wg sync.WaitGroup
 	for w := 0; w < 4; w++ {
 		wg.Add(1)
@@ -156,10 +152,9 @@ func TestInvariantWithArmedHistory(t *testing.T) {
 					t.Errorf("request: %v", err)
 					return
 				}
-				realLocks[li].Lock()
+				lockWord(th, lockNodes[li])
 				c.Acquired(th, lockNodes[li])
-				c.Release(th, lockNodes[li])
-				realLocks[li].Unlock()
+				exitLock(c, th, lockNodes[li])
 			}
 		}(w)
 	}

@@ -16,14 +16,20 @@ import (
 // approving it complete an instantiation of a signature naming its
 // position" (§2.2).
 //
+// A lock's hold is the runtime's ownership word (word), taken by a CAS
+// and released by a store, as the engine reads it: a thread whose CAS won
+// but whose Acquired has not run holds the word while its approved
+// request still names the lock, and reads as running (cycle and
+// occupants skip that hold; its request is its only occupancy).
+//
 // Yields are not modelled as suspensions. The schedules that drive it arm
 // a one-pair starvation signature at every position a deadlock signature
 // names, which suppresses every yield there, so avoidance's verdict is
 // observable as a counted, suppressed instantiation and a single-goroutine
 // schedule never parks.
 type refModel struct {
-	owner   map[int]int // lock → the thread holding it
-	acqPos  map[int]int // lock → the position it was acquired at
+	word    map[int]int // lock → the thread holding its word
+	acqPos  map[int]int // lock → the position its holder acquired it at
 	reqLock map[int]int // thread → the lock it is approved to wait for
 	reqPos  map[int]int // thread → the position of that request
 	// sigs are the deadlock signatures in install order, each the sorted
@@ -43,7 +49,7 @@ type modelVerdict struct {
 
 func newRefModel() *refModel {
 	return &refModel{
-		owner: map[int]int{}, acqPos: map[int]int{},
+		word: map[int]int{}, acqPos: map[int]int{},
 		reqLock: map[int]int{}, reqPos: map[int]int{},
 	}
 }
@@ -73,17 +79,33 @@ func (m *refModel) request(th, l, p int) modelVerdict {
 	return v
 }
 
-// acquired turns th's approved request into a hold.
+// cas is the runtime's acquiring CAS of th's approved request: th holds
+// the word, before Acquired.
+func (m *refModel) cas(th int) { m.word[m.reqLock[th]] = th }
+
+// acquired turns th's approved request, whose CAS won, into a hold.
 func (m *refModel) acquired(th int) {
 	l := m.reqLock[th]
-	m.owner[l], m.acqPos[l] = th, m.reqPos[th]
+	m.word[l], m.acqPos[l] = th, m.reqPos[th]
 	m.abort(th)
 }
 
-// release drops the hold on l.
+// release drops the hold on l: the word's release store.
 func (m *refModel) release(l int) {
-	delete(m.owner, l)
+	delete(m.word, l)
 	delete(m.acqPos, l)
+}
+
+// holder is the thread holding l past its Acquired, if any.
+func (m *refModel) holder(l int) (int, bool) {
+	o, held := m.word[l]
+	if !held {
+		return 0, false
+	}
+	if r, waiting := m.reqLock[o]; waiting && r == l {
+		return 0, false // its CAS won, its Acquired has not run
+	}
+	return o, true
 }
 
 // abort drops th's approved request.
@@ -114,7 +136,7 @@ func (m *refModel) cycle(th, l int) []int {
 	var positions []int
 	seen := map[int]bool{}
 	for cur := l; ; {
-		o, held := m.owner[cur]
+		o, held := m.holder(cur)
 		if !held {
 			return nil
 		}
@@ -143,8 +165,8 @@ func (m *refModel) occupants(p, th, at int) []int {
 	if p == at {
 		add(th)
 	}
-	for l, u := range m.owner {
-		if m.acqPos[l] == p {
+	for l := range m.word {
+		if u, held := m.holder(l); held && m.acqPos[l] == p {
 			add(u)
 		}
 	}

@@ -37,9 +37,11 @@ func (k NodeKind) String() string {
 // engine lock. Thread-node fields are additionally written under the
 // shared engine lock, but only ever by the thread the node belongs to, so
 // shared-lock holders never race on them. Lock-node fields are written
-// under the shared engine lock only by the thread that holds the
-// embedding runtime's real lock, which orders one holder's writes before
-// the next one's (package comment, "Fast-path safety argument").
+// inside an engine section only by the thread that holds the embedding
+// runtime's real lock, which orders one holder's writes before the next
+// one's, or by an exclusive section. The hold edge itself is not a field:
+// it is the runtime's ownership word, read through Word (package comment,
+// "The hold edge is the runtime's word").
 type Node struct {
 	kind NodeKind
 	id   uint64
@@ -67,33 +69,68 @@ type Node struct {
 	// stackFn captures the thread's current full call stack; used only for
 	// the informational inner call stacks of signatures. May be nil.
 	stackFn func() CallStack
-	// fastRequests/fastAcquisitions/fastReleases count this thread's
-	// fast-path operations, and armedRequests/avoidanceChecks its EnterFast
+	// fastRequests/fastAcquisitions count this thread's fast-path
+	// operations, and armedRequests/avoidanceChecks its EnterFast
 	// approvals at armed positions and the candidate signatures they
 	// checked (Stats folds those into Requests and AvoidanceChecks). Plain
 	// fields: only the owning thread writes them (under the shared engine
 	// lock), and Core.Stats aggregates them under the exclusive lock,
-	// which excludes all fast-path writers.
+	// which excludes all fast-path writers. Releases are not counted here:
+	// Stats derives them from acquisitions and the locks still held.
 	fastRequests     uint64
 	fastAcquisitions uint64
-	fastReleases     uint64
 	armedRequests    uint64
 	avoidanceChecks  uint64
 
 	// ---- lock-node state ----
 
-	// owner is the thread currently holding this lock (the hold edge
-	// lock→thread). nil when the lock is free. A plain field: written only
-	// inside an engine section by the thread that holds the embedding
-	// runtime's real lock, and read only under the exclusive engine lock
-	// or by that thread. Nothing on the fast path reads another thread's
-	// hold edge: the runtime's tryLock answers "is it free".
-	owner *Node
-	// acqPos is the position at which owner acquired the lock — the
-	// paper's l.acqPos, i.e. the candidate outer call stack.
+	// word is the embedding runtime's ownership word for this lock, handed
+	// over at NewMonitorNode: the hold edge lock→thread. nil for a lock
+	// made by NewLockNode, which the core never sees held.
+	word Word
+	// acqPos is the position at which the holder acquired the lock — the
+	// paper's l.acqPos, i.e. the candidate outer call stack. It describes
+	// a hold only while the word names a holder that has finished its
+	// acquisition (holder): a lock-free exit leaves it behind, and the next
+	// acquisition overwrites it. A release inside an engine section clears
+	// it, and so does the exclusive reconcile of a lock-free exit.
 	acqPos *Position
-	// acqEntry is the owner's entry in acqPos's queue for this holding.
+	// acqEntry is the holder's entry in acqPos's queue for this holding. A
+	// non-nil entry whose thread no longer holds the word is a phantom: the
+	// queue rebuild attached it while the holder's lock-free exit was
+	// storing the word, and only an exclusive section returns it.
 	acqEntry *entry
+}
+
+// Word is the embedding runtime's ownership word for one lock, and the
+// RAG's hold edge: the runtime's acquiring CAS publishes the holder and its
+// release store retracts it. The core never writes it. Holder returns the
+// node of the thread holding the lock, or nil when it is free; it must be
+// safe to call from any goroutine and must not block.
+type Word interface {
+	Holder() *Node
+}
+
+// holder is the thread holding l as the RAG sees it: the word's holder,
+// unless that thread's approved request is for l itself. Such a thread
+// won the runtime's CAS and has not yet called Acquired; it is running,
+// not waiting, and its hold has no acquisition position yet, so l reads
+// as free (package comment, case (a)). Caller must hold c.mu exclusively.
+func (l *Node) holder() *Node {
+	if l.word == nil {
+		return nil
+	}
+	h := l.word.Holder()
+	if h != nil && h.reqLock == l {
+		return nil
+	}
+	return h
+}
+
+// heldBy reports whether the word names t as l's holder. A lock with no
+// word is taken to be held by whoever releases it.
+func (l *Node) heldBy(t *Node) bool {
+	return l.word == nil || l.word.Holder() == t
 }
 
 // Kind returns the node kind.

@@ -227,6 +227,7 @@ func TestWakeGatedOnYielders(t *testing.T) {
 	case <-time.After(5 * time.Second):
 		t.Fatal("t1's release did not wake the yielding t2")
 	}
+	h.take(t2, lB)
 	h.c.Acquired(t2, lB)
 	h.release(t2, lB)
 

@@ -18,6 +18,13 @@ import (
 // model decides, and both must keep their position queues equal to a
 // recount of the RAG and their watched-slot index equal to a recount of
 // the queues.
+//
+// Each lock's hold is a testLock word, as the runtime keeps it. A blocked
+// monitorenter is three steps: the approved Request, the runtime's CAS
+// (after which the thread holds the word but has not called Acquired),
+// and Acquired. A monitorexit is Exit's parts: its release store in one
+// step and, for a lock-free exit, the re-check after it in a later one,
+// so that enters, exits and signature installs land in between.
 
 const (
 	schedThreads   = 3
@@ -33,6 +40,15 @@ type schedEngine struct {
 	threads []*Node
 	locks   []*Node
 	pos     []*Position
+	// rechecks holds, per thread, the lock and position of a lock-free
+	// exit whose release store has run and whose re-check has not.
+	rechecks map[int]pendingRecheck
+}
+
+// pendingRecheck is a lock-free exit between its two steps.
+type pendingRecheck struct {
+	l   int
+	pos *Position
 }
 
 func newSchedEngine(t testing.TB, name string, opts ...Option) *schedEngine {
@@ -42,12 +58,12 @@ func newSchedEngine(t testing.TB, name string, opts ...Option) *schedEngine {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { _ = c.Close() })
-	e := &schedEngine{name: name, c: c}
+	e := &schedEngine{name: name, c: c, rechecks: map[int]pendingRecheck{}}
 	for i := 0; i < schedThreads; i++ {
 		e.threads = append(e.threads, c.NewThreadNode(fmt.Sprintf("t%d", i), nil))
 	}
 	for i := 0; i < schedLocks; i++ {
-		e.locks = append(e.locks, c.NewLockNode(fmt.Sprintf("l%d", i)))
+		e.locks = append(e.locks, newTestLock(c, fmt.Sprintf("l%d", i)))
 	}
 	for i := 0; i < schedPositions; i++ {
 		p, err := c.Intern(CallStack{schedFrame(i)})
@@ -60,22 +76,53 @@ func newSchedEngine(t testing.TB, name string, opts ...Option) *schedEngine {
 }
 
 // enter is a monitorenter as the VM drives it: EnterFast, whose tryLock
-// loses while the lock is held, as the runtime's lock would, else Request
-// and Acquired. A lock another thread holds leaves the thread approved
-// and waiting (Request only), as a blocked monitorenter. It reports
-// whether EnterFast took it.
+// is the CAS on the lock's word, else Request, the CAS and Acquired. A
+// lock whose word another thread holds leaves the thread approved and
+// waiting (Request only), as a blocked monitorenter. It reports whether
+// EnterFast took it.
 func (e *schedEngine) enter(th, l, p int, held bool) (bool, error) {
 	t, lk, pos := e.threads[th], e.locks[l], e.pos[p]
-	if e.c.EnterFast(t, lk, pos, func() bool { return lk.owner == nil }) {
+	if e.c.EnterFast(t, lk, pos, tryLock(t, lk)) {
 		return true, nil
 	}
 	if err := e.c.Request(t, lk, pos); err != nil {
 		return false, err
 	}
 	if !held {
+		if !tryLock(t, lk)() {
+			return false, fmt.Errorf("the CAS on free %s lost", lk)
+		}
 		e.c.Acquired(t, lk)
 	}
 	return false, nil
+}
+
+// exit is Exit's first part and its release store: a lock-free exit
+// leaves its re-check pending. It reports whether the exit was lock-free.
+func (e *schedEngine) exit(th, l int) bool {
+	t, lk := e.threads[th], e.locks[l]
+	pos := e.c.lockFreeExit(lk)
+	if pos == nil && !e.c.fastRelease(t, lk) {
+		e.c.releaseExclusive(t, lk)
+	}
+	unlockWord(t, lk)
+	if pos == nil {
+		return false
+	}
+	e.rechecks[th] = pendingRecheck{l: l, pos: pos}
+	return true
+}
+
+// recheck is the rest of th's pending lock-free exit. It reports whether
+// a signature armed the exit's position in between.
+func (e *schedEngine) recheck(th int) bool {
+	r, ok := e.rechecks[th]
+	if !ok {
+		return false
+	}
+	delete(e.rechecks, th)
+	e.c.exited(e.threads[th], e.locks[r.l], r.pos)
+	return r.pos.inHistory.Load()
 }
 
 // install adds a signature of the given kind over the given positions.
@@ -114,7 +161,7 @@ func (e *schedEngine) keys() string {
 // schedCounts are the decision counters a step is judged by.
 type schedCounts struct {
 	requests, detected, duplicates, found, suppressed, checks uint64
-	yields, starvations, misuse                               uint64
+	yields, starvations, misuse, acquisitions, releases       uint64
 }
 
 func countsOf(s Stats) schedCounts {
@@ -122,6 +169,7 @@ func countsOf(s Stats) schedCounts {
 		requests: s.Requests, detected: s.DeadlocksDetected, duplicates: s.DuplicateDeadlocks,
 		found: s.InstantiationsFound, suppressed: s.SuppressedYields, checks: s.AvoidanceChecks,
 		yields: s.Yields, starvations: s.Starvations, misuse: s.Misuse,
+		acquisitions: s.Acquisitions, releases: s.Releases,
 	}
 }
 
@@ -131,7 +179,8 @@ func (a schedCounts) minus(b schedCounts) schedCounts {
 		duplicates: a.duplicates - b.duplicates, found: a.found - b.found,
 		suppressed: a.suppressed - b.suppressed, checks: a.checks - b.checks,
 		yields: a.yields - b.yields, starvations: a.starvations - b.starvations,
-		misuse: a.misuse - b.misuse,
+		misuse: a.misuse - b.misuse, acquisitions: a.acquisitions - b.acquisitions,
+		releases: a.releases - b.releases,
 	}
 }
 
@@ -141,6 +190,8 @@ type schedCoverage struct {
 	exclusiveArmed int    // armed enters at a free lock EnterFast refused
 	found          uint64 // instantiations avoidance found
 	detected       uint64 // deadlocks recorded
+	casWaits       int    // steps taken between a CAS and its Acquired
+	armedRechecks  int    // lock-free exits whose position armed before the re-check
 }
 
 // runEngineSchedule replays input on both engines and the model and fails
@@ -157,9 +208,30 @@ func runEngineSchedule(t testing.TB, input []byte) schedCoverage {
 		t.Helper()
 		t.Fatalf("schedule %q, after steps\n\t%s\n%s", input, strings.Join(script, "\n\t"), fmt.Sprintf(format, args...))
 	}
+	// casWon is whether th's approved request has won its CAS and waits
+	// for Acquired; a thread in a pending re-check or between CAS and
+	// Acquired takes no other step.
+	casWon := func(th int) bool {
+		lw, waiting := m.reqLock[th]
+		o, held := m.word[lw]
+		return waiting && held && o == th
+	}
+	busy := func(th int) bool {
+		_, rechecking := sharded.rechecks[th]
+		return rechecking || casWon(th)
+	}
 	for step := 0; step < schedMaxSteps && 4*step+4 <= len(input); step++ {
 		b := input[4*step : 4*step+4]
-		op, th, l, p := b[0]%6, int(b[1])%schedThreads, int(b[2])%schedLocks, int(b[3])%schedPositions
+		op, th, l, p := b[0]%8, int(b[1])%schedThreads, int(b[2])%schedLocks, int(b[3])%schedPositions
+		if op != 6 && op != 7 && busy(th) {
+			continue
+		}
+		for u := 0; u < schedThreads; u++ {
+			if u != th && casWon(u) {
+				cov.casWaits++
+				break
+			}
+		}
 		before := make([]schedCounts, len(engines))
 		for i, e := range engines {
 			before[i] = countsOf(e.c.Stats())
@@ -172,16 +244,18 @@ func runEngineSchedule(t testing.TB, input []byte) schedCoverage {
 		switch op {
 		case 0: // enter: th takes l at p, or waits for it
 			_, waiting := m.reqLock[th]
-			o, held := m.owner[l]
+			o, held := m.word[l]
 			if waiting || (held && o == th) {
 				continue
 			}
 			armed := sharded.pos[p].inHistory.Load()
 			v := m.request(th, l, p)
-			if !held {
-				m.acquired(th)
-			}
 			want = schedCounts{requests: 1, checks: v.checks}
+			if !held {
+				m.cas(th)
+				m.acquired(th)
+				want.acquisitions = 1
+			}
 			if v.detected {
 				want.detected = 1
 			}
@@ -204,8 +278,8 @@ func runEngineSchedule(t testing.TB, input []byte) schedCoverage {
 			}
 		case 1: // exit: th releases one of its locks, in any order
 			var mine []int
-			for lk, o := range m.owner {
-				if o == th {
+			for lk := range m.word {
+				if o, held := m.holder(lk); held && o == th {
 					mine = append(mine, lk)
 				}
 			}
@@ -215,23 +289,28 @@ func runEngineSchedule(t testing.TB, input []byte) schedCoverage {
 			sort.Ints(mine)
 			l = mine[int(b[2])%len(mine)]
 			m.release(l)
+			want.releases = 1
 			line = fmt.Sprintf("t%d releases l%d", th, l)
 			for _, e := range engines {
-				e.c.Release(e.threads[th], e.locks[l])
+				if e.exit(th, l) {
+					line = fmt.Sprintf("t%d releases l%d lock-free (re-check pending)", th, l)
+				}
 			}
-		case 2: // a waiting thread gets its lock once it is free
+		case 2: // a waiting thread's CAS wins once the lock is free
 			lw, waiting := m.reqLock[th]
-			if _, held := m.owner[lw]; !waiting || held {
+			if _, held := m.word[lw]; !waiting || held {
 				continue
 			}
-			m.acquired(th)
-			line = fmt.Sprintf("t%d acquires l%d", th, lw)
+			m.cas(th)
+			line = fmt.Sprintf("t%d's CAS takes l%d", th, lw)
 			for _, e := range engines {
-				e.c.Acquired(e.threads[th], e.locks[lw])
+				if !tryLock(e.threads[th], e.locks[lw])() {
+					fail("%s: %s: the CAS lost", e.name, line)
+				}
 			}
 		case 3: // a waiting thread gives up
 			lw, waiting := m.reqLock[th]
-			if !waiting {
+			if !waiting || casWon(th) {
 				continue
 			}
 			m.abort(th)
@@ -260,6 +339,28 @@ func runEngineSchedule(t testing.TB, input []byte) schedCoverage {
 					fail("%s: %s: %v", e.name, line, err)
 				}
 			}
+		case 6: // Acquired, after the CAS
+			if !casWon(th) {
+				continue
+			}
+			lw := m.reqLock[th]
+			m.acquired(th)
+			want.acquisitions = 1
+			line = fmt.Sprintf("t%d acquired l%d", th, lw)
+			for _, e := range engines {
+				e.c.Acquired(e.threads[th], e.locks[lw])
+			}
+		case 7: // a lock-free exit's re-check
+			r, ok := sharded.rechecks[th]
+			if !ok {
+				continue
+			}
+			line = fmt.Sprintf("t%d re-checks its exit from l%d", th, r.l)
+			for _, e := range engines {
+				if e.recheck(th) && e == sharded {
+					cov.armedRechecks++
+				}
+			}
 		}
 		script = append(script, line)
 		for i, e := range engines {
@@ -277,6 +378,16 @@ func runEngineSchedule(t testing.TB, input []byte) schedCoverage {
 			if v := engineViolation(e.c); v != "" {
 				fail("%s: %s", e.name, v)
 			}
+		}
+	}
+	for th := range sharded.rechecks {
+		for _, e := range engines {
+			e.recheck(th)
+		}
+	}
+	for _, e := range engines {
+		if v := engineViolation(e.c); v != "" {
+			fail("%s after the pending re-checks: %s", e.name, v)
 		}
 	}
 	st := sharded.c.Stats()
@@ -298,8 +409,9 @@ func engineViolation(c *Core) string {
 
 // queueViolationsLocked describes where a position queue differs from the
 // RAG: one entry per hold and per approved request at an armed position,
-// each the holding or requesting node's own, and none elsewhere. Caller
-// must hold c.mu exclusively.
+// each the holding or requesting node's own, and none elsewhere, so no
+// phantom entry of a departed holder is left. Caller must hold c.mu
+// exclusively.
 func queueViolationsLocked(c *Core) []string {
 	c.nodesMu.Lock()
 	locks, threads := c.lockNodes, c.threadNodes
@@ -308,7 +420,7 @@ func queueViolationsLocked(c *Core) []string {
 	c.positions.forEach(func(key string, p *Position) {
 		want := map[*entry]*Node{}
 		for _, l := range locks {
-			if o := l.owner; o != nil && l.acqPos == p {
+			if o := l.holder(); o != nil && l.acqPos == p {
 				if (l.acqEntry != nil) != p.inHistory.Load() {
 					out = append(out, fmt.Sprintf("%s held at %s has entry %v, armed %v", l, key, l.acqEntry, p.inHistory.Load()))
 				}
@@ -409,7 +521,9 @@ const scheduleBaseSeed = 20110627
 // in tier-1, and requires them to reach every path the watched-slot index
 // and the shared armed enter add: armed enters approved under the shared
 // lock and refused to the exclusive path, instantiations found and
-// deadlocks detected.
+// deadlocks detected; and the states the runtime's word adds: steps taken
+// while a thread sits between its CAS and Acquired, and lock-free exits
+// whose position armed between the release store and the re-check.
 func TestEngineSchedules(t *testing.T) {
 	const schedules = 1500
 	var total schedCoverage
@@ -425,6 +539,8 @@ func TestEngineSchedules(t *testing.T) {
 		total.exclusiveArmed += cov.exclusiveArmed
 		total.found += cov.found
 		total.detected += cov.detected
+		total.casWaits += cov.casWaits
+		total.armedRechecks += cov.armedRechecks
 	}
 	t.Logf("%d schedules: %+v", schedules, total)
 	for what, n := range map[string]uint64{
@@ -432,6 +548,8 @@ func TestEngineSchedules(t *testing.T) {
 		"armed enters refused to the exclusive path":  uint64(total.exclusiveArmed),
 		"instantiations found":                        total.found,
 		"deadlocks detected":                          total.detected,
+		"steps between a CAS and its Acquired":        uint64(total.casWaits),
+		"exits armed between the store and re-check":  uint64(total.armedRechecks),
 	} {
 		if n < schedules/100 {
 			t.Errorf("only %d %s over %d schedules: the generator no longer covers it", n, what, schedules)

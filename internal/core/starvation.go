@@ -60,7 +60,7 @@ func (c *Core) reachesLocked(from, target *Node, visited map[*Node]bool) bool {
 		}
 	}
 	if from.reqLock != nil {
-		if owner := from.reqLock.owner; owner != nil {
+		if owner := from.reqLock.holder(); owner != nil {
 			if c.reachesLocked(owner, target, visited) {
 				return true
 			}

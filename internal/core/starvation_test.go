@@ -56,8 +56,8 @@ func TestStarvationDetectedByScan(t *testing.T) {
 	if err := resumedWithin(t, bDone, "B"); err != nil {
 		t.Fatalf("B must be force-resumed, got %v", err)
 	}
+	h.take(s.b, s.lY)
 	h.c.Acquired(s.b, s.lY)
-
 	st := h.c.Stats()
 	if st.Starvations != 1 {
 		t.Errorf("Starvations = %d, want 1", st.Starvations)
@@ -84,10 +84,11 @@ func TestStarvationDetectedByScan(t *testing.T) {
 	}
 
 	// B can now finish: it releases l0's dependency by completing its work.
-	h.c.Release(s.b, s.lY)
-	h.c.Release(s.b, s.l0)
+	h.release(s.b, s.lY)
+	h.release(s.b, s.l0)
+	h.take(s.a, s.l0)
 	h.c.Acquired(s.a, s.l0)
-	h.c.Release(s.a, s.l0)
+	h.release(s.a, s.l0)
 }
 
 // TestStarvationThreeThreadRing: the yield cycle runs through a third
@@ -152,12 +153,15 @@ func TestStarvationThreeThreadRing(t *testing.T) {
 	}
 
 	// Unwind the ring: B finishes, then C, then A.
+	h.take(s.b, s.lY)
 	h.c.Acquired(s.b, s.lY)
 	h.release(s.b, s.lY)
 	h.release(s.b, s.l0)
+	h.take(c, s.l0)
 	h.c.Acquired(c, s.l0)
 	h.release(c, s.l0)
 	h.release(c, lC)
+	h.take(s.a, lC)
 	h.c.Acquired(s.a, lC)
 	h.release(s.a, lC)
 	h.release(s.a, s.lX)

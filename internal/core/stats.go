@@ -10,9 +10,9 @@ import (
 // sections count in Core.stats with sync/atomic, and the shared sections
 // count on their thread's node, in plain fields only that thread writes;
 // Core.Stats adds the two under the exclusive lock. The
-// Requests/Acquisitions/Releases totals include their fast-path subsets,
-// which the internal representation keeps in the Fast* fields only
-// (folded together by Core.Stats).
+// Requests/Acquisitions totals include their fast-path subsets, which the
+// internal representation keeps in the Fast* fields only (folded together
+// by Core.Stats). Releases are derived, not counted: see Releases.
 type Stats struct {
 	// Requests counts monitorenter interceptions: Request calls on an
 	// open core, and successful EnterFast calls.
@@ -24,17 +24,23 @@ type Stats struct {
 	// and Request never counts here. Every successful EnterFast counts as
 	// one fast acquisition.
 	FastRequests uint64
-	// Acquisitions counts published hold edges: Acquired calls, including
-	// fast-path ones, and successful EnterFast calls. A vm process counts
-	// its Dimmunix monitor enters here and nowhere else.
+	// Acquisitions counts completed holds: Acquired calls that match an
+	// approved request, including fast-path ones, and successful EnterFast
+	// calls. A vm process counts its Dimmunix monitor enters here and
+	// nowhere else.
 	Acquisitions uint64
 	// FastAcquisitions counts Acquired calls on the fast path, and
 	// successful EnterFast calls.
 	FastAcquisitions uint64
-	// Releases counts Release calls (monitorexit interceptions),
-	// including fast-path ones.
+	// Releases counts released holds: the acquisitions less the locks
+	// whose word still names a holder past its Acquired. A release lands
+	// when its section clears the hold's position (Release), or at the
+	// runtime's release store for a lock-free exit; a Release by a
+	// non-holder that clears the holder's position counts too (and as
+	// Misuse).
 	Releases uint64
-	// FastReleases counts Release calls on the fast path.
+	// FastReleases counts releases that took no exclusive section: under
+	// the shared lock or, for an exit from outside the history, none.
 	FastReleases uint64
 	// Aborts counts approved requests undone via Abort.
 	Aborts uint64
@@ -87,7 +93,8 @@ type Stats struct {
 
 // snapshot atomically reads every counter. The Fast* fields of the
 // internal representation hold only the folded counts of retired thread
-// nodes; Core.Stats adds the live nodes' counters and folds the totals.
+// nodes; Core.Stats adds the live nodes' counters, folds the totals and
+// derives the releases.
 func (s *Stats) snapshot() Stats {
 	out := Stats{
 		Requests:            atomic.LoadUint64(&s.Requests),
@@ -95,7 +102,6 @@ func (s *Stats) snapshot() Stats {
 		Releases:            atomic.LoadUint64(&s.Releases),
 		FastRequests:        atomic.LoadUint64(&s.FastRequests),
 		FastAcquisitions:    atomic.LoadUint64(&s.FastAcquisitions),
-		FastReleases:        atomic.LoadUint64(&s.FastReleases),
 		Aborts:              atomic.LoadUint64(&s.Aborts),
 		CycleWalks:          atomic.LoadUint64(&s.CycleWalks),
 		DeadlocksDetected:   atomic.LoadUint64(&s.DeadlocksDetected),

@@ -3,6 +3,7 @@ package immunity
 import (
 	"fmt"
 	"path/filepath"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -67,6 +68,13 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 	t.Fatalf("timed out waiting for %s", what)
 }
 
+// heldWord is a lock's ownership word as a runtime keeps it (core.Word):
+// detectDeadlock stores each holder in it before Acquired, as a monitor's
+// CAS would.
+type heldWord struct{ holder atomic.Pointer[core.Node] }
+
+func (w *heldWord) Holder() *core.Node { return w.holder.Load() }
+
 // detectDeadlock drives a real two-thread cycle through c's detection so
 // the recorded signature is published to c's store (the service). The
 // outer positions use the same frames as testSig(0).
@@ -74,8 +82,9 @@ func detectDeadlock(t *testing.T, c *core.Core) {
 	t.Helper()
 	t1 := c.NewThreadNode("t1", nil)
 	t2 := c.NewThreadNode("t2", nil)
-	lA := c.NewLockNode("A")
-	lB := c.NewLockNode("B")
+	wA, wB := &heldWord{}, &heldWord{}
+	lA := c.NewMonitorNode("A", wA)
+	lB := c.NewMonitorNode("B", wB)
 	posA, err := c.Intern(core.CallStack{{Class: "com.app.Svc1", Method: "methodA", Line: 10}})
 	if err != nil {
 		t.Fatal(err)
@@ -88,10 +97,12 @@ func detectDeadlock(t *testing.T, c *core.Core) {
 	if err := c.Request(t1, lA, posA); err != nil {
 		t.Fatal(err)
 	}
+	wA.holder.Store(t1)
 	c.Acquired(t1, lA)
 	if err := c.Request(t2, lB, posB); err != nil {
 		t.Fatal(err)
 	}
+	wB.holder.Store(t2)
 	c.Acquired(t2, lB)
 	// t2 requests A (blocks behind t1), then t1 requests B: cycle.
 	if err := c.Request(t2, lA, posA); err != nil {

@@ -139,7 +139,9 @@ func TestMonitorHandoff(t *testing.T) {
 // TestMonitorKillMidContention tears a process down while its threads
 // contend for one monitor and wait on it: Kill returns, every thread
 // unwinds with the teardown error, and the monitor ends free with no
-// acquirer counted.
+// acquirer counted. Thread w0 only ever notifies: were every thread to
+// wait in turn, all six could sit in the wait set with nobody left to
+// notify, and the contention the test waits for would never come.
 func TestMonitorKillMidContention(t *testing.T) {
 	bothModes(t, func(t *testing.T, p *Process) {
 		const threads = 6
@@ -151,7 +153,7 @@ func TestMonitorKillMidContention(t *testing.T) {
 				for k := 0; ; k++ {
 					o.Synchronized(th, func() {
 						enters.Add(1)
-						if k%4 == 3 {
+						if k%4 == 3 && i != 0 {
 							_, _ = o.Wait(th, 0) // woken by a notify or the kill
 						} else {
 							_ = o.Notify(th)

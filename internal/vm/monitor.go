@@ -19,10 +19,13 @@ import (
 //
 // Ownership is one word: a thread acquires by CAS(owner, nil, self) and
 // releases by storing nil, so an uncontended enter and exit take no
-// mutex. mu is taken only by a thread that lost the CAS (it parks on
-// acqCond), by a release that sees a parked acquirer to signal, by the
-// wait-set operations and by teardown's wake-up; the package comment has
-// the no-lost-wake-up argument.
+// mutex. In a Dimmunix process the same word is the RAG's hold edge: the
+// monitor hands itself to the core as its lock node's core.Word (Holder),
+// so the CAS publishes the hold and the store retracts it. mu is taken
+// only by a thread that lost the CAS (it parks on acqCond), by a release
+// that sees a parked acquirer to signal, by the wait-set operations and
+// by teardown's wake-up; the package comment has the no-lost-wake-up
+// argument.
 type Monitor struct {
 	obj  *Object
 	proc *Process
@@ -62,6 +65,15 @@ type waitNode struct {
 // be stale by the time it is observed.
 func (m *Monitor) Owner() *Thread { return m.owner.Load() }
 
+// Holder reads the ownership word as the core's hold edge (core.Word): the
+// owner's RAG node, or nil when the monitor is free.
+func (m *Monitor) Holder() *core.Node {
+	if t := m.owner.Load(); t != nil {
+		return t.node
+	}
+	return nil
+}
+
 // Blocked returns how many threads are currently blocked entering.
 func (m *Monitor) Blocked() int { return int(m.blocked.Load()) }
 
@@ -76,9 +88,10 @@ func (m *Monitor) enter(t *Thread, recursion int, site *Site) error {
 	}
 
 	// Dimmunix interception: position capture, then one shared engine
-	// section (core.EnterFast) that approves, takes the monitor by CAS and
-	// publishes the hold edge when the monitor is free, nothing yields and
-	// no signature is exposed at this site: at an unarmed site always, at
+	// section (core.EnterFast) that approves, takes the monitor by CAS
+	// (which is the hold edge) and records the acquisition position when
+	// the monitor is free, nothing yields and no signature is exposed at
+	// this site: at an unarmed site always, at
 	// an armed one whenever every signature naming it watches an empty
 	// slot elsewhere (the core's watched-slot index), in which case the
 	// section also queues the holding. That thread never waits, so it
@@ -102,8 +115,7 @@ func (m *Monitor) enter(t *Thread, recursion int, site *Site) error {
 			// the hold, so it is undone there too. The core's count keeps
 			// it: SyncCount may read one enter more on a dying process.
 			if m.proc.isKilled() {
-				dim.Release(t.node, m.node)
-				m.release()
+				dim.Exit(t.node, m.node, m.release)
 				return ErrProcessKilled
 			}
 			m.recursion = recursion
@@ -203,10 +215,13 @@ func (m *Monitor) exit(t *Thread) error {
 		return nil
 	}
 
-	// Dimmunix interception right before the release (§4: unlockMonitor
-	// notifies yielders on in-history positions, then calls Release).
+	// Dimmunix interception around the release (§4: unlockMonitor
+	// notifies yielders on in-history positions, then calls Release). At a
+	// position outside the history the core needs nothing but the release
+	// store: core.Exit makes it and re-checks the position once after it.
 	if dim := m.proc.dim; dim != nil {
-		dim.Release(t.node, m.node)
+		dim.Exit(t.node, m.node, m.release)
+		return nil
 	}
 	m.release()
 	return nil
@@ -244,9 +259,10 @@ func (m *Monitor) wait(t *Thread, timeout time.Duration) (bool, error) {
 
 	// Fully release the monitor (wait releases all recursion levels).
 	if dim := m.proc.dim; dim != nil {
-		dim.Release(t.node, m.node)
+		dim.Exit(t.node, m.node, m.release)
+	} else {
+		m.release()
 	}
-	m.release()
 	m.proc.stats.waits.Add(1)
 
 	// Park.

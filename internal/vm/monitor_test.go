@@ -173,15 +173,16 @@ func TestNotifyWakesExactlyOne(t *testing.T) {
 	p := dimProcess(t)
 	o := p.NewObject("cond")
 	const waiters = 3
+	var threads []*Thread
 	for i := 0; i < waiters; i++ {
-		startThread(t, p, "waiter", func(th *Thread) {
+		threads = append(threads, startThread(t, p, "waiter", func(th *Thread) {
 			if err := o.Enter(th); err != nil {
 				t.Error(err)
 				return
 			}
 			_, _ = o.Wait(th, 0) // woken either by notify or by kill
 			_ = o.Exit(th)
-		})
+		}))
 	}
 	pollUntil(t, "all parked", func() bool { return p.Stats().Waits == waiters })
 	n := startThread(t, p, "notifier", func(th *Thread) {
@@ -192,11 +193,27 @@ func TestNotifyWakesExactlyOne(t *testing.T) {
 		})
 	})
 	waitDone(t, n)
-	pollUntil(t, "one waiter woken", func() bool { return p.Stats().Notifies == 1 })
-	// The others must still be parked.
-	time.Sleep(10 * time.Millisecond)
-	if got := p.Stats().Notifies; got != 1 {
-		t.Errorf("Notifies = %d, want 1", got)
+	done := func() int {
+		k := 0
+		for _, th := range threads {
+			select {
+			case <-th.Done():
+				k++
+			default:
+			}
+		}
+		return k
+	}
+	pollUntil(t, "the notified waiter finished", func() bool { return done() >= 1 })
+	// The others are still parked: a notify removes its waiter from the
+	// wait set, and nothing else wakes one.
+	m := o.mon.Load()
+	m.mu.Lock()
+	parked := len(m.waitSet)
+	m.mu.Unlock()
+	if parked != waiters-1 || done() != 1 || p.Stats().Notifies != 1 {
+		t.Errorf("after one notify: %d in the wait set, %d waiters done, %d notifies; want %d, 1, 1",
+			parked, done(), p.Stats().Notifies, waiters-1)
 	}
 }
 

@@ -1,6 +1,7 @@
 package vm
 
 import (
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -12,8 +13,11 @@ import (
 // monitor/native cycle is neither detected nor avoided.
 
 // nativeLock is a non-monitor mutex (a pthread mutex stand-in) that the
-// VM cannot intercept.
-type nativeLock struct{ ch chan struct{} }
+// VM cannot intercept. waiting counts the threads inside lock.
+type nativeLock struct {
+	ch      chan struct{}
+	waiting atomic.Int32
+}
 
 func newNativeLock() *nativeLock {
 	l := &nativeLock{ch: make(chan struct{}, 1)}
@@ -24,6 +28,8 @@ func newNativeLock() *nativeLock {
 // lock acquires, giving up after the timeout (so the test can dissolve the
 // deadlock deterministically).
 func (l *nativeLock) lock(timeout time.Duration) bool {
+	l.waiting.Add(1)
+	defer l.waiting.Add(-1)
 	select {
 	case <-l.ch:
 		return true
@@ -73,8 +79,13 @@ func TestNativeLockCycleIsInvisible(t *testing.T) {
 
 	// While the cycle exists, Dimmunix must not have detected anything:
 	// the walk from the monitor ends at B, whose native-lock wait is not a
-	// request edge.
-	time.Sleep(100 * time.Millisecond)
+	// request edge. The cycle exists once B waits inside native.lock and A
+	// is blocked on the monitor past its Request (counted blocked by the
+	// monitor, which it is only after the core approved it).
+	pollUntil(t, "A blocked on the monitor and B inside the native lock", func() bool {
+		m := mon.mon.Load()
+		return a.State() == StateBlocked && m != nil && m.Blocked() == 1 && native.waiting.Load() == 1
+	})
 	if got := p.Dimmunix().Stats().DeadlocksDetected; got != 0 {
 		t.Errorf("detected %d deadlocks through a native lock (impossible: it is not intercepted)", got)
 	}

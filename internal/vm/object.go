@@ -189,16 +189,19 @@ func (o *Object) notifyInternal(t *Thread, all bool) error {
 
 // fatten publishes the object's Monitor, creating it under the process
 // fatten lock with double-checking — the paper's pre-lockMonitor snippet
-// guarded by globalLock.
+// guarded by globalLock. Both checks read the shape bit, which is
+// published after the monitor: a thread that finds the monitor only
+// through o.mon could enter it and reach Exit before the bit is set, and
+// Exit, reading a thin word it does not own, would fail.
 func (o *Object) fatten(t *Thread) (*Monitor, error) {
-	if m := o.mon.Load(); m != nil {
-		return m, nil
+	if lwIsFat(o.lw.Load()) {
+		return o.mon.Load(), nil
 	}
 	p := o.proc
 	p.fattenMu.Lock()
 	defer p.fattenMu.Unlock()
-	if m := o.mon.Load(); m != nil {
-		return m, nil
+	if lwIsFat(o.lw.Load()) {
+		return o.mon.Load(), nil
 	}
 	if p.isKilled() {
 		return nil, ErrProcessKilled

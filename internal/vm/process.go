@@ -213,7 +213,7 @@ func (p *Process) newMonitor(obj *Object) *Monitor {
 	m := &Monitor{obj: obj, proc: p}
 	m.acqCond = sync.NewCond(&m.mu)
 	if p.dim != nil {
-		m.node = p.dim.NewLockNode(obj.name)
+		m.node = p.dim.NewMonitorNode(obj.name, m)
 	}
 	p.stats.inflations.Add(1)
 	p.mu.Lock()

@@ -49,7 +49,9 @@
 //   - The monitor is its owner's. Monitor.owner is set by the acquirer's
 //     CAS from nil and cleared by the owner's store; recursion is read and
 //     written by the owner alone, so recursive enters and exits take no
-//     lock.
+//     lock. In a Dimmunix process the same word is the RAG's hold edge:
+//     the monitor is its lock node's core.Word (Monitor.Holder), so the
+//     core reads the holder through it and keeps no owner of its own.
 //   - Enter counts are their thread's. A thin, vanilla fat or recursive
 //     enter adds one to an atomic in its own Thread; a Dimmunix fat enter
 //     is counted once, by the core, as the acquisition that publishes its
@@ -77,8 +79,10 @@
 //     signals it.
 //
 // A Dimmunix monitorenter at an unarmed site on a free monitor is one
-// shared engine section (core.EnterFast): the approval, the owner CAS and
-// the hold edge, none of which can block. That thread never waits, so it
+// shared engine section (core.EnterFast): the approval, the owner CAS
+// (which is the hold edge) and its acquisition position, none of which
+// can block. The matching monitorexit is the owner store alone, plus one
+// load that re-checks the site (core.Exit). That thread never waits, so it
 // stays runnable throughout and its frames stay its own. Every other
 // enter takes the full path, and there a thread reads as blocked from
 // before Request until it owns the monitor: while avoidance suspends it,

@@ -61,13 +61,16 @@ var rows = map[string]Scenario{
 		spared(1), spared(2), spared(3)),
 	"fleet immunity threshold 1": checked(FleetImmunity(2, 2, 1), check("the propagation timeline", timeline), spared(1)),
 
-	"transport/default threshold 2":  onHubs(FleetImmunity(4, 3, 2), 1, true),
-	"transport/threshold 1":          onHubs(FleetImmunity(2, 2, 1), 1, true),
+	// Every phone at or past the threshold never injected the deadlock
+	// itself: spared drives its interleaving there, on a fork armed only
+	// by the fleet. The 3-of-3 rows have no such phone.
+	"transport/default threshold 2":  checked(onHubs(FleetImmunity(4, 3, 2), 1, true), spared(2), spared(3)),
+	"transport/threshold 1":          checked(onHubs(FleetImmunity(2, 2, 1), 1, true), spared(1)),
 	"transport/threshold 3 of 3":     onHubs(FleetImmunity(3, 1, 3), 1, true),
-	"federation/threshold1_loopback": onHubs(FleetImmunity(3, 1, 1), 3, false),
-	"federation/threshold1_tcp":      onHubs(FleetImmunity(3, 1, 1), 3, true),
-	"federation/threshold2_loopback": onHubs(FleetImmunity(3, 1, 2), 3, false),
-	"federation/threshold2_tcp":      onHubs(FleetImmunity(3, 1, 2), 3, true),
+	"federation/threshold1_loopback": checked(onHubs(FleetImmunity(3, 1, 1), 3, false), spared(1), spared(2)),
+	"federation/threshold1_tcp":      checked(onHubs(FleetImmunity(3, 1, 1), 3, true), spared(1), spared(2)),
+	"federation/threshold2_loopback": checked(onHubs(FleetImmunity(3, 1, 2), 3, false), spared(2)),
+	"federation/threshold2_tcp":      checked(onHubs(FleetImmunity(3, 1, 2), 3, true), spared(2)),
 	"federation/threshold3_loopback": onHubs(FleetImmunity(3, 1, 3), 3, false),
 	"federation/threshold3_tcp":      onHubs(FleetImmunity(3, 1, 3), 3, true),
 }

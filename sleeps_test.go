@@ -28,8 +28,6 @@ var sleepCensus = map[string]int{
 	"internal/immunity/service_test.go":         2,
 	"internal/immunity/tcp_test.go":             1,
 	"internal/metrics/meter_test.go":            1,
-	"internal/vm/monitor_test.go":               1,
-	"internal/vm/native_test.go":                1,
 	"internal/vm/object.go":                     1,
 	"internal/vm/thread_test.go":                1,
 	"internal/vm/zygote_test.go":                1,

@@ -808,10 +808,12 @@ func (n *Node) sendDirect(peer string, m wire.Message) error {
 	return l.rd.Send(m)
 }
 
-// close tears the link down (node Close only).
+// close tears the link down and waits out the outbox drain (node
+// Close only).
 func (l *link) close() {
 	l.rd.Close()
 	l.outbox.Close()
+	<-l.outbox.Done()
 }
 
 // peerAttempt is the peer tier's policy half of one dial: the hello

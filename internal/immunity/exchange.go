@@ -253,6 +253,7 @@ type Exchange struct {
 	peers   map[string]*Conn
 	cluster ClusterBinding
 	closed  bool
+	retire  []*Conn // the sessions the event being committed superseded
 
 	// persistMu serializes provenance-store appends in mutation order;
 	// acquired while still holding mu, released after the write (same
@@ -417,7 +418,9 @@ func (x *Exchange) BindCluster(b ClusterBinding) {
 // push queues are fed before the release — so every session sees
 // armings in decision order, and a hello's catch-up cannot race a live
 // delta — while the store write (handed to persistMu under mu, so writes
-// land in mutation order) and the cluster sinks run after it.
+// land in mutation order) and the cluster sinks run after it. Sessions
+// the event superseded (x.retire) get their final ack with the pushes
+// and are closed last.
 func (x *Exchange) commit(fx *effects) {
 	x.count(&fx.n)
 	for _, d := range fx.deltas {
@@ -439,6 +442,19 @@ func (x *Exchange) commit(fx *effects) {
 			pc.out.Enqueue(o)
 		}
 	}
+	// A superseded device stops for good instead of redialing into a
+	// supersession ping-pong. device and peerHub are only written under
+	// x.mu, so they are read here without Conn.mu.
+	retire := x.retire
+	x.retire = nil
+	for _, s := range retire {
+		what := "device " + s.device
+		if s.peerHub != "" {
+			what = "hub " + s.peerHub
+		}
+		s.push(wire.Message{Type: wire.TypeAck,
+			Ack: &wire.Ack{OK: false, Error: "superseded by a newer session for " + what}})
+	}
 	persist := x.store != nil && len(fx.persist) > 0
 	if persist {
 		x.persistMu.Lock()
@@ -459,6 +475,9 @@ func (x *Exchange) commit(fx *effects) {
 	}
 	for i, key := range fx.replKeys {
 		cluster.Replicate(key, fx.replRecs[i])
+	}
+	for _, s := range retire {
+		s.Close()
 	}
 }
 
@@ -488,9 +507,9 @@ func (x *Exchange) count(n *tally) {
 // hub→client message over the session and is only ever called from the
 // connection's dedicated push goroutine; closeSession tears the carrying
 // session down (close the socket, signal the loopback peer) and is
-// called exactly once, after the push queue has drained. The transport
-// feeds client→hub messages to Conn.Handle and must close the Conn when
-// its session dies.
+// called exactly once, as that goroutine's last act — after Close or a
+// failed send. The transport feeds client→hub messages to Conn.Handle
+// and must close the Conn when its session dies.
 func (x *Exchange) Accept(send func(wire.Message) error, closeSession func()) (*Conn, error) {
 	return x.accept(send, nil, closeSession)
 }
@@ -513,7 +532,7 @@ func (x *Exchange) accept(send func(wire.Message) error, writeFrames func([][]by
 	if x.closed {
 		return nil, fmt.Errorf("exchange: closed")
 	}
-	c := &Conn{hub: x, closeSession: closeSession}
+	c := &Conn{hub: x}
 	cfg := QueueConfig[outMsg]{
 		Merge: func(prev, next outMsg) (outMsg, bool) {
 			d, ok := mergeViews(prev.delta, next.delta)
@@ -525,10 +544,9 @@ func (x *Exchange) accept(send func(wire.Message) error, writeFrames func([][]by
 				x.batchSigs.Add(uint64(len(o.delta.sigs())))
 			}
 		},
-		// c.Close as OnDead is safe to hand over before c.out is assigned:
-		// nothing can be enqueued (and thus no delivery can fail) until
-		// the caller has the Conn.
-		OnDead: c.Close,
+		// c.Close reads c.out, assigned before the caller can enqueue or
+		// close anything — before the drain can end.
+		OnExit: func() { c.Close(); closeSession() },
 		// Shared instruments: one gauge/histogram aggregates every
 		// session's push queue.
 		Depth:         x.met.pushDepth,
@@ -573,9 +591,8 @@ func (o outMsg) message() wire.Message {
 // create it with Exchange.Accept, feed inbound messages to Handle, and
 // Close it when the session ends.
 type Conn struct {
-	hub          *Exchange
-	out          *msgQueue
-	closeSession func()
+	hub *Exchange
+	out *msgQueue
 	// scratch is the reusable per-session frame-encode buffer; touched
 	// only by encodeBatch on the queue's drain goroutine.
 	scratch []byte
@@ -840,9 +857,8 @@ func (c *Conn) handleHello(m wire.Message) error {
 	// redial before the hub notices the old socket died. Sessions are
 	// keyed by (tenant, device): the same device id in two tenants is
 	// two devices.
-	var stale *Conn
 	if old, ok := x.conns[sk]; ok && old != c {
-		stale = old
+		x.retire = append(x.retire, old)
 	} else if !ok {
 		x.met.deviceSessions.Add(1)
 	}
@@ -863,26 +879,7 @@ func (c *Conn) handleHello(m wire.Message) error {
 		c.out.Enqueue(outMsg{delta: fx.catchup})
 	}
 	x.commit(&fx)
-
-	supersede(stale, "device "+h.Device)
 	return nil
-}
-
-// supersede retires the session a newer hello for the same identity
-// replaced (nil: there was none). A final failure ack tells the stale
-// session's dialer it was replaced — a device stops for good instead of
-// redialing into a supersession ping-pong; Close drains the queue, so
-// the ack goes out first. Close runs on its own goroutine: it waits out
-// the stale drain, which on a wedged TCP peer only unblocks at the
-// transport write deadline, and the new session's handshake must not
-// wait for that.
-func supersede(stale *Conn, what string) {
-	if stale == nil {
-		return
-	}
-	stale.push(wire.Message{Type: wire.TypeAck,
-		Ack: &wire.Ack{OK: false, Error: "superseded by a newer session for " + what}})
-	go stale.Close()
 }
 
 // handlePeerHello registers an inbound hub-to-hub session: version
@@ -923,9 +920,8 @@ func (c *Conn) handlePeerHello(m wire.Message) error {
 		x.mu.Unlock()
 		return c.refuse("peer hub id %q collides with this hub", h.Hub)
 	}
-	var stale *Conn
 	if old, ok := x.peers[h.Hub]; ok && old != c {
-		stale = old
+		x.retire = append(x.retire, old)
 	} else if !ok {
 		x.met.peerSessions.Add(1)
 	}
@@ -945,9 +941,7 @@ func (c *Conn) handlePeerHello(m wire.Message) error {
 	snap := x.cluster.MemberSnapshot()
 	c.push(wire.Message{Type: wire.TypeMemberUpdate, Member: &snap})
 	cluster := x.cluster
-	x.mu.Unlock()
-
-	supersede(stale, "hub "+h.Hub)
+	x.commit(&effects{})
 	// A completed inbound handshake is liveness (and, with an address, a
 	// join request): revive or admit the dialer. Runs without x.mu — it
 	// can re-bind ownership, which locks the hub.
@@ -1029,10 +1023,10 @@ func (c *Conn) handleReport(tenant, device string, r *wire.Report) error {
 	return nil
 }
 
-// Close detaches the session: the device slot is released and its
-// delivery cursor closed (unless a newer session superseded it), the
-// push queue drains, and the transport teardown hook runs. Close is
-// idempotent.
+// Close detaches the session — the device slot is released and its
+// delivery cursor closed, unless a newer session superseded it — and
+// closes the push queue; the drain delivers what is queued, then tears
+// the transport down. Close does not wait for it. Idempotent.
 func (c *Conn) Close() {
 	c.closeOnce.Do(func() {
 		c.mu.Lock()
@@ -1053,9 +1047,6 @@ func (c *Conn) Close() {
 		}
 		x.commit(&fx)
 		c.out.Close()
-		if c.closeSession != nil {
-			c.closeSession()
-		}
 	})
 }
 
@@ -1341,18 +1332,15 @@ func (x *Exchange) Close() {
 		conns = append(conns, c)
 	}
 	x.mu.Unlock()
-	// Concurrently: each Close drains its push queue, and a wedged TCP
-	// peer holds its drain until the transport write deadline — serial
-	// teardown would stack those waits.
-	var wg sync.WaitGroup
+	// Every queue is closed before the first wait, so the drains finish
+	// together: a wedged TCP peer costs one transport write deadline,
+	// not one per session.
 	for _, c := range conns {
-		wg.Add(1)
-		go func(c *Conn) {
-			defer wg.Done()
-			c.Close()
-		}(c)
+		c.Close()
 	}
-	wg.Wait()
+	for _, c := range conns {
+		<-c.out.Done()
+	}
 	// Every detach is persisted by now, and persistMu waits out an append
 	// already under way: the store's file handle can go. Its error is
 	// dropped: each append reached the kernel at its write, and a failed
@@ -1370,7 +1358,7 @@ func (x *Exchange) Close() {
 // behind a queued one extends its view, so under a publish storm a slow
 // subscriber holds one pending push carrying the newest epoch, never a
 // backlog of stale ones. Stream sessions (AcceptStream) receive each
-// drain's frames in a single writeFrames call. A delivery failure kills
-// the queue and fires OnDead: the session is unusable and its Conn must
-// be torn down even if the peer never closes its side of the socket.
+// drain's frames in a single writeFrames call. A delivery failure ends
+// the queue, whose drain then tears the session down, even if the peer
+// never closes its side of the socket.
 type msgQueue = Queue[outMsg]

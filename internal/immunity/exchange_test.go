@@ -104,12 +104,15 @@ func TestExchangeThresholdGating(t *testing.T) {
 	if prov.Armed || prov.Confirmations != 1 || prov.FirstSeen != "phone0" {
 		t.Fatalf("after one report: %+v, want unarmed/1 confirm/first-seen phone0", prov)
 	}
-	// The other devices must stay unarmed (give propagation a real chance
-	// to misfire before asserting).
-	time.Sleep(20 * time.Millisecond)
+	// The other devices must stay unarmed. A misfired delta would have
+	// been enqueued with the report's event; once every push queue is
+	// empty it has returned from recv, which publishes into the Service
+	// synchronously.
+	pending := hub.Metrics().Gauge("immunity_hub_push_pending", "")
+	waitFor(t, "hub push queues drained", func() bool { return pending.Value() == 0 })
 	for i := 1; i < 4; i++ {
-		if phones[i].armedOn(key) {
-			t.Fatalf("phone%d armed below the confirmation threshold", i)
+		if src := phones[i].svc.SourceOf(key); src != "" {
+			t.Fatalf("phone%d holds the signature (from %q) below the confirmation threshold", i, src)
 		}
 	}
 	// Re-report from the SAME device: still one confirmation, still
@@ -406,6 +409,106 @@ func TestExchangeSupersedeConnect(t *testing.T) {
 	waitFor(t, "report landed", func() bool { return len(hub.Provenance()) == 1 })
 	if prov := hub.Provenance()[0]; prov.Confirmations != 1 || prov.FirstSeen != "phone0" {
 		t.Fatalf("provenance after supersede: %+v", prov)
+	}
+}
+
+// TestExchangeSupersedeAcksBeforeTeardown: a hello that supersedes a
+// session queues the stale session's final "superseded" ack ahead of
+// its teardown, which runs exactly once; and Exchange.Close returns
+// only after every session's teardown ran, including one whose drain is
+// still sending when Close starts.
+func TestExchangeSupersedeAcksBeforeTeardown(t *testing.T) {
+	hub, err := NewExchange(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var mu sync.Mutex
+	logs := map[string][]string{} // per session: "ack <error>" per ack, "closed" per teardown
+	record := func(name, ev string) {
+		mu.Lock()
+		logs[name] = append(logs[name], ev)
+		mu.Unlock()
+	}
+	logOf := func(name string) string {
+		mu.Lock()
+		defer mu.Unlock()
+		return strings.Join(logs[name], "; ")
+	}
+	inSend, gate := make(chan struct{}), make(chan struct{})
+	open := func(name, device string) *Conn {
+		conn, err := hub.Accept(func(m wire.Message) error {
+			switch m.Type {
+			case wire.TypeAck:
+				record(name, "ack "+m.Ack.Error)
+			case wire.TypeStatus:
+				close(inSend)
+				<-gate
+			}
+			return nil
+		}, func() {
+			record(name, "closed")
+			if name == "fresh" {
+				close(gate) // the busy drain finishes only after this teardown
+			}
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		hello := wire.Message{V: wire.Version, Type: wire.TypeHello,
+			Hello: &wire.Hello{Device: device, MinV: wire.Version, MaxV: wire.Version}}
+		if err := conn.Handle(hello); err != nil {
+			t.Fatal(err)
+		}
+		return conn
+	}
+	open("stale", "phone")
+	open("fresh", "phone")
+	const staleWant = "ack ; ack superseded by a newer session for device phone; closed"
+	waitFor(t, "stale session torn down", func() bool { return logOf("stale") == staleWant })
+
+	busy := open("busy", "other")
+	if err := busy.Handle(wire.Message{V: wire.Version, Type: wire.TypeStatusReq}); err != nil {
+		t.Fatal(err)
+	}
+	<-inSend
+	hub.Close()
+	for name, want := range map[string]string{"stale": staleWant, "fresh": "ack ; closed", "busy": "ack ; closed"} {
+		if got := logOf(name); got != want {
+			t.Errorf("%s session after Close: %q, want %q", name, got, want)
+		}
+	}
+}
+
+// TestExchangeSendFailureDetaches: a failed send ends the session by
+// itself — no transport Close needed — so a peer that vanished without
+// closing its socket frees its device slot, and the teardown hook runs
+// once.
+func TestExchangeSendFailureDetaches(t *testing.T) {
+	hub := newTestHub(t, 1)
+	var closes atomic.Int32
+	closed := make(chan struct{})
+	conn, err := hub.Accept(func(wire.Message) error { return errors.New("peer gone") },
+		func() {
+			if closes.Add(1) == 1 {
+				close(closed)
+			}
+		})
+	if err != nil {
+		t.Fatal(err)
+	}
+	hello := wire.Message{V: wire.Version, Type: wire.TypeHello,
+		Hello: &wire.Hello{Device: "lost", MinV: wire.Version, MaxV: wire.Version}}
+	if err := conn.Handle(hello); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-closed:
+	case <-time.After(5 * time.Second):
+		t.Fatal("a session whose send failed was never torn down")
+	}
+	hub.Close()
+	if n, d := closes.Load(), hub.Stats().Devices; n != 1 || d != 0 {
+		t.Fatalf("teardowns = %d, devices = %d after a failed send, want 1 and 0", n, d)
 	}
 }
 

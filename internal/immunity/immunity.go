@@ -181,8 +181,8 @@
 // and in cluster. It covers pointer swaps only and is never held across
 // Transport.Dial, Session.Send, Session.Close or an Attempt method —
 // loopback delivers the ack and the replay burst synchronously on the
-// sender's stack, and a Close can wait on hub handlers that are blocked
-// on the policy's own lock. Send and Live take no lock at all.
+// sender's stack, and a loopback Close takes the hub's locks. Send and
+// Live take no lock at all.
 //
 // # Durable provenance
 //
@@ -315,6 +315,15 @@
 //     deterministic test: 64 devices × 256 signatures drained in
 //     4.7–9.5s with a 107–290MB peak heap without it, against 3.3–4.4s
 //     and ~42MB with it.
+//   - Deputy replication (ClusterBinding.Replicate): ≈ 90 lines in
+//     arbiter.replica, Exchange.InstallReplica, cluster Node.Replicate
+//     and the wire Replicate message; no flags; row cluster
+//     TestClusterOwnerFailoverDeputyArms (without it the deputy never
+//     holds the dead owner's pending set; TestRunChaosStorm stalls too).
+//   - Graceful leave (cluster Node.Leave): ≈ 60 lines in Node.Leave,
+//     pendingOutbox, Membership.leave and the daemon's shutdown branch;
+//     flag -leave; row cmd/immunityd TestDrillGracefulLeave (without it
+//     the survivors import none of the leaver's owned records).
 //
 // # Lock order relative to the engine lock
 //
@@ -578,8 +587,8 @@ func (s *Service) Publish(source string, sig *core.Signature) (epoch uint64, fre
 // treated as read-only. Deliveries are ordered per subscriber and run
 // on a dedicated goroutine; fn may call into cores (hot-install) but must
 // not call Subscribe or Close on this service. The returned cancel stops
-// delivery after the in-flight delta and waits for the delivery goroutine
-// to exit. Together with Epoch and the HistoryStore methods this
+// delivery once what is already queued is delivered and waits for the
+// delivery goroutine to exit. Together with Epoch and the HistoryStore methods this
 // implements vm.SignatureBus.
 func (s *Service) Subscribe(name string, from uint64, fn func(epoch uint64, sigs []*core.Signature)) (cancel func()) {
 	sub := newSubscriber(fn, func(n int) {
@@ -608,6 +617,7 @@ func (s *Service) Subscribe(name string, from uint64, fn func(epoch uint64, sigs
 			delete(s.subs, id)
 			s.mu.Unlock()
 			sub.Close()
+			<-sub.Done()
 		})
 	}
 }
@@ -649,6 +659,7 @@ func (s *Service) Close() {
 	s.mu.Unlock()
 	for _, sub := range subs {
 		sub.Close()
+		<-sub.Done()
 	}
 }
 

@@ -51,12 +51,10 @@ type loopbackSession struct {
 
 // Send hands the message straight to the hub. A protocol violation (the
 // hub refusing the message) closes the session, mirroring a TCP hub
-// hanging up. The close runs on a fresh goroutine, as Queue.kill runs
-// OnDead: Send may be called from recv, on the Conn's own drain
-// goroutine, and Conn.Close waits for that goroutine to exit.
+// hanging up: the refusal ack drains first, then the session goes down.
 func (s *loopbackSession) Send(m wire.Message) error {
 	if err := s.conn.Handle(m); err != nil {
-		go s.conn.Close()
+		s.conn.Close()
 		return fmt.Errorf("loopback send: %w", err)
 	}
 	return nil

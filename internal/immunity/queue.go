@@ -20,10 +20,9 @@ import (
 // A Deliver error ends the queue in one of two ways, chosen at
 // construction:
 //
-//   - drop (default): the queue closes, pending items are discarded,
-//     and OnDead fires once on a fresh goroutine — the session is
-//     unusable and its owner must tear it down (the Exchange push
-//     queues: a send failure means the wire session died).
+//   - drop (default): the queue closes and pending items are discarded
+//     — the session is unusable (the Exchange push queues: a send
+//     failure means the wire session died).
 //   - retry (RetryOnError): the failed item and everything behind it
 //     stay queued and the drain parks until Resume — the cluster's
 //     forward outboxes: a peer link redial replaces the session and
@@ -31,9 +30,9 @@ import (
 //     dropped by a transient partition (the receiving hub deduplicates,
 //     making redelivery safe).
 //
-// Close stops the queue after delivering what is already enqueued (in
-// retry mode: unless parked on a dead session) and waits for the drain
-// goroutine to exit. Enqueue after Close is a no-op.
+// Close returns at once; the drain still delivers what is already
+// enqueued (in retry mode: unless parked on a dead session), then runs
+// OnExit, and Done closes. Enqueue after Close is a no-op.
 type Queue[T any] struct {
 	cfg QueueConfig[T]
 	// deliver hands one drained batch over and reports how many of its
@@ -84,13 +83,11 @@ type QueueConfig[T any] struct {
 	// OnDeliver, when set, observes each successful delivery (after
 	// coalescing) — batching counters.
 	OnDeliver func(T)
-	// OnDead, when set, fires exactly once, on a fresh goroutine, when a
-	// Deliver error kills a drop-mode queue — unless Close already
-	// initiated teardown, in which case the error is the expected
-	// consequence of the owner's shutdown and OnDead is suppressed (the
-	// owner must not be told to tear down a session it is already
-	// tearing down).
-	OnDead func()
+	// OnExit, when set, runs exactly once, on the drain goroutine, as
+	// its last act — after Close and the delivery of what was enqueued
+	// before it, or after a drop-mode Deliver error — so an owner can
+	// tear its session down there without waiting for the drain.
+	OnExit func()
 	// RetryOnError selects retry mode: a Deliver error re-queues the
 	// failed item at the front and parks the drain until Resume.
 	RetryOnError bool
@@ -217,38 +214,22 @@ func (q *Queue[T]) syncGaugesLocked() {
 	}
 }
 
-// kill ends the queue after a drop-mode delivery error. It fires
-// OnDead only when the owner had not already initiated teardown via
-// Close — a delivery error racing Close is the expected consequence of
-// the owner's own shutdown, and firing OnDead then would run the
-// owner's teardown path a second time, concurrently.
-func (q *Queue[T]) kill() {
-	q.mu.Lock()
-	ownerClosed := q.closed
-	q.closed = true
-	q.queue = nil
-	q.inFlight = 0
-	q.syncGaugesLocked()
-	q.cond.Broadcast()
-	q.mu.Unlock()
-	if !ownerClosed && q.cfg.OnDead != nil {
-		go q.cfg.OnDead()
-	}
-}
-
 // drain delivers queued items in order until closed. One pass settles
 // the previous batch and takes the next under one lock: a delivered
-// prefix leaves the in-flight count, and in retry mode the failed rest
-// goes back to the queue front.
+// prefix leaves the in-flight count, and after a failure the rest goes
+// back to the queue front (retry) or the queue ends (drop).
 func (q *Queue[T]) drain() {
 	defer close(q.done)
+	if q.cfg.OnExit != nil {
+		defer q.cfg.OnExit()
+	}
 	var batch []T // the batch the previous pass took
 	var n int     // how many of it were delivered
-	var err error // why the rest were not (retry mode only here)
+	var err error // why the rest were not
 	for {
 		q.mu.Lock()
 		q.inFlight -= n
-		if err != nil {
+		if err != nil && q.cfg.RetryOnError {
 			// Re-queue the failed item and everything behind it
 			// (including anything enqueued since) intact, and park
 			// unless a Resume already announced the next session.
@@ -256,6 +237,8 @@ func (q *Queue[T]) drain() {
 			q.raw += len(batch) - n
 			q.inFlight = 0
 			q.paused = !q.resumed
+		} else if err != nil {
+			q.queue, q.inFlight, q.closed = nil, 0, true
 		}
 		q.resumed = false
 		q.syncGaugesLocked()
@@ -288,24 +271,17 @@ func (q *Queue[T]) drain() {
 				q.cfg.OnDeliver(v)
 			}
 		}
-		if err != nil && !q.cfg.RetryOnError {
-			q.kill()
-			return
-		}
 	}
 }
 
-// Close stops the queue after delivering what is already enqueued, and
-// waits for the drain goroutine to exit. Idempotent.
+// Close stops the queue once what is already enqueued is delivered, and
+// returns at once; Done reports the drain's exit. Idempotent.
 func (q *Queue[T]) Close() {
 	q.mu.Lock()
-	if q.closed {
-		q.mu.Unlock()
-		<-q.done
-		return
-	}
 	q.closed = true
-	q.cond.Broadcast()
+	q.cond.Signal()
 	q.mu.Unlock()
-	<-q.done
 }
+
+// Done is closed when the drain has exited, after OnExit returned.
+func (q *Queue[T]) Done() <-chan struct{} { return q.done }

@@ -2,6 +2,7 @@ package immunity
 
 import (
 	"errors"
+	"fmt"
 	"sync"
 	"testing"
 	"time"
@@ -53,17 +54,21 @@ func TestQueueDeliverBatch(t *testing.T) {
 	}
 }
 
-// TestQueueDeliverBatchDropOnError: a batch error in drop mode kills
-// the queue, discards pending items, and fires OnDead exactly once —
+// TestQueueDeliverBatchDropOnError: a batch error in drop mode ends
+// the queue, discards pending items, and runs OnExit exactly once —
 // the same contract the per-item path has.
 func TestQueueDeliverBatchDropOnError(t *testing.T) {
 	dead := make(chan struct{})
 	q := NewQueue(QueueConfig[int]{
 		DeliverBatch: func([]int) error { return errors.New("session died") },
-		OnDead:       func() { close(dead) },
+		OnExit:       func() { close(dead) },
 	})
 	q.Enqueue(1)
-	<-dead
+	select {
+	case <-dead:
+	case <-time.After(5 * time.Second):
+		t.Fatal("a failed batch never ended the queue")
+	}
 	q.Enqueue(2) // no-op after death
 	if n := q.Pending(); n != 0 {
 		t.Fatalf("dead queue holds %d items", n)
@@ -176,64 +181,63 @@ func TestQueuePendingSeesInFlightBatch(t *testing.T) {
 	q.Close()
 }
 
-// TestQueueCloseRacesDeliverFailure: when Close has already initiated
-// teardown, a concurrent drop-mode delivery failure must NOT fire
-// OnDead — the owner is tearing the session down and must not be told
-// to do it again. Run with -race: the original code fired OnDead from
-// the drain while Close's caller was mid-teardown.
-func TestQueueCloseRacesDeliverFailure(t *testing.T) {
-	for i := 0; i < 50; i++ {
-		inDeliver := make(chan struct{})
-		release := make(chan struct{})
-		dead := make(chan struct{}, 1)
-		q := NewQueue(QueueConfig[int]{
-			Deliver: func(int) error {
-				close(inDeliver)
-				<-release
-				return errors.New("send failed")
-			},
-			OnDead: func() { dead <- struct{}{} },
-		})
-		q.Enqueue(1)
-		<-inDeliver // delivery in flight, queue lock free
-		closed := make(chan struct{})
-		go func() {
-			q.Close()
-			close(closed)
-		}()
-		// Wait until Close has marked the queue closed, then let the
-		// in-flight delivery fail.
-		waitFor(t, "Close set closed", func() bool {
-			q.mu.Lock()
-			defer q.mu.Unlock()
-			return q.closed
-		})
-		close(release)
-		<-closed
-		select {
-		case <-dead:
-			t.Fatal("OnDead fired even though Close initiated teardown")
-		case <-time.After(5 * time.Millisecond):
-		}
+// TestQueueExitHookRunsOnce: however a drop-mode queue ends — Close
+// first, a delivery failure first, or the two racing — OnExit runs
+// exactly once, on the drain, after every item delivered, and Done
+// closes after it. Close first still delivers what was enqueued before
+// it. Run with -race: OnExit's effects are read after Done with no lock.
+func TestQueueExitHookRunsOnce(t *testing.T) {
+	rows := []struct {
+		name   string
+		failAt int // the item whose delivery fails; 0: none does
+		// end runs while item 1's delivery is held and 2, 3 are queued.
+		end  func(q *Queue[int], release chan struct{})
+		want []int // delivered, then 0 for the exit
+	}{
+		{"close first", 0, func(q *Queue[int], release chan struct{}) { q.Close(); close(release) }, []int{1, 2, 3, 0}},
+		{"failure first", 2, func(q *Queue[int], release chan struct{}) { close(release) }, []int{1, 0}},
+		{"racing", 1, func(q *Queue[int], release chan struct{}) { go q.Close(); close(release) }, []int{0}},
 	}
-}
-
-// TestQueueDeliverFailureWithoutCloseStillDies: the suppression above
-// must not eat the legitimate case — a delivery failure with no Close
-// in flight still fires OnDead exactly once.
-func TestQueueDeliverFailureWithoutCloseStillDies(t *testing.T) {
-	dead := make(chan struct{})
-	q := NewQueue(QueueConfig[int]{
-		Deliver: func(int) error { return errors.New("send failed") },
-		OnDead:  func() { close(dead) },
-	})
-	q.Enqueue(1)
-	select {
-	case <-dead:
-	case <-time.After(2 * time.Second):
-		t.Fatal("OnDead did not fire for a genuine delivery failure")
+	for _, row := range rows {
+		t.Run(row.name, func(t *testing.T) {
+			for i := 0; i < 20; i++ {
+				var log []int // the drain's own; read after Done
+				inDeliver, release := make(chan struct{}), make(chan struct{})
+				q := NewQueue(QueueConfig[int]{
+					Deliver: func(v int) error {
+						if v == 1 {
+							close(inDeliver)
+							<-release
+						}
+						if v == row.failAt {
+							return errors.New("send failed")
+						}
+						log = append(log, v)
+						return nil
+					},
+					OnExit: func() { log = append(log, 0) },
+				})
+				q.Enqueue(1)
+				<-inDeliver
+				q.Enqueue(2)
+				q.Enqueue(3)
+				row.end(q, release)
+				select {
+				case <-q.Done():
+				case <-time.After(5 * time.Second):
+					t.Fatal("the drain never exited")
+				}
+				q.Close()
+				q.Enqueue(4) // no-op once ended
+				if n := q.Pending(); n != 0 {
+					t.Fatalf("ended queue holds %d items", n)
+				}
+				if fmt.Sprint(log) != fmt.Sprint(row.want) {
+					t.Fatalf("deliveries then exit = %v, want %v", log, row.want)
+				}
+			}
+		})
 	}
-	q.Close()
 }
 
 // TestQueueRetryBatchRedeliversSentPrefix: the documented at-least-once

@@ -290,9 +290,7 @@ func (r *Redialer) Run() {
 				r.cfg.Connected.Add(-1)
 			}
 			r.mu.Unlock()
-			// Closed outside mu: Close can wait on the hub's connection
-			// teardown, whose in-flight handlers may be blocked on a lock
-			// some caller of Send holds.
+			// Closed outside mu: a loopback Close takes the hub's locks.
 			a.sess.Close()
 		} else if err := r.Handshake(); err == nil {
 			continue

@@ -397,10 +397,11 @@ func TestSubscribeCancelStopsDelivery(t *testing.T) {
 	<-ch
 	cancel()
 	cancel()
+	// cancel returned after the drain exited, so nothing can reach fn
+	// after this publish.
 	if _, _, err := svc.Publish("local", testSig(1)); err != nil {
 		t.Fatal(err)
 	}
-	time.Sleep(10 * time.Millisecond)
 	if n != 1 {
 		t.Errorf("deliveries after cancel = %d, want 1", n)
 	}

@@ -257,7 +257,7 @@ func (s *ExchangeServer) serve(raw net.Conn) {
 	if transportIdentity != "" {
 		conn.SetTransportIdentity(transportIdentity)
 	}
-	defer conn.Close()
+	defer func() { conn.Close(); <-conn.out.Done() }()
 	fr := wire.NewReader(nc)
 	for {
 		m, err := fr.ReadFrame()

@@ -240,6 +240,64 @@ func TestQueueExitHookRunsOnce(t *testing.T) {
 	}
 }
 
+// TestQueueCloseRacesDeliverFailure: when Close has already marked the
+// queue closed and then the in-flight drop-mode delivery fails, the two
+// endings are one: OnExit runs exactly once, so the owner's teardown is
+// not run twice, and Done closes after it.
+func TestQueueCloseRacesDeliverFailure(t *testing.T) {
+	for i := 0; i < 50; i++ {
+		inDeliver := make(chan struct{})
+		release := make(chan struct{})
+		exits := make(chan struct{}, 2)
+		q := NewQueue(QueueConfig[int]{
+			Deliver: func(int) error {
+				close(inDeliver)
+				<-release
+				return errors.New("send failed")
+			},
+			OnExit: func() { exits <- struct{}{} },
+		})
+		q.Enqueue(1)
+		<-inDeliver // delivery in flight, queue lock free
+		q.Close()
+		q.mu.Lock()
+		closed := q.closed
+		q.mu.Unlock()
+		if !closed {
+			t.Fatal("Close returned without marking the queue closed")
+		}
+		close(release)
+		select {
+		case <-q.Done():
+		case <-time.After(5 * time.Second):
+			t.Fatal("the drain never exited")
+		}
+		if n := len(exits); n != 1 {
+			t.Fatalf("OnExit ran %d times, want 1", n)
+		}
+	}
+}
+
+// TestQueueDeliverFailureWithoutCloseStillDies: a delivery failure with
+// no Close at all ends a drop-mode queue by itself — OnExit runs once
+// and Done closes.
+func TestQueueDeliverFailureWithoutCloseStillDies(t *testing.T) {
+	exits := make(chan struct{}, 2)
+	q := NewQueue(QueueConfig[int]{
+		Deliver: func(int) error { return errors.New("send failed") },
+		OnExit:  func() { exits <- struct{}{} },
+	})
+	q.Enqueue(1)
+	select {
+	case <-q.Done():
+	case <-time.After(5 * time.Second):
+		t.Fatal("a genuine delivery failure never ended the queue")
+	}
+	if n := len(exits); n != 1 {
+		t.Fatalf("OnExit ran %d times, want 1", n)
+	}
+}
+
 // TestQueueRetryBatchRedeliversSentPrefix: the documented at-least-once
 // contract of DeliverBatch in retry mode — a batch error re-queues the
 // WHOLE coalesced batch, so after Resume the receiver sees the

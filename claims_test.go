@@ -44,9 +44,12 @@ var claims = []claim{
 	},
 	{
 		id: "E1 over generated inversions",
-		statement: "over 500 seeded k-cycles (k = 2..4; plain, non-LIFO exits, or with a decoy), run 1 detects once with one signature, " +
+		statement: "over 500 seeded k-cycles (k = 2..4; plain, non-LIFO exits, with a decoy, or with a hold re-acquired in Object.wait), run 1 detects once with one signature, " +
 			"run 2 booted from its history completes with yields and no deadlock, and a decoy alone in every outer position never yields",
 		tests: []string{"internal/vm:TestGeneratedE1"},
+		mutants: []mutant{
+			{"Monitor.wait re-acquiring by the monitor's CAS alone, skipping the request (core.Enter)", "internal/vm:TestGeneratedE1"},
+		},
 	},
 	{
 		id:        "F1",
@@ -60,15 +63,22 @@ var claims = []claim{
 	{
 		id: "phone-path cost",
 		statement: "what an uncontended synchronized block costs under Dimmunix against vanilla: at one P (phone-sync, gated) and at one and two Ps (BenchmarkSyncProcs, report only); " +
-			"an unarmed block makes 4 locked instructions (enter: the engine's read pair and the monitor CAS; exit: the monitor's release store)",
+			"an unarmed block makes 4 locked instructions (enter: the engine's read pair and the monitor CAS; exit: the monitor's release store), " +
+			"and core.Enter's shared section calls only the runtime's tryLock: no acquire, no thread-state hook",
+		tests:   []string{"internal/core:TestEnterSharedSectionCallsOnlyTryLock", "internal/vm:TestEnterFastStaysRunnable"},
 		numbers: []string{".:BenchmarkSyncProcs"},
 		metrics: []string{"phone-sync/ops_per_s"},
 	},
 	{
 		id: "fast path ≡ exclusive path",
 		statement: "the shared engine sections and the lock-free exit decide exactly as Request, Acquired and Release under the exclusive lock, and as the reference model; " +
-			"the schedules reach the state between a runtime CAS and Acquired and put installs between a lock-free exit's store and its re-check",
+			"the schedules reach the state between a runtime CAS and Acquired, put installs between a lock-free exit's store and its re-check, " +
+			"and drive the composed core.Enter, whose failed acquire is aborted and whose blocked hook runs before the request",
 		tests: []string{
+			"internal/core:TestEnterAbortsAFailedAcquire",
+			"internal/core:TestEnterReadsBlockedThroughAYield",
+			"internal/vm:TestEnterOnADyingProcessUndoesTheHold",
+			"internal/android:TestYieldingThreadReadsBlockedInANR",
 			"internal/core:TestFastPathConditions",
 			"internal/core:TestFastReleaseConditions",
 			"internal/core:TestEngineSchedules",
@@ -83,7 +93,15 @@ var claims = []claim{
 			{"Core.exited without its post-store re-load of inHistory", "internal/core:TestLockFreeExitReconcilesARacingInstall"},
 			{"EnterFast overwriting a non-nil acqEntry (no phantom branch)", "internal/core:TestEnterFastNeverOverwritesAPhantom"},
 			{"Node.holder taking a CAS-before-Acquired thread for the holder", "internal/core:TestCASBeforeAcquiredReadsAsRunning"},
+			{"core.Enter skipping the abort after a failed acquire", "internal/core:TestEnterAbortsAFailedAcquire"},
+			{"Monitor.enter dropping the undo of a CAS that won on a dying process", "internal/vm:TestEnterOnADyingProcessUndoesTheHold"},
+			{"core.Enter telling the blocked hook only after the Request", "internal/core:TestEnterReadsBlockedThroughAYield"},
 		},
+	},
+	{
+		id:        "two interception points",
+		statement: "an embedder drives the core through core.Enter and core.Exit only, the paper's lockMonitor and unlockMonitor; no non-test code outside internal/core and bench/ calls the parts they compose",
+		tests:     []string{".:TestEmbeddersCallOnlyEnterAndExit"},
 	},
 	{
 		id:        "sync counting",

@@ -67,10 +67,10 @@ func WithQueueReuse(on bool) Option {
 	return func(c *Config) { c.QueueReuse = on }
 }
 
-// WithSerialEngine selects the serial reference engine: every Request,
-// Acquired and Release serializes on the global engine lock, as in the
-// paper's §4 implementation. Off (the default) enables the sharded
-// low-contention fast path.
+// WithSerialEngine selects the serial reference engine: every Enter and
+// Exit serializes on the global engine lock, as in the paper's §4
+// implementation; off (the default) enables the sharded fast path. It is
+// exported only for the benchmarks' global-lock ablation (workload.Micro).
 func WithSerialEngine(on bool) Option {
 	return func(c *Config) { c.Serial = on }
 }

@@ -8,19 +8,17 @@
 // (§3.1 of the paper), so state is process-local and isolated.
 //
 // The embedding runtime (a synchronization library, here internal/vm's
-// Dalvik-like monitors) drives the core through three interception points,
-// mirroring the paper's integration with lockMonitor/unlockMonitor:
+// Dalvik-like monitors) drives the core through two interception points,
+// the paper's lockMonitor and unlockMonitor:
 //
-//   - Request, before a monitorenter: runs detection, then blocks the
-//     caller while any history signature could be instantiated.
-//   - Acquired, right after a monitorenter succeeds.
-//   - Exit, around a monitorexit: Release, right before the runtime's
-//     release store, unless the exit needs no engine section at all.
-//
-// EnterFast stands in for Request and Acquired on an uncontended
-// monitorenter that neither can matter to: it takes the runtime's lock
-// through a non-blocking callback inside one shared engine section (see
-// "Fast-path safety argument").
+//   - Enter, a monitorenter with the runtime's acquisition: one shared
+//     engine section around the runtime's tryLock when neither detection
+//     nor avoidance can matter (see "Fast-path safety argument"), else
+//     Request (detection, then avoidance, which suspends the caller while
+//     a history signature could be instantiated), the runtime's blocking
+//     acquire and Acquired, or an abort when acquire fails.
+//   - Exit, a monitorexit with the runtime's release store: Release right
+//     before the store, unless the exit needs no engine section at all.
 //
 // The RAG's hold edge is the runtime's own ownership word, handed to the
 // core with the lock node (NewMonitorNode, Word): the runtime's acquiring
@@ -29,7 +27,7 @@
 //
 // # Concurrency architecture
 //
-// The paper serializes the three entry points under one global per-process
+// The paper serializes its entry points under one global per-process
 // mutex ("Dimmunix uses a global lock within these methods", §4). That is
 // kept as the serial reference engine (Config.Serial). The default engine
 // is sharded for low contention:
@@ -53,7 +51,7 @@
 // it provably needs no detection, no avoidance walk and no starvation
 // scan, and one exit takes no section at all:
 //
-//   - EnterFast, every uncontended monitorenter at a position where no
+//   - enterFast, every uncontended monitorenter at a position where no
 //     signature is exposed: the approval, the runtime's tryLock and the
 //     hold edge in one section, when tryLock wins (so the lock was free
 //     and granting cannot complete a cycle — detection's walk would stop
@@ -105,8 +103,8 @@
 // Approving a request t→l with l unowned cannot complete a deadlock cycle
 // (a cycle needs l held), and every cycle's final edge targets a held lock,
 // so the request that completes a cycle always finds the real lock taken,
-// loses EnterFast's tryLock, and runs full detection in Request under the
-// exclusive lock. EnterFast does not read l's word to learn whether l is
+// loses enterFast's tryLock, and runs full detection in Request under the
+// exclusive lock. enterFast does not read l's word to learn whether l is
 // free: the runtime's tryLock answers that, atomically with taking it.
 // Starvation cycles need a yielder; every shared section bails out to the
 // exclusive path whenever one exists, and a thread that starts yielding
@@ -116,7 +114,7 @@
 // Avoidance at pos finds nothing when no signature is exposed at pos: each
 // signature naming pos then watches a slot at another position whose queue
 // is empty, a slot no thread can fill (avoid.go, "Watched-slot index").
-// EnterFast reads exposed(pos) == 0 under the shared lock, and exposure
+// enterFast reads exposed(pos) == 0 under the shared lock, and exposure
 // changes only under the exclusive one, so the answer holds for the whole
 // section. It also holds against every other shared section running
 // beside it: a shared section adds a queue entry only at a position where
@@ -126,7 +124,7 @@
 // watch. So the shared approvals of one shared phase are each the approval
 // Request would have made in any serial order of them.
 //
-// EnterFast is the schedule Request → tryLock → Acquired in which no
+// enterFast is the schedule Request → tryLock → Acquired in which no
 // exclusive section lands in between. Under its conditions Request's
 // detection and avoidance would find nothing, so Request would only set
 // the request edge and, at an armed position, the queue entry, and
@@ -151,7 +149,7 @@
 // and the core only reads: Node.holder for the RAG, under the exclusive
 // lock. acqPos and acqEntry, where and with which queue entry the holder
 // acquired it, are plain fields written inside an engine section by the
-// thread that holds the runtime's real lock (EnterFast after its tryLock
+// thread that holds the runtime's real lock (enterFast after its tryLock
 // wins, Acquired after the runtime's acquisition, Release before the
 // release store) or by an exclusive section. Two holders are ordered by
 // the word itself: the old one's last write precedes its release store,
@@ -185,7 +183,7 @@
 // a hold whose release store follows at once. The phantom is only ever
 // returned under the exclusive lock: by the exit's reconcile, which
 // returns the lock's entry only if it is the exiting thread's own, or by
-// the next holder's Acquired. EnterFast never overwrites a non-nil
+// the next holder's Acquired. enterFast never overwrites a non-nil
 // acqEntry: when its CAS wins over a phantom it finishes as an approved
 // request whose Acquired runs exclusive, and fastAcquired likewise
 // refuses a lock with an entry. Until it is returned, a phantom can only
@@ -216,7 +214,7 @@
 // Signature.cond is in c.yielders: avoidLocked inserts it before cond.Wait
 // and removes it after Wait returns, and both steps — like Wait's own
 // unlock and relock — happen under the exclusive engine lock. Release and
-// Abort hold that lock when they wake, so len(c.yielders) == 0 proves no
+// abort hold that lock when they wake, so len(c.yielders) == 0 proves no
 // goroutine is parked on any signature, and the per-signature Broadcast
 // loop is skipped. A goroutine already woken but not yet rescheduled is
 // still in the set (it cannot remove itself before relocking), so the gate
@@ -406,8 +404,9 @@ func (c *Core) NewMonitorNode(name string, word Word) *Node {
 }
 
 // NewLockNode creates a lock node with no ownership word. The core never
-// sees it held, so detection never walks through it; it serves callers
-// that time the engine's sections without a runtime lock.
+// sees it held, so detection never walks through it. It is exported only
+// for the benchmarks that time the engine's sections without a runtime
+// lock; an embedder's locks have words (NewMonitorNode).
 func (c *Core) NewLockNode(name string) *Node { return c.NewMonitorNode(name, nil) }
 
 // RetireThreadNode removes a terminated thread's node from the registry,
@@ -462,8 +461,44 @@ func (c *Core) Intern(stack CallStack) (*Position, error) {
 	return c.positions.intern(stack.Truncate(c.cfg.OuterDepth)), nil
 }
 
-// Request implements the pre-monitorenter interception. t is about to
-// request lock l with outer call stack position pos. Request:
+// Enter is the monitorenter interception together with the embedding
+// runtime's acquisition of l by t at pos. It returns once t owns l, or
+// with an error, owning nothing; t releases l with Exit. tryLock takes the
+// lock if it is free and reports whether it did; it runs inside an engine
+// section, so it must not block, wait or call into this Core. acquire
+// blocks until the lock is taken, or fails leaving it untaken (the runtime
+// gave up, say on teardown). blocked is told true before an enter that
+// may wait, for avoidance or for the lock, and false once it owns l or
+// fails.
+//
+// An uncontended enter at a position where no signature is exposed is one
+// shared section (enterFast), which calls only tryLock. Any other is
+// Request, acquire and Acquired; a failed acquire aborts the approved
+// request, and a failed Request (ErrCoreClosed) returns before acquire.
+func (c *Core) Enter(t, l *Node, pos *Position, tryLock func() bool, acquire func() error, blocked func(bool)) error {
+	if c.enterFast(t, l, pos, tryLock) {
+		return nil
+	}
+	return c.enterSlow(t, l, pos, acquire, blocked)
+}
+
+// enterSlow is Enter's exclusive path.
+func (c *Core) enterSlow(t, l *Node, pos *Position, acquire func() error, blocked func(bool)) error {
+	blocked(true)
+	defer blocked(false)
+	if err := c.Request(t, l, pos); err != nil {
+		return err
+	}
+	if err := acquire(); err != nil {
+		c.abort(t)
+		return err
+	}
+	c.Acquired(t, l)
+	return nil
+}
+
+// Request is the pre-monitorenter interception, the first step of Enter's
+// exclusive path: t is about to request l at outer position pos. It:
 //
 //  1. Runs deadlock detection: if granting the request would complete a
 //     RAG cycle, the deadlock's signature is recorded (and persisted), and
@@ -476,12 +511,10 @@ func (c *Core) Intern(stack CallStack) (*Position, error) {
 //     allowed to wait for a lock at pos") and the request edge t→l is
 //     added to the RAG.
 //
-// Request always takes the exclusive engine lock; an uncontended
-// monitorenter that neither step can matter to goes through EnterFast
-// instead. Besides argument errors, Request fails only with ErrCoreClosed.
-//
-// On success the caller must proceed to block on the real lock and then
-// call Acquired; if the caller gives up instead it must call Abort.
+// Request always takes the exclusive engine lock. Besides argument errors,
+// it fails only with ErrCoreClosed. Request, Acquired and Release are
+// exported only for the benchmarks that time the engine's sections one by
+// one; an embedder calls Enter and Exit.
 func (c *Core) Request(t, l *Node, pos *Position) error {
 	if err := checkArgs(t, l); err != nil {
 		return err
@@ -497,9 +530,9 @@ func (c *Core) Request(t, l *Node, pos *Position) error {
 	}
 	atomic.AddUint64(&c.stats.Requests, 1)
 	if t.reqLock != nil {
-		// A second Request without Acquired/Abort: tolerate but count, and
-		// drop the superseded approval's queue entry so it does not stay
-		// behind as a phantom occupant of its position.
+		// A second Request without Acquired or abort: tolerate but count,
+		// and drop the superseded approval's queue entry so it does not
+		// stay behind as a phantom occupant of its position.
 		atomic.AddUint64(&c.stats.Misuse, 1)
 		c.dropRequestLocked(t)
 	}
@@ -543,37 +576,29 @@ func (c *Core) Request(t, l *Node, pos *Position) error {
 	return nil
 }
 
-// EnterFast is an uncontended monitorenter in one shared section: an
-// approval whose detection and avoidance provably find nothing, the
-// embedding runtime's own acquisition and the fast Acquired, run back to
-// back under one shared engine lock. Under that lock it checks that the
-// core is open, t has no pending request, no signature is exposed at pos
-// (Position.exposed; always so at a position no signature names) and
-// nothing yields (the lock keeps pos's exposure and the yielder set fixed:
-// both change only under the exclusive lock). When they hold it calls
-// tryLock, which must try to take the real lock (the CAS on l's word) and
-// report whether it did; its answer is also the only test of whether l is
-// free. tryLock runs under the engine lock, so it must not block, wait or
-// call into this Core. If tryLock wins, t's hold is completed
-// (acquisition position, and at an armed position a queue entry, taken
-// under pos's leaf lock) and counted as one acquisition on the fast path.
-// At a position no signature names it is also one fast request; at an
-// armed one it is a request whose avoidance checked pos's candidate
-// signatures, as Request would have counted it. The caller then owns l
-// and releases it with Exit.
-//
+// enterFast is Enter's shared path: an approval whose detection and
+// avoidance provably find nothing, the runtime's tryLock and the fast
+// Acquired, back to back under one shared engine lock. Under it, it
+// checks that the core is open, t has no pending request, no signature is
+// exposed at pos (always so at a position no signature names) and nothing
+// yields; the lock keeps pos's exposure and the yielder set fixed, as both
+// change only under the exclusive lock. Then tryLock, the CAS on l's word,
+// is also the only test of whether l is free. If it wins, t's hold gets
+// its acquisition position, and at an armed position a queue entry taken
+// under pos's leaf lock, and counts as one fast acquisition and one
+// request: a fast one at a position no signature names, else one whose
+// avoidance checked pos's candidate signatures, as Request would count it.
 // A phantom entry on l (a lock-free exit raced a signature install) is
-// never overwritten: the enter then finishes as an approved request
-// whose Acquired runs exclusive and returns the phantom first.
+// never overwritten: the enter then finishes as an approved request whose
+// Acquired runs exclusive and returns the phantom first.
 //
-// EnterFast returns false, having changed nothing, when the conditions do
+// enterFast returns false, having changed nothing, when the conditions do
 // not hold, when tryLock loses, and always on the serial engine. The
-// caller then takes the full Request → acquire → Acquired sequence. The
-// package comment ("Fast-path safety argument") has why the fused section
-// decides exactly as that sequence does. An exposed position is refused
-// before the lock is taken: the check is repeated under it, so the early
-// answer only saves a read pair that could not succeed.
-func (c *Core) EnterFast(t, l *Node, pos *Position, tryLock func() bool) bool {
+// package comment ("Fast-path safety argument") has why the section
+// decides exactly as Request → acquire → Acquired does. An exposed
+// position is refused before the lock is taken too, which saves a read
+// pair that could not succeed.
+func (c *Core) enterFast(t, l *Node, pos *Position, tryLock func() bool) bool {
 	if c.cfg.Serial || pos == nil || pos.exposed.Load() != 0 || !validArgs(t, l) {
 		return false
 	}
@@ -607,12 +632,13 @@ func (c *Core) EnterFast(t, l *Node, pos *Position, tryLock func() bool) bool {
 	return true
 }
 
-// Acquired implements the post-monitorenter interception: t now owns l.
-// The runtime's acquisition already published the hold on l's word; the
-// request edge is replaced by the hold's acquisition position and the
-// position entry is transferred from the thread to the lock (it stays in
-// the same queue: the thread went from "allowed to wait at pos" to "holds
-// at pos"). A phantom entry left on l is returned first.
+// Acquired implements the post-monitorenter interception, the last step
+// of Enter's exclusive path: t now owns l. The runtime's acquisition
+// already published the hold on l's word; the request edge is replaced by
+// the hold's acquisition position and the position entry is transferred
+// from the thread to the lock (it stays in the same queue: the thread went
+// from "allowed to wait at pos" to "holds at pos"). A phantom entry left
+// on l is returned first. Exported only for benchmarks, as Request is.
 func (c *Core) Acquired(t, l *Node) {
 	if checkArgs(t, l) != nil {
 		return
@@ -734,8 +760,8 @@ func (c *Core) reconcileExit(t, l *Node, pos *Position) {
 // yielding on those signatures are woken to re-check (the paper's
 // notifyAll over signatures containing the position). The section clears
 // acqPos before it ends, so a signature installed before the release
-// store attaches no entry to the hold. Exit calls it for every exit that
-// is not lock-free; a caller whose lock has no word calls it alone.
+// store attaches no entry to the hold. Exit runs this section for every
+// exit that is not lock-free; Release is exported only for benchmarks.
 func (c *Core) Release(t, l *Node) {
 	if !validArgs(t, l) {
 		return
@@ -815,22 +841,14 @@ func (c *Core) fastRelease(t, l *Node) bool {
 	return true
 }
 
-// Abort undoes an approved Request that will not proceed to Acquired
-// (e.g. the embedding runtime cancelled a blocked monitorenter during
-// process teardown). The position entry and the request edge are removed
-// and yielders on affected signatures are woken. Aborts are rare (they
-// happen on teardown), so there is no fast path.
-func (c *Core) Abort(t, l *Node) {
-	if checkArgs(t, l) != nil {
-		return
-	}
+// abort undoes t's approved request, whose acquisition failed (Enter's
+// acquire gave up, e.g. on process teardown): the position entry and the
+// request edge are removed and yielders on affected signatures are woken.
+// Aborts are rare, so there is no fast path.
+func (c *Core) abort(t *Node) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	atomic.AddUint64(&c.stats.Aborts, 1)
-	if t.reqLock != l {
-		atomic.AddUint64(&c.stats.Misuse, 1)
-		return
-	}
 	c.dropRequestLocked(t)
 }
 

@@ -155,7 +155,7 @@ func TestAbortUndoesApproval(t *testing.T) {
 	if p.occupants() != 1 {
 		t.Fatal("approved request must occupy the position queue")
 	}
-	h.c.Abort(t1, l1)
+	h.c.abort(t1)
 	if p.occupants() != 0 {
 		t.Error("abort must remove the queue entry")
 	}

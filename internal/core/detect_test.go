@@ -73,7 +73,7 @@ func TestDetectDuplicateDeadlock(t *testing.T) {
 	if err := h.c.Request(t2, lockA, p2in); err != nil {
 		t.Fatal(err)
 	}
-	h.c.Abort(t2, lockA)
+	h.c.abort(t2)
 
 	// Second identical attempt in the same process: t2 retries.
 	if err := h.c.Request(t2, lockA, p2in); err != nil {

@@ -8,7 +8,7 @@ import (
 	"testing"
 )
 
-// Sharded-engine stress: hammer EnterFast/Request/Acquired/Release from many
+// Sharded-engine stress: hammer enterFast/Request/Acquired/Release from many
 // goroutines — with per-lock real mutexes providing the ownership ordering
 // the embedding runtime's monitors provide — while signatures install
 // concurrently, repeatedly flipping positions from the fast path to the
@@ -73,7 +73,7 @@ func stressCore(t *testing.T, serial bool, installer func(c *Core, stop <-chan s
 				for _, li := range chosen {
 					// A monitorenter as the VM drives it: the fused
 					// uncontended section first, else the full sequence.
-					if c.EnterFast(th, lockNodes[li], positions[li], tryLock(th, lockNodes[li])) {
+					if c.enterFast(th, lockNodes[li], positions[li], tryLock(th, lockNodes[li])) {
 						continue
 					}
 					if err := c.Request(th, lockNodes[li], positions[li]); err != nil {

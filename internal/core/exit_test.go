@@ -25,8 +25,8 @@ func TestLockFreeExitReconcilesARacingInstall(t *testing.T) {
 	h := newHarness(t)
 	th, l, p := h.thread("t"), h.lock("l"), h.pos("Hot", "m", 1)
 	u, lu, cold := h.thread("u"), h.lock("lu"), h.pos("Cold", "x", 9)
-	if !h.c.EnterFast(th, l, p, tryLock(th, l)) {
-		t.Fatal("EnterFast refused an uncontended unarmed enter")
+	if !h.c.enterFast(th, l, p, tryLock(th, l)) {
+		t.Fatal("enterFast refused an uncontended unarmed enter")
 	}
 	done := make(chan error, 1)
 	h.c.Exit(th, l, func() {
@@ -58,7 +58,7 @@ func TestLockFreeExitReconcilesARacingInstall(t *testing.T) {
 
 // TestEnterFastNeverOverwritesAPhantom: a new holder takes the lock
 // between a racing lock-free exit's release store and its re-load, while
-// the phantom entry the rebuild attached is still on the lock. EnterFast
+// the phantom entry the rebuild attached is still on the lock. enterFast
 // wins the CAS but must leave the phantom for the exclusive lock: its
 // enter completes through Acquired, which returns the phantom first, and
 // the old holder's reconcile then finds an entry that is not its own and
@@ -67,14 +67,14 @@ func TestEnterFastNeverOverwritesAPhantom(t *testing.T) {
 	h := newHarness(t)
 	t1, t2, l := h.thread("t1"), h.thread("t2"), h.lock("l")
 	p, q := h.pos("Hot", "m", 1), h.pos("Free", "m", 2)
-	if !h.c.EnterFast(t1, l, p, tryLock(t1, l)) {
-		t.Fatal("EnterFast refused an uncontended unarmed enter")
+	if !h.c.enterFast(t1, l, p, tryLock(t1, l)) {
+		t.Fatal("enterFast refused an uncontended unarmed enter")
 	}
 	h.c.Exit(t1, l, func() {
 		mustAdd(t, h.c, sigOf(DeadlockSig, fr("test.Hot", "m", 1), fr("test.Cold", "x", 9)))
 		unlockWord(t1, l)
-		if !h.c.EnterFast(t2, l, q, tryLock(t2, l)) {
-			t.Fatal("EnterFast refused a free lock at an unarmed position")
+		if !h.c.enterFast(t2, l, q, tryLock(t2, l)) {
+			t.Fatal("enterFast refused a free lock at an unarmed position")
 		}
 		if p.occupants() != 0 || l.acqPos != q || l.acqEntry != nil || l.holder() != t2 {
 			t.Fatalf("t2's enter over the phantom: %d entries at the armed position, acquired at %v, entry %v, holder %v; want none, q, none, t2",
@@ -104,8 +104,8 @@ func TestCASBeforeAcquiredReadsAsRunning(t *testing.T) {
 	p, q, r := h.pos("Stale", "m", 1), h.pos("Free", "m", 2), h.pos("Other", "m", 3)
 
 	// t0 leaves l lock-free: l's acquisition position stays p.
-	if !h.c.EnterFast(t0, l, p, tryLock(t0, l)) {
-		t.Fatal("EnterFast refused an uncontended unarmed enter")
+	if !h.c.enterFast(t0, l, p, tryLock(t0, l)) {
+		t.Fatal("enterFast refused an uncontended unarmed enter")
 	}
 	h.release(t0, l)
 	if l.acqPos != p {
@@ -151,7 +151,7 @@ func TestCASBeforeAcquiredReadsAsRunning(t *testing.T) {
 		t.Errorf("after Acquired: %d acquisitions, %d releases; want 3, 1", st.Acquisitions, st.Releases)
 	}
 	h.release(t1, l)
-	h.c.Abort(t2, l)
+	h.c.abort(t2)
 	h.release(t2, m)
 	if st := h.c.Stats(); st.Acquisitions != 3 || st.Releases != 3 || st.Misuse != 0 {
 		t.Errorf("at quiescence: %d acquisitions, %d releases, %d misuses; want 3, 3, 0", st.Acquisitions, st.Releases, st.Misuse)
@@ -189,7 +189,7 @@ func TestStressLockFreeExitRacesInstall(t *testing.T) {
 				defer wg.Done()
 				<-start
 				for i := 0; i < ops; i++ {
-					if !h.c.EnterFast(th, l, site, tryLock(th, l)) {
+					if !h.c.enterFast(th, l, site, tryLock(th, l)) {
 						if err := h.c.Request(th, l, site); err != nil {
 							t.Errorf("request: %v", err)
 							return

@@ -12,14 +12,14 @@ import (
 // avoidance only when doing so is provably equivalent to the serial
 // reference engine. These tests pin the conditions down.
 
-// TestFastPathConditions table-drives the situations in which EnterFast
-// must (or must never) take the fast path. Every row probes EnterFast
+// TestFastPathConditions table-drives the situations in which enterFast
+// must (or must never) take the fast path. Every row probes enterFast
 // first: it must call tryLock exactly when its conditions hold, publish
 // t's hold edge exactly when tryLock then wins (with a queue entry at an
 // armed position, counted as Request would count it), and otherwise
 // change nothing, so that the Request probed next on the same state
-// decides as if EnterFast had never run. The probe's tryLock is the CAS
-// on the lock's word, which loses to a holder: EnterFast itself does not
+// decides as if enterFast had never run. The probe's tryLock is the CAS
+// on the lock's word, which loses to a holder: enterFast itself does not
 // read the word. Request itself never takes a shared section.
 func TestFastPathConditions(t *testing.T) {
 	tests := []struct {
@@ -28,11 +28,11 @@ func TestFastPathConditions(t *testing.T) {
 		// prepare arms the core and returns the (thread, lock, position)
 		// for the probes.
 		prepare func(t *testing.T, h *harness) (*Node, *Node, *Position)
-		// loses makes the EnterFast probe's tryLock fail, as a monitor CAS
+		// loses makes the enterFast probe's tryLock fail, as a monitor CAS
 		// does when another thread took the real lock first. A lock
 		// another thread holds makes it fail too.
 		loses bool
-		// wantFast is whether EnterFast's conditions hold, so that it
+		// wantFast is whether enterFast's conditions hold, so that it
 		// calls tryLock.
 		wantFast bool
 		// armed is whether the position is armed with no signature
@@ -142,19 +142,19 @@ func TestFastPathConditions(t *testing.T) {
 			h := newHarness(t, tc.opts...)
 			th, l, pos := tc.prepare(t, h)
 
-			// EnterFast probe.
+			// enterFast probe.
 			before, owner := h.c.Stats(), wordOf(l).Holder()
 			tries := 0
-			entered := h.c.EnterFast(th, l, pos, func() bool { tries++; return !tc.loses && tryLock(th, l)() })
+			entered := h.c.enterFast(th, l, pos, func() bool { tries++; return !tc.loses && tryLock(th, l)() })
 			wantTries := 0
 			if tc.wantFast {
 				wantTries = 1
 			}
 			if tries != wantTries {
-				t.Errorf("EnterFast called tryLock %d times, want %d", tries, wantTries)
+				t.Errorf("enterFast called tryLock %d times, want %d", tries, wantTries)
 			}
 			if want := tc.wantFast && !tc.loses && owner == nil; entered != want {
-				t.Fatalf("EnterFast = %v, want %v", entered, want)
+				t.Fatalf("enterFast = %v, want %v", entered, want)
 			}
 			if entered {
 				after := h.c.Stats()
@@ -172,20 +172,20 @@ func TestFastPathConditions(t *testing.T) {
 				if after.FastRequests != before.FastRequests+fast || after.FastAcquisitions != before.FastAcquisitions+1 ||
 					after.Requests != before.Requests+1 || after.Acquisitions != before.Acquisitions+1 ||
 					after.AvoidanceChecks != before.AvoidanceChecks+checks {
-					t.Errorf("EnterFast counted %+v over %+v; want one request (%d fast) checking %d signatures and one fast acquisition",
+					t.Errorf("enterFast counted %+v over %+v; want one request (%d fast) checking %d signatures and one fast acquisition",
 						after, before, fast, checks)
 				}
 				h.release(th, l)
 				if st := h.c.Stats(); st.FastReleases != before.FastReleases+1 || l.holder() != nil || pos.occupants() != 0 {
-					t.Errorf("release after EnterFast: %d fast releases (want %d), owner %v, %d queue entries",
+					t.Errorf("release after enterFast: %d fast releases (want %d), owner %v, %d queue entries",
 						st.FastReleases, before.FastReleases+1, l.holder(), pos.occupants())
 				}
 			} else if after := h.c.Stats(); after != before || wordOf(l).Holder() != owner || th.reqLock != nil {
-				t.Errorf("EnterFast refused but published: owner %v (was %v), request %v, stats %+v (were %+v)",
+				t.Errorf("enterFast refused but published: owner %v (was %v), request %v, stats %+v (were %+v)",
 					wordOf(l).Holder(), owner, th.reqLock, after, before)
 			}
 
-			// Request probe, on the state EnterFast left.
+			// Request probe, on the state enterFast left.
 			before = h.c.Stats()
 			err := h.c.Request(th, l, pos)
 			if !errors.Is(err, tc.wantErr) {
@@ -199,7 +199,7 @@ func TestFastPathConditions(t *testing.T) {
 				t.Errorf("Request counted %d misuses", after.Misuse-before.Misuse)
 			}
 			if err == nil {
-				h.c.Abort(th, l)
+				h.c.abort(th)
 			}
 		})
 	}
@@ -208,7 +208,7 @@ func TestFastPathConditions(t *testing.T) {
 // TestSignatureInstallFlipsPositionToSlowPath: an armed position must stop
 // taking unqueued enters the moment its signature installs, and the rebuilt
 // queue must include acquisitions that happened while the position was
-// still unarmed, through Request and Acquired or through EnterFast. From
+// still unarmed, through Request and Acquired or through enterFast. From
 // then on every enter there is queued: under the shared lock while no
 // signature is exposed at the position, on the exclusive path while one
 // is (a signature installed over an empty queue watches it until the
@@ -221,8 +221,8 @@ func TestSignatureInstallFlipsPositionToSlowPath(t *testing.T) {
 
 	// Unarmed acquisitions; no queue entry is maintained.
 	h.acquire(t1, l1, p)
-	if !h.c.EnterFast(t3, l3, p, tryLock(t3, l3)) {
-		t.Fatal("EnterFast refused an unarmed position and an unowned lock")
+	if !h.c.enterFast(t3, l3, p, tryLock(t3, l3)) {
+		t.Fatal("enterFast refused an unarmed position and an unowned lock")
 	}
 	if st := h.c.Stats(); st.FastRequests != 1 {
 		t.Fatalf("FastRequests = %d, want 1", st.FastRequests)
@@ -244,10 +244,10 @@ func TestSignatureInstallFlipsPositionToSlowPath(t *testing.T) {
 		t.Fatalf("exposed(p) = %d, want 0: the signature's cold slot is empty", p.exposed.Load())
 	}
 
-	// EnterFast takes p as an armed enter now: queued, and counted as a
+	// enterFast takes p as an armed enter now: queued, and counted as a
 	// request, not a fast one.
-	if !h.c.EnterFast(t2, l2, p, tryLock(t2, l2)) {
-		t.Fatal("EnterFast refused an armed position where nothing is exposed")
+	if !h.c.enterFast(t2, l2, p, tryLock(t2, l2)) {
+		t.Fatal("enterFast refused an armed position where nothing is exposed")
 	}
 	if st := h.c.Stats(); st.FastRequests != 1 || st.Requests != 3 || p.occupants() != 3 || l2.acqEntry == nil {
 		t.Fatalf("armed enter: %d fast of %d requests, %d queue entries, entry %v; want 1 of 3, 3, an entry",
@@ -273,16 +273,16 @@ func TestSignatureInstallFlipsPositionToSlowPath(t *testing.T) {
 	if p.exposed.Load() != 1 {
 		t.Fatalf("exposed(p) = %d after an install over its empty queue, want 1", p.exposed.Load())
 	}
-	if h.c.EnterFast(t2, l2, p, tryLock(t2, l2)) {
-		t.Fatal("EnterFast took a position where a signature is exposed")
+	if h.c.enterFast(t2, l2, p, tryLock(t2, l2)) {
+		t.Fatal("enterFast took a position where a signature is exposed")
 	}
 	h.acquire(t2, l2, p)
 	h.release(t2, l2)
 	if p.exposed.Load() != 0 {
 		t.Fatalf("exposed(p) = %d after an exclusive enter, want 0", p.exposed.Load())
 	}
-	if !h.c.EnterFast(t2, l2, p, tryLock(t2, l2)) {
-		t.Fatal("EnterFast refused p after its watch moved")
+	if !h.c.enterFast(t2, l2, p, tryLock(t2, l2)) {
+		t.Fatal("enterFast refused p after its watch moved")
 	}
 	h.release(t2, l2)
 	if v := engineViolation(h.c); v != "" {
@@ -400,8 +400,8 @@ func TestFastReleaseConditions(t *testing.T) {
 func TestFastReleaseClearsTheEdgeInTheSection(t *testing.T) {
 	h := newHarness(t)
 	th, l, p := h.thread("t"), h.lock("l"), h.pos("Free", "m", 1)
-	if !h.c.EnterFast(th, l, p, tryLock(th, l)) {
-		t.Fatal("EnterFast refused an uncontended enter")
+	if !h.c.enterFast(th, l, p, tryLock(th, l)) {
+		t.Fatal("enterFast refused an uncontended enter")
 	}
 	go h.c.Release(th, l)
 	for {
@@ -438,7 +438,7 @@ func TestArmedEnterAndExitShareTheEngineLock(t *testing.T) {
 	h.c.mu.RLock()
 	done := make(chan bool, 1)
 	go func() {
-		entered := h.c.EnterFast(th, l, p, tryLock(th, l))
+		entered := h.c.enterFast(th, l, p, tryLock(th, l))
 		if entered {
 			exitLock(h.c, th, l)
 		}
@@ -448,7 +448,7 @@ func TestArmedEnterAndExitShareTheEngineLock(t *testing.T) {
 	case entered := <-done:
 		h.c.mu.RUnlock()
 		if !entered {
-			t.Fatal("EnterFast refused an uncontended armed enter where nothing is exposed")
+			t.Fatal("enterFast refused an uncontended armed enter where nothing is exposed")
 		}
 	case <-time.After(5 * time.Second):
 		h.c.mu.RUnlock()
@@ -506,10 +506,11 @@ type engineStep struct {
 }
 
 // runEngineScript replays a script and returns the final stats. An
-// "acquire" is a monitorenter as the VM drives it: EnterFast first (which
-// always refuses on the serial engine), whose tryLock is the CAS on the
-// lock's word, else Request, the CAS and Acquired. A "release" is Exit
-// with the word's release store.
+// "acquire" is a monitorenter as the VM drives it: Enter, whose tryLock and
+// acquire are the CAS on the lock's word (which must win), so it takes
+// the shared section where it can (never on the serial engine) and
+// Request, the CAS and Acquired otherwise. A "release" is Exit with the
+// word's release store.
 func runEngineScript(t *testing.T, serial bool, steps []engineStep) Stats {
 	t.Helper()
 	h := newHarness(t, WithSerialEngine(serial))
@@ -541,17 +542,11 @@ func runEngineScript(t *testing.T, serial bool, steps []engineStep) Stats {
 			err = h.c.Request(node(st.thread), lock(st.lock), pos(st.pos))
 		case "acquire":
 			th, l := node(st.thread), lock(st.lock)
-			if h.c.EnterFast(th, l, pos(st.pos), tryLock(th, l)) {
-				break
-			}
-			if err = h.c.Request(th, l, pos(st.pos)); err == nil {
-				h.take(th, l)
-				h.c.Acquired(th, l)
-			}
+			err = h.c.Enter(th, l, pos(st.pos), tryLock(th, l), func() error { h.take(th, l); return nil }, func(bool) {})
 		case "release":
 			h.release(node(st.thread), lock(st.lock))
 		case "abort":
-			h.c.Abort(node(st.thread), lock(st.lock))
+			h.c.abort(node(st.thread))
 		case "addsig":
 			_, _, err = h.c.AddSignature(st.sig)
 		default:

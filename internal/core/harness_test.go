@@ -25,7 +25,7 @@ func newTestLock(c *Core, name string) *Node { return c.NewMonitorNode(name, &te
 // wordOf returns l's testLock.
 func wordOf(l *Node) *testLock { return l.word.(*testLock) }
 
-// tryLock is the runtime's acquiring CAS of t on l, in the shape EnterFast
+// tryLock is the runtime's acquiring CAS of t on l, in the shape enterFast
 // takes.
 func tryLock(t, l *Node) func() bool {
 	return func() bool { return wordOf(l).holder.CompareAndSwap(nil, t) }

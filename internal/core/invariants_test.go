@@ -181,7 +181,7 @@ func TestInvariantAbortPaths(t *testing.T) {
 			if err := h.c.Request(th, l, p); err != nil {
 				t.Fatal(err)
 			}
-			h.c.Abort(th, l)
+			h.c.abort(th)
 		} else {
 			h.acquire(th, l, p)
 			h.release(th, l)

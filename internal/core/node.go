@@ -51,7 +51,7 @@ type Node struct {
 
 	// reqLock is the lock this thread has been approved to wait for and has
 	// not yet acquired (the request edge thread→lock). Set when Request
-	// approves, cleared by Acquired or Abort.
+	// approves, cleared by Acquired or abort.
 	reqLock *Node
 	// reqPos is the position of the pending request.
 	reqPos *Position
@@ -70,9 +70,9 @@ type Node struct {
 	// the informational inner call stacks of signatures. May be nil.
 	stackFn func() CallStack
 	// fastRequests/fastAcquisitions count this thread's fast-path
-	// operations, and armedRequests/avoidanceChecks its EnterFast
-	// approvals at armed positions and the candidate signatures they
-	// checked (Stats folds those into Requests and AvoidanceChecks). Plain
+	// operations, and armedRequests/avoidanceChecks its shared approvals
+	// at armed positions and the candidate signatures they checked
+	// (Stats folds those into Requests and AvoidanceChecks). Plain
 	// fields: only the owning thread writes them (under the shared engine
 	// lock), and Core.Stats aggregates them under the exclusive lock,
 	// which excludes all fast-path writers. Releases are not counted here:

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"sort"
@@ -19,12 +20,16 @@ import (
 // recount of the RAG and their watched-slot index equal to a recount of
 // the queues.
 //
-// Each lock's hold is a testLock word, as the runtime keeps it. A blocked
-// monitorenter is three steps: the approved Request, the runtime's CAS
-// (after which the thread holds the word but has not called Acquired),
-// and Acquired. A monitorexit is Exit's parts: its release store in one
-// step and, for a lock-free exit, the re-check after it in a later one,
-// so that enters, exits and signature installs land in between.
+// Each lock's hold is a testLock word, as the runtime keeps it. A
+// monitorenter is either Enter, the call the runtime makes, in one step,
+// or Enter's parts: the shared section, else the approved Request, the
+// runtime's CAS (after which the thread holds the word but has not called
+// Acquired) and Acquired as separate steps, so that a blocked enter waits
+// between them. Enter's acquire fails when another thread holds the
+// lock's word, so its abort of the approved request is a step too. A
+// monitorexit is Exit's parts: its release store in one step and, for a
+// lock-free exit, the re-check after it in a later one, so that enters,
+// exits and signature installs land in between.
 
 const (
 	schedThreads   = 3
@@ -75,14 +80,13 @@ func newSchedEngine(t testing.TB, name string, opts ...Option) *schedEngine {
 	return e
 }
 
-// enter is a monitorenter as the VM drives it: EnterFast, whose tryLock
-// is the CAS on the lock's word, else Request, the CAS and Acquired. A
-// lock whose word another thread holds leaves the thread approved and
-// waiting (Request only), as a blocked monitorenter. It reports whether
-// EnterFast took it.
+// enter is Enter's parts: enterFast, whose tryLock is the CAS on the
+// lock's word, else Request, the CAS and Acquired. A lock whose word
+// another thread holds leaves the thread approved and waiting (Request
+// only), as a blocked monitorenter. It reports whether enterFast took it.
 func (e *schedEngine) enter(th, l, p int, held bool) (bool, error) {
 	t, lk, pos := e.threads[th], e.locks[l], e.pos[p]
-	if e.c.EnterFast(t, lk, pos, tryLock(t, lk)) {
+	if e.c.enterFast(t, lk, pos, tryLock(t, lk)) {
 		return true, nil
 	}
 	if err := e.c.Request(t, lk, pos); err != nil {
@@ -95,6 +99,37 @@ func (e *schedEngine) enter(th, l, p int, held bool) (bool, error) {
 		e.c.Acquired(t, lk)
 	}
 	return false, nil
+}
+
+// errSchedHeld is the runtime's acquisition failing: the schedule never
+// blocks, so Enter's acquire gives up on a lock another thread holds.
+var errSchedHeld = errors.New("the lock is held")
+
+// enterComposed is the monitorenter as the VM makes it, one Enter call,
+// whose tryLock and acquire are the CAS on the lock's word; acquire fails
+// with errSchedHeld when another thread holds it. It reports whether the
+// shared section took the enter, and fails unless the blocked hook was
+// told true before the request and false after, on the exclusive path
+// only.
+func (e *schedEngine) enterComposed(th, l, p int) (fast bool, err error) {
+	t, lk, pos := e.threads[th], e.locks[l], e.pos[p]
+	var hook []bool
+	hookAfterRequest := false
+	requests := e.c.stats.Requests
+	err = e.c.Enter(t, lk, pos, tryLock(t, lk), func() error {
+		if !tryLock(t, lk)() {
+			return errSchedHeld
+		}
+		return nil
+	}, func(on bool) {
+		hookAfterRequest = hookAfterRequest || on && e.c.stats.Requests != requests
+		hook = append(hook, on)
+	})
+	fast = len(hook) == 0
+	if hookAfterRequest || !fast && (len(hook) != 2 || !hook[0] || hook[1]) {
+		return fast, fmt.Errorf("the blocked hook was told %v, after the request: %v", hook, hookAfterRequest)
+	}
+	return fast, err
 }
 
 // exit is Exit's first part and its release store: a lock-free exit
@@ -162,6 +197,7 @@ func (e *schedEngine) keys() string {
 type schedCounts struct {
 	requests, detected, duplicates, found, suppressed, checks uint64
 	yields, starvations, misuse, acquisitions, releases       uint64
+	aborts                                                    uint64
 }
 
 func countsOf(s Stats) schedCounts {
@@ -169,7 +205,7 @@ func countsOf(s Stats) schedCounts {
 		requests: s.Requests, detected: s.DeadlocksDetected, duplicates: s.DuplicateDeadlocks,
 		found: s.InstantiationsFound, suppressed: s.SuppressedYields, checks: s.AvoidanceChecks,
 		yields: s.Yields, starvations: s.Starvations, misuse: s.Misuse,
-		acquisitions: s.Acquisitions, releases: s.Releases,
+		acquisitions: s.Acquisitions, releases: s.Releases, aborts: s.Aborts,
 	}
 }
 
@@ -180,7 +216,7 @@ func (a schedCounts) minus(b schedCounts) schedCounts {
 		suppressed: a.suppressed - b.suppressed, checks: a.checks - b.checks,
 		yields: a.yields - b.yields, starvations: a.starvations - b.starvations,
 		misuse: a.misuse - b.misuse, acquisitions: a.acquisitions - b.acquisitions,
-		releases: a.releases - b.releases,
+		releases: a.releases - b.releases, aborts: a.aborts - b.aborts,
 	}
 }
 
@@ -192,6 +228,8 @@ type schedCoverage struct {
 	detected       uint64 // deadlocks recorded
 	casWaits       int    // steps taken between a CAS and its Acquired
 	armedRechecks  int    // lock-free exits whose position armed before the re-check
+	sharedEnters   int    // Enter steps the shared section took
+	enterAborts    int    // Enter steps whose acquire failed and were aborted
 }
 
 // runEngineSchedule replays input on both engines and the model and fails
@@ -222,7 +260,7 @@ func runEngineSchedule(t testing.TB, input []byte) schedCoverage {
 	}
 	for step := 0; step < schedMaxSteps && 4*step+4 <= len(input); step++ {
 		b := input[4*step : 4*step+4]
-		op, th, l, p := b[0]%8, int(b[1])%schedThreads, int(b[2])%schedLocks, int(b[3])%schedPositions
+		op, th, l, p := b[0]%9, int(b[1])%schedThreads, int(b[2])%schedLocks, int(b[3])%schedPositions
 		if op != 6 && op != 7 && busy(th) {
 			continue
 		}
@@ -242,7 +280,7 @@ func runEngineSchedule(t testing.TB, input []byte) schedCoverage {
 			line      string
 		)
 		switch op {
-		case 0: // enter: th takes l at p, or waits for it
+		case 0, 8: // enter: th takes l at p, or waits for it (0); Enter (8)
 			_, waiting := m.reqLock[th]
 			o, held := m.word[l]
 			if waiting || (held && o == th) {
@@ -251,10 +289,14 @@ func runEngineSchedule(t testing.TB, input []byte) schedCoverage {
 			armed := sharded.pos[p].inHistory.Load()
 			v := m.request(th, l, p)
 			want = schedCounts{requests: 1, checks: v.checks}
-			if !held {
+			switch {
+			case !held:
 				m.cas(th)
 				m.acquired(th)
 				want.acquisitions = 1
+			case op == 8:
+				m.abort(th)
+				want.aborts = 1
 			}
 			if v.detected {
 				want.detected = 1
@@ -267,8 +309,26 @@ func runEngineSchedule(t testing.TB, input []byte) schedCoverage {
 			}
 			installed = v.cycle
 			line = fmt.Sprintf("t%d enters l%d at p%d (held: %v)", th, l, p, held)
+			if op == 8 {
+				line = fmt.Sprintf("t%d Enters l%d at p%d (held: %v)", th, l, p, held)
+			}
 			for _, e := range engines {
-				fast, err := e.enter(th, l, p, held)
+				var fast bool
+				var err error
+				if op == 8 {
+					fast, err = e.enterComposed(th, l, p)
+					if held && err == errSchedHeld {
+						err = nil
+						if e == sharded {
+							cov.enterAborts++
+						}
+					}
+					if e == sharded && fast {
+						cov.sharedEnters++
+					}
+				} else {
+					fast, err = e.enter(th, l, p, held)
+				}
 				if err != nil {
 					fail("%s: %s: %v", e.name, line, err)
 				}
@@ -314,9 +374,10 @@ func runEngineSchedule(t testing.TB, input []byte) schedCoverage {
 				continue
 			}
 			m.abort(th)
+			want.aborts = 1
 			line = fmt.Sprintf("t%d aborts l%d", th, lw)
 			for _, e := range engines {
-				e.c.Abort(e.threads[th], e.locks[lw])
+				e.c.abort(e.threads[th])
 			}
 		case 4: // a deadlock signature over two or three positions
 			positions := []int{int(b[2]) % schedPositions, p}
@@ -496,10 +557,12 @@ func indexViolationsLocked(c *Core) []string {
 
 // scheduleSeeds is the fuzzer's seed corpus, which TestEngineSchedules
 // runs too: a signature over p0 and p1 with enters at both (an
-// instantiation), and the ABBA deadlock.
+// instantiation), the ABBA deadlock, and the ABBA deadlock closed by an
+// Enter whose acquire fails.
 var scheduleSeeds = [][]byte{
 	{4, 0, 0, 1, 0, 0, 0, 0, 0, 1, 1, 1},
 	{0, 0, 0, 0, 0, 1, 1, 1, 0, 0, 1, 2, 0, 1, 0, 3},
+	{8, 0, 0, 0, 8, 1, 1, 1, 0, 0, 1, 2, 8, 1, 0, 3},
 }
 
 // FuzzEngineSchedule checks the serial engine, the sharded engine and the
@@ -521,9 +584,11 @@ const scheduleBaseSeed = 20110627
 // in tier-1, and requires them to reach every path the watched-slot index
 // and the shared armed enter add: armed enters approved under the shared
 // lock and refused to the exclusive path, instantiations found and
-// deadlocks detected; and the states the runtime's word adds: steps taken
+// deadlocks detected; the states the runtime's word adds: steps taken
 // while a thread sits between its CAS and Acquired, and lock-free exits
-// whose position armed between the release store and the re-check.
+// whose position armed between the release store and the re-check; and
+// both ends of the composed Enter: its shared section, and its abort
+// after a failed acquire.
 func TestEngineSchedules(t *testing.T) {
 	const schedules = 1500
 	var total schedCoverage
@@ -541,6 +606,8 @@ func TestEngineSchedules(t *testing.T) {
 		total.detected += cov.detected
 		total.casWaits += cov.casWaits
 		total.armedRechecks += cov.armedRechecks
+		total.sharedEnters += cov.sharedEnters
+		total.enterAborts += cov.enterAborts
 	}
 	t.Logf("%d schedules: %+v", schedules, total)
 	for what, n := range map[string]uint64{
@@ -550,6 +617,8 @@ func TestEngineSchedules(t *testing.T) {
 		"deadlocks detected":                          total.detected,
 		"steps between a CAS and its Acquired":        uint64(total.casWaits),
 		"exits armed between the store and re-check":  uint64(total.armedRechecks),
+		"Enter steps on the shared section":           uint64(total.sharedEnters),
+		"Enter steps aborted after a failed acquire":  uint64(total.enterAborts),
 	} {
 		if n < schedules/100 {
 			t.Errorf("only %d %s over %d schedules: the generator no longer covers it", n, what, schedules)

@@ -15,22 +15,22 @@ import (
 // by Core.Stats). Releases are derived, not counted: see Releases.
 type Stats struct {
 	// Requests counts monitorenter interceptions: Request calls on an
-	// open core, and successful EnterFast calls.
+	// open core, and enters that took Enter's shared section.
 	Requests uint64
-	// FastRequests counts successful EnterFast calls at positions named by
-	// no signature: approvals that needed no avoidance. An EnterFast at an
-	// armed position, approved under the shared lock because no signature
+	// FastRequests counts enters that took Enter's shared section at
+	// positions named by no signature: approvals that needed no avoidance.
+	// A shared enter at an armed position, approved because no signature
 	// is exposed there, counts in Requests only, as Request would have,
-	// and Request never counts here. Every successful EnterFast counts as
-	// one fast acquisition.
+	// and Request never counts here. Every shared enter counts as one fast
+	// acquisition.
 	FastRequests uint64
 	// Acquisitions counts completed holds: Acquired calls that match an
-	// approved request, including fast-path ones, and successful EnterFast
-	// calls. A vm process counts its Dimmunix monitor enters here and
-	// nowhere else.
+	// approved request, including fast-path ones, and enters that took
+	// Enter's shared section. A vm process counts its Dimmunix monitor
+	// enters here and nowhere else.
 	Acquisitions uint64
-	// FastAcquisitions counts Acquired calls on the fast path, and
-	// successful EnterFast calls.
+	// FastAcquisitions counts Acquired calls on the fast path, and enters
+	// that took Enter's shared section.
 	FastAcquisitions uint64
 	// Releases counts released holds: the acquisitions less the locks
 	// whose word still names a holder past its Acquired. A release lands
@@ -42,7 +42,7 @@ type Stats struct {
 	// FastReleases counts releases that took no exclusive section: under
 	// the shared lock or, for an exit from outside the history, none.
 	FastReleases uint64
-	// Aborts counts approved requests undone via Abort.
+	// Aborts counts approved requests undone after a failed acquisition.
 	Aborts uint64
 	// CycleWalks counts RAG chain walks performed by detection.
 	CycleWalks uint64
@@ -54,8 +54,8 @@ type Stats struct {
 	// AvoidanceChecks counts candidate deadlock signatures examined by
 	// avoidance: one per deadlock signature naming the requested position
 	// (up to the first instantiable one), whether the watched-slot index
-	// or the full matcher settled it, on the exclusive path and in an
-	// EnterFast at an armed position alike.
+	// or the full matcher settled it, on the exclusive path and in a
+	// shared enter at an armed position alike.
 	AvoidanceChecks uint64
 	// InstantiationsFound counts matchings that succeeded (led to a yield
 	// or a starvation verdict).

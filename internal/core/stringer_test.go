@@ -94,29 +94,6 @@ func TestFileHistoryPathAndFsync(t *testing.T) {
 	}
 }
 
-func TestAbortMismatchedLock(t *testing.T) {
-	h := newHarness(t)
-	th := h.thread("t")
-	l1, l2 := h.lock("l1"), h.lock("l2")
-	p := h.pos("A", "m", 1)
-	if err := h.c.Request(th, l1, p); err != nil {
-		t.Fatal(err)
-	}
-	// Aborting a different lock is a misuse, tolerated without corrupting
-	// the pending request.
-	h.c.Abort(th, l2)
-	if st := h.c.Stats(); st.Misuse == 0 {
-		t.Error("mismatched abort must count as misuse")
-	}
-	if th.reqLock != l1 {
-		t.Error("mismatched abort must not clear the real request")
-	}
-	h.c.Abort(th, l1)
-	if th.reqLock != nil {
-		t.Error("matched abort must clear the request")
-	}
-}
-
 func TestEncodeHistoryRejectsInvalid(t *testing.T) {
 	var sb strings.Builder
 	err := EncodeHistory(&sb, []*Signature{{Kind: DeadlockSig}})

@@ -15,7 +15,7 @@ import (
 // the others at a gate, then takes lock i+1 (mod k) at its inner site.
 // Every site is distinct. Run 1 forces the deadlock; run 2 is a fresh
 // process booted from run 1's history and must come through it by
-// yielding. A draw is one of three families.
+// yielding. A draw is one of four families.
 
 // e1Family is the shape a draw adds to the plain cycle.
 type e1Family int
@@ -31,11 +31,20 @@ const (
 	// thread can never fill a signature that needs k distinct threads, so
 	// it must never yield.
 	e1Decoy
+	// e1Wait: thread 0 holds lock 0 by re-acquiring it in Object.wait at
+	// its outer site, the multi-thread critical section of Sulzmann et
+	// al. (PAPERS.md). Thread 0 takes lock 0 and waits on it; thread 1
+	// takes lock 0 at a site of its own, notifies, and leaves it; thread
+	// 0's re-acquisition goes through core.Enter, so the hold it ends
+	// with is the cycle's, at the outer site. In run 2 either thread 0
+	// yields inside wait's re-acquisition, or thread 1 does at its outer
+	// site, when the other has set its occupancy first.
+	e1Wait
 	e1Families
 )
 
 func (f e1Family) String() string {
-	return [...]string{"plain", "non-LIFO exits", "decoy"}[f]
+	return [...]string{"plain", "non-LIFO exits", "decoy", "wait hand-off"}[f]
 }
 
 // e1Draw is one generated inversion.
@@ -43,8 +52,10 @@ type e1Draw struct {
 	seed   int64
 	k      int
 	family e1Family
-	// outer[i] and inner[i] are thread i's two sites' lines.
+	// outer[i] and inner[i] are thread i's two sites' lines; notify is
+	// the line of thread 1's notify site in a wait hand-off.
 	outer, inner []int
+	notify       int
 }
 
 func drawE1(seed int64) e1Draw {
@@ -55,6 +66,7 @@ func drawE1(seed int64) e1Draw {
 		d.outer = append(d.outer, 1+lines[2*i])
 		d.inner = append(d.inner, 1+lines[2*i+1])
 	}
+	d.notify = 1 + lines[2*d.k]
 	return d
 }
 
@@ -69,14 +81,33 @@ func (d e1Draw) cycle(t *testing.T, p *Process) []*Thread {
 		locks[i] = p.NewObject(fmt.Sprintf("L%d", i))
 	}
 	g := p.NewGate(d.k)
+	// handOff orders a wait hand-off: thread 0 holds lock 0 when both
+	// arrive, so thread 1's enter finds it only once thread 0 waits.
+	handOff := p.NewGate(2)
 	threads := make([]*Thread, d.k)
 	for i := 0; i < d.k; i++ {
 		outer, inner := locks[i], locks[(i+1)%d.k]
 		class := fmt.Sprintf("gen.T%d", i)
 		threads[i] = startThread(t, p, class, func(th *Thread) {
+			if d.family == e1Wait && i == 1 {
+				handOff.Arrive()
+				th.Call(class, "notify", d.notify, func() {
+					if locks[0].Enter(th) != nil {
+						return
+					}
+					_ = locks[0].Notify(th)
+					_ = locks[0].Exit(th)
+				})
+			}
 			th.Call(class, "outer", d.outer[i], func() {
 				if outer.Enter(th) != nil {
 					return
+				}
+				if d.family == e1Wait && i == 0 {
+					handOff.Arrive()
+					if _, err := outer.Wait(th, 0); err != nil {
+						return
+					}
 				}
 				g.Arrive()
 				th.Call(class, "inner", d.inner[i], func() {

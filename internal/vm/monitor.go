@@ -10,12 +10,13 @@ import (
 
 // Monitor is a fat lock: Dalvik's struct Monitor with the paper's added
 // RAG node. It provides mutual exclusion with recursion and the
-// wait/notify wait set, and drives the Dimmunix interception:
+// wait/notify wait set, and drives the Dimmunix interception at the
+// paper's two points:
 //
-//	dvmGetCallStack + getPosition          (capture, intern)
-//	Request  — before blocking on the lock (detection + avoidance)
-//	Acquired — right after obtaining it
-//	Release  — right before releasing it
+//	dvmGetCallStack + getPosition  (capture, intern)
+//	core.Enter — the monitorenter, with the monitor's CAS and blocking
+//	             acquisition as its callbacks
+//	core.Exit  — the monitorexit, with the monitor's release store
 //
 // Ownership is one word: a thread acquires by CAS(owner, nil, self) and
 // releases by storing nil, so an uncontended enter and exit take no
@@ -87,94 +88,60 @@ func (m *Monitor) enter(t *Thread, recursion int, site *Site) error {
 		return nil
 	}
 
-	// Dimmunix interception: position capture, then one shared engine
-	// section (core.EnterFast) that approves, takes the monitor by CAS
-	// (which is the hold edge) and records the acquisition position when
-	// the monitor is free, nothing yields and no signature is exposed at
-	// this site: at an unarmed site always, at
-	// an armed one whenever every signature naming it watches an empty
-	// slot elsewhere (the core's watched-slot index), in which case the
-	// section also queues the holding. That thread never waits, so it
-	// never reads as blocked. Otherwise the full path: Request, which may
-	// suspend the thread in avoidance and returns an error only if the
-	// core is closed (process teardown), then acquire and Acquired. On
-	// that slow path the thread reads as blocked from before Request until
-	// it owns the monitor. The vm does not count a Dimmunix fat enter: the
-	// core counts it as an acquisition (EnterFast or Acquired), and
+	// Dimmunix interception: position capture, then core.Enter around the
+	// monitor's CAS (the hold edge) and acquire. The vm does not count a
+	// Dimmunix fat enter: the core counts it as an acquisition, and
 	// Process.SyncCount reads it there.
-	dim := m.proc.dim
-	if dim != nil {
+	if dim := m.proc.dim; dim != nil {
 		pos, err := m.resolvePosition(t, site)
 		if err != nil {
 			return err
 		}
-		if dim.EnterFast(t.node, m.node, pos, func() bool {
-			return !m.proc.isKilled() && m.owner.CompareAndSwap(nil, t)
-		}) {
-			// acquire's kill check after a winning CAS; the core has seen
-			// the hold, so it is undone there too. The core's count keeps
-			// it: SyncCount may read one enter more on a dying process.
-			if m.proc.isKilled() {
-				dim.Exit(t.node, m.node, m.release)
-				return ErrProcessKilled
-			}
-			m.recursion = recursion
-			return nil
-		}
-		t.setState(StateBlocked)
-		if err := dim.Request(t.node, m.node, pos); err != nil {
-			t.setState(StateRunnable)
+		if err := dim.Enter(t.node, m.node, pos,
+			func() bool { return m.owner.CompareAndSwap(nil, t) },
+			func() error { return m.acquire(t) },
+			t.block); err != nil {
 			return err
 		}
 	} else {
-		t.setState(StateBlocked)
-	}
-
-	if err := m.acquire(t); err != nil {
-		t.setState(StateRunnable)
-		if dim != nil {
-			dim.Abort(t.node, m.node)
+		t.block(true)
+		err := m.acquire(t)
+		t.block(false)
+		if err != nil {
+			return err
 		}
-		return err
-	}
-	m.recursion = recursion
-	t.setState(StateRunnable)
-
-	if dim != nil {
-		dim.Acquired(t.node, m.node)
-	} else {
 		t.fatEnters.Add(1)
 	}
+	// No critical section runs on a dying process, even if the owner's
+	// unwinding just released the monitor: a CAS that won after the kill
+	// is undone (SyncCount may read one enter more on a dying process).
+	if m.proc.isKilled() {
+		m.releaseAll(t)
+		return ErrProcessKilled
+	}
+	m.recursion = recursion
 	return nil
 }
 
 // acquire makes t the owner, parking on acqCond while another thread
-// holds the monitor. A thread must never acquire a monitor (and run its
-// critical section) on a process being torn down, even if the owner's
-// unwinding just released it, so the kill check runs before the first
-// CAS, before every park, and after the winning CAS.
+// holds the monitor. The kill check runs before every park, so teardown's
+// wake-up ends the wait; enter checks again after the winning CAS.
 func (m *Monitor) acquire(t *Thread) error {
-	if m.proc.isKilled() {
-		return ErrProcessKilled
+	if m.owner.CompareAndSwap(nil, t) {
+		return nil
 	}
-	if !m.owner.CompareAndSwap(nil, t) {
-		m.mu.Lock()
-		m.blocked.Add(1)
-		for !m.owner.CompareAndSwap(nil, t) {
-			if m.proc.isKilled() {
-				m.blocked.Add(-1)
-				m.mu.Unlock()
-				return ErrProcessKilled
-			}
-			m.acqCond.Wait()
+	m.mu.Lock()
+	m.blocked.Add(1)
+	for !m.owner.CompareAndSwap(nil, t) {
+		if m.proc.isKilled() {
+			m.blocked.Add(-1)
+			m.mu.Unlock()
+			return ErrProcessKilled
 		}
-		m.blocked.Add(-1)
-		m.mu.Unlock()
+		m.acqCond.Wait()
 	}
-	if m.proc.isKilled() {
-		m.release()
-		return ErrProcessKilled
-	}
+	m.blocked.Add(-1)
+	m.mu.Unlock()
 	return nil
 }
 
@@ -214,17 +181,21 @@ func (m *Monitor) exit(t *Thread) error {
 		m.recursion--
 		return nil
 	}
+	m.releaseAll(t)
+	return nil
+}
 
-	// Dimmunix interception around the release (§4: unlockMonitor
-	// notifies yielders on in-history positions, then calls Release). At a
-	// position outside the history the core needs nothing but the release
-	// store: core.Exit makes it and re-checks the position once after it.
+// releaseAll gives the monitor up whatever its recursion count. In a
+// Dimmunix process that is core.Exit around the release store (§4:
+// unlockMonitor notifies yielders on in-history positions, then calls
+// Release); at a position outside the history the core needs nothing but
+// the store, and re-checks the position once after it.
+func (m *Monitor) releaseAll(t *Thread) {
 	if dim := m.proc.dim; dim != nil {
 		dim.Exit(t.node, m.node, m.release)
-		return nil
+		return
 	}
 	m.release()
-	return nil
 }
 
 // release gives the monitor up entirely and lets one blocked acquirer in.
@@ -258,11 +229,7 @@ func (m *Monitor) wait(t *Thread, timeout time.Duration) (bool, error) {
 	m.mu.Unlock()
 
 	// Fully release the monitor (wait releases all recursion levels).
-	if dim := m.proc.dim; dim != nil {
-		dim.Exit(t.node, m.node, m.release)
-	} else {
-		m.release()
-	}
+	m.releaseAll(t)
 	m.proc.stats.waits.Add(1)
 
 	// Park.

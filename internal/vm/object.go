@@ -40,7 +40,7 @@ func (o *Object) IsFat() bool { return lwIsFat(o.lw.Load()) }
 func (o *Object) Monitor() *Monitor { return o.mon.Load() }
 
 // Enter performs monitorenter on the object. With Dimmunix enabled the
-// lock is fattened first and the monitor path runs the Request/Acquired
+// lock is fattened first and the monitor path runs the core.Enter
 // interception; vanilla mode takes the thin-lock fast path.
 //
 // Enter returns ErrProcessKilled if the process is torn down while

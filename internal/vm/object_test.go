@@ -238,7 +238,7 @@ func TestDimmunixRecursiveEnterSkipsCore(t *testing.T) {
 }
 
 // TestEnterFastStaysRunnable: an uncontended Dimmunix monitorenter at an
-// unarmed site is one shared engine section (core.EnterFast) that never
+// unarmed site is one shared engine section (inside core.Enter) that never
 // waits, so it writes no thread state and never reads as blocked, and each
 // of its hold edges is dropped by a fast release. A signature hot-installed
 // over the site sends the very next enter there to the full path, which
@@ -393,6 +393,44 @@ func TestKillUnblocksContender(t *testing.T) {
 	p.Kill()
 	waitDone(t, blocked)
 	waitDone(t, holder)
+}
+
+// TestEnterOnADyingProcessUndoesTheHold: a monitorenter whose CAS wins
+// after the process started dying never runs its critical section, even
+// when the core is still open and takes the enter in its shared section:
+// the vm undoes the hold through core.Exit and fails the enter. The enter
+// runs inside a kill hook, the one moment at which the process is dying
+// and its core not yet closed.
+func TestEnterOnADyingProcessUndoesTheHold(t *testing.T) {
+	p := dimProcess(t)
+	o := p.NewObject("o")
+	ready, try := make(chan struct{}), make(chan struct{})
+	result := make(chan error, 1)
+	th := startThread(t, p, "w", func(th *Thread) {
+		th.Call("com.app.Svc", "run", 1, func() {
+			o.Synchronized(th, func() {}) // fattens o while the process lives
+			close(ready)
+			<-try
+			result <- o.Enter(th)
+		})
+	})
+	<-ready
+	var err error
+	var owner *Thread
+	var st core.Stats
+	p.addKillHook(func() {
+		close(try)
+		err = <-result
+		owner, st = o.Monitor().Owner(), p.Dimmunix().Stats()
+	})
+	p.Kill()
+	waitDone(t, th)
+	if !errors.Is(err, ErrProcessKilled) || owner != nil {
+		t.Fatalf("an enter on a dying process returned %v, monitor left held: %v; want ErrProcessKilled and free", err, owner != nil)
+	}
+	if st.FastAcquisitions != 2 || st.Releases != st.Acquisitions {
+		t.Fatalf("%d fast acquisitions, %d acquisitions, %d releases; want 2 shared enters, each released", st.FastAcquisitions, st.Acquisitions, st.Releases)
+	}
 }
 
 func TestKillUnblocksThinSpinner(t *testing.T) {

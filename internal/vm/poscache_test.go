@@ -266,7 +266,7 @@ func TestSynchronizedDoesNotAllocate(t *testing.T) {
 // must still be the number of completed monitorenters on every path,
 // Wait's re-acquisition included. Under Dimmunix a signature names the
 // thread's entry position, so its first fat enter takes the exclusive
-// path (Request and Acquired) and the later ones the shared EnterFast.
+// path (Request and Acquired) and the later ones core.Enter's shared section.
 func TestSyncCountCountsEveryEnter(t *testing.T) {
 	for _, mode := range []string{"vanilla", "dimmunix"} {
 		t.Run(mode, func(t *testing.T) {
@@ -324,7 +324,7 @@ func TestSyncCountCountsEveryEnter(t *testing.T) {
 				t.Errorf("recursive %d, waits %d; want 2 and 1", st.RecursiveEnters, st.Waits)
 			}
 			if mode == "dimmunix" {
-				// Each Request runs one detection walk; EnterFast runs none.
+				// Each Request runs one detection walk; the shared section none.
 				if cs := p.Dimmunix().Stats(); cs.CycleWalks == 0 || cs.CycleWalks == cs.Requests {
 					t.Errorf("%d of %d requests took Request: want both paths exercised", cs.CycleWalks, cs.Requests)
 				}

@@ -79,15 +79,15 @@
 //     signals it.
 //
 // A Dimmunix monitorenter at an unarmed site on a free monitor is one
-// shared engine section (core.EnterFast): the approval, the owner CAS
+// shared engine section inside core.Enter: the approval, the owner CAS
 // (which is the hold edge) and its acquisition position, none of which
 // can block. The matching monitorexit is the owner store alone, plus one
 // load that re-checks the site (core.Exit). That thread never waits, so it
 // stays runnable throughout and its frames stay its own. Every other
-// enter takes the full path, and there a thread reads as blocked from
-// before Request until it owns the monitor: while avoidance suspends it,
-// while it parks on acqCond, and while detection may copy its frames for
-// a signature's inner stack.
+// enter takes the core's full path, and there a thread reads as blocked
+// from before its request until it owns the monitor (core.Enter's hook,
+// Thread.block): while avoidance suspends it, while it parks on acqCond,
+// and while detection may copy its frames for a signature's inner stack.
 //
 // The core asks for a thread's stack only for the inner stacks of a
 // signature: the threads of a waits-for cycle are blocked, and a
@@ -231,6 +231,16 @@ func (t *Thread) setState(s ThreadState) {
 	t.state.Store(int32(s))
 	for s == StateRunnable && t.readers.Load() != 0 {
 		runtime.Gosched()
+	}
+}
+
+// block is core.Enter's hook around a monitorenter that may wait, in
+// avoidance or on the monitor: StateBlocked includes avoidance yields.
+func (t *Thread) block(on bool) {
+	if on {
+		t.setState(StateBlocked)
+	} else {
+		t.setState(StateRunnable)
 	}
 }
 

@@ -99,9 +99,39 @@ var claims = []claim{
 		},
 	},
 	{
-		id:        "two interception points",
-		statement: "an embedder drives the core through core.Enter and core.Exit only, the paper's lockMonitor and unlockMonitor; no non-test code outside internal/core and bench/ calls the parts they compose",
-		tests:     []string{".:TestEmbeddersCallOnlyEnterAndExit"},
+		id: "two interception points",
+		statement: "an embedder drives the core through core.Enter and core.Exit only, the paper's lockMonitor and unlockMonitor; " +
+			"no code outside internal/core, tests included, calls the parts they compose, except the engine benchmarks (bench/ and the root bench_test.go ablations)",
+		tests: []string{".:TestEmbeddersCallOnlyEnterAndExit"},
+	},
+	{
+		id: "push queue",
+		statement: "every push path (a Service subscriber, a hub session, a cluster forward outbox) is one Queue, stepped by its goroutine or by a test: " +
+			"it delivers in enqueue order, folding a mergeable item into the queued tail; a failed retry-mode batch is redelivered whole after Resume, " +
+			"also when the Resume arrives during the failing delivery; Cap counts in-flight items; OnExit runs exactly once, whichever way the queue ends, and Done closes after it. " +
+			"The queue tests are rows of one step table (queueSteps, internal/immunity/queue_test.go), and three raw hub sessions run hello, two reports, confirm, arm and delta on the test goroutine",
+		tests: []string{
+			"internal/immunity:TestQueueDeliverBatch",
+			"internal/immunity:TestQueueDeliverBatchDropOnError",
+			"internal/immunity:TestQueueDeliverBatchRetryParks",
+			"internal/immunity:TestQueueResumeDuringFailingDelivery",
+			"internal/immunity:TestQueuePendingSeesInFlightBatch",
+			"internal/immunity:TestQueueCapCountsInFlight",
+			"internal/immunity:TestQueueExitHookRunsOnce",
+			"internal/immunity:TestQueueDeliverFailureWithoutCloseStillDies",
+			"internal/immunity:TestQueueRetryBatchRedeliversSentPrefix",
+			"internal/immunity:TestQueueGaugeInstrumentation",
+			"internal/immunity:TestQueueCloseRacesDeliverFailure",
+			"internal/immunity:TestQueueDoneClosesAfterExit",
+			"internal/immunity:TestExchangeSteppedPushPath",
+		},
+		mutants: []mutant{
+			{"Resume ignoring a drain that is still delivering (Queue.resumed dropped)", "internal/immunity:TestQueueResumeDuringFailingDelivery"},
+			{"a Resume that found a delivery in flight remembered after that delivery succeeded", "internal/immunity:TestQueueResumeDuringFailingDelivery"},
+			{"Cap counting only queued items, not the batch in flight", "internal/immunity:TestQueueCapCountsInFlight"},
+			{"step without its exited guard, so a Close after a drop-mode failure runs OnExit again", "internal/immunity:TestQueueExitHookRunsOnce"},
+			{"a failed retry-mode batch re-queued without what was enqueued during its delivery", "internal/immunity:TestQueueRetryBatchRedeliversSentPrefix"},
+		},
 	},
 	{
 		id:        "sync counting",

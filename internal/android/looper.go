@@ -2,7 +2,6 @@ package android
 
 import (
 	"fmt"
-	"sync/atomic"
 
 	"github.com/dimmunix/dimmunix/internal/vm"
 )
@@ -14,10 +13,6 @@ type Looper struct {
 	proc   *vm.Process
 	queue  *MessageQueue
 	thread *vm.Thread
-
-	// dispatched counts processed messages; the watchdog's handler checks
-	// ride on ordinary messages, so progress is observable here too.
-	dispatched atomic.Uint64
 }
 
 // StartLooper creates the queue and launches the looper thread.
@@ -41,9 +36,6 @@ func (l *Looper) Name() string { return l.name }
 // Thread returns the looper's VM thread.
 func (l *Looper) Thread() *vm.Thread { return l.thread }
 
-// Dispatched returns the number of messages processed so far.
-func (l *Looper) Dispatched() uint64 { return l.dispatched.Load() }
-
 // loop is Looper.loop: the message pump.
 func (l *Looper) loop(t *vm.Thread) {
 	t.Call("android.os.Looper", "loop", 123, func() {
@@ -53,7 +45,6 @@ func (l *Looper) loop(t *vm.Thread) {
 				return
 			}
 			l.dispatch(t, msg)
-			l.dispatched.Add(1)
 		}
 	})
 }

@@ -263,6 +263,8 @@ type Exchange struct {
 	batchBatches atomic.Uint64
 	batchSigs    atomic.Uint64
 
+	newSessionQueue func(QueueConfig[outMsg]) *msgQueue // NewQueue; newQueue in a stepped test
+
 	// Observability + admission. reg is the hub's metric registry (always
 	// non-nil after NewExchange; the hub's own, or the one given to
 	// WithMetricsRegistry), met its pre-created instruments — the hub's
@@ -361,10 +363,11 @@ func NewExchange(confirmThreshold int, opts ...ExchangeOption) (*Exchange, error
 		return nil, fmt.Errorf("exchange: generation nonce: %w", err)
 	}
 	x := &Exchange{
-		arb:   newArbiter(max(confirmThreshold, 1)),
-		conns: make(map[string]*Conn),
-		peers: make(map[string]*Conn),
-		gen:   hex.EncodeToString(nonce[:]),
+		arb:             newArbiter(max(confirmThreshold, 1)),
+		conns:           make(map[string]*Conn),
+		peers:           make(map[string]*Conn),
+		gen:             hex.EncodeToString(nonce[:]),
+		newSessionQueue: NewQueue[outMsg],
 	}
 	for _, opt := range opts {
 		opt(x)
@@ -516,12 +519,12 @@ func (x *Exchange) Accept(send func(wire.Message) error, closeSession func()) (*
 
 // AcceptStream attaches an inbound stream session whose write side
 // takes already-encoded frames: writeFrames receives every frame of one
-// queue drain in a single call, so the transport can push them to the
-// kernel in one syscall (writev), and encode-once broadcast frames
-// reach it as the same shared bytes every other session at that version
-// gets — no per-subscriber marshal. Frames are immutable: the transport
-// must not modify their contents (reslicing its own [][]byte during a
-// partial write is fine).
+// queue drain in a single call, one call at a time, so the transport
+// can push them to the kernel in one syscall (writev) without a lock,
+// and encode-once broadcast frames reach it as the same shared bytes
+// every other session at that version gets — no per-subscriber
+// marshal. Frames are immutable: the transport must not modify their
+// contents (reslicing its own [][]byte during a partial write is fine).
 func (x *Exchange) AcceptStream(writeFrames func(frames [][]byte) error, closeSession func()) (*Conn, error) {
 	return x.accept(nil, writeFrames, closeSession)
 }
@@ -538,12 +541,6 @@ func (x *Exchange) accept(send func(wire.Message) error, writeFrames func([][]by
 			d, ok := mergeViews(prev.delta, next.delta)
 			return outMsg{delta: d}, ok
 		},
-		OnDeliver: func(o outMsg) {
-			if o.delta.log != nil {
-				x.batchBatches.Add(1)
-				x.batchSigs.Add(uint64(len(o.delta.sigs())))
-			}
-		},
 		// c.Close reads c.out, assigned before the caller can enqueue or
 		// close anything — before the drain can end.
 		OnExit: func() { c.Close(); closeSession() },
@@ -555,12 +552,24 @@ func (x *Exchange) accept(send func(wire.Message) error, writeFrames func([][]by
 		CoalesceRatio: x.met.pushCoalesce,
 	}
 	if writeFrames != nil {
-		cfg.DeliverBatch = func(batch []outMsg) error { return c.encodeBatch(batch, writeFrames) }
+		cfg.DeliverBatch = func(batch []outMsg) error { return x.delivered(c.encodeBatch(batch, writeFrames), batch...) }
 	} else {
-		cfg.Deliver = func(o outMsg) error { return send(stamp(o.message())) }
+		cfg.Deliver = func(o outMsg) error { return x.delivered(send(stamp(o.message())), o) }
 	}
-	c.out = NewQueue(cfg)
+	c.out = x.newSessionQueue(cfg)
 	return c, nil
+}
+
+// delivered counts the deltas among sent in the /status batching
+// counters, unless the send failed, and returns the send's error.
+func (x *Exchange) delivered(err error, sent ...outMsg) error {
+	for _, o := range sent {
+		if err == nil && o.delta.log != nil {
+			x.batchBatches.Add(1)
+			x.batchSigs.Add(uint64(len(o.delta.sigs())))
+		}
+	}
+	return err
 }
 
 // outMsg is one queued hub→client delivery, exactly one of: a

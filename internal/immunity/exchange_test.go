@@ -159,8 +159,28 @@ func TestExchangeNoEchoConfirmation(t *testing.T) {
 		ph := p
 		waitFor(t, fmt.Sprintf("phone%d armed", i), func() bool { return ph.armedOn(key) })
 	}
-	// Everyone has it; only phone0 observed it.
-	time.Sleep(10 * time.Millisecond)
+	// Everyone has it; only phone0 observed it. An echo would be a
+	// report sent from a phone's Service subscriber once the delta
+	// reached it, and both hops are synchronous over loopback: once
+	// every hub push queue and every phone's subscriber queue is empty,
+	// any echo has been counted.
+	pending := hub.Metrics().Gauge("immunity_hub_push_pending", "")
+	waitFor(t, "push and subscriber queues drained", func() bool {
+		if pending.Value() != 0 {
+			return false
+		}
+		for _, p := range phones {
+			p.svc.mu.Lock()
+			for _, sub := range p.svc.subs {
+				if sub.Pending() != 0 {
+					p.svc.mu.Unlock()
+					return false
+				}
+			}
+			p.svc.mu.Unlock()
+		}
+		return true
+	})
 	prov := hub.Provenance()[0]
 	if prov.Confirmations != 1 || prov.FirstSeen != "phone0" {
 		t.Fatalf("echoed confirmations: %+v, want exactly 1 from phone0", prov)
@@ -253,36 +273,19 @@ func TestExchangeReconnectDoesNotEchoConfirmation(t *testing.T) {
 // mapped to this Conn in the hub's registry, recording pushes against a
 // device that never received them.
 func TestExchangeDuplicateHelloRefused(t *testing.T) {
-	hub := newTestHub(t, 1)
-	var mu sync.Mutex
-	var acks []wire.Ack
-	conn, err := hub.Accept(func(m wire.Message) error {
-		if m.Type == wire.TypeAck {
-			mu.Lock()
-			acks = append(acks, *m.Ack)
-			mu.Unlock()
-		}
-		return nil
-	}, func() {})
-	if err != nil {
+	hub := steppedHub(t, 1)
+	s := acceptStepped(t, hub)
+	if err := s.conn.Handle(helloMsg("phoneA")); err != nil {
 		t.Fatal(err)
 	}
-	defer conn.Close()
-	hello := func(device string) wire.Message {
-		return wire.Message{V: wire.Version, Type: wire.TypeHello, Hello: &wire.Hello{Device: device, MinV: wire.Version, MaxV: wire.Version}}
-	}
-	if err := conn.Handle(hello("phoneA")); err != nil {
-		t.Fatal(err)
-	}
-	if err := conn.Handle(hello("phoneB")); err == nil {
+	if err := s.conn.Handle(helloMsg("phoneB")); err == nil {
 		t.Fatal("duplicate hello accepted")
 	}
-	conn.Close()
-	waitFor(t, "refusal ack delivered", func() bool {
-		mu.Lock()
-		defer mu.Unlock()
-		return len(acks) == 2 && !acks[1].OK
-	})
+	s.end()
+	want := "ack; refused: duplicate hello (session already bound to phoneA); closed"
+	if got := strings.Join(s.log, "; "); got != want {
+		t.Fatalf("session log %q, want %q", got, want)
+	}
 	if hub.Stats().Devices != 0 {
 		t.Fatalf("device registry leaked an entry: %+v", hub.Stats())
 	}
@@ -484,32 +487,143 @@ func TestExchangeSupersedeAcksBeforeTeardown(t *testing.T) {
 // closing its socket frees its device slot, and the teardown hook runs
 // once.
 func TestExchangeSendFailureDetaches(t *testing.T) {
-	hub := newTestHub(t, 1)
-	var closes atomic.Int32
-	closed := make(chan struct{})
-	conn, err := hub.Accept(func(wire.Message) error { return errors.New("peer gone") },
-		func() {
-			if closes.Add(1) == 1 {
-				close(closed)
+	hub := steppedHub(t, 1)
+	s := acceptStepped(t, hub)
+	s.fail = true
+	if err := s.conn.Handle(helloMsg("lost")); err != nil {
+		t.Fatal(err)
+	}
+	if s.conn.out.step() {
+		t.Fatal("a session whose send failed was not torn down")
+	}
+	hub.Close()
+	if got, d := strings.Join(s.log, "; "), hub.Stats().Devices; got != "closed" || d != 0 {
+		t.Fatalf("session log %q, devices = %d after a failed send, want one teardown and 0", got, d)
+	}
+}
+
+// TestExchangeSteppedPushPath: three raw sessions on one goroutine, the
+// hub's push queues stepped by the test, from hello through two reports
+// to the arming and its delta. Each session's messages are exactly these
+// and in this order, run after run.
+func TestExchangeSteppedPushPath(t *testing.T) {
+	hub := steppedHub(t, 2)
+	a, b, c := acceptStepped(t, hub), acceptStepped(t, hub), acceptStepped(t, hub)
+	sessions := []*stepped{a, b, c}
+	for i, s := range sessions {
+		if err := s.conn.Handle(helloMsg(fmt.Sprintf("phone%d", i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	report := wire.Message{V: wire.Version, Type: wire.TypeReport,
+		Report: &wire.Report{Sigs: []wire.Signature{wire.FromCore(testSig(0))}}}
+	for _, s := range []*stepped{a, b} {
+		if err := s.conn.Handle(report); err != nil {
+			t.Fatal(err)
+		}
+		for _, s := range sessions {
+			s.flush()
+		}
+	}
+	for _, s := range sessions {
+		s.end()
+	}
+	for i, want := range []string{
+		"ack; confirm 1 armed=false; delta epoch 1 sigs 1; closed",
+		"ack; delta epoch 1 sigs 1; confirm 2 armed=true; closed",
+		"ack; delta epoch 1 sigs 1; closed",
+	} {
+		if got := strings.Join(sessions[i].log, "; "); got != want {
+			t.Errorf("phone%d: %q, want %q", i, got, want)
+		}
+	}
+	if st := hub.Stats(); st.Epoch != 1 || st.Devices != 0 || st.DeltaBatches != 3 {
+		t.Fatalf("stats = %+v, want epoch 1, no device attached and 3 delta batches", st)
+	}
+}
+
+// steppedHub is a hub whose session push queues run only when the test
+// steps them: accept builds them with newQueue, which starts no
+// goroutine. Exchange.Close waits on every registered session's Done, so
+// a cleanup that runs before it ends any session a failed test left.
+func steppedHub(t *testing.T, threshold int) *Exchange {
+	hub := newTestHub(t, threshold)
+	hub.newSessionQueue = newQueue[outMsg]
+	t.Cleanup(func() {
+		hub.mu.Lock()
+		var conns []*Conn
+		for _, c := range hub.conns {
+			conns = append(conns, c)
+		}
+		hub.mu.Unlock()
+		for _, c := range conns {
+			c.Close()
+			for c.out.step() {
 			}
-		})
+		}
+	})
+	return hub
+}
+
+// stepped is one raw session of a stepped hub. Its log holds each message
+// the hub sent it, then "closed" for its teardown; with fail set, every
+// send fails instead.
+type stepped struct {
+	conn *Conn
+	log  []string
+	fail bool
+}
+
+// acceptStepped attaches a raw session to a stepped hub.
+func acceptStepped(t *testing.T, hub *Exchange) *stepped {
+	t.Helper()
+	s := &stepped{}
+	conn, err := hub.Accept(func(m wire.Message) error {
+		if s.fail {
+			return errors.New("peer gone")
+		}
+		s.log = append(s.log, describe(m))
+		return nil
+	}, func() { s.log = append(s.log, "closed") })
 	if err != nil {
 		t.Fatal(err)
 	}
-	hello := wire.Message{V: wire.Version, Type: wire.TypeHello,
-		Hello: &wire.Hello{Device: "lost", MinV: wire.Version, MaxV: wire.Version}}
-	if err := conn.Handle(hello); err != nil {
-		t.Fatal(err)
+	s.conn = conn
+	return s
+}
+
+// flush steps the session's queue until it holds nothing.
+func (s *stepped) flush() {
+	for s.conn.out.Pending() > 0 && s.conn.out.step() {
 	}
-	select {
-	case <-closed:
-	case <-time.After(5 * time.Second):
-		t.Fatal("a session whose send failed was never torn down")
+}
+
+// end closes the session and steps its queue to its exit.
+func (s *stepped) end() {
+	s.conn.Close()
+	for s.conn.out.step() {
 	}
-	hub.Close()
-	if n, d := closes.Load(), hub.Stats().Devices; n != 1 || d != 0 {
-		t.Fatalf("teardowns = %d, devices = %d after a failed send, want 1 and 0", n, d)
+}
+
+// describe renders one hub→client message for a session log.
+func describe(m wire.Message) string {
+	switch m.Type {
+	case wire.TypeAck:
+		if !m.Ack.OK {
+			return "refused: " + m.Ack.Error
+		}
+	case wire.TypeConfirm:
+		return fmt.Sprintf("confirm %d armed=%v", m.Confirm.Confirmations, m.Confirm.Armed)
+	case wire.TypeDelta:
+		return fmt.Sprintf("delta epoch %d sigs %d", m.Delta.Epoch, len(m.Delta.Sigs))
 	}
+	return string(m.Type)
+}
+
+// helloMsg is a device hello at the hub's version.
+func helloMsg(device string) wire.Message {
+	return wire.Message{V: wire.Version, Type: wire.TypeHello,
+		Hello: &wire.Hello{Device: device, MinV: wire.Version, MaxV: wire.Version}}
 }
 
 // TestBroadcastSupersedeRaceKeepsFramesIntact (-race gated like the

@@ -387,18 +387,6 @@ func mergeViews[S any](prev, next view[S]) (view[S], bool) {
 // callback, and never observes a stale epoch.
 type subscriber = Queue[view[*core.Signature]]
 
-func newSubscriber(fn func(epoch uint64, sigs []*core.Signature), onBatch func(n int)) *subscriber {
-	return NewQueue(QueueConfig[view[*core.Signature]]{
-		Deliver: func(d view[*core.Signature]) error { fn(d.epoch, d.sigs()); return nil },
-		Merge:   mergeViews[*core.Signature],
-		OnDeliver: func(d view[*core.Signature]) {
-			if onBatch != nil {
-				onBatch(len(d.sigs()))
-			}
-		},
-	})
-}
-
 // ServiceStats snapshots a Service's counters.
 type ServiceStats struct {
 	// Epoch is the current history epoch (number of accepted signatures).
@@ -588,12 +576,17 @@ func (s *Service) Publish(source string, sig *core.Signature) (epoch uint64, fre
 // on a dedicated goroutine; fn may call into cores (hot-install) but must
 // not call Subscribe or Close on this service. The returned cancel stops
 // delivery once what is already queued is delivered and waits for the
-// delivery goroutine to exit. Together with Epoch and the HistoryStore methods this
-// implements vm.SignatureBus.
+// delivery goroutine to exit; calling it again does nothing. Together
+// with Epoch and the HistoryStore methods this implements vm.SignatureBus.
 func (s *Service) Subscribe(name string, from uint64, fn func(epoch uint64, sigs []*core.Signature)) (cancel func()) {
-	sub := newSubscriber(fn, func(n int) {
-		s.batchBatches.Add(1)
-		s.batchSigs.Add(uint64(n))
+	sub := NewQueue(QueueConfig[view[*core.Signature]]{
+		Deliver: func(d view[*core.Signature]) error {
+			fn(d.epoch, d.sigs())
+			s.batchBatches.Add(1)
+			s.batchSigs.Add(uint64(len(d.sigs())))
+			return nil
+		},
+		Merge: mergeViews[*core.Signature],
 	})
 	s.mu.Lock()
 	if s.closed {
@@ -610,15 +603,12 @@ func (s *Service) Subscribe(name string, from uint64, fn func(epoch uint64, sigs
 	}
 	s.mu.Unlock()
 
-	var once sync.Once
 	return func() {
-		once.Do(func() {
-			s.mu.Lock()
-			delete(s.subs, id)
-			s.mu.Unlock()
-			sub.Close()
-			<-sub.Done()
-		})
+		s.mu.Lock()
+		delete(s.subs, id)
+		s.mu.Unlock()
+		sub.Close()
+		<-sub.Done()
 	}
 }
 

@@ -46,7 +46,6 @@ type loopbackSession struct {
 
 	mu          sync.Mutex
 	localClosed bool
-	downOnce    sync.Once
 }
 
 // Send hands the message straight to the hub. A protocol violation (the
@@ -69,14 +68,14 @@ func (s *loopbackSession) Close() error {
 	return nil
 }
 
-// sessionClosed is the hub's teardown hook: it fires down unless the
-// client closed the session itself (a local Close must not look like a
-// drop and trigger a redial).
+// sessionClosed is the hub's teardown hook, run once: it fires down
+// unless the client closed the session itself (a local Close must not
+// look like a drop and trigger a redial).
 func (s *loopbackSession) sessionClosed() {
 	s.mu.Lock()
 	local := s.localClosed
 	s.mu.Unlock()
 	if !local {
-		s.downOnce.Do(func() { s.down(errors.New("loopback: hub closed session")) })
+		s.down(errors.New("loopback: hub closed session"))
 	}
 }

@@ -35,10 +35,6 @@ import (
 // OnExit, and Done closes. Enqueue after Close is a no-op.
 type Queue[T any] struct {
 	cfg QueueConfig[T]
-	// deliver hands one drained batch over and reports how many of its
-	// items were delivered: all or none through DeliverBatch, a prefix
-	// through Deliver, which stops at the first error.
-	deliver func([]T) (delivered int, err error)
 
 	mu       sync.Mutex
 	cond     *sync.Cond
@@ -47,6 +43,7 @@ type Queue[T any] struct {
 	inFlight int // items taken by the drain, not yet delivered or re-queued
 	closed   bool
 	paused   bool
+	exited   bool // step has run OnExit
 	// resumed records a Resume that found the drain delivering, not
 	// parked: the session it announces replaced the one a failure of
 	// that delivery would come from, so the failure retries at once
@@ -80,9 +77,6 @@ type QueueConfig[T any] struct {
 	// not mutate prev or next in place — queued items may be shared with
 	// other queues.
 	Merge func(prev, next T) (T, bool)
-	// OnDeliver, when set, observes each successful delivery (after
-	// coalescing) — batching counters.
-	OnDeliver func(T)
 	// OnExit, when set, runs exactly once, on the drain goroutine, as
 	// its last act — after Close and the delivery of what was enqueued
 	// before it, or after a drop-mode Deliver error — so an owner can
@@ -120,26 +114,16 @@ type QueueConfig[T any] struct {
 
 // NewQueue starts a queue and its drain goroutine.
 func NewQueue[T any](cfg QueueConfig[T]) *Queue[T] {
-	q := &Queue[T]{cfg: cfg, done: make(chan struct{})}
-	if cfg.DeliverBatch != nil {
-		q.deliver = func(batch []T) (int, error) {
-			if err := cfg.DeliverBatch(batch); err != nil {
-				return 0, err
-			}
-			return len(batch), nil
-		}
-	} else {
-		q.deliver = func(batch []T) (int, error) {
-			for i, v := range batch {
-				if err := cfg.Deliver(v); err != nil {
-					return i, err
-				}
-			}
-			return len(batch), nil
-		}
-	}
-	q.cond = sync.NewCond(&q.mu)
+	q := newQueue(cfg)
 	go q.drain()
+	return q
+}
+
+// newQueue builds a queue without starting its drain: the caller runs it
+// by calling step.
+func newQueue[T any](cfg QueueConfig[T]) *Queue[T] {
+	q := &Queue[T]{cfg: cfg, done: make(chan struct{})}
+	q.cond = sync.NewCond(&q.mu)
 	return q
 }
 
@@ -200,78 +184,98 @@ func (q *Queue[T]) Pending() int {
 }
 
 // syncGaugesLocked pushes the current depth/in-flight counts to the
-// shared gauges as deltas. Callers hold q.mu; the gauge ops are
-// atomics, so this is safe under the queue lock.
+// shared gauges as deltas (a nil gauge ignores them). Callers hold
+// q.mu; the gauge ops are atomics, so this is safe under the queue lock.
 func (q *Queue[T]) syncGaugesLocked() {
-	if q.cfg.Depth != nil {
-		d := len(q.queue) + q.inFlight
-		q.cfg.Depth.Add(int64(d - q.repDepth))
-		q.repDepth = d
-	}
-	if q.cfg.InFlight != nil {
-		q.cfg.InFlight.Add(int64(q.inFlight - q.repInFlight))
-		q.repInFlight = q.inFlight
+	d := len(q.queue) + q.inFlight
+	q.cfg.Depth.Add(int64(d - q.repDepth))
+	q.cfg.InFlight.Add(int64(q.inFlight - q.repInFlight))
+	q.repDepth, q.repInFlight = d, q.inFlight
+}
+
+// drain is the production loop: it waits until step has something to
+// do and calls it, until the queue ends.
+func (q *Queue[T]) drain() {
+	for q.step() {
+		q.mu.Lock()
+		for (len(q.queue) == 0 || q.paused) && !q.closed {
+			q.cond.Wait()
+		}
+		q.mu.Unlock()
 	}
 }
 
-// drain delivers queued items in order until closed. One pass settles
-// the previous batch and takes the next under one lock: a delivered
-// prefix leaves the in-flight count, and after a failure the rest goes
-// back to the queue front (retry) or the queue ends (drop).
-func (q *Queue[T]) drain() {
-	defer close(q.done)
-	if q.cfg.OnExit != nil {
-		defer q.cfg.OnExit()
+// step delivers the queued batch, unless there is none or the queue is
+// parked, and settles that batch: the delivered prefix leaves the
+// in-flight count, and after a failure the rest goes back to the queue
+// front and the queue parks (retry) or the queue ends (drop). A queue
+// that is closed with nothing it can deliver ends too: step runs OnExit,
+// closes Done and reports false, as it does on every later call. One
+// caller steps a queue at a time: the drain goroutine, or a test that
+// built the queue with newQueue.
+func (q *Queue[T]) step() bool {
+	q.mu.Lock()
+	if q.exited {
+		q.mu.Unlock()
+		return false
 	}
-	var batch []T // the batch the previous pass took
-	var n int     // how many of it were delivered
-	var err error // why the rest were not
-	for {
+	if len(q.queue) > 0 && !q.paused {
+		batch, raw := q.queue, q.raw
+		q.queue, q.raw, q.inFlight = nil, 0, len(batch)
+		q.syncGaugesLocked()
+		q.mu.Unlock()
+		q.cfg.BatchSizes.Observe(float64(len(batch)))
+		q.cfg.CoalesceRatio.Observe(float64(raw) / float64(len(batch)))
+		n, err := q.deliver(batch)
 		q.mu.Lock()
-		q.inFlight -= n
+		q.inFlight = 0
 		if err != nil && q.cfg.RetryOnError {
 			// Re-queue the failed item and everything behind it
 			// (including anything enqueued since) intact, and park
 			// unless a Resume already announced the next session.
 			q.queue = append(batch[n:], q.queue...)
 			q.raw += len(batch) - n
-			q.inFlight = 0
 			q.paused = !q.resumed
 		} else if err != nil {
-			q.queue, q.inFlight, q.closed = nil, 0, true
+			q.queue, q.closed = nil, true
 		}
 		q.resumed = false
-		q.syncGaugesLocked()
-		for (len(q.queue) == 0 || q.paused) && !q.closed {
-			q.cond.Wait()
-		}
-		if q.closed && (len(q.queue) == 0 || q.paused) {
-			// Parked on a dead session at close: the leftovers cannot be
-			// delivered — the peer-side state (resubscribe-from-seq,
-			// receiver dedup) makes dropping them safe.
-			q.queue = nil
-			q.syncGaugesLocked()
-			q.mu.Unlock()
-			return
-		}
-		raw := q.raw
-		batch, q.queue, q.raw = q.queue, nil, 0
-		q.inFlight = len(batch)
+	}
+	if !q.closed || (len(q.queue) > 0 && !q.paused) {
 		q.syncGaugesLocked()
 		q.mu.Unlock()
-		if q.cfg.BatchSizes != nil {
-			q.cfg.BatchSizes.Observe(float64(len(batch)))
+		return true
+	}
+	// Closed with nothing deliverable: the queue ends. What a retry
+	// queue parked on a dead session still holds cannot be delivered;
+	// the peer-side state (resubscribe-from-seq, receiver dedup) makes
+	// dropping it safe.
+	q.queue, q.exited = nil, true
+	q.syncGaugesLocked()
+	q.mu.Unlock()
+	if q.cfg.OnExit != nil {
+		q.cfg.OnExit()
+	}
+	close(q.done)
+	return false
+}
+
+// deliver hands one batch over and reports how many of its items were
+// delivered: all or none through DeliverBatch, a prefix through
+// Deliver, which stops at the first error.
+func (q *Queue[T]) deliver(batch []T) (int, error) {
+	if q.cfg.DeliverBatch != nil {
+		if err := q.cfg.DeliverBatch(batch); err != nil {
+			return 0, err
 		}
-		if q.cfg.CoalesceRatio != nil && len(batch) > 0 {
-			q.cfg.CoalesceRatio.Observe(float64(raw) / float64(len(batch)))
-		}
-		n, err = q.deliver(batch)
-		if q.cfg.OnDeliver != nil {
-			for _, v := range batch[:n] {
-				q.cfg.OnDeliver(v)
-			}
+		return len(batch), nil
+	}
+	for i, v := range batch {
+		if err := q.cfg.Deliver(v); err != nil {
+			return i, err
 		}
 	}
+	return len(batch), nil
 }
 
 // Close stops the queue once what is already enqueued is delivered, and
@@ -283,5 +287,5 @@ func (q *Queue[T]) Close() {
 	q.mu.Unlock()
 }
 
-// Done is closed when the drain has exited, after OnExit returned.
+// Done is closed when the queue has ended, after OnExit returned.
 func (q *Queue[T]) Done() <-chan struct{} { return q.done }

@@ -3,247 +3,206 @@ package immunity
 import (
 	"errors"
 	"fmt"
-	"sync"
+	"slices"
+	"strconv"
+	"strings"
 	"testing"
 	"time"
 
 	"github.com/dimmunix/dimmunix/internal/immunity/metrics"
 )
 
-// TestQueueDeliverBatch: batch mode hands each drain's (coalesced)
-// items over in one call, in order, and still fires OnDeliver per item.
-func TestQueueDeliverBatch(t *testing.T) {
-	var mu sync.Mutex
-	var batches [][]int
-	var delivered []int
-	ready := make(chan struct{}, 16)
-	q := NewQueue(QueueConfig[int]{
-		DeliverBatch: func(b []int) error {
-			mu.Lock()
-			batches = append(batches, append([]int(nil), b...))
-			mu.Unlock()
-			return nil
-		},
-		OnDeliver: func(v int) {
-			mu.Lock()
-			delivered = append(delivered, v)
-			mu.Unlock()
-			ready <- struct{}{}
-		},
-	})
-	for i := 1; i <= 5; i++ {
-		q.Enqueue(i)
-	}
-	for i := 0; i < 5; i++ {
-		<-ready
-	}
-	q.Close()
-	mu.Lock()
-	defer mu.Unlock()
-	var flat []int
-	for _, b := range batches {
-		flat = append(flat, b...)
-	}
-	for i, v := range flat {
-		if v != i+1 {
-			t.Fatalf("out-of-order batch delivery: %v", batches)
+// The step table drives queues built with newQueue, which starts no
+// goroutine: the test calls step itself, so every row runs on the test
+// goroutine in one order, with no timer. A row is a queue configuration
+// and a script of actions; the actions and the queue's callbacks append
+// to one log, which must read as the row's want.
+//
+// Actions: +N enqueues N; s steps (logging "stop" when step reports the
+// queue ended); c closes; r resumes; p logs "pN", N = Pending(); g logs
+// the Depth/InFlight gauges; h logs the BatchSizes count and sum and the
+// CoalesceRatio sum; d logs "done" or "open" for Done. A delivery call
+// logs its batch ("[1 2]") or item ("1") as it starts, "!" first when the
+// row fails that call, then runs the row's actions for that call. OnDrop
+// logs "dropN" and OnExit "exit".
+type queueRow struct {
+	group, name         string // group: the test that runs the row, less "TestQueue"
+	batch, retry, merge bool   // DeliverBatch; RetryOnError; Merge sums
+	cap                 int
+	script              string
+	during              map[int]string // delivery call (from 1) → actions run inside it
+	fail                []int          // delivery calls that fail
+	want                string
+}
+
+var queueSteps = []queueRow{
+	{group: "DeliverBatch", name: "each step hands the queue over in one call, in order", batch: true,
+		script: "+1 +2 +3 s +4 +5 s s", want: "[1 2 3] [4 5]"},
+	{group: "DeliverBatch", name: "Deliver hands it over item by item", script: "+1 +2 s +3 s", want: "1 2 3"},
+	{group: "DeliverBatch", name: "Merge folds into the queued tail, not into the batch in flight", batch: true, merge: true,
+		during: map[int]string{1: "+2 +3"}, script: "+1 s s", want: "[1] [5]"},
+
+	{group: "DeliverBatchDropOnError", name: "a failed batch ends the queue and drops what is pending", batch: true,
+		fail: []int{1}, script: "+1 +2 s p +3 p d s", want: "![1 2] exit stop p0 p0 done stop"},
+
+	{group: "DeliverBatchRetryParks", name: "a failed batch is re-queued whole and parks until Resume", batch: true, retry: true,
+		fail: []int{1}, script: "+1 +2 s p +3 s p r s p", want: "![1 2] p2 p3 [1 2 3] p0"},
+	{group: "DeliverBatchRetryParks", name: "Deliver re-queues from the failed item; the delivered prefix leaves", retry: true,
+		fail: []int{2}, script: "+1 +2 +3 s p r s p", want: "1 !2 p2 2 3 p0"},
+
+	{group: "ResumeDuringFailingDelivery", name: "a Resume during the failing delivery retries at once", retry: true,
+		fail: []int{1}, during: map[int]string{1: "r"}, script: "+1 s s p", want: "!1 1 p0"},
+	{group: "ResumeDuringFailingDelivery", name: "a Resume before the failing delivery does not spare the park", retry: true,
+		fail: []int{1}, script: "r +1 s s p r s p", want: "!1 p1 1 p0"},
+	{group: "ResumeDuringFailingDelivery", name: "a Resume during a delivery that succeeds is forgotten", retry: true,
+		fail: []int{2}, during: map[int]string{1: "r"}, script: "+1 s +2 s s p", want: "1 !2 p1"},
+
+	{group: "PendingSeesInFlightBatch", name: "Pending counts the batch in flight", batch: true,
+		during: map[int]string{1: "+2 +3 p"}, script: "+1 p s p s p", want: "p1 [1] p3 p2 [2 3] p0"},
+
+	{group: "CapCountsInFlight", name: "Cap counts the batch in flight and spills the oldest queued item", batch: true, cap: 2,
+		during: map[int]string{1: "+2 +3 p"}, script: "+1 s s", want: "[1] drop2 p2 [3]"},
+	{group: "CapCountsInFlight", name: "the newest item is never spilled", batch: true, cap: 1,
+		during: map[int]string{1: "+2 p +3 p"}, script: "+1 s s", want: "[1] p2 drop2 p2 [3]"},
+
+	{group: "ExitHookRunsOnce", name: "close first", during: map[int]string{1: "+2 +3 c"},
+		script: "+1 s s +4 p d s", want: "1 2 3 exit stop p0 done stop"},
+	{group: "ExitHookRunsOnce", name: "failure first", fail: []int{2}, during: map[int]string{1: "+2 +3"},
+		script: "+1 s s c s d", want: "1 !2 exit stop stop done"},
+	{group: "ExitHookRunsOnce", name: "racing", fail: []int{1}, during: map[int]string{1: "+2 +3 c"},
+		script: "+1 s d s", want: "!1 exit stop done stop"},
+	{group: "ExitHookRunsOnce", name: "nothing queued", script: "d c d s d s", want: "open open exit stop done stop"},
+	{group: "ExitHookRunsOnce", name: "parked at close", retry: true, fail: []int{1},
+		script: "+1 s p d c s p d", want: "!1 p1 open exit stop p0 done"},
+
+	{group: "DeliverFailureWithoutCloseStillDies", name: "a failed delivery ends the queue by itself", fail: []int{1},
+		script: "+1 s d", want: "!1 exit stop done"},
+
+	{group: "RetryBatchRedeliversSentPrefix", name: "a failed batch comes back whole, then what was enqueued behind it",
+		batch: true, retry: true, fail: []int{2}, during: map[int]string{1: "+1 +2 +3"},
+		script: "+0 s s p +4 r s p", want: "[0] ![1 2 3] p3 [1 2 3 4] p0"},
+	{group: "RetryBatchRedeliversSentPrefix", name: "a Resume during the failing batch redelivers it at the next step",
+		batch: true, retry: true, fail: []int{1}, during: map[int]string{1: "+2 r"},
+		script: "+1 s s p", want: "![1] [1 2] p0"},
+
+	{group: "GaugeInstrumentation", name: "the gauges follow queued and in-flight items, the histograms each batch", batch: true, merge: true,
+		during: map[int]string{1: "+2 +3 g", 2: "g"}, script: "g +1 g s s g h",
+		want: "g0/0 g1/0 [1] g2/1 [5] g1/1 g0/0 h2/2/3"},
+}
+
+func TestQueueDeliverBatch(t *testing.T)                        { runQueueSteps(t) }
+func TestQueueDeliverBatchDropOnError(t *testing.T)             { runQueueSteps(t) }
+func TestQueueDeliverBatchRetryParks(t *testing.T)              { runQueueSteps(t) }
+func TestQueueResumeDuringFailingDelivery(t *testing.T)         { runQueueSteps(t) }
+func TestQueuePendingSeesInFlightBatch(t *testing.T)            { runQueueSteps(t) }
+func TestQueueCapCountsInFlight(t *testing.T)                   { runQueueSteps(t) }
+func TestQueueExitHookRunsOnce(t *testing.T)                    { runQueueSteps(t) }
+func TestQueueDeliverFailureWithoutCloseStillDies(t *testing.T) { runQueueSteps(t) }
+func TestQueueRetryBatchRedeliversSentPrefix(t *testing.T)      { runQueueSteps(t) }
+func TestQueueGaugeInstrumentation(t *testing.T)                { runQueueSteps(t) }
+
+// runQueueSteps runs the rows of the test's group, each as a subtest.
+func runQueueSteps(t *testing.T) {
+	group := strings.TrimPrefix(t.Name(), "TestQueue")
+	ran := 0
+	for _, row := range queueSteps {
+		if row.group != group {
+			continue
 		}
-	}
-	if len(delivered) != 5 {
-		t.Fatalf("OnDeliver fired %d times, want 5", len(delivered))
-	}
-}
-
-// TestQueueDeliverBatchDropOnError: a batch error in drop mode ends
-// the queue, discards pending items, and runs OnExit exactly once —
-// the same contract the per-item path has.
-func TestQueueDeliverBatchDropOnError(t *testing.T) {
-	dead := make(chan struct{})
-	q := NewQueue(QueueConfig[int]{
-		DeliverBatch: func([]int) error { return errors.New("session died") },
-		OnExit:       func() { close(dead) },
-	})
-	q.Enqueue(1)
-	select {
-	case <-dead:
-	case <-time.After(5 * time.Second):
-		t.Fatal("a failed batch never ended the queue")
-	}
-	q.Enqueue(2) // no-op after death
-	if n := q.Pending(); n != 0 {
-		t.Fatalf("dead queue holds %d items", n)
-	}
-	q.Close()
-}
-
-// TestQueueDeliverBatchRetryParks: in retry mode a failed batch is
-// re-queued whole and the drain parks until Resume, after which the
-// entire batch (plus anything enqueued meanwhile) is redelivered — the
-// at-least-once contract the peer outboxes rely on.
-func TestQueueDeliverBatchRetryParks(t *testing.T) {
-	var mu sync.Mutex
-	fail := true
-	var got []int
-	done := make(chan struct{}, 16)
-	q := NewQueue(QueueConfig[int]{
-		DeliverBatch: func(b []int) error {
-			mu.Lock()
-			defer mu.Unlock()
-			if fail {
-				return errors.New("link down")
-			}
-			got = append(got, b...)
-			for range b {
-				done <- struct{}{}
-			}
-			return nil
-		},
-		RetryOnError: true,
-	})
-	q.Enqueue(1)
-	q.Enqueue(2)
-	waitFor(t, "failed batch parked, items held", func() bool { return q.Pending() == 2 })
-	q.Enqueue(3) // lands behind the parked batch
-	mu.Lock()
-	fail = false
-	mu.Unlock()
-	q.Resume()
-	for i := 0; i < 3; i++ {
-		<-done
-	}
-	q.Close()
-	mu.Lock()
-	defer mu.Unlock()
-	for i, v := range got {
-		if v != i+1 {
-			t.Fatalf("retry redelivered out of order: %v", got)
-		}
-	}
-}
-
-// TestQueueResumeDuringFailingDelivery: a Resume that lands while the
-// drain is still delivering on the old session, before that delivery's
-// failure parks it, is not lost — the drain retries at once instead of
-// parking until a Resume that already happened (a peer outbox would
-// otherwise hold its forwards until the next reconnect).
-func TestQueueResumeDuringFailingDelivery(t *testing.T) {
-	inDeliver := make(chan struct{})
-	release := make(chan struct{})
-	delivered := make(chan int, 1)
-	calls := 0 // the drain goroutine's own
-	q := NewQueue(QueueConfig[int]{
-		Deliver: func(v int) error {
-			if calls++; calls == 1 {
-				close(inDeliver)
-				<-release
-				return errors.New("old session died")
-			}
-			delivered <- v
-			return nil
-		},
-		RetryOnError: true,
-	})
-	defer q.Close()
-	q.Enqueue(1)
-	<-inDeliver
-	q.Resume() // the new session is up; the old one's failure is still in flight
-	close(release)
-	select {
-	case <-delivered:
-	case <-time.After(5 * time.Second):
-		t.Fatal("the drain parked after the Resume that announced its next session")
-	}
-}
-
-// TestQueuePendingSeesInFlightBatch: the batch the drain has taken but
-// not yet delivered still counts toward Pending — depth gauges must not
-// under-report by a full drain batch while a slow consumer holds it.
-func TestQueuePendingSeesInFlightBatch(t *testing.T) {
-	started := make(chan struct{})
-	release := make(chan struct{})
-	q := NewQueue(QueueConfig[int]{
-		DeliverBatch: func(b []int) error {
-			started <- struct{}{}
-			<-release
-			return nil
-		},
-	})
-	q.Enqueue(1)
-	<-started // the drain took [1]; delivery is parked
-	q.Enqueue(2)
-	q.Enqueue(3)
-	if n := q.Pending(); n != 3 {
-		t.Fatalf("Pending = %d during slow delivery, want 3 (1 in flight + 2 queued)", n)
-	}
-	close(release)
-	<-started // second drain: [2 3] taken
-	waitFor(t, "in-flight batch settled", func() bool { return q.Pending() == 0 })
-	q.Close()
-}
-
-// TestQueueExitHookRunsOnce: however a drop-mode queue ends — Close
-// first, a delivery failure first, or the two racing — OnExit runs
-// exactly once, on the drain, after every item delivered, and Done
-// closes after it. Close first still delivers what was enqueued before
-// it. Run with -race: OnExit's effects are read after Done with no lock.
-func TestQueueExitHookRunsOnce(t *testing.T) {
-	rows := []struct {
-		name   string
-		failAt int // the item whose delivery fails; 0: none does
-		// end runs while item 1's delivery is held and 2, 3 are queued.
-		end  func(q *Queue[int], release chan struct{})
-		want []int // delivered, then 0 for the exit
-	}{
-		{"close first", 0, func(q *Queue[int], release chan struct{}) { q.Close(); close(release) }, []int{1, 2, 3, 0}},
-		{"failure first", 2, func(q *Queue[int], release chan struct{}) { close(release) }, []int{1, 0}},
-		{"racing", 1, func(q *Queue[int], release chan struct{}) { go q.Close(); close(release) }, []int{0}},
-	}
-	for _, row := range rows {
+		ran++
 		t.Run(row.name, func(t *testing.T) {
-			for i := 0; i < 20; i++ {
-				var log []int // the drain's own; read after Done
-				inDeliver, release := make(chan struct{}), make(chan struct{})
-				q := NewQueue(QueueConfig[int]{
-					Deliver: func(v int) error {
-						if v == 1 {
-							close(inDeliver)
-							<-release
-						}
-						if v == row.failAt {
-							return errors.New("send failed")
-						}
-						log = append(log, v)
-						return nil
-					},
-					OnExit: func() { log = append(log, 0) },
-				})
-				q.Enqueue(1)
-				<-inDeliver
-				q.Enqueue(2)
-				q.Enqueue(3)
-				row.end(q, release)
-				select {
-				case <-q.Done():
-				case <-time.After(5 * time.Second):
-					t.Fatal("the drain never exited")
-				}
-				q.Close()
-				q.Enqueue(4) // no-op once ended
-				if n := q.Pending(); n != 0 {
-					t.Fatalf("ended queue holds %d items", n)
-				}
-				if fmt.Sprint(log) != fmt.Sprint(row.want) {
-					t.Fatalf("deliveries then exit = %v, want %v", log, row.want)
-				}
+			if got := row.run(); got != row.want {
+				t.Errorf("log %q\nwant %q", got, row.want)
 			}
 		})
 	}
+	if ran == 0 {
+		t.Fatalf("no step rows in group %q", group)
+	}
 }
 
-// TestQueueCloseRacesDeliverFailure: when Close has already marked the
-// queue closed and then the in-flight drop-mode delivery fails, the two
-// endings are one: OnExit runs exactly once, so the owner's teardown is
-// not run twice, and Done closes after it.
+// run steps the row's queue through its script and returns the log.
+func (row queueRow) run() string {
+	var log []string
+	logf := func(format string, args ...any) { log = append(log, fmt.Sprintf(format, args...)) }
+	reg := metrics.NewRegistry()
+	depth, inFlight := reg.Gauge("depth", ""), reg.Gauge("in_flight", "")
+	sizes := reg.Histogram("batch_size", "", metrics.SizeBuckets())
+	ratio := reg.Histogram("coalesce_ratio", "", metrics.RatioBuckets())
+	var do func(actions string)
+	calls := 0
+	deliver := func(shown any) error {
+		calls++
+		call, failed := calls, slices.Contains(row.fail, calls)
+		if failed {
+			logf("!%v", shown)
+		} else {
+			logf("%v", shown)
+		}
+		do(row.during[call])
+		if failed {
+			return errors.New("send failed")
+		}
+		return nil
+	}
+	cfg := QueueConfig[int]{
+		RetryOnError: row.retry,
+		Cap:          row.cap,
+		OnDrop:       func(v int) { logf("drop%d", v) },
+		OnExit:       func() { logf("exit") },
+		Depth:        depth, InFlight: inFlight,
+		BatchSizes: sizes, CoalesceRatio: ratio,
+	}
+	if row.batch {
+		cfg.DeliverBatch = func(b []int) error { return deliver(b) }
+	} else {
+		cfg.Deliver = func(v int) error { return deliver(v) }
+	}
+	if row.merge {
+		cfg.Merge = func(prev, next int) (int, bool) { return prev + next, true }
+	}
+	q := newQueue(cfg)
+	do = func(actions string) {
+		for _, a := range strings.Fields(actions) {
+			switch a {
+			case "s":
+				if !q.step() {
+					logf("stop")
+				}
+			case "c":
+				q.Close()
+			case "r":
+				q.Resume()
+			case "p":
+				logf("p%d", q.Pending())
+			case "g":
+				logf("g%d/%d", depth.Value(), inFlight.Value())
+			case "h":
+				logf("h%d/%g/%g", sizes.Count(), sizes.Sum(), ratio.Sum())
+			case "d":
+				select {
+				case <-q.Done():
+					logf("done")
+				default:
+					logf("open")
+				}
+			default:
+				v, err := strconv.Atoi(strings.TrimPrefix(a, "+"))
+				if err != nil || a[0] != '+' {
+					panic("unknown queue action " + a)
+				}
+				q.Enqueue(v)
+			}
+		}
+	}
+	do(row.script)
+	return strings.Join(log, " ")
+}
+
+// TestQueueCloseRacesDeliverFailure: on the drain goroutine, when Close
+// has already marked the queue closed and then the in-flight drop-mode
+// delivery fails, the two endings are one: OnExit runs exactly once, so
+// the owner's teardown is not run twice, and Done closes after it.
 func TestQueueCloseRacesDeliverFailure(t *testing.T) {
 	for i := 0; i < 50; i++ {
 		inDeliver := make(chan struct{})
@@ -278,163 +237,26 @@ func TestQueueCloseRacesDeliverFailure(t *testing.T) {
 	}
 }
 
-// TestQueueDeliverFailureWithoutCloseStillDies: a delivery failure with
-// no Close at all ends a drop-mode queue by itself — OnExit runs once
-// and Done closes.
-func TestQueueDeliverFailureWithoutCloseStillDies(t *testing.T) {
-	exits := make(chan struct{}, 2)
+// TestQueueDoneClosesAfterExit: the drain goroutine delivers what was
+// enqueued before Close, runs OnExit, and only then closes Done. Run
+// with -race: the log is written on the drain and read after Done with
+// no lock.
+func TestQueueDoneClosesAfterExit(t *testing.T) {
+	var log []int
 	q := NewQueue(QueueConfig[int]{
-		Deliver: func(int) error { return errors.New("send failed") },
-		OnExit:  func() { exits <- struct{}{} },
+		Deliver: func(v int) error { log = append(log, v); return nil },
+		OnExit:  func() { log = append(log, 0) },
 	})
-	q.Enqueue(1)
+	for v := 1; v <= 3; v++ {
+		q.Enqueue(v)
+	}
+	q.Close()
 	select {
 	case <-q.Done():
 	case <-time.After(5 * time.Second):
-		t.Fatal("a genuine delivery failure never ended the queue")
+		t.Fatal("the drain never exited")
 	}
-	if n := len(exits); n != 1 {
-		t.Fatalf("OnExit ran %d times, want 1", n)
-	}
-}
-
-// TestQueueRetryBatchRedeliversSentPrefix: the documented at-least-once
-// contract of DeliverBatch in retry mode — a batch error re-queues the
-// WHOLE coalesced batch, so after Resume the receiver sees the
-// already-sent prefix again, in order, with nothing lost.
-func TestQueueRetryBatchRedeliversSentPrefix(t *testing.T) {
-	var mu sync.Mutex
-	var calls [][]int
-	gate := make(chan struct{})
-	started := make(chan struct{})
-	failing := make(chan struct{}) // closed by the failing call itself
-	fail := false
-	delivered := make(chan int, 16)
-	q := NewQueue(QueueConfig[int]{
-		DeliverBatch: func(b []int) error {
-			mu.Lock()
-			calls = append(calls, append([]int(nil), b...))
-			n := len(calls)
-			shouldFail := fail
-			mu.Unlock()
-			if n == 1 {
-				started <- struct{}{}
-				<-gate // hold the drain so 1,2,3 queue up as one batch
-				return nil
-			}
-			if shouldFail {
-				// The transport wrote a prefix of b before erroring out —
-				// the queue must still re-queue the whole batch.
-				close(failing)
-				return errors.New("link down mid-write")
-			}
-			for _, v := range b {
-				delivered <- v
-			}
-			return nil
-		},
-		RetryOnError: true,
-	})
-	q.Enqueue(0)
-	<-started
-	q.Enqueue(1)
-	q.Enqueue(2)
-	q.Enqueue(3)
-	mu.Lock()
-	fail = true
-	mu.Unlock()
-	close(gate) // call 1 ([0]) succeeds; call 2 gets [1 2 3] and fails
-	// Wait on the failing call, not on Pending() == 3: that also holds
-	// while [1 2 3] is in flight before the call has read fail, and
-	// clearing fail then would let the batch succeed. Whether the drain
-	// has re-queued the batch yet does not matter: a failed batch goes
-	// back to the queue front, and a Resume that lands while it is still
-	// in flight retries it at once.
-	select {
-	case <-failing:
-	case <-time.After(5 * time.Second):
-		t.Fatal("the second DeliverBatch call never failed")
-	}
-	q.Enqueue(4) // lands behind the re-queued batch
-	mu.Lock()
-	fail = false
-	mu.Unlock()
-	q.Resume()
-	var got []int
-	for i := 0; i < 4; i++ {
-		got = append(got, <-delivered)
-	}
-	q.Close()
-	mu.Lock()
-	defer mu.Unlock()
-	if len(calls) != 3 {
-		t.Fatalf("expected 3 DeliverBatch calls, got %v", calls)
-	}
-	failed, redelivered := calls[1], calls[2]
-	if len(failed) != 3 || failed[0] != 1 || failed[1] != 2 || failed[2] != 3 {
-		t.Fatalf("failed batch = %v, want [1 2 3]", failed)
-	}
-	// The already-sent prefix (all of [1 2 3]) comes back, in order,
-	// followed by the item enqueued while parked.
-	want := []int{1, 2, 3, 4}
-	if len(redelivered) != len(want) {
-		t.Fatalf("redelivered = %v, want %v", redelivered, want)
-	}
-	for i, v := range want {
-		if redelivered[i] != v || got[i] != v {
-			t.Fatalf("redelivery order/loss: calls=%v got=%v", calls, got)
-		}
-	}
-}
-
-// TestQueueGaugeInstrumentation: shared Depth/InFlight gauges track the
-// live counts as deltas and settle to zero once the queue drains, and
-// the batch-size/coalesce histograms observe each drain.
-func TestQueueGaugeInstrumentation(t *testing.T) {
-	reg := metrics.NewRegistry()
-	depth := reg.Gauge("depth", "")
-	inFlight := reg.Gauge("in_flight", "")
-	sizes := reg.Histogram("batch_size", "", metrics.SizeBuckets())
-	ratio := reg.Histogram("coalesce_ratio", "", metrics.RatioBuckets())
-	started := make(chan struct{})
-	release := make(chan struct{})
-	q := NewQueue(QueueConfig[int]{
-		DeliverBatch: func(b []int) error {
-			started <- struct{}{}
-			<-release
-			return nil
-		},
-		// Sum-merge everything: 3 folds into the queued 2 at Enqueue.
-		Merge: func(prev, next int) (int, bool) { return prev + next, true },
-		Depth: depth, InFlight: inFlight,
-		BatchSizes: sizes, CoalesceRatio: ratio,
-	})
-	q.Enqueue(1)
-	<-started // [1] in flight
-	q.Enqueue(2)
-	q.Enqueue(3)
-	if d, f := depth.Value(), inFlight.Value(); d != 2 || f != 1 {
-		t.Fatalf("depth=%d inFlight=%d during slow delivery, want 2/1 (1 in flight + [5] queued)", d, f)
-	}
-	release <- struct{}{}
-	<-started // [5] in flight
-	if d, f := depth.Value(), inFlight.Value(); d != 1 || f != 1 {
-		t.Fatalf("depth=%d inFlight=%d during coalesced delivery, want 1/1", d, f)
-	}
-	release <- struct{}{}
-	waitFor(t, "gauges settle to zero", func() bool {
-		return depth.Value() == 0 && inFlight.Value() == 0
-	})
-	q.Close()
-	if n := sizes.Count(); n != 2 {
-		t.Fatalf("batch-size observations = %d, want 2", n)
-	}
-	if n := ratio.Count(); n != 2 {
-		t.Fatalf("coalesce-ratio observations = %d, want 2", n)
-	}
-	// Second drain folded 2 raw items into 1 delivery: ratio 2 lands in
-	// a bucket above 1.5.
-	if q := ratio.Quantile(1); q < 2 {
-		t.Fatalf("max coalesce ratio %v, want >= 2", q)
+	if fmt.Sprint(log) != "[1 2 3 0]" {
+		t.Fatalf("deliveries then exit = %v, want [1 2 3 0]", log)
 	}
 }

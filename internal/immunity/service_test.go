@@ -1,8 +1,10 @@
 package immunity
 
 import (
+	"errors"
 	"fmt"
 	"path/filepath"
+	"runtime"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -68,48 +70,84 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 	t.Fatalf("timed out waiting for %s", what)
 }
 
-// heldWord is a lock's ownership word as a runtime keeps it (core.Word):
-// detectDeadlock stores each holder in it before Acquired, as a monitor's
-// CAS would.
-type heldWord struct{ holder atomic.Pointer[core.Node] }
+// monitor is a lock as a runtime drives it through core.Enter and
+// core.Exit: its ownership word (core.Word) is taken by CAS and released
+// by a store.
+type monitor struct {
+	c      *core.Core
+	node   *core.Node
+	holder atomic.Pointer[core.Node]
+}
 
-func (w *heldWord) Holder() *core.Node { return w.holder.Load() }
+// newMonitor creates a free monitor whose lock node in c reads its word.
+func newMonitor(c *core.Core, name string) *monitor {
+	m := &monitor{c: c}
+	m.node = c.NewMonitorNode(name, m)
+	return m
+}
 
-// detectDeadlock drives a real two-thread cycle through c's detection so
-// the recorded signature is published to c's store (the service). The
-// outer positions use the same frames as testSig(0).
-func detectDeadlock(t *testing.T, c *core.Core) {
+// Holder implements core.Word.
+func (m *monitor) Holder() *core.Node { return m.holder.Load() }
+
+// enter is t's monitorenter at pos. acquire is the runtime's blocking
+// acquisition after a lost CAS; nil spins on the CAS.
+func (m *monitor) enter(t *core.Node, pos *core.Position, acquire func() error) error {
+	cas := func() bool { return m.holder.CompareAndSwap(nil, t) }
+	if acquire == nil {
+		acquire = func() error {
+			for !cas() {
+				runtime.Gosched()
+			}
+			return nil
+		}
+	}
+	return m.c.Enter(t, m.node, pos, cas, acquire, func(bool) {})
+}
+
+// exit is t's monitorexit.
+func (m *monitor) exit(t *core.Node) { m.c.Exit(t, m.node, func() { m.holder.Store(nil) }) }
+
+// svcPositions interns the outer positions of testSig(0) in c.
+func svcPositions(t *testing.T, c *core.Core) (posA, posB *core.Position) {
 	t.Helper()
-	t1 := c.NewThreadNode("t1", nil)
-	t2 := c.NewThreadNode("t2", nil)
-	wA, wB := &heldWord{}, &heldWord{}
-	lA := c.NewMonitorNode("A", wA)
-	lB := c.NewMonitorNode("B", wB)
 	posA, err := c.Intern(core.CallStack{{Class: "com.app.Svc1", Method: "methodA", Line: 10}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	posB, err := c.Intern(core.CallStack{{Class: "com.app.Svc2", Method: "methodB", Line: 20}})
+	posB, err = c.Intern(core.CallStack{{Class: "com.app.Svc2", Method: "methodB", Line: 20}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	// t1 holds A (acquired at posA), t2 holds B (acquired at posB).
-	if err := c.Request(t1, lA, posA); err != nil {
+	return posA, posB
+}
+
+// detectDeadlock drives a real two-thread cycle through c's detection so
+// the recorded signature is published to c's store (the service). The
+// outer positions use the same frames as testSig(0). It runs on one
+// goroutine: t2's acquisition of A, held by t1, is where t1 requests B,
+// held by t2, which closes the cycle; both acquisitions then fail, so
+// Enter aborts both requests and nothing blocks.
+func detectDeadlock(t *testing.T, c *core.Core) {
+	t.Helper()
+	t1 := c.NewThreadNode("t1", nil)
+	t2 := c.NewThreadNode("t2", nil)
+	lA, lB := newMonitor(c, "A"), newMonitor(c, "B")
+	posA, posB := svcPositions(t, c)
+	if err := lA.enter(t1, posA, nil); err != nil {
 		t.Fatal(err)
 	}
-	wA.holder.Store(t1)
-	c.Acquired(t1, lA)
-	if err := c.Request(t2, lB, posB); err != nil {
+	if err := lB.enter(t2, posB, nil); err != nil {
 		t.Fatal(err)
 	}
-	wB.holder.Store(t2)
-	c.Acquired(t2, lB)
-	// t2 requests A (blocks behind t1), then t1 requests B: cycle.
-	if err := c.Request(t2, lA, posA); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.Request(t1, lB, posB); err != nil {
-		t.Fatal(err)
+	wouldBlock := errors.New("would block")
+	err := lA.enter(t2, posA, func() error {
+		if err := lB.enter(t1, posB, func() error { return wouldBlock }); err != wouldBlock {
+			t.Errorf("t1's enter of B: %v, want the failed acquire", err)
+		}
+		return wouldBlock
+	})
+	if err != wouldBlock {
+		t.Fatalf("t2's enter of A: %v, want the failed acquire", err)
 	}
 	if c.Stats().DeadlocksDetected != 1 {
 		t.Fatalf("deadlock not detected: %+v", c.Stats())
@@ -210,27 +248,19 @@ func TestPropagationArmsAvoidance(t *testing.T) {
 	// position would make the signature instantiable → t2 must yield.
 	t1 := b.NewThreadNode("t1", nil)
 	t2 := b.NewThreadNode("t2", nil)
-	lA := b.NewLockNode("A")
-	lB := b.NewLockNode("B")
-	posA, err := b.Intern(core.CallStack{{Class: "com.app.Svc1", Method: "methodA", Line: 10}})
-	if err != nil {
+	lA, lB := newMonitor(b, "A"), newMonitor(b, "B")
+	posA, posB := svcPositions(t, b)
+	if err := lA.enter(t1, posA, nil); err != nil {
 		t.Fatal(err)
 	}
-	posB, err := b.Intern(core.CallStack{{Class: "com.app.Svc2", Method: "methodB", Line: 20}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := b.Request(t1, lA, posA); err != nil {
-		t.Fatal(err)
-	}
-	b.Acquired(t1, lA)
 	done := make(chan error, 1)
-	go func() { done <- b.Request(t2, lB, posB) }()
+	go func() { done <- lB.enter(t2, posB, nil) }()
 	waitFor(t, "avoidance yield in B", func() bool { return b.Stats().Yields == 1 })
-	b.Release(t1, lA)
+	lA.exit(t1)
 	if err := <-done; err != nil {
 		t.Fatal(err)
 	}
+	lB.exit(t2)
 }
 
 // TestServiceEpochAndCatchup: epochs are dense acceptance counters, and a

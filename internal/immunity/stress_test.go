@@ -58,7 +58,7 @@ func TestStressPublishSubscribeHotInstall(t *testing.T) {
 				go func(c *core.Core, g int) {
 					defer wg.Done()
 					tn := c.NewThreadNode(fmt.Sprintf("traffic%d", g), nil)
-					ln := c.NewLockNode(fmt.Sprintf("lock%d", g))
+					ln := newMonitor(c, fmt.Sprintf("lock%d", g))
 					pos, err := c.Intern(core.CallStack{{Class: "com.app.Svc1", Method: "methodA", Line: 10 + g*100}})
 					if err != nil {
 						return
@@ -69,11 +69,10 @@ func TestStressPublishSubscribeHotInstall(t *testing.T) {
 							return
 						default:
 						}
-						if err := c.Request(tn, ln, pos); err != nil {
+						if err := ln.enter(tn, pos, nil); err != nil {
 							return
 						}
-						c.Acquired(tn, ln)
-						c.Release(tn, ln)
+						ln.exit(tn)
 					}
 				}(c, g)
 			}

@@ -236,11 +236,8 @@ func (s *ExchangeServer) serve(raw net.Conn) {
 		transportIdentity = auth.PeerIdentity(tc.ConnectionState())
 		nc = tc
 	}
-	var wmu sync.Mutex
 	conn, err := s.hub.AcceptStream(
 		func(frames [][]byte) error {
-			wmu.Lock()
-			defer wmu.Unlock()
 			nc.SetWriteDeadline(time.Now().Add(writeTimeout))
 			// net.Buffers advances through our local slice on partial
 			// writes; the shared frame bytes themselves are never touched.

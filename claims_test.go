@@ -134,6 +134,36 @@ var claims = []claim{
 		},
 	},
 	{
+		id: "the fleet in virtual time",
+		statement: "every fleet machine — a hub's session queues, a node's peer links, forward outboxes and ticker, a device's session machine and Service subscription — " +
+			"is a step a clock runs: on a mock clock 3 hubs and 4 devices go from report through forward, confirm, arm and broadcast to install, " +
+			"then through a partition (the deputy promoted, the minority's lease lost, nothing armed there) and a heal, on one goroutine with the same event log every run; " +
+			"the redial backoff, its jitter, the kick, the refusal window and the uptime rule hold in virtual time",
+		tests: []string{
+			"internal/immunity/cluster:TestFleetInVirtualTime",
+			"internal/immunity/cluster:TestClusterGatesAtOwnerAndPropagates",
+			"internal/immunity/cluster:TestClusterForwardedReportNeverDoubleCounts",
+			"internal/immunity/cluster:TestClusterTenantIsolation",
+			"internal/immunity/cluster:TestClusterOwnerFailoverDeputyArms",
+			"internal/immunity/cluster:TestRedialHandshakeTable",
+			"internal/immunity/cluster:TestPeerSeenKicksBackoff",
+			"internal/immunity/cluster:TestClusterFlappingPeerBacksOff",
+			"internal/immunity/cluster:TestNodeTick",
+			"internal/clock:TestMockRunsDueMachinesInOrder",
+		},
+		mutants: []mutant{
+			{"Kick ending the backoff wait without resetting the backoff to its floor", "internal/immunity/cluster:TestPeerSeenKicksBackoff"},
+			{"jitter drawn from [wait/4, 3·wait/4] instead of [wait/2, wait]", "internal/immunity/cluster:TestClusterFlappingPeerBacksOff"},
+			{"jitter drawn from [wait/2, 3·wait/2]", "internal/immunity/cluster:TestRedialHandshakeTable"},
+			{"uptime measured from the dial instead of from the accept", "internal/immunity/cluster:TestRedialHandshakeTable"},
+			{"a lease round skipped when a probe round is due at the same instant", "internal/immunity/cluster:TestNodeTick"},
+			{"no refusal window: a failed hello Send fails the attempt at once", "internal/immunity/cluster:TestRedialHandshakeTable"},
+			{"the hello timeout instead of the refusal window after a failed hello Send", "internal/immunity/cluster:TestRedialHandshakeTable"},
+			{"no uptime rule: every accepted session resets the backoff", "internal/immunity:TestRedialBackoffRule"},
+			{"no uptime rule: no session resets the backoff", "internal/immunity/cluster:TestRedialHandshakeTable"},
+		},
+	},
+	{
 		id:        "sync counting",
 		statement: "SyncCount and Stats count every completed monitorenter exactly once, and never go down while threads exit under a live sampler",
 		tests: []string{

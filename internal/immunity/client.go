@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sync"
 
+	"github.com/dimmunix/dimmunix/internal/clock"
 	"github.com/dimmunix/dimmunix/internal/core"
 	"github.com/dimmunix/dimmunix/internal/immunity/wire"
 )
@@ -53,10 +54,10 @@ type ExchangeClient struct {
 	cancelLocal func()
 
 	// rd owns the wire session — handshake, redial, send (redial.go);
-	// deviceAttempt below is this tier's policy half.
-	rd        *Redialer
-	wg        sync.WaitGroup
-	closeOnce sync.Once
+	// deviceAttempt below is this tier's policy half. clk runs it and
+	// the Service subscription (WithClock).
+	rd  *Redialer
+	clk clock.Clock
 }
 
 // ClientOption configures an ExchangeClient.
@@ -91,6 +92,7 @@ func Connect(t Transport, deviceID string, svc *Service, opts ...ClientOption) (
 		svc:         svc,
 		fromFleet:   make(map[string]bool),
 		fleetEpochs: make(map[string]uint64),
+		clk:         clock.Real(),
 	}
 	for _, opt := range opts {
 		opt(c)
@@ -99,20 +101,16 @@ func Connect(t Transport, deviceID string, svc *Service, opts ...ClientOption) (
 		Transport:    t,
 		Begin:        func() Attempt { return &deviceAttempt{c: c} },
 		RefusalFinal: true,
-	})
+	}, c.clk)
+	// The machine ends on Close or a final refusal; either way a client
+	// with no session must not keep receiving Service deltas. Every
+	// resubscribe ran on the machine's steps, so none can follow this
+	// release.
+	c.rd.onEnd = c.release
 	if err := c.rd.Handshake(); err != nil {
 		return nil, fmt.Errorf("exchange connect %s: %w", deviceID, err)
 	}
-	c.wg.Add(1)
-	go func() {
-		defer c.wg.Done()
-		c.rd.Run()
-		// Run ends on Close or a final refusal; either way a client with
-		// no session must not keep receiving Service deltas. Every
-		// resubscribe after Connect ran on this goroutine, so none can
-		// follow this release.
-		c.release()
-	}()
+	c.rd.Run()
 	return c, nil
 }
 
@@ -188,7 +186,7 @@ func (a *deviceAttempt) Recv(m wire.Message) {
 // detected before connecting — or while disconnected — reach the hub.
 func (c *ExchangeClient) resubscribe() {
 	c.release()
-	cancel := c.svc.Subscribe("exchange:"+c.id, 0, func(_ uint64, sigs []*core.Signature) {
+	cancel := c.svc.subscribe(c.clk, "exchange:"+c.id, 0, func(_ uint64, sigs []*core.Signature) {
 		c.reportLocal(sigs)
 	})
 	c.mu.Lock()
@@ -313,9 +311,4 @@ func (c *ExchangeClient) Err() error { return c.rd.Err() }
 // session closes, and the redial loop exits. The hub keeps the device's
 // confirmation state — a later Connect with the same device id resumes
 // it. Close is idempotent.
-func (c *ExchangeClient) Close() {
-	c.closeOnce.Do(func() {
-		c.rd.Close()
-		c.wg.Wait()
-	})
-}
+func (c *ExchangeClient) Close() { c.rd.Close() }

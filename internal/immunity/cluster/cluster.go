@@ -217,6 +217,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"github.com/dimmunix/dimmunix/internal/clock"
 	"github.com/dimmunix/dimmunix/internal/immunity"
 	"github.com/dimmunix/dimmunix/internal/immunity/metrics"
 	"github.com/dimmunix/dimmunix/internal/immunity/wire"
@@ -330,9 +331,17 @@ type Node struct {
 	metIndirect       *metrics.Counter
 	metSuspects       *metrics.Counter
 
+	// clk is the hub's clock (BindCluster): it runs the links and the
+	// ticker (tick), whose state follows.
+	clk        clock.Clock
+	probeEvery time.Duration
+	leaseEvery time.Duration
+	probeDue   time.Time
+	leaseDue   time.Time
+	tickDone   chan struct{}
+
 	closeOnce sync.Once
 	closeCh   chan struct{}
-	wg        sync.WaitGroup
 }
 
 var _ immunity.ClusterBinding = (*Node)(nil)
@@ -409,17 +418,20 @@ func New(cfg Config) (*Node, error) {
 	}
 	// Bind before any link (or device) traffic: the hub must know the
 	// ring before it accepts its first report or peer-hello.
-	cfg.Hub.BindCluster(n)
+	n.clk = cfg.Hub.BindCluster(n)
 	if n.lease != nil {
 		// The first round opens before any link dials, so every accepted
 		// link is asked in it (a single-member cluster holds its lease on
 		// return).
-		n.leaseTick(time.Now())
+		now := n.clk.Now()
+		n.leaseTick(now)
+		n.probeEvery, n.leaseEvery = pc.interval, max(pc.leaseTTL/3, time.Millisecond)
+		n.probeDue, n.leaseDue = now.Add(n.probeEvery), now.Add(n.leaseEvery)
 	}
 	n.ensureLinks(n.membership.live())
 	if n.probe != nil {
-		n.wg.Add(1)
-		go n.run(pc)
+		n.tickDone = make(chan struct{})
+		n.clk.Start(n.tick, n.closeCh)
 	}
 	return n, nil
 }
@@ -564,11 +576,7 @@ func (n *Node) ensureLinks(live []wire.MemberInfo) {
 	}
 	n.linksMu.Unlock()
 	for _, l := range started {
-		n.wg.Add(1)
-		go func(l *link) {
-			defer n.wg.Done()
-			l.rd.Run()
-		}(l)
+		l.rd.Run()
 	}
 }
 
@@ -647,8 +655,8 @@ func (n *Node) Status() []PeerStatus {
 }
 
 // Close tears the node down: every link's session closes, outboxes
-// drain what a live session can still take, and the link goroutines
-// exit. The hub itself is left to its owner. Idempotent.
+// drain what a live session can still take, and the link machines and
+// the ticker end. The hub itself is left to its owner. Idempotent.
 func (n *Node) Close() {
 	n.closeOnce.Do(func() {
 		close(n.closeCh)
@@ -662,7 +670,9 @@ func (n *Node) Close() {
 		for _, l := range links {
 			l.close()
 		}
-		n.wg.Wait()
+		if n.tickDone != nil {
+			n.clk.Wait(n.tickDone)
+		}
 	})
 }
 
@@ -701,14 +711,14 @@ func newLink(n *Node, peerID string, t immunity.Transport, resumeSeq uint64, reg
 			"Completed peer handshakes after the first.", "peer").With(peerID),
 		Connected: reg.GaugeVec("immunity_cluster_peer_connected",
 			"Live handshaken outbound sessions to the peer.", "peer").With(peerID),
-	})
+	}, n.clk)
 	l.applied = reg.CounterVec("immunity_cluster_applied_total",
 		"Arm-broadcasts from the peer that newly armed a signature here.", "peer").With(peerID)
 	l.duplicates = reg.CounterVec("immunity_cluster_duplicates_total",
 		"Arm-broadcast replays from the peer (cursor advances only).", "peer").With(peerID)
 	l.metForwards = reg.CounterVec("immunity_cluster_peer_forwards_total",
 		"Forward-report messages delivered to the peer.", "peer").With(peerID)
-	l.outbox = immunity.NewQueue(immunity.QueueConfig[wire.Message]{
+	l.outbox = immunity.NewQueueOn(n.clk, immunity.QueueConfig[wire.Message]{
 		Deliver:      l.deliver,
 		RetryOnError: true,
 		// A partition longer than the cap's worth of traffic spills the
@@ -813,7 +823,7 @@ func (n *Node) sendDirect(peer string, m wire.Message) error {
 func (l *link) close() {
 	l.rd.Close()
 	l.outbox.Close()
-	<-l.outbox.Done()
+	l.node.clk.Wait(l.outbox.Done())
 }
 
 // peerAttempt is the peer tier's policy half of one dial: the hello

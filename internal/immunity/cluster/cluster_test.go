@@ -3,11 +3,13 @@ package cluster_test
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"github.com/dimmunix/dimmunix/internal/clock"
 	"github.com/dimmunix/dimmunix/internal/core"
 	"github.com/dimmunix/dimmunix/internal/immunity"
 	"github.com/dimmunix/dimmunix/internal/immunity/cluster"
@@ -42,14 +44,15 @@ func sigOwnedBy(t *testing.T, r *cluster.Ring, owner string) *core.Signature {
 	return nil
 }
 
-// sigOwnedDeputy finds a test signature with a specific owner AND a
-// specific deputy — for tests that must steer a device's reports
-// through a hub that holds no replica of the confirmation set.
-func sigOwnedDeputy(t *testing.T, r *cluster.Ring, owner, deputy string) *core.Signature {
+// sigOwnedDeputy finds a test signature, none of skip, with a specific
+// owner AND a specific deputy — for tests that must steer a device's
+// reports through a hub that holds no replica of the confirmation set.
+func sigOwnedDeputy(t *testing.T, r *cluster.Ring, owner, deputy string, skip ...*core.Signature) *core.Signature {
 	t.Helper()
 	for i := 0; i < 10000; i++ {
 		sig := testSig(i)
-		if r.Owner(sig.Key()) == owner && r.Deputy(sig.Key()) == deputy {
+		if r.Owner(sig.Key()) == owner && r.Deputy(sig.Key()) == deputy &&
+			!slices.ContainsFunc(skip, func(s *core.Signature) bool { return s.Key() == sig.Key() }) {
 			return sig
 		}
 	}
@@ -57,18 +60,12 @@ func sigOwnedDeputy(t *testing.T, r *cluster.Ring, owner, deputy string) *core.S
 	return nil
 }
 
-// waitFor polls until cond or a generous deadline (1-CPU CI with many
-// goroutines converges slowly; the deadline only bounds how long a
-// genuine failure takes to report).
+// waitFor polls a real-clock test until cond or a generous deadline
+// (1-CPU CI with many goroutines converges slowly; the deadline only
+// bounds how long a genuine failure takes to report).
 func waitFor(t *testing.T, what string, cond func() bool) {
 	t.Helper()
-	waitWithin(t, 30*time.Second, what, cond)
-}
-
-// waitWithin polls until cond, failing once d has passed: for waits
-// whose bound is the claim under test.
-func waitWithin(t *testing.T, d time.Duration, what string, cond func() bool) {
-	t.Helper()
+	const d = 30 * time.Second
 	deadline := time.Now().Add(d)
 	for time.Now().Before(deadline) {
 		if cond() {
@@ -79,24 +76,44 @@ func waitWithin(t *testing.T, d time.Duration, what string, cond func() bool) {
 	t.Fatalf("%s: not within %v", what, d)
 }
 
+// newHub builds a hub (on the real clock, unless opts say otherwise);
+// Cleanup closes it.
+func newHub(t *testing.T, threshold int, opts ...immunity.ExchangeOption) *immunity.Exchange {
+	t.Helper()
+	hub, err := immunity.NewExchange(threshold, opts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(hub.Close)
+	return hub
+}
+
 // phone is one simulated device: its service and exchange client.
 type phone struct {
 	svc    *immunity.Service
 	client *immunity.ExchangeClient
 }
 
-// newPhone connects a device through the given transport.
-func newPhone(t *testing.T, name string, tr immunity.Transport) *phone {
+// newService builds a device's Service; Cleanup closes it.
+func newService(t *testing.T, name string) *immunity.Service {
 	t.Helper()
 	svc, err := immunity.NewService(name, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(svc.Close)
+	return svc
+}
+
+// newPhone connects a device through the given transport.
+func newPhone(t *testing.T, name string, tr immunity.Transport) *phone {
+	t.Helper()
+	svc := newService(t, name)
 	client, err := immunity.Connect(tr, name, svc)
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() { client.Close(); svc.Close() })
+	t.Cleanup(client.Close)
 	return &phone{svc: svc, client: client}
 }
 
@@ -123,46 +140,11 @@ func hubNames(n int) []string {
 	return out
 }
 
-// loopbackCluster federates n in-process hubs over loopback transports.
-func loopbackCluster(t *testing.T, n, threshold int) ([]*immunity.Exchange, []*cluster.Node) {
-	t.Helper()
-	ids := hubNames(n)
-	hubs := make([]*immunity.Exchange, n)
-	for i := range hubs {
-		hub, err := immunity.NewExchange(threshold)
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(hub.Close)
-		hubs[i] = hub
-	}
-	nodes := make([]*cluster.Node, n)
-	for i := range nodes {
-		var peers []cluster.Member
-		for j := range hubs {
-			if j != i {
-				peers = append(peers, cluster.Member{ID: ids[j], Transport: immunity.NewLoopback(hubs[j])})
-			}
-		}
-		node, err := cluster.New(cluster.Config{Self: ids[i], Hub: hubs[i], Peers: peers})
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(node.Close)
-		nodes[i] = node
-	}
-	return hubs, nodes
-}
-
 // TestNewRefusesSeedWithoutTransport: every seed member comes with the
 // transport that reaches it; only members discovered at runtime go
 // through Config.Resolve.
 func TestNewRefusesSeedWithoutTransport(t *testing.T) {
-	hub, err := immunity.NewExchange(1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer hub.Close()
+	hub := newHub(t, 1)
 	resolve := func(wire.MemberInfo) immunity.Transport { return immunity.NewLoopback(hub) }
 	if _, err := cluster.New(cluster.Config{Self: "a", Hub: hub, Peers: []cluster.Member{{ID: "b"}},
 		Resolve: resolve}); err == nil || !strings.Contains(err.Error(), "no transport") {
@@ -175,31 +157,23 @@ func TestNewRefusesSeedWithoutTransport(t *testing.T) {
 // arms anywhere, at threshold the owner arms and every hub — and every
 // attached device — receives it.
 func TestClusterGatesAtOwnerAndPropagates(t *testing.T) {
-	hubs, nodes := loopbackCluster(t, 3, 2)
+	f := newFleet(t)
+	hubs, nodes := f.cluster(3, 2, 0)
 	sig := testSig(0)
 	key := sig.Key()
 	owner := nodes[0].Ring().Owner(key)
 
 	phones := make([]*phone, 3)
 	for i := range phones {
-		phones[i] = newPhone(t, fmt.Sprintf("phone%d", i), immunity.NewLoopback(hubs[i]))
+		phones[i] = f.phone(fmt.Sprintf("phone%d", i), hubNames(3)[i], hubs[i])
 	}
 
 	// First confirmation, from a phone attached to hub0 (owner or not).
-	if _, _, err := phones[0].svc.Publish("local", sig); err != nil {
-		t.Fatal(err)
+	f.publish(sig, phones[0])
+	f.settle()
+	if p, ok := provenanceOf(hubs[slices.Index(hubNames(3), owner)], key); !ok || p.Confirmations != 1 {
+		t.Fatalf("owner %s: provenance %+v, want one confirmation", owner, p)
 	}
-	waitFor(t, "owner sees first confirmation", func() bool {
-		for _, hub := range hubs {
-			for _, p := range hub.Provenance() {
-				if p.Key == key && p.Confirmations == 1 {
-					return true
-				}
-			}
-		}
-		return false
-	})
-	time.Sleep(20 * time.Millisecond)
 	for i, hub := range hubs {
 		if hub.ArmedCount() != 0 {
 			t.Fatalf("hub%d armed below the confirmation threshold", i)
@@ -212,16 +186,17 @@ func TestClusterGatesAtOwnerAndPropagates(t *testing.T) {
 	}
 
 	// Second confirmation from a different hub completes the threshold.
-	if _, _, err := phones[1].svc.Publish("local", sig); err != nil {
-		t.Fatal(err)
-	}
+	f.publish(sig, phones[1])
+	f.settle()
 	for i, hub := range hubs {
-		h := hub
-		waitFor(t, fmt.Sprintf("hub%d armed", i), func() bool { return h.ArmedCount() == 1 })
+		if hub.ArmedCount() != 1 {
+			t.Fatalf("hub%d armed %d signatures, want 1", i, hub.ArmedCount())
+		}
 	}
 	for i, p := range phones {
-		ph := p
-		waitFor(t, fmt.Sprintf("phone%d armed", i), func() bool { return ph.holds(key) })
+		if !p.holds(key) {
+			t.Fatalf("phone%d does not hold the armed signature", i)
+		}
 	}
 
 	// The owner holds the full provenance (2 distinct confirmers); every
@@ -254,64 +229,42 @@ func TestClusterGatesAtOwnerAndPropagates(t *testing.T) {
 // travels through a non-owner hub counts exactly once at the owner, no
 // matter how many times the device reconnects and re-reports.
 func TestClusterForwardedReportNeverDoubleCounts(t *testing.T) {
-	hubs, nodes := loopbackCluster(t, 3, 3)
+	f := newFleet(t)
+	hubs, nodes := f.cluster(3, 3, 0)
 	// A signature owned by hub1 with deputy hub2, reported by a device
 	// attached to hub0: every report takes the forwarding path (hub0,
 	// holding no deputy replica of the set, can never echo it locally).
 	sig := sigOwnedDeputy(t, nodes[0].Ring(), "hub1", "hub2")
 	key := sig.Key()
 
-	svc, err := immunity.NewService("roamer", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer svc.Close()
-	client, err := immunity.Connect(immunity.NewLoopback(hubs[0]), "roamer", svc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := svc.Publish("local", sig); err != nil {
-		t.Fatal(err)
-	}
-	confirmsAtOwner := func() int {
-		for _, p := range hubs[1].Provenance() {
-			if p.Key == key {
-				return p.Confirmations
-			}
+	svc := newService(t, "roamer")
+	client := f.connect(svc, "roamer", "hub0", hubs[0])
+	f.publish(sig, &phone{svc: svc})
+	confirmsAtOwner := func(when string) {
+		t.Helper()
+		f.settle()
+		if p, _ := provenanceOf(hubs[1], key); p.Confirmations != 1 {
+			t.Fatalf("confirmations at the owner %s = %d, want 1", when, p.Confirmations)
 		}
-		return 0
 	}
-	waitFor(t, "owner counts the forwarded confirmation", func() bool { return confirmsAtOwner() == 1 })
+	confirmsAtOwner("after the forwarded report")
 
 	// Reconnect twice: each reconnect re-reports the full local history
 	// through hub0, which forwards again; the owner must still count one.
 	for i := 0; i < 2; i++ {
 		client.Close()
-		client, err = immunity.Connect(immunity.NewLoopback(hubs[0]), "roamer", svc)
-		if err != nil {
-			t.Fatal(err)
+		client = f.connect(svc, "roamer", "hub0", hubs[0])
+		f.settle()
+		if got := hubs[1].Stats().Reports; got != uint64(2+i) {
+			t.Fatalf("owner received %d reports after reconnect %d, want %d", got, i+1, 2+i)
 		}
-		waitFor(t, "re-report reaches the owner", func() bool {
-			return hubs[1].Stats().Reports >= uint64(2+i)
-		})
 	}
-	defer client.Close()
-	time.Sleep(20 * time.Millisecond)
-	if got := confirmsAtOwner(); got != 1 {
-		t.Fatalf("confirmations after re-reports = %d, want 1 (double-counted a forwarded report)", got)
-	}
+	confirmsAtOwner("after re-reports (a forwarded report double-counted)")
 
 	// And the same device roaming to the owner directly still counts once.
 	client.Close()
-	client, err = immunity.Connect(immunity.NewLoopback(hubs[1]), "roamer", svc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer client.Close()
-	time.Sleep(20 * time.Millisecond)
-	if got := confirmsAtOwner(); got != 1 {
-		t.Fatalf("confirmations after roaming to the owner = %d, want 1", got)
-	}
+	f.connect(svc, "roamer", "hub1", hubs[1])
+	confirmsAtOwner("after roaming to the owner")
 	if hubs[1].ArmedCount() != 0 {
 		t.Fatal("armed below threshold")
 	}
@@ -335,18 +288,11 @@ func tcpHub(t *testing.T, hub *immunity.Exchange, addr string) (*immunity.Exchan
 func TestClusterOwnerRestartPreservesConfirmations(t *testing.T) {
 	store := immunity.NewMemProvenance()
 
-	hubA, err := immunity.NewExchange(3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer hubA.Close()
+	hubA := newHub(t, 3)
 	srvA, addrA := tcpHub(t, hubA, "127.0.0.1:0")
 	defer srvA.Close()
 
-	hubB, err := immunity.NewExchange(3, immunity.WithProvenanceStore(store))
-	if err != nil {
-		t.Fatal(err)
-	}
+	hubB := newHub(t, 3, immunity.WithProvenanceStore(store))
 	srvB, addrB := tcpHub(t, hubB, "127.0.0.1:0")
 
 	nodeA, err := cluster.New(cluster.Config{Self: "hubA", Hub: hubA,
@@ -388,11 +334,7 @@ func TestClusterOwnerRestartPreservesConfirmations(t *testing.T) {
 	nodeB.Close()
 	srvB.Close()
 	hubB.Close()
-	hubB2, err := immunity.NewExchange(3, immunity.WithProvenanceStore(store))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer hubB2.Close()
+	hubB2 := newHub(t, 3, immunity.WithProvenanceStore(store))
 	srvB2, err := immunity.ServeTCP(hubB2, addrB)
 	if err != nil {
 		t.Fatal(err)
@@ -430,18 +372,10 @@ func TestClusterOwnerRestartPreservesConfirmations(t *testing.T) {
 // an owner misses some armings; on reconnect it replays exactly the
 // missed ones — no duplicates, no gaps.
 func TestClusterPartitionResubscribesFromSeq(t *testing.T) {
-	hubA, err := immunity.NewExchange(1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer hubA.Close()
+	hubA := newHub(t, 1)
 	srvA, addrA := tcpHub(t, hubA, "127.0.0.1:0")
 	defer srvA.Close()
-	hubB, err := immunity.NewExchange(1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer hubB.Close()
+	hubB := newHub(t, 1)
 	srvB, addrB := tcpHub(t, hubB, "127.0.0.1:0")
 
 	nodeA, err := cluster.New(cluster.Config{Self: "hubA", Hub: hubA,
@@ -496,32 +430,15 @@ func TestClusterPartitionResubscribesFromSeq(t *testing.T) {
 	defer srvB2.Close()
 
 	waitFor(t, "reconnected peer replayed the missed armings", func() bool { return hubA.ArmedCount() == 3 })
-	peerB := func() PeerStatusOf {
-		for _, ps := range nodeA.Status() {
-			if ps.ID == "hubB" {
-				return PeerStatusOf{ps, true}
-			}
-		}
-		return PeerStatusOf{}
-	}
 	// The cursor merge trails the installs by one handshake step
 	// (replay received mid-handshake is merged when dial accepts the
 	// session), so poll for the settled value rather than sampling.
-	waitFor(t, "peer cursor settled at 3", func() bool {
-		ps := peerB()
-		return ps.ok && ps.LastApplied == 3
-	})
-	ps := peerB()
+	waitFor(t, "peer cursor settled at 3", func() bool { return nodeA.Status()[0].LastApplied == 3 })
+	ps := nodeA.Status()[0]
 	if ps.Applied != 3 || ps.Duplicates != 0 {
 		t.Errorf("replay applied %d broadcasts with %d duplicates, want exactly the 3 missed and 0 duplicates",
 			ps.Applied, ps.Duplicates)
 	}
-}
-
-// PeerStatusOf wraps an optional peer status lookup.
-type PeerStatusOf struct {
-	cluster.PeerStatus
-	ok bool
 }
 
 // dupTransport delivers every arm-broadcast twice; the link counts the
@@ -542,48 +459,33 @@ func (d dupTransport) Dial(recv func(wire.Message), down func(error)) (immunity.
 // per-peer series /metrics renders there, not a second count kept
 // beside it.
 func TestPeerStatusReadsTheMetrics(t *testing.T) {
-	hubs := make([]*immunity.Exchange, 2)
-	for i := range hubs {
-		hub, err := immunity.NewExchange(1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(hub.Close)
-		hubs[i] = hub
-	}
+	f := newFleet(t)
+	hubs := []*immunity.Exchange{f.hub(1), f.hub(1)}
 	node0, err := cluster.New(cluster.Config{Self: "hub0", Hub: hubs[0],
 		Peers: []cluster.Member{{ID: "hub1", Transport: immunity.NewLoopback(hubs[1])}}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(node0.Close)
 	node1, err := cluster.New(cluster.Config{Self: "hub1", Hub: hubs[1],
 		Peers: []cluster.Member{{ID: "hub0", Transport: dupTransport{immunity.NewLoopback(hubs[0])}}}})
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(node0.Close)
 	t.Cleanup(node1.Close)
 
 	// One arming owned by each hub: hub1 applies hub0's and then its
 	// replay, hub0 applies hub1's once.
+	f.settle()
 	for i, owner := range []string{"hub0", "hub1"} {
-		p := newPhone(t, fmt.Sprintf("phone%d", i), immunity.NewLoopback(hubs[i]))
-		if _, _, err := p.svc.Publish("local", sigOwnedBy(t, node0.Ring(), owner)); err != nil {
-			t.Fatal(err)
+		f.publish(sigOwnedBy(t, node0.Ring(), owner), f.phone(fmt.Sprintf("phone%d", i), hubNames(2)[i], hubs[i]))
+	}
+	f.settle()
+	for i, want := range [][2]uint64{{1, 0}, {1, 1}} {
+		if ps := []*cluster.Node{node0, node1}[i].Status()[0]; ps.Applied != want[0] || ps.Duplicates != want[1] {
+			t.Fatalf("hub%d applied %d and duplicated %d, want %d and %d", i, ps.Applied, ps.Duplicates, want[0], want[1])
 		}
 	}
-	counts := func(n *cluster.Node) (applied, duplicates uint64) {
-		ps := n.Status()[0]
-		return ps.Applied, ps.Duplicates
-	}
-	waitFor(t, "hub1 to apply hub0's arming and its replay", func() bool {
-		a, d := counts(node1)
-		return a == 1 && d == 1
-	})
-	waitFor(t, "hub0 to apply hub1's arming", func() bool {
-		a, _ := counts(node0)
-		return a == 1
-	})
 	for i, n := range []*cluster.Node{node0, node1} {
 		var page strings.Builder
 		if err := hubs[i].Metrics().WritePrometheus(&page); err != nil {
@@ -607,10 +509,8 @@ func TestPeerStatusReadsTheMetrics(t *testing.T) {
 // of peer for the redial loop: the handshake keeps succeeding, so a
 // backoff reset on handshake success redials at the 5ms floor forever.
 type flappyTransport struct {
-	dials atomic.Uint64
-	// dialed carries each dial's time; sized so a redial hammer fills it
-	// instead of blocking the link.
-	dialed chan time.Time
+	clk    *clock.Mock
+	dialed []time.Time
 }
 
 type flappySession struct {
@@ -619,11 +519,7 @@ type flappySession struct {
 }
 
 func (f *flappyTransport) Dial(recv func(wire.Message), down func(err error)) (immunity.Session, error) {
-	f.dials.Add(1)
-	select {
-	case f.dialed <- time.Now():
-	default:
-	}
+	f.dialed = append(f.dialed, f.clk.Now())
 	return &flappySession{recv: recv, down: down}, nil
 }
 
@@ -640,19 +536,16 @@ func (s *flappySession) Close() error { return nil }
 
 // TestClusterFlappingPeerBacksOff: a peer that acks the handshake and
 // instantly drops must be redialed with growing backoff, not hammered
-// at the 5ms floor — after k short-lived sessions the k-th wait is at
-// least floor·2^(k-1), jittered down to half at most. The dial counter
-// in the metrics registry is how an operator sees the hammer is gone.
+// at the 5ms floor — after k short-lived sessions the k-th wait is
+// floor·2^(k-1), jittered to half at most. The dial counter in the
+// metrics registry is how an operator sees the hammer is gone.
 // (TestRedialHandshakeTable's ack-then-drop row holds the device tier
 // to the same bound; the rule itself is immunity's nextBackoff table.)
 func TestClusterFlappingPeerBacksOff(t *testing.T) {
-	hub, err := immunity.NewExchange(1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(hub.Close)
+	f := newFleet(t)
+	hub := f.hub(1)
 	reg := metrics.NewRegistry()
-	flappy := &flappyTransport{dialed: make(chan time.Time, 1024)}
+	flappy := &flappyTransport{clk: f.clk}
 	node, err := cluster.New(cluster.Config{
 		Self:    "hub0",
 		Hub:     hub,
@@ -663,19 +556,16 @@ func TestClusterFlappingPeerBacksOff(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(node.Close)
-
-	prev := <-flappy.dialed
+	f.within(time.Second, "six dials", func() bool { return len(flappy.dialed) >= 6 })
 	for k := 1; k <= 5; k++ {
 		// The session dropped inside the hello's Send, so the gap between
-		// two dials is no shorter than the wait between them.
-		at := <-flappy.dialed
-		if wait, min := at.Sub(prev), redialFloor<<(k-1)/2; wait < min {
-			t.Fatalf("redial %d came %v after the previous dial, want ≥ %v — the redial hammer is back", k, wait, min)
+		// two dials is the wait between them.
+		if wait, max := flappy.dialed[k].Sub(flappy.dialed[k-1]), redialFloor<<(k-1); wait < max/2 || wait > max {
+			t.Fatalf("redial %d came %v after the previous dial, want %v jittered to [%v, %v] — the redial hammer is back",
+				k, wait, max, max/2, max)
 		}
-		prev = at
 	}
-	node.Close() // no dial past here: the counts below are final
-	dials := flappy.dials.Load()
+	dials := uint64(len(flappy.dialed))
 	metDials := reg.CounterVec("immunity_cluster_peer_dials_total",
 		"Dial attempts per peer link (first dial included).", "peer").With("flappy").Value()
 	if metDials != dials {
@@ -724,11 +614,8 @@ func (s *staleVersionSession) Close() error { return nil }
 // the node therefore never assembles a majority and never may arm —
 // and it answers no probe, so the failure detector marks it down.
 func TestClusterWrongVersionAckNeverTrusted(t *testing.T) {
-	hub, err := immunity.NewExchange(1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(hub.Close)
+	f := newFleet(t)
+	hub := f.hub(1)
 	stale := &staleVersionTransport{}
 	node, err := cluster.New(cluster.Config{
 		Self:          "hub0",
@@ -752,7 +639,7 @@ func TestClusterWrongVersionAckNeverTrusted(t *testing.T) {
 	}
 	// The suspicion window is never shorter than the lease TTL, so by
 	// the time the peer is condemned several lease rounds have run.
-	waitFor(t, "wrong-version peer marked down", func() bool {
+	f.within(time.Second, "wrong-version peer marked down", func() bool {
 		if peer().Connected {
 			t.Fatal("wrong-version session installed as a live link")
 		}

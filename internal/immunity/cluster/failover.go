@@ -8,7 +8,7 @@ import (
 
 // Failure detection and the quorum lease decide in probe.go and
 // lease.go, as clock-free values; this file is their I/O shell. The
-// node's one tick goroutine (run) and the session-side entry points
+// node's one timer machine (tick) and the session-side entry points
 // (HandleProbe, peerAttempt.Accepted → leaseContact, applyMembership →
 // leaseOnEpoch) lock Node.stepMu, step, unlock, and only then do the
 // work the step returned: send, mark down and run the pipeline below
@@ -86,17 +86,20 @@ func (n *Node) Leave() {
 		return
 	}
 	n.applyMembership()
-	deadline := time.Now().Add(5 * time.Second)
-	for time.Now().Before(deadline) {
-		if n.pendingOutbox() == 0 {
-			return
-		}
+	drained := make(chan struct{})
+	deadline := n.clk.Now().Add(5 * time.Second)
+	n.clk.Start(func(now time.Time) (time.Time, bool) {
 		select {
 		case <-n.closeCh:
-			return
-		case <-time.After(10 * time.Millisecond):
+		default:
+			if n.pendingOutbox() > 0 && now.Before(deadline) {
+				return now.Add(10 * time.Millisecond), true
+			}
 		}
-	}
+		close(drained)
+		return time.Time{}, false
+	}, n.closeCh)
+	n.clk.Wait(drained)
 }
 
 // pendingOutbox sums the queued messages across all peer links.
@@ -110,24 +113,29 @@ func (n *Node) pendingOutbox() int {
 	return total
 }
 
-// run is the node's one tick goroutine: the probe interval and the
-// lease's TTL/3 renewal round, until the node closes.
-func (n *Node) run(pc probeConfig) {
-	defer n.wg.Done()
-	probeT := time.NewTicker(pc.interval)
-	defer probeT.Stop()
-	leaseT := time.NewTicker(max(pc.leaseTTL/3, time.Millisecond))
-	defer leaseT.Stop()
-	for {
-		select {
-		case <-n.closeCh:
-			return
-		case <-probeT.C:
-			n.probeTick(time.Now())
-		case <-leaseT.C:
-			n.leaseTick(time.Now())
-		}
+// tick is the node's timer machine: a probe round every probe interval
+// and a lease renewal round every TTL/3, each run when due — both at an
+// instant where both are — until the node closes. It returns the
+// earlier of the next two due times.
+func (n *Node) tick(now time.Time) (time.Time, bool) {
+	select {
+	case <-n.closeCh:
+		close(n.tickDone)
+		return time.Time{}, false
+	default:
 	}
+	if !now.Before(n.probeDue) {
+		n.probeTick(now)
+		n.probeDue = now.Add(n.probeEvery)
+	}
+	if !now.Before(n.leaseDue) {
+		n.leaseTick(now)
+		n.leaseDue = now.Add(n.leaseEvery)
+	}
+	if n.leaseDue.Before(n.probeDue) {
+		return n.leaseDue, true
+	}
+	return n.probeDue, true
 }
 
 // peers returns the live members but this hub, sorted by id.
@@ -266,7 +274,7 @@ func (n *Node) HandleProbe(m wire.Message) {
 				PingAck: &wire.PingAck{From: n.self, Target: n.self, Seq: pg.Seq, OK: true}})
 		} else if n.probe != nil {
 			n.stepMu.Lock()
-			fwd := n.probe.relay(time.Now(), pg)
+			fwd := n.probe.relay(n.clk.Now(), pg)
 			n.stepMu.Unlock()
 			// On success the target's ack relays from the PingAck case.
 			n.sendDirect(fwd.Target, wire.Message{Type: wire.TypePing, Ping: &fwd})

@@ -34,13 +34,14 @@ func (s *switchTransport) Dial(recv func(wire.Message), down func(err error)) (i
 	return sess, nil
 }
 
-// switchCluster federates n restartable hubs: every peer link runs
-// through a switchTransport, and each hub persists to its own store so
-// a restart resumes its provenance.
-func switchCluster(t *testing.T, n, threshold int, failoverAfter time.Duration) (
+// switchCluster federates n restartable hubs on the fleet's clock:
+// every peer link runs through a switchTransport, and each hub persists
+// to its own store so a restart resumes its provenance.
+func switchCluster(f *fleet, n, threshold int, failoverAfter time.Duration) (
 	hubs []*immunity.Exchange, nodes []*cluster.Node,
 	switches []*switchTransport, restart func(i int),
 ) {
+	t := f.t
 	t.Helper()
 	ids := hubNames(n)
 	stores := make([]*immunity.MemProvenance, n)
@@ -52,10 +53,7 @@ func switchCluster(t *testing.T, n, threshold int, failoverAfter time.Duration) 
 	hubs = make([]*immunity.Exchange, n)
 	nodes = make([]*cluster.Node, n)
 	start := func(i int) {
-		hub, err := immunity.NewExchange(threshold, immunity.WithProvenanceStore(stores[i]))
-		if err != nil {
-			t.Fatal(err)
-		}
+		hub := f.hub(threshold, immunity.WithProvenanceStore(stores[i]))
 		var peers []cluster.Member
 		for j := range switches {
 			if j != i {
@@ -105,7 +103,8 @@ func provenanceOf(hub *immunity.Exchange, key string) (immunity.Provenance, bool
 // arm-broadcast replay is fenced, and the restarted owner resyncs to
 // the same armed state — federation equivalence with zero double-arms.
 func TestClusterOwnerFailoverDeputyArms(t *testing.T) {
-	hubs, nodes, switches, restart := switchCluster(t, 3, 2, 25*time.Millisecond)
+	f := newFleet(t)
+	hubs, nodes, switches, restart := switchCluster(f, 3, 2, 25*time.Millisecond)
 	// Owner hub2, deputy hub1; devices attach to hub0, so every report
 	// is forwarded and no device session dies with the victim.
 	sig := sigOwnedDeputy(t, nodes[0].Ring(), "hub2", "hub1")
@@ -113,18 +112,15 @@ func TestClusterOwnerFailoverDeputyArms(t *testing.T) {
 	ws := wire.FromCore(sig)
 
 	// One confirmation: pending at the owner, replicated to the deputy.
-	d1 := newPhone(t, "d1", immunity.NewLoopback(hubs[0]))
-	if _, _, err := d1.svc.Publish("local", sig); err != nil {
-		t.Fatal(err)
+	d1 := f.phone("d1", "hub0", hubs[0])
+	f.publish(sig, d1)
+	f.settle()
+	if p, ok := provenanceOf(hubs[2], key); !ok || p.Confirmations != 1 || p.Armed {
+		t.Fatalf("owner's entry %+v, want one pending confirmation", p)
 	}
-	waitFor(t, "owner to hold the pending confirmation", func() bool {
-		p, ok := provenanceOf(hubs[2], key)
-		return ok && p.Confirmations == 1 && !p.Armed
-	})
-	waitFor(t, "deputy to hold the replica", func() bool {
-		_, ok := provenanceOf(hubs[1], key)
-		return ok
-	})
+	if _, ok := provenanceOf(hubs[1], key); !ok {
+		t.Fatal("the deputy holds no replica")
+	}
 	preEpoch := nodes[0].Epoch()
 
 	// Crash the owner: no leave, no drain.
@@ -132,18 +128,16 @@ func TestClusterOwnerFailoverDeputyArms(t *testing.T) {
 	nodes[2].Close()
 	hubs[2].Close()
 	nodes[2], hubs[2] = nil, nil
-	waitFor(t, "survivors to fail the owner over to its deputy", func() bool {
+	f.within(time.Second, "survivors to fail the owner over to its deputy", func() bool {
 		return len(nodes[0].Members()) == 2 && len(nodes[1].Members()) == 2 &&
 			nodes[0].Ring().Owner(key) == "hub1"
 	})
 
 	// The second confirmation arrives while the owner is dead: only the
 	// deputy's inherited set can cross the threshold.
-	d2 := newPhone(t, "d2", immunity.NewLoopback(hubs[0]))
-	if _, _, err := d2.svc.Publish("local", sig); err != nil {
-		t.Fatal(err)
-	}
-	waitFor(t, "deputy to arm at threshold from the inherited set", func() bool {
+	d2 := f.phone("d2", "hub0", hubs[0])
+	f.publish(sig, d2)
+	f.within(time.Second, "deputy to arm at threshold from the inherited set", func() bool {
 		return hubs[1].ArmedCount() == 1 && hubs[0].ArmedCount() == 1
 	})
 	p, ok := provenanceOf(hubs[1], key)
@@ -178,7 +172,7 @@ func TestClusterOwnerFailoverDeputyArms(t *testing.T) {
 	// Restart the owner over its own store: it rejoins, takes the key
 	// back by handoff, and converges to the same armed state.
 	restart(2)
-	waitFor(t, "the restarted owner to rejoin and resync", func() bool {
+	f.within(5*time.Second, "the restarted owner to rejoin and resync", func() bool {
 		for _, n := range nodes {
 			if len(n.Members()) != 3 {
 				return false
@@ -195,7 +189,7 @@ func TestClusterOwnerFailoverDeputyArms(t *testing.T) {
 		}
 	}
 	// And both devices hold the antibody.
-	waitFor(t, "devices to hold the armed signature", func() bool {
+	f.within(time.Second, "devices to hold the armed signature", func() bool {
 		return d1.holds(key) && d2.holds(key)
 	})
 }

@@ -12,26 +12,15 @@ import (
 // The lease tests run a 30 s TTL, so a renewal round opens every 10 s:
 // a node that only acquired on the tick would miss every bound below by
 // a full tick. The failure budget is long enough that the TTL is not
-// clamped and no probe runs during a test.
+// clamped and no probe runs during a test. Every test runs on a mock
+// clock.
 const (
 	leaseTTL      = 30 * time.Second
 	leaseFailover = time.Minute
 	// leaseBound is how soon after its first possible moment a lease
-	// must be held: generous for a loaded box, a tenth of the tick.
+	// must be held: a tenth of the tick.
 	leaseBound = time.Second
 )
-
-// gatedDial holds every dial until open is closed, like a peer whose
-// address is published only after the dialing node was built.
-type gatedDial struct {
-	open  chan struct{}
-	inner immunity.Transport
-}
-
-func (g *gatedDial) Dial(recv func(wire.Message), down func(error)) (immunity.Session, error) {
-	<-g.open
-	return g.inner.Dial(recv, down)
-}
 
 // leaseNode builds a node with the test lease timing.
 func leaseNode(t *testing.T, self string, hub *immunity.Exchange, peers ...cluster.Member) *cluster.Node {
@@ -43,16 +32,6 @@ func leaseNode(t *testing.T, self string, hub *immunity.Exchange, peers ...clust
 	}
 	t.Cleanup(node.Close)
 	return node
-}
-
-func newHub(t *testing.T) *immunity.Exchange {
-	t.Helper()
-	hub, err := immunity.NewExchange(1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(hub.Close)
-	return hub
 }
 
 // peerAt dials hub as peer hub id over loopback and completes its
@@ -79,23 +58,6 @@ func sendLeaseAck(t *testing.T, sess immunity.Session, a wire.LeaseAck) {
 	}
 }
 
-// await reads what the dialer sent on s until a message of type typ.
-func (s *scriptedSession) await(t *testing.T, typ wire.Type, why string) wire.Message {
-	t.Helper()
-	deadline := time.After(scriptTimeout)
-	for {
-		select {
-		case m := <-s.sent:
-			if m.Type == typ {
-				return m
-			}
-		case <-deadline:
-			t.Fatalf("no %s within %v: %s", typ, scriptTimeout, why)
-			return wire.Message{}
-		}
-	}
-}
-
 // accept completes the next handshake on tr as peer gen and returns its
 // session.
 func accept(t *testing.T, tr *scriptedTransport, gen string) *scriptedSession {
@@ -106,24 +68,22 @@ func accept(t *testing.T, tr *scriptedTransport, gen string) *scriptedSession {
 	return s
 }
 
-// TestLeaseAcquiredOnContact: three nodes whose dials are held until
-// every node is built — no link is up when the first round opens —
-// hold the quorum lease within a second of the dials opening, a tenth
-// of the renewal tick.
+// TestLeaseAcquiredOnContact: three nodes built before any machine ran
+// — no link is up when the first round opens — hold the quorum lease
+// within a second of the dials, a tenth of the renewal tick.
 func TestLeaseAcquiredOnContact(t *testing.T) {
+	f := newFleet(t)
 	ids := hubNames(3)
 	hubs := make([]*immunity.Exchange, len(ids))
 	for i := range hubs {
-		hubs[i] = newHub(t)
+		hubs[i] = f.hub(1)
 	}
-	open := make(chan struct{})
 	nodes := make([]*cluster.Node, len(ids))
 	for i := range ids {
 		var peers []cluster.Member
 		for j := range ids {
 			if j != i {
-				peers = append(peers, cluster.Member{ID: ids[j],
-					Transport: &gatedDial{open: open, inner: immunity.NewLoopback(hubs[j])}})
+				peers = append(peers, cluster.Member{ID: ids[j], Transport: immunity.NewLoopback(hubs[j])})
 			}
 		}
 		nodes[i] = leaseNode(t, ids[i], hubs[i], peers...)
@@ -133,8 +93,7 @@ func TestLeaseAcquiredOnContact(t *testing.T) {
 			t.Fatalf("%s may arm before any peer link is up", n.SelfID())
 		}
 	}
-	close(open)
-	waitWithin(t, leaseBound, "every node holding the lease after the dials opened", func() bool {
+	f.within(leaseBound, "every node holding the lease after the dials", func() bool {
 		for _, n := range nodes {
 			if !n.MayArm() {
 				return false
@@ -164,9 +123,10 @@ func TestLeaseOwedGrant(t *testing.T) {
 		{"refused after an epoch advance", true},
 	} {
 		t.Run(row.name, func(t *testing.T) {
-			hub := newHub(t)
-			tr := newScriptedTransport()
-			tr.setDown(true)
+			f := newFleet(t)
+			hub := f.hub(1)
+			tr := &scriptedTransport{clk: f.clk}
+			tr.down = true
 			granter := leaseNode(t, "hub1", hub, cluster.Member{ID: "hub0", Transport: tr})
 			req := peerAt(t, hub, "hub0")
 			if err := req.Send(wire.Message{V: wire.Version, Type: wire.TypeLease,
@@ -180,7 +140,7 @@ func TestLeaseOwedGrant(t *testing.T) {
 					t.Fatalf("epoch %d did not advance past %d", granter.Epoch(), before)
 				}
 			}
-			tr.setDown(false)
+			tr.down = false
 			granter.PeerSeen("hub0", "") // ends the refused dials' backoff
 			got := accept(t, tr, "g0").await(t, wire.TypeLeaseAck, "the owed answer on the accepted link")
 			if a := got.LeaseAck; a.From != "hub1" || a.Seq != 7 || a.OK == row.advance {
@@ -196,9 +156,10 @@ func TestLeaseOwedGrant(t *testing.T) {
 // refusal, it holds no lease. Only the peer's grant makes the majority
 // of two, and then at once.
 func TestLeaseOneOfThreeNeverAcquiresOnContact(t *testing.T) {
-	hub := newHub(t)
-	trB, trC := newScriptedTransport(), newScriptedTransport()
-	trC.setDown(true)
+	f := newFleet(t)
+	hub := f.hub(1)
+	trB, trC := &scriptedTransport{clk: f.clk}, &scriptedTransport{clk: f.clk}
+	trC.down = true
 	node := leaseNode(t, "hub0", hub,
 		cluster.Member{ID: "hub1", Transport: trB}, cluster.Member{ID: "hub2", Transport: trC})
 	ask := accept(t, trB, "g1").await(t, wire.TypeLease, "the ask on contact").Lease
@@ -224,9 +185,10 @@ func TestLeaseOneOfThreeNeverAcquiresOnContact(t *testing.T) {
 // partition-era membership yet. The merge advances its epoch, and it
 // asks again at once instead of at the next tick.
 func TestLeaseHealReacquiresOnEpochAdvance(t *testing.T) {
-	hub := newHub(t)
-	trB, trC := newScriptedTransport(), newScriptedTransport()
-	trC.setDown(true)
+	f := newFleet(t)
+	hub := f.hub(1)
+	trB, trC := &scriptedTransport{clk: f.clk}, &scriptedTransport{clk: f.clk}
+	trC.down = true
 	node := leaseNode(t, "hub0", hub,
 		cluster.Member{ID: "hub1", Transport: trB}, cluster.Member{ID: "hub2", Transport: trC})
 	s := accept(t, trB, "g1")

@@ -4,10 +4,10 @@ import (
 	"errors"
 	"fmt"
 	"strings"
-	"sync"
 	"testing"
 	"time"
 
+	"github.com/dimmunix/dimmunix/internal/clock"
 	"github.com/dimmunix/dimmunix/internal/immunity"
 	"github.com/dimmunix/dimmunix/internal/immunity/cluster"
 	"github.com/dimmunix/dimmunix/internal/immunity/wire"
@@ -15,122 +15,108 @@ import (
 
 // The resumable-session table: one scripted transport drives the device
 // tier's policy (immunity.Connect) and the peer tier's (cluster.New)
-// through the same handshake scripts. The test goroutine delivers the
-// ack, the traffic around it and the session's death itself, so the
-// order of events is the script's order; nothing sleeps, and the only
-// clock is scriptTimeout bounding how long a missing event may take to
-// fail the row.
-
-// scriptTimeout is far below the machine's 10 s hello timeout: a dialer
-// that sits a handshake out instead of reacting fails its row.
-const scriptTimeout = 3 * time.Second
+// through the same handshake scripts on one mock clock. The test
+// goroutine delivers the ack, the traffic and the session's death, and
+// steps the machines between them; a wait is virtual time, and the
+// jitter, seeded by the clock's start, replays the same waits each run.
 
 // redialFloor is the machine's backoff floor (immunity's backoffMin).
 const redialFloor = 5 * time.Millisecond
 
-// scriptedTransport surfaces every Dial as a session on dials.
+// scriptedTransport records every Dial as a session. While down is set,
+// Dial fails at once, as a dial to a dead hub does, and counts the
+// refusal; answer, when set, is delivered inside a hello's Send, and
+// failHello makes that Send fail (a loopback refusal).
 type scriptedTransport struct {
-	// dials is sized so a runaway redial loop fills it instead of
-	// blocking the dialer (rows read at most a handful).
-	dials chan *scriptedSession
-
-	// While down is set, Dial fails at once, as a dial to a dead hub
-	// does, and counts the refusal.
-	mu      sync.Mutex
-	down    bool
-	refused int
-}
-
-func (tr *scriptedTransport) setDown(down bool) {
-	tr.mu.Lock()
-	tr.down = down
-	tr.mu.Unlock()
-}
-
-func (tr *scriptedTransport) refusals() int {
-	tr.mu.Lock()
-	defer tr.mu.Unlock()
-	return tr.refused
-}
-
-func newScriptedTransport() *scriptedTransport {
-	return &scriptedTransport{dials: make(chan *scriptedSession, 1024)}
+	clk       *clock.Mock
+	dials     []*scriptedSession // not yet taken by next
+	down      bool
+	refused   int
+	answer    *wire.Message
+	failHello bool
 }
 
 // scriptedSession is one dialed session: recv and down are the dialer's
-// callbacks, sent is everything it sent, closed closes when it hangs up.
+// callbacks, sent is everything it sent, in order.
 type scriptedSession struct {
+	tr     *scriptedTransport
 	at     time.Time
 	recv   func(wire.Message)
 	down   func(error)
-	sent   chan wire.Message // sized like dials: never blocks the dialer
-	closed chan struct{}
-	once   sync.Once
+	sent   []wire.Message
+	closed bool
 }
 
 func (tr *scriptedTransport) Dial(recv func(wire.Message), down func(error)) (immunity.Session, error) {
-	tr.mu.Lock()
 	if tr.down {
 		tr.refused++
-		tr.mu.Unlock()
 		return nil, errors.New("scripted: connection refused")
 	}
-	tr.mu.Unlock()
-	s := &scriptedSession{at: time.Now(), recv: recv, down: down,
-		sent: make(chan wire.Message, 1024), closed: make(chan struct{})}
-	select {
-	case tr.dials <- s:
-	default:
-	}
+	s := &scriptedSession{tr: tr, at: tr.clk.Now(), recv: recv, down: down}
+	tr.dials = append(tr.dials, s)
 	return s, nil
 }
 
 func (s *scriptedSession) Send(m wire.Message) error {
-	select {
-	case s.sent <- m:
-	default:
-	}
-	return nil
-}
-
-func (s *scriptedSession) Close() error {
-	s.once.Do(func() { close(s.closed) })
-	return nil
-}
-
-// next waits for the dialer's next Dial.
-func (tr *scriptedTransport) next(t *testing.T, why string) *scriptedSession {
-	t.Helper()
-	select {
-	case s := <-tr.dials:
-		return s
-	case <-time.After(scriptTimeout):
-		t.Fatalf("no dial within %v: %s", scriptTimeout, why)
+	s.sent = append(s.sent, m)
+	if m.Type != wire.TypeHello && m.Type != wire.TypePeerHello {
 		return nil
 	}
+	if s.tr.answer != nil {
+		s.recv(*s.tr.answer)
+	}
+	if s.tr.failHello {
+		return errors.New("scripted: hello refused")
+	}
+	return nil
 }
 
-// hello waits for the session's first message, which must be a hello of
+func (s *scriptedSession) Close() error { s.closed = true; return nil }
+
+// next runs the machines, moving virtual time on, until the dialer
+// dials; 10 s of virtual time without a dial fails the row.
+func (tr *scriptedTransport) next(t *testing.T, why string) *scriptedSession {
+	t.Helper()
+	for end := tr.clk.Now().Add(10 * time.Second); len(tr.dials) == 0; tr.clk.Add(time.Millisecond) {
+		if !tr.clk.Now().Before(end) {
+			t.Fatalf("no dial within 10s: %s", why)
+		}
+	}
+	s := tr.dials[0]
+	tr.dials = tr.dials[1:]
+	return s
+}
+
+// hello returns the session's first message, which must be a hello of
 // either tier.
 func (s *scriptedSession) hello(t *testing.T) wire.Message {
 	t.Helper()
-	select {
-	case m := <-s.sent:
-		if m.Type != wire.TypeHello && m.Type != wire.TypePeerHello {
-			t.Fatalf("first message on a session is %q, want a hello", m.Type)
-		}
-		return m
-	case <-time.After(scriptTimeout):
-		t.Fatal("dialer sent no hello")
-		return wire.Message{}
+	s.tr.clk.Run()
+	if len(s.sent) == 0 || (s.sent[0].Type != wire.TypeHello && s.sent[0].Type != wire.TypePeerHello) {
+		t.Fatalf("first messages on a session %v, want a hello", s.sent)
 	}
+	return s.sent[0]
+}
+
+// await runs the machines and returns the first message of type typ
+// the dialer sent on s.
+func (s *scriptedSession) await(t *testing.T, typ wire.Type, why string) wire.Message {
+	t.Helper()
+	s.tr.clk.Run()
+	for i, m := range s.sent {
+		if m.Type == typ {
+			s.sent = s.sent[i+1:]
+			return m
+		}
+	}
+	t.Fatalf("no %s sent: %s", typ, why)
+	return wire.Message{}
 }
 
 func (s *scriptedSession) awaitClosed(t *testing.T, why string) {
 	t.Helper()
-	select {
-	case <-s.closed:
-	case <-time.After(scriptTimeout):
+	s.tr.clk.Run()
+	if !s.closed {
 		t.Fatalf("session not closed: %s", why)
 	}
 }
@@ -147,26 +133,22 @@ func refusal(reason string) wire.Message {
 	return wire.Message{V: wire.Version, Type: wire.TypeAck, Ack: &wire.Ack{OK: false, Error: reason}}
 }
 
-// tier is one policy under the table: how to boot its dialer over a
-// transport and how to read what the machine and the policy did.
+// tier is one policy under the table: start boots its dialer on tr's
+// clock; awaitAccepted runs the machines and checks that the dialer
+// treats s as its live session; push is the tier's cursor-bearing
+// message (fresh signature i at seq); helloCursor is the resume cursor
+// a hello carried for gen, cursor the durable one; installed counts the
+// antibodies pushes installed; final reports whether a refusal is final
+// for the tier, err is the refusal that stopped it and released that
+// the stopped dialer let go of what it held.
 type tier interface {
-	// start boots the dialer; it may return before the first handshake.
-	start(t *testing.T, tr immunity.Transport)
-	// awaitAccepted waits until the dialer treats s as its live session.
+	start(t *testing.T, tr *scriptedTransport)
 	awaitAccepted(t *testing.T, s *scriptedSession)
-	// push is the tier's cursor-bearing message: fresh signature i at seq.
 	push(i int, seq uint64) wire.Message
-	// helloCursor is the resume cursor a hello carried for gen.
 	helloCursor(hello wire.Message, gen string) uint64
-	// cursor is the durable resume cursor for gen.
 	cursor(gen string) uint64
-	// installed counts the antibodies push messages installed.
 	installed() int
-	// reconnects counts accepted handshakes after the first.
 	reconnects() uint64
-	// final reports whether the tier takes a refusal as final; err is the
-	// refusal that stopped it, and released reports that a stopped dialer
-	// let go of what it held.
 	final() bool
 	err() error
 	released() bool
@@ -175,57 +157,29 @@ type tier interface {
 
 // deviceTier is immunity.Connect over a Service holding one local
 // signature, so every accepted handshake re-reports it — the accept
-// event the script waits on.
+// event the script checks.
 type deviceTier struct {
 	svc    *immunity.Service
-	ready  chan connected
-	client *immunity.ExchangeClient // nil until the script saw Connect return
-}
-
-type connected struct {
 	client *immunity.ExchangeClient
-	err    error
 }
 
 const localSig = 9000 // outside the ids the rows push
 
-func (d *deviceTier) start(t *testing.T, tr immunity.Transport) {
-	svc, err := immunity.NewService("dev", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+func (d *deviceTier) start(t *testing.T, tr *scriptedTransport) {
+	svc := newService(t, "dev")
 	if _, _, err := svc.Publish("local", testSig(localSig)); err != nil {
 		t.Fatal(err)
 	}
-	d.svc, d.ready = svc, make(chan connected, 1)
-	go func() {
-		// Connect blocks on the first handshake, which the script drives.
-		c, err := immunity.Connect(tr, "dev", svc)
-		d.ready <- connected{c, err}
-	}()
+	d.svc = svc
+	var err error
+	if d.client, err = immunity.Connect(tr, "dev", svc, immunity.WithClock[immunity.ClientOption](tr.clk)); err != nil {
+		t.Fatalf("connect: %v", err)
+	}
 }
 
 func (d *deviceTier) awaitAccepted(t *testing.T, s *scriptedSession) {
 	t.Helper()
-	select {
-	case m := <-s.sent:
-		if m.Type != wire.TypeReport {
-			t.Fatalf("accepted device session sent %q, want the re-report", m.Type)
-		}
-	case <-time.After(scriptTimeout):
-		t.Fatal("device never re-reported on the accepted session")
-	}
-	if d.client == nil {
-		select {
-		case c := <-d.ready:
-			if c.err != nil {
-				t.Fatalf("connect: %v", c.err)
-			}
-			d.client = c.client
-		case <-time.After(scriptTimeout):
-			t.Fatal("Connect did not return after the accepted handshake")
-		}
-	}
+	s.await(t, wire.TypeReport, "an accepted device session re-reports")
 }
 
 func (d *deviceTier) push(i int, seq uint64) wire.Message {
@@ -242,12 +196,7 @@ func (d *deviceTier) reconnects() uint64       { return d.client.Reconnects() }
 func (d *deviceTier) final() bool              { return true }
 func (d *deviceTier) err() error               { return d.client.Err() }
 func (d *deviceTier) released() bool           { return d.svc.Stats().Subscribers == 0 }
-func (d *deviceTier) close() {
-	if d.client != nil {
-		d.client.Close()
-	}
-	d.svc.Close()
-}
+func (d *deviceTier) close()                   { d.client.Close() }
 
 // peerTier is a cluster node with one outbound link, to "peer".
 type peerTier struct {
@@ -255,24 +204,25 @@ type peerTier struct {
 	node *cluster.Node
 }
 
-func (p *peerTier) start(t *testing.T, tr immunity.Transport) {
-	hub, err := immunity.NewExchange(1)
-	if err != nil {
-		t.Fatal(err)
-	}
+func (p *peerTier) start(t *testing.T, tr *scriptedTransport) {
+	hub := newHub(t, 1, immunity.WithClock[immunity.ExchangeOption](tr.clk))
 	node, err := cluster.New(cluster.Config{Self: "hub0", Hub: hub,
 		Peers: []cluster.Member{{ID: "peer", Transport: tr}}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	p.hub, p.node = hub, node
+	tr.clk.Run()
 }
 
 func (p *peerTier) status() cluster.PeerStatus { return p.node.Status()[0] }
 
 func (p *peerTier) awaitAccepted(t *testing.T, s *scriptedSession) {
 	t.Helper()
-	waitFor(t, "peer link connected", func() bool { return p.status().Connected })
+	s.tr.clk.Run()
+	if !p.status().Connected {
+		t.Fatal("peer link not connected")
+	}
 }
 
 // push is an arm-broadcast from the peer, fenced by nothing.
@@ -302,14 +252,16 @@ type script struct {
 
 func boot(t *testing.T, tr tier) *script {
 	t.Helper()
-	sc := &script{t: t, tier: tr, tr: newScriptedTransport()}
+	sc := &script{t: t, tier: tr, tr: &scriptedTransport{clk: clock.NewMock(fleetStart)}}
+	first := ack("g1", 0)
+	sc.tr.answer = &first // Connect returns only once its handshake settled
 	tr.start(t, sc.tr)
+	sc.tr.answer = nil
 	t.Cleanup(tr.close)
 	sc.live = sc.tr.next(t, "the first dial")
 	if c := tr.helloCursor(sc.live.hello(t), "g1"); c != 0 {
 		t.Fatalf("first hello carried cursor %d", c)
 	}
-	sc.live.recv(ack("g1", 0))
 	tr.awaitAccepted(t, sc.live)
 	return sc
 }
@@ -337,13 +289,10 @@ func (sc *script) expectStopOrRedial(refused *scriptedSession, reason string) {
 		sc.tr.next(sc.t, "a peer never takes a refusal as final")
 		return
 	}
-	waitFor(sc.t, "the device to stop on the refusal", func() bool {
-		return sc.tier.err() != nil && sc.tier.released()
-	})
-	if err := sc.tier.err(); !strings.Contains(err.Error(), reason) {
-		sc.t.Fatalf("Err() = %q, want the hub's reason %q", err, reason)
+	if err := sc.tier.err(); err == nil || !sc.tier.released() || !strings.Contains(err.Error(), reason) {
+		sc.t.Fatalf("Err() = %v, released %v; want the hub's reason %q and the subscription released", err, sc.tier.released(), reason)
 	}
-	sc.tier.close() // waits out the redial loop: past here no dial can follow
+	sc.tr.clk.Add(10 * time.Second)
 	if n := len(sc.tr.dials); n != 0 {
 		sc.t.Fatalf("%d dial(s) after a final refusal", n)
 	}
@@ -384,8 +333,8 @@ func TestRedialHandshakeTable(t *testing.T) {
 			if n := sc.tier.reconnects(); n != 0 {
 				sc.t.Fatalf("wrong-version handshake counted as %d reconnect(s)", n)
 			}
-			if len(s.sent) != 0 {
-				sc.t.Fatalf("dialer sent %q over a session that failed its handshake", (<-s.sent).Type)
+			if len(s.sent) != 1 {
+				sc.t.Fatalf("dialer sent %q over a session that failed its handshake", s.sent[1].Type)
 			}
 		}},
 		{"cursor regression condemns the attempt", func(sc *script) {
@@ -436,11 +385,15 @@ func TestRedialHandshakeTable(t *testing.T) {
 		}},
 		{"session death mid-handshake", func(sc *script) {
 			// parent: the device's ack wait had no death arm, so it sat out
-			// the 10 s hello timeout here (2 dials in 3 s).
+			// the 10 s hello timeout here.
 			s := sc.redial(0)
+			killed := sc.tr.clk.Now()
 			s.kill()
 			s.awaitClosed(sc.t, "a session that died un-acked must be hung up")
-			s2 := sc.tr.next(sc.t, "a handshake whose session died is abandoned at once, not at the hello timeout")
+			s2 := sc.tr.next(sc.t, "a handshake whose session died is abandoned")
+			if wait := s2.at.Sub(killed); wait > 2*redialFloor {
+				sc.t.Fatalf("redial %v after the death mid-handshake, want at once and one backoff step", wait)
+			}
 			s2.hello(sc.t)
 			s2.recv(ack("g1", 0))
 			sc.tier.awaitAccepted(sc.t, s2)
@@ -449,16 +402,52 @@ func TestRedialHandshakeTable(t *testing.T) {
 			// parent: the device reset its backoff on every drop and redialed
 			// with no wait (> 10 000 dials in 500 ms).
 			for k := 1; k <= 4; k++ {
-				dropped := time.Now()
+				dropped := sc.tr.clk.Now()
 				sc.live.kill()
 				s := sc.tr.next(sc.t, "redial after a short-lived session")
-				if wait, min := s.at.Sub(dropped), redialFloor<<(k-1)/2; wait < min {
-					sc.t.Fatalf("redial %d came %v after the drop, want ≥ %v (floor·2^(k-1), jittered to half)", k, wait, min)
+				if wait, max := s.at.Sub(dropped), redialFloor<<(k-1); wait < max/2 || wait > max {
+					sc.t.Fatalf("redial %d came %v after the drop, want floor·2^(k-1) = %v jittered to [%v, %v]", k, wait, max, max/2, max)
 				}
 				s.hello(sc.t)
 				s.recv(ack("g1", 0))
 				sc.live = s
 			}
+		}},
+		{"uptime counts from the accept, not the dial", func(sc *script) {
+			// A handshake that took 600 ms and a session that then lived
+			// 600 ms is a young session: it backs off. One that lived a
+			// full second redials at once.
+			for _, lived := range []time.Duration{600 * time.Millisecond, time.Second} {
+				s := sc.redial(0)
+				sc.tr.clk.Add(600 * time.Millisecond)
+				s.recv(ack("g1", 0))
+				sc.tier.awaitAccepted(sc.t, s)
+				sc.tr.clk.Add(lived)
+				dropped := sc.tr.clk.Now()
+				s.kill()
+				s2 := sc.tr.next(sc.t, "redial after the drop")
+				if young, wait := lived < time.Second, s2.at.Sub(dropped); young != (wait > 0) {
+					sc.t.Fatalf("a session that lived %v redialed %v after its drop", lived, wait)
+				}
+				s2.hello(sc.t)
+				s2.recv(ack("g1", 0))
+				sc.live = s2
+			}
+		}},
+		{"a refusal that is the hello's Send error", func(sc *script) {
+			// Over loopback the refusal is the Send error and its ack is
+			// still queued: an ack 100 ms later classifies it. A Send error
+			// with no ack behind it is transient, redialed after the window.
+			sc.tr.failHello = true
+			s := sc.redial(0)
+			s2 := sc.tr.next(sc.t, "the redial after a failed hello Send and no ack")
+			if wait := s2.at.Sub(s.at); wait > time.Second {
+				sc.t.Fatalf("redial %v after a failed hello Send, want within the refusal window", wait)
+			}
+			sc.tr.clk.Add(100 * time.Millisecond)
+			sc.tr.failHello = false
+			s2.recv(refusal("device banned"))
+			sc.expectStopOrRedial(s2, "device banned")
 		}},
 	}
 	tiers := []struct {
@@ -470,9 +459,7 @@ func TestRedialHandshakeTable(t *testing.T) {
 	}
 	for _, row := range rows {
 		for _, tr := range tiers {
-			row, tr := row, tr
 			t.Run(fmt.Sprintf("%s/%s", row.name, tr.name), func(t *testing.T) {
-				t.Parallel()
 				row.run(boot(t, tr.new()))
 			})
 		}
@@ -521,124 +508,93 @@ func TestRedialFencedArmFloorsCursor(t *testing.T) {
 // (PeerSeen) ends the outbound link's redial backoff at once and resets
 // it to the floor. Without the kick a restarted hub waits out the
 // survivors' backoff — jittered to at least 1 s at the 2 s cap — while
-// its own 1 s failure detector runs, and condemns them. Each run waits
-// 1.3–2.6 s for the backoff to reach its cap, so the name stays outside
-// the 'Redial|Handshake' pattern CI repeats twenty times.
+// its own 1 s failure detector runs, and condemns them.
 func TestPeerSeenKicksBackoff(t *testing.T) {
-	t.Parallel()
-	const budget = 500 * time.Millisecond
-	tr := newScriptedTransport()
-	tr.setDown(true)
+	tr := &scriptedTransport{clk: clock.NewMock(fleetStart)}
+	tr.down = true
 	p := &peerTier{}
 	p.start(t, tr)
 	t.Cleanup(p.close)
 	// Failed dial k waits floor·2^(k-1), capped at 2 s from the 10th on.
-	waitFor(t, "ten refused dials: the backoff at its cap", func() bool { return tr.refusals() >= 10 })
-	tr.setDown(false)
-	seen := time.Now()
+	for tr.refused < 10 {
+		tr.clk.Add(time.Millisecond)
+	}
+	tr.down = false
+	seen := tr.clk.Now()
 	p.node.PeerSeen("peer", "")
 	// The kicked dial dies mid-handshake: with the backoff back at its
 	// floor, the redial after it comes at once too.
-	tr.next(t, "the kicked redial").kill()
+	kicked := tr.next(t, "the kicked redial")
+	killed := tr.clk.Now()
+	kicked.kill()
 	s := tr.next(t, "the redial after a failed kicked handshake")
 	s.hello(t)
 	s.recv(ack("g1", 0))
 	p.awaitAccepted(t, s)
-	if took := time.Since(seen); took > budget {
-		t.Fatalf("link connected %v after PeerSeen, want ≤ %v", took, budget)
+	if kicked.at != seen || s.at.Sub(killed) > redialFloor {
+		t.Fatalf("dial %v after PeerSeen and redial %v after its death, want at once and within the %v floor",
+			kicked.at.Sub(seen), s.at.Sub(killed), redialFloor)
 	}
 }
 
-// gatedTransport holds back a session's OK ack until the gate opens, to
-// park a real handshake at its last step.
-type gatedTransport struct {
-	inner immunity.Transport
-	mu    sync.Mutex
-	gate  chan struct{} // nil: open
-	held  chan struct{} // receives once an ack is being held
-	down  func(error)
-	sess  immunity.Session
+// heldAcks passes a loopback session through, but holds back acks
+// while hold is set: a real handshake then waits at its last step.
+type heldAcks struct {
+	immunity.Transport
+	hold  bool
+	acks  []func()
+	sever func() // kills the newest session the way a network would
 }
 
-func (g *gatedTransport) Dial(recv func(wire.Message), down func(error)) (immunity.Session, error) {
-	sess, err := g.inner.Dial(func(m wire.Message) {
-		g.mu.Lock()
-		gate, held := g.gate, g.held
-		g.mu.Unlock()
-		if m.Type == wire.TypeAck && gate != nil {
-			held <- struct{}{}
-			<-gate
+func (h *heldAcks) Dial(recv func(wire.Message), down func(error)) (immunity.Session, error) {
+	sess, err := h.Transport.Dial(func(m wire.Message) {
+		if m.Type == wire.TypeAck && h.hold {
+			h.acks = append(h.acks, func() { recv(m) })
+			return
 		}
 		recv(m)
 	}, down)
-	g.mu.Lock()
-	g.down, g.sess = down, sess
-	g.mu.Unlock()
+	h.sever = func() { sess.Close(); down(errors.New("severed")) }
 	return sess, err
 }
 
-// sever kills the newest session the way a network would, and gates
-// every later ack.
-func (g *gatedTransport) sever() {
-	g.mu.Lock()
-	g.gate, g.held = make(chan struct{}), make(chan struct{}, 1)
-	down, sess := g.down, g.sess
-	g.mu.Unlock()
-	sess.Close()
-	down(errors.New("severed"))
-}
-
 // TestRedialCloseRacesHandshake: Close arriving while a redial's
-// handshake is at its last step must leave no session behind on the
-// hub, whichever of the two wins — the hub's session gauge returns to 0.
+// handshake waits for its ack must leave no session behind on the hub,
+// and the ack arriving after it installs none: the hub's session gauge
+// returns to 0.
 func TestRedialCloseRacesHandshake(t *testing.T) {
-	t.Run("device", func(t *testing.T) {
-		hub, err := immunity.NewExchange(1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer hub.Close()
-		g := &gatedTransport{inner: immunity.NewLoopback(hub)}
-		p := newPhone(t, "dev", g)
-		g.sever()
-		<-g.held // the redial's hello is registered on the hub, its ack parked
-		closed := make(chan struct{})
-		go func() { p.client.Close(); close(closed) }()
-		close(g.gate)
-		<-closed
-		waitFor(t, "hub device sessions back to 0", func() bool { return hub.Stats().Devices == 0 })
-	})
-	t.Run("peer", func(t *testing.T) {
-		hubs := make([]*immunity.Exchange, 2)
-		for i := range hubs {
-			hub, err := immunity.NewExchange(1)
+	for _, tier := range []string{"device", "peer"} {
+		t.Run(tier, func(t *testing.T) {
+			f := newFleet(t)
+			hub, h := f.hub(1), &heldAcks{}
+			h.Transport = immunity.NewLoopback(hub)
+			sessions := hub.Metrics().Gauge("immunity_hub_device_sessions", "Devices currently attached by hello.")
+			var dialer interface{ Close() }
+			var err error
+			if tier == "device" {
+				dialer, err = immunity.Connect(h, "dev", newService(t, "dev"), immunity.WithClock[immunity.ClientOption](f.clk))
+			} else {
+				sessions = hub.Metrics().Gauge("immunity_hub_peer_sessions", "Peer hubs currently attached by peer-hello.")
+				if _, err = cluster.New(cluster.Config{Self: "hub1", Hub: hub}); err == nil {
+					dialer, err = cluster.New(cluster.Config{Self: "hub0", Hub: f.hub(1),
+						Peers: []cluster.Member{{ID: "hub1", Transport: h}}})
+				}
+			}
 			if err != nil {
 				t.Fatal(err)
 			}
-			defer hub.Close()
-			hubs[i] = hub
-		}
-		remote, err := cluster.New(cluster.Config{Self: "hub1", Hub: hubs[1]})
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer remote.Close()
-		g := &gatedTransport{inner: immunity.NewLoopback(hubs[1])}
-		node, err := cluster.New(cluster.Config{Self: "hub0", Hub: hubs[0],
-			Peers: []cluster.Member{{ID: "hub1", Transport: g}}})
-		if err != nil {
-			t.Fatal(err)
-		}
-		sessions := hubs[1].Metrics().Gauge("immunity_hub_peer_sessions", "Peer hubs currently attached by peer-hello.")
-		waitFor(t, "link up", func() bool { return node.Status()[0].Connected && sessions.Value() == 1 })
-		g.sever()
-		<-g.held
-		closed := make(chan struct{})
-		go func() { node.Close(); close(closed) }()
-		close(g.gate)
-		<-closed
-		waitFor(t, "hub peer sessions back to 0", func() bool { return sessions.Value() == 0 })
-	})
+			f.settle()
+			h.hold = true
+			h.sever()
+			f.within(time.Second, "the redial's ack to be held", func() bool { return len(h.acks) == 1 })
+			dialer.Close()
+			h.acks[0]()
+			f.settle()
+			if n := sessions.Value(); n != 0 {
+				t.Fatalf("%d sessions left on the hub", n)
+			}
+		})
+	}
 }
 
 // TestRedialPermanentDialError: a closed in-process hub can never come
@@ -646,22 +602,20 @@ func TestRedialCloseRacesHandshake(t *testing.T) {
 // takes nothing as final and keeps dialing.
 func TestRedialPermanentDialError(t *testing.T) {
 	t.Run("device", func(t *testing.T) {
-		hub, err := immunity.NewExchange(1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		p := newPhone(t, "dev", immunity.NewLoopback(hub))
+		f := newFleet(t)
+		hub := f.hub(1)
+		p := f.phone("dev", "hub", hub)
 		hub.Close()
-		waitFor(t, "device to stop on the closed hub", func() bool {
+		f.within(time.Second, "device to stop on the closed hub", func() bool {
 			return p.client.Err() != nil && p.svc.Stats().Subscribers == 0
 		})
 	})
 	t.Run("peer", func(t *testing.T) {
-		hubs, nodes := loopbackCluster(t, 2, 1)
-		waitFor(t, "link up", func() bool { return nodes[0].Status()[0].Connected })
+		f := newFleet(t)
+		hubs, nodes := f.cluster(2, 1, 0)
 		hubs[1].Close()
 		base := nodes[0].Status()[0].Dials
-		waitFor(t, "peer link to keep redialing the closed hub", func() bool {
+		f.within(time.Second, "peer link to keep redialing the closed hub", func() bool {
 			st := nodes[0].Status()[0]
 			return !st.Connected && st.Dials >= base+3
 		})

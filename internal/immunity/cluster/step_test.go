@@ -7,6 +7,8 @@ import (
 	"testing"
 	"time"
 
+	"github.com/dimmunix/dimmunix/internal/clock"
+	"github.com/dimmunix/dimmunix/internal/immunity"
 	"github.com/dimmunix/dimmunix/internal/immunity/wire"
 )
 
@@ -194,5 +196,29 @@ func TestProbeStepRelay(t *testing.T) {
 	}
 	if len(ps.pending) != 0 {
 		t.Fatalf("an unanswered relay probe was never swept: %d pending", len(ps.pending))
+	}
+}
+
+// TestNodeTick: the node's timer step runs the probe round and the
+// lease round each whenever it is due, both at an instant where both
+// are. FailoverAfter 240 ms gives a 60 ms probe interval and a 150 ms
+// lease renewed every 50 ms, so at 300 ms both fall due together: the
+// lease has opened its first round at New and six more by then.
+func TestNodeTick(t *testing.T) {
+	clk := clock.NewMock(t0)
+	hub, err := immunity.NewExchange(1, immunity.WithClock[immunity.ExchangeOption](clk))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer hub.Close()
+	n, err := New(Config{Self: "a", Hub: hub, FailoverAfter: 240 * time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer n.Close()
+	clk.Add(300 * time.Millisecond)
+	if n.lease.round != 7 || !n.probeDue.Equal(t0.Add(360*time.Millisecond)) {
+		t.Fatalf("after 300 ms: %d lease rounds, next probe at %v; want 7 and 360ms",
+			n.lease.round, n.probeDue.Sub(t0))
 	}
 }

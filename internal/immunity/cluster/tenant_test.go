@@ -3,66 +3,32 @@ package cluster_test
 import (
 	"fmt"
 	"testing"
-	"time"
 
 	"github.com/dimmunix/dimmunix/internal/immunity"
 	"github.com/dimmunix/dimmunix/internal/immunity/auth"
-	"github.com/dimmunix/dimmunix/internal/immunity/cluster"
 )
 
-// tenantCluster federates n hubs that all require token auth under one
-// fleet key and apply the given per-tenant confirm thresholds.
-func tenantCluster(t *testing.T, n, threshold int, key []byte, tenantThresholds map[string]int) ([]*immunity.Exchange, []*cluster.Node) {
-	t.Helper()
-	ids := hubNames(n)
-	hubs := make([]*immunity.Exchange, n)
-	for i := range hubs {
-		opts := []immunity.ExchangeOption{immunity.WithAuthVerifier(auth.NewStatic(key))}
-		for tenant, th := range tenantThresholds {
-			opts = append(opts, immunity.WithTenantThreshold(tenant, th))
-		}
-		hub, err := immunity.NewExchange(threshold, opts...)
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(hub.Close)
-		hubs[i] = hub
+// tenantCluster federates n stepped hubs that all require token auth
+// under one fleet key and apply the given per-tenant confirm
+// thresholds.
+func tenantCluster(f *fleet, n, threshold int, key []byte, tenantThresholds map[string]int) []*immunity.Exchange {
+	opts := []immunity.ExchangeOption{immunity.WithAuthVerifier(auth.NewStatic(key))}
+	for tenant, th := range tenantThresholds {
+		opts = append(opts, immunity.WithTenantThreshold(tenant, th))
 	}
-	nodes := make([]*cluster.Node, n)
-	for i := range nodes {
-		var peers []cluster.Member
-		for j := range hubs {
-			if j != i {
-				peers = append(peers, cluster.Member{ID: ids[j], Transport: immunity.NewLoopback(hubs[j])})
-			}
-		}
-		node, err := cluster.New(cluster.Config{Self: ids[i], Hub: hubs[i], Peers: peers})
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(node.Close)
-		nodes[i] = node
-	}
-	return hubs, nodes
+	hubs, _ := f.cluster(n, threshold, 0, opts...)
+	return hubs
 }
 
-// tenantPhone connects a device whose token scopes it into a tenant.
-func tenantPhone(t *testing.T, name, tenant string, key []byte, tr immunity.Transport) *phone {
-	t.Helper()
+// tenantPhone connects a device whose token scopes it into a tenant,
+// to hub i.
+func tenantPhone(f *fleet, name, tenant string, key []byte, hubs []*immunity.Exchange, i int) *phone {
+	f.t.Helper()
 	token, err := auth.Mint(key, auth.Claims{Tenant: tenant, Device: name})
 	if err != nil {
-		t.Fatal(err)
+		f.t.Fatal(err)
 	}
-	svc, err := immunity.NewService(name, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	client, err := immunity.Connect(tr, name, svc, immunity.WithClientToken(token))
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { client.Close(); svc.Close() })
-	return &phone{svc: svc, client: client}
+	return f.phone(name, hubNames(len(hubs))[i], hubs[i], immunity.WithClientToken(token))
 }
 
 // TestClusterTenantIsolation: two tenants share a 3-hub cluster. Each
@@ -72,7 +38,8 @@ func tenantPhone(t *testing.T, name, tenant string, key []byte, tr immunity.Tran
 // disjoint — the same signature armed by alpha stays invisible to beta.
 func TestClusterTenantIsolation(t *testing.T) {
 	key := []byte("tenant-cluster-key")
-	hubs, _ := tenantCluster(t, 3, 2, key, map[string]int{"beta": 3})
+	f := newFleet(t)
+	hubs := tenantCluster(f, 3, 2, key, map[string]int{"beta": 3})
 
 	// Three alpha phones and four beta phones, spread across the hubs so
 	// confirmations route through owner-forwarding with tenant-prefixed
@@ -81,73 +48,63 @@ func TestClusterTenantIsolation(t *testing.T) {
 	// proves an arming was (or was not) pushed to it.
 	alpha := make([]*phone, 3)
 	for i := range alpha {
-		alpha[i] = tenantPhone(t, fmt.Sprintf("alpha-phone%d", i), "alpha", key,
-			immunity.NewLoopback(hubs[i%len(hubs)]))
+		alpha[i] = tenantPhone(f, fmt.Sprintf("alpha-phone%d", i), "alpha", key, hubs, i%len(hubs))
 	}
 	beta := make([]*phone, 4)
 	for i := range beta {
-		beta[i] = tenantPhone(t, fmt.Sprintf("beta-phone%d", i), "beta", key,
-			immunity.NewLoopback(hubs[i%len(hubs)]))
+		beta[i] = tenantPhone(f, fmt.Sprintf("beta-phone%d", i), "beta", key, hubs, i%len(hubs))
 	}
 	alphaObserver, betaObserver := alpha[2], beta[3]
 	sig := testSig(0)
 	sigKey := sig.Key()
 
 	// Alpha reaches its threshold of 2: alpha arms, beta must not see it.
-	for _, p := range alpha[:2] {
-		if _, _, err := p.svc.Publish("local", sig); err != nil {
-			t.Fatal(err)
-		}
+	f.publish(sig, alpha[:2]...)
+	f.settle()
+	if !alphaObserver.holds(sigKey) {
+		t.Fatal("alpha observer not armed at alpha's threshold")
 	}
-	waitFor(t, "alpha observer armed", func() bool { return alphaObserver.holds(sigKey) })
-	time.Sleep(20 * time.Millisecond)
 	if betaObserver.holds(sigKey) || beta[2].holds(sigKey) {
 		t.Fatal("beta devices received alpha's arming")
 	}
 
 	// Two beta confirmations sit below beta's raised threshold of 3 even
 	// though the same signature is already armed for alpha.
-	for _, p := range beta[:2] {
-		if _, _, err := p.svc.Publish("local", sig); err != nil {
-			t.Fatal(err)
+	f.publish(sig, beta[:2]...)
+	f.settle()
+	recorded := false
+	for _, hub := range hubs {
+		for _, ts := range hub.Status().Tenants {
+			recorded = recorded || (ts.Tenant == "beta" && ts.Sigs == 1)
 		}
 	}
-	waitFor(t, "beta confirmations recorded", func() bool {
-		for _, hub := range hubs {
-			for _, ts := range hub.Status().Tenants {
-				if ts.Tenant == "beta" && ts.Sigs == 1 {
-					return true
-				}
-			}
-		}
-		return false
-	})
-	time.Sleep(20 * time.Millisecond)
+	if !recorded {
+		t.Fatal("beta confirmations not recorded")
+	}
 	if beta[2].holds(sigKey) || betaObserver.holds(sigKey) {
 		t.Fatal("beta armed below beta's threshold of 3")
 	}
 
 	// The third beta confirmation arms beta — for beta's phones only.
-	if _, _, err := beta[2].svc.Publish("local", sig); err != nil {
-		t.Fatal(err)
+	f.publish(sig, beta[2])
+	f.settle()
+	if !betaObserver.holds(sigKey) {
+		t.Fatal("beta observer not armed at threshold 3")
 	}
-	waitFor(t, "beta observer armed at threshold 3", func() bool { return betaObserver.holds(sigKey) })
 
 	// Provenance stays disjoint per tenant on every hub that holds the
 	// owned records: the alpha record was confirmed only by alpha
 	// devices, the beta record only by beta devices, and the per-tenant
 	// status views carry each tenant's own threshold.
-	waitFor(t, "both tenants' records armed", func() bool {
-		armed := map[string]bool{}
-		for _, hub := range hubs {
-			for _, rec := range hub.Provenance() {
-				if rec.Armed {
-					armed[rec.Tenant] = true
-				}
-			}
+	armed := map[string]bool{}
+	for _, hub := range hubs {
+		for _, rec := range hub.Provenance() {
+			armed[rec.Tenant] = armed[rec.Tenant] || rec.Armed
 		}
-		return armed["alpha"] && armed["beta"]
-	})
+	}
+	if !armed["alpha"] || !armed["beta"] {
+		t.Fatalf("armed records per tenant: %v, want both", armed)
+	}
 	for hi, hub := range hubs {
 		for _, rec := range hub.Provenance() {
 			want := rec.Tenant + "-phone"

@@ -11,6 +11,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"github.com/dimmunix/dimmunix/internal/clock"
 	"github.com/dimmunix/dimmunix/internal/immunity/auth"
 	"github.com/dimmunix/dimmunix/internal/immunity/metrics"
 	"github.com/dimmunix/dimmunix/internal/immunity/wire"
@@ -263,7 +264,8 @@ type Exchange struct {
 	batchBatches atomic.Uint64
 	batchSigs    atomic.Uint64
 
-	newSessionQueue func(QueueConfig[outMsg]) *msgQueue // NewQueue; newQueue in a stepped test
+	// clk runs the session queues and is the hub's one time source.
+	clk clock.Clock
 
 	// Observability + admission. reg is the hub's metric registry (always
 	// non-nil after NewExchange; the hub's own, or the one given to
@@ -318,6 +320,22 @@ func WithAdmission(maxWait time.Duration) ExchangeOption {
 	return func(x *Exchange) { x.admit = newAdmission(maxWait) }
 }
 
+// WithClock runs a hub's machines (its session queues, and through
+// BindCluster its node's) or a device's (its session machine and
+// Service subscription) on clk, and reads the time from it: the test
+// and simulator entry point, where one clock.Mock steps a federation on
+// one goroutine. Without it both run on clock.Real.
+func WithClock[O ExchangeOption | ClientOption](clk clock.Clock) O {
+	var o O
+	switch p := any(&o).(type) {
+	case *ExchangeOption:
+		*p = func(x *Exchange) { x.clk = clk }
+	case *ClientOption:
+		*p = func(c *ExchangeClient) { c.clk = clk }
+	}
+	return o
+}
+
 // WithAuthVerifier turns on device authentication: every hello must
 // carry a bearer token the verifier accepts, whose device claim matches
 // the hello's device id; the token's tenant claim scopes the session,
@@ -363,11 +381,11 @@ func NewExchange(confirmThreshold int, opts ...ExchangeOption) (*Exchange, error
 		return nil, fmt.Errorf("exchange: generation nonce: %w", err)
 	}
 	x := &Exchange{
-		arb:             newArbiter(max(confirmThreshold, 1)),
-		conns:           make(map[string]*Conn),
-		peers:           make(map[string]*Conn),
-		gen:             hex.EncodeToString(nonce[:]),
-		newSessionQueue: NewQueue[outMsg],
+		arb:   newArbiter(max(confirmThreshold, 1)),
+		conns: make(map[string]*Conn),
+		peers: make(map[string]*Conn),
+		gen:   hex.EncodeToString(nonce[:]),
+		clk:   clock.Real(),
 	}
 	for _, opt := range opts {
 		opt(x)
@@ -407,13 +425,15 @@ func (x *Exchange) Metrics() *metrics.Registry { return x.reg }
 // (peer-hello, forward-report), broadcasts its own armings to them, and
 // installs peers' broadcasts via InstallRemote. Must be called before
 // the hub serves any traffic; reloaded provenance is reconciled with
-// the ring (arbiter.bind).
-func (x *Exchange) BindCluster(b ClusterBinding) {
+// the ring (arbiter.bind). It returns the hub's clock, which the
+// binding's own machines run on.
+func (x *Exchange) BindCluster(b ClusterBinding) clock.Clock {
 	var fx effects
 	x.mu.Lock()
 	x.cluster = b
 	x.arb.bind(&fx, b, b.SelfID())
 	x.commit(&fx)
+	return x.clk
 }
 
 // commit applies one event's effects. It is called with x.mu held and
@@ -556,7 +576,7 @@ func (x *Exchange) accept(send func(wire.Message) error, writeFrames func([][]by
 	} else {
 		cfg.Deliver = func(o outMsg) error { return x.delivered(send(stamp(o.message())), o) }
 	}
-	c.out = x.newSessionQueue(cfg)
+	c.out = NewQueueOn(x.clk, cfg)
 	return c, nil
 }
 
@@ -840,7 +860,7 @@ func (c *Conn) handleHello(m wire.Message) error {
 			x.met.authFailures.With("missing-token").Inc()
 			return c.refuse("authentication required: hello carries no token")
 		}
-		claims, err := x.verifier.Verify(h.Token, time.Now())
+		claims, err := x.verifier.Verify(h.Token, x.clk.Now())
 		if err != nil {
 			x.met.authFailures.With(authReason(err)).Inc()
 			return c.refuse("authentication failed: %v", err)
@@ -996,14 +1016,14 @@ func (c *Conn) handleForwardReport(f *wire.ForwardReport) error {
 // the session stays up, and the client's full-history re-report on its
 // next reconnect redelivers the signatures (at-least-once).
 func (x *Exchange) admitReport(fn func() error) error {
-	start := time.Now()
+	start := x.clk.Now()
 	if !x.admit.acquire() {
 		return nil
 	}
 	defer x.admit.release()
-	admitted := time.Now()
+	admitted := x.clk.Now()
 	err := fn()
-	end := time.Now()
+	end := x.clk.Now()
 	// Two latency series: report_seconds is what a device experiences
 	// (wait included), handle_seconds is what the hub itself costs (wait
 	// excluded — separates "hub is slow" from "hub is queueing").
@@ -1348,7 +1368,7 @@ func (x *Exchange) Close() {
 		c.Close()
 	}
 	for _, c := range conns {
-		<-c.out.Done()
+		x.clk.Wait(c.out.Done())
 	}
 	// Every detach is persisted by now, and persistMu waits out an append
 	// already under way: the store's file handle can go. Its error is

@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/dimmunix/dimmunix/internal/clock"
 	"github.com/dimmunix/dimmunix/internal/core"
 	"github.com/dimmunix/dimmunix/internal/immunity/wire"
 )
@@ -543,12 +544,11 @@ func TestExchangeSteppedPushPath(t *testing.T) {
 }
 
 // steppedHub is a hub whose session push queues run only when the test
-// steps them: accept builds them with newQueue, which starts no
-// goroutine. Exchange.Close waits on every registered session's Done, so
-// a cleanup that runs before it ends any session a failed test left.
+// steps them: on a mock clock they start no goroutine. Exchange.Close
+// waits on every registered session's Done, so a cleanup that runs
+// before it ends any session a failed test left.
 func steppedHub(t *testing.T, threshold int) *Exchange {
-	hub := newTestHub(t, threshold)
-	hub.newSessionQueue = newQueue[outMsg]
+	hub := newTestHub(t, threshold, WithClock[ExchangeOption](clock.NewMock(time.Unix(0, 0))))
 	t.Cleanup(func() {
 		hub.mu.Lock()
 		var conns []*Conn

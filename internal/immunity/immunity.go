@@ -145,8 +145,8 @@
 // device tier (ExchangeClient), the cluster's peer links, the workload
 // storm — and supplies only what differs as an Attempt per dial: what
 // the hello says, what an ack means for its cursor, what runs on
-// accept, and the non-ack traffic. Five invariants hold for all of
-// them:
+// accept, and the non-ack traffic. Its timing is one step a clock runs
+// (package clock). Five invariants hold for all of them:
 //
 //  1. Ack before install. A session becomes the live one — Send uses
 //     it, its traffic may move a cursor — only after an OK ack at
@@ -324,6 +324,12 @@
 //     pendingOutbox, Membership.leave and the daemon's shutdown branch;
 //     flag -leave; row cmd/immunityd TestDrillGracefulLeave (without it
 //     the survivors import none of the leaver's owned records).
+//   - Refusal window (redial.go refusalWindow): 3 lines; no flags; row
+//     cluster TestRedialHandshakeTable "a refusal that is the hello's
+//     Send error" (without it a device redials the hub that refused it).
+//   - Uptime rule (redial.go minUptime): 4 lines; no flags; rows cluster
+//     TestRedialHandshakeTable "uptime counts from the accept, not the
+//     dial" and "ack-then-drop backs off".
 //
 // # Lock order relative to the engine lock
 //
@@ -353,6 +359,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"github.com/dimmunix/dimmunix/internal/clock"
 	"github.com/dimmunix/dimmunix/internal/core"
 )
 
@@ -579,7 +586,12 @@ func (s *Service) Publish(source string, sig *core.Signature) (epoch uint64, fre
 // delivery goroutine to exit; calling it again does nothing. Together
 // with Epoch and the HistoryStore methods this implements vm.SignatureBus.
 func (s *Service) Subscribe(name string, from uint64, fn func(epoch uint64, sigs []*core.Signature)) (cancel func()) {
-	sub := NewQueue(QueueConfig[view[*core.Signature]]{
+	return s.subscribe(clock.Real(), name, from, fn)
+}
+
+// subscribe is Subscribe with the delivery queue a machine of clk.
+func (s *Service) subscribe(clk clock.Clock, name string, from uint64, fn func(epoch uint64, sigs []*core.Signature)) (cancel func()) {
+	sub := NewQueueOn(clk, QueueConfig[view[*core.Signature]]{
 		Deliver: func(d view[*core.Signature]) error {
 			fn(d.epoch, d.sigs())
 			s.batchBatches.Add(1)
@@ -608,7 +620,7 @@ func (s *Service) Subscribe(name string, from uint64, fn func(epoch uint64, sigs
 		delete(s.subs, id)
 		s.mu.Unlock()
 		sub.Close()
-		<-sub.Done()
+		sub.clk.Wait(sub.Done())
 	}
 }
 
@@ -649,7 +661,7 @@ func (s *Service) Close() {
 	s.mu.Unlock()
 	for _, sub := range subs {
 		sub.Close()
-		<-sub.Done()
+		sub.clk.Wait(sub.Done())
 	}
 }
 

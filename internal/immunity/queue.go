@@ -2,20 +2,22 @@ package immunity
 
 import (
 	"sync"
+	"time"
 
+	"github.com/dimmunix/dimmunix/internal/clock"
 	"github.com/dimmunix/dimmunix/internal/immunity/metrics"
 )
 
 // Queue is the one ordered-coalescing delivery queue behind every
 // asynchronous push path in the immunity tier: the Service's
 // per-subscriber delta queues, the Exchange's per-session wire push
-// queues, and the cluster's hub-to-hub forward outboxes. It owns a
-// dedicated drain goroutine, so producers never block on a slow
-// consumer, and it delivers strictly in enqueue order with optional
-// coalescing: an item the Merge hook accepts folds into the queued tail
-// at Enqueue, so a consumer that fell behind a publish storm holds one
-// pending delivery and catches up in a single callback instead of
-// chewing through a backlog of stale ones.
+// queues, and the cluster's hub-to-hub forward outboxes. Its drain is a
+// step its clock runs (a goroutine on the real one), so producers never
+// block on a slow consumer, and it delivers strictly in enqueue order
+// with optional coalescing: an item the Merge hook accepts folds into
+// the queued tail at Enqueue, so a consumer that fell behind a publish
+// storm holds one pending delivery and catches up in a single callback
+// instead of chewing through a backlog of stale ones.
 //
 // A Deliver error ends the queue in one of two ways, chosen at
 // construction:
@@ -34,10 +36,11 @@ import (
 // enqueued (in retry mode: unless parked on a dead session), then runs
 // OnExit, and Done closes. Enqueue after Close is a no-op.
 type Queue[T any] struct {
-	cfg QueueConfig[T]
+	cfg  QueueConfig[T]
+	clk  clock.Clock   // the clock stepping the drain; nil when a test does
+	wake chan struct{} // capacity 1: Enqueue, Resume and Close wake the drain
 
 	mu       sync.Mutex
-	cond     *sync.Cond
 	queue    []T
 	raw      int // items enqueued into queue, before folding
 	inFlight int // items taken by the drain, not yet delivered or re-queued
@@ -113,18 +116,40 @@ type QueueConfig[T any] struct {
 }
 
 // NewQueue starts a queue and its drain goroutine.
-func NewQueue[T any](cfg QueueConfig[T]) *Queue[T] {
+func NewQueue[T any](cfg QueueConfig[T]) *Queue[T] { return NewQueueOn(clock.Real(), cfg) }
+
+// NewQueueOn starts a queue whose drain is a machine of clk: the test
+// and simulator entry point for a queue built outside this package (a
+// cluster's forward outbox). The drain reads no time, so on clock.Real
+// its goroutine skips the clock's loop and the time read per step that
+// loop makes (a seventh of a hop's cost).
+func NewQueueOn[T any](clk clock.Clock, cfg QueueConfig[T]) *Queue[T] {
 	q := newQueue(cfg)
-	go q.drain()
+	q.clk = clk
+	if clk == clock.Real() {
+		go func() {
+			for q.step() {
+				<-q.wake
+			}
+		}()
+	} else {
+		clk.Start(func(time.Time) (time.Time, bool) { return time.Time{}, q.step() }, q.wake)
+	}
 	return q
 }
 
 // newQueue builds a queue without starting its drain: the caller runs it
 // by calling step.
 func newQueue[T any](cfg QueueConfig[T]) *Queue[T] {
-	q := &Queue[T]{cfg: cfg, done: make(chan struct{})}
-	q.cond = sync.NewCond(&q.mu)
-	return q
+	return &Queue[T]{cfg: cfg, wake: make(chan struct{}, 1), done: make(chan struct{})}
+}
+
+// poke wakes the drain; wakes that arrive while it runs coalesce.
+func (q *Queue[T]) poke() {
+	select {
+	case q.wake <- struct{}{}:
+	default:
+	}
 }
 
 // Enqueue folds an item into the queued tail when Merge accepts, and
@@ -150,9 +175,9 @@ func (q *Queue[T]) Enqueue(v T) {
 			}
 		}
 		q.syncGaugesLocked()
-		q.cond.Signal()
 	}
 	q.mu.Unlock()
+	q.poke()
 	if q.cfg.OnDrop != nil {
 		for _, d := range dropped {
 			q.cfg.OnDrop(d)
@@ -167,11 +192,11 @@ func (q *Queue[T]) Resume() {
 	q.mu.Lock()
 	if q.paused {
 		q.paused = false
-		q.cond.Broadcast()
 	} else {
 		q.resumed = q.inFlight > 0
 	}
 	q.mu.Unlock()
+	q.poke()
 }
 
 // Pending returns how many items are queued plus how many the drain
@@ -193,26 +218,14 @@ func (q *Queue[T]) syncGaugesLocked() {
 	q.repDepth, q.repInFlight = d, q.inFlight
 }
 
-// drain is the production loop: it waits until step has something to
-// do and calls it, until the queue ends.
-func (q *Queue[T]) drain() {
-	for q.step() {
-		q.mu.Lock()
-		for (len(q.queue) == 0 || q.paused) && !q.closed {
-			q.cond.Wait()
-		}
-		q.mu.Unlock()
-	}
-}
-
 // step delivers the queued batch, unless there is none or the queue is
 // parked, and settles that batch: the delivered prefix leaves the
 // in-flight count, and after a failure the rest goes back to the queue
 // front and the queue parks (retry) or the queue ends (drop). A queue
 // that is closed with nothing it can deliver ends too: step runs OnExit,
 // closes Done and reports false, as it does on every later call. One
-// caller steps a queue at a time: the drain goroutine, or a test that
-// built the queue with newQueue.
+// caller steps a queue at a time: its clock (a goroutine on the real
+// one), or a test that built the queue with newQueue.
 func (q *Queue[T]) step() bool {
 	q.mu.Lock()
 	if q.exited {
@@ -283,8 +296,8 @@ func (q *Queue[T]) deliver(batch []T) (int, error) {
 func (q *Queue[T]) Close() {
 	q.mu.Lock()
 	q.closed = true
-	q.cond.Signal()
 	q.mu.Unlock()
+	q.poke()
 }
 
 // Done is closed when the queue has ended, after OnExit returned.

@@ -3,11 +3,12 @@ package immunity
 import (
 	"errors"
 	"fmt"
-	"math/rand"
+	"math/rand/v2"
 	"sync"
 	"sync/atomic"
 	"time"
 
+	"github.com/dimmunix/dimmunix/internal/clock"
 	"github.com/dimmunix/dimmunix/internal/immunity/metrics"
 	"github.com/dimmunix/dimmunix/internal/immunity/wire"
 )
@@ -108,48 +109,76 @@ type RedialConfig struct {
 }
 
 // Redialer keeps one resumable wire session alive: dial, hello, ack
-// wait, verdict, install, and — in Run — redial with backoff once the
-// session dies. Sending and receiving are direct calls on the caller's
-// and the transport's goroutine.
+// wait, verdict, install, and redial with backoff once the session
+// dies. Its timing is one step run on a clock: the callbacks — the ack,
+// the session's death, Kick, Close — only record what happened and wake
+// it. Sending is a direct call on the caller's goroutine.
 type Redialer struct {
-	cfg     RedialConfig
-	closeCh chan struct{}
-	kick    chan struct{} // capacity 1: Kick's coalesced wake-up
+	cfg  RedialConfig
+	clk  clock.Clock
+	wake chan struct{} // capacity 1: the callbacks' coalesced wake-up
+	done chan struct{} // closed when the machine ends
+	// onEnd, set before the machine starts, is its last act.
+	onEnd func()
 	// cur is the accepted attempt, nil between sessions. Written under
 	// mu, read lock-free by Send and Live.
-	cur atomic.Pointer[dialAttempt]
+	cur    atomic.Pointer[dialAttempt]
+	redial atomic.Bool // set by Run; Handshake alone makes one attempt
+	kicked atomic.Bool
+	closed atomic.Bool // written under mu
 
 	// mu orders install against Close and guards err. It is a leaf: never
 	// held across Dial, Send, Close or an Attempt method.
 	mu       sync.Mutex
-	closed   bool
+	started  bool
 	accepted bool // a handshake has been accepted before
 	err      error
+
+	// The machine's own state: only step touches it.
+	rng      *rand.Rand    // the backoff jitter
+	dialed   bool          // the first attempt was made
+	hs       *dialAttempt  // the attempt awaiting its ack
+	due      time.Time     // hs's ack deadline, or when the next dial is due
+	backoff  time.Duration // the next wait before jitter
+	first    chan struct{} // closed once the first attempt settled, with firstErr
+	firstErr error
 }
 
 // dialAttempt is the machine half of one dial.
 type dialAttempt struct {
-	policy Attempt
-	sess   Session
-	up     time.Time     // when the attempt was accepted
-	acked  atomic.Bool   // the handshake's ack arrived; later acks are unsolicited
-	ack    chan wire.Ack // capacity 1: the handshake's ack
-	dead   chan struct{} // closed once the session is known dead
-	once   sync.Once
+	policy  Attempt
+	sess    Session
+	sendErr error         // the hello's Send error
+	up      time.Time     // when the attempt was accepted
+	acked   atomic.Bool   // the handshake's ack arrived; later acks are unsolicited
+	ack     chan wire.Ack // capacity 1: the handshake's ack
+	dead    atomic.Bool   // the session is known dead
 }
 
-func (a *dialAttempt) die() { a.once.Do(func() { close(a.dead) }) }
-
-// NewRedialer builds the machine; nothing is dialed until Handshake or
-// Run.
-func NewRedialer(cfg RedialConfig) *Redialer {
+// NewRedialer builds the machine on clk; nothing is dialed until
+// Handshake or Run. Its jitter is seeded from clk's time, so a mock
+// clock replays the same waits.
+func NewRedialer(cfg RedialConfig, clk clock.Clock) *Redialer {
 	if cfg.Dials == nil {
 		cfg.Dials = new(metrics.Counter)
 	}
 	if cfg.Reconnects == nil {
 		cfg.Reconnects = new(metrics.Counter)
 	}
-	return &Redialer{cfg: cfg, closeCh: make(chan struct{}), kick: make(chan struct{}, 1)}
+	return &Redialer{cfg: cfg, clk: clk, wake: make(chan struct{}, 1), done: make(chan struct{}),
+		rng: rand.New(rand.NewPCG(uint64(clk.Now().UnixNano()), 0)), backoff: backoffMin, first: make(chan struct{})}
+}
+
+func (r *Redialer) poke() {
+	select {
+	case r.wake <- struct{}{}:
+	default:
+	}
+}
+
+func (r *Redialer) die(a *dialAttempt) {
+	a.dead.Store(true)
+	r.poke()
 }
 
 // recv is the transport's delivery callback for attempt a.
@@ -159,68 +188,153 @@ func (r *Redialer) recv(a *dialAttempt, m wire.Message) {
 		a.policy.Recv(m)
 	case a.acked.CompareAndSwap(false, true):
 		a.ack <- *m.Ack
+		r.poke()
 	case !m.Ack.OK && r.cur.Load() == a:
 		// An unsolicited failure ack tells the live session to go away
 		// (superseded by a newer session, evicted).
 		if r.cfg.RefusalFinal {
 			r.fail(fmt.Errorf("hub: %s", m.Ack.Error))
 		}
-		a.die()
+		r.die(a)
 	}
 }
 
-// awaitAck ends on the ack, the timeout, the session's death or Close.
-// A hub that refuses queues the ack and hangs up, so an ack already
-// delivered wins over the death that followed it.
-func (r *Redialer) awaitAck(a *dialAttempt, d time.Duration) (wire.Ack, error) {
-	timer := time.NewTimer(d)
-	defer timer.Stop()
-	select {
-	case ack := <-a.ack:
-		return ack, nil
-	case <-a.dead:
-		select {
-		case ack := <-a.ack:
-			return ack, nil
-		default:
-		}
-		// Abort now instead of burning the hello timeout: after a
-		// partition heals that stall would delay the reconnect replay.
-		return wire.Ack{}, errors.New("session died during handshake")
-	case <-timer.C:
-		return wire.Ack{}, errors.New("timed out waiting for the handshake ack")
-	case <-r.closeCh:
-		return wire.Ack{}, errRedialerClosed
-	}
-}
-
-// Handshake makes one attempt, synchronously, and installs its session
-// on success; it does not redial. Call it only while no session is
-// live.
+// Handshake makes the machine's first attempt, synchronously, and
+// installs its session on success. Unless Run follows, the machine
+// never redials: a failed attempt ends it, and so does Close.
 func (r *Redialer) Handshake() error {
-	select {
-	case <-r.closeCh:
-		return errRedialerClosed
-	default:
+	r.start()
+	r.clk.Wait(r.first)
+	return r.firstErr
+}
+
+// Run lets the machine redial, starting it unless Handshake did: it
+// keeps the session alive until Close or a final refusal — redialing
+// at once after a session that outlived minUptime or on a Kick,
+// otherwise after a jittered, doubling wait.
+func (r *Redialer) Run() {
+	r.redial.Store(true)
+	r.start()
+}
+
+func (r *Redialer) start() {
+	r.mu.Lock()
+	started := r.started
+	r.started = true
+	r.mu.Unlock()
+	if started {
+		r.poke()
+	} else {
+		r.clk.Start(r.step, r.wake)
 	}
+}
+
+// step runs the machine at now — idle → hello sent → live → dead →
+// backoff → idle — as far as it goes, and returns when it is next due:
+// the ack deadline, the end of the backoff, or never (a live session,
+// a machine that may not redial: only a wake moves them).
+func (r *Redialer) step(now time.Time) (time.Time, bool) {
+	for {
+		a := r.cur.Load()
+		switch {
+		case r.closed.Load():
+			return r.end(errRedialerClosed)
+		case a != nil && a.dead.Load():
+			// Retired before the redial, so a dead session's stragglers
+			// move no cursor; closed outside mu, as a loopback Close takes
+			// the hub's locks.
+			r.mu.Lock()
+			if r.cur.CompareAndSwap(a, nil) {
+				r.cfg.Connected.Add(-1)
+			}
+			r.mu.Unlock()
+			a.sess.Close()
+			r.backOff(now, now.Sub(a.up))
+		case r.Err() != nil:
+			return r.end(r.Err())
+		case a != nil:
+			return time.Time{}, true
+		case r.hs != nil:
+			if !r.settle(now) {
+				return r.due, true
+			}
+		case r.kicked.Swap(false):
+			r.backoff, r.due = backoffMin, now
+		case !r.redial.Load() && r.dialed:
+			return time.Time{}, true
+		case now.Before(r.due):
+			return r.due, true
+		default:
+			r.dial(now)
+		}
+	}
+}
+
+// end abandons a handshake in flight and ends the machine.
+func (r *Redialer) end(err error) (time.Time, bool) {
+	if r.hs != nil {
+		r.hs.sess.Close()
+		r.hs = nil
+	}
+	r.settleFirst(err)
+	if r.onEnd != nil {
+		r.onEnd()
+	}
+	close(r.done)
+	return time.Time{}, false
+}
+
+// dial opens one attempt and sends its hello. The ack wait is the hello
+// timeout, or refusalWindow after a failed Send.
+func (r *Redialer) dial(now time.Time) {
 	r.cfg.Dials.Inc()
-	a := &dialAttempt{policy: r.cfg.Begin(), ack: make(chan wire.Ack, 1), dead: make(chan struct{})}
-	sess, err := r.cfg.Transport.Dial(func(m wire.Message) { r.recv(a, m) }, func(error) { a.die() })
+	r.dialed = true
+	a := &dialAttempt{policy: r.cfg.Begin(), ack: make(chan wire.Ack, 1)}
+	sess, err := r.cfg.Transport.Dial(func(m wire.Message) { r.recv(a, m) }, func(error) { r.die(a) })
 	if err != nil {
-		return err
+		r.failed(now, err)
+		return
 	}
-	a.sess = sess
-	wait := helloTimeout
-	sendErr := sess.Send(a.policy.Hello())
-	if sendErr != nil {
-		wait = refusalWindow
+	a.sess, r.hs, r.due = sess, a, now.Add(helloTimeout)
+	if a.sendErr = sess.Send(a.policy.Hello()); a.sendErr != nil {
+		r.due = now.Add(refusalWindow)
 	}
-	ack, err := r.awaitAck(a, wait)
+}
+
+// settle ends the handshake once it has an outcome — the ack, the
+// session's death or the deadline — installing its session or failing
+// it, and reports whether it had one. A hub that refuses queues the ack
+// and hangs up, so an ack already delivered wins over the death that
+// followed it.
+func (r *Redialer) settle(now time.Time) bool {
+	a := r.hs
+	var ack wire.Ack
+	var err error
+	select {
+	case ack = <-a.ack:
+	default:
+		// A death ends the wait at once instead of burning the hello
+		// timeout: after a partition heals that stall would delay the
+		// reconnect replay.
+		dead := a.dead.Load()
+		if !dead && now.Before(r.due) {
+			return false
+		}
+		select {
+		case ack = <-a.ack:
+		default:
+			err = errors.New("timed out waiting for the handshake ack")
+			if dead {
+				err = errors.New("session died during handshake")
+			}
+		}
+	}
+	r.hs = nil
 	switch {
 	case err == nil && !ack.OK:
 		err = errPermanent{fmt.Errorf("hub refused: %s", ack.Error)}
-	case sendErr != nil:
-		err = sendErr
+	case a.sendErr != nil:
+		err = a.sendErr
 	case err != nil:
 	case ack.V != wire.Version:
 		// A session at any other version is never installed: leases and
@@ -230,26 +344,63 @@ func (r *Redialer) Handshake() error {
 		err = a.policy.Verdict(ack)
 	}
 	if err == nil {
-		err = r.install(a)
+		err = r.install(a, now)
 	}
 	if err != nil {
-		sess.Close()
-		return err
+		a.sess.Close()
+		r.failed(now, err)
+		return true
 	}
+	r.settleFirst(nil)
 	a.policy.Accepted()
-	return nil
+	return true
+}
+
+// failed settles a failed attempt: a final refusal, or any failure of a
+// machine that may not redial, stops the machine; otherwise it backs
+// off as after a session of no uptime.
+func (r *Redialer) failed(now time.Time, err error) {
+	r.settleFirst(err)
+	var perm errPermanent
+	if r.cfg.RefusalFinal && errors.As(err, &perm) {
+		r.fail(perm.err)
+	} else if !r.redial.Load() {
+		r.fail(err)
+	}
+	r.backOff(now, 0)
+}
+
+// backOff schedules the next dial after a session that lasted uptime.
+// The wait is jittered to half-to-full: every dialer backs off from a
+// partition on the same clock, and without jitter they would all
+// thunder-herd the healed side at the same instant.
+func (r *Redialer) backOff(now time.Time, uptime time.Duration) {
+	var wait time.Duration
+	if wait, r.backoff = nextBackoff(r.backoff, uptime); wait > 0 {
+		wait = wait/2 + time.Duration(r.rng.Int64N(int64(wait/2)+1))
+	}
+	r.due = now.Add(wait)
+}
+
+func (r *Redialer) settleFirst(err error) {
+	select {
+	case <-r.first:
+	default:
+		r.firstErr = err
+		close(r.first)
+	}
 }
 
 // install makes a the live session unless Close raced the tail of the
 // handshake: Close saw no session to tear down, so installing one now
 // would leak it — and keep the dialer registered on the hub — forever.
-func (r *Redialer) install(a *dialAttempt) error {
+func (r *Redialer) install(a *dialAttempt, now time.Time) error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if r.closed {
+	if r.closed.Load() {
 		return errRedialerClosed
 	}
-	a.up = time.Now()
+	a.up = now
 	r.cur.Store(a)
 	r.cfg.Connected.Add(1)
 	if r.accepted {
@@ -267,72 +418,17 @@ func (r *Redialer) fail(err error) {
 	r.mu.Unlock()
 }
 
-// Run keeps the session alive until Close or a final refusal: it waits
-// for the live session to die, then redials — at once after a session
-// that outlived minUptime or on a Kick, otherwise after a jittered,
-// doubling wait. The caller owns the goroutine.
-func (r *Redialer) Run() {
-	backoff := backoffMin
-	var perm errPermanent
-	for {
-		var uptime time.Duration
-		if a := r.cur.Load(); a != nil {
-			select {
-			case <-r.closeCh:
-				return
-			case <-a.dead:
-			}
-			uptime = time.Since(a.up)
-			// Retired before the redial, so a dead session's stragglers
-			// move no cursor.
-			r.mu.Lock()
-			if r.cur.CompareAndSwap(a, nil) {
-				r.cfg.Connected.Add(-1)
-			}
-			r.mu.Unlock()
-			// Closed outside mu: a loopback Close takes the hub's locks.
-			a.sess.Close()
-		} else if err := r.Handshake(); err == nil {
-			continue
-		} else if r.cfg.RefusalFinal && errors.As(err, &perm) {
-			r.fail(perm.err)
-		}
-		if r.Err() != nil {
-			return
-		}
-		var wait time.Duration
-		wait, backoff = nextBackoff(backoff, uptime)
-		if wait > 0 {
-			// Jittered to half-to-full: every dialer backs off from a
-			// partition on the same clock, and without jitter they would
-			// all thunder-herd the healed side at the same instant.
-			timer := time.NewTimer(wait/2 + time.Duration(rand.Int63n(int64(wait/2)+1)))
-			select {
-			case <-r.closeCh:
-				timer.Stop()
-				return
-			case <-timer.C:
-			case <-r.kick:
-				timer.Stop()
-				backoff = backoffMin
-			}
-		}
-	}
-}
-
-// Kick tells Run the other end was just seen alive: a pending backoff
-// wait ends now and the backoff restarts at its floor. It never blocks;
-// kicks that arrive before the wait coalesce into one.
+// Kick tells the machine the other end was just seen alive: a pending
+// backoff wait ends now and the backoff restarts at its floor. It never
+// blocks; kicks that arrive before the wait coalesce into one.
 func (r *Redialer) Kick() {
-	select {
-	case r.kick <- struct{}{}:
-	default:
-	}
+	r.kicked.Store(true)
+	r.poke()
 }
 
 // Send delivers m on the live session, stamped with the wire version. A
 // failed send marks the session dead — a write stall is a dead session
-// even while its read side idles along — so Run redials.
+// even while its read side idles along — so the machine redials.
 func (r *Redialer) Send(m wire.Message) error {
 	a := r.cur.Load()
 	if a == nil {
@@ -340,7 +436,7 @@ func (r *Redialer) Send(m wire.Message) error {
 	}
 	m.V = wire.Version
 	if err := a.sess.Send(m); err != nil {
-		a.die()
+		r.die(a)
 		return err
 	}
 	return nil
@@ -369,22 +465,25 @@ func (r *Redialer) Err() error {
 	return r.err
 }
 
-// Close tears the live session down and stops Run and any handshake in
-// flight. Idempotent.
+// Close tears the live session down, stops the machine and any
+// handshake in flight, and returns once the machine has ended.
+// Idempotent.
 func (r *Redialer) Close() {
 	r.mu.Lock()
-	if r.closed {
-		r.mu.Unlock()
-		return
-	}
-	r.closed = true
+	started := r.started
+	r.started = true
+	r.closed.Store(true)
 	a := r.cur.Swap(nil)
 	if a != nil {
 		r.cfg.Connected.Add(-1)
 	}
 	r.mu.Unlock()
-	close(r.closeCh)
 	if a != nil {
 		a.sess.Close()
 	}
+	if !started {
+		r.end(errRedialerClosed)
+	}
+	r.poke()
+	r.clk.Wait(r.done)
 }

@@ -11,6 +11,7 @@ import (
 	"strings"
 	"time"
 
+	"github.com/dimmunix/dimmunix/internal/clock"
 	"github.com/dimmunix/dimmunix/internal/core"
 	"github.com/dimmunix/dimmunix/internal/immunity"
 	"github.com/dimmunix/dimmunix/internal/immunity/auth"
@@ -60,7 +61,7 @@ func dialFleet(trs []immunity.Transport, n int) (stormFleet, error) {
 	for i := 0; i < n; i++ {
 		id := fmt.Sprintf("dev%d", i)
 		rd := immunity.NewRedialer(immunity.RedialConfig{Transport: trs[i%len(trs)],
-			Begin: func() immunity.Attempt { return stormAttempt{id} }})
+			Begin: func() immunity.Attempt { return stormAttempt{id} }}, clock.Real())
 		if err := rd.Handshake(); err != nil {
 			fleet.close()
 			return nil, fmt.Errorf("%s: %w", id, err)

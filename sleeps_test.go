@@ -22,8 +22,7 @@ var sleepCensus = map[string]int{
 	"internal/core/harness_test.go":             1,
 	"internal/immunity/authfabric_test.go":      1,
 	"internal/immunity/batch_test.go":           2,
-	"internal/immunity/cluster/cluster_test.go": 4,
-	"internal/immunity/cluster/tenant_test.go":  2,
+	"internal/immunity/cluster/cluster_test.go": 1,
 	"internal/immunity/exchange_test.go":        2,
 	"internal/immunity/service_test.go":         1,
 	"internal/immunity/tcp_test.go":             1,

@@ -137,7 +137,8 @@ var claims = []claim{
 		id: "the fleet in virtual time",
 		statement: "every fleet machine — a hub's session queues, a node's peer links, forward outboxes and ticker, a device's session machine and Service subscription — " +
 			"is a step a clock runs: on a mock clock 3 hubs and 4 devices go from report through forward, confirm, arm and broadcast to install, " +
-			"then through a partition (the deputy promoted, the minority's lease lost, nothing armed there) and a heal, on one goroutine with the same event log every run; " +
+			"then through a partition (the deputy promoted, the minority's lease lost, nothing armed there) and a heal, with one arming decision per key across the cluster, " +
+			"on one goroutine (no goroutine added after any step) with the same event log every run; " +
 			"the redial backoff, its jitter, the kick, the refusal window and the uptime rule hold in virtual time",
 		tests: []string{
 			"internal/immunity/cluster:TestFleetInVirtualTime",
@@ -161,6 +162,7 @@ var claims = []claim{
 			{"the hello timeout instead of the refusal window after a failed hello Send", "internal/immunity/cluster:TestRedialHandshakeTable"},
 			{"no uptime rule: every accepted session resets the backoff", "internal/immunity:TestRedialBackoffRule"},
 			{"no uptime rule: no session resets the backoff", "internal/immunity/cluster:TestRedialHandshakeTable"},
+			{"a handoff import of an armed record decided again by its new owner", "internal/immunity/cluster:TestFleetInVirtualTime"},
 		},
 	},
 	{

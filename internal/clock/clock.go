@@ -1,19 +1,19 @@
 // Package clock runs the fleet's machines: steps that take the time and
-// return when they are next due (zero: on a wake only), false once ended.
+// return when next due (zero: only when wake is sent or closed), or end.
 package clock
 
 import (
+	"math/rand/v2"
 	"slices"
 	"time"
 )
 
-// Clock reads the time, starts machines and waits for them. Start runs
-// step at once, then whenever wake (which the callbacks giving it work
-// send on, or close) is ready or its deadline passes, until step ends.
+// Clock reads the time, runs machines until they end, and seeds them.
 type Clock interface {
 	Now() time.Time
 	Start(step func(now time.Time) (next time.Time, ok bool), wake <-chan struct{})
 	Wait(done <-chan struct{})
+	Seed() uint64
 }
 
 type realClock struct{}
@@ -22,18 +22,21 @@ type realClock struct{}
 func Real() Clock                           { return realClock{} }
 func (realClock) Now() time.Time            { return time.Now() }
 func (realClock) Wait(done <-chan struct{}) { <-done }
+func (realClock) Seed() uint64              { return rand.Uint64() }
 
 func (realClock) Start(step func(time.Time) (time.Time, bool), wake <-chan struct{}) {
 	go func() {
 		for next, ok := step(time.Now()); ok; next, ok = step(time.Now()) {
-			var due <-chan time.Time // nil: never
-			if !next.IsZero() {
-				due = time.After(time.Until(next))
+			if next.IsZero() {
+				<-wake
+				continue
 			}
+			timer := time.NewTimer(time.Until(next))
 			select {
 			case <-wake:
-			case <-due:
+			case <-timer.C:
 			}
+			timer.Stop()
 		}
 	}()
 }
@@ -42,6 +45,7 @@ func (realClock) Start(step func(time.Time) (time.Time, bool), wake <-chan struc
 // Add and Wait, in start order, and time moves only when none has work.
 type Mock struct {
 	now      time.Time
+	seeds    uint64
 	machines []*machine // a stepping machine is out of the list
 }
 
@@ -53,24 +57,17 @@ type machine struct {
 
 // NewMock returns a mock clock reading start.
 func NewMock(start time.Time) *Mock { return &Mock{now: start} }
-
-func (m *Mock) Now() time.Time { return m.now }
-
+func (m *Mock) Now() time.Time      { return m.now }
+func (m *Mock) Seed() uint64        { m.seeds++; return m.seeds } // the same seeds every run
 func (m *Mock) Start(step func(time.Time) (time.Time, bool), wake <-chan struct{}) {
 	m.machines = append(m.machines, &machine{step: step, wake: wake, due: m.now})
 }
 
-// Run steps the first started machine with work now (woken or due) until
-// none has, reports whether it stepped any, and panics if none settles.
+// Run steps the machines with work now, in start order, until none has.
 func (m *Mock) Run() bool {
 	for n := 0; n < 1<<16; n++ {
 		i := slices.IndexFunc(m.machines, func(mc *machine) bool {
-			select {
-			case <-mc.wake:
-				return true
-			default:
-				return !mc.due.IsZero() && !mc.due.After(m.now)
-			}
+			return ready(mc.wake) || !mc.due.IsZero() && !mc.due.After(m.now)
 		})
 		if i < 0 {
 			return n > 0
@@ -87,14 +84,13 @@ func (m *Mock) Run() bool {
 
 // advance moves the time to the next deadline, or limit (zero: none).
 func (m *Mock) advance(limit time.Time) (moved bool) {
-	next := limit
 	for _, mc := range m.machines {
-		if mc.due.After(m.now) && (next.IsZero() || mc.due.Before(next)) {
-			next = mc.due
+		if mc.due.After(m.now) && (limit.IsZero() || mc.due.Before(limit)) {
+			limit = mc.due
 		}
 	}
-	if moved = next.After(m.now); moved {
-		m.now = next
+	if moved = limit.After(m.now); moved {
+		m.now = limit
 	}
 	return moved
 }
@@ -107,14 +103,18 @@ func (m *Mock) Add(d time.Duration) {
 
 // Wait runs the machines, moving the time on, until done is closed.
 func (m *Mock) Wait(done <-chan struct{}) {
-	for {
-		select {
-		case <-done:
-			return
-		default:
-			if !m.Run() && !m.advance(time.Time{}) {
-				panic("clock: Wait on a mock with no machine left to run")
-			}
+	for !ready(done) {
+		if !m.Run() && !m.advance(time.Time{}) {
+			panic("clock: Wait on a mock with no machine left to run")
 		}
+	}
+}
+
+func ready(ch <-chan struct{}) bool {
+	select {
+	case <-ch:
+		return true
+	default:
+		return false
 	}
 }

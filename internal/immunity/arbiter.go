@@ -172,8 +172,8 @@ type tenantDelta struct {
 // tally counts what one event did, for the shell's stats and metrics.
 type tally struct {
 	reports, confirms, echoes, forwards uint64
-	armed, remoteInstalls, fenced       uint64
-	replicas, handoffs, parks           uint64
+	armed, decisions, remoteInstalls    uint64
+	fenced, replicas, handoffs, parks   uint64
 }
 
 // effects is everything one event asks the shell to do. The first class
@@ -309,6 +309,8 @@ func (a *arbiter) settle(fx *effects, e *fleetSig, decided bool) (pending bool) 
 				fx.n.parks++
 			}
 			return true
+		default:
+			fx.n.decisions++
 		}
 		a.arm(fx, e)
 	}

@@ -102,10 +102,8 @@ func Connect(t Transport, deviceID string, svc *Service, opts ...ClientOption) (
 		Begin:        func() Attempt { return &deviceAttempt{c: c} },
 		RefusalFinal: true,
 	}, c.clk)
-	// The machine ends on Close or a final refusal; either way a client
-	// with no session must not keep receiving Service deltas. Every
-	// resubscribe ran on the machine's steps, so none can follow this
-	// release.
+	// Closed or finally refused, a client must stop receiving Service
+	// deltas; every resubscribe ran on the machine, so none follows.
 	c.rd.onEnd = c.release
 	if err := c.rd.Handshake(); err != nil {
 		return nil, fmt.Errorf("exchange connect %s: %w", deviceID, err)

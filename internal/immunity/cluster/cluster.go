@@ -333,12 +333,10 @@ type Node struct {
 
 	// clk is the hub's clock (BindCluster): it runs the links and the
 	// ticker (tick), whose state follows.
-	clk        clock.Clock
-	probeEvery time.Duration
-	leaseEvery time.Duration
-	probeDue   time.Time
-	leaseDue   time.Time
-	tickDone   chan struct{}
+	clk      clock.Clock
+	probeDue time.Time
+	leaseDue time.Time
+	tickDone chan struct{}
 
 	closeOnce sync.Once
 	closeCh   chan struct{}
@@ -425,8 +423,7 @@ func New(cfg Config) (*Node, error) {
 		// return).
 		now := n.clk.Now()
 		n.leaseTick(now)
-		n.probeEvery, n.leaseEvery = pc.interval, max(pc.leaseTTL/3, time.Millisecond)
-		n.probeDue, n.leaseDue = now.Add(n.probeEvery), now.Add(n.leaseEvery)
+		n.probeDue, n.leaseDue = now.Add(pc.interval), now.Add(max(pc.leaseTTL/3, time.Millisecond))
 	}
 	n.ensureLinks(n.membership.live())
 	if n.probe != nil {

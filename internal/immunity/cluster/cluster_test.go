@@ -109,12 +109,18 @@ func newService(t *testing.T, name string) *immunity.Service {
 func newPhone(t *testing.T, name string, tr immunity.Transport) *phone {
 	t.Helper()
 	svc := newService(t, name)
-	client, err := immunity.Connect(tr, name, svc)
+	return &phone{svc: svc, client: connect(t, tr, name, svc)}
+}
+
+// connect attaches svc as device name through tr; Cleanup closes it.
+func connect(t *testing.T, tr immunity.Transport, name string, svc *immunity.Service, opts ...immunity.ClientOption) *immunity.ExchangeClient {
+	t.Helper()
+	client, err := immunity.Connect(tr, name, svc, opts...)
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(client.Close)
-	return &phone{svc: svc, client: client}
+	return client
 }
 
 // holds reports whether the phone's service holds the signature key.

@@ -113,10 +113,8 @@ func (n *Node) pendingOutbox() int {
 	return total
 }
 
-// tick is the node's timer machine: a probe round every probe interval
-// and a lease renewal round every TTL/3, each run when due — both at an
-// instant where both are — until the node closes. It returns the
-// earlier of the next two due times.
+// tick is the node's timer machine: a probe round every interval and a
+// lease round every TTL/3, each when due (both if both), until Close.
 func (n *Node) tick(now time.Time) (time.Time, bool) {
 	select {
 	case <-n.closeCh:
@@ -126,11 +124,11 @@ func (n *Node) tick(now time.Time) (time.Time, bool) {
 	}
 	if !now.Before(n.probeDue) {
 		n.probeTick(now)
-		n.probeDue = now.Add(n.probeEvery)
+		n.probeDue = now.Add(n.probe.interval)
 	}
 	if !now.Before(n.leaseDue) {
 		n.leaseTick(now)
-		n.leaseDue = now.Add(n.leaseEvery)
+		n.leaseDue = now.Add(max(n.probe.leaseTTL/3, time.Millisecond))
 	}
 	if n.leaseDue.Before(n.probeDue) {
 		return n.leaseDue, true

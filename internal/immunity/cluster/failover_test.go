@@ -66,22 +66,13 @@ func switchCluster(f *fleet, n, threshold int, failoverAfter time.Duration) (
 		if err != nil {
 			t.Fatal(err)
 		}
+		t.Cleanup(node.Close) // before the hub's
 		hubs[i], nodes[i] = hub, node
 		switches[i].hub.Store(hub)
 	}
 	for i := range hubs {
 		start(i)
 	}
-	t.Cleanup(func() {
-		for i := range nodes {
-			if nodes[i] != nil {
-				nodes[i].Close()
-			}
-			if hubs[i] != nil {
-				hubs[i].Close()
-			}
-		}
-	})
 	return hubs, nodes, switches, start
 }
 

@@ -19,28 +19,24 @@ import (
 // nodes and devices runs on the test goroutine, time moves only when the
 // test moves it, and every path runs through one fault network.
 type fleet struct {
-	t   *testing.T
-	clk *clock.Mock
-	net *fault.Network
+	t          *testing.T
+	clk        *clock.Mock
+	net        *fault.Network
+	goroutines int // when the fleet was built
 }
 
-// fleetStart is every fleet's t0: the redialers seed their jitter from
-// it, so a fleet replays the same waits run after run.
+// fleetStart is every fleet's t0: with the mock's seed sequence it seeds
+// every redialer's jitter, so a fleet replays the same waits each run.
 var fleetStart = time.Unix(1_000_000, 0)
 
 func newFleet(t *testing.T) *fleet {
-	return &fleet{t: t, clk: clock.NewMock(fleetStart), net: fault.NewNetwork()}
+	return &fleet{t: t, clk: clock.NewMock(fleetStart), net: fault.NewNetwork(), goroutines: runtime.NumGoroutine()}
 }
 
 // hub builds a hub on the fleet's clock; Cleanup closes it.
 func (f *fleet) hub(threshold int, opts ...immunity.ExchangeOption) *immunity.Exchange {
 	f.t.Helper()
-	hub, err := immunity.NewExchange(threshold, append(opts, immunity.WithClock[immunity.ExchangeOption](f.clk))...)
-	if err != nil {
-		f.t.Fatal(err)
-	}
-	f.t.Cleanup(hub.Close)
-	return hub
+	return newHub(f.t, threshold, append(opts, immunity.WithClock[immunity.ExchangeOption](f.clk))...)
 }
 
 // cluster federates n hubs, hub<i> each, with the given
@@ -81,16 +77,11 @@ func (f *fleet) phone(name, hubID string, hub *immunity.Exchange, opts ...immuni
 	return &phone{svc: svc, client: f.connect(svc, name, hubID, hub, opts...)}
 }
 
-// connect attaches svc to hub as device name; Cleanup closes it.
+// connect attaches svc to hub as device name, on the fleet's clock.
 func (f *fleet) connect(svc *immunity.Service, name, hubID string, hub *immunity.Exchange, opts ...immunity.ClientOption) *immunity.ExchangeClient {
 	f.t.Helper()
-	client, err := immunity.Connect(f.net.Wrap(name, hubID, immunity.NewLoopback(hub)), name, svc,
+	return connect(f.t, f.net.Wrap(name, hubID, immunity.NewLoopback(hub)), name, svc,
 		append(opts, immunity.WithClock[immunity.ClientOption](f.clk))...)
-	if err != nil {
-		f.t.Fatal(err)
-	}
-	f.t.Cleanup(client.Close)
-	return client
 }
 
 // publish records a local detection of sig on each phone.
@@ -103,18 +94,26 @@ func (f *fleet) publish(sig *core.Signature, phones ...*phone) {
 	}
 }
 
-// settle steps every machine until none has work at the current time.
-func (f *fleet) settle() { f.clk.Run() }
+// settle steps every machine until none has work at the current time,
+// and fails if a goroutine was added since the fleet was built: every
+// machine must run on the test goroutine.
+func (f *fleet) settle() {
+	f.t.Helper()
+	if f.clk.Run(); runtime.NumGoroutine() > f.goroutines {
+		f.t.Fatalf("%d goroutines, %d when the fleet was built: a machine ran off the test goroutine", runtime.NumGoroutine(), f.goroutines)
+	}
+}
 
 // within moves virtual time a millisecond at a time until cond holds,
 // failing once d has passed; it returns how long that took.
 func (f *fleet) within(d time.Duration, what string, cond func() bool) time.Duration {
 	f.t.Helper()
 	start := f.clk.Now()
-	for f.settle(); !cond(); f.clk.Add(time.Millisecond) {
+	for f.settle(); !cond(); f.settle() {
 		if took := f.clk.Now().Sub(start); took >= d {
 			f.t.Fatalf("%s: not within %v of virtual time", what, d)
 		}
+		f.clk.Add(time.Millisecond)
 	}
 	return f.clk.Now().Sub(start)
 }
@@ -122,8 +121,7 @@ func (f *fleet) within(d time.Duration, what string, cond func() bool) time.Dura
 // armedOnce reports whether hub armed each of its keys exactly once,
 // locally or from a peer, and pushed each to its devices once.
 func armedOnce(hub *immunity.Exchange) bool {
-	armed := hub.Metrics().Counter("immunity_hub_armed_total",
-		"Signatures armed fleet-wide on this hub (local + remote installs).").Value()
+	armed := hub.Metrics().Counter("immunity_hub_armed_total", "").Value()
 	n := uint64(hub.ArmedCount())
 	return armed == n && hub.Stats().Epoch == n
 }
@@ -141,9 +139,10 @@ var fleetLog string
 // second key reported on their side, while the owner loses its lease
 // and arms nothing although its own devices report a third key at
 // threshold. Act three: the heal, after which every hub and device
-// holds all three keys, each armed once on every hub.
+// holds all three keys, each armed once on every hub and decided on
+// one hub only. After every step of every act no goroutine has been
+// added: every machine runs on the test goroutine.
 func TestFleetInVirtualTime(t *testing.T) {
-	goroutines := runtime.NumGoroutine()
 	f := newFleet(t)
 	hubs, nodes := f.cluster(3, 2, 40*time.Millisecond)
 	var log []string
@@ -181,6 +180,7 @@ func TestFleetInVirtualTime(t *testing.T) {
 	logf("sig2 installed on the majority after %v", f.within(time.Second, "the majority to install sig2",
 		func() bool { return allHold(sig2.Key(), d2, d3) && hubs[2].ArmedCount() == 2 }))
 	f.clk.Add(200 * time.Millisecond)
+	f.settle()
 	if armed, pushed, parked := hubs[0].ArmedCount(), hubs[0].Stats().Epoch, hubs[0].Stats().Parked; armed != 1 || pushed != 1 || parked != 1 {
 		t.Fatalf("the minority armed during the partition: hub0 holds %d armed keys, pushed %d and parked %d; want 1, 1 and sig3 parked",
 			armed, pushed, parked)
@@ -193,18 +193,23 @@ func TestFleetInVirtualTime(t *testing.T) {
 			!slices.ContainsFunc(nodes, func(n *cluster.Node) bool { return len(n.Members()) != 3 }) &&
 			allHold(sig2.Key(), phones...) && allHold(sig3.Key(), phones...)
 	}))
+	// A decision is an owned key armed at threshold, not an install. Each
+	// key is armed everywhere, so three decisions mean none was made twice.
+	var decided uint64
 	for i, hub := range hubs {
 		if !armedOnce(hub) {
 			t.Fatalf("hub%d armed a key twice: %+v", i, hub.Stats())
 		}
-		logf("hub%d fenced %d remote installs %d", i, hub.Stats().Fenced, hub.Stats().RemoteInstalls)
+		d := hub.Metrics().Counter("immunity_hub_arm_decisions_total", "").Value()
+		decided += d
+		logf("hub%d decided %d fenced %d remote installs %d", i, d, hub.Stats().Fenced, hub.Stats().RemoteInstalls)
+	}
+	if decided != 3 {
+		t.Fatalf("%d arming decisions across the cluster for 3 keys, want one each", decided)
 	}
 	for i, n := range nodes {
 		held, acquired, lost := n.LeaseStats()
 		logf("hub%d lease held=%v acquired=%d lost=%d epoch=%d", i, held, acquired, lost, n.Epoch())
-	}
-	if n := runtime.NumGoroutine(); n > goroutines {
-		t.Fatalf("%d goroutines at the end, %d at the start: a machine ran off the test goroutine", n, goroutines)
 	}
 	got := strings.Join(log, "\n")
 	if fleetLog == "" {

@@ -88,6 +88,7 @@ type hubMetrics struct {
 	confirms       *metrics.Counter
 	echoes         *metrics.Counter
 	armed          *metrics.Counter
+	decisions      *metrics.Counter
 	forwards       *metrics.Counter
 	remoteInstalls *metrics.Counter
 	persistErrors  *metrics.Counter
@@ -113,6 +114,7 @@ func newHubMetrics(reg *metrics.Registry) hubMetrics {
 		confirms:       reg.Counter("immunity_hub_confirmations_total", "Reports accepted as fresh confirmations."),
 		echoes:         reg.Counter("immunity_hub_echoes_total", "Reports discarded as echoes of hub pushes or duplicates."),
 		armed:          reg.Counter("immunity_hub_armed_total", "Signatures armed fleet-wide on this hub (local + remote installs)."),
+		decisions:      reg.Counter("immunity_hub_arm_decisions_total", "Arming decisions: owned keys armed at threshold here, not installs of a decision made elsewhere."),
 		forwards:       reg.Counter("immunity_hub_forwards_total", "Device-reported signatures relayed to their owning hub."),
 		remoteInstalls: reg.Counter("immunity_hub_remote_installs_total", "Armed signatures installed from peer arm-broadcasts."),
 		persistErrors:  reg.Counter("immunity_hub_persist_errors_total", "Failed provenance-store appends."),
@@ -320,11 +322,9 @@ func WithAdmission(maxWait time.Duration) ExchangeOption {
 	return func(x *Exchange) { x.admit = newAdmission(maxWait) }
 }
 
-// WithClock runs a hub's machines (its session queues, and through
-// BindCluster its node's) or a device's (its session machine and
-// Service subscription) on clk, and reads the time from it: the test
-// and simulator entry point, where one clock.Mock steps a federation on
-// one goroutine. Without it both run on clock.Real.
+// WithClock runs a hub's machines (with its node's) or a device's on
+// clk, and reads the time from it (default clock.Real): the test and
+// simulator entry point, where one clock.Mock steps a whole federation.
 func WithClock[O ExchangeOption | ClientOption](clk clock.Clock) O {
 	var o O
 	switch p := any(&o).(type) {
@@ -518,6 +518,7 @@ func (x *Exchange) count(n *tally) {
 	add(x.met.echoes, n.echoes)
 	add(x.met.forwards, n.forwards)
 	add(x.met.armed, n.armed)
+	add(x.met.decisions, n.decisions)
 	add(x.met.remoteInstalls, n.remoteInstalls)
 	add(x.met.fenced, n.fenced)
 	add(x.met.replicaRecords, n.replicas)

@@ -177,12 +177,12 @@
 //     is not thunder-herded, and returns to the floor only after a
 //     session outlived one second; that session's redial is immediate.
 //
-// Lock order: Redialer.mu is a leaf below every lock in this package
-// and in cluster. It covers pointer swaps only and is never held across
+// Lock order: the Redialer takes no lock. Its step alone writes the
+// live session, the callbacks record into atomics and wake it, and Send
+// and Live read one atomic pointer; so no machine lock is held across
 // Transport.Dial, Session.Send, Session.Close or an Attempt method —
 // loopback delivers the ack and the replay burst synchronously on the
-// sender's stack, and a loopback Close takes the hub's locks. Send and
-// Live take no lock at all.
+// sender's stack, and a loopback Close takes the hub's locks.
 //
 // # Durable provenance
 //

@@ -37,7 +37,7 @@ import (
 // OnExit, and Done closes. Enqueue after Close is a no-op.
 type Queue[T any] struct {
 	cfg  QueueConfig[T]
-	clk  clock.Clock   // the clock stepping the drain; nil when a test does
+	clk  clock.Clock   // the clock stepping the drain
 	wake chan struct{} // capacity 1: Enqueue, Resume and Close wake the drain
 
 	mu       sync.Mutex
@@ -120,34 +120,17 @@ func NewQueue[T any](cfg QueueConfig[T]) *Queue[T] { return NewQueueOn(clock.Rea
 
 // NewQueueOn starts a queue whose drain is a machine of clk: the test
 // and simulator entry point for a queue built outside this package (a
-// cluster's forward outbox). The drain reads no time, so on clock.Real
-// its goroutine skips the clock's loop and the time read per step that
-// loop makes (a seventh of a hop's cost).
+// cluster's forward outbox).
 func NewQueueOn[T any](clk clock.Clock, cfg QueueConfig[T]) *Queue[T] {
-	q := newQueue(cfg)
-	q.clk = clk
-	if clk == clock.Real() {
-		go func() {
-			for q.step() {
-				<-q.wake
-			}
-		}()
-	} else {
-		clk.Start(func(time.Time) (time.Time, bool) { return time.Time{}, q.step() }, q.wake)
-	}
+	q := &Queue[T]{cfg: cfg, clk: clk, wake: make(chan struct{}, 1), done: make(chan struct{})}
+	clk.Start(func(time.Time) (time.Time, bool) { return time.Time{}, q.step() }, q.wake)
 	return q
 }
 
-// newQueue builds a queue without starting its drain: the caller runs it
-// by calling step.
-func newQueue[T any](cfg QueueConfig[T]) *Queue[T] {
-	return &Queue[T]{cfg: cfg, wake: make(chan struct{}, 1), done: make(chan struct{})}
-}
-
-// poke wakes the drain; wakes that arrive while it runs coalesce.
-func (q *Queue[T]) poke() {
+// poke wakes a machine; wakes that arrive while it runs coalesce.
+func poke(wake chan struct{}) {
 	select {
-	case q.wake <- struct{}{}:
+	case wake <- struct{}{}:
 	default:
 	}
 }
@@ -177,7 +160,7 @@ func (q *Queue[T]) Enqueue(v T) {
 		q.syncGaugesLocked()
 	}
 	q.mu.Unlock()
-	q.poke()
+	poke(q.wake)
 	if q.cfg.OnDrop != nil {
 		for _, d := range dropped {
 			q.cfg.OnDrop(d)
@@ -196,7 +179,7 @@ func (q *Queue[T]) Resume() {
 		q.resumed = q.inFlight > 0
 	}
 	q.mu.Unlock()
-	q.poke()
+	poke(q.wake)
 }
 
 // Pending returns how many items are queued plus how many the drain
@@ -225,7 +208,7 @@ func (q *Queue[T]) syncGaugesLocked() {
 // that is closed with nothing it can deliver ends too: step runs OnExit,
 // closes Done and reports false, as it does on every later call. One
 // caller steps a queue at a time: its clock (a goroutine on the real
-// one), or a test that built the queue with newQueue.
+// one), or a test that never runs its mock clock.
 func (q *Queue[T]) step() bool {
 	q.mu.Lock()
 	if q.exited {
@@ -297,7 +280,7 @@ func (q *Queue[T]) Close() {
 	q.mu.Lock()
 	q.closed = true
 	q.mu.Unlock()
-	q.poke()
+	poke(q.wake)
 }
 
 // Done is closed when the queue has ended, after OnExit returned.

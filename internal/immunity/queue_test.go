@@ -9,12 +9,13 @@ import (
 	"testing"
 	"time"
 
+	"github.com/dimmunix/dimmunix/internal/clock"
 	"github.com/dimmunix/dimmunix/internal/immunity/metrics"
 )
 
-// The step table drives queues built with newQueue, which starts no
-// goroutine: the test calls step itself, so every row runs on the test
-// goroutine in one order, with no timer. A row is a queue configuration
+// The step table drives queues on a mock clock it never runs: the test
+// calls step itself, so every row runs on the test goroutine in one
+// order, with no timer. A row is a queue configuration
 // and a script of actions; the actions and the queue's callbacks append
 // to one log, which must read as the row's want.
 //
@@ -161,7 +162,7 @@ func (row queueRow) run() string {
 	if row.merge {
 		cfg.Merge = func(prev, next int) (int, bool) { return prev + next, true }
 	}
-	q := newQueue(cfg)
+	q := NewQueueOn(clock.NewMock(time.Time{}), cfg)
 	do = func(actions string) {
 		for _, a := range strings.Fields(actions) {
 			switch a {

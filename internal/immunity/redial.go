@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"math/rand/v2"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -110,36 +109,28 @@ type RedialConfig struct {
 
 // Redialer keeps one resumable wire session alive: dial, hello, ack
 // wait, verdict, install, and redial with backoff once the session
-// dies. Its timing is one step run on a clock: the callbacks — the ack,
-// the session's death, Kick, Close — only record what happened and wake
-// it. Sending is a direct call on the caller's goroutine.
+// dies. Its timing is one step its clock runs; the callbacks (the ack,
+// the death, Kick, Close) only record what happened and wake it.
 type Redialer struct {
-	cfg  RedialConfig
-	clk  clock.Clock
-	wake chan struct{} // capacity 1: the callbacks' coalesced wake-up
-	done chan struct{} // closed when the machine ends
-	// onEnd, set before the machine starts, is its last act.
-	onEnd func()
-	// cur is the accepted attempt, nil between sessions. Written under
-	// mu, read lock-free by Send and Live.
+	cfg   RedialConfig
+	clk   clock.Clock
+	wake  chan struct{} // capacity 1: the callbacks' coalesced wake-up
+	done  chan struct{} // closed when the machine ends
+	onEnd func()        // set before the first dial: the machine's last act
+	// cur is the accepted attempt, nil between sessions: written by the
+	// step, read lock-free by Send and Live.
 	cur    atomic.Pointer[dialAttempt]
-	redial atomic.Bool // set by Run; Handshake alone makes one attempt
+	dials  atomic.Int32 // what the machine may dial: 0 nothing, 1 once (Handshake), -1 on (Run)
 	kicked atomic.Bool
-	closed atomic.Bool // written under mu
-
-	// mu orders install against Close and guards err. It is a leaf: never
-	// held across Dial, Send, Close or an Attempt method.
-	mu       sync.Mutex
-	started  bool
-	accepted bool // a handshake has been accepted before
-	err      error
+	closed atomic.Bool
+	err    atomic.Pointer[error] // the refusal that stopped the machine
 
 	// The machine's own state: only step touches it.
 	rng      *rand.Rand    // the backoff jitter
-	dialed   bool          // the first attempt was made
 	hs       *dialAttempt  // the attempt awaiting its ack
 	due      time.Time     // hs's ack deadline, or when the next dial is due
 	backoff  time.Duration // the next wait before jitter
+	accepted bool          // a handshake has been accepted before
 	first    chan struct{} // closed once the first attempt settled, with firstErr
 	firstErr error
 }
@@ -148,16 +139,14 @@ type Redialer struct {
 type dialAttempt struct {
 	policy  Attempt
 	sess    Session
-	sendErr error         // the hello's Send error
-	up      time.Time     // when the attempt was accepted
-	acked   atomic.Bool   // the handshake's ack arrived; later acks are unsolicited
-	ack     chan wire.Ack // capacity 1: the handshake's ack
-	dead    atomic.Bool   // the session is known dead
+	sendErr error                    // the hello's Send error
+	up      time.Time                // when the attempt was accepted
+	ack     atomic.Pointer[wire.Ack] // the handshake's; later acks are unsolicited
+	dead    atomic.Bool              // the session is known dead
 }
 
-// NewRedialer builds the machine on clk; nothing is dialed until
-// Handshake or Run. Its jitter is seeded from clk's time, so a mock
-// clock replays the same waits.
+// NewRedialer starts the machine idle on clk (nothing is dialed until
+// Handshake or Run), its jitter seeded from clk: a mock replays it.
 func NewRedialer(cfg RedialConfig, clk clock.Clock) *Redialer {
 	if cfg.Dials == nil {
 		cfg.Dials = new(metrics.Counter)
@@ -165,20 +154,15 @@ func NewRedialer(cfg RedialConfig, clk clock.Clock) *Redialer {
 	if cfg.Reconnects == nil {
 		cfg.Reconnects = new(metrics.Counter)
 	}
-	return &Redialer{cfg: cfg, clk: clk, wake: make(chan struct{}, 1), done: make(chan struct{}),
-		rng: rand.New(rand.NewPCG(uint64(clk.Now().UnixNano()), 0)), backoff: backoffMin, first: make(chan struct{})}
-}
-
-func (r *Redialer) poke() {
-	select {
-	case r.wake <- struct{}{}:
-	default:
-	}
+	r := &Redialer{cfg: cfg, clk: clk, wake: make(chan struct{}, 1), done: make(chan struct{}), onEnd: func() {},
+		rng: rand.New(rand.NewPCG(uint64(clk.Now().UnixNano()), clk.Seed())), backoff: backoffMin, first: make(chan struct{})}
+	clk.Start(r.step, r.wake)
+	return r
 }
 
 func (r *Redialer) die(a *dialAttempt) {
 	a.dead.Store(true)
-	r.poke()
+	poke(r.wake)
 }
 
 // recv is the transport's delivery callback for attempt a.
@@ -186,9 +170,8 @@ func (r *Redialer) recv(a *dialAttempt, m wire.Message) {
 	switch {
 	case m.Type != wire.TypeAck:
 		a.policy.Recv(m)
-	case a.acked.CompareAndSwap(false, true):
-		a.ack <- *m.Ack
-		r.poke()
+	case a.ack.CompareAndSwap(nil, m.Ack):
+		poke(r.wake)
 	case !m.Ack.OK && r.cur.Load() == a:
 		// An unsolicited failure ack tells the live session to go away
 		// (superseded by a newer session, evicted).
@@ -200,56 +183,40 @@ func (r *Redialer) recv(a *dialAttempt, m wire.Message) {
 }
 
 // Handshake makes the machine's first attempt, synchronously, and
-// installs its session on success. Unless Run follows, the machine
-// never redials: a failed attempt ends it, and so does Close.
+// installs its session on success. A failed attempt ends the machine;
+// unless Run follows, it never redials.
 func (r *Redialer) Handshake() error {
-	r.start()
+	r.dials.Store(1)
+	poke(r.wake)
 	r.clk.Wait(r.first)
 	return r.firstErr
 }
 
-// Run lets the machine redial, starting it unless Handshake did: it
-// keeps the session alive until Close or a final refusal — redialing
-// at once after a session that outlived minUptime or on a Kick,
-// otherwise after a jittered, doubling wait.
+// Run lets the machine redial: it keeps the session alive until Close
+// or a final refusal — redialing at once after a session that outlived
+// minUptime or on a Kick, otherwise after a jittered, doubling wait.
 func (r *Redialer) Run() {
-	r.redial.Store(true)
-	r.start()
-}
-
-func (r *Redialer) start() {
-	r.mu.Lock()
-	started := r.started
-	r.started = true
-	r.mu.Unlock()
-	if started {
-		r.poke()
-	} else {
-		r.clk.Start(r.step, r.wake)
-	}
+	r.dials.Store(-1)
+	poke(r.wake)
 }
 
 // step runs the machine at now — idle → hello sent → live → dead →
 // backoff → idle — as far as it goes, and returns when it is next due:
 // the ack deadline, the end of the backoff, or never (a live session,
-// a machine that may not redial: only a wake moves them).
+// a machine that may not dial: only a wake moves them).
 func (r *Redialer) step(now time.Time) (time.Time, bool) {
 	for {
 		a := r.cur.Load()
 		switch {
-		case r.closed.Load():
-			return r.end(errRedialerClosed)
-		case a != nil && a.dead.Load():
+		case a != nil && (a.dead.Load() || r.closed.Load()):
 			// Retired before the redial, so a dead session's stragglers
-			// move no cursor; closed outside mu, as a loopback Close takes
-			// the hub's locks.
-			r.mu.Lock()
-			if r.cur.CompareAndSwap(a, nil) {
-				r.cfg.Connected.Add(-1)
-			}
-			r.mu.Unlock()
+			// move no cursor.
+			r.cur.Store(nil)
+			r.cfg.Connected.Add(-1)
 			a.sess.Close()
 			r.backOff(now, now.Sub(a.up))
+		case r.closed.Load():
+			return r.end(errRedialerClosed)
 		case r.Err() != nil:
 			return r.end(r.Err())
 		case a != nil:
@@ -260,11 +227,12 @@ func (r *Redialer) step(now time.Time) (time.Time, bool) {
 			}
 		case r.kicked.Swap(false):
 			r.backoff, r.due = backoffMin, now
-		case !r.redial.Load() && r.dialed:
+		case r.dials.Load() == 0:
 			return time.Time{}, true
 		case now.Before(r.due):
 			return r.due, true
 		default:
+			r.dials.CompareAndSwap(1, 0)
 			r.dial(now)
 		}
 	}
@@ -274,12 +242,9 @@ func (r *Redialer) step(now time.Time) (time.Time, bool) {
 func (r *Redialer) end(err error) (time.Time, bool) {
 	if r.hs != nil {
 		r.hs.sess.Close()
-		r.hs = nil
 	}
 	r.settleFirst(err)
-	if r.onEnd != nil {
-		r.onEnd()
-	}
+	r.onEnd()
 	close(r.done)
 	return time.Time{}, false
 }
@@ -288,8 +253,7 @@ func (r *Redialer) end(err error) (time.Time, bool) {
 // timeout, or refusalWindow after a failed Send.
 func (r *Redialer) dial(now time.Time) {
 	r.cfg.Dials.Inc()
-	r.dialed = true
-	a := &dialAttempt{policy: r.cfg.Begin(), ack: make(chan wire.Ack, 1)}
+	a := &dialAttempt{policy: r.cfg.Begin()}
 	sess, err := r.cfg.Transport.Dial(func(m wire.Message) { r.recv(a, m) }, func(error) { r.die(a) })
 	if err != nil {
 		r.failed(now, err)
@@ -303,54 +267,48 @@ func (r *Redialer) dial(now time.Time) {
 
 // settle ends the handshake once it has an outcome — the ack, the
 // session's death or the deadline — installing its session or failing
-// it, and reports whether it had one. A hub that refuses queues the ack
-// and hangs up, so an ack already delivered wins over the death that
-// followed it.
+// it, and reports whether it had one.
 func (r *Redialer) settle(now time.Time) bool {
 	a := r.hs
-	var ack wire.Ack
-	var err error
-	select {
-	case ack = <-a.ack:
-	default:
-		// A death ends the wait at once instead of burning the hello
-		// timeout: after a partition heals that stall would delay the
-		// reconnect replay.
-		dead := a.dead.Load()
-		if !dead && now.Before(r.due) {
-			return false
-		}
-		select {
-		case ack = <-a.ack:
-		default:
-			err = errors.New("timed out waiting for the handshake ack")
-			if dead {
-				err = errors.New("session died during handshake")
-			}
-		}
+	// The death first: a hub that refuses queues the ack and hangs up,
+	// so an ack delivered before the death wins over it. A death ends
+	// the wait at once instead of burning the hello timeout: after a
+	// partition heals that stall would delay the reconnect replay.
+	dead := a.dead.Load()
+	ack := a.ack.Load()
+	if ack == nil && !dead && now.Before(r.due) {
+		return false
 	}
 	r.hs = nil
+	var err error
 	switch {
-	case err == nil && !ack.OK:
+	case ack != nil && !ack.OK:
 		err = errPermanent{fmt.Errorf("hub refused: %s", ack.Error)}
 	case a.sendErr != nil:
 		err = a.sendErr
-	case err != nil:
+	case ack == nil && dead:
+		err = errors.New("session died during handshake")
+	case ack == nil:
+		err = errors.New("timed out waiting for the handshake ack")
 	case ack.V != wire.Version:
 		// A session at any other version is never installed: leases and
 		// probes count only answers from links that speak them.
 		err = fmt.Errorf("hub acked protocol version %d, want %d", ack.V, wire.Version)
 	default:
-		err = a.policy.Verdict(ack)
-	}
-	if err == nil {
-		err = r.install(a, now)
+		err = a.policy.Verdict(*ack)
 	}
 	if err != nil {
 		a.sess.Close()
 		r.failed(now, err)
 		return true
 	}
+	a.up = now
+	r.cur.Store(a)
+	r.cfg.Connected.Add(1)
+	if r.accepted {
+		r.cfg.Reconnects.Inc()
+	}
+	r.accepted = true
 	r.settleFirst(nil)
 	a.policy.Accepted()
 	return true
@@ -364,7 +322,7 @@ func (r *Redialer) failed(now time.Time, err error) {
 	var perm errPermanent
 	if r.cfg.RefusalFinal && errors.As(err, &perm) {
 		r.fail(perm.err)
-	} else if !r.redial.Load() {
+	} else if r.dials.Load() >= 0 {
 		r.fail(err)
 	}
 	r.backOff(now, 0)
@@ -391,39 +349,14 @@ func (r *Redialer) settleFirst(err error) {
 	}
 }
 
-// install makes a the live session unless Close raced the tail of the
-// handshake: Close saw no session to tear down, so installing one now
-// would leak it — and keep the dialer registered on the hub — forever.
-func (r *Redialer) install(a *dialAttempt, now time.Time) error {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.closed.Load() {
-		return errRedialerClosed
-	}
-	a.up = now
-	r.cur.Store(a)
-	r.cfg.Connected.Add(1)
-	if r.accepted {
-		r.cfg.Reconnects.Inc()
-	}
-	r.accepted = true
-	return nil
-}
-
-func (r *Redialer) fail(err error) {
-	r.mu.Lock()
-	if r.err == nil {
-		r.err = err
-	}
-	r.mu.Unlock()
-}
+func (r *Redialer) fail(err error) { r.err.CompareAndSwap(nil, &err) }
 
 // Kick tells the machine the other end was just seen alive: a pending
 // backoff wait ends now and the backoff restarts at its floor. It never
 // blocks; kicks that arrive before the wait coalesce into one.
 func (r *Redialer) Kick() {
 	r.kicked.Store(true)
-	r.poke()
+	poke(r.wake)
 }
 
 // Send delivers m on the live session, stamped with the wire version. A
@@ -460,30 +393,17 @@ func (r *Redialer) Reconnects() uint64 { return r.cfg.Reconnects.Value() }
 
 // Err returns the refusal that stopped the machine for good, if any.
 func (r *Redialer) Err() error {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.err
+	if err := r.err.Load(); err != nil {
+		return *err
+	}
+	return nil
 }
 
 // Close tears the live session down, stops the machine and any
 // handshake in flight, and returns once the machine has ended.
 // Idempotent.
 func (r *Redialer) Close() {
-	r.mu.Lock()
-	started := r.started
-	r.started = true
 	r.closed.Store(true)
-	a := r.cur.Swap(nil)
-	if a != nil {
-		r.cfg.Connected.Add(-1)
-	}
-	r.mu.Unlock()
-	if a != nil {
-		a.sess.Close()
-	}
-	if !started {
-		r.end(errRedialerClosed)
-	}
-	r.poke()
+	poke(r.wake)
 	r.clk.Wait(r.done)
 }

@@ -139,7 +139,7 @@ var claims = []claim{
 			"is a step a clock runs: on a mock clock 3 hubs and 4 devices go from report through forward, confirm, arm and broadcast to install, " +
 			"then through a partition (the deputy promoted, the minority's lease lost, nothing armed there) and a heal, with one arming decision per key across the cluster, " +
 			"on one goroutine (no goroutine added after any step) with the same event log every run; " +
-			"the redial backoff, its jitter, the kick, the refusal window and the uptime rule hold in virtual time",
+			"the redial backoff, its jitter, the kick and the uptime rule hold in virtual time",
 		tests: []string{
 			"internal/immunity/cluster:TestFleetInVirtualTime",
 			"internal/immunity/cluster:TestClusterGatesAtOwnerAndPropagates",
@@ -158,11 +158,31 @@ var claims = []claim{
 			{"jitter drawn from [wait/2, 3·wait/2]", "internal/immunity/cluster:TestRedialHandshakeTable"},
 			{"uptime measured from the dial instead of from the accept", "internal/immunity/cluster:TestRedialHandshakeTable"},
 			{"a lease round skipped when a probe round is due at the same instant", "internal/immunity/cluster:TestNodeTick"},
-			{"no refusal window: a failed hello Send fails the attempt at once", "internal/immunity/cluster:TestRedialHandshakeTable"},
-			{"the hello timeout instead of the refusal window after a failed hello Send", "internal/immunity/cluster:TestRedialHandshakeTable"},
 			{"no uptime rule: every accepted session resets the backoff", "internal/immunity:TestRedialBackoffRule"},
 			{"no uptime rule: no session resets the backoff", "internal/immunity/cluster:TestRedialHandshakeTable"},
 			{"a handoff import of an armed record decided again by its new owner", "internal/immunity/cluster:TestFleetInVirtualTime"},
+		},
+	},
+	{
+		id: "report admission",
+		statement: "every hub, the daemon's and every in-process one, puts the same 8-permit pool in front of report ingest: " +
+			"at most 8 report batches are handled at once, an over-capacity batch waits FIFO and is shed, unhandled and without error, once its wait runs out, " +
+			"every permit comes back whether the batch succeeded or not, and each verdict is counted once; a 16-device flood against the daemon is delayed, never shed",
+		tests: []string{
+			"internal/immunity:TestAdmissionOnEveryHub",
+			"internal/immunity:TestAdmissionShedsAtCapacity",
+			"internal/immunity:TestAdmissionDelaysUntilRelease",
+			"internal/immunity:TestAdmissionZeroWaitShedsImmediately",
+			"internal/immunity:TestAdmissionReleasesAfterAFailingHandler",
+			"internal/immunity:TestAdmissionConcurrentAcquire",
+			"cmd/immunityd:TestImmunitydAdmissionFlood",
+		},
+		metrics: []string{"hub-ingest/ops_per_s"},
+		mutants: []mutant{
+			{"admitReport releasing the permit only after a batch that succeeded", "internal/immunity:TestAdmissionReleasesAfterAFailingHandler"},
+			{"a grant after a wait counted as admitted, not delayed", "internal/immunity:TestAdmissionDelaysUntilRelease"},
+			{"a shed batch handled anyway", "internal/immunity:TestAdmissionShedsAtCapacity"},
+			{"admitReport handling every batch at once, outside the pool", "internal/immunity:TestAdmissionOnEveryHub"},
 		},
 	},
 	{

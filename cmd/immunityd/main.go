@@ -19,12 +19,13 @@
 // as JSON) and /metrics (the hub's whole instrument registry,
 // internal/immunity/metrics, in Prometheus text format).
 //
-// Admission control is always on. A fixed pool of 8 permits bounds the
-// report path (device reports and peer forward-reports): an
-// over-capacity message waits up to 5s (the device sees a slow ack; TCP
-// sees backpressure), and a message still waiting then is shed —
-// dropped without killing the session, recovered by the client's
-// full-history re-report on its next reconnect. Without the pool a
+// Admission control is part of every hub (internal/immunity), with no
+// flag or option. A fixed pool of 8 permits bounds the report path
+// (device reports and peer forward-reports): an over-capacity message
+// waits up to 5s (the device sees a slow ack; TCP sees backpressure),
+// and a message still waiting then is shed — dropped without killing
+// the session, recovered by the client's full-history re-report on its
+// next reconnect. Without the pool a
 // report flood grows the hub's heap several-fold and stretches its
 // drain; the immunity_hub_admission_* series count every verdict.
 // /metrics carries the report latency histograms (wait included and
@@ -535,11 +536,6 @@ type serveConfig struct {
 // buildVersion is the version label on the immunity_build_info gauge.
 const buildVersion = "0.10.0"
 
-// admitWait is how long an over-capacity report waits for an admission
-// permit before it is shed: well under the 30s wire write timeout, so a
-// delayed session's unread pushes cannot kill it first.
-const admitWait = 5 * time.Second
-
 // startDaemon boots the exchange server, the optional cluster node, and
 // the /status + /metrics endpoints. One registry is shared by the hub,
 // the cluster links and the provenance store, so /metrics is the whole
@@ -553,7 +549,7 @@ func startDaemon(sc serveConfig) (*daemon, error) {
 	uptime := reg.FloatGauge("immunity_hub_uptime_seconds", "Seconds since daemon start.")
 	started := time.Now()
 
-	opts := []immunity.ExchangeOption{immunity.WithMetricsRegistry(reg), immunity.WithAdmission(admitWait)}
+	opts := []immunity.ExchangeOption{immunity.WithMetricsRegistry(reg)}
 	if sc.provenance != "" {
 		opts = append(opts, immunity.WithProvenanceStore(immunity.NewFileProvenance(sc.provenance,
 			immunity.WithCompactionCounters(
@@ -686,7 +682,7 @@ func runServe(sc serveConfig) error {
 	if sc.provenance != "" {
 		fmt.Printf(", provenance %s", sc.provenance)
 	}
-	fmt.Printf(", bounded admission, max wait %s)\n", admitWait)
+	fmt.Println(", bounded admission)")
 	if sc.serveTLS != nil {
 		if sc.peerAuth {
 			fmt.Println("immunityd: mutual TLS on (devices verify the hub; peer hubs present fleet-CA certificates)")

@@ -210,15 +210,14 @@ type HistoryStore interface {
 
 // FileHistory is a HistoryStore backed by a file on disk, the equivalent of
 // the paper's persistent history that survives phone reboots. Appends are
-// flushed (and synced when Sync is set) before returning. Appends and loads
-// take an advisory file lock (on unix), so several handles — including
-// handles in different OS processes — can share one history file without
-// tearing sig..end blocks or duplicating the header.
+// flushed to the file before returning. Appends and loads take an
+// advisory file lock (on unix), so several handles — including handles in
+// different OS processes — can share one history file without tearing
+// sig..end blocks or duplicating the header.
 type FileHistory struct {
 	mu      sync.Mutex
 	path    string
 	lenient bool
-	sync    bool
 }
 
 var _ HistoryStore = (*FileHistory)(nil)
@@ -229,12 +228,6 @@ type FileHistoryOption func(*FileHistory)
 // WithLenientLoad makes Load skip malformed blocks instead of failing.
 func WithLenientLoad() FileHistoryOption {
 	return func(f *FileHistory) { f.lenient = true }
-}
-
-// WithFsync makes every append fsync the file, trading latency for
-// durability across power loss.
-func WithFsync() FileHistoryOption {
-	return func(f *FileHistory) { f.sync = true }
 }
 
 // NewFileHistory creates a store at path. The file is created on first
@@ -330,11 +323,6 @@ func (f *FileHistory) Append(sig *Signature) error {
 	}
 	if _, err := io.WriteString(file, buf.String()); err != nil {
 		return fmt.Errorf("append history: %w", err)
-	}
-	if f.sync {
-		if err := file.Sync(); err != nil {
-			return fmt.Errorf("append history: %w", err)
-		}
 	}
 	return nil
 }

@@ -87,8 +87,8 @@ func TestSignatureIDBeforeInstall(t *testing.T) {
 	}
 }
 
-func TestFileHistoryPathAndFsync(t *testing.T) {
-	fh := NewFileHistory("/tmp/x.hist", WithFsync())
+func TestFileHistoryPath(t *testing.T) {
+	fh := NewFileHistory("/tmp/x.hist")
 	if fh.Path() != "/tmp/x.hist" {
 		t.Errorf("Path = %q", fh.Path())
 	}

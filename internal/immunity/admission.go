@@ -8,10 +8,16 @@ import (
 	"github.com/dimmunix/dimmunix/internal/immunity/metrics"
 )
 
-// admissionPermits is the report-ingest pool's fixed size.
-const admissionPermits = 8
+const (
+	// admissionPermits is the report-ingest pool's fixed size.
+	admissionPermits = 8
+	// admitWait is how long an over-capacity report waits for a permit
+	// before it is shed: well under the 30s wire write timeout, so a
+	// delayed session's unread pushes cannot kill it first.
+	admitWait = 5 * time.Second
+)
 
-// admission is the bounded permit pool WithAdmission puts in front of
+// admission is the bounded permit pool every Exchange puts in front of
 // report ingest: a buffered channel used as a semaphore. A report takes
 // a permit before it is handled and returns it after; when all permits
 // are out the caller waits up to maxWait and is shed if the wait
@@ -26,46 +32,43 @@ const admissionPermits = 8
 //	immunity_hub_admission_shed_total       acquisitions abandoned at max wait
 //	immunity_hub_admission_in_use           permits currently held
 //	immunity_hub_admission_capacity         the pool size (8)
-//
-// A nil *admission admits everything at once and counts nothing.
 type admission struct {
 	permits chan struct{}
+	// maxWait is admitWait; the package tests shorten it.
 	maxWait time.Duration
-	// waiting counts callers queued for a permit, so a test can hand a
-	// permit over exactly when a waiter is queued.
+	// waiting counts callers queued for a permit.
 	waiting atomic.Int64
 
 	admitted, delayed, shed *metrics.Counter
 	inUse                   *metrics.Gauge
 }
 
-func newAdmission(maxWait time.Duration) *admission {
-	return &admission{permits: make(chan struct{}, admissionPermits), maxWait: maxWait}
-}
-
-// meter registers the pool's instruments on the hub's registry.
-func (p *admission) meter(reg *metrics.Registry) {
+// newAdmission builds the pool with its instruments on the hub's
+// registry.
+func newAdmission(reg *metrics.Registry) *admission {
 	const name = "immunity_hub_admission"
-	p.admitted = reg.Counter(name+"_admitted_total", "Permits granted without waiting.")
-	p.delayed = reg.Counter(name+"_delayed_total", "Permits granted after a bounded wait.")
-	p.shed = reg.Counter(name+"_shed_total", "Acquisitions abandoned at the max wait.")
-	p.inUse = reg.Gauge(name+"_in_use", "Permits currently held.")
+	p := &admission{
+		permits:  make(chan struct{}, admissionPermits),
+		maxWait:  admitWait,
+		admitted: reg.Counter(name+"_admitted_total", "Permits granted without waiting."),
+		delayed:  reg.Counter(name+"_delayed_total", "Permits granted after a bounded wait."),
+		shed:     reg.Counter(name+"_shed_total", "Acquisitions abandoned at the max wait."),
+		inUse:    reg.Gauge(name+"_in_use", "Permits currently held."),
+	}
 	reg.Gauge(name+"_capacity", "Size of the permit pool.").Set(admissionPermits)
+	return p
 }
 
 // acquire takes a permit, waiting up to the pool's max wait, and
 // reports whether it got one; the caller then owes one release.
 //
-// A successful acquire yields the processor once before returning, with
-// the permit held. A session that re-acquires in a tight loop — one hot
-// device flooding reports — would otherwise keep the permits for a
-// whole preemption slice on a saturated box and starve every other
-// session: the yield lets concurrent callers reach the pool and queue
-// behind the holder.
+// While a caller is queued, a successful acquire yields the processor
+// once before returning, with the permit held. A session that
+// re-acquires in a tight loop — one hot device flooding reports — would
+// otherwise keep the permits for a whole preemption slice on a
+// saturated box and starve the queued sessions. With no one queued
+// there is no one to yield to.
 func (p *admission) acquire() bool {
-	if p == nil {
-		return true
-	}
 	select {
 	case p.permits <- struct{}{}:
 		p.admitted.Inc()
@@ -77,7 +80,9 @@ func (p *admission) acquire() bool {
 		p.delayed.Inc()
 	}
 	p.inUse.Add(1)
-	runtime.Gosched()
+	if p.waiting.Load() > 0 {
+		runtime.Gosched()
+	}
 	return true
 }
 
@@ -99,17 +104,6 @@ func (p *admission) wait() bool {
 }
 
 func (p *admission) release() {
-	if p == nil {
-		return
-	}
 	p.inUse.Add(-1)
 	<-p.permits
-}
-
-// counts returns the admitted, delayed and shed totals.
-func (p *admission) counts() (admitted, delayed, shed uint64) {
-	if p == nil {
-		return 0, 0, 0
-	}
-	return p.admitted.Value(), p.delayed.Value(), p.shed.Value()
 }

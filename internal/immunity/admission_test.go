@@ -1,13 +1,24 @@
 package immunity
 
 import (
+	"errors"
 	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"github.com/dimmunix/dimmunix/internal/immunity/wire"
 )
+
+// newPoolHub is a hub whose pool sheds after maxWait instead of
+// admitWait.
+func newPoolHub(t *testing.T, maxWait time.Duration) *Exchange {
+	hub := newTestHub(t, 1)
+	hub.admit.maxWait = maxWait
+	return hub
+}
 
 // saturate takes every permit of hub's pool with report batches that
 // block until release is called once per permit.
@@ -62,7 +73,7 @@ func drain(t *testing.T, release func(), done <-chan error, held int) {
 // dropped without error, session intact — and every verdict shows up
 // in Stats and on the registry.
 func TestAdmissionShedsAtCapacity(t *testing.T) {
-	hub := newTestHub(t, 1, WithAdmission(30*time.Millisecond))
+	hub := newPoolHub(t, 30*time.Millisecond)
 	release, done := saturate(t, hub)
 
 	ran := false
@@ -100,7 +111,7 @@ func TestAdmissionShedsAtCapacity(t *testing.T) {
 // pool is admitted, as delayed, once a holder releases — the permit is
 // handed to the waiter, not lost.
 func TestAdmissionDelaysUntilRelease(t *testing.T) {
-	hub := newTestHub(t, 1, WithAdmission(10*time.Second))
+	hub := newTestHub(t, 1)
 	release, done := saturate(t, hub)
 
 	delayed := make(chan error, 1)
@@ -126,7 +137,7 @@ func TestAdmissionDelaysUntilRelease(t *testing.T) {
 // TestAdmissionZeroWaitShedsImmediately: a max wait of zero sheds an
 // over-capacity report at once, without queueing it.
 func TestAdmissionZeroWaitShedsImmediately(t *testing.T) {
-	hub := newTestHub(t, 1, WithAdmission(0))
+	hub := newPoolHub(t, 0)
 	release, done := saturate(t, hub)
 	start := time.Now()
 	if err := hub.admitReport(func() error { t.Error("shed batch ran"); return nil }); err != nil {
@@ -141,12 +152,30 @@ func TestAdmissionZeroWaitShedsImmediately(t *testing.T) {
 	}
 }
 
+// TestAdmissionReleasesAfterAFailingHandler: a batch whose handling
+// fails (a refused report) returns its permit like any other. More
+// failing batches than permits, on a pool that sheds at once, each
+// reach their handler.
+func TestAdmissionReleasesAfterAFailingHandler(t *testing.T) {
+	hub := newPoolHub(t, 0)
+	refused := errors.New("refused")
+	for i := 0; i <= admissionPermits; i++ {
+		if err := hub.admitReport(func() error { return refused }); err != refused {
+			t.Fatalf("batch %d: admitReport = %v, want the handler's error", i, err)
+		}
+	}
+	if st := hub.Stats(); st.AdmissionAdmitted != admissionPermits+1 || st.AdmissionShed != 0 {
+		t.Fatalf("admitted=%d shed=%d, want %d/0: a failing batch kept its permit",
+			st.AdmissionAdmitted, st.AdmissionShed, admissionPermits+1)
+	}
+}
+
 // TestAdmissionConcurrentAcquire: sessions admit reports concurrently,
 // more of them than there are permits. Run it with -race: no more than
 // 8 batches are ever handled at once, every verdict is counted once and
 // no permit leaks.
 func TestAdmissionConcurrentAcquire(t *testing.T) {
-	hub := newTestHub(t, 1, WithAdmission(10*time.Second))
+	hub := newTestHub(t, 1)
 	const sessions, each = 16, 200
 	var inside, over atomic.Int64
 	var wg sync.WaitGroup
@@ -185,28 +214,38 @@ func TestAdmissionConcurrentAcquire(t *testing.T) {
 	}
 }
 
-// TestAdmissionDisabledByDefault: without WithAdmission every report
-// admits immediately, the counters stay zero and no admission series is
-// registered.
-func TestAdmissionDisabledByDefault(t *testing.T) {
+// TestAdmissionOnEveryHub: a plain NewExchange runs the pool — its
+// series render, and a device's report over a session takes a permit.
+func TestAdmissionOnEveryHub(t *testing.T) {
 	hub := newTestHub(t, 1)
-	ran := false
-	if err := hub.admitReport(func() error { ran = true; return nil }); err != nil {
+	conn, err := hub.Accept(func(wire.Message) error { return nil }, func() {})
+	if err != nil {
 		t.Fatal(err)
 	}
-	if !ran {
-		t.Fatal("report not processed with admission disabled")
+	defer conn.Close()
+	report := wire.Message{V: wire.Version, Type: wire.TypeReport,
+		Report: &wire.Report{Sigs: []wire.Signature{wire.FromCore(testSig(1))}}}
+	for _, m := range []wire.Message{helloMsg("phoneA"), report} {
+		if err := conn.Handle(m); err != nil {
+			t.Fatal(err)
+		}
 	}
-	st := hub.Stats()
-	if st.AdmissionAdmitted != 0 || st.AdmissionDelayed != 0 || st.AdmissionShed != 0 {
-		t.Fatalf("admission counters moved while disabled: %+v", st)
+	if st := hub.Stats(); st.AdmissionAdmitted != 1 || st.AdmissionDelayed != 0 || st.AdmissionShed != 0 {
+		t.Fatalf("admitted=%d delayed=%d shed=%d after one report, want 1/0/0",
+			st.AdmissionAdmitted, st.AdmissionDelayed, st.AdmissionShed)
 	}
 	var b strings.Builder
 	if err := hub.Metrics().WritePrometheus(&b); err != nil {
 		t.Fatal(err)
 	}
-	if strings.Contains(b.String(), "immunity_hub_admission") {
-		t.Fatalf("a hub without a pool renders admission series:\n%s", b.String())
+	for _, want := range []string{
+		"immunity_hub_admission_capacity 8",
+		"immunity_hub_admission_admitted_total 1",
+		"immunity_hub_admission_in_use 0",
+	} {
+		if !strings.Contains(b.String(), want) {
+			t.Fatalf("render missing %q:\n%s", want, b.String())
+		}
 	}
 }
 

@@ -25,14 +25,17 @@ const redialFloor = 5 * time.Millisecond
 
 // scriptedTransport records every Dial as a session. While down is set,
 // Dial fails at once, as a dial to a dead hub does, and counts the
-// refusal; answer, when set, is delivered inside a hello's Send, and
-// failHello makes that Send fail (a loopback refusal).
+// refusal; answer, when set, is delivered inside a hello's Send, hangUp
+// then kills the session (a loopback refusal: the ack, then the death,
+// and the Send succeeds), and failHello makes that Send fail (a write
+// to a dead connection).
 type scriptedTransport struct {
 	clk       *clock.Mock
 	dials     []*scriptedSession // not yet taken by next
 	down      bool
 	refused   int
 	answer    *wire.Message
+	hangUp    bool
 	failHello bool
 }
 
@@ -64,6 +67,9 @@ func (s *scriptedSession) Send(m wire.Message) error {
 	}
 	if s.tr.answer != nil {
 		s.recv(*s.tr.answer)
+	}
+	if s.tr.hangUp {
+		s.kill()
 	}
 	if s.tr.failHello {
 		return errors.New("scripted: hello refused")
@@ -434,20 +440,33 @@ func TestRedialHandshakeTable(t *testing.T) {
 				sc.live = s2
 			}
 		}},
-		{"a refusal that is the hello's Send error", func(sc *script) {
-			// Over loopback the refusal is the Send error and its ack is
-			// still queued: an ack 100 ms later classifies it. A Send error
-			// with no ack behind it is transient, redialed after the window.
+		{"a failed hello Send is a dead session", func(sc *script) {
+			// A hello Send that errs is the session's death: the attempt
+			// fails at once, with no ack wait, and backs off one step.
 			sc.tr.failHello = true
 			s := sc.redial(0)
-			s2 := sc.tr.next(sc.t, "the redial after a failed hello Send and no ack")
-			if wait := s2.at.Sub(s.at); wait > time.Second {
-				sc.t.Fatalf("redial %v after a failed hello Send, want within the refusal window", wait)
-			}
-			sc.tr.clk.Add(100 * time.Millisecond)
+			s.awaitClosed(sc.t, "a session whose hello Send failed must be hung up")
 			sc.tr.failHello = false
-			s2.recv(refusal("device banned"))
-			sc.expectStopOrRedial(s2, "device banned")
+			s2 := sc.tr.next(sc.t, "the redial after a failed hello Send")
+			if wait := s2.at.Sub(s.at); wait == 0 || wait > 2*redialFloor {
+				sc.t.Fatalf("redial %v after a failed hello Send, want one backoff step", wait)
+			}
+			s2.hello(sc.t)
+			s2.recv(ack("g1", 0))
+			sc.tier.awaitAccepted(sc.t, s2)
+		}},
+		{"a loopback refusal is classified from its ack", func(sc *script) {
+			// The hello's Send succeeds and the failure ack, then the
+			// session's death, arrive inside it: the refusal settles at
+			// once, with no ack wait.
+			r := refusal("device banned")
+			sc.tr.answer, sc.tr.hangUp = &r, true
+			s := sc.redial(0)
+			sc.tr.answer, sc.tr.hangUp = nil, false
+			if sc.tier.final() && sc.tier.err() == nil {
+				sc.t.Fatal("the refused hello had not stopped the device when it was sent")
+			}
+			sc.expectStopOrRedial(s, "device banned")
 		}},
 	}
 	tiers := []struct {

@@ -9,7 +9,6 @@ import (
 	"sort"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"github.com/dimmunix/dimmunix/internal/clock"
 	"github.com/dimmunix/dimmunix/internal/immunity/auth"
@@ -70,9 +69,9 @@ type ExchangeStats struct {
 	// Fenced counts stale peer arm-broadcasts refused by the membership
 	// fencing rule (cluster mode only).
 	Fenced uint64
-	// AdmissionAdmitted/Delayed/Shed snapshot the report admission pool
-	// (all zero when admission is disabled): reports admitted without
-	// waiting, admitted after a bounded wait, and dropped at max wait.
+	// AdmissionAdmitted/Delayed/Shed snapshot the report admission pool:
+	// reports admitted without waiting, admitted after a bounded wait,
+	// and dropped at max wait.
 	AdmissionAdmitted, AdmissionDelayed, AdmissionShed uint64
 	// Parked is the number of signatures whose threshold crossing is
 	// currently deferred because the hub does not hold the quorum lease
@@ -273,10 +272,9 @@ type Exchange struct {
 	// non-nil after NewExchange; the hub's own, or the one given to
 	// WithMetricsRegistry), met its pre-created instruments — the hub's
 	// only copy of its event counts, which Stats and status read — and
-	// admit the report-ingest permit pool (nil = every report admitted
-	// at once; see WithAdmission), metered on reg. The registry locks
-	// are leaves — see package metrics — so met's atomics are touched
-	// under x.mu and queue locks freely.
+	// admit the report-ingest permit pool, metered on reg. The registry
+	// locks are leaves — see package metrics — so met's atomics are
+	// touched under x.mu and queue locks freely.
 	reg   *metrics.Registry
 	met   hubMetrics
 	admit *admission
@@ -303,23 +301,6 @@ func WithProvenanceStore(store ProvenanceStore) ExchangeOption {
 // registry, reachable via Metrics().
 func WithMetricsRegistry(reg *metrics.Registry) ExchangeOption {
 	return func(x *Exchange) { x.reg = reg }
-}
-
-// WithAdmission puts a pool of 8 permits in front of report ingest
-// (device reports and peer forward-reports): at most 8 report batches
-// are processed concurrently, an over-capacity batch waits up to
-// maxWait — blocking its session's transport read goroutine, which the
-// device experiences as a slow ack and TCP turns into backpressure —
-// and a batch still waiting then is shed (dropped without killing the
-// session; the client's full-history re-report on its next reconnect
-// redelivers it, so shedding trades latency for bounded hub memory,
-// never a permanently lost report). Keep maxWait well below the
-// transport write timeout (30s for TCP) or slow-acked clients start
-// redialing. The pool's verdicts are counted on the hub's registry
-// (immunity_hub_admission_*) and in ExchangeStats. Without this option
-// every report is admitted at once.
-func WithAdmission(maxWait time.Duration) ExchangeOption {
-	return func(x *Exchange) { x.admit = newAdmission(maxWait) }
 }
 
 // WithClock runs a hub's machines (with its node's) or a device's on
@@ -394,9 +375,7 @@ func NewExchange(confirmThreshold int, opts ...ExchangeOption) (*Exchange, error
 		x.reg = metrics.NewRegistry()
 	}
 	x.met = newHubMetrics(x.reg)
-	if x.admit != nil {
-		x.admit.meter(x.reg)
-	}
+	x.admit = newAdmission(x.reg)
 	if x.store != nil {
 		recs, err := x.store.Load()
 		if err != nil {
@@ -744,6 +723,9 @@ func (c *Conn) refuse(format string, args ...any) error {
 	return fmt.Errorf("exchange session: %s", msg)
 }
 
+// errConnClosed is Handle's error on a Conn already closed.
+var errConnClosed = errors.New("exchange session: closed")
+
 // Handle processes one client→hub message. A non-nil error means the
 // session violated the protocol (bad version, malformed signature,
 // message before hello): the hub has already queued a failure ack where
@@ -759,7 +741,7 @@ func (c *Conn) Handle(m wire.Message) error {
 	c.mu.Lock()
 	if c.closed {
 		c.mu.Unlock()
-		return fmt.Errorf("exchange session: closed")
+		return errConnClosed
 	}
 	device, tenant, peerHub := c.device, c.tenant, c.peerHub
 	c.mu.Unlock()
@@ -1323,7 +1305,6 @@ func (x *Exchange) ArmedCount() int {
 func (x *Exchange) Stats() ExchangeStats {
 	x.mu.Lock()
 	defer x.mu.Unlock()
-	admitted, delayed, shed := x.admit.counts()
 	return ExchangeStats{
 		Epoch:             x.arb.epoch,
 		Devices:           len(x.conns),
@@ -1336,9 +1317,9 @@ func (x *Exchange) Stats() ExchangeStats {
 		Forwards:          x.met.forwards.Value(),
 		RemoteInstalls:    x.met.remoteInstalls.Value(),
 		Fenced:            x.met.fenced.Value(),
-		AdmissionAdmitted: admitted,
-		AdmissionDelayed:  delayed,
-		AdmissionShed:     shed,
+		AdmissionAdmitted: x.admit.admitted.Value(),
+		AdmissionDelayed:  x.admit.delayed.Value(),
+		AdmissionShed:     x.admit.shed.Value(),
 		Parked:            x.arb.parkedCount(),
 	}
 }

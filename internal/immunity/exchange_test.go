@@ -293,8 +293,8 @@ func TestExchangeDuplicateHelloRefused(t *testing.T) {
 }
 
 // TestLoopbackRefusalIsPermanent: over loopback a handshake refusal
-// surfaces as a synchronous Send error; it must still classify as a
-// permanent Connect failure (matching TCP), not retry forever.
+// arrives as over TCP — the failure ack, then the session's death — and
+// classifies as a permanent Connect failure, not a retry.
 func TestLoopbackRefusalIsPermanent(t *testing.T) {
 	hub := newTestHub(t, 1)
 	svc, err := NewService("old-phone", nil)
@@ -317,7 +317,8 @@ func TestLoopbackRefusalIsPermanent(t *testing.T) {
 // ack from inside recv — on the Conn's push-queue drain goroutine — with
 // a duplicate hello. The hub refuses it, and the session close that
 // refusal triggers must not wait for the very goroutine it runs on: Send
-// returns its error and the session goes down.
+// returns nil, as a TCP write does, then the failure ack arrives and
+// the session goes down.
 func TestLoopbackSendRefusedOnDrain(t *testing.T) {
 	// No t.Cleanup(hub.Close): on a hung session Close would hang too,
 	// and the bound below must fail the test instead.
@@ -330,14 +331,18 @@ func TestLoopbackSendRefusedOnDrain(t *testing.T) {
 	var sess Session
 	dialed := make(chan struct{})
 	sent := make(chan error, 1)
-	down := make(chan struct{})
+	events := make(chan string, 2)
 	recv := func(m wire.Message) {
-		if m.Type == wire.TypeAck && m.Ack.OK {
+		switch {
+		case m.Type != wire.TypeAck:
+		case m.Ack.OK:
 			<-dialed
 			sent <- sess.Send(hello)
+		default:
+			events <- "refused: " + m.Ack.Error
 		}
 	}
-	sess, err = NewLoopback(hub).Dial(recv, func(error) { close(down) })
+	sess, err = NewLoopback(hub).Dial(recv, func(error) { events <- "down" })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -347,16 +352,21 @@ func TestLoopbackSendRefusedOnDrain(t *testing.T) {
 	}
 	select {
 	case err := <-sent:
-		if err == nil {
-			t.Fatal("duplicate hello accepted")
+		if err != nil {
+			t.Fatalf("refused Send returned %v, want nil: the refusal arrives as its ack", err)
 		}
 	case <-time.After(5 * time.Second):
 		t.Fatal("a refused Send from recv never returned: the session close waits on its own drain goroutine")
 	}
-	select {
-	case <-down:
-	case <-time.After(5 * time.Second):
-		t.Fatal("the refused session never went down")
+	for _, want := range []string{"refused: duplicate hello", "down"} {
+		select {
+		case got := <-events:
+			if !strings.HasPrefix(got, want) {
+				t.Fatalf("session event %q, want %q", got, want)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatalf("no %q within 5s", want)
+		}
 	}
 	hub.Close()
 }

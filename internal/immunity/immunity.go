@@ -274,22 +274,21 @@
 // The cluster subpackage adds per-peer dial/reconnect/forward-outbox
 // series on the same registry.
 //
-// Admission has one mechanism: WithAdmission(maxWait) puts a fixed pool
-// of 8 permits in front of report ingest (device reports and peer
+// Admission has one mechanism, on every Exchange: a fixed pool of 8
+// permits in front of report ingest (device reports and peer
 // forward-reports). At most 8 report messages are processed
 // concurrently, an over-capacity message waits — on the session's
 // transport read goroutine, so the device sees a slow ack and TCP
-// applies backpressure — and a message still waiting at maxWait is
-// shed: dropped without killing the session, recovered by the client's
+// applies backpressure — and a message still waiting after 5s is shed:
+// dropped without killing the session, recovered by the client's
 // full-history re-report on its next reconnect (at-least-once). A
 // report storm therefore degrades to bounded delay instead of unbounded
-// hub memory. Each admitted message yields the processor once with its
-// permit held: without the yield one hot session re-acquires in a tight
-// loop for a whole preemption slice, the other sessions' reports pile
-// up unread in hub memory, and the pool bounds nothing. Keep maxWait
-// well below the transport's 30s write timeout, or a delayed session's
-// unread pushes can kill it before the verdict. Without the option
-// every report is admitted at once, with no yield and no counting.
+// hub memory. While a caller is queued, each admitted message yields
+// the processor once with its permit held: without the yield one hot
+// session re-acquires in a tight loop for a whole preemption slice and
+// the queued sessions starve. The 5s wait is well below the
+// transport's 30s write timeout, so a delayed session's unread pushes
+// cannot kill it before the verdict.
 // The report latency histogram (immunity_hub_report_seconds, wait
 // included) has a wait-excluded twin (immunity_hub_report_handle_seconds),
 // so queueing is distinguishable from a slow hub; objectives over them
@@ -306,15 +305,15 @@
 // suffers, without it. One line each: the mechanism, its non-test
 // lines, its daemon flags, and its row.
 //
-//   - Admission: admission.go (115 lines) plus WithAdmission and
-//     admitReport; no flags (immunityd always runs it, with a 5s max
-//     wait); row cmd/immunityd TestImmunitydAdmissionFlood (16 devices
-//     × 64 signatures: every signature arms, reports are delayed and
-//     none shed, 8 permits, p99 report latency ≤ 0.25s). The evidence
-//     that the hub needs the pool is a real-clock flood, not a
-//     deterministic test: 64 devices × 256 signatures drained in
-//     4.7–9.5s with a 107–290MB peak heap without it, against 3.3–4.4s
-//     and ~42MB with it.
+//   - Admission: admission.go (109 lines) plus admitReport, on every
+//     hub; no option, no flags; rows the TestAdmission* tests and
+//     cmd/immunityd TestImmunitydAdmissionFlood (16 devices × 64
+//     signatures: every signature arms, reports are delayed and none
+//     shed, 8 permits, p99 report latency ≤ 0.25s); claims ledger row
+//     "report admission". The evidence that the hub needs the pool is a
+//     real-clock flood, not a deterministic test: 64 devices × 256
+//     signatures drained in 4.7–9.5s with a 107–290MB peak heap without
+//     it, against 3.3–4.4s and ~42MB with it.
 //   - Deputy replication (ClusterBinding.Replicate): ≈ 90 lines in
 //     arbiter.replica, Exchange.InstallReplica, cluster Node.Replicate
 //     and the wire Replicate message; no flags; row cluster
@@ -324,9 +323,6 @@
 //     pendingOutbox, Membership.leave and the daemon's shutdown branch;
 //     flag -leave; row cmd/immunityd TestDrillGracefulLeave (without it
 //     the survivors import none of the leaver's owned records).
-//   - Refusal window (redial.go refusalWindow): 3 lines; no flags; row
-//     cluster TestRedialHandshakeTable "a refusal that is the hello's
-//     Send error" (without it a device redials the hub that refused it).
 //   - Uptime rule (redial.go minUptime): 4 lines; no flags; rows cluster
 //     TestRedialHandshakeTable "uptime counts from the accept, not the
 //     dial" and "ack-then-drop backs off".

@@ -48,13 +48,17 @@ type loopbackSession struct {
 	localClosed bool
 }
 
-// Send hands the message straight to the hub. A protocol violation (the
-// hub refusing the message) closes the session, mirroring a TCP hub
-// hanging up: the refusal ack drains first, then the session goes down.
+// Send hands the message straight to the hub. A refusal reaches the
+// client as it does over TCP, where the write succeeded and the hub
+// hangs up: Send returns nil, the failure ack the hub queued arrives,
+// then the session goes down. Only a session already closed fails the
+// Send.
 func (s *loopbackSession) Send(m wire.Message) error {
-	if err := s.conn.Handle(m); err != nil {
-		s.conn.Close()
+	switch err := s.conn.Handle(m); {
+	case errors.Is(err, errConnClosed):
 		return fmt.Errorf("loopback send: %w", err)
+	case err != nil:
+		s.conn.Close()
 	}
 	return nil
 }

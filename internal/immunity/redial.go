@@ -20,13 +20,6 @@ import (
 const (
 	// helloTimeout bounds how long a handshake waits for the ack.
 	helloTimeout = 10 * time.Second
-	// refusalWindow is the ack wait after a failed hello Send. A refused
-	// handshake surfaces differently per transport: over TCP the hub
-	// queues the failure ack and hangs up (Send itself succeeded), over
-	// loopback the refusal IS the Send error while the ack still arrives
-	// on the queue goroutine. The window lets a refusal classify the same
-	// on both; absent an ack the send error is reported as transient.
-	refusalWindow = 500 * time.Millisecond
 	// backoffMin and backoffMax bound the redial wait.
 	backoffMin = 5 * time.Millisecond
 	backoffMax = 2 * time.Second
@@ -137,12 +130,11 @@ type Redialer struct {
 
 // dialAttempt is the machine half of one dial.
 type dialAttempt struct {
-	policy  Attempt
-	sess    Session
-	sendErr error                    // the hello's Send error
-	up      time.Time                // when the attempt was accepted
-	ack     atomic.Pointer[wire.Ack] // the handshake's; later acks are unsolicited
-	dead    atomic.Bool              // the session is known dead
+	policy Attempt
+	sess   Session
+	up     time.Time                // when the attempt was accepted
+	ack    atomic.Pointer[wire.Ack] // the handshake's; later acks are unsolicited
+	dead   atomic.Bool              // the session is known dead
 }
 
 // NewRedialer starts the machine idle on clk (nothing is dialed until
@@ -249,20 +241,24 @@ func (r *Redialer) end(err error) (time.Time, bool) {
 	return time.Time{}, false
 }
 
-// dial opens one attempt and sends its hello. The ack wait is the hello
-// timeout, or refusalWindow after a failed Send.
+// dial opens one attempt and sends its hello; the ack wait is the hello
+// timeout. A hub's refusal arrives as its failure ack, then the
+// session's death, on every transport; a failed hello Send is a dead
+// session, failed at once.
 func (r *Redialer) dial(now time.Time) {
 	r.cfg.Dials.Inc()
 	a := &dialAttempt{policy: r.cfg.Begin()}
 	sess, err := r.cfg.Transport.Dial(func(m wire.Message) { r.recv(a, m) }, func(error) { r.die(a) })
+	if err == nil {
+		if err = sess.Send(a.policy.Hello()); err != nil {
+			sess.Close()
+		}
+	}
 	if err != nil {
 		r.failed(now, err)
 		return
 	}
 	a.sess, r.hs, r.due = sess, a, now.Add(helloTimeout)
-	if a.sendErr = sess.Send(a.policy.Hello()); a.sendErr != nil {
-		r.due = now.Add(refusalWindow)
-	}
 }
 
 // settle ends the handshake once it has an outcome — the ack, the
@@ -284,8 +280,6 @@ func (r *Redialer) settle(now time.Time) bool {
 	switch {
 	case ack != nil && !ack.OK:
 		err = errPermanent{fmt.Errorf("hub refused: %s", ack.Error)}
-	case a.sendErr != nil:
-		err = a.sendErr
 	case ack == nil && dead:
 		err = errors.New("session died during handshake")
 	case ack == nil:

@@ -186,6 +186,28 @@ var claims = []claim{
 		},
 	},
 	{
+		id: "client session writes",
+		statement: "a device's or peer link's TCP session sends without a syscall per frame: frames sent while a write is in flight leave together, in Send order, in the next write; " +
+			"a failed write fails every later Send with its error and fires down once; Send blocks at 64 KiB pending, so pending never exceeds the bound plus one frame; " +
+			"Close returns at once, flushes what was sent before it and fires no down; without writev (TLS) frames are gathered into writes of at most 64 KiB",
+		tests: []string{
+			"internal/immunity:TestTCPSessionCoalescesWhileAWriteIsBlocked",
+			"internal/immunity:TestTCPSessionWriteErrorIsSticky",
+			"internal/immunity:TestTCPSessionPendingBound",
+			"internal/immunity:TestTCPSessionCloseFlushes",
+			"internal/immunity:TestTCPSessionWriteFramesWithoutWritev",
+			"internal/immunity:TestTCPFleetEndToEnd",
+		},
+		metrics: []string{"hub-ingest/ops_per_s"},
+		mutants: []mutant{
+			{"Send ignoring the sticky error: after a failed write it queues the frame and returns nil", "internal/immunity:TestTCPSessionWriteErrorIsSticky"},
+			{"the writer not recording its write error, so down and later Sends carry the read loop's closed-conn error", "internal/immunity:TestTCPSessionWriteErrorIsSticky"},
+			{"the writer ending at Close with frames still pending", "internal/immunity:TestTCPSessionCloseFlushes"},
+			{"Send never parking: no 64 KiB bound", "internal/immunity:TestTCPSessionPendingBound"},
+			{"writeFrames writing one Write per frame on a conn without writev", "internal/immunity:TestTCPSessionWriteFramesWithoutWritev"},
+		},
+	},
+	{
 		id:        "sync counting",
 		statement: "SyncCount and Stats count every completed monitorenter exactly once, and never go down while threads exit under a live sampler",
 		tests: []string{

@@ -6,6 +6,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math/rand/v2"
 	"net"
 	"net/http"
 	"os"
@@ -138,24 +139,50 @@ func mustSample(t *testing.T, page, series string) float64 {
 	return v
 }
 
-// freePorts reserves n distinct loopback ports by listening and
-// immediately closing; the tiny reuse race is acceptable in tests.
+// freePorts picks n distinct loopback ports for daemons that bind them
+// later. It picks outside the kernel's ephemeral range, so no ":0"
+// listener or outgoing dial anywhere on the host can take one between
+// the pick and the bind, and checks each by binding it. The start is
+// random, so test processes running side by side pick apart.
 func freePorts(t *testing.T, n int) []string {
 	t.Helper()
-	addrs := make([]string, n)
-	lns := make([]net.Listener, n)
-	for i := range addrs {
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		lns[i] = ln
-		addrs[i] = ln.Addr().String()
+	const first = 1024 // below it binding needs privilege
+	lo, hi := ephemeralRange()
+	lo = max(lo, first)
+	span := lo - first + 65535 - hi
+	if span < n {
+		t.Fatalf("ephemeral range %d-%d leaves %d ports outside it, want %d", lo, hi, span, n)
 	}
-	for _, ln := range lns {
+	var addrs []string
+	for i, start := 0, rand.IntN(span); i < span && len(addrs) < n; i++ {
+		port := first + (start+i)%span
+		if port >= lo {
+			port += hi - lo + 1
+		}
+		ln, err := net.Listen("tcp", fmt.Sprintf("127.0.0.1:%d", port))
+		if err != nil {
+			continue // in use
+		}
+		addrs = append(addrs, ln.Addr().String())
 		ln.Close()
 	}
+	if len(addrs) < n {
+		t.Fatalf("found %d free ports outside the ephemeral range %d-%d, want %d", len(addrs), lo, hi, n)
+	}
 	return addrs
+}
+
+// ephemeralRange is the kernel's range for ":0" binds and outgoing
+// dials: ip_local_port_range where the host has it, else Linux's
+// default.
+func ephemeralRange() (lo, hi int) {
+	b, err := os.ReadFile("/proc/sys/net/ipv4/ip_local_port_range")
+	if err == nil {
+		if _, err := fmt.Sscan(string(b), &lo, &hi); err == nil && lo <= hi {
+			return lo, hi
+		}
+	}
+	return 32768, 60999
 }
 
 // hubID names hub i of a test cluster.

@@ -92,7 +92,7 @@ type FileProvenance struct {
 var _ ProvenanceStore = (*FileProvenance)(nil)
 
 // maxAppendBuf caps the encode buffer a FileProvenance keeps between
-// appends, by the rule wire.WriteFrame's pool follows.
+// appends: a buffer that grew past it is dropped rather than pinned.
 const maxAppendBuf = 64 << 10
 
 // FileProvenanceOption configures a FileProvenance.

@@ -16,10 +16,16 @@ import (
 // optionally under TLS (see auth.ServerConfig and friends for the
 // config shapes). ServeTCP is the hub side (one goroutine per accepted
 // connection feeding frames into Exchange.Conn.Handle, one push-queue
-// goroutine writing frames back); TCPTransport is the phone side.
+// drain writing frames back); TCPTransport is the phone side.
 // Reconnect and resubscribe-from-epoch live in the session machine
 // (redial.go), not here — the transport only reports the session's
 // death.
+//
+// Both sides write the same way: what queued up while the previous
+// write was in flight leaves in the next one, through writeFrames. The
+// hub's drain hands over every pending frame at once; a client
+// session's Send encodes into a pending buffer that its writer
+// goroutine swaps out and writes whole (tcpSession).
 
 // writeTimeout bounds every frame write. A peer that stopped reading
 // (wedged phone, half-dead socket) errors the session out instead of
@@ -84,56 +90,215 @@ func (t *TCPTransport) Dial(recv func(wire.Message), down func(err error)) (Sess
 	if err != nil {
 		return nil, err
 	}
-	s := &tcpSession{nc: nc}
-	go s.readLoop(recv, down)
-	return s, nil
+	return newTCPSession(nc, recv, down), nil
 }
 
-// tcpSession is one client-side TCP wire session.
+// pendingLimit is the backpressure bound of a client session: Send
+// blocks while this many encoded bytes wait for the writer.
+const pendingLimit = 64 << 10
+
+// tcpSession is one client-side TCP wire session. Send encodes a frame
+// into the pending buffer and returns; the writer goroutine swaps the
+// pending buffer with its spare and writes it in one call, so every
+// frame sent while a write is in flight leaves in the next one. Its
+// contract:
+//
+//  1. Order: frames leave in Send order.
+//  2. Errors: a write error is sticky — every later Send returns it —
+//     and the writer closes the conn, so the read loop fires down
+//     exactly once, as for a read failure. A read failure is sticky
+//     the same way. A write stall is a dead session (Redialer.Send).
+//  3. Backpressure: Send blocks while pendingLimit or more bytes are
+//     pending, so pending never exceeds the bound plus one frame and a
+//     forward outbox's Cap still bounds a partition's backlog. What a
+//     dying session can lose stays below a kernel socket buffer; the
+//     device's full re-report on reconnect and the hub's dedup restore
+//     at-least-once delivery.
+//  4. Close returns at once and stops the reads. The writer flushes what
+//     was sent before Close, within writeTimeout of it, then closes the
+//     conn; down does not fire.
 type tcpSession struct {
 	nc net.Conn
 
-	wmu    sync.Mutex
-	cmu    sync.Mutex
-	closed bool
+	mu   sync.Mutex
+	cond sync.Cond // on mu: pending grew, pending was taken, or the session ended
+	// pending is what Send encoded since the writer's last swap; spare
+	// is the buffer the writer hands back after a write.
+	pending, spare []byte
+	err            error // sticky: the first write or read failure
+	closed         bool
+	parked         int       // Sends waiting on pendingLimit
+	frames         [1][]byte // the writer's writeFrames argument
 }
 
-// Send writes one frame; concurrent senders are serialized.
+// newTCPSession runs a client session on nc: its read loop delivers to
+// recv and reports a remote death to down, its writer drains Send.
+func newTCPSession(nc net.Conn, recv func(wire.Message), down func(err error)) *tcpSession {
+	s := &tcpSession{nc: nc}
+	s.cond.L = &s.mu
+	go s.readLoop(recv, down)
+	go s.writeLoop()
+	return s
+}
+
+// Send queues one frame for the writer. An encode error returns at once
+// and queues nothing.
 func (s *tcpSession) Send(m wire.Message) error {
-	s.wmu.Lock()
-	defer s.wmu.Unlock()
-	s.nc.SetWriteDeadline(time.Now().Add(writeTimeout))
-	return wire.WriteFrame(s.nc, m)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for len(s.pending) >= pendingLimit && s.err == nil && !s.closed {
+		s.parked++
+		s.cond.Wait()
+		s.parked--
+	}
+	switch {
+	case s.err != nil:
+		return s.err
+	case s.closed:
+		return errSessionClosed
+	}
+	b, err := wire.AppendFrame(s.pending, m)
+	s.pending = b
+	if err != nil {
+		return err
+	}
+	s.cond.Broadcast()
+	return nil
 }
 
-// Close implements Session; the read loop exits without firing down.
+// errSessionClosed is Send's error after Close.
+var errSessionClosed = fmt.Errorf("tcp session: %w", net.ErrClosed)
+
+// Close implements Session: the reads stop now, the writer flushes and
+// closes the conn, and down does not fire. Idempotent.
 func (s *tcpSession) Close() error {
-	s.cmu.Lock()
-	s.closed = true
-	s.cmu.Unlock()
-	return s.nc.Close()
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if !s.closed {
+		s.closed = true
+		// Under mu, so no write the writer starts later gets a later
+		// deadline.
+		s.nc.SetWriteDeadline(time.Now().Add(writeTimeout))
+		s.nc.SetReadDeadline(time.Now())
+		s.cond.Broadcast()
+	}
+	return nil
+}
+
+// writeLoop writes the pending buffer, whole, until the session fails
+// or is closed and flushed; then it closes the conn. The two buffers
+// swap roles every write, so a steady session allocates nothing.
+func (s *tcpSession) writeLoop() {
+	defer s.nc.Close()
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for {
+		for len(s.pending) == 0 && s.err == nil && !s.closed {
+			s.cond.Wait()
+		}
+		if s.err != nil || len(s.pending) == 0 {
+			return
+		}
+		buf := s.pending
+		s.pending, s.spare = s.spare[:0], nil
+		if !s.closed {
+			s.nc.SetWriteDeadline(time.Now().Add(writeTimeout))
+		}
+		if s.parked > 0 {
+			s.cond.Broadcast() // room for the parked Sends
+		}
+		s.mu.Unlock()
+		s.frames[0] = buf
+		err := writeFrames(s.nc, s.frames[:])
+		s.mu.Lock()
+		if cap(buf) <= 2*pendingLimit {
+			s.spare = buf[:0]
+		}
+		if err != nil {
+			if s.err == nil {
+				s.err = fmt.Errorf("tcp session write: %w", err)
+			}
+			s.cond.Broadcast()
+			return
+		}
+	}
 }
 
 // readLoop delivers inbound frames until the connection dies; down fires
-// exactly once, and only for remote deaths. The Reader's reused scratch
-// makes the steady-state frame read one buffered read and no
-// allocation.
+// exactly once, with the session's first failure, and only for remote
+// deaths — a failed write closes the conn, so it ends here too. The
+// Reader's reused scratch makes the steady-state frame read one
+// buffered read and no allocation.
 func (s *tcpSession) readLoop(recv func(wire.Message), down func(err error)) {
 	fr := wire.NewReader(s.nc)
 	for {
 		m, err := fr.ReadFrame()
 		if err != nil {
-			s.cmu.Lock()
+			s.mu.Lock()
 			closed := s.closed
-			s.cmu.Unlock()
-			s.nc.Close()
+			if !closed && s.err == nil {
+				s.err = fmt.Errorf("tcp session read: %w", err)
+			}
+			first := s.err
+			s.cond.Broadcast()
+			s.mu.Unlock()
 			if !closed {
-				down(err)
+				s.nc.Close()
+				down(first)
 			}
 			return
 		}
 		recv(m)
 	}
+}
+
+// writeChunk caps the buffer writeFrames gathers frames into on a conn
+// without writev.
+const writeChunk = 64 << 10
+
+// chunkPool recycles writeFrames' gather buffers.
+var chunkPool = sync.Pool{New: func() any { b := make([]byte, 0, writeChunk); return &b }}
+
+// writeFrames writes frames to nc in order, in as few calls as nc
+// allows. One frame is one Write. A plain TCP conn takes several in one
+// writev. Any other conn — TLS above all, where net.Buffers would write
+// one record and make one syscall per frame — gets runs of frames
+// copied into one buffer of at most writeChunk bytes each; a frame that
+// fills a run alone is written as it is.
+func writeFrames(nc net.Conn, frames [][]byte) error {
+	if len(frames) == 1 {
+		_, err := nc.Write(frames[0])
+		return err
+	}
+	if _, ok := nc.(*net.TCPConn); ok {
+		// net.Buffers advances through the caller's slice on partial
+		// writes; the frame bytes themselves are never touched.
+		bufs := net.Buffers(frames)
+		_, err := bufs.WriteTo(nc)
+		return err
+	}
+	bp := chunkPool.Get().(*[]byte)
+	defer chunkPool.Put(bp)
+	for len(frames) > 0 {
+		n, size := 1, len(frames[0])
+		for n < len(frames) && size+len(frames[n]) <= writeChunk {
+			size += len(frames[n])
+			n++
+		}
+		out := frames[0]
+		if n > 1 {
+			out = (*bp)[:0]
+			for _, f := range frames[:n] {
+				out = append(out, f...)
+			}
+			*bp = out
+		}
+		if _, err := nc.Write(out); err != nil {
+			return err
+		}
+		frames = frames[n:]
+	}
+	return nil
 }
 
 // ExchangeServer serves a fleet exchange over TCP.
@@ -210,7 +375,8 @@ func (s *ExchangeServer) acceptLoop() {
 // pushes out via the Conn's queue writing frames back. The write side
 // is a stream session (AcceptStream): each queue drain hands over every
 // pending frame — shared broadcast frames byte-identical across
-// sessions — and writev pushes them to the kernel in one syscall.
+// sessions — and writeFrames pushes them to the kernel in one writev,
+// or under TLS in one Write per 64 KiB.
 func (s *ExchangeServer) serve(raw net.Conn) {
 	defer s.wg.Done()
 	defer func() {
@@ -239,11 +405,7 @@ func (s *ExchangeServer) serve(raw net.Conn) {
 	conn, err := s.hub.AcceptStream(
 		func(frames [][]byte) error {
 			nc.SetWriteDeadline(time.Now().Add(writeTimeout))
-			// net.Buffers advances through our local slice on partial
-			// writes; the shared frame bytes themselves are never touched.
-			bufs := net.Buffers(frames)
-			_, err := bufs.WriteTo(nc)
-			return err
+			return writeFrames(nc, frames)
 		},
 		func() { nc.Close() },
 	)

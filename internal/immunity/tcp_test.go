@@ -1,9 +1,14 @@
 package immunity
 
 import (
+	"bytes"
+	"errors"
 	"fmt"
+	"io"
 	"net"
+	"slices"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -47,7 +52,11 @@ func TestTCPFleetEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	waitFor(t, "hub sees first report", func() bool { return len(hub.Provenance()) == 1 })
-	time.Sleep(20 * time.Millisecond)
+	// Below the threshold the hub arms nothing, so it has nothing to
+	// broadcast: no phone can be armed later by this report.
+	if st := hub.Stats(); st.Epoch != 0 || hub.ArmedCount() != 0 {
+		t.Fatalf("one report below the threshold: epoch %d, %d armed; want 0 and 0", st.Epoch, hub.ArmedCount())
+	}
 	for i := 1; i < 3; i++ {
 		if phones[i].armedOn(key) {
 			t.Fatalf("phone%d armed below the confirmation threshold", i)
@@ -423,4 +432,240 @@ func (s badVersionSession) Send(m wire.Message) error {
 		m.V = 0
 	}
 	return s.Session.Send(m)
+}
+
+// gatedConn is one end of a net.Pipe whose writes the test holds: each
+// Write hands a copy of its bytes to writes and returns once the test
+// sends on release — nil to succeed, an error to fail it. Reads come
+// from the pipe, so the session's read loop blocks until the conn
+// closes; closed is closed with it.
+type gatedConn struct {
+	net.Conn
+	writes  chan []byte // buffered past the writes any test leaves unread
+	release chan error
+	closed  chan struct{}
+	once    sync.Once
+}
+
+func (c *gatedConn) Write(b []byte) (int, error) {
+	c.writes <- append([]byte(nil), b...)
+	if err := <-c.release; err != nil {
+		return 0, err
+	}
+	return len(b), nil
+}
+
+func (c *gatedConn) Close() error {
+	c.once.Do(func() { close(c.closed) })
+	return c.Conn.Close()
+}
+
+// gatedSession runs a client session on a gatedConn; every down it
+// fires lands on downs.
+func gatedSession(t *testing.T) (*tcpSession, *gatedConn, chan error) {
+	t.Helper()
+	end, peer := net.Pipe()
+	c := &gatedConn{Conn: end, writes: make(chan []byte, 16), release: make(chan error), closed: make(chan struct{})}
+	downs := make(chan error, 2)
+	s := newTCPSession(c, func(wire.Message) {}, func(err error) { downs <- err })
+	t.Cleanup(func() {
+		s.Close()
+		close(c.release) // every held and later write succeeds
+		peer.Close()
+	})
+	return s, c, downs
+}
+
+// seqPing is frame i of a contract test; pad pads it to a chosen size.
+func seqPing(i int, pad string) wire.Message {
+	return wire.Message{V: wire.Version, Type: wire.TypePing, Ping: &wire.Ping{From: pad, Target: "hub", Seq: uint64(i)}}
+}
+
+// frameSeqs decodes one write and returns its frames' sequence numbers.
+func frameSeqs(t *testing.T, b []byte) []uint64 {
+	t.Helper()
+	r := wire.NewReader(bytes.NewReader(b))
+	var seqs []uint64
+	for {
+		m, err := r.ReadFrame()
+		if errors.Is(err, io.EOF) {
+			return seqs
+		}
+		if err != nil {
+			t.Fatalf("write of %d bytes: %v", len(b), err)
+		}
+		seqs = append(seqs, m.Ping.Seq)
+	}
+}
+
+func mustSend(t *testing.T, s *tcpSession, m wire.Message) {
+	t.Helper()
+	if err := s.Send(m); err != nil {
+		t.Fatalf("send %d: %v", m.Ping.Seq, err)
+	}
+}
+
+// TestTCPSessionCoalescesWhileAWriteIsBlocked: the frames sent while a
+// write is in flight leave together, in Send order, in the next write.
+func TestTCPSessionCoalescesWhileAWriteIsBlocked(t *testing.T) {
+	s, c, _ := gatedSession(t)
+	mustSend(t, s, seqPing(0, ""))
+	if got := frameSeqs(t, <-c.writes); !slices.Equal(got, []uint64{0}) {
+		t.Fatalf("first write carries %v, want [0]", got)
+	}
+	for i := 1; i <= 3; i++ {
+		mustSend(t, s, seqPing(i, ""))
+	}
+	c.release <- nil
+	if got := frameSeqs(t, <-c.writes); !slices.Equal(got, []uint64{1, 2, 3}) {
+		t.Fatalf("the write after the blocked one carries %v, want [1 2 3]", got)
+	}
+	c.release <- nil
+}
+
+// TestTCPSessionWriteErrorIsSticky: a failed write fails every later
+// Send with its error and fires down once; Close after it fires none.
+func TestTCPSessionWriteErrorIsSticky(t *testing.T) {
+	s, c, downs := gatedSession(t)
+	boom := errors.New("boom")
+	mustSend(t, s, seqPing(0, ""))
+	<-c.writes
+	c.release <- boom
+	if err := <-downs; !errors.Is(err, boom) {
+		t.Fatalf("down fired with %v, want %v", err, boom)
+	}
+	for i := 1; i <= 2; i++ {
+		if err := s.Send(seqPing(i, "")); !errors.Is(err, boom) {
+			t.Fatalf("send %d after the failed write: %v, want %v", i, err, boom)
+		}
+	}
+	s.Close()
+	if len(downs) != 0 {
+		t.Fatalf("down fired again: %v", <-downs)
+	}
+}
+
+// TestTCPSessionPendingBound: while a write is blocked, Send parks once
+// pendingLimit bytes are pending — never more than the bound plus one
+// frame — and every frame still leaves, in order, in writes of at most
+// that size.
+func TestTCPSessionPendingBound(t *testing.T) {
+	s, c, _ := gatedSession(t)
+	pad := strings.Repeat("x", 1000)
+	frame, err := wire.AppendFrame(nil, seqPing(0, pad))
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := 3 * pendingLimit / len(frame)
+	mustSend(t, s, seqPing(0, pad))
+	got := frameSeqs(t, <-c.writes)
+	sent := make(chan error, 1)
+	go func() {
+		for i := 1; i < n; i++ {
+			if err := s.Send(seqPing(i, pad)); err != nil {
+				sent <- err
+				return
+			}
+		}
+		sent <- nil
+	}()
+	waitFor(t, "a Send parked on the bound", func() bool {
+		s.mu.Lock()
+		defer s.mu.Unlock()
+		return s.parked > 0
+	})
+	s.mu.Lock()
+	pending := len(s.pending)
+	s.mu.Unlock()
+	if pending < pendingLimit || pending >= pendingLimit+len(frame) {
+		t.Fatalf("a Send parked with %d bytes pending, want [%d, %d)", pending, pendingLimit, pendingLimit+len(frame))
+	}
+	for len(got) < n {
+		c.release <- nil
+		w := <-c.writes
+		if len(w) >= pendingLimit+len(frame) {
+			t.Fatalf("a write of %d bytes, want under %d", len(w), pendingLimit+len(frame))
+		}
+		got = append(got, frameSeqs(t, w)...)
+	}
+	c.release <- nil
+	if err := <-sent; err != nil {
+		t.Fatal(err)
+	}
+	for i, seq := range got {
+		if seq != uint64(i) {
+			t.Fatalf("frame %d of %d arrived as %d", i, n, seq)
+		}
+	}
+}
+
+// TestTCPSessionCloseFlushes: Close returns while a write is blocked;
+// the frames sent before it still leave, then the conn closes, and down
+// never fires.
+func TestTCPSessionCloseFlushes(t *testing.T) {
+	s, c, downs := gatedSession(t)
+	mustSend(t, s, seqPing(0, ""))
+	<-c.writes
+	mustSend(t, s, seqPing(1, ""))
+	mustSend(t, s, seqPing(2, ""))
+	s.Close()
+	if err := s.Send(seqPing(3, "")); !errors.Is(err, net.ErrClosed) {
+		t.Fatalf("send after Close: %v, want %v", err, net.ErrClosed)
+	}
+	c.release <- nil
+	select {
+	case w := <-c.writes:
+		if got := frameSeqs(t, w); !slices.Equal(got, []uint64{1, 2}) {
+			t.Fatalf("the flush carries %v, want [1 2]", got)
+		}
+	case <-c.closed:
+		t.Fatal("the conn closed with frames 1 and 2 unwritten")
+	}
+	c.release <- nil
+	<-c.closed
+	if len(downs) != 0 {
+		t.Fatalf("down fired after Close: %v", <-downs)
+	}
+}
+
+// recordingConn records the size of every Write.
+type recordingConn struct {
+	net.Conn
+	writes []int
+	out    bytes.Buffer
+}
+
+func (c *recordingConn) Write(b []byte) (int, error) {
+	c.writes = append(c.writes, len(b))
+	return c.out.Write(b)
+}
+
+// TestTCPSessionWriteFramesWithoutWritev: on a conn without writev (TLS
+// among them) writeFrames gathers runs of frames into writes of at most
+// writeChunk bytes, writes a frame too big for a run as it is, and keeps
+// the order.
+func TestTCPSessionWriteFramesWithoutWritev(t *testing.T) {
+	var frames [][]byte
+	var want bytes.Buffer
+	for i, size := range []int{100, writeChunk - 150, 100, 2 * writeChunk, 10, 20} {
+		f, err := wire.AppendFrame(nil, seqPing(i, strings.Repeat("x", size)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		frames = append(frames, f)
+		want.Write(f)
+	}
+	// Runs: frames 0-1 fit one chunk; 2 alone (3 would overflow it); 3
+	// alone, past the chunk; 4-5 together.
+	wantWrites := []int{len(frames[0]) + len(frames[1]), len(frames[2]), len(frames[3]), len(frames[4]) + len(frames[5])}
+	c := &recordingConn{}
+	if err := writeFrames(c, frames); err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(c.writes, wantWrites) {
+		t.Fatalf("writes %v, want %v", c.writes, wantWrites)
+	}
+	if !bytes.Equal(c.out.Bytes(), want.Bytes()) {
+		t.Fatal("the written bytes are not the frames in order")
+	}
 }

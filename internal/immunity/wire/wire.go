@@ -738,27 +738,17 @@ func AppendFrame(dst []byte, m Message) ([]byte, error) {
 	return dst, nil
 }
 
-// framePool recycles WriteFrame's encode buffers; buffers that grew
-// past maxPooled are dropped rather than pinned in the pool.
-var framePool = sync.Pool{New: func() any { b := make([]byte, 0, 1024); return &b }}
-
-const maxPooled = 64 << 10
-
 // WriteFrame writes one framed message to w as a single Write (one
 // packet on an unbuffered socket).
 func WriteFrame(w io.Writer, m Message) error {
-	bp := framePool.Get().(*[]byte)
-	b, err := AppendFrame((*bp)[:0], m)
-	if err == nil {
-		if _, werr := w.Write(b); werr != nil {
-			err = fmt.Errorf("wire write: %w", werr)
-		}
+	b, err := AppendFrame(nil, m)
+	if err != nil {
+		return err
 	}
-	if cap(b) <= maxPooled {
-		*bp = b[:0]
+	if _, err := w.Write(b); err != nil {
+		return fmt.Errorf("wire write: %w", err)
 	}
-	framePool.Put(bp)
-	return err
+	return nil
 }
 
 // parseHeader unpacks and validates a frame header: the codec flag and

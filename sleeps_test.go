@@ -25,7 +25,6 @@ var sleepCensus = map[string]int{
 	"internal/immunity/cluster/cluster_test.go": 1,
 	"internal/immunity/exchange_test.go":        2,
 	"internal/immunity/service_test.go":         1,
-	"internal/immunity/tcp_test.go":             1,
 	"internal/metrics/meter_test.go":            1,
 	"internal/vm/object.go":                     1,
 	"internal/vm/thread_test.go":                1,

@@ -208,6 +208,29 @@ var claims = []claim{
 		},
 	},
 	{
+		id: "report runs",
+		statement: "report frames a hub session reads together commit as one mutation — one admission permit, one provenance write, one delta per tenant — " +
+			"with a confirm receipt per signature in frame order, exactly as one by one: a malformed signature in frame k is refused after frames < k are confirmed, " +
+			"with nothing of frame k or later recorded; a status request or duplicate hello inside a run is answered in its place; " +
+			"a run ends at the last frame whole in the read buffer, without a blocking read (wire.Reader.Ready)",
+		tests: []string{
+			"internal/immunity:TestReportRunIsOneMutation",
+			"internal/immunity:TestReportRunRefusesAtTheMalformedFrame",
+			"internal/immunity:TestReportRunAnswersInPlace",
+			"internal/immunity:TestReportRunStopsAtAPartialFrame",
+			"internal/immunity/wire:TestReaderReady",
+			"internal/immunity:TestTCPFleetEndToEnd",
+		},
+		metrics: []string{"hub-ingest/ops_per_s"},
+		mutants: []mutant{
+			{"the run concatenating its frames' signatures, so the malformed frame's well-formed prefix commits", "internal/immunity:TestReportRunRefusesAtTheMalformedFrame"},
+			{"non-report frames handled after the run's reports", "internal/immunity:TestReportRunAnswersInPlace"},
+			{"serve reading past the buffered frames: the run waits for a frame still arriving", "internal/immunity:TestReportRunStopsAtAPartialFrame"},
+			{"Ready true once a header is buffered, whatever its payload", "internal/immunity/wire:TestReaderReady"},
+			{"one mutation per frame: Handle never groups reports", "internal/immunity:TestReportRunIsOneMutation"},
+		},
+	},
+	{
 		id:        "sync counting",
 		statement: "SyncCount and Stats count every completed monitorenter exactly once, and never go down while threads exit under a live sampler",
 		tests: []string{

@@ -18,10 +18,13 @@ const (
 )
 
 // admission is the bounded permit pool every Exchange puts in front of
-// report ingest: a buffered channel used as a semaphore. A report takes
-// a permit before it is handled and returns it after; when all permits
-// are out the caller waits up to maxWait and is shed if the wait
-// expires (maxWait <= 0 sheds at once). Blocked senders on a channel
+// report ingest: a buffered channel used as a semaphore. A report run —
+// the report frames a TCP session read together, a single report over
+// the loopback, or one peer forward-report — takes one permit before it
+// is handled and returns it after, so a verdict below covers a run, not
+// a frame; when all permits are out the caller waits up to maxWait and
+// the whole run is shed if the wait expires (maxWait <= 0 sheds at
+// once). Blocked senders on a channel
 // queue FIFO and a receive from a full buffer hands the freed slot to
 // the oldest of them, so waiters are admitted in arrival order and a
 // late caller never overtakes a queued one. Every verdict is counted on

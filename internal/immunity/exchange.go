@@ -70,8 +70,8 @@ type ExchangeStats struct {
 	// fencing rule (cluster mode only).
 	Fenced uint64
 	// AdmissionAdmitted/Delayed/Shed snapshot the report admission pool:
-	// reports admitted without waiting, admitted after a bounded wait,
-	// and dropped at max wait.
+	// report runs admitted without waiting, admitted after a bounded
+	// wait, and dropped at max wait.
 	AdmissionAdmitted, AdmissionDelayed, AdmissionShed uint64
 	// Parked is the number of signatures whose threshold crossing is
 	// currently deferred because the hub does not hold the quorum lease
@@ -726,11 +726,31 @@ func (c *Conn) refuse(format string, args ...any) error {
 // errConnClosed is Handle's error on a Conn already closed.
 var errConnClosed = errors.New("exchange session: closed")
 
-// Handle processes one client→hub message. A non-nil error means the
-// session violated the protocol (bad version, malformed signature,
+// Handle processes client→hub messages in order, exactly as one call
+// per message would, and stops at the first that fails. Consecutive
+// reports are one report run (handleReports): one hub mutation whatever
+// the number of frames. The TCP transport hands over every frame it read
+// together; the loopback, one message per call. A non-nil error means
+// the session violated the protocol (bad version, malformed signature,
 // message before hello): the hub has already queued a failure ack where
 // one applies, and the transport must Close the Conn.
-func (c *Conn) Handle(m wire.Message) error {
+func (c *Conn) Handle(run ...wire.Message) error {
+	for len(run) > 0 {
+		n := 1
+		for n < len(run) && run[0].Type == wire.TypeReport && run[n].Type == wire.TypeReport {
+			n++
+		}
+		if err := c.handle(run[:n]); err != nil {
+			return err
+		}
+		run = run[n:]
+	}
+	return nil
+}
+
+// handle processes one message, or one run of reports.
+func (c *Conn) handle(run []wire.Message) error {
+	m := run[0]
 	if err := m.Validate(); err != nil {
 		// The TCP path validates at decode, but Handle is the hub's API
 		// surface for any transport (the loopback hands messages over
@@ -769,7 +789,7 @@ func (c *Conn) Handle(m wire.Message) error {
 		if device == "" {
 			return c.refuse("report before hello")
 		}
-		return c.hub.admitReport(func() error { return c.handleReport(tenant, device, m.Report) })
+		return c.hub.admitReport(func() error { return c.handleReports(tenant, device, run) })
 	case wire.TypeForwardReport:
 		if peerHub == "" {
 			return c.refuse("forward-report before peer-hello")
@@ -989,15 +1009,17 @@ func (c *Conn) handleForwardReport(f *wire.ForwardReport) error {
 	return nil
 }
 
-// admitReport gates one report-path message (device report or peer
-// forward-report) through the admission pool and observes the full
-// handling duration, wait included. It runs on the session's transport
-// read goroutine with no locks held, so an over-capacity wait is
-// exactly the device-visible slow ack admission promises: the session
-// stops reading, TCP stops acking, the storm backs up on the senders
-// instead of in hub memory. A shed batch is dropped without error —
-// the session stays up, and the client's full-history re-report on its
-// next reconnect redelivers the signatures (at-least-once).
+// admitReport gates one report-path unit — a device's report run
+// (Conn.handleReports) or one peer forward-report — through the
+// admission pool and observes the full handling duration, wait
+// included: one permit, one shed and one observation per run, not per
+// frame. It runs on the session's transport read goroutine with no
+// locks held, so an over-capacity wait is exactly the device-visible
+// slow ack admission promises: the session stops reading, TCP stops
+// acking, the storm backs up on the senders instead of in hub memory. A
+// shed run is dropped without error — the session stays up, and the
+// client's full-history re-report on its next reconnect redelivers the
+// signatures (at-least-once).
 func (x *Exchange) admitReport(fn func() error) error {
 	start := x.clk.Now()
 	if !x.admit.acquire() {
@@ -1007,30 +1029,56 @@ func (x *Exchange) admitReport(fn func() error) error {
 	admitted := x.clk.Now()
 	err := fn()
 	end := x.clk.Now()
-	// Two latency series: report_seconds is what a device experiences
-	// (wait included), handle_seconds is what the hub itself costs (wait
-	// excluded — separates "hub is slow" from "hub is queueing").
+	// Two latency series, one observation per run: report_seconds is
+	// what a device experiences (wait included), handle_seconds is what
+	// the hub itself costs (wait excluded — separates "hub is slow" from
+	// "hub is queueing").
 	x.met.reportSeconds.ObserveDuration(end.Sub(start))
 	x.met.handleSeconds.ObserveDuration(end.Sub(admitted))
 	return err
 }
 
-// handleReport records the batch's signatures as confirmations by
-// device, arming at threshold, and answers each with a confirm receipt.
-// The whole batch is one hub mutation: a reconnect re-reports a
-// device's entire history in one report message, and that must not cost
-// one lock acquisition and one store write per signature.
-func (c *Conn) handleReport(tenant, device string, r *wire.Report) error {
-	sigs := make([]wire.Checked, 0, len(r.Sigs))
-	for _, ws := range r.Sigs {
-		sig, err := ws.Check()
-		if err != nil {
-			return c.refuse("malformed reported signature: %v", err)
+// handleReports records a run of report frames as confirmations by
+// device, arming at threshold, and answers each signature with a
+// confirm receipt, in frame order. The whole run is one hub mutation —
+// one lock section, one store write, one delta per tenant — so neither
+// a reconnect's full-history report nor a burst of one-signature frames
+// costs a lock acquisition and a store write per signature. A frame that
+// fails its checks is refused as if the frames had come one by one:
+// every earlier frame is recorded and confirmed first, and none of its
+// own signatures nor any later frame's.
+func (c *Conn) handleReports(tenant, device string, run []wire.Message) error {
+	n := 0
+	for _, m := range run {
+		if m.Report != nil {
+			n += len(m.Report.Sigs)
 		}
-		sigs = append(sigs, sig)
+	}
+	sigs := make([]wire.Checked, 0, n)
+	refusal := ""
+frames:
+	for i, m := range run {
+		if i > 0 { // handle validated the first
+			if err := m.Validate(); err != nil {
+				refusal = err.Error()
+				break
+			}
+		}
+		frame := len(sigs)
+		for _, ws := range m.Report.Sigs {
+			sig, err := ws.Check()
+			if err != nil {
+				sigs, refusal = sigs[:frame], fmt.Sprintf("malformed reported signature: %v", err)
+				break frames
+			}
+			sigs = append(sigs, sig)
+		}
 	}
 	for _, confirm := range c.hub.reportFrom(tenant, device, sigs, 0) {
 		c.push(wire.Message{Type: wire.TypeConfirm, Confirm: confirm})
+	}
+	if refusal != "" {
+		return c.refuse("%s", refusal)
 	}
 	return nil
 }

@@ -26,6 +26,13 @@ import (
 // hub's drain hands over every pending frame at once; a client
 // session's Send encodes into a pending buffer that its writer
 // goroutine swaps out and writes whole (tcpSession).
+//
+// The hub reads the same way round: after each blocking frame read,
+// serve also takes every frame already whole in its read buffer
+// (wire.Reader.Ready) and hands them to Conn.Handle in one call, where
+// consecutive reports commit as one mutation — one admission permit,
+// one Exchange.mu section, one provenance write — with the same
+// receipts, refusals and counts as one call per frame.
 
 // writeTimeout bounds every frame write. A peer that stopped reading
 // (wedged phone, half-dead socket) errors the session out instead of
@@ -372,11 +379,13 @@ func (s *ExchangeServer) acceptLoop() {
 }
 
 // serve runs the hub side of one connection: frames in → Conn.Handle,
-// pushes out via the Conn's queue writing frames back. The write side
-// is a stream session (AcceptStream): each queue drain hands over every
-// pending frame — shared broadcast frames byte-identical across
-// sessions — and writeFrames pushes them to the kernel in one writev,
-// or under TLS in one Write per 64 KiB.
+// pushes out via the Conn's queue writing frames back. The read side
+// hands Handle every frame that one read brought in, so a run of report
+// frames is one hub mutation. The write side is a stream session
+// (AcceptStream): each queue drain hands over every pending frame —
+// shared broadcast frames byte-identical across sessions — and
+// writeFrames pushes them to the kernel in one writev, or under TLS in
+// one Write per 64 KiB.
 func (s *ExchangeServer) serve(raw net.Conn) {
 	defer s.wg.Done()
 	defer func() {
@@ -418,17 +427,26 @@ func (s *ExchangeServer) serve(raw net.Conn) {
 	}
 	defer func() { conn.Close(); <-conn.out.Done() }()
 	fr := wire.NewReader(nc)
+	var run []wire.Message
 	for {
+		// One blocking read, then every frame already whole in the buffer.
 		m, err := fr.ReadFrame()
-		if err != nil {
-			return // dead or misbehaving peer; deferred Close cleans up
+		for err == nil {
+			run = append(run, m)
+			if !fr.Ready() {
+				break
+			}
+			m, err = fr.ReadFrame()
 		}
-		if err := conn.Handle(m); err != nil {
-			// Protocol violation: the failure ack is already queued; let
-			// the push queue flush it before the deferred Close tears the
-			// socket down.
+		// The frames before a read failure are handled as they would have
+		// been one by one. A Handle error is a protocol violation: the
+		// failure ack is already queued; the push queue flushes it before
+		// the deferred Close tears the socket down.
+		if len(run) > 0 && conn.Handle(run...) != nil || err != nil {
 			return
 		}
+		clear(run) // the handled messages are not kept alive
+		run = run[:0]
 	}
 }
 

@@ -669,3 +669,207 @@ func TestTCPSessionWriteFramesWithoutWritev(t *testing.T) {
 		t.Fatal("the written bytes are not the frames in order")
 	}
 }
+
+// pipeDevice is a device's end of a net.Pipe whose other end the hub
+// serves as ServeTCP serves an accepted conn. Each write is one Write,
+// so its frames reach the hub's read buffer together. The end carries a
+// deadline: a hub that stops answering fails the test instead of
+// hanging it.
+type pipeDevice struct {
+	t  *testing.T
+	nc net.Conn
+	fr *wire.Reader
+}
+
+func pipeHub(t *testing.T, hub *Exchange) *pipeDevice {
+	t.Helper()
+	end, dev := net.Pipe()
+	s := &ExchangeServer{hub: hub, socks: map[net.Conn]struct{}{}}
+	s.wg.Add(1)
+	go s.serve(end)
+	t.Cleanup(func() { dev.Close(); s.wg.Wait() })
+	dev.SetDeadline(time.Now().Add(10 * time.Second))
+	return &pipeDevice{t: t, nc: dev, fr: wire.NewReader(dev)}
+}
+
+func (d *pipeDevice) frames(ms ...wire.Message) []byte {
+	d.t.Helper()
+	var b []byte
+	for _, m := range ms {
+		var err error
+		if b, err = wire.AppendFrame(b, m); err != nil {
+			d.t.Fatal(err)
+		}
+	}
+	return b
+}
+
+func (d *pipeDevice) write(b []byte) {
+	d.t.Helper()
+	if _, err := d.nc.Write(b); err != nil {
+		d.t.Fatal(err)
+	}
+}
+
+func (d *pipeDevice) read() wire.Message {
+	d.t.Helper()
+	m, err := d.fr.ReadFrame()
+	if err != nil {
+		d.t.Fatalf("reading the hub's next frame: %v", err)
+	}
+	return m
+}
+
+// confirms reads one confirm receipt per signature of sigs, in order.
+func (d *pipeDevice) confirms(sigs ...int) {
+	d.t.Helper()
+	for _, i := range sigs {
+		if m := d.read(); m.Type != wire.TypeConfirm || m.Confirm.Key != testSig(i).Key() {
+			d.t.Fatalf("got %s %+v, want the confirm of signature %d", m.Type, m.Confirm, i)
+		}
+	}
+}
+
+// refusal reads the failure ack naming reason, then the hang-up.
+func (d *pipeDevice) refusal(reason string) {
+	d.t.Helper()
+	if m := d.read(); m.Type != wire.TypeAck || m.Ack.OK || !strings.Contains(m.Ack.Error, reason) {
+		d.t.Fatalf("got %s %+v, want a failure ack for %q", m.Type, m.Ack, reason)
+	}
+	if m, err := d.fr.ReadFrame(); !errors.Is(err, io.EOF) {
+		d.t.Fatalf("after the refusal: %s, %v; want the hang-up", m.Type, err)
+	}
+}
+
+func helloFrame(device string) wire.Message {
+	return wire.Message{V: wire.Version, Type: wire.TypeHello,
+		Hello: &wire.Hello{Device: device, MinV: wire.MinVersion, MaxV: wire.Version}}
+}
+
+func reportFrame(sigs ...wire.Signature) wire.Message {
+	return wire.Message{V: wire.Version, Type: wire.TypeReport, Report: &wire.Report{Sigs: sigs}}
+}
+
+// reports is one report frame per signature i of ids.
+func reports(ids ...int) []wire.Message {
+	ms := make([]wire.Message, len(ids))
+	for k, i := range ids {
+		ms[k] = reportFrame(wire.FromCore(testSig(i)))
+	}
+	return ms
+}
+
+// attached serves a fresh hub over a pipe and attaches device phone0.
+func attached(t *testing.T, threshold int) (*Exchange, *countingStore, *pipeDevice) {
+	t.Helper()
+	store := &countingStore{ProvenanceStore: NewMemProvenance()}
+	hub := newTestHub(t, threshold, WithProvenanceStore(store))
+	d := pipeHub(t, hub)
+	d.write(d.frames(helloFrame("phone0")))
+	if m := d.read(); m.Type != wire.TypeAck || !m.Ack.OK {
+		t.Fatalf("hello answered with %s %+v", m.Type, m.Ack)
+	}
+	return hub, store, d
+}
+
+// provenanceKeys is the hub's recorded signature keys, in first-report
+// order.
+func provenanceKeys(hub *Exchange) []string {
+	var keys []string
+	for _, p := range hub.Provenance() {
+		keys = append(keys, p.Key)
+	}
+	return keys
+}
+
+func sigKeys(ids ...int) []string {
+	keys := make([]string, len(ids))
+	for k, i := range ids {
+		keys[k] = testSig(i).Key()
+	}
+	return keys
+}
+
+// TestReportRunIsOneMutation: report frames that reach the hub's read
+// buffer together are one mutation — one admission permit, one
+// provenance write, one delta — with a confirm receipt per signature in
+// frame order and every per-signature count exact.
+func TestReportRunIsOneMutation(t *testing.T) {
+	const n = 8
+	hub, store, d := attached(t, 1)
+	batches := store.batches.Load()
+	ids := make([]int, n)
+	for i := range ids {
+		ids[i] = i
+	}
+	d.write(d.frames(reports(ids...)...))
+	if m := d.read(); m.Type != wire.TypeDelta || m.Delta.Epoch != n || len(m.Delta.Sigs) != n {
+		t.Fatalf("got %s %+v, want one delta arming all %d signatures", m.Type, m.Delta, n)
+	}
+	d.confirms(ids...)
+	if got := store.batches.Load() - batches; got != 1 {
+		t.Errorf("%d report frames made %d provenance writes, want 1", n, got)
+	}
+	st := hub.Stats()
+	if st.Reports != n || st.Confirmations != n || st.Echoes != 0 || st.AdmissionAdmitted != 1 {
+		t.Errorf("stats %+v: want %d reports and confirmations, no echo, one admitted run", st, n)
+	}
+}
+
+// TestReportRunRefusesAtTheMalformedFrame: a frame with a malformed
+// signature is refused as it would be alone: the frames before it are
+// recorded and confirmed first, and neither its own well-formed
+// signature nor any later frame reaches the hub.
+func TestReportRunRefusesAtTheMalformedFrame(t *testing.T) {
+	hub, _, d := attached(t, 2)
+	bad := reportFrame(wire.FromCore(testSig(2)), wire.Signature{Kind: "gridlock", Pairs: []wire.SigPair{{Outer: "A.m:1", Inner: "A.m:1"}}})
+	d.write(d.frames(append(reports(0, 1), bad, reports(3)[0])...))
+	d.confirms(0, 1)
+	d.refusal("malformed reported signature")
+	if got, want := provenanceKeys(hub), sigKeys(0, 1); !slices.Equal(got, want) {
+		t.Fatalf("provenance %v, want %v", got, want)
+	}
+	if st := hub.Stats(); st.Reports != 2 {
+		t.Fatalf("%d reports counted, want 2", st.Reports)
+	}
+}
+
+// TestReportRunAnswersInPlace: a status request inside a run of reports
+// is answered between the receipts of the frames around it, and sees
+// only the frames before it; a duplicate hello inside a run is refused
+// after the earlier frames' receipts, and no later frame is recorded.
+func TestReportRunAnswersInPlace(t *testing.T) {
+	hub, _, d := attached(t, 2)
+	statusReq := wire.Message{V: wire.Version, Type: wire.TypeStatusReq}
+	d.write(d.frames(append(reports(0, 1), statusReq, reports(2)[0])...))
+	d.confirms(0, 1)
+	if m := d.read(); m.Type != wire.TypeStatus || len(m.Status.Provenance) != 2 {
+		t.Fatalf("got %s %+v, want the status after two reports", m.Type, m.Status)
+	}
+	d.confirms(2)
+
+	d.write(d.frames(reports(3)[0], helloFrame("phone0"), reports(4)[0]))
+	d.confirms(3)
+	d.refusal("duplicate hello")
+	if got, want := provenanceKeys(hub), sigKeys(0, 1, 2, 3); !slices.Equal(got, want) {
+		t.Fatalf("provenance %v, want %v", got, want)
+	}
+}
+
+// TestReportRunStopsAtAPartialFrame: a run ends at the last whole frame
+// in the read buffer: the hub answers it without waiting for the rest
+// of a frame that is still arriving, then answers that one when it is
+// whole.
+func TestReportRunStopsAtAPartialFrame(t *testing.T) {
+	_, store, d := attached(t, 2)
+	batches := store.batches.Load()
+	b := d.frames(reports(0, 1, 2)...)
+	cut := len(b) - 5
+	d.write(b[:cut])
+	d.confirms(0, 1)
+	d.write(b[cut:])
+	d.confirms(2)
+	if got := store.batches.Load() - batches; got != 2 {
+		t.Fatalf("%d provenance writes, want 2: the two whole frames, then the third", got)
+	}
+}

@@ -841,6 +841,19 @@ func (r *Reader) ReadFrame() (Message, error) {
 	return DecodeBinary(buf)
 }
 
+// Ready reports whether ReadFrame would return without reading the
+// stream: a whole frame, or a header ReadFrame refuses, is already
+// buffered. A session uses it to take the frames that arrived together
+// without blocking on the next one.
+func (r *Reader) Ready() bool {
+	if r.br.Buffered() < 4 {
+		return false
+	}
+	hdr, _ := r.br.Peek(4)
+	n, err := parseHeader([4]byte(hdr))
+	return err != nil || r.br.Buffered()-4 >= int(n)
+}
+
 // Shared is an encode-once broadcast frame: one immutable message,
 // encoded at most once, with every session handed the same []byte. It
 // is what turns a hub fan-out from O(subscribers) marshals into one:

@@ -1,8 +1,10 @@
 package wire
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"io"
 	"reflect"
 	"strings"
@@ -179,6 +181,63 @@ func TestReadFrameLimits(t *testing.T) {
 	binary.BigEndian.PutUint32(huge[:], binaryFlag|(MaxFrame+1))
 	if _, err := ReadFrame(bytes.NewReader(huge[:])); err == nil || !strings.Contains(err.Error(), "exceeds max") {
 		t.Errorf("oversized frame: err = %v, want exceeds-max", err)
+	}
+}
+
+// probeStream serves data to its first Read and fails every later one,
+// counting them all: a Read after the first is one that would block on a
+// live conn.
+type probeStream struct {
+	data  []byte
+	reads int
+}
+
+var errProbe = errors.New("read past the first chunk")
+
+func (s *probeStream) Read(p []byte) (int, error) {
+	if s.reads++; s.reads > 1 {
+		return 0, errProbe
+	}
+	return copy(p, s.data), nil
+}
+
+// TestReaderReady: Ready is true exactly when the next ReadFrame returns
+// without reading the stream — a whole frame, or a header ReadFrame
+// refuses, already buffered — at every cut of three frames followed by
+// each kind of bad header.
+func TestReaderReady(t *testing.T) {
+	var frames []byte
+	for _, m := range messageFixtures()[:3] {
+		b, err := AppendFrame(nil, m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		frames = append(frames, b...)
+	}
+	bad := map[string][]byte{
+		"no codec flag": {0, 0, 0, 8},
+		"zero length":   {0x80, 0, 0, 0},
+		"oversized":     binary.BigEndian.AppendUint32(nil, binaryFlag|(MaxFrame+1)),
+	}
+	for name, hdr := range bad {
+		stream := append(append([]byte(nil), frames...), hdr...)
+		for cut := 0; cut <= len(stream); cut++ {
+			s := &probeStream{data: stream[:cut]}
+			br := bufio.NewReaderSize(s, 32<<10)
+			br.Peek(1) // buffers the whole cut in the first Read
+			r := NewReader(br)
+			for i := 0; ; i++ {
+				ready := r.Ready()
+				_, err := r.ReadFrame()
+				if read := s.reads > 1; ready == read {
+					t.Fatalf("%s, cut %d of %d, frame %d: Ready is %v and ReadFrame read the stream: %v (%v)",
+						name, cut, len(stream), i, ready, read, err)
+				}
+				if err != nil {
+					break
+				}
+			}
+		}
 	}
 }
 

@@ -35,7 +35,9 @@ type trajectoryRow struct {
 // file per BENCHMARK.json workload, every row carrying the six
 // end-to-end metrics in their declared units, a PR number CHANGES.md
 // knows, rows in PR order, and every claim row better on its claimed
-// metric than the newest earlier row.
+// metric than the newest earlier row. It logs each workload's chained
+// ops_per_s ratio (chainedRatio), the trajectory that absolute rows
+// from different boxes and days cannot give.
 func TestTrajectoryShape(t *testing.T) {
 	var spec struct {
 		Workloads []struct{ Name string } `json:"workloads"`
@@ -60,6 +62,9 @@ func TestTrajectoryShape(t *testing.T) {
 		readJSON(t, file, &rows)
 		if len(rows) == 0 {
 			t.Errorf("%s: no rows", file)
+		}
+		if chain, pairs, since := chainedRatio(rows, "ops_per_s"); pairs > 0 {
+			t.Logf("%s: ops_per_s change ÷ parent, chained over %d pairs since PR %d: %.3f×", w.Name, pairs, since, chain)
 		}
 		for i, r := range rows {
 			if !known[r.PR] || !known[r.MeasuredIn] || r.MeasuredIn < r.PR {
@@ -99,6 +104,26 @@ func TestTrajectoryShape(t *testing.T) {
 			}
 		}
 	}
+}
+
+// chainedRatio multiplies metric's change ÷ parent ratio over every
+// same-session pair in rows — a row measured in the same PR as the row
+// before it, for a later PR — and returns the product, the number of
+// pairs and the PR of the first pair's change side.
+func chainedRatio(rows []trajectoryRow, metric string) (chain float64, pairs, since int) {
+	chain = 1
+	for i := 1; i < len(rows); i++ {
+		parent, change := rows[i-1], rows[i]
+		if parent.MeasuredIn != change.MeasuredIn || parent.PR >= change.PR {
+			continue
+		}
+		if pairs == 0 {
+			since = change.PR
+		}
+		chain *= change.Metrics[metric].Value / parent.Metrics[metric].Value
+		pairs++
+	}
+	return chain, pairs, since
 }
 
 // floorShare is the share of the newest measured row's ops_per_s that a
